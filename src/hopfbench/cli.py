@@ -2,15 +2,16 @@
 
 Exit codes: 0 all selected checks passed (skipped checks do not fail a
 run), 1 at least one check failed, 2 usage error (bad flags, bad
-expression, unknown object).
+expression, unknown object), 3 engine crash (an unexpected exception;
+the traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+import traceback
 from fractions import Fraction
 from typing import Optional
 
@@ -376,21 +377,62 @@ def _scalar_json(c: Cyc) -> list:
             for f in c.to_fractions()]
 
 
-def _scalar_load(ctx: QContext, coeffs: list) -> Cyc:
+def _scalar_load(ctx: QContext, coeffs, where: str) -> Cyc:
+    """Inverse of _scalar_json; ValueError unless `coeffs` is exactly what
+    _scalar_json writes for a nonzero scalar."""
+    if not isinstance(coeffs, list) or len(coeffs) != ctx.phi:
+        raise ValueError(f"{where}: expected a list of {ctx.phi} "
+                         f"coefficients")
     total = ctx.zero
     for j, entry in enumerate(coeffs):
-        f = Fraction(int(entry["num"]), int(entry["den"]))
+        try:
+            num, den = entry["num"], entry["den"]
+            f = Fraction(int(num), int(den))
+        except (TypeError, KeyError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{where}: bad coefficient {entry!r}") from exc
+        if num != str(f.numerator) or den != str(f.denominator):
+            raise ValueError(f"{where}: coefficient {entry!r} is not a "
+                             f"fraction in lowest terms")
         if f:
             total = total + ctx.rational(f) * ctx.zeta_pow(j)
+    if not total:
+        raise ValueError(f"{where}: zero scalar entry")
     return total
+
+
+def _entries_load(ctx: QContext, entries, bounds: tuple, table: str) -> list:
+    """Rows [i, ..., scalar] of an exported table as [((i, ...), Cyc)].
+
+    `bounds` gives the dimension each index must stay below (None: only
+    non-negative).  Raises ValueError on a malformed row, an index out of
+    range, a repeated index tuple or a zero scalar.
+    """
+    if not isinstance(entries, list):
+        raise ValueError(f"{table}: expected a list of entries")
+    n = len(bounds)
+    out, seen = [], set()
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != n + 1:
+            raise ValueError(f"{table}: malformed entry {entry!r}")
+        key = tuple(entry[:n])
+        for i, bound in zip(key, bounds):
+            if type(i) is not int or i < 0 or (bound is not None
+                                               and i >= bound):
+                raise ValueError(f"{table}: basis index {i!r} out of range "
+                                 f"in entry {list(key)}")
+        if key in seen:
+            raise ValueError(f"{table}: duplicate entry {list(key)}")
+        seen.add(key)
+        out.append((key, _scalar_load(ctx, entry[n], f"{table} {list(key)}")))
+    return out
 
 
 def _vec_json(v) -> list:
     return [[i, _scalar_json(c)] for i, c in sorted(v.items())]
 
 
-def _vec_load(ctx: QContext, entries: list) -> Vec:
-    return {int(i): _scalar_load(ctx, c) for i, c in entries}
+def _vec_load(ctx: QContext, entries, dim: int, table: str) -> Vec:
+    return {i: c for (i,), c in _entries_load(ctx, entries, (dim,), table)}
 
 
 def _algebra_block(obj) -> dict:
@@ -507,6 +549,11 @@ def import_object(data):
     Returns a FiniteHopf when coalgebra tables are present, an ImportedYD
     when action/coaction blocks are present, else a FiniteAlgebra.
     `reexport_bytes(import_object(b))` reproduces the input bytes.
+    Raises ValueError on a table entry with a basis index out of range, a
+    repeated index tuple, a zero scalar or a scalar not written the way
+    the exporter writes it.  The Hopf index of action and coaction
+    entries is only checked to be non-negative: the Hopf algebra is
+    referenced by name, so its dimension is not in the payload.
     """
     if isinstance(data, (bytes, str)):
         data = json.loads(data)
@@ -523,36 +570,40 @@ def import_object(data):
         raise ValueError("label count does not match dim")
     space = Space("imported", labels)
     mrows: dict = {}
-    for i, j, k, c in data["mult"]:
-        mrows.setdefault((i, j), []).append((k, _scalar_load(ctx, c)))
+    for (i, j, k), c in _entries_load(ctx, data["mult"], (d, d, d), "mult"):
+        mrows.setdefault((i, j), []).append((k, c))
     mult = BilinearMap(d, d)
     for (i, j), row in mrows.items():
         mult.set(i, j, row)
-    unit = _vec_load(ctx, data["unit"])
+    unit = _vec_load(ctx, data["unit"], d, "unit")
     if "comult" in data:
         crows: dict = {}
-        for i, j, k, c in data["comult"]:
-            crows.setdefault(i, []).append((j, k, _scalar_load(ctx, c)))
+        for (i, j, k), c in _entries_load(ctx, data["comult"], (d, d, d),
+                                          "comult"):
+            crows.setdefault(i, []).append((j, k, c))
         comult = ColinearMap(d, d, d)
         for i, row in crows.items():
             comult.set(i, row)
         arows: dict = {}
-        for i, j, c in data["antipode"]:
-            arows.setdefault(i, []).append((j, _scalar_load(ctx, c)))
+        for (i, j), c in _entries_load(ctx, data["antipode"], (d, d),
+                                       "antipode"):
+            arows.setdefault(i, []).append((j, c))
         antipode = LinearMap(d, d)
         for i, row in arows.items():
             antipode.set(i, row)
-        counit = _vec_load(ctx, data["counit"])
+        counit = _vec_load(ctx, data["counit"], d, "counit")
         return FiniteHopf(ctx, space, mult, unit, comult, counit, antipode)
     algebra = FiniteAlgebra(ctx, space, mult, unit)
     if "action" not in data:
         return algebra
     action_rows: dict = {}
-    for h, x, y, c in data["action"]["entries"]:
-        action_rows.setdefault((h, x), {})[y] = _scalar_load(ctx, c)
+    for (h, x, y), c in _entries_load(ctx, data["action"]["entries"],
+                                      (None, d, d), "action"):
+        action_rows.setdefault((h, x), {})[y] = c
     coaction_rows: dict = {}
-    for x, h, y, c in data["coaction"]["entries"]:
-        coaction_rows.setdefault(x, []).append((h, y, _scalar_load(ctx, c)))
+    for (x, h, y), c in _entries_load(ctx, data["coaction"]["entries"],
+                                      (d, None, d), "coaction"):
+        coaction_rows.setdefault(x, []).append((h, y, c))
     return ImportedYD(algebra, action_rows,
                       {x: tuple(t) for x, t in coaction_rows.items()},
                       data["action"]["hopf"])
@@ -600,9 +651,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", default=None, metavar="PATH",
                    help="write the report here instead of stdout")
     v.add_argument("--format", choices=("text", "json"), default="text")
-    v.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("HOPFBENCH_JOBS", "1")),
-                   help="worker hint; results are identical regardless")
 
     e = sub.add_parser("eval", help="evaluate an element expression")
     _add_p(e)
@@ -672,11 +720,16 @@ def _cmd_export(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    return _cmd_export(args)
+    try:
+        if args.command == "verify":
+            return _cmd_verify(args)
+        if args.command == "eval":
+            return _cmd_eval(args)
+        return _cmd_export(args)
+    except Exception:
+        # An engine crash must not read as "a check failed" (exit 1).
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

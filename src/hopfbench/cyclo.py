@@ -1,8 +1,10 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Scalars live in Q(zeta_N) represented as Q[x]/Phi_N(x) with integer
-coefficient vectors over a common denominator, so every operation is
-exact and there is never a floating-point tolerance anywhere downstream.
+coefficient vectors over a common denominator, or, for the common case
+of a single term r * zeta^j, as (numerator, denominator, j) (see Cyc).
+Every operation is exact and there is never a floating-point tolerance
+anywhere downstream.
 
 The intended use is N = 4*p: zeta = zeta_N is a primitive N-th root of
 unity, q = zeta^2 is a primitive 2p-th root of unity, and zeta itself
@@ -89,10 +91,10 @@ class QContext:
     """
 
     __slots__ = (
-        "p", "order", "phi", "poly", "_red_rows", "zero", "one",
-        "_zeta_pows", "_inv_cache", "_qint_cache", "_qbin_cache",
-        "_qbin1_cache", "_qfac_cache", "q", "q_inv", "zeta", "qdiff",
-        "qdiff_inv",
+        "p", "order", "half", "phi", "poly", "_red_rows", "_zeta_vecs",
+        "zero", "one", "_zeta_pows", "_inv_cache", "_qint_cache",
+        "_qbin_cache", "_qbin1_cache", "_qfac_cache", "q", "q_inv", "zeta",
+        "qdiff", "qdiff_inv",
     )
 
     def __init__(self, p: int):
@@ -100,6 +102,7 @@ class QContext:
             raise ValueError("p must be >= 2")
         self.p = p
         self.order = 4 * p
+        self.half = 2 * p            # zeta^half = -1
         self.poly = cyclotomic_polynomial(self.order)
         self.phi = len(self.poly) - 1
         # x^(phi+k) mod Phi_N for k = 0 .. phi-2, as integer rows.
@@ -115,10 +118,21 @@ class QContext:
                     shifted[i] += top * base[i]
             rows.append(tuple(shifted))
         self._red_rows = tuple(rows)
-        self.zero = Cyc(self, (0,) * self.phi, 1, _normalized=True)
-        one = [0] * self.phi
-        one[0] = 1
-        self.one = Cyc(self, tuple(one), 1, _normalized=True)
+        # Power-basis coordinates of zeta^j for 0 <= j < half: x^j mod
+        # Phi_N, by repeated multiplication by x.
+        vec = [0] * self.phi
+        vec[0] = 1
+        vecs = [tuple(vec)]
+        for _ in range(self.half - 1):
+            top = vec[-1]
+            vec = [0] + vec[:-1]
+            if top:
+                for i in range(self.phi):
+                    vec[i] += top * base[i]
+            vecs.append(tuple(vec))
+        self._zeta_vecs = tuple(vecs)
+        self.zero = _raw(self, (0,) * self.phi, 1, None)
+        self.one = _raw(self, 1, 1, 0)
         self._zeta_pows: dict[int, Cyc] = {}
         self._inv_cache: dict[tuple[tuple[int, ...], int], Cyc] = {}
         self._qint_cache: dict[Fraction, Cyc] = {}
@@ -136,9 +150,9 @@ class QContext:
 
     def rational(self, value: Union[int, Fraction]) -> Cyc:
         fr = Fraction(value)
-        c = [0] * self.phi
-        c[0] = fr.numerator
-        return Cyc(self, tuple(c), fr.denominator)
+        if not fr:
+            return self.zero
+        return _raw(self, fr.numerator, fr.denominator, 0)
 
     def zeta_pow(self, j: int) -> Cyc:
         """zeta^j, i.e. q^(j/2); j is reduced mod N."""
@@ -148,9 +162,7 @@ class QContext:
             return hit
         phi = self.phi
         if j < phi:
-            c = [0] * phi
-            c[j] = 1
-            out = Cyc(self, tuple(c), 1, _normalized=True)
+            out = _raw(self, 1, 1, j)
         else:
             out = self.zeta_pow(j - phi + 1) * self.zeta_pow(phi - 1)
         self._zeta_pows[j] = out
@@ -232,78 +244,146 @@ class QContext:
 
 
 class Cyc:
-    """An element of Q(zeta_N): integer coefficient tuple over a common
-    positive denominator, always in normalized (content-free) form."""
+    """An element of Q(zeta_N), held in one of two forms.
 
-    __slots__ = ("ctx", "c", "d")
+    * Single term: r * zeta^j with r = num/den a nonzero rational in lowest
+      terms (den > 0) and 0 <= j < N/2.  Because zeta^(N/2) = -1, any
+      r * zeta^k folds to this range by flipping the sign of r.  The form
+      is unique: if r * zeta^j = s * zeta^k with r, s rational, then
+      zeta^(j-k) = s/r is a rational root of unity, hence +-1, so
+      j = k mod N/2, and with 0 <= j, k < N/2 that means j = k and r = s.
+    * Dense: integer coefficients on the power basis 1, zeta, ...,
+      zeta^(phi-1) over a common positive denominator, content-free.
 
-    def __init__(self, ctx: QContext, coeffs: Sequence[int], den: int = 1,
-                 _normalized: bool = False):
-        if not _normalized:
-            if den == 0:
-                raise ZeroDivisionError("zero denominator")
-            if den < 0:
-                den = -den
-                coeffs = [-x for x in coeffs]
-            g = _content(coeffs, den)
-            if g > 1:
-                coeffs = [x // g for x in coeffs]
-                den //= g
-            coeffs = tuple(coeffs)
+    Every result with exactly one nonzero power-basis coefficient is built
+    in the single-term form, so a dense scalar has zero or at least two
+    nonzero coefficients.  A single term r * zeta^j with j >= phi (p odd)
+    may still arrive as a dense sum (zeta^4 = zeta^2 - 1 at p = 3);
+    equality and hashing compare power-basis coordinates in that case.
+
+    Products and inverses of single terms are O(1); everything else runs
+    the power-basis convolution and reduction mod Phi_N.  `c` (coefficient
+    tuple) and `d` (denominator) read the power-basis form of either.
+    """
+
+    # _v: the numerator (single term) or the coefficient tuple (dense);
+    # _j: the zeta exponent (single term) or None (dense).
+    __slots__ = ("ctx", "d", "_v", "_j")
+
+    def __init__(self, ctx: QContext, coeffs: Sequence[int], den: int = 1):
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        if den < 0:
+            den = -den
+            coeffs = [-x for x in coeffs]
+        g = _content(coeffs, den)
+        if g > 1:
+            coeffs = [x // g for x in coeffs]
+            den //= g
         self.ctx = ctx
-        self.c = tuple(coeffs)
         self.d = den
+        if len(coeffs) - coeffs.count(0) == 1:
+            num = sum(coeffs)
+            self._v = num
+            self._j = coeffs.index(num)
+        else:
+            self._v = tuple(coeffs)
+            self._j = None
+
+    @property
+    def c(self) -> tuple[int, ...]:
+        """Power-basis numerators over the denominator `d`."""
+        j = self._j
+        if j is None:
+            return self._v
+        num = self._v
+        vec = self.ctx._zeta_vecs[j]
+        return vec if num == 1 else tuple([num * x for x in vec])
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: Cyc) -> Cyc:
-        da, db = self.d, other.d
-        if da == db:
-            return Cyc(self.ctx, [x + y for x, y in zip(self.c, other.c)], da)
-        return Cyc(self.ctx,
-                   [x * db + y * da for x, y in zip(self.c, other.c)],
-                   da * db)
+        ja, jb = self._j, other._j
+        if ja is None and jb is None:
+            # Kept inline (here and in __sub__): dense +- dense is the
+            # common sum at p >= 3.
+            a, b = self._v, other._v
+            da, db = self.d, other.d
+            if da == db:
+                return Cyc(self.ctx, [x + y for x, y in zip(a, b)], da)
+            return Cyc(self.ctx, [x * db + y * da for x, y in zip(a, b)],
+                       da * db)
+        if ja == jb:
+            return _term_sum(self, other._v, other.d)
+        return _power_basis_sum(self, other, 1)
 
     def __sub__(self, other: Cyc) -> Cyc:
-        da, db = self.d, other.d
-        if da == db:
-            return Cyc(self.ctx, [x - y for x, y in zip(self.c, other.c)], da)
-        return Cyc(self.ctx,
-                   [x * db - y * da for x, y in zip(self.c, other.c)],
-                   da * db)
+        ja, jb = self._j, other._j
+        if ja is None and jb is None:
+            a, b = self._v, other._v
+            da, db = self.d, other.d
+            if da == db:
+                return Cyc(self.ctx, [x - y for x, y in zip(a, b)], da)
+            return Cyc(self.ctx, [x * db - y * da for x, y in zip(a, b)],
+                       da * db)
+        if ja == jb:
+            return _term_sum(self, -other._v, other.d)
+        return _power_basis_sum(self, other, -1)
 
     def __neg__(self) -> Cyc:
-        return Cyc(self.ctx, tuple(-x for x in self.c), self.d,
-                   _normalized=True)
+        j = self._j
+        if j is None:
+            return _raw(self.ctx, tuple([-x for x in self._v]), self.d, None)
+        return _raw(self.ctx, -self._v, self.d, j)
 
     def __mul__(self, other: Cyc) -> Cyc:
+        ja, jb = self._j, other._j
         ctx = self.ctx
-        phi = ctx.phi
-        a, b = self.c, other.c
-        prod = [0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        out = prod[:phi]
-        rows = ctx._red_rows
-        for k in range(phi, 2 * phi - 1):
-            pk = prod[k]
-            if pk:
-                row = rows[k - phi]
-                for i in range(phi):
-                    ri = row[i]
-                    if ri:
-                        out[i] += pk * ri
-        return Cyc(ctx, out, self.d * other.d)
+        if ja is not None and jb is not None:
+            num = self._v * other._v
+            den = self.d * other.d
+            j = ja + jb
+            if j >= ctx.half:
+                j -= ctx.half
+                num = -num
+            if den > 1:
+                g = gcd(num, den)
+                if g > 1:
+                    num //= g
+                    den //= g
+            out = _new(Cyc)     # _raw, inlined on the hottest path
+            out.ctx = ctx
+            out.d = den
+            out._v = num
+            out._j = j
+            return out
+        if ja is None:
+            if jb is None:
+                return Cyc(ctx, _mul_vec(ctx, self._v, other._v, 1),
+                           self.d * other.d)
+            return Cyc(ctx, _mul_vec(ctx, ctx._zeta_vecs[jb], self._v,
+                                     other._v), self.d * other.d)
+        return Cyc(ctx, _mul_vec(ctx, ctx._zeta_vecs[ja], other._v,
+                                 self._v), self.d * other.d)
 
     def inv(self) -> Cyc:
-        """Multiplicative inverse via the extended Euclidean algorithm in
-        Q[x] against Phi_N (cached per context)."""
+        """Multiplicative inverse: O(1) for a single term, else the
+        extended Euclidean algorithm in Q[x] against Phi_N (cached per
+        context)."""
+        j = self._j
+        if j is not None:
+            # (num/den * zeta^j)^-1 = den/num * zeta^-j, and for j > 0
+            # zeta^-j = -zeta^(N/2 - j).
+            num, den = self.d, self._v
+            if den < 0:
+                num, den = -num, -den
+            if j:
+                num = -num
+                j = self.ctx.half - j
+            return _raw(self.ctx, num, den, j)
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        key = (self.c, self.d)
+        key = (self._v, self.d)
         cache = self.ctx._inv_cache
         hit = cache.get(key)
         if hit is not None:
@@ -359,11 +439,15 @@ class Cyc:
     # -- predicates / conversions ----------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.c)
+        return self._j is not None or any(self._v)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Cyc):
-            return self.c == other.c and self.d == other.d
+            if self._j == other._j:
+                return self._v == other._v and self.d == other.d
+            if self._j is None or other._j is None:
+                return self.d == other.d and self.c == other.c
+            return False
         if isinstance(other, (int, Fraction)):
             return self == self.ctx.rational(other)
         return NotImplemented
@@ -389,6 +473,89 @@ class Cyc:
 
     def __str__(self) -> str:
         return render_scalar(self)
+
+
+_new = object.__new__
+
+
+def _raw(ctx: QContext, v, den: int, j) -> Cyc:
+    """A Cyc from already-normalized parts (see the `_v`/`_j` slots)."""
+    out = _new(Cyc)
+    out.ctx = ctx
+    out.d = den
+    out._v = v
+    out._j = j
+    return out
+
+
+def _term_sum(a: Cyc, num: int, den: int) -> Cyc:
+    """a + num/den * zeta^j for a single term a = r * zeta^j."""
+    da = a.d
+    if da == den:
+        num += a._v
+    else:
+        num = a._v * den + num * da
+        den *= da
+    if not num:
+        return a.ctx.zero
+    g = gcd(num, den)
+    if g > 1:
+        num //= g
+        den //= g
+    return _raw(a.ctx, num, den, a._j)
+
+
+def _power_basis_sum(a: Cyc, b: Cyc, sign: int) -> Cyc:
+    """a + sign * b, summed on power-basis coordinates."""
+    da, db = a.d, b.d
+    if da == db:
+        sa, sb, den = 1, sign, da
+    else:
+        sa, sb, den = db, sign * da, da * db
+    out = [0] * a.ctx.phi
+    _accumulate(out, a, sa)
+    _accumulate(out, b, sb)
+    return Cyc(a.ctx, out, den)
+
+
+def _accumulate(out: list[int], x: Cyc, scale: int) -> None:
+    """out += scale * (power-basis numerators of x)."""
+    j = x._j
+    if j is None:
+        vec = x._v
+    elif j < len(out):
+        out[j] += scale * x._v
+        return
+    else:
+        vec = x.ctx._zeta_vecs[j]
+        scale *= x._v
+    for i, v in enumerate(vec):
+        if v:
+            out[i] += scale * v
+
+
+def _mul_vec(ctx: QContext, a: Sequence[int], b: Sequence[int],
+             scale: int) -> list[int]:
+    """Power-basis coordinates of scale * a * b mod Phi_N."""
+    phi = ctx.phi
+    prod = [0] * (2 * phi - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            ai *= scale
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    out = prod[:phi]
+    rows = ctx._red_rows
+    for k in range(phi, 2 * phi - 1):
+        pk = prod[k]
+        if pk:
+            row = rows[k - phi]
+            for i in range(phi):
+                ri = row[i]
+                if ri:
+                    out[i] += pk * ri
+    return out
 
 
 def _frac_poly_divmod(num: list[Fraction],

@@ -7,6 +7,7 @@ hence valid at every root of unity) for the binomials.
 """
 
 from fractions import Fraction
+import math
 import random
 
 import pytest
@@ -167,3 +168,121 @@ def test_pow_negative_exponent():
     a = CTX3.q + CTX3.one
     assert a ** -2 == (a * a).inv()
     assert a ** 0 == CTX3.one
+
+
+# -- single-term and dense forms against a dense-only reference -----------------
+
+FORM_CTXS = {p: QContext(p) for p in (2, 3, 5, 7)}
+
+
+def _ref_reduce(poly, ctx):
+    """Fraction coefficients of poly mod Phi_N (long division by the monic
+    Phi_N), padded to phi entries."""
+    poly = [Fraction(x) for x in poly]
+    phi = ctx.phi
+    for k in range(len(poly) - 1, phi - 1, -1):
+        top = poly[k]
+        if top:
+            for i, m in enumerate(ctx.poly):
+                poly[k - phi + i] -= top * m
+    return (poly + [Fraction(0)] * phi)[:phi]
+
+
+def _ref_mul(a, b, ctx):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(prod, ctx)
+
+
+def _ref_one(ctx):
+    return _ref_reduce([1], ctx)
+
+
+@st.composite
+def _scalar_and_ref(draw, ctx):
+    """(Cyc, reference coefficients): a single term r*zeta^j built from
+    rational() and zeta_pow(), or a dense scalar from the constructor."""
+    if draw(st.booleans()):
+        r = Fraction(draw(st.integers(-9, 9).filter(bool)),
+                     draw(st.integers(1, 9)))
+        j = draw(st.integers(-2 * ctx.order, 2 * ctx.order))
+        ref = [r * x for x in _ref_reduce([0] * (j % ctx.order) + [1], ctx)]
+        return ctx.rational(r) * ctx.zeta_pow(j), ref
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=ctx.phi,
+                           max_size=ctx.phi))
+    den = draw(st.integers(1, 9))
+    return Cyc(ctx, coeffs, den), [Fraction(c, den) for c in coeffs]
+
+
+def _assert_matches(x, ref, ctx):
+    """x has the reference value, and agrees on ==, hash, bool, str, .c and
+    .d with the same value rebuilt from power-basis coordinates."""
+    den = math.lcm(*(f.denominator for f in ref))
+    coeffs = tuple(int(f * den) for f in ref)
+    assert (x.c, x.d) == (coeffs, den)
+    y = Cyc(ctx, list(coeffs), den)
+    assert x == y and y == x
+    assert hash(x) == hash(y)
+    assert bool(x) == any(coeffs)
+    assert str(x) == str(y)
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_single_term_and_dense_forms_match_reference(data):
+    ctx = FORM_CTXS[data.draw(st.sampled_from(sorted(FORM_CTXS)))]
+    a, ra = data.draw(_scalar_and_ref(ctx))
+    b, rb = data.draw(_scalar_and_ref(ctx))
+    _assert_matches(a, ra, ctx)
+    _assert_matches(b, rb, ctx)
+    _assert_matches(a + b, [x + y for x, y in zip(ra, rb)], ctx)
+    _assert_matches(a - b, [x - y for x, y in zip(ra, rb)], ctx)
+    _assert_matches(-a, [-x for x in ra], ctx)
+    _assert_matches(a * b, _ref_mul(ra, rb, ctx), ctx)
+    assert (a == b) == (ra == rb)
+    assert (a != b) == (ra != rb)
+    n = data.draw(st.integers(-3, 4))
+    if any(ra):
+        inv = a.inv()
+        _assert_matches(a * inv, _ref_one(ctx), ctx)
+        base = [Fraction(x, inv.d) for x in inv.c] if n < 0 else ra
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inv()
+        if n < 0:
+            return
+        base = ra
+    expected = _ref_one(ctx)
+    for _ in range(abs(n)):
+        expected = _ref_mul(expected, base, ctx)
+    _assert_matches(a ** n, expected, ctx)
+
+
+def test_single_term_beyond_power_basis_equals_dense_sum():
+    # At p=3, phi = 4 < N/2 = 6: zeta^4 and zeta^5 are single terms whose
+    # power-basis coordinates have two nonzero entries.  The same values
+    # reached as sums are held densely and must still compare equal.
+    ctx = CTX3
+    for j, dense in ((4, ctx.zeta_pow(2) - ctx.one),
+                     (5, ctx.zeta_pow(3) - ctx.zeta)):
+        single = ctx.zeta_pow(j)
+        assert single._j == j and dense._j is None    # the two forms
+        assert single == dense and dense == single
+        assert hash(single) == hash(dense)
+        assert (single.c, single.d) == (dense.c, dense.d)
+        assert str(single) == str(dense)
+        assert single * dense.inv() == ctx.one
+        assert dense * single.inv() == ctx.one
+        assert not single - dense and not dense - single
+        assert -single == -dense
+    assert ctx.zeta_pow(4) + ctx.one == ctx.q
+
+
+def test_single_term_inverse_folds_sign():
+    for ctx in FORM_CTXS.values():
+        for j in range(ctx.order):
+            x = ctx.rational(Fraction(-3, 7)) * ctx.zeta_pow(j)
+            assert x.inv() * x == ctx.one
+            assert x.inv() == ctx.rational(Fraction(-7, 3)) * ctx.zeta_pow(-j)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hopfbench.report as report_module
 from hopfbench.cli import export_bytes, import_object, main, reexport_bytes
 from hopfbench.report import (ConfigError, SuiteConfig, parse, render,
                               run_suite)
@@ -77,14 +80,22 @@ def test_verify_exit_codes(tmp_path):
     assert main(["verify", "--p", "1"]) == 2
 
 
-def test_verify_accepts_jobs_flag(tmp_path):
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    main(["verify", "--suite", "mutations", "--out", str(out1),
-          "--format", "json"])
-    main(["verify", "--suite", "mutations", "--jobs", "2",
-          "--out", str(out2), "--format", "json"])
-    assert out1.read_bytes() == out2.read_bytes()
+def test_verify_rejects_jobs_flag(capsys):
+    # --jobs was parsed and never used; it is gone, so it is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "mutations", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_engine_crash_exits_3(monkeypatch, capsys):
+    def crash(cfg):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setitem(report_module._SUITES, "mutations", crash)
+    assert main(["verify", "--p", "2", "--suite", "mutations"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: engine fault" in err
 
 
 EVAL_CASES = [
@@ -139,3 +150,69 @@ def test_export_cli(tmp_path, capsys):
     assert data["field"] == {"type": "cyclotomic", "order": 8}
     assert main(["export", "--p", "2", "nosuch"]) == 2
     assert capsys.readouterr().err
+
+
+# Index columns of each table in an exported FiniteHopf.
+_HOPF_TABLES = {"unit": 1, "counit": 1, "mult": 3, "comult": 3,
+                "antipode": 2}
+_UQSL2_P2 = json.loads(export_bytes("uqsl2", 2))
+_SCALAR = _UQSL2_P2["mult"][0][-1]
+_ZERO = [{"num": "0", "den": "1"} for _ in _SCALAR]
+
+
+def _canonical_bytes(block: dict) -> bytes:
+    return (json.dumps(block, sort_keys=True, separators=(",", ":"))
+            + "\n").encode("utf-8")
+
+
+_index_values = st.one_of(st.integers(-3, 20),
+                          st.sampled_from(["1", 1.0, None, True]))
+_coeff_values = st.one_of(st.integers(-4, 4).map(str),
+                          st.sampled_from(["-0", "+1", "01", " 1", "1.0", "",
+                                           "2/4", 1, None]))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_import_rejects_or_round_trips_mutated_tables(data):
+    block = copy.deepcopy(_UQSL2_P2)
+    table = data.draw(st.sampled_from(sorted(_HOPF_TABLES)))
+    n = _HOPF_TABLES[table]
+    rows = block[table]
+    k = data.draw(st.integers(0, len(rows) - 1))
+    kind = data.draw(st.sampled_from(["index", "coeff", "zero", "duplicate",
+                                      "truncate"]))
+    if kind == "index":
+        rows[k][data.draw(st.integers(0, n - 1))] = data.draw(_index_values)
+    elif kind == "coeff":
+        coeff = rows[k][n][data.draw(st.integers(0, len(rows[k][n]) - 1))]
+        coeff[data.draw(st.sampled_from(["num", "den"]))] = \
+            data.draw(_coeff_values)
+    elif kind == "zero":
+        rows[k][n] = copy.deepcopy(_ZERO)
+    elif kind == "duplicate":
+        rows.append(copy.deepcopy(rows[k]))
+    else:
+        rows[k].pop()
+    try:
+        obj = import_object(_canonical_bytes(block))
+    except ValueError:
+        return
+    # Accepted: every index is an in-range int, so the exporter's order
+    # is well defined, and re-export must give the (re-sorted) table back.
+    for name, cols in _HOPF_TABLES.items():
+        block[name].sort(key=lambda e: e[:cols])
+    assert reexport_bytes(obj) == _canonical_bytes(block)
+
+
+@pytest.mark.parametrize("table,entry,message", [
+    ("mult", [0, 0, 16, _SCALAR], "out of range"),
+    ("mult", [0, -1, 0, _SCALAR], "out of range"),
+    ("antipode", _UQSL2_P2["antipode"][0], "duplicate"),
+    ("unit", [1, _ZERO], "zero scalar"),
+])
+def test_import_validation_messages(table, entry, message):
+    block = copy.deepcopy(_UQSL2_P2)
+    block[table].append(copy.deepcopy(entry))
+    with pytest.raises(ValueError, match=message):
+        import_object(block)
