@@ -3,15 +3,20 @@
 
 Each object lands in <out-dir>/<name>_p<p>.json in the canonical export
 format (sorted entries, exact rational coefficient vectors).
+
+Exit codes: 0 every table written, 2 usage error (an unknown object
+name or p < 2), 3 engine crash (an unexpected exception; the traceback
+goes to stderr).
 """
 
 import argparse
 import pathlib
 import sys
+import traceback
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hopfbench.cli import export_bytes  # noqa: E402
+from hopfbench.cli import check_export_name, export_bytes  # noqa: E402
 
 DEFAULT_OBJECTS = ["taft", "taft-dual", "uqsl2", "hqsl2", "cqzd", "chain(2)"]
 
@@ -26,15 +31,27 @@ def main():
     ap.add_argument("--out-dir", default="tables")
     args = ap.parse_args()
 
-    out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for p in args.p:
-        for name in args.objects:
-            payload = export_bytes(name, p)
-            fname = name.replace("(", "").replace(")", "")
-            path = out_dir / f"{fname}_p{p}.json"
-            path.write_bytes(payload)
-            print(f"wrote {path} ({len(payload)} bytes)")
+    if min(args.p) < 2:
+        ap.error("p must be an integer >= 2")
+    for name in args.objects:
+        try:
+            check_export_name(name)
+        except ValueError as exc:
+            ap.error(str(exc))
+    try:
+        out_dir = pathlib.Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for p in args.p:
+            for name in args.objects:
+                payload = export_bytes(name, p)
+                fname = name.replace("(", "").replace(")", "")
+                path = out_dir / f"{fname}_p{p}.json"
+                path.write_bytes(payload)
+                print(f"wrote {path} ({len(payload)} bytes)")
+    except Exception:
+        # An engine crash must not read as "a check failed" (exit 1).
+        traceback.print_exc()
+        return 3
     return 0
 
 

@@ -25,8 +25,8 @@ from .taft import (basis_change, cqzd, double_elements, heis_elements, hqsl2,
                    taft_system, truly_heisenberg_chain, uqsl2)
 
 __all__ = ["main", "EvalError", "evaluate_expression", "export_object",
-           "export_bytes", "import_object", "reexport_bytes",
-           "EXPORT_SCHEMA_VERSION"]
+           "export_bytes", "check_export_name", "import_object",
+           "reexport_bytes", "EXPORT_SCHEMA_VERSION"]
 
 EXPORT_SCHEMA_VERSION = 1
 
@@ -372,9 +372,23 @@ def evaluate_expression(p: int, text: str, structure: str = "product") -> str:
 
 # -- export / import -------------------------------------------------------------
 
+# Power-basis form (numerators, denominator) -> encoded coefficient list.
+# Export tables repeat few distinct scalars (D(B) at p=2: 8 in 65,536
+# entries), so every entry of one value shares a single list; no caller
+# mutates it.  Keyed by the power-basis form that the encoding reads, not
+# by the Cyc: Cyc equality does not compare fields, and two fields of equal
+# degree (p = 5 and p = 6) can hold equal single terms with different forms.
+_SCALAR_JSON: dict = {}
+
+
 def _scalar_json(c: Cyc) -> list:
-    return [{"num": str(f.numerator), "den": str(f.denominator)}
+    key = (c.c, c.d)
+    out = _SCALAR_JSON.get(key)
+    if out is None:
+        out = _SCALAR_JSON[key] = [
+            {"num": str(f.numerator), "den": str(f.denominator)}
             for f in c.to_fractions()]
+    return out
 
 
 def _scalar_load(ctx: QContext, coeffs, where: str) -> Cyc:
@@ -496,8 +510,34 @@ def _yd_block(yd, hopf_name: str) -> dict:
     return _yd_json(yd.algebra, action_rows, coaction_rows, hopf_name)
 
 
+_FIXED_OBJECTS = ("taft", "taft-dual", "ddouble", "hdouble", "uqsl2",
+                  "hqsl2", "cqzd")
+
+
+def _chain_length(name: str) -> Optional[int]:
+    """n for an object name chain(n) with n >= 1, else None."""
+    if name.startswith("chain"):
+        digits = name[5:].strip("()")
+        if digits.isdigit() and int(digits) >= 1:
+            return int(digits)
+    return None
+
+
+def check_export_name(name: str) -> None:
+    """Raise ValueError unless `export_object` knows the object name."""
+    if name not in _FIXED_OBJECTS and _chain_length(name) is None:
+        raise ValueError(
+            f"unknown export object {name!r}; expected one of "
+            f"{', '.join(_FIXED_OBJECTS)}, chain(n)")
+
+
 def export_object(name: str, p: int) -> dict:
-    """Structure-constant tables for one named object, as a JSON-safe dict."""
+    """Structure-constant tables for one named object, as a JSON-safe dict.
+
+    Scalar coefficient lists are shared between entries and between calls;
+    callers must not mutate them.
+    """
+    check_export_name(name)
     sys_ = taft_system(p)
     if name == "taft":
         return _hopf_block(sys_.pair.primal)
@@ -513,14 +553,8 @@ def export_object(name: str, p: int) -> dict:
         return _yd_block(hqsl2(p).yd, "uqsl2")
     if name == "cqzd":
         return _algebra_block(cqzd(p).algebra)
-    if name.startswith("chain"):
-        digits = name[5:].strip("()")
-        if digits.isdigit() and int(digits) >= 1:
-            ch = truly_heisenberg_chain(p, int(digits))
-            return _yd_block(ch.chain.yd, "uqsl2")
-    raise ValueError(
-        f"unknown export object {name!r}; expected one of taft, taft-dual, "
-        f"ddouble, hdouble, uqsl2, hqsl2, cqzd, chain(n)")
+    ch = truly_heisenberg_chain(p, _chain_length(name))
+    return _yd_block(ch.chain.yd, "uqsl2")
 
 
 def _canonical(block: dict) -> bytes:

@@ -100,8 +100,8 @@ def render_tensor(space1: Space, space2: Space, v: Vec) -> str:
 class FiniteHopf:
     """A finite-dimensional Hopf algebra given by structure tensors.
 
-    mult rows and comult rows may be lazily backed; the per-element
-    maps (counit, antipode) are always explicit.  `generators` is an
+    mult, comult and antipode rows may be lazily backed; the unit and
+    the counit are always explicit.  `generators` is an
     optional list of vectors used by generator-mode checks; it should
     generate the algebra together with the unit.
     """

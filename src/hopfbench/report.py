@@ -448,7 +448,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     """Run the selected suites and collect a deterministic report.
 
     Results are sorted by (tagged) check name; every check runs even when
-    earlier ones fail, unless fail_fast is set.
+    earlier ones fail, unless fail_fast is set.  Two results with the same
+    tagged name are an engine error (RuntimeError), not a silent drop.
     """
     config.validate()
     results = []
@@ -458,7 +459,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         for r in _SUITES[suite](config):
             tagged = replace(r, name=f"{suite}.{r.name}.p{config.p}")
             if tagged.name in seen:
-                continue
+                raise RuntimeError(f"duplicate check name {tagged.name!r}")
             seen.add(tagged.name)
             results.append(tagged)
             if config.fail_fast and tagged.status == "fail":

@@ -8,11 +8,15 @@ to materialize their full product tensor.
 
 Echelon forms use deterministic smallest-index pivots and are kept
 fully reduced, which makes every derived object (closures, quotients,
-coordinates) reproducible run to run.
+coordinates) reproducible run to run.  Full reduction also means that
+eliminating one pivot never puts another pivot into a vector's support,
+so a reduction only visits the pivots already in that support, in
+ascending order.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Callable, Iterable, Optional, Sequence
 
 from .cyclo import Cyc, QContext
@@ -375,7 +379,7 @@ class Subspace:
         """Residual of v modulo the span (does not modify the span)."""
         out = dict(v)
         pr = self.pivot_row
-        for p in self.pivots:
+        for p in sorted(k for k in v if k in pr):
             c = out.get(p)
             if c:
                 vadd_into(out, pr[p], -c)
@@ -397,8 +401,7 @@ class Subspace:
             if c:
                 vadd_into(existing, row, -c)
         self.pivot_row[pivot] = row
-        self.pivots.append(pivot)
-        self.pivots.sort()
+        insort(self.pivots, pivot)
         return True
 
     def add_many(self, vectors: Iterable[Vec]) -> int:
@@ -427,14 +430,7 @@ class SpanSolver(Subspace):
         self.n_inserted = 0
 
     def add(self, v: Vec) -> bool:
-        res = dict(v)
-        combo: Vec = {}
-        pr = self.pivot_row
-        for p in self.pivots:
-            c = res.get(p)
-            if c:
-                vadd_into(res, pr[p], -c)
-                vadd_into(combo, self.combos[p], -c)
+        res, combo = self._reduce_with_combo(v)
         idx = self.n_inserted
         self.n_inserted += 1
         if not res:
@@ -455,20 +451,25 @@ class SpanSolver(Subspace):
                 vadd_into(self.combos[p], combo, -c)
         self.pivot_row[pivot] = row
         self.combos[pivot] = combo
-        self.pivots.append(pivot)
-        self.pivots.sort()
+        insort(self.pivots, pivot)
         return True
 
-    def solve(self, v: Vec) -> Optional[Vec]:
-        """Coordinates of v over the inserted vectors, or None if outside."""
+    def _reduce_with_combo(self, v: Vec) -> tuple:
+        """(residual r of v, combination c of inserted vectors) with
+        r = v + sum of c[i] * inserted[i]."""
         res = dict(v)
         combo: Vec = {}
         pr = self.pivot_row
-        for p in self.pivots:
+        for p in sorted(k for k in v if k in pr):
             c = res.get(p)
             if c:
                 vadd_into(res, pr[p], -c)
                 vadd_into(combo, self.combos[p], -c)
+        return res, combo
+
+    def solve(self, v: Vec) -> Optional[Vec]:
+        """Coordinates of v over the inserted vectors, or None if outside."""
+        res, combo = self._reduce_with_combo(v)
         if res:
             return None
         return {k: -c for k, c in combo.items()}
@@ -560,7 +561,7 @@ def linear_map_inverse(m: LinearMap, ctx: QContext) -> LinearMap:
     for i in range(n):
         left: Vec = dict(m.get(i))
         right: Vec = {i: ctx.one}
-        for p in sorted(pivot_of):
+        for p in sorted(k for k in left if k in pivot_of):
             c = left.get(p)
             if c:
                 pl, prt = pivot_of[p]

@@ -41,9 +41,9 @@ from .hopf import (
 )
 from .results import CheckResult, Stopwatch, invert_expected_failure
 from .sparse import (
-    BilinearMap, ColinearMap, LinearMap, QuotientSpace, SingularMapError,
-    Space, SpanSolver, Subspace, linear_map_inverse, span_closure, vadd_into,
-    veq, vscale, vsub,
+    BilinearMap, ColinearMap, LazyLinearMap, LinearMap, QuotientSpace,
+    SingularMapError, Space, SpanSolver, Subspace, linear_map_inverse,
+    span_closure, vadd_into, veq, vscale, vsub,
 )
 from .truncate import (
     HopfQuotient, SubHopf, TransportedStructure, change_basis_hopf,
@@ -174,6 +174,8 @@ class TaftPair:
 def taft_dual_monomial(ctx: QContext, B: FiniteHopf) -> TaftPair:
     """Rebuild the canonical dual of B on the monomial basis F^a kappa^b.
 
+    The monomials, the change of basis, the unit and the counit are built
+    here; product, coproduct and antipode rows are memoized on first read.
     Raises SingularMapError if the monomials fail to form a basis.
     """
     p = ctx.p
@@ -210,16 +212,11 @@ def taft_dual_monomial(ctx: QContext, B: FiniteHopf) -> TaftPair:
     def convert(v: Vec) -> Vec:
         return from_can.apply(v)
 
-    mult = BilinearMap(dim, dim)
-    for i in range(dim):
-        for j in range(dim):
-            prod = Bcan.product(mono[i], mono[j])
-            row = convert(prod)
-            if row:
-                mult.set(i, j, tuple(sorted(row.items())))
+    # Lazy: an eval or a sampled check reads only part of the dim^2 products.
+    def mult_fn(i: int, j: int) -> tuple:
+        return tuple(sorted(convert(Bcan.product(mono[i], mono[j])).items()))
 
-    comult = ColinearMap(dim, dim, dim)
-    for i in range(dim):
+    def comult_fn(i: int) -> tuple:
         flat = Bcan.coproduct(mono[i])
         # convert both tensor legs
         half: Vec = {}
@@ -232,20 +229,21 @@ def taft_dual_monomial(ctx: QContext, B: FiniteHopf) -> TaftPair:
             a, b = divmod(key, dim)
             for b2, cb in from_can.get(b):
                 vadd_into(full, {a * dim + b2: c * cb})
-        comult.set(i, tuple((key // dim, key % dim, c)
-                            for key, c in sorted(full.items())))
+        return tuple((key // dim, key % dim, c)
+                     for key, c in sorted(full.items()))
+
+    def antipode_fn(i: int) -> tuple:
+        return tuple(sorted(convert(Bcan.antipode_of(mono[i])).items()))
+
+    mult = BilinearMap(dim, dim, fn=mult_fn)
+    comult = ColinearMap(dim, dim, dim, fn=comult_fn)
+    antipode = LazyLinearMap(dim, dim, antipode_fn)
 
     counit = {}
     for i in range(dim):
         c = Bcan.counit_of(mono[i])
         if c:
             counit[i] = c
-
-    antipode = LinearMap(dim, dim)
-    for i in range(dim):
-        img = convert(Bcan.antipode_of(mono[i]))
-        if img:
-            antipode.set(i, tuple(sorted(img.items())))
 
     unit = convert(Bcan.unit)
 

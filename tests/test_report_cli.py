@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hopfbench.cli as cli_module
 import hopfbench.report as report_module
 from hopfbench.cli import export_bytes, import_object, main, reexport_bytes
+from hopfbench.cyclo import QContext
 from hopfbench.report import (ConfigError, SuiteConfig, parse, render,
                               run_suite)
+from hopfbench.results import CheckResult
+from hopfbench.taft import taft_setup, taft_system
 
 
 # ------------------------------------------------------------- report
@@ -62,6 +67,17 @@ def test_selected_suites_are_ordered_and_deduped():
     cfg = SuiteConfig(suite="yd,double,yd")
     assert cfg.selected() == ("double", "yd")
     assert "mutations" not in SuiteConfig(suite="all").selected()
+
+
+def test_duplicate_check_names_are_an_engine_error(monkeypatch, capsys):
+    def twice(cfg):
+        return [CheckResult("same", "pass", "exhaustive")] * 2
+
+    monkeypatch.setitem(report_module._SUITES, "mutations", twice)
+    with pytest.raises(RuntimeError, match="duplicate check name"):
+        run_suite(SuiteConfig(p=2, suite="mutations"))
+    assert main(["verify", "--p", "2", "--suite", "mutations"]) == 3
+    assert "duplicate check name 'mutations.same.p2'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- cli
@@ -122,6 +138,19 @@ def test_eval_normal_forms(capsys, argv, expected):
     assert capsys.readouterr().out.strip() == expected
 
 
+def test_one_eval_builds_part_of_the_dual_product(monkeypatch):
+    monkeypatch.setattr(cli_module, "_ENV_CACHE", {})
+    monkeypatch.setattr(cli_module, "taft_system",
+                        lambda p: taft_system(p, cached=False))
+    assert cli_module.evaluate_expression(2, "E |> z") == "0"
+    mult = cli_module._ENV_CACHE[2].sys.pair.dual.mult
+    assert 0 < len(mult.rows) < mult.dim_v * mult.dim_w
+    full = taft_setup(2, cached=False).dual.mult
+    full.materialize()
+    nonzero = {key for key, row in full.rows.items() if row}
+    assert nonzero - set(mult.rows)       # some nonzero rows were never built
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--p", "2", "z ^^ 2"],       # parse error
     ["eval", "--p", "2", "z + w"],        # '+' is not an operator
@@ -140,6 +169,45 @@ def test_export_round_trip(name):
     blob = export_bytes(name, 2)
     obj = import_object(json.loads(blob))
     assert reexport_bytes(obj) == blob
+
+
+# sha256 of `hopfbench export --p 2 <name>`: how tables are built or
+# encoded may change, their bytes may not.
+EXPORT_SHA256_P2 = {
+    "taft": "1d518109ed38b4935ed8530c92a52ae0a31ddb4fab82daf96bd69a317f869c5f",
+    "taft-dual":
+        "c4cfafd0504701367230beccd36d88f25186b5d72e151ccc55db9a03bb9d5c49",
+    "ddouble":
+        "321292dfcb35d16910d8bafee27e42a87f70e08385b8db36604c05a71fe2b6ec",
+    "hdouble":
+        "a44bd2779c86a53c01ad2c6231e2f6e05a74287b4d1a27c906bcdfc1c0c97a77",
+    "uqsl2": "1ff0977cf548ac088604a110eecb86ce9d0c29241c50e5f4bff97d8d0fc8b599",
+    "hqsl2": "d3c57b175aa88b658d9b5371a36e60acfcec75dbd883b55f82374d0c91cf8c2c",
+    "cqzd": "fb3908205ecbdccc8f7cce9951fc490033e33a202f21cfed022547fd97b3d180",
+    "chain(3)":
+        "553e2af080014e5c3efa87ecb32925b63989b0cd90b26d6bec0776e84dc2c847",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_SHA256_P2))
+def test_export_bytes_are_pinned(name):
+    digest = hashlib.sha256(export_bytes(name, 2)).hexdigest()
+    assert digest == EXPORT_SHA256_P2[name]
+
+
+def test_repeated_exports_in_one_process_are_identical():
+    for name in ("taft-dual", "hqsl2"):
+        assert export_bytes(name, 2) == export_bytes(name, 2)
+
+
+def test_scalar_encoding_is_shared_across_cyc_forms():
+    ctx = QContext(3)
+    single = ctx.zeta_pow(4)              # stored as one term
+    dense = ctx.zeta_pow(2) - ctx.one     # the same value, stored densely
+    assert single == dense
+    enc = cli_module._scalar_json(single)
+    assert cli_module._scalar_json(dense) is enc
+    assert enc == [{"num": n, "den": "1"} for n in ("-1", "0", "1", "0")]
 
 
 def test_export_cli(tmp_path, capsys):

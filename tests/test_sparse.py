@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hopfbench.sparse as sparse
 from hopfbench.cyclo import QContext
 from hopfbench.sparse import (
     BilinearMap, ColinearMap, LinearMap, QuotientSpace, SingularMapError,
@@ -176,6 +178,82 @@ def test_span_solver_rejects_outside_vector():
     assert solver.solve(vec({1: 1})) is None
 
 
+# Reference echelon: reductions that walk every pivot, as before the walk
+# was restricted to the pivots in the vector's support.
+
+class _AllPivotsSubspace(Subspace):
+    def reduce(self, v):
+        out = dict(v)
+        for p in self.pivots:
+            c = out.get(p)
+            if c:
+                sparse.vadd_into(out, self.pivot_row[p], -c)
+        return out
+
+
+class _AllPivotsSolver(SpanSolver):
+    def _reduce_with_combo(self, v):
+        res, combo = dict(v), {}
+        for p in self.pivots:
+            c = res.get(p)
+            if c:
+                sparse.vadd_into(res, self.pivot_row[p], -c)
+                sparse.vadd_into(combo, self.combos[p], -c)
+        return res, combo
+
+
+CONTEXTS = {p: QContext(p) for p in (2, 3)}
+
+
+def cyc_vectors(ctx, dim):
+    """Sparse vectors whose entries are sums of at most two r*zeta^j."""
+    term = st.tuples(st.integers(-2, 2), st.integers(0, 4 * ctx.p - 1))
+    coeff = st.lists(term, min_size=1, max_size=2).map(
+        lambda ts: sum((ctx.rational(c) * ctx.zeta_pow(j) for c, j in ts),
+                       ctx.zero))
+    return st.dictionaries(st.integers(0, dim - 1), coeff, max_size=dim).map(
+        lambda d: {k: c for k, c in d.items() if c})
+
+
+def recorded(fn):
+    """fn() and the list of (src, coeff) of every vadd_into it made."""
+    calls = []
+    real = sparse.vadd_into
+
+    def record(dst, src, coeff=None):
+        calls.append((sorted(src.items()), coeff))
+        return real(dst, src, coeff)
+
+    with mock.patch.object(sparse, "vadd_into", record):
+        return fn(), calls
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_support_walk_matches_all_pivots_walk(p, data):
+    dim = 6
+    vectors = cyc_vectors(CONTEXTS[p], dim)
+    inserted = data.draw(st.lists(vectors, min_size=1, max_size=8))
+    probes = data.draw(st.lists(vectors, max_size=3))
+
+    def run(subspace_cls, solver_cls):
+        span, solver = subspace_cls(dim), solver_cls(dim)
+        grew = [(span.add(v), solver.add(v)) for v in inserted]
+        out = [(span.reduce(w), solver.solve(w)) for w in probes]
+        return span, solver, grew, out
+
+    (s1, v1, grew1, out1), calls1 = recorded(
+        lambda: run(Subspace, SpanSolver))
+    (s2, v2, grew2, out2), calls2 = recorded(
+        lambda: run(_AllPivotsSubspace, _AllPivotsSolver))
+    assert calls1 == calls2
+    assert grew1 == grew2 and out1 == out2
+    assert s1.pivots == s2.pivots == v1.pivots == v2.pivots
+    assert s1.pivot_row == s2.pivot_row
+    assert v1.pivot_row == v2.pivot_row and v1.combos == v2.combos
+
+
 # -- closures and quotients --------------------------------------------------
 
 def cyclic_group_mult(n):
@@ -265,3 +343,21 @@ def test_linear_map_inverse_random_unipotent(seed):
     ident = m.compose(inv)
     for i in range(n):
         assert veq(ident.apply({i: CTX.one}), {i: CTX.one})
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_linear_map_inverse_cyclotomic(p, data):
+    ctx, n = CONTEXTS[p], 5
+    m = LinearMap(n, n)
+    for i in range(n):
+        m.set(i, sorted(data.draw(cyc_vectors(ctx, n)).items()))
+    try:
+        inv = linear_map_inverse(m, ctx)
+    except SingularMapError:
+        return
+    for i in range(n):
+        e = {i: ctx.one}
+        assert veq(m.apply(inv.apply(e)), e)
+        assert veq(inv.apply(m.apply(e)), e)

@@ -125,6 +125,17 @@ def test_dual_relations(setup):
     assert not veq(power, D.unit)
 
 
+def test_dual_tables_are_built_on_demand():
+    D = taft_setup(2, cached=False).dual
+    assert not D.mult.rows and not D.comult.rows and not D.antipode.rows
+    idx = D.space.index
+    F, kap = idx[(1, 0)], idx[(0, 1)]
+    assert D.mult.get(kap, F) == ((idx[(1, 1)], D.ctx.q),)
+    assert list(D.mult.rows) == [kap * D.dim + F]
+    assert D.mult.get(F, F) == ()       # F^2 = 0 at p = 2: an empty row
+    assert not D.comult.rows and not D.antipode.rows
+
+
 def test_dual_unit_is_monomial_basis_origin(setup):
     D = setup.dual
     assert veq(D.unit, D.element((0, 0)))
