@@ -20,7 +20,7 @@ from .cyclo import Cyc, QContext
 from .hopf import FiniteAlgebra, FiniteHopf, render_element, render_tensor
 from .report import ConfigError, SuiteConfig, render, run_suite
 from .sparse import (BilinearMap, ColinearMap, LinearMap, Space, SpanSolver,
-                     Vec)
+                     Vec, vadd_term)
 from .taft import (basis_change, cqzd, double_elements, heis_elements, hqsl2,
                    taft_system, truly_heisenberg_chain, uqsl2)
 
@@ -329,19 +329,7 @@ def _braid(env: _EvalContext, xv: Vec, yv: Vec) -> Vec:
     for key, c in env.yd.coaction.apply(xv).items():
         h, x0 = divmod(key, dX)
         for yp, cy in env.yd.action.apply({h: one}, yv).items():
-            val = c * cy
-            if not val:
-                continue
-            k = yp * dX + x0
-            cur = out.get(k)
-            if cur is None:
-                out[k] = val
-            else:
-                s = cur + val
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            vadd_term(out, yp * dX + x0, c * cy)
     return out
 
 
@@ -375,9 +363,8 @@ def evaluate_expression(p: int, text: str, structure: str = "product") -> str:
 # Power-basis form (numerators, denominator) -> encoded coefficient list.
 # Export tables repeat few distinct scalars (D(B) at p=2: 8 in 65,536
 # entries), so every entry of one value shares a single list; no caller
-# mutates it.  Keyed by the power-basis form that the encoding reads, not
-# by the Cyc: Cyc equality does not compare fields, and two fields of equal
-# degree (p = 5 and p = 6) can hold equal single terms with different forms.
+# mutates it.  Keyed by the power-basis form, which is what the encoding
+# reads.
 _SCALAR_JSON: dict = {}
 
 

@@ -444,10 +444,14 @@ class Cyc:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Cyc):
             if self._j == other._j:
-                return self._v == other._v and self.d == other.d
-            if self._j is None or other._j is None:
-                return self.d == other.d and self.c == other.c
-            return False
+                same = self._v == other._v and self.d == other.d
+            elif self._j is None or other._j is None:
+                same = self.d == other.d and self.c == other.c
+            else:
+                return False
+            # scalars of different fields differ even with equal coordinates
+            return same and (self.ctx is other.ctx
+                             or self.ctx.order == other.ctx.order)
         if isinstance(other, (int, Fraction)):
             return self == self.ctx.rational(other)
         return NotImplemented

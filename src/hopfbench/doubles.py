@@ -33,6 +33,7 @@ Arrow conventions (P the pairing, b in B, f in B*):
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,9 +42,10 @@ from .cyclo import Cyc, QContext
 from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf,
                    hit_alg_left, hit_alg_right, hit_dual_left, hit_dual_right,
                    pair_product, render_element, tensor_flat, triple_product)
-from .results import CheckResult, Stopwatch, invert_expected_failure
+from .results import Check, CheckResult, invert_expected_failure
 from .sparse import (BilinearMap, ColinearMap, LazyLinearMap, LinearMap,
-                     Space, Vec, linear_map_inverse, vadd_into, veq)
+                     Space, Vec, linear_map_inverse, vadd_into, vadd_outer,
+                     vadd_term, veq)
 from .ydcat import (Action, BraidedProductAlgebra, Coaction, ComoduleAlgebra,
                     ModuleAlgebra, YDModuleAlgebra, chain_product,
                     _iter_tuples, _mode_tag)
@@ -66,18 +68,6 @@ __all__ = [
     "check_quasitriangular",
     "check_quantum_comm_remarks",
 ]
-
-
-def _add(out: Vec, key: int, val: Cyc) -> None:
-    cur = out.get(key)
-    if cur is None:
-        out[key] = val
-    else:
-        s = cur + val
-        if s:
-            out[key] = s
-        else:
-            del out[key]
 
 
 def _iter3(H: FiniteHopf, cache: dict, i: int) -> tuple:
@@ -135,8 +125,7 @@ class DrinfeldDouble:
                 left = tensor_flat(self.dual.unit, {bi: self.ctx.one}, nB)
                 right = tensor_flat(dict(inv.get(bi)), self.base.unit, nB)
                 for k1, c1 in left.items():
-                    for k2, c2 in right.items():
-                        _add(out, k1 * d + k2, c1 * c2)
+                    vadd_into(out, right, c1, k1 * d)
             self._rmatrix = out
         return self._rmatrix
 
@@ -213,12 +202,7 @@ def drinfeld_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
                     rf = dual.mult.get(f1, fn_)
                     if not rf:
                         continue
-                    for fo, cf in rf:
-                        c6 = c5 * cf
-                        if not c6:
-                            continue
-                        for bo, cb in rb_:
-                            _add(acc, fo * nB + bo, c6 * cb)
+                    vadd_outer(acc, c5, rf, rb_, nB)
         return tuple(sorted(acc.items()))
 
     mult = BilinearMap(d, d, fn=mult_fn)
@@ -229,12 +213,7 @@ def drinfeld_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
         for f1, f2, cf in dual.comult.get(f):
             for b1, b2, cb in base.comult.get(b):
                 # leg1 = mu'' (x) m', leg2 = mu' (x) m''
-                k = (f2 * nB + b1, f1 * nB + b2)
-                cur = acc.get(k)
-                val = cf * cb
-                acc[k] = val if cur is None else cur + val
-                if not acc[k]:
-                    del acc[k]
+                vadd_term(acc, (f2 * nB + b1, f1 * nB + b2), cf * cb)
         return tuple(sorted((j, k, c) for (j, k), c in acc.items()))
 
     comult = ColinearMap(d, d, d, fn=comult_fn)
@@ -337,12 +316,7 @@ def heisenberg_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
                 if not c1:
                     continue
                 rf = dual.mult.get(f1, fm)
-                for fo, cf in rf:
-                    c2 = c1 * cf
-                    if not c2:
-                        continue
-                    for bo, cb in rb_:
-                        _add(acc, fo * nB + bo, c2 * cb)
+                vadd_outer(acc, c1, rf, rb_, nB)
         return tuple(sorted(acc.items()))
 
     unit = tensor_flat(dual.unit, base.unit, nB)
@@ -359,12 +333,11 @@ def heisenberg_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
 def eta_twist_product(D: DrinfeldDouble, Hd: Optional[HeisenbergDouble] = None,
                       mode: str = "exhaustive", seed: int = 0,
                       samples: int = 10_000,
-                      name: str = "eta-twist") -> tuple[BilinearMap, CheckResult]:
+                      name: str = "eta-twist") -> CheckResult:
     """Twist the double's product by eta and compare with the smash product.
 
     M ._eta N = M' N' eta(M'', N'') with
-    eta(mu (x) m, nu (x) n) = <mu, 1> eps(n) <nu, m>.  The returned tensor
-    holds the twisted rows visited by the check.
+    eta(mu (x) m, nu (x) n) = <mu, 1> eps(n) <nu, m>.
     """
     if Hd is None:
         Hd = heisenberg_double(D.base, D.dual, D.pairing)
@@ -372,7 +345,7 @@ def eta_twist_product(D: DrinfeldDouble, Hd: Optional[HeisenbergDouble] = None,
     base, dual, P = D.base, D.dual, D.pairing
     nB = base.dim
     d = D.dim
-    sw = Stopwatch()
+    chk = Check(name, _mode_tag(mode, seed, samples))
 
     # <mu, 1> per dual basis vector, eps(n) per base basis vector
     pair_unit: dict[int, Cyc] = {}
@@ -414,33 +387,21 @@ def eta_twist_product(D: DrinfeldDouble, Hd: Optional[HeisenbergDouble] = None,
             legs_n[k] = r
         return r
 
-    twisted = BilinearMap(d, d)
     rng = random.Random(seed)
-    gens = None
-    cases = 0
-    bad = None
-    for k1, k2 in _iter_tuples(mode, (d, d), (gens, gens), rng, samples):
-        cases += 1
+    for k1, k2 in _iter_tuples(mode, (d, d), (None, None), rng, samples):
+        chk.cases += 1
         acc: Vec = {}
         for j1, bm, c1 in get_legs_m(k1):
             for j2, fn_, c2 in get_legs_n(k2):
                 pv = P.pair_basis(fn_, bm)
-                if not pv:
-                    continue
-                c = c1 * c2 * pv
-                if not c:
-                    continue
-                for k, ck in H.mult.get(j1, j2):
-                    _add(acc, k, c * ck)
-        twisted.set(k1, k2, tuple(sorted(acc.items())))
+                if pv:
+                    vadd_into(acc, H.mult.get(j1, j2), c1 * c2 * pv)
         if not veq(acc, dict(Hd.algebra.mult.get(k1, k2))):
             sp = H.space
-            bad = (f"M={sp.render(sp.labels[k1])}, N={sp.render(sp.labels[k2])}: "
-                   f"eta-twisted product disagrees with the smash product")
-            break
-    res = CheckResult(name, "fail" if bad else "pass",
-                      _mode_tag(mode, seed, samples), cases, bad, sw.read())
-    return twisted, res
+            return chk.result(
+                f"M={sp.render(sp.labels[k1])}, N={sp.render(sp.labels[k2])}: "
+                f"eta-twisted product disagrees with the smash product")
+    return chk.result()
 
 
 # -- coaction and action of D(B) on H(B*) ------------------------------------
@@ -455,12 +416,7 @@ def canonical_coaction(Hd: HeisenbergDouble, D: DrinfeldDouble) -> ComoduleAlgeb
         acc: dict = {}
         for f1, f2, cf in dual.comult.get(f):
             for b1, b2, cb in base.comult.get(b):
-                k = (f2 * nB + b1, f1 * nB + b2)
-                val = cf * cb
-                cur = acc.get(k)
-                acc[k] = val if cur is None else cur + val
-                if not acc[k]:
-                    del acc[k]
+                vadd_term(acc, (f2 * nB + b1, f1 * nB + b2), cf * cb)
         return tuple(sorted((h, x, c) for (h, x), c in acc.items()))
 
     coact = Coaction(D.hopf, Hd.algebra, coact_fn)
@@ -513,13 +469,10 @@ class FactoredAction(Action):
                 for s, cs in base.antipode.get(m3):
                     for t, ct in t1.items():
                         for k, ck in base.mult.get(t, s):
-                            _add(conj, k, cs * ct * ck)
+                            vadd_term(conj, k, cs * ct * ck)
                 if not conj:
                     continue
-                for fm, cm in mid.items():
-                    c1 = c * cm
-                    for bm, cb in conj.items():
-                        _add(r, fm * nB + bm, c1 * cb)
+                vadd_outer(r, c, mid, conj, nB)
             self._prim[key] = r
         return r
 
@@ -545,13 +498,10 @@ class FactoredAction(Action):
                 for nu, cs in sinv.get(u2):
                     for t, ct in t1.items():
                         for k, ck in dual.mult.get(t, nu):
-                            _add(left, k, cs * ct * ck)
+                            vadd_term(left, k, cs * ct * ck)
                 if not left:
                     continue
-                for fm, cm in left.items():
-                    c1 = c * cm
-                    for bm, cb in right.items():
-                        _add(r, fm * nB + bm, c1 * cb)
+                vadd_outer(r, c, left, right, nB)
             self._dualrows[key] = r
         return r
 
@@ -591,7 +541,7 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
     nB, nF = base.dim, dual.dim
     dHd = act.algebra.dim
     one = D.ctx.one
-    sw = Stopwatch()
+    chk = Check(name, _mode_tag(mode, seed, samples))
     base_sinv = base.antipode_inv()
     d3: dict[int, tuple] = {}
     rng = random.Random(seed)
@@ -603,10 +553,9 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
         if dual.generators:
             gf = {i for g in dual.generators for i in g}
 
-    cases = 0
     for f, m, x in _iter_tuples(mode, (nF, nB, dHd), (gf, gm, None),
                                 rng, samples):
-        cases += 1
+        chk.cases += 1
         lhs: Vec = {}
         for xp, c in act.dual_row(f, x).items():
             vadd_into(lhs, act.prim_row(m, xp), c)
@@ -620,16 +569,13 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
             for fm, cm in mid.items():
                 c1 = c * cm
                 for fo, co in hit_dual_left(P, {m1: one}, {fm: one}).items():
-                    _add(dvec, fo * nB + m2, c1 * co)
+                    vadd_term(dvec, fo * nB + m2, c1 * co)
         rhs = act.apply(dvec, {x: one})
         if not veq(lhs, rhs):
-            w = (f"mu={_rlab(dual, f)}, m={_rlab(base, m)}, "
-                 f"A={_rlab(act.algebra, x)}: factor actions do not compose "
-                 f"through the double product")
-            return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                               cases, w, sw.read())
-    return CheckResult(name, "pass", _mode_tag(mode, seed, samples),
-                       cases, None, sw.read())
+            return chk.result(f"mu={_rlab(dual, f)}, m={_rlab(base, m)}, "
+                              f"A={_rlab(act.algebra, x)}: factor actions do "
+                              f"not compose through the double product")
+    return chk.result()
 
 
 def _rlab(obj, i: int) -> str:
@@ -647,32 +593,27 @@ def check_double_identity(D: DrinfeldDouble,
     nB, nF = base.dim, dual.dim
     one = D.ctx.one
     sinv = dual.antipode_inv()
-    sw = Stopwatch()
-    cases = 0
-    for f in range(nF):
-        for a in range(nB):
-            cases += 1
-            lhs: Vec = {}
-            rhs: Vec = {}
-            for u1, u2, cf in dual.comult.get(f):
-                mid: Vec = {}
-                for nu, cs in sinv.get(u2):
-                    vadd_into(mid, hit_alg_right(P, {a: one}, {nu: one}), cs)
-                if mid:
-                    left = tensor_flat(dual.unit, mid, nB)
-                    right = tensor_flat({u1: one}, base.unit, nB)
-                    vadd_into(lhs, D.hopf.mult.apply(left, right), cf)
-                hit: Vec = {}
-                for nu, cs in sinv.get(u1):
-                    vadd_into(hit, hit_alg_left(P, {nu: one}, {a: one}), cs)
-                for bo, cb in hit.items():
-                    _add(rhs, u2 * nB + bo, cf * cb)
-            if not veq(lhs, rhs):
-                w = (f"mu={_rlab(dual, f)}, a={_rlab(base, a)}: "
-                     f"the double identity fails")
-                return CheckResult(name, "fail", "exhaustive", cases, w,
-                                   sw.read())
-    return CheckResult(name, "pass", "exhaustive", cases, None, sw.read())
+    chk = Check(name, "exhaustive")
+    for f, a in itertools.product(range(nF), range(nB)):
+        chk.cases += 1
+        lhs: Vec = {}
+        rhs: Vec = {}
+        for u1, u2, cf in dual.comult.get(f):
+            mid: Vec = {}
+            for nu, cs in sinv.get(u2):
+                vadd_into(mid, hit_alg_right(P, {a: one}, {nu: one}), cs)
+            if mid:
+                left = tensor_flat(dual.unit, mid, nB)
+                right = tensor_flat({u1: one}, base.unit, nB)
+                vadd_into(lhs, D.hopf.mult.apply(left, right), cf)
+            hit: Vec = {}
+            for nu, cs in sinv.get(u1):
+                vadd_into(hit, hit_alg_left(P, {nu: one}, {a: one}), cs)
+            vadd_into(rhs, hit, cf, u2 * nB)
+        if not veq(lhs, rhs):
+            return chk.result(f"mu={_rlab(dual, f)}, a={_rlab(base, a)}: "
+                              f"the double identity fails")
+    return chk.result()
 
 
 # -- quasitriangularity ------------------------------------------------------
@@ -683,67 +624,53 @@ def check_quasitriangular(D: DrinfeldDouble,
     H = D.hopf
     d = H.dim
     R = D.rmatrix()
-    results = []
 
-    sw = Stopwatch()
-    bad = None
-    cases = 0
-    for x in range(d):
-        cases += 1
-        row = H.comult.get(x)
-        dvec = {j * d + k: c for j, k, c in row}
-        dop = {k * d + j: c for j, k, c in row}
-        lhs = pair_product(H, R, dvec)
-        rhs = pair_product(H, dop, R)
-        if not veq(lhs, rhs):
-            bad = f"R Delta(x) != Delta-op(x) R at x={_rlab(H, x)}"
-            break
-    results.append(CheckResult(f"{prefix}-intertwine", "fail" if bad else "pass",
-                               "exhaustive", cases, bad, sw.read()))
+    def intertwine() -> CheckResult:
+        chk = Check(f"{prefix}-intertwine", "exhaustive")
+        for x in range(d):
+            chk.cases += 1
+            row = H.comult.get(x)
+            dvec = {j * d + k: c for j, k, c in row}
+            dop = {k * d + j: c for j, k, c in row}
+            if not veq(pair_product(H, R, dvec), pair_product(H, dop, R)):
+                return chk.result(f"R Delta(x) != Delta-op(x) R at x={_rlab(H, x)}")
+        return chk.result()
 
-    sw = Stopwatch()
+    results = [intertwine()]
+    chk = Check(f"{prefix}-hexagon-1", "exhaustive", cases=len(R))
     r13: Vec = {}
     r23: Vec = {}
     r12: Vec = {}
     for key, c in R.items():
         k1, k2 = divmod(key, d)
         for u, cu in H.unit.items():
-            _add(r13, (k1 * d + u) * d + k2, c * cu)
-            _add(r23, (u * d + k1) * d + k2, c * cu)
-            _add(r12, (k1 * d + k2) * d + u, c * cu)
+            vadd_term(r13, (k1 * d + u) * d + k2, c * cu)
+            vadd_term(r23, (u * d + k1) * d + k2, c * cu)
+            vadd_term(r12, (k1 * d + k2) * d + u, c * cu)
     lhs1: Vec = {}
     lhs2: Vec = {}
     for key, c in R.items():
         k1, k2 = divmod(key, d)
         for j, k, cc in H.comult.get(k1):
-            _add(lhs1, (j * d + k) * d + k2, c * cc)
+            vadd_term(lhs1, (j * d + k) * d + k2, c * cc)
         for j, k, cc in H.comult.get(k2):
-            _add(lhs2, (k1 * d + j) * d + k, c * cc)
-    ok1 = veq(lhs1, triple_product(H, r13, r23))
-    results.append(CheckResult(f"{prefix}-hexagon-1", "pass" if ok1 else "fail",
-                               "exhaustive", len(R),
-                               None if ok1 else "(Delta (x) id)R != R13 R23",
-                               sw.read()))
-    sw = Stopwatch()
-    ok2 = veq(lhs2, triple_product(H, r13, r12))
-    results.append(CheckResult(f"{prefix}-hexagon-2", "pass" if ok2 else "fail",
-                               "exhaustive", len(R),
-                               None if ok2 else "(id (x) Delta)R != R13 R12",
-                               sw.read()))
+            vadd_term(lhs2, (k1 * d + j) * d + k, c * cc)
+    ok = veq(lhs1, triple_product(H, r13, r23))
+    results.append(chk.result(None if ok else "(Delta (x) id)R != R13 R23"))
+    chk = Check(f"{prefix}-hexagon-2", "exhaustive", cases=len(R))
+    ok = veq(lhs2, triple_product(H, r13, r12))
+    results.append(chk.result(None if ok else "(id (x) Delta)R != R13 R12"))
 
-    sw = Stopwatch()
+    chk = Check(f"{prefix}-inverse", "exhaustive", cases=2)
     rinv: Vec = {}
     for key, c in R.items():
         k1, k2 = divmod(key, d)
         for k1s, cs in H.antipode.get(k1):
-            _add(rinv, k1s * d + k2, c * cs)
+            vadd_term(rinv, k1s * d + k2, c * cs)
     unit2 = tensor_flat(H.unit, H.unit, d)
-    ok3 = (veq(pair_product(H, R, rinv), unit2)
-           and veq(pair_product(H, rinv, R), unit2))
-    results.append(CheckResult(f"{prefix}-inverse", "pass" if ok3 else "fail",
-                               "exhaustive", 2,
-                               None if ok3 else "(S (x) id)R is not inverse to R",
-                               sw.read()))
+    ok = (veq(pair_product(H, R, rinv), unit2)
+          and veq(pair_product(H, rinv, R), unit2))
+    results.append(chk.result(None if ok else "(S (x) id)R is not inverse to R"))
     return results
 
 
@@ -771,11 +698,10 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
     gx = {i for g in (alg.generators or []) for i in g} or None
 
     name1 = (prefix + "r-comm-negative") if prefix else "r-comm-negative"
-    sw = Stopwatch()
-    cases = 0
+    chk = Check("__rcomm", _mode_tag(mode, seed, samples))
     found = None
     for iy, ix in _iter_tuples(mode, (dX, dX), (gx, gx), rng, samples):
-        cases += 1
+        chk.cases += 1
         lhs = dict(alg.mult.get(iy, ix))
         rhs: Vec = {}
         for key, c in R.items():
@@ -789,29 +715,22 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
             for xp, cx in v2.items():
                 c1 = c * cx
                 for yp, cy in v1.items():
-                    c2 = c1 * cy
-                    if not c2:
-                        continue
-                    for k, ck in alg.mult.get(xp, yp):
-                        _add(rhs, k, c2 * ck)
+                    vadd_into(rhs, alg.mult.get(xp, yp), c1 * cy)
         if not veq(lhs, rhs):
             found = (f"y={_rlab(alg, iy)}, x={_rlab(alg, ix)}: yx = "
                      f"{render_element(alg.space, lhs)} but "
                      f"(R2|>x)(R1|>y) = {render_element(alg.space, rhs)}")
             break
-    inner = CheckResult("__rcomm", "fail" if found else "pass",
-                        _mode_tag(mode, seed, samples), cases, found, sw.read())
-    res1 = invert_expected_failure(inner, name1)
+    res1 = invert_expected_failure(chk.result(found), name1)
 
     name2 = (prefix + "rinv-braided-comm") if prefix else "rinv-braided-comm"
-    sw = Stopwatch()
+    chk = Check(name2, chk.mode)
     sD = H.antipode
     sinvD = H.antipode_inv()
-    cases = 0
-    bad = None
+    found = None
     rng = random.Random(seed)
     for iy, ix in _iter_tuples(mode, (dX, dX), (gx, gx), rng, samples):
-        cases += 1
+        chk.cases += 1
         lhs = dict(alg.mult.get(iy, ix))
         rhs2: Vec = {}
         for h, y0, c in coact.terms(iy):
@@ -826,16 +745,12 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
                     if not r:
                         continue
                     for xp, cx in r.items():
-                        c3 = c2 * cx
-                        for k, ck in alg.mult.get(xp, y0):
-                            _add(rhs2, k, c3 * ck)
+                        vadd_into(rhs2, alg.mult.get(xp, y0), c2 * cx)
         if not veq(lhs, rhs2):
-            bad = (f"y={_rlab(alg, iy)}, x={_rlab(alg, ix)}: the inverse-R "
-                   f"form of braided commutativity fails")
+            found = (f"y={_rlab(alg, iy)}, x={_rlab(alg, ix)}: the inverse-R "
+                     f"form of braided commutativity fails")
             break
-    res2 = CheckResult(name2, "fail" if bad else "pass",
-                       _mode_tag(mode, seed, samples), cases, bad, sw.read())
-    return res1, res2
+    return res1, chk.result(found)
 
 
 # -- the two factors as YD module algebras ------------------------------------
@@ -863,24 +778,14 @@ def factor_structures(D: DrinfeldDouble) -> tuple[YDModuleAlgebra, YDModuleAlgeb
         acc: dict = {}
         for f1, f2, cf in dual.comult.get(f):
             for bu, cu in base.unit.items():
-                k = (f2 * nB + bu, f1)
-                val = cf * cu
-                cur = acc.get(k)
-                acc[k] = val if cur is None else cur + val
-                if not acc[k]:
-                    del acc[k]
+                vadd_term(acc, (f2 * nB + bu, f1), cf * cu)
         return tuple(sorted((h, x, c) for (h, x), c in acc.items()))
 
     def coact_base_fn(b: int) -> tuple:
         acc: dict = {}
         for b1, b2, cb in base.comult.get(b):
             for fu, cu in dual.unit.items():
-                k = (fu * nB + b1, b2)
-                val = cb * cu
-                cur = acc.get(k)
-                acc[k] = val if cur is None else cur + val
-                if not acc[k]:
-                    del acc[k]
+                vadd_term(acc, (fu * nB + b1, b2), cb * cu)
         return tuple(sorted((h, x, c) for (h, x), c in acc.items()))
 
     def act_dual_fn(h: int, f: int) -> Vec:
@@ -901,7 +806,7 @@ def factor_structures(D: DrinfeldDouble) -> tuple[YDModuleAlgebra, YDModuleAlgeb
                         continue
                     for nu, cs in sv.items():
                         for k, ck in dual.mult.get(w, nu):
-                            _add(out, k, c2 * cs * ck)
+                            vadd_term(out, k, c2 * cs * ck)
         return out
 
     def act_base_fn(h: int, b: int) -> Vec:
@@ -914,11 +819,7 @@ def factor_structures(D: DrinfeldDouble) -> tuple[YDModuleAlgebra, YDModuleAlgeb
             for s, cs in base.antipode.get(m2):
                 c1 = cm * cs
                 for t, ct in t1:
-                    c2 = c1 * ct
-                    if not c2:
-                        continue
-                    for k, ck in base.mult.get(t, s):
-                        _add(conj, k, c2 * ck)
+                    vadd_into(conj, base.mult.get(t, s), c1 * ct)
         if not conj:
             return {}
         out: Vec = {}
@@ -1019,182 +920,87 @@ def chain_relations_check(bp: BraidedProductAlgebra, D: DrinfeldDouble,
             vadd_into(out, emb(pos, i), c)
         return out
 
-    results = []
+    def run(name: str, positions, nx: int, ny: int, rhs_fn, labels) -> CheckResult:
+        """lhs = x[i] y[j] against rhs_fn(i, j, x, y) over every position
+        pair (i, j) and basis pair (x, y)."""
+        chk = Check(f"{prefix}-{name}", "exhaustive")
+        for (i, j), x, y in itertools.product(positions, range(nx), range(ny)):
+            chk.cases += 1
+            if not veq(mult.apply(emb(i, x), emb(j, y)), rhs_fn(i, j, x, y)):
+                return chk.result(f"positions ({i},{j}): {labels(x, y)}")
+        return chk.result()
 
-    sw = Stopwatch()
-    cases = 0
-    bad = None
-    for ip in prim_pos:
-        for jd in dual_pos:
-            for b in range(nB):
-                eb = emb(ip, b)
-                for f in range(nF):
-                    cases += 1
-                    lhs = mult.apply(eb, emb(jd, f))
-                    rhs: Vec = {}
-                    for b1, b2, cb in base.comult.get(b):
-                        mid = hit_dual_left(P, {b1: one}, {f: one})
-                        for fm, cm in mid.items():
-                            c1 = cb * cm
-                            vadd_into(rhs, mult.apply(emb(jd, fm), emb(ip, b2)), c1)
-                    if not veq(lhs, rhs):
-                        bad = (f"positions ({ip},{jd}): b={_rlab(base, b)}, "
-                               f"beta={_rlab(dual, f)}")
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(CheckResult(f"{prefix}-mixed", "fail" if bad else "pass",
-                               "exhaustive", cases, bad, sw.read()))
+    def mixed(ip: int, jd: int, b: int, f: int) -> Vec:
+        rhs: Vec = {}
+        for b1, b2, cb in base.comult.get(b):
+            for fm, cm in hit_dual_left(P, {b1: one}, {f: one}).items():
+                vadd_into(rhs, mult.apply(emb(jd, fm), emb(ip, b2)), cb * cm)
+        return rhs
 
-    sw = Stopwatch()
-    cases = 0
-    bad = None
-    for i1 in dual_pos:
-        for j2 in dual_pos:
-            if i1 < j2:
-                continue
-            for fa in range(nF):
-                ea = emb(i1, fa)
-                for fb in range(nF):
-                    cases += 1
-                    lhs = mult.apply(ea, emb(j2, fb))
-                    rhs: Vec = {}
-                    for u1, u2, u3, c in _iter3(dual, d3f, fa):
-                        inner: Vec = {}
-                        t1 = dual.mult.get(u3, fb)
-                        for t, ct in t1:
-                            for nu, cs in dual_sinv.get(u2):
-                                for k, ck in dual.mult.get(t, nu):
-                                    _add(inner, k, c * ct * cs * ck)
-                        if not inner:
-                            continue
-                        vadd_into(rhs, mult.apply(embv(j2, inner), emb(i1, u1)))
-                    if not veq(lhs, rhs):
-                        bad = (f"positions ({i1},{j2}): alpha={_rlab(dual, fa)}, "
-                               f"beta={_rlab(dual, fb)}")
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(CheckResult(f"{prefix}-dual-straighten",
-                               "fail" if bad else "pass", "exhaustive", cases,
-                               bad, sw.read()))
+    def dual_straighten(i1: int, j2: int, fa: int, fb: int) -> Vec:
+        rhs: Vec = {}
+        for u1, u2, u3, c in _iter3(dual, d3f, fa):
+            inner: Vec = {}
+            for t, ct in dual.mult.get(u3, fb):
+                for nu, cs in dual_sinv.get(u2):
+                    for k, ck in dual.mult.get(t, nu):
+                        vadd_term(inner, k, c * ct * cs * ck)
+            if inner:
+                vadd_into(rhs, mult.apply(embv(j2, inner), emb(i1, u1)))
+        return rhs
 
-    sw = Stopwatch()
-    cases = 0
-    bad = None
-    for i1 in prim_pos:
-        for j2 in prim_pos:
-            if i1 < j2:
-                continue
-            for a in range(nB):
-                ea = emb(i1, a)
-                for b in range(nB):
-                    cases += 1
-                    lhs = mult.apply(ea, emb(j2, b))
-                    rhs = {}
-                    for a1, a2, a3, c in _iter3(base, d3b, a):
-                        inner: Vec = {}
-                        t1 = base.mult.get(a1, b)
-                        for t, ct in t1:
-                            for s, cs in base.antipode.get(a2):
-                                for k, ck in base.mult.get(t, s):
-                                    _add(inner, k, c * ct * cs * ck)
-                        if not inner:
-                            continue
-                        vadd_into(rhs, mult.apply(embv(j2, inner), emb(i1, a3)))
-                    if not veq(lhs, rhs):
-                        bad = (f"positions ({i1},{j2}): a={_rlab(base, a)}, "
-                               f"b={_rlab(base, b)}")
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(CheckResult(f"{prefix}-primal-straighten",
-                               "fail" if bad else "pass", "exhaustive", cases,
-                               bad, sw.read()))
+    def primal_straighten(i1: int, j2: int, a: int, b: int) -> Vec:
+        rhs: Vec = {}
+        for a1, a2, a3, c in _iter3(base, d3b, a):
+            inner: Vec = {}
+            for t, ct in base.mult.get(a1, b):
+                for s, cs in base.antipode.get(a2):
+                    for k, ck in base.mult.get(t, s):
+                        vadd_term(inner, k, c * ct * cs * ck)
+            if inner:
+                vadd_into(rhs, mult.apply(embv(j2, inner), emb(i1, a3)))
+        return rhs
 
-    sw = Stopwatch()
-    cases = 0
-    bad = None
-    for i1 in dual_pos:
-        for j2 in dual_pos:
-            if i1 > j2:
-                continue
-            for fb in range(nF):
-                ebv = emb(i1, fb)
-                for fa in range(nF):
-                    cases += 1
-                    lhs = mult.apply(ebv, emb(j2, fa))
-                    rhs = {}
-                    for u1, u2, u3, c in _iter3(dual, d3f, fa):
-                        inner: Vec = {}
-                        for s, cs in dual.antipode.get(u2):
-                            t1 = dual.mult.get(s, fb)
-                            for t, ct in t1:
-                                for k, ck in dual.mult.get(t, u3):
-                                    _add(inner, k, c * cs * ct * ck)
-                        if not inner:
-                            continue
-                        vadd_into(rhs, mult.apply(emb(j2, u1), embv(i1, inner)))
-                    if not veq(lhs, rhs):
-                        bad = (f"positions ({i1},{j2}): beta={_rlab(dual, fb)}, "
-                               f"alpha={_rlab(dual, fa)}")
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(CheckResult(f"{prefix}-dual-straighten-inverse",
-                               "fail" if bad else "pass", "exhaustive", cases,
-                               bad, sw.read()))
+    def dual_straighten_inverse(i1: int, j2: int, fb: int, fa: int) -> Vec:
+        rhs: Vec = {}
+        for u1, u2, u3, c in _iter3(dual, d3f, fa):
+            inner: Vec = {}
+            for s, cs in dual.antipode.get(u2):
+                for t, ct in dual.mult.get(s, fb):
+                    for k, ck in dual.mult.get(t, u3):
+                        vadd_term(inner, k, c * cs * ct * ck)
+            if inner:
+                vadd_into(rhs, mult.apply(emb(j2, u1), embv(i1, inner)))
+        return rhs
 
-    sw = Stopwatch()
-    cases = 0
-    bad = None
-    for i1 in prim_pos:
-        for j2 in prim_pos:
-            if i1 > j2:
-                continue
-            for b in range(nB):
-                ebv = emb(i1, b)
-                for a in range(nB):
-                    cases += 1
-                    lhs = mult.apply(ebv, emb(j2, a))
-                    rhs = {}
-                    for a1, a2, a3, c in _iter3(base, d3b, a):
-                        inner: Vec = {}
-                        for s, cs in base_sinv.get(a2):
-                            t1 = base.mult.get(s, b)
-                            for t, ct in t1:
-                                for k, ck in base.mult.get(t, a1):
-                                    _add(inner, k, c * cs * ct * ck)
-                        if not inner:
-                            continue
-                        vadd_into(rhs, mult.apply(emb(j2, a3), embv(i1, inner)))
-                    if not veq(lhs, rhs):
-                        bad = (f"positions ({i1},{j2}): b={_rlab(base, b)}, "
-                               f"a={_rlab(base, a)}")
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(CheckResult(f"{prefix}-primal-straighten-inverse",
-                               "fail" if bad else "pass", "exhaustive", cases,
-                               bad, sw.read()))
-    return results
+    def primal_straighten_inverse(i1: int, j2: int, b: int, a: int) -> Vec:
+        rhs: Vec = {}
+        for a1, a2, a3, c in _iter3(base, d3b, a):
+            inner: Vec = {}
+            for s, cs in base_sinv.get(a2):
+                for t, ct in base.mult.get(s, b):
+                    for k, ck in base.mult.get(t, a1):
+                        vadd_term(inner, k, c * cs * ct * ck)
+            if inner:
+                vadd_into(rhs, mult.apply(emb(j2, a3), embv(i1, inner)))
+        return rhs
+
+    def ordered(pos: list, keep) -> list:
+        return [(i, j) for i in pos for j in pos if keep(i, j)]
+
+    return [
+        run("mixed", [(i, j) for i in prim_pos for j in dual_pos], nB, nF,
+            mixed, lambda b, f: f"b={_rlab(base, b)}, beta={_rlab(dual, f)}"),
+        run("dual-straighten", ordered(dual_pos, int.__ge__), nF, nF,
+            dual_straighten,
+            lambda fa, fb: f"alpha={_rlab(dual, fa)}, beta={_rlab(dual, fb)}"),
+        run("primal-straighten", ordered(prim_pos, int.__ge__), nB, nB,
+            primal_straighten,
+            lambda a, b: f"a={_rlab(base, a)}, b={_rlab(base, b)}"),
+        run("dual-straighten-inverse", ordered(dual_pos, int.__le__), nF, nF,
+            dual_straighten_inverse,
+            lambda fb, fa: f"beta={_rlab(dual, fb)}, alpha={_rlab(dual, fa)}"),
+        run("primal-straighten-inverse", ordered(prim_pos, int.__le__), nB, nB,
+            primal_straighten_inverse,
+            lambda b, a: f"b={_rlab(base, b)}, a={_rlab(base, a)}"),
+    ]

@@ -26,16 +26,18 @@ tuples; scans stop at the first failure.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .cyclo import Cyc, QContext
-from .results import CheckResult, Stopwatch
+from .results import Check, CheckResult
 from .sparse import (
     BilinearMap, ColinearMap, LinearMap, Space, SingularMapError,
-    Subspace, linear_map_inverse, span_closure, vadd_into, veq, vscale,
+    Subspace, linear_map_inverse, span_closure, vadd_into, vadd_outer,
+    vadd_term, veq, vscale,
 )
 
 __all__ = [
@@ -175,19 +177,7 @@ class FiniteHopf:
             for key, c in cur.items():
                 head, tail = divmod(key, n)
                 for j, k, cc in self.comult.get(head):
-                    val = c * cc
-                    if not val:
-                        continue
-                    nk = (j * n + k) * n + tail
-                    cur2 = nxt.get(nk)
-                    if cur2 is None:
-                        nxt[nk] = val
-                    else:
-                        s = cur2 + val
-                        if s:
-                            nxt[nk] = s
-                        else:
-                            del nxt[nk]
+                    vadd_term(nxt, (j * n + k) * n + tail, c * cc)
             cur = nxt
         return cur
 
@@ -225,28 +215,7 @@ def pair_product(H: FiniteHopf, x: Vec, y: Vec) -> Vec:
             row_r = get(b, d)
             if not row_r:
                 continue
-            cc = c1 * c2
-            if not cc:
-                continue
-            for k1, ck1 in row_l:
-                left = cc * ck1
-                if not left:
-                    continue
-                base = k1 * n
-                for k2, ck2 in row_r:
-                    val = left * ck2
-                    if not val:
-                        continue
-                    key = base + k2
-                    cur = out.get(key)
-                    if cur is None:
-                        out[key] = val
-                    else:
-                        s = cur + val
-                        if s:
-                            out[key] = s
-                        else:
-                            del out[key]
+            vadd_outer(out, c1 * c2, row_l, row_r, n)
     return out
 
 
@@ -275,27 +244,8 @@ def triple_product(H: FiniteHopf, x: Vec, y: Vec) -> Vec:
                 continue
             for k1, ck1 in r1:
                 v1 = cc * ck1
-                if not v1:
-                    continue
                 for k2, ck2 in r2:
-                    v2 = v1 * ck2
-                    if not v2:
-                        continue
-                    base = (k1 * n + k2) * n
-                    for k3, ck3 in r3:
-                        val = v2 * ck3
-                        if not val:
-                            continue
-                        key = base + k3
-                        cur = out.get(key)
-                        if cur is None:
-                            out[key] = val
-                        else:
-                            s = cur + val
-                            if s:
-                                out[key] = s
-                            else:
-                                del out[key]
+                    vadd_into(out, r3, v1 * ck2, (k1 * n + k2) * n)
     return out
 
 
@@ -523,113 +473,77 @@ def _witness_triple(H: FiniteHopf, t) -> str:
 
 
 def _check_associativity(H: FiniteHopf, mode: str, rng, samples: int) -> CheckResult:
-    sw = Stopwatch()
+    chk = Check("mult-associativity", "exhaustive")
     n = H.dim
+    found = None
     if mode == "exhaustive":
-        if n <= 40:
-            wit, cases = _assoc_loop(
-                H, ((i, j, k) for i in range(n) for j in range(n) for k in range(n)))
-            used = "exhaustive"
-        else:
+        if n > 40:
             try:
-                wit, cases = _assoc_int_certificate(H)
-                used = "exhaustive"
+                found = _assoc_int_certificate(H)
             except (RuntimeError, ImportError):
-                wit, cases = _assoc_loop(
-                    H, ((i, j, k) for i in range(n) for j in range(n) for k in range(n)))
-                used = "exhaustive"
+                pass
+        if found is None:
+            found = _assoc_loop(H, itertools.product(range(n), repeat=3))
     else:
+        chk.mode = "sampled"
         triples = []
         if H.generators is not None:
             gidx = sorted({i for g in H.generators for i in g})
-            triples.extend((a, b, c) for a in gidx for b in gidx for c in gidx)
+            triples.extend(itertools.product(gidx, repeat=3))
         triples.extend((rng.randrange(n), rng.randrange(n), rng.randrange(n))
                        for _ in range(samples))
-        wit, cases = _assoc_loop(H, triples)
-        used = "sampled"
-    return CheckResult(
-        name="mult-associativity",
-        status="fail" if wit else "pass",
-        mode=used, cases_checked=cases,
-        witness=_witness_triple(H, wit) if wit else None,
-        elapsed=sw.read())
+        found = _assoc_loop(H, triples)
+    wit, chk.cases = found
+    return chk.result(_witness_triple(H, wit) if wit else None)
 
 
 def _check_unit(H: FiniteHopf) -> CheckResult:
-    sw = Stopwatch()
-    wit = None
+    chk = Check("mult-unit", "exhaustive", cases=2 * H.dim)
     for i in range(H.dim):
         e = H.basis(i)
         if not veq(H.product(H.unit, e), e):
-            wit = f"1*{H.space.render(H.space.labels[i])} != itself"
-            break
+            return chk.result(f"1*{H.space.render(H.space.labels[i])} != itself")
         if not veq(H.product(e, H.unit), e):
-            wit = f"{H.space.render(H.space.labels[i])}*1 != itself"
-            break
-    return CheckResult("mult-unit", "fail" if wit else "pass", "exhaustive",
-                       2 * H.dim, wit, sw.read())
+            return chk.result(f"{H.space.render(H.space.labels[i])}*1 != itself")
+    return chk.result()
 
 
 def _check_coassociativity(H: FiniteHopf) -> CheckResult:
-    sw = Stopwatch()
     n = H.dim
-    wit = None
+    chk = Check("comult-coassociativity", "exhaustive", cases=n)
     for i in range(n):
         # (comult (x) id) comult vs (id (x) comult) comult on e_i
         left: Vec = {}
         right: Vec = {}
         for j, k, c in H.comult.get(i):
             for a, b, cc in H.comult.get(j):
-                key = (a * n + b) * n + k
-                val = c * cc
-                cur = left.get(key)
-                left[key] = val if cur is None else cur + val
-                if key in left and not left[key]:
-                    del left[key]
+                vadd_term(left, (a * n + b) * n + k, c * cc)
             for a, b, cc in H.comult.get(k):
-                key = (j * n + a) * n + b
-                val = c * cc
-                cur = right.get(key)
-                right[key] = val if cur is None else cur + val
-                if key in right and not right[key]:
-                    del right[key]
+                vadd_term(right, (j * n + a) * n + b, c * cc)
         if not veq(left, right):
-            wit = f"coassociativity fails on {H.space.render(H.space.labels[i])}"
-            break
-    return CheckResult("comult-coassociativity", "fail" if wit else "pass",
-                       "exhaustive", n, wit, sw.read())
+            return chk.result(
+                f"coassociativity fails on {H.space.render(H.space.labels[i])}")
+    return chk.result()
 
 
 def _check_counit_laws(H: FiniteHopf) -> CheckResult:
-    sw = Stopwatch()
     n = H.dim
-    wit = None
+    chk = Check("counit-laws", "exhaustive", cases=n)
     for i in range(n):
         left: Vec = {}
         right: Vec = {}
         for j, k, c in H.comult.get(i):
             ej = H.counit.get(j)
             if ej is not None:
-                val = c * ej
-                if val:
-                    cur = left.get(k)
-                    left[k] = val if cur is None else cur + val
-                    if k in left and not left[k]:
-                        del left[k]
+                vadd_term(left, k, c * ej)
             ek = H.counit.get(k)
             if ek is not None:
-                val = c * ek
-                if val:
-                    cur = right.get(j)
-                    right[j] = val if cur is None else cur + val
-                    if j in right and not right[j]:
-                        del right[j]
+                vadd_term(right, j, c * ek)
         e = H.basis(i)
         if not veq(left, e) or not veq(right, e):
-            wit = f"counit law fails on {H.space.render(H.space.labels[i])}"
-            break
-    return CheckResult("counit-laws", "fail" if wit else "pass",
-                       "exhaustive", n, wit, sw.read())
+            return chk.result(
+                f"counit law fails on {H.space.render(H.space.labels[i])}")
+    return chk.result()
 
 
 def _comult_mult_pair_ok(H: FiniteHopf, i: int, j: int) -> bool:
@@ -657,75 +571,56 @@ def _generation_certificate(H: FiniteHopf) -> Optional[Subspace]:
 def _check_pairwise(H: FiniteHopf, name: str, pair_ok, mode: str, rng,
                     samples: int, closure_rank: Optional[int]) -> CheckResult:
     """Run a bilinear axiom over pairs in the requested coverage mode."""
-    sw = Stopwatch()
+    chk = Check(name, mode)
     n = H.dim
     wit = None
-    cases = 0
-    used = mode
     if mode == "exhaustive":
-        for i in range(n):
-            for j in range(n):
-                cases += 1
-                if not pair_ok(H, i, j):
-                    wit = (i, j)
-                    break
-            if wit:
+        for i, j in itertools.product(range(n), repeat=2):
+            chk.cases += 1
+            if not pair_ok(H, i, j):
+                wit = (i, j)
                 break
     elif mode == "generators" and H.generators:
         gidx = sorted({i for g in H.generators for i in g})
         # generator rows against the whole basis, both sides
-        for g in gidx:
-            for j in range(n):
-                cases += 2
-                if not pair_ok(H, g, j):
-                    wit = (g, j)
-                    break
-                if not pair_ok(H, j, g):
-                    wit = (j, g)
-                    break
-            if wit:
+        for g, j in itertools.product(gidx, range(n)):
+            chk.cases += 2
+            if not pair_ok(H, g, j):
+                wit = (g, j)
+                break
+            if not pair_ok(H, j, g):
+                wit = (j, g)
                 break
         if wit is None and closure_rank != n:
-            return CheckResult(
-                name, "fail", "generators", cases,
-                f"generating set spans rank {closure_rank} of {n}; "
-                "generation certificate failed", sw.read())
+            return chk.result(f"generating set spans rank {closure_rank} of {n}; "
+                              "generation certificate failed")
     else:
-        used = "sampled"
+        chk.mode = "sampled"
         for _ in range(samples):
             i, j = rng.randrange(n), rng.randrange(n)
-            cases += 1
+            chk.cases += 1
             if not pair_ok(H, i, j):
                 wit = (i, j)
                 break
-    wtext = None
     if wit:
         r = H.space.render
-        wtext = (f"basis pair ({r(H.space.labels[wit[0]])}, "
-                 f"{r(H.space.labels[wit[1]])})")
-    return CheckResult(name, "fail" if wit else "pass", used, cases,
-                       wtext, sw.read())
+        return chk.result(f"basis pair ({r(H.space.labels[wit[0]])}, "
+                          f"{r(H.space.labels[wit[1]])})")
+    return chk.result()
 
 
 def _check_comult_unit(H: FiniteHopf) -> CheckResult:
-    sw = Stopwatch()
-    n = H.dim
-    wit = None
+    chk = Check("comult-counit-unital", "exhaustive", cases=2)
     if H.counit_of(H.unit) != H.ctx.one:
-        wit = "counit(1) != 1"
-    else:
-        lhs = H.coproduct(H.unit)
-        rhs = tensor_flat(H.unit, H.unit, n)
-        if not veq(lhs, rhs):
-            wit = "comult(1) != 1(x)1"
-    return CheckResult("comult-counit-unital", "fail" if wit else "pass",
-                       "exhaustive", 2, wit, sw.read())
+        return chk.result("counit(1) != 1")
+    if not veq(H.coproduct(H.unit), tensor_flat(H.unit, H.unit, H.dim)):
+        return chk.result("comult(1) != 1(x)1")
+    return chk.result()
 
 
 def _check_antipode(H: FiniteHopf) -> CheckResult:
-    sw = Stopwatch()
     n = H.dim
-    wit = None
+    chk = Check("antipode-convolution", "exhaustive", cases=2 * n)
     for i in range(n):
         left: Vec = {}
         right: Vec = {}
@@ -734,15 +629,12 @@ def _check_antipode(H: FiniteHopf) -> CheckResult:
             vadd_into(right, H.product(H.basis(j), H.antipode_of(H.basis(k))), c)
         target = vscale(H.unit, H.counit.get(i, H.ctx.zero))
         if not veq(left, target):
-            wit = (f"m(S(x)id)comult != unit*counit on "
-                   f"{H.space.render(H.space.labels[i])}")
-            break
+            return chk.result(f"m(S(x)id)comult != unit*counit on "
+                              f"{H.space.render(H.space.labels[i])}")
         if not veq(right, target):
-            wit = (f"m(id(x)S)comult != unit*counit on "
-                   f"{H.space.render(H.space.labels[i])}")
-            break
-    return CheckResult("antipode-convolution", "fail" if wit else "pass",
-                       "exhaustive", 2 * n, wit, sw.read())
+            return chk.result(f"m(id(x)S)comult != unit*counit on "
+                              f"{H.space.render(H.space.labels[i])}")
+    return chk.result()
 
 
 def _antihom_pair_ok(H: FiniteHopf, i: int, j: int) -> bool:
@@ -902,17 +794,22 @@ def check_hopf_pairing(P: HopfPairing, mode: str = "exhaustive",
     <1*, x> = counit(x), counit*(f) = <f, 1>, <S* f, x> = <f, S x>,
     and nondegeneracy via the rank of the pairing matrix.
     """
-    D, A = P.dual, P.alg
-    n = A.dim
+    n = P.alg.dim
     rng = random.Random(seed)
     if mode == "exhaustive":
         pairs = [(i, j) for i in range(n) for j in range(n)]
     else:
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
-    results = []
+    return [_pairing_mult_vs_comult(P, pairs, mode),
+            _pairing_comult_vs_mult(P, pairs, mode),
+            _pairing_units_antipode(P),
+            _pairing_nondegenerate(P)]
 
-    sw = Stopwatch()
-    wit = None
+
+def _pairing_mult_vs_comult(P: HopfPairing, pairs: list, mode: str) -> CheckResult:
+    D, A = P.dual, P.alg
+    n = A.dim
+    chk = Check("pairing-mult-vs-comult", mode, cases=len(pairs) * n)
     for f, g in pairs:
         prod = D.product(D.basis(f), D.basis(g))
         for x in range(n):
@@ -927,18 +824,16 @@ def check_hopf_pairing(P: HopfPairing, mode: str = "exhaustive",
                     continue
                 rhs = rhs + c * cf * cg
             if lhs != rhs:
-                wit = (f"<f g, x> mismatch at f={D.space.render(D.space.labels[f])}, "
-                       f"g={D.space.render(D.space.labels[g])}, "
-                       f"x={A.space.render(A.space.labels[x])}")
-                break
-        if wit:
-            break
-    results.append(CheckResult("pairing-mult-vs-comult",
-                               "fail" if wit else "pass",
-                               mode, len(pairs) * n, wit, sw.read()))
+                return chk.result(
+                    f"<f g, x> mismatch at f={D.space.render(D.space.labels[f])}, "
+                    f"g={D.space.render(D.space.labels[g])}, "
+                    f"x={A.space.render(A.space.labels[x])}")
+    return chk.result()
 
-    sw = Stopwatch()
-    wit = None
+
+def _pairing_comult_vs_mult(P: HopfPairing, pairs: list, mode: str) -> CheckResult:
+    D, A = P.dual, P.alg
+    chk = Check("pairing-comult-vs-mult", mode, cases=len(pairs) ** 2)
     for f, _ in pairs:
         for x, y in pairs:
             lhs = P.pair(D.basis(f), A.product(A.basis(x), A.basis(y)))
@@ -952,55 +847,43 @@ def check_hopf_pairing(P: HopfPairing, mode: str = "exhaustive",
                     continue
                 rhs = rhs + c * cj * ck
             if lhs != rhs:
-                wit = (f"<comult* f, x(x)y> mismatch at "
-                       f"f={D.space.render(D.space.labels[f])}, "
-                       f"x={A.space.render(A.space.labels[x])}, "
-                       f"y={A.space.render(A.space.labels[y])}")
-                break
-        if wit:
-            break
-    results.append(CheckResult("pairing-comult-vs-mult",
-                               "fail" if wit else "pass",
-                               mode, len(pairs) ** 2, wit, sw.read()))
+                return chk.result(f"<comult* f, x(x)y> mismatch at "
+                                  f"f={D.space.render(D.space.labels[f])}, "
+                                  f"x={A.space.render(A.space.labels[x])}, "
+                                  f"y={A.space.render(A.space.labels[y])}")
+    return chk.result()
 
-    sw = Stopwatch()
-    wit = None
+
+def _pairing_units_antipode(P: HopfPairing) -> CheckResult:
+    D, A = P.dual, P.alg
+    n = A.dim
+    chk = Check("pairing-units-antipode", "exhaustive", cases=2 * n + n * n)
     for x in range(n):
         if P.pair(D.unit, A.basis(x)) != A.counit.get(x, A.ctx.zero):
-            wit = f"<1*, {A.space.render(A.space.labels[x])}> != counit"
-            break
-    if wit is None:
-        for f in range(n):
-            if P.pair(D.basis(f), A.unit) != D.counit.get(f, A.ctx.zero):
-                wit = f"counit*({D.space.render(D.space.labels[f])}) != <f, 1>"
-                break
-    if wit is None:
-        for f in range(n):
-            for x in range(n):
-                lhs = P.pair(D.antipode_of(D.basis(f)), A.basis(x))
-                rhs = P.pair(D.basis(f), A.antipode_of(A.basis(x)))
-                if lhs != rhs:
-                    wit = (f"<S* f, x> != <f, S x> at "
-                           f"f={D.space.render(D.space.labels[f])}, "
-                           f"x={A.space.render(A.space.labels[x])}")
-                    break
-            if wit:
-                break
-    results.append(CheckResult("pairing-units-antipode",
-                               "fail" if wit else "pass",
-                               "exhaustive", 2 * n + n * n, wit, sw.read()))
+            return chk.result(f"<1*, {A.space.render(A.space.labels[x])}> != counit")
+    for f in range(n):
+        if P.pair(D.basis(f), A.unit) != D.counit.get(f, A.ctx.zero):
+            return chk.result(
+                f"counit*({D.space.render(D.space.labels[f])}) != <f, 1>")
+    for f, x in itertools.product(range(n), repeat=2):
+        lhs = P.pair(D.antipode_of(D.basis(f)), A.basis(x))
+        rhs = P.pair(D.basis(f), A.antipode_of(A.basis(x)))
+        if lhs != rhs:
+            return chk.result(f"<S* f, x> != <f, S x> at "
+                              f"f={D.space.render(D.space.labels[f])}, "
+                              f"x={A.space.render(A.space.labels[x])}")
+    return chk.result()
 
-    sw = Stopwatch()
+
+def _pairing_nondegenerate(P: HopfPairing) -> CheckResult:
+    n = P.alg.dim
+    chk = Check("pairing-nondegenerate", "exhaustive", cases=n)
     span = Subspace(n)
     for f in range(n):
         span.add({b: c for b, c in P.rows.get(f, ())})
-    ok = span.rank == n
-    results.append(CheckResult("pairing-nondegenerate",
-                               "pass" if ok else "fail",
-                               "exhaustive", n,
-                               None if ok else f"pairing matrix rank {span.rank} < {n}",
-                               sw.read()))
-    return results
+    if span.rank != n:
+        return chk.result(f"pairing matrix rank {span.rank} < {n}")
+    return chk.result()
 
 
 def hit_dual_left(P: HopfPairing, b: Vec, f: Vec) -> Vec:
@@ -1011,7 +894,7 @@ def hit_dual_left(P: HopfPairing, b: Vec, f: Vec) -> Vec:
         for j, k, c in D.comult.get(i):
             val = P.pair({k: c}, b)
             if val:
-                vadd_into(out, {j: ci * val})
+                vadd_term(out, j, ci * val)
     return out
 
 
@@ -1023,7 +906,7 @@ def hit_dual_right(P: HopfPairing, f: Vec, b: Vec) -> Vec:
         for j, k, c in D.comult.get(i):
             val = P.pair({j: c}, b)
             if val:
-                vadd_into(out, {k: ci * val})
+                vadd_term(out, k, ci * val)
     return out
 
 
@@ -1035,7 +918,7 @@ def hit_alg_left(P: HopfPairing, f: Vec, b: Vec) -> Vec:
         for j, k, c in A.comult.get(i):
             val = P.pair(f, {k: c})
             if val:
-                vadd_into(out, {j: ci * val})
+                vadd_term(out, j, ci * val)
     return out
 
 
@@ -1047,5 +930,5 @@ def hit_alg_right(P: HopfPairing, b: Vec, f: Vec) -> Vec:
         for j, k, c in A.comult.get(i):
             val = P.pair(f, {j: c})
             if val:
-                vadd_into(out, {k: ci * val})
+                vadd_term(out, k, ci * val)
     return out

@@ -15,23 +15,14 @@ from typing import Callable
 
 from .doubles import factor_structures
 from .hopf import FiniteHopf, check_hopf_axioms, hit_dual_left, tensor_flat
-from .results import CheckResult, Stopwatch
-from .sparse import LazyLinearMap, Vec, vadd_into, veq
+from .results import Check, CheckResult
+from .sparse import LazyLinearMap, Vec, vadd_into, vadd_term, veq
 from .taft import taft_setup, taft_system
 from .ydcat import (Action, Coaction, ModuleAlgebra, YDModuleAlgebra,
                     check_comodule, check_comodule_algebra, check_module,
                     check_module_algebra, check_yd)
 
 __all__ = ["MUTATIONS", "run_mutation", "mutation_suite"]
-
-
-def _acc(out: dict, key, val) -> None:
-    cur = out.get(key)
-    tot = val if cur is None else cur + val
-    if tot:
-        out[key] = tot
-    elif cur is not None:
-        del out[key]
 
 
 def _antipode_sign(p: int) -> list:
@@ -89,7 +80,7 @@ def _action_factor_dropped(p: int) -> list:
             for bm, cb in base.mult.get(m2, b):
                 c1 = cm * cb
                 for fm, cf in mid.items():
-                    _acc(out, fm * nB + bm, c1 * cf)
+                    vadd_term(out, fm * nB + bm, c1 * cf)
         return out
 
     def fn(h: int, x: int) -> Vec:
@@ -118,7 +109,7 @@ def _factor_coaction_swapped(p: int) -> list:
         acc: dict = {}
         for f1, f2, cf in dual.comult.get(f):
             for bu, cu in base.unit.items():
-                _acc(acc, (f1 * nB + bu, f2), cf * cu)
+                vadd_term(acc, (f1 * nB + bu, f2), cf * cu)
         return tuple(sorted((h, x, c) for (h, x), c in acc.items()))
 
     bad = YDModuleAlgebra(D.hopf, dual_yd.algebra, dual_yd.action,
@@ -139,7 +130,7 @@ def _hdouble_coaction_swapped(p: int) -> list:
         acc: dict = {}
         for f1, f2, cf in dual.comult.get(f):
             for b1, b2, cb in base.comult.get(b):
-                _acc(acc, (f1 * nB + b2, f2 * nB + b1), cf * cb)
+                vadd_term(acc, (f1 * nB + b2, f2 * nB + b1), cf * cb)
         return tuple(sorted((h, x, c) for (h, x), c in acc.items()))
 
     bad = YDModuleAlgebra(D.hopf, Hd.algebra, sys.yd.action,
@@ -157,7 +148,7 @@ def _eta_swapped(p: int) -> list:
     nB = base.dim
     d = H.dim
     one = H.ctx.one
-    sw = Stopwatch()
+    chk = Check("eta-twist-swapped", "exhaustive")
 
     pair_unit: dict = {}
     for f in range(dual.dim):
@@ -182,31 +173,23 @@ def _eta_swapped(p: int) -> list:
             if w:
                 yield j, bn, c * w
 
-    cases = 0
     for k1 in range(d):
         rows_m = tuple(legs_m(k1))
         for k2 in range(d):
-            cases += 1
+            chk.cases += 1
             acc: Vec = {}
             for j1, fm, c1 in rows_m:
                 for j2, bn, c2 in legs_n(k2):
                     pv = P.pair_basis(fm, bn)
-                    if not pv:
-                        continue
-                    c = c1 * c2 * pv
-                    if not c:
-                        continue
-                    for k, ck in H.mult.get(j1, j2):
-                        _acc(acc, k, c * ck)
+                    if pv:
+                        vadd_into(acc, H.mult.get(j1, j2), c1 * c2 * pv)
             if not veq(acc, dict(Hd.algebra.mult.get(k1, k2))):
                 sp = H.space
-                wit = (f"M={sp.render(sp.labels[k1])}, "
-                       f"N={sp.render(sp.labels[k2])}: twisted product with "
-                       f"swapped arguments disagrees with the smash product")
-                return [CheckResult("eta-twist-swapped", "fail", "exhaustive",
-                                    cases, wit, sw.read())]
-    return [CheckResult("eta-twist-swapped", "pass", "exhaustive", cases,
-                        None, sw.read())]
+                return [chk.result(
+                    f"M={sp.render(sp.labels[k1])}, "
+                    f"N={sp.render(sp.labels[k2])}: twisted product with "
+                    f"swapped arguments disagrees with the smash product")]
+    return [chk.result()]
 
 
 def _trivial_coaction(p: int) -> list:
@@ -237,19 +220,18 @@ def run_mutation(tag: str, p: int = 2) -> CheckResult:
     corruption went undetected and the corresponding check is broken.
     """
     builder = MUTATIONS[tag]
-    sw = Stopwatch()
+    chk = Check(f"mutation-{tag}", "exhaustive")
     results = builder(p)
     if not isinstance(results, list):
         results = [results]
-    name = f"mutation-{tag}"
     bad = next((r for r in results if not r.ok), None)
     if bad is None:
-        return CheckResult(name, "pass",
-                           results[0].mode if results else "exhaustive",
-                           sum(r.cases_checked for r in results), None,
-                           sw.read())
-    return CheckResult(name, "fail", bad.mode, bad.cases_checked,
-                       f"[{bad.name}] {bad.witness}", sw.read())
+        if results:
+            chk.mode = results[0].mode
+        chk.cases = sum(r.cases_checked for r in results)
+        return chk.result()
+    chk.mode, chk.cases = bad.mode, bad.cases_checked
+    return chk.result(f"[{bad.name}] {bad.witness}")
 
 
 def mutation_suite(p: int = 2) -> list:

@@ -20,8 +20,8 @@ from .doubles import (FactoredAction, chain_relations_check,
                       check_quasitriangular, eta_twist_product,
                       heisenberg_chain, to_show_action_check)
 from .hopf import check_algebra_axioms, check_hopf_axioms, render_element
-from .mutations import mutation_suite
-from .results import CheckResult, Stopwatch, invert_expected_failure, summarize
+from .mutations import MUTATIONS, run_mutation
+from .results import Check, CheckResult, invert_expected_failure, summarize
 from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
                    cqzd, cqzd_center_check, double_presentation_check,
                    h2_matches_cqzd_check, hq_action_table_check,
@@ -223,11 +223,8 @@ def _skip(name: str, reason: str) -> CheckResult:
 
 
 def _dim_check(name: str, got: int, want: int) -> CheckResult:
-    sw = Stopwatch()
-    if got == want:
-        return CheckResult(name, "pass", "exhaustive", 1, None, sw.read())
-    return CheckResult(name, "fail", "exhaustive", 1,
-                       f"dimension is {got}, expected {want}", sw.read())
+    chk = Check(name, "exhaustive", cases=1)
+    return chk.result(None if got == want else f"dimension is {got}, expected {want}")
 
 
 def _rename(results, prefix: str) -> list:
@@ -238,145 +235,125 @@ def _structure_identity_check(bp, algebra, mode: str, seed: int,
                               samples: int, name: str) -> CheckResult:
     """The braided-product algebra has exactly the given structure constants
     (same flat basis indexing on both sides)."""
-    sw = Stopwatch()
+    chk = Check(name, mode)
     A = bp.yd.algebra
     if A.dim != algebra.dim:
-        return CheckResult(name, "fail", mode, 0,
-                           f"dimensions differ: {A.dim} vs {algebra.dim}",
-                           sw.read())
+        return chk.result(f"dimensions differ: {A.dim} vs {algebra.dim}")
+    chk.mode = _mode_tag(mode, seed, samples)
     d = A.dim
     ga = _gen_indices(A)
     gb = _gen_indices(algebra)
     gens = (ga | gb) if (ga is not None and gb is not None) else (ga or gb)
     rng = random.Random(seed)
-    cases = 0
     for i, j in _iter_tuples(mode, (d, d), (gens, gens), rng, samples):
-        cases += 1
+        chk.cases += 1
         lhs = dict(A.mult.get(i, j))
         rhs = dict(algebra.mult.get(i, j))
         if lhs != rhs:
             la = A.space.render(A.space.labels[i])
             lb = A.space.render(A.space.labels[j])
-            w = (f"products of ({la}, {lb}) differ: "
-                 f"{render_element(A.space, lhs)} vs "
-                 f"{render_element(algebra.space, rhs)}")
-            return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                               cases, w, sw.read())
-    return CheckResult(name, "pass", _mode_tag(mode, seed, samples),
-                       cases, None, sw.read())
+            return chk.result(f"products of ({la}, {lb}) differ: "
+                              f"{render_element(A.space, lhs)} vs "
+                              f"{render_element(algebra.space, rhs)}")
+    return chk.result()
 
 
 # -- suites --------------------------------------------------------------------
+#
+# Each suite is a generator, so run_suite can stop pulling checks as soon
+# as fail_fast sees a failure.
 
-def _suite_hopf_axioms(cfg: SuiteConfig) -> list:
+def _suite_hopf_axioms(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     hm, seed, n = _hopf_mode(cfg), cfg.seed, cfg.sample_size
-    out = []
-    out += _rename(check_hopf_axioms(sys.pair.primal, mode=hm, seed=seed,
-                                     samples=n), "taft")
-    out += _rename(check_hopf_axioms(sys.pair.dual, mode=hm, seed=seed,
-                                     samples=n), "taft-dual")
-    out += _rename(check_hopf_axioms(sys.double.hopf, mode=hm, seed=seed,
-                                     samples=n), "ddouble")
-    out += _rename(check_algebra_axioms(sys.heis.algebra, mode=hm, seed=seed,
-                                        samples=n), "hdouble")
-    return out
+    yield from _rename(check_hopf_axioms(sys.pair.primal, mode=hm, seed=seed,
+                                         samples=n), "taft")
+    yield from _rename(check_hopf_axioms(sys.pair.dual, mode=hm, seed=seed,
+                                         samples=n), "taft-dual")
+    yield from _rename(check_hopf_axioms(sys.double.hopf, mode=hm, seed=seed,
+                                         samples=n), "ddouble")
+    yield from _rename(check_algebra_axioms(sys.heis.algebra, mode=hm,
+                                            seed=seed, samples=n), "hdouble")
 
 
-def _suite_double(cfg: SuiteConfig) -> list:
+def _suite_double(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     D, Hd = sys.double, sys.heis
     m, seed, n = cfg.resolved_mode, cfg.seed, cfg.sample_size
-    out = list(double_presentation_check(sys))
-    out.append(taft_dual_check(sys.pair))
-    out.append(check_double_identity(D))
-    out.append(eta_twist_product(D, Hd, mode=m, seed=seed, samples=n)[1])
-    out.append(closed_form_check(sys, mode=_pair_mode(cfg), seed=seed,
-                                 samples=n))
-    out.append(to_show_action_check(D, FactoredAction(Hd, D), mode=m,
-                                    seed=seed, samples=n))
+    yield from double_presentation_check(sys)
+    yield taft_dual_check(sys.pair)
+    yield check_double_identity(D)
+    yield eta_twist_product(D, Hd, mode=m, seed=seed, samples=n)
+    yield closed_form_check(sys, mode=_pair_mode(cfg), seed=seed, samples=n)
+    yield to_show_action_check(D, FactoredAction(Hd, D), mode=m, seed=seed,
+                               samples=n)
     if cfg.p == 2:
-        out.extend(check_quasitriangular(D))
+        yield from check_quasitriangular(D)
     else:
-        out.append(_skip("r-quasitriangular",
-                         "run with p=2 (R-matrix sums grow with dim^2)"))
+        yield _skip("r-quasitriangular",
+                    "run with p=2 (R-matrix sums grow with dim^2)")
     # counterexample hunting needs the generator head, so the mode is pinned
-    neg, pos = check_quantum_comm_remarks(D, Hd, mode="generators",
-                                          seed=seed, samples=200)
-    out += [neg, pos]
-    return out
+    yield from check_quantum_comm_remarks(D, Hd, mode="generators", seed=seed,
+                                          samples=200)
 
 
-def _suite_yd(cfg: SuiteConfig) -> list:
-    sys = taft_system(cfg.p)
-    y = sys.yd
+def _suite_yd(cfg: SuiteConfig):
+    y = taft_system(cfg.p).yd
     cm, m, seed, n = _cubic_mode(cfg), cfg.resolved_mode, cfg.seed, cfg.sample_size
-    return [
-        check_module(y, mode=cm, seed=seed, samples=n),
-        check_module_algebra(y, mode=cm, seed=seed, samples=n),
-        check_comodule(y),
-        check_comodule_algebra(y, mode=m, seed=seed, samples=n),
-        check_yd(y, mode=cm, seed=seed, samples=n),
-        check_braided_commutative(y, mode=m, seed=seed, samples=n),
-    ]
+    yield check_module(y, mode=cm, seed=seed, samples=n)
+    yield check_module_algebra(y, mode=cm, seed=seed, samples=n)
+    yield check_comodule(y)
+    yield check_comodule_algebra(y, mode=m, seed=seed, samples=n)
+    yield check_yd(y, mode=cm, seed=seed, samples=n)
+    yield check_braided_commutative(y, mode=m, seed=seed, samples=n)
 
 
-def _suite_heisenberg(cfg: SuiteConfig) -> list:
+def _suite_heisenberg(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     m, seed, n = cfg.resolved_mode, cfg.seed, cfg.sample_size
-    out = list(basis_change(sys).checks)
+    yield from basis_change(sys).checks
     bp2 = heisenberg_chain(sys.pair.primal, 2, leftmost="dual", D=sys.double)
     dual_yd, base_yd = bp2.factors
-    out.append(check_braided_commutative(
-        dual_yd, mode=m, seed=seed, samples=n,
-        name="dual-factor-braided-commutative"))
-    out.append(check_braided_commutative(
-        base_yd, mode=m, seed=seed, samples=n,
-        name="base-factor-braided-commutative"))
-    out.append(check_braided_symmetric(dual_yd, base_yd, mode=m, seed=seed,
-                                       samples=n))
-    out.append(check_locked_identity(dual_yd, base_yd, mode=m, seed=seed,
-                                     samples=n))
-    out.append(_structure_identity_check(bp2, sys.heis.algebra, mode=m,
-                                         seed=seed, samples=n,
-                                         name="braided-product-is-hdouble"))
-    out.append(check_factor_embeddings(bp2))
-    out += flip_isomorphism(dual_yd, base_yd, mode=m, seed=seed,
-                            samples=n)[1]
-    return out
+    yield check_braided_commutative(dual_yd, mode=m, seed=seed, samples=n,
+                                    name="dual-factor-braided-commutative")
+    yield check_braided_commutative(base_yd, mode=m, seed=seed, samples=n,
+                                    name="base-factor-braided-commutative")
+    yield check_braided_symmetric(dual_yd, base_yd, mode=m, seed=seed,
+                                  samples=n)
+    yield check_locked_identity(dual_yd, base_yd, mode=m, seed=seed, samples=n)
+    yield _structure_identity_check(bp2, sys.heis.algebra, mode=m, seed=seed,
+                                    samples=n, name="braided-product-is-hdouble")
+    yield check_factor_embeddings(bp2)
+    yield from flip_isomorphism(dual_yd, base_yd, mode=m, seed=seed,
+                                samples=n)[1]
 
 
-def _suite_chains(cfg: SuiteConfig) -> list:
+def _suite_chains(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     p, m, seed, n = cfg.p, cfg.resolved_mode, cfg.seed, cfg.sample_size
-    out = []
     if p == 2:
         ch3 = heisenberg_chain(sys.pair.primal, 3, leftmost="dual",
                                D=sys.double)
-        out += chain_relations_check(ch3, sys.double, prefix="full-chain3")
-        out.append(invert_expected_failure(
+        yield from chain_relations_check(ch3, sys.double, prefix="full-chain3")
+        yield invert_expected_failure(
             check_braided_commutative(ch3.yd, mode="generators", seed=seed,
                                       samples=200),
-            "full-chain3-braided-commutativity-fails"))
-        out.append(check_factor_embeddings(ch3,
-                                           name="full-chain3-embedding"))
+            "full-chain3-braided-commutativity-fails")
+        yield check_factor_embeddings(ch3, name="full-chain3-embedding")
     else:
-        out.append(_skip("full-chain3-relations",
-                         "run with p=2 (three full-double factors)"))
-        out.append(_skip("full-chain3-braided-commutativity-fails",
-                         "run with p=2 (three full-double factors)"))
+        yield _skip("full-chain3-relations",
+                    "run with p=2 (three full-double factors)")
+        yield _skip("full-chain3-braided-commutativity-fails",
+                    "run with p=2 (three full-double factors)")
     chains = {k: truly_heisenberg_chain(p, k) for k in (1, 2, 3, 4)}
     for k, ch in chains.items():
-        out.append(_dim_check(f"zdel-chain{k}-dimension",
-                              ch.algebra.dim, p ** k))
-    out += chain_heisenberg_checks(chains[4], prefix="zdel-chain4")
-    out.append(check_factor_embeddings(chains[4].chain,
-                                       name="zdel-chain4-embedding"))
-    out.append(check_yd(chains[3].yd, mode=m, seed=seed, samples=n,
-                        name="zdel-chain3-yd-condition"))
+        yield _dim_check(f"zdel-chain{k}-dimension", ch.algebra.dim, p ** k)
+    yield from chain_heisenberg_checks(chains[4], prefix="zdel-chain4")
+    yield check_factor_embeddings(chains[4].chain, name="zdel-chain4-embedding")
+    yield check_yd(chains[3].yd, mode=m, seed=seed, samples=n,
+                   name="zdel-chain3-yd-condition")
     fd, fz = chains[2].chain.factors
-    out.append(check_locked_identity(fd, fz,
-                                     name="zdel-interface-locked-identity"))
+    yield check_locked_identity(fd, fz, name="zdel-interface-locked-identity")
     # Like-type factors two positions apart stop commuting in the braided
     # sense as soon as squares survive: at p=2 nilpotency of degree two
     # hides the obstruction, for larger p a counterexample must exist.
@@ -384,47 +361,41 @@ def _suite_chains(cfg: SuiteConfig) -> list:
         chains[3].yd, mode=(m if p == 2 else "generators"), seed=seed,
         samples=(n if p == 2 else 200),
         name="zdel-chain3-braided-commutative")
-    if p == 2:
-        out.append(bc)
-    else:
-        out.append(invert_expected_failure(
-            bc, "zdel-chain3-braided-commutativity-fails"))
-    out.append(h2_matches_cqzd_check(chains[2]))
-    out.append(cqzd_center_check(cqzd(p)))
-    return out
+    yield bc if p == 2 else invert_expected_failure(
+        bc, "zdel-chain3-braided-commutativity-fails")
+    yield h2_matches_cqzd_check(chains[2])
+    yield cqzd_center_check(cqzd(p))
 
 
-def _suite_truncations(cfg: SuiteConfig) -> list:
+def _suite_truncations(cfg: SuiteConfig):
     p, m, seed, n = cfg.p, cfg.resolved_mode, cfg.seed, cfg.sample_size
     uq = uqsl2(p)
-    out = list(uq.checks)
-    out += uq_presentation_check(uq)
-    out.append(_dim_check("uq-dimension", uq.hopf.dim, 2 * p ** 3))
+    yield from uq.checks
+    yield from uq_presentation_check(uq)
+    yield _dim_check("uq-dimension", uq.hopf.dim, 2 * p ** 3)
     if p == 2:
-        out.append(quotient_morphism_check(uq.hq))
+        yield quotient_morphism_check(uq.hq)
     else:
-        out.append(_skip("quotient-morphism",
-                         "run with p=2 (quadratic in the parent dimension)"))
+        yield _skip("quotient-morphism",
+                    "run with p=2 (quadratic in the parent dimension)")
     hq = hqsl2(p)
-    out += list(hq.checks)
-    out.append(_dim_check("hq-dimension", hq.yd.dim, 2 * p ** 3))
-    out.append(hq_action_table_check(hq))
-    out.append(hq_coaction_table_check(hq))
-    out.append(hq_factorization_check(hq))
+    yield from hq.checks
+    yield _dim_check("hq-dimension", hq.yd.dim, 2 * p ** 3)
+    yield hq_action_table_check(hq)
+    yield hq_coaction_table_check(hq)
+    yield hq_factorization_check(hq)
     y = hq.yd
-    out += [
-        check_module(y, mode=m, seed=seed, samples=n),
-        check_module_algebra(y, mode=m, seed=seed, samples=n),
-        check_comodule(y),
-        check_comodule_algebra(y, mode=m, seed=seed, samples=n),
-        check_yd(y, mode=m, seed=seed, samples=n),
-        check_braided_commutative(y, mode=m, seed=seed, samples=n),
-    ]
-    return out
+    yield check_module(y, mode=m, seed=seed, samples=n)
+    yield check_module_algebra(y, mode=m, seed=seed, samples=n)
+    yield check_comodule(y)
+    yield check_comodule_algebra(y, mode=m, seed=seed, samples=n)
+    yield check_yd(y, mode=m, seed=seed, samples=n)
+    yield check_braided_commutative(y, mode=m, seed=seed, samples=n)
 
 
-def _suite_mutations(cfg: SuiteConfig) -> list:
-    return mutation_suite(cfg.p)
+def _suite_mutations(cfg: SuiteConfig):
+    for tag in MUTATIONS:
+        yield run_mutation(tag, cfg.p)
 
 
 _SUITES = {
@@ -448,7 +419,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     """Run the selected suites and collect a deterministic report.
 
     Results are sorted by (tagged) check name; every check runs even when
-    earlier ones fail, unless fail_fast is set.  Two results with the same
+    earlier ones fail, unless fail_fast is set: then no suite is asked for
+    another check after the first failure.  Two results with the same
     tagged name are an engine error (RuntimeError), not a silent drop.
     """
     config.validate()

@@ -1,12 +1,19 @@
-"""Check-result containers shared by all verification passes."""
+"""Check results and the runner that every verification pass builds them with.
+
+A check creates one `Check` where its work starts, counts its cases on it
+and ends with `Check.result(witness)`: the result fails exactly when a
+witness (a rendered counterexample) is given.  Results whose status does
+not follow from a witness -- skipped checks and inverted expected
+failures -- build `CheckResult` directly.
+"""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["CheckResult", "Stopwatch", "summarize", "invert_expected_failure"]
+__all__ = ["CheckResult", "Check", "summarize", "invert_expected_failure"]
 
 
 @dataclass
@@ -29,17 +36,14 @@ class CheckResult:
     def ok(self) -> bool:
         return self.status != "fail"
 
-    def to_dict(self, include_elapsed: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "name": self.name,
             "status": self.status,
             "mode": self.mode,
             "cases_checked": self.cases_checked,
             "witness": self.witness,
         }
-        if include_elapsed:
-            out["elapsed"] = round(self.elapsed, 6)
-        return out
 
     def line(self) -> str:
         flag = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[self.status]
@@ -50,16 +54,25 @@ class CheckResult:
         return msg
 
 
-class Stopwatch:
-    """Tiny helper so every check reports wall time the same way."""
+class Check:
+    """One running check: its name, coverage tag, case count and timer.
 
-    __slots__ = ("t0",)
+    The timer starts at construction; `result` stops it.
+    """
 
-    def __init__(self):
+    __slots__ = ("name", "mode", "cases", "t0")
+
+    def __init__(self, name: str, mode: str, cases: int = 0):
+        self.name = name
+        self.mode = mode
+        self.cases = cases
         self.t0 = time.perf_counter()
 
-    def read(self) -> float:
-        return time.perf_counter() - self.t0
+    def result(self, witness: Optional[str] = None) -> CheckResult:
+        """Fail with the witness when one is given, pass otherwise."""
+        return CheckResult(self.name, "pass" if witness is None else "fail",
+                           self.mode, self.cases, witness,
+                           time.perf_counter() - self.t0)
 
 
 def summarize(results: list) -> tuple[int, int, int]:

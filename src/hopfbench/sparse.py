@@ -6,6 +6,11 @@ indices and can be backed by a compute-on-demand function with a memo,
 so large objects (e.g. a 1296-dimensional double at p = 3) never have
 to materialize their full product tensor.
 
+Every accumulation goes through the kernels here: `vadd_into` (a vector,
+or a row of (k, c) pairs, scaled and shifted by a key offset),
+`vadd_outer` (the outer product of two rows), `colinear_apply` (rows of
+(j, k, c) terms) and `vadd_term` (one entry).  None stores a zero.
+
 Echelon forms use deterministic smallest-index pivots and are kept
 fully reduced, which makes every derived object (closures, quotients,
 coordinates) reproducible run to run.  Full reduction also means that
@@ -22,7 +27,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .cyclo import Cyc, QContext
 
 __all__ = [
-    "Space", "vadd_into", "vscale", "vneg", "vsub", "veq", "vcopy",
+    "Space", "vadd_into", "vadd_outer", "vadd_term", "colinear_apply",
+    "vscale", "vneg", "vsub", "veq", "vcopy",
     "BilinearMap", "LinearMap", "LazyLinearMap", "ColinearMap", "Subspace",
     "SpanSolver",
     "span_closure", "QuotientSpace", "linear_map_inverse",
@@ -62,10 +68,20 @@ def vcopy(v: Vec) -> Vec:
     return dict(v)
 
 
-def vadd_into(dst: Vec, src: Vec, coeff: Optional[Cyc] = None) -> Vec:
-    """dst += coeff * src (in place); coeff None means 1."""
+def vadd_into(dst: Vec, src, coeff: Optional[Cyc] = None, base: int = 0) -> Vec:
+    """dst[base + k] += coeff * c for every entry (k, c) of src, in place.
+
+    src is a vector or a row of (k, c) pairs; coeff None means 1.  A zero
+    coeff or a zero product stores nothing, and a zero sum is deleted.  A
+    product is tested for zero only when it would be stored, which keeps
+    the test off the accumulating path.  With base 0 the keys of src are
+    stored as they are (`k + 0` would allocate a new int above 256).
+    """
+    items = src.items() if isinstance(src, dict) else src
     if coeff is None:
-        for k, c in src.items():
+        for k, c in items:
+            if base:
+                k += base
             cur = dst.get(k)
             if cur is None:
                 dst[k] = c
@@ -78,13 +94,14 @@ def vadd_into(dst: Vec, src: Vec, coeff: Optional[Cyc] = None) -> Vec:
     else:
         if not coeff:
             return dst
-        for k, c in src.items():
+        for k, c in items:
             cc = coeff * c
-            if not cc:
-                continue
+            if base:
+                k += base
             cur = dst.get(k)
             if cur is None:
-                dst[k] = cc
+                if cc:
+                    dst[k] = cc
             else:
                 s = cur + cc
                 if s:
@@ -92,6 +109,71 @@ def vadd_into(dst: Vec, src: Vec, coeff: Optional[Cyc] = None) -> Vec:
                 else:
                     del dst[k]
     return dst
+
+
+def vadd_outer(dst: Vec, coeff: Cyc, left, right, n2: int) -> Vec:
+    """dst[k1 * n2 + k2] += coeff * c1 * c2 for every entry (k1, c1) of
+    left and (k2, c2) of right (vectors or rows), in place.
+
+    The product is formed as (coeff * c1) * c2, the scalar operations of
+    the nested loop it stands for; one call covers a whole row pair.
+    """
+    if isinstance(left, dict):
+        left = left.items()
+    if isinstance(right, dict):
+        right = right.items()
+    for k1, c1 in left:
+        cc = coeff * c1
+        base = k1 * n2
+        for k2, c2 in right:
+            val = cc * c2
+            k = base + k2
+            cur = dst.get(k)
+            if cur is None:
+                if val:
+                    dst[k] = val
+            else:
+                s = cur + val
+                if s:
+                    dst[k] = s
+                else:
+                    del dst[k]
+    return dst
+
+
+def colinear_apply(get: Callable[[int], tuple], v: Vec, n2: int) -> Vec:
+    """Image of v under a map whose row get(i) holds (j, k, c) terms,
+    flat over j * n2 + k."""
+    out: Vec = {}
+    for i, ci in v.items():
+        for j, k, c in get(i):
+            val = ci * c
+            key = j * n2 + k
+            cur = out.get(key)
+            if cur is None:
+                if val:
+                    out[key] = val
+            else:
+                s = cur + val
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return out
+
+
+def vadd_term(dst: dict, key, val: Cyc) -> None:
+    """dst[key] += val, in place; a zero val or a zero sum is never stored."""
+    cur = dst.get(key)
+    if cur is None:
+        if val:
+            dst[key] = val
+    else:
+        s = cur + val
+        if s:
+            dst[key] = s
+        else:
+            del dst[key]
 
 
 def vscale(v: Vec, coeff: Cyc) -> Vec:
@@ -171,22 +253,7 @@ class BilinearMap:
                 row = get(i, j)
                 if not row:
                     continue
-                c = ci * cj
-                if not c:
-                    continue
-                for k, ck in row:
-                    val = c * ck
-                    if not val:
-                        continue
-                    cur = out.get(k)
-                    if cur is None:
-                        out[k] = val
-                    else:
-                        s = cur + val
-                        if s:
-                            out[k] = s
-                        else:
-                            del out[k]
+                vadd_into(out, row, ci * cj)
         return out
 
     def materialize(self) -> None:
@@ -225,21 +292,8 @@ class LinearMap:
         rows = self.rows
         for i, ci in v.items():
             row = rows.get(i)
-            if not row:
-                continue
-            for j, cj in row:
-                val = ci * cj
-                if not val:
-                    continue
-                cur = out.get(j)
-                if cur is None:
-                    out[j] = val
-                else:
-                    s = cur + val
-                    if s:
-                        out[j] = s
-                    else:
-                        del out[j]
+            if row:
+                vadd_into(out, row, ci)
         return out
 
     def compose(self, other: "LinearMap") -> "LinearMap":
@@ -283,19 +337,7 @@ class LazyLinearMap(LinearMap):
     def apply(self, v: Vec) -> Vec:
         out: Vec = {}
         for i, ci in v.items():
-            for j, cj in self.get(i):
-                val = ci * cj
-                if not val:
-                    continue
-                cur = out.get(j)
-                if cur is None:
-                    out[j] = val
-                else:
-                    s = cur + val
-                    if s:
-                        out[j] = s
-                    else:
-                        del out[j]
+            vadd_into(out, self.get(i), ci)
         return out
 
     def materialize(self) -> None:
@@ -335,24 +377,7 @@ class ColinearMap:
 
     def apply(self, v: Vec) -> Vec:
         """Result lives on flat pair indices j * dim_w2 + k."""
-        out: Vec = {}
-        n2 = self.dim_w2
-        for i, ci in v.items():
-            for j, k, c in self.get(i):
-                val = ci * c
-                if not val:
-                    continue
-                key = j * n2 + k
-                cur = out.get(key)
-                if cur is None:
-                    out[key] = val
-                else:
-                    s = cur + val
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        return out
+        return colinear_apply(self.get, v, self.dim_w2)
 
 
 # -- echelon forms ----------------------------------------------------------

@@ -39,11 +39,11 @@ from .hopf import (
     FiniteAlgebra, FiniteHopf, HopfPairing, check_algebra_axioms, dual_hopf,
     pair_product, render_element, render_tensor, tensor_flat,
 )
-from .results import CheckResult, Stopwatch, invert_expected_failure
+from .results import Check, CheckResult, invert_expected_failure
 from .sparse import (
     BilinearMap, ColinearMap, LazyLinearMap, LinearMap, QuotientSpace,
     SingularMapError, Space, SpanSolver, Subspace, linear_map_inverse,
-    span_closure, vadd_into, veq, vscale, vsub,
+    span_closure, vadd_into, vadd_term, veq, vscale, vsub,
 )
 from .truncate import (
     HopfQuotient, SubHopf, TransportedStructure, change_basis_hopf,
@@ -409,26 +409,17 @@ def _vadd(a: Vec, b: Vec) -> Vec:
 def _tens2(dim: int, a: Vec, b: Vec) -> Vec:
     out: Vec = {}
     for i, c in a.items():
-        for j, c2 in b.items():
-            key = i * dim + j
-            cur = out.get(key)
-            val = c * c2
-            out[key] = val if cur is None else cur + val
-            if not out[key]:
-                del out[key]
+        vadd_into(out, b, c, i * dim)
     return out
 
 
-def _relation_result(name: str, rels, renderer, sw,
-                     mode: str = "exhaustive") -> "CheckResult":
+def _relation_result(chk: Check, rels, renderer) -> CheckResult:
     """rels: iterable of (label, lhs, rhs) vector pairs; renderer(v) -> str."""
-    cases = 0
     for label, lhs, rhs in rels:
-        cases += 1
+        chk.cases += 1
         if not veq(lhs, rhs):
-            w = f"{label}: lhs = {renderer(lhs)}, rhs = {renderer(rhs)}"
-            return CheckResult(name, "fail", mode, cases, w, sw.read())
-    return CheckResult(name, "pass", mode, cases, None, sw.read())
+            return chk.result(f"{label}: lhs = {renderer(lhs)}, rhs = {renderer(rhs)}")
+    return chk.result()
 
 
 def double_presentation_check(sys: TaftSystem, generation: bool = True,
@@ -443,7 +434,7 @@ def double_presentation_check(sys: TaftSystem, generation: bool = True,
     unit = dict(H.unit)
     out = []
 
-    sw = Stopwatch()
+    chk = Check(f"{prefix}-relations", "exhaustive")
     rels = [
         ("kE = qEk", mul(k, E), vscale(mul(E, k), ctx.q)),
         ("E^p = 0", _power(mul, unit, E, p), {}),
@@ -458,10 +449,9 @@ def double_presentation_check(sys: TaftSystem, generation: bool = True,
          vsub(mul(E, F), mul(F, E)),
          vscale(vsub(mul(k, k), mul(kap, kap)), ctx.qdiff_inv)),
     ]
-    out.append(_relation_result(f"{prefix}-relations", rels,
-                                lambda v: render_element(H.space, v), sw))
+    out.append(_relation_result(chk, rels, lambda v: render_element(H.space, v)))
 
-    sw = Stopwatch()
+    chk = Check(f"{prefix}-coalgebra", "exhaustive")
     n = H.dim
     k2 = mul(k, k)
     kinv2 = _power(mul, unit, k, 4 * p - 2)
@@ -479,29 +469,35 @@ def double_presentation_check(sys: TaftSystem, generation: bool = True,
         ("S(E) = -E k^(-2)", H.antipode_of(E), vscale(mul(E, kinv2), -ctx.one)),
         ("S(k) = k^(-1)", H.antipode_of(k), _power(mul, unit, k, 4 * p - 1)),
     ]
-    res = _relation_result(f"{prefix}-coalgebra", crels,
+    res = _relation_result(chk, crels,
                            lambda v: render_tensor(H.space, H.space, v)
                            if len(v) == 0 or max(v) >= n
-                           else render_element(H.space, v), sw)
+                           else render_element(H.space, v))
     if res.ok:
-        eps = [("eps(F) = 0", not H.counit_of(F)),
-               ("eps(kap) = 1", H.counit_of(kap) == ctx.one),
-               ("eps(E) = 0", not H.counit_of(E)),
-               ("eps(k) = 1", H.counit_of(k) == ctx.one)]
-        bad = next((lab for lab, ok in eps if not ok), None)
-        res = CheckResult(res.name, "fail" if bad else "pass", "exhaustive",
-                          res.cases_checked + len(eps), bad, sw.read())
+        res = _counit_result(chk, [("eps(F) = 0", not H.counit_of(F)),
+                                   ("eps(kap) = 1", H.counit_of(kap) == ctx.one),
+                                   ("eps(E) = 0", not H.counit_of(E)),
+                                   ("eps(k) = 1", H.counit_of(k) == ctx.one)])
     out.append(res)
-
     if generation:
-        sw = Stopwatch()
-        span = span_closure([unit, E, k, F, kap], H.product, H.dim)
-        ok = span.rank == H.dim
-        out.append(CheckResult(
-            f"{prefix}-generation", "pass" if ok else "fail", "exhaustive",
-            H.dim, None if ok else
-            f"generators span rank {span.rank} < dim {H.dim}", sw.read()))
+        out.append(_generation_result(f"{prefix}-generation", H,
+                                      [unit, E, k, F, kap]))
     return out
+
+
+def _counit_result(chk: Check, eps: list) -> CheckResult:
+    """Extend a passed relation check by (label, holds) counit values."""
+    chk.cases += len(eps)
+    return chk.result(next((lab for lab, ok in eps if not ok), None))
+
+
+def _generation_result(name: str, H: FiniteHopf, gens: list) -> CheckResult:
+    """The given elements generate H as an algebra."""
+    chk = Check(name, "exhaustive", cases=H.dim)
+    span = span_closure(gens, H.product, H.dim)
+    if span.rank != H.dim:
+        return chk.result(f"generators span rank {span.rank} < dim {H.dim}")
+    return chk.result()
 
 
 def taft_dual_check(pair: TaftPair, name: str = "taft-dual") -> "CheckResult":
@@ -510,22 +506,16 @@ def taft_dual_check(pair: TaftPair, name: str = "taft-dual") -> "CheckResult":
     B, Bd = pair.primal, pair.dual
     p = ctx.p
     order = 4 * p
-    sw = Stopwatch()
-    cases = 0
+    chk = Check(name, "exhaustive")
 
     solver = SpanSolver(B.dim)
     for i in range(Bd.dim):
-        cases += 1
-        row = dict(pair.to_canonical.get(i))
-        if not solver.add(row):
+        chk.cases += 1
+        if not solver.add(dict(pair.to_canonical.get(i))):
             lab = Bd.space.render(Bd.space.labels[i])
-            return CheckResult(name, "fail", "exhaustive", cases,
-                               f"monomial {lab} is linearly dependent",
-                               sw.read())
+            return chk.result(f"monomial {lab} is linearly dependent")
     if solver.rank != B.dim:
-        return CheckResult(name, "fail", "exhaustive", cases,
-                           f"monomials span rank {solver.rank} < {B.dim}",
-                           sw.read())
+        return chk.result(f"monomials span rank {solver.rank} < {B.dim}")
 
     dl = {lab: i for i, lab in enumerate(Bd.space.labels)}
     one = ctx.one
@@ -538,44 +528,33 @@ def taft_dual_check(pair: TaftPair, name: str = "taft-dual") -> "CheckResult":
         ("F^p = 0", _power(mul, unit, Fv, p), {}),
         ("kap^(4p) = 1", _power(mul, unit, kapv, order), unit),
     ]
-    rr = _relation_result(name, rels,
-                          lambda v: render_element(Bd.space, v), sw)
+    rr = _relation_result(chk, rels, lambda v: render_element(Bd.space, v))
     if not rr.ok:
-        return CheckResult(name, "fail", "exhaustive", cases + rr.cases_checked,
-                           rr.witness, sw.read())
-    cases += rr.cases_checked
+        return rr
 
     # F^p as a functional kills every basis monomial of B
     Fp = _power(mul, unit, Fv, p)
     for b in range(B.dim):
-        cases += 1
+        chk.cases += 1
         val = pair.pairing.pair(Fp, {b: one})
         if val:
-            return CheckResult(name, "fail", "exhaustive", cases,
-                               f"<F^p, {_plab(B, b)}> = {val} != 0", sw.read())
+            return chk.result(f"<F^p, {_plab(B, b)}> = {val} != 0")
 
     # pairing values on the generators, against every monomial of B
     for b, (m, nn) in enumerate(B.space.labels):
-        cases += 3
+        chk.cases += 3
         got = pair.pairing.pair_basis(dl[(1, 0)], b)
         want = ctx.q_pow(-nn) * ctx.qdiff_inv if m == 1 else None
         if got != want:
-            return CheckResult(name, "fail", "exhaustive", cases,
-                               f"<F, {_plab(B, b)}> = {got}, expected {want}",
-                               sw.read())
+            return chk.result(f"<F, {_plab(B, b)}> = {got}, expected {want}")
         got = pair.pairing.pair_basis(dl[(0, 1)], b)
         want = ctx.zeta_pow(-nn) if m == 0 else None
         if got != want:
-            return CheckResult(name, "fail", "exhaustive", cases,
-                               f"<kap, {_plab(B, b)}> = {got}, expected {want}",
-                               sw.read())
+            return chk.result(f"<kap, {_plab(B, b)}> = {got}, expected {want}")
         got = pair.pairing.pair_basis(dl[(0, 0)], b)
-        want = B.counit.get(b)
-        if got != want:
-            return CheckResult(name, "fail", "exhaustive", cases,
-                               f"<1, {_plab(B, b)}> != eps({_plab(B, b)})",
-                               sw.read())
-    return CheckResult(name, "pass", "exhaustive", cases, None, sw.read())
+        if got != B.counit.get(b):
+            return chk.result(f"<1, {_plab(B, b)}> != eps({_plab(B, b)})")
+    return chk.result()
 
 
 def _plab(H, i: int) -> str:
@@ -595,8 +574,8 @@ def closed_form_check(sys: TaftSystem, mode: str = "exhaustive", seed: int = 0,
     labels = A.space.labels
     index = {lab: i for i, lab in enumerate(labels)}
     dim = A.dim
-    sw = Stopwatch()
-    cases = 0
+    chk = Check(name, mode if mode == "exhaustive"
+                else f"sample(n={samples},seed={seed})")
 
     def pairs():
         if mode == "exhaustive":
@@ -609,27 +588,16 @@ def closed_form_check(sys: TaftSystem, mode: str = "exhaustive", seed: int = 0,
                 yield rng.randrange(dim), rng.randrange(dim)
 
     for i, j in pairs():
-        cases += 1
+        chk.cases += 1
         want: Vec = {}
         for lab, c in closed_form_smash_row(ctx, labels[i], labels[j]):
-            k = index[lab]
-            cur = want.get(k)
-            want[k] = c if cur is None else cur + c
-            if not want[k]:
-                del want[k]
+            vadd_term(want, index[lab], c)
         got = dict(A.mult.get(i, j))
         if not veq(got, want):
-            w = (f"({_plab(A, i)})({_plab(A, j)}): generic = "
-                 f"{render_element(A.space, got)}, closed form = "
-                 f"{render_element(A.space, want)}")
-            return CheckResult(name, "fail",
-                               mode if mode == "exhaustive"
-                               else f"sample(n={samples},seed={seed})",
-                               cases, w, sw.read())
-    return CheckResult(name, "pass",
-                       mode if mode == "exhaustive"
-                       else f"sample(n={samples},seed={seed})",
-                       cases, None, sw.read())
+            return chk.result(f"({_plab(A, i)})({_plab(A, j)}): generic = "
+                              f"{render_element(A.space, got)}, closed form = "
+                              f"{render_element(A.space, want)}")
+    return chk.result()
 
 
 # -- the (kap, z, lam, del) presentation of H(B*) -------------------------------
@@ -658,9 +626,7 @@ def basis_change(sys: TaftSystem,
     kapv, zv, lamv, delv = els["kap"], els["z"], els["lam"], els["del"]
     mul = A.product
     unit = dict(A.unit)
-    checks = []
-
-    sw = Stopwatch()
+    chk = Check(f"{prefix}-relations", "exhaustive")
     rels = [
         ("kap z = q^(-1) z kap", mul(kapv, zv), vscale(mul(zv, kapv), ctx.q_inv)),
         ("kap lam = q^(1/2) lam kap", mul(kapv, lamv),
@@ -680,28 +646,24 @@ def basis_change(sys: TaftSystem,
         ("del z = (q - q^(-1)) 1 + q^(-2) z del", mul(delv, zv),
          _vadd(vscale(unit, ctx.qdiff), vscale(mul(zv, delv), ctx.q_pow(-2)))),
     ]
-    checks.append(_relation_result(f"{prefix}-relations", rels,
-                                   lambda v: render_element(A.space, v), sw))
+    checks = [_relation_result(chk, rels, lambda v: render_element(A.space, v))]
 
     # The 4p-th power of lam is -1, not +1: lam^2 picks up <kap, k> =
     # q^(-1/2) per step, and the accumulated half-power lands on the
     # -1 branch.  The +1 normalization would need an 8p-th root of
     # unity, which the coefficient field does not contain, so the
     # naive relation is kept as an expected counterexample.
-    sw = Stopwatch()
     naive = _relation_result(
-        f"{prefix}-lambda-naive",
+        Check(f"{prefix}-lambda-naive", "exhaustive"),
         [("lam^(4p) = 1", _power(mul, unit, lamv, order), unit)],
-        lambda v: render_element(A.space, v), sw)
+        lambda v: render_element(A.space, v))
     checks.append(invert_expected_failure(naive, f"{prefix}-lambda-order"))
 
     # each monomial del^b z^a lam^c kap^d is a nonzero multiple of exactly
     # one smash basis vector, and the assignment is a bijection
-    sw = Stopwatch()
+    chk = Check(f"{prefix}-bijective", "exhaustive")
     forward: dict = {}
     backward: dict = {}
-    cases = 0
-    bad = None
     z_pows = [unit]
     del_pows = [unit]
     for _ in range(p - 1):
@@ -712,36 +674,30 @@ def basis_change(sys: TaftSystem,
     for _ in range(order - 1):
         lam_pows.append(mul(lam_pows[-1], lamv))
         kap_pows.append(mul(kap_pows[-1], kapv))
-    for b in range(p):
-        for a in range(p):
-            dz = mul(del_pows[b], z_pows[a])
-            for c in range(order):
-                dzl = mul(dz, lam_pows[c])
-                for d in range(order):
-                    cases += 1
-                    v = mul(dzl, kap_pows[d])
-                    if len(v) != 1:
-                        bad = (f"del^{b} z^{a} lam^{c} kap^{d} has "
-                               f"{len(v)} smash terms")
-                        break
-                    (idx, coeff), = v.items()
-                    if idx in backward:
-                        bad = (f"del^{b} z^{a} lam^{c} kap^{d} collides "
-                               f"with {backward[idx][0]} on {_plab(A, idx)}")
-                        break
-                    forward[(b, a, c, d)] = {idx: coeff}
-                    backward[idx] = ((b, a, c, d), coeff)
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    if bad is None and len(backward) != A.dim:
-        bad = f"monomials reach {len(backward)} of {A.dim} basis vectors"
-    checks.append(CheckResult(f"{prefix}-bijective",
-                              "fail" if bad else "pass", "exhaustive",
-                              cases, bad, sw.read()))
+
+    def witness() -> Optional[str]:
+        for b in range(p):
+            for a in range(p):
+                dz = mul(del_pows[b], z_pows[a])
+                for c in range(order):
+                    dzl = mul(dz, lam_pows[c])
+                    for d in range(order):
+                        chk.cases += 1
+                        v = mul(dzl, kap_pows[d])
+                        if len(v) != 1:
+                            return (f"del^{b} z^{a} lam^{c} kap^{d} has "
+                                    f"{len(v)} smash terms")
+                        (idx, coeff), = v.items()
+                        if idx in backward:
+                            return (f"del^{b} z^{a} lam^{c} kap^{d} collides "
+                                    f"with {backward[idx][0]} on {_plab(A, idx)}")
+                        forward[(b, a, c, d)] = {idx: coeff}
+                        backward[idx] = ((b, a, c, d), coeff)
+        if len(backward) != A.dim:
+            return f"monomials reach {len(backward)} of {A.dim} basis vectors"
+        return None
+
+    checks.append(chk.result(witness()))
     return HeisenbergBasisChange(sys, els, forward, backward, checks)
 
 
@@ -883,7 +839,7 @@ def uq_presentation_check(uq: UqSl2, generation: bool = True,
     n = U.dim
     out = []
 
-    sw = Stopwatch()
+    chk = Check(f"{prefix}-relations", "exhaustive")
     rels = [
         ("K E K^(-1) = q^2 E", mul(mul(K, E), Kinv), vscale(E, ctx.q_pow(2))),
         ("K F K^(-1) = q^(-2) F", mul(mul(K, F), Kinv),
@@ -895,10 +851,9 @@ def uq_presentation_check(uq: UqSl2, generation: bool = True,
         ("K^(2p) = 1", _power(mul, unit, K, 2 * p), unit),
         ("K K^(-1) = 1", mul(K, Kinv), unit),
     ]
-    out.append(_relation_result(f"{prefix}-relations", rels,
-                                lambda v: render_element(U.space, v), sw))
+    out.append(_relation_result(chk, rels, lambda v: render_element(U.space, v)))
 
-    sw = Stopwatch()
+    chk = Check(f"{prefix}-coalgebra", "exhaustive")
     crels = [
         ("Delta(E) = E (x) K + 1 (x) E", U.coproduct(E),
          _vadd(_tens2(n, E, K), _tens2(n, unit, E))),
@@ -909,27 +864,18 @@ def uq_presentation_check(uq: UqSl2, generation: bool = True,
         ("S(K) = K^(-1)", U.antipode_of(K), Kinv),
         ("S(F) = -K F", U.antipode_of(F), vscale(mul(K, F), -ctx.one)),
     ]
-    res = _relation_result(f"{prefix}-coalgebra", crels,
+    res = _relation_result(chk, crels,
                            lambda v: render_tensor(U.space, U.space, v)
                            if len(v) == 0 or max(v) >= n
-                           else render_element(U.space, v), sw)
+                           else render_element(U.space, v))
     if res.ok:
-        eps = [("eps(E) = 0", not U.counit_of(E)),
-               ("eps(F) = 0", not U.counit_of(F)),
-               ("eps(K) = 1", U.counit_of(K) == ctx.one)]
-        bad = next((lab for lab, ok in eps if not ok), None)
-        res = CheckResult(res.name, "fail" if bad else "pass", "exhaustive",
-                          res.cases_checked + len(eps), bad, sw.read())
+        res = _counit_result(chk, [("eps(E) = 0", not U.counit_of(E)),
+                                   ("eps(F) = 0", not U.counit_of(F)),
+                                   ("eps(K) = 1", U.counit_of(K) == ctx.one)])
     out.append(res)
-
     if generation:
-        sw = Stopwatch()
-        span = span_closure([unit, E, F, K], U.product, U.dim)
-        ok = span.rank == U.dim
-        out.append(CheckResult(
-            f"{prefix}-generation", "pass" if ok else "fail", "exhaustive",
-            U.dim, None if ok else
-            f"generators span rank {span.rank} < dim {U.dim}", sw.read()))
+        out.append(_generation_result(f"{prefix}-generation", U,
+                                      [unit, E, F, K]))
     return out
 
 
@@ -1049,14 +995,11 @@ def hqsl2(p: int, cached: bool = True) -> HqSl2:
     # after the identification, lam^(2p) must equal the scalar (-1)^p i
     T = ts.yd.algebra
     lam_t = {T.space.labels.index((1, 0, 0)): one}
-    sw = Stopwatch()
+    chk = Check("hq-lambda-power", "exhaustive", cases=1)
     lhs = _power(T.product, dict(T.unit), lam_t, 2 * p)
     rhs = vscale(dict(T.unit), half if p % 2 == 0 else -half)
-    ok = veq(lhs, rhs)
-    checks.append(CheckResult(
-        "hq-lambda-power", "pass" if ok else "fail", "exhaustive", 1,
-        None if ok else f"lam^(2p) = {render_element(T.space, lhs)}",
-        sw.read()))
+    checks.append(chk.result(
+        None if veq(lhs, rhs) else f"lam^(2p) = {render_element(T.space, lhs)}"))
 
     hq = HqSl2(p, sys, uq, ts, checks)
     if cached:
@@ -1093,7 +1036,7 @@ def hq_action_table_check(hq: HqSl2,
             return {}
         return {idx[(a, b, c)]: coeff}
 
-    sw = Stopwatch()
+    chk = Check(name, "exhaustive")
     rows = []
     for n in range(2 * p):        # lam-power rows
         half_int = ctx.q_int(Fraction(n, 2))
@@ -1125,8 +1068,7 @@ def hq_action_table_check(hq: HqSl2,
             (f"F |> del^{n}", act.apply(uel["F"], mono(0, 0, n)),
              expect(0, 0, n + 1, -ctx.q_pow(n) * qn)),
         ]
-    return _relation_result(name, rows,
-                            lambda v: render_element(T.space, v), sw)
+    return _relation_result(chk, rows, lambda v: render_element(T.space, v))
 
 
 def hq_coaction_table_check(hq: HqSl2,
@@ -1155,7 +1097,7 @@ def hq_coaction_table_check(hq: HqSl2,
             out[uidx[ulab] * nT + idx[tlab]] = c
         return out
 
-    sw = Stopwatch()
+    chk = Check(name, "exhaustive")
     rows = []
     for n in range(2 * p):
         rows.append((f"coaction of lam^{n}",
@@ -1180,8 +1122,8 @@ def hq_coaction_table_check(hq: HqSl2,
                           (0, 0, m - s), coeff))
         rows.append((f"coaction of del^{m}",
                      coact.apply({idx[(0, 0, m)]: one}), flat(terms)))
-    return _relation_result(
-        name, rows, lambda v: render_tensor(U.space, T.space, v), sw)
+    return _relation_result(chk, rows,
+                            lambda v: render_tensor(U.space, T.space, v))
 
 
 def _power_scalar(c: Cyc, n: int) -> Cyc:
@@ -1238,12 +1180,7 @@ def cqzd(p: int) -> CqZd:
             nxt: dict = {}
             for (i, j), c in acc.items():
                 for (i2, j2), c2 in del_past(i).items():
-                    key = (i2, j + j2)
-                    cur = nxt.get(key)
-                    val = c * c2
-                    nxt[key] = val if cur is None else cur + val
-                    if not nxt[key]:
-                        del nxt[key]
+                    vadd_term(nxt, (i2, j + j2), c * c2)
             acc = nxt
         return acc
 
@@ -1253,11 +1190,7 @@ def cqzd(p: int) -> CqZd:
             row: Vec = {}
             for (i, j), c in straighten(b, a2).items():
                 if a + i < p and j + b2 < p:
-                    key = idx[(a + i, j + b2)]
-                    cur = row.get(key)
-                    row[key] = c if cur is None else cur + c
-                    if not row[key]:
-                        del row[key]
+                    vadd_term(row, idx[(a + i, j + b2)], c)
             mult.set(idx[(a, b)], idx[(a2, b2)], tuple(sorted(row.items())))
 
     def render(lab) -> str:
@@ -1288,7 +1221,7 @@ def cqzd_center_check(cq: CqZd, name: str = "cqzd-center") -> CheckResult:
     one = ctx.one
     zv = {A.space.labels.index((1, 0)): one}
     dv = {A.space.labels.index((0, 1)): one}
-    sw = Stopwatch()
+    chk = Check(name, "exhaustive", cases=n)
     solver = SpanSolver(2 * n)
     kernel: list[Vec] = []
     for i in range(n):
@@ -1302,17 +1235,15 @@ def cqzd_center_check(cq: CqZd, name: str = "cqzd-center") -> CheckResult:
             combo = solver.solve(w) or {}
             vec = {i: one}
             for j, c in combo.items():
-                vadd_into(vec, {j: -c}, None)
+                vadd_term(vec, j, -c)
             kernel.append(vec)
     ok = len(kernel) == 1 and veq(
         vscale(kernel[0], next(iter(kernel[0].values())).inv()),
         dict(A.unit))
-    wit = None
     if not ok:
-        wit = ("center basis: "
-               + "; ".join(render_element(A.space, v) for v in kernel))
-    return CheckResult(name, "pass" if ok else "fail", "exhaustive", n,
-                       wit, sw.read())
+        return chk.result("center basis: "
+                          + "; ".join(render_element(A.space, v) for v in kernel))
+    return chk.result()
 
 
 def hq_factorization_check(hq: HqSl2,
@@ -1328,11 +1259,10 @@ def hq_factorization_check(hq: HqSl2,
     clab = cq.space.labels
     wrap = ctx.zeta_pow(p) if p % 2 == 0 else -ctx.zeta_pow(p)   # (-1)^p i
 
-    sw = Stopwatch()
-    cases = 0
+    chk = Check(name, "exhaustive")
     for i, (a, b, c) in enumerate(T.space.labels):
         for j, (a2, b2, c2) in enumerate(T.space.labels):
-            cases += 1
+            chk.cases += 1
             got = dict(T.mult.get(i, j))
             exp: Vec = {}
             asum = a + a2
@@ -1341,14 +1271,12 @@ def hq_factorization_check(hq: HqSl2,
                 zb, dc = clab[ck]
                 exp[tidx[(asum % (2 * p), zb, dc)]] = cc * mul_by
             if not veq(got, exp):
-                lhs = render_element(T.space, got)
-                rhs = render_element(T.space, exp)
-                return CheckResult(
-                    name, "fail", "exhaustive", cases,
+                return chk.result(
                     f"({T.space.render(T.space.labels[i])}) * "
-                    f"({T.space.render(T.space.labels[j])}) = {lhs}, "
-                    f"factored form gives {rhs}", sw.read())
-    return CheckResult(name, "pass", "exhaustive", cases, None, sw.read())
+                    f"({T.space.render(T.space.labels[j])}) = "
+                    f"{render_element(T.space, got)}, "
+                    f"factored form gives {render_element(T.space, exp)}")
+    return chk.result()
 
 
 # -- alternating chains of z- and del-factors ------------------------------------
@@ -1474,16 +1402,16 @@ def chain_heisenberg_checks(ch: HeisenbergChain,
     def rend(v):
         return render_element(alg.space, v)
 
-    sw = Stopwatch()
+    chk = Check(f"{prefix}-mixed", "exhaustive")
     rels = []
     for i in del_pos:
         for j in z_pos:
             lhs = mul(gens[i], gens[j])
             rhs = _vadd(vscale(unit, qd), vscale(mul(gens[j], gens[i]), u))
             rels.append((f"del_{i} z_{j}", lhs, rhs))
-    out.append(_relation_result(f"{prefix}-mixed", rels, rend, sw))
+    out.append(_relation_result(chk, rels, rend))
 
-    sw = Stopwatch()
+    chk = Check(f"{prefix}-z-straighten", "exhaustive")
     rels = []
     for ii, i in enumerate(z_pos):
         for j in z_pos[:ii + 1]:
@@ -1491,9 +1419,9 @@ def chain_heisenberg_checks(ch: HeisenbergChain,
             rhs = _vadd(vscale(mul(gens[j], gens[i]), u),
                         vscale(zj2, one - u))
             rels.append((f"z_{i} z_{j}", mul(gens[i], gens[j]), rhs))
-    out.append(_relation_result(f"{prefix}-z-straighten", rels, rend, sw))
+    out.append(_relation_result(chk, rels, rend))
 
-    sw = Stopwatch()
+    chk = Check(f"{prefix}-del-straighten", "exhaustive")
     rels = []
     for ii, i in enumerate(del_pos):
         for j in del_pos[:ii + 1]:
@@ -1501,12 +1429,12 @@ def chain_heisenberg_checks(ch: HeisenbergChain,
             rhs = _vadd(vscale(mul(gens[j], gens[i]), u_inv),
                         vscale(dj2, one - u_inv))
             rels.append((f"del_{i} del_{j}", mul(gens[i], gens[j]), rhs))
-    out.append(_relation_result(f"{prefix}-del-straighten", rels, rend, sw))
+    out.append(_relation_result(chk, rels, rend))
 
-    sw = Stopwatch()
+    chk = Check(f"{prefix}-nilpotent", "exhaustive")
     rels = [(f"({ch.kind(i)}_{i})^p = 0", _power(mul, unit, gens[i], p), {})
             for i in range(n)]
-    out.append(_relation_result(f"{prefix}-nilpotent", rels, rend, sw))
+    out.append(_relation_result(chk, rels, rend))
     return out
 
 
@@ -1525,31 +1453,27 @@ def h2_matches_cqzd_check(ch: HeisenbergChain,
     Z = ch.position_element(zpos)
     D = ch.position_element(1 - zpos)
 
-    sw = Stopwatch()
+    chk = Check(name, "exhaustive")
     images = []
     solver = SpanSolver(alg.dim)
     for (a, b) in cq.space.labels:
+        chk.cases += 1
         img = _power(mul, dict(alg.unit), Z, a)
         img = mul(img, _power(mul, dict(alg.unit), D, b))
         images.append(img)
         if not solver.add(img):
-            return CheckResult(
-                name, "fail", "exhaustive", len(images),
-                f"image of z^{a} del^{b} is dependent", sw.read())
-    cases = cq.dim
+            return chk.result(f"image of z^{a} del^{b} is dependent")
     for i in range(cq.dim):
         for j in range(cq.dim):
-            cases += 1
+            chk.cases += 1
             lhs = mul(images[i], images[j])
             rhs: Vec = {}
             for k, c in cq.mult.get(i, j):
                 vadd_into(rhs, images[k], c)
             if not veq(lhs, rhs):
                 li, lj = cq.space.labels[i], cq.space.labels[j]
-                return CheckResult(
-                    name, "fail", "exhaustive", cases,
-                    f"images of {cq.space.render(li)} and "
-                    f"{cq.space.render(lj)} multiply to "
-                    f"{render_element(alg.space, lhs)}, expected "
-                    f"{render_element(alg.space, rhs)}", sw.read())
-    return CheckResult(name, "pass", "exhaustive", cases, None, sw.read())
+                return chk.result(f"images of {cq.space.render(li)} and "
+                                  f"{cq.space.render(lj)} multiply to "
+                                  f"{render_element(alg.space, lhs)}, expected "
+                                  f"{render_element(alg.space, rhs)}")
+    return chk.result()

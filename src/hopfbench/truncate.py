@@ -27,10 +27,10 @@ from typing import Callable, Optional, Sequence
 
 from .cyclo import Cyc
 from .hopf import FiniteAlgebra, FiniteHopf, render_element
-from .results import CheckResult, Stopwatch
+from .results import Check, CheckResult
 from .sparse import (BilinearMap, ColinearMap, LazyLinearMap, LinearMap,
                      QuotientSpace, Space, SpanSolver, Subspace, Vec,
-                     span_closure, vadd_into, veq, vscale, vsub)
+                     span_closure, vadd_into, vadd_term, veq, vscale, vsub)
 from .ydcat import Action, Coaction, YDModuleAlgebra
 
 __all__ = [
@@ -126,41 +126,38 @@ def check_hopf_ideal(H: FiniteHopf, I: Subspace, central: Sequence[Vec] = (),
     Delta(I) lands in I (x) H + H (x) I, tested as vanishing under the
     tensor square of the quotient projection.
     """
-    sw = Stopwatch()
+    chk = Check(name, "exhaustive")
     one = H.ctx.one
-    cases = 0
 
     for ci, c_elt in enumerate(central):
         for i in range(H.dim):
-            cases += 1
+            chk.cases += 1
             if not veq(H.product(c_elt, {i: one}), H.product({i: one}, c_elt)):
-                w = (f"declared central element #{ci} fails to commute with "
-                     f"{H.render({i: one})}")
-                return CheckResult(name, "fail", "exhaustive", cases, w, sw.read())
+                return chk.result(f"declared central element #{ci} fails to "
+                                  f"commute with {H.render({i: one})}")
 
     rows = I.basis_rows()
     mults, _tag = _multipliers(H)
     for r in rows:
         for g in mults:
-            cases += 2
+            chk.cases += 2
             if not I.contains(H.product(g, r)):
-                w = f"left multiple escapes: row {render_element(H.space, r)}"
-                return CheckResult(name, "fail", "exhaustive", cases, w, sw.read())
+                return chk.result(
+                    f"left multiple escapes: row {render_element(H.space, r)}")
             if not I.contains(H.product(r, g)):
-                w = f"right multiple escapes: row {render_element(H.space, r)}"
-                return CheckResult(name, "fail", "exhaustive", cases, w, sw.read())
+                return chk.result(
+                    f"right multiple escapes: row {render_element(H.space, r)}")
 
     for r in rows:
-        cases += 1
+        chk.cases += 1
         if H.counit_of(r):
-            w = f"counit does not vanish on {render_element(H.space, r)}"
-            return CheckResult(name, "fail", "exhaustive", cases, w, sw.read())
+            return chk.result(
+                f"counit does not vanish on {render_element(H.space, r)}")
 
     for r in rows:
-        cases += 1
+        chk.cases += 1
         if not I.contains(H.antipode_of(r)):
-            w = f"antipode escapes on {render_element(H.space, r)}"
-            return CheckResult(name, "fail", "exhaustive", cases, w, sw.read())
+            return chk.result(f"antipode escapes on {render_element(H.space, r)}")
 
     # Delta(I) subset I(x)H + H(x)I  <=>  (pi(x)pi)Delta(I) = 0
     Q = QuotientSpace(H.dim, I)
@@ -177,7 +174,7 @@ def check_hopf_ideal(H: FiniteHopf, I: Subspace, central: Sequence[Vec] = (),
         return out
 
     for r in rows:
-        cases += 1
+        chk.cases += 1
         flat = H.coproduct(r)
         by_first: dict[int, Vec] = {}
         for key, c in flat.items():
@@ -189,11 +186,9 @@ def check_hopf_ideal(H: FiniteHopf, I: Subspace, central: Sequence[Vec] = (),
                 by_second.setdefault(qb, {})[a] = c
         for qb, w in by_second.items():
             if proj(w):
-                ww = (f"coproduct of {render_element(H.space, r)} escapes "
-                      f"I(x)H + H(x)I")
-                return CheckResult(name, "fail", "exhaustive", cases, ww,
-                                   sw.read())
-    return CheckResult(name, "pass", "exhaustive", cases, None, sw.read())
+                return chk.result(f"coproduct of {render_element(H.space, r)} "
+                                  f"escapes I(x)H + H(x)I")
+    return chk.result()
 
 
 @dataclass
@@ -247,12 +242,7 @@ def hopf_quotient(H: FiniteHopf, I: Subspace, name: str = "") -> HopfQuotient:
             # project both legs
             for j2, cj in hq.project({j: one}).items():
                 for k2, ck in hq.project({k: one}).items():
-                    key = j2 * nq + k2
-                    cur = flat.get(key)
-                    val = c * cj * ck
-                    flat[key] = val if cur is None else cur + val
-                    if not flat[key]:
-                        del flat[key]
+                    vadd_term(flat, j2 * nq + k2, c * cj * ck)
         return tuple((key // nq, key % nq, c) for key, c in sorted(flat.items()))
 
     def antipode_fn(i: int):
@@ -284,48 +274,32 @@ def quotient_morphism_check(hq: HopfQuotient, mode: str = "exhaustive",
     H, K = hq.parent, hq.quotient
     nq = K.dim
     one = H.ctx.one
-    sw = Stopwatch()
-    cases = 0
+    chk = Check(name, mode)
     for i in range(H.dim):
         pi = hq.project({i: one})
         for j in range(H.dim):
-            cases += 1
+            chk.cases += 1
             lhs = hq.project(dict(H.mult.get(i, j)))
             rhs = K.mult.apply(pi, hq.project({j: one}))
             if not veq(lhs, rhs):
-                w = (f"pi(xy) != pi(x)pi(y) at x={_lab(H, i)}, y={_lab(H, j)}")
-                return CheckResult(name, "fail", mode, cases, w, sw.read())
+                return chk.result(
+                    f"pi(xy) != pi(x)pi(y) at x={_lab(H, i)}, y={_lab(H, j)}")
     for i in range(H.dim):
-        cases += 1
+        chk.cases += 1
         pi = hq.project({i: one})
         lhs: Vec = {}
         for j, k, c in H.comult.get(i):
             for j2, cj in hq.project({j: one}).items():
                 for k2, ck in hq.project({k: one}).items():
-                    _acc(lhs, j2 * nq + k2, c * cj * ck)
+                    vadd_term(lhs, j2 * nq + k2, c * cj * ck)
         if not veq(lhs, K.coproduct(pi)):
-            w = f"(pi(x)pi)Delta(x) != Delta(pi(x)) at x={_lab(H, i)}"
-            return CheckResult(name, "fail", mode, cases, w, sw.read())
+            return chk.result(f"(pi(x)pi)Delta(x) != Delta(pi(x)) at x={_lab(H, i)}")
         if H.counit.get(i, None) != K.counit_of(pi) and \
                 (H.counit.get(i) or K.counit_of(pi)):
-            w = f"counit mismatch at x={_lab(H, i)}"
-            return CheckResult(name, "fail", mode, cases, w, sw.read())
+            return chk.result(f"counit mismatch at x={_lab(H, i)}")
         if not veq(hq.project(dict(H.antipode.get(i))), K.antipode_of(pi)):
-            w = f"pi(S(x)) != S(pi(x)) at x={_lab(H, i)}"
-            return CheckResult(name, "fail", mode, cases, w, sw.read())
-    return CheckResult(name, "pass", mode, cases, None, sw.read())
-
-
-def _acc(out: Vec, key, val) -> None:
-    cur = out.get(key)
-    if cur is None:
-        out[key] = val
-    else:
-        s = cur + val
-        if s:
-            out[key] = s
-        else:
-            del out[key]
+            return chk.result(f"pi(S(x)) != S(pi(x)) at x={_lab(H, i)}")
+    return chk.result()
 
 
 def _lab(obj, i: int) -> str:
@@ -375,28 +349,25 @@ def sub_hopf(H: FiniteHopf, indices: Sequence[int],
     iset = set(idx)
     pos = {amb: j for j, amb in enumerate(idx)}
     n = len(idx)
-    sw = Stopwatch()
-    cases = 0
     cname = name or f"sub({H.name})"
+    chk = Check(f"{cname}-closure", "exhaustive")
 
     def fail(w):
-        return SubHopf(H, idx, None,
-                       CheckResult(f"{cname}-closure", "fail", "exhaustive",
-                                   cases, w, sw.read()))
+        return SubHopf(H, idx, None, chk.result(w))
 
     for k in H.unit:
-        cases += 1
+        chk.cases += 1
         if k not in iset:
             return fail(f"unit has support outside the span at {_lab(H, k)}")
     for a in idx:
         for b in idx:
-            cases += 1
+            chk.cases += 1
             for k, _c in H.mult.get(a, b):
                 if k not in iset:
                     return fail(f"product {_lab(H, a)} * {_lab(H, b)} "
                                 f"escapes at {_lab(H, k)}")
     for a in idx:
-        cases += 1
+        chk.cases += 1
         for j, k, _c in H.comult.get(a):
             if j not in iset or k not in iset:
                 return fail(f"coproduct of {_lab(H, a)} has a leg outside "
@@ -432,9 +403,7 @@ def sub_hopf(H: FiniteHopf, indices: Sequence[int],
                       ColinearMap(n, n, n, fn=comult_fn), counit,
                       LazyLinearMap(n, n, antipode_fn),
                       generators=gens, name=cname)
-    check = CheckResult(f"{cname}-closure", "pass", "exhaustive", cases,
-                        None, sw.read())
-    return SubHopf(H, idx, hopf, check)
+    return SubHopf(H, idx, hopf, chk.result())
 
 
 # -- transport of YD structures to subquotients -------------------------------
@@ -500,7 +469,7 @@ def transport_action(source: YDModuleAlgebra,
     one = ctx.one
     k = len(sub_basis)
     certs: list[CheckResult] = []
-    sw = Stopwatch()
+    chk = Check(f"{prefix}-sub-closure", "exhaustive", cases=k)
 
     solver = SpanSolver(X.dim)
     bad = None
@@ -510,7 +479,6 @@ def transport_action(source: YDModuleAlgebra,
             break
     sub_mult = BilinearMap(k, k)
     unit_sub = None
-    cases = k
     if bad is None:
         unit_sub = solver.solve(dict(X.unit))
         if unit_sub is None:
@@ -518,7 +486,7 @@ def transport_action(source: YDModuleAlgebra,
     if bad is None:
         for i in range(k):
             for j in range(k):
-                cases += 1
+                chk.cases += 1
                 prod = X.product(sub_basis[i], sub_basis[j])
                 row = solver.solve(prod)
                 if row is None:
@@ -528,9 +496,7 @@ def transport_action(source: YDModuleAlgebra,
                 sub_mult.set(i, j, tuple(sorted(row.items())))
             if bad:
                 break
-    certs.append(CheckResult(f"{prefix}-sub-closure",
-                             "fail" if bad else "pass", "exhaustive", cases,
-                             bad, sw.read()))
+    certs.append(chk.result(bad))
     if bad:
         return TransportedStructure(source, solver, list(sub_basis),
                                     Subspace(k), None, certs, None)
@@ -539,16 +505,14 @@ def transport_action(source: YDModuleAlgebra,
         return sub_mult.apply(a, b)
 
     # action stability of the subalgebra under the source Hopf algebra
-    sw = Stopwatch()
-    cases = 0
-    bad = None
+    chk = Check(f"{prefix}-action-stable", "exhaustive")
     act_gens = ([dict(g) for g in H.generators] if H.generators
                 else [{i: one} for i in range(H.dim)])
     act_rows: list[list[Optional[Vec]]] = []
     for g in act_gens:
         rows_g: list[Optional[Vec]] = []
         for i in range(k):
-            cases += 1
+            chk.cases += 1
             r = solver.solve(source.action.apply(g, sub_basis[i]))
             if r is None:
                 bad = f"action drives ({sub_labels[i]}) out of the span"
@@ -557,9 +521,7 @@ def transport_action(source: YDModuleAlgebra,
         act_rows.append(rows_g)
         if bad:
             break
-    certs.append(CheckResult(f"{prefix}-action-stable",
-                             "fail" if bad else "pass", "exhaustive", cases,
-                             bad, sw.read()))
+    certs.append(chk.result(bad))
     if bad:
         return TransportedStructure(source, solver, list(sub_basis),
                                     Subspace(k), None, certs, None)
@@ -590,22 +552,20 @@ def transport_action(source: YDModuleAlgebra,
     # ideal stability under the action and under the coaction: the image
     # (corestrict (x) project) delta(j) must vanish -- legs that differ in
     # the source Hopf algebra may only cancel after corestriction.
-    sw = Stopwatch()
-    cases = 0
-    bad = None
+    chk = Check(f"{prefix}-ideal-stable", "exhaustive")
     stab_gens = ([dict(g) for g in action_lifts] if action_lifts is not None
                  else act_gens)
     for jr in J.basis_rows():
         j_X = lift_sub(jr)
         for g in stab_gens:
-            cases += 1
+            chk.cases += 1
             r = solver.solve(source.action.apply(g, j_X))
             if r is None or not J.contains(r):
                 bad = "action does not preserve the ideal"
                 break
         if bad:
             break
-        cases += 1
+        chk.cases += 1
         flat = source.coaction.apply(j_X)
         by_first: dict[int, Vec] = {}
         for key, c in flat.items():
@@ -625,30 +585,20 @@ def transport_action(source: YDModuleAlgebra,
                 bad = ("coaction leg with support modulo the ideal is "
                        "outside the target Hopf algebra")
                 break
-            nq = Q.dim
             for ht, cth in tw.items():
-                for xi, cx in xq.items():
-                    keyt = ht * nq + xi
-                    cur = acc.get(keyt)
-                    val = cth * cx
-                    acc[keyt] = val if cur is None else cur + val
-                    if not acc[keyt]:
-                        del acc[keyt]
+                vadd_into(acc, xq, cth, ht * Q.dim)
         if bad is None and acc:
             bad = "coaction leg does not vanish modulo the ideal"
         if bad:
             break
-    certs.append(CheckResult(f"{prefix}-ideal-stable",
-                             "fail" if bad else "pass", "exhaustive", cases,
-                             bad, sw.read()))
+    certs.append(chk.result(bad))
 
     # coaction corestriction to the target Hopf algebra
-    sw = Stopwatch()
-    cases = 0
+    chk = Check(f"{prefix}-coaction-corestricts", "exhaustive")
     bad = None
     coact_rows: list[Optional[list]] = []
     for i in range(k):
-        cases += 1
+        chk.cases += 1
         flat = source.coaction.apply(sub_basis[i])
         by_first: dict[int, Vec] = {}
         for key, c in flat.items():
@@ -678,26 +628,21 @@ def transport_action(source: YDModuleAlgebra,
         if not row_ok:
             break
         coact_rows.append(row)
-    certs.append(CheckResult(f"{prefix}-coaction-corestricts",
-                             "fail" if bad else "pass", "exhaustive", cases,
-                             bad, sw.read()))
+    certs.append(chk.result(bad))
 
     # descent: each declared central gamma must act as the identity
     for gi, gamma in enumerate(descent_central):
-        sw = Stopwatch()
-        cases = 0
+        chk = Check(f"{prefix}-descent-{gi}", "exhaustive")
         bad_g = None
         for i in range(k):
-            cases += 1
+            chk.cases += 1
             w = source.action.apply(gamma, sub_basis[i])
             r = solver.solve(vsub(w, sub_basis[i]))
             if r is None or Q.project(r):
                 bad_g = (f"central element #{gi} does not act as the identity "
                          f"on ({sub_labels[i]}) modulo the ideal")
                 break
-        certs.append(CheckResult(f"{prefix}-descent-{gi}",
-                                 "fail" if bad_g else "pass", "exhaustive",
-                                 cases, bad_g, sw.read()))
+        certs.append(chk.result(bad_g))
 
     if not all(c.ok for c in certs):
         return TransportedStructure(source, solver, list(sub_basis), J, Q,
@@ -743,12 +688,7 @@ def transport_action(source: YDModuleAlgebra,
         for sj, tw in row:
             for xq, cq in proj({sj: one}).items():
                 for ht, cth in tw.items():
-                    keyt = (ht, xq)
-                    cur = acc.get(keyt)
-                    val = cth * cq
-                    acc[keyt] = val if cur is None else cur + val
-                    if not acc[keyt]:
-                        del acc[keyt]
+                    vadd_term(acc, (ht, xq), cth * cq)
         return tuple(sorted((h, x, c) for (h, x), c in acc.items()))
 
     yd = YDModuleAlgebra(target_hopf, t_alg,

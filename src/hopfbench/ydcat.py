@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .hopf import FiniteAlgebra, FiniteHopf, render_element, tensor_flat
-from .results import CheckResult, Stopwatch
-from .sparse import BilinearMap, LinearMap, Space, Vec, vadd_into, veq
+from .results import Check, CheckResult
+from .sparse import (BilinearMap, LinearMap, Space, Vec, colinear_apply,
+                     vadd_into, vadd_outer, vadd_term, veq)
 
 __all__ = [
     "Action",
@@ -134,24 +135,7 @@ class Coaction:
 
     def apply(self, xv: Vec) -> Vec:
         """Flat image in H (x) X, keyed h * dim_X + x."""
-        n2 = self.algebra.dim
-        out: Vec = {}
-        for x, cx in xv.items():
-            for h, x0, c in self.terms(x):
-                val = cx * c
-                if not val:
-                    continue
-                key = h * n2 + x0
-                cur = out.get(key)
-                if cur is None:
-                    out[key] = val
-                else:
-                    s = cur + val
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        return out
+        return colinear_apply(self.terms, xv, self.algebra.dim)
 
 
 # -- bundles -----------------------------------------------------------------
@@ -263,19 +247,16 @@ def check_module(m, mode: str = "exhaustive", seed: int = 0,
                  samples: int = 10_000, name: str = "module-action") -> CheckResult:
     """Unit law 1 |> x = x (always exhaustive) and (MN) |> x = M |> (N |> x)."""
     H, alg, act = m.hopf, m.algebra, m.action
-    sw = Stopwatch()
-    cases = 0
+    chk = Check(name, _mode_tag(mode, seed, samples))
     for x in range(alg.dim):
-        cases += 1
+        chk.cases += 1
         if not veq(act.apply(H.unit, {x: H.ctx.one}), {x: H.ctx.one}):
-            w = f"1 |> {_lab(alg.space, x)} != itself"
-            return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                               cases, w, sw.read())
+            return chk.result(f"1 |> {_lab(alg.space, x)} != itself")
     gh = _gen_indices(H)
     rng = random.Random(seed)
     for hm, hn, x in _iter_tuples(mode, (H.dim, H.dim, alg.dim),
                                   (gh, gh, None), rng, samples):
-        cases += 1
+        chk.cases += 1
         lhs: Vec = {}
         for k, c in H.mult.get(hm, hn):
             vadd_into(lhs, act.row(k, x), c)
@@ -284,13 +265,11 @@ def check_module(m, mode: str = "exhaustive", seed: int = 0,
         for xp, c in inner.items():
             vadd_into(rhs, act.row(hm, xp), c)
         if not veq(lhs, rhs):
-            w = (f"M={_lab(H.space, hm)}, N={_lab(H.space, hn)}, "
-                 f"x={_lab(alg.space, x)}: (MN)|>x = {render_element(alg.space, lhs)} "
-                 f"but M|>(N|>x) = {render_element(alg.space, rhs)}")
-            return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                               cases, w, sw.read())
-    return CheckResult(name, "pass", _mode_tag(mode, seed, samples),
-                       cases, None, sw.read())
+            return chk.result(
+                f"M={_lab(H.space, hm)}, N={_lab(H.space, hn)}, "
+                f"x={_lab(alg.space, x)}: (MN)|>x = {render_element(alg.space, lhs)} "
+                f"but M|>(N|>x) = {render_element(alg.space, rhs)}")
+    return chk.result()
 
 
 def check_module_algebra(m, mode: str = "exhaustive", seed: int = 0,
@@ -298,25 +277,22 @@ def check_module_algebra(m, mode: str = "exhaustive", seed: int = 0,
                          name: str = "module-algebra") -> CheckResult:
     """M |> (xy) = (M' |> x)(M'' |> y), plus M |> 1 = counit(M) 1."""
     H, alg, act = m.hopf, m.algebra, m.action
-    sw = Stopwatch()
-    cases = 0
+    chk = Check(name, _mode_tag(mode, seed, samples))
     one = H.ctx.one
     for h in range(H.dim):
-        cases += 1
+        chk.cases += 1
         lhs = act.apply({h: one}, alg.unit)
         eps = H.counit.get(h)
         rhs = {k: eps * c for k, c in alg.unit.items()} if eps else {}
         rhs = {k: c for k, c in rhs.items() if c}
         if not veq(lhs, rhs):
-            w = f"M={_lab(H.space, h)}: M|>1 != counit(M) 1"
-            return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                               cases, w, sw.read())
+            return chk.result(f"M={_lab(H.space, h)}: M|>1 != counit(M) 1")
     gh = _gen_indices(H)
     ga = _gen_indices(alg)
     rng = random.Random(seed)
     for h, x, y in _iter_tuples(mode, (H.dim, alg.dim, alg.dim),
                                 (gh, ga, ga), rng, samples):
-        cases += 1
+        chk.cases += 1
         lhs: Vec = {}
         for z, cz in alg.mult.get(x, y):
             vadd_into(lhs, act.row(h, z), cz)
@@ -331,84 +307,42 @@ def check_module_algebra(m, mode: str = "exhaustive", seed: int = 0,
             for xp, cx in r1.items():
                 c1 = cd * cx
                 for yp, cy in r2.items():
-                    c = c1 * cy
-                    if not c:
-                        continue
-                    for k, ck in alg.mult.get(xp, yp):
-                        val = c * ck
-                        if not val:
-                            continue
-                        cur = rhs.get(k)
-                        if cur is None:
-                            rhs[k] = val
-                        else:
-                            s = cur + val
-                            if s:
-                                rhs[k] = s
-                            else:
-                                del rhs[k]
+                    vadd_into(rhs, alg.mult.get(xp, yp), c1 * cy)
         if not veq(lhs, rhs):
-            w = (f"M={_lab(H.space, h)}, x={_lab(alg.space, x)}, "
-                 f"y={_lab(alg.space, y)}: M|>(xy) = {render_element(alg.space, lhs)} "
-                 f"but (M'|>x)(M''|>y) = {render_element(alg.space, rhs)}")
-            return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                               cases, w, sw.read())
-    return CheckResult(name, "pass", _mode_tag(mode, seed, samples),
-                       cases, None, sw.read())
+            return chk.result(
+                f"M={_lab(H.space, h)}, x={_lab(alg.space, x)}, "
+                f"y={_lab(alg.space, y)}: M|>(xy) = {render_element(alg.space, lhs)} "
+                f"but (M'|>x)(M''|>y) = {render_element(alg.space, rhs)}")
+    return chk.result()
 
 
 def check_comodule(c, name: str = "comodule-coaction") -> CheckResult:
     """Counit law and coassociativity of the coaction (always exhaustive)."""
     H, alg, coact = c.hopf, c.algebra, c.coaction
-    sw = Stopwatch()
-    cases = 0
+    chk = Check(name, "exhaustive")
     dH, dX = H.dim, alg.dim
     for x in range(dX):
-        cases += 1
+        chk.cases += 1
         acc: Vec = {}
         for h, x0, cc in coact.terms(x):
             eps = H.counit.get(h)
-            if eps is None:
-                continue
-            val = eps * cc
-            if not val:
-                continue
-            cur = acc.get(x0)
-            if cur is None:
-                acc[x0] = val
-            else:
-                s = cur + val
-                if s:
-                    acc[x0] = s
-                else:
-                    del acc[x0]
+            if eps is not None:
+                vadd_term(acc, x0, eps * cc)
         if not veq(acc, {x: H.ctx.one}):
-            w = f"(counit (x) id) delta({_lab(alg.space, x)}) != it"
-            return CheckResult(name, "fail", "exhaustive", cases, w, sw.read())
+            return chk.result(f"(counit (x) id) delta({_lab(alg.space, x)}) != it")
     for x in range(dX):
-        cases += 1
+        chk.cases += 1
         lhs: Vec = {}
         for h, x0, cc in coact.terms(x):
             for h1, h2, cd in H.comult.get(h):
-                key = (h1 * dH + h2) * dX + x0
-                val = cc * cd
-                cur = lhs.get(key)
-                lhs[key] = val if cur is None else cur + val
-                if not lhs[key]:
-                    del lhs[key]
+                vadd_term(lhs, (h1 * dH + h2) * dX + x0, cc * cd)
         rhs: Vec = {}
         for h, x0, cc in coact.terms(x):
             for h2, x00, c2 in coact.terms(x0):
-                key = (h * dH + h2) * dX + x00
-                val = cc * c2
-                cur = rhs.get(key)
-                rhs[key] = val if cur is None else cur + val
-                if not rhs[key]:
-                    del rhs[key]
+                vadd_term(rhs, (h * dH + h2) * dX + x00, cc * c2)
         if not veq(lhs, rhs):
-            w = f"coaction not coassociative at x={_lab(alg.space, x)}"
-            return CheckResult(name, "fail", "exhaustive", cases, w, sw.read())
-    return CheckResult(name, "pass", "exhaustive", cases, None, sw.read())
+            return chk.result(f"coaction not coassociative at x={_lab(alg.space, x)}")
+    return chk.result()
 
 
 def check_comodule_algebra(c, mode: str = "exhaustive", seed: int = 0,
@@ -416,28 +350,16 @@ def check_comodule_algebra(c, mode: str = "exhaustive", seed: int = 0,
                            name: str = "comodule-algebra") -> CheckResult:
     """delta(xy) = delta(x) delta(y) and delta(1) = 1 (x) 1."""
     H, alg, coact = c.hopf, c.algebra, c.coaction
-    sw = Stopwatch()
+    chk = Check(name, _mode_tag(mode, seed, samples), cases=1)
     dX = alg.dim
-    cases = 1
-    lhs = coact.apply(alg.unit)
-    rhs = tensor_flat(H.unit, alg.unit, dX)
-    if not veq(lhs, rhs):
-        return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                           cases, "delta(1) != 1 (x) 1", sw.read())
+    if not veq(coact.apply(alg.unit), tensor_flat(H.unit, alg.unit, dX)):
+        return chk.result("delta(1) != 1 (x) 1")
     ga = _gen_indices(alg)
     rng = random.Random(seed)
     for x, y in _iter_tuples(mode, (dX, dX), (ga, ga), rng, samples):
-        cases += 1
-        lhs = {}
-        for z, cz in alg.mult.get(x, y):
-            for h, z0, cc in coact.terms(z):
-                key = h * dX + z0
-                val = cz * cc
-                cur = lhs.get(key)
-                lhs[key] = val if cur is None else cur + val
-                if not lhs[key]:
-                    del lhs[key]
-        rhs = {}
+        chk.cases += 1
+        lhs = coact.apply(dict(alg.mult.get(x, y)))
+        rhs: Vec = {}
         for h1, x0, c1 in coact.terms(x):
             for h2, y0, c2 in coact.terms(y):
                 c12 = c1 * c2
@@ -447,31 +369,11 @@ def check_comodule_algebra(c, mode: str = "exhaustive", seed: int = 0,
                 rx = alg.mult.get(x0, y0)
                 if not rx:
                     continue
-                for hh, ch in rh:
-                    cc = c12 * ch
-                    if not cc:
-                        continue
-                    for k, ck in rx:
-                        val = cc * ck
-                        if not val:
-                            continue
-                        key = hh * dX + k
-                        cur = rhs.get(key)
-                        if cur is None:
-                            rhs[key] = val
-                        else:
-                            s = cur + val
-                            if s:
-                                rhs[key] = s
-                            else:
-                                del rhs[key]
+                vadd_outer(rhs, c12, rh, rx, dX)
         if not veq(lhs, rhs):
-            w = (f"x={_lab(alg.space, x)}, y={_lab(alg.space, y)}: "
-                 f"delta(xy) != delta(x) delta(y)")
-            return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                               cases, w, sw.read())
-    return CheckResult(name, "pass", _mode_tag(mode, seed, samples),
-                       cases, None, sw.read())
+            return chk.result(f"x={_lab(alg.space, x)}, y={_lab(alg.space, y)}: "
+                              f"delta(xy) != delta(x) delta(y)")
+    return chk.result()
 
 
 def check_yd(y, mode: str = "exhaustive", seed: int = 0,
@@ -482,13 +384,12 @@ def check_yd(y, mode: str = "exhaustive", seed: int = 0,
     """
     H, alg = y.hopf, y.algebra
     act, coact = y.action, y.coaction
-    sw = Stopwatch()
+    chk = Check(name, _mode_tag(mode, seed, samples))
     dH, dX = H.dim, alg.dim
     gh = _gen_indices(H)
     rng = random.Random(seed)
-    cases = 0
     for m, a in _iter_tuples(mode, (dH, dX), (gh, None), rng, samples):
-        cases += 1
+        chk.cases += 1
         lhs: Vec = {}
         for m1, m2, cd in H.comult.get(m):
             r = act.row(m1, a)
@@ -501,19 +402,7 @@ def check_yd(y, mode: str = "exhaustive", seed: int = 0,
                     if not c2:
                         continue
                     for hh, ch in H.mult.get(h, m2):
-                        val = c2 * ch
-                        if not val:
-                            continue
-                        key = hh * dX + a0
-                        cur = lhs.get(key)
-                        if cur is None:
-                            lhs[key] = val
-                        else:
-                            s = cur + val
-                            if s:
-                                lhs[key] = s
-                            else:
-                                del lhs[key]
+                        vadd_term(lhs, hh * dX + a0, c2 * ch)
         rhs: Vec = {}
         for h, a0, cc in coact.terms(a):
             for m1, m2, cd in H.comult.get(m):
@@ -524,31 +413,11 @@ def check_yd(y, mode: str = "exhaustive", seed: int = 0,
                 r = act.row(m2, a0)
                 if not r:
                     continue
-                for hh, ch in rh:
-                    c2 = c1 * ch
-                    if not c2:
-                        continue
-                    for a00, ca in r.items():
-                        val = c2 * ca
-                        if not val:
-                            continue
-                        key = hh * dX + a00
-                        cur = rhs.get(key)
-                        if cur is None:
-                            rhs[key] = val
-                        else:
-                            s = cur + val
-                            if s:
-                                rhs[key] = s
-                            else:
-                                del rhs[key]
+                vadd_outer(rhs, c1, rh, r, dX)
         if not veq(lhs, rhs):
-            w = (f"M={_lab(H.space, m)}, A={_lab(alg.space, a)}: "
-                 f"YD compatibility fails")
-            return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                               cases, w, sw.read())
-    return CheckResult(name, "pass", _mode_tag(mode, seed, samples),
-                       cases, None, sw.read())
+            return chk.result(f"M={_lab(H.space, m)}, A={_lab(alg.space, a)}: "
+                              f"YD compatibility fails")
+    return chk.result()
 
 
 # -- the braiding ------------------------------------------------------------
@@ -561,23 +430,8 @@ def braiding_row(u_mod: YDModuleAlgebra, v_mod: YDModuleAlgebra,
     du = u_mod.algebra.dim
     out: Vec = {}
     for h, u0, c in u_mod.coaction.terms(i):
-        r = v_mod.action.row(h, j)
-        if not r:
-            continue
-        for vp, cv in r.items():
-            val = c * cv
-            if not val:
-                continue
-            key = vp * du + u0
-            cur = out.get(key)
-            if cur is None:
-                out[key] = val
-            else:
-                s = cur + val
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+        for vp, cv in v_mod.action.row(h, j).items():
+            vadd_term(out, vp * du + u0, c * cv)
     return out
 
 
@@ -598,23 +452,7 @@ def braiding_inv_row(u_mod: YDModuleAlgebra, v_mod: YDModuleAlgebra,
             c1 = c * cs
             if not c1:
                 continue
-            r = v_mod.action.row(hs, j)
-            if not r:
-                continue
-            for vp, cv in r.items():
-                val = c1 * cv
-                if not val:
-                    continue
-                key = u0 * dv + vp
-                cur = out.get(key)
-                if cur is None:
-                    out[key] = val
-                else:
-                    s = cur + val
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+            vadd_into(out, v_mod.action.row(hs, j), c1, u0 * dv)
     return out
 
 
@@ -623,36 +461,32 @@ def check_braiding_inverse(u_mod: YDModuleAlgebra, v_mod: YDModuleAlgebra,
                            samples: int = 2000,
                            name: str = "braiding-inverse") -> CheckResult:
     """c^{-1} o c = id on U (x) V and c o c^{-1} = id on V (x) U."""
-    sw = Stopwatch()
+    chk = Check(name, _mode_tag(mode, seed, samples))
     du, dv = u_mod.algebra.dim, v_mod.algebra.dim
     one = u_mod.hopf.ctx.one
     rng = random.Random(seed)
     gu, gv = _gen_indices(u_mod.algebra), _gen_indices(v_mod.algebra)
-    cases = 0
     for i, j in _iter_tuples(mode, (du, dv), (gu, gv), rng, samples):
-        cases += 2
+        chk.cases += 2
         mid = braiding_row(u_mod, v_mod, i, j)          # flat V (x) U
         back: Vec = {}
         for key, c in mid.items():
             vi, ui = divmod(key, du)
             vadd_into(back, braiding_inv_row(u_mod, v_mod, vi, ui), c)
         if not veq(back, {i * dv + j: one}):
-            w = (f"u={_lab(u_mod.algebra.space, i)}, v={_lab(v_mod.algebra.space, j)}: "
-                 f"c^-1(c(u (x) v)) != u (x) v")
-            return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                               cases, w, sw.read())
+            return chk.result(
+                f"u={_lab(u_mod.algebra.space, i)}, v={_lab(v_mod.algebra.space, j)}: "
+                f"c^-1(c(u (x) v)) != u (x) v")
         mid2 = braiding_inv_row(u_mod, v_mod, j, i)     # flat U (x) V
         back2: Vec = {}
         for key, c in mid2.items():
             ui, vi = divmod(key, dv)
             vadd_into(back2, braiding_row(u_mod, v_mod, ui, vi), c)
         if not veq(back2, {j * du + i: one}):
-            w = (f"v={_lab(v_mod.algebra.space, j)}, u={_lab(u_mod.algebra.space, i)}: "
-                 f"c(c^-1(v (x) u)) != v (x) u")
-            return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                               cases, w, sw.read())
-    return CheckResult(name, "pass", _mode_tag(mode, seed, samples),
-                       cases, None, sw.read())
+            return chk.result(
+                f"v={_lab(v_mod.algebra.space, j)}, u={_lab(u_mod.algebra.space, i)}: "
+                f"c(c^-1(v (x) u)) != v (x) u")
+    return chk.result()
 
 
 def check_braided_commutative(y: YDModuleAlgebra, mode: str = "exhaustive",
@@ -660,44 +494,23 @@ def check_braided_commutative(y: YDModuleAlgebra, mode: str = "exhaustive",
                               name: str = "braided-commutative") -> CheckResult:
     """y x = (y_(-1) |> x) y_(0) for all basis pairs (y, x)."""
     alg, act, coact = y.algebra, y.action, y.coaction
-    sw = Stopwatch()
+    chk = Check(name, _mode_tag(mode, seed, samples))
     dX = alg.dim
     ga = _gen_indices(alg)
     rng = random.Random(seed)
-    cases = 0
     for i, j in _iter_tuples(mode, (dX, dX), (ga, ga), rng, samples):
-        cases += 1
+        chk.cases += 1
         lhs = dict(alg.mult.get(i, j))
         rhs: Vec = {}
         for h, y0, c in coact.terms(i):
-            r = act.row(h, j)
-            if not r:
-                continue
-            for xp, cx in r.items():
-                c1 = c * cx
-                if not c1:
-                    continue
-                for k, ck in alg.mult.get(xp, y0):
-                    val = c1 * ck
-                    if not val:
-                        continue
-                    cur = rhs.get(k)
-                    if cur is None:
-                        rhs[k] = val
-                    else:
-                        s = cur + val
-                        if s:
-                            rhs[k] = s
-                        else:
-                            del rhs[k]
+            for xp, cx in act.row(h, j).items():
+                vadd_into(rhs, alg.mult.get(xp, y0), c * cx)
         if not veq(lhs, rhs):
-            w = (f"y={_lab(alg.space, i)}, x={_lab(alg.space, j)}: yx = "
-                 f"{render_element(alg.space, lhs)} but braided side = "
-                 f"{render_element(alg.space, rhs)}")
-            return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                               cases, w, sw.read())
-    return CheckResult(name, "pass", _mode_tag(mode, seed, samples),
-                       cases, None, sw.read())
+            return chk.result(
+                f"y={_lab(alg.space, i)}, x={_lab(alg.space, j)}: yx = "
+                f"{render_element(alg.space, lhs)} but braided side = "
+                f"{render_element(alg.space, rhs)}")
+    return chk.result()
 
 
 def check_braided_symmetric(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
@@ -708,22 +521,19 @@ def check_braided_symmetric(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
 
     Pointwise: (y_(-1) |> x) (x) y_(0)  =  x_(0) (x) (S^{-1}(x_(-1)) |> y).
     """
-    sw = Stopwatch()
+    chk = Check(name, _mode_tag(mode, seed, samples))
     dx, dy = x_mod.algebra.dim, y_mod.algebra.dim
     gx, gy = _gen_indices(x_mod.algebra), _gen_indices(y_mod.algebra)
     rng = random.Random(seed)
-    cases = 0
     for i, j in _iter_tuples(mode, (dx, dy), (gx, gy), rng, samples):
-        cases += 1
+        chk.cases += 1
         lhs = braiding_row(y_mod, x_mod, j, i)       # flat X (x) Y
         rhs = braiding_inv_row(x_mod, y_mod, j, i)   # flat X (x) Y
         if not veq(lhs, rhs):
-            w = (f"x={_lab(x_mod.algebra.space, i)}, y={_lab(y_mod.algebra.space, j)}: "
-                 f"braiding and inverse braiding disagree on y (x) x")
-            return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                               cases, w, sw.read())
-    return CheckResult(name, "pass", _mode_tag(mode, seed, samples),
-                       cases, None, sw.read())
+            return chk.result(
+                f"x={_lab(x_mod.algebra.space, i)}, y={_lab(y_mod.algebra.space, j)}: "
+                f"braiding and inverse braiding disagree on y (x) x")
+    return chk.result()
 
 
 def check_locked_identity(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
@@ -734,26 +544,23 @@ def check_locked_identity(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
 
     Pointwise: ((x_(-1) |> y)_(-1) |> x_(0)) (x) (x_(-1) |> y)_(0) = x (x) y.
     """
-    sw = Stopwatch()
+    chk = Check(name, _mode_tag(mode, seed, samples))
     dx, dy = x_mod.algebra.dim, y_mod.algebra.dim
     one = x_mod.hopf.ctx.one
     gx, gy = _gen_indices(x_mod.algebra), _gen_indices(y_mod.algebra)
     rng = random.Random(seed)
-    cases = 0
     for i, j in _iter_tuples(mode, (dx, dy), (gx, gy), rng, samples):
-        cases += 1
+        chk.cases += 1
         mid = braiding_row(x_mod, y_mod, i, j)       # flat Y (x) X
         out: Vec = {}
         for key, c in mid.items():
             yi, xi = divmod(key, dx)
             vadd_into(out, braiding_row(y_mod, x_mod, yi, xi), c)
         if not veq(out, {i * dy + j: one}):
-            w = (f"x={_lab(x_mod.algebra.space, i)}, y={_lab(y_mod.algebra.space, j)}: "
-                 f"double braiding moves x (x) y")
-            return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                               cases, w, sw.read())
-    return CheckResult(name, "pass", _mode_tag(mode, seed, samples),
-                       cases, None, sw.read())
+            return chk.result(
+                f"x={_lab(x_mod.algebra.space, i)}, y={_lab(y_mod.algebra.space, j)}: "
+                f"double braiding moves x (x) y")
+    return chk.result()
 
 
 # -- braided products --------------------------------------------------------
@@ -799,24 +606,7 @@ def braided_product(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
                 rxx = X.mult.get(ix, vp)
                 if not rxx:
                     continue
-                for xp, cx in rxx:
-                    c2 = c1 * cx
-                    if not c2:
-                        continue
-                    for up, cu in ru:
-                        val = c2 * cu
-                        if not val:
-                            continue
-                        key = xp * dy + up
-                        cur = acc.get(key)
-                        if cur is None:
-                            acc[key] = val
-                        else:
-                            s = cur + val
-                            if s:
-                                acc[key] = s
-                            else:
-                                del acc[key]
+                vadd_outer(acc, c1, rxx, ru, dy)
         return tuple(sorted(acc.items()))
 
     unit = tensor_flat(X.unit, Y.unit, dy)
@@ -839,22 +629,7 @@ def braided_product(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
             r2 = y_mod.action.row(h2, iy)
             if not r2:
                 continue
-            for xp, cx in r1.items():
-                c1 = cd * cx
-                for yp, cy in r2.items():
-                    val = c1 * cy
-                    if not val:
-                        continue
-                    k = xp * dy + yp
-                    cur = out.get(k)
-                    if cur is None:
-                        out[k] = val
-                    else:
-                        s = cur + val
-                        if s:
-                            out[k] = s
-                        else:
-                            del out[k]
+            vadd_outer(out, cd, r1, r2, dy)
         return out
 
     def coact_fn(key: int) -> tuple:
@@ -866,19 +641,7 @@ def braided_product(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
                 if not c12:
                     continue
                 for hh, ch in H.mult.get(h1, h2):
-                    val = c12 * ch
-                    if not val:
-                        continue
-                    k = (hh, x0 * dy + y0)
-                    cur = acc.get(k)
-                    if cur is None:
-                        acc[k] = val
-                    else:
-                        s = cur + val
-                        if s:
-                            acc[k] = s
-                        else:
-                            del acc[k]
+                    vadd_term(acc, (hh, x0 * dy + y0), c12 * ch)
         return tuple(sorted((h, xy, c) for (h, xy), c in acc.items()))
 
     yd = YDModuleAlgebra(H, algebra, Action(H, algebra, act_fn),
@@ -913,29 +676,26 @@ def chain_product(factors: Iterable[YDModuleAlgebra],
 def check_factor_embeddings(bp: BraidedProductAlgebra,
                             name: str = "factor-embedding") -> CheckResult:
     """Each embedding is a unital algebra map on its factor (exhaustive)."""
-    sw = Stopwatch()
+    chk = Check(name, "exhaustive")
     alg = bp.yd.algebra
-    cases = 0
     for pos, f in enumerate(bp.factors):
         emb = bp.embeddings[pos]
-        cases += 1
+        chk.cases += 1
         if not veq(emb(f.algebra.unit), alg.unit):
-            return CheckResult(name, "fail", "exhaustive", cases,
-                               f"factor {pos}: unit not preserved", sw.read())
+            return chk.result(f"factor {pos}: unit not preserved")
         dfac = f.algebra.dim
         one = f.hopf.ctx.one
         for i in range(dfac):
             ei = emb({i: one})
             for j in range(dfac):
-                cases += 1
+                chk.cases += 1
                 lhs = alg.mult.apply(ei, emb({j: one}))
                 rhs = emb(dict(f.algebra.mult.get(i, j)))
                 if not veq(lhs, rhs):
-                    w = (f"factor {pos}: embedding breaks the product at "
-                         f"({_lab(f.algebra.space, i)}, {_lab(f.algebra.space, j)})")
-                    return CheckResult(name, "fail", "exhaustive", cases, w,
-                                       sw.read())
-    return CheckResult(name, "pass", "exhaustive", cases, None, sw.read())
+                    return chk.result(
+                        f"factor {pos}: embedding breaks the product at "
+                        f"({_lab(f.algebra.space, i)}, {_lab(f.algebra.space, j)})")
+    return chk.result()
 
 
 def check_rebracketing(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
@@ -949,28 +709,23 @@ def check_rebracketing(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
     """
     left = braided_product(braided_product(x_mod, y_mod).yd, z_mod).yd
     right = braided_product(x_mod, braided_product(y_mod, z_mod).yd).yd
-    sw = Stopwatch()
+    chk = Check(name, _mode_tag(mode, seed, samples), cases=1)
     d = left.algebra.dim
     if right.algebra.dim != d:
-        return CheckResult(name, "fail", _mode_tag(mode, seed, samples), 1,
-                           "dimension mismatch", sw.read())
+        return chk.result("dimension mismatch")
     if not veq(left.algebra.unit, right.algebra.unit):
-        return CheckResult(name, "fail", _mode_tag(mode, seed, samples), 1,
-                           "units differ", sw.read())
+        return chk.result("units differ")
     rng = random.Random(seed)
-    cases = 0
+    chk.cases = 0
     for i, j in _iter_tuples(mode, (d, d),
                              (_gen_indices(left.algebra),
                               _gen_indices(left.algebra)), rng, samples):
-        cases += 1
+        chk.cases += 1
         if not veq(dict(left.algebra.mult.get(i, j)),
                    dict(right.algebra.mult.get(i, j))):
-            w = (f"products differ at ({_lab(left.algebra.space, i)}, "
-                 f"{_lab(left.algebra.space, j)})")
-            return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                               cases, w, sw.read())
-    return CheckResult(name, "pass", _mode_tag(mode, seed, samples),
-                       cases, None, sw.read())
+            return chk.result(f"products differ at ({_lab(left.algebra.space, i)}, "
+                              f"{_lab(left.algebra.space, j)})")
+    return chk.result()
 
 
 def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
@@ -1000,80 +755,64 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         if row:
             phi.set(key, tuple(sorted(row.items())))
 
-    checks: list[CheckResult] = []
     tag = _mode_tag(mode, seed, samples)
     XYs, YXs = xy.yd.algebra.space, yx.yd.algebra.space
 
-    sw = Stopwatch()
-    try:
-        linear_map_inverse(phi, H.ctx)
-        checks.append(CheckResult(f"{prefix}-bijective", "pass", "exhaustive",
-                                  d, None, sw.read()))
-    except SingularMapError:
-        checks.append(CheckResult(f"{prefix}-bijective", "fail", "exhaustive",
-                                  d, "flip map is singular", sw.read()))
+    def bijective() -> CheckResult:
+        chk = Check(f"{prefix}-bijective", "exhaustive", cases=d)
+        try:
+            linear_map_inverse(phi, H.ctx)
+        except SingularMapError:
+            return chk.result("flip map is singular")
+        return chk.result()
 
-    sw = Stopwatch()
-    rng = random.Random(seed)
+    def algebra_morphism() -> CheckResult:
+        chk = Check(f"{prefix}-algebra-morphism", tag)
+        rng = random.Random(seed)
+        for u, v in _iter_tuples(mode, (d, d), (gxy, gxy), rng, samples):
+            chk.cases += 1
+            lhs = phi.apply(dict(xy.yd.algebra.mult.get(u, v)))
+            rhs = yx.yd.algebra.mult.apply(dict(phi.get(u)), dict(phi.get(v)))
+            if not veq(lhs, rhs):
+                return chk.result(f"phi(uv) != phi(u)phi(v) at "
+                                  f"u={_lab(XYs, u)}, v={_lab(XYs, v)}")
+        return chk.result()
+
+    def module_morphism() -> CheckResult:
+        chk = Check(f"{prefix}-module-morphism", tag)
+        rng = random.Random(seed)
+        gh = _gen_indices(H)
+        for h, u in _iter_tuples(mode, (H.dim, d), (gh, gxy), rng, samples):
+            chk.cases += 1
+            lhs = phi.apply(xy.yd.action.row(h, u))
+            rhs = yx.yd.action.apply({h: H.ctx.one}, dict(phi.get(u)))
+            if not veq(lhs, rhs):
+                return chk.result(f"phi not H-linear at M={_lab(H.space, h)}, "
+                                  f"u={_lab(XYs, u)}")
+        return chk.result()
+
+    def comodule_morphism() -> CheckResult:
+        chk = Check(f"{prefix}-comodule-morphism", "exhaustive")
+        for u in range(d):
+            chk.cases += 1
+            lhs: Vec = {}
+            for h, u0, c in xy.yd.coaction.terms(u):
+                vadd_into(lhs, phi.get(u0), c, h * d)
+            rhs = yx.yd.coaction.apply(dict(phi.get(u)))
+            if not veq(lhs, rhs):
+                return chk.result(f"phi not H-colinear at u={_lab(XYs, u)}")
+        return chk.result()
+
     gxy = _gen_indices(xy.yd.algebra)
-    cases = 0
-    bad = None
-    for u, v in _iter_tuples(mode, (d, d), (gxy, gxy), rng, samples):
-        cases += 1
-        lhs = phi.apply(dict(xy.yd.algebra.mult.get(u, v)))
-        rhs = yx.yd.algebra.mult.apply(dict(phi.get(u)), dict(phi.get(v)))
-        if not veq(lhs, rhs):
-            bad = f"phi(uv) != phi(u)phi(v) at u={_lab(XYs, u)}, v={_lab(XYs, v)}"
-            break
-    checks.append(CheckResult(f"{prefix}-algebra-morphism",
-                              "fail" if bad else "pass", tag, cases, bad,
-                              sw.read()))
-
-    sw = Stopwatch()
-    rng = random.Random(seed)
-    gh = _gen_indices(H)
-    cases = 0
-    bad = None
-    for h, u in _iter_tuples(mode, (H.dim, d), (gh, gxy), rng, samples):
-        cases += 1
-        lhs = phi.apply(xy.yd.action.row(h, u))
-        rhs = yx.yd.action.apply({h: H.ctx.one}, dict(phi.get(u)))
-        if not veq(lhs, rhs):
-            bad = f"phi not H-linear at M={_lab(H.space, h)}, u={_lab(XYs, u)}"
-            break
-    checks.append(CheckResult(f"{prefix}-module-morphism",
-                              "fail" if bad else "pass", tag, cases, bad,
-                              sw.read()))
-
-    sw = Stopwatch()
-    cases = 0
-    bad = None
-    for u in range(d):
-        cases += 1
-        lhs: Vec = {}
-        for h, u0, c in xy.yd.coaction.terms(u):
-            for w, cw in phi.get(u0):
-                key = h * d + w
-                val = c * cw
-                cur = lhs.get(key)
-                lhs[key] = val if cur is None else cur + val
-                if not lhs[key]:
-                    del lhs[key]
-        rhs = yx.yd.coaction.apply(dict(phi.get(u)))
-        if not veq(lhs, rhs):
-            bad = f"phi not H-colinear at u={_lab(XYs, u)}"
-            break
-    checks.append(CheckResult(f"{prefix}-comodule-morphism",
-                              "fail" if bad else "pass", "exhaustive", cases,
-                              bad, sw.read()))
-    return phi, checks
+    return phi, [bijective(), algebra_morphism(), module_morphism(),
+                 comodule_morphism()]
 
 
 def yang_baxter_check(v_mod: YDModuleAlgebra, mode: str = "sample",
                       seed: int = 0, samples: int = 200,
                       name: str = "braid-relation") -> CheckResult:
     """(c (x) id)(id (x) c)(c (x) id) = (id (x) c)(c (x) id)(id (x) c) on V^3."""
-    sw = Stopwatch()
+    chk = Check(name, _mode_tag(mode, seed, samples))
     n = v_mod.algebra.dim
     n2 = n * n
     one = v_mod.hopf.ctx.one
@@ -1093,12 +832,7 @@ def yang_baxter_check(v_mod: YDModuleAlgebra, mode: str = "sample",
             ab, k = divmod(key, n)
             a, b = divmod(ab, n)
             for key2, c2 in crow(a, b).items():
-                kk = key2 * n + k
-                val = c * c2
-                cur = out.get(kk)
-                out[kk] = val if cur is None else cur + val
-                if not out[kk]:
-                    del out[kk]
+                vadd_term(out, key2 * n + k, c * c2)
         return out
 
     def c23(vec: Vec) -> Vec:
@@ -1106,26 +840,16 @@ def yang_baxter_check(v_mod: YDModuleAlgebra, mode: str = "sample",
         for key, c in vec.items():
             a, bk = divmod(key, n2)
             b, k = divmod(bk, n)
-            for key2, c2 in crow(b, k).items():
-                kk = a * n2 + key2
-                val = c * c2
-                cur = out.get(kk)
-                out[kk] = val if cur is None else cur + val
-                if not out[kk]:
-                    del out[kk]
+            vadd_into(out, crow(b, k), c, a * n2)
         return out
 
     gv = _gen_indices(v_mod.algebra)
     rng = random.Random(seed)
-    cases = 0
     for i, j, k in _iter_tuples(mode, (n, n, n), (gv, gv, gv), rng, samples):
-        cases += 1
+        chk.cases += 1
         e: Vec = {(i * n + j) * n + k: one}
         if not veq(c12(c23(c12(e))), c23(c12(c23(e)))):
             sp = v_mod.algebra.space
-            w = (f"braid relation fails at ({_lab(sp, i)}, {_lab(sp, j)}, "
-                 f"{_lab(sp, k)})")
-            return CheckResult(name, "fail", _mode_tag(mode, seed, samples),
-                               cases, w, sw.read())
-    return CheckResult(name, "pass", _mode_tag(mode, seed, samples),
-                       cases, None, sw.read())
+            return chk.result(f"braid relation fails at ({_lab(sp, i)}, "
+                              f"{_lab(sp, j)}, {_lab(sp, k)})")
+    return chk.result()

@@ -286,3 +286,24 @@ def test_single_term_inverse_folds_sign():
             x = ctx.rational(Fraction(-3, 7)) * ctx.zeta_pow(j)
             assert x.inv() * x == ctx.one
             assert x.inv() == ctx.rational(Fraction(-7, 3)) * ctx.zeta_pow(-j)
+
+
+def test_equality_respects_the_field_and_agrees_with_hash():
+    # Q(zeta_20) and Q(zeta_24) both have degree 8, so their coordinates
+    # have the same shape; equal coordinates in different fields are
+    # still different scalars.
+    c5, c6 = QContext(5), QContext(6)
+    assert c5.zeta_pow(8) != c6.zeta_pow(8)
+    assert c5.zeta_pow(8) == QContext(5).zeta_pow(8)
+    dense5 = Cyc(c5, [1, 2, 0, 0, 0, 0, 0, 3])
+    dense6 = Cyc(c6, [1, 2, 0, 0, 0, 0, 0, 3])
+    assert dense5.c == dense6.c and dense5 != dense6
+    values = [ctx.rational(Fraction(r, 3)) * ctx.zeta_pow(j)
+              for ctx in (c5, c6) for j in range(ctx.order) for r in (-2, 1)]
+    values += [dense5, dense6, c5.zeta_pow(3) + c5.one,
+               c6.zeta_pow(3) + c6.one]
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y) and x.ctx.order == y.ctx.order
+    assert c5.one != c6.one and c5.one == 1 and c6.one == 1

@@ -60,15 +60,15 @@ def test_double_identity_decomposition(system):
 
 
 def test_eta_twist_recovers_heisenberg_p2(sys2):
-    _, res = eta_twist_product(sys2.double, sys2.heis, mode="exhaustive")
+    res = eta_twist_product(sys2.double, sys2.heis, mode="exhaustive")
     assert res.status == "pass"
     assert res.cases_checked == 65_536  # all pairs of smash basis vectors
 
 
 def test_eta_twist_sampled_p3():
     sys3 = taft_system(3)
-    _, res = eta_twist_product(sys3.double, sys3.heis, mode="sample",
-                               seed=0, samples=2000)
+    res = eta_twist_product(sys3.double, sys3.heis, mode="sample",
+                            seed=0, samples=2000)
     assert res.status == "pass"
 
 

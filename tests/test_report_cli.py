@@ -13,6 +13,7 @@ import hopfbench.cli as cli_module
 import hopfbench.report as report_module
 from hopfbench.cli import export_bytes, import_object, main, reexport_bytes
 from hopfbench.cyclo import QContext
+from hopfbench.mutations import MUTATIONS
 from hopfbench.report import (ConfigError, SuiteConfig, parse, render,
                               run_suite)
 from hopfbench.results import CheckResult
@@ -78,6 +79,62 @@ def test_duplicate_check_names_are_an_engine_error(monkeypatch, capsys):
         run_suite(SuiteConfig(p=2, suite="mutations"))
     assert main(["verify", "--p", "2", "--suite", "mutations"]) == 3
     assert "duplicate check name 'mutations.same.p2'" in capsys.readouterr().err
+
+
+def test_fail_fast_stops_pulling_checks(monkeypatch):
+    computed = []
+
+    def suite(cfg):
+        computed.append("first")
+        yield CheckResult("first", "fail", "exhaustive", 1, "witness")
+        computed.append("second")
+        yield CheckResult("second", "pass", "exhaustive", 1)
+
+    monkeypatch.setitem(report_module._SUITES, "mutations", suite)
+    rep = run_suite(SuiteConfig(p=2, suite="mutations", fail_fast=True))
+    assert [r.name for r in rep.results] == ["mutations.first.p2"]
+    assert computed == ["first"]
+    rep = run_suite(SuiteConfig(p=2, suite="mutations"))
+    assert [r.name for r in rep.results] == ["mutations.first.p2",
+                                             "mutations.second.p2"]
+
+
+def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
+    built = []
+    run_mutation = report_module.run_mutation
+
+    def counted(tag, p):
+        built.append(tag)
+        return run_mutation(tag, p)
+
+    monkeypatch.setattr(report_module, "run_mutation", counted)
+    full = run_suite(SuiteConfig(p=2, suite="mutations")).to_dict()["checks"]
+    assert built == list(MUTATIONS)
+    built.clear()
+    fast = run_suite(SuiteConfig(p=2, suite="mutations", fail_fast=True))
+    first = next(iter(MUTATIONS))
+    assert built == [first]               # the other fixtures are never built
+    assert [r.to_dict() for r in fast.results] == [
+        c for c in full if c["name"] == f"mutations.mutation-{first}.p2"]
+
+
+# sha256 of `hopfbench verify --p 2 --suite <suite> --format json`: these
+# reports carry failure witnesses (mutations) and inverted expected
+# failures (chains), so they pin the bytes of the failure paths too.
+REPORT_SHA256_P2 = {
+    "mutations":
+        "da228a5f744ca37e527e2ad180b4f619e13620f8dd3f8d49257592e6b478ea69",
+    "chains":
+        "b3e30ca0d5ab1f1279524b1725418f8f09fe5d7188209db93e41dde90dd69820",
+    "truncations":
+        "68d7a273277b78a4f4c6fd4f5d564203e0b06eb383a63cb9e0066d7d0d683b31",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(REPORT_SHA256_P2))
+def test_report_bytes_are_pinned(suite):
+    data = render(run_suite(SuiteConfig(p=2, suite=suite)), "json")
+    assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P2[suite]
 
 
 # ---------------------------------------------------------------- cli

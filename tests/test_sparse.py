@@ -13,7 +13,7 @@ from hopfbench.cyclo import QContext
 from hopfbench.sparse import (
     BilinearMap, ColinearMap, LinearMap, QuotientSpace, SingularMapError,
     SpanSolver, Subspace, linear_map_inverse, span_closure,
-    vadd_into, veq, vneg, vscale, vsub,
+    vadd_into, vadd_outer, vadd_term, veq, vneg, vscale, vsub,
 )
 
 CTX = QContext(2)
@@ -361,3 +361,41 @@ def test_linear_map_inverse_cyclotomic(p, data):
         e = {i: ctx.one}
         assert veq(m.apply(inv.apply(e)), e)
         assert veq(inv.apply(m.apply(e)), e)
+
+
+def test_vadd_into_takes_a_row_and_a_key_offset():
+    one, z = CTX.one, CTX.zeta
+    dst = {10: one, 12: z}
+    row = ((0, one), (2, -one), (3, z))        # (k, c) pairs, not a dict
+    vadd_into(dst, row, z, base=10)
+    assert veq(dst, {10: one + z, 13: z * z})  # 12 cancels and is dropped
+    vadd_into(dst, {3: -(z * z)}, None, base=10)
+    assert veq(dst, {10: one + z})
+    vadd_into(dst, row, CTX.zero, base=10)     # a zero coefficient adds nothing
+    assert veq(dst, {10: one + z})
+
+
+def test_vadd_term_never_stores_a_zero():
+    one = CTX.one
+    dst = {}
+    vadd_term(dst, 4, CTX.zero)
+    assert dst == {}
+    vadd_term(dst, (1, 2), one)
+    vadd_term(dst, (1, 2), one)
+    assert veq(dst, {(1, 2): one + one})
+    vadd_term(dst, (1, 2), -(one + one))
+    assert dst == {}
+
+
+def test_vadd_outer_is_the_nested_row_loop():
+    one, z = CTX.one, CTX.zeta
+    left = ((0, one), (1, z))                   # a row
+    right = {0: z, 2: -one}                     # a vector
+    dst = {2: z, 5: one}
+    want = dict(dst)
+    for k1, c1 in left:
+        for k2, c2 in right.items():
+            vadd_term(want, k1 * 3 + k2, (z * c1) * c2)
+    vadd_outer(dst, z, left, right, 3)
+    assert veq(dst, want)
+    assert 2 not in dst                         # z + z * 1 * (-1) cancels
