@@ -21,8 +21,8 @@ from .hopf import FiniteAlgebra, FiniteHopf, render_element, render_tensor
 from .report import ConfigError, SuiteConfig, render, run_suite
 from .sparse import (BilinearMap, ColinearMap, LinearMap, Space, SpanSolver,
                      Vec, vadd_term)
-from .taft import (basis_change, cqzd, double_elements, heis_elements, hqsl2,
-                   taft_system, truly_heisenberg_chain, uqsl2)
+from .taft import (cqzd, double_elements, heis_elements, hqsl2, taft_system,
+                   truly_heisenberg_chain, uqsl2)
 
 __all__ = ["main", "EvalError", "evaluate_expression", "export_object",
            "export_bytes", "check_export_name", "import_object",
@@ -210,9 +210,11 @@ def _pbw_label(lab) -> str:
 class _EvalContext:
     """Named elements plus the two products that interpret them.
 
-    Normal forms are printed in the del^b z^a lam^c kap^d monomial basis
-    (each such monomial is a scalar multiple of a single smash basis
-    vector, so the change of rendering is exact and invertible).
+    Normal forms are printed in the del^b z^a lam^c kap^d monomial basis.
+    Each such monomial is a nonzero multiple of the single smash basis
+    vector F^b kap^(c+d) # E^a k^(c-2a), so the change of rendering is
+    exact and invertible; the multiple of an index is computed on first
+    use.
     """
 
     def __init__(self, p: int):
@@ -220,7 +222,8 @@ class _EvalContext:
         ctx = self.sys.ctx
         nB = self.sys.pair.primal.dim
         bl = self.sys.pair.primal.space.index
-        names = dict(heis_elements(self.sys))    # kap, z, lam, del
+        self.gens = heis_elements(self.sys)      # kap, z, lam, del
+        names = dict(self.gens)
         names.update(double_elements(self.sys))  # E, k, F, kap
         names["K"] = {i * nB + bl[(0, 2)]: c     # k^2, the truncation grouplike
                       for i, c in self.sys.pair.dual.unit.items()}
@@ -229,15 +232,38 @@ class _EvalContext:
         self.heis = self.sys.heis.algebra
         self.double = self.sys.double.hopf
         self.yd = self.sys.yd
-        bc = basis_change(self.sys)
-        dim = self.heis.dim
-        pbw_labels = [None] * dim
-        self._inv_scale = [None] * dim
-        for pbw, vec in bc.pbw_to_smash.items():
-            (i, gamma), = vec.items()
-            pbw_labels[i] = pbw
-            self._inv_scale[i] = gamma.inv()
+        order = 4 * p
+        pbw_labels = []
+        for (i, j), (k, l) in self.heis.space.labels:
+            c = (l + 2 * k) % order
+            pbw_labels.append((i, k, c, (j - c) % order))
         self.pbw_space = Space("pbw", pbw_labels, render=_pbw_label)
+        self._inv_scale = [None] * self.heis.dim
+        self._pows = {name: [dict(self.heis.unit)] for name in self.gens}
+
+    def _power(self, name: str, n: int) -> Vec:
+        pows = self._pows[name]
+        while len(pows) <= n:
+            pows.append(self.heis.product(pows[-1], self.gens[name]))
+        return pows[n]
+
+    def inv_scale(self, i: int) -> Cyc:
+        """1/gamma, where the monomial labelled i is gamma times smash
+        basis vector i.  A monomial off that vector is an engine fault,
+        not an input error."""
+        s = self._inv_scale[i]
+        if s is None:
+            b, a, c, d = self.pbw_space.labels[i]
+            mul = self.heis.product
+            v = mul(mul(mul(self._power("del", b), self._power("z", a)),
+                        self._power("lam", c)), self._power("kap", d))
+            if len(v) != 1 or i not in v:
+                raise RuntimeError(
+                    f"del^{b} z^{a} lam^{c} kap^{d} is not a multiple of "
+                    f"smash basis vector {i}: "
+                    f"{render_element(self.heis.space, v)}")
+            s = self._inv_scale[i] = v[i].inv()
+        return s
 
     def lookup(self, name: str, pos: int) -> Vec:
         v = self.names.get(name)
@@ -248,7 +274,7 @@ class _EvalContext:
 
     def pbw_vec(self, v: Vec) -> Vec:
         """Rescale smash coordinates to del/z/lam/kap monomial coordinates."""
-        return {i: c * self._inv_scale[i] for i, c in v.items()}
+        return {i: c * self.inv_scale(i) for i, c in v.items()}
 
     def pbw_flat(self, v: Vec, both: bool) -> Vec:
         """Same on flat pair keys; `both` rescales the first slot too."""
@@ -256,9 +282,9 @@ class _EvalContext:
         out: Vec = {}
         for key, c in v.items():
             i, j = divmod(key, dX)
-            c = c * self._inv_scale[j]
+            c = c * self.inv_scale(j)
             if both:
-                c = c * self._inv_scale[i]
+                c = c * self.inv_scale(i)
             out[key] = c
         return out
 

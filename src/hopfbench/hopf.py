@@ -30,12 +30,12 @@ import itertools
 import random
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .cyclo import Cyc, QContext
 from .results import Check, CheckResult
 from .sparse import (
-    BilinearMap, ColinearMap, LinearMap, Space, SingularMapError,
+    BilinearMap, ColinearMap, LinearMap, Space,
     Subspace, linear_map_inverse, span_closure, vadd_into, vadd_outer,
     vadd_term, veq, vscale,
 )

@@ -19,7 +19,7 @@ from .results import Check, CheckResult
 from .sparse import LazyLinearMap, Vec, vadd_into, vadd_term, veq
 from .taft import taft_setup, taft_system
 from .ydcat import (Action, Coaction, ModuleAlgebra, YDModuleAlgebra,
-                    check_comodule, check_comodule_algebra, check_module,
+                    check_comodule, check_module,
                     check_module_algebra, check_yd)
 
 __all__ = ["MUTATIONS", "run_mutation", "mutation_suite"]

@@ -10,8 +10,10 @@ deliberately ignores wall times (they are display-only).
 from __future__ import annotations
 
 import json
+import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence, Union
 
 from . import __version__
@@ -415,6 +417,33 @@ SUITE_NAMES = tuple(_SUITES)
 DEFAULT_SUITES = tuple(s for s in SUITE_NAMES if s != "mutations")
 
 
+def _run_one(config: SuiteConfig, suite: str) -> list:
+    """One suite's results; with fail_fast, up to its first failure."""
+    out = []
+    for r in _SUITES[suite](config):
+        out.append(r)
+        if config.fail_fast and r.status == "fail":
+            break
+    return out
+
+
+def _pool_map(run, suites: tuple, workers: int, p: int) -> list:
+    """`list(map(run, suites))` in forked workers.
+
+    The cached taft_system is built first, so that every worker inherits
+    it instead of building its own.  Forking is safe here: hopfbench
+    starts no thread, and a fork-context pool starts all its workers
+    before its own manager thread.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    taft_system(p)
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as ex:
+        return list(ex.map(run, suites))
+
+
 def run_suite(config: SuiteConfig) -> VerificationReport:
     """Run the selected suites and collect a deterministic report.
 
@@ -422,22 +451,29 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     earlier ones fail, unless fail_fast is set: then no suite is asked for
     another check after the first failure.  Two results with the same
     tagged name are an engine error (RuntimeError), not a silent drop.
+
+    Two or more suites on two or more usable CPUs run side by side in
+    forked workers, one suite per task, unless fail_fast is set; the
+    report is the same either way.
     """
     config.validate()
+    suites = config.selected()
+    run = partial(_run_one, config)
+    workers = min(len(suites), len(os.sched_getaffinity(0)))
+    if config.fail_fast or workers < 2:
+        batches = map(run, suites)      # lazy: fail_fast stops pulling suites
+    else:
+        batches = _pool_map(run, suites, workers, config.p)
     results = []
     seen = set()
-    stop = False
-    for suite in config.selected():
-        for r in _SUITES[suite](config):
+    for suite, batch in zip(suites, batches):
+        for r in batch:
             tagged = replace(r, name=f"{suite}.{r.name}.p{config.p}")
             if tagged.name in seen:
                 raise RuntimeError(f"duplicate check name {tagged.name!r}")
             seen.add(tagged.name)
             results.append(tagged)
-            if config.fail_fast and tagged.status == "fail":
-                stop = True
-                break
-        if stop:
+        if config.fail_fast and any(r.status == "fail" for r in batch):
             break
     results.sort(key=lambda r: r.name)
     return VerificationReport(config=config, results=results)

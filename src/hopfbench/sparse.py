@@ -28,7 +28,7 @@ from .cyclo import Cyc, QContext
 
 __all__ = [
     "Space", "vadd_into", "vadd_outer", "vadd_term", "colinear_apply",
-    "vscale", "vneg", "vsub", "veq", "vcopy",
+    "vscale", "vneg", "vsub", "veq",
     "BilinearMap", "LinearMap", "LazyLinearMap", "ColinearMap", "Subspace",
     "SpanSolver",
     "span_closure", "QuotientSpace", "linear_map_inverse",
@@ -63,10 +63,6 @@ class Space:
 
 
 # -- vector helpers ---------------------------------------------------------
-
-def vcopy(v: Vec) -> Vec:
-    return dict(v)
-
 
 def vadd_into(dst: Vec, src, coeff: Optional[Cyc] = None, base: int = 0) -> Vec:
     """dst[base + k] += coeff * c for every entry (k, c) of src, in place.

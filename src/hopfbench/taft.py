@@ -36,18 +36,18 @@ from .doubles import (
     yd_structure,
 )
 from .hopf import (
-    FiniteAlgebra, FiniteHopf, HopfPairing, check_algebra_axioms, dual_hopf,
+    FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf,
     pair_product, render_element, render_tensor, tensor_flat,
 )
 from .results import Check, CheckResult, invert_expected_failure
 from .sparse import (
-    BilinearMap, ColinearMap, LazyLinearMap, LinearMap, QuotientSpace,
+    BilinearMap, ColinearMap, LazyLinearMap, LinearMap,
     SingularMapError, Space, SpanSolver, Subspace, linear_map_inverse,
     span_closure, vadd_into, vadd_term, veq, vscale, vsub,
 )
 from .truncate import (
     HopfQuotient, SubHopf, TransportedStructure, change_basis_hopf,
-    check_hopf_ideal, hopf_quotient, quotient_morphism_check, sub_hopf,
+    check_hopf_ideal, hopf_quotient, sub_hopf,
     transport_action,
 )
 from .ydcat import (
@@ -56,7 +56,7 @@ from .ydcat import (
 
 __all__ = [
     "taft_algebra", "taft_dual_monomial", "TaftPair", "taft_setup",
-    "smash_basis_space", "closed_form_smash_row",
+    "closed_form_smash_row",
     "TaftSystem", "taft_system", "double_elements", "heis_elements",
     "double_presentation_check", "taft_dual_check", "closed_form_check",
     "HeisenbergBasisChange", "basis_change",
@@ -274,19 +274,6 @@ def taft_setup(p: int, cached: bool = True) -> TaftPair:
 
 
 # -- closed-form smash product -------------------------------------------------
-
-def smash_basis_space(p: int) -> Space:
-    """Basis of the smash-product space: dual monomial # primal monomial."""
-    order = 4 * p
-    labels = tuple(((a, b), (m, n))
-                   for a in range(p) for b in range(order)
-                   for m in range(p) for n in range(order))
-
-    def render(lab):
-        return f"{_render_dual(lab[0])}#{_render_primal(lab[1])}"
-
-    return Space(f"H(p={p})", labels, render)
-
 
 def closed_form_smash_row(ctx: QContext, lab1, lab2) -> list:
     """Structure constants of the smash product in closed form.

@@ -25,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .cyclo import Cyc
 from .hopf import FiniteAlgebra, FiniteHopf, render_element
 from .results import Check, CheckResult
-from .sparse import (BilinearMap, ColinearMap, LazyLinearMap, LinearMap,
-                     QuotientSpace, Space, SpanSolver, Subspace, Vec,
-                     span_closure, vadd_into, vadd_term, veq, vscale, vsub)
+from .sparse import (BilinearMap, ColinearMap, LazyLinearMap, QuotientSpace,
+                     Space, SpanSolver, Subspace, Vec, span_closure,
+                     vadd_into, vadd_term, veq, vsub)
 from .ydcat import Action, Coaction, YDModuleAlgebra
 
 __all__ = [

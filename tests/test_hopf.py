@@ -10,8 +10,6 @@ above the pure-loop size cutoff.
 
 from __future__ import annotations
 
-import pytest
-
 from hopfbench.cyclo import QContext
 from hopfbench.hopf import (
     FiniteHopf, HopfPairing, check_hopf_axioms, check_hopf_pairing,

@@ -5,6 +5,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +21,17 @@ from hopfbench.report import (ConfigError, SuiteConfig, parse, render,
                               run_suite)
 from hopfbench.results import CheckResult
 from hopfbench.taft import taft_setup, taft_system
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def _run_python(script: str, *args):
+    """Run `script` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 # ------------------------------------------------------------- report
@@ -137,6 +151,133 @@ def test_report_bytes_are_pinned(suite):
     assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P2[suite]
 
 
+# sha256 of `render(run_suite(SuiteConfig(p=2, suite="chains,truncations")),
+# "json")`, recorded when suites still ran one after another.
+REPORT_SHA256_P2_TWO_SUITES = \
+    "941374d90d58be4a00757d58785ebd8cc2b09bfcd8715ddd56af1380bd03dc99"
+
+
+def _two_cpus(monkeypatch):
+    """Make the pool path reachable on any host."""
+    monkeypatch.setattr(report_module.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+
+
+def test_suites_run_in_workers_with_the_serial_report_bytes(monkeypatch):
+    _two_cpus(monkeypatch)
+    data = render(run_suite(SuiteConfig(p=2, suite="chains,truncations")),
+                  "json")
+    assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P2_TWO_SUITES
+
+
+def test_a_crash_inside_a_worker_exits_3(monkeypatch, capsys):
+    parent = os.getpid()
+
+    def crash(cfg):
+        where = "worker" if os.getpid() != parent else "parent"
+        raise RuntimeError(f"engine fault in the {where}")
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setitem(report_module._SUITES, "chains", lambda cfg: iter(()))
+    monkeypatch.setitem(report_module._SUITES, "mutations", crash)
+    assert main(["verify", "--p", "2", "--suite", "chains,mutations"]) == 3
+    assert "RuntimeError: engine fault in the worker" in capsys.readouterr().err
+
+
+KILLED_WORKER = """
+import os, signal, sys
+import hopfbench.report as report
+from hopfbench.cli import main
+
+parent = os.getpid()
+
+def die(cfg):
+    assert os.getpid() != parent, "suite ran in the parent"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+report.os.sched_getaffinity = lambda pid: {0, 1}
+report._SUITES["chains"] = lambda cfg: iter(())
+report._SUITES["mutations"] = die
+sys.exit(main(["verify", "--p", "2", "--suite", "chains,mutations"]))
+"""
+
+
+def test_a_killed_worker_exits_3_without_a_hang():
+    proc = _run_python(KILLED_WORKER)
+    assert proc.returncode == 3, proc.stderr
+    assert "BrokenProcessPool" in proc.stderr
+
+
+@pytest.mark.parametrize("suite,fail_fast,cpus,pool", [
+    ("chains,mutations", False, {0, 1}, True),  # control: the pool is used
+    ("chains", False, {0, 1}, False),           # one suite
+    ("chains,mutations", True, {0, 1}, False),  # fail_fast pulls lazily
+    ("chains,mutations", False, {0}, False),    # one usable CPU
+])
+def test_no_pool_unless_it_can_help(monkeypatch, suite, fail_fast, cpus,
+                                    pool):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was constructed")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(report_module.os, "sched_getaffinity",
+                        lambda pid: cpus)
+    monkeypatch.setitem(report_module._SUITES, "chains", lambda cfg: iter(
+        [CheckResult("c", "pass", "exhaustive", 1)]))
+    monkeypatch.setitem(report_module._SUITES, "mutations", lambda cfg: iter(
+        [CheckResult("m", "fail", "exhaustive", 1, "witness")]))
+    cfg = SuiteConfig(p=2, suite=suite, fail_fast=fail_fast)
+    if pool:
+        with pytest.raises(AssertionError, match="pool was constructed"):
+            run_suite(cfg)
+    else:
+        assert [r.name for r in run_suite(cfg).results] == [
+            f"{s}.{s[0]}.p2" for s in suite.split(",")]
+
+
+def test_fail_fast_stops_pulling_suites(monkeypatch):
+    _two_cpus(monkeypatch)
+    pulled = []
+
+    def suite(name, status):
+        def run(cfg):
+            pulled.append(name)
+            yield CheckResult(name, status, "exhaustive", 1,
+                              "witness" if status == "fail" else None)
+        return run
+
+    monkeypatch.setitem(report_module._SUITES, "chains",
+                        suite("c", "fail"))
+    monkeypatch.setitem(report_module._SUITES, "truncations",
+                        suite("t", "pass"))
+    rep = run_suite(SuiteConfig(p=2, suite="chains,truncations",
+                                fail_fast=True))
+    assert [r.name for r in rep.results] == ["chains.c.p2"]
+    assert pulled == ["c"]
+
+
+CLI_IMPORTS = """
+import sys
+import hopfbench.cli
+from hopfbench.cli import main
+
+assert main(["eval", "--p", "2", "z"]) == 0
+assert main(["verify", "--p", "2", "--suite", "chains", "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("concurrent", "multiprocessing")))
+"""
+
+
+def test_cli_start_up_loads_no_pool_modules(tmp_path):
+    # Every eval starts a fresh process, so the CLI must not pay for the
+    # pool's imports unless several suites run.
+    proc = _run_python(CLI_IMPORTS, str(tmp_path / "report.txt"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # ---------------------------------------------------------------- cli
 
 
@@ -199,13 +340,26 @@ def test_one_eval_builds_part_of_the_dual_product(monkeypatch):
     monkeypatch.setattr(cli_module, "_ENV_CACHE", {})
     monkeypatch.setattr(cli_module, "taft_system",
                         lambda p: taft_system(p, cached=False))
-    assert cli_module.evaluate_expression(2, "E |> z") == "0"
+    assert cli_module.evaluate_expression(2, "kap # E") == \
+        "-1/2*q^(3/2)*z lam^2 kap^7"
     mult = cli_module._ENV_CACHE[2].sys.pair.dual.mult
     assert 0 < len(mult.rows) < mult.dim_v * mult.dim_w
     full = taft_setup(2, cached=False).dual.mult
     full.materialize()
     nonzero = {key for key, row in full.rows.items() if row}
     assert nonzero - set(mult.rows)       # some nonzero rows were never built
+
+
+def test_a_monomial_off_its_basis_vector_is_an_engine_error(monkeypatch,
+                                                           capsys):
+    env = cli_module._EvalContext(2)
+    labels = list(env.pbw_space.labels)
+    labels[0], labels[1] = labels[1], labels[0]
+    env.pbw_space = cli_module.Space("pbw", labels)
+    monkeypatch.setitem(cli_module._ENV_CACHE, 2, env)
+    assert main(["eval", "--p", "2", "1"]) == 3
+    assert "is not a multiple of smash basis vector 0" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ from hopfbench.cyclo import QContext
 from hopfbench.hopf import check_hopf_axioms, check_hopf_pairing
 from hopfbench.sparse import veq
 from hopfbench.taft import (
-    closed_form_smash_row, taft_algebra, taft_dual_monomial, taft_setup,
+    closed_form_smash_row, taft_setup,
 )
 
 
