@@ -6,6 +6,13 @@ of a single term r * zeta^j, as (numerator, denominator, j) (see Cyc).
 Every operation is exact and there is never a floating-point tolerance
 anywhere downstream.
 
+Products and inverses of single terms, and sums of single terms with the
+same exponent, are O(1).  Each QContext memoizes every other product,
+sum and inverse for the life of the process (see Cyc): at p >= 3 most
+structure constants are dense, and the same few thousand operand pairs
+recur hundreds of thousands of times.  Memoized results are shared,
+which is sound because Cyc instances are immutable.
+
 The intended use is N = 4*p: zeta = zeta_N is a primitive N-th root of
 unity, q = zeta^2 is a primitive 2p-th root of unity, and zeta itself
 serves as the square root of q that the half-integer q-numbers and the
@@ -86,13 +93,17 @@ class QContext:
     """Everything fixed by the root-of-unity order: N = 4p, Phi_N, caches.
 
     A context owns the reduction rows for x^k mod Phi_N and memo tables
-    for powers of zeta/q, inverses, q-integers and q-binomials.  Scalars
-    (Cyc) carry a reference to their context; mixing contexts is an error.
+    for powers of zeta/q, q-integers and q-binomials, and one memo per
+    scalar operation (products, sums, inverses; see Cyc) for the paths
+    that are not O(1).  Scalars (Cyc) carry a reference to their context;
+    mixing contexts is an error.  The memos are unbounded and private to
+    the context, so two fields never share an entry.
     """
 
     __slots__ = (
         "p", "order", "half", "phi", "poly", "_red_rows", "_zeta_vecs",
-        "zero", "one", "_zeta_pows", "_inv_cache", "_qint_cache",
+        "zero", "one", "_zeta_pows", "_mul_memo", "_add_memo", "_inv_memo",
+        "_qint_cache",
         "_qbin_cache", "_qbin1_cache", "_qfac_cache", "q", "q_inv", "zeta",
         "qdiff", "qdiff_inv",
     )
@@ -134,7 +145,12 @@ class QContext:
         self.zero = _raw(self, (0,) * self.phi, 1, None)
         self.one = _raw(self, 1, 1, 0)
         self._zeta_pows: dict[int, Cyc] = {}
-        self._inv_cache: dict[tuple[tuple[int, ...], int], Cyc] = {}
+        # Results of the non-O(1) operations, keyed by the operands'
+        # stored form (see Cyc): (a._v, a._j, a.d, b._v, b._j, b.d) for
+        # products and sums, (a._v, a.d) for dense inverses.
+        self._mul_memo: dict[tuple, Cyc] = {}
+        self._add_memo: dict[tuple, Cyc] = {}
+        self._inv_memo: dict[tuple[tuple[int, ...], int], Cyc] = {}
         self._qint_cache: dict[Fraction, Cyc] = {}
         self._qbin_cache: dict[tuple[int, int], Cyc] = {}
         self._qbin1_cache: dict[tuple[int, int], Cyc] = {}
@@ -261,9 +277,22 @@ class Cyc:
     may still arrive as a dense sum (zeta^4 = zeta^2 - 1 at p = 3);
     equality and hashing compare power-basis coordinates in that case.
 
-    Products and inverses of single terms are O(1); everything else runs
-    the power-basis convolution and reduction mod Phi_N.  `c` (coefficient
-    tuple) and `d` (denominator) read the power-basis form of either.
+    Products and inverses of single terms, and sums of single terms with
+    the same exponent, are O(1).  Every other product, sum and inverse
+    runs the power-basis convolution, reduction or Euclid on a miss and is
+    answered from the context's memo afterwards.  The memo key is the
+    stored form of the operands, never the Cyc itself: equality crosses
+    the two forms, and a key on (_v, _j, d) returns exactly the object
+    the uncached path would build, in the same form.  `__sub__` and
+    `__neg__` are not memoized.  `c` (coefficient tuple) and `d`
+    (denominator) read the power-basis form of either.
+
+    Instances are immutable: the slots are set only when a scalar is
+    built (`__init__`, `_raw` and the inlined single-term product), `_v`
+    is an int or a tuple, and nothing else assigns them.  Memoized results
+    are shared objects, so an in-place edit would change every table row
+    that holds the scalar; `tests/test_cyclo.py` scans the package for
+    such assignments.
     """
 
     # _v: the numerator (single term) or the coefficient tuple (dense);
@@ -304,18 +333,14 @@ class Cyc:
 
     def __add__(self, other: Cyc) -> Cyc:
         ja, jb = self._j, other._j
-        if ja is None and jb is None:
-            # Kept inline (here and in __sub__): dense +- dense is the
-            # common sum at p >= 3.
-            a, b = self._v, other._v
-            da, db = self.d, other.d
-            if da == db:
-                return Cyc(self.ctx, [x + y for x, y in zip(a, b)], da)
-            return Cyc(self.ctx, [x * db + y * da for x, y in zip(a, b)],
-                       da * db)
-        if ja == jb:
+        if ja == jb and ja is not None:
             return _term_sum(self, other._v, other.d)
-        return _power_basis_sum(self, other, 1)
+        key = (self._v, ja, self.d, other._v, jb, other.d)
+        memo = self.ctx._add_memo
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = _power_basis_sum(self, other, 1)
+        return out
 
     def __sub__(self, other: Cyc) -> Cyc:
         ja, jb = self._j, other._j
@@ -357,18 +382,23 @@ class Cyc:
             out._v = num
             out._j = j
             return out
-        if ja is None:
-            if jb is None:
-                return Cyc(ctx, _mul_vec(ctx, self._v, other._v, 1),
-                           self.d * other.d)
-            return Cyc(ctx, _mul_vec(ctx, ctx._zeta_vecs[jb], self._v,
-                                     other._v), self.d * other.d)
-        return Cyc(ctx, _mul_vec(ctx, ctx._zeta_vecs[ja], other._v,
-                                 self._v), self.d * other.d)
+        key = (self._v, ja, self.d, other._v, jb, other.d)
+        memo = ctx._mul_memo
+        out = memo.get(key)
+        if out is None:
+            if ja is None:
+                if jb is None:
+                    vec = _mul_vec(ctx, self._v, other._v, 1)
+                else:
+                    vec = _mul_vec(ctx, ctx._zeta_vecs[jb], self._v, other._v)
+            else:
+                vec = _mul_vec(ctx, ctx._zeta_vecs[ja], other._v, self._v)
+            out = memo[key] = Cyc(ctx, vec, self.d * other.d)
+        return out
 
     def inv(self) -> Cyc:
         """Multiplicative inverse: O(1) for a single term, else the
-        extended Euclidean algorithm in Q[x] against Phi_N (cached per
+        extended Euclidean algorithm in Q[x] against Phi_N (memoized per
         context)."""
         j = self._j
         if j is not None:
@@ -384,12 +414,10 @@ class Cyc:
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
         key = (self._v, self.d)
-        cache = self.ctx._inv_cache
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._inv_uncached()
-        cache[key] = out
+        memo = self.ctx._inv_memo
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = self._inv_uncached()
         return out
 
     def _inv_uncached(self) -> Cyc:

@@ -591,14 +591,10 @@ def closed_form_check(sys: TaftSystem, mode: str = "exhaustive", seed: int = 0,
 
 @dataclass
 class HeisenbergBasisChange:
-    """Invertible correspondence between smash monomials and the
-    del^b z^a lam^c kap^d monomials (each of which lands on a single
-    smash basis vector, which is what makes the map invertible)."""
+    """The checks that the del^b z^a lam^c kap^d monomials satisfy the
+    kap/z/lam/del relations and each land on a single smash basis vector,
+    one vector per monomial (which makes the correspondence invertible)."""
 
-    system: TaftSystem
-    elements: dict                       # "kap", "z", "lam", "del" -> Vec
-    pbw_to_smash: dict                   # (b, a, c, d) -> {index: coeff}
-    smash_to_pbw: dict                   # index -> ((b, a, c, d), coeff)
     checks: list = field(default_factory=list)
 
 
@@ -649,8 +645,7 @@ def basis_change(sys: TaftSystem,
     # each monomial del^b z^a lam^c kap^d is a nonzero multiple of exactly
     # one smash basis vector, and the assignment is a bijection
     chk = Check(f"{prefix}-bijective", "exhaustive")
-    forward: dict = {}
-    backward: dict = {}
+    backward: dict = {}                  # smash index -> (b, a, c, d)
     z_pows = [unit]
     del_pows = [unit]
     for _ in range(p - 1):
@@ -674,18 +669,17 @@ def basis_change(sys: TaftSystem,
                         if len(v) != 1:
                             return (f"del^{b} z^{a} lam^{c} kap^{d} has "
                                     f"{len(v)} smash terms")
-                        (idx, coeff), = v.items()
+                        idx, = v
                         if idx in backward:
                             return (f"del^{b} z^{a} lam^{c} kap^{d} collides "
-                                    f"with {backward[idx][0]} on {_plab(A, idx)}")
-                        forward[(b, a, c, d)] = {idx: coeff}
-                        backward[idx] = ((b, a, c, d), coeff)
+                                    f"with {backward[idx]} on {_plab(A, idx)}")
+                        backward[idx] = (b, a, c, d)
         if len(backward) != A.dim:
             return f"monomials reach {len(backward)} of {A.dim} basis vectors"
         return None
 
     checks.append(chk.result(witness()))
-    return HeisenbergBasisChange(sys, els, forward, backward, checks)
+    return HeisenbergBasisChange(checks)
 
 
 # -- the 2p^3-dimensional quantum group ------------------------------------------

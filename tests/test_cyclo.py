@@ -6,8 +6,10 @@ qbin(n,k)*[k]!*[n-k]! == [n]! (a polynomial identity in Z[q,q^-1],
 hence valid at every root of unity) for the binomials.
 """
 
+import ast
 from fractions import Fraction
 import math
+import os
 import random
 
 import pytest
@@ -307,3 +309,197 @@ def test_equality_respects_the_field_and_agrees_with_hash():
             if x == y:
                 assert hash(x) == hash(y) and x.ctx.order == y.ctx.order
     assert c5.one != c6.one and c5.one == 1 and c6.one == 1
+
+
+# -- the per-field memo of products, sums and inverses ---------------------------
+
+def _rebuilt(ctx, x):
+    """x rebuilt in the field ctx, in the same stored form."""
+    if x._j is None:
+        return Cyc(ctx, list(x._v), x.d)
+    return ctx.rational(Fraction(x._v, x.d)) * ctx.zeta_pow(x._j)
+
+
+def _fields(x):
+    return (x._v, x._j, x.d)
+
+
+def _memo_sizes(ctx):
+    return len(ctx._mul_memo), len(ctx._add_memo), len(ctx._inv_memo)
+
+
+OPS = {"mul": lambda a, b: a * b, "add": lambda a, b: a + b,
+       "inv": lambda a, b: a.inv()}
+
+
+def _memoized(op, a, b):
+    """Whether `op` on (a, b) takes a memoized path."""
+    if op == "mul":
+        return a._j is None or b._j is None
+    if op == "add":
+        return a._j is None or a._j != b._j
+    return a._j is None and bool(a)
+
+
+def _assert_memo_faithful(ctx, op, a, b):
+    """A repeated memoized operation returns the identical object, whose
+    fields equal those of a first, uncached call in a fresh field."""
+    fresh = QContext(ctx.p)
+    fa, fb = _rebuilt(fresh, a), _rebuilt(fresh, b)
+    assert _fields(fa) == _fields(a) and _fields(fb) == _fields(b)
+    before = _memo_sizes(fresh)
+    first = OPS[op](fa, fb)
+    grew = [n - m for n, m in zip(_memo_sizes(fresh), before)]
+    got = OPS[op](a, b)
+    again = OPS[op](a, b)
+    assert _fields(got) == _fields(first)
+    assert got.ctx is ctx and first.ctx is fresh
+    if _memoized(op, a, b):
+        assert again is got
+        assert grew[list(OPS).index(op)] >= 1         # the fresh call missed
+    else:
+        assert grew == [0, 0, 0]                      # O(1) path, no entry
+        assert _fields(again) == _fields(got)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_memo_returns_the_uncached_result_once_built(data):
+    ctx = FORM_CTXS[data.draw(st.sampled_from(sorted(FORM_CTXS)))]
+    a, _ = data.draw(_scalar_and_ref(ctx))
+    b, _ = data.draw(_scalar_and_ref(ctx))
+    op = data.draw(st.sampled_from(sorted(OPS)))
+    for x, y in ((a, b), (b, a)):
+        if op != "inv" or x:
+            _assert_memo_faithful(ctx, op, x, y)
+
+
+def test_memo_covers_both_forms_of_zeta_four_at_p3():
+    ctx = CTX3
+    single, dense = ctx.zeta_pow(4), ctx.zeta_pow(2) - ctx.one
+    assert single._j == 4 and dense._j is None
+    others = [single, dense, ctx.zeta, ctx.q, ctx.qdiff,
+              ctx.rational(Fraction(-2, 3)) * ctx.zeta_pow(5)]
+    for x in (single, dense):
+        for y in others:
+            for op in ("mul", "add"):
+                _assert_memo_faithful(ctx, op, x, y)
+                _assert_memo_faithful(ctx, op, y, x)
+        _assert_memo_faithful(ctx, "inv", x, x)
+    # the two forms are equal values but distinct memo keys
+    key_s = (single._v, single._j, single.d, dense._v, None, dense.d)
+    key_d = (dense._v, None, dense.d, dense._v, None, dense.d)
+    assert key_s != key_d
+    assert ctx._mul_memo[key_s] is single * dense
+    assert ctx._mul_memo[key_d] is dense * dense
+    assert single * dense == dense * dense
+
+
+def test_memo_entries_belong_to_one_field():
+    c5, c6 = QContext(5), QContext(6)
+    coeffs = [1, 2, 0, 0, 0, 0, 0, 3]
+    d5, d6 = Cyc(c5, coeffs), Cyc(c6, coeffs)
+    products = (d5 * d5, d6 * d6)
+    sums = (d5 + c5.zeta, d6 + c6.zeta)
+    inverses = (d5.inv(), d6.inv())
+    for x5, x6 in (products, sums, inverses):
+        assert x5.ctx is c5 and x6.ctx is c6
+        assert x5 is not x6
+    assert products[0].c != products[1].c
+    assert inverses[0].c != inverses[1].c
+    for name in ("_mul_memo", "_add_memo", "_inv_memo"):
+        m5, m6 = getattr(c5, name), getattr(c6, name)
+        assert m5 is not m6
+        assert all(v.ctx is c5 for v in m5.values())
+        assert all(v.ctx is c6 for v in m6.values())
+        assert not {id(v) for v in m5.values()} & {id(v) for v in m6.values()}
+
+
+# -- memoized scalars are shared, so nothing outside cyclo may edit one ----------
+
+CYC_SLOTS = {"ctx", "d", "_v", "_j"}
+PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src", "hopfbench")
+
+
+def _slot_writes(tree):
+    """(line, text) of every assignment, deletion or setattr of an
+    attribute named like a Cyc slot, except `self.<slot>` inside a class
+    that does not derive from Cyc."""
+    found = []
+
+    def targets(node):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            for elt in node.elts:
+                yield from targets(elt)
+        elif isinstance(node, ast.Starred):
+            yield from targets(node.value)
+        else:
+            yield node
+
+    def visit(node, own_class):
+        if isinstance(node, ast.ClassDef):
+            own_class = not any(ast.unparse(b).split(".")[-1] == "Cyc"
+                                for b in node.bases)
+        writes = []
+        if isinstance(node, ast.Assign):
+            writes = [t for tgt in node.targets for t in targets(tgt)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            writes = list(targets(node.target))
+        elif isinstance(node, ast.Delete):
+            writes = [t for tgt in node.targets for t in targets(tgt)]
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "setattr", "object.__setattr__", "delattr",
+                "object.__delattr__"):
+            name = node.args[1] if len(node.args) > 1 else None
+            if not (isinstance(name, ast.Constant)
+                    and name.value not in CYC_SLOTS):
+                found.append((node.lineno, ast.unparse(node)))
+        for t in writes:
+            if isinstance(t, ast.Attribute) and t.attr in CYC_SLOTS:
+                on_self = isinstance(t.value, ast.Name) and t.value.id == "self"
+                if not (on_self and own_class):
+                    found.append((t.lineno, ast.unparse(t)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, own_class)
+
+    visit(tree, False)
+    return found
+
+
+def test_only_cyclo_assigns_cyc_slots():
+    modules = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+    assert "cyclo.py" in modules and len(modules) > 5
+    offenders = {}
+    for name in modules:
+        if name == "cyclo.py":
+            continue
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        hits = _slot_writes(tree)
+        if hits:
+            offenders[name] = hits
+    assert offenders == {}
+
+
+def test_slot_scan_flags_edits_and_spares_own_attributes():
+    bad = ast.parse(
+        "def f(x, y):\n"
+        "    x._v = (1, 2)\n"
+        "    y.d += 1\n"
+        "    a, x.ctx = 1, None\n"
+        "    setattr(x, '_j', 0)\n"
+        "    del y._j\n"
+        "class Sub(hopfbench.cyclo.Cyc):\n"
+        "    def g(self):\n"
+        "        self._v = 0\n")
+    assert [line for line, _ in _slot_writes(bad)] == [2, 3, 4, 5, 6, 9]
+    good = ast.parse(
+        "class Table:\n"
+        "    def __init__(self, ctx):\n"
+        "        self.ctx = ctx\n"
+        "        self.d = 2\n"
+        "def f(x):\n"
+        "    setattr(x, 'rows', {})\n"
+        "    x.rows = {}\n")
+    assert _slot_writes(good) == []

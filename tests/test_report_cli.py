@@ -151,6 +151,19 @@ def test_report_bytes_are_pinned(suite):
     assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P2[suite]
 
 
+# sha256 of `hopfbench verify --p 3 --suite yd,truncations --sample-size 1000
+# --format json`: at p=3 most structure constants are dense scalars, which
+# the p=2 reports hardly reach.
+REPORT_SHA256_P3_YD_TRUNCATIONS = \
+    "90d9aa81665ecddd41dc65caddd5148165f29ac1690fe629bc2a363caa67f7ad"
+
+
+def test_p3_report_bytes_are_pinned():
+    data = render(run_suite(SuiteConfig(p=3, suite="yd,truncations",
+                                        sample_size=1000)), "json")
+    assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P3_YD_TRUNCATIONS
+
+
 # sha256 of `render(run_suite(SuiteConfig(p=2, suite="chains,truncations")),
 # "json")`, recorded when suites still ran one after another.
 REPORT_SHA256_P2_TWO_SUITES = \
