@@ -26,7 +26,13 @@ defining identities case by case, including the two quantum-commutativity
 remarks (the R-matrix form that holds and the one that fails) and the
 alternating chain algebras with their straightening relations.
 
-Arrow conventions (P the pairing, b in B, f in B*):
+Both doubles, and the braided products behind the chains (ydcat), are
+twisted tensor products A (x)_R B (Cap, Schichl and Vanzura, Comm. Algebra
+23, 1995): each constructor supplies only its map R, and
+hopf.twisted_product memoizes the R rows and multiplies them out.
+
+Arrow conventions (P the pairing, b in B, f in B*; HopfPairing memoizes
+them on basis pairs):
     b -> f = f' <f'', b>     f <- b = <f', b> f''
     f -> b = b' <f, b''>     b <- f = <f, b'> b''
 """
@@ -40,12 +46,12 @@ from typing import Optional
 
 from .cyclo import Cyc, QContext
 from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf,
-                   hit_alg_left, hit_alg_right, hit_dual_left, hit_dual_right,
-                   pair_product, render_element, tensor_flat, triple_product)
+                   pair_product, render_element, tensor_flat, triple_product,
+                   twisted_product)
 from .results import Check, CheckResult, invert_expected_failure
-from .sparse import (BilinearMap, ColinearMap, LazyLinearMap, LinearMap,
-                     Space, Vec, linear_map_inverse, vadd_into, vadd_outer,
-                     vadd_term, veq)
+from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Space, Vec,
+                     linear_map_inverse, vadd_into, vadd_outer, vadd_term,
+                     veq)
 from .ydcat import (Action, BraidedProductAlgebra, Coaction, ComoduleAlgebra,
                     ModuleAlgebra, YDModuleAlgebra, chain_product,
                     _iter_tuples, _mode_tag)
@@ -155,57 +161,27 @@ def drinfeld_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
     space = Space(name, labels,
                   render=lambda lab: f"{rd(lab[0])}(x){rb(lab[1])}")
 
-    one = ctx.one
     d3base: dict[int, tuple] = {}
-    arrow_left: dict[int, Vec] = {}     # (m, f) -> e_m -> e_f
-    arrow_rs: dict[int, Vec] = {}       # (f, m) -> e_f <- S^{-1}(e_m)
     base_sinv = base.antipode_inv()
 
-    def arr_left(m: int, f: int) -> Vec:
-        key = m * nF + f
-        r = arrow_left.get(key)
-        if r is None:
-            r = hit_dual_left(P, {m: one}, {f: one})
-            arrow_left[key] = r
-        return r
-
-    def arr_rs(f: int, m: int) -> Vec:
-        key = f * nB + m
-        r = arrow_rs.get(key)
-        if r is None:
-            r = {}
-            for ms, cs in base_sinv.get(m):
-                vadd_into(r, hit_dual_right(P, {f: one}, {ms: one}), cs)
-            arrow_rs[key] = r
-        return r
-
-    def mult_fn(k1: int, k2: int) -> tuple:
-        f1, b1 = divmod(k1, nB)
-        f2, b2 = divmod(k2, nB)
-        acc: Vec = {}
-        for m1, m2, m3, c3 in _iter3(base, d3base, b1):
-            mid = arr_rs(f2, m3)
-            if not mid:
-                continue
-            rb_ = base.mult.get(m2, b2)
-            if not rb_:
-                continue
+    def r_row(m: int, f: int) -> tuple:
+        """R(m (x) f) = sum (m' -> f <- S^{-1}(m''')) (x) m''."""
+        out = []
+        for m1, m2, m3, c3 in _iter3(base, d3base, m):
+            mid: Vec = {}
+            for ms, cs in base_sinv.get(m3):
+                vadd_into(mid, P.dual_right(f, ms), cs)
             for fm, cm in mid.items():
                 c4 = c3 * cm
                 if not c4:
                     continue
-                mid2 = arr_left(m1, fm)
-                for fn_, cn in mid2.items():
+                for fn_, cn in P.dual_left(m1, fm).items():
                     c5 = c4 * cn
-                    if not c5:
-                        continue
-                    rf = dual.mult.get(f1, fn_)
-                    if not rf:
-                        continue
-                    vadd_outer(acc, c5, rf, rb_, nB)
-        return tuple(sorted(acc.items()))
+                    if c5:
+                        out.append((fn_, m2, c5))
+        return tuple(out)
 
-    mult = BilinearMap(d, d, fn=mult_fn)
+    mult, unit, gens = twisted_product(dual, base, r_row)
 
     def comult_fn(key: int) -> tuple:
         f, b = divmod(key, nB)
@@ -225,7 +201,6 @@ def drinfeld_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
             if c:
                 counit[f * nB + b] = c
 
-    unit = tensor_flat(dual.unit, base.unit, nB)
     dual_sinv = dual.antipode_inv()
 
     def antipode_fn(key: int) -> tuple:
@@ -235,15 +210,8 @@ def drinfeld_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
         return tuple(sorted(mult.apply(left, right).items()))
 
     antipode = LazyLinearMap(d, d, antipode_fn)
-
-    gens = []
-    if dual.generators:
-        gens += [tensor_flat(g, base.unit, nB) for g in dual.generators]
-    if base.generators:
-        gens += [tensor_flat(dual.unit, g, nB) for g in base.generators]
-
     hopf = FiniteHopf(ctx, space, mult, unit, comult, counit, antipode,
-                      generators=gens or None, name=name)
+                      generators=gens, name=name)
     return DrinfeldDouble(ctx, hopf, base, dual, P)
 
 
@@ -279,8 +247,6 @@ def heisenberg_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
         raise ValueError("a presented dual needs its pairing")
     ctx = base.ctx
     P = pairing
-    nB, nF = base.dim, dual.dim
-    d = nF * nB
     if not name:
         name = f"H({base.name}*)"
 
@@ -289,44 +255,19 @@ def heisenberg_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
     space = Space(name, labels,
                   render=lambda lab: f"{rd(lab[0])}#{rb(lab[1])}")
 
-    one = ctx.one
-    arrow_left: dict[int, Vec] = {}
-
-    def arr_left(m: int, f: int) -> Vec:
-        key = m * nF + f
-        r = arrow_left.get(key)
-        if r is None:
-            r = hit_dual_left(P, {m: one}, {f: one})
-            arrow_left[key] = r
-        return r
-
-    def mult_fn(k1: int, k2: int) -> tuple:
-        f1, b1 = divmod(k1, nB)
-        f2, b2 = divmod(k2, nB)
-        acc: Vec = {}
-        for a1, a2, ca in base.comult.get(b1):
-            mid = arr_left(a1, f2)
-            if not mid:
-                continue
-            rb_ = base.mult.get(a2, b2)
-            if not rb_:
-                continue
-            for fm, cm in mid.items():
+    def r_row(a: int, f: int) -> tuple:
+        """R(a (x) f) = sum (a' -> f) (x) a''."""
+        out = []
+        for a1, a2, ca in base.comult.get(a):
+            for fm, cm in P.dual_left(a1, f).items():
                 c1 = ca * cm
-                if not c1:
-                    continue
-                rf = dual.mult.get(f1, fm)
-                vadd_outer(acc, c1, rf, rb_, nB)
-        return tuple(sorted(acc.items()))
+                if c1:
+                    out.append((fm, a2, c1))
+        return tuple(out)
 
-    unit = tensor_flat(dual.unit, base.unit, nB)
-    gens = []
-    if dual.generators:
-        gens += [tensor_flat(g, base.unit, nB) for g in dual.generators]
-    if base.generators:
-        gens += [tensor_flat(dual.unit, g, nB) for g in base.generators]
-    algebra = FiniteAlgebra(ctx, space, BilinearMap(d, d, fn=mult_fn), unit,
-                            generators=gens or None, name=name)
+    mult, unit, gens = twisted_product(dual, base, r_row)
+    algebra = FiniteAlgebra(ctx, space, mult, unit, generators=gens,
+                            name=name)
     return HeisenbergDouble(ctx, algebra, base, dual, P)
 
 
@@ -455,11 +396,10 @@ class FactoredAction(Action):
         if r is None:
             base, dual, P = self.base, self.dual, self.pairing
             nB = base.dim
-            one = base.ctx.one
             f, b = divmod(x, nB)
             r = {}
             for m1, m2, m3, c in _iter3(base, self._d3b, m):
-                mid = hit_dual_left(P, {m1: one}, {f: one})
+                mid = P.dual_left(m1, f)
                 if not mid:
                     continue
                 t1 = dict(base.mult.get(m2, b))
@@ -483,14 +423,13 @@ class FactoredAction(Action):
         if r is None:
             base, dual, P = self.base, self.dual, self.pairing
             nB = base.dim
-            one = base.ctx.one
             sinv = dual.antipode_inv()
             fx, b = divmod(x, nB)
             r = {}
             for u1, u2, u3, c in _iter3(dual, self._d3f, f):
                 right: Vec = {}
                 for nu, cs in sinv.get(u1):
-                    vadd_into(right, hit_alg_right(P, {b: one}, {nu: one}), cs)
+                    vadd_into(right, P.alg_right(b, nu), cs)
                 if not right:
                     continue
                 left: Vec = {}
@@ -563,12 +502,12 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
         for m1, m2, m3, c in _iter3(base, d3, m):
             mid: Vec = {}
             for ms, cs in base_sinv.get(m3):
-                vadd_into(mid, hit_dual_right(P, {f: one}, {ms: one}), cs)
+                vadd_into(mid, P.dual_right(f, ms), cs)
             if not mid:
                 continue
             for fm, cm in mid.items():
                 c1 = c * cm
-                for fo, co in hit_dual_left(P, {m1: one}, {fm: one}).items():
+                for fo, co in P.dual_left(m1, fm).items():
                     vadd_term(dvec, fo * nB + m2, c1 * co)
         rhs = act.apply(dvec, {x: one})
         if not veq(lhs, rhs):
@@ -601,14 +540,14 @@ def check_double_identity(D: DrinfeldDouble,
         for u1, u2, cf in dual.comult.get(f):
             mid: Vec = {}
             for nu, cs in sinv.get(u2):
-                vadd_into(mid, hit_alg_right(P, {a: one}, {nu: one}), cs)
+                vadd_into(mid, P.alg_right(a, nu), cs)
             if mid:
                 left = tensor_flat(dual.unit, mid, nB)
                 right = tensor_flat({u1: one}, base.unit, nB)
                 vadd_into(lhs, D.hopf.mult.apply(left, right), cf)
             hit: Vec = {}
             for nu, cs in sinv.get(u1):
-                vadd_into(hit, hit_alg_left(P, {nu: one}, {a: one}), cs)
+                vadd_into(hit, P.alg_left(nu, a), cs)
             vadd_into(rhs, hit, cf, u2 * nB)
         if not veq(lhs, rhs):
             return chk.result(f"mu={_rlab(dual, f)}, a={_rlab(base, a)}: "
@@ -765,7 +704,6 @@ def factor_structures(D: DrinfeldDouble) -> tuple[YDModuleAlgebra, YDModuleAlgeb
     base, dual, P = D.base, D.dual, D.pairing
     ctx = D.ctx
     nB = base.dim
-    one = ctx.one
     dual_sinv = dual.antipode_inv()
 
     dual_alg = FiniteAlgebra(ctx, dual.space, dual.mult, dual.unit,
@@ -790,7 +728,7 @@ def factor_structures(D: DrinfeldDouble) -> tuple[YDModuleAlgebra, YDModuleAlgeb
 
     def act_dual_fn(h: int, f: int) -> Vec:
         fm, m = divmod(h, nB)
-        mid = hit_dual_left(P, {m: one}, {f: one})
+        mid = P.dual_left(m, f)
         if not mid:
             return {}
         out: Vec = {}
@@ -827,7 +765,7 @@ def factor_structures(D: DrinfeldDouble) -> tuple[YDModuleAlgebra, YDModuleAlgeb
         for nu, cs in sv.items():
             for t, ct in conj.items():
                 c1 = cs * ct
-                vadd_into(out, hit_alg_right(P, {t: one}, {nu: one}), c1)
+                vadd_into(out, P.alg_right(t, nu), c1)
         return out
 
     dual_yd = YDModuleAlgebra(D.hopf, dual_alg,
@@ -933,7 +871,7 @@ def chain_relations_check(bp: BraidedProductAlgebra, D: DrinfeldDouble,
     def mixed(ip: int, jd: int, b: int, f: int) -> Vec:
         rhs: Vec = {}
         for b1, b2, cb in base.comult.get(b):
-            for fm, cm in hit_dual_left(P, {b1: one}, {f: one}).items():
+            for fm, cm in P.dual_left(b1, f).items():
                 vadd_into(rhs, mult.apply(emb(jd, fm), emb(ip, b2)), cb * cm)
         return rhs
 

@@ -45,7 +45,7 @@ __all__ = [
     "dual_hopf", "cop_hopf", "op_hopf",
     "HopfPairing", "check_hopf_pairing", "hit_dual_left", "hit_dual_right",
     "hit_alg_left", "hit_alg_right", "render_element", "tensor_flat",
-    "pair_product", "triple_product",
+    "pair_product", "triple_product", "twisted_product",
 ]
 
 Vec = dict
@@ -198,6 +198,43 @@ def tensor_flat(u: Vec, v: Vec, n2: int) -> Vec:
             if c:
                 out[base + j] = c
     return out
+
+
+def twisted_product(A, B, r_row) -> tuple:
+    """Twisted tensor product A (x)_R B on flat indices a * B.dim + b:
+
+        (a1 (x) b1)(a2 (x) b2) = sum over (a, b, c) in r_row(b1, a2)
+                                 of c * a1 a (x) b b2,
+
+    where r_row(b1, a2) lists R(b1 (x) a2) as (a, b, c) terms.  Each R
+    row is computed once and memoized.  Returns (mult, unit, generators),
+    the generators being g (x) 1 and 1 (x) g over those of A and of B
+    (None if neither has any).
+    """
+    nA, nB = A.dim, B.dim
+    rmemo: dict[int, tuple] = {}
+
+    def mult_fn(k1: int, k2: int) -> tuple:
+        a1, b1 = divmod(k1, nB)
+        a2, b2 = divmod(k2, nB)
+        key = b1 * nA + a2
+        r = rmemo.get(key)
+        if r is None:
+            r = rmemo[key] = r_row(b1, a2)
+        acc: Vec = {}
+        for a, b, c in r:
+            ra = A.mult.get(a1, a)
+            if not ra:
+                continue
+            rb = B.mult.get(b, b2)
+            if rb:
+                vadd_outer(acc, c, ra, rb, nB)
+        return tuple(sorted(acc.items()))
+
+    gens = ([tensor_flat(g, B.unit, nB) for g in A.generators or ()]
+            + [tensor_flat(A.unit, g, nB) for g in B.generators or ()])
+    return (BilinearMap(nA * nB, nA * nB, fn=mult_fn),
+            tensor_flat(A.unit, B.unit, nB), gens or None)
 
 
 def pair_product(H: FiniteHopf, x: Vec, y: Vec) -> Vec:
@@ -753,14 +790,23 @@ class HopfPairing:
     rows[f] lists (b, <f, e_b>) for basis functionals f.  The canonical
     dual pairing is the identity matrix; a relabeled dual (e.g. a
     monomial basis on the dual side) carries a genuine matrix.
+
+    The four regular actions of a basis pair (`dual_left`, `dual_right`,
+    `alg_left`, `alg_right`; the vector-level hit_* functions expand over
+    them) are computed once per pair and memoized on the pairing.  That
+    assumes `rows` and the tables of `dual` and `alg` are never edited
+    after construction: a fixture that corrupts a table builds a fresh
+    pairing (taft_setup(p, cached=False)).  The memoized vectors are
+    shared, so callers read them and never edit them.
     """
 
-    __slots__ = ("dual", "alg", "rows")
+    __slots__ = ("dual", "alg", "rows", "_arrows")
 
     def __init__(self, dual: FiniteHopf, alg: FiniteHopf, rows: dict):
         self.dual = dual
         self.alg = alg
         self.rows = rows    # {f_index: ((b_index, Cyc), ...)}
+        self._arrows: tuple = ({}, {}, {}, {})
 
     @classmethod
     def canonical(cls, dual: FiniteHopf, alg: FiniteHopf) -> "HopfPairing":
@@ -784,6 +830,44 @@ class HopfPairing:
                 if cb is not None:
                     total = total + cf * cb * c
         return total
+
+    def dual_left(self, m: int, f: int) -> Vec:
+        """e_m -> e^f = f' <f'', e_m>."""
+        return self._arrow(0, f, m)
+
+    def dual_right(self, f: int, m: int) -> Vec:
+        """e^f <- e_m = <f', e_m> f''."""
+        return self._arrow(1, f, m)
+
+    def alg_left(self, f: int, b: int) -> Vec:
+        """e^f -> e_b = b' <e^f, b''>."""
+        return self._arrow(2, b, f)
+
+    def alg_right(self, b: int, f: int) -> Vec:
+        """e_b <- e^f = <e^f, b'> b''."""
+        return self._arrow(3, b, f)
+
+    def _arrow(self, kind: int, s: int, o: int) -> Vec:
+        """Split basis vector s by its coproduct, keep one leg (the left
+        one for even kinds) and pair the other with basis vector o; kinds
+        0 and 1 split a functional, 2 and 3 an algebra element."""
+        memo = self._arrows[kind]
+        key = (s, o)
+        out = memo.get(key)
+        if out is None:
+            on_dual = kind < 2
+            zero = self.alg.ctx.zero
+            out = {}
+            for j, k, c in (self.dual if on_dual else self.alg).comult.get(s):
+                keep, leg = (j, k) if kind % 2 == 0 else (k, j)
+                pc = self.pair_basis(*((leg, o) if on_dual else (o, leg)))
+                if pc is None:
+                    continue
+                val = zero + c * pc     # summed onto zero as `pair` does,
+                if val:                 # so it keeps that stored form
+                    vadd_term(out, keep, val)
+            memo[key] = out
+        return out
 
 
 def check_hopf_pairing(P: HopfPairing, mode: str = "exhaustive",
@@ -886,49 +970,30 @@ def _pairing_nondegenerate(P: HopfPairing) -> CheckResult:
     return chk.result()
 
 
+def _expand(arrow, u: Vec, v: Vec) -> Vec:
+    """Bilinear extension of a memoized basis arrow to vectors u, v."""
+    out: Vec = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            vadd_into(out, arrow(i, j), ci * cj)
+    return out
+
+
 def hit_dual_left(P: HopfPairing, b: Vec, f: Vec) -> Vec:
     """Left action of the algebra on its dual: b acts on f as f' <f'', b>."""
-    D = P.dual
-    out: Vec = {}
-    for i, ci in f.items():
-        for j, k, c in D.comult.get(i):
-            val = P.pair({k: c}, b)
-            if val:
-                vadd_term(out, j, ci * val)
-    return out
+    return _expand(P.dual_left, b, f)
 
 
 def hit_dual_right(P: HopfPairing, f: Vec, b: Vec) -> Vec:
     """Right action on the dual: f hit by b gives <f', b> f''."""
-    D = P.dual
-    out: Vec = {}
-    for i, ci in f.items():
-        for j, k, c in D.comult.get(i):
-            val = P.pair({j: c}, b)
-            if val:
-                vadd_term(out, k, ci * val)
-    return out
+    return _expand(P.dual_right, f, b)
 
 
 def hit_alg_left(P: HopfPairing, f: Vec, b: Vec) -> Vec:
     """Left action of the dual on the algebra: b' <f, b''>."""
-    A = P.alg
-    out: Vec = {}
-    for i, ci in b.items():
-        for j, k, c in A.comult.get(i):
-            val = P.pair(f, {k: c})
-            if val:
-                vadd_term(out, j, ci * val)
-    return out
+    return _expand(P.alg_left, f, b)
 
 
 def hit_alg_right(P: HopfPairing, b: Vec, f: Vec) -> Vec:
     """Right action of the dual on the algebra: <f, b'> b''."""
-    A = P.alg
-    out: Vec = {}
-    for i, ci in b.items():
-        for j, k, c in A.comult.get(i):
-            val = P.pair(f, {j: c})
-            if val:
-                vadd_term(out, k, ci * val)
-    return out
+    return _expand(P.alg_right, b, f)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .doubles import factor_structures
-from .hopf import FiniteHopf, check_hopf_axioms, hit_dual_left, tensor_flat
+from .hopf import FiniteHopf, check_hopf_axioms, tensor_flat
 from .results import Check, CheckResult
 from .sparse import LazyLinearMap, Vec, vadd_into, vadd_term, veq
 from .taft import taft_setup, taft_system
@@ -68,13 +68,12 @@ def _action_factor_dropped(p: int) -> list:
     base, P = D.base, D.pairing
     real = sys.yd.action            # keeps the healthy (mu (x) 1) factor
     nB = base.dim
-    one = base.ctx.one
 
     def m_part(m: int, x: int) -> Vec:
         f, b = divmod(x, nB)
         out: Vec = {}
         for m1, m2, cm in base.comult.get(m):
-            mid = hit_dual_left(P, {m1: one}, {f: one})
+            mid = P.dual_left(m1, f)
             if not mid:
                 continue
             for bm, cb in base.mult.get(m2, b):

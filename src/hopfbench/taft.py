@@ -46,8 +46,8 @@ from .sparse import (
     span_closure, vadd_into, vadd_term, veq, vscale, vsub,
 )
 from .truncate import (
-    HopfQuotient, SubHopf, TransportedStructure, change_basis_hopf,
-    check_hopf_ideal, hopf_quotient, sub_hopf,
+    HopfQuotient, SubHopf, TransportedStructure, central_ideal,
+    change_basis_hopf, check_hopf_ideal, hopf_quotient, sub_hopf,
     transport_action,
 )
 from .ydcat import (
@@ -754,10 +754,7 @@ def uqsl2(p: int, cached: bool = True) -> UqSl2:
     checks = []
 
     kk = D.product(g["kap"], g["k"])
-    seed = vsub(kk, dict(D.unit))
-    gens = [g["E"], g["k"], g["F"], g["kap"]]
-    ideal = span_closure([seed], D.product, D.dim, mode="ideal",
-                         generators=gens)
+    ideal = central_ideal(D, vsub(kk, dict(D.unit)))
     checks.append(check_hopf_ideal(D, ideal, central=[kk],
                                    name="uq-ideal-hopf"))
     hq = hopf_quotient(D, ideal, name=f"Dbar(p={p})")
@@ -1131,7 +1128,8 @@ class CqZd:
 
 
 def cqzd(p: int) -> CqZd:
-    ctx = QContext(p)
+    """The q-deformed Weyl algebra over the shared field of taft_setup(p)."""
+    ctx = taft_setup(p).ctx
     t = ctx.qdiff
     u = ctx.q_pow(-2)
     labels = [(a, b) for a in range(p) for b in range(p)]

@@ -36,6 +36,7 @@ __all__ = [
     "HopfQuotient",
     "SubHopf",
     "TransportedStructure",
+    "central_ideal",
     "change_basis_hopf",
     "check_hopf_ideal",
     "hopf_quotient",
@@ -114,6 +115,19 @@ def _multipliers(H: FiniteHopf):
         if span.rank == H.dim:
             return gens, "generators"
     return [{i: one} for i in range(H.dim)], "basis"
+
+
+def central_ideal(H, c: Vec) -> Subspace:
+    """The span of the products e_i c over the basis of H.
+
+    For a central c that is the two-sided ideal H c = c H, built without
+    closure rounds; check_hopf_ideal(..., central=[...]) certifies the
+    centrality and re-tests two-sidedness.
+    """
+    one = H.ctx.one
+    span = Subspace(H.dim)
+    span.add_many(H.product({i: one}, c) for i in range(H.dim))
+    return span
 
 
 def check_hopf_ideal(H: FiniteHopf, I: Subspace, central: Sequence[Vec] = (),

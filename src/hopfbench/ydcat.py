@@ -27,10 +27,11 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .hopf import FiniteAlgebra, FiniteHopf, render_element, tensor_flat
+from .hopf import (FiniteAlgebra, FiniteHopf, render_element, tensor_flat,
+                   twisted_product)
 from .results import Check, CheckResult
-from .sparse import (BilinearMap, LinearMap, Space, Vec, colinear_apply,
-                     vadd_into, vadd_outer, vadd_term, veq)
+from .sparse import (LinearMap, Space, Vec, colinear_apply, vadd_into,
+                     vadd_outer, vadd_term, veq)
 
 __all__ = [
     "Action",
@@ -578,8 +579,7 @@ def braided_product(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
     H = x_mod.hopf
     ctx = H.ctx
     X, Y = x_mod.algebra, y_mod.algebra
-    dx, dy = X.dim, Y.dim
-    d = dx * dy
+    dy = Y.dim
     if not name:
         name = f"{X.name} >< {Y.name}"
 
@@ -588,36 +588,19 @@ def braided_product(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
     space = Space(name, labels,
                   render=lambda lab: f"{rx(lab[0])} >< {ry(lab[1])}")
 
-    def mult_fn(k1: int, k2: int) -> tuple:
-        ix, iy = divmod(k1, dy)
-        iv, iu = divmod(k2, dy)
-        acc: Vec = {}
+    def r_row(iy: int, iv: int) -> tuple:
+        """R(y (x) v) = sum (y_(-1) |> v) (x) y_(0)."""
+        out = []
         for h, y0, c in y_mod.coaction.terms(iy):
-            rvec = x_mod.action.row(h, iv)
-            if not rvec:
-                continue
-            ru = Y.mult.get(y0, iu)
-            if not ru:
-                continue
-            for vp, cv in rvec.items():
+            for vp, cv in x_mod.action.row(h, iv).items():
                 c1 = c * cv
-                if not c1:
-                    continue
-                rxx = X.mult.get(ix, vp)
-                if not rxx:
-                    continue
-                vadd_outer(acc, c1, rxx, ru, dy)
-        return tuple(sorted(acc.items()))
+                if c1:
+                    out.append((vp, y0, c1))
+        return tuple(out)
 
-    unit = tensor_flat(X.unit, Y.unit, dy)
-    gens = None
-    gx = getattr(X, "generators", None)
-    gy = getattr(Y, "generators", None)
-    if gx or gy:
-        gens = ([tensor_flat(g, Y.unit, dy) for g in (gx or [])]
-                + [tensor_flat(X.unit, g, dy) for g in (gy or [])])
-    algebra = FiniteAlgebra(ctx, space, BilinearMap(d, d, fn=mult_fn),
-                            unit, generators=gens, name=name)
+    mult, unit, gens = twisted_product(X, Y, r_row)
+    algebra = FiniteAlgebra(ctx, space, mult, unit, generators=gens,
+                            name=name)
 
     def act_fn(h: int, key: int) -> Vec:
         ix, iy = divmod(key, dy)

@@ -151,6 +151,29 @@ def test_report_bytes_are_pinned(suite):
     assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P2[suite]
 
 
+# sha256 of `hopfbench verify --p 2 --suite <suite> --mode generators
+# --sample-size 500 --seed 11 --format json`: these suites read the
+# products of both doubles, their actions and the pairing arrows.
+REPORT_SHA256_P2_GENERATORS = {
+    "double":
+        "49ee25e8eb9fdd20db717b01919dec886df8a131be9654e6292e2bdc35989b50",
+    "heisenberg":
+        "7c783dfae354337e060799aa190ed76b14a9816e09c7e4ba1faa21f47b257338",
+    "hopf-axioms":
+        "a68c8e0728f4b0ad5edfc900068d7034ee3ba411c8e090b3ba0121ef698e1b36",
+    "yd":
+        "1708430de2bb6b1fdcb82fe59afa41a5b4954b3173ec3208e0667ea571ba0520",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(REPORT_SHA256_P2_GENERATORS))
+def test_generators_report_bytes_are_pinned(suite):
+    data = render(run_suite(SuiteConfig(p=2, suite=suite, mode="generators",
+                                        sample_size=500, seed=11)), "json")
+    assert (hashlib.sha256(data).hexdigest()
+            == REPORT_SHA256_P2_GENERATORS[suite])
+
+
 # sha256 of `hopfbench verify --p 3 --suite yd,truncations --sample-size 1000
 # --format json`: at p=3 most structure constants are dense scalars, which
 # the p=2 reports hardly reach.

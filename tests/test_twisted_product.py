@@ -1,0 +1,243 @@
+"""Differential tests for the twisted-product rows and the pairing arrows.
+
+The reference functions below are the direct row formulas that the two
+doubles and the braided product used before they were built from one
+twisted product with memoized R rows and memoized basis arrows.  Rows
+must agree in value and in stored scalar form, so that memo keys,
+reports and exports are unchanged.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import hopfbench.doubles as doubles_module
+from hopfbench.doubles import _iter3, factor_structures
+from hopfbench.hopf import (hit_alg_left, hit_alg_right, hit_dual_left,
+                            hit_dual_right)
+from hopfbench.sparse import (Subspace, span_closure, vadd_into, vadd_outer,
+                              vadd_term, veq, vsub)
+from hopfbench.taft import double_elements, taft_system
+from hopfbench.truncate import central_ideal, check_hopf_ideal
+from hopfbench.ydcat import braided_product
+
+
+# -- reference formulas --------------------------------------------------------
+
+def _old_hit(P, kind, u, v):
+    """The vector-level regular actions as written before the memo:
+    kind 0 = hit_dual_left(P, b=u, f=v), 1 = hit_dual_right(P, f=u, b=v),
+    2 = hit_alg_left(P, f=u, b=v), 3 = hit_alg_right(P, b=u, f=v)."""
+    out = {}
+    split, other = (v, u) if kind in (0, 2) else (u, v)
+    comult = (P.dual if kind < 2 else P.alg).comult
+    for i, ci in split.items():
+        for j, k, c in comult.get(i):
+            keep, leg = (j, k) if kind % 2 == 0 else (k, j)
+            val = (P.pair({leg: c}, other) if kind < 2
+                   else P.pair(other, {leg: c}))
+            if val:
+                vadd_term(out, keep, ci * val)
+    return out
+
+
+def _old_ddouble_row(D, d3, k1, k2):
+    base, dual, P = D.base, D.dual, D.pairing
+    one = D.ctx.one
+    nB = base.dim
+    sinv = base.antipode_inv()
+    f1, b1 = divmod(k1, nB)
+    f2, b2 = divmod(k2, nB)
+    acc = {}
+    for m1, m2, m3, c3 in _iter3(base, d3, b1):
+        mid = {}
+        for ms, cs in sinv.get(m3):
+            vadd_into(mid, _old_hit(P, 1, {f2: one}, {ms: one}), cs)
+        if not mid:
+            continue
+        rb = base.mult.get(m2, b2)
+        if not rb:
+            continue
+        for fm, cm in mid.items():
+            c4 = c3 * cm
+            if not c4:
+                continue
+            for fn_, cn in _old_hit(P, 0, {m1: one}, {fm: one}).items():
+                c5 = c4 * cn
+                if not c5:
+                    continue
+                rf = dual.mult.get(f1, fn_)
+                if rf:
+                    vadd_outer(acc, c5, rf, rb, nB)
+    return tuple(sorted(acc.items()))
+
+
+def _old_hdouble_row(Hd, k1, k2):
+    base, dual, P = Hd.base, Hd.dual, Hd.pairing
+    one = Hd.ctx.one
+    nB = base.dim
+    f1, b1 = divmod(k1, nB)
+    f2, b2 = divmod(k2, nB)
+    acc = {}
+    for a1, a2, ca in base.comult.get(b1):
+        mid = _old_hit(P, 0, {a1: one}, {f2: one})
+        if not mid:
+            continue
+        rb = base.mult.get(a2, b2)
+        if not rb:
+            continue
+        for fm, cm in mid.items():
+            c1 = ca * cm
+            if c1:
+                vadd_outer(acc, c1, dual.mult.get(f1, fm), rb, nB)
+    return tuple(sorted(acc.items()))
+
+
+def _old_braided_row(x_mod, y_mod, k1, k2):
+    X, Y = x_mod.algebra, y_mod.algebra
+    dy = Y.dim
+    ix, iy = divmod(k1, dy)
+    iv, iu = divmod(k2, dy)
+    acc = {}
+    for h, y0, c in y_mod.coaction.terms(iy):
+        rvec = x_mod.action.row(h, iv)
+        if not rvec:
+            continue
+        ru = Y.mult.get(y0, iu)
+        if not ru:
+            continue
+        for vp, cv in rvec.items():
+            c1 = c * cv
+            if not c1:
+                continue
+            rxx = X.mult.get(ix, vp)
+            if rxx:
+                vadd_outer(acc, c1, rxx, ru, dy)
+    return tuple(sorted(acc.items()))
+
+
+def _form(row):
+    """A row with every scalar in its stored form."""
+    return tuple((k, c._v, c._j, c.d) for k, c in row)
+
+
+def _products(sys):
+    """(name, new multiplication, reference row function) per product."""
+    D, Hd = sys.double, sys.heis
+    dual_yd, base_yd = factor_structures(D)
+    d3: dict = {}
+    out = [("ddouble", D.hopf.mult,
+            lambda i, j: _old_ddouble_row(D, d3, i, j)),
+           ("hdouble", Hd.algebra.mult,
+            lambda i, j: _old_hdouble_row(Hd, i, j))]
+    for x_mod, y_mod in ((dual_yd, base_yd), (base_yd, dual_yd)):
+        bp = braided_product(x_mod, y_mod)
+        out.append((bp.yd.algebra.name, bp.yd.algebra.mult,
+                    lambda i, j, x=x_mod, y=y_mod: _old_braided_row(x, y, i, j)))
+    return out
+
+
+def _assert_rows_equal(sys, pairs_of):
+    for name, mult, old in _products(sys):
+        for i, j in pairs_of(mult.dim_v):
+            new = mult.get(i, j)
+            ref = old(i, j)
+            assert new == ref, (name, i, j)
+            assert _form(new) == _form(ref), (name, i, j)
+
+
+# -- rows ------------------------------------------------------------------------
+
+def test_rows_match_the_direct_formulas_on_every_pair_p2():
+    _assert_rows_equal(taft_system(2), lambda d: (
+        (i, j) for i in range(d) for j in range(d)))
+
+
+def test_rows_match_the_direct_formulas_on_sampled_pairs_p3():
+    rng = random.Random(3)
+    _assert_rows_equal(taft_system(3), lambda d: [
+        (rng.randrange(d), rng.randrange(d)) for _ in range(2000)])
+
+
+def test_r_rows_are_computed_once_per_factor_pair(monkeypatch):
+    calls = []
+    real = doubles_module.twisted_product
+
+    def counting(A, B, r_row):
+        def counted(b, a):
+            calls.append((b, a))
+            return r_row(b, a)
+        return real(A, B, counted)
+
+    monkeypatch.setattr(doubles_module, "twisted_product", counting)
+    mult = taft_system(2, cached=False).double.hopf.mult
+    mult.materialize()
+    assert len(mult.rows) == 256 * 256
+    assert len(calls) == len(set(calls)) == 16 * 16
+
+
+# -- basis arrows ----------------------------------------------------------------
+
+def test_memoized_arrows_match_the_vector_formula_p2():
+    sys = taft_system(2)
+    P = sys.pair.pairing
+    one = sys.ctx.one
+    arrows = (P.dual_left, P.dual_right, P.alg_left, P.alg_right)
+    for kind, arrow in enumerate(arrows):
+        for i in range(16):
+            for j in range(16):
+                ref = _old_hit(P, kind, {i: one}, {j: one})
+                new = arrow(i, j)
+                assert veq(new, ref), (kind, i, j)
+                assert (_form(sorted(new.items()))
+                        == _form(sorted(ref.items()))), (kind, i, j)
+
+
+def test_vector_arrows_extend_bilinearly():
+    sys = taft_system(2)
+    P = sys.pair.pairing
+    ctx = sys.ctx
+    u = {0: ctx.q, 3: ctx.one, 7: ctx.zeta_pow(3)}
+    v = {1: ctx.one, 5: ctx.qdiff, 12: ctx.q_pow(-1)}
+    for kind, fn in enumerate((hit_dual_left, hit_dual_right, hit_alg_left,
+                               hit_alg_right)):
+        assert veq(fn(P, u, v), _old_hit(P, kind, u, v)), kind
+
+
+def test_an_uncached_system_starts_with_an_empty_arrow_memo():
+    shared = taft_system(2)
+    shared.pair.pairing.dual_left(1, 1)
+    fresh = taft_system(2, cached=False)
+    assert fresh.pair.pairing is not shared.pair.pairing
+    assert all(not memo for memo in fresh.pair.pairing._arrows)
+    assert any(shared.pair.pairing._arrows)
+
+
+# -- the u_q(sl2) ideal ----------------------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_central_seed_ideal_equals_the_ideal_closure(p):
+    sys = taft_system(p)
+    D = sys.double.hopf
+    g = double_elements(sys)
+    kk = D.product(g["kap"], g["k"])
+    seed = vsub(kk, dict(D.unit))
+    direct = central_ideal(D, seed)
+    closed = span_closure([seed], D.product, D.dim, mode="ideal",
+                          generators=[g["E"], g["k"], g["F"], g["kap"]])
+    assert isinstance(direct, Subspace)
+    assert direct.pivots == closed.pivots
+    for pv in closed.pivots:
+        assert veq(direct.pivot_row[pv], closed.pivot_row[pv])
+
+
+def test_a_non_central_seed_is_caught():
+    sys = taft_system(2)
+    D = sys.double.hopf
+    k = double_elements(sys)["k"]
+    res = check_hopf_ideal(D, central_ideal(D, k), central=[k],
+                           name="k-ideal")
+    assert res.status == "fail"
+    assert "fails to commute" in res.witness
