@@ -487,14 +487,6 @@ class Cyc:
     def __hash__(self) -> int:
         return hash((self.c, self.d))
 
-    def is_rational(self) -> bool:
-        return not any(self.c[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational scalar")
-        return Fraction(self.c[0], self.d)
-
     def to_fractions(self) -> list[Fraction]:
         return [Fraction(x, self.d) for x in self.c]
 

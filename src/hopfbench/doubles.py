@@ -48,13 +48,13 @@ from .cyclo import Cyc, QContext
 from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf,
                    pair_product, render_element, tensor_flat, triple_product,
                    twisted_product)
-from .results import Check, CheckResult, invert_expected_failure
+from .results import (Check, CheckResult, gen_indices,
+                      invert_expected_failure, iter_tuples, mode_tag)
 from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Space, Vec,
                      linear_map_inverse, vadd_into, vadd_outer, vadd_term,
                      veq)
 from .ydcat import (Action, BraidedProductAlgebra, Coaction, ComoduleAlgebra,
-                    ModuleAlgebra, YDModuleAlgebra, chain_product,
-                    _iter_tuples, _mode_tag)
+                    ModuleAlgebra, YDModuleAlgebra, chain_product)
 
 __all__ = [
     "DrinfeldDouble",
@@ -286,7 +286,7 @@ def eta_twist_product(D: DrinfeldDouble, Hd: Optional[HeisenbergDouble] = None,
     base, dual, P = D.base, D.dual, D.pairing
     nB = base.dim
     d = D.dim
-    chk = Check(name, _mode_tag(mode, seed, samples))
+    chk = Check(name, mode_tag(mode, seed, samples))
 
     # <mu, 1> per dual basis vector, eps(n) per base basis vector
     pair_unit: dict[int, Cyc] = {}
@@ -329,7 +329,7 @@ def eta_twist_product(D: DrinfeldDouble, Hd: Optional[HeisenbergDouble] = None,
         return r
 
     rng = random.Random(seed)
-    for k1, k2 in _iter_tuples(mode, (d, d), (None, None), rng, samples):
+    for k1, k2 in iter_tuples(mode, (d, d), (None, None), rng, samples):
         chk.cases += 1
         acc: Vec = {}
         for j1, bm, c1 in get_legs_m(k1):
@@ -480,20 +480,14 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
     nB, nF = base.dim, dual.dim
     dHd = act.algebra.dim
     one = D.ctx.one
-    chk = Check(name, _mode_tag(mode, seed, samples))
+    chk = Check(name, mode_tag(mode, seed, samples))
     base_sinv = base.antipode_inv()
     d3: dict[int, tuple] = {}
     rng = random.Random(seed)
 
-    gm = gf = None
-    if mode == "generators":
-        if base.generators:
-            gm = {i for g in base.generators for i in g}
-        if dual.generators:
-            gf = {i for g in dual.generators for i in g}
-
-    for f, m, x in _iter_tuples(mode, (nF, nB, dHd), (gf, gm, None),
-                                rng, samples):
+    gf, gm = gen_indices(dual), gen_indices(base)
+    for f, m, x in iter_tuples(mode, (nF, nB, dHd), (gf, gm, None),
+                               rng, samples):
         chk.cases += 1
         lhs: Vec = {}
         for xp, c in act.dual_row(f, x).items():
@@ -634,12 +628,12 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
     R = D.rmatrix()
     one = D.ctx.one
     rng = random.Random(seed)
-    gx = {i for g in (alg.generators or []) for i in g} or None
+    gx = gen_indices(alg)
 
     name1 = (prefix + "r-comm-negative") if prefix else "r-comm-negative"
-    chk = Check("__rcomm", _mode_tag(mode, seed, samples))
+    chk = Check("__rcomm", mode_tag(mode, seed, samples))
     found = None
-    for iy, ix in _iter_tuples(mode, (dX, dX), (gx, gx), rng, samples):
+    for iy, ix in iter_tuples(mode, (dX, dX), (gx, gx), rng, samples):
         chk.cases += 1
         lhs = dict(alg.mult.get(iy, ix))
         rhs: Vec = {}
@@ -668,7 +662,7 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
     sinvD = H.antipode_inv()
     found = None
     rng = random.Random(seed)
-    for iy, ix in _iter_tuples(mode, (dX, dX), (gx, gx), rng, samples):
+    for iy, ix in iter_tuples(mode, (dX, dX), (gx, gx), rng, samples):
         chk.cases += 1
         lhs = dict(alg.mult.get(iy, ix))
         rhs2: Vec = {}
@@ -781,10 +775,8 @@ def factor_structures(D: DrinfeldDouble) -> tuple[YDModuleAlgebra, YDModuleAlgeb
 
 # -- alternating chains -------------------------------------------------------
 
-def heisenberg_chain(base: FiniteHopf, n: int, leftmost: str = "dual",
-                     D: Optional[DrinfeldDouble] = None,
-                     dual: Optional[FiniteHopf] = None,
-                     pairing: Optional[HopfPairing] = None) -> BraidedProductAlgebra:
+def heisenberg_chain(base: FiniteHopf, n: int, leftmost: str = "dual", *,
+                     D: DrinfeldDouble) -> BraidedProductAlgebra:
     """Alternating braided product of B^{*cop} and B factors, n factors long.
 
     leftmost chooses which factor sits in position 0.  With leftmost="dual"
@@ -794,8 +786,6 @@ def heisenberg_chain(base: FiniteHopf, n: int, leftmost: str = "dual",
         raise ValueError("need at least one factor")
     if leftmost not in ("dual", "primal"):
         raise ValueError("leftmost must be 'dual' or 'primal'")
-    if D is None:
-        D = drinfeld_double(base, dual, pairing)
     dual_yd, base_yd = factor_structures(D)
     mods = []
     for i in range(n):

@@ -18,7 +18,10 @@ coverage modes:
   basis plus a span-closure certificate that the generators generate
   covers every pair.  Per-element axioms stay exhaustive; associativity
   falls back to sampling (reported as such).
-* "sampled"     -- seeded random basis tuples only.
+* "sample"      -- seeded random basis tuples only, reported as "sampled".
+
+Random tuples come from `results.iter_tuples`, drawn from the one seeded
+generator that every check of a call shares, in check order.
 
 Witnesses for exhaustive scans are lexicographically smallest failing
 tuples; scans stop at the first failure.
@@ -33,7 +36,7 @@ from math import lcm
 from typing import Iterable, Optional
 
 from .cyclo import Cyc, QContext
-from .results import Check, CheckResult
+from .results import Check, CheckResult, gen_indices, iter_tuples
 from .sparse import (
     BilinearMap, ColinearMap, LinearMap, Space,
     Subspace, linear_map_inverse, span_closure, vadd_into, vadd_outer,
@@ -42,7 +45,7 @@ from .sparse import (
 
 __all__ = [
     "FiniteHopf", "FiniteAlgebra", "check_hopf_axioms", "check_algebra_axioms",
-    "dual_hopf", "cop_hopf", "op_hopf",
+    "dual_hopf",
     "HopfPairing", "check_hopf_pairing", "hit_dual_left", "hit_dual_right",
     "hit_alg_left", "hit_alg_right", "render_element", "tensor_flat",
     "pair_product", "triple_product", "twisted_product",
@@ -157,9 +160,6 @@ class FiniteHopf:
         if self._antipode_inv is None:
             self._antipode_inv = linear_map_inverse(self.antipode, self.ctx)
         return self._antipode_inv
-
-    def antipode_inv_of(self, v: Vec) -> Vec:
-        return self.antipode_inv().apply(v)
 
     def coproduct_nested(self, v: Vec, parts: int) -> Vec:
         """Iterated coproduct with left-nested flat indices.
@@ -523,13 +523,11 @@ def _check_associativity(H: FiniteHopf, mode: str, rng, samples: int) -> CheckRe
             found = _assoc_loop(H, itertools.product(range(n), repeat=3))
     else:
         chk.mode = "sampled"
-        triples = []
-        if H.generators is not None:
-            gidx = sorted({i for g in H.generators for i in g})
-            triples.extend(itertools.product(gidx, repeat=3))
-        triples.extend((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(samples))
-        found = _assoc_loop(H, triples)
+        g = gen_indices(H)
+        # all draws come first: the checks after this one share rng
+        found = _assoc_loop(H, list(iter_tuples(
+            "generators" if g else "sample", (n, n, n), (g, g, g), rng,
+            samples)))
     wit, chk.cases = found
     return chk.result(_witness_triple(H, wit) if wit else None)
 
@@ -611,16 +609,9 @@ def _check_pairwise(H: FiniteHopf, name: str, pair_ok, mode: str, rng,
     chk = Check(name, mode)
     n = H.dim
     wit = None
-    if mode == "exhaustive":
-        for i, j in itertools.product(range(n), repeat=2):
-            chk.cases += 1
-            if not pair_ok(H, i, j):
-                wit = (i, j)
-                break
-    elif mode == "generators" and H.generators:
-        gidx = sorted({i for g in H.generators for i in g})
+    if mode == "generators" and H.generators:
         # generator rows against the whole basis, both sides
-        for g, j in itertools.product(gidx, range(n)):
+        for g, j in itertools.product(sorted(gen_indices(H)), range(n)):
             chk.cases += 2
             if not pair_ok(H, g, j):
                 wit = (g, j)
@@ -632,9 +623,10 @@ def _check_pairwise(H: FiniteHopf, name: str, pair_ok, mode: str, rng,
             return chk.result(f"generating set spans rank {closure_rank} of {n}; "
                               "generation certificate failed")
     else:
-        chk.mode = "sampled"
-        for _ in range(samples):
-            i, j = rng.randrange(n), rng.randrange(n)
+        walk = "exhaustive" if mode == "exhaustive" else "sample"
+        if walk == "sample":
+            chk.mode = "sampled"
+        for i, j in iter_tuples(walk, (n, n), (None, None), rng, samples):
             chk.cases += 1
             if not pair_ok(H, i, j):
                 wit = (i, j)
@@ -684,7 +676,7 @@ def check_hopf_axioms(H: FiniteHopf, mode: str = "exhaustive",
                       seed: int = 0, samples: int = 2000,
                       include_antihom: bool = False) -> list:
     """All Hopf-algebra axioms for H; returns a list of CheckResult."""
-    if mode not in ("exhaustive", "generators", "sampled"):
+    if mode not in ("exhaustive", "generators", "sample"):
         raise ValueError(f"unknown coverage mode {mode!r}")
     rng = random.Random(seed)
     closure_rank = None
@@ -742,44 +734,6 @@ def dual_hopf(H: FiniteHopf, name: str = "") -> FiniteHopf:
                   lambda lab, r=H.space.render: f"{r(lab)}^*")
     return FiniteHopf(H.ctx, space, mult, unit, comult, counit, antipode,
                       name=name or f"{H.name}^*")
-
-
-def cop_hopf(H: FiniteHopf, name: str = "") -> FiniteHopf:
-    """Same algebra with reversed coproduct; antipode becomes S^(-1)."""
-    n = H.dim
-    rows = {}
-    fn = None
-    if H.comult.fn is None:
-        rows = {i: tuple((k, j, c) for j, k, c in row)
-                for i, row in H.comult.rows.items()}
-    else:
-        base = H.comult
-        fn = lambda i: tuple((k, j, c) for j, k, c in base.get(i))
-    comult = ColinearMap(n, n, n, rows, fn)
-    return FiniteHopf(H.ctx, H.space, H.mult, H.unit, comult, H.counit,
-                      H.antipode_inv(), generators=H.generators,
-                      name=name or f"{H.name}-cop")
-
-
-def op_hopf(H: FiniteHopf, name: str = "") -> FiniteHopf:
-    """Same coalgebra with reversed product; antipode becomes S^(-1)."""
-    n = H.dim
-    rows = {}
-    fn = None
-    if H.mult.fn is None:
-        H.mult.materialize()
-        for i in range(n):
-            for j in range(n):
-                row = H.mult.get(i, j)
-                if row:
-                    rows[j * n + i] = row
-    else:
-        base = H.mult
-        fn = lambda i, j: base.get(j, i)
-    mult = BilinearMap(n, n, rows, fn)
-    return FiniteHopf(H.ctx, H.space, mult, H.unit, H.comult, H.counit,
-                      H.antipode_inv(), generators=H.generators,
-                      name=name or f"{H.name}-op")
 
 
 # -- pairings and the regular actions -----------------------------------------

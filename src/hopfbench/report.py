@@ -23,7 +23,9 @@ from .doubles import (FactoredAction, chain_relations_check,
                       heisenberg_chain, to_show_action_check)
 from .hopf import check_algebra_axioms, check_hopf_axioms, render_element
 from .mutations import MUTATIONS, run_mutation
-from .results import Check, CheckResult, invert_expected_failure, summarize
+from .results import (Check, CheckResult, gen_indices,
+                      invert_expected_failure, iter_tuples, mode_tag,
+                      summarize)
 from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
                    cqzd, cqzd_center_check, double_presentation_check,
                    h2_matches_cqzd_check, hq_action_table_check,
@@ -31,8 +33,7 @@ from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
                    taft_dual_check, taft_system, truly_heisenberg_chain,
                    uq_presentation_check, uqsl2)
 from .truncate import quotient_morphism_check
-from .ydcat import (_gen_indices, _iter_tuples, _mode_tag,
-                    check_braided_commutative, check_braided_symmetric,
+from .ydcat import (check_braided_commutative, check_braided_symmetric,
                     check_comodule, check_comodule_algebra,
                     check_factor_embeddings, check_locked_identity,
                     check_module, check_module_algebra, check_yd,
@@ -214,12 +215,6 @@ def _pair_mode(cfg: SuiteConfig) -> str:
     return "exhaustive" if m == "exhaustive" else "sample"
 
 
-def _hopf_mode(cfg: SuiteConfig) -> str:
-    """The axiom checkers spell the sampled mode 'sampled'."""
-    m = cfg.resolved_mode
-    return "sampled" if m == "sample" else m
-
-
 def _skip(name: str, reason: str) -> CheckResult:
     return CheckResult(name, "skipped", reason)
 
@@ -241,13 +236,13 @@ def _structure_identity_check(bp, algebra, mode: str, seed: int,
     A = bp.yd.algebra
     if A.dim != algebra.dim:
         return chk.result(f"dimensions differ: {A.dim} vs {algebra.dim}")
-    chk.mode = _mode_tag(mode, seed, samples)
+    chk.mode = mode_tag(mode, seed, samples)
     d = A.dim
-    ga = _gen_indices(A)
-    gb = _gen_indices(algebra)
+    ga = gen_indices(A)
+    gb = gen_indices(algebra)
     gens = (ga | gb) if (ga is not None and gb is not None) else (ga or gb)
     rng = random.Random(seed)
-    for i, j in _iter_tuples(mode, (d, d), (gens, gens), rng, samples):
+    for i, j in iter_tuples(mode, (d, d), (gens, gens), rng, samples):
         chk.cases += 1
         lhs = dict(A.mult.get(i, j))
         rhs = dict(algebra.mult.get(i, j))
@@ -267,7 +262,7 @@ def _structure_identity_check(bp, algebra, mode: str, seed: int,
 
 def _suite_hopf_axioms(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
-    hm, seed, n = _hopf_mode(cfg), cfg.seed, cfg.sample_size
+    hm, seed, n = cfg.resolved_mode, cfg.seed, cfg.sample_size
     yield from _rename(check_hopf_axioms(sys.pair.primal, mode=hm, seed=seed,
                                          samples=n), "taft")
     yield from _rename(check_hopf_axioms(sys.pair.dual, mode=hm, seed=seed,
@@ -434,14 +429,26 @@ def _pool_map(run, suites: tuple, workers: int, p: int) -> list:
     it instead of building its own.  Forking is safe here: hopfbench
     starts no thread, and a fork-context pool starts all its workers
     before its own manager thread.
+
+    The first exception from any suite terminates every worker (hopfbench
+    starts no other child process) and is raised again at once, instead
+    of after the suites still running have finished.
     """
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
     taft_system(p)
     with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork")) as ex:
-        return list(ex.map(run, suites))
+        futures = [ex.submit(run, suite) for suite in suites]
+        try:
+            for fut in as_completed(futures):
+                fut.result()
+        except BaseException:
+            for child in multiprocessing.active_children():
+                child.terminate()
+            raise
+        return [fut.result() for fut in futures]
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:

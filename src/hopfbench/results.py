@@ -1,19 +1,28 @@
-"""Check results and the runner that every verification pass builds them with.
+"""Check results, the runner that builds them, and the walk over basis tuples.
 
 A check creates one `Check` where its work starts, counts its cases on it
 and ends with `Check.result(witness)`: the result fails exactly when a
 witness (a rendered counterexample) is given.  Results whose status does
 not follow from a witness -- skipped checks and inverted expected
 failures -- build `CheckResult` directly.
+
+Every check that quantifies over basis tuples walks them with
+`iter_tuples`, in one of three modes: "exhaustive" walks every index
+tuple in lexicographic order, "generators" walks the declared generator
+indices (`gen_indices`) in the slots that have them and then a seeded
+random sample over the full basis, and "sample" draws seeded random
+tuples only.  `mode_tag` is the coverage label a walk reports.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["CheckResult", "Check", "summarize", "invert_expected_failure"]
+__all__ = ["CheckResult", "Check", "summarize", "invert_expected_failure",
+           "gen_indices", "iter_tuples", "mode_tag"]
 
 
 @dataclass
@@ -99,3 +108,37 @@ def invert_expected_failure(res: CheckResult, name: str) -> CheckResult:
                            res.elapsed)
     return CheckResult(name, res.status, res.mode, res.cases_checked,
                        res.witness, res.elapsed)
+
+
+def gen_indices(obj) -> Optional[set]:
+    """Indices touched by declared generators, or None when undeclared."""
+    gens = getattr(obj, "generators", None)
+    return set().union(*gens) if gens else None
+
+
+def iter_tuples(mode: str, dims: tuple, gen_sets: tuple, rng, samples: int):
+    """Index tuples over `dims`; a None generator set means the whole slot.
+
+    Random tuples are drawn one at a time, slot by slot, so a walk cut
+    short draws only what it visited.
+    """
+    if mode == "exhaustive":
+        return itertools.product(*[range(d) for d in dims])
+    if mode == "generators":
+        ranges = [sorted(g) if g is not None else range(d)
+                  for d, g in zip(dims, gen_sets)]
+        head = itertools.product(*ranges)
+        tail = (tuple(rng.randrange(d) for d in dims) for _ in range(samples))
+        return itertools.chain(head, tail)
+    if mode == "sample":
+        return (tuple(rng.randrange(d) for d in dims) for _ in range(samples))
+    raise ValueError(f"unknown check mode: {mode!r}")
+
+
+def mode_tag(mode: str, seed: int, samples: int) -> str:
+    """The coverage label of an `iter_tuples` walk."""
+    if mode == "exhaustive":
+        return "exhaustive"
+    if mode == "generators":
+        return f"generators+sample(n={samples},seed={seed})"
+    return f"sample(n={samples},seed={seed})"

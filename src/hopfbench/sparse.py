@@ -28,7 +28,7 @@ from .cyclo import Cyc, QContext
 
 __all__ = [
     "Space", "vadd_into", "vadd_outer", "vadd_term", "colinear_apply",
-    "vscale", "vneg", "vsub", "veq",
+    "vscale", "vsub", "veq",
     "BilinearMap", "LinearMap", "LazyLinearMap", "ColinearMap", "Subspace",
     "SpanSolver",
     "span_closure", "QuotientSpace", "linear_map_inverse",
@@ -176,10 +176,6 @@ def vscale(v: Vec, coeff: Cyc) -> Vec:
     if not coeff:
         return {}
     return {k: c * coeff for k, c in v.items()}
-
-
-def vneg(v: Vec) -> Vec:
-    return {k: -c for k, c in v.items()}
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
@@ -496,10 +492,14 @@ class SpanSolver(Subspace):
         return {k: -c for k, c in combo.items()}
 
 
+# Every closure round that runs has raised the rank, so more rounds than
+# this mean a broken product or span, not a large algebra.
+_MAX_CLOSURE_ROUNDS = 10_000
+
+
 def span_closure(seed: Sequence[Vec], multiply: Callable[[Vec, Vec], Vec],
                  dim: int, mode: str = "subalgebra",
-                 generators: Optional[Sequence[Vec]] = None,
-                 max_rounds: int = 10_000) -> Subspace:
+                 generators: Optional[Sequence[Vec]] = None) -> Subspace:
     """Smallest multiplicatively closed span containing the seed.
 
     mode="subalgebra": close the seed span under right multiplication by
@@ -521,7 +521,7 @@ def span_closure(seed: Sequence[Vec], multiply: Callable[[Vec, Vec], Vec],
     rounds = 0
     while frontier:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > _MAX_CLOSURE_ROUNDS:
             raise RuntimeError("span closure failed to stabilize")
         next_frontier: list[Vec] = []
         for row in frontier:

@@ -39,7 +39,8 @@ from .hopf import (
     FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf,
     pair_product, render_element, render_tensor, tensor_flat,
 )
-from .results import Check, CheckResult, invert_expected_failure
+from .results import (Check, CheckResult, invert_expected_failure,
+                      iter_tuples, mode_tag)
 from .sparse import (
     BilinearMap, ColinearMap, LazyLinearMap, LinearMap,
     SingularMapError, Space, SpanSolver, Subspace, linear_map_inverse,
@@ -61,7 +62,7 @@ __all__ = [
     "double_presentation_check", "taft_dual_check", "closed_form_check",
     "HeisenbergBasisChange", "basis_change",
     "UqSl2", "uqsl2", "uq_presentation_check",
-    "HqSl2", "hqsl2", "hq_elements", "uq_elements",
+    "HqSl2", "hqsl2", "uq_elements",
     "hq_action_table_check", "hq_coaction_table_check",
     "hq_factorization_check",
     "CqZd", "cqzd", "cqzd_center_check",
@@ -393,13 +394,6 @@ def _vadd(a: Vec, b: Vec) -> Vec:
     return out
 
 
-def _tens2(dim: int, a: Vec, b: Vec) -> Vec:
-    out: Vec = {}
-    for i, c in a.items():
-        vadd_into(out, b, c, i * dim)
-    return out
-
-
 def _relation_result(chk: Check, rels, renderer) -> CheckResult:
     """rels: iterable of (label, lhs, rhs) vector pairs; renderer(v) -> str."""
     for label, lhs, rhs in rels:
@@ -409,7 +403,7 @@ def _relation_result(chk: Check, rels, renderer) -> CheckResult:
     return chk.result()
 
 
-def double_presentation_check(sys: TaftSystem, generation: bool = True,
+def double_presentation_check(sys: TaftSystem,
                               prefix: str = "double-presentation") -> list:
     """Defining relations and coalgebra values of D(B) on named generators."""
     ctx = sys.ctx
@@ -446,11 +440,12 @@ def double_presentation_check(sys: TaftSystem, generation: bool = True,
     kapinv2 = _power(mul, unit, kap, 4 * p - 2)
     crels = [
         ("Delta(F) = kap^2 (x) F + F (x) 1", H.coproduct(F),
-         _vadd(_tens2(n, mul(kap, kap), F), _tens2(n, F, unit))),
-        ("Delta(kap) = kap (x) kap", H.coproduct(kap), _tens2(n, kap, kap)),
+         _vadd(tensor_flat(mul(kap, kap), F, n), tensor_flat(F, unit, n))),
+        ("Delta(kap) = kap (x) kap", H.coproduct(kap),
+         tensor_flat(kap, kap, n)),
         ("Delta(E) = 1 (x) E + E (x) k^2", H.coproduct(E),
-         _vadd(_tens2(n, unit, E), _tens2(n, E, k2))),
-        ("Delta(k) = k (x) k", H.coproduct(k), _tens2(n, k, k)),
+         _vadd(tensor_flat(unit, E, n), tensor_flat(E, k2, n))),
+        ("Delta(k) = k (x) k", H.coproduct(k), tensor_flat(k, k, n)),
         ("S(F) = -kap^(-2) F", H.antipode_of(F), vscale(mul(kapinv2, F), -ctx.one)),
         ("S(kap) = kap^(-1)", H.antipode_of(kap), kapinv),
         ("S(E) = -E k^(-2)", H.antipode_of(E), vscale(mul(E, kinv2), -ctx.one)),
@@ -466,9 +461,8 @@ def double_presentation_check(sys: TaftSystem, generation: bool = True,
                                    ("eps(E) = 0", not H.counit_of(E)),
                                    ("eps(k) = 1", H.counit_of(k) == ctx.one)])
     out.append(res)
-    if generation:
-        out.append(_generation_result(f"{prefix}-generation", H,
-                                      [unit, E, k, F, kap]))
+    out.append(_generation_result(f"{prefix}-generation", H,
+                                  [unit, E, k, F, kap]))
     return out
 
 
@@ -561,20 +555,9 @@ def closed_form_check(sys: TaftSystem, mode: str = "exhaustive", seed: int = 0,
     labels = A.space.labels
     index = {lab: i for i, lab in enumerate(labels)}
     dim = A.dim
-    chk = Check(name, mode if mode == "exhaustive"
-                else f"sample(n={samples},seed={seed})")
-
-    def pairs():
-        if mode == "exhaustive":
-            for i in range(dim):
-                for j in range(dim):
-                    yield i, j
-        else:
-            rng = random.Random(seed)
-            for _ in range(samples):
-                yield rng.randrange(dim), rng.randrange(dim)
-
-    for i, j in pairs():
+    chk = Check(name, mode_tag(mode, seed, samples))
+    for i, j in iter_tuples(mode, (dim, dim), (None, None),
+                            random.Random(seed), samples):
         chk.cases += 1
         want: Vec = {}
         for lab, c in closed_form_smash_row(ctx, labels[i], labels[j]):
@@ -804,7 +787,7 @@ def uq_elements(uq: UqSl2) -> dict:
     }
 
 
-def uq_presentation_check(uq: UqSl2, generation: bool = True,
+def uq_presentation_check(uq: UqSl2,
                           prefix: str = "uq-presentation") -> list:
     """Defining relations and Hopf structure of the truncated quantum group."""
     ctx = uq.ctx
@@ -834,10 +817,10 @@ def uq_presentation_check(uq: UqSl2, generation: bool = True,
     chk = Check(f"{prefix}-coalgebra", "exhaustive")
     crels = [
         ("Delta(E) = E (x) K + 1 (x) E", U.coproduct(E),
-         _vadd(_tens2(n, E, K), _tens2(n, unit, E))),
-        ("Delta(K) = K (x) K", U.coproduct(K), _tens2(n, K, K)),
+         _vadd(tensor_flat(E, K, n), tensor_flat(unit, E, n))),
+        ("Delta(K) = K (x) K", U.coproduct(K), tensor_flat(K, K, n)),
         ("Delta(F) = F (x) 1 + K^(-1) (x) F", U.coproduct(F),
-         _vadd(_tens2(n, F, unit), _tens2(n, Kinv, F))),
+         _vadd(tensor_flat(F, unit, n), tensor_flat(Kinv, F, n))),
         ("S(E) = -E K^(-1)", U.antipode_of(E), vscale(mul(E, Kinv), -ctx.one)),
         ("S(K) = K^(-1)", U.antipode_of(K), Kinv),
         ("S(F) = -K F", U.antipode_of(F), vscale(mul(K, F), -ctx.one)),
@@ -851,9 +834,8 @@ def uq_presentation_check(uq: UqSl2, generation: bool = True,
                                    ("eps(F) = 0", not U.counit_of(F)),
                                    ("eps(K) = 1", U.counit_of(K) == ctx.one)])
     out.append(res)
-    if generation:
-        out.append(_generation_result(f"{prefix}-generation", U,
-                                      [unit, E, F, K]))
+    out.append(_generation_result(f"{prefix}-generation", U,
+                                  [unit, E, F, K]))
     return out
 
 
@@ -906,7 +888,7 @@ class HqSl2:
 _HQ_CACHE: dict = {}
 
 
-def hqsl2(p: int, cached: bool = True) -> HqSl2:
+def hqsl2(p: int) -> HqSl2:
     """Transport the YD structure of H(B*) onto the lam-z-del truncation.
 
     The subalgebra span{lam^a z^b del^c} is enumerated with the high lam
@@ -916,9 +898,9 @@ def hqsl2(p: int, cached: bool = True) -> HqSl2:
     central involution; the quotient therefore identifies lam^(2p) with
     the scalar (-1)^p i.
     """
-    if cached and p in _HQ_CACHE:
+    if p in _HQ_CACHE:
         return _HQ_CACHE[p]
-    uq = uqsl2(p, cached=cached)
+    uq = uqsl2(p)
     sys = uq.system
     ctx = sys.ctx
     A = sys.heis.algebra
@@ -980,18 +962,8 @@ def hqsl2(p: int, cached: bool = True) -> HqSl2:
         None if veq(lhs, rhs) else f"lam^(2p) = {render_element(T.space, lhs)}"))
 
     hq = HqSl2(p, sys, uq, ts, checks)
-    if cached:
-        _HQ_CACHE[p] = hq
+    _HQ_CACHE[p] = hq
     return hq
-
-
-def hq_elements(hq: HqSl2) -> dict:
-    """Quotient-coordinate generators lam, z, del."""
-    idx = {lab: i for i, lab in enumerate(hq.algebra.space.labels)}
-    one = hq.ctx.one
-    return {"lam": {idx[(1, 0, 0)]: one},
-            "z": {idx[(0, 1, 0)]: one},
-            "del": {idx[(0, 0, 1)]: one}}
 
 
 def hq_action_table_check(hq: HqSl2,
@@ -1263,12 +1235,11 @@ def hq_factorization_check(hq: HqSl2,
 _FACTOR_CACHE: dict = {}
 
 
-def _heis_factor(uq: UqSl2, kind: str,
-                 cached: bool = True) -> TransportedStructure:
+def _heis_factor(uq: UqSl2, kind: str) -> TransportedStructure:
     """One battery of the chain: the span of z^i (or del^i), i < p, as a
     YD module algebra over the truncated quantum group."""
     key = (uq.p, kind)
-    if cached and key in _FACTOR_CACHE:
+    if key in _FACTOR_CACHE:
         return _FACTOR_CACHE[key]
     sys = uq.system
     ctx = sys.ctx
@@ -1298,8 +1269,7 @@ def _heis_factor(uq: UqSl2, kind: str,
     if not ts.ok:
         bad = next(c for c in ts.certificates if not c.ok)
         raise RuntimeError(f"factor transport failed: {bad.line()}")
-    if cached:
-        _FACTOR_CACHE[key] = ts
+    _FACTOR_CACHE[key] = ts
     return ts
 
 
@@ -1327,25 +1297,25 @@ class HeisenbergChain:
     def algebra(self) -> FiniteAlgebra:
         return self.chain.yd.algebra
 
-    def position_element(self, pos: int, power: int = 1) -> Vec:
+    def position_element(self, pos: int) -> Vec:
         """The generator of battery `pos` (0-based), embedded."""
-        return self.chain.embed(pos, {power: self.ctx.one})
+        return self.chain.embed(pos, {1: self.ctx.one})
 
     def kind(self, pos: int) -> str:
         first_del = self.leftmost == "dual"
         return ("del" if (pos % 2 == 0) == first_del else "z")
 
 
-def truly_heisenberg_chain(p: int, n: int, leftmost: str = "dual",
-                           cached: bool = True) -> HeisenbergChain:
+def truly_heisenberg_chain(p: int, n: int,
+                           leftmost: str = "dual") -> HeisenbergChain:
     """Chain of n alternating factors; leftmost="dual" starts with del."""
     if n < 1:
         raise ValueError("need at least one factor")
     if leftmost not in ("dual", "primal"):
         raise ValueError('leftmost must be "dual" or "primal"')
-    uq = uqsl2(p, cached=cached)
-    fz = _heis_factor(uq, "z", cached=cached)
-    fd = _heis_factor(uq, "del", cached=cached)
+    uq = uqsl2(p)
+    fz = _heis_factor(uq, "z")
+    fd = _heis_factor(uq, "del")
     first_del = leftmost == "dual"
     factors = tuple((fd if (i % 2 == 0) == first_del else fz)
                     for i in range(n))

@@ -13,23 +13,21 @@ module packages the three layers generically:
   braiding identity, and braided (smash-like) products of YD algebras with
   the diagonal action and codiagonal coaction.
 
-Checks run in one of three modes: "exhaustive" walks every index tuple,
-"generators" walks declared generator indices in the acted/coacted slots
-(plus a seeded random sample over the full basis as a guard), and "sample"
-draws seeded random tuples only.  Failures report the lexicographically
-smallest witness in exhaustive mode and the first one found otherwise.
+Checks walk basis tuples with `results.iter_tuples`, in its three modes,
+with the declared generator indices in the acted/coacted slots.  Failures
+report the lexicographically smallest witness in exhaustive mode and the
+first one found otherwise.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .hopf import (FiniteAlgebra, FiniteHopf, render_element, tensor_flat,
                    twisted_product)
-from .results import Check, CheckResult
+from .results import Check, CheckResult, gen_indices, iter_tuples, mode_tag
 from .sparse import (LinearMap, Space, Vec, colinear_apply, vadd_into,
                      vadd_outer, vadd_term, veq)
 
@@ -47,7 +45,6 @@ __all__ = [
     "check_yd",
     "braiding_row",
     "braiding_inv_row",
-    "check_braiding_inverse",
     "check_braided_commutative",
     "check_braided_symmetric",
     "check_locked_identity",
@@ -171,12 +168,6 @@ class YDModuleAlgebra:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def module(self) -> ModuleAlgebra:
-        return ModuleAlgebra(self.hopf, self.algebra, self.action, self.name)
-
-    def comodule(self) -> ComoduleAlgebra:
-        return ComoduleAlgebra(self.hopf, self.algebra, self.coaction, self.name)
-
 
 @dataclass
 class BraidedProductAlgebra:
@@ -203,41 +194,6 @@ class BraidedProductAlgebra:
         return self.embeddings[pos](v)
 
 
-# -- mode handling -----------------------------------------------------------
-
-def _gen_indices(obj) -> Optional[set]:
-    """Indices touched by declared generators, or None when undeclared."""
-    gens = getattr(obj, "generators", None)
-    if not gens:
-        return None
-    idx: set = set()
-    for g in gens:
-        idx.update(g.keys())
-    return idx
-
-
-def _iter_tuples(mode: str, dims: tuple, gen_sets: tuple, rng, samples: int):
-    if mode == "exhaustive":
-        return itertools.product(*[range(d) for d in dims])
-    if mode == "generators":
-        ranges = [sorted(g) if g is not None else range(d)
-                  for d, g in zip(dims, gen_sets)]
-        head = itertools.product(*ranges)
-        tail = (tuple(rng.randrange(d) for d in dims) for _ in range(samples))
-        return itertools.chain(head, tail)
-    if mode == "sample":
-        return (tuple(rng.randrange(d) for d in dims) for _ in range(samples))
-    raise ValueError(f"unknown check mode: {mode!r}")
-
-
-def _mode_tag(mode: str, seed: int, samples: int) -> str:
-    if mode == "exhaustive":
-        return "exhaustive"
-    if mode == "generators":
-        return f"generators+sample(n={samples},seed={seed})"
-    return f"sample(n={samples},seed={seed})"
-
-
 def _lab(space: Space, i: int) -> str:
     return space.render(space.labels[i])
 
@@ -248,15 +204,15 @@ def check_module(m, mode: str = "exhaustive", seed: int = 0,
                  samples: int = 10_000, name: str = "module-action") -> CheckResult:
     """Unit law 1 |> x = x (always exhaustive) and (MN) |> x = M |> (N |> x)."""
     H, alg, act = m.hopf, m.algebra, m.action
-    chk = Check(name, _mode_tag(mode, seed, samples))
+    chk = Check(name, mode_tag(mode, seed, samples))
     for x in range(alg.dim):
         chk.cases += 1
         if not veq(act.apply(H.unit, {x: H.ctx.one}), {x: H.ctx.one}):
             return chk.result(f"1 |> {_lab(alg.space, x)} != itself")
-    gh = _gen_indices(H)
+    gh = gen_indices(H)
     rng = random.Random(seed)
-    for hm, hn, x in _iter_tuples(mode, (H.dim, H.dim, alg.dim),
-                                  (gh, gh, None), rng, samples):
+    for hm, hn, x in iter_tuples(mode, (H.dim, H.dim, alg.dim),
+                                 (gh, gh, None), rng, samples):
         chk.cases += 1
         lhs: Vec = {}
         for k, c in H.mult.get(hm, hn):
@@ -278,7 +234,7 @@ def check_module_algebra(m, mode: str = "exhaustive", seed: int = 0,
                          name: str = "module-algebra") -> CheckResult:
     """M |> (xy) = (M' |> x)(M'' |> y), plus M |> 1 = counit(M) 1."""
     H, alg, act = m.hopf, m.algebra, m.action
-    chk = Check(name, _mode_tag(mode, seed, samples))
+    chk = Check(name, mode_tag(mode, seed, samples))
     one = H.ctx.one
     for h in range(H.dim):
         chk.cases += 1
@@ -288,11 +244,11 @@ def check_module_algebra(m, mode: str = "exhaustive", seed: int = 0,
         rhs = {k: c for k, c in rhs.items() if c}
         if not veq(lhs, rhs):
             return chk.result(f"M={_lab(H.space, h)}: M|>1 != counit(M) 1")
-    gh = _gen_indices(H)
-    ga = _gen_indices(alg)
+    gh = gen_indices(H)
+    ga = gen_indices(alg)
     rng = random.Random(seed)
-    for h, x, y in _iter_tuples(mode, (H.dim, alg.dim, alg.dim),
-                                (gh, ga, ga), rng, samples):
+    for h, x, y in iter_tuples(mode, (H.dim, alg.dim, alg.dim),
+                               (gh, ga, ga), rng, samples):
         chk.cases += 1
         lhs: Vec = {}
         for z, cz in alg.mult.get(x, y):
@@ -351,13 +307,13 @@ def check_comodule_algebra(c, mode: str = "exhaustive", seed: int = 0,
                            name: str = "comodule-algebra") -> CheckResult:
     """delta(xy) = delta(x) delta(y) and delta(1) = 1 (x) 1."""
     H, alg, coact = c.hopf, c.algebra, c.coaction
-    chk = Check(name, _mode_tag(mode, seed, samples), cases=1)
+    chk = Check(name, mode_tag(mode, seed, samples), cases=1)
     dX = alg.dim
     if not veq(coact.apply(alg.unit), tensor_flat(H.unit, alg.unit, dX)):
         return chk.result("delta(1) != 1 (x) 1")
-    ga = _gen_indices(alg)
+    ga = gen_indices(alg)
     rng = random.Random(seed)
-    for x, y in _iter_tuples(mode, (dX, dX), (ga, ga), rng, samples):
+    for x, y in iter_tuples(mode, (dX, dX), (ga, ga), rng, samples):
         chk.cases += 1
         lhs = coact.apply(dict(alg.mult.get(x, y)))
         rhs: Vec = {}
@@ -385,11 +341,11 @@ def check_yd(y, mode: str = "exhaustive", seed: int = 0,
     """
     H, alg = y.hopf, y.algebra
     act, coact = y.action, y.coaction
-    chk = Check(name, _mode_tag(mode, seed, samples))
+    chk = Check(name, mode_tag(mode, seed, samples))
     dH, dX = H.dim, alg.dim
-    gh = _gen_indices(H)
+    gh = gen_indices(H)
     rng = random.Random(seed)
-    for m, a in _iter_tuples(mode, (dH, dX), (gh, None), rng, samples):
+    for m, a in iter_tuples(mode, (dH, dX), (gh, None), rng, samples):
         chk.cases += 1
         lhs: Vec = {}
         for m1, m2, cd in H.comult.get(m):
@@ -457,49 +413,16 @@ def braiding_inv_row(u_mod: YDModuleAlgebra, v_mod: YDModuleAlgebra,
     return out
 
 
-def check_braiding_inverse(u_mod: YDModuleAlgebra, v_mod: YDModuleAlgebra,
-                           mode: str = "exhaustive", seed: int = 0,
-                           samples: int = 2000,
-                           name: str = "braiding-inverse") -> CheckResult:
-    """c^{-1} o c = id on U (x) V and c o c^{-1} = id on V (x) U."""
-    chk = Check(name, _mode_tag(mode, seed, samples))
-    du, dv = u_mod.algebra.dim, v_mod.algebra.dim
-    one = u_mod.hopf.ctx.one
-    rng = random.Random(seed)
-    gu, gv = _gen_indices(u_mod.algebra), _gen_indices(v_mod.algebra)
-    for i, j in _iter_tuples(mode, (du, dv), (gu, gv), rng, samples):
-        chk.cases += 2
-        mid = braiding_row(u_mod, v_mod, i, j)          # flat V (x) U
-        back: Vec = {}
-        for key, c in mid.items():
-            vi, ui = divmod(key, du)
-            vadd_into(back, braiding_inv_row(u_mod, v_mod, vi, ui), c)
-        if not veq(back, {i * dv + j: one}):
-            return chk.result(
-                f"u={_lab(u_mod.algebra.space, i)}, v={_lab(v_mod.algebra.space, j)}: "
-                f"c^-1(c(u (x) v)) != u (x) v")
-        mid2 = braiding_inv_row(u_mod, v_mod, j, i)     # flat U (x) V
-        back2: Vec = {}
-        for key, c in mid2.items():
-            ui, vi = divmod(key, dv)
-            vadd_into(back2, braiding_row(u_mod, v_mod, ui, vi), c)
-        if not veq(back2, {j * du + i: one}):
-            return chk.result(
-                f"v={_lab(v_mod.algebra.space, j)}, u={_lab(u_mod.algebra.space, i)}: "
-                f"c(c^-1(v (x) u)) != v (x) u")
-    return chk.result()
-
-
 def check_braided_commutative(y: YDModuleAlgebra, mode: str = "exhaustive",
                               seed: int = 0, samples: int = 10_000,
                               name: str = "braided-commutative") -> CheckResult:
     """y x = (y_(-1) |> x) y_(0) for all basis pairs (y, x)."""
     alg, act, coact = y.algebra, y.action, y.coaction
-    chk = Check(name, _mode_tag(mode, seed, samples))
+    chk = Check(name, mode_tag(mode, seed, samples))
     dX = alg.dim
-    ga = _gen_indices(alg)
+    ga = gen_indices(alg)
     rng = random.Random(seed)
-    for i, j in _iter_tuples(mode, (dX, dX), (ga, ga), rng, samples):
+    for i, j in iter_tuples(mode, (dX, dX), (ga, ga), rng, samples):
         chk.cases += 1
         lhs = dict(alg.mult.get(i, j))
         rhs: Vec = {}
@@ -522,11 +445,11 @@ def check_braided_symmetric(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
 
     Pointwise: (y_(-1) |> x) (x) y_(0)  =  x_(0) (x) (S^{-1}(x_(-1)) |> y).
     """
-    chk = Check(name, _mode_tag(mode, seed, samples))
+    chk = Check(name, mode_tag(mode, seed, samples))
     dx, dy = x_mod.algebra.dim, y_mod.algebra.dim
-    gx, gy = _gen_indices(x_mod.algebra), _gen_indices(y_mod.algebra)
+    gx, gy = gen_indices(x_mod.algebra), gen_indices(y_mod.algebra)
     rng = random.Random(seed)
-    for i, j in _iter_tuples(mode, (dx, dy), (gx, gy), rng, samples):
+    for i, j in iter_tuples(mode, (dx, dy), (gx, gy), rng, samples):
         chk.cases += 1
         lhs = braiding_row(y_mod, x_mod, j, i)       # flat X (x) Y
         rhs = braiding_inv_row(x_mod, y_mod, j, i)   # flat X (x) Y
@@ -545,12 +468,12 @@ def check_locked_identity(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
 
     Pointwise: ((x_(-1) |> y)_(-1) |> x_(0)) (x) (x_(-1) |> y)_(0) = x (x) y.
     """
-    chk = Check(name, _mode_tag(mode, seed, samples))
+    chk = Check(name, mode_tag(mode, seed, samples))
     dx, dy = x_mod.algebra.dim, y_mod.algebra.dim
     one = x_mod.hopf.ctx.one
-    gx, gy = _gen_indices(x_mod.algebra), _gen_indices(y_mod.algebra)
+    gx, gy = gen_indices(x_mod.algebra), gen_indices(y_mod.algebra)
     rng = random.Random(seed)
-    for i, j in _iter_tuples(mode, (dx, dy), (gx, gy), rng, samples):
+    for i, j in iter_tuples(mode, (dx, dy), (gx, gy), rng, samples):
         chk.cases += 1
         mid = braiding_row(x_mod, y_mod, i, j)       # flat Y (x) X
         out: Vec = {}
@@ -692,7 +615,7 @@ def check_rebracketing(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
     """
     left = braided_product(braided_product(x_mod, y_mod).yd, z_mod).yd
     right = braided_product(x_mod, braided_product(y_mod, z_mod).yd).yd
-    chk = Check(name, _mode_tag(mode, seed, samples), cases=1)
+    chk = Check(name, mode_tag(mode, seed, samples), cases=1)
     d = left.algebra.dim
     if right.algebra.dim != d:
         return chk.result("dimension mismatch")
@@ -700,9 +623,8 @@ def check_rebracketing(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         return chk.result("units differ")
     rng = random.Random(seed)
     chk.cases = 0
-    for i, j in _iter_tuples(mode, (d, d),
-                             (_gen_indices(left.algebra),
-                              _gen_indices(left.algebra)), rng, samples):
+    g = gen_indices(left.algebra)
+    for i, j in iter_tuples(mode, (d, d), (g, g), rng, samples):
         chk.cases += 1
         if not veq(dict(left.algebra.mult.get(i, j)),
                    dict(right.algebra.mult.get(i, j))):
@@ -712,8 +634,6 @@ def check_rebracketing(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
 
 
 def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
-                     xy: Optional[BraidedProductAlgebra] = None,
-                     yx: Optional[BraidedProductAlgebra] = None,
                      mode: str = "exhaustive", seed: int = 0,
                      samples: int = 2000, prefix: str = "flip"):
     """The braiding as a map X >< Y -> Y >< X, with morphism certificates.
@@ -724,10 +644,8 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
     """
     from .sparse import SingularMapError, linear_map_inverse
 
-    if xy is None:
-        xy = braided_product(x_mod, y_mod)
-    if yx is None:
-        yx = braided_product(y_mod, x_mod)
+    xy = braided_product(x_mod, y_mod)
+    yx = braided_product(y_mod, x_mod)
     H = x_mod.hopf
     dx, dy = x_mod.algebra.dim, y_mod.algebra.dim
     d = dx * dy
@@ -738,7 +656,7 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         if row:
             phi.set(key, tuple(sorted(row.items())))
 
-    tag = _mode_tag(mode, seed, samples)
+    tag = mode_tag(mode, seed, samples)
     XYs, YXs = xy.yd.algebra.space, yx.yd.algebra.space
 
     def bijective() -> CheckResult:
@@ -752,7 +670,7 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
     def algebra_morphism() -> CheckResult:
         chk = Check(f"{prefix}-algebra-morphism", tag)
         rng = random.Random(seed)
-        for u, v in _iter_tuples(mode, (d, d), (gxy, gxy), rng, samples):
+        for u, v in iter_tuples(mode, (d, d), (gxy, gxy), rng, samples):
             chk.cases += 1
             lhs = phi.apply(dict(xy.yd.algebra.mult.get(u, v)))
             rhs = yx.yd.algebra.mult.apply(dict(phi.get(u)), dict(phi.get(v)))
@@ -764,8 +682,8 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
     def module_morphism() -> CheckResult:
         chk = Check(f"{prefix}-module-morphism", tag)
         rng = random.Random(seed)
-        gh = _gen_indices(H)
-        for h, u in _iter_tuples(mode, (H.dim, d), (gh, gxy), rng, samples):
+        gh = gen_indices(H)
+        for h, u in iter_tuples(mode, (H.dim, d), (gh, gxy), rng, samples):
             chk.cases += 1
             lhs = phi.apply(xy.yd.action.row(h, u))
             rhs = yx.yd.action.apply({h: H.ctx.one}, dict(phi.get(u)))
@@ -786,7 +704,7 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
                 return chk.result(f"phi not H-colinear at u={_lab(XYs, u)}")
         return chk.result()
 
-    gxy = _gen_indices(xy.yd.algebra)
+    gxy = gen_indices(xy.yd.algebra)
     return phi, [bijective(), algebra_morphism(), module_morphism(),
                  comodule_morphism()]
 
@@ -795,7 +713,7 @@ def yang_baxter_check(v_mod: YDModuleAlgebra, mode: str = "sample",
                       seed: int = 0, samples: int = 200,
                       name: str = "braid-relation") -> CheckResult:
     """(c (x) id)(id (x) c)(c (x) id) = (id (x) c)(c (x) id)(id (x) c) on V^3."""
-    chk = Check(name, _mode_tag(mode, seed, samples))
+    chk = Check(name, mode_tag(mode, seed, samples))
     n = v_mod.algebra.dim
     n2 = n * n
     one = v_mod.hopf.ctx.one
@@ -826,9 +744,9 @@ def yang_baxter_check(v_mod: YDModuleAlgebra, mode: str = "sample",
             vadd_into(out, crow(b, k), c, a * n2)
         return out
 
-    gv = _gen_indices(v_mod.algebra)
+    gv = gen_indices(v_mod.algebra)
     rng = random.Random(seed)
-    for i, j, k in _iter_tuples(mode, (n, n, n), (gv, gv, gv), rng, samples):
+    for i, j, k in iter_tuples(mode, (n, n, n), (gv, gv, gv), rng, samples):
         chk.cases += 1
         e: Vec = {(i * n + j) * n + k: one}
         if not veq(c12(c23(c12(e))), c23(c12(c23(e)))):

@@ -1,0 +1,94 @@
+"""Guards on what the package exports and what its modules share.
+
+* Every name that a module lists in `__all__` is used by code in
+  `src/hopfbench` outside its own definition, unless it is on
+  `USED_OUTSIDE_SRC`.
+* No module imports an underscore-prefixed name from a sibling module:
+  what a sibling needs is public.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hopfbench"
+
+# Public names that nothing in src/ calls, each kept on purpose.
+USED_OUTSIDE_SRC = {
+    # tier-1 tests verify real properties through these; no suite runs them
+    "check_hopf_pairing", "hit_dual_left", "hit_dual_right", "hit_alg_left",
+    "hit_alg_right", "mutation_suite", "yang_baxter_check",
+    "check_rebracketing",
+    # the import half of the export format, read by bench/ and the README
+    "import_object", "reexport_bytes",
+}
+
+
+def _modules() -> dict:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _exports(tree) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _references(modules: dict) -> set:
+    """(module, top-level definition, name) of every name that code reads;
+    the definition is None for module-level code."""
+    refs = set()
+    for mod, tree in modules.items():
+        for top in tree.body:
+            owner = (top.name if isinstance(
+                top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                else None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    refs.add((mod, owner, node.id))
+                elif isinstance(node, ast.Attribute):
+                    refs.add((mod, owner, node.attr))
+    return refs
+
+
+def _unused_exports() -> set:
+    modules = _modules()
+    refs = _references(modules)
+    unused = set()
+    for mod, tree in modules.items():
+        for name in _exports(tree):
+            if not any(n == name and (m, owner) != (mod, name)
+                       for m, owner, n in refs):
+                unused.add(name)
+    return unused
+
+
+def test_every_export_is_used_in_src():
+    assert _unused_exports() - USED_OUTSIDE_SRC == set()
+
+
+def test_the_allowlist_names_only_unused_exports():
+    exported = {name for tree in _modules().values() for name in _exports(tree)}
+    assert USED_OUTSIDE_SRC <= exported
+    assert USED_OUTSIDE_SRC <= _unused_exports()
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    bad = []
+    for mod, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith(
+                    "hopfbench"):
+                continue
+            for alias in node.names:
+                name = alias.name
+                if name.startswith("_") and not name.endswith("__"):
+                    bad.append(f"{mod}:{node.lineno} imports {name}")
+    assert bad == []

@@ -13,8 +13,8 @@ from __future__ import annotations
 from hopfbench.cyclo import QContext
 from hopfbench.hopf import (
     FiniteHopf, HopfPairing, check_hopf_axioms, check_hopf_pairing,
-    cop_hopf, dual_hopf, hit_alg_left, hit_alg_right, hit_dual_left,
-    hit_dual_right, op_hopf, pair_product, render_element, tensor_flat,
+    dual_hopf, hit_alg_left, hit_alg_right, hit_dual_left,
+    hit_dual_right, pair_product, render_element, tensor_flat,
     _assoc_int_certificate, _assoc_loop,
 )
 from hopfbench.sparse import BilinearMap, ColinearMap, LinearMap, Space, veq
@@ -123,7 +123,7 @@ def test_generator_mode_with_nongenerating_set_fails_closed():
 
 def test_sampled_mode_runs():
     H = group_algebra(CTX, 6)
-    all_pass(check_hopf_axioms(H, mode="sampled", seed=1, samples=100))
+    all_pass(check_hopf_axioms(H, mode="sample", seed=1, samples=100))
 
 
 # -- mutations must be caught with matching witnesses --------------------------
@@ -218,12 +218,6 @@ def test_double_dual_returns_original_tables():
         assert sorted(DD.comult.get(i)) == sorted(H.comult.get(i))
     assert DD.counit == H.counit
     assert DD.unit == H.unit
-
-
-def test_cop_and_op_are_hopf():
-    H = four_dim_hopf(CTX)
-    all_pass(check_hopf_axioms(cop_hopf(H), include_antihom=True))
-    all_pass(check_hopf_axioms(op_hopf(H), include_antihom=True))
 
 
 def test_antipode_inverse_roundtrip():

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,8 +135,13 @@ def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
 
 # sha256 of `hopfbench verify --p 2 --suite <suite> --format json`: these
 # reports carry failure witnesses (mutations) and inverted expected
-# failures (chains), so they pin the bytes of the failure paths too.
+# failures (chains), so they pin the bytes of the failure paths too; the
+# double and heisenberg reports pin the exhaustive pair walks.
 REPORT_SHA256_P2 = {
+    "double":
+        "81a95de212fbd7e205d5352a9262f13a8939e3c63e4f25ff1f50c752cd28f6c5",
+    "heisenberg":
+        "86f9dd7f2b3455ee6622b773834ad1539949ce6333ab442441f109c30fbef21c",
     "mutations":
         "da228a5f744ca37e527e2ad180b4f619e13620f8dd3f8d49257592e6b478ea69",
     "chains":
@@ -172,6 +178,28 @@ def test_generators_report_bytes_are_pinned(suite):
                                         sample_size=500, seed=11)), "json")
     assert (hashlib.sha256(data).hexdigest()
             == REPORT_SHA256_P2_GENERATORS[suite])
+
+
+# sha256 of `hopfbench verify --p 2 --suite <suite> --mode sample
+# --sample-size 500 --seed 11 --format json`: these pin the seeded draws of
+# the sampled walks, whose order the shared random generator fixes.
+REPORT_SHA256_P2_SAMPLE = {
+    "double":
+        "64ccada22586b1eaeedfba636e660d94baf8d193feb9d69487f53dbba709c7c1",
+    "heisenberg":
+        "ec15260b634bc8261a425037fa8a2e3c75b4e30d138f5da59c9d208e54420579",
+    "hopf-axioms":
+        "81fca3f457b4ff8e54c0e6fb2b63ed7aa4e424e1cc98480e1f103e34bdd88ad3",
+    "yd":
+        "9f03fc5601429adbaa4c8075b5f6f3f7050e7d6cf5851f28dc1e8bce546adf50",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(REPORT_SHA256_P2_SAMPLE))
+def test_sample_report_bytes_are_pinned(suite):
+    data = render(run_suite(SuiteConfig(p=2, suite=suite, mode="sample",
+                                        sample_size=500, seed=11)), "json")
+    assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P2_SAMPLE[suite]
 
 
 # sha256 of `hopfbench verify --p 3 --suite yd,truncations --sample-size 1000
@@ -242,6 +270,34 @@ def test_a_killed_worker_exits_3_without_a_hang():
     proc = _run_python(KILLED_WORKER)
     assert proc.returncode == 3, proc.stderr
     assert "BrokenProcessPool" in proc.stderr
+
+
+CRASH_BESIDE_A_SLEEPER = """
+import sys, time
+import hopfbench.report as report
+from hopfbench.cli import main
+
+def sleep(cfg):
+    time.sleep(20)
+    return iter(())
+
+def crash(cfg):
+    raise RuntimeError("engine fault")
+
+report.os.sched_getaffinity = lambda pid: {0, 1}
+report._SUITES["chains"] = sleep
+report._SUITES["mutations"] = crash
+sys.exit(main(["verify", "--p", "2", "--suite", "chains,mutations"]))
+"""
+
+
+def test_a_crash_does_not_wait_for_the_other_suites():
+    t0 = time.monotonic()
+    proc = _run_python(CRASH_BESIDE_A_SLEEPER)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 3, proc.stderr
+    assert "RuntimeError: engine fault" in proc.stderr
+    assert elapsed < 10, f"the crash waited {elapsed:.1f} s for a sleeper"
 
 
 @pytest.mark.parametrize("suite,fail_fast,cpus,pool", [

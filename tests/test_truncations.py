@@ -10,7 +10,7 @@ from hopfbench.sparse import veq
 from hopfbench.taft import (basis_change, chain_heisenberg_checks, cqzd,
                             cqzd_center_check, h2_matches_cqzd_check,
                             heis_elements, hq_action_table_check,
-                            hq_coaction_table_check, hq_elements,
+                            hq_coaction_table_check,
                             hq_factorization_check, hqsl2, taft_system,
                             truly_heisenberg_chain, uq_elements,
                             uq_presentation_check, uqsl2)
@@ -146,8 +146,9 @@ def test_hq_relations():
     hq = hqsl2(3)
     ctx = hq.ctx
     A = hq.algebra
-    els = hq_elements(hq)
-    z, dl, lam = els["z"], els["del"], els["lam"]
+    idx = {lab: i for i, lab in enumerate(A.space.labels)}
+    lam, z, dl = [{idx[lab]: ctx.one}
+                  for lab in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
     lhs = A.product(dl, z)
     qm2 = ctx.q_pow(-2)
     rhs = {k: qm2 * c for k, c in A.product(z, dl).items()}
