@@ -2,14 +2,16 @@
 
 Exit codes: 0 all selected checks passed (skipped checks do not fail a
 run), 1 at least one check failed, 2 usage error (bad flags, bad
-expression, unknown object), 3 engine crash (an unexpected exception;
-the traceback goes to stderr).
+expression, unknown object, an `--out` path whose directory is missing
+or not writable, checked before any work), 3 engine crash (an
+unexpected exception; the traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -498,11 +500,12 @@ def _hopf_block(H: FiniteHopf) -> dict:
 
 def _yd_json(algebra, action_rows: dict, coaction_rows: dict,
              hopf_name: str) -> dict:
-    """action_rows: (h, x) -> {y: c}; coaction_rows: x -> ((h, y, c), ...)."""
+    """action_rows: (h, x) -> ((y, c), ...);
+    coaction_rows: x -> ((h, y, c), ...)."""
     out = _algebra_block(algebra)
     action = []
     for (h, x), row in action_rows.items():
-        for y, c in row.items():
+        for y, c in row:
             action.append([h, x, y, _scalar_json(c)])
     action.sort(key=lambda e: (e[0], e[1], e[2]))
     coaction = []
@@ -646,12 +649,13 @@ def import_object(data):
     action_rows: dict = {}
     for (h, x, y), c in _entries_load(ctx, data["action"]["entries"],
                                       (None, d, d), "action"):
-        action_rows.setdefault((h, x), {})[y] = c
+        action_rows.setdefault((h, x), []).append((y, c))
     coaction_rows: dict = {}
     for (x, h, y), c in _entries_load(ctx, data["coaction"]["entries"],
                                       (d, None, d), "coaction"):
         coaction_rows.setdefault(x, []).append((h, y, c))
-    return ImportedYD(algebra, action_rows,
+    return ImportedYD(algebra,
+                      {hx: tuple(t) for hx, t in action_rows.items()},
                       {x: tuple(t) for x, t in coaction_rows.items()},
                       data["action"]["hopf"])
 
@@ -716,6 +720,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _out_error(out: Optional[str]) -> Optional[str]:
+    """Why `--out out` could not be written, or None.
+
+    Checked before any work, so that a bad path costs no run and reads as
+    a usage error; nothing is created here.
+    """
+    if not out:
+        return None
+    if os.path.isdir(out):
+        return f"--out {out}: is a directory"
+    parent = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(parent):
+        return f"--out {out}: directory {parent} does not exist"
+    if not os.access(parent, os.W_OK):
+        return f"--out {out}: directory {parent} is not writable"
+    return None
+
+
 def _write(payload: bytes, out: Optional[str]) -> None:
     if out:
         with open(out, "wb") as fh:
@@ -726,6 +748,10 @@ def _write(payload: bytes, out: Optional[str]) -> None:
 
 
 def _cmd_verify(args) -> int:
+    bad_out = _out_error(args.out)
+    if bad_out:
+        print(f"hopfbench verify: error: {bad_out}", file=sys.stderr)
+        return 2
     cfg = SuiteConfig(p=args.p, suite=args.suite, mode=args.mode,
                       seed=args.seed, sample_size=args.sample_size,
                       fail_fast=args.fail_fast)
@@ -755,6 +781,10 @@ def _cmd_export(args) -> int:
     if args.p < 2:
         print("hopfbench export: error: p must be an integer >= 2",
               file=sys.stderr)
+        return 2
+    bad_out = _out_error(args.out)
+    if bad_out:
+        print(f"hopfbench export: error: {bad_out}", file=sys.stderr)
         return 2
     try:
         payload = export_bytes(args.object, args.p)

@@ -37,6 +37,7 @@ __all__ = [
     "QContext",
     "Cyc",
     "HalfInt",
+    "stored_form",
 ]
 
 # A half-integer exponent: plain int, or a Fraction with denominator 1 or 2.
@@ -98,6 +99,13 @@ class QContext:
     that are not O(1).  Scalars (Cyc) carry a reference to their context;
     mixing contexts is an error.  The memos are unbounded and private to
     the context, so two fields never share an entry.
+
+    The context also holds the sharing tables of the stored row format
+    (`sparse.shared_row`): `shared_scalars` maps a stored form
+    (`stored_form`) to the one Cyc that every stored row of this field
+    holds for it, and `shared_entries` maps an entry's indices plus the
+    stored form of its scalar to the one entry tuple that every stored
+    row holds for it.  They are unbounded and private to the field too.
     """
 
     __slots__ = (
@@ -105,7 +113,7 @@ class QContext:
         "zero", "one", "_zeta_pows", "_mul_memo", "_add_memo", "_inv_memo",
         "_qint_cache",
         "_qbin_cache", "_qbin1_cache", "_qfac_cache", "q", "q_inv", "zeta",
-        "qdiff", "qdiff_inv",
+        "qdiff", "qdiff_inv", "shared_scalars", "shared_entries",
     )
 
     def __init__(self, p: int):
@@ -155,6 +163,8 @@ class QContext:
         self._qbin_cache: dict[tuple[int, int], Cyc] = {}
         self._qbin1_cache: dict[tuple[int, int], Cyc] = {}
         self._qfac_cache: dict[int, Cyc] = {}
+        self.shared_scalars: dict[tuple, Cyc] = {}
+        self.shared_entries: dict[tuple, tuple] = {}
         self.zeta = self.zeta_pow(1)
         self.q = self.zeta_pow(2)
         self.q_inv = self.zeta_pow(-2)
@@ -500,6 +510,18 @@ class Cyc:
 
 
 _new = object.__new__
+
+
+def stored_form(c: Cyc) -> tuple:
+    """(_v, _j, d): the form in which c is stored, as a hashable key.
+
+    Scalars with one stored form are interchangeable everywhere, down to
+    the form of every result built from them.  Equal scalars may differ
+    in it (zeta^j with j >= phi at odd p arrives single-term or dense),
+    which is why tables that share scalars key them on this and never on
+    the Cyc, whose `__eq__` and `__hash__` cross the two forms.
+    """
+    return (c._v, c._j, c.d)
 
 
 def _raw(ctx: QContext, v, den: int, j) -> Cyc:

@@ -50,9 +50,9 @@ from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf,
                    twisted_product)
 from .results import (Check, CheckResult, gen_indices,
                       invert_expected_failure, iter_tuples, mode_tag)
-from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Space, Vec,
-                     linear_map_inverse, vadd_into, vadd_outer, vadd_term,
-                     veq)
+from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Row, Space, Vec,
+                     linear_map_inverse, shared_row, vadd_into, vadd_outer,
+                     vadd_term, veq)
 from .ydcat import (Action, BraidedProductAlgebra, Coaction, ComoduleAlgebra,
                     ModuleAlgebra, YDModuleAlgebra, chain_product)
 
@@ -373,7 +373,9 @@ class FactoredAction(Action):
         (mu (x) 1) |> (alpha # a) = mu''' alpha S*^{-1}(mu'')
                                       # (a <- S*^{-1}(mu'))
 
-    Both factor maps are exposed with their own memoized rows.
+    Both factor maps are exposed with their own memoized rows, stored
+    like the action's own rows: tuples of shared (y, c) entries in the
+    order in which the row was filled (see `sparse.shared_row`).
     """
 
     __slots__ = ("base", "dual", "pairing", "_prim", "_dualrows",
@@ -384,12 +386,12 @@ class FactoredAction(Action):
         self.base = D.base
         self.dual = D.dual
         self.pairing = D.pairing
-        self._prim: dict[int, Vec] = {}
-        self._dualrows: dict[int, Vec] = {}
+        self._prim: dict[int, Row] = {}
+        self._dualrows: dict[int, Row] = {}
         self._d3b: dict[int, tuple] = {}
         self._d3f: dict[int, tuple] = {}
 
-    def prim_row(self, m: int, x: int) -> Vec:
+    def prim_row(self, m: int, x: int) -> Row:
         """(eps (x) e_m) |> e_x."""
         key = m * self.algebra.dim + x
         r = self._prim.get(key)
@@ -397,7 +399,7 @@ class FactoredAction(Action):
             base, dual, P = self.base, self.dual, self.pairing
             nB = base.dim
             f, b = divmod(x, nB)
-            r = {}
+            acc: Vec = {}
             for m1, m2, m3, c in _iter3(base, self._d3b, m):
                 mid = P.dual_left(m1, f)
                 if not mid:
@@ -412,11 +414,11 @@ class FactoredAction(Action):
                             vadd_term(conj, k, cs * ct * ck)
                 if not conj:
                     continue
-                vadd_outer(r, c, mid, conj, nB)
-            self._prim[key] = r
+                vadd_outer(acc, c, mid, conj, nB)
+            r = self._prim[key] = shared_row(acc)
         return r
 
-    def dual_row(self, f: int, x: int) -> Vec:
+    def dual_row(self, f: int, x: int) -> Row:
         """(e_f (x) 1) |> e_x."""
         key = f * self.algebra.dim + x
         r = self._dualrows.get(key)
@@ -425,7 +427,7 @@ class FactoredAction(Action):
             nB = base.dim
             sinv = dual.antipode_inv()
             fx, b = divmod(x, nB)
-            r = {}
+            acc: Vec = {}
             for u1, u2, u3, c in _iter3(dual, self._d3f, f):
                 right: Vec = {}
                 for nu, cs in sinv.get(u1):
@@ -440,14 +442,14 @@ class FactoredAction(Action):
                             vadd_term(left, k, cs * ct * ck)
                 if not left:
                     continue
-                vadd_outer(r, c, left, right, nB)
-            self._dualrows[key] = r
+                vadd_outer(acc, c, left, right, nB)
+            r = self._dualrows[key] = shared_row(acc)
         return r
 
     def _row_fn(self, h: int, x: int) -> Vec:
         f, m = divmod(h, self.base.dim)
         out: Vec = {}
-        for xp, c in self.prim_row(m, x).items():
+        for xp, c in self.prim_row(m, x):
             vadd_into(out, self.dual_row(f, xp), c)
         return out
 
@@ -490,7 +492,7 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
                                rng, samples):
         chk.cases += 1
         lhs: Vec = {}
-        for xp, c in act.dual_row(f, x).items():
+        for xp, c in act.dual_row(f, x):
             vadd_into(lhs, act.prim_row(m, xp), c)
         dvec: Vec = {}
         for m1, m2, m3, c in _iter3(base, d3, m):
@@ -645,9 +647,9 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
             v1 = act.row(r1, iy)
             if not v1:
                 continue
-            for xp, cx in v2.items():
+            for xp, cx in v2:
                 c1 = c * cx
-                for yp, cy in v1.items():
+                for yp, cy in v1:
                     vadd_into(rhs, alg.mult.get(xp, yp), c1 * cy)
         if not veq(lhs, rhs):
             found = (f"y={_rlab(alg, iy)}, x={_rlab(alg, ix)}: yx = "
@@ -677,7 +679,7 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
                     r = act.row(hs, ix)
                     if not r:
                         continue
-                    for xp, cx in r.items():
+                    for xp, cx in r:
                         vadd_into(rhs2, alg.mult.get(xp, y0), c2 * cx)
         if not veq(lhs, rhs2):
             found = (f"y={_rlab(alg, iy)}, x={_rlab(alg, ix)}: the inverse-R "

@@ -36,11 +36,11 @@ from math import lcm
 from typing import Iterable, Optional
 
 from .cyclo import Cyc, QContext
-from .results import Check, CheckResult, gen_indices, iter_tuples
+from .results import Check, CheckResult, gen_indices, iter_tuples, mode_tag
 from .sparse import (
     BilinearMap, ColinearMap, LinearMap, Space,
-    Subspace, linear_map_inverse, span_closure, vadd_into, vadd_outer,
-    vadd_term, veq, vscale,
+    Subspace, linear_map_inverse, shared_row, span_closure, vadd_into,
+    vadd_outer, vadd_term, veq, vscale,
 )
 
 __all__ = [
@@ -207,7 +207,8 @@ def twisted_product(A, B, r_row) -> tuple:
                                  of c * a1 a (x) b b2,
 
     where r_row(b1, a2) lists R(b1 (x) a2) as (a, b, c) terms.  Each R
-    row is computed once and memoized.  Returns (mult, unit, generators),
+    row is computed once and memoized as a stored row (see
+    `sparse.shared_row`).  Returns (mult, unit, generators),
     the generators being g (x) 1 and 1 (x) g over those of A and of B
     (None if neither has any).
     """
@@ -220,7 +221,7 @@ def twisted_product(A, B, r_row) -> tuple:
         key = b1 * nA + a2
         r = rmemo.get(key)
         if r is None:
-            r = rmemo[key] = r_row(b1, a2)
+            r = rmemo[key] = shared_row(r_row(b1, a2))
         acc: Vec = {}
         for a, b, c in r:
             ra = A.mult.get(a1, a)
@@ -831,15 +832,22 @@ def check_hopf_pairing(P: HopfPairing, mode: str = "exhaustive",
     <fg, x> = <f (x) g, comult x>, <comult* f, x (x) y> = <f, xy>,
     <1*, x> = counit(x), counit*(f) = <f, 1>, <S* f, x> = <f, S x>,
     and nondegeneracy via the rank of the pairing matrix.
+
+    The two product axioms walk one list of index pairs from
+    `iter_tuples`, with the dual's generator indices in both slots, and
+    report its `mode_tag`: every pair in "exhaustive" mode, a generator
+    head and a seeded sample in "generators" mode, a seeded sample in
+    "sample" mode.  The other two are always exhaustive.
     """
+    if mode not in ("exhaustive", "generators", "sample"):
+        raise ValueError(f"unknown coverage mode {mode!r}")
     n = P.alg.dim
-    rng = random.Random(seed)
-    if mode == "exhaustive":
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-    else:
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
-    return [_pairing_mult_vs_comult(P, pairs, mode),
-            _pairing_comult_vs_mult(P, pairs, mode),
+    g = gen_indices(P.dual)
+    pairs = list(iter_tuples(mode, (n, n), (g, g), random.Random(seed),
+                             samples))
+    tag = mode_tag(mode, seed, samples)
+    return [_pairing_mult_vs_comult(P, pairs, tag),
+            _pairing_comult_vs_mult(P, pairs, tag),
             _pairing_units_antipode(P),
             _pairing_nondegenerate(P)]
 

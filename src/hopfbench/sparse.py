@@ -6,6 +6,16 @@ indices and can be backed by a compute-on-demand function with a memo,
 so large objects (e.g. a 1296-dimensional double at p = 3) never have
 to materialize their full product tensor.
 
+Every memo table, here and in the modules above (actions, coactions,
+twisted-product R rows), stores its rows in one format: a tuple of
+(k, c) entries, or (j, k, c) entries for coaction and colinear rows, in
+the order the row function produced them, built by `shared_row`.  The
+entries are shared: a field holds one entry tuple per (indices, stored
+form of c) and one Cyc per stored form, and every stored row reuses
+them.  Rows and entries are immutable, so sharing changes no result;
+it only keeps the many equal entries of large tables from each holding
+its own objects.
+
 Every accumulation goes through the kernels here: `vadd_into` (a vector,
 or a row of (k, c) pairs, scaled and shifted by a key offset),
 `vadd_outer` (the outer product of two rows), `colinear_apply` (rows of
@@ -24,11 +34,11 @@ from __future__ import annotations
 from bisect import insort
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cyclo import Cyc, QContext
+from .cyclo import Cyc, QContext, stored_form
 
 __all__ = [
-    "Space", "vadd_into", "vadd_outer", "vadd_term", "colinear_apply",
-    "vscale", "vsub", "veq",
+    "Space", "shared_row", "vadd_into", "vadd_outer", "vadd_term",
+    "colinear_apply", "vscale", "vsub", "veq",
     "BilinearMap", "LinearMap", "LazyLinearMap", "ColinearMap", "Subspace",
     "SpanSolver",
     "span_closure", "QuotientSpace", "linear_map_inverse",
@@ -36,7 +46,7 @@ __all__ = [
 ]
 
 Vec = dict  # {int: Cyc}
-Row = tuple  # ((int, Cyc), ...)
+Row = tuple  # ((int, Cyc), ...) or ((int, int, Cyc), ...): see shared_row
 
 
 class SingularMapError(ValueError):
@@ -60,6 +70,36 @@ class Space:
 
     def __repr__(self) -> str:
         return f"Space({self.name}, dim={self.dim})"
+
+
+# -- the stored row format --------------------------------------------------
+
+def shared_row(row) -> Row:
+    """row in the stored format: a tuple of its field's shared entries.
+
+    row is a dict {k: c} or an iterable of (k, c) or (j, k, c) tuples,
+    with nonzero scalars.  The result holds the same entries in the same
+    order, each replaced by the one tuple that the field of its scalar
+    (`c.ctx`) keeps for those indices and that stored form of c
+    (`cyclo.stored_form`); a new entry is kept with the field's one
+    instance of its scalar.  The keys are ints and stored forms, so
+    storing a row runs no Cyc arithmetic, hashing or comparison.
+    """
+    if isinstance(row, dict):
+        row = row.items()
+    out = []
+    for entry in row:
+        c = entry[-1]
+        ctx = c.ctx
+        form = stored_form(c)
+        head = entry[:-1]
+        key = head + form
+        shared = ctx.shared_entries.get(key)
+        if shared is None:
+            scalar = ctx.shared_scalars.setdefault(form, c)
+            shared = ctx.shared_entries[key] = head + (scalar,)
+        out.append(shared)
+    return tuple(out)
 
 
 # -- vector helpers ---------------------------------------------------------
@@ -208,9 +248,10 @@ def veq(a: Vec, b: Vec) -> bool:
 class BilinearMap:
     """Bilinear map V x W -> U on basis pairs, as sparse rows.
 
-    Rows are tuples ((k, coeff), ...) keyed by the flat pair index
-    i * dim_w + j.  A compute function may back the table; computed rows
-    are memoized so repeated lookups are cheap and deterministic.
+    Rows are stored rows ((k, coeff), ...) (see `shared_row`) keyed by
+    the flat pair index i * dim_w + j.  A compute function may back the
+    table; computed rows are memoized so repeated lookups are cheap and
+    deterministic.
     """
 
     __slots__ = ("dim_v", "dim_w", "rows", "fn")
@@ -229,12 +270,11 @@ class BilinearMap:
         if row is None:
             if self.fn is None:
                 return ()
-            row = self.fn(i, j)
-            self.rows[key] = row
+            row = self.rows[key] = shared_row(self.fn(i, j))
         return row
 
     def set(self, i: int, j: int, row: Iterable) -> None:
-        self.rows[i * self.dim_w + j] = tuple(row)
+        self.rows[i * self.dim_w + j] = shared_row(row)
 
     def apply(self, u: Vec, w: Vec) -> Vec:
         """Image of u (x) w under the map."""
@@ -311,7 +351,8 @@ class LinearMap:
 
 
 class LazyLinearMap(LinearMap):
-    """LinearMap whose rows are computed on demand and memoized."""
+    """LinearMap whose rows are computed on demand and memoized as
+    stored rows (see `shared_row`)."""
 
     __slots__ = ("fn",)
 
@@ -322,8 +363,7 @@ class LazyLinearMap(LinearMap):
     def get(self, i: int) -> Row:
         row = self.rows.get(i)
         if row is None:
-            row = tuple(self.fn(i))
-            self.rows[i] = row
+            row = self.rows[i] = shared_row(self.fn(i))
         return row
 
     def apply(self, v: Vec) -> Vec:
@@ -342,7 +382,8 @@ class LazyLinearMap(LinearMap):
 
 
 class ColinearMap:
-    """Coproduct-shaped map V -> W1 (x) W2: rows of (j, k, coeff)."""
+    """Coproduct-shaped map V -> W1 (x) W2: rows of (j, k, coeff); computed
+    rows are memoized as stored rows (see `shared_row`)."""
 
     __slots__ = ("dim_v", "dim_w1", "dim_w2", "rows", "fn")
 
@@ -363,8 +404,7 @@ class ColinearMap:
         if row is None:
             if self.fn is None:
                 return ()
-            row = self.fn(i)
-            self.rows[i] = row
+            row = self.rows[i] = shared_row(self.fn(i))
         return row
 
     def apply(self, v: Vec) -> Vec:

@@ -28,8 +28,8 @@ from typing import Callable, Iterable
 from .hopf import (FiniteAlgebra, FiniteHopf, render_element, tensor_flat,
                    twisted_product)
 from .results import Check, CheckResult, gen_indices, iter_tuples, mode_tag
-from .sparse import (LinearMap, Space, Vec, colinear_apply, vadd_into,
-                     vadd_outer, vadd_term, veq)
+from .sparse import (LinearMap, Row, Space, Vec, colinear_apply, shared_row,
+                     vadd_into, vadd_outer, vadd_term, veq)
 
 __all__ = [
     "Action",
@@ -62,8 +62,11 @@ __all__ = [
 class Action:
     """Left action of a Hopf algebra on an algebra, by memoized basis rows.
 
-    `fn(h, x)` must return the vector h |> e_x as a dict.  Rows are cached
-    under the flat key h * dim_X + x.
+    `fn(h, x)` must return the vector h |> e_x as a dict.  `row(h, x)`
+    returns it as a stored row, a tuple of shared (y, c) entries in the
+    order in which `fn` filled the dict (see `sparse.shared_row`), cached
+    under the flat key h * dim_X + x.  Readers iterate the tuple, or take
+    `dict(row)` where they need a vector.
     """
 
     __slots__ = ("hopf", "algebra", "_fn", "_rows")
@@ -72,7 +75,7 @@ class Action:
         self.hopf = hopf
         self.algebra = algebra
         self._fn = fn
-        self._rows: dict[int, Vec] = {}
+        self._rows: dict[int, Row] = {}
 
     @classmethod
     def trivial(cls, hopf: FiniteHopf, algebra) -> "Action":
@@ -85,12 +88,11 @@ class Action:
 
         return cls(hopf, algebra, fn)
 
-    def row(self, h: int, x: int) -> Vec:
+    def row(self, h: int, x: int) -> Row:
         key = h * self.algebra.dim + x
         r = self._rows.get(key)
         if r is None:
-            r = self._fn(h, x)
-            self._rows[key] = r
+            r = self._rows[key] = shared_row(self._fn(h, x))
         return r
 
     def apply(self, hv: Vec, xv: Vec) -> Vec:
@@ -104,7 +106,8 @@ class Action:
 
 
 class Coaction:
-    """Left coaction X -> H (x) X, by memoized rows of (h, x, coeff) terms."""
+    """Left coaction X -> H (x) X, by memoized stored rows of (h, x, coeff)
+    terms (see `sparse.shared_row`)."""
 
     __slots__ = ("hopf", "algebra", "_fn", "_rows")
 
@@ -112,7 +115,7 @@ class Coaction:
         self.hopf = hopf
         self.algebra = algebra
         self._fn = fn
-        self._rows: dict[int, tuple] = {}
+        self._rows: dict[int, Row] = {}
 
     @classmethod
     def trivial(cls, hopf: FiniteHopf, algebra) -> "Coaction":
@@ -124,11 +127,10 @@ class Coaction:
 
         return cls(hopf, algebra, fn)
 
-    def terms(self, x: int) -> tuple:
+    def terms(self, x: int) -> Row:
         r = self._rows.get(x)
         if r is None:
-            r = tuple(self._fn(x))
-            self._rows[x] = r
+            r = self._rows[x] = shared_row(self._fn(x))
         return r
 
     def apply(self, xv: Vec) -> Vec:
@@ -217,9 +219,8 @@ def check_module(m, mode: str = "exhaustive", seed: int = 0,
         lhs: Vec = {}
         for k, c in H.mult.get(hm, hn):
             vadd_into(lhs, act.row(k, x), c)
-        inner = act.row(hn, x)
         rhs: Vec = {}
-        for xp, c in inner.items():
+        for xp, c in act.row(hn, x):
             vadd_into(rhs, act.row(hm, xp), c)
         if not veq(lhs, rhs):
             return chk.result(
@@ -261,9 +262,9 @@ def check_module_algebra(m, mode: str = "exhaustive", seed: int = 0,
             r2 = act.row(h2, y)
             if not r2:
                 continue
-            for xp, cx in r1.items():
+            for xp, cx in r1:
                 c1 = cd * cx
-                for yp, cy in r2.items():
+                for yp, cy in r2:
                     vadd_into(rhs, alg.mult.get(xp, yp), c1 * cy)
         if not veq(lhs, rhs):
             return chk.result(
@@ -352,7 +353,7 @@ def check_yd(y, mode: str = "exhaustive", seed: int = 0,
             r = act.row(m1, a)
             if not r:
                 continue
-            for ap, ca in r.items():
+            for ap, ca in r:
                 c1 = cd * ca
                 for h, a0, cc in coact.terms(ap):
                     c2 = c1 * cc
@@ -387,7 +388,7 @@ def braiding_row(u_mod: YDModuleAlgebra, v_mod: YDModuleAlgebra,
     du = u_mod.algebra.dim
     out: Vec = {}
     for h, u0, c in u_mod.coaction.terms(i):
-        for vp, cv in v_mod.action.row(h, j).items():
+        for vp, cv in v_mod.action.row(h, j):
             vadd_term(out, vp * du + u0, c * cv)
     return out
 
@@ -427,7 +428,7 @@ def check_braided_commutative(y: YDModuleAlgebra, mode: str = "exhaustive",
         lhs = dict(alg.mult.get(i, j))
         rhs: Vec = {}
         for h, y0, c in coact.terms(i):
-            for xp, cx in act.row(h, j).items():
+            for xp, cx in act.row(h, j):
                 vadd_into(rhs, alg.mult.get(xp, y0), c * cx)
         if not veq(lhs, rhs):
             return chk.result(
@@ -515,7 +516,7 @@ def braided_product(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         """R(y (x) v) = sum (y_(-1) |> v) (x) y_(0)."""
         out = []
         for h, y0, c in y_mod.coaction.terms(iy):
-            for vp, cv in x_mod.action.row(h, iv).items():
+            for vp, cv in x_mod.action.row(h, iv):
                 c1 = c * cv
                 if c1:
                     out.append((vp, y0, c1))
@@ -685,7 +686,7 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         gh = gen_indices(H)
         for h, u in iter_tuples(mode, (H.dim, d), (gh, gxy), rng, samples):
             chk.cases += 1
-            lhs = phi.apply(xy.yd.action.row(h, u))
+            lhs = phi.apply(dict(xy.yd.action.row(h, u)))
             rhs = yx.yd.action.apply({h: H.ctx.one}, dict(phi.get(u)))
             if not veq(lhs, rhs):
                 return chk.result(f"phi not H-linear at M={_lab(H.space, h)}, "

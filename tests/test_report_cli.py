@@ -215,6 +215,27 @@ def test_p3_report_bytes_are_pinned():
     assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P3_YD_TRUNCATIONS
 
 
+# sha256 of `render(run_suite(SuiteConfig(p=3, suite=<suite>, sample_size=300,
+# seed=11)), "json")`: these suites read p=3 action rows inside braided
+# products, where a scalar zeta^j with j >= phi can be stored in two forms,
+# so they pin the order in which action rows are accumulated.
+REPORT_SHA256_P3_BRAIDED = {
+    "heisenberg":
+        "4c7233eea2c9ca0bff6d0d6c486ba407ff8811a6482528f1a52ded85d7298a3d",
+    "chains":
+        "2363241f56acb81f0dd904078c24c51ffec45ca90d3b4e74c7409222643053b3",
+    "hopf-axioms":
+        "e4a7affb45e54f112f0f1cb535e7016d4987e328c9881f9c9bb43ec8fab1602a",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(REPORT_SHA256_P3_BRAIDED))
+def test_p3_braided_product_report_bytes_are_pinned(suite):
+    data = render(run_suite(SuiteConfig(p=3, suite=suite, sample_size=300,
+                                        seed=11)), "json")
+    assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P3_BRAIDED[suite]
+
+
 # sha256 of `render(run_suite(SuiteConfig(p=2, suite="chains,truncations")),
 # "json")`, recorded when suites still ran one after another.
 REPORT_SHA256_P2_TWO_SUITES = \
@@ -521,6 +542,23 @@ def test_export_cli(tmp_path, capsys):
     assert data["field"] == {"type": "cyclotomic", "order": 8}
     assert main(["export", "--p", "2", "nosuch"]) == 2
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,work", [
+    (["verify", "--p", "2", "--suite", "chains", "--format", "json"],
+     "run_suite"),
+    (["export", "--p", "2", "cqzd"], "export_bytes"),
+])
+def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, monkeypatch,
+                                                     capsys, argv, work):
+    ran = []
+    monkeypatch.setattr(cli_module, work, lambda *a, **k: ran.append(a))
+    out = tmp_path / "missing" / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert ran == []                      # checked before any work
+    err = capsys.readouterr().err
+    assert "does not exist" in err and "Traceback" not in err
+    assert not out.exists() and not out.parent.exists()
 
 
 # Index columns of each table in an exported FiniteHopf.

@@ -6,6 +6,7 @@ import pytest
 
 from hopfbench.cyclo import QContext
 from hopfbench.hopf import check_hopf_axioms, check_hopf_pairing
+from hopfbench.results import mode_tag
 from hopfbench.sparse import veq
 from hopfbench.taft import (
     closed_form_smash_row, taft_setup,
@@ -194,8 +195,20 @@ def test_pairing_axioms():
 
 def test_pairing_axioms_p3_sampled():
     pair = taft_setup(3)
-    all_pass(check_hopf_pairing(pair.pairing, mode="sampled", seed=11,
+    all_pass(check_hopf_pairing(pair.pairing, mode="sample", seed=11,
                                 samples=60))
+
+
+def test_pairing_walks_are_labelled_by_what_ran():
+    pairing = taft_setup(2).pairing
+    res = {r.name: r for r in check_hopf_pairing(pairing, mode="generators",
+                                                 samples=50)}
+    for name in ("pairing-mult-vs-comult", "pairing-comult-vs-mult"):
+        assert res[name].status == "pass"
+        assert res[name].mode == mode_tag("generators", 0, 50)
+        assert res[name].mode != "generators"
+    with pytest.raises(ValueError, match="sampled"):
+        check_hopf_pairing(pairing, mode="sampled")
 
 
 def test_basis_change_roundtrip(setup):

@@ -108,7 +108,7 @@ def _old_braided_row(x_mod, y_mod, k1, k2):
         ru = Y.mult.get(y0, iu)
         if not ru:
             continue
-        for vp, cv in rvec.items():
+        for vp, cv in rvec:
             c1 = c * cv
             if not c1:
                 continue
