@@ -370,9 +370,10 @@ def _suite_truncations(cfg: SuiteConfig):
     yield from uq.checks
     yield from uq_presentation_check(uq)
     yield _dim_check("uq-dimension", uq.hopf.dim, 2 * p ** 3)
-    if p == 2:
-        yield quotient_morphism_check(uq.hq)
+    if p == 2 or m != "sample":
+        yield quotient_morphism_check(uq.hq, mode=m)
     else:
+        # sample mode keeps the walk over every basis pair of D(B)
         yield _skip("quotient-morphism",
                     "run with p=2 (quadratic in the parent dimension)")
     hq = hqsl2(p)

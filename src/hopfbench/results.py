@@ -12,17 +12,32 @@ tuple in lexicographic order, "generators" walks the declared generator
 indices (`gen_indices`) in the slots that have them and then a seeded
 random sample over the full basis, and "sample" draws seeded random
 tuples only.  `mode_tag` is the coverage label a walk reports.
+
+Checks of a multiplicative map phi(xy) = phi(x) phi(y) on an algebra A
+may instead walk `generator_pairs`: (g, j) for g over A's declared
+generator indices and j over its whole basis, with no sample tail, and
+report the label "generators".  When A and the target are associative,
+S = {x : phi(xy) = phi(x) phi(y) for all y} is a subalgebra of A
+(Montgomery, Hopf Algebras and Their Actions on Rings, CBMS 82, 1993),
+so the walk and phi(1) = 1 put the generators and the unit in S, and
+`generation_failure` -- the span closure of the unit and the generators
+under A's product must reach full rank -- makes S all of A: the walk is
+then a proof.  The closure is built once per algebra object.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
+from .sparse import span_closure
+
 __all__ = ["CheckResult", "Check", "summarize", "invert_expected_failure",
-           "gen_indices", "iter_tuples", "mode_tag"]
+           "gen_indices", "iter_tuples", "generator_pairs",
+           "generation_failure", "mode_tag"]
 
 
 @dataclass
@@ -133,6 +148,30 @@ def iter_tuples(mode: str, dims: tuple, gen_sets: tuple, rng, samples: int):
     if mode == "sample":
         return (tuple(rng.randrange(d) for d in dims) for _ in range(samples))
     raise ValueError(f"unknown check mode: {mode!r}")
+
+
+def generator_pairs(alg):
+    """The lemma walk on `alg`: (g, j) for g over its declared generator
+    indices, ascending, and j over its whole basis, ascending."""
+    return itertools.product(sorted(gen_indices(alg)), range(alg.dim))
+
+
+# algebra object -> rank of the span closure of its unit and generators
+_generated_rank = weakref.WeakKeyDictionary()
+
+
+def generation_failure(alg) -> Optional[str]:
+    """None when the unit and the declared generators of `alg` generate it
+    under its product, otherwise the failed certificate as a witness."""
+    rank = _generated_rank.get(alg)
+    if rank is None:
+        seed = [dict(alg.unit)] + [dict(g) for g in alg.generators]
+        rank = _generated_rank[alg] = span_closure(seed, alg.product,
+                                                   alg.dim).rank
+    if rank == alg.dim:
+        return None
+    return (f"generating set spans rank {rank} of {alg.dim}; "
+            "generation certificate failed")
 
 
 def mode_tag(mode: str, seed: int, samples: int) -> str:

@@ -147,7 +147,7 @@ REPORT_SHA256_P2 = {
     "chains":
         "b3e30ca0d5ab1f1279524b1725418f8f09fe5d7188209db93e41dde90dd69820",
     "truncations":
-        "68d7a273277b78a4f4c6fd4f5d564203e0b06eb383a63cb9e0066d7d0d683b31",
+        "ba54a672e78b3958063de51987e9af7b52b6da765ffd807f48b3209dc32a4c9c",
 }
 
 
@@ -168,7 +168,7 @@ REPORT_SHA256_P2_GENERATORS = {
     "hopf-axioms":
         "a68c8e0728f4b0ad5edfc900068d7034ee3ba411c8e090b3ba0121ef698e1b36",
     "yd":
-        "1708430de2bb6b1fdcb82fe59afa41a5b4954b3173ec3208e0667ea571ba0520",
+        "d53dd7fcb1fa89773c3bc099847f29535b337b50060f2d64e1432660ea06e0a9",
 }
 
 
@@ -206,7 +206,7 @@ def test_sample_report_bytes_are_pinned(suite):
 # --format json`: at p=3 most structure constants are dense scalars, which
 # the p=2 reports hardly reach.
 REPORT_SHA256_P3_YD_TRUNCATIONS = \
-    "90d9aa81665ecddd41dc65caddd5148165f29ac1690fe629bc2a363caa67f7ad"
+    "dd48bd04b89dcc096dbba963940b3173de170bd27ae592263c47e3ac874bfea9"
 
 
 def test_p3_report_bytes_are_pinned():
@@ -239,7 +239,7 @@ def test_p3_braided_product_report_bytes_are_pinned(suite):
 # sha256 of `render(run_suite(SuiteConfig(p=2, suite="chains,truncations")),
 # "json")`, recorded when suites still ran one after another.
 REPORT_SHA256_P2_TWO_SUITES = \
-    "941374d90d58be4a00757d58785ebd8cc2b09bfcd8715ddd56af1380bd03dc99"
+    "31b27f4243fb930e552e1a2cbc31c9c2496bcef53c48de975aeadb1d998a43ba"
 
 
 def _two_cpus(monkeypatch):

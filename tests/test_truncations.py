@@ -138,7 +138,7 @@ def test_hq_is_yd_module_algebra():
     ]
     all_pass(results)
     assert [r.cases_checked for r in results] == [
-        4112, 4112, 32, 257, 256, 256]
+        4112, 4112, 32, 49, 256, 256]
 
 
 def test_hq_relations():
