@@ -335,9 +335,14 @@ def _eval_node(node, env: _EvalContext, hopf_side: bool) -> Vec:
         if exp < 0:
             base = _invert(env, product, unit, base, node[3])
             exp = -exp
+        # square-and-multiply; both products are associative
         out = dict(unit)
-        for _ in range(exp):
-            out = product(out, base)
+        while exp:
+            if exp & 1:
+                out = product(out, base)
+            exp >>= 1
+            if exp:
+                base = product(base, base)
         return out
     if kind == "mul":
         return product(_eval_node(node[1], env, hopf_side),

@@ -48,8 +48,9 @@ from .cyclo import Cyc, QContext
 from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf,
                    pair_product, render_element, tensor_flat, triple_product,
                    twisted_product)
-from .results import (Check, CheckResult, gen_indices,
-                      invert_expected_failure, iter_tuples, mode_tag)
+from .results import (Check, CheckResult, Walk, gen_indices,
+                      generation_failure, invert_expected_failure,
+                      iter_tuples, mode_tag)
 from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Row, Space, Vec,
                      linear_map_inverse, shared_row, vadd_into, vadd_outer,
                      vadd_term, veq)
@@ -66,6 +67,7 @@ __all__ = [
     "canonical_action",
     "FactoredAction",
     "to_show_action_check",
+    "module_factor_walk",
     "check_double_identity",
     "yd_structure",
     "factor_structures",
@@ -393,7 +395,7 @@ class FactoredAction(Action):
 
     def prim_row(self, m: int, x: int) -> Row:
         """(eps (x) e_m) |> e_x."""
-        key = m * self.algebra.dim + x
+        key = m * self.dim + x
         r = self._prim.get(key)
         if r is None:
             base, dual, P = self.base, self.dual, self.pairing
@@ -420,7 +422,7 @@ class FactoredAction(Action):
 
     def dual_row(self, f: int, x: int) -> Row:
         """(e_f (x) 1) |> e_x."""
-        key = f * self.algebra.dim + x
+        key = f * self.dim + x
         r = self._dualrows.get(key)
         if r is None:
             base, dual, P = self.base, self.dual, self.pairing
@@ -511,6 +513,101 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
                               f"A={_rlab(act.algebra, x)}: factor actions do "
                               f"not compose through the double product")
     return chk.result()
+
+
+def module_factor_walk(D: DrinfeldDouble, dim_x: int) -> Walk:
+    """The walk on which `ydcat.check_module` proves that an action of
+    D(B) = B*cop |><| B on a dim_x-dimensional algebra is a module.
+
+    Write f (x) 1 and 1 (x) m for f in B*cop and m in B; their units must
+    be basis vectors, with 1 (x) 1 the unit of D.  `check_module` walks,
+    in order, and stops at the first failure:
+
+    1. the unit law 1 |> x = x, for every x;
+    2. (prelude) the products (f (x) 1)(1 (x) m) = f (x) m,
+       (f (x) 1)(g (x) 1) = fg (x) 1 and (1 (x) m)(1 (x) n) = 1 (x) mn
+       in D, on every pair of basis vectors;
+    3. (F) the law on (f (x) 1, 1 (x) m, x) for every f, m and x, which
+       by 2 reads rho(f (x) m) = rho(f (x) 1) rho(1 (x) m);
+    4. the law on (g (x) 1, f (x) 1, x), (1 (x) b, 1 (x) m, x) and
+       (1 (x) b, f (x) 1, x), for g over the generators of B*, b over
+       those of B and f, m, x over their bases;
+    5. (certificate) `results.generation_failure` of B* and of B.
+
+    Proof that these give rho(hk) = rho(h) rho(k) on all of D.  By 2 the
+    two embeddings are algebra maps, so B* and B are associative because
+    D is (`hopf-axioms.ddouble-mult-associativity`), and D is spanned by
+    the products (f (x) 1)(1 (x) m).  With 1, the steps 4 and 5 make rho
+    multiplicative on each factor (the subalgebra lemma of `results`).
+    T = {b in B : rho((1 (x) b)(f (x) 1)) = rho(1 (x) b) rho(f (x) 1)
+    for every f} holds 1 and, by 4, the generators of B.  It is closed
+    under products: for b, c in T write (1 (x) c)(f (x) 1) as
+    sum_i (f_i (x) 1)(1 (x) c_i) and (1 (x) b)(f_i (x) 1) as
+    sum_j (f_ij (x) 1)(1 (x) b_ij); associativity, 2 and (F) give
+
+        rho((1 (x) bc)(f (x) 1))
+            = sum rho(f_ij (x) 1) rho(1 (x) b_ij) rho(1 (x) c_i)
+            = sum rho(1 (x) b) rho(f_i (x) 1) rho(1 (x) c_i)
+            = rho(1 (x) b) rho(1 (x) c) rho(f (x) 1).
+
+    So T = B by 5.  Last, for h = f (x) m and k = g (x) n, the twisted
+    product row formula hk = sum_i (f g_i (x) 1)(1 (x) m_i n), where
+    (1 (x) m)(g (x) 1) = sum_i (g_i (x) 1)(1 (x) m_i), gives
+
+        rho(hk) = sum rho(f (x) 1) rho(g_i (x) 1) rho(1 (x) m_i) rho(1 (x) n)
+                = rho(f (x) 1) rho(1 (x) m) rho(g (x) 1) rho(1 (x) n)
+                = rho(h) rho(k).
+
+    The walk is labelled "generators".  It reads the action only through
+    its composite rows on D's basis, the rows that every other check of
+    the action reads.
+    """
+    base, dual, one = D.base, D.dual, D.ctx.one
+    nB, nF = base.dim, dual.dim
+    ub, uf = min(base.unit), min(dual.unit)
+    if (base.unit != {ub: one} or dual.unit != {uf: one}
+            or not veq(D.hopf.unit, {D.index(uf, ub): one})):
+        raise ValueError("the factor walk needs basis-vector units, "
+                         "with 1 (x) 1 the unit of D")
+    mult = D.hopf.mult
+
+    left = [D.index(f, ub) for f in range(nF)]      # f (x) 1
+    right = [D.index(uf, m) for m in range(nB)]     # 1 (x) m
+
+    def products(chk: Check) -> Optional[str]:
+        for f in range(nF):
+            for m in range(nB):
+                chk.cases += 1
+                if not veq(dict(mult.get(left[f], right[m])),
+                           {D.index(f, m): one}):
+                    return (f"(f (x) 1)(1 (x) m) != f (x) m at "
+                            f"f={_rlab(dual, f)}, m={_rlab(base, m)}")
+        for f in range(nF):
+            for g in range(nF):
+                chk.cases += 1
+                if not veq(dict(mult.get(left[f], left[g])),
+                           {left[k]: c for k, c in dual.mult.get(f, g)}):
+                    return (f"(f (x) 1)(g (x) 1) != fg (x) 1 at "
+                            f"f={_rlab(dual, f)}, g={_rlab(dual, g)}")
+        for m in range(nB):
+            for n in range(nB):
+                chk.cases += 1
+                if not veq(dict(mult.get(right[m], right[n])),
+                           {right[k]: c for k, c in base.mult.get(m, n)}):
+                    return (f"(1 (x) m)(1 (x) n) != 1 (x) mn at "
+                            f"m={_rlab(base, m)}, n={_rlab(base, n)}")
+        return None
+
+    xs = range(dim_x)
+    gf, gb = sorted(gen_indices(dual)), sorted(gen_indices(base))
+    triples = itertools.chain(
+        ((fl, mr, x) for fl in left for mr in right for x in xs),
+        ((left[g], fl, x) for g in gf for fl in left for x in xs),
+        ((right[b], mr, x) for b in gb for mr in right for x in xs),
+        ((right[b], fl, x) for b in gb for fl in left for x in xs))
+    return Walk("generators", triples, prelude=products,
+                certificate=lambda: (generation_failure(dual)
+                                     or generation_failure(base)))
 
 
 def _rlab(obj, i: int) -> str:

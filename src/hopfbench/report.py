@@ -20,12 +20,13 @@ from . import __version__
 from .doubles import (FactoredAction, chain_relations_check,
                       check_double_identity, check_quantum_comm_remarks,
                       check_quasitriangular, eta_twist_product,
-                      heisenberg_chain, to_show_action_check)
+                      heisenberg_chain, module_factor_walk,
+                      to_show_action_check)
 from .hopf import check_algebra_axioms, check_hopf_axioms, render_element
 from .mutations import MUTATIONS, run_mutation
 from .results import (Check, CheckResult, gen_indices,
-                      invert_expected_failure, iter_tuples, mode_tag,
-                      summarize)
+                      invert_expected_failure, iter_tuples, lemma_walk,
+                      mode_tag, summarize)
 from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
                    cqzd, cqzd_center_check, double_presentation_check,
                    h2_matches_cqzd_check, hq_action_table_check,
@@ -106,8 +107,9 @@ class SuiteConfig:
                 f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be a 64-bit integer, got {self.seed!r}")
-        if self.resolved_mode != "exhaustive" and self.sample_size < 1:
-            raise ConfigError("sample_size must be >= 1 for sampled modes")
+        if self.sample_size < 1:
+            raise ConfigError(
+                f"sample_size must be >= 1, got {self.sample_size!r}")
         self.selected()
 
     def to_dict(self) -> dict:
@@ -201,14 +203,6 @@ def parse(data) -> VerificationReport:
 
 # -- mode adapters ------------------------------------------------------------
 
-def _cubic_mode(cfg: SuiteConfig) -> str:
-    """Triple quantifications on the full doubles: exhaustive is cubic in a
-    256-dim space, so the exhaustive request maps to generator tuples plus
-    the seeded sample (the coverage the module/YD claims are stated for)."""
-    m = cfg.resolved_mode
-    return "generators" if m == "exhaustive" else m
-
-
 def _pair_mode(cfg: SuiteConfig) -> str:
     """For checks that only know exhaustive-or-sampled pair iteration."""
     m = cfg.resolved_mode
@@ -295,14 +289,27 @@ def _suite_double(cfg: SuiteConfig):
 
 
 def _suite_yd(cfg: SuiteConfig):
-    y = taft_system(cfg.p).yd
-    cm, m, seed, n = _cubic_mode(cfg), cfg.resolved_mode, cfg.seed, cfg.sample_size
-    yield check_module(y, mode=cm, seed=seed, samples=n)
-    yield check_module_algebra(y, mode=cm, seed=seed, samples=n)
+    sys = taft_system(cfg.p)
+    y = sys.yd
+    m, seed, n = cfg.resolved_mode, cfg.seed, cfg.sample_size
+    # Exhaustive mode proves module-action on the two factors of D(B);
+    # with it and comodule-algebra, the lemma walks prove yd-condition
+    # and braided-commutative from generators (see each check).
+    proofs = m == "exhaustive"
+    yield check_module(y, mode=m, seed=seed, samples=n,
+                       walk=(module_factor_walk(sys.double, y.dim)
+                             if proofs else None))
+    # An exhaustive module-algebra walk is cubic in the 256-dim H(B*), so
+    # it keeps the generator tuples plus the seeded sample there.
+    yield check_module_algebra(y, mode="generators" if proofs else m,
+                               seed=seed, samples=n)
     yield check_comodule(y)
     yield check_comodule_algebra(y, mode=m, seed=seed, samples=n)
-    yield check_yd(y, mode=cm, seed=seed, samples=n)
-    yield check_braided_commutative(y, mode=m, seed=seed, samples=n)
+    yield check_yd(y, mode=m, seed=seed, samples=n,
+                   walk=lemma_walk(y.hopf) if proofs else None)
+    yield check_braided_commutative(y, mode=m, seed=seed, samples=n,
+                                    walk=(lemma_walk(y.algebra)
+                                          if proofs else None))
 
 
 def _suite_heisenberg(cfg: SuiteConfig):
@@ -370,12 +377,7 @@ def _suite_truncations(cfg: SuiteConfig):
     yield from uq.checks
     yield from uq_presentation_check(uq)
     yield _dim_check("uq-dimension", uq.hopf.dim, 2 * p ** 3)
-    if p == 2 or m != "sample":
-        yield quotient_morphism_check(uq.hq, mode=m)
-    else:
-        # sample mode keeps the walk over every basis pair of D(B)
-        yield _skip("quotient-morphism",
-                    "run with p=2 (quadratic in the parent dimension)")
+    yield quotient_morphism_check(uq.hq)
     hq = hqsl2(p)
     yield from hq.checks
     yield _dim_check("hq-dimension", hq.yd.dim, 2 * p ** 3)

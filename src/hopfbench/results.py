@@ -23,21 +23,30 @@ so the walk and phi(1) = 1 put the generators and the unit in S, and
 `generation_failure` -- the span closure of the unit and the generators
 under A's product must reach full rank -- makes S all of A: the walk is
 then a proof.  The closure is built once per algebra object.
+
+A `Walk` carries the tuples of one check together with the coverage
+label they earn: `tuple_walk` wraps `iter_tuples` in a mode, and
+`lemma_walk` is `generator_pairs` with its generation certificate.  A
+check that takes a walk from its caller runs the same case loop on
+either.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 from .sparse import span_closure
 
 __all__ = ["CheckResult", "Check", "summarize", "invert_expected_failure",
            "gen_indices", "iter_tuples", "generator_pairs",
-           "generation_failure", "mode_tag"]
+           "generation_failure", "mode_tag", "Walk", "tuple_walk",
+           "lemma_walk"]
 
 
 @dataclass
@@ -181,3 +190,50 @@ def mode_tag(mode: str, seed: int, samples: int) -> str:
     if mode == "generators":
         return f"generators+sample(n={samples},seed={seed})"
     return f"sample(n={samples},seed={seed})"
+
+
+@dataclass
+class Walk:
+    """The basis tuples a check walks, and the coverage label they earn.
+
+    A lemma walk covers a claim on every tuple from a few: `prelude`,
+    run before the tuples, and `certificate`, run after them, check the
+    lemma's remaining hypotheses.  `prelude(chk)` counts its own cases
+    on the running check; both return a witness or None.  The tuples are
+    consumed: a walk serves one check.
+    """
+
+    label: str
+    tuples: Iterable
+    prelude: Optional[Callable[[Check], Optional[str]]] = None
+    certificate: Optional[Callable[[], Optional[str]]] = None
+
+    def failure(self, chk: Check, case) -> Optional[str]:
+        """The first witness of the prelude, of `case(*t)` over the
+        tuples (one case each on `chk`) or of the certificate; None when
+        all of them pass."""
+        if self.prelude is not None:
+            wit = self.prelude(chk)
+            if wit is not None:
+                return wit
+        for t in self.tuples:
+            chk.cases += 1
+            wit = case(*t)
+            if wit is not None:
+                return wit
+        return self.certificate() if self.certificate is not None else None
+
+
+def tuple_walk(mode: str, dims: tuple, gen_sets: tuple, seed: int,
+               samples: int) -> Walk:
+    """`iter_tuples` in `mode`, seeded, under its `mode_tag` label."""
+    return Walk(mode_tag(mode, seed, samples),
+                iter_tuples(mode, dims, gen_sets, random.Random(seed),
+                            samples))
+
+
+def lemma_walk(alg) -> Walk:
+    """`generator_pairs(alg)` closed by `generation_failure(alg)`,
+    labelled "generators"; the check that walks it states its lemma."""
+    return Walk("generators", generator_pairs(alg),
+                certificate=partial(generation_failure, alg))

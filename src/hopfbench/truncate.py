@@ -23,12 +23,12 @@ smaller one without re-deriving any structure by hand:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from .hopf import FiniteAlgebra, FiniteHopf, render_element
-from .results import (Check, CheckResult, gen_indices, generation_failure,
-                      generator_pairs)
+from .results import (Check, CheckResult, Walk, gen_indices,
+                      generation_failure, lemma_walk)
 from .sparse import (BilinearMap, ColinearMap, LazyLinearMap, QuotientSpace,
                      Space, SpanSolver, Subspace, Vec, span_closure,
                      vadd_into, vadd_term, veq, vsub)
@@ -279,45 +279,44 @@ def hopf_quotient(H: FiniteHopf, I: Subspace, name: str = "") -> HopfQuotient:
     return hq
 
 
-def quotient_morphism_check(hq: HopfQuotient, mode: str = "exhaustive",
+def quotient_morphism_check(hq: HopfQuotient,
                             name: str = "quotient-morphism") -> CheckResult:
     """The projection pi: H -> K is a Hopf-algebra morphism.
 
-    Multiplicativity pi(xy) = pi(x) pi(y): in "exhaustive" and
-    "generators" mode, when H declares generators, pi(1) = 1_K and the
-    pairs of `results.generator_pairs(H)` put the unit and the generators
-    in S = {x : pi(xy) = pi(x) pi(y) for all y}, a subalgebra because H
-    and K are associative, and `results.generation_failure(H)` makes S
-    all of H; the result is labelled "generators".  Its hypotheses are
-    proved elsewhere: for u_q(sl_2), H = D(B) by
+    Multiplicativity pi(xy) = pi(x) pi(y): when H declares generators,
+    pi(1) = 1_K and the pairs of `results.lemma_walk(H)` put the unit
+    and the generators in S = {x : pi(xy) = pi(x) pi(y) for all y}, a
+    subalgebra because H and K are associative, and the walk's
+    certificate makes S all of H; the result is labelled "generators".
+    Its hypotheses are proved elsewhere: for u_q(sl_2), H = D(B) by
     `hopf-axioms.ddouble-mult-associativity`, and K is the quotient by
-    the ideal that `uq-ideal-hopf` certifies.  Otherwise (and in "sample"
-    mode) every basis pair is walked.  Delta, eps and S are then checked
-    on every basis vector.
+    the ideal that `uq-ideal-hopf` certifies.  When H declares no
+    generators every basis pair is walked.  Delta, eps and S are then
+    checked on every basis vector.
     """
     H, K = hq.parent, hq.quotient
     nq = K.dim
     one = H.ctx.one
-    lemma = mode != "sample" and gen_indices(H) is not None
-    chk = Check(name, "generators" if lemma else "exhaustive")
-    if lemma:
+
+    def unit_failure(chk: Check) -> Optional[str]:
         chk.cases += 1
-        if not veq(hq.project(dict(H.unit)), K.unit):
-            return chk.result("pi(1) != 1")
-        pairs = generator_pairs(H)
-    else:
-        pairs = itertools.product(range(H.dim), repeat=2)
-    for i, j in pairs:
-        chk.cases += 1
+        return None if veq(hq.project(dict(H.unit)), K.unit) else "pi(1) != 1"
+
+    def case(i: int, j: int) -> Optional[str]:
         lhs = hq.project(dict(H.mult.get(i, j)))
         rhs = K.mult.apply(hq.project({i: one}), hq.project({j: one}))
-        if not veq(lhs, rhs):
-            return chk.result(
-                f"pi(xy) != pi(x)pi(y) at x={_lab(H, i)}, y={_lab(H, j)}")
-    if lemma:
-        cert = generation_failure(H)
-        if cert:
-            return chk.result(cert)
+        if veq(lhs, rhs):
+            return None
+        return f"pi(xy) != pi(x)pi(y) at x={_lab(H, i)}, y={_lab(H, j)}"
+
+    if gen_indices(H) is None:
+        walk = Walk("exhaustive", itertools.product(range(H.dim), repeat=2))
+    else:
+        walk = replace(lemma_walk(H), prelude=unit_failure)
+    chk = Check(name, walk.label)
+    wit = walk.failure(chk, case)
+    if wit is not None:
+        return chk.result(wit)
     for i in range(H.dim):
         chk.cases += 1
         pi = hq.project({i: one})

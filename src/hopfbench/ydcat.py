@@ -14,21 +14,23 @@ module packages the three layers generically:
   the diagonal action and codiagonal coaction.
 
 Checks walk basis tuples with `results.iter_tuples`, in its three modes,
-with the declared generator indices in the acted/coacted slots.  Failures
-report the lexicographically smallest witness in exhaustive mode and the
-first one found otherwise.
+with the declared generator indices in the acted/coacted slots.  The
+module law, the YD condition and braided commutativity also take a
+`results.Walk` from the caller, for the lemma walks that prove them from
+generators.  Failures report the first failing tuple in walk order: the
+lexicographically smallest one in exhaustive mode.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from .hopf import (FiniteAlgebra, FiniteHopf, render_element, tensor_flat,
                    twisted_product)
-from .results import (Check, CheckResult, gen_indices, generation_failure,
-                      generator_pairs, iter_tuples, mode_tag)
+from .results import (Check, CheckResult, Walk, gen_indices, iter_tuples,
+                      lemma_walk, mode_tag, tuple_walk)
 from .sparse import (LinearMap, Row, Space, Vec, colinear_apply, shared_row,
                      vadd_into, vadd_outer, vadd_term, veq)
 
@@ -66,15 +68,17 @@ class Action:
     `fn(h, x)` must return the vector h |> e_x as a dict.  `row(h, x)`
     returns it as a stored row, a tuple of shared (y, c) entries in the
     order in which `fn` filled the dict (see `sparse.shared_row`), cached
-    under the flat key h * dim_X + x.  Readers iterate the tuple, or take
-    `dict(row)` where they need a vector.
+    under the flat key h * dim + x, dim being that of the algebra.
+    Readers iterate the tuple, or take `dict(row)` where they need a
+    vector.
     """
 
-    __slots__ = ("hopf", "algebra", "_fn", "_rows")
+    __slots__ = ("hopf", "algebra", "dim", "_fn", "_rows")
 
     def __init__(self, hopf: FiniteHopf, algebra, fn: Callable[[int, int], Vec]):
         self.hopf = hopf
         self.algebra = algebra
+        self.dim = algebra.dim
         self._fn = fn
         self._rows: dict[int, Row] = {}
 
@@ -90,7 +94,7 @@ class Action:
         return cls(hopf, algebra, fn)
 
     def row(self, h: int, x: int) -> Row:
-        key = h * self.algebra.dim + x
+        key = h * self.dim + x
         r = self._rows.get(key)
         if r is None:
             r = self._rows[key] = shared_row(self._fn(h, x))
@@ -204,31 +208,44 @@ def _lab(space: Space, i: int) -> str:
 # -- module / comodule checks ------------------------------------------------
 
 def check_module(m, mode: str = "exhaustive", seed: int = 0,
-                 samples: int = 10_000, name: str = "module-action") -> CheckResult:
-    """Unit law 1 |> x = x (always exhaustive) and (MN) |> x = M |> (N |> x)."""
+                 samples: int = 10_000, name: str = "module-action",
+                 walk: Optional[Walk] = None) -> CheckResult:
+    """Unit law 1 |> x = x (always exhaustive) and (MN) |> x = M |> (N |> x)
+    on the (M, N, x) basis triples of `walk`.
+
+    Without a walk, `mode` walks `results.iter_tuples` with the generator
+    indices of H in M and N.  That is evidence, not a proof, in every mode
+    but "exhaustive": the lemma -- S = {M : (MN) |> x = M |> (N |> x) for
+    all N, x} is a subalgebra of an associative H -- needs N and x over
+    the whole basis.  For H = D(B), `doubles.module_factor_walk` proves
+    the law on the two factors of D(B) instead, from the unit law and
+    `hopf-axioms.ddouble-mult-associativity`; its docstring has the proof.
+    """
     H, alg, act = m.hopf, m.algebra, m.action
-    chk = Check(name, mode_tag(mode, seed, samples))
+    if walk is None:
+        gh = gen_indices(H)
+        walk = tuple_walk(mode, (H.dim, H.dim, alg.dim), (gh, gh, None),
+                          seed, samples)
+    chk = Check(name, walk.label)
     for x in range(alg.dim):
         chk.cases += 1
         if not veq(act.apply(H.unit, {x: H.ctx.one}), {x: H.ctx.one}):
             return chk.result(f"1 |> {_lab(alg.space, x)} != itself")
-    gh = gen_indices(H)
-    rng = random.Random(seed)
-    for hm, hn, x in iter_tuples(mode, (H.dim, H.dim, alg.dim),
-                                 (gh, gh, None), rng, samples):
-        chk.cases += 1
+
+    def case(hm: int, hn: int, x: int) -> Optional[str]:
         lhs: Vec = {}
         for k, c in H.mult.get(hm, hn):
             vadd_into(lhs, act.row(k, x), c)
         rhs: Vec = {}
         for xp, c in act.row(hn, x):
             vadd_into(rhs, act.row(hm, xp), c)
-        if not veq(lhs, rhs):
-            return chk.result(
-                f"M={_lab(H.space, hm)}, N={_lab(H.space, hn)}, "
+        if veq(lhs, rhs):
+            return None
+        return (f"M={_lab(H.space, hm)}, N={_lab(H.space, hn)}, "
                 f"x={_lab(alg.space, x)}: (MN)|>x = {render_element(alg.space, lhs)} "
                 f"but M|>(N|>x) = {render_element(alg.space, rhs)}")
-    return chk.result()
+
+    return chk.result(walk.failure(chk, case))
 
 
 def check_module_algebra(m, mode: str = "exhaustive", seed: int = 0,
@@ -310,11 +327,11 @@ def check_comodule_algebra(c, mode: str = "exhaustive", seed: int = 0,
     """delta(xy) = delta(x) delta(y) and delta(1) = 1 (x) 1.
 
     In "exhaustive" and "generators" mode, when the algebra X declares
-    generators, the pairs of `results.generator_pairs(X)` prove the law
-    for all pairs, labelled "generators": delta(1) = 1 (x) 1 and the walk
-    put the unit and the generators in S = {x : delta(xy) = delta(x)
-    delta(y) for all y}, a subalgebra because X and H (x) X are
-    associative, and `results.generation_failure(X)` makes S all of X.
+    generators, `results.lemma_walk(X)` proves the law for all pairs,
+    labelled "generators": delta(1) = 1 (x) 1 and the walk put the unit
+    and the generators in S = {x : delta(xy) = delta(x) delta(y) for all
+    y}, a subalgebra because X and H (x) X are associative, and the
+    walk's certificate makes S all of X.
     For the yd suite those hypotheses are proved by
     `hopf-axioms.ddouble-mult-associativity` (H = D(B)) and
     `hopf-axioms.hdouble-mult-associativity` (X = H(B*)); in the
@@ -323,20 +340,15 @@ def check_comodule_algebra(c, mode: str = "exhaustive", seed: int = 0,
     without generators, walk `results.iter_tuples`.
     """
     H, alg, coact = c.hopf, c.algebra, c.coaction
-    chk = Check(name, mode_tag(mode, seed, samples), cases=1)
     dX = alg.dim
+    ga = gen_indices(alg)
+    walk = (lemma_walk(alg) if mode != "sample" and ga is not None
+            else tuple_walk(mode, (dX, dX), (ga, ga), seed, samples))
+    chk = Check(name, walk.label, cases=1)
     if not veq(coact.apply(alg.unit), tensor_flat(H.unit, alg.unit, dX)):
         return chk.result("delta(1) != 1 (x) 1")
-    ga = gen_indices(alg)
-    lemma = mode != "sample" and ga is not None
-    if lemma:
-        chk.mode = "generators"
-        pairs = generator_pairs(alg)
-    else:
-        pairs = iter_tuples(mode, (dX, dX), (ga, ga), random.Random(seed),
-                            samples)
-    for x, y in pairs:
-        chk.cases += 1
+
+    def case(x: int, y: int) -> Optional[str]:
         lhs = coact.apply(dict(alg.mult.get(x, y)))
         rhs: Vec = {}
         for h1, x0, c1 in coact.terms(x):
@@ -349,26 +361,42 @@ def check_comodule_algebra(c, mode: str = "exhaustive", seed: int = 0,
                 if not rx:
                     continue
                 vadd_outer(rhs, c12, rh, rx, dX)
-        if not veq(lhs, rhs):
-            return chk.result(f"x={_lab(alg.space, x)}, y={_lab(alg.space, y)}: "
-                              f"delta(xy) != delta(x) delta(y)")
-    return chk.result(generation_failure(alg) if lemma else None)
+        if veq(lhs, rhs):
+            return None
+        return (f"x={_lab(alg.space, x)}, y={_lab(alg.space, y)}: "
+                f"delta(xy) != delta(x) delta(y)")
+
+    return chk.result(walk.failure(chk, case))
 
 
 def check_yd(y, mode: str = "exhaustive", seed: int = 0,
-             samples: int = 10_000, name: str = "yd-condition") -> CheckResult:
-    """Compatibility of action and coaction:
+             samples: int = 10_000, name: str = "yd-condition",
+             walk: Optional[Walk] = None) -> CheckResult:
+    """Compatibility of action and coaction on the (M, A) basis pairs of
+    `walk` (by default `results.iter_tuples` in `mode`, with the generator
+    indices of H in M):
 
         (M' |> A)_(-1) M'' (x) (M' |> A)_(0)  =  M' A_(-1) (x) (M'' |> A_(0)).
+
+    `results.lemma_walk(H)` -- M over the generators of H, A over the
+    basis of X -- proves it for every M.  S = {M : it holds for every A}
+    is a subspace, holds 1 by the unit law and Delta(1) = 1 (x) 1, and is
+    closed under products when H is associative, Delta is multiplicative
+    and (MN) |> A = M |> (N |> A): apply it for M to N' |> A, then for N
+    to A.  The walk's certificate makes S all of H.  For the yd suite
+    those hypotheses are `hopf-axioms.ddouble-mult-associativity`,
+    `ddouble-comult-counit-unital` and `ddouble-comult-multiplicative`,
+    and `yd.module-action`, proved by `doubles.module_factor_walk`.
     """
     H, alg = y.hopf, y.algebra
     act, coact = y.action, y.coaction
-    chk = Check(name, mode_tag(mode, seed, samples))
     dH, dX = H.dim, alg.dim
-    gh = gen_indices(H)
-    rng = random.Random(seed)
-    for m, a in iter_tuples(mode, (dH, dX), (gh, None), rng, samples):
-        chk.cases += 1
+    if walk is None:
+        walk = tuple_walk(mode, (dH, dX), (gen_indices(H), None), seed,
+                          samples)
+    chk = Check(name, walk.label)
+
+    def case(m: int, a: int) -> Optional[str]:
         lhs: Vec = {}
         for m1, m2, cd in H.comult.get(m):
             r = act.row(m1, a)
@@ -393,10 +421,12 @@ def check_yd(y, mode: str = "exhaustive", seed: int = 0,
                 if not r:
                     continue
                 vadd_outer(rhs, c1, rh, r, dX)
-        if not veq(lhs, rhs):
-            return chk.result(f"M={_lab(H.space, m)}, A={_lab(alg.space, a)}: "
-                              f"YD compatibility fails")
-    return chk.result()
+        if veq(lhs, rhs):
+            return None
+        return (f"M={_lab(H.space, m)}, A={_lab(alg.space, a)}: "
+                f"YD compatibility fails")
+
+    return chk.result(walk.failure(chk, case))
 
 
 # -- the braiding ------------------------------------------------------------
@@ -437,26 +467,44 @@ def braiding_inv_row(u_mod: YDModuleAlgebra, v_mod: YDModuleAlgebra,
 
 def check_braided_commutative(y: YDModuleAlgebra, mode: str = "exhaustive",
                               seed: int = 0, samples: int = 10_000,
-                              name: str = "braided-commutative") -> CheckResult:
-    """y x = (y_(-1) |> x) y_(0) for all basis pairs (y, x)."""
+                              name: str = "braided-commutative",
+                              walk: Optional[Walk] = None) -> CheckResult:
+    """y x = (y_(-1) |> x) y_(0) on the (y, x) basis pairs of `walk` (by
+    default `results.iter_tuples` in `mode`, generator indices in both).
+
+    `results.lemma_walk(X)` -- y over the generators of X, x over its
+    basis -- proves it for every y.  S = {y : it holds for every x} is a
+    subspace, holds 1 by the unit law and delta(1) = 1 (x) 1, and is
+    closed under products when X is associative, (MN) |> x =
+    M |> (N |> x) and delta(yz) = delta(y) delta(z):
+
+        (yz) x = y ((z_(-1) |> x) z_(0))
+               = ((y_(-1) z_(-1)) |> x) y_(0) z_(0).
+
+    The walk's certificate makes S all of X.  For the yd suite those
+    hypotheses are `hopf-axioms.hdouble-mult-associativity`,
+    `yd.module-action` and `yd.comodule-algebra`.
+    """
     alg, act, coact = y.algebra, y.action, y.coaction
-    chk = Check(name, mode_tag(mode, seed, samples))
     dX = alg.dim
-    ga = gen_indices(alg)
-    rng = random.Random(seed)
-    for i, j in iter_tuples(mode, (dX, dX), (ga, ga), rng, samples):
-        chk.cases += 1
+    if walk is None:
+        ga = gen_indices(alg)
+        walk = tuple_walk(mode, (dX, dX), (ga, ga), seed, samples)
+    chk = Check(name, walk.label)
+
+    def case(i: int, j: int) -> Optional[str]:
         lhs = dict(alg.mult.get(i, j))
         rhs: Vec = {}
         for h, y0, c in coact.terms(i):
             for xp, cx in act.row(h, j):
                 vadd_into(rhs, alg.mult.get(xp, y0), c * cx)
-        if not veq(lhs, rhs):
-            return chk.result(
-                f"y={_lab(alg.space, i)}, x={_lab(alg.space, j)}: yx = "
+        if veq(lhs, rhs):
+            return None
+        return (f"y={_lab(alg.space, i)}, x={_lab(alg.space, j)}: yx = "
                 f"{render_element(alg.space, lhs)} but braided side = "
                 f"{render_element(alg.space, rhs)}")
-    return chk.result()
+
+    return chk.result(walk.failure(chk, case))
 
 
 def check_braided_symmetric(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,

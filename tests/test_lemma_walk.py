@@ -1,4 +1,4 @@
-"""Soundness net of the multiplicative-map lemma walk.
+"""Soundness net of the lemma walks.
 
 `comodule-algebra` and `quotient-morphism` prove phi(xy) = phi(x) phi(y)
 from generator indices x and every basis y, plus a generation
@@ -7,21 +7,33 @@ as the full pair walk on a copy of the structure that declares no
 generators.  The two must agree on intact structures and on seeded
 single-term corruptions, and a lemma-walk failure must name the first
 failing pair in walk order.
+
+`module-action` is proved on the two factors of D(B)
+(`doubles.module_factor_walk`), and `yd-condition` and
+`braided-commutative` from generators given `module-action` and
+`comodule-algebra`.  On the intact p=2 structure and on seeded
+corruptions of its composite action rows and of its coaction, each
+lemma walk passes together with those hypotheses exactly when its
+reference walk passes.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import replace
 
 import pytest
 
+from hopfbench.doubles import module_factor_walk
 from hopfbench.hopf import FiniteAlgebra, FiniteHopf, check_algebra_axioms
-from hopfbench.results import generation_failure, generator_pairs
+from hopfbench.results import (Walk, gen_indices, generation_failure,
+                               generator_pairs, lemma_walk)
 from hopfbench.sparse import BilinearMap, veq
 from hopfbench.taft import hqsl2, taft_system, uqsl2
 from hopfbench.truncate import HopfQuotient, quotient_morphism_check
-from hopfbench.ydcat import Coaction, check_comodule_algebra
+from hopfbench.ydcat import (Action, Coaction, check_braided_commutative,
+                             check_comodule_algebra, check_module, check_yd)
 
 
 def _algebra(A, generators=None, mult=None):
@@ -226,3 +238,189 @@ def test_too_few_generators_fail_the_certificate():
     res = quotient_morphism_check(few_q)
     assert res.status == "fail"
     assert res.witness.endswith("; generation certificate failed")
+
+    sys2 = taft_system(2)
+    D, y = sys2.double, sys2.yd
+    H, X = y.hopf, y.algebra
+    few_b = replace(D, base=_hopf(D.base, D.base.generators[:-1]))
+    few_dual = replace(D, dual=_hopf(D.dual, D.dual.generators[:-1]))
+    for res in (check_module(y, walk=module_factor_walk(few_b, X.dim)),
+                check_module(y, walk=module_factor_walk(few_dual, X.dim)),
+                check_yd(y, walk=lemma_walk(_hopf(H, H.generators[:-1]))),
+                check_braided_commutative(
+                    y, walk=lemma_walk(_algebra(X, X.generators[:-1])))):
+        assert res.status == "fail"
+        assert res.witness.endswith("; generation certificate failed")
+
+
+# -- the module law on the factors of D(B), and the walks that rest on it ----
+
+def _corrupt_action(y, h, x, t, scale):
+    """y with entry t of the composite row h |> e_x times scale."""
+    act = y.action
+    bad = {k: c * scale if n == t else c
+           for n, (k, c) in enumerate(act.row(h, x))}
+    fn = lambda i, j: bad if (i, j) == (h, x) else dict(act.row(i, j))  # noqa: E731
+    return replace(y, action=Action(y.hopf, y.algebra, fn))
+
+
+def _seeded_action_corruption(y, seed):
+    """y with one entry of a seeded nonzero composite row times zeta."""
+    rng = random.Random(seed)
+    while True:
+        h, x = rng.randrange(y.hopf.dim), rng.randrange(y.algebra.dim)
+        row = y.action.row(h, x)
+        if row:
+            return _corrupt_action(y, h, x, rng.randrange(len(row)),
+                                   y.hopf.ctx.zeta)
+
+
+def _generic_module_walk(y):
+    """The subalgebra lemma on D(B) itself: M over its generators, N over
+    its basis and x over that of H(B*), closed by its certificate."""
+    H = y.hopf
+    return Walk("generators",
+                itertools.product(sorted(gen_indices(H)), range(H.dim),
+                                  range(y.algebra.dim)),
+                certificate=lambda: generation_failure(H))
+
+
+def _walks(y) -> dict:
+    """Each claim's (lemma walk, reference walk) on y."""
+    D = taft_system(2).double
+    return {
+        "module-action": (
+            check_module(y, walk=module_factor_walk(D, y.algebra.dim)),
+            check_module(y, walk=_generic_module_walk(y))),
+        "comodule-algebra": _both_ways(y),
+        "yd-condition": (check_yd(y, walk=lemma_walk(y.hopf)),
+                         check_yd(y, mode="exhaustive")),
+        "braided-commutative": (
+            check_braided_commutative(y, walk=lemma_walk(y.algebra)),
+            check_braided_commutative(y, mode="exhaustive")),
+    }
+
+
+def _assert_lemma_walks_agree(walks: dict) -> None:
+    """Each lemma walk, with the hypothesis checks it rests on, passes
+    exactly when its reference walk passes."""
+    def ok(r):
+        return r.status == "pass"
+
+    module, comodule = walks["module-action"][0], walks["comodule-algebra"][0]
+    for claim, hypotheses in (("module-action", ()),
+                              ("comodule-algebra", ()),
+                              ("yd-condition", (module, comodule)),
+                              ("braided-commutative", (module, comodule))):
+        lemma, reference = walks[claim]
+        assert lemma.mode == "generators"
+        assert (ok(lemma) and all(map(ok, hypotheses))) == ok(reference), claim
+
+
+def test_intact_yd_structure_passes_every_lemma_walk():
+    walks = _walks(taft_system(2).yd)
+    _assert_lemma_walks_agree(walks)
+    assert {claim: (lemma.status, lemma.cases_checked, reference.status,
+                    reference.cases_checked)
+            for claim, (lemma, reference) in walks.items()} == {
+        "module-action": ("pass", 91_136, "pass", 256 + 4 * 256 * 256),
+        "comodule-algebra": ("pass", 1_025, "pass", 1 + 256 * 256),
+        "yd-condition": ("pass", 1_024, "pass", 256 * 256),
+        "braided-commutative": ("pass", 1_024, "pass", 256 * 256),
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_corrupted_action_rows_fail_where_the_references_fail(seed):
+    walks = _walks(_seeded_action_corruption(taft_system(2).yd, seed))
+    _assert_lemma_walks_agree(walks)
+    assert [r.status for r in walks["module-action"]] == ["fail", "fail"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_corrupted_coaction_fails_where_the_references_fail(seed):
+    walks = _walks(_corrupt_coaction(taft_system(2).yd, seed))
+    _assert_lemma_walks_agree(walks)
+    assert walks["module-action"][0].status == "pass"
+
+
+def test_a_lemma_pass_on_a_broken_action_still_fails_the_run():
+    """The lemma walks read few action rows, so on a corrupted action
+    they can pass; `module-action` then fails, and so does the run."""
+    y = _seeded_action_corruption(taft_system(2).yd, 1)
+    walks = _walks(y)
+    assert [walks[c][0].status for c in ("yd-condition", "braided-commutative",
+                                         "comodule-algebra")] == ["pass"] * 3
+    assert walks["module-action"][0].status == "fail"
+    assert walks["yd-condition"][1].status == "fail"
+    assert walks["braided-commutative"][1].status == "fail"
+
+
+def test_the_factor_route_catches_what_the_sampled_walk_missed():
+    """A wrong entry in the composite row of kap(x)k^2 on Fkap^7#Ek^7
+    escapes the generator head and seeded tail of the old walk."""
+    sys2 = taft_system(2)
+    H, X = sys2.yd.hopf, sys2.yd.algebra
+    assert (H.space.render(H.space.labels[18]),
+            X.space.render(X.space.labels[255])) == ("kap(x)k^2",
+                                                     "Fkap^7#Ek^7")
+    bad = _corrupt_action(sys2.yd, 18, 255, 0, H.ctx.rational(2))
+    old = check_module(bad, mode="generators", seed=601, samples=10_000)
+    assert old.status == "pass"
+    new = check_module(bad, walk=module_factor_walk(sys2.double, X.dim))
+    assert new.status == "fail"
+    f, m = divmod(18, sys2.double.base.dim)
+    left, right = sys2.double.index(f, 0), sys2.double.index(0, m)
+    r = H.space.render
+    assert new.witness.startswith(
+        f"M={r(H.space.labels[left])}, N={r(H.space.labels[right])}, "
+        f"x=Fkap^7#Ek^7: ")
+
+
+def test_a_wrong_double_product_fails_the_prelude():
+    sys2 = taft_system(2)
+    D, y = sys2.double, sys2.yd
+    H = D.hopf
+    (ub,), (uf,) = D.base.unit, D.dual.unit
+    f, m = 3, 5
+    pair = (D.index(f, ub), D.index(uf, m))
+    wrong = ((D.index(f, m), H.ctx.zeta),)
+    mult = BilinearMap(H.dim, H.dim, fn=lambda i, j: (
+        wrong if (i, j) == pair else H.mult.get(i, j)))
+    bad = replace(D, hopf=FiniteHopf(H.ctx, H.space, mult, H.unit, H.comult,
+                                     H.counit, H.antipode,
+                                     generators=H.generators, name=H.name))
+    res = check_module(y, walk=module_factor_walk(bad, y.algebra.dim))
+    assert res.status == "fail"
+    assert res.cases_checked == y.algebra.dim + f * D.base.dim + m + 1
+    assert res.witness == (
+        f"(f (x) 1)(1 (x) m) != f (x) m at "
+        f"f={D.dual.space.render(D.dual.space.labels[f])}, "
+        f"m={D.base.space.render(D.base.space.labels[m])}")
+
+
+def test_only_the_cross_relation_catches_an_action_that_forgets_the_twist():
+    """rho'(f (x) m) = eps(m) rho(f (x) 1) acts by algebra maps on B*cop
+    and on B and factors as (F) asks, but it is no D(B)-module: of the
+    factor route, only the (1 (x) b, f (x) 1, x) part of the law fails."""
+    sys2 = taft_system(2)
+    D, y = sys2.double, sys2.yd
+    H, nB = y.hopf, D.base.dim
+    (ub,) = D.base.unit
+    eps, act = D.base.counit, y.action
+
+    def fn(h, x):
+        f, m = divmod(h, nB)
+        c = eps.get(m)
+        return {k: c * v for k, v in act.row(D.index(f, ub), x)} if c else {}
+
+    bad = replace(y, action=Action(H, y.algebra, fn))
+    res = check_module(bad, walk=module_factor_walk(D, y.algebra.dim))
+    assert res.status == "fail"
+    before_cross = 256 + 3 * 256 + 256 * 256 + 2 * 2 * 16 * 256
+    assert res.cases_checked > before_cross
+    (uf,) = D.dual.unit
+    assert res.witness.split(",")[0] in {
+        f"M={H.space.render(H.space.labels[D.index(uf, b)])}"
+        for b in gen_indices(D.base)}
+    assert check_module(bad, walk=_generic_module_walk(bad)).status == "fail"

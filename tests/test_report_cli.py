@@ -72,6 +72,8 @@ def test_resolved_mode_defaults():
     {"mode": "bogus"},
     {"suite": "no-such-suite"},
     {"p": 3, "sample_size": 0},
+    {"p": 2, "sample_size": 0},
+    {"p": 2, "sample_size": -5},
     {"seed": -1},
 ])
 def test_bad_configs_are_rejected(kwargs):
@@ -136,8 +138,12 @@ def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
 # sha256 of `hopfbench verify --p 2 --suite <suite> --format json`: these
 # reports carry failure witnesses (mutations) and inverted expected
 # failures (chains), so they pin the bytes of the failure paths too; the
-# double and heisenberg reports pin the exhaustive pair walks.
+# double and heisenberg reports pin the exhaustive pair walks, and the yd
+# report pins the proofs of module-action on the factors of D(B) and of
+# yd-condition and braided-commutative from generators.
 REPORT_SHA256_P2 = {
+    "yd":
+        "fccdf429d3a091e005ce9be86c6a304c2d57b4e0e3ee0baf76f0c48413972842",
     "double":
         "81a95de212fbd7e205d5352a9262f13a8939e3c63e4f25ff1f50c752cd28f6c5",
     "heisenberg":
@@ -155,6 +161,15 @@ REPORT_SHA256_P2 = {
 def test_report_bytes_are_pinned(suite):
     data = render(run_suite(SuiteConfig(p=2, suite=suite)), "json")
     assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P2[suite]
+
+
+def test_quotient_morphism_takes_the_lemma_walk_in_sample_mode():
+    rep = run_suite(SuiteConfig(p=2, suite="truncations", mode="sample",
+                                sample_size=50))
+    qm, = (r for r in rep.results
+           if r.name == "truncations.quotient-morphism.p2")
+    assert (qm.status, qm.mode, qm.cases_checked) == ("pass", "generators",
+                                                      1_281)
 
 
 # sha256 of `hopfbench verify --p 2 --suite <suite> --mode generators
@@ -405,6 +420,8 @@ def test_verify_exit_codes(tmp_path):
     assert len(data["checks"]) == 7
 
     assert main(["verify", "--p", "1"]) == 2
+    assert main(["verify", "--p", "2", "--suite", "yd",
+                 "--sample-size", "-5"]) == 2
 
 
 def test_verify_rejects_jobs_flag(capsys):
@@ -447,6 +464,15 @@ EVAL_CASES = [
 def test_eval_normal_forms(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out.strip() == expected
+
+
+def test_eval_takes_powers_by_squaring(capsys):
+    assert main(["eval", "--p", "2", "k"]) == 0      # set-up, untimed
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["eval", "--p", "2", "k^1000000000"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().out.strip() == "1"
 
 
 def test_one_eval_builds_part_of_the_dual_product(monkeypatch):
