@@ -40,8 +40,8 @@ them on basis pairs):
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 from .cyclo import Cyc, QContext
@@ -50,7 +50,7 @@ from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf,
                    twisted_product)
 from .results import (Check, CheckResult, Walk, gen_indices,
                       generation_failure, invert_expected_failure,
-                      iter_tuples, mode_tag)
+                      tuple_walk)
 from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Row, Space, Vec,
                      linear_map_inverse, shared_row, vadd_into, vadd_outer,
                      vadd_term, veq)
@@ -287,8 +287,8 @@ def eta_twist_product(D: DrinfeldDouble, Hd: Optional[HeisenbergDouble] = None,
     H = D.hopf
     base, dual, P = D.base, D.dual, D.pairing
     nB = base.dim
-    d = D.dim
-    chk = Check(name, mode_tag(mode, seed, samples))
+    walk = tuple_walk(mode, (D.dim, D.dim), (None, None), seed, samples)
+    chk = Check(name, walk.label)
 
     # <mu, 1> per dual basis vector, eps(n) per base basis vector
     pair_unit: dict[int, Cyc] = {}
@@ -301,50 +301,39 @@ def eta_twist_product(D: DrinfeldDouble, Hd: Optional[HeisenbergDouble] = None,
     # Delta_D legs filtered by the eta factor they feed:
     #   for M: keep (M', base part of M'') weighted by <dual part of M'', 1>
     #   for N: keep (N', dual part of N'') weighted by eps(base part of N'')
-    legs_m: dict[int, tuple] = {}
-    legs_n: dict[int, tuple] = {}
-
+    @cache
     def get_legs_m(k: int) -> tuple:
-        r = legs_m.get(k)
-        if r is None:
-            out = []
-            for j, kk, c in H.comult.get(k):
-                fm, bm = divmod(kk, nB)
-                w = pair_unit.get(fm)
-                if w:
-                    out.append((j, bm, c * w))
-            r = tuple(out)
-            legs_m[k] = r
-        return r
+        out = []
+        for j, kk, c in H.comult.get(k):
+            fm, bm = divmod(kk, nB)
+            w = pair_unit.get(fm)
+            if w:
+                out.append((j, bm, c * w))
+        return tuple(out)
 
+    @cache
     def get_legs_n(k: int) -> tuple:
-        r = legs_n.get(k)
-        if r is None:
-            out = []
-            for j, kk, c in H.comult.get(k):
-                fn_, bn = divmod(kk, nB)
-                w = eps_b.get(bn)
-                if w:
-                    out.append((j, fn_, c * w))
-            r = tuple(out)
-            legs_n[k] = r
-        return r
+        out = []
+        for j, kk, c in H.comult.get(k):
+            fn_, bn = divmod(kk, nB)
+            w = eps_b.get(bn)
+            if w:
+                out.append((j, fn_, c * w))
+        return tuple(out)
 
-    rng = random.Random(seed)
-    for k1, k2 in iter_tuples(mode, (d, d), (None, None), rng, samples):
-        chk.cases += 1
+    def case(k1: int, k2: int) -> Optional[str]:
         acc: Vec = {}
         for j1, bm, c1 in get_legs_m(k1):
             for j2, fn_, c2 in get_legs_n(k2):
                 pv = P.pair_basis(fn_, bm)
                 if pv:
                     vadd_into(acc, H.mult.get(j1, j2), c1 * c2 * pv)
-        if not veq(acc, dict(Hd.algebra.mult.get(k1, k2))):
-            sp = H.space
-            return chk.result(
-                f"M={sp.render(sp.labels[k1])}, N={sp.render(sp.labels[k2])}: "
+        if veq(acc, dict(Hd.algebra.mult.get(k1, k2))):
+            return None
+        return (f"M={_rlab(H, k1)}, N={_rlab(H, k2)}: "
                 f"eta-twisted product disagrees with the smash product")
-    return chk.result()
+
+    return chk.result(walk.failure(chk, case))
 
 
 # -- coaction and action of D(B) on H(B*) ------------------------------------
@@ -484,15 +473,14 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
     nB, nF = base.dim, dual.dim
     dHd = act.algebra.dim
     one = D.ctx.one
-    chk = Check(name, mode_tag(mode, seed, samples))
+    walk = tuple_walk(mode, (nF, nB, dHd),
+                      (gen_indices(dual), gen_indices(base), None), seed,
+                      samples)
+    chk = Check(name, walk.label)
     base_sinv = base.antipode_inv()
     d3: dict[int, tuple] = {}
-    rng = random.Random(seed)
 
-    gf, gm = gen_indices(dual), gen_indices(base)
-    for f, m, x in iter_tuples(mode, (nF, nB, dHd), (gf, gm, None),
-                               rng, samples):
-        chk.cases += 1
+    def case(f: int, m: int, x: int) -> Optional[str]:
         lhs: Vec = {}
         for xp, c in act.dual_row(f, x):
             vadd_into(lhs, act.prim_row(m, xp), c)
@@ -508,11 +496,13 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
                 for fo, co in P.dual_left(m1, fm).items():
                     vadd_term(dvec, fo * nB + m2, c1 * co)
         rhs = act.apply(dvec, {x: one})
-        if not veq(lhs, rhs):
-            return chk.result(f"mu={_rlab(dual, f)}, m={_rlab(base, m)}, "
-                              f"A={_rlab(act.algebra, x)}: factor actions do "
-                              f"not compose through the double product")
-    return chk.result()
+        if veq(lhs, rhs):
+            return None
+        return (f"mu={_rlab(dual, f)}, m={_rlab(base, m)}, "
+                f"A={_rlab(act.algebra, x)}: factor actions do "
+                f"not compose through the double product")
+
+    return chk.result(walk.failure(chk, case))
 
 
 def module_factor_walk(D: DrinfeldDouble, dim_x: int) -> Walk:
@@ -726,14 +716,14 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
     dX = alg.dim
     R = D.rmatrix()
     one = D.ctx.one
-    rng = random.Random(seed)
     gx = gen_indices(alg)
 
-    name1 = (prefix + "r-comm-negative") if prefix else "r-comm-negative"
-    chk = Check("__rcomm", mode_tag(mode, seed, samples))
-    found = None
-    for iy, ix in iter_tuples(mode, (dX, dX), (gx, gx), rng, samples):
-        chk.cases += 1
+    def run(name: str, case) -> CheckResult:
+        walk = tuple_walk(mode, (dX, dX), (gx, gx), seed, samples)
+        chk = Check(name, walk.label)
+        return chk.result(walk.failure(chk, case))
+
+    def r_comm(iy: int, ix: int) -> Optional[str]:
         lhs = dict(alg.mult.get(iy, ix))
         rhs: Vec = {}
         for key, c in R.items():
@@ -748,21 +738,18 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
                 c1 = c * cx
                 for yp, cy in v1:
                     vadd_into(rhs, alg.mult.get(xp, yp), c1 * cy)
-        if not veq(lhs, rhs):
-            found = (f"y={_rlab(alg, iy)}, x={_rlab(alg, ix)}: yx = "
-                     f"{render_element(alg.space, lhs)} but "
-                     f"(R2|>x)(R1|>y) = {render_element(alg.space, rhs)}")
-            break
-    res1 = invert_expected_failure(chk.result(found), name1)
+        if veq(lhs, rhs):
+            return None
+        return (f"y={_rlab(alg, iy)}, x={_rlab(alg, ix)}: yx = "
+                f"{render_element(alg.space, lhs)} but "
+                f"(R2|>x)(R1|>y) = {render_element(alg.space, rhs)}")
 
-    name2 = (prefix + "rinv-braided-comm") if prefix else "rinv-braided-comm"
-    chk = Check(name2, chk.mode)
+    res1 = invert_expected_failure(run("__rcomm", r_comm),
+                                   prefix + "r-comm-negative")
     sD = H.antipode
     sinvD = H.antipode_inv()
-    found = None
-    rng = random.Random(seed)
-    for iy, ix in iter_tuples(mode, (dX, dX), (gx, gx), rng, samples):
-        chk.cases += 1
+
+    def rinv_comm(iy: int, ix: int) -> Optional[str]:
         lhs = dict(alg.mult.get(iy, ix))
         rhs2: Vec = {}
         for h, y0, c in coact.terms(iy):
@@ -778,11 +765,12 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
                         continue
                     for xp, cx in r:
                         vadd_into(rhs2, alg.mult.get(xp, y0), c2 * cx)
-        if not veq(lhs, rhs2):
-            found = (f"y={_rlab(alg, iy)}, x={_rlab(alg, ix)}: the inverse-R "
-                     f"form of braided commutativity fails")
-            break
-    return res1, chk.result(found)
+        if veq(lhs, rhs2):
+            return None
+        return (f"y={_rlab(alg, iy)}, x={_rlab(alg, ix)}: the inverse-R "
+                f"form of braided commutativity fails")
+
+    return res1, run(prefix + "rinv-braided-comm", rinv_comm)
 
 
 # -- the two factors as YD module algebras ------------------------------------

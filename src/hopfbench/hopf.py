@@ -21,7 +21,11 @@ coverage modes:
 * "sample"      -- seeded random basis tuples only, reported as "sampled".
 
 Random tuples come from `results.iter_tuples`, drawn from the one seeded
-generator that every check of a call shares, in check order.
+generator that every check of a call shares, in check order, so these
+walks do not take a `results.Walk` (which seeds its own): associativity
+and `_check_pairwise` report "sampled", `_check_pairwise` counts two
+cases per generator pair, and `check_hopf_pairing` walks one list of
+pairs for two checks.
 
 Witnesses for exhaustive scans are lexicographically smallest failing
 tuples; scans stop at the first failure.
@@ -825,11 +829,9 @@ def check_hopf_pairing(P: HopfPairing, mode: str = "exhaustive",
     <1*, x> = counit(x), counit*(f) = <f, 1>, <S* f, x> = <f, S x>,
     and nondegeneracy via the rank of the pairing matrix.
 
-    The two product axioms walk one list of index pairs from
-    `iter_tuples`, with the dual's generator indices in both slots, and
-    report its `mode_tag`: every pair in "exhaustive" mode, a generator
-    head and a seeded sample in "generators" mode, a seeded sample in
-    "sample" mode.  The other two are always exhaustive.
+    The two product axioms walk one list of `iter_tuples` pairs in
+    `mode`, with the dual's generator indices in both slots, under its
+    `mode_tag`.  The other two are always exhaustive.
     """
     if mode not in ("exhaustive", "generators", "sample"):
         raise ValueError(f"unknown coverage mode {mode!r}")

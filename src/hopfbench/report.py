@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional, Sequence, Union
@@ -25,8 +24,8 @@ from .doubles import (FactoredAction, chain_relations_check,
 from .hopf import check_algebra_axioms, check_hopf_axioms, render_element
 from .mutations import MUTATIONS, run_mutation
 from .results import (Check, CheckResult, gen_indices,
-                      invert_expected_failure, iter_tuples, lemma_walk,
-                      mode_tag, summarize)
+                      invert_expected_failure, lemma_walk, summarize,
+                      tuple_walk)
 from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
                    cqzd, cqzd_center_check, double_presentation_check,
                    h2_matches_cqzd_check, hq_action_table_check,
@@ -226,27 +225,29 @@ def _structure_identity_check(bp, algebra, mode: str, seed: int,
                               samples: int, name: str) -> CheckResult:
     """The braided-product algebra has exactly the given structure constants
     (same flat basis indexing on both sides)."""
-    chk = Check(name, mode)
     A = bp.yd.algebra
     if A.dim != algebra.dim:
-        return chk.result(f"dimensions differ: {A.dim} vs {algebra.dim}")
-    chk.mode = mode_tag(mode, seed, samples)
+        return Check(name, mode).result(
+            f"dimensions differ: {A.dim} vs {algebra.dim}")
     d = A.dim
     ga = gen_indices(A)
     gb = gen_indices(algebra)
     gens = (ga | gb) if (ga is not None and gb is not None) else (ga or gb)
-    rng = random.Random(seed)
-    for i, j in iter_tuples(mode, (d, d), (gens, gens), rng, samples):
-        chk.cases += 1
+    walk = tuple_walk(mode, (d, d), (gens, gens), seed, samples)
+    chk = Check(name, walk.label)
+
+    def case(i: int, j: int) -> Optional[str]:
         lhs = dict(A.mult.get(i, j))
         rhs = dict(algebra.mult.get(i, j))
-        if lhs != rhs:
-            la = A.space.render(A.space.labels[i])
-            lb = A.space.render(A.space.labels[j])
-            return chk.result(f"products of ({la}, {lb}) differ: "
-                              f"{render_element(A.space, lhs)} vs "
-                              f"{render_element(algebra.space, rhs)}")
-    return chk.result()
+        if lhs == rhs:
+            return None
+        la = A.space.render(A.space.labels[i])
+        lb = A.space.render(A.space.labels[j])
+        return (f"products of ({la}, {lb}) differ: "
+                f"{render_element(A.space, lhs)} vs "
+                f"{render_element(algebra.space, rhs)}")
+
+    return chk.result(walk.failure(chk, case))
 
 
 # -- suites --------------------------------------------------------------------

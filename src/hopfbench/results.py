@@ -6,29 +6,27 @@ witness (a rendered counterexample) is given.  Results whose status does
 not follow from a witness -- skipped checks and inverted expected
 failures -- build `CheckResult` directly.
 
-Every check that quantifies over basis tuples walks them with
-`iter_tuples`, in one of three modes: "exhaustive" walks every index
-tuple in lexicographic order, "generators" walks the declared generator
-indices (`gen_indices`) in the slots that have them and then a seeded
-random sample over the full basis, and "sample" draws seeded random
-tuples only.  `mode_tag` is the coverage label a walk reports.
+A check that quantifies over basis tuples takes a `Walk`, the tuples
+together with the coverage label they earn, and runs the one case loop,
+`Walk.failure`: one case per tuple, stopping at the first witness.
+`tuple_walk` walks `iter_tuples` in one of three modes, under its
+`mode_tag` label: "exhaustive" walks every index tuple in lexicographic
+order, "generators" walks the declared generator indices (`gen_indices`)
+in the slots that have them and then a seeded random sample over the
+full basis, and "sample" draws seeded random tuples only.  Only the
+three walks of `hopf.py` call `iter_tuples` themselves; its module
+docstring says why.
 
 Checks of a multiplicative map phi(xy) = phi(x) phi(y) on an algebra A
-may instead walk `generator_pairs`: (g, j) for g over A's declared
-generator indices and j over its whole basis, with no sample tail, and
-report the label "generators".  When A and the target are associative,
+may instead take `lemma_walk`: `generator_pairs`, (g, j) for g over A's
+declared generator indices and j over its whole basis, with no sample
+tail, labelled "generators".  When A and the target are associative,
 S = {x : phi(xy) = phi(x) phi(y) for all y} is a subalgebra of A
 (Montgomery, Hopf Algebras and Their Actions on Rings, CBMS 82, 1993),
 so the walk and phi(1) = 1 put the generators and the unit in S, and
 `generation_failure` -- the span closure of the unit and the generators
 under A's product must reach full rank -- makes S all of A: the walk is
 then a proof.  The closure is built once per algebra object.
-
-A `Walk` carries the tuples of one check together with the coverage
-label they earn: `tuple_walk` wraps `iter_tuples` in a mode, and
-`lemma_walk` is `generator_pairs` with its generation certificate.  A
-check that takes a walk from its caller runs the same case loop on
-either.
 """
 
 from __future__ import annotations
@@ -54,8 +52,11 @@ class CheckResult:
     """Outcome of one named verification pass.
 
     status is "pass", "fail" or "skipped"; mode records how the claim
-    was covered ("exhaustive", "generators", "sampled", "skipped");
-    witness holds a rendered counterexample for failures.
+    was covered: "exhaustive", "generators" (a lemma walk), the
+    `mode_tag` labels "generators+sample(n=N,seed=S)" and
+    "sample(n=N,seed=S)", "sampled" (the sampled walks of `hopf.py`), or,
+    for a skipped check, the reason it was skipped.  witness holds a
+    rendered counterexample for failures.
     """
 
     name: str

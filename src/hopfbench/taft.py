@@ -25,7 +25,6 @@ change, which keeps every later quotient construction sparse.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -40,7 +39,7 @@ from .hopf import (
     pair_product, render_element, render_tensor, tensor_flat,
 )
 from .results import (Check, CheckResult, invert_expected_failure,
-                      iter_tuples, mode_tag)
+                      tuple_walk)
 from .sparse import (
     BilinearMap, ColinearMap, LazyLinearMap, LinearMap,
     SingularMapError, Space, SpanSolver, Subspace, linear_map_inverse,
@@ -554,20 +553,21 @@ def closed_form_check(sys: TaftSystem, mode: str = "exhaustive", seed: int = 0,
     A = sys.heis.algebra
     labels = A.space.labels
     index = {lab: i for i, lab in enumerate(labels)}
-    dim = A.dim
-    chk = Check(name, mode_tag(mode, seed, samples))
-    for i, j in iter_tuples(mode, (dim, dim), (None, None),
-                            random.Random(seed), samples):
-        chk.cases += 1
+    walk = tuple_walk(mode, (A.dim, A.dim), (None, None), seed, samples)
+    chk = Check(name, walk.label)
+
+    def case(i: int, j: int) -> Optional[str]:
         want: Vec = {}
         for lab, c in closed_form_smash_row(ctx, labels[i], labels[j]):
             vadd_term(want, index[lab], c)
         got = dict(A.mult.get(i, j))
-        if not veq(got, want):
-            return chk.result(f"({_plab(A, i)})({_plab(A, j)}): generic = "
-                              f"{render_element(A.space, got)}, closed form = "
-                              f"{render_element(A.space, want)}")
-    return chk.result()
+        if veq(got, want):
+            return None
+        return (f"({_plab(A, i)})({_plab(A, j)}): generic = "
+                f"{render_element(A.space, got)}, closed form = "
+                f"{render_element(A.space, want)}")
+
+    return chk.result(walk.failure(chk, case))
 
 
 # -- the (kap, z, lam, del) presentation of H(B*) -------------------------------

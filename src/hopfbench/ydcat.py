@@ -13,26 +13,26 @@ module packages the three layers generically:
   braiding identity, and braided (smash-like) products of YD algebras with
   the diagonal action and codiagonal coaction.
 
-Checks walk basis tuples with `results.iter_tuples`, in its three modes,
-with the declared generator indices in the acted/coacted slots.  The
-module law, the YD condition and braided commutativity also take a
-`results.Walk` from the caller, for the lemma walks that prove them from
+Every check over basis tuples takes a `results.Walk` and runs its case
+loop, `Walk.failure`: by default `results.tuple_walk` in the requested
+mode, with the declared generator indices in the acted/coacted slots.
+The module law, the YD condition and braided commutativity also take a
+walk from the caller, for the lemma walks that prove them from
 generators.  Failures report the first failing tuple in walk order: the
 lexicographically smallest one in exhaustive mode.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .hopf import (FiniteAlgebra, FiniteHopf, render_element, tensor_flat,
                    twisted_product)
-from .results import (Check, CheckResult, Walk, gen_indices, iter_tuples,
-                      lemma_walk, mode_tag, tuple_walk)
+from .results import (Check, CheckResult, Walk, gen_indices, lemma_walk,
+                      tuple_walk)
 from .sparse import (LinearMap, Row, Space, Vec, colinear_apply, shared_row,
-                     vadd_into, vadd_outer, vadd_term, veq)
+                     vadd_into, vadd_outer, vadd_term, veq, vscale)
 
 __all__ = [
     "Action",
@@ -213,7 +213,7 @@ def check_module(m, mode: str = "exhaustive", seed: int = 0,
     """Unit law 1 |> x = x (always exhaustive) and (MN) |> x = M |> (N |> x)
     on the (M, N, x) basis triples of `walk`.
 
-    Without a walk, `mode` walks `results.iter_tuples` with the generator
+    Without a walk, `mode` walks `results.tuple_walk` with the generator
     indices of H in M and N.  That is evidence, not a proof, in every mode
     but "exhaustive": the lemma -- S = {M : (MN) |> x = M |> (N |> x) for
     all N, x} is a subalgebra of an associative H -- needs N and x over
@@ -253,22 +253,19 @@ def check_module_algebra(m, mode: str = "exhaustive", seed: int = 0,
                          name: str = "module-algebra") -> CheckResult:
     """M |> (xy) = (M' |> x)(M'' |> y), plus M |> 1 = counit(M) 1."""
     H, alg, act = m.hopf, m.algebra, m.action
-    chk = Check(name, mode_tag(mode, seed, samples))
+    gh, ga = gen_indices(H), gen_indices(alg)
+    walk = tuple_walk(mode, (H.dim, alg.dim, alg.dim), (gh, ga, ga), seed,
+                      samples)
+    chk = Check(name, walk.label)
     one = H.ctx.one
     for h in range(H.dim):
         chk.cases += 1
         lhs = act.apply({h: one}, alg.unit)
         eps = H.counit.get(h)
-        rhs = {k: eps * c for k, c in alg.unit.items()} if eps else {}
-        rhs = {k: c for k, c in rhs.items() if c}
-        if not veq(lhs, rhs):
+        if not veq(lhs, vscale(alg.unit, eps)):
             return chk.result(f"M={_lab(H.space, h)}: M|>1 != counit(M) 1")
-    gh = gen_indices(H)
-    ga = gen_indices(alg)
-    rng = random.Random(seed)
-    for h, x, y in iter_tuples(mode, (H.dim, alg.dim, alg.dim),
-                               (gh, ga, ga), rng, samples):
-        chk.cases += 1
+
+    def case(h: int, x: int, y: int) -> Optional[str]:
         lhs: Vec = {}
         for z, cz in alg.mult.get(x, y):
             vadd_into(lhs, act.row(h, z), cz)
@@ -284,12 +281,13 @@ def check_module_algebra(m, mode: str = "exhaustive", seed: int = 0,
                 c1 = cd * cx
                 for yp, cy in r2:
                     vadd_into(rhs, alg.mult.get(xp, yp), c1 * cy)
-        if not veq(lhs, rhs):
-            return chk.result(
-                f"M={_lab(H.space, h)}, x={_lab(alg.space, x)}, "
+        if veq(lhs, rhs):
+            return None
+        return (f"M={_lab(H.space, h)}, x={_lab(alg.space, x)}, "
                 f"y={_lab(alg.space, y)}: M|>(xy) = {render_element(alg.space, lhs)} "
                 f"but (M'|>x)(M''|>y) = {render_element(alg.space, rhs)}")
-    return chk.result()
+
+    return chk.result(walk.failure(chk, case))
 
 
 def check_comodule(c, name: str = "comodule-coaction") -> CheckResult:
@@ -337,7 +335,7 @@ def check_comodule_algebra(c, mode: str = "exhaustive", seed: int = 0,
     `hopf-axioms.hdouble-mult-associativity` (X = H(B*)); in the
     truncations suite H and X are subquotients of those two, certified by
     the `uq-*` and `hq-transport-*` checks.  "sample" mode, and an algebra
-    without generators, walk `results.iter_tuples`.
+    without generators, walk `results.tuple_walk`.
     """
     H, alg, coact = c.hopf, c.algebra, c.coaction
     dX = alg.dim
@@ -373,7 +371,7 @@ def check_yd(y, mode: str = "exhaustive", seed: int = 0,
              samples: int = 10_000, name: str = "yd-condition",
              walk: Optional[Walk] = None) -> CheckResult:
     """Compatibility of action and coaction on the (M, A) basis pairs of
-    `walk` (by default `results.iter_tuples` in `mode`, with the generator
+    `walk` (by default `results.tuple_walk` in `mode`, with the generator
     indices of H in M):
 
         (M' |> A)_(-1) M'' (x) (M' |> A)_(0)  =  M' A_(-1) (x) (M'' |> A_(0)).
@@ -470,7 +468,7 @@ def check_braided_commutative(y: YDModuleAlgebra, mode: str = "exhaustive",
                               name: str = "braided-commutative",
                               walk: Optional[Walk] = None) -> CheckResult:
     """y x = (y_(-1) |> x) y_(0) on the (y, x) basis pairs of `walk` (by
-    default `results.iter_tuples` in `mode`, generator indices in both).
+    default `results.tuple_walk` in `mode`, generator indices in both).
 
     `results.lemma_walk(X)` -- y over the generators of X, x over its
     basis -- proves it for every y.  S = {y : it holds for every x} is a
@@ -515,19 +513,20 @@ def check_braided_symmetric(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
 
     Pointwise: (y_(-1) |> x) (x) y_(0)  =  x_(0) (x) (S^{-1}(x_(-1)) |> y).
     """
-    chk = Check(name, mode_tag(mode, seed, samples))
-    dx, dy = x_mod.algebra.dim, y_mod.algebra.dim
-    gx, gy = gen_indices(x_mod.algebra), gen_indices(y_mod.algebra)
-    rng = random.Random(seed)
-    for i, j in iter_tuples(mode, (dx, dy), (gx, gy), rng, samples):
-        chk.cases += 1
+    X, Y = x_mod.algebra, y_mod.algebra
+    walk = tuple_walk(mode, (X.dim, Y.dim), (gen_indices(X), gen_indices(Y)),
+                      seed, samples)
+    chk = Check(name, walk.label)
+
+    def case(i: int, j: int) -> Optional[str]:
         lhs = braiding_row(y_mod, x_mod, j, i)       # flat X (x) Y
         rhs = braiding_inv_row(x_mod, y_mod, j, i)   # flat X (x) Y
-        if not veq(lhs, rhs):
-            return chk.result(
-                f"x={_lab(x_mod.algebra.space, i)}, y={_lab(y_mod.algebra.space, j)}: "
+        if veq(lhs, rhs):
+            return None
+        return (f"x={_lab(X.space, i)}, y={_lab(Y.space, j)}: "
                 f"braiding and inverse braiding disagree on y (x) x")
-    return chk.result()
+
+    return chk.result(walk.failure(chk, case))
 
 
 def check_locked_identity(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
@@ -538,23 +537,25 @@ def check_locked_identity(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
 
     Pointwise: ((x_(-1) |> y)_(-1) |> x_(0)) (x) (x_(-1) |> y)_(0) = x (x) y.
     """
-    chk = Check(name, mode_tag(mode, seed, samples))
-    dx, dy = x_mod.algebra.dim, y_mod.algebra.dim
+    X, Y = x_mod.algebra, y_mod.algebra
+    dx, dy = X.dim, Y.dim
+    walk = tuple_walk(mode, (dx, dy), (gen_indices(X), gen_indices(Y)), seed,
+                      samples)
+    chk = Check(name, walk.label)
     one = x_mod.hopf.ctx.one
-    gx, gy = gen_indices(x_mod.algebra), gen_indices(y_mod.algebra)
-    rng = random.Random(seed)
-    for i, j in iter_tuples(mode, (dx, dy), (gx, gy), rng, samples):
-        chk.cases += 1
+
+    def case(i: int, j: int) -> Optional[str]:
         mid = braiding_row(x_mod, y_mod, i, j)       # flat Y (x) X
         out: Vec = {}
         for key, c in mid.items():
             yi, xi = divmod(key, dx)
             vadd_into(out, braiding_row(y_mod, x_mod, yi, xi), c)
-        if not veq(out, {i * dy + j: one}):
-            return chk.result(
-                f"x={_lab(x_mod.algebra.space, i)}, y={_lab(y_mod.algebra.space, j)}: "
+        if veq(out, {i * dy + j: one}):
+            return None
+        return (f"x={_lab(X.space, i)}, y={_lab(Y.space, j)}: "
                 f"double braiding moves x (x) y")
-    return chk.result()
+
+    return chk.result(walk.failure(chk, case))
 
 
 # -- braided products --------------------------------------------------------
@@ -685,22 +686,24 @@ def check_rebracketing(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
     """
     left = braided_product(braided_product(x_mod, y_mod).yd, z_mod).yd
     right = braided_product(x_mod, braided_product(y_mod, z_mod).yd).yd
-    chk = Check(name, mode_tag(mode, seed, samples), cases=1)
     d = left.algebra.dim
+    g = gen_indices(left.algebra)
+    walk = tuple_walk(mode, (d, d), (g, g), seed, samples)
+    chk = Check(name, walk.label, cases=1)
     if right.algebra.dim != d:
         return chk.result("dimension mismatch")
     if not veq(left.algebra.unit, right.algebra.unit):
         return chk.result("units differ")
-    rng = random.Random(seed)
     chk.cases = 0
-    g = gen_indices(left.algebra)
-    for i, j in iter_tuples(mode, (d, d), (g, g), rng, samples):
-        chk.cases += 1
-        if not veq(dict(left.algebra.mult.get(i, j)),
-                   dict(right.algebra.mult.get(i, j))):
-            return chk.result(f"products differ at ({_lab(left.algebra.space, i)}, "
-                              f"{_lab(left.algebra.space, j)})")
-    return chk.result()
+
+    def case(i: int, j: int) -> Optional[str]:
+        if veq(dict(left.algebra.mult.get(i, j)),
+               dict(right.algebra.mult.get(i, j))):
+            return None
+        return (f"products differ at ({_lab(left.algebra.space, i)}, "
+                f"{_lab(left.algebra.space, j)})")
+
+    return chk.result(walk.failure(chk, case))
 
 
 def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
@@ -726,8 +729,8 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         if row:
             phi.set(key, tuple(sorted(row.items())))
 
-    tag = mode_tag(mode, seed, samples)
-    XYs, YXs = xy.yd.algebra.space, yx.yd.algebra.space
+    XYs = xy.yd.algebra.space
+    gxy = gen_indices(xy.yd.algebra)
 
     def bijective() -> CheckResult:
         chk = Check(f"{prefix}-bijective", "exhaustive", cases=d)
@@ -738,29 +741,33 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         return chk.result()
 
     def algebra_morphism() -> CheckResult:
-        chk = Check(f"{prefix}-algebra-morphism", tag)
-        rng = random.Random(seed)
-        for u, v in iter_tuples(mode, (d, d), (gxy, gxy), rng, samples):
-            chk.cases += 1
+        walk = tuple_walk(mode, (d, d), (gxy, gxy), seed, samples)
+        chk = Check(f"{prefix}-algebra-morphism", walk.label)
+
+        def case(u: int, v: int) -> Optional[str]:
             lhs = phi.apply(dict(xy.yd.algebra.mult.get(u, v)))
             rhs = yx.yd.algebra.mult.apply(dict(phi.get(u)), dict(phi.get(v)))
-            if not veq(lhs, rhs):
-                return chk.result(f"phi(uv) != phi(u)phi(v) at "
-                                  f"u={_lab(XYs, u)}, v={_lab(XYs, v)}")
-        return chk.result()
+            if veq(lhs, rhs):
+                return None
+            return (f"phi(uv) != phi(u)phi(v) at "
+                    f"u={_lab(XYs, u)}, v={_lab(XYs, v)}")
+
+        return chk.result(walk.failure(chk, case))
 
     def module_morphism() -> CheckResult:
-        chk = Check(f"{prefix}-module-morphism", tag)
-        rng = random.Random(seed)
-        gh = gen_indices(H)
-        for h, u in iter_tuples(mode, (H.dim, d), (gh, gxy), rng, samples):
-            chk.cases += 1
+        walk = tuple_walk(mode, (H.dim, d), (gen_indices(H), gxy), seed,
+                          samples)
+        chk = Check(f"{prefix}-module-morphism", walk.label)
+
+        def case(h: int, u: int) -> Optional[str]:
             lhs = phi.apply(dict(xy.yd.action.row(h, u)))
             rhs = yx.yd.action.apply({h: H.ctx.one}, dict(phi.get(u)))
-            if not veq(lhs, rhs):
-                return chk.result(f"phi not H-linear at M={_lab(H.space, h)}, "
-                                  f"u={_lab(XYs, u)}")
-        return chk.result()
+            if veq(lhs, rhs):
+                return None
+            return (f"phi not H-linear at M={_lab(H.space, h)}, "
+                    f"u={_lab(XYs, u)}")
+
+        return chk.result(walk.failure(chk, case))
 
     def comodule_morphism() -> CheckResult:
         chk = Check(f"{prefix}-comodule-morphism", "exhaustive")
@@ -774,7 +781,6 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
                 return chk.result(f"phi not H-colinear at u={_lab(XYs, u)}")
         return chk.result()
 
-    gxy = gen_indices(xy.yd.algebra)
     return phi, [bijective(), algebra_morphism(), module_morphism(),
                  comodule_morphism()]
 
@@ -783,8 +789,10 @@ def yang_baxter_check(v_mod: YDModuleAlgebra, mode: str = "sample",
                       seed: int = 0, samples: int = 200,
                       name: str = "braid-relation") -> CheckResult:
     """(c (x) id)(id (x) c)(c (x) id) = (id (x) c)(c (x) id)(id (x) c) on V^3."""
-    chk = Check(name, mode_tag(mode, seed, samples))
     n = v_mod.algebra.dim
+    gv = gen_indices(v_mod.algebra)
+    walk = tuple_walk(mode, (n, n, n), (gv, gv, gv), seed, samples)
+    chk = Check(name, walk.label)
     n2 = n * n
     one = v_mod.hopf.ctx.one
     cache: dict[int, Vec] = {}
@@ -814,13 +822,12 @@ def yang_baxter_check(v_mod: YDModuleAlgebra, mode: str = "sample",
             vadd_into(out, crow(b, k), c, a * n2)
         return out
 
-    gv = gen_indices(v_mod.algebra)
-    rng = random.Random(seed)
-    for i, j, k in iter_tuples(mode, (n, n, n), (gv, gv, gv), rng, samples):
-        chk.cases += 1
+    def case(i: int, j: int, k: int) -> Optional[str]:
         e: Vec = {(i * n + j) * n + k: one}
-        if not veq(c12(c23(c12(e))), c23(c12(c23(e)))):
-            sp = v_mod.algebra.space
-            return chk.result(f"braid relation fails at ({_lab(sp, i)}, "
-                              f"{_lab(sp, j)}, {_lab(sp, k)})")
-    return chk.result()
+        if veq(c12(c23(c12(e))), c23(c12(c23(e)))):
+            return None
+        sp = v_mod.algebra.space
+        return (f"braid relation fails at ({_lab(sp, i)}, "
+                f"{_lab(sp, j)}, {_lab(sp, k)})")
+
+    return chk.result(walk.failure(chk, case))
