@@ -471,9 +471,8 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
     """
     base, dual, P = D.base, D.dual, D.pairing
     nB, nF = base.dim, dual.dim
-    dHd = act.algebra.dim
     one = D.ctx.one
-    walk = tuple_walk(mode, (nF, nB, dHd),
+    walk = tuple_walk(mode, (nF, nB, act.algebra.dim),
                       (gen_indices(dual), gen_indices(base), None), seed,
                       samples)
     chk = Check(name, walk.label)

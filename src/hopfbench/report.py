@@ -229,11 +229,9 @@ def _structure_identity_check(bp, algebra, mode: str, seed: int,
     if A.dim != algebra.dim:
         return Check(name, mode).result(
             f"dimensions differ: {A.dim} vs {algebra.dim}")
-    d = A.dim
-    ga = gen_indices(A)
-    gb = gen_indices(algebra)
+    ga, gb = gen_indices(A), gen_indices(algebra)
     gens = (ga | gb) if (ga is not None and gb is not None) else (ga or gb)
-    walk = tuple_walk(mode, (d, d), (gens, gens), seed, samples)
+    walk = tuple_walk(mode, (A.dim, A.dim), (gens, gens), seed, samples)
     chk = Check(name, walk.label)
 
     def case(i: int, j: int) -> Optional[str]:

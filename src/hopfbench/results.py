@@ -227,7 +227,10 @@ class Walk:
 
 def tuple_walk(mode: str, dims: tuple, gen_sets: tuple, seed: int,
                samples: int) -> Walk:
-    """`iter_tuples` in `mode`, seeded, under its `mode_tag` label."""
+    """`iter_tuples` in `mode`, seeded, under its `mode_tag` label; a
+    "generators" walk with no generator slot is the exhaustive walk."""
+    if mode == "generators" and all(g is None for g in gen_sets):
+        mode = "exhaustive"
     return Walk(mode_tag(mode, seed, samples),
                 iter_tuples(mode, dims, gen_sets, random.Random(seed),
                             samples))

@@ -177,7 +177,7 @@ def test_quotient_morphism_takes_the_lemma_walk_in_sample_mode():
 # products of both doubles, their actions and the pairing arrows.
 REPORT_SHA256_P2_GENERATORS = {
     "double":
-        "49ee25e8eb9fdd20db717b01919dec886df8a131be9654e6292e2bdc35989b50",
+        "6a614709965ce408c79c9ec303d51cc42b85bd3b4fb1341223b797960d466b02",
     "heisenberg":
         "7c783dfae354337e060799aa190ed76b14a9816e09c7e4ba1faa21f47b257338",
     "hopf-axioms":
