@@ -5,6 +5,9 @@
   `USED_OUTSIDE_SRC`.
 * No module imports an underscore-prefixed name from a sibling module:
   what a sibling needs is public.
+* Only `results.py` and `hopf.py` name `iter_tuples` or `mode_tag`: every
+  other check walks basis tuples through a `results.Walk`, so the case
+  loop and the coverage label live in one place.
 """
 
 from __future__ import annotations
@@ -92,3 +95,43 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 if name.startswith("_") and not name.endswith("__"):
                     bad.append(f"{mod}:{node.lineno} imports {name}")
     assert bad == []
+
+
+# The raw tuple iterator and its label, and the modules allowed to name
+# them (hopf.py's module docstring says why it still does).
+RAW_WALK_NAMES = {"iter_tuples", "mode_tag"}
+RAW_WALK_MODULES = {"results.py", "hopf.py"}
+
+
+def _raw_walk_uses(modules: dict) -> list:
+    uses = []
+    for mod, tree in modules.items():
+        if mod in RAW_WALK_MODULES:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in RAW_WALK_NAMES:
+                uses.append(f"{mod}:{getattr(node, 'lineno', '?')} {name}")
+    return uses
+
+
+def test_only_results_and_hopf_name_the_raw_tuple_walk():
+    assert _raw_walk_uses(_modules()) == []
+
+
+def test_the_raw_walk_guard_sees_a_reverted_loop():
+    reverted = ast.parse(
+        "from .results import iter_tuples, mode_tag\n"
+        "def check(mode, seed, samples, rng):\n"
+        "    tag = results.mode_tag(mode, seed, samples)\n"
+        "    for i, j in iter_tuples(mode, (2, 2), (None, None), rng, 4):\n"
+        "        pass\n")
+    assert len(_raw_walk_uses({"ydcat.py": reverted})) == 4
+    assert _raw_walk_uses({"hopf.py": reverted}) == []

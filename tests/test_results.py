@@ -1,8 +1,12 @@
-"""The check runner: status, witness, case count and timing."""
+"""The check runner: status, witness, case count and timing; and the one
+case loop, `Walk.failure`, that every tuple walk runs."""
 
 from __future__ import annotations
 
-from hopfbench.results import Check, CheckResult, invert_expected_failure
+import pytest
+
+from hopfbench.results import (Check, CheckResult, Walk,
+                               invert_expected_failure, tuple_walk)
 
 
 def test_check_without_witness_passes():
@@ -32,3 +36,63 @@ def test_check_result_feeds_invert_expected_failure():
     missed = invert_expected_failure(Check("inner", "generators").result(),
                                      "outer")
     assert missed.status == "fail"
+
+
+def _counting(tuples, seen):
+    """Yield `tuples`, recording each one as it is consumed."""
+    for t in tuples:
+        seen.append(t)
+        yield t
+
+
+def test_walk_counts_one_case_per_tuple_and_runs_the_certificate_last():
+    order = []
+    walk = Walk("exhaustive", _counting([(0, 1), (1, 0), (1, 1)], order),
+                certificate=lambda: order.append("certificate"))
+    chk = Check("c", walk.label)
+    assert walk.failure(chk, lambda i, j: None) is None
+    assert chk.cases == 3
+    assert order == [(0, 1), (1, 0), (1, 1), "certificate"]
+
+
+def test_walk_stops_at_the_first_witness_and_leaves_the_rest():
+    seen = []
+    tuples = iter([(0,), (1,), (2,), (3,)])
+    walk = Walk("exhaustive", _counting(tuples, seen),
+                certificate=lambda: pytest.fail("certificate ran"))
+    chk = Check("c", walk.label)
+    wit = walk.failure(chk, lambda i: f"bad {i}" if i == 1 else None)
+    assert (wit, chk.cases, seen) == ("bad 1", 2, [(0,), (1,)])
+    assert list(tuples) == [(2,), (3,)]
+
+
+def test_walk_prelude_witness_skips_tuples_and_certificate():
+    seen = []
+
+    def prelude(chk):
+        chk.cases += 5
+        return "prelude failed"
+
+    walk = Walk("generators", _counting([(0,), (1,)], seen), prelude=prelude,
+                certificate=lambda: pytest.fail("certificate ran"))
+    chk = Check("c", walk.label)
+    assert walk.failure(chk, lambda i: pytest.fail("case ran")) \
+        == "prelude failed"
+    assert (chk.cases, seen) == (5, [])
+
+
+def test_walk_certificate_witness_comes_after_every_tuple_passes():
+    walk = Walk("generators", iter([(0,), (1,)]), prelude=lambda chk: None,
+                certificate=lambda: "rank 1 of 2")
+    chk = Check("c", walk.label)
+    assert walk.failure(chk, lambda i: None) == "rank 1 of 2"
+    assert chk.cases == 2
+
+
+def test_generators_walk_without_a_generator_slot_is_exhaustive():
+    walk = tuple_walk("generators", (2, 3), (None, None), seed=1, samples=4)
+    assert walk.label == "exhaustive"
+    assert list(walk.tuples) == [(i, j) for i in range(2) for j in range(3)]
+    mixed = tuple_walk("generators", (2, 3), ({1}, None), seed=1, samples=4)
+    assert mixed.label == "generators+sample(n=4,seed=1)"
+    assert len(list(mixed.tuples)) == 3 + 4
