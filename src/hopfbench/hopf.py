@@ -5,13 +5,11 @@ field: multiplication and comultiplication rows, unit vector, counit
 functional and antipode matrix.  Axiom checks run in one of three
 coverage modes:
 
-* "exhaustive"  -- every basis tuple.  Associativity on algebras of
-  dimension up to a few hundred goes through an integer certificate:
-  basis vectors are expanded over the rational basis of the field with
-  a cleared common denominator, left-multiplication becomes an integer
-  sparse matrix, and the matrix identity rho(e_i e_j) = rho(e_i) rho(e_j)
-  is tested for every pair with scipy int64 arithmetic (exact; an
-  a-priori magnitude bound rules out overflow).
+* "exhaustive"  -- every basis tuple, except that associativity on an
+  algebra with declared generators is proved from the triples headed by
+  a generator index, plus the span-closure certificate below and the
+  unit law (`_check_associativity` states the lemma); that line is
+  labelled "generators".
 * "generators"  -- bilinear axioms are proved from a generating set:
   the elements a satisfying e.g. comult(a x) = comult(a) comult(x) for
   all x form a subalgebra, so checking generators against the whole
@@ -22,26 +20,27 @@ coverage modes:
 
 Random tuples come from `results.iter_tuples`, drawn from the one seeded
 generator that every check of a call shares, in check order, so these
-walks do not take a `results.Walk` (which seeds its own): associativity
-and `_check_pairwise` report "sampled", `_check_pairwise` counts two
-cases per generator pair, and `check_hopf_pairing` walks one list of
-pairs for two checks.
+walks do not take a `results.tuple_walk` (which seeds its own):
+associativity wraps its draws in a `results.Walk` labelled "sampled",
+`_check_pairwise` reports "sampled" and counts two cases per generator
+pair, and `check_hopf_pairing` walks one list of pairs for two checks.
 
-Witnesses for exhaustive scans are lexicographically smallest failing
-tuples; scans stop at the first failure.
+Walks stop at the first failure, so the witness of an exhaustive walk
+is its lexicographically smallest failing tuple, and that of the
+associativity lemma walk its smallest failing generator-headed triple.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
-from math import lcm
-from typing import Iterable, Optional
+from functools import partial
+from typing import Optional
 
 from .cyclo import Cyc, QContext
-from .results import (Check, CheckResult, gen_indices, generation_failure,
-                      generator_pairs, iter_tuples, mode_tag)
+from .results import (Check, CheckResult, Walk, gen_indices,
+                      generation_failure, generator_pairs, iter_tuples,
+                      mode_tag)
 from .sparse import (
     BilinearMap, ColinearMap, LinearMap, Space,
     Subspace, linear_map_inverse, shared_row, vadd_into,
@@ -297,8 +296,7 @@ class FiniteAlgebra:
     """An associative unital algebra with a labeled basis (no coalgebra).
 
     Shares the vector/product conventions of FiniteHopf so that the
-    associativity checks (including the integer certificate) apply to
-    both.
+    associativity and unit checks apply to both.
     """
 
     __slots__ = ("ctx", "space", "mult", "unit", "generators", "name",
@@ -340,204 +338,52 @@ def check_algebra_axioms(A, mode: str = "exhaustive", seed: int = 0,
     return [_check_associativity(A, mode, rng, samples), _check_unit(A)]
 
 
-# -- integer certificate for exhaustive associativity ------------------------
-
-def _zeta_regular_matrices(ctx: QContext):
-    """Integer phi x phi matrices of multiplication by zeta^t, t < phi."""
-    import numpy as np
-
-    phi = ctx.phi
-    zmat = np.zeros((phi, phi), dtype=object)
-    for j in range(phi):
-        img = ctx.zeta_pow(j + 1)
-        # zeta^(j+1) has integer coordinates (power basis, denominator 1)
-        for t in range(phi):
-            zmat[t, j] = img.c[t] if img.d == 1 else Fraction(img.c[t], img.d)
-    mats = [np.eye(phi, dtype=object)]
-    for _ in range(1, phi):
-        mats.append(zmat @ mats[-1])
-    return mats
-
-
-def _assoc_int_certificate(H: FiniteHopf):
-    """Exhaustive associativity by integer sparse matrices.
-
-    Returns (witness_or_None, cases).  Raises RuntimeError when the
-    a-priori magnitude bound does not fit in int64 (callers fall back
-    to the pure loop).
-    """
-    import numpy as np
-    import scipy.sparse as sp
-
-    ctx = H.ctx
-    n = H.dim
-    phi = ctx.phi
-    nphi = n * phi
-    H.mult.materialize()
-    rows = H.mult.rows
-
-    den = 1
-    max_terms = 1
-    for row in rows.values():
-        if len(row) > max_terms:
-            max_terms = len(row)
-        for _, c in row:
-            den = lcm(den, c.d)
-
-    zmats = _zeta_regular_matrices(ctx)
-    if any(isinstance(x, Fraction) for zm in zmats for x in zm.flat):
-        raise RuntimeError("power basis reduction is not integral")
-    zmats = [zm.astype(np.int64) for zm in zmats]
-
-    # Expanded coefficient columns: scalar c -> int vector of den*c, and
-    # regular representation R(den*c) = sum_t coeff_t zmats[t].
-    def int_coeffs(c: Cyc):
-        scale = den // c.d
-        return [x * scale for x in c.c]
-
-    rmemo: dict = {}
-
-    def rmat(c: Cyc):
-        key = (c.c, c.d)
-        m = rmemo.get(key)
-        if m is None:
-            coeffs = int_coeffs(c)
-            m = np.zeros((phi, phi), dtype=np.int64)
-            for t, a in enumerate(coeffs):
-                if a:
-                    m += a * zmats[t]
-            rmemo[key] = m
-        return m
-
-    # Magnitude bound: entries of a product of two structure matrices are
-    # sums of at most phi*max_terms int products.
-    max_entry = 0
-    for row in rows.values():
-        for _, c in row:
-            m = rmat(c)
-            e = int(np.max(np.abs(m)))
-            if e > max_entry:
-                max_entry = e
-    zabs = max(int(np.max(np.abs(zm))) for zm in zmats)
-    bound = phi * max_terms * (max_entry * zabs) * max_entry * phi
-    if bound >= 2 ** 62:
-        raise RuntimeError("int64 magnitude bound exceeded")
-
-    # Slim matrices: column k of bslim[i] = den * expand(e_i e_k).
-    bslim = []
-    for i in range(n):
-        data, ri, ci = [], [], []
-        for k in range(n):
-            for m_out, c in rows[i * n + k]:
-                for t, a in enumerate(int_coeffs(c)):
-                    if a:
-                        data.append(a)
-                        ri.append(m_out * phi + t)
-                        ci.append(k)
-        bslim.append(sp.csr_matrix((data, (ri, ci)), shape=(nphi, n), dtype=np.int64))
-
-    # Full matrices: column (k*phi + t) = den * expand(e_i (zeta^t e_k)).
-    bfull = []
-    for i in range(n):
-        data, ri, ci = [], [], []
-        for k in range(n):
-            for m_out, c in rows[i * n + k]:
-                rm = rmat(c)
-                for t_out in range(phi):
-                    for t_in in range(phi):
-                        a = int(rm[t_out, t_in])
-                        if a:
-                            data.append(a)
-                            ri.append(m_out * phi + t_out)
-                            ci.append(k * phi + t_in)
-        bfull.append(sp.csr_matrix((data, (ri, ci)), shape=(nphi, nphi), dtype=np.int64))
-
-    # Assembly operator: column (m*phi + t) holds bslim of zeta^t e_m in
-    # the vec layout row = k * nphi + r.
-    qdata, qri, qci = [], [], []
-    st_blocks = [sp.kron(sp.identity(n, dtype=np.int64, format="csr"),
-                         sp.csr_matrix(zm), format="csr") for zm in zmats]
-    for m_idx in range(n):
-        for t in range(phi):
-            mat = (st_blocks[t] @ bslim[m_idx]).tocoo()
-            qdata.append(mat.data)
-            qri.append(mat.col.astype(np.int64) * nphi + mat.row)
-            qci.append(np.full(mat.nnz, m_idx * phi + t, dtype=np.int64))
-    qmat = sp.csr_matrix(
-        (np.concatenate(qdata), (np.concatenate(qri), np.concatenate(qci))),
-        shape=(n * nphi, nphi), dtype=np.int64)
-
-    # hstack of all bslim_j with column offset j*n
-    adata, ari, aci = [], [], []
-    for j in range(n):
-        m = bslim[j].tocoo()
-        adata.append(m.data)
-        ari.append(m.row)
-        aci.append(m.col.astype(np.int64) + j * n)
-    ball = sp.csr_matrix(
-        (np.concatenate(adata), (np.concatenate(ari), np.concatenate(aci))),
-        shape=(nphi, n * n), dtype=np.int64)
-
-    for i in range(n):
-        lhs = (bfull[i] @ ball).tocoo()
-        # remap [r, j*n + k] -> [k*nphi + r, j]
-        j_idx, k_idx = np.divmod(lhs.col, n)
-        lhs_v = sp.csr_matrix(
-            (lhs.data, (k_idx.astype(np.int64) * nphi + lhs.row, j_idx)),
-            shape=(n * nphi, n), dtype=np.int64)
-        rhs_v = qmat @ bslim[i]
-        diff = (lhs_v - rhs_v).tocoo()
-        if diff.nnz:
-            mask = diff.data != 0
-            if mask.any():
-                ks = diff.row[mask] // nphi
-                js = diff.col[mask]
-                pairs = sorted(zip(js.tolist(), ks.tolist()))
-                j_bad, k_bad = pairs[0]
-                return (i, j_bad, k_bad), n ** 3
-    return None, n ** 3
-
-
 # -- axiom checks -------------------------------------------------------------
 
-def _assoc_loop(H: FiniteHopf, triples: Iterable[tuple]) -> tuple:
-    count = 0
-    for i, j, k in triples:
-        count += 1
-        lhs = H.product(H.product(H.basis(i), H.basis(j)), H.basis(k))
-        rhs = H.product(H.basis(i), H.product(H.basis(j), H.basis(k)))
-        if not veq(lhs, rhs):
-            return (i, j, k), count
-    return None, count
-
-
-def _witness_triple(H: FiniteHopf, t) -> str:
-    r = H.space.render
-    labs = [r(H.space.labels[i]) for i in t]
-    return f"basis triple ({', '.join(labs)}): (xy)z != x(yz)"
-
-
 def _check_associativity(H: FiniteHopf, mode: str, rng, samples: int) -> CheckResult:
-    chk = Check("mult-associativity", "exhaustive")
+    """(xy)z = x(yz) on basis triples (x, y, z).
+
+    In exhaustive mode an algebra with declared generators takes the
+    lemma walk.  S = {a : (ax)y = a(xy) for all x, y} is a subspace, and
+    it is closed under the product without assuming associativity: for
+    a, b in S, ((ab)x)y = (a(bx))y = a((bx)y) = a(b(xy)) = (ab)(xy).
+    The unit is in S when it is a left unit, which is the `mult-unit`
+    line that every caller reports beside this one.  So the triples
+    (g, x, y), g over the generator indices and x, y over the basis,
+    together with `generation_failure`, prove every triple.  An algebra
+    without declared generators walks every triple; the other modes
+    walk a sample drawn from the shared `rng`.
+    """
     n = H.dim
-    found = None
-    if mode == "exhaustive":
-        if n > 40:
-            try:
-                found = _assoc_int_certificate(H)
-            except (RuntimeError, ImportError):
-                pass
-        if found is None:
-            found = _assoc_loop(H, itertools.product(range(n), repeat=3))
-    else:
-        chk.mode = "sampled"
-        g = gen_indices(H)
+    g = gen_indices(H)
+    if mode != "exhaustive":
         # all draws come first: the checks after this one share rng
-        found = _assoc_loop(H, list(iter_tuples(
+        walk = Walk("sampled", list(iter_tuples(
             "generators" if g else "sample", (n, n, n), (g, g, g), rng,
             samples)))
-    wit, chk.cases = found
-    return chk.result(_witness_triple(H, wit) if wit else None)
+    elif g:
+        walk = Walk("generators",
+                    itertools.product(sorted(g), range(n), range(n)),
+                    certificate=partial(generation_failure, H))
+    else:
+        walk = Walk("exhaustive", itertools.product(range(n), repeat=3))
+    get = H.mult.get
+    r = H.space.render
+
+    def case(i: int, j: int, k: int) -> Optional[str]:
+        lhs: Vec = {}
+        for m, c in get(i, j):
+            vadd_into(lhs, get(m, k), c)
+        rhs: Vec = {}
+        for m, c in get(j, k):
+            vadd_into(rhs, get(i, m), c)
+        if veq(lhs, rhs):
+            return None
+        labs = [r(H.space.labels[t]) for t in (i, j, k)]
+        return f"basis triple ({', '.join(labs)}): (xy)z != x(yz)"
+
+    chk = Check("mult-associativity", walk.label)
+    return chk.result(walk.failure(chk, case))
 
 
 def _check_unit(H: FiniteHopf) -> CheckResult:

@@ -8,6 +8,8 @@
 * Only `results.py` and `hopf.py` name `iter_tuples` or `mode_tag`: every
   other check walks basis tuples through a `results.Walk`, so the case
   loop and the coverage label live in one place.
+* No module imports numpy or scipy, at module level or inside a
+  function: `pyproject.toml` declares no runtime dependencies.
 """
 
 from __future__ import annotations
@@ -135,3 +137,38 @@ def test_the_raw_walk_guard_sees_a_reverted_loop():
         "        pass\n")
     assert len(_raw_walk_uses({"ydcat.py": reverted})) == 4
     assert _raw_walk_uses({"hopf.py": reverted}) == []
+
+
+# Third-party packages that no module may import, anywhere in its body.
+UNDECLARED_PACKAGES = {"numpy", "scipy"}
+
+
+def _undeclared_imports(modules: dict) -> list:
+    found = []
+    for mod, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in UNDECLARED_PACKAGES:
+                    found.append(f"{mod}:{node.lineno} {name}")
+    return found
+
+
+def test_no_module_imports_numpy_or_scipy():
+    assert _undeclared_imports(_modules()) == []
+
+
+def test_the_dependency_guard_sees_function_level_imports():
+    reverted = ast.parse(
+        "def certificate(H):\n"
+        "    import numpy as np\n"
+        "    import scipy.sparse as sp\n"
+        "    from scipy import sparse\n"
+        "    from .results import Walk\n")
+    assert _undeclared_imports({"hopf.py": reverted}) == [
+        "hopf.py:2 numpy", "hopf.py:3 scipy.sparse", "hopf.py:4 scipy"]

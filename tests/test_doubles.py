@@ -43,7 +43,8 @@ def test_double_dimensions(system):
 def test_double_hopf_axioms_p2(sys2):
     results = check_hopf_axioms(sys2.double.hopf, mode="exhaustive")
     all_pass(results)
-    assert all(r.mode == "exhaustive" for r in results)
+    assert {r.name: r.mode for r in results if r.mode != "exhaustive"} == {
+        "mult-associativity": "generators"}
 
 
 def test_double_presentation(system):

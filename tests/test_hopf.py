@@ -4,18 +4,19 @@ Fixtures: group algebras of cyclic groups (commutative, cocommutative),
 the classic 4-dimensional algebra with a group-like g and a skew
 primitive x (noncommutative, non-involutive antipode), and a twisted
 "quantum torus" algebra whose structure constants are root-of-unity
-powers -- the last one exercises the integer associativity certificate
-above the pure-loop size cutoff.
+powers -- the last one drives the associativity lemma walk (triples
+headed by a declared generator) against the walk over every triple.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from hopfbench.cyclo import QContext
 from hopfbench.hopf import (
     FiniteHopf, HopfPairing, check_hopf_axioms, check_hopf_pairing,
     dual_hopf, hit_alg_left, hit_alg_right, hit_dual_left,
     hit_dual_right, pair_product, render_element, tensor_flat,
-    _assoc_int_certificate, _assoc_loop,
 )
 from hopfbench.sparse import BilinearMap, ColinearMap, LinearMap, Space, veq
 
@@ -65,9 +66,10 @@ def four_dim_hopf(ctx):
                       generators=[{1: one}, {2: one}], name="H4")
 
 
-def quantum_torus(ctx, n):
-    """dim n^2 algebra u^a v^b with v u = zeta u v (coalgebra data is a
-    placeholder: only the product is exercised)."""
+def quantum_torus(ctx, n, with_generators=True):
+    """dim n^2 algebra u^a v^b with v u = zeta u v, generated by u and v
+    unless `with_generators` is false (coalgebra data is a placeholder:
+    only the product is exercised)."""
     one = ctx.one
     dim = n * n
 
@@ -83,7 +85,9 @@ def quantum_torus(ctx, n):
     antipode = LinearMap(dim, dim, {i: ((i, one),) for i in range(dim)})
     space = Space(f"qt{n}", tuple((a, b) for a in range(n) for b in range(n)),
                   lambda ab: f"u^{ab[0]}v^{ab[1]}")
-    return FiniteHopf(ctx, space, mult, {0: one}, comult, counit, antipode)
+    gens = [{n: one}, {1: one}] if with_generators else None   # u, v
+    return FiniteHopf(ctx, space, mult, {0: one}, comult, counit, antipode,
+                      generators=gens)
 
 
 def all_pass(results):
@@ -151,32 +155,60 @@ def test_broken_antipode_detected():
     assert names["antipode-convolution"].status == "fail"
 
 
-# -- the integer certificate vs the pure loop ----------------------------------
+# -- the associativity lemma walk vs the walk over every triple ----------------
 
-def test_int_certificate_agrees_on_clean_torus():
-    H = quantum_torus(CTX, 8)                  # dim 64
-    wit, cases = _assoc_int_certificate(H)
-    assert wit is None
-    assert cases == 64 ** 3
+def _product_laws(H):
+    """(mult-associativity, mult-unit) of one check_hopf_axioms call."""
+    by_name = {r.name: r for r in check_hopf_axioms(H)}
+    return by_name["mult-associativity"], by_name["mult-unit"]
 
 
-def test_int_certificate_witness_matches_loop():
-    H = quantum_torus(CTX, 8)
+def _first_failing_triple(H, triples):
+    for t in triples:
+        i, j, k = (H.basis(x) for x in t)
+        if not veq(H.product(H.product(i, j), k),
+                   H.product(i, H.product(j, k))):
+            return t
+    return None
+
+
+def _zeta_corrupted_torus(with_generators):
+    H = quantum_torus(CTX, 8, with_generators)
     H.mult.materialize()
     # corrupt one entry: u^1 v^1 * u^1 v^0 gets an extra zeta
     i = 1 * 8 + 1
     j = 1 * 8 + 0
     (k, c), = H.mult.get(i, j)
     H.mult.set(i, j, ((k, c * CTX.zeta_pow(1)),))
-    wit_cert, _ = _assoc_int_certificate(H)
-    assert wit_cert is not None
-    n = H.dim
-    wit_loop, _ = _assoc_loop(
-        H, ((a, b, d) for a in range(n) for b in range(n) for d in range(n)))
-    assert wit_cert == wit_loop
+    return H
 
 
-def test_certificate_handles_denominators():
+def test_clean_torus_associativity_is_proved_from_generators():
+    H = quantum_torus(CTX, 8)                  # dim 64
+    assoc, unit = _product_laws(H)
+    assert (assoc.status, assoc.mode, assoc.cases_checked) == (
+        "pass", "generators", 2 * 64 ** 2)
+    assert unit.status == "pass"
+
+
+def test_corrupted_torus_fails_both_walks_at_their_first_triple():
+    n = 64
+    H = _zeta_corrupted_torus(True)
+    lemma, unit = _product_laws(H)
+    full, _ = _product_laws(_zeta_corrupted_torus(False))
+    assert unit.status == "pass"
+    assert (lemma.status, lemma.mode) == ("fail", "generators")
+    assert (full.status, full.mode) == ("fail", "exhaustive")
+    r = H.space.render
+    for res, triples in (
+            (lemma, itertools.product([1, 8], range(n), range(n))),
+            (full, itertools.product(range(n), repeat=3))):
+        t = _first_failing_triple(H, triples)
+        labs = ", ".join(r(H.space.labels[x]) for x in t)
+        assert res.witness == f"basis triple ({labs}): (xy)z != x(yz)"
+
+
+def test_torus_with_denominators_is_associative():
     # the zeta twist needs zeta^n = 1, so the torus must use n = 8 here
     H = quantum_torus(CTX, 8)
     H.mult.materialize()
@@ -196,8 +228,9 @@ def test_certificate_handles_denominators():
             row = H.mult.get(a, b)
             H.mult.set(a, b, tuple(
                 (kk, cc * two if kk == i else cc) for kk, cc in row))
-    wit, _ = _assoc_int_certificate(H)
-    assert wit is None
+    assoc, unit = _product_laws(H)
+    assert (assoc.status, assoc.mode) == ("pass", "generators")
+    assert unit.status == "pass"
 
 
 # -- duals, op/cop, pairings ----------------------------------------------------

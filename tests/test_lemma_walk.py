@@ -8,6 +8,12 @@ generators.  The two must agree on intact structures and on seeded
 single-term corruptions, and a lemma-walk failure must name the first
 failing pair in walk order.
 
+`mult-associativity` in exhaustive mode walks the triples headed by a
+generator index.  On seeded single-entry corruptions of the Taft
+algebra's product it passes together with `mult-unit` exactly when the
+walk over every triple passes, and it catches a corruption of D(B)'s
+product on a pair that touches no generator.
+
 `module-action` is proved on the two factors of D(B)
 (`doubles.module_factor_walk`), and `yd-condition` and
 `braided-commutative` from generators given `module-action` and
@@ -248,7 +254,8 @@ def test_too_few_generators_fail_the_certificate():
                 check_module(y, walk=module_factor_walk(few_dual, X.dim)),
                 check_yd(y, walk=lemma_walk(_hopf(H, H.generators[:-1]))),
                 check_braided_commutative(
-                    y, walk=lemma_walk(_algebra(X, X.generators[:-1])))):
+                    y, walk=lemma_walk(_algebra(X, X.generators[:-1]))),
+                check_algebra_axioms(_algebra(X, X.generators[:-1]))[0]):
         assert res.status == "fail"
         assert res.witness.endswith("; generation certificate failed")
 
@@ -424,3 +431,63 @@ def test_only_the_cross_relation_catches_an_action_that_forgets_the_twist():
         f"M={H.space.render(H.space.labels[D.index(uf, b)])}"
         for b in gen_indices(D.base)}
     assert check_module(bad, walk=_generic_module_walk(bad)).status == "fail"
+
+
+# -- associativity from generator-headed triples --------------------------------
+
+def _zeta_corrupted(A, x, z):
+    """A's product with the first entry of e_x e_z times zeta."""
+    row = A.mult.get(x, z)
+    bad_row = ((row[0][0], row[0][1] * A.ctx.zeta),) + row[1:]
+    return BilinearMap(A.dim, A.dim, fn=lambda i, j: (
+        bad_row if (i, j) == (x, z) else A.mult.get(i, j)))
+
+
+def _seeded_product_pairs(A, seed, count):
+    """`count` seeded pairs (x, z) with e_x e_z != 0: half of them touch
+    no generator index, half touch one."""
+    gens = gen_indices(A)
+    pairs = [(x, z) for x in range(A.dim) for z in range(A.dim)
+             if A.mult.get(x, z)]
+    rng = random.Random(seed)
+    return (rng.sample([p for p in pairs if gens.isdisjoint(p)], count // 2)
+            + rng.sample([p for p in pairs if not gens.isdisjoint(p)],
+                         count // 2))
+
+
+def test_associativity_lemma_walk_is_sound_under_seeded_corruptions():
+    """On each zeta-corruption of one product entry of B, the lemma walk
+    and `mult-unit` pass together exactly when the walk over every
+    triple passes, and corruptions of pairs off the generators are
+    caught."""
+    B = taft_system(2).pair.primal
+    gens = gen_indices(B)
+    n = B.dim
+    caught_off_generators = 0
+    for x, z in _seeded_product_pairs(B, seed=7, count=24):
+        mult = _zeta_corrupted(B, x, z)
+        lemma, unit = check_algebra_axioms(_algebra(B, B.generators, mult))
+        full, _ = check_algebra_axioms(_algebra(B, None, mult))
+        assert (lemma.mode, full.mode) == ("generators", "exhaustive")
+        assert lemma.cases_checked <= len(gens) * n * n
+        proved = lemma.status == "pass" and unit.status == "pass"
+        assert proved == (full.status == "pass"), (x, z)
+        if lemma.status == "fail" and gens.isdisjoint((x, z)):
+            caught_off_generators += 1
+    assert caught_off_generators > 0
+
+
+def test_a_corrupted_double_product_off_the_generators_fails():
+    D = taft_system(2).double.hopf
+    spared = gen_indices(D) | set(D.unit)
+    rng = random.Random(7)
+    while True:
+        x, z = rng.randrange(D.dim), rng.randrange(D.dim)
+        if spared.isdisjoint((x, z)) and D.mult.get(x, z):
+            break
+    bad = _algebra(D, D.generators, _zeta_corrupted(D, x, z))
+    assoc, unit = check_algebra_axioms(bad)
+    assert (assoc.name, assoc.status, assoc.mode) == (
+        "mult-associativity", "fail", "generators")
+    assert assoc.witness.startswith("basis triple (")
+    assert unit.status == "pass"

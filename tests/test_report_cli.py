@@ -140,8 +140,11 @@ def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
 # failures (chains), so they pin the bytes of the failure paths too; the
 # double and heisenberg reports pin the exhaustive pair walks, and the yd
 # report pins the proofs of module-action on the factors of D(B) and of
-# yd-condition and braided-commutative from generators.
+# yd-condition and braided-commutative from generators; the hopf-axioms
+# report pins the associativity proofs from generator-headed triples.
 REPORT_SHA256_P2 = {
+    "hopf-axioms":
+        "d314cbd71d131f4a4bf7eb7c4bb0b3a39c8c4c99f7e53261fb1f2aa73c9bacbb",
     "yd":
         "fccdf429d3a091e005ce9be86c6a304c2d57b4e0e3ee0baf76f0c48413972842",
     "double":
