@@ -19,7 +19,8 @@ from typing import Optional
 
 from . import __version__
 from .cyclo import Cyc, QContext
-from .hopf import FiniteAlgebra, FiniteHopf, render_element, render_tensor
+from .hopf import (MODES, FiniteAlgebra, FiniteHopf, render_element,
+                   render_tensor)
 from .report import ConfigError, SuiteConfig, render, run_suite
 from .sparse import (BilinearMap, ColinearMap, LinearMap, Space, SpanSolver,
                      Vec, vadd_term)
@@ -695,13 +696,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_p(v)
     v.add_argument("--suite", default="all",
                    help="suite name, comma list, or 'all' (default)")
-    v.add_argument("--mode", choices=("exhaustive", "generators", "sample"),
-                   default=None,
+    v.add_argument("--mode", choices=MODES, default=None,
                    help="coverage mode (default: exhaustive for p=2, "
                         "generators+sample otherwise)")
     v.add_argument("--seed", type=int, default=0, help="sampling seed")
     v.add_argument("--sample-size", type=int, default=10_000,
-                   help="random cases per sampled check")
+                   help="random tuples per sampling walk")
     v.add_argument("--fail-fast", action="store_true",
                    help="stop at the first failing check")
     v.add_argument("--out", default=None, metavar="PATH",

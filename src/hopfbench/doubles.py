@@ -330,7 +330,7 @@ def eta_twist_product(D: DrinfeldDouble, Hd: Optional[HeisenbergDouble] = None,
                     vadd_into(acc, H.mult.get(j1, j2), c1 * c2 * pv)
         if veq(acc, dict(Hd.algebra.mult.get(k1, k2))):
             return None
-        return (f"M={_rlab(H, k1)}, N={_rlab(H, k2)}: "
+        return (f"M={H.space.label(k1)}, N={H.space.label(k2)}: "
                 f"eta-twisted product disagrees with the smash product")
 
     return chk.result(walk.failure(chk, case))
@@ -497,8 +497,8 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
         rhs = act.apply(dvec, {x: one})
         if veq(lhs, rhs):
             return None
-        return (f"mu={_rlab(dual, f)}, m={_rlab(base, m)}, "
-                f"A={_rlab(act.algebra, x)}: factor actions do "
+        return (f"mu={dual.space.label(f)}, m={base.space.label(m)}, "
+                f"A={act.algebra.space.label(x)}: factor actions do "
                 f"not compose through the double product")
 
     return chk.result(walk.failure(chk, case))
@@ -570,21 +570,21 @@ def module_factor_walk(D: DrinfeldDouble, dim_x: int) -> Walk:
                 if not veq(dict(mult.get(left[f], right[m])),
                            {D.index(f, m): one}):
                     return (f"(f (x) 1)(1 (x) m) != f (x) m at "
-                            f"f={_rlab(dual, f)}, m={_rlab(base, m)}")
+                            f"f={dual.space.label(f)}, m={base.space.label(m)}")
         for f in range(nF):
             for g in range(nF):
                 chk.cases += 1
                 if not veq(dict(mult.get(left[f], left[g])),
                            {left[k]: c for k, c in dual.mult.get(f, g)}):
                     return (f"(f (x) 1)(g (x) 1) != fg (x) 1 at "
-                            f"f={_rlab(dual, f)}, g={_rlab(dual, g)}")
+                            f"f={dual.space.label(f)}, g={dual.space.label(g)}")
         for m in range(nB):
             for n in range(nB):
                 chk.cases += 1
                 if not veq(dict(mult.get(right[m], right[n])),
                            {right[k]: c for k, c in base.mult.get(m, n)}):
                     return (f"(1 (x) m)(1 (x) n) != 1 (x) mn at "
-                            f"m={_rlab(base, m)}, n={_rlab(base, n)}")
+                            f"m={base.space.label(m)}, n={base.space.label(n)}")
         return None
 
     xs = range(dim_x)
@@ -597,11 +597,6 @@ def module_factor_walk(D: DrinfeldDouble, dim_x: int) -> Walk:
     return Walk("generators", triples, prelude=products,
                 certificate=lambda: (generation_failure(dual)
                                      or generation_failure(base)))
-
-
-def _rlab(obj, i: int) -> str:
-    sp = obj.space
-    return sp.render(sp.labels[i])
 
 
 def check_double_identity(D: DrinfeldDouble,
@@ -632,7 +627,7 @@ def check_double_identity(D: DrinfeldDouble,
                 vadd_into(hit, P.alg_left(nu, a), cs)
             vadd_into(rhs, hit, cf, u2 * nB)
         if not veq(lhs, rhs):
-            return chk.result(f"mu={_rlab(dual, f)}, a={_rlab(base, a)}: "
+            return chk.result(f"mu={dual.space.label(f)}, a={base.space.label(a)}: "
                               f"the double identity fails")
     return chk.result()
 
@@ -654,7 +649,8 @@ def check_quasitriangular(D: DrinfeldDouble,
             dvec = {j * d + k: c for j, k, c in row}
             dop = {k * d + j: c for j, k, c in row}
             if not veq(pair_product(H, R, dvec), pair_product(H, dop, R)):
-                return chk.result(f"R Delta(x) != Delta-op(x) R at x={_rlab(H, x)}")
+                return chk.result(f"R Delta(x) != Delta-op(x) R "
+                                  f"at x={H.space.label(x)}")
         return chk.result()
 
     results = [intertwine()]
@@ -739,7 +735,7 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
                     vadd_into(rhs, alg.mult.get(xp, yp), c1 * cy)
         if veq(lhs, rhs):
             return None
-        return (f"y={_rlab(alg, iy)}, x={_rlab(alg, ix)}: yx = "
+        return (f"y={alg.space.label(iy)}, x={alg.space.label(ix)}: yx = "
                 f"{render_element(alg.space, lhs)} but "
                 f"(R2|>x)(R1|>y) = {render_element(alg.space, rhs)}")
 
@@ -766,7 +762,7 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
                         vadd_into(rhs2, alg.mult.get(xp, y0), c2 * cx)
         if veq(lhs, rhs2):
             return None
-        return (f"y={_rlab(alg, iy)}, x={_rlab(alg, ix)}: the inverse-R "
+        return (f"y={alg.space.label(iy)}, x={alg.space.label(ix)}: the inverse-R "
                 f"form of braided commutativity fails")
 
     return res1, run(prefix + "rinv-braided-comm", rinv_comm)
@@ -1004,17 +1000,20 @@ def chain_relations_check(bp: BraidedProductAlgebra, D: DrinfeldDouble,
 
     return [
         run("mixed", [(i, j) for i in prim_pos for j in dual_pos], nB, nF,
-            mixed, lambda b, f: f"b={_rlab(base, b)}, beta={_rlab(dual, f)}"),
+            mixed,
+            lambda b, f: f"b={base.space.label(b)}, beta={dual.space.label(f)}"),
         run("dual-straighten", ordered(dual_pos, int.__ge__), nF, nF,
             dual_straighten,
-            lambda fa, fb: f"alpha={_rlab(dual, fa)}, beta={_rlab(dual, fb)}"),
+            lambda fa, fb: (f"alpha={dual.space.label(fa)}, "
+                            f"beta={dual.space.label(fb)}")),
         run("primal-straighten", ordered(prim_pos, int.__ge__), nB, nB,
             primal_straighten,
-            lambda a, b: f"a={_rlab(base, a)}, b={_rlab(base, b)}"),
+            lambda a, b: f"a={base.space.label(a)}, b={base.space.label(b)}"),
         run("dual-straighten-inverse", ordered(dual_pos, int.__le__), nF, nF,
             dual_straighten_inverse,
-            lambda fb, fa: f"beta={_rlab(dual, fb)}, alpha={_rlab(dual, fa)}"),
+            lambda fb, fa: (f"beta={dual.space.label(fb)}, "
+                            f"alpha={dual.space.label(fa)}")),
         run("primal-straighten-inverse", ordered(prim_pos, int.__le__), nB, nB,
             primal_straighten_inverse,
-            lambda b, a: f"b={_rlab(base, b)}, a={_rlab(base, a)}"),
+            lambda b, a: f"b={base.space.label(b)}, a={base.space.label(a)}"),
     ]

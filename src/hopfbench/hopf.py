@@ -2,8 +2,9 @@
 
 A FiniteHopf carries explicit structure tensors over a cyclotomic
 field: multiplication and comultiplication rows, unit vector, counit
-functional and antipode matrix.  Axiom checks run in one of three
-coverage modes:
+functional and antipode matrix.  Axiom checks run in one of the
+coverage modes of `MODES`; any other mode is a ValueError before any
+check runs:
 
 * "exhaustive"  -- every basis tuple, except that associativity on an
   algebra with declared generators is proved from the triples headed by
@@ -15,32 +16,29 @@ coverage modes:
   all x form a subalgebra, so checking generators against the whole
   basis plus a span-closure certificate that the generators generate
   covers every pair.  Per-element axioms stay exhaustive; associativity
-  falls back to sampling (reported as such).
-* "sample"      -- seeded random basis tuples only, reported as "sampled".
+  walks the generator-headed triples and then a seeded sample, labelled
+  "generators+sample(n=N,seed=S)": evidence, not a proof.  An algebra
+  without declared generators walks the seeded sample only.
+* "sample"      -- seeded random basis tuples only, labelled
+  "sample(n=N,seed=S)".
 
-Random tuples come from `results.iter_tuples`, drawn from the one seeded
-generator that every check of a call shares, in check order, so these
-walks do not take a `results.tuple_walk` (which seeds its own):
-associativity wraps its draws in a `results.Walk` labelled "sampled",
-`_check_pairwise` reports "sampled" and counts two cases per generator
-pair, and `check_hopf_pairing` walks one list of pairs for two checks.
-
-Walks stop at the first failure, so the witness of an exhaustive walk
-is its lexicographically smallest failing tuple, and that of the
-associativity lemma walk its smallest failing generator-headed triple.
+Every walk is a `results.Walk`, run by `Walk.failure`.  Random tuples
+come only from `results.tuple_walk`, which seeds each walk itself, so a
+check's draws depend only on the seed and the sample size.  Walks stop
+at the first failure, so the witness of an exhaustive walk is its
+lexicographically smallest failing tuple, and that of the associativity
+lemma walk its smallest failing generator-headed triple.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from functools import partial
 from typing import Optional
 
 from .cyclo import Cyc, QContext
 from .results import (Check, CheckResult, Walk, gen_indices,
-                      generation_failure, generator_pairs, iter_tuples,
-                      mode_tag)
+                      generation_failure, generator_pairs, tuple_walk)
 from .sparse import (
     BilinearMap, ColinearMap, LinearMap, Space,
     Subspace, linear_map_inverse, shared_row, vadd_into,
@@ -48,14 +46,22 @@ from .sparse import (
 )
 
 __all__ = [
-    "FiniteHopf", "FiniteAlgebra", "check_hopf_axioms", "check_algebra_axioms",
-    "dual_hopf",
+    "MODES", "FiniteHopf", "FiniteAlgebra", "check_hopf_axioms",
+    "check_algebra_axioms", "dual_hopf",
     "HopfPairing", "check_hopf_pairing", "hit_dual_left", "hit_dual_right",
     "hit_alg_left", "hit_alg_right", "render_element", "tensor_flat",
     "pair_product", "triple_product", "twisted_product",
 ]
 
 Vec = dict
+
+MODES = ("exhaustive", "generators", "sample")
+
+
+def _require_mode(mode: str) -> None:
+    """Reject a coverage mode outside `MODES` before any check runs."""
+    if mode not in MODES:
+        raise ValueError(f"unknown coverage mode {mode!r}")
 
 
 # -- element rendering -------------------------------------------------------
@@ -67,13 +73,14 @@ def _coef_str(c: Cyc) -> str:
     return s
 
 
-def render_element(space: Space, v: Vec) -> str:
-    """Deterministic human-readable form of a vector, sorted by index."""
+def _render_terms(v: Vec, label) -> str:
+    """Deterministic human-readable form of a vector, sorted by index;
+    label(i) names basis index i."""
     if not v:
         return "0"
     parts = []
     for i in sorted(v):
-        lab = space.render(space.labels[i])
+        lab = label(i)
         cs = _coef_str(v[i])
         if cs == "1":
             parts.append(lab)
@@ -84,24 +91,18 @@ def render_element(space: Space, v: Vec) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
+def render_element(space: Space, v: Vec) -> str:
+    """Deterministic human-readable form of a vector, sorted by index."""
+    return _render_terms(v, space.label)
+
+
 def render_tensor(space1: Space, space2: Space, v: Vec) -> str:
     """Render a vector living on flat pair indices i * dim2 + j."""
-    if not v:
-        return "0"
-    n2 = space2.dim
-    parts = []
-    for key in sorted(v):
-        i, j = divmod(key, n2)
-        lab = (f"{space1.render(space1.labels[i])} (x) "
-               f"{space2.render(space2.labels[j])}")
-        cs = _coef_str(v[key])
-        if cs == "1":
-            parts.append(lab)
-        elif cs == "-1":
-            parts.append(f"-{lab}")
-        else:
-            parts.append(f"{cs}*{lab}")
-    return " + ".join(parts).replace("+ -", "- ")
+    def label(key: int) -> str:
+        i, j = divmod(key, space2.dim)
+        return f"{space1.label(i)} (x) {space2.label(j)}"
+
+    return _render_terms(v, label)
 
 
 # -- the structure container -------------------------------------------------
@@ -334,13 +335,14 @@ class FiniteAlgebra:
 def check_algebra_axioms(A, mode: str = "exhaustive", seed: int = 0,
                          samples: int = 2000) -> list:
     """Associativity + unit laws for a FiniteAlgebra (or FiniteHopf)."""
-    rng = random.Random(seed)
-    return [_check_associativity(A, mode, rng, samples), _check_unit(A)]
+    _require_mode(mode)
+    return [_check_associativity(A, mode, seed, samples), _check_unit(A)]
 
 
 # -- axiom checks -------------------------------------------------------------
 
-def _check_associativity(H: FiniteHopf, mode: str, rng, samples: int) -> CheckResult:
+def _check_associativity(H: FiniteHopf, mode: str, seed: int,
+                         samples: int) -> CheckResult:
     """(xy)z = x(yz) on basis triples (x, y, z).
 
     In exhaustive mode an algebra with declared generators takes the
@@ -350,25 +352,22 @@ def _check_associativity(H: FiniteHopf, mode: str, rng, samples: int) -> CheckRe
     The unit is in S when it is a left unit, which is the `mult-unit`
     line that every caller reports beside this one.  So the triples
     (g, x, y), g over the generator indices and x, y over the basis,
-    together with `generation_failure`, prove every triple.  An algebra
-    without declared generators walks every triple; the other modes
-    walk a sample drawn from the shared `rng`.
+    together with `generation_failure`, prove every triple.  Any other
+    walk is a `tuple_walk`: every triple of an algebra without declared
+    generators in exhaustive mode, a seeded sample otherwise, headed in
+    "generators" mode by the generator triples (with no generators to
+    head it, that walk would be every triple).
     """
     n = H.dim
     g = gen_indices(H)
-    if mode != "exhaustive":
-        # all draws come first: the checks after this one share rng
-        walk = Walk("sampled", list(iter_tuples(
-            "generators" if g else "sample", (n, n, n), (g, g, g), rng,
-            samples)))
-    elif g:
+    if mode == "exhaustive" and g:
         walk = Walk("generators",
                     itertools.product(sorted(g), range(n), range(n)),
                     certificate=partial(generation_failure, H))
     else:
-        walk = Walk("exhaustive", itertools.product(range(n), repeat=3))
+        walk = tuple_walk(mode if g or mode == "exhaustive" else "sample",
+                          (n, n, n), (g, g, g), seed, samples)
     get = H.mult.get
-    r = H.space.render
 
     def case(i: int, j: int, k: int) -> Optional[str]:
         lhs: Vec = {}
@@ -379,7 +378,7 @@ def _check_associativity(H: FiniteHopf, mode: str, rng, samples: int) -> CheckRe
             vadd_into(rhs, get(i, m), c)
         if veq(lhs, rhs):
             return None
-        labs = [r(H.space.labels[t]) for t in (i, j, k)]
+        labs = [H.space.label(t) for t in (i, j, k)]
         return f"basis triple ({', '.join(labs)}): (xy)z != x(yz)"
 
     chk = Check("mult-associativity", walk.label)
@@ -391,9 +390,9 @@ def _check_unit(H: FiniteHopf) -> CheckResult:
     for i in range(H.dim):
         e = H.basis(i)
         if not veq(H.product(H.unit, e), e):
-            return chk.result(f"1*{H.space.render(H.space.labels[i])} != itself")
+            return chk.result(f"1*{H.space.label(i)} != itself")
         if not veq(H.product(e, H.unit), e):
-            return chk.result(f"{H.space.render(H.space.labels[i])}*1 != itself")
+            return chk.result(f"{H.space.label(i)}*1 != itself")
     return chk.result()
 
 
@@ -411,7 +410,7 @@ def _check_coassociativity(H: FiniteHopf) -> CheckResult:
                 vadd_term(right, (j * n + a) * n + b, c * cc)
         if not veq(left, right):
             return chk.result(
-                f"coassociativity fails on {H.space.render(H.space.labels[i])}")
+                f"coassociativity fails on {H.space.label(i)}")
     return chk.result()
 
 
@@ -431,7 +430,7 @@ def _check_counit_laws(H: FiniteHopf) -> CheckResult:
         e = H.basis(i)
         if not veq(left, e) or not veq(right, e):
             return chk.result(
-                f"counit law fails on {H.space.render(H.space.labels[i])}")
+                f"counit law fails on {H.space.label(i)}")
     return chk.result()
 
 
@@ -449,40 +448,31 @@ def _counit_mult_pair_ok(H: FiniteHopf, i: int, j: int) -> bool:
     return lhs == rhs
 
 
-def _check_pairwise(H: FiniteHopf, name: str, pair_ok, mode: str, rng,
+def _check_pairwise(H: FiniteHopf, name: str, pair_ok, mode: str, seed: int,
                     samples: int) -> CheckResult:
-    """Run a bilinear axiom over pairs in the requested coverage mode."""
-    chk = Check(name, mode)
+    """Run a bilinear axiom over basis pairs in the requested coverage mode.
+
+    In "generators" mode with declared generators the walk takes each
+    generator row against the whole basis on both sides, (g, j) then
+    (j, g), and closes with `generation_failure`; otherwise it is every
+    pair or a seeded sample of pairs.
+    """
     n = H.dim
-    wit = None
     if mode == "generators" and H.generators:
-        # generator rows against the whole basis, both sides
-        for g, j in generator_pairs(H):
-            chk.cases += 2
-            if not pair_ok(H, g, j):
-                wit = (g, j)
-                break
-            if not pair_ok(H, j, g):
-                wit = (j, g)
-                break
-        if wit is None:
-            cert = generation_failure(H)
-            if cert:
-                return chk.result(cert)
+        walk = Walk("generators", itertools.chain.from_iterable(
+            ((g, j), (j, g)) for g, j in generator_pairs(H)),
+            certificate=partial(generation_failure, H))
     else:
-        walk = "exhaustive" if mode == "exhaustive" else "sample"
-        if walk == "sample":
-            chk.mode = "sampled"
-        for i, j in iter_tuples(walk, (n, n), (None, None), rng, samples):
-            chk.cases += 1
-            if not pair_ok(H, i, j):
-                wit = (i, j)
-                break
-    if wit:
-        r = H.space.render
-        return chk.result(f"basis pair ({r(H.space.labels[wit[0]])}, "
-                          f"{r(H.space.labels[wit[1]])})")
-    return chk.result()
+        walk = tuple_walk("exhaustive" if mode == "exhaustive" else "sample",
+                          (n, n), (None, None), seed, samples)
+    chk = Check(name, walk.label)
+
+    def case(i: int, j: int) -> Optional[str]:
+        if pair_ok(H, i, j):
+            return None
+        return f"basis pair ({H.space.label(i)}, {H.space.label(j)})"
+
+    return chk.result(walk.failure(chk, case))
 
 
 def _check_comult_unit(H: FiniteHopf) -> CheckResult:
@@ -506,10 +496,10 @@ def _check_antipode(H: FiniteHopf) -> CheckResult:
         target = vscale(H.unit, H.counit.get(i, H.ctx.zero))
         if not veq(left, target):
             return chk.result(f"m(S(x)id)comult != unit*counit on "
-                              f"{H.space.render(H.space.labels[i])}")
+                              f"{H.space.label(i)}")
         if not veq(right, target):
             return chk.result(f"m(id(x)S)comult != unit*counit on "
-                              f"{H.space.render(H.space.labels[i])}")
+                              f"{H.space.label(i)}")
     return chk.result()
 
 
@@ -523,25 +513,23 @@ def check_hopf_axioms(H: FiniteHopf, mode: str = "exhaustive",
                       seed: int = 0, samples: int = 2000,
                       include_antihom: bool = False) -> list:
     """All Hopf-algebra axioms for H; returns a list of CheckResult."""
-    if mode not in ("exhaustive", "generators", "sample"):
-        raise ValueError(f"unknown coverage mode {mode!r}")
-    rng = random.Random(seed)
+    _require_mode(mode)
     results = [
-        _check_associativity(H, mode, rng, samples),
+        _check_associativity(H, mode, seed, samples),
         _check_unit(H),
         _check_coassociativity(H),
         _check_counit_laws(H),
         _check_comult_unit(H),
         _check_pairwise(H, "comult-multiplicative", _comult_mult_pair_ok,
-                        mode, rng, samples),
+                        mode, seed, samples),
         _check_pairwise(H, "counit-multiplicative", _counit_mult_pair_ok,
-                        mode, rng, samples),
+                        mode, seed, samples),
         _check_antipode(H),
     ]
     if include_antihom:
         results.append(
             _check_pairwise(H, "antipode-antimultiplicative",
-                            _antihom_pair_ok, mode, rng, samples))
+                            _antihom_pair_ok, mode, seed, samples))
     return results
 
 
@@ -675,19 +663,17 @@ def check_hopf_pairing(P: HopfPairing, mode: str = "exhaustive",
     <1*, x> = counit(x), counit*(f) = <f, 1>, <S* f, x> = <f, S x>,
     and nondegeneracy via the rank of the pairing matrix.
 
-    The two product axioms walk one list of `iter_tuples` pairs in
-    `mode`, with the dual's generator indices in both slots, under its
-    `mode_tag`.  The other two are always exhaustive.
+    The two product axioms share the pairs of one `tuple_walk` in
+    `mode`, with the dual's generator indices in both slots, and its
+    label.  The other two are always exhaustive.
     """
-    if mode not in ("exhaustive", "generators", "sample"):
-        raise ValueError(f"unknown coverage mode {mode!r}")
+    _require_mode(mode)
     n = P.alg.dim
     g = gen_indices(P.dual)
-    pairs = list(iter_tuples(mode, (n, n), (g, g), random.Random(seed),
-                             samples))
-    tag = mode_tag(mode, seed, samples)
-    return [_pairing_mult_vs_comult(P, pairs, tag),
-            _pairing_comult_vs_mult(P, pairs, tag),
+    walk = tuple_walk(mode, (n, n), (g, g), seed, samples)
+    pairs = list(walk.tuples)
+    return [_pairing_mult_vs_comult(P, pairs, walk.label),
+            _pairing_comult_vs_mult(P, pairs, walk.label),
             _pairing_units_antipode(P),
             _pairing_nondegenerate(P)]
 
@@ -711,9 +697,9 @@ def _pairing_mult_vs_comult(P: HopfPairing, pairs: list, mode: str) -> CheckResu
                 rhs = rhs + c * cf * cg
             if lhs != rhs:
                 return chk.result(
-                    f"<f g, x> mismatch at f={D.space.render(D.space.labels[f])}, "
-                    f"g={D.space.render(D.space.labels[g])}, "
-                    f"x={A.space.render(A.space.labels[x])}")
+                    f"<f g, x> mismatch at f={D.space.label(f)}, "
+                    f"g={D.space.label(g)}, "
+                    f"x={A.space.label(x)}")
     return chk.result()
 
 
@@ -734,9 +720,9 @@ def _pairing_comult_vs_mult(P: HopfPairing, pairs: list, mode: str) -> CheckResu
                 rhs = rhs + c * cj * ck
             if lhs != rhs:
                 return chk.result(f"<comult* f, x(x)y> mismatch at "
-                                  f"f={D.space.render(D.space.labels[f])}, "
-                                  f"x={A.space.render(A.space.labels[x])}, "
-                                  f"y={A.space.render(A.space.labels[y])}")
+                                  f"f={D.space.label(f)}, "
+                                  f"x={A.space.label(x)}, "
+                                  f"y={A.space.label(y)}")
     return chk.result()
 
 
@@ -746,18 +732,18 @@ def _pairing_units_antipode(P: HopfPairing) -> CheckResult:
     chk = Check("pairing-units-antipode", "exhaustive", cases=2 * n + n * n)
     for x in range(n):
         if P.pair(D.unit, A.basis(x)) != A.counit.get(x, A.ctx.zero):
-            return chk.result(f"<1*, {A.space.render(A.space.labels[x])}> != counit")
+            return chk.result(f"<1*, {A.space.label(x)}> != counit")
     for f in range(n):
         if P.pair(D.basis(f), A.unit) != D.counit.get(f, A.ctx.zero):
             return chk.result(
-                f"counit*({D.space.render(D.space.labels[f])}) != <f, 1>")
+                f"counit*({D.space.label(f)}) != <f, 1>")
     for f, x in itertools.product(range(n), repeat=2):
         lhs = P.pair(D.antipode_of(D.basis(f)), A.basis(x))
         rhs = P.pair(D.basis(f), A.antipode_of(A.basis(x)))
         if lhs != rhs:
             return chk.result(f"<S* f, x> != <f, S x> at "
-                              f"f={D.space.render(D.space.labels[f])}, "
-                              f"x={A.space.render(A.space.labels[x])}")
+                              f"f={D.space.label(f)}, "
+                              f"x={A.space.label(x)}")
     return chk.result()
 
 

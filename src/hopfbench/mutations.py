@@ -185,8 +185,8 @@ def _eta_swapped(p: int) -> list:
             if not veq(acc, dict(Hd.algebra.mult.get(k1, k2))):
                 sp = H.space
                 return [chk.result(
-                    f"M={sp.render(sp.labels[k1])}, "
-                    f"N={sp.render(sp.labels[k2])}: twisted product with "
+                    f"M={sp.label(k1)}, "
+                    f"N={sp.label(k2)}: twisted product with "
                     f"swapped arguments disagrees with the smash product")]
     return [chk.result()]
 

@@ -21,7 +21,8 @@ from .doubles import (FactoredAction, chain_relations_check,
                       check_quasitriangular, eta_twist_product,
                       heisenberg_chain, module_factor_walk,
                       to_show_action_check)
-from .hopf import check_algebra_axioms, check_hopf_axioms, render_element
+from .hopf import (MODES, check_algebra_axioms, check_hopf_axioms,
+                   render_element)
 from .mutations import MUTATIONS, run_mutation
 from .results import (Check, CheckResult, gen_indices,
                       invert_expected_failure, lemma_walk, summarize,
@@ -44,8 +45,6 @@ __all__ = ["SCHEMA_VERSION", "ConfigError", "SuiteConfig",
            "run_suite", "render", "parse"]
 
 SCHEMA_VERSION = 1
-
-MODES = ("exhaustive", "generators", "sample")
 
 
 class ConfigError(ValueError):
@@ -200,13 +199,7 @@ def parse(data) -> VerificationReport:
                               engine_version=obj["engine_version"])
 
 
-# -- mode adapters ------------------------------------------------------------
-
-def _pair_mode(cfg: SuiteConfig) -> str:
-    """For checks that only know exhaustive-or-sampled pair iteration."""
-    m = cfg.resolved_mode
-    return "exhaustive" if m == "exhaustive" else "sample"
-
+# -- helpers ------------------------------------------------------------------
 
 def _skip(name: str, reason: str) -> CheckResult:
     return CheckResult(name, "skipped", reason)
@@ -239,9 +232,7 @@ def _structure_identity_check(bp, algebra, mode: str, seed: int,
         rhs = dict(algebra.mult.get(i, j))
         if lhs == rhs:
             return None
-        la = A.space.render(A.space.labels[i])
-        lb = A.space.render(A.space.labels[j])
-        return (f"products of ({la}, {lb}) differ: "
+        return (f"products of ({A.space.label(i)}, {A.space.label(j)}) differ: "
                 f"{render_element(A.space, lhs)} vs "
                 f"{render_element(algebra.space, rhs)}")
 
@@ -274,7 +265,7 @@ def _suite_double(cfg: SuiteConfig):
     yield taft_dual_check(sys.pair)
     yield check_double_identity(D)
     yield eta_twist_product(D, Hd, mode=m, seed=seed, samples=n)
-    yield closed_form_check(sys, mode=_pair_mode(cfg), seed=seed, samples=n)
+    yield closed_form_check(sys, mode=m, seed=seed, samples=n)
     yield to_show_action_check(D, FactoredAction(Hd, D), mode=m, seed=seed,
                                samples=n)
     if cfg.p == 2:
@@ -328,7 +319,7 @@ def _suite_heisenberg(cfg: SuiteConfig):
                                     samples=n, name="braided-product-is-hdouble")
     yield check_factor_embeddings(bp2)
     yield from flip_isomorphism(dual_yd, base_yd, mode=m, seed=seed,
-                                samples=n)[1]
+                                samples=n)
 
 
 def _suite_chains(cfg: SuiteConfig):

@@ -9,13 +9,12 @@ failures -- build `CheckResult` directly.
 A check that quantifies over basis tuples takes a `Walk`, the tuples
 together with the coverage label they earn, and runs the one case loop,
 `Walk.failure`: one case per tuple, stopping at the first witness.
-`tuple_walk` walks `iter_tuples` in one of three modes, under its
-`mode_tag` label: "exhaustive" walks every index tuple in lexicographic
-order, "generators" walks the declared generator indices (`gen_indices`)
-in the slots that have them and then a seeded random sample over the
-full basis, and "sample" draws seeded random tuples only.  Only the
-three walks of `hopf.py` call `iter_tuples` themselves; its module
-docstring says why.
+`tuple_walk` builds the walk in one of three modes, with the label it
+earns: "exhaustive" walks every index tuple in lexicographic order,
+"generators" walks the declared generator indices (`gen_indices`) in the
+slots that have them and then a seeded random sample over the full
+basis, and "sample" draws seeded random tuples only.  No other module
+draws tuples or spells a coverage label of its own.
 
 Checks of a multiplicative map phi(xy) = phi(x) phi(y) on an algebra A
 may instead take `lemma_walk`: `generator_pairs`, (g, j) for g over A's
@@ -42,9 +41,8 @@ from typing import Callable, Iterable, Optional
 from .sparse import span_closure
 
 __all__ = ["CheckResult", "Check", "summarize", "invert_expected_failure",
-           "gen_indices", "iter_tuples", "generator_pairs",
-           "generation_failure", "mode_tag", "Walk", "tuple_walk",
-           "lemma_walk"]
+           "gen_indices", "generator_pairs", "generation_failure", "Walk",
+           "tuple_walk", "lemma_walk"]
 
 
 @dataclass
@@ -53,10 +51,9 @@ class CheckResult:
 
     status is "pass", "fail" or "skipped"; mode records how the claim
     was covered: "exhaustive", "generators" (a lemma walk), the
-    `mode_tag` labels "generators+sample(n=N,seed=S)" and
-    "sample(n=N,seed=S)", "sampled" (the sampled walks of `hopf.py`), or,
-    for a skipped check, the reason it was skipped.  witness holds a
-    rendered counterexample for failures.
+    `tuple_walk` labels "generators+sample(n=N,seed=S)" and
+    "sample(n=N,seed=S)", or, for a skipped check, the reason it was
+    skipped.  witness holds a rendered counterexample for failures.
     """
 
     name: str
@@ -141,25 +138,6 @@ def gen_indices(obj) -> Optional[set]:
     return set().union(*gens) if gens else None
 
 
-def iter_tuples(mode: str, dims: tuple, gen_sets: tuple, rng, samples: int):
-    """Index tuples over `dims`; a None generator set means the whole slot.
-
-    Random tuples are drawn one at a time, slot by slot, so a walk cut
-    short draws only what it visited.
-    """
-    if mode == "exhaustive":
-        return itertools.product(*[range(d) for d in dims])
-    if mode == "generators":
-        ranges = [sorted(g) if g is not None else range(d)
-                  for d, g in zip(dims, gen_sets)]
-        head = itertools.product(*ranges)
-        tail = (tuple(rng.randrange(d) for d in dims) for _ in range(samples))
-        return itertools.chain(head, tail)
-    if mode == "sample":
-        return (tuple(rng.randrange(d) for d in dims) for _ in range(samples))
-    raise ValueError(f"unknown check mode: {mode!r}")
-
-
 def generator_pairs(alg):
     """The lemma walk on `alg`: (g, j) for g over its declared generator
     indices, ascending, and j over its whole basis, ascending."""
@@ -182,15 +160,6 @@ def generation_failure(alg) -> Optional[str]:
         return None
     return (f"generating set spans rank {rank} of {alg.dim}; "
             "generation certificate failed")
-
-
-def mode_tag(mode: str, seed: int, samples: int) -> str:
-    """The coverage label of an `iter_tuples` walk."""
-    if mode == "exhaustive":
-        return "exhaustive"
-    if mode == "generators":
-        return f"generators+sample(n={samples},seed={seed})"
-    return f"sample(n={samples},seed={seed})"
 
 
 @dataclass
@@ -227,13 +196,27 @@ class Walk:
 
 def tuple_walk(mode: str, dims: tuple, gen_sets: tuple, seed: int,
                samples: int) -> Walk:
-    """`iter_tuples` in `mode`, seeded, under its `mode_tag` label; a
-    "generators" walk with no generator slot is the exhaustive walk."""
+    """Index tuples over `dims` in `mode`, under the label they earn.
+
+    A None generator set means the whole slot, so a "generators" walk
+    with no generator slot is the exhaustive walk.  The `samples` random
+    tuples come from a generator seeded with `seed`, drawn one at a
+    time, slot by slot, so a walk cut short draws only what it visited.
+    """
     if mode == "generators" and all(g is None for g in gen_sets):
         mode = "exhaustive"
-    return Walk(mode_tag(mode, seed, samples),
-                iter_tuples(mode, dims, gen_sets, random.Random(seed),
-                            samples))
+    if mode == "exhaustive":
+        return Walk("exhaustive", itertools.product(*map(range, dims)))
+    rng = random.Random(seed)
+    drawn = (tuple(rng.randrange(d) for d in dims) for _ in range(samples))
+    if mode == "sample":
+        return Walk(f"sample(n={samples},seed={seed})", drawn)
+    if mode == "generators":
+        head = itertools.product(*[sorted(g) if g is not None else range(d)
+                                   for d, g in zip(dims, gen_sets)])
+        return Walk(f"generators+sample(n={samples},seed={seed})",
+                    itertools.chain(head, drawn))
+    raise ValueError(f"unknown check mode: {mode!r}")
 
 
 def lemma_walk(alg) -> Walk:

@@ -68,6 +68,10 @@ class Space:
     def dim(self) -> int:
         return len(self.labels)
 
+    def label(self, i: int) -> str:
+        """The rendered label of basis vector i."""
+        return self.render(self.labels[i])
+
     def __repr__(self) -> str:
         return f"Space({self.name}, dim={self.dim})"
 

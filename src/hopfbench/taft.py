@@ -38,8 +38,8 @@ from .hopf import (
     FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf,
     pair_product, render_element, render_tensor, tensor_flat,
 )
-from .results import (Check, CheckResult, invert_expected_failure,
-                      tuple_walk)
+from .results import (Check, CheckResult, gen_indices,
+                      invert_expected_failure, tuple_walk)
 from .sparse import (
     BilinearMap, ColinearMap, LazyLinearMap, LinearMap,
     SingularMapError, Space, SpanSolver, Subspace, linear_map_inverse,
@@ -212,7 +212,7 @@ def taft_dual_monomial(ctx: QContext, B: FiniteHopf) -> TaftPair:
     def convert(v: Vec) -> Vec:
         return from_can.apply(v)
 
-    # Lazy: an eval or a sampled check reads only part of the dim^2 products.
+    # Lazy: an eval or a sample walk reads only part of the dim^2 products.
     def mult_fn(i: int, j: int) -> tuple:
         return tuple(sorted(convert(Bcan.product(mono[i], mono[j])).items()))
 
@@ -492,8 +492,8 @@ def taft_dual_check(pair: TaftPair, name: str = "taft-dual") -> "CheckResult":
     for i in range(Bd.dim):
         chk.cases += 1
         if not solver.add(dict(pair.to_canonical.get(i))):
-            lab = Bd.space.render(Bd.space.labels[i])
-            return chk.result(f"monomial {lab} is linearly dependent")
+            return chk.result(
+                f"monomial {Bd.space.label(i)} is linearly dependent")
     if solver.rank != B.dim:
         return chk.result(f"monomials span rank {solver.rank} < {B.dim}")
 
@@ -518,7 +518,7 @@ def taft_dual_check(pair: TaftPair, name: str = "taft-dual") -> "CheckResult":
         chk.cases += 1
         val = pair.pairing.pair(Fp, {b: one})
         if val:
-            return chk.result(f"<F^p, {_plab(B, b)}> = {val} != 0")
+            return chk.result(f"<F^p, {B.space.label(b)}> = {val} != 0")
 
     # pairing values on the generators, against every monomial of B
     for b, (m, nn) in enumerate(B.space.labels):
@@ -526,19 +526,15 @@ def taft_dual_check(pair: TaftPair, name: str = "taft-dual") -> "CheckResult":
         got = pair.pairing.pair_basis(dl[(1, 0)], b)
         want = ctx.q_pow(-nn) * ctx.qdiff_inv if m == 1 else None
         if got != want:
-            return chk.result(f"<F, {_plab(B, b)}> = {got}, expected {want}")
+            return chk.result(f"<F, {B.space.label(b)}> = {got}, expected {want}")
         got = pair.pairing.pair_basis(dl[(0, 1)], b)
         want = ctx.zeta_pow(-nn) if m == 0 else None
         if got != want:
-            return chk.result(f"<kap, {_plab(B, b)}> = {got}, expected {want}")
+            return chk.result(f"<kap, {B.space.label(b)}> = {got}, expected {want}")
         got = pair.pairing.pair_basis(dl[(0, 0)], b)
         if got != B.counit.get(b):
-            return chk.result(f"<1, {_plab(B, b)}> != eps({_plab(B, b)})")
+            return chk.result(f"<1, {B.space.label(b)}> != eps({B.space.label(b)})")
     return chk.result()
-
-
-def _plab(H, i: int) -> str:
-    return H.space.render(H.space.labels[i])
 
 
 def closed_form_check(sys: TaftSystem, mode: str = "exhaustive", seed: int = 0,
@@ -546,14 +542,17 @@ def closed_form_check(sys: TaftSystem, mode: str = "exhaustive", seed: int = 0,
                       name: str = "smash-closed-form") -> "CheckResult":
     """The u-sum product formula equals the generic smash product.
 
-    Exhaustive over all basis pairs, or a seeded sample of pairs; this
-    equality also pins the q-binomial convention used by the scalar layer.
+    A `tuple_walk` over basis pairs of H(B*): every pair, a seeded sample
+    of pairs, or in "generators" mode the pairs whose left factor is a
+    generator index of H(B*) followed by the sample.  This equality also
+    pins the q-binomial convention used by the scalar layer.
     """
     ctx = sys.ctx
     A = sys.heis.algebra
     labels = A.space.labels
     index = {lab: i for i, lab in enumerate(labels)}
-    walk = tuple_walk(mode, (A.dim, A.dim), (None, None), seed, samples)
+    walk = tuple_walk(mode, (A.dim, A.dim), (gen_indices(A), None), seed,
+                      samples)
     chk = Check(name, walk.label)
 
     def case(i: int, j: int) -> Optional[str]:
@@ -563,7 +562,7 @@ def closed_form_check(sys: TaftSystem, mode: str = "exhaustive", seed: int = 0,
         got = dict(A.mult.get(i, j))
         if veq(got, want):
             return None
-        return (f"({_plab(A, i)})({_plab(A, j)}): generic = "
+        return (f"({A.space.label(i)})({A.space.label(j)}): generic = "
                 f"{render_element(A.space, got)}, closed form = "
                 f"{render_element(A.space, want)}")
 
@@ -655,7 +654,7 @@ def basis_change(sys: TaftSystem,
                         idx, = v
                         if idx in backward:
                             return (f"del^{b} z^{a} lam^{c} kap^{d} collides "
-                                    f"with {backward[idx]} on {_plab(A, idx)}")
+                                    f"with {backward[idx]} on {A.space.label(idx)}")
                         backward[idx] = (b, a, c, d)
         if len(backward) != A.dim:
             return f"monomials reach {len(backward)} of {A.dim} basis vectors"
@@ -1223,8 +1222,8 @@ def hq_factorization_check(hq: HqSl2,
                 exp[tidx[(asum % (2 * p), zb, dc)]] = cc * mul_by
             if not veq(got, exp):
                 return chk.result(
-                    f"({T.space.render(T.space.labels[i])}) * "
-                    f"({T.space.render(T.space.labels[j])}) = "
+                    f"({T.space.label(i)}) * "
+                    f"({T.space.label(j)}) = "
                     f"{render_element(T.space, got)}, "
                     f"factored form gives {render_element(T.space, exp)}")
     return chk.result()

@@ -112,8 +112,8 @@ def _multipliers(H: FiniteHopf):
     """
     one = H.ctx.one
     if H.generators and generation_failure(H) is None:
-        return [dict(g) for g in H.generators], "generators"
-    return [{i: one} for i in range(H.dim)], "basis"
+        return [dict(g) for g in H.generators]
+    return [{i: one} for i in range(H.dim)]
 
 
 def central_ideal(H, c: Vec) -> Subspace:
@@ -149,7 +149,7 @@ def check_hopf_ideal(H: FiniteHopf, I: Subspace, central: Sequence[Vec] = (),
                                   f"commute with {H.render({i: one})}")
 
     rows = I.basis_rows()
-    mults, _tag = _multipliers(H)
+    mults = _multipliers(H)
     for r in rows:
         for g in mults:
             chk.cases += 2
@@ -307,7 +307,7 @@ def quotient_morphism_check(hq: HopfQuotient,
         rhs = K.mult.apply(hq.project({i: one}), hq.project({j: one}))
         if veq(lhs, rhs):
             return None
-        return f"pi(xy) != pi(x)pi(y) at x={_lab(H, i)}, y={_lab(H, j)}"
+        return f"pi(xy) != pi(x)pi(y) at x={H.space.label(i)}, y={H.space.label(j)}"
 
     if gen_indices(H) is None:
         walk = Walk("exhaustive", itertools.product(range(H.dim), repeat=2))
@@ -326,18 +326,14 @@ def quotient_morphism_check(hq: HopfQuotient,
                 for k2, ck in hq.project({k: one}).items():
                     vadd_term(lhs, j2 * nq + k2, c * cj * ck)
         if not veq(lhs, K.coproduct(pi)):
-            return chk.result(f"(pi(x)pi)Delta(x) != Delta(pi(x)) at x={_lab(H, i)}")
+            return chk.result(f"(pi(x)pi)Delta(x) != Delta(pi(x)) "
+                              f"at x={H.space.label(i)}")
         if H.counit.get(i, None) != K.counit_of(pi) and \
                 (H.counit.get(i) or K.counit_of(pi)):
-            return chk.result(f"counit mismatch at x={_lab(H, i)}")
+            return chk.result(f"counit mismatch at x={H.space.label(i)}")
         if not veq(hq.project(dict(H.antipode.get(i))), K.antipode_of(pi)):
-            return chk.result(f"pi(S(x)) != S(pi(x)) at x={_lab(H, i)}")
+            return chk.result(f"pi(S(x)) != S(pi(x)) at x={H.space.label(i)}")
     return chk.result()
-
-
-def _lab(obj, i: int) -> str:
-    sp = obj.space
-    return sp.render(sp.labels[i])
 
 
 @dataclass
@@ -391,23 +387,24 @@ def sub_hopf(H: FiniteHopf, indices: Sequence[int],
     for k in H.unit:
         chk.cases += 1
         if k not in iset:
-            return fail(f"unit has support outside the span at {_lab(H, k)}")
+            return fail(f"unit has support outside the span at {H.space.label(k)}")
     for a in idx:
         for b in idx:
             chk.cases += 1
             for k, _c in H.mult.get(a, b):
                 if k not in iset:
-                    return fail(f"product {_lab(H, a)} * {_lab(H, b)} "
-                                f"escapes at {_lab(H, k)}")
+                    return fail(f"product {H.space.label(a)} * {H.space.label(b)} "
+                                f"escapes at {H.space.label(k)}")
     for a in idx:
         chk.cases += 1
         for j, k, _c in H.comult.get(a):
             if j not in iset or k not in iset:
-                return fail(f"coproduct of {_lab(H, a)} has a leg outside "
+                return fail(f"coproduct of {H.space.label(a)} has a leg outside "
                             f"the span")
         for k, _c in H.antipode.get(a):
             if k not in iset:
-                return fail(f"antipode of {_lab(H, a)} escapes at {_lab(H, k)}")
+                return fail(f"antipode of {H.space.label(a)} escapes "
+                            f"at {H.space.label(k)}")
 
     labels = tuple(H.space.labels[a] for a in idx)
     space = Space(cname, labels, render=H.space.render)

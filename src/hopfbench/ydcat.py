@@ -201,10 +201,6 @@ class BraidedProductAlgebra:
         return self.embeddings[pos](v)
 
 
-def _lab(space: Space, i: int) -> str:
-    return space.render(space.labels[i])
-
-
 # -- module / comodule checks ------------------------------------------------
 
 def check_module(m, mode: str = "exhaustive", seed: int = 0,
@@ -230,7 +226,7 @@ def check_module(m, mode: str = "exhaustive", seed: int = 0,
     for x in range(alg.dim):
         chk.cases += 1
         if not veq(act.apply(H.unit, {x: H.ctx.one}), {x: H.ctx.one}):
-            return chk.result(f"1 |> {_lab(alg.space, x)} != itself")
+            return chk.result(f"1 |> {alg.space.label(x)} != itself")
 
     def case(hm: int, hn: int, x: int) -> Optional[str]:
         lhs: Vec = {}
@@ -241,8 +237,8 @@ def check_module(m, mode: str = "exhaustive", seed: int = 0,
             vadd_into(rhs, act.row(hm, xp), c)
         if veq(lhs, rhs):
             return None
-        return (f"M={_lab(H.space, hm)}, N={_lab(H.space, hn)}, "
-                f"x={_lab(alg.space, x)}: (MN)|>x = {render_element(alg.space, lhs)} "
+        return (f"M={H.space.label(hm)}, N={H.space.label(hn)}, "
+                f"x={alg.space.label(x)}: (MN)|>x = {render_element(alg.space, lhs)} "
                 f"but M|>(N|>x) = {render_element(alg.space, rhs)}")
 
     return chk.result(walk.failure(chk, case))
@@ -263,7 +259,7 @@ def check_module_algebra(m, mode: str = "exhaustive", seed: int = 0,
         lhs = act.apply({h: one}, alg.unit)
         eps = H.counit.get(h)
         if not veq(lhs, vscale(alg.unit, eps)):
-            return chk.result(f"M={_lab(H.space, h)}: M|>1 != counit(M) 1")
+            return chk.result(f"M={H.space.label(h)}: M|>1 != counit(M) 1")
 
     def case(h: int, x: int, y: int) -> Optional[str]:
         lhs: Vec = {}
@@ -283,8 +279,8 @@ def check_module_algebra(m, mode: str = "exhaustive", seed: int = 0,
                     vadd_into(rhs, alg.mult.get(xp, yp), c1 * cy)
         if veq(lhs, rhs):
             return None
-        return (f"M={_lab(H.space, h)}, x={_lab(alg.space, x)}, "
-                f"y={_lab(alg.space, y)}: M|>(xy) = {render_element(alg.space, lhs)} "
+        return (f"M={H.space.label(h)}, x={alg.space.label(x)}, "
+                f"y={alg.space.label(y)}: M|>(xy) = {render_element(alg.space, lhs)} "
                 f"but (M'|>x)(M''|>y) = {render_element(alg.space, rhs)}")
 
     return chk.result(walk.failure(chk, case))
@@ -303,7 +299,7 @@ def check_comodule(c, name: str = "comodule-coaction") -> CheckResult:
             if eps is not None:
                 vadd_term(acc, x0, eps * cc)
         if not veq(acc, {x: H.ctx.one}):
-            return chk.result(f"(counit (x) id) delta({_lab(alg.space, x)}) != it")
+            return chk.result(f"(counit (x) id) delta({alg.space.label(x)}) != it")
     for x in range(dX):
         chk.cases += 1
         lhs: Vec = {}
@@ -315,7 +311,7 @@ def check_comodule(c, name: str = "comodule-coaction") -> CheckResult:
             for h2, x00, c2 in coact.terms(x0):
                 vadd_term(rhs, (h * dH + h2) * dX + x00, cc * c2)
         if not veq(lhs, rhs):
-            return chk.result(f"coaction not coassociative at x={_lab(alg.space, x)}")
+            return chk.result(f"coaction not coassociative at x={alg.space.label(x)}")
     return chk.result()
 
 
@@ -361,7 +357,7 @@ def check_comodule_algebra(c, mode: str = "exhaustive", seed: int = 0,
                 vadd_outer(rhs, c12, rh, rx, dX)
         if veq(lhs, rhs):
             return None
-        return (f"x={_lab(alg.space, x)}, y={_lab(alg.space, y)}: "
+        return (f"x={alg.space.label(x)}, y={alg.space.label(y)}: "
                 f"delta(xy) != delta(x) delta(y)")
 
     return chk.result(walk.failure(chk, case))
@@ -421,7 +417,7 @@ def check_yd(y, mode: str = "exhaustive", seed: int = 0,
                 vadd_outer(rhs, c1, rh, r, dX)
         if veq(lhs, rhs):
             return None
-        return (f"M={_lab(H.space, m)}, A={_lab(alg.space, a)}: "
+        return (f"M={H.space.label(m)}, A={alg.space.label(a)}: "
                 f"YD compatibility fails")
 
     return chk.result(walk.failure(chk, case))
@@ -498,7 +494,7 @@ def check_braided_commutative(y: YDModuleAlgebra, mode: str = "exhaustive",
                 vadd_into(rhs, alg.mult.get(xp, y0), c * cx)
         if veq(lhs, rhs):
             return None
-        return (f"y={_lab(alg.space, i)}, x={_lab(alg.space, j)}: yx = "
+        return (f"y={alg.space.label(i)}, x={alg.space.label(j)}: yx = "
                 f"{render_element(alg.space, lhs)} but braided side = "
                 f"{render_element(alg.space, rhs)}")
 
@@ -523,7 +519,7 @@ def check_braided_symmetric(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         rhs = braiding_inv_row(x_mod, y_mod, j, i)   # flat X (x) Y
         if veq(lhs, rhs):
             return None
-        return (f"x={_lab(X.space, i)}, y={_lab(Y.space, j)}: "
+        return (f"x={X.space.label(i)}, y={Y.space.label(j)}: "
                 f"braiding and inverse braiding disagree on y (x) x")
 
     return chk.result(walk.failure(chk, case))
@@ -552,7 +548,7 @@ def check_locked_identity(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
             vadd_into(out, braiding_row(y_mod, x_mod, yi, xi), c)
         if veq(out, {i * dy + j: one}):
             return None
-        return (f"x={_lab(X.space, i)}, y={_lab(Y.space, j)}: "
+        return (f"x={X.space.label(i)}, y={Y.space.label(j)}: "
                 f"double braiding moves x (x) y")
 
     return chk.result(walk.failure(chk, case))
@@ -671,7 +667,7 @@ def check_factor_embeddings(bp: BraidedProductAlgebra,
                 if not veq(lhs, rhs):
                     return chk.result(
                         f"factor {pos}: embedding breaks the product at "
-                        f"({_lab(f.algebra.space, i)}, {_lab(f.algebra.space, j)})")
+                        f"({f.algebra.space.label(i)}, {f.algebra.space.label(j)})")
     return chk.result()
 
 
@@ -700,8 +696,8 @@ def check_rebracketing(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         if veq(dict(left.algebra.mult.get(i, j)),
                dict(right.algebra.mult.get(i, j))):
             return None
-        return (f"products differ at ({_lab(left.algebra.space, i)}, "
-                f"{_lab(left.algebra.space, j)})")
+        return (f"products differ at ({left.algebra.space.label(i)}, "
+                f"{left.algebra.space.label(j)})")
 
     return chk.result(walk.failure(chk, case))
 
@@ -709,10 +705,10 @@ def check_rebracketing(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
 def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
                      mode: str = "exhaustive", seed: int = 0,
                      samples: int = 2000, prefix: str = "flip"):
-    """The braiding as a map X >< Y -> Y >< X, with morphism certificates.
+    """Morphism certificates for the braiding as a map X >< Y -> Y >< X.
 
-    phi(x (x) y) = (x_(-1) |> y) (x) x_(0).  Returns (phi, checks) where the
-    checks certify that phi is bijective, an algebra morphism, an H-module
+    phi(x (x) y) = (x_(-1) |> y) (x) x_(0).  Returns the checks that
+    certify that phi is bijective, an algebra morphism, an H-module
     morphism, and an H-comodule morphism.
     """
     from .sparse import SingularMapError, linear_map_inverse
@@ -750,7 +746,7 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
             if veq(lhs, rhs):
                 return None
             return (f"phi(uv) != phi(u)phi(v) at "
-                    f"u={_lab(XYs, u)}, v={_lab(XYs, v)}")
+                    f"u={XYs.label(u)}, v={XYs.label(v)}")
 
         return chk.result(walk.failure(chk, case))
 
@@ -764,8 +760,8 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
             rhs = yx.yd.action.apply({h: H.ctx.one}, dict(phi.get(u)))
             if veq(lhs, rhs):
                 return None
-            return (f"phi not H-linear at M={_lab(H.space, h)}, "
-                    f"u={_lab(XYs, u)}")
+            return (f"phi not H-linear at M={H.space.label(h)}, "
+                    f"u={XYs.label(u)}")
 
         return chk.result(walk.failure(chk, case))
 
@@ -778,11 +774,11 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
                 vadd_into(lhs, phi.get(u0), c, h * d)
             rhs = yx.yd.coaction.apply(dict(phi.get(u)))
             if not veq(lhs, rhs):
-                return chk.result(f"phi not H-colinear at u={_lab(XYs, u)}")
+                return chk.result(f"phi not H-colinear at u={XYs.label(u)}")
         return chk.result()
 
-    return phi, [bijective(), algebra_morphism(), module_morphism(),
-                 comodule_morphism()]
+    return [bijective(), algebra_morphism(), module_morphism(),
+            comodule_morphism()]
 
 
 def yang_baxter_check(v_mod: YDModuleAlgebra, mode: str = "sample",
@@ -827,7 +823,7 @@ def yang_baxter_check(v_mod: YDModuleAlgebra, mode: str = "sample",
         if veq(c12(c23(c12(e))), c23(c12(c23(e)))):
             return None
         sp = v_mod.algebra.space
-        return (f"braid relation fails at ({_lab(sp, i)}, "
-                f"{_lab(sp, j)}, {_lab(sp, k)})")
+        return (f"braid relation fails at ({sp.label(i)}, "
+                f"{sp.label(j)}, {sp.label(k)})")
 
     return chk.result(walk.failure(chk, case))

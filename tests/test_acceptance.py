@@ -111,7 +111,7 @@ def test_07_braided_product_reconstructs_heisenberg_double(sys2):
         for j in range(A.dim):
             assert dict(A.mult.get(i, j)) == dict(B.mult.get(i, j))
 
-    _, flips = flip_isomorphism(dual_yd, base_yd, mode="exhaustive")
+    flips = flip_isomorphism(dual_yd, base_yd, mode="exhaustive")
     assert len(flips) == 4
     all_pass(flips)
 

@@ -5,9 +5,10 @@
   `USED_OUTSIDE_SRC`.
 * No module imports an underscore-prefixed name from a sibling module:
   what a sibling needs is public.
-* Only `results.py` and `hopf.py` name `iter_tuples` or `mode_tag`: every
-  other check walks basis tuples through a `results.Walk`, so the case
-  loop and the coverage label live in one place.
+* Only `results.py` names `random` or the raw tuple walk (`iter_tuples`,
+  `mode_tag`): every check walks basis tuples through a `results.Walk`
+  from `results.tuple_walk` or a lemma walk, so the case loop, the random
+  draws and the coverage label live in one place.
 * No module imports numpy or scipy, at module level or inside a
   function: `pyproject.toml` declares no runtime dependencies.
 """
@@ -99,10 +100,10 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert bad == []
 
 
-# The raw tuple iterator and its label, and the modules allowed to name
-# them (hopf.py's module docstring says why it still does).
-RAW_WALK_NAMES = {"iter_tuples", "mode_tag"}
-RAW_WALK_MODULES = {"results.py", "hopf.py"}
+# The random module, the names of the raw tuple iterator and its label
+# (folded into `results.tuple_walk`), and the modules allowed to name them.
+RAW_WALK_NAMES = {"random", "iter_tuples", "mode_tag"}
+RAW_WALK_MODULES = {"results.py"}
 
 
 def _raw_walk_uses(modules: dict) -> list:
@@ -124,19 +125,22 @@ def _raw_walk_uses(modules: dict) -> list:
     return uses
 
 
-def test_only_results_and_hopf_name_the_raw_tuple_walk():
+def test_only_results_names_the_raw_tuple_walk():
     assert _raw_walk_uses(_modules()) == []
 
 
 def test_the_raw_walk_guard_sees_a_reverted_loop():
     reverted = ast.parse(
+        "import random\n"
         "from .results import iter_tuples, mode_tag\n"
-        "def check(mode, seed, samples, rng):\n"
+        "def check(mode, seed, samples):\n"
+        "    rng = random.Random(seed)\n"
         "    tag = results.mode_tag(mode, seed, samples)\n"
         "    for i, j in iter_tuples(mode, (2, 2), (None, None), rng, 4):\n"
         "        pass\n")
-    assert len(_raw_walk_uses({"ydcat.py": reverted})) == 4
-    assert _raw_walk_uses({"hopf.py": reverted}) == []
+    for mod in ("ydcat.py", "hopf.py"):
+        assert len(_raw_walk_uses({mod: reverted})) == 6
+    assert _raw_walk_uses({"results.py": reverted}) == []
 
 
 # Third-party packages that no module may import, anywhere in its body.

@@ -1,23 +1,28 @@
 """Tests for the Hopf-algebra container and axiom checks.
 
-Fixtures: group algebras of cyclic groups (commutative, cocommutative),
-the classic 4-dimensional algebra with a group-like g and a skew
-primitive x (noncommutative, non-involutive antipode), and a twisted
-"quantum torus" algebra whose structure constants are root-of-unity
-powers -- the last one drives the associativity lemma walk (triples
-headed by a declared generator) against the walk over every triple.
+Fixtures: group algebras of cyclic groups (commutative, cocommutative)
+and of S3 (noncommutative), the classic 4-dimensional algebra with a
+group-like g and a skew primitive x (noncommutative, non-involutive
+antipode), and a twisted "quantum torus" algebra whose structure
+constants are root-of-unity powers -- the last one drives the
+associativity lemma walk (triples headed by a declared generator)
+against the walk over every triple.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from hopfbench.cyclo import QContext
 from hopfbench.hopf import (
-    FiniteHopf, HopfPairing, check_hopf_axioms, check_hopf_pairing,
-    dual_hopf, hit_alg_left, hit_alg_right, hit_dual_left,
-    hit_dual_right, pair_product, render_element, tensor_flat,
+    FiniteHopf, HopfPairing, check_algebra_axioms, check_hopf_axioms,
+    check_hopf_pairing, dual_hopf, hit_alg_left, hit_alg_right,
+    hit_dual_left, hit_dual_right, pair_product, render_element,
+    tensor_flat,
 )
+from hopfbench.results import tuple_walk
 from hopfbench.sparse import BilinearMap, ColinearMap, LinearMap, Space, veq
 
 CTX = QContext(2)
@@ -33,6 +38,30 @@ def group_algebra(ctx, n, name="kZ"):
     space = Space(f"{name}{n}", tuple(f"g^{i}" if i else "1" for i in range(n)))
     return FiniteHopf(ctx, space, mult, {0: one}, comult, counit, antipode,
                       generators=[{1: one}], name=f"{name}{n}")
+
+
+def s3_group_algebra(ctx):
+    """Group algebra of S3 on the permutations of (0, 1, 2), ascending,
+    labelled by their images; generated by the transposition 102 and the
+    3-cycle 120."""
+    one = ctx.one
+    perms = sorted(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    n = len(perms)
+
+    def compose(i, j):
+        return index[tuple(perms[i][t] for t in perms[j])]
+
+    mult = BilinearMap(n, n, fn=lambda i, j: ((compose(i, j), one),))
+    comult = ColinearMap(n, n, n, {i: ((i, i, one),) for i in range(n)})
+    counit = {i: one for i in range(n)}
+    antipode = LinearMap(n, n, {
+        i: ((index[tuple(p.index(t) for t in range(3))], one),)
+        for i, p in enumerate(perms)})
+    space = Space("kS3", tuple("".join(map(str, p)) for p in perms))
+    return FiniteHopf(ctx, space, mult, {0: one}, comult, counit, antipode,
+                      generators=[{index[(1, 0, 2)]: one},
+                                  {index[(1, 2, 0)]: one}], name="kS3")
 
 
 def four_dim_hopf(ctx):
@@ -113,7 +142,7 @@ def test_group_algebra_generator_mode():
     all_pass(results)
     by_name = {r.name: r for r in results}
     assert by_name["comult-multiplicative"].mode == "generators"
-    assert by_name["mult-associativity"].mode == "sampled"
+    assert by_name["mult-associativity"].mode == "generators+sample(n=200,seed=3)"
 
 
 def test_generator_mode_with_nongenerating_set_fails_closed():
@@ -128,6 +157,20 @@ def test_generator_mode_with_nongenerating_set_fails_closed():
 def test_sampled_mode_runs():
     H = group_algebra(CTX, 6)
     all_pass(check_hopf_axioms(H, mode="sample", seed=1, samples=100))
+
+
+def test_s3_group_algebra_axioms_in_every_mode():
+    H = s3_group_algebra(CTX)
+    for mode in ("exhaustive", "generators", "sample"):
+        all_pass(check_hopf_axioms(H, mode=mode, samples=50,
+                                   include_antihom=True))
+
+
+@pytest.mark.parametrize("check", [check_algebra_axioms, check_hopf_axioms])
+def test_a_misspelled_mode_is_an_error_before_any_check(check):
+    H = group_algebra(CTX, 4)
+    with pytest.raises(ValueError, match="exhuastive"):
+        check(H, mode="exhuastive")
 
 
 # -- mutations must be caught with matching witnesses --------------------------
@@ -153,6 +196,52 @@ def test_broken_antipode_detected():
     H.antipode.set(2, ((3, CTX.one),))         # wrong sign on S(x)
     names = {r.name: r for r in check_hopf_axioms(H)}
     assert names["antipode-convolution"].status == "fail"
+
+
+def test_a_comult_row_broken_off_the_generator_side_fails_both_walks():
+    """Delta(201) := zeta 201 (x) 201 breaks comult(u v) = comult(u)
+    comult(v) at (021, 102), whose product is 201, before any pair headed
+    by a generator: 102 * 021 = 120.  The generators walk must reach that
+    pair from the (j, g) half of the lemma walk."""
+    H = s3_group_algebra(CTX)
+    k = H.space.index["201"]
+    H.comult.set(k, ((k, k, CTX.zeta),))
+    gens = {r.name: r for r in check_hopf_axioms(H, mode="generators")}
+    full = {r.name: r for r in check_hopf_axioms(H)}
+    line, ref = gens["comult-multiplicative"], full["comult-multiplicative"]
+    assert (line.status, line.mode) == ("fail", "generators")
+    assert line.witness == "basis pair (021, 102)"
+    assert line.cases_checked == 4     # (g, j) and (j, g) for j = 012, 021
+    assert ref.status == "fail"
+
+
+# A zeta-corrupted entry at basis index 5 of Z_8: each pair line then
+# fails exactly where [i + j = 5] differs from [i = 5] + [j = 5].
+_SCALED = {
+    "comult-multiplicative": lambda H: H.comult.set(5, ((5, 5, CTX.zeta),)),
+    "counit-multiplicative": lambda H: H.counit.__setitem__(5, CTX.zeta),
+    "antipode-antimultiplicative":
+        lambda H: H.antipode.set(5, ((3, CTX.zeta),)),
+}
+
+
+@pytest.mark.parametrize("name,include_antihom", [
+    ("comult-multiplicative", False), ("counit-multiplicative", False),
+    ("counit-multiplicative", True), ("antipode-antimultiplicative", True)])
+def test_a_sampled_pair_line_walks_its_own_seeded_pairs(name,
+                                                        include_antihom):
+    n, seed, samples = 8, 7, 60
+    H = group_algebra(CTX, n)
+    _SCALED[name](H)
+    walk = tuple_walk("sample", (n, n), (None, None), seed, samples)
+    first = next((i, j) for i, j in walk.tuples
+                 if ((i + j) % n == 5) != (i == 5) + (j == 5))
+    results = check_hopf_axioms(H, mode="sample", seed=seed, samples=samples,
+                                include_antihom=include_antihom)
+    line = {r.name: r for r in results}[name]
+    assert (line.status, line.mode) == ("fail", walk.label)
+    assert line.witness == (f"basis pair ({H.space.label(first[0])}, "
+                            f"{H.space.label(first[1])})")
 
 
 # -- the associativity lemma walk vs the walk over every triple ----------------

@@ -73,8 +73,7 @@ def _quotient_both_ways(hq, pcache=None):
 
 
 def _labels(space, x, y):
-    r = space.render
-    return r(space.labels[x]), r(space.labels[y])
+    return space.label(x), space.label(y)
 
 
 def _coaction_pair_ok(y, x, z) -> bool:
@@ -368,9 +367,8 @@ def test_the_factor_route_catches_what_the_sampled_walk_missed():
     escapes the generator head and seeded tail of the old walk."""
     sys2 = taft_system(2)
     H, X = sys2.yd.hopf, sys2.yd.algebra
-    assert (H.space.render(H.space.labels[18]),
-            X.space.render(X.space.labels[255])) == ("kap(x)k^2",
-                                                     "Fkap^7#Ek^7")
+    assert (H.space.label(18), X.space.label(255)) == ("kap(x)k^2",
+                                                      "Fkap^7#Ek^7")
     bad = _corrupt_action(sys2.yd, 18, 255, 0, H.ctx.rational(2))
     old = check_module(bad, mode="generators", seed=601, samples=10_000)
     assert old.status == "pass"
@@ -402,8 +400,7 @@ def test_a_wrong_double_product_fails_the_prelude():
     assert res.cases_checked == y.algebra.dim + f * D.base.dim + m + 1
     assert res.witness == (
         f"(f (x) 1)(1 (x) m) != f (x) m at "
-        f"f={D.dual.space.render(D.dual.space.labels[f])}, "
-        f"m={D.base.space.render(D.base.space.labels[m])}")
+        f"f={D.dual.space.label(f)}, m={D.base.space.label(m)}")
 
 
 def test_only_the_cross_relation_catches_an_action_that_forgets_the_twist():
@@ -428,7 +425,7 @@ def test_only_the_cross_relation_catches_an_action_that_forgets_the_twist():
     assert res.cases_checked > before_cross
     (uf,) = D.dual.unit
     assert res.witness.split(",")[0] in {
-        f"M={H.space.render(H.space.labels[D.index(uf, b)])}"
+        f"M={H.space.label(D.index(uf, b))}"
         for b in gen_indices(D.base)}
     assert check_module(bad, walk=_generic_module_walk(bad)).status == "fail"
 

@@ -180,11 +180,11 @@ def test_quotient_morphism_takes_the_lemma_walk_in_sample_mode():
 # products of both doubles, their actions and the pairing arrows.
 REPORT_SHA256_P2_GENERATORS = {
     "double":
-        "6a614709965ce408c79c9ec303d51cc42b85bd3b4fb1341223b797960d466b02",
+        "23071638ebdf3710b2c5a0f1f2d396f45e380d4444dda45fd1dd90c7b2abaf07",
     "heisenberg":
         "7c783dfae354337e060799aa190ed76b14a9816e09c7e4ba1faa21f47b257338",
     "hopf-axioms":
-        "a68c8e0728f4b0ad5edfc900068d7034ee3ba411c8e090b3ba0121ef698e1b36",
+        "160dfdb683c354fb5b8d346813d1b43d2e9b30e2e4ffffd5854404b5f0d6c7e3",
     "yd":
         "d53dd7fcb1fa89773c3bc099847f29535b337b50060f2d64e1432660ea06e0a9",
 }
@@ -200,14 +200,14 @@ def test_generators_report_bytes_are_pinned(suite):
 
 # sha256 of `hopfbench verify --p 2 --suite <suite> --mode sample
 # --sample-size 500 --seed 11 --format json`: these pin the seeded draws of
-# the sampled walks, whose order the shared random generator fixes.
+# the sample walks, each drawn by its own generator seeded with the seed.
 REPORT_SHA256_P2_SAMPLE = {
     "double":
         "64ccada22586b1eaeedfba636e660d94baf8d193feb9d69487f53dbba709c7c1",
     "heisenberg":
         "ec15260b634bc8261a425037fa8a2e3c75b4e30d138f5da59c9d208e54420579",
     "hopf-axioms":
-        "81fca3f457b4ff8e54c0e6fb2b63ed7aa4e424e1cc98480e1f103e34bdd88ad3",
+        "5c0bafa7b730fe0f8d7034e2ae8d21c60173b349f09126ffb2e9400663985c47",
     "yd":
         "9f03fc5601429adbaa4c8075b5f6f3f7050e7d6cf5851f28dc1e8bce546adf50",
 }
@@ -243,7 +243,7 @@ REPORT_SHA256_P3_BRAIDED = {
     "chains":
         "2363241f56acb81f0dd904078c24c51ffec45ca90d3b4e74c7409222643053b3",
     "hopf-axioms":
-        "e4a7affb45e54f112f0f1cb535e7016d4987e328c9881f9c9bb43ec8fab1602a",
+        "4ec07b849471b0f55920c62dd09524d8e3e8675a44924a13cf5ef0ce21f3e5dd",
 }
 
 

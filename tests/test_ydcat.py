@@ -72,7 +72,7 @@ def test_pair_braided_symmetric(factors):
 
 def test_flip_is_isomorphism(factors):
     dual_yd, base_yd = factors
-    _, checks = flip_isomorphism(dual_yd, base_yd, mode="exhaustive")
+    checks = flip_isomorphism(dual_yd, base_yd, mode="exhaustive")
     names = {c.name for c in checks}
     assert names == {"flip-bijective", "flip-algebra-morphism",
                      "flip-module-morphism", "flip-comodule-morphism"}
