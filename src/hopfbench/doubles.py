@@ -438,6 +438,8 @@ class FactoredAction(Action):
         return r
 
     def _row_fn(self, h: int, x: int) -> Vec:
+        """rho(f (x) m) e_x := (e_f (x) 1) |> ((eps (x) e_m) |> e_x); the
+        module law of `module_factor_walk` rests on this definition."""
         f, m = divmod(h, self.base.dim)
         out: Vec = {}
         for xp, c in self.prim_row(m, x):
@@ -504,9 +506,10 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
     return chk.result(walk.failure(chk, case))
 
 
-def module_factor_walk(D: DrinfeldDouble, dim_x: int) -> Walk:
-    """The walk on which `ydcat.check_module` proves that an action of
-    D(B) = B*cop |><| B on a dim_x-dimensional algebra is a module.
+def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
+    """The walk on which `ydcat.check_module` proves that `act`, an action
+    of D(B) = B*cop |><| B assembled from its two factor actions, is a
+    module.
 
     Write f (x) 1 and 1 (x) m for f in B*cop and m in B; their units must
     be basis vectors, with 1 (x) 1 the unit of D.  `check_module` walks,
@@ -516,12 +519,22 @@ def module_factor_walk(D: DrinfeldDouble, dim_x: int) -> Walk:
     2. (prelude) the products (f (x) 1)(1 (x) m) = f (x) m,
        (f (x) 1)(g (x) 1) = fg (x) 1 and (1 (x) m)(1 (x) n) = 1 (x) mn
        in D, on every pair of basis vectors;
-    3. (F) the law on (f (x) 1, 1 (x) m, x) for every f, m and x, which
-       by 2 reads rho(f (x) m) = rho(f (x) 1) rho(1 (x) m);
+    3. (prelude) the factor unit laws `act.prim_row(1, x)` = e_x and
+       `act.dual_row(1, x)` = e_x, for every x;
     4. the law on (g (x) 1, f (x) 1, x), (1 (x) b, 1 (x) m, x) and
        (1 (x) b, f (x) 1, x), for g over the generators of B*, b over
        those of B and f, m, x over their bases;
     5. (certificate) `results.generation_failure` of B* and of B.
+
+    `FactoredAction._row_fn` is part of the proof: it defines the row of
+    f (x) m as rho(f (x) m) := dual_row(f) after prim_row(m).  With 3,
+    rho(f (x) 1) = dual_row(f) and rho(1 (x) m) = prim_row(m), so
+
+    (F) rho(f (x) m) = rho(f (x) 1) rho(1 (x) m) for every f and m,
+
+    which by 2 is the law on (f (x) 1, 1 (x) m, x).  An action that is
+    not a `FactoredAction` is refused with a ValueError: (F) would have
+    to be walked, and this walk does not.
 
     Proof that these give rho(hk) = rho(h) rho(k) on all of D.  By 2 the
     two embeddings are algebra maps, so B* and B are associative because
@@ -547,10 +560,11 @@ def module_factor_walk(D: DrinfeldDouble, dim_x: int) -> Walk:
                 = rho(f (x) 1) rho(1 (x) m) rho(g (x) 1) rho(1 (x) n)
                 = rho(h) rho(k).
 
-    The walk is labelled "generators".  It reads the action only through
-    its composite rows on D's basis, the rows that every other check of
-    the action reads.
+    The walk is labelled "generators".
     """
+    if not isinstance(act, FactoredAction):
+        raise ValueError("the factor walk needs a FactoredAction, whose "
+                         "rows are defined from its two factor actions")
     base, dual, one = D.base, D.dual, D.ctx.one
     nB, nF = base.dim, dual.dim
     ub, uf = min(base.unit), min(dual.unit)
@@ -559,6 +573,7 @@ def module_factor_walk(D: DrinfeldDouble, dim_x: int) -> Walk:
         raise ValueError("the factor walk needs basis-vector units, "
                          "with 1 (x) 1 the unit of D")
     mult = D.hopf.mult
+    xs = range(act.dim)
 
     left = [D.index(f, ub) for f in range(nF)]      # f (x) 1
     right = [D.index(uf, m) for m in range(nB)]     # 1 (x) m
@@ -585,12 +600,17 @@ def module_factor_walk(D: DrinfeldDouble, dim_x: int) -> Walk:
                            {right[k]: c for k, c in base.mult.get(m, n)}):
                     return (f"(1 (x) m)(1 (x) n) != 1 (x) mn at "
                             f"m={base.space.label(m)}, n={base.space.label(n)}")
+        for unit, row, factor in ((ub, act.prim_row, "B"),
+                                  (uf, act.dual_row, "B*")):
+            for x in xs:
+                chk.cases += 1
+                if not veq(dict(row(unit, x)), {x: one}):
+                    return (f"the unit of {factor} moves "
+                            f"x={act.algebra.space.label(x)}")
         return None
 
-    xs = range(dim_x)
     gf, gb = sorted(gen_indices(dual)), sorted(gen_indices(base))
     triples = itertools.chain(
-        ((fl, mr, x) for fl in left for mr in right for x in xs),
         ((left[g], fl, x) for g in gf for fl in left for x in xs),
         ((right[b], mr, x) for b in gb for mr in right for x in xs),
         ((right[b], fl, x) for b in gb for fl in left for x in xs))

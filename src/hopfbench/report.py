@@ -25,8 +25,8 @@ from .hopf import (MODES, check_algebra_axioms, check_hopf_axioms,
                    render_element)
 from .mutations import MUTATIONS, run_mutation
 from .results import (Check, CheckResult, gen_indices,
-                      invert_expected_failure, lemma_walk, summarize,
-                      tuple_walk)
+                      invert_expected_failure, lemma_walk,
+                      subcoalgebra_walk, summarize, tuple_walk)
 from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
                    cqzd, cqzd_center_check, double_presentation_check,
                    h2_matches_cqzd_check, hq_action_table_check,
@@ -282,17 +282,17 @@ def _suite_yd(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     y = sys.yd
     m, seed, n = cfg.resolved_mode, cfg.seed, cfg.sample_size
-    # Exhaustive mode proves module-action on the two factors of D(B);
-    # with it and comodule-algebra, the lemma walks prove yd-condition
-    # and braided-commutative from generators (see each check).
+    # Exhaustive mode proves module-action on the two factors of D(B),
+    # then module-algebra on a subcoalgebra of D(B) given module-action;
+    # with comodule-algebra, the lemma walks prove yd-condition and
+    # braided-commutative from generators (see each check).
     proofs = m == "exhaustive"
     yield check_module(y, mode=m, seed=seed, samples=n,
-                       walk=(module_factor_walk(sys.double, y.dim)
+                       walk=(module_factor_walk(sys.double, y.action)
                              if proofs else None))
-    # An exhaustive module-algebra walk is cubic in the 256-dim H(B*), so
-    # it keeps the generator tuples plus the seeded sample there.
-    yield check_module_algebra(y, mode="generators" if proofs else m,
-                               seed=seed, samples=n)
+    yield check_module_algebra(y, mode=m, seed=seed, samples=n,
+                               walk=(subcoalgebra_walk(y.hopf, y.algebra)
+                                     if proofs else None))
     yield check_comodule(y)
     yield check_comodule_algebra(y, mode=m, seed=seed, samples=n)
     yield check_yd(y, mode=m, seed=seed, samples=n,

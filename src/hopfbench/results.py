@@ -26,6 +26,12 @@ so the walk and phi(1) = 1 put the generators and the unit in S, and
 `generation_failure` -- the span closure of the unit and the generators
 under A's product must reach full rank -- makes S all of A: the walk is
 then a proof.  The closure is built once per algebra object.
+
+Checks of a module-algebra law h |> (xy) = (h' |> x)(h'' |> y) may take
+`subcoalgebra_walk`: h over `coalgebra_closure(H)`, the basis indices of
+H's unit and generators closed under the legs of the coproduct, and
+(g, y) over `generator_pairs(X)`; `check_module_algebra` states the
+lemma.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ from .sparse import span_closure
 
 __all__ = ["CheckResult", "Check", "summarize", "invert_expected_failure",
            "gen_indices", "generator_pairs", "generation_failure", "Walk",
-           "tuple_walk", "lemma_walk"]
+           "tuple_walk", "lemma_walk", "coalgebra_closure",
+           "subcoalgebra_walk"]
 
 
 @dataclass
@@ -224,3 +231,31 @@ def lemma_walk(alg) -> Walk:
     labelled "generators"; the check that walks it states its lemma."""
     return Walk("generators", generator_pairs(alg),
                 certificate=partial(generation_failure, alg))
+
+
+def coalgebra_closure(H) -> list:
+    """The basis indices of H's unit and declared generators, closed
+    under the legs of H's coproduct, ascending: their span C is then a
+    subcoalgebra, Delta(C) in C (x) C, that holds 1 and the generators
+    (Radford, Hopf Algebras, 2012, section 2.2)."""
+    closed = set(H.unit) | gen_indices(H)
+    todo = list(closed)
+    while todo:
+        for j, k, _ in H.comult.get(todo.pop()):
+            for leg in (j, k):
+                if leg not in closed:
+                    closed.add(leg)
+                    todo.append(leg)
+    return sorted(closed)
+
+
+def subcoalgebra_walk(H, X) -> Walk:
+    """(c, g, y): c over `coalgebra_closure(H)`, then (g, y) over
+    `generator_pairs(X)`, closed by the generation certificates of X and
+    of H, labelled "generators"; `ydcat.check_module_algebra` states the
+    lemma."""
+    return Walk("generators",
+                ((c, g, y) for c in coalgebra_closure(H)
+                 for g, y in generator_pairs(X)),
+                certificate=lambda: (generation_failure(X)
+                                     or generation_failure(H)))

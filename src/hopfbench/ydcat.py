@@ -16,10 +16,10 @@ module packages the three layers generically:
 Every check over basis tuples takes a `results.Walk` and runs its case
 loop, `Walk.failure`: by default `results.tuple_walk` in the requested
 mode, with the declared generator indices in the acted/coacted slots.
-The module law, the YD condition and braided commutativity also take a
-walk from the caller, for the lemma walks that prove them from
-generators.  Failures report the first failing tuple in walk order: the
-lexicographically smallest one in exhaustive mode.
+The module law, the module-algebra law, the YD condition and braided
+commutativity also take a walk from the caller, for the lemma walks that
+prove them from generators.  Failures report the first failing tuple in
+walk order: the lexicographically smallest one in exhaustive mode.
 """
 
 from __future__ import annotations
@@ -213,9 +213,11 @@ def check_module(m, mode: str = "exhaustive", seed: int = 0,
     indices of H in M and N.  That is evidence, not a proof, in every mode
     but "exhaustive": the lemma -- S = {M : (MN) |> x = M |> (N |> x) for
     all N, x} is a subalgebra of an associative H -- needs N and x over
-    the whole basis.  For H = D(B), `doubles.module_factor_walk` proves
-    the law on the two factors of D(B) instead, from the unit law and
-    `hopf-axioms.ddouble-mult-associativity`; its docstring has the proof.
+    the whole basis.  For H = D(B) acting by a `doubles.FactoredAction`,
+    `doubles.module_factor_walk` proves the law on the two factors of
+    D(B) instead, from the unit laws, the definition of the action's rows
+    from its factor rows and `hopf-axioms.ddouble-mult-associativity`;
+    its docstring has the proof.
     """
     H, alg, act = m.hopf, m.algebra, m.action
     if walk is None:
@@ -246,12 +248,51 @@ def check_module(m, mode: str = "exhaustive", seed: int = 0,
 
 def check_module_algebra(m, mode: str = "exhaustive", seed: int = 0,
                          samples: int = 10_000,
-                         name: str = "module-algebra") -> CheckResult:
-    """M |> (xy) = (M' |> x)(M'' |> y), plus M |> 1 = counit(M) 1."""
+                         name: str = "module-algebra",
+                         walk: Optional[Walk] = None) -> CheckResult:
+    """M |> 1 = counit(M) 1 for every M (always exhaustive), then
+    M |> (xy) = (M' |> x)(M'' |> y) on the (M, x, y) basis triples of
+    `walk`.  Without a walk, `mode` walks `results.tuple_walk` with the
+    generator indices of H in M and of X in x and y: evidence in every
+    mode but "exhaustive".
+
+    `results.subcoalgebra_walk(H, X)` proves the law for every triple.
+    Its M runs over C = `results.coalgebra_closure(H)`, whose span is a
+    subcoalgebra holding 1 and the generators of H; x runs over the
+    generators of X and y over its basis.
+
+    Step 1, the law on C x X x X.  T = {x : c |> (xy) = (c' |> x)(c'' |> y)
+    for every c in C and every y} is a subspace.  It holds 1, by the
+    unit law above and (counit (x) id) Delta = id.  It is closed under
+    products: for x1, x2 in T, X associative, Delta coassociative and
+    Delta(C) in C (x) C give
+
+        c |> (x1 x2 y) = (c' |> x1)(c'' |> x2)(c''' |> y)
+                       = (c' |> x1 x2)(c'' |> y).
+
+    The walk puts the generators of X in T, and its certificate
+    `generation_failure(X)` makes T all of X.  This step needs no module
+    law.
+
+    Step 2, the law on all of H.  S = {h : it holds for all x, y} is a
+    subspace that holds C, so 1 and the generators of H.  It is closed
+    under products: for h, k in S, the module law and a multiplicative
+    Delta give
+
+        hk |> (xy) = h |> ((k' |> x)(k'' |> y))
+                   = (h'k' |> x)(h''k'' |> y).
+
+    The certificate `generation_failure(H)` makes S all of H.  For the
+    yd suite the hypotheses are `yd.module-action`, which must not rest
+    on this check, and `hopf-axioms.ddouble-comult-multiplicative`,
+    `ddouble-comult-counit-unital`, `ddouble-comult-coassociativity` and
+    `hdouble-mult-associativity`.
+    """
     H, alg, act = m.hopf, m.algebra, m.action
-    gh, ga = gen_indices(H), gen_indices(alg)
-    walk = tuple_walk(mode, (H.dim, alg.dim, alg.dim), (gh, ga, ga), seed,
-                      samples)
+    if walk is None:
+        ga = gen_indices(alg)
+        walk = tuple_walk(mode, (H.dim, alg.dim, alg.dim),
+                          (gen_indices(H), ga, ga), seed, samples)
     chk = Check(name, walk.label)
     one = H.ctx.one
     for h in range(H.dim):
@@ -380,7 +421,8 @@ def check_yd(y, mode: str = "exhaustive", seed: int = 0,
     to A.  The walk's certificate makes S all of H.  For the yd suite
     those hypotheses are `hopf-axioms.ddouble-mult-associativity`,
     `ddouble-comult-counit-unital` and `ddouble-comult-multiplicative`,
-    and `yd.module-action`, proved by `doubles.module_factor_walk`.
+    and `yd.module-action`, proved by `doubles.module_factor_walk` from
+    the factor rows of the `doubles.FactoredAction`.
     """
     H, alg = y.hopf, y.algebra
     act, coact = y.action, y.coaction

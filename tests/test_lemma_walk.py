@@ -15,11 +15,13 @@ walk over every triple passes, and it catches a corruption of D(B)'s
 product on a pair that touches no generator.
 
 `module-action` is proved on the two factors of D(B)
-(`doubles.module_factor_walk`), and `yd-condition` and
-`braided-commutative` from generators given `module-action` and
-`comodule-algebra`.  On the intact p=2 structure and on seeded
-corruptions of its composite action rows and of its coaction, each
-lemma walk passes together with those hypotheses exactly when its
+(`doubles.module_factor_walk`), from the factor rows of the
+`doubles.FactoredAction`; `module-algebra` on the subcoalgebra of D(B)
+spanned by `results.coalgebra_closure` given `module-action`; and
+`yd-condition` and `braided-commutative` from generators given
+`module-action` and `comodule-algebra`.  On the intact p=2 structure and
+on seeded corruptions of its factor action rows and of its coaction,
+each lemma walk passes together with those hypotheses exactly when its
 reference walk passes.
 """
 
@@ -31,15 +33,17 @@ from dataclasses import replace
 
 import pytest
 
-from hopfbench.doubles import module_factor_walk
+from hopfbench.doubles import FactoredAction, module_factor_walk
 from hopfbench.hopf import FiniteAlgebra, FiniteHopf, check_algebra_axioms
-from hopfbench.results import (Walk, gen_indices, generation_failure,
-                               generator_pairs, lemma_walk)
+from hopfbench.results import (Walk, coalgebra_closure, gen_indices,
+                               generation_failure, generator_pairs,
+                               lemma_walk, subcoalgebra_walk)
 from hopfbench.sparse import BilinearMap, veq
 from hopfbench.taft import hqsl2, taft_system, uqsl2
 from hopfbench.truncate import HopfQuotient, quotient_morphism_check
 from hopfbench.ydcat import (Action, Coaction, check_braided_commutative,
-                             check_comodule_algebra, check_module, check_yd)
+                             check_comodule_algebra, check_module,
+                             check_module_algebra, check_yd)
 
 
 def _algebra(A, generators=None, mult=None):
@@ -249,8 +253,12 @@ def test_too_few_generators_fail_the_certificate():
     H, X = y.hopf, y.algebra
     few_b = replace(D, base=_hopf(D.base, D.base.generators[:-1]))
     few_dual = replace(D, dual=_hopf(D.dual, D.dual.generators[:-1]))
-    for res in (check_module(y, walk=module_factor_walk(few_b, X.dim)),
-                check_module(y, walk=module_factor_walk(few_dual, X.dim)),
+    for res in (check_module(y, walk=module_factor_walk(few_b, y.action)),
+                check_module(y, walk=module_factor_walk(few_dual, y.action)),
+                check_module_algebra(y, walk=subcoalgebra_walk(
+                    H, _algebra(X, X.generators[:-1]))),
+                check_module_algebra(y, walk=subcoalgebra_walk(
+                    _hopf(H, H.generators[:-1]), X)),
                 check_yd(y, walk=lemma_walk(_hopf(H, H.generators[:-1]))),
                 check_braided_commutative(
                     y, walk=lemma_walk(_algebra(X, X.generators[:-1]))),
@@ -261,24 +269,60 @@ def test_too_few_generators_fail_the_certificate():
 
 # -- the module law on the factors of D(B), and the walks that rest on it ----
 
-def _corrupt_action(y, h, x, t, scale):
-    """y with entry t of the composite row h |> e_x times scale."""
+class _FactorRows(FactoredAction):
+    """The factored action of `taft_system(2)` with its factor rows read
+    from `prim(m, x)` and `dual(f, x)`; it builds its composite rows
+    afresh from them, as `FactoredAction._row_fn` defines."""
+
+    def __init__(self, prim, dual):
+        sys2 = taft_system(2)
+        super().__init__(sys2.heis, sys2.double)
+        self.prim_fn, self.dual_fn = prim, dual
+
+    def prim_row(self, m, x):
+        return self.prim_fn(m, x)
+
+    def dual_row(self, f, x):
+        return self.dual_fn(f, x)
+
+
+def _with_factor_rows(y, prim=None, dual=None):
+    """y acting by `_FactorRows`, each factor row intact unless given."""
     act = y.action
-    bad = {k: c * scale if n == t else c
-           for n, (k, c) in enumerate(act.row(h, x))}
-    fn = lambda i, j: bad if (i, j) == (h, x) else dict(act.row(i, j))  # noqa: E731
-    return replace(y, action=Action(y.hopf, y.algebra, fn))
+    return replace(y, action=_FactorRows(prim or act.prim_row,
+                                         dual or act.dual_row))
 
 
-def _seeded_action_corruption(y, seed):
-    """y with one entry of a seeded nonzero composite row times zeta."""
+def _factor_element(which, i):
+    """The index in D(B) of 1 (x) e_i ("prim") or of e_i (x) 1 ("dual")."""
+    D = taft_system(2).double
+    (ub,), (uf,) = D.base.unit, D.dual.unit
+    return D.index(uf, i) if which == "prim" else D.index(i, ub)
+
+
+def _corrupt_factor_row(y, which, i, x, t, scale):
+    """y with entry t of the factor row `which` of e_i on e_x times scale:
+    (eps (x) e_i) |> e_x for "prim", (e_i (x) 1) |> e_x for "dual"."""
+    row = getattr(y.action, f"{which}_row")
+    bad = tuple((k, c * scale) if n == t else (k, c)
+                for n, (k, c) in enumerate(row(i, x)))
+    fn = lambda j, z: bad if (j, z) == (i, x) else row(j, z)  # noqa: E731
+    return _with_factor_rows(y, **{which: fn})
+
+
+def _seeded_action_corruption(y, seed, spared=frozenset()):
+    """y with one entry of a seeded nonzero factor row times zeta, the
+    row of an element of D(B) outside `spared`."""
     rng = random.Random(seed)
+    n = y.action.base.dim
     while True:
-        h, x = rng.randrange(y.hopf.dim), rng.randrange(y.algebra.dim)
-        row = y.action.row(h, x)
-        if row:
-            return _corrupt_action(y, h, x, rng.randrange(len(row)),
-                                   y.hopf.ctx.zeta)
+        which = rng.choice(("prim", "dual"))
+        i, x = rng.randrange(n), rng.randrange(y.algebra.dim)
+        row = getattr(y.action, f"{which}_row")(i, x)
+        if row and _factor_element(which, i) not in spared:
+            return _corrupt_factor_row(y, which, i, x,
+                                       rng.randrange(len(row)),
+                                       y.hopf.ctx.zeta)
 
 
 def _generic_module_walk(y):
@@ -296,7 +340,7 @@ def _walks(y) -> dict:
     D = taft_system(2).double
     return {
         "module-action": (
-            check_module(y, walk=module_factor_walk(D, y.algebra.dim)),
+            check_module(y, walk=module_factor_walk(D, y.action)),
             check_module(y, walk=_generic_module_walk(y))),
         "comodule-algebra": _both_ways(y),
         "yd-condition": (check_yd(y, walk=lemma_walk(y.hopf)),
@@ -329,7 +373,7 @@ def test_intact_yd_structure_passes_every_lemma_walk():
     assert {claim: (lemma.status, lemma.cases_checked, reference.status,
                     reference.cases_checked)
             for claim, (lemma, reference) in walks.items()} == {
-        "module-action": ("pass", 91_136, "pass", 256 + 4 * 256 * 256),
+        "module-action": ("pass", 26_112, "pass", 256 + 4 * 256 * 256),
         "comodule-algebra": ("pass", 1_025, "pass", 1 + 256 * 256),
         "yd-condition": ("pass", 1_024, "pass", 256 * 256),
         "braided-commutative": ("pass", 1_024, "pass", 256 * 256),
@@ -352,8 +396,11 @@ def test_corrupted_coaction_fails_where_the_references_fail(seed):
 
 def test_a_lemma_pass_on_a_broken_action_still_fails_the_run():
     """The lemma walks read few action rows, so on a corrupted action
-    they can pass; `module-action` then fails, and so does the run."""
-    y = _seeded_action_corruption(taft_system(2).yd, 1)
+    they can pass (`yd-condition` reads only rows of the closure C, and
+    the corrupted factor row belongs to an element outside it);
+    `module-action` then fails, and so does the run."""
+    y = taft_system(2).yd
+    y = _seeded_action_corruption(y, 1, set(coalgebra_closure(y.hopf)))
     walks = _walks(y)
     assert [walks[c][0].status for c in ("yd-condition", "braided-commutative",
                                          "comodule-algebra")] == ["pass"] * 3
@@ -363,23 +410,22 @@ def test_a_lemma_pass_on_a_broken_action_still_fails_the_run():
 
 
 def test_the_factor_route_catches_what_the_sampled_walk_missed():
-    """A wrong entry in the composite row of kap(x)k^2 on Fkap^7#Ek^7
-    escapes the generator head and seeded tail of the old walk."""
+    """A wrong entry in the factor row of k^3 on F#Ek^4 escapes the
+    generator head and seeded tail of the old walk."""
     sys2 = taft_system(2)
-    H, X = sys2.yd.hopf, sys2.yd.algebra
-    assert (H.space.label(18), X.space.label(255)) == ("kap(x)k^2",
-                                                      "Fkap^7#Ek^7")
-    bad = _corrupt_action(sys2.yd, 18, 255, 0, H.ctx.rational(2))
+    D, X = sys2.double, sys2.yd.algebra
+    H = sys2.yd.hopf
+    assert (D.base.space.label(3), X.space.label(140)) == ("k^3", "F#Ek^4")
+    bad = _corrupt_factor_row(sys2.yd, "prim", 3, 140, 0, H.ctx.rational(2))
     old = check_module(bad, mode="generators", seed=601, samples=10_000)
     assert old.status == "pass"
-    new = check_module(bad, walk=module_factor_walk(sys2.double, X.dim))
+    new = check_module(bad, walk=module_factor_walk(D, bad.action))
     assert new.status == "fail"
-    f, m = divmod(18, sys2.double.base.dim)
-    left, right = sys2.double.index(f, 0), sys2.double.index(0, m)
     r = H.space.render
+    k, k2 = _factor_element("prim", 1), _factor_element("prim", 2)
     assert new.witness.startswith(
-        f"M={r(H.space.labels[left])}, N={r(H.space.labels[right])}, "
-        f"x=Fkap^7#Ek^7: ")
+        f"M={r(H.space.labels[k])}, N={r(H.space.labels[k2])}, "
+        f"x=F#Ek^4: ")
 
 
 def test_a_wrong_double_product_fails_the_prelude():
@@ -395,7 +441,7 @@ def test_a_wrong_double_product_fails_the_prelude():
     bad = replace(D, hopf=FiniteHopf(H.ctx, H.space, mult, H.unit, H.comult,
                                      H.counit, H.antipode,
                                      generators=H.generators, name=H.name))
-    res = check_module(y, walk=module_factor_walk(bad, y.algebra.dim))
+    res = check_module(y, walk=module_factor_walk(bad, y.action))
     assert res.status == "fail"
     assert res.cases_checked == y.algebra.dim + f * D.base.dim + m + 1
     assert res.witness == (
@@ -404,30 +450,140 @@ def test_a_wrong_double_product_fails_the_prelude():
 
 
 def test_only_the_cross_relation_catches_an_action_that_forgets_the_twist():
-    """rho'(f (x) m) = eps(m) rho(f (x) 1) acts by algebra maps on B*cop
-    and on B and factors as (F) asks, but it is no D(B)-module: of the
-    factor route, only the (1 (x) b, f (x) 1, x) part of the law fails."""
+    """prim_row(m, x) = eps(m) e_x leaves rho'(f (x) m) = eps(m) rho(f (x) 1):
+    it acts by algebra maps on B*cop and on B and passes the factor unit
+    laws, but it is no D(B)-module: of the factor route, only the
+    (1 (x) b, f (x) 1, x) part of the law fails."""
     sys2 = taft_system(2)
     D, y = sys2.double, sys2.yd
-    H, nB = y.hopf, D.base.dim
-    (ub,) = D.base.unit
-    eps, act = D.base.counit, y.action
+    H, eps = y.hopf, D.base.counit
 
-    def fn(h, x):
-        f, m = divmod(h, nB)
+    def prim(m, x):
         c = eps.get(m)
-        return {k: c * v for k, v in act.row(D.index(f, ub), x)} if c else {}
+        return ((x, c),) if c else ()
 
-    bad = replace(y, action=Action(H, y.algebra, fn))
-    res = check_module(bad, walk=module_factor_walk(D, y.algebra.dim))
+    bad = _with_factor_rows(y, prim=prim)
+    res = check_module(bad, walk=module_factor_walk(D, bad.action))
     assert res.status == "fail"
-    before_cross = 256 + 3 * 256 + 256 * 256 + 2 * 2 * 16 * 256
+    before_cross = 256 + 3 * 256 + 2 * 256 + 2 * 2 * 16 * 256
     assert res.cases_checked > before_cross
     (uf,) = D.dual.unit
     assert res.witness.split(",")[0] in {
         f"M={H.space.label(D.index(uf, b))}"
         for b in gen_indices(D.base)}
     assert check_module(bad, walk=_generic_module_walk(bad)).status == "fail"
+
+
+def test_factored_rows_match_their_definition():
+    """(F), which the factor walk no longer walks: every composite row of
+    the factored action is rho(f (x) 1) rho(1 (x) m), exhaustively."""
+    sys2 = taft_system(2)
+    D, y = sys2.double, sys2.yd
+    (ub,), (uf,) = D.base.unit, D.dual.unit
+    walk = Walk("exhaustive", ((D.index(f, ub), D.index(uf, m), x)
+                               for f in range(D.dual.dim)
+                               for m in range(D.base.dim)
+                               for x in range(y.algebra.dim)))
+    res = check_module(y, walk=walk)
+    assert (res.status, res.cases_checked) == ("pass", 256 + 65_536)
+
+
+def test_the_factor_walk_refuses_a_plain_action():
+    sys2 = taft_system(2)
+    y = sys2.yd
+    plain = Action(y.hopf, y.algebra, lambda h, x: dict(y.action.row(h, x)))
+    with pytest.raises(ValueError, match="FactoredAction"):
+        module_factor_walk(sys2.double, plain)
+
+
+# -- the module-algebra law on a subcoalgebra of D(B) ------------------------
+
+def _generic_module_algebra_walk(y):
+    """The module-algebra lemma with C all of D(B): h over its basis, x
+    over the generators of H(B*) and y over its basis, closed by the
+    certificate of H(B*); it needs no module law."""
+    X = y.algebra
+    return Walk("generators",
+                itertools.product(range(y.hopf.dim), sorted(gen_indices(X)),
+                                  range(X.dim)),
+                certificate=lambda: generation_failure(X))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_coalgebra_closure_is_a_seven_element_subcoalgebra(p):
+    H = taft_system(p).yd.hopf
+    closure = coalgebra_closure(H)
+    assert [H.space.label(c) for c in closure] == [
+        "1(x)1", "1(x)k", "1(x)k^2", "1(x)E", "kap(x)1", "kap^2(x)1",
+        "F(x)1"]
+    C = set(closure)
+    assert set(H.unit) | gen_indices(H) <= C
+    assert all(j in C and k in C
+               for c in closure for j, k, _ in H.comult.get(c))
+
+
+def test_intact_module_algebra_agrees_with_the_reference():
+    y = taft_system(2).yd
+    lemma = check_module_algebra(y, walk=subcoalgebra_walk(y.hopf,
+                                                           y.algebra))
+    reference = check_module_algebra(y, walk=_generic_module_algebra_walk(y))
+    assert (lemma.status, lemma.mode, lemma.cases_checked) == (
+        "pass", "generators", 256 + 7 * 4 * 256)
+    assert (reference.status, reference.cases_checked) == (
+        "pass", 256 + 256 * 4 * 256)
+
+
+@pytest.mark.parametrize("seed,outside", [(1, False), (2, False),
+                                          (1, True), (2, True), (3, True),
+                                          (4, True)])
+def test_factor_row_corruptions_fail_both_routes(seed, outside):
+    """A zeta-corruption of one factor row, for `outside` of an element of
+    D(B) outside the closure C, fails the lemma route (`module-action`
+    from the factor rows or `module-algebra` on C) and the reference
+    route (the generic module walk or the module-algebra walk over all
+    of D(B)) alike."""
+    y = taft_system(2).yd
+    spared = set(coalgebra_closure(y.hopf)) if outside else frozenset()
+    bad = _seeded_action_corruption(y, seed, spared)
+    lemma = [check_module(bad, walk=module_factor_walk(
+                 taft_system(2).double, bad.action)),
+             check_module_algebra(bad, walk=subcoalgebra_walk(
+                 bad.hopf, bad.algebra))]
+    reference = (check_module(bad, walk=_generic_module_walk(bad)),)
+    if reference[0].status == "pass":
+        reference += (check_module_algebra(
+            bad, walk=_generic_module_algebra_walk(bad)),)
+    assert "fail" in {r.status for r in lemma}
+    assert "fail" in {r.status for r in reference}
+
+
+def test_only_module_algebra_catches_a_conjugated_action():
+    """Conjugating both factor rows by phi, which scales one basis vector
+    of H(B*) by zeta, keeps a module, and breaks the module-algebra law:
+    `module-action` passes, `module-algebra` fails on C and on all of
+    D(B)."""
+    y = taft_system(2).yd
+    act, zeta = y.action, y.hopf.ctx.zeta
+    z = max(gen_indices(y.algebra))
+
+    def conjugated(row):
+        def fn(i, x):
+            s = zeta.inv() if x == z else y.hopf.ctx.one
+            return tuple((k, c * s * zeta) if k == z else (k, c * s)
+                         for k, c in row(i, x))
+        return fn
+
+    bad = _with_factor_rows(y, conjugated(act.prim_row),
+                            conjugated(act.dual_row))
+    module = check_module(bad, walk=module_factor_walk(
+        taft_system(2).double, bad.action))
+    assert module.status == "pass"
+    lemma = check_module_algebra(bad, walk=subcoalgebra_walk(bad.hopf,
+                                                             bad.algebra))
+    reference = check_module_algebra(bad,
+                                     walk=_generic_module_algebra_walk(bad))
+    assert (lemma.status, reference.status) == ("fail", "fail")
+    assert lemma.witness == reference.witness
 
 
 # -- associativity from generator-headed triples --------------------------------

@@ -139,14 +139,15 @@ def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
 # reports carry failure witnesses (mutations) and inverted expected
 # failures (chains), so they pin the bytes of the failure paths too; the
 # double and heisenberg reports pin the exhaustive pair walks, and the yd
-# report pins the proofs of module-action on the factors of D(B) and of
-# yd-condition and braided-commutative from generators; the hopf-axioms
+# report pins the proofs of module-action on the factors of D(B), of
+# module-algebra on a subcoalgebra of D(B) and of yd-condition and
+# braided-commutative from generators; the hopf-axioms
 # report pins the associativity proofs from generator-headed triples.
 REPORT_SHA256_P2 = {
     "hopf-axioms":
         "d314cbd71d131f4a4bf7eb7c4bb0b3a39c8c4c99f7e53261fb1f2aa73c9bacbb",
     "yd":
-        "fccdf429d3a091e005ce9be86c6a304c2d57b4e0e3ee0baf76f0c48413972842",
+        "ff59a2f426e1345f886c1fa6edf02b38b53dce9a56371f6eb2e0cc8573bf29b5",
     "double":
         "81a95de212fbd7e205d5352a9262f13a8939e3c63e4f25ff1f50c752cd28f6c5",
     "heisenberg":
