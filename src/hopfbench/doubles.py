@@ -48,9 +48,9 @@ from .cyclo import Cyc, QContext
 from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf,
                    pair_product, render_element, tensor_flat, triple_product,
                    twisted_product)
-from .results import (Check, CheckResult, Walk, gen_indices,
-                      generation_failure, invert_expected_failure,
-                      tuple_walk)
+from .results import (Check, CheckResult, Walk, coalgebra_closure,
+                      gen_indices, generation_failure,
+                      invert_expected_failure, tuple_walk)
 from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Row, Space, Vec,
                      linear_map_inverse, shared_row, vadd_into, vadd_outer,
                      vadd_term, veq)
@@ -356,7 +356,8 @@ def canonical_coaction(Hd: HeisenbergDouble, D: DrinfeldDouble) -> ComoduleAlgeb
 
 
 class FactoredAction(Action):
-    """Action of D(B) on H(B*), assembled from its two factor actions.
+    """Action of D(B) on H(B*), assembled from its two factor actions,
+    which are assembled from four leg actions.
 
     (mu (x) m) acts as (mu (x) 1) after (eps (x) m), where
 
@@ -364,13 +365,23 @@ class FactoredAction(Action):
         (mu (x) 1) |> (alpha # a) = mu''' alpha S*^{-1}(mu'')
                                       # (a <- S*^{-1}(mu'))
 
-    Both factor maps are exposed with their own memoized rows, stored
-    like the action's own rows: tuples of shared (y, c) entries in the
-    order in which the row was filled (see `sparse.shared_row`).
+    On H(B*) = B* (x) B as a space, each factor row is a sum of tensor
+    products of two leg actions over one coproduct:
+
+        prim(m) = sum hit(m') (x) ad(m'')      hit(m) alpha = m -> alpha
+                                               ad(m) a = m' a S(m'')
+        dual(f) = sum adF(f'') (x) rhit(f')    adF(f) alpha = f'' alpha S*^{-1}(f')
+                                               rhit(f) a = a <- S*^{-1}(f)
+
+    hit and ad are left B-modules, adF and rhit left B*-modules.  The leg
+    tables (`hit`, `ad`, `adf`, `rhit`) are d_B x d_B and memoized; the
+    factor rows and the action's own rows are memoized too.  All of them
+    are stored rows: tuples of shared (y, c) entries in the order in which
+    the row was filled (see `sparse.shared_row`).  `module_factor_walk`
+    proves the module law from these definitions.
     """
 
-    __slots__ = ("base", "dual", "pairing", "_prim", "_dualrows",
-                 "_d3b", "_d3f")
+    __slots__ = ("base", "dual", "pairing", "_prim", "_dualrows", "_legs")
 
     def __init__(self, Hd: HeisenbergDouble, D: DrinfeldDouble):
         super().__init__(D.hopf, Hd.algebra, self._row_fn)
@@ -379,61 +390,85 @@ class FactoredAction(Action):
         self.pairing = D.pairing
         self._prim: dict[int, Row] = {}
         self._dualrows: dict[int, Row] = {}
-        self._d3b: dict[int, tuple] = {}
-        self._d3f: dict[int, tuple] = {}
+        self._legs: tuple[dict, ...] = ({}, {}, {}, {})
+
+    def _leg(self, which: int, build, i: int, v: int) -> Row:
+        memo = self._legs[which]
+        r = memo.get((i, v))
+        if r is None:
+            r = memo[i, v] = shared_row(build(i, v))
+        return r
+
+    def hit(self, m: int, alpha: int) -> Row:
+        """e_m -> e^alpha, in B*."""
+        return self._leg(0, self.pairing.dual_left, m, alpha)
+
+    def ad(self, m: int, a: int) -> Row:
+        """m' e_a S(m''), in B."""
+        return self._leg(1, self._ad, m, a)
+
+    def adf(self, f: int, alpha: int) -> Row:
+        """f'' e^alpha S*^{-1}(f'), in B*."""
+        return self._leg(2, self._adf, f, alpha)
+
+    def rhit(self, f: int, a: int) -> Row:
+        """e_a <- S*^{-1}(e^f), in B."""
+        return self._leg(3, self._rhit, f, a)
+
+    def _ad(self, m: int, a: int) -> Vec:
+        base = self.base
+        acc: Vec = {}
+        for m1, m2, c in base.comult.get(m):
+            for t, ct in base.mult.get(m1, a):
+                c1 = c * ct
+                for s, cs in base.antipode.get(m2):
+                    vadd_into(acc, base.mult.get(t, s), c1 * cs)
+        return acc
+
+    def _adf(self, f: int, alpha: int) -> Vec:
+        dual = self.dual
+        sinv = dual.antipode_inv()
+        acc: Vec = {}
+        for f1, f2, c in dual.comult.get(f):
+            for t, ct in dual.mult.get(f2, alpha):
+                c1 = c * ct
+                for s, cs in sinv.get(f1):
+                    vadd_into(acc, dual.mult.get(t, s), c1 * cs)
+        return acc
+
+    def _rhit(self, f: int, a: int) -> Vec:
+        acc: Vec = {}
+        for nu, cs in self.dual.antipode_inv().get(f):
+            vadd_into(acc, self.pairing.alg_right(a, nu), cs)
+        return acc
 
     def prim_row(self, m: int, x: int) -> Row:
-        """(eps (x) e_m) |> e_x."""
+        """(eps (x) e_m) |> e_x = sum hit(m') (x) ad(m'') e_x."""
         key = m * self.dim + x
         r = self._prim.get(key)
         if r is None:
-            base, dual, P = self.base, self.dual, self.pairing
-            nB = base.dim
-            f, b = divmod(x, nB)
+            nB = self.base.dim
+            alpha, a = divmod(x, nB)
             acc: Vec = {}
-            for m1, m2, m3, c in _iter3(base, self._d3b, m):
-                mid = P.dual_left(m1, f)
-                if not mid:
-                    continue
-                t1 = dict(base.mult.get(m2, b))
-                if not t1:
-                    continue
-                conj: Vec = {}
-                for s, cs in base.antipode.get(m3):
-                    for t, ct in t1.items():
-                        for k, ck in base.mult.get(t, s):
-                            vadd_term(conj, k, cs * ct * ck)
-                if not conj:
-                    continue
-                vadd_outer(acc, c, mid, conj, nB)
+            for m1, m2, c in self.base.comult.get(m):
+                left = self.hit(m1, alpha)
+                if left:
+                    vadd_outer(acc, c, left, self.ad(m2, a), nB)
             r = self._prim[key] = shared_row(acc)
         return r
 
     def dual_row(self, f: int, x: int) -> Row:
-        """(e_f (x) 1) |> e_x."""
+        """(e_f (x) 1) |> e_x = sum adF(f'') (x) rhit(f') e_x."""
         key = f * self.dim + x
         r = self._dualrows.get(key)
         if r is None:
-            base, dual, P = self.base, self.dual, self.pairing
-            nB = base.dim
-            sinv = dual.antipode_inv()
-            fx, b = divmod(x, nB)
+            nB = self.base.dim
+            alpha, a = divmod(x, nB)
             acc: Vec = {}
-            for u1, u2, u3, c in _iter3(dual, self._d3f, f):
-                right: Vec = {}
-                for nu, cs in sinv.get(u1):
-                    vadd_into(right, P.alg_right(b, nu), cs)
-                if not right:
-                    continue
-                left: Vec = {}
-                t1 = dict(dual.mult.get(u3, fx))
-                for nu, cs in sinv.get(u2):
-                    for t, ct in t1.items():
-                        for k, ck in dual.mult.get(t, nu):
-                            vadd_term(left, k, cs * ct * ck)
-                if not left:
-                    continue
-                vadd_outer(acc, c, left, right, nB)
+            for f1, f2, c in self.dual.comult.get(f):
+                right = self.rhit(f1, a)
+                if right:
+                    vadd_outer(acc, c, self.adf(f2, alpha), right, nB)
             r = self._dualrows[key] = shared_row(acc)
         return r
 
@@ -506,14 +541,27 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
     return chk.result(walk.failure(chk, case))
 
 
+def _leg_defined(act) -> bool:
+    """Whether `act` is a FactoredAction whose factor rows and own rows
+    are the class's leg-defined ones (a subclass may override the legs)."""
+    return isinstance(act, FactoredAction) and all(
+        getattr(fn, "__func__", None) is own
+        for fn, own in ((act.prim_row, FactoredAction.prim_row),
+                        (act.dual_row, FactoredAction.dual_row),
+                        (act._fn, FactoredAction._row_fn)))
+
+
 def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     """The walk on which `ydcat.check_module` proves that `act`, an action
     of D(B) = B*cop |><| B assembled from its two factor actions, is a
     module.
 
     Write f (x) 1 and 1 (x) m for f in B*cop and m in B; their units must
-    be basis vectors, with 1 (x) 1 the unit of D.  `check_module` walks,
-    in order, and stops at the first failure:
+    be basis vectors, with 1 (x) 1 the unit of D.  Let C_B be
+    `results.coalgebra_closure(B)`: the basis indices of 1 and of the
+    generators of B, closed under the legs of Delta, so their span is a
+    subcoalgebra of B.  `check_module` walks, in order, and stops at the
+    first failure:
 
     1. the unit law 1 |> x = x, for every x;
     2. (prelude) the products (f (x) 1)(1 (x) m) = f (x) m,
@@ -521,38 +569,79 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
        in D, on every pair of basis vectors;
     3. (prelude) the factor unit laws `act.prim_row(1, x)` = e_x and
        `act.dual_row(1, x)` = e_x, for every x;
-    4. the law on (g (x) 1, f (x) 1, x), (1 (x) b, 1 (x) m, x) and
-       (1 (x) b, f (x) 1, x), for g over the generators of B*, b over
-       those of B and f, m, x over their bases;
-    5. (certificate) `results.generation_failure` of B* and of B.
+    4. (prelude) for each leg L of `FactoredAction` -- hit and ad over
+       B, adF and rhit over B* -- the unit law L(1) v = v and the law
+       L(gh) v = L(g) L(h) v, for g over the generators of its algebra
+       and h, v over the bases;
+    5. (prelude) every B-leg of (1 (x) c)(f (x) 1) lies in C_B, for c in
+       C_B and every basis f;
+    6. the law on (1 (x) c, g (x) 1, x), for c in C_B, g over the
+       generators of B* and x over the basis of H(B*);
+    7. (certificate) `results.generation_failure` of B* and of B.
 
-    `FactoredAction._row_fn` is part of the proof: it defines the row of
-    f (x) m as rho(f (x) m) := dual_row(f) after prim_row(m).  With 3,
-    rho(f (x) 1) = dual_row(f) and rho(1 (x) m) = prim_row(m), so
+    The definitions of `FactoredAction` are part of the proof.  Its rows
+    are rho(f (x) m) := dual_row(f) after prim_row(m), so with 3,
+    rho(f (x) 1) = dual_row(f), rho(1 (x) m) = prim_row(m) and
 
     (F) rho(f (x) m) = rho(f (x) 1) rho(1 (x) m) for every f and m,
 
-    which by 2 is the law on (f (x) 1, 1 (x) m, x).  An action that is
-    not a `FactoredAction` is refused with a ValueError: (F) would have
-    to be walked, and this walk does not.
+    which by 2 is the law on (f (x) 1, 1 (x) m, x).  Its factor rows are
+    prim(m) = sum hit(m') (x) ad(m'') and dual(f) = sum adF(f'') (x)
+    rhit(f').  An action whose rows or factor rows are defined otherwise
+    -- not a `FactoredAction`, or a subclass that overrides `prim_row`,
+    `dual_row` or `_row_fn` -- is refused with a ValueError, since this
+    walk does not check those definitions.
 
-    Proof that these give rho(hk) = rho(h) rho(k) on all of D.  By 2 the
-    two embeddings are algebra maps, so B* and B are associative because
-    D is (`hopf-axioms.ddouble-mult-associativity`), and D is spanned by
-    the products (f (x) 1)(1 (x) m).  With 1, the steps 4 and 5 make rho
-    multiplicative on each factor (the subalgebra lemma of `results`).
-    T = {b in B : rho((1 (x) b)(f (x) 1)) = rho(1 (x) b) rho(f (x) 1)
-    for every f} holds 1 and, by 4, the generators of B.  It is closed
-    under products: for b, c in T write (1 (x) c)(f (x) 1) as
-    sum_i (f_i (x) 1)(1 (x) c_i) and (1 (x) b)(f_i (x) 1) as
-    sum_j (f_ij (x) 1)(1 (x) b_ij); associativity, 2 and (F) give
+    Proof that these give rho(hk) = rho(h) rho(k) on all of D.  The
+    hypotheses are `hopf-axioms.taft-mult-associativity` and
+    `taft-dual-mult-associativity` (B and B* are associative),
+    `taft-comult-multiplicative` and `taft-dual-comult-multiplicative`
+    (their Delta are algebra maps) and `ddouble-mult-associativity`.
+
+    The factors.  With B associative, {g : L(gh) = L(g) L(h) for all h}
+    is a subalgebra of B, so by 4 and 7 each leg over B is a module, and
+    likewise over B*.  A tensor product of two modules is a module when
+    Delta is multiplicative (Montgomery, Hopf Algebras and Their Actions
+    on Rings, CBMS 82, 1993, section 1.8):
+
+        prim(mn) = sum hit(m'n') (x) ad(m''n'')
+                 = sum hit(m') hit(n') (x) ad(m'') ad(n'') = prim(m) prim(n),
+
+    and dual(fg) = dual(f) dual(g) the same way.  With 2 this is the law
+    on (1 (x) b, 1 (x) m, x) and on (g (x) 1, f (x) 1, x) for every b,
+    m, g, f and x: rho is multiplicative on each factor.
+
+    The cross relation on C_B.  T' = {f in B* : rho((1 (x) c)(f (x) 1))
+    = rho(1 (x) c) rho(f (x) 1) for every c in C_B} is a subspace that
+    holds 1 and, by 6, the generators of B*.  It is closed under products:
+    for f, g in T' and c in C_B, write (1 (x) c)(f (x) 1) =
+    sum_i (f_i (x) 1)(1 (x) c_i) with c_i in C_B (by 2 and 5), and
+    (1 (x) c_i)(g (x) 1) as sum_j (g_ij (x) 1)(1 (x) c_ij).  By
+    D-associativity and 2, (1 (x) c)(fg (x) 1) = sum f_i g_ij (x) c_ij,
+    and (F) with the B*-module law gives
+
+        rho((1 (x) c)(fg (x) 1))
+            = sum rho(f_i (x) 1) rho(g_ij (x) 1) rho(1 (x) c_ij)
+            = sum rho(f_i (x) 1) rho(1 (x) c_i) rho(g (x) 1)    [g in T']
+            = rho(1 (x) c) rho(f (x) 1) rho(g (x) 1)            [f in T']
+            = rho(1 (x) c) rho(fg (x) 1).
+
+    The second line needs c_i in C_B: that is why 5 is walked.  So T' =
+    B* by 7.
+
+    The cross relation on B.  T = {b in B : rho((1 (x) b)(f (x) 1)) =
+    rho(1 (x) b) rho(f (x) 1) for every f} holds C_B, so 1 and the
+    generators of B.  It is closed under products: for b, c in T write
+    (1 (x) c)(f (x) 1) as sum_i (f_i (x) 1)(1 (x) c_i) and
+    (1 (x) b)(f_i (x) 1) as sum_j (f_ij (x) 1)(1 (x) b_ij); associativity,
+    2 and (F) give
 
         rho((1 (x) bc)(f (x) 1))
             = sum rho(f_ij (x) 1) rho(1 (x) b_ij) rho(1 (x) c_i)
             = sum rho(1 (x) b) rho(f_i (x) 1) rho(1 (x) c_i)
             = rho(1 (x) b) rho(1 (x) c) rho(f (x) 1).
 
-    So T = B by 5.  Last, for h = f (x) m and k = g (x) n, the twisted
+    So T = B by 7.  Last, for h = f (x) m and k = g (x) n, the twisted
     product row formula hk = sum_i (f g_i (x) 1)(1 (x) m_i n), where
     (1 (x) m)(g (x) 1) = sum_i (g_i (x) 1)(1 (x) m_i), gives
 
@@ -562,9 +651,9 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
 
     The walk is labelled "generators".
     """
-    if not isinstance(act, FactoredAction):
-        raise ValueError("the factor walk needs a FactoredAction, whose "
-                         "rows are defined from its two factor actions")
+    if not _leg_defined(act):
+        raise ValueError("the factor walk needs a FactoredAction whose rows "
+                         "are defined from its four leg actions")
     base, dual, one = D.base, D.dual, D.ctx.one
     nB, nF = base.dim, dual.dim
     ub, uf = min(base.unit), min(dual.unit)
@@ -574,6 +663,8 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
                          "with 1 (x) 1 the unit of D")
     mult = D.hopf.mult
     xs = range(act.dim)
+    closure = coalgebra_closure(base)
+    in_closure = set(closure)
 
     left = [D.index(f, ub) for f in range(nF)]      # f (x) 1
     right = [D.index(uf, m) for m in range(nB)]     # 1 (x) m
@@ -607,16 +698,55 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
                 if not veq(dict(row(unit, x)), {x: one}):
                     return (f"the unit of {factor} moves "
                             f"x={act.algebra.space.label(x)}")
+        for name, A, V, leg in (("hit", base, dual, act.hit),
+                                ("ad", base, base, act.ad),
+                                ("adF", dual, dual, act.adf),
+                                ("rhit", dual, base, act.rhit)):
+            wit = _leg_module_failure(chk, name, A, V, leg)
+            if wit is not None:
+                return wit
+        for c in closure:
+            for f in range(nF):
+                chk.cases += 1
+                if any(k % nB not in in_closure
+                       for k, _ in mult.get(right[c], left[f])):
+                    return (f"(1 (x) c)(f (x) 1) has a B-leg outside the "
+                            f"coalgebra closure at c={base.space.label(c)}, "
+                            f"f={dual.space.label(f)}")
         return None
 
-    gf, gb = sorted(gen_indices(dual)), sorted(gen_indices(base))
-    triples = itertools.chain(
-        ((left[g], fl, x) for g in gf for fl in left for x in xs),
-        ((right[b], mr, x) for b in gb for mr in right for x in xs),
-        ((right[b], fl, x) for b in gb for fl in left for x in xs))
+    triples = ((right[c], left[g], x) for c in closure
+               for g in sorted(gen_indices(dual)) for x in xs)
     return Walk("generators", triples, prelude=products,
                 certificate=lambda: (generation_failure(dual)
                                      or generation_failure(base)))
+
+
+def _leg_module_failure(chk: Check, name: str, A, V, leg) -> Optional[str]:
+    """The first witness against leg(1) v = v for every v, then against
+    leg(gh) v = leg(g) leg(h) v for g over A's generators and h, v over
+    the bases of A and V; one case each on `chk`."""
+    one = A.ctx.one
+    (u,) = A.unit
+    for v in range(V.dim):
+        chk.cases += 1
+        if not veq(dict(leg(u, v)), {v: one}):
+            return f"{name}(1) moves v={V.space.label(v)}"
+    for g in sorted(gen_indices(A)):
+        for h in range(A.dim):
+            for v in range(V.dim):
+                chk.cases += 1
+                lhs: Vec = {}
+                for k, c in A.mult.get(g, h):
+                    vadd_into(lhs, leg(k, v), c)
+                rhs: Vec = {}
+                for w, c in leg(h, v):
+                    vadd_into(rhs, leg(g, w), c)
+                if not veq(lhs, rhs):
+                    return (f"{name}(gh) v != {name}(g) {name}(h) v at "
+                            f"g={A.space.label(g)}, h={A.space.label(h)}, "
+                            f"v={V.space.label(v)}")
+    return None
 
 
 def check_double_identity(D: DrinfeldDouble,

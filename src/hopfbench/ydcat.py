@@ -215,9 +215,13 @@ def check_module(m, mode: str = "exhaustive", seed: int = 0,
     all N, x} is a subalgebra of an associative H -- needs N and x over
     the whole basis.  For H = D(B) acting by a `doubles.FactoredAction`,
     `doubles.module_factor_walk` proves the law on the two factors of
-    D(B) instead, from the unit laws, the definition of the action's rows
-    from its factor rows and `hopf-axioms.ddouble-mult-associativity`;
-    its docstring has the proof.
+    D(B) instead, from the definition of the action's rows from four
+    leg actions of B and B* on B and B*, the module laws of those legs,
+    the unit laws and the cross relation of the factors on a
+    subcoalgebra of B; its docstring has the proof.  Its hypotheses are
+    `hopf-axioms.taft-mult-associativity`, `taft-dual-mult-associativity`,
+    `taft-comult-multiplicative`, `taft-dual-comult-multiplicative` and
+    `ddouble-mult-associativity`.
     """
     H, alg, act = m.hopf, m.algebra, m.action
     if walk is None:
@@ -422,7 +426,10 @@ def check_yd(y, mode: str = "exhaustive", seed: int = 0,
     those hypotheses are `hopf-axioms.ddouble-mult-associativity`,
     `ddouble-comult-counit-unital` and `ddouble-comult-multiplicative`,
     and `yd.module-action`, proved by `doubles.module_factor_walk` from
-    the factor rows of the `doubles.FactoredAction`.
+    the leg actions that define the factor rows of the
+    `doubles.FactoredAction` (which rests on `taft-mult-associativity`,
+    `taft-dual-mult-associativity`, `taft-comult-multiplicative` and
+    `taft-dual-comult-multiplicative`).
     """
     H, alg = y.hopf, y.algebra
     act, coact = y.action, y.coaction

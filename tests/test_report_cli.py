@@ -147,7 +147,7 @@ REPORT_SHA256_P2 = {
     "hopf-axioms":
         "d314cbd71d131f4a4bf7eb7c4bb0b3a39c8c4c99f7e53261fb1f2aa73c9bacbb",
     "yd":
-        "ff59a2f426e1345f886c1fa6edf02b38b53dce9a56371f6eb2e0cc8573bf29b5",
+        "bfba566a521739cce20976af78c17ecbb597234fe0f69f59c7241bc9a6d4b6ff",
     "double":
         "81a95de212fbd7e205d5352a9262f13a8939e3c63e4f25ff1f50c752cd28f6c5",
     "heisenberg":

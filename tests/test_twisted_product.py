@@ -1,10 +1,14 @@
-"""Differential tests for the twisted-product rows and the pairing arrows.
+"""Differential tests for the twisted-product rows, the factor rows of the
+D(B)-action and the pairing arrows.
 
 The reference functions below are the direct row formulas that the two
 doubles and the braided product used before they were built from one
 twisted product with memoized R rows and memoized basis arrows.  Rows
 must agree in value and in stored scalar form, so that memo keys,
-reports and exports are unchanged.
+reports and exports are unchanged.  The factor rows of
+`doubles.FactoredAction`, sums of tensor products of two leg actions over
+one coproduct, must agree in value with the two-fold coproduct formulas
+they replaced.
 """
 
 from __future__ import annotations
@@ -118,6 +122,57 @@ def _old_braided_row(x_mod, y_mod, k1, k2):
     return tuple(sorted(acc.items()))
 
 
+def _old_prim_row(D, d3, m, x):
+    """(eps (x) e_m) |> e_x = (m' -> alpha) # m'' a S(m''') over the
+    two-fold coproduct of m."""
+    base, P = D.base, D.pairing
+    nB = base.dim
+    f, b = divmod(x, nB)
+    acc = {}
+    for m1, m2, m3, c in _iter3(base, d3, m):
+        mid = P.dual_left(m1, f)
+        if not mid:
+            continue
+        t1 = dict(base.mult.get(m2, b))
+        if not t1:
+            continue
+        conj = {}
+        for s, cs in base.antipode.get(m3):
+            for t, ct in t1.items():
+                for k, ck in base.mult.get(t, s):
+                    vadd_term(conj, k, cs * ct * ck)
+        if not conj:
+            continue
+        vadd_outer(acc, c, mid, conj, nB)
+    return acc
+
+
+def _old_dual_row(D, d3, f, x):
+    """(e_f (x) 1) |> e_x = f''' alpha S*^{-1}(f'') # (a <- S*^{-1}(f'))
+    over the two-fold coproduct of f."""
+    base, dual, P = D.base, D.dual, D.pairing
+    nB = base.dim
+    sinv = dual.antipode_inv()
+    fx, b = divmod(x, nB)
+    acc = {}
+    for u1, u2, u3, c in _iter3(dual, d3, f):
+        right = {}
+        for nu, cs in sinv.get(u1):
+            vadd_into(right, P.alg_right(b, nu), cs)
+        if not right:
+            continue
+        left = {}
+        t1 = dict(dual.mult.get(u3, fx))
+        for nu, cs in sinv.get(u2):
+            for t, ct in t1.items():
+                for k, ck in dual.mult.get(t, nu):
+                    vadd_term(left, k, cs * ct * ck)
+        if not left:
+            continue
+        vadd_outer(acc, c, left, right, nB)
+    return acc
+
+
 def _form(row):
     """A row with every scalar in its stored form."""
     return tuple((k, c._v, c._j, c.d) for k, c in row)
@@ -176,6 +231,35 @@ def test_r_rows_are_computed_once_per_factor_pair(monkeypatch):
     mult.materialize()
     assert len(mult.rows) == 256 * 256
     assert len(calls) == len(set(calls)) == 16 * 16
+
+
+# -- the factor rows of the action ---------------------------------------------
+
+def _assert_factor_rows_equal(sys, picks):
+    """The leg-defined factor rows equal the two-fold coproduct formulas
+    in value on every (which, i, x) of `picks`."""
+    D, act = sys.double, sys.yd.action
+    d3b, d3f = {}, {}
+    old = {"prim": lambda m, x: _old_prim_row(D, d3b, m, x),
+           "dual": lambda f, x: _old_dual_row(D, d3f, f, x)}
+    for which, i, x in picks:
+        new = getattr(act, f"{which}_row")(i, x)
+        assert veq(dict(new), old[which](i, x)), (which, i, x)
+
+
+def test_factor_rows_match_the_coproduct_formulas_on_every_pair_p2():
+    sys = taft_system(2)
+    _assert_factor_rows_equal(sys, [
+        (which, i, x) for which in ("prim", "dual") for i in range(16)
+        for x in range(sys.heis.dim)])
+
+
+def test_factor_rows_match_the_coproduct_formulas_on_sampled_pairs_p3():
+    sys = taft_system(3)
+    rng = random.Random(3)
+    _assert_factor_rows_equal(sys, [
+        (rng.choice(("prim", "dual")), rng.randrange(36),
+         rng.randrange(sys.heis.dim)) for _ in range(2000)])
 
 
 # -- basis arrows ----------------------------------------------------------------
