@@ -282,11 +282,12 @@ def _suite_yd(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     y = sys.yd
     m, seed, n = cfg.resolved_mode, cfg.seed, cfg.sample_size
-    # Exhaustive mode proves module-action on the two factors of D(B),
-    # then module-algebra on a subcoalgebra of D(B) given module-action;
-    # with comodule-algebra, the lemma walks prove yd-condition and
-    # braided-commutative from generators (see each check).
-    proofs = m == "exhaustive"
+    # Every mode but sample proves module-action on the two factors of
+    # D(B), then module-algebra on a subcoalgebra of D(B) given
+    # module-action; with comodule-algebra, the lemma walks prove
+    # yd-condition and braided-commutative from generators (see each
+    # check).
+    proofs = m != "sample"
     yield check_module(y, mode=m, seed=seed, samples=n,
                        walk=(module_factor_walk(sys.double, y.action)
                              if proofs else None))

@@ -161,10 +161,22 @@ REPORT_SHA256_P2 = {
 }
 
 
+def _assert_yd_lines_are_proofs(rep):
+    """Every yd line reads exhaustive or generators: a proof, not a
+    sample."""
+    yd = [r for r in rep.results if r.name.startswith("yd.")]
+    assert len(yd) == 6
+    assert {r.name: r.mode for r in yd
+            if r.mode not in ("exhaustive", "generators")} == {}
+
+
 @pytest.mark.parametrize("suite", sorted(REPORT_SHA256_P2))
 def test_report_bytes_are_pinned(suite):
-    data = render(run_suite(SuiteConfig(p=2, suite=suite)), "json")
+    rep = run_suite(SuiteConfig(p=2, suite=suite))
+    data = render(rep, "json")
     assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P2[suite]
+    if suite == "yd":
+        _assert_yd_lines_are_proofs(rep)
 
 
 def test_quotient_morphism_takes_the_lemma_walk_in_sample_mode():
@@ -187,7 +199,7 @@ REPORT_SHA256_P2_GENERATORS = {
     "hopf-axioms":
         "160dfdb683c354fb5b8d346813d1b43d2e9b30e2e4ffffd5854404b5f0d6c7e3",
     "yd":
-        "d53dd7fcb1fa89773c3bc099847f29535b337b50060f2d64e1432660ea06e0a9",
+        "cc827707ac21bcc1fb884625b982ed3baada0f44369bc82d3dd49aa81f7f2c5b",
 }
 
 
@@ -223,15 +235,18 @@ def test_sample_report_bytes_are_pinned(suite):
 
 # sha256 of `hopfbench verify --p 3 --suite yd,truncations --sample-size 1000
 # --format json`: at p=3 most structure constants are dense scalars, which
-# the p=2 reports hardly reach.
+# the p=2 reports hardly reach.  Its yd lines are the same proofs as in the
+# p=2 yd report, taken in generators mode.
 REPORT_SHA256_P3_YD_TRUNCATIONS = \
-    "dd48bd04b89dcc096dbba963940b3173de170bd27ae592263c47e3ac874bfea9"
+    "fd5809409bbb4c96aff23012d497fff6d96b900b04a1596eb8948753b40ab6f2"
 
 
 def test_p3_report_bytes_are_pinned():
-    data = render(run_suite(SuiteConfig(p=3, suite="yd,truncations",
-                                        sample_size=1000)), "json")
+    rep = run_suite(SuiteConfig(p=3, suite="yd,truncations",
+                                sample_size=1000))
+    data = render(rep, "json")
     assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P3_YD_TRUNCATIONS
+    _assert_yd_lines_are_proofs(rep)
 
 
 # sha256 of `render(run_suite(SuiteConfig(p=3, suite=<suite>, sample_size=300,
