@@ -55,7 +55,8 @@ from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Row, Space, Vec,
                      linear_map_inverse, shared_row, vadd_into, vadd_outer,
                      vadd_term, veq)
 from .ydcat import (Action, BraidedProductAlgebra, Coaction, ComoduleAlgebra,
-                    ModuleAlgebra, YDModuleAlgebra, chain_product)
+                    ModuleAlgebra, YDModuleAlgebra, chain_product,
+                    check_module)
 
 __all__ = [
     "DrinfeldDouble",
@@ -368,17 +369,20 @@ class FactoredAction(Action):
     On H(B*) = B* (x) B as a space, each factor row is a sum of tensor
     products of two leg actions over one coproduct:
 
-        prim(m) = sum hit(m') (x) ad(m'')      hit(m) alpha = m -> alpha
-                                               ad(m) a = m' a S(m'')
-        dual(f) = sum adF(f'') (x) rhit(f')    adF(f) alpha = f'' alpha S*^{-1}(f')
-                                               rhit(f) a = a <- S*^{-1}(f)
+        prim(m) = sum hit(m') (x) ad(m''),
+        dual(f) = sum adF(f'') (x) rhit(f'),
 
-    hit and ad are left B-modules, adF and rhit left B*-modules.  The leg
-    tables (`hit`, `ad`, `adf`, `rhit`) are d_B x d_B and memoized; the
-    factor rows and the action's own rows are memoized too.  All of them
-    are stored rows: tuples of shared (y, c) entries in the order in which
-    the row was filled (see `sparse.shared_row`).  `module_factor_walk`
-    proves the module law from these definitions.
+    with the legs
+
+        hit(m) alpha = m -> alpha        adF(f) alpha = f'' alpha S*^{-1}(f')
+        ad(m) a = m' a S(m'')            rhit(f) a = a <- S*^{-1}(f).
+
+    B acts by hit and ad, B* by adF and rhit.  The leg tables (`hit`,
+    `ad`, `adf`, `rhit`) are d_B x d_B and memoized; the factor rows and
+    the action's own rows are memoized too.  All of them are stored rows:
+    tuples of shared (y, c) entries in the order in which the row was
+    filled (see `sparse.shared_row`).  `module_factor_walk` proves the
+    module law from these definitions.
     """
 
     __slots__ = ("base", "dual", "pairing", "_prim", "_dualrows", "_legs")
@@ -570,9 +574,9 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     3. (prelude) the factor unit laws `act.prim_row(1, x)` = e_x and
        `act.dual_row(1, x)` = e_x, for every x;
     4. (prelude) for each leg L of `FactoredAction` -- hit and ad over
-       B, adF and rhit over B* -- the unit law L(1) v = v and the law
-       L(gh) v = L(g) L(h) v, for g over the generators of its algebra
-       and h, v over the bases;
+       B, adF and rhit over B* -- `check_module` on L: the unit law
+       L(1) v = v and the law L(gh) v = L(g) L(h) v, for g over the
+       generators of its algebra and h, v over the bases;
     5. (prelude) every B-leg of (1 (x) c)(f (x) 1) lies in C_B, for c in
        C_B and every basis f;
     6. the law on (1 (x) c, g (x) 1, x), for c in C_B, g over the
@@ -702,9 +706,13 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
                                 ("ad", base, base, act.ad),
                                 ("adF", dual, dual, act.adf),
                                 ("rhit", dual, base, act.rhit)):
-            wit = _leg_module_failure(chk, name, A, V, leg)
-            if wit is not None:
-                return wit
+            res = check_module(
+                ModuleAlgebra(A, V, Action(A, V, leg)), name=name,
+                walk=Walk("generators", itertools.product(
+                    sorted(gen_indices(A)), range(A.dim), range(V.dim))))
+            chk.cases += res.cases_checked
+            if res.witness is not None:
+                return f"leg {name}: {res.witness}"
         for c in closure:
             for f in range(nF):
                 chk.cases += 1
@@ -720,33 +728,6 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     return Walk("generators", triples, prelude=products,
                 certificate=lambda: (generation_failure(dual)
                                      or generation_failure(base)))
-
-
-def _leg_module_failure(chk: Check, name: str, A, V, leg) -> Optional[str]:
-    """The first witness against leg(1) v = v for every v, then against
-    leg(gh) v = leg(g) leg(h) v for g over A's generators and h, v over
-    the bases of A and V; one case each on `chk`."""
-    one = A.ctx.one
-    (u,) = A.unit
-    for v in range(V.dim):
-        chk.cases += 1
-        if not veq(dict(leg(u, v)), {v: one}):
-            return f"{name}(1) moves v={V.space.label(v)}"
-    for g in sorted(gen_indices(A)):
-        for h in range(A.dim):
-            for v in range(V.dim):
-                chk.cases += 1
-                lhs: Vec = {}
-                for k, c in A.mult.get(g, h):
-                    vadd_into(lhs, leg(k, v), c)
-                rhs: Vec = {}
-                for w, c in leg(h, v):
-                    vadd_into(rhs, leg(g, w), c)
-                if not veq(lhs, rhs):
-                    return (f"{name}(gh) v != {name}(g) {name}(h) v at "
-                            f"g={A.space.label(g)}, h={A.space.label(h)}, "
-                            f"v={V.space.label(v)}")
-    return None
 
 
 def check_double_identity(D: DrinfeldDouble,

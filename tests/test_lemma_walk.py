@@ -652,6 +652,9 @@ def test_factor_row_corruptions_fail_both_routes(seed, outside):
                                                       bad.action))
     reference = check_module(bad, walk=_generic_module_walk(bad))
     assert (lemma.status, reference.status) == ("fail", "fail")
+    if outside:
+        # only the leg walks read the legs of an element outside a closure
+        assert lemma.witness.startswith("leg ")
 
 
 def test_only_module_algebra_catches_a_conjugated_action():

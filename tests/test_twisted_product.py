@@ -233,7 +233,7 @@ def test_r_rows_are_computed_once_per_factor_pair(monkeypatch):
     assert len(calls) == len(set(calls)) == 16 * 16
 
 
-# -- the factor rows of the action ---------------------------------------------
+# -- the factor rows of the action -------------------------------------------
 
 def _assert_factor_rows_equal(sys, picks):
     """The leg-defined factor rows equal the two-fold coproduct formulas
