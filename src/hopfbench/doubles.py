@@ -594,7 +594,9 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     rhit(f').  An action whose rows or factor rows are defined otherwise
     -- not a `FactoredAction`, or a subclass that overrides `prim_row`,
     `dual_row` or `_row_fn` -- is refused with a ValueError, since this
-    walk does not check those definitions.
+    walk does not check those definitions.  So is an action of an
+    algebra other than `D.hopf`: 2 and 5 read the product of D, and the
+    law must hold for the product of the algebra that acts.
 
     Proof that these give rho(hk) = rho(h) rho(k) on all of D.  The
     hypotheses are `hopf-axioms.taft-mult-associativity` and
@@ -658,6 +660,8 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     if not _leg_defined(act):
         raise ValueError("the factor walk needs a FactoredAction whose rows "
                          "are defined from its four leg actions")
+    if act.hopf is not D.hopf:
+        raise ValueError("the factor walk needs an action of D's own algebra")
     base, dual, one = D.base, D.dual, D.ctx.one
     nB, nF = base.dim, dual.dim
     ub, uf = min(base.unit), min(dual.unit)

@@ -423,14 +423,20 @@ class Subspace:
 
     Rows are kept pivot-normalized (pivot coefficient 1) and mutually
     reduced, so membership tests and residuals are canonical.
+
+    `support` holds every column that an inserted row had.  Back
+    substitution only adds multiples of the new row to the stored rows,
+    so it holds every column of every stored row, and `add` scans the
+    stored rows for the new pivot only when the pivot is in it.
     """
 
-    __slots__ = ("dim", "pivots", "pivot_row")
+    __slots__ = ("dim", "pivots", "pivot_row", "support")
 
     def __init__(self, dim: int):
         self.dim = dim
         self.pivots: list[int] = []       # kept sorted
         self.pivot_row: dict[int, Vec] = {}
+        self.support: set[int] = set()
 
     @property
     def rank(self) -> int:
@@ -457,10 +463,12 @@ class Subspace:
         pivot = min(res)
         inv = res[pivot].inv()
         row = {k: c * inv for k, c in res.items()}
-        for existing in self.pivot_row.values():
-            c = existing.get(pivot)
-            if c:
-                vadd_into(existing, row, -c)
+        if pivot in self.support:
+            for existing in self.pivot_row.values():
+                c = existing.get(pivot)
+                if c:
+                    vadd_into(existing, row, -c)
+        self.support.update(row)
         self.pivot_row[pivot] = row
         insort(self.pivots, pivot)
         return True
@@ -504,12 +512,14 @@ class SpanSolver(Subspace):
         combo = {k: c * inv for k, c in combo.items()}
         cur = combo.get(idx)
         combo[idx] = inv if cur is None else cur + inv
-        for p in self.pivots:
-            existing = self.pivot_row[p]
-            c = existing.get(pivot)
-            if c:
-                vadd_into(existing, row, -c)
-                vadd_into(self.combos[p], combo, -c)
+        if pivot in self.support:
+            for p in self.pivots:
+                existing = self.pivot_row[p]
+                c = existing.get(pivot)
+                if c:
+                    vadd_into(existing, row, -c)
+                    vadd_into(self.combos[p], combo, -c)
+        self.support.update(row)
         self.pivot_row[pivot] = row
         self.combos[pivot] = combo
         insort(self.pivots, pivot)

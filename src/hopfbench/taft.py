@@ -46,9 +46,8 @@ from .sparse import (
     span_closure, vadd_into, vadd_term, veq, vscale, vsub,
 )
 from .truncate import (
-    HopfQuotient, SubHopf, TransportedStructure, central_ideal,
-    change_basis_hopf, check_hopf_ideal, hopf_quotient, sub_hopf,
-    transport_action,
+    HopfQuotient, SubHopf, TransportedStructure, central_hopf_ideal,
+    change_basis_hopf, hopf_quotient, sub_hopf, transport_action,
 )
 from .ydcat import (
     BraidedProductAlgebra, YDModuleAlgebra, chain_product,
@@ -736,9 +735,9 @@ def uqsl2(p: int, cached: bool = True) -> UqSl2:
     checks = []
 
     kk = D.product(g["kap"], g["k"])
-    ideal = central_ideal(D, vsub(kk, dict(D.unit)))
-    checks.append(check_hopf_ideal(D, ideal, central=[kk],
-                                   name="uq-ideal-hopf"))
+    ideal, certified = central_hopf_ideal(D, vsub(kk, dict(D.unit)),
+                                          name="uq-ideal-hopf")
+    checks.append(certified)
     hq = hopf_quotient(D, ideal, name=f"Dbar(p={p})")
 
     pair = sys.pair

@@ -3,10 +3,14 @@
 Three mechanical constructions used to pass from a big algebra to a
 smaller one without re-deriving any structure by hand:
 
-* `hopf_quotient` -- quotient a Hopf algebra by a two-sided Hopf ideal
-  (certified by `check_hopf_ideal`), with exact projection and a
-  monomial section: the quotient basis is the complement of the
-  ideal's echelon pivots, so quotient labels stay parent monomials.
+* `hopf_quotient` -- quotient a Hopf algebra by a two-sided Hopf ideal,
+  with exact projection and a monomial section: the quotient basis is
+  the complement of the ideal's echelon pivots, so quotient labels stay
+  parent monomials.  `central_hopf_ideal` builds the ideal Hc of a
+  central c and certifies it from c alone: c commutes with the
+  generators (closed by their generation certificate), eps(c) = 0, S(c)
+  lies in Hc and Delta(c) in Hc (x) H + H (x) Hc.  `check_hopf_ideal`
+  certifies any other ideal on every basis row.
 
 * `sub_hopf` -- cut out the sub-Hopf-algebra spanned by a subset of
   basis vectors, after certifying that the span is closed under
@@ -17,13 +21,16 @@ smaller one without re-deriving any structure by hand:
   over a smaller acting Hopf algebra, emitting explicit certificates
   (span closure, action stability, ideal stability under action and
   coaction, coaction corestriction, descent through central
-  identifications) instead of assuming any of it.
+  identifications) instead of assuming any of it.  The span closure is
+  certified from the generators of the subalgebra when they are given,
+  and the subalgebra's product table is filled as it is read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .hopf import FiniteAlgebra, FiniteHopf, render_element
@@ -38,7 +45,7 @@ __all__ = [
     "HopfQuotient",
     "SubHopf",
     "TransportedStructure",
-    "central_ideal",
+    "central_hopf_ideal",
     "change_basis_hopf",
     "check_hopf_ideal",
     "hopf_quotient",
@@ -116,38 +123,121 @@ def _multipliers(H: FiniteHopf):
     return [{i: one} for i in range(H.dim)]
 
 
-def central_ideal(H, c: Vec) -> Subspace:
-    """The span of the products e_i c over the basis of H.
+def _comult_escapes(H: FiniteHopf, Q: QuotientSpace) -> Callable[[Vec], bool]:
+    """A test of Delta(v) outside I (x) H + H (x) I, I the ideal of Q:
+    (pi (x) pi) Delta(v) != 0, pi the projection H -> H/I."""
+    one = H.ctx.one
+    pcache: dict[int, Vec] = {}
 
-    For a central c that is the two-sided ideal H c = c H, built without
-    closure rounds; check_hopf_ideal(..., central=[...]) certifies the
-    centrality and re-tests two-sidedness.
+    def proj(v: Vec) -> Vec:
+        out: Vec = {}
+        for k, c in v.items():
+            pk = pcache.get(k)
+            if pk is None:
+                pk = Q.project({k: one})
+                pcache[k] = pk
+            vadd_into(out, pk, c)
+        return out
+
+    def escapes(v: Vec) -> bool:
+        by_first: dict[int, Vec] = {}
+        for key, c in H.coproduct(v).items():
+            a, b = divmod(key, H.dim)
+            by_first.setdefault(a, {})[b] = c
+        by_second: dict[int, Vec] = {}
+        for a, w in by_first.items():
+            for qb, c in proj(w).items():
+                by_second.setdefault(qb, {})[a] = c
+        return any(proj(w) for w in by_second.values())
+
+    return escapes
+
+
+def central_hopf_ideal(H: FiniteHopf, c: Vec, name: str = "hopf-ideal"
+                       ) -> tuple[Subspace, CheckResult]:
+    """The ideal I = Hc, the span of the products e_i c, and the check
+    that it is a Hopf ideal, made on c alone.
+
+    The check walks, in order, and stops at the first failure:
+
+    1. cg = gc for each declared generator g of H, closed by
+       `results.generation_failure(H)` (for every basis vector g, and
+       labelled "exhaustive", when H declares no generators);
+    2. eps(c) = 0;
+    3. S(c) lies in I;
+    4. (pi (x) pi) Delta(c) = 0, pi the projection H -> H/I: Delta(c)
+       lies in I (x) H + H (x) I.
+
+    Proof that I is then a Hopf ideal (Montgomery, Hopf Algebras and
+    Their Actions on Rings, CBMS 82, 1993; Radford, Hopf Algebras,
+    2012).  The hypotheses, for H = D(B), are
+    `hopf-axioms.ddouble-mult-associativity`,
+    `ddouble-counit-multiplicative`, `ddouble-comult-multiplicative` and
+    `ddouble-antipode-convolution`; the step on S also uses the
+    coalgebra axioms (`ddouble-comult-coassociativity`,
+    `ddouble-counit-laws`).
+
+    c is central.  Z = {h : hc = ch} is a subspace that holds 1, and it
+    is closed under products when H is associative: (hk)c = h(ck) =
+    (hc)k = c(hk) for h, k in Z.  By 1 it holds the generators, so Z = H.
+
+    I is a two-sided ideal.  k(hc) = (kh)c, and (hc)k = h(ck) = (hk)c
+    since c is central.
+
+    I is a Hopf ideal.  eps is multiplicative, so eps(hc) = eps(h) eps(c)
+    = 0 by 2.  S is antimultiplicative, which follows from the antipode
+    law once H is a bialgebra (Sweedler, Hopf Algebras, 1969, ch. IV):
+    S(xy) and S(y)S(x) are both convolution inverses of the product
+    H (x) H -> H.  So S(hc) = S(c) S(h) lies in IH = I by 3.  Delta is
+    multiplicative, so by 4 Delta(hc) = Delta(h) Delta(c) lies in
+    (H (x) H)(I (x) H + H (x) I), which is inside I (x) H + H (x) I
+    because I is a left ideal.
     """
     one = H.ctx.one
-    span = Subspace(H.dim)
-    span.add_many(H.product({i: one}, c) for i in range(H.dim))
-    return span
+    ideal = Subspace(H.dim)
+    ideal.add_many(H.product({i: one}, c) for i in range(H.dim))
+    if H.generators:
+        walk = Walk("generators", ((g,) for g in H.generators),
+                    certificate=partial(generation_failure, H))
+    else:
+        walk = Walk("exhaustive", (({i: one},) for i in range(H.dim)))
+    chk = Check(name, walk.label)
+
+    def commutes(g: Vec) -> Optional[str]:
+        if veq(H.product(c, g), H.product(g, c)):
+            return None
+        return f"c does not commute with {render_element(H.space, g)}"
+
+    def failure() -> Optional[str]:
+        wit = walk.failure(chk, commutes)
+        if wit is not None:
+            return wit
+        rendered = render_element(H.space, c)
+        chk.cases += 1
+        if H.counit_of(c):
+            return f"counit does not vanish on c = {rendered}"
+        chk.cases += 1
+        if not ideal.contains(H.antipode_of(c)):
+            return f"antipode escapes on c = {rendered}"
+        chk.cases += 1
+        if _comult_escapes(H, QuotientSpace(H.dim, ideal))(c):
+            return f"coproduct of c = {rendered} escapes I(x)H + H(x)I"
+        return None
+
+    return ideal, chk.result(failure())
 
 
-def check_hopf_ideal(H: FiniteHopf, I: Subspace, central: Sequence[Vec] = (),
+def check_hopf_ideal(H: FiniteHopf, I: Subspace,
                      name: str = "hopf-ideal") -> CheckResult:
     """Certify that the echelonized span I is a Hopf ideal of H.
 
-    Checks: declared central elements commute with every basis vector;
-    I is a two-sided ideal; eps(I) = 0; S(I) is contained in I; and
-    Delta(I) lands in I (x) H + H (x) I, tested as vanishing under the
-    tensor square of the quotient projection.
+    Checks, on every basis row of I: I is a two-sided ideal; eps(I) = 0;
+    S(I) is contained in I; and Delta(I) lands in I (x) H + H (x) I,
+    tested as vanishing under the tensor square of the quotient
+    projection.  An ideal generated by one central element is certified
+    from that element by `central_hopf_ideal`.
     """
     chk = Check(name, "exhaustive")
-    one = H.ctx.one
-
-    for ci, c_elt in enumerate(central):
-        for i in range(H.dim):
-            chk.cases += 1
-            if not veq(H.product(c_elt, {i: one}), H.product({i: one}, c_elt)):
-                return chk.result(f"declared central element #{ci} fails to "
-                                  f"commute with {H.render({i: one})}")
-
     rows = I.basis_rows()
     mults = _multipliers(H)
     for r in rows:
@@ -171,35 +261,12 @@ def check_hopf_ideal(H: FiniteHopf, I: Subspace, central: Sequence[Vec] = (),
         if not I.contains(H.antipode_of(r)):
             return chk.result(f"antipode escapes on {render_element(H.space, r)}")
 
-    # Delta(I) subset I(x)H + H(x)I  <=>  (pi(x)pi)Delta(I) = 0
-    Q = QuotientSpace(H.dim, I)
-    pcache: dict[int, Vec] = {}
-
-    def proj(v: Vec) -> Vec:
-        out: Vec = {}
-        for k, c in v.items():
-            pk = pcache.get(k)
-            if pk is None:
-                pk = Q.project({k: one})
-                pcache[k] = pk
-            vadd_into(out, pk, c)
-        return out
-
+    escapes = _comult_escapes(H, QuotientSpace(H.dim, I))
     for r in rows:
         chk.cases += 1
-        flat = H.coproduct(r)
-        by_first: dict[int, Vec] = {}
-        for key, c in flat.items():
-            a, b = divmod(key, H.dim)
-            by_first.setdefault(a, {})[b] = c
-        by_second: dict[int, Vec] = {}
-        for a, w in by_first.items():
-            for qb, c in proj(w).items():
-                by_second.setdefault(qb, {})[a] = c
-        for qb, w in by_second.items():
-            if proj(w):
-                return chk.result(f"coproduct of {render_element(H.space, r)} "
-                                  f"escapes I(x)H + H(x)I")
+        if escapes(r):
+            return chk.result(f"coproduct of {render_element(H.space, r)} "
+                              f"escapes I(x)H + H(x)I")
     return chk.result()
 
 
@@ -490,6 +557,20 @@ def transport_action(source: YDModuleAlgebra,
     source generators: full stability is what lets central descent
     elements absorb arbitrary source factors.)
 
+    target_generators are sub-basis indices G that, with 1, generate the
+    subalgebra S spanned by sub_basis.  The sub-closure certificate then
+    walks S * g for every sub basis vector and every g in G, and checks
+    that the span closure of {1} and G under the product has rank k =
+    len(sub_basis) (`results.generation_failure`); it is labelled
+    "generators".  Proof that S * S lies in S: T = {t : S t in S} holds
+    1 and G, and it is closed under products when the source algebra is
+    associative, S (t t') = (S t) t' in S t' in S; so T holds the
+    algebra generated by G, which is S by the rank.  The hypothesis is
+    `hopf-axioms.hdouble-mult-associativity`.  Without target_generators
+    G is the whole sub basis, the walk covers every pair and is labelled
+    "exhaustive".  Products outside the walk are computed when first
+    read.
+
     Certificates emitted: sub-closure, action-stable, ideal-stable,
     coaction-corestricts, descent (one per gamma).
     """
@@ -499,7 +580,9 @@ def transport_action(source: YDModuleAlgebra,
     one = ctx.one
     k = len(sub_basis)
     certs: list[CheckResult] = []
-    chk = Check(f"{prefix}-sub-closure", "exhaustive", cases=k)
+    gens = list(target_generators) or range(k)
+    chk = Check(f"{prefix}-sub-closure",
+                "generators" if target_generators else "exhaustive", cases=k)
 
     solver = SpanSolver(X.dim)
     bad = None
@@ -507,25 +590,37 @@ def transport_action(source: YDModuleAlgebra,
         if not solver.add(v):
             bad = f"sub basis vector #{i} ({sub_labels[i]}) is dependent"
             break
-    sub_mult = BilinearMap(k, k)
+
+    def sub_row(i: int, j: int) -> Optional[tuple]:
+        row = solver.solve(X.product(sub_basis[i], sub_basis[j]))
+        return None if row is None else tuple(sorted(row.items()))
+
+    def certified_row(i: int, j: int) -> tuple:
+        row = sub_row(i, j)
+        if row is None:
+            raise ValueError("product left the certified span")
+        return row
+
+    sub_mult = BilinearMap(k, k, fn=certified_row)
     unit_sub = None
     if bad is None:
         unit_sub = solver.solve(dict(X.unit))
         if unit_sub is None:
             bad = "unit is outside the span"
     if bad is None:
-        for i in range(k):
-            for j in range(k):
-                chk.cases += 1
-                prod = X.product(sub_basis[i], sub_basis[j])
-                row = solver.solve(prod)
-                if row is None:
-                    bad = (f"product ({sub_labels[i]}) * ({sub_labels[j]}) "
-                           f"escapes the span")
-                    break
-                sub_mult.set(i, j, tuple(sorted(row.items())))
-            if bad:
-                break
+        def closed(i: int, j: int) -> Optional[str]:
+            row = sub_row(i, j)
+            if row is None:
+                return (f"product ({sub_labels[i]}) * ({sub_labels[j]}) "
+                        f"escapes the span")
+            sub_mult.set(i, j, row)
+            return None
+
+        sub = FiniteAlgebra(ctx, Space(f"{prefix}-sub", sub_labels), sub_mult,
+                            unit_sub, generators=[{g: one} for g in gens])
+        bad = Walk(chk.mode, itertools.product(range(k), gens),
+                   certificate=partial(generation_failure, sub)
+                   ).failure(chk, closed)
     certs.append(chk.result(bad))
     if bad:
         return TransportedStructure(source, solver, list(sub_basis),

@@ -25,7 +25,7 @@ USED_OUTSIDE_SRC = {
     # tier-1 tests verify real properties through these; no suite runs them
     "check_hopf_pairing", "hit_dual_left", "hit_dual_right", "hit_alg_left",
     "hit_alg_right", "mutation_suite", "yang_baxter_check",
-    "check_rebracketing",
+    "check_rebracketing", "check_hopf_ideal",
     # the import half of the export format, read by bench/ and the README
     "import_object", "reexport_bytes",
 }

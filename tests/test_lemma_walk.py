@@ -488,6 +488,13 @@ def _with_double_product(D, pair, row):
                                       generators=H.generators, name=H.name))
 
 
+def _acted_on_by(y, D):
+    """y with D's algebra acting by the factored action built on D: the
+    product that the module law reads is D's."""
+    return replace(y, hopf=D.hopf,
+                   action=FactoredAction(taft_system(2).heis, D))
+
+
 # cases that the factor walk counts before its cross walk at p=2: the unit
 # law, the three product tables, the factor unit laws and the four legs
 _BEFORE_CLOSURE = (256 + 3 * 256 + 2 * 256
@@ -509,7 +516,8 @@ def test_a_double_product_leaving_the_closure_fails_the_prelude():
     ((key, c),) = D.hopf.mult.get(*pair)
     assert key == D.index(f, k)
     bad = _with_double_product(D, pair, ((D.index(f, 3), c),))
-    res = check_module(y, walk=module_factor_walk(bad, y.action))
+    bad_y = _acted_on_by(y, bad)
+    res = check_module(bad_y, walk=module_factor_walk(bad, bad_y.action))
     assert res.status == "fail"
     assert res.cases_checked == (_BEFORE_CLOSURE
                                  + closure.index(k) * 16 + f + 1)
@@ -531,13 +539,15 @@ def test_the_cross_walk_reads_every_element_of_the_closure():
     row = H.mult.get(*pair)
     bad = _with_double_product(
         D, pair, ((row[0][0], row[0][1] * H.ctx.zeta),) + row[1:])
-    res = check_module(replace(y, hopf=bad.hopf),
-                       walk=module_factor_walk(bad, y.action))
+    bad_y = _acted_on_by(y, bad)
+    res = check_module(bad_y, walk=module_factor_walk(bad, bad_y.action))
     assert res.status == "fail"
     assert res.witness.startswith("M=1(x)k^2, N=kap(x)1, ")
 
 
 def test_a_wrong_double_product_fails_the_prelude():
+    """(f (x) 1)(1 (x) m) times zeta, in D(B) as the factor walk and
+    `check_module` read it."""
     sys2 = taft_system(2)
     D, y = sys2.double, sys2.yd
     H = D.hopf
@@ -546,12 +556,26 @@ def test_a_wrong_double_product_fails_the_prelude():
     pair = (D.index(f, ub), D.index(uf, m))
     wrong = ((D.index(f, m), H.ctx.zeta),)
     bad = _with_double_product(D, pair, wrong)
-    res = check_module(y, walk=module_factor_walk(bad, y.action))
+    bad_y = _acted_on_by(y, bad)
+    res = check_module(bad_y, walk=module_factor_walk(bad, bad_y.action))
     assert res.status == "fail"
     assert res.cases_checked == y.algebra.dim + f * D.base.dim + m + 1
     assert res.witness == (
         f"(f (x) 1)(1 (x) m) != f (x) m at "
         f"f={D.dual.space.label(f)}, m={D.base.space.label(m)}")
+
+
+def test_the_factor_walk_refuses_an_action_of_another_algebra():
+    """The walk reads the product of D, and the law is walked on the
+    product of the algebra that acts: they must be one object, even when
+    a copy holds the same tables."""
+    sys2 = taft_system(2)
+    D, y = sys2.double, sys2.yd
+    copy = replace(D, hopf=_hopf(D.hopf, D.hopf.generators))
+    with pytest.raises(ValueError, match="own algebra"):
+        module_factor_walk(copy, y.action)
+    with pytest.raises(ValueError, match="own algebra"):
+        module_factor_walk(D, _acted_on_by(y, copy).action)
 
 
 def test_only_the_cross_relation_catches_an_action_that_forgets_the_twist():

@@ -157,7 +157,7 @@ REPORT_SHA256_P2 = {
     "chains":
         "b3e30ca0d5ab1f1279524b1725418f8f09fe5d7188209db93e41dde90dd69820",
     "truncations":
-        "ba54a672e78b3958063de51987e9af7b52b6da765ffd807f48b3209dc32a4c9c",
+        "b93ddb46121c554916ea3cc211ff02ab6664c27ef90fe2c28cddf98a91e36154",
 }
 
 
@@ -238,7 +238,7 @@ def test_sample_report_bytes_are_pinned(suite):
 # the p=2 reports hardly reach.  Its yd lines are the same proofs as in the
 # p=2 yd report, taken in generators mode.
 REPORT_SHA256_P3_YD_TRUNCATIONS = \
-    "fd5809409bbb4c96aff23012d497fff6d96b900b04a1596eb8948753b40ab6f2"
+    "942cfd6af137f0b167f110cc924f882ed72a540a88238049fe237f5488e3919b"
 
 
 def test_p3_report_bytes_are_pinned():
@@ -271,9 +271,9 @@ def test_p3_braided_product_report_bytes_are_pinned(suite):
 
 
 # sha256 of `render(run_suite(SuiteConfig(p=2, suite="chains,truncations")),
-# "json")`, recorded when suites still ran one after another.
+# "json")`, recorded from a serial run (one CPU).
 REPORT_SHA256_P2_TWO_SUITES = \
-    "31b27f4243fb930e552e1a2cbc31c9c2496bcef53c48de975aeadb1d998a43ba"
+    "219e264cfb0508d9e38c75d559790ec62c3e16efb72d328949d6089bab437552"
 
 
 def _two_cpus(monkeypatch):

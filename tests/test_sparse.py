@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hopfbench.sparse as sparse
-from hopfbench.cyclo import QContext
+from hopfbench.cyclo import QContext, stored_form
 from hopfbench.sparse import (
     BilinearMap, ColinearMap, LinearMap, QuotientSpace, SingularMapError,
     SpanSolver, Subspace, linear_map_inverse, span_closure,
@@ -252,6 +252,103 @@ def test_support_walk_matches_all_pivots_walk(p, data):
     assert s1.pivots == s2.pivots == v1.pivots == v2.pivots
     assert s1.pivot_row == s2.pivot_row
     assert v1.pivot_row == v2.pivot_row and v1.combos == v2.combos
+
+
+# Reference echelon: insertions that scan every stored row for the new
+# pivot, as before the scan was skipped for pivots in no stored row.
+
+class _AlwaysScanSubspace(Subspace):
+    def add(self, v):
+        res = self.reduce(v)
+        if not res:
+            return False
+        pivot = min(res)
+        inv = res[pivot].inv()
+        row = {k: c * inv for k, c in res.items()}
+        for existing in self.pivot_row.values():
+            c = existing.get(pivot)
+            if c:
+                sparse.vadd_into(existing, row, -c)
+        self.pivot_row[pivot] = row
+        self.pivots.append(pivot)
+        self.pivots.sort()
+        return True
+
+
+class _AlwaysScanSolver(SpanSolver):
+    def add(self, v):
+        res, combo = self._reduce_with_combo(v)
+        idx = self.n_inserted
+        self.n_inserted += 1
+        if not res:
+            return False
+        pivot = min(res)
+        inv = res[pivot].inv()
+        row = {k: c * inv for k, c in res.items()}
+        combo = {k: c * inv for k, c in combo.items()}
+        cur = combo.get(idx)
+        combo[idx] = inv if cur is None else cur + inv
+        for p in self.pivots:
+            existing = self.pivot_row[p]
+            c = existing.get(pivot)
+            if c:
+                sparse.vadd_into(existing, row, -c)
+                sparse.vadd_into(self.combos[p], combo, -c)
+        self.pivot_row[pivot] = row
+        self.combos[pivot] = combo
+        self.pivots.append(pivot)
+        self.pivots.sort()
+        return True
+
+
+def _stored_rows(rows):
+    return {p: [(k, stored_form(c)) for k, c in row.items()]
+            for p, row in rows.items()}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_skipped_scans_match_the_always_scan_insertion(p, data):
+    """Some draws start with e_0 + e_1 and then e_1, whose pivot 1 fills
+    in the stored row of pivot 0, so the scan is taken as well as
+    skipped."""
+    ctx = CONTEXTS[p]
+    dim = 6
+    vectors = cyc_vectors(ctx, dim)
+    fill_in = [{0: ctx.one, 1: ctx.zeta}, {1: ctx.one}]
+    inserted = (fill_in if data.draw(st.booleans()) else []) + data.draw(
+        st.lists(vectors, min_size=1, max_size=8))
+    probes = data.draw(st.lists(vectors, max_size=3))
+
+    def run(subspace_cls, solver_cls):
+        span, solver = subspace_cls(dim), solver_cls(dim)
+        grew = [(span.add(v), solver.add(v)) for v in inserted]
+        out = [(span.reduce(w), solver.solve(w)) for w in probes]
+        return span, solver, grew, out
+
+    (s1, v1, grew1, out1), calls1 = recorded(
+        lambda: run(Subspace, SpanSolver))
+    (s2, v2, grew2, out2), calls2 = recorded(
+        lambda: run(_AlwaysScanSubspace, _AlwaysScanSolver))
+    assert calls1 == calls2
+    assert grew1 == grew2 and out1 == out2
+    assert s1.pivots == s2.pivots == v1.pivots == v2.pivots
+    for a, b in ((s1.pivot_row, s2.pivot_row), (v1.pivot_row, v2.pivot_row),
+                 (v1.combos, v2.combos)):
+        assert a == b
+        assert _stored_rows(a) == _stored_rows(b)
+
+
+def test_the_support_holds_every_column_of_every_stored_row():
+    ctx = CONTEXTS[3]
+    rng = random.Random(7)
+    for cls in (Subspace, SpanSolver):
+        span = cls(8)
+        for _ in range(12):
+            span.add({k: ctx.zeta_pow(rng.randrange(12))
+                      for k in rng.sample(range(8), 3)})
+            assert set().union(*span.pivot_row.values()) <= span.support
 
 
 # -- closures and quotients --------------------------------------------------

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from hopfbench.hopf import check_hopf_axioms
-from hopfbench.sparse import Subspace, span_closure, veq, vsub
+from hopfbench.cyclo import stored_form
+from hopfbench.hopf import FiniteHopf, check_hopf_axioms
+from hopfbench.sparse import (ColinearMap, LazyLinearMap, Subspace,
+                              span_closure, veq, vsub)
 from hopfbench.taft import (double_elements, heis_elements, taft_system,
                             uqsl2)
-from hopfbench.truncate import (change_basis_hopf, check_hopf_ideal,
-                                hopf_quotient, quotient_morphism_check,
-                                sub_hopf, transport_action)
+from hopfbench.truncate import (central_hopf_ideal, change_basis_hopf,
+                                check_hopf_ideal, hopf_quotient,
+                                quotient_morphism_check, sub_hopf,
+                                transport_action)
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +106,9 @@ def test_double_quotient_dimensions(sys2):
     assert uq.hopf.dim == 16            # 2 p^3
     by_name = {c.name: c for c in uq.checks}
     ideal_check = by_name["uq-ideal-hopf"]
-    assert ideal_check.status == "pass"
-    assert ideal_check.cases_checked == 2720
+    assert (ideal_check.status, ideal_check.mode) == ("pass", "generators")
+    # 4 generators, then eps(c), S(c) and Delta(c)
+    assert ideal_check.cases_checked == 7
     closure = by_name["Uq(p=2)-closure"]
     assert closure.status == "pass"
     assert closure.cases_checked == 273
@@ -162,3 +166,143 @@ def test_transport_to_z_line(p):
         ctx = s.ctx
         assert veq(row, {2: -ctx.q})
         assert veq(zz, {2: ctx.one})
+
+
+# -- the central Hopf ideal, certified from its generator ----------------------
+
+def _kk_minus_one(sys):
+    D = sys.double.hopf
+    g = double_elements(sys)
+    kk = D.product(g["kap"], g["k"])
+    return kk, vsub(kk, dict(D.unit))
+
+
+def _double_with(D, antipode=None, comult=None, generators=()):
+    return FiniteHopf(D.ctx, D.space, D.mult, D.unit, comult or D.comult,
+                      D.counit, antipode or D.antipode,
+                      generators=D.generators if generators == () else generators,
+                      name=D.name)
+
+
+def test_a_central_group_like_fails_the_counit_step(sys2):
+    """kap k is central, but eps(kap k) = 1."""
+    D = sys2.double.hopf
+    kk, _ = _kk_minus_one(sys2)
+    _, res = central_hopf_ideal(D, kk, name="kk-ideal")
+    assert (res.status, res.cases_checked) == ("fail", 5)
+    assert res.witness == "counit does not vanish on c = kap(x)k"
+
+
+def test_a_scaled_antipode_row_under_c_fails_the_antipode_step(sys2):
+    """S(kap k) times zeta: S(c) = zeta (kap k)^(-1) - 1 maps to zeta - 1
+    in H/I, so it is not in I."""
+    D = sys2.double.hopf
+    kk, c = _kk_minus_one(sys2)
+    (i,) = kk
+    bad_row = tuple((k, v * D.ctx.zeta) for k, v in D.antipode.get(i))
+    bad = _double_with(D, antipode=LazyLinearMap(
+        D.dim, D.dim, lambda j: bad_row if j == i else D.antipode.get(j)))
+    _, res = central_hopf_ideal(bad, c, name="uq-ideal")
+    assert (res.status, res.cases_checked) == ("fail", 6)
+    assert res.witness == "antipode escapes on c = -1(x)1 + kap(x)k"
+
+
+def test_a_scaled_coproduct_row_under_c_fails_the_coproduct_step(sys2):
+    D = sys2.double.hopf
+    kk, c = _kk_minus_one(sys2)
+    (i,) = kk
+    bad_row = tuple((j, k, v * D.ctx.zeta) for j, k, v in D.comult.get(i))
+    bad = _double_with(D, comult=ColinearMap(
+        D.dim, D.dim, D.dim,
+        fn=lambda j: bad_row if j == i else D.comult.get(j)))
+    _, res = central_hopf_ideal(bad, c, name="uq-ideal")
+    assert (res.status, res.cases_checked) == ("fail", 7)
+    assert res.witness == ("coproduct of c = -1(x)1 + kap(x)k escapes "
+                           "I(x)H + H(x)I")
+
+
+def test_without_generators_c_commutes_with_every_basis_vector(sys2):
+    D = sys2.double.hopf
+    _, c = _kk_minus_one(sys2)
+    ideal, res = central_hopf_ideal(_double_with(D, generators=None), c)
+    assert (res.status, res.mode, res.cases_checked) == ("pass", "exhaustive",
+                                                         256 + 3)
+    assert ideal.rank == 224
+
+
+def test_too_few_generators_fail_the_centrality_certificate(sys2):
+    D = sys2.double.hopf
+    _, c = _kk_minus_one(sys2)
+    _, res = central_hopf_ideal(
+        _double_with(D, generators=D.generators[:-1]), c)
+    assert (res.status, res.cases_checked) == ("fail", 3)
+    assert res.witness.endswith("; generation certificate failed")
+
+
+# -- the lambda-z-delta subalgebra, certified from its generators -------------
+
+def _lam_z_del(sys):
+    """The span of lam^a z^b del^c in H(B*) (a < 4p; b, c < p), its labels,
+    and the position of each label."""
+    p = sys.ctx.p
+    A = sys.heis.algebra
+    els = heis_elements(sys)
+
+    def pows(v, count):
+        out = [dict(A.unit)]
+        for _ in range(count - 1):
+            out.append(A.product(out[-1], v))
+        return out
+
+    lam, z, dl = pows(els["lam"], 4 * p), pows(els["z"], p), pows(els["del"], p)
+    labels = [(a, b, c) for a in range(4 * p) for b in range(p)
+              for c in range(p)]
+    basis = [A.product(A.product(lam[a], z[b]), dl[c]) for a, b, c in labels]
+    return basis, labels, {lab: i for i, lab in enumerate(labels)}
+
+
+def _sub_closure(ts):
+    return next(c for c in ts.certificates if c.name.endswith("-sub-closure"))
+
+
+def test_lazy_sub_table_equals_the_eager_table(sys2):
+    """Certified from lam, z and del, the transport fills its product table
+    lazily; every pair agrees with the table the k + k^2 walk fills."""
+    basis, labels, pos = _lam_z_del(sys2)
+    gens = (pos[(1, 0, 0)], pos[(0, 1, 0)], pos[(0, 0, 1)])
+    lazy = transport_action(sys2.yd, basis, labels, target_generators=gens,
+                            prefix="lazy")
+    eager = transport_action(sys2.yd, basis, labels, prefix="eager")
+    assert lazy.ok and eager.ok
+    assert [(c.mode, c.cases_checked) for c in map(_sub_closure,
+                                                   (lazy, eager))] == [
+        ("generators", 32 + 32 * 3), ("exhaustive", 32 + 32 * 32)]
+    L, E = lazy.yd.algebra.mult, eager.yd.algebra.mult
+    for i in range(32):
+        for j in range(32):
+            assert [(k, stored_form(c)) for k, c in L.get(i, j)] == [
+                (k, stored_form(c)) for k, c in E.get(i, j)]
+
+
+def test_generators_without_del_fail_the_rank_certificate(sys2):
+    basis, labels, pos = _lam_z_del(sys2)
+    ts = transport_action(sys2.yd, basis, labels,
+                          target_generators=(pos[(1, 0, 0)], pos[(0, 1, 0)]))
+    chk = _sub_closure(ts)
+    assert (chk.status, chk.mode, chk.cases_checked) == ("fail", "generators",
+                                                         32 + 32 * 2)
+    assert chk.witness == ("generating set spans rank 16 of 32; "
+                           "generation certificate failed")
+    assert ts.yd is None
+
+
+def test_a_non_closed_sub_basis_fails_both_routes(sys2):
+    """lam^7 z del replaced by kap: kap lam = kap^2 # k leaves the span."""
+    basis, labels, pos = _lam_z_del(sys2)
+    basis[pos[(7, 1, 1)]] = heis_elements(sys2)["kap"]
+    gens = (pos[(1, 0, 0)], pos[(0, 1, 0)], pos[(0, 0, 1)])
+    for target_generators in (gens, ()):
+        chk = _sub_closure(transport_action(
+            sys2.yd, basis, labels, target_generators=target_generators))
+        assert chk.status == "fail"
+        assert chk.witness.endswith(" escapes the span")

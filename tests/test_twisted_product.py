@@ -13,18 +13,20 @@ they replaced.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 import hopfbench.doubles as doubles_module
 from hopfbench.doubles import _iter3, factor_structures
+from hopfbench.cyclo import stored_form
 from hopfbench.hopf import (hit_alg_left, hit_alg_right, hit_dual_left,
                             hit_dual_right)
 from hopfbench.sparse import (Subspace, span_closure, vadd_into, vadd_outer,
                               vadd_term, veq, vsub)
-from hopfbench.taft import double_elements, taft_system
-from hopfbench.truncate import central_ideal, check_hopf_ideal
+from hopfbench.taft import double_elements, taft_system, uqsl2
+from hopfbench.truncate import central_hopf_ideal, check_hopf_ideal
 from hopfbench.ydcat import braided_product
 
 
@@ -301,27 +303,59 @@ def test_an_uncached_system_starts_with_an_empty_arrow_memo():
 
 # -- the u_q(sl2) ideal ----------------------------------------------------------
 
+def _stored(v):
+    return sorted((k, stored_form(c)) for k, c in v.items())
+
+
+# sha256 of the repr of [(pivot, _stored(row)), ...] of `uqsl2(p).ideal`,
+# recorded with the builder that `central_hopf_ideal` replaced (the same
+# products e_i c, certified on every basis row).
+IDEAL_ROWS_SHA256 = {
+    2: "a9506fe0f5c1c4bb385c5e848f4cb41e8e114b6891b3b5023fa6c9ad87335644",
+    3: "cef5b6ef5bff4bc2d2cf86160f7be8a061cfa27669d92df7d90800246b476004",
+}
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_central_seed_ideal_equals_the_ideal_closure(p):
+    """The ideal that `central_hopf_ideal` builds from the products e_i c
+    has the pivots and rows of the two-sided closure of c, in value, and
+    the stored rows of the builder it replaced.  In stored form it equals
+    the closure at p=2 only: at p=3, 114 of the 2,376 entries hold a
+    scalar zeta^j (j >= phi) that arrives single-term on one route and
+    dense on the other.  At p=2 the basis-row check certifies it too."""
     sys = taft_system(p)
     D = sys.double.hopf
     g = double_elements(sys)
     kk = D.product(g["kap"], g["k"])
     seed = vsub(kk, dict(D.unit))
-    direct = central_ideal(D, seed)
+    direct, res = central_hopf_ideal(D, seed, name="uq-ideal")
     closed = span_closure([seed], D.product, D.dim, mode="ideal",
                           generators=[g["E"], g["k"], g["F"], g["kap"]])
+    assert (res.status, res.mode, res.cases_checked) == ("pass",
+                                                         "generators", 7)
     assert isinstance(direct, Subspace)
     assert direct.pivots == closed.pivots
     for pv in closed.pivots:
         assert veq(direct.pivot_row[pv], closed.pivot_row[pv])
+        if p == 2:
+            assert _stored(direct.pivot_row[pv]) == _stored(
+                closed.pivot_row[pv])
+    rows = [(pv, _stored(direct.pivot_row[pv])) for pv in direct.pivots]
+    assert (hashlib.sha256(repr(rows).encode()).hexdigest()
+            == IDEAL_ROWS_SHA256[p])
+    assert uqsl2(p).ideal.pivot_row == direct.pivot_row
+    if p == 2:
+        generic = check_hopf_ideal(D, direct, name="uq-ideal")
+        assert (generic.status, generic.cases_checked) == ("pass", 2_464)
 
 
 def test_a_non_central_seed_is_caught():
+    """c = k does not commute with F (x) 1, the first generator of D(B)."""
     sys = taft_system(2)
     D = sys.double.hopf
     k = double_elements(sys)["k"]
-    res = check_hopf_ideal(D, central_ideal(D, k), central=[k],
-                           name="k-ideal")
-    assert res.status == "fail"
-    assert "fails to commute" in res.witness
+    _, res = central_hopf_ideal(D, k, name="k-ideal")
+    assert (res.status, res.mode, res.cases_checked) == ("fail",
+                                                         "generators", 1)
+    assert res.witness == "c does not commute with F(x)1"
