@@ -161,8 +161,7 @@ def central_hopf_ideal(H: FiniteHopf, c: Vec, name: str = "hopf-ideal"
     The check walks, in order, and stops at the first failure:
 
     1. cg = gc for each declared generator g of H, closed by
-       `results.generation_failure(H)` (for every basis vector g, and
-       labelled "exhaustive", when H declares no generators);
+       `results.generation_failure(H)`;
     2. eps(c) = 0;
     3. S(c) lies in I;
     4. (pi (x) pi) Delta(c) = 0, pi the projection H -> H/I: Delta(c)
@@ -196,11 +195,8 @@ def central_hopf_ideal(H: FiniteHopf, c: Vec, name: str = "hopf-ideal"
     one = H.ctx.one
     ideal = Subspace(H.dim)
     ideal.add_many(H.product({i: one}, c) for i in range(H.dim))
-    if H.generators:
-        walk = Walk("generators", ((g,) for g in H.generators),
-                    certificate=partial(generation_failure, H))
-    else:
-        walk = Walk("exhaustive", (({i: one},) for i in range(H.dim)))
+    walk = Walk("generators", ((g,) for g in H.generators),
+                certificate=partial(generation_failure, H))
     chk = Check(name, walk.label)
 
     def commutes(g: Vec) -> Optional[str]:
