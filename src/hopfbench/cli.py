@@ -19,9 +19,10 @@ from typing import Optional
 
 from . import __version__
 from .cyclo import Cyc, QContext
-from .hopf import (MODES, FiniteAlgebra, FiniteHopf, render_element,
+from .hopf import (FiniteAlgebra, FiniteHopf, render_element,
                    render_tensor)
 from .report import ConfigError, SuiteConfig, render, run_suite
+from .results import MODES
 from .sparse import (BilinearMap, ColinearMap, LinearMap, Space, SpanSolver,
                      Vec, vadd_term)
 from .taft import (cqzd, double_elements, heis_elements, hqsl2, taft_system,
@@ -697,8 +698,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", default="all",
                    help="suite name, comma list, or 'all' (default)")
     v.add_argument("--mode", choices=MODES, default=None,
-                   help="coverage mode (default: exhaustive for p=2, "
-                        "generators+sample otherwise)")
+                   help="mode of the tuple walks, which cover the laws no "
+                        "lemma walk proves (default: exhaustive for p=2, "
+                        "generators otherwise)")
     v.add_argument("--seed", type=int, default=0, help="sampling seed")
     v.add_argument("--sample-size", type=int, default=10_000,
                    help="random tuples per sampling walk")

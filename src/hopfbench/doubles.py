@@ -50,7 +50,7 @@ from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf,
                    twisted_product)
 from .results import (Check, CheckResult, Walk, coalgebra_closure,
                       gen_indices, generation_failure,
-                      invert_expected_failure, tuple_walk)
+                      invert_expected_failure)
 from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Row, Space, Vec,
                      linear_map_inverse, shared_row, vadd_into, vadd_outer,
                      vadd_term, veq)
@@ -274,21 +274,18 @@ def heisenberg_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
     return HeisenbergDouble(ctx, algebra, base, dual, P)
 
 
-def eta_twist_product(D: DrinfeldDouble, Hd: Optional[HeisenbergDouble] = None,
-                      mode: str = "exhaustive", seed: int = 0,
-                      samples: int = 10_000,
+def eta_twist_product(D: DrinfeldDouble, Hd: HeisenbergDouble, walk,
                       name: str = "eta-twist") -> CheckResult:
-    """Twist the double's product by eta and compare with the smash product.
+    """Twist the double's product by eta and compare with the smash product
+    on the (M, N) basis pairs of `walk`, with no generator slot.
 
     M ._eta N = M' N' eta(M'', N'') with
     eta(mu (x) m, nu (x) n) = <mu, 1> eps(n) <nu, m>.
     """
-    if Hd is None:
-        Hd = heisenberg_double(D.base, D.dual, D.pairing)
     H = D.hopf
     base, dual, P = D.base, D.dual, D.pairing
     nB = base.dim
-    walk = tuple_walk(mode, (D.dim, D.dim), (None, None), seed, samples)
+    walk = walk.over((D.dim, D.dim), (None, None))
     chk = Check(name, walk.label)
 
     # <mu, 1> per dual basis vector, eps(n) per base basis vector
@@ -501,11 +498,11 @@ def yd_structure(Hd: HeisenbergDouble, D: DrinfeldDouble) -> YDModuleAlgebra:
     return Hd.yd
 
 
-def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
-                         mode: str = "exhaustive", seed: int = 0,
-                         samples: int = 10_000,
+def to_show_action_check(D: DrinfeldDouble, act: FactoredAction, walk,
                          name: str = "action-composition") -> CheckResult:
-    """The two factor actions compose through the double's product:
+    """The two factor actions compose through the double's product, on the
+    (mu, m, A) basis triples of `walk`, with the generator indices of B*
+    and B in mu and m:
 
         (eps (x) m) |> ((mu (x) 1) |> A)
             = ((m' -> mu <- S^{-1}(m''')) (x) m'') |> A.
@@ -513,9 +510,8 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
     base, dual, P = D.base, D.dual, D.pairing
     nB, nF = base.dim, dual.dim
     one = D.ctx.one
-    walk = tuple_walk(mode, (nF, nB, act.algebra.dim),
-                      (gen_indices(dual), gen_indices(base), None), seed,
-                      samples)
+    walk = walk.over((nF, nB, act.algebra.dim),
+                     (gen_indices(dual), gen_indices(base), None))
     chk = Check(name, walk.label)
     base_sinv = base.antipode_inv()
     d3: dict[int, tuple] = {}
@@ -829,10 +825,10 @@ def check_quasitriangular(D: DrinfeldDouble,
 # -- quantum commutativity remarks -------------------------------------------
 
 def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
-                               mode: str = "generators", seed: int = 0,
-                               samples: int = 200,
+                               r_walk, rinv_walk,
                                prefix: str = "") -> tuple[CheckResult, CheckResult]:
-    """Two R-matrix forms of commutativity on H(B*).
+    """Two R-matrix forms of commutativity on the (y, x) basis pairs of
+    H(B*) of `r_walk` and `rinv_walk`, with its generator indices in both.
 
     1. y x = (R2 |> x)(R1 |> y) does NOT hold; the returned first check
        passes when a counterexample is found (and records it).
@@ -848,8 +844,8 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
     one = D.ctx.one
     gx = gen_indices(alg)
 
-    def run(name: str, case) -> CheckResult:
-        walk = tuple_walk(mode, (dX, dX), (gx, gx), seed, samples)
+    def run(name: str, walk, case) -> CheckResult:
+        walk = walk.over((dX, dX), (gx, gx))
         chk = Check(name, walk.label)
         return chk.result(walk.failure(chk, case))
 
@@ -874,7 +870,7 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
                 f"{render_element(alg.space, lhs)} but "
                 f"(R2|>x)(R1|>y) = {render_element(alg.space, rhs)}")
 
-    res1 = invert_expected_failure(run("__rcomm", r_comm),
+    res1 = invert_expected_failure(run("__rcomm", r_walk, r_comm),
                                    prefix + "r-comm-negative")
     sD = H.antipode
     sinvD = H.antipode_inv()
@@ -900,7 +896,7 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
         return (f"y={alg.space.label(iy)}, x={alg.space.label(ix)}: the inverse-R "
                 f"form of braided commutativity fails")
 
-    return res1, run(prefix + "rinv-braided-comm", rinv_comm)
+    return res1, run(prefix + "rinv-braided-comm", rinv_walk, rinv_comm)
 
 
 # -- the two factors as YD module algebras ------------------------------------

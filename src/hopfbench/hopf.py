@@ -2,43 +2,20 @@
 
 A FiniteHopf carries explicit structure tensors over a cyclotomic
 field: multiplication and comultiplication rows, unit vector, counit
-functional and antipode matrix.  Axiom checks run in one of the
-coverage modes of `MODES`; any other mode is a ValueError before any
-check runs:
-
-* "exhaustive"  -- every basis tuple, except that associativity on an
-  algebra with declared generators is proved from the triples headed by
-  a generator index, plus the span-closure certificate below and the
-  unit law (`_check_associativity` states the lemma); that line is
-  labelled "generators".
-* "generators"  -- bilinear axioms are proved from a generating set:
-  the elements a satisfying e.g. comult(a x) = comult(a) comult(x) for
-  all x form a subalgebra, so checking generators against the whole
-  basis plus a span-closure certificate that the generators generate
-  covers every pair.  Per-element axioms stay exhaustive; associativity
-  walks the generator-headed triples and then a seeded sample, labelled
-  "generators+sample(n=N,seed=S)": evidence, not a proof.  An algebra
-  without declared generators walks the seeded sample only.
-* "sample"      -- seeded random basis tuples only, labelled
-  "sample(n=N,seed=S)".
-
-Every walk is a `results.Walk`, run by `Walk.failure`.  Random tuples
-come only from `results.tuple_walk`, which seeds each walk itself, so a
-check's draws depend only on the seed and the sample size.  Walks stop
-at the first failure, so the witness of an exhaustive walk is its
-lexicographically smallest failing tuple, and that of the associativity
-lemma walk its smallest failing generator-headed triple.
+functional and antipode matrix.  Per-element axioms are checked on every
+basis element, and each axiom over basis tuples on the walk its caller
+gives it (see `results`).  Walks stop at the first failure, so the
+witness of an exhaustive walk is its lexicographically smallest failing
+tuple.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import partial
 from typing import Optional
 
 from .cyclo import Cyc, QContext
-from .results import (Check, CheckResult, Walk, gen_indices,
-                      generation_failure, generator_pairs, tuple_walk)
+from .results import Check, CheckResult, gen_indices
 from .sparse import (
     BilinearMap, ColinearMap, LinearMap, Space,
     Subspace, linear_map_inverse, shared_row, vadd_into,
@@ -46,7 +23,7 @@ from .sparse import (
 )
 
 __all__ = [
-    "MODES", "FiniteHopf", "FiniteAlgebra", "check_hopf_axioms",
+    "FiniteHopf", "FiniteAlgebra", "check_hopf_axioms",
     "check_algebra_axioms", "dual_hopf",
     "HopfPairing", "check_hopf_pairing", "hit_dual_left", "hit_dual_right",
     "hit_alg_left", "hit_alg_right", "render_element", "tensor_flat",
@@ -54,15 +31,6 @@ __all__ = [
 ]
 
 Vec = dict
-
-MODES = ("exhaustive", "generators", "sample")
-
-
-def _require_mode(mode: str) -> None:
-    """Reject a coverage mode outside `MODES` before any check runs."""
-    if mode not in MODES:
-        raise ValueError(f"unknown coverage mode {mode!r}")
-
 
 # -- element rendering -------------------------------------------------------
 
@@ -332,41 +300,29 @@ class FiniteAlgebra:
         return f"FiniteAlgebra({self.name}, dim={self.dim})"
 
 
-def check_algebra_axioms(A, mode: str = "exhaustive", seed: int = 0,
-                         samples: int = 2000) -> list:
-    """Associativity + unit laws for a FiniteAlgebra (or FiniteHopf)."""
-    _require_mode(mode)
-    return [_check_associativity(A, mode, seed, samples), _check_unit(A)]
+def check_algebra_axioms(A, associativity) -> list:
+    """Associativity on `associativity`, and the unit laws, for a
+    FiniteAlgebra (or FiniteHopf).
+
+    `results.lemma_walk(A, 3)`, the triples (g, x, y) headed by a
+    generator index, proves associativity.  S = {a : (ax)y = a(xy) for
+    all x, y} is a subspace closed under the product without assuming
+    associativity: for a, b in S, ((ab)x)y = (a(bx))y = a((bx)y) =
+    a(b(xy)) = (ab)(xy).  It holds 1 when 1 is a left unit, the
+    `mult-unit` line beside it, and the walk's certificate
+    `generation_failure(A)` makes S all of A.
+    """
+    return [_check_associativity(A, associativity), _check_unit(A)]
 
 
 # -- axiom checks -------------------------------------------------------------
 
-def _check_associativity(H: FiniteHopf, mode: str, seed: int,
-                         samples: int) -> CheckResult:
-    """(xy)z = x(yz) on basis triples (x, y, z).
-
-    In exhaustive mode an algebra with declared generators takes the
-    lemma walk.  S = {a : (ax)y = a(xy) for all x, y} is a subspace, and
-    it is closed under the product without assuming associativity: for
-    a, b in S, ((ab)x)y = (a(bx))y = a((bx)y) = a(b(xy)) = (ab)(xy).
-    The unit is in S when it is a left unit, which is the `mult-unit`
-    line that every caller reports beside this one.  So the triples
-    (g, x, y), g over the generator indices and x, y over the basis,
-    together with `generation_failure`, prove every triple.  Any other
-    walk is a `tuple_walk`: every triple of an algebra without declared
-    generators in exhaustive mode, a seeded sample otherwise, headed in
-    "generators" mode by the generator triples (with no generators to
-    head it, that walk would be every triple).
-    """
+def _check_associativity(H: FiniteHopf, walk) -> CheckResult:
+    """(xy)z = x(yz) on the basis triples (x, y, z) of the walk, with the
+    generator indices of H in every slot."""
     n = H.dim
     g = gen_indices(H)
-    if mode == "exhaustive" and g:
-        walk = Walk("generators",
-                    itertools.product(sorted(g), range(n), range(n)),
-                    certificate=partial(generation_failure, H))
-    else:
-        walk = tuple_walk(mode if g or mode == "exhaustive" else "sample",
-                          (n, n, n), (g, g, g), seed, samples)
+    walk = walk.over((n, n, n), (g, g, g))
     get = H.mult.get
 
     def case(i: int, j: int, k: int) -> Optional[str]:
@@ -448,23 +404,12 @@ def _counit_mult_pair_ok(H: FiniteHopf, i: int, j: int) -> bool:
     return lhs == rhs
 
 
-def _check_pairwise(H: FiniteHopf, name: str, pair_ok, mode: str, seed: int,
-                    samples: int) -> CheckResult:
-    """Run a bilinear axiom over basis pairs in the requested coverage mode.
-
-    In "generators" mode with declared generators the walk takes each
-    generator row against the whole basis on both sides, (g, j) then
-    (j, g), and closes with `generation_failure`; otherwise it is every
-    pair or a seeded sample of pairs.
-    """
+def _check_pairwise(H: FiniteHopf, name: str, pair_ok,
+                    walk) -> CheckResult:
+    """A bilinear axiom on the basis pairs of the walk, with no generator
+    slot."""
     n = H.dim
-    if mode == "generators" and H.generators:
-        walk = Walk("generators", itertools.chain.from_iterable(
-            ((g, j), (j, g)) for g, j in generator_pairs(H)),
-            certificate=partial(generation_failure, H))
-    else:
-        walk = tuple_walk("exhaustive" if mode == "exhaustive" else "sample",
-                          (n, n), (None, None), seed, samples)
+    walk = walk.over((n, n), (None, None))
     chk = Check(name, walk.label)
 
     def case(i: int, j: int) -> Optional[str]:
@@ -509,27 +454,34 @@ def _antihom_pair_ok(H: FiniteHopf, i: int, j: int) -> bool:
     return veq(lhs, rhs)
 
 
-def check_hopf_axioms(H: FiniteHopf, mode: str = "exhaustive",
-                      seed: int = 0, samples: int = 2000,
-                      include_antihom: bool = False) -> list:
-    """All Hopf-algebra axioms for H; returns a list of CheckResult."""
-    _require_mode(mode)
+def check_hopf_axioms(H: FiniteHopf, associativity, comult, counit,
+                      antihom=None) -> list:
+    """All Hopf-algebra axioms for H: associativity on `associativity`
+    (see `check_algebra_axioms`), each law on pairs on its own walk, and
+    antipode-antimultiplicative only when its walk is given.
+
+    `results.two_sided_lemma_walk(H)` proves a law on pairs, a map phi
+    with phi(xy) = phi(x) phi(y) into an associative algebra (for the
+    antipode, H's opposite): its pairs (g, j) put the generators in
+    S = {x : phi(xy) = phi(x) phi(y) for all y}, a subalgebra of an
+    associative H that holds 1 when phi(1) is the unit, and its
+    certificate `generation_failure(H)` makes S all of H.
+    """
     results = [
-        _check_associativity(H, mode, seed, samples),
+        _check_associativity(H, associativity),
         _check_unit(H),
         _check_coassociativity(H),
         _check_counit_laws(H),
         _check_comult_unit(H),
         _check_pairwise(H, "comult-multiplicative", _comult_mult_pair_ok,
-                        mode, seed, samples),
+                        comult),
         _check_pairwise(H, "counit-multiplicative", _counit_mult_pair_ok,
-                        mode, seed, samples),
+                        counit),
         _check_antipode(H),
     ]
-    if include_antihom:
-        results.append(
-            _check_pairwise(H, "antipode-antimultiplicative",
-                            _antihom_pair_ok, mode, seed, samples))
+    if antihom is not None:
+        results.append(_check_pairwise(H, "antipode-antimultiplicative",
+                                       _antihom_pair_ok, antihom))
     return results
 
 
@@ -655,75 +607,74 @@ class HopfPairing:
         return out
 
 
-def check_hopf_pairing(P: HopfPairing, mode: str = "exhaustive",
-                       seed: int = 0, samples: int = 1000) -> list:
+def check_hopf_pairing(P: HopfPairing, mult_vs_comult,
+                       comult_vs_mult) -> list:
     """Compatibility axioms making P a Hopf pairing.
 
     <fg, x> = <f (x) g, comult x>, <comult* f, x (x) y> = <f, xy>,
     <1*, x> = counit(x), counit*(f) = <f, 1>, <S* f, x> = <f, S x>,
     and nondegeneracy via the rank of the pairing matrix.
 
-    The two product axioms share the pairs of one `tuple_walk` in
-    `mode`, with the dual's generator indices in both slots, and its
-    label.  The other two are always exhaustive.
+    The two product axioms walk their own triples: (f, g, x) with the
+    dual's generator indices in f and g, and (f, x, y) with the
+    algebra's in x and y.  The other two are always exhaustive.
     """
-    _require_mode(mode)
-    n = P.alg.dim
-    g = gen_indices(P.dual)
-    walk = tuple_walk(mode, (n, n), (g, g), seed, samples)
-    pairs = list(walk.tuples)
-    return [_pairing_mult_vs_comult(P, pairs, walk.label),
-            _pairing_comult_vs_mult(P, pairs, walk.label),
+    return [_pairing_mult_vs_comult(P, mult_vs_comult),
+            _pairing_comult_vs_mult(P, comult_vs_mult),
             _pairing_units_antipode(P),
             _pairing_nondegenerate(P)]
 
 
-def _pairing_mult_vs_comult(P: HopfPairing, pairs: list, mode: str) -> CheckResult:
+def _pairing_mult_vs_comult(P: HopfPairing, walk) -> CheckResult:
     D, A = P.dual, P.alg
     n = A.dim
-    chk = Check("pairing-mult-vs-comult", mode, cases=len(pairs) * n)
-    for f, g in pairs:
-        prod = D.product(D.basis(f), D.basis(g))
-        for x in range(n):
-            lhs = P.pair(prod, A.basis(x))
-            rhs = A.ctx.zero
-            for j, k, c in A.comult.get(x):
-                cf = P.pair_basis(f, j)
-                if cf is None:
-                    continue
-                cg = P.pair_basis(g, k)
-                if cg is None:
-                    continue
-                rhs = rhs + c * cf * cg
-            if lhs != rhs:
-                return chk.result(
-                    f"<f g, x> mismatch at f={D.space.label(f)}, "
-                    f"g={D.space.label(g)}, "
-                    f"x={A.space.label(x)}")
-    return chk.result()
+    gd = gen_indices(D)
+    walk = walk.over((n, n, n), (gd, gd, None))
+    chk = Check("pairing-mult-vs-comult", walk.label)
+
+    def case(f: int, g: int, x: int) -> Optional[str]:
+        lhs = P.pair(dict(D.mult.get(f, g)), A.basis(x))
+        rhs = A.ctx.zero
+        for j, k, c in A.comult.get(x):
+            cf = P.pair_basis(f, j)
+            if cf is None:
+                continue
+            cg = P.pair_basis(g, k)
+            if cg is None:
+                continue
+            rhs = rhs + c * cf * cg
+        if lhs == rhs:
+            return None
+        return (f"<f g, x> mismatch at f={D.space.label(f)}, "
+                f"g={D.space.label(g)}, x={A.space.label(x)}")
+
+    return chk.result(walk.failure(chk, case))
 
 
-def _pairing_comult_vs_mult(P: HopfPairing, pairs: list, mode: str) -> CheckResult:
+def _pairing_comult_vs_mult(P: HopfPairing, walk) -> CheckResult:
     D, A = P.dual, P.alg
-    chk = Check("pairing-comult-vs-mult", mode, cases=len(pairs) ** 2)
-    for f, _ in pairs:
-        for x, y in pairs:
-            lhs = P.pair(D.basis(f), A.product(A.basis(x), A.basis(y)))
-            rhs = A.ctx.zero
-            for j, k, c in D.comult.get(f):
-                cj = P.pair_basis(j, x)
-                if cj is None:
-                    continue
-                ck = P.pair_basis(k, y)
-                if ck is None:
-                    continue
-                rhs = rhs + c * cj * ck
-            if lhs != rhs:
-                return chk.result(f"<comult* f, x(x)y> mismatch at "
-                                  f"f={D.space.label(f)}, "
-                                  f"x={A.space.label(x)}, "
-                                  f"y={A.space.label(y)}")
-    return chk.result()
+    n = A.dim
+    ga = gen_indices(A)
+    walk = walk.over((n, n, n), (None, ga, ga))
+    chk = Check("pairing-comult-vs-mult", walk.label)
+
+    def case(f: int, x: int, y: int) -> Optional[str]:
+        lhs = P.pair(D.basis(f), dict(A.mult.get(x, y)))
+        rhs = A.ctx.zero
+        for j, k, c in D.comult.get(f):
+            cj = P.pair_basis(j, x)
+            if cj is None:
+                continue
+            ck = P.pair_basis(k, y)
+            if ck is None:
+                continue
+            rhs = rhs + c * cj * ck
+        if lhs == rhs:
+            return None
+        return (f"<comult* f, x(x)y> mismatch at f={D.space.label(f)}, "
+                f"x={A.space.label(x)}, y={A.space.label(y)}")
+
+    return chk.result(walk.failure(chk, case))
 
 
 def _pairing_units_antipode(P: HopfPairing) -> CheckResult:

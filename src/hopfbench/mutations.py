@@ -7,6 +7,10 @@ the wrong order -- and drives it through the same checks the healthy
 structures pass.  A healthy engine reports status "fail" with a witness
 for every fixture; any "pass" below means the corresponding check has
 lost its teeth.
+
+Every builder walks its laws on `walks`, the tuple walks its caller pins
+for the negative controls, but for the lemma walks of the two Hopf-axiom
+fixtures: associativity of B, and the laws on pairs of D(B).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable
 
 from .doubles import factor_structures
 from .hopf import FiniteHopf, check_hopf_axioms, tensor_flat
-from .results import Check, CheckResult
+from .results import Check, CheckResult, lemma_walk, two_sided_lemma_walk
 from .sparse import LazyLinearMap, Vec, vadd_into, vadd_term, veq
 from .taft import taft_setup, taft_system
 from .ydcat import (Action, Coaction, ModuleAlgebra, YDModuleAlgebra,
@@ -25,7 +29,7 @@ from .ydcat import (Action, Coaction, ModuleAlgebra, YDModuleAlgebra,
 __all__ = ["MUTATIONS", "run_mutation", "mutation_suite"]
 
 
-def _antipode_sign(p: int) -> list:
+def _antipode_sign(p: int, walks) -> list:
     """Taft algebra with the sign of S on the nilpotent generator flipped."""
     B = taft_setup(p).primal
     e_idx = B.space.labels.index((1, 0))
@@ -38,10 +42,10 @@ def _antipode_sign(p: int) -> list:
     bad = FiniteHopf(B.ctx, B.space, B.mult, dict(B.unit), B.comult,
                      dict(B.counit), LazyLinearMap(B.dim, B.dim, fn),
                      generators=B.generators, name="taft(antipode-sign)")
-    return check_hopf_axioms(bad)
+    return check_hopf_axioms(bad, lemma_walk(bad, 3), walks, walks)
 
 
-def _double_antipode(p: int) -> list:
+def _double_antipode(p: int, walks) -> list:
     """Double with the inverse dual antipode replaced by the direct one."""
     sys = taft_system(p)
     H = sys.double.hopf
@@ -57,10 +61,11 @@ def _double_antipode(p: int) -> list:
     bad = FiniteHopf(H.ctx, H.space, H.mult, dict(H.unit), H.comult,
                      dict(H.counit), LazyLinearMap(H.dim, H.dim, fn),
                      generators=H.generators, name="ddouble(antipode)")
-    return check_hopf_axioms(bad, mode="generators")
+    return check_hopf_axioms(bad, walks, two_sided_lemma_walk(bad),
+                             two_sided_lemma_walk(bad))
 
 
-def _action_factor_dropped(p: int) -> list:
+def _action_factor_dropped(p: int, walks) -> list:
     """Smash action with the trailing antipode conjugation dropped:
     (eps (x) m) |> (alpha # a) = (m' -> alpha) # m'' a, no S(m''')."""
     sys = taft_system(p)
@@ -92,11 +97,10 @@ def _action_factor_dropped(p: int) -> list:
     mod = ModuleAlgebra(D.hopf, Hd.algebra,
                         Action(D.hopf, Hd.algebra, fn),
                         name="hdouble(conjugation-dropped)")
-    return [check_module_algebra(mod, mode="generators"),
-            check_module(mod, mode="generators")]
+    return [check_module_algebra(mod, walks), check_module(mod, walks)]
 
 
-def _factor_coaction_swapped(p: int) -> list:
+def _factor_coaction_swapped(p: int, walks) -> list:
     """Dual-side factor with its coaction legs exchanged."""
     sys = taft_system(p)
     D = sys.double
@@ -114,10 +118,10 @@ def _factor_coaction_swapped(p: int) -> list:
     bad = YDModuleAlgebra(D.hopf, dual_yd.algebra, dual_yd.action,
                           Coaction(D.hopf, dual_yd.algebra, fn),
                           name="dual-factor(legs-swapped)")
-    return [check_comodule(bad), check_yd(bad, mode="generators")]
+    return [check_comodule(bad), check_yd(bad, walks)]
 
 
-def _hdouble_coaction_swapped(p: int) -> list:
+def _hdouble_coaction_swapped(p: int, walks) -> list:
     """Smash-product coaction with its two legs exchanged."""
     sys = taft_system(p)
     D, Hd = sys.double, sys.heis
@@ -135,10 +139,10 @@ def _hdouble_coaction_swapped(p: int) -> list:
     bad = YDModuleAlgebra(D.hopf, Hd.algebra, sys.yd.action,
                           Coaction(D.hopf, Hd.algebra, fn),
                           name="hdouble(legs-swapped)")
-    return [check_comodule(bad), check_yd(bad, mode="generators")]
+    return [check_comodule(bad), check_yd(bad, walks)]
 
 
-def _eta_swapped(p: int) -> list:
+def _eta_swapped(p: int, walks) -> list:
     """Product twist with the two twist arguments in the wrong order."""
     sys = taft_system(p)
     D, Hd = sys.double, sys.heis
@@ -191,17 +195,17 @@ def _eta_swapped(p: int) -> list:
     return [chk.result()]
 
 
-def _trivial_coaction(p: int) -> list:
+def _trivial_coaction(p: int, walks) -> list:
     """Heisenberg double with the coaction replaced by the trivial one."""
     sys = taft_system(p)
     D, Hd = sys.double, sys.heis
     bad = YDModuleAlgebra(D.hopf, Hd.algebra, sys.yd.action,
                           Coaction.trivial(D.hopf, Hd.algebra),
                           name="hdouble(trivial-coaction)")
-    return [check_yd(bad, mode="generators")]
+    return [check_yd(bad, walks)]
 
 
-MUTATIONS: dict[str, Callable[[int], list]] = {
+MUTATIONS: dict[str, Callable[..., list]] = {
     "taft-antipode-sign": _antipode_sign,
     "double-antipode-conjugate": _double_antipode,
     "action-conjugation-dropped": _action_factor_dropped,
@@ -212,17 +216,16 @@ MUTATIONS: dict[str, Callable[[int], list]] = {
 }
 
 
-def run_mutation(tag: str, p: int = 2) -> CheckResult:
-    """Build one corrupted fixture and report the first check it fails.
+def run_mutation(tag: str, p: int, walks) -> CheckResult:
+    """Build one corrupted fixture and report the first check it fails,
+    walking its laws on `walks`.
 
     A healthy engine returns status "fail" here; status "pass" means the
     corruption went undetected and the corresponding check is broken.
     """
     builder = MUTATIONS[tag]
     chk = Check(f"mutation-{tag}", "exhaustive")
-    results = builder(p)
-    if not isinstance(results, list):
-        results = [results]
+    results = builder(p, walks)
     bad = next((r for r in results if not r.ok), None)
     if bad is None:
         if results:
@@ -233,6 +236,6 @@ def run_mutation(tag: str, p: int = 2) -> CheckResult:
     return chk.result(f"[{bad.name}] {bad.witness}")
 
 
-def mutation_suite(p: int = 2) -> list:
+def mutation_suite(p: int, walks) -> list:
     """All corrupted fixtures, in registry order."""
-    return [run_mutation(tag, p) for tag in MUTATIONS]
+    return [run_mutation(tag, p, walks) for tag in MUTATIONS]

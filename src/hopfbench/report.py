@@ -5,6 +5,9 @@ ordered list of check results, and counts.  Rendering is canonical --
 two runs with the same configuration and seeds produce byte-identical
 JSON -- and `parse(render(r, "json")) == r`, where report equality
 deliberately ignores wall times (they are display-only).
+
+The suites are also the coverage plan: they alone choose the walk of
+each law a check walks, a lemma walk or the run's `TupleWalks`.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from .doubles import (FactoredAction, chain_relations_check,
                       check_quasitriangular, eta_twist_product,
                       heisenberg_chain, module_factor_walk,
                       to_show_action_check)
-from .hopf import (MODES, check_algebra_axioms, check_hopf_axioms,
-                   render_element)
+from .hopf import check_algebra_axioms, check_hopf_axioms, render_element
 from .mutations import MUTATIONS, run_mutation
-from .results import (Check, CheckResult, gen_indices,
-                      invert_expected_failure, lemma_walk,
-                      subcoalgebra_walk, summarize, tuple_walk)
+from .results import (MODES, Check, CheckResult, TupleWalks, gen_indices,
+                      invert_expected_failure, lemma_walk, subcoalgebra_walk,
+                      summarize, two_sided_lemma_walk)
 from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
                    cqzd, cqzd_center_check, double_presentation_check,
                    h2_matches_cqzd_check, hq_action_table_check,
@@ -55,10 +57,12 @@ class ConfigError(ValueError):
 class SuiteConfig:
     """What to verify and how hard to try.
 
-    mode=None resolves to "exhaustive" for p=2 and "generators" (generator
-    tuples plus a seeded random sample) for larger p; suite is a name,
-    "all", a comma-separated list, or a sequence of names.  An empty suite
-    selection is allowed and yields an empty report.
+    mode=None resolves to "exhaustive" for p=2 and "generators" for
+    larger p; mode, seed and sample_size make the run's `TupleWalks`, and
+    the laws that the plan gives lemma walks, such as the four yd laws,
+    are proved in any mode.  suite is a name, "all", a comma-separated
+    list, or a sequence of names; an empty selection yields an empty
+    report.
     """
 
     p: int = 2
@@ -214,18 +218,16 @@ def _rename(results, prefix: str) -> list:
     return [replace(r, name=f"{prefix}-{r.name}") for r in results]
 
 
-def _structure_identity_check(bp, algebra, mode: str, seed: int,
-                              samples: int, name: str) -> CheckResult:
+def _structure_identity_check(bp, algebra, walk, name: str) -> CheckResult:
     """The braided-product algebra has exactly the given structure constants
-    (same flat basis indexing on both sides)."""
+    (same flat basis indexing on both sides) on the pairs of `walk`."""
     A = bp.yd.algebra
-    if A.dim != algebra.dim:
-        return Check(name, mode).result(
-            f"dimensions differ: {A.dim} vs {algebra.dim}")
     ga, gb = gen_indices(A), gen_indices(algebra)
     gens = (ga | gb) if (ga is not None and gb is not None) else (ga or gb)
-    walk = tuple_walk(mode, (A.dim, A.dim), (gens, gens), seed, samples)
+    walk = walk.over((A.dim, A.dim), (gens, gens))
     chk = Check(name, walk.label)
+    if A.dim != algebra.dim:
+        return chk.result(f"dimensions differ: {A.dim} vs {algebra.dim}")
 
     def case(i: int, j: int) -> Optional[str]:
         lhs = dict(A.mult.get(i, j))
@@ -239,6 +241,52 @@ def _structure_identity_check(bp, algebra, mode: str, seed: int,
     return chk.result(walk.failure(chk, case))
 
 
+# -- the coverage plan ---------------------------------------------------------
+
+def _walks(cfg: SuiteConfig, A=None) -> TupleWalks:
+    """The run's tuple walks, but a "generators" run samples the Hopf laws
+    of an algebra A that declares no generators."""
+    mode = cfg.resolved_mode
+    if mode == "generators" and A is not None and gen_indices(A) is None:
+        mode = "sample"
+    return TupleWalks(mode, cfg.seed, cfg.sample_size)
+
+
+def _hunt(cfg: SuiteConfig) -> TupleWalks:
+    """Counterexample searches need the generator head: "generators", 200
+    samples, in every mode."""
+    return TupleWalks("generators", cfg.seed, 200)
+
+
+def _associativity(cfg: SuiteConfig, A):
+    """Associativity takes the generator-headed triple lemma in
+    "exhaustive" mode when A declares generators."""
+    if cfg.resolved_mode == "exhaustive" and gen_indices(A):
+        return lemma_walk(A, 3)
+    return _walks(cfg, A)
+
+
+def _pairwise(cfg: SuiteConfig, H):
+    """The Hopf laws on pairs take the (g, j)/(j, g) lemma in "generators"
+    mode when H declares generators."""
+    if cfg.resolved_mode == "generators" and H.generators:
+        return two_sided_lemma_walk(H)
+    return _walks(cfg, H)
+
+
+def _comodule_algebra(cfg: SuiteConfig, X):
+    """comodule-algebra takes `lemma_walk` unless the mode is "sample"."""
+    if cfg.resolved_mode != "sample" and gen_indices(X) is not None:
+        return lemma_walk(X)
+    return _walks(cfg)
+
+
+def _hopf_axioms(cfg: SuiteConfig, H, prefix: str) -> list:
+    return _rename(check_hopf_axioms(H, _associativity(cfg, H),
+                                     _pairwise(cfg, H), _pairwise(cfg, H)),
+                   prefix)
+
+
 # -- suites --------------------------------------------------------------------
 #
 # Each suite is a generator, so run_suite can stop pulling checks as soon
@@ -246,93 +294,80 @@ def _structure_identity_check(bp, algebra, mode: str, seed: int,
 
 def _suite_hopf_axioms(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
-    hm, seed, n = cfg.resolved_mode, cfg.seed, cfg.sample_size
-    yield from _rename(check_hopf_axioms(sys.pair.primal, mode=hm, seed=seed,
-                                         samples=n), "taft")
-    yield from _rename(check_hopf_axioms(sys.pair.dual, mode=hm, seed=seed,
-                                         samples=n), "taft-dual")
-    yield from _rename(check_hopf_axioms(sys.double.hopf, mode=hm, seed=seed,
-                                         samples=n), "ddouble")
-    yield from _rename(check_algebra_axioms(sys.heis.algebra, mode=hm,
-                                            seed=seed, samples=n), "hdouble")
+    yield from _hopf_axioms(cfg, sys.pair.primal, "taft")
+    yield from _hopf_axioms(cfg, sys.pair.dual, "taft-dual")
+    yield from _hopf_axioms(cfg, sys.double.hopf, "ddouble")
+    A = sys.heis.algebra
+    yield from _rename(check_algebra_axioms(A, _associativity(cfg, A)),
+                       "hdouble")
 
 
 def _suite_double(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     D, Hd = sys.double, sys.heis
-    m, seed, n = cfg.resolved_mode, cfg.seed, cfg.sample_size
+    walks = _walks(cfg)
     yield from double_presentation_check(sys)
     yield taft_dual_check(sys.pair)
     yield check_double_identity(D)
-    yield eta_twist_product(D, Hd, mode=m, seed=seed, samples=n)
-    yield closed_form_check(sys, mode=m, seed=seed, samples=n)
-    yield to_show_action_check(D, FactoredAction(Hd, D), mode=m, seed=seed,
-                               samples=n)
+    yield eta_twist_product(D, Hd, walks)
+    yield closed_form_check(sys, walks)
+    yield to_show_action_check(D, FactoredAction(Hd, D), walks)
     if cfg.p == 2:
         yield from check_quasitriangular(D)
     else:
         yield _skip("r-quasitriangular",
                     "run with p=2 (R-matrix sums grow with dim^2)")
-    # counterexample hunting needs the generator head, so the mode is pinned
-    yield from check_quantum_comm_remarks(D, Hd, mode="generators", seed=seed,
-                                          samples=200)
+    hunt = _hunt(cfg)
+    yield from check_quantum_comm_remarks(D, Hd, hunt, hunt)
 
 
 def _suite_yd(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     y = sys.yd
-    m, seed, n = cfg.resolved_mode, cfg.seed, cfg.sample_size
-    # Every mode but sample proves module-action on the two factors of
-    # D(B), then module-algebra on a subcoalgebra of D(B) given
-    # module-action; with comodule-algebra, the lemma walks prove
-    # yd-condition and braided-commutative from generators (see each
-    # check).
-    proofs = m != "sample"
-    yield check_module(y, mode=m, seed=seed, samples=n,
-                       walk=(module_factor_walk(sys.double, y.action)
-                             if proofs else None))
-    yield check_module_algebra(y, mode=m, seed=seed, samples=n,
-                               walk=(subcoalgebra_walk(y.hopf, y.algebra)
-                                     if proofs else None))
+    walks = _walks(cfg)
+    # The four yd proof walks, in every mode but sample, each built where
+    # its check runs: module-action on the two factors of D(B), then
+    # module-algebra on a subcoalgebra of D(B), yd-condition and
+    # braided-commutative from generators (see each check).
+    proofs = cfg.resolved_mode != "sample"
+    yield check_module(
+        y, module_factor_walk(sys.double, y.action) if proofs else walks)
+    yield check_module_algebra(
+        y, subcoalgebra_walk(y.hopf, y.algebra) if proofs else walks)
     yield check_comodule(y)
-    yield check_comodule_algebra(y, mode=m, seed=seed, samples=n)
-    yield check_yd(y, mode=m, seed=seed, samples=n,
-                   walk=lemma_walk(y.hopf) if proofs else None)
-    yield check_braided_commutative(y, mode=m, seed=seed, samples=n,
-                                    walk=(lemma_walk(y.algebra)
-                                          if proofs else None))
+    yield check_comodule_algebra(y, _comodule_algebra(cfg, y.algebra))
+    yield check_yd(y, lemma_walk(y.hopf) if proofs else walks)
+    yield check_braided_commutative(
+        y, lemma_walk(y.algebra) if proofs else walks)
 
 
 def _suite_heisenberg(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
-    m, seed, n = cfg.resolved_mode, cfg.seed, cfg.sample_size
+    walks = _walks(cfg)
     yield from basis_change(sys).checks
     bp2 = heisenberg_chain(sys.pair.primal, 2, leftmost="dual", D=sys.double)
     dual_yd, base_yd = bp2.factors
-    yield check_braided_commutative(dual_yd, mode=m, seed=seed, samples=n,
+    yield check_braided_commutative(dual_yd, walks,
                                     name="dual-factor-braided-commutative")
-    yield check_braided_commutative(base_yd, mode=m, seed=seed, samples=n,
+    yield check_braided_commutative(base_yd, walks,
                                     name="base-factor-braided-commutative")
-    yield check_braided_symmetric(dual_yd, base_yd, mode=m, seed=seed,
-                                  samples=n)
-    yield check_locked_identity(dual_yd, base_yd, mode=m, seed=seed, samples=n)
-    yield _structure_identity_check(bp2, sys.heis.algebra, mode=m, seed=seed,
-                                    samples=n, name="braided-product-is-hdouble")
+    yield check_braided_symmetric(dual_yd, base_yd, walks)
+    yield check_locked_identity(dual_yd, base_yd, walks)
+    yield _structure_identity_check(bp2, sys.heis.algebra, walks,
+                                    name="braided-product-is-hdouble")
     yield check_factor_embeddings(bp2)
-    yield from flip_isomorphism(dual_yd, base_yd, mode=m, seed=seed,
-                                samples=n)
+    yield from flip_isomorphism(dual_yd, base_yd, walks, walks)
 
 
 def _suite_chains(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
-    p, m, seed, n = cfg.p, cfg.resolved_mode, cfg.seed, cfg.sample_size
+    p = cfg.p
     if p == 2:
         ch3 = heisenberg_chain(sys.pair.primal, 3, leftmost="dual",
                                D=sys.double)
         yield from chain_relations_check(ch3, sys.double, prefix="full-chain3")
         yield invert_expected_failure(
-            check_braided_commutative(ch3.yd, mode="generators", seed=seed,
-                                      samples=200),
+            check_braided_commutative(ch3.yd, _hunt(cfg)),
             "full-chain3-braided-commutativity-fails")
         yield check_factor_embeddings(ch3, name="full-chain3-embedding")
     else:
@@ -345,16 +380,17 @@ def _suite_chains(cfg: SuiteConfig):
         yield _dim_check(f"zdel-chain{k}-dimension", ch.algebra.dim, p ** k)
     yield from chain_heisenberg_checks(chains[4], prefix="zdel-chain4")
     yield check_factor_embeddings(chains[4].chain, name="zdel-chain4-embedding")
-    yield check_yd(chains[3].yd, mode=m, seed=seed, samples=n,
-                   name="zdel-chain3-yd-condition")
+    yield check_yd(chains[3].yd, _walks(cfg), name="zdel-chain3-yd-condition")
     fd, fz = chains[2].chain.factors
-    yield check_locked_identity(fd, fz, name="zdel-interface-locked-identity")
+    # the two p-dimensional factors of chain(2): every pair, in every mode
+    yield check_locked_identity(
+        fd, fz, TupleWalks("exhaustive", cfg.seed, cfg.sample_size),
+        name="zdel-interface-locked-identity")
     # Like-type factors two positions apart stop commuting in the braided
     # sense as soon as squares survive: at p=2 nilpotency of degree two
     # hides the obstruction, for larger p a counterexample must exist.
     bc = check_braided_commutative(
-        chains[3].yd, mode=(m if p == 2 else "generators"), seed=seed,
-        samples=(n if p == 2 else 200),
+        chains[3].yd, _walks(cfg) if p == 2 else _hunt(cfg),
         name="zdel-chain3-braided-commutative")
     yield bc if p == 2 else invert_expected_failure(
         bc, "zdel-chain3-braided-commutativity-fails")
@@ -363,7 +399,8 @@ def _suite_chains(cfg: SuiteConfig):
 
 
 def _suite_truncations(cfg: SuiteConfig):
-    p, m, seed, n = cfg.p, cfg.resolved_mode, cfg.seed, cfg.sample_size
+    p = cfg.p
+    walks = _walks(cfg)
     uq = uqsl2(p)
     yield from uq.checks
     yield from uq_presentation_check(uq)
@@ -376,17 +413,19 @@ def _suite_truncations(cfg: SuiteConfig):
     yield hq_coaction_table_check(hq)
     yield hq_factorization_check(hq)
     y = hq.yd
-    yield check_module(y, mode=m, seed=seed, samples=n)
-    yield check_module_algebra(y, mode=m, seed=seed, samples=n)
+    yield check_module(y, walks)
+    yield check_module_algebra(y, walks)
     yield check_comodule(y)
-    yield check_comodule_algebra(y, mode=m, seed=seed, samples=n)
-    yield check_yd(y, mode=m, seed=seed, samples=n)
-    yield check_braided_commutative(y, mode=m, seed=seed, samples=n)
+    yield check_comodule_algebra(y, _comodule_algebra(cfg, y.algebra))
+    yield check_yd(y, walks)
+    yield check_braided_commutative(y, walks)
 
 
 def _suite_mutations(cfg: SuiteConfig):
+    # the negative controls walk a pinned sample in every mode
+    controls = TupleWalks("generators", 0, 10_000)
     for tag in MUTATIONS:
-        yield run_mutation(tag, cfg.p)
+        yield run_mutation(tag, cfg.p, controls)
 
 
 _SUITES = {

@@ -1,4 +1,4 @@
-"""Check results, the runner that builds them, and the walk over basis tuples.
+"""Check results, the runner that builds them, and the walks over basis tuples.
 
 A check creates one `Check` where its work starts, counts its cases on it
 and ends with `Check.result(witness)`: the result fails exactly when a
@@ -6,18 +6,22 @@ witness (a rendered counterexample) is given.  Results whose status does
 not follow from a witness -- skipped checks and inverted expected
 failures -- build `CheckResult` directly.
 
-A check that quantifies over basis tuples takes a `Walk`, the tuples
-together with the coverage label they earn, and runs the one case loop,
-`Walk.failure`: one case per tuple, stopping at the first witness.
-`tuple_walk` builds the walk in one of three modes, with the label it
-earns: "exhaustive" walks every index tuple in lexicographic order,
-"generators" walks the declared generator indices (`gen_indices`) in the
-slots that have them and then a seeded random sample over the full
-basis, and "sample" draws seeded random tuples only.  No other module
-draws tuples or spells a coverage label of its own.
+A check that quantifies over basis tuples takes, for each law it walks,
+a lemma walk or the run's `TupleWalks`, and asks it once for the `Walk`
+over the law's tuples: `over(dims, gen_sets)`, with the declared
+generator indices that head each slot (None: the whole slot).  A lemma
+walk already holds its tuples and gives itself; `TupleWalks` gives a
+fresh walk in one of `MODES`: "exhaustive" walks every index tuple in
+lexicographic order, "generators" the generator indices in the slots
+that have them and then a seeded random sample over the full basis, and
+"sample" seeded random tuples only.  A `Walk` carries the coverage label
+its tuples earn, and `Walk.failure` is the one case loop: one case per
+tuple, stopping at the first witness.  No other module draws tuples or
+spells a coverage label of its own, and only `report.py` chooses the
+walk of a law.
 
 Checks of a multiplicative map phi(xy) = phi(x) phi(y) on an algebra A
-may instead take `lemma_walk`: `generator_pairs`, (g, j) for g over A's
+may take `lemma_walk`: `generator_pairs`, (g, j) for g over A's
 declared generator indices and j over its whole basis, with no sample
 tail, labelled "generators".  When A and the target are associative,
 S = {x : phi(xy) = phi(x) phi(y) for all y} is a subalgebra of A
@@ -40,16 +44,19 @@ import itertools
 import random
 import time
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .sparse import span_closure
 
-__all__ = ["CheckResult", "Check", "summarize", "invert_expected_failure",
-           "gen_indices", "generator_pairs", "generation_failure", "Walk",
-           "tuple_walk", "lemma_walk", "coalgebra_closure",
+__all__ = ["MODES", "CheckResult", "Check", "summarize",
+           "invert_expected_failure", "gen_indices", "generator_pairs",
+           "generation_failure", "Walk", "TupleWalks", "lemma_walk",
+           "two_sided_lemma_walk", "coalgebra_closure",
            "subcoalgebra_walk"]
+
+MODES = ("exhaustive", "generators", "sample")
 
 
 @dataclass
@@ -58,7 +65,7 @@ class CheckResult:
 
     status is "pass", "fail" or "skipped"; mode records how the claim
     was covered: "exhaustive", "generators" (a lemma walk), the
-    `tuple_walk` labels "generators+sample(n=N,seed=S)" and
+    `TupleWalks` labels "generators+sample(n=N,seed=S)" and
     "sample(n=N,seed=S)", or, for a skipped check, the reason it was
     skipped.  witness holds a rendered counterexample for failures.
     """
@@ -177,18 +184,28 @@ class Walk:
     run before the tuples, and `certificate`, run after them, check the
     lemma's remaining hypotheses.  `prelude(chk)` counts its own cases
     on the running check; both return a witness or None.  The tuples are
-    consumed: a walk serves one check.
+    consumed: a walk serves one law, and `failure` raises RuntimeError
+    when it is called again, instead of passing on no tuples.
     """
 
     label: str
     tuples: Iterable
     prelude: Optional[Callable[[Check], Optional[str]]] = None
     certificate: Optional[Callable[[], Optional[str]]] = None
+    walked: bool = field(default=False, init=False, repr=False)
+
+    def over(self, dims: tuple, gen_sets: tuple) -> "Walk":
+        """The walk itself: a lemma walk already holds its tuples."""
+        return self
 
     def failure(self, chk: Check, case) -> Optional[str]:
         """The first witness of the prelude, of `case(*t)` over the
         tuples (one case each on `chk`) or of the certificate; None when
         all of them pass."""
+        if self.walked:
+            raise RuntimeError(f"the {self.label} walk of {chk.name!r} was "
+                               "already walked; a walk serves one law")
+        self.walked = True
         if self.prelude is not None:
             wit = self.prelude(chk)
             if wit is not None:
@@ -201,36 +218,60 @@ class Walk:
         return self.certificate() if self.certificate is not None else None
 
 
-def tuple_walk(mode: str, dims: tuple, gen_sets: tuple, seed: int,
-               samples: int) -> Walk:
-    """Index tuples over `dims` in `mode`, under the label they earn.
+@dataclass(frozen=True)
+class TupleWalks:
+    """The run's tuple walks: a fresh `Walk` in `mode`, one of `MODES`,
+    for each law; a ValueError for any other mode, before any check."""
 
-    A None generator set means the whole slot, so a "generators" walk
-    with no generator slot is the exhaustive walk.  The `samples` random
-    tuples come from a generator seeded with `seed`, drawn one at a
-    time, slot by slot, so a walk cut short draws only what it visited.
-    """
-    if mode == "generators" and all(g is None for g in gen_sets):
-        mode = "exhaustive"
-    if mode == "exhaustive":
-        return Walk("exhaustive", itertools.product(*map(range, dims)))
-    rng = random.Random(seed)
-    drawn = (tuple(rng.randrange(d) for d in dims) for _ in range(samples))
-    if mode == "sample":
-        return Walk(f"sample(n={samples},seed={seed})", drawn)
-    if mode == "generators":
+    mode: str
+    seed: int
+    samples: int
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown coverage mode {self.mode!r}")
+
+    def over(self, dims: tuple, gen_sets: tuple) -> Walk:
+        """Index tuples over `dims`, under the label they earn.
+
+        A None generator set means the whole slot, so a "generators" walk
+        with no generator slot is the exhaustive walk.  The `samples`
+        random tuples are drawn from `random.Random(seed)`, slot by slot,
+        so a walk cut short draws only what it visited.
+        """
+        mode, seed, samples = self.mode, self.seed, self.samples
+        if mode == "generators" and all(g is None for g in gen_sets):
+            mode = "exhaustive"
+        if mode == "exhaustive":
+            return Walk("exhaustive", itertools.product(*map(range, dims)))
+        rng = random.Random(seed)
+        drawn = (tuple(rng.randrange(d) for d in dims)
+                 for _ in range(samples))
+        if mode == "sample":
+            return Walk(f"sample(n={samples},seed={seed})", drawn)
         head = itertools.product(*[sorted(g) if g is not None else range(d)
                                    for d, g in zip(dims, gen_sets)])
         return Walk(f"generators+sample(n={samples},seed={seed})",
                     itertools.chain(head, drawn))
-    raise ValueError(f"unknown check mode: {mode!r}")
 
 
-def lemma_walk(alg) -> Walk:
-    """`generator_pairs(alg)` closed by `generation_failure(alg)`,
-    labelled "generators"; the check that walks it states its lemma."""
-    return Walk("generators", generator_pairs(alg),
+def lemma_walk(alg, arity: int = 2) -> Walk:
+    """The tuples (g, x, ...) of length `arity`, g over the declared
+    generator indices of `alg` and the rest over its basis, closed by
+    `generation_failure(alg)`, labelled "generators"; the check that
+    walks it states its lemma (`hopf.check_algebra_axioms` for 3)."""
+    rest = [range(alg.dim)] * (arity - 1)
+    return Walk("generators", itertools.product(sorted(gen_indices(alg)),
+                                                *rest),
                 certificate=partial(generation_failure, alg))
+
+
+def two_sided_lemma_walk(alg) -> Walk:
+    """(g, j) and then (j, g) for each (g, j) of `lemma_walk(alg)`, with its
+    certificate; `hopf.check_hopf_axioms` states the lemma."""
+    return Walk("generators", itertools.chain.from_iterable(
+        ((g, j), (j, g)) for g, j in generator_pairs(alg)),
+        certificate=partial(generation_failure, alg))
 
 
 def coalgebra_closure(H) -> list:

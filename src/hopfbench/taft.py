@@ -39,7 +39,7 @@ from .hopf import (
     pair_product, render_element, render_tensor, tensor_flat,
 )
 from .results import (Check, CheckResult, gen_indices,
-                      invert_expected_failure, tuple_walk)
+                      invert_expected_failure)
 from .sparse import (
     BilinearMap, ColinearMap, LazyLinearMap, LinearMap,
     SingularMapError, Space, SpanSolver, Subspace, linear_map_inverse,
@@ -536,22 +536,18 @@ def taft_dual_check(pair: TaftPair, name: str = "taft-dual") -> "CheckResult":
     return chk.result()
 
 
-def closed_form_check(sys: TaftSystem, mode: str = "exhaustive", seed: int = 0,
-                      samples: int = 100_000,
+def closed_form_check(sys: TaftSystem, walk,
                       name: str = "smash-closed-form") -> "CheckResult":
-    """The u-sum product formula equals the generic smash product.
-
-    A `tuple_walk` over basis pairs of H(B*): every pair, a seeded sample
-    of pairs, or in "generators" mode the pairs whose left factor is a
-    generator index of H(B*) followed by the sample.  This equality also
-    pins the q-binomial convention used by the scalar layer.
+    """The u-sum product formula equals the generic smash product on the
+    basis pairs of H(B*) that `walk` gives, with the generator indices of
+    H(B*) in the left slot.  This equality also pins the q-binomial
+    convention used by the scalar layer.
     """
     ctx = sys.ctx
     A = sys.heis.algebra
     labels = A.space.labels
     index = {lab: i for i, lab in enumerate(labels)}
-    walk = tuple_walk(mode, (A.dim, A.dim), (gen_indices(A), None), seed,
-                      samples)
+    walk = walk.over((A.dim, A.dim), (gen_indices(A), None))
     chk = Check(name, walk.label)
 
     def case(i: int, j: int) -> Optional[str]:

@@ -13,13 +13,12 @@ module packages the three layers generically:
   braiding identity, and braided (smash-like) products of YD algebras with
   the diagonal action and codiagonal coaction.
 
-Every check over basis tuples takes a `results.Walk` and runs its case
-loop, `Walk.failure`: by default `results.tuple_walk` in the requested
-mode, with the declared generator indices in the acted/coacted slots.
-The module law, the module-algebra law, the YD condition and braided
-commutativity also take a walk from the caller, for the lemma walks that
-prove them from generators.  Failures report the first failing tuple in
-walk order: the lexicographically smallest one in exhaustive mode.
+Every check over basis tuples walks each law on the walk its caller
+gives it (see `results`), with the declared generator indices in the
+acted/coacted slots; the module, module-algebra, comodule-algebra and YD
+laws and braided commutativity state the lemmas that prove them from
+generators.  Failures report the first failing tuple in walk order: the
+lexicographically smallest one on an exhaustive walk.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from typing import Callable, Iterable, Optional
 
 from .hopf import (FiniteAlgebra, FiniteHopf, render_element, tensor_flat,
                    twisted_product)
-from .results import (Check, CheckResult, Walk, gen_indices, lemma_walk,
-                      tuple_walk)
+from .results import Check, CheckResult, gen_indices
 from .sparse import (LinearMap, Row, Space, Vec, colinear_apply, shared_row,
                      vadd_into, vadd_outer, vadd_term, veq, vscale)
 
@@ -203,17 +201,15 @@ class BraidedProductAlgebra:
 
 # -- module / comodule checks ------------------------------------------------
 
-def check_module(m, mode: str = "exhaustive", seed: int = 0,
-                 samples: int = 10_000, name: str = "module-action",
-                 walk: Optional[Walk] = None) -> CheckResult:
+def check_module(m, walk, name: str = "module-action") -> CheckResult:
     """Unit law 1 |> x = x (always exhaustive) and (MN) |> x = M |> (N |> x)
     on the (M, N, x) basis triples of `walk`.
 
-    Without a walk, `mode` walks `results.tuple_walk` with the generator
-    indices of H in M and N.  That is evidence, not a proof, in every mode
-    but "exhaustive": the lemma -- S = {M : (MN) |> x = M |> (N |> x) for
-    all N, x} is a subalgebra of an associative H -- needs N and x over
-    the whole basis.  For H = D(B) acting by a `doubles.FactoredAction`,
+    The run's tuple walks head M and N with the generator indices of H.
+    That is evidence, not a proof, on any but an exhaustive walk: the
+    lemma -- S = {M : (MN) |> x = M |> (N |> x) for all N, x} is a
+    subalgebra of an associative H -- needs N and x over the whole
+    basis.  For H = D(B) acting by a `doubles.FactoredAction`,
     `doubles.module_factor_walk` proves the law on the two factors of
     D(B) instead, from the definition of the action's rows from four
     leg actions of B and B* on B and B*, the module laws of those legs,
@@ -224,10 +220,8 @@ def check_module(m, mode: str = "exhaustive", seed: int = 0,
     `ddouble-mult-associativity`.
     """
     H, alg, act = m.hopf, m.algebra, m.action
-    if walk is None:
-        gh = gen_indices(H)
-        walk = tuple_walk(mode, (H.dim, H.dim, alg.dim), (gh, gh, None),
-                          seed, samples)
+    gh = gen_indices(H)
+    walk = walk.over((H.dim, H.dim, alg.dim), (gh, gh, None))
     chk = Check(name, walk.label)
     for x in range(alg.dim):
         chk.cases += 1
@@ -250,15 +244,13 @@ def check_module(m, mode: str = "exhaustive", seed: int = 0,
     return chk.result(walk.failure(chk, case))
 
 
-def check_module_algebra(m, mode: str = "exhaustive", seed: int = 0,
-                         samples: int = 10_000,
-                         name: str = "module-algebra",
-                         walk: Optional[Walk] = None) -> CheckResult:
+def check_module_algebra(m, walk,
+                         name: str = "module-algebra") -> CheckResult:
     """M |> 1 = counit(M) 1 for every M (always exhaustive), then
     M |> (xy) = (M' |> x)(M'' |> y) on the (M, x, y) basis triples of
-    `walk`.  Without a walk, `mode` walks `results.tuple_walk` with the
-    generator indices of H in M and of X in x and y: evidence in every
-    mode but "exhaustive".
+    `walk`.  The run's tuple walks head M with the generator indices of
+    H and x and y with those of X: evidence on any but an exhaustive
+    walk.
 
     `results.subcoalgebra_walk(H, X)` proves the law for every triple.
     Its M runs over C = `results.coalgebra_closure(H)`, whose span is a
@@ -293,10 +285,8 @@ def check_module_algebra(m, mode: str = "exhaustive", seed: int = 0,
     `hdouble-mult-associativity`.
     """
     H, alg, act = m.hopf, m.algebra, m.action
-    if walk is None:
-        ga = gen_indices(alg)
-        walk = tuple_walk(mode, (H.dim, alg.dim, alg.dim),
-                          (gen_indices(H), ga, ga), seed, samples)
+    ga = gen_indices(alg)
+    walk = walk.over((H.dim, alg.dim, alg.dim), (gen_indices(H), ga, ga))
     chk = Check(name, walk.label)
     one = H.ctx.one
     for h in range(H.dim):
@@ -360,14 +350,13 @@ def check_comodule(c, name: str = "comodule-coaction") -> CheckResult:
     return chk.result()
 
 
-def check_comodule_algebra(c, mode: str = "exhaustive", seed: int = 0,
-                           samples: int = 10_000,
+def check_comodule_algebra(c, walk,
                            name: str = "comodule-algebra") -> CheckResult:
-    """delta(xy) = delta(x) delta(y) and delta(1) = 1 (x) 1.
+    """delta(1) = 1 (x) 1, and delta(xy) = delta(x) delta(y) on the (x, y)
+    basis pairs of `walk`, with the generator indices of X in both.
 
-    In "exhaustive" and "generators" mode, when the algebra X declares
-    generators, `results.lemma_walk(X)` proves the law for all pairs,
-    labelled "generators": delta(1) = 1 (x) 1 and the walk put the unit
+    `results.lemma_walk(X)` proves the law for all pairs, labelled
+    "generators": delta(1) = 1 (x) 1 and the walk put the unit
     and the generators in S = {x : delta(xy) = delta(x) delta(y) for all
     y}, a subalgebra because X and H (x) X are associative, and the
     walk's certificate makes S all of X.
@@ -375,14 +364,12 @@ def check_comodule_algebra(c, mode: str = "exhaustive", seed: int = 0,
     `hopf-axioms.ddouble-mult-associativity` (H = D(B)) and
     `hopf-axioms.hdouble-mult-associativity` (X = H(B*)); in the
     truncations suite H and X are subquotients of those two, certified by
-    the `uq-*` and `hq-transport-*` checks.  "sample" mode, and an algebra
-    without generators, walk `results.tuple_walk`.
+    the `uq-*` and `hq-transport-*` checks.
     """
     H, alg, coact = c.hopf, c.algebra, c.coaction
     dX = alg.dim
     ga = gen_indices(alg)
-    walk = (lemma_walk(alg) if mode != "sample" and ga is not None
-            else tuple_walk(mode, (dX, dX), (ga, ga), seed, samples))
+    walk = walk.over((dX, dX), (ga, ga))
     chk = Check(name, walk.label, cases=1)
     if not veq(coact.apply(alg.unit), tensor_flat(H.unit, alg.unit, dX)):
         return chk.result("delta(1) != 1 (x) 1")
@@ -408,12 +395,9 @@ def check_comodule_algebra(c, mode: str = "exhaustive", seed: int = 0,
     return chk.result(walk.failure(chk, case))
 
 
-def check_yd(y, mode: str = "exhaustive", seed: int = 0,
-             samples: int = 10_000, name: str = "yd-condition",
-             walk: Optional[Walk] = None) -> CheckResult:
+def check_yd(y, walk, name: str = "yd-condition") -> CheckResult:
     """Compatibility of action and coaction on the (M, A) basis pairs of
-    `walk` (by default `results.tuple_walk` in `mode`, with the generator
-    indices of H in M):
+    `walk`, with the generator indices of H in M:
 
         (M' |> A)_(-1) M'' (x) (M' |> A)_(0)  =  M' A_(-1) (x) (M'' |> A_(0)).
 
@@ -434,9 +418,7 @@ def check_yd(y, mode: str = "exhaustive", seed: int = 0,
     H, alg = y.hopf, y.algebra
     act, coact = y.action, y.coaction
     dH, dX = H.dim, alg.dim
-    if walk is None:
-        walk = tuple_walk(mode, (dH, dX), (gen_indices(H), None), seed,
-                          samples)
+    walk = walk.over((dH, dX), (gen_indices(H), None))
     chk = Check(name, walk.label)
 
     def case(m: int, a: int) -> Optional[str]:
@@ -508,12 +490,10 @@ def braiding_inv_row(u_mod: YDModuleAlgebra, v_mod: YDModuleAlgebra,
     return out
 
 
-def check_braided_commutative(y: YDModuleAlgebra, mode: str = "exhaustive",
-                              seed: int = 0, samples: int = 10_000,
-                              name: str = "braided-commutative",
-                              walk: Optional[Walk] = None) -> CheckResult:
-    """y x = (y_(-1) |> x) y_(0) on the (y, x) basis pairs of `walk` (by
-    default `results.tuple_walk` in `mode`, generator indices in both).
+def check_braided_commutative(y: YDModuleAlgebra, walk,
+                              name: str = "braided-commutative") -> CheckResult:
+    """y x = (y_(-1) |> x) y_(0) on the (y, x) basis pairs of `walk`, with
+    the generator indices of X in both.
 
     `results.lemma_walk(X)` -- y over the generators of X, x over its
     basis -- proves it for every y.  S = {y : it holds for every x} is a
@@ -530,9 +510,8 @@ def check_braided_commutative(y: YDModuleAlgebra, mode: str = "exhaustive",
     """
     alg, act, coact = y.algebra, y.action, y.coaction
     dX = alg.dim
-    if walk is None:
-        ga = gen_indices(alg)
-        walk = tuple_walk(mode, (dX, dX), (ga, ga), seed, samples)
+    ga = gen_indices(alg)
+    walk = walk.over((dX, dX), (ga, ga))
     chk = Check(name, walk.label)
 
     def case(i: int, j: int) -> Optional[str]:
@@ -551,16 +530,13 @@ def check_braided_commutative(y: YDModuleAlgebra, mode: str = "exhaustive",
 
 
 def check_braided_symmetric(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
-                            mode: str = "exhaustive", seed: int = 0,
-                            samples: int = 10_000,
-                            name: str = "braided-symmetric") -> CheckResult:
+                            walk, name: str = "braided-symmetric") -> CheckResult:
     """The braiding Y (x) X -> X (x) Y agrees with the inverse braiding.
 
     Pointwise: (y_(-1) |> x) (x) y_(0)  =  x_(0) (x) (S^{-1}(x_(-1)) |> y).
     """
     X, Y = x_mod.algebra, y_mod.algebra
-    walk = tuple_walk(mode, (X.dim, Y.dim), (gen_indices(X), gen_indices(Y)),
-                      seed, samples)
+    walk = walk.over((X.dim, Y.dim), (gen_indices(X), gen_indices(Y)))
     chk = Check(name, walk.label)
 
     def case(i: int, j: int) -> Optional[str]:
@@ -575,17 +551,14 @@ def check_braided_symmetric(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
 
 
 def check_locked_identity(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
-                          mode: str = "exhaustive", seed: int = 0,
-                          samples: int = 10_000,
-                          name: str = "locked-identity") -> CheckResult:
+                          walk, name: str = "locked-identity") -> CheckResult:
     """Double braiding is the identity: c_{Y,X} o c_{X,Y} = id on X (x) Y.
 
     Pointwise: ((x_(-1) |> y)_(-1) |> x_(0)) (x) (x_(-1) |> y)_(0) = x (x) y.
     """
     X, Y = x_mod.algebra, y_mod.algebra
     dx, dy = X.dim, Y.dim
-    walk = tuple_walk(mode, (dx, dy), (gen_indices(X), gen_indices(Y)), seed,
-                      samples)
+    walk = walk.over((dx, dy), (gen_indices(X), gen_indices(Y)))
     chk = Check(name, walk.label)
     one = x_mod.hopf.ctx.one
 
@@ -721,8 +694,7 @@ def check_factor_embeddings(bp: BraidedProductAlgebra,
 
 
 def check_rebracketing(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
-                       z_mod: YDModuleAlgebra, mode: str = "sample",
-                       seed: int = 0, samples: int = 2000,
+                       z_mod: YDModuleAlgebra, walk,
                        name: str = "rebracketing") -> CheckResult:
     """(X >< Y) >< Z and X >< (Y >< Z) have identical structure constants.
 
@@ -733,7 +705,7 @@ def check_rebracketing(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
     right = braided_product(x_mod, braided_product(y_mod, z_mod).yd).yd
     d = left.algebra.dim
     g = gen_indices(left.algebra)
-    walk = tuple_walk(mode, (d, d), (g, g), seed, samples)
+    walk = walk.over((d, d), (g, g))
     chk = Check(name, walk.label, cases=1)
     if right.algebra.dim != d:
         return chk.result("dimension mismatch")
@@ -752,13 +724,13 @@ def check_rebracketing(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
 
 
 def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
-                     mode: str = "exhaustive", seed: int = 0,
-                     samples: int = 2000, prefix: str = "flip"):
+                     algebra_walk, module_walk, prefix: str = "flip"):
     """Morphism certificates for the braiding as a map X >< Y -> Y >< X.
 
     phi(x (x) y) = (x_(-1) |> y) (x) x_(0).  Returns the checks that
-    certify that phi is bijective, an algebra morphism, an H-module
-    morphism, and an H-comodule morphism.
+    certify that phi is bijective, an algebra morphism (on the pairs of
+    `algebra_walk`), an H-module morphism (on the pairs of
+    `module_walk`), and an H-comodule morphism.
     """
     from .sparse import SingularMapError, linear_map_inverse
 
@@ -786,7 +758,7 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         return chk.result()
 
     def algebra_morphism() -> CheckResult:
-        walk = tuple_walk(mode, (d, d), (gxy, gxy), seed, samples)
+        walk = algebra_walk.over((d, d), (gxy, gxy))
         chk = Check(f"{prefix}-algebra-morphism", walk.label)
 
         def case(u: int, v: int) -> Optional[str]:
@@ -800,8 +772,7 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         return chk.result(walk.failure(chk, case))
 
     def module_morphism() -> CheckResult:
-        walk = tuple_walk(mode, (H.dim, d), (gen_indices(H), gxy), seed,
-                          samples)
+        walk = module_walk.over((H.dim, d), (gen_indices(H), gxy))
         chk = Check(f"{prefix}-module-morphism", walk.label)
 
         def case(h: int, u: int) -> Optional[str]:
@@ -830,13 +801,12 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
             comodule_morphism()]
 
 
-def yang_baxter_check(v_mod: YDModuleAlgebra, mode: str = "sample",
-                      seed: int = 0, samples: int = 200,
+def yang_baxter_check(v_mod: YDModuleAlgebra, walk,
                       name: str = "braid-relation") -> CheckResult:
     """(c (x) id)(id (x) c)(c (x) id) = (id (x) c)(c (x) id)(id (x) c) on V^3."""
     n = v_mod.algebra.dim
     gv = gen_indices(v_mod.algebra)
-    walk = tuple_walk(mode, (n, n, n), (gv, gv, gv), seed, samples)
+    walk = walk.over((n, n, n), (gv, gv, gv))
     chk = Check(name, walk.label)
     n2 = n * n
     one = v_mod.hopf.ctx.one

@@ -21,7 +21,8 @@ from hopfbench.doubles import (FactoredAction, chain_relations_check,
 from hopfbench.hopf import check_hopf_axioms
 from hopfbench.mutations import mutation_suite
 from hopfbench.report import SuiteConfig, render, run_suite
-from hopfbench.results import invert_expected_failure
+from hopfbench.results import (TupleWalks, invert_expected_failure,
+                               lemma_walk)
 from hopfbench.taft import (chain_heisenberg_checks, closed_form_check,
                             cqzd, cqzd_center_check, double_presentation_check,
                             h2_matches_cqzd_check, hq_action_table_check,
@@ -31,6 +32,10 @@ from hopfbench.taft import (chain_heisenberg_checks, closed_form_check,
 from hopfbench.ydcat import (check_braided_commutative,
                              check_braided_symmetric, check_locked_identity,
                              check_module_algebra, check_yd, flip_isomorphism)
+
+
+EXHAUSTIVE = TupleWalks("exhaustive", 0, 0)
+CONTROLS = TupleWalks("generators", 0, 10_000)
 
 
 def all_pass(results):
@@ -50,8 +55,9 @@ def sys3():
 
 def test_01_hopf_axioms_exhaustive_under_a_minute(sys2):
     t0 = time.perf_counter()
-    all_pass(check_hopf_axioms(sys2.pair.primal, mode="exhaustive"))
-    all_pass(check_hopf_axioms(sys2.double.hopf, mode="exhaustive"))
+    for H in (sys2.pair.primal, sys2.double.hopf):
+        all_pass(check_hopf_axioms(H, lemma_walk(H, 3), EXHAUSTIVE,
+                                   EXHAUSTIVE))
     assert time.perf_counter() - t0 < 60.0
 
 
@@ -62,34 +68,33 @@ def test_02_double_presentation_both_p(sys2, sys3):
 
 def test_03_eta_twist_equals_smash_under_two_minutes(sys2):
     t0 = time.perf_counter()
-    res = eta_twist_product(sys2.double, sys2.heis, mode="exhaustive")
+    res = eta_twist_product(sys2.double, sys2.heis, EXHAUSTIVE)
     assert res.status == "pass"
     assert res.cases_checked == 256 * 256
     assert time.perf_counter() - t0 < 120.0
 
 
 def test_04_closed_form_matches_smash_oracle(sys2, sys3):
-    res2 = closed_form_check(sys2, mode="exhaustive")
+    res2 = closed_form_check(sys2, EXHAUSTIVE)
     assert res2.status == "pass" and res2.cases_checked == 256 * 256
-    res3 = closed_form_check(sys3, mode="sample", seed=0, samples=100_000)
+    res3 = closed_form_check(sys3, TupleWalks("sample", 0, 100_000))
     assert res3.status == "pass" and res3.cases_checked == 100_000
 
 
 def test_05_action_well_defined_and_module_algebra(sys2):
     act = FactoredAction(sys2.heis, sys2.double)
-    res = to_show_action_check(sys2.double, act, mode="generators",
-                               seed=0, samples=10_000)
+    walks = TupleWalks("generators", 0, 10_000)
+    res = to_show_action_check(sys2.double, act, walks)
     assert res.status == "pass"
-    ma = check_module_algebra(sys2.yd, mode="generators", seed=0,
-                              samples=10_000)
+    ma = check_module_algebra(sys2.yd, walks)
     assert ma.status == "pass"
 
 
 def test_06_yd_condition_and_braided_commutativity_under_ten_minutes(sys2):
     t0 = time.perf_counter()
-    yd = check_yd(sys2.yd, mode="generators", seed=0, samples=10_000)
+    yd = check_yd(sys2.yd, TupleWalks("generators", 0, 10_000))
     assert yd.status == "pass"
-    bc = check_braided_commutative(sys2.yd, mode="exhaustive")
+    bc = check_braided_commutative(sys2.yd, EXHAUSTIVE)
     assert bc.status == "pass"
     assert bc.cases_checked == 256 * 256
     assert time.perf_counter() - t0 < 600.0
@@ -98,10 +103,9 @@ def test_06_yd_condition_and_braided_commutativity_under_ten_minutes(sys2):
 def test_07_braided_product_reconstructs_heisenberg_double(sys2):
     dual_yd, base_yd = factor_structures(sys2.double)
     for mod in (dual_yd, base_yd):
-        assert check_braided_commutative(mod,
-                                         mode="exhaustive").status == "pass"
+        assert check_braided_commutative(mod, EXHAUSTIVE).status == "pass"
     assert check_braided_symmetric(dual_yd, base_yd,
-                                   mode="exhaustive").status == "pass"
+                                   EXHAUSTIVE).status == "pass"
 
     bp = heisenberg_chain(sys2.pair.primal, 2, leftmost="dual",
                           D=sys2.double)
@@ -111,22 +115,22 @@ def test_07_braided_product_reconstructs_heisenberg_double(sys2):
         for j in range(A.dim):
             assert dict(A.mult.get(i, j)) == dict(B.mult.get(i, j))
 
-    flips = flip_isomorphism(dual_yd, base_yd, mode="exhaustive")
+    flips = flip_isomorphism(dual_yd, base_yd, EXHAUSTIVE, EXHAUSTIVE)
     assert len(flips) == 4
     all_pass(flips)
 
 
 def test_08_locked_identity_and_chain_counterexample(sys2):
     dual_yd, base_yd = factor_structures(sys2.double)
-    locked = check_locked_identity(dual_yd, base_yd, mode="exhaustive")
+    locked = check_locked_identity(dual_yd, base_yd, EXHAUSTIVE)
     assert locked.status == "pass"
     assert locked.cases_checked == 16 * 16
 
     ch3 = heisenberg_chain(sys2.pair.primal, 3, leftmost="dual",
                            D=sys2.double)
     all_pass(chain_relations_check(ch3, sys2.double, prefix="chain3"))
-    inner = check_braided_commutative(ch3.yd, mode="generators", seed=0,
-                                      samples=200)
+    inner = check_braided_commutative(ch3.yd,
+                                      TupleWalks("generators", 0, 200))
     res = invert_expected_failure(inner, "chain3-counterexample")
     assert res.status == "pass"
     assert inner.witness is not None
@@ -148,7 +152,7 @@ def test_10_truncated_tables_match_closed_forms():
         hq = hqsl2(p)
         assert hq_action_table_check(hq).status == "pass"
         assert hq_coaction_table_check(hq).status == "pass"
-    bc = check_braided_commutative(hqsl2(2).yd, mode="exhaustive")
+    bc = check_braided_commutative(hqsl2(2).yd, EXHAUSTIVE)
     assert bc.status == "pass"
     assert bc.cases_checked == 16 * 16
 
@@ -164,9 +168,8 @@ def test_11_chains_weyl_algebra_and_center():
 
 
 def test_12_r_matrix_remarks(sys2):
-    neg, pos = check_quantum_comm_remarks(sys2.double, sys2.heis,
-                                          mode="generators", seed=0,
-                                          samples=200)
+    hunt = TupleWalks("generators", 0, 200)
+    neg, pos = check_quantum_comm_remarks(sys2.double, sys2.heis, hunt, hunt)
     assert pos.status == "pass"          # restated inverse-R form holds
     assert neg.status == "pass"          # naive form refuted with witness
     assert neg.witness is not None
@@ -174,7 +177,7 @@ def test_12_r_matrix_remarks(sys2):
 
 
 def test_13_mutations_all_caught_and_exit_code_one():
-    suite = mutation_suite(2)
+    suite = mutation_suite(2, CONTROLS)
     assert len(suite) >= 6
     for res in suite:
         assert res.status == "fail"

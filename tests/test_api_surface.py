@@ -7,8 +7,13 @@
   what a sibling needs is public.
 * Only `results.py` names `random` or the raw tuple walk (`iter_tuples`,
   `mode_tag`): every check walks basis tuples through a `results.Walk`
-  from `results.tuple_walk` or a lemma walk, so the case loop, the random
+  from `results.TupleWalks` or a lemma walk, so the case loop, the random
   draws and the coverage label live in one place.
+* Only `results.py` and `report.py` name the run's tuple walks
+  (`TupleWalks`, or the `tuple_walk` it replaced) or the coverage modes
+  (`MODES`), and no function outside them takes a `seed`, `samples` or
+  `mode` parameter: the suites of `report.py` are the one plan that
+  chooses each law's walk, and a check takes only the walk.
 * No module imports numpy or scipy, at module level or inside a
   function: `pyproject.toml` declares no runtime dependencies.
 """
@@ -101,7 +106,7 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 
 
 # The random module, the names of the raw tuple iterator and its label
-# (folded into `results.tuple_walk`), and the modules allowed to name them.
+# (folded into `results.TupleWalks`), and the modules allowed to name them.
 RAW_WALK_NAMES = {"random", "iter_tuples", "mode_tag"}
 RAW_WALK_MODULES = {"results.py"}
 
@@ -141,6 +146,67 @@ def test_the_raw_walk_guard_sees_a_reverted_loop():
     for mod in ("ydcat.py", "hopf.py"):
         assert len(_raw_walk_uses({mod: reverted})) == 6
     assert _raw_walk_uses({"results.py": reverted}) == []
+
+
+# Names of the coverage plan's inputs, and the modules allowed to name
+# them; cli.py offers MODES as the choices of `verify --mode`.
+PLAN_NAMES = {"TupleWalks", "tuple_walk", "MODES"}
+PLAN_MODULES = {"results.py", "report.py"}
+CLI_NAMES = {"MODES"}
+# Parameters that would carry a coverage mode or a draw into a function.
+PLAN_PARAMETERS = {"mode", "seed", "samples"}
+# span_closure's seed is the vectors it closes and its mode the kind of
+# closure, "subalgebra" or "ideal": neither is coverage.
+NOT_COVERAGE = {("sparse.py", "span_closure"): {"seed", "mode"}}
+
+
+def _plan_uses(modules: dict) -> list:
+    uses = []
+    for mod, tree in modules.items():
+        if mod in PLAN_MODULES:
+            continue
+        named = PLAN_NAMES - (CLI_NAMES if mod == "cli.py" else set())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = {node.id} & named
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr} & named
+            elif isinstance(node, ast.alias):
+                names = {node.name} & named
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                a = node.args
+                params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+                names = params & PLAN_PARAMETERS - NOT_COVERAGE.get(
+                    (mod, getattr(node, "name", None)), set())
+            else:
+                continue
+            uses += [(mod, node.lineno, name) for name in names]
+    return [f"{mod}:{line} {name}" for mod, line, name in sorted(uses)]
+
+
+def test_only_the_plan_names_coverage_modes_and_tuple_walks():
+    assert _plan_uses(_modules()) == []
+
+
+def test_the_plan_guard_sees_a_mode_passed_to_a_check():
+    reverted = ast.parse(
+        "from .results import MODES, TupleWalks, tuple_walk\n"
+        "def check_yd(y, mode='exhaustive', seed=0, samples=10_000):\n"
+        "    assert mode in MODES\n"
+        "    walk = TupleWalks(mode, seed, samples).over((2, 2), (None, None))\n"
+        "def span_closure(seed, multiply, dim, mode='ideal'):\n"
+        "    pass\n")
+    assert _plan_uses({"ydcat.py": reverted}) == [
+        "ydcat.py:1 MODES", "ydcat.py:1 TupleWalks", "ydcat.py:1 tuple_walk",
+        "ydcat.py:2 mode", "ydcat.py:2 samples", "ydcat.py:2 seed",
+        "ydcat.py:3 MODES", "ydcat.py:4 TupleWalks",
+        "ydcat.py:5 mode", "ydcat.py:5 seed"]
+    assert _plan_uses({"sparse.py": reverted})[-2:] == [
+        "sparse.py:3 MODES", "sparse.py:4 TupleWalks"]
+    assert _plan_uses({"cli.py": reverted})[:2] == [
+        "cli.py:1 TupleWalks", "cli.py:1 tuple_walk"]
+    assert _plan_uses({"report.py": reverted}) == []
 
 
 # Third-party packages that no module may import, anywhere in its body.

@@ -10,13 +10,17 @@ from hopfbench.doubles import (
     heisenberg_chain, to_show_action_check,
 )
 from hopfbench.hopf import check_hopf_axioms
-from hopfbench.results import invert_expected_failure
+from hopfbench.results import (TupleWalks, invert_expected_failure,
+                               lemma_walk)
 from hopfbench.sparse import veq
 from hopfbench.taft import (
     closed_form_check, double_elements, double_presentation_check,
     taft_dual_check, taft_system,
 )
 from hopfbench.ydcat import check_braided_commutative
+
+
+EXHAUSTIVE = TupleWalks("exhaustive", 0, 0)
 
 
 def all_pass(results):
@@ -41,7 +45,9 @@ def test_double_dimensions(system):
 
 
 def test_double_hopf_axioms_p2(sys2):
-    results = check_hopf_axioms(sys2.double.hopf, mode="exhaustive")
+    H = sys2.double.hopf
+    results = check_hopf_axioms(H, lemma_walk(H, 3), EXHAUSTIVE,
+                                EXHAUSTIVE)
     all_pass(results)
     assert {r.name: r.mode for r in results if r.mode != "exhaustive"} == {
         "mult-associativity": "generators"}
@@ -61,30 +67,31 @@ def test_double_identity_decomposition(system):
 
 
 def test_eta_twist_recovers_heisenberg_p2(sys2):
-    res = eta_twist_product(sys2.double, sys2.heis, mode="exhaustive")
+    res = eta_twist_product(sys2.double, sys2.heis, EXHAUSTIVE)
     assert res.status == "pass"
     assert res.cases_checked == 65_536  # all pairs of smash basis vectors
 
 
 def test_eta_twist_sampled_p3():
     sys3 = taft_system(3)
-    res = eta_twist_product(sys3.double, sys3.heis, mode="sample",
-                            seed=0, samples=2000)
+    res = eta_twist_product(sys3.double, sys3.heis,
+                            TupleWalks("sample", 0, 2000))
     assert res.status == "pass"
 
 
 def test_closed_form_product(system):
     if system.ctx.p == 2:
-        res = closed_form_check(system, mode="exhaustive")
+        res = closed_form_check(system, EXHAUSTIVE)
         assert res.cases_checked == 65_536
     else:
-        res = closed_form_check(system, mode="sample", samples=100_000)
+        res = closed_form_check(system, TupleWalks("sample", 0, 100_000))
     assert res.status == "pass"
 
 
 def test_action_composes_through_double(sys2):
     act = FactoredAction(sys2.heis, sys2.double)
-    res = to_show_action_check(sys2.double, act, mode="generators")
+    res = to_show_action_check(sys2.double, act,
+                               TupleWalks("generators", 0, 10_000))
     assert res.status == "pass"
 
 
@@ -93,15 +100,15 @@ def test_quasitriangular_p2(sys2):
 
 
 def test_r_matrix_commutativity_forms(sys2):
-    neg, pos = check_quantum_comm_remarks(sys2.double, sys2.heis,
-                                          mode="generators")
+    hunt = TupleWalks("generators", 0, 200)
+    neg, pos = check_quantum_comm_remarks(sys2.double, sys2.heis, hunt, hunt)
     assert neg.status == "pass"   # counterexample to the naive form exists
     assert "kap#k - 4*Fkap#Ek^7" in neg.witness
     assert pos.status == "pass"   # the corrected form holds
 
 
 def test_heisenberg_is_braided_commutative(sys2):
-    res = check_braided_commutative(sys2.yd, mode="exhaustive")
+    res = check_braided_commutative(sys2.yd, EXHAUSTIVE)
     assert res.status == "pass"
     assert res.cases_checked == 65_536
 
@@ -116,7 +123,8 @@ def test_three_factor_chain_relations(sys2):
 def test_three_factor_chain_not_braided_commutative(sys2):
     ch3 = heisenberg_chain(sys2.pair.primal, 3, leftmost="dual",
                            D=sys2.double)
-    inner = check_braided_commutative(ch3.yd, mode="generators", samples=200)
+    inner = check_braided_commutative(ch3.yd,
+                                      TupleWalks("generators", 0, 200))
     res = invert_expected_failure(inner, "chain3-fails")
     assert res.status == "pass"
     assert "kap >< 1 >< F" in res.witness

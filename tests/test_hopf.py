@@ -22,10 +22,12 @@ from hopfbench.hopf import (
     hit_dual_left, hit_dual_right, pair_product, render_element,
     tensor_flat,
 )
-from hopfbench.results import tuple_walk
+from hopfbench.report import SuiteConfig, _associativity, _pairwise
+from hopfbench.results import TupleWalks
 from hopfbench.sparse import BilinearMap, ColinearMap, LinearMap, Space, veq
 
 CTX = QContext(2)
+EXHAUSTIVE = TupleWalks("exhaustive", 0, 0)
 
 
 def group_algebra(ctx, n, name="kZ"):
@@ -124,21 +126,30 @@ def all_pass(results):
     assert not bad, "\n".join(r.line() for r in bad)
 
 
+def axioms(H, mode="exhaustive", seed=0, samples=2000, antihom=False):
+    """check_hopf_axioms on the walks that the report's plan gives each
+    law of H in a run in `mode`."""
+    cfg = SuiteConfig(mode=mode, seed=seed, sample_size=samples)
+    return check_hopf_axioms(H, _associativity(cfg, H), _pairwise(cfg, H),
+                             _pairwise(cfg, H),
+                             _pairwise(cfg, H) if antihom else None)
+
+
 # -- axiom checks on honest fixtures ------------------------------------------
 
 def test_group_algebra_axioms_exhaustive():
     H = group_algebra(CTX, 8)
-    all_pass(check_hopf_axioms(H, include_antihom=True))
+    all_pass(axioms(H, antihom=True))
 
 
 def test_four_dim_axioms_exhaustive():
     H = four_dim_hopf(CTX)
-    all_pass(check_hopf_axioms(H, include_antihom=True))
+    all_pass(axioms(H, antihom=True))
 
 
 def test_group_algebra_generator_mode():
     H = group_algebra(CTX, 12)
-    results = check_hopf_axioms(H, mode="generators", seed=3, samples=200)
+    results = axioms(H, mode="generators", seed=3, samples=200)
     all_pass(results)
     by_name = {r.name: r for r in results}
     assert by_name["comult-multiplicative"].mode == "generators"
@@ -148,7 +159,7 @@ def test_group_algebra_generator_mode():
 def test_generator_mode_with_nongenerating_set_fails_closed():
     H = group_algebra(CTX, 8)
     H.generators = [{2: CTX.one}]      # g^2 only spans half the algebra
-    results = check_hopf_axioms(H, mode="generators", seed=0, samples=50)
+    results = axioms(H, mode="generators", seed=0, samples=50)
     by_name = {r.name: r for r in results}
     assert by_name["comult-multiplicative"].status == "fail"
     assert "certificate" in by_name["comult-multiplicative"].witness
@@ -156,21 +167,23 @@ def test_generator_mode_with_nongenerating_set_fails_closed():
 
 def test_sampled_mode_runs():
     H = group_algebra(CTX, 6)
-    all_pass(check_hopf_axioms(H, mode="sample", seed=1, samples=100))
+    all_pass(axioms(H, mode="sample", seed=1, samples=100))
 
 
 def test_s3_group_algebra_axioms_in_every_mode():
     H = s3_group_algebra(CTX)
     for mode in ("exhaustive", "generators", "sample"):
-        all_pass(check_hopf_axioms(H, mode=mode, samples=50,
-                                   include_antihom=True))
+        all_pass(axioms(H, mode=mode, samples=50, antihom=True))
 
 
 @pytest.mark.parametrize("check", [check_algebra_axioms, check_hopf_axioms])
 def test_a_misspelled_mode_is_an_error_before_any_check(check):
+    """The plan's tuple walks reject the mode when they are built, before
+    the check is called."""
     H = group_algebra(CTX, 4)
+    cfg = SuiteConfig(mode="exhuastive")
     with pytest.raises(ValueError, match="exhuastive"):
-        check(H, mode="exhuastive")
+        check(H, _associativity(cfg, H))
 
 
 # -- mutations must be caught with matching witnesses --------------------------
@@ -179,7 +192,7 @@ def test_broken_associativity_detected():
     H = group_algebra(CTX, 4)
     H.mult.materialize()
     H.mult.set(1, 1, ((3, CTX.one),))          # g*g := g^3
-    res = [r for r in check_hopf_axioms(H) if r.name == "mult-associativity"][0]
+    res = [r for r in axioms(H) if r.name == "mult-associativity"][0]
     assert res.status == "fail"
     assert res.witness is not None
 
@@ -187,14 +200,14 @@ def test_broken_associativity_detected():
 def test_broken_comult_multiplicativity_detected():
     H = four_dim_hopf(CTX)
     H.comult.set(3, ((1, 3, CTX.one),))        # drop the xg (x) 1 term
-    names = {r.name: r for r in check_hopf_axioms(H)}
+    names = {r.name: r for r in axioms(H)}
     assert names["comult-multiplicative"].status == "fail"
 
 
 def test_broken_antipode_detected():
     H = four_dim_hopf(CTX)
     H.antipode.set(2, ((3, CTX.one),))         # wrong sign on S(x)
-    names = {r.name: r for r in check_hopf_axioms(H)}
+    names = {r.name: r for r in axioms(H)}
     assert names["antipode-convolution"].status == "fail"
 
 
@@ -206,8 +219,8 @@ def test_a_comult_row_broken_off_the_generator_side_fails_both_walks():
     H = s3_group_algebra(CTX)
     k = H.space.index["201"]
     H.comult.set(k, ((k, k, CTX.zeta),))
-    gens = {r.name: r for r in check_hopf_axioms(H, mode="generators")}
-    full = {r.name: r for r in check_hopf_axioms(H)}
+    gens = {r.name: r for r in axioms(H, mode="generators")}
+    full = {r.name: r for r in axioms(H)}
     line, ref = gens["comult-multiplicative"], full["comult-multiplicative"]
     assert (line.status, line.mode) == ("fail", "generators")
     assert line.witness == "basis pair (021, 102)"
@@ -233,11 +246,11 @@ def test_a_sampled_pair_line_walks_its_own_seeded_pairs(name,
     n, seed, samples = 8, 7, 60
     H = group_algebra(CTX, n)
     _SCALED[name](H)
-    walk = tuple_walk("sample", (n, n), (None, None), seed, samples)
+    walk = TupleWalks("sample", seed, samples).over((n, n), (None, None))
     first = next((i, j) for i, j in walk.tuples
                  if ((i + j) % n == 5) != (i == 5) + (j == 5))
-    results = check_hopf_axioms(H, mode="sample", seed=seed, samples=samples,
-                                include_antihom=include_antihom)
+    results = axioms(H, mode="sample", seed=seed, samples=samples,
+                     antihom=include_antihom)
     line = {r.name: r for r in results}[name]
     assert (line.status, line.mode) == ("fail", walk.label)
     assert line.witness == (f"basis pair ({H.space.label(first[0])}, "
@@ -247,8 +260,8 @@ def test_a_sampled_pair_line_walks_its_own_seeded_pairs(name,
 # -- the associativity lemma walk vs the walk over every triple ----------------
 
 def _product_laws(H):
-    """(mult-associativity, mult-unit) of one check_hopf_axioms call."""
-    by_name = {r.name: r for r in check_hopf_axioms(H)}
+    """(mult-associativity, mult-unit) of one exhaustive axioms call."""
+    by_name = {r.name: r for r in axioms(H)}
     return by_name["mult-associativity"], by_name["mult-unit"]
 
 
@@ -327,7 +340,7 @@ def test_torus_with_denominators_is_associative():
 def test_dual_of_group_algebra_is_hopf():
     H = group_algebra(CTX, 6)
     D = dual_hopf(H)
-    all_pass(check_hopf_axioms(D, include_antihom=True))
+    all_pass(axioms(D, antihom=True))
 
 
 def test_double_dual_returns_original_tables():
@@ -355,7 +368,21 @@ def test_canonical_pairing_axioms():
     H = group_algebra(CTX, 5)
     D = dual_hopf(H)
     P = HopfPairing.canonical(D, H)
-    all_pass(check_hopf_pairing(P))
+    all_pass(check_hopf_pairing(P, EXHAUSTIVE, EXHAUSTIVE))
+
+
+def test_a_pairing_failure_counts_the_cases_that_ran():
+    """e^2 e^2 := 0 in the dual of kZ5 breaks <fg, x> = <f (x) g, comult x>
+    first at (f, g, x) = (2, 2, 2), the 63rd triple of the exhaustive walk;
+    the other product law walks all 125 of its triples."""
+    H = group_algebra(CTX, 5)
+    D = dual_hopf(H)
+    D.mult.materialize()
+    D.mult.set(2, 2, ())
+    P = HopfPairing.canonical(D, H)
+    mult, comult = check_hopf_pairing(P, EXHAUSTIVE, EXHAUSTIVE)[:2]
+    assert (mult.status, mult.cases_checked) == ("fail", 63)
+    assert (comult.status, comult.cases_checked) == ("pass", 125)
 
 
 def test_pairing_axioms_on_noncommutative_fixture():
@@ -363,7 +390,7 @@ def test_pairing_axioms_on_noncommutative_fixture():
     H.mult.materialize()
     D = dual_hopf(H)
     P = HopfPairing.canonical(D, H)
-    all_pass(check_hopf_pairing(P))
+    all_pass(check_hopf_pairing(P, EXHAUSTIVE, EXHAUSTIVE))
 
 
 # -- regular actions ------------------------------------------------------------

@@ -35,15 +35,18 @@ import pytest
 
 from hopfbench.doubles import FactoredAction, module_factor_walk
 from hopfbench.hopf import FiniteAlgebra, FiniteHopf, check_algebra_axioms
-from hopfbench.results import (Walk, coalgebra_closure, gen_indices,
-                               generation_failure, generator_pairs,
-                               lemma_walk, subcoalgebra_walk)
+from hopfbench.results import (TupleWalks, Walk, coalgebra_closure,
+                               gen_indices, generation_failure,
+                               generator_pairs, lemma_walk, subcoalgebra_walk)
 from hopfbench.sparse import BilinearMap, veq
 from hopfbench.taft import hqsl2, taft_system, uqsl2
 from hopfbench.truncate import HopfQuotient, quotient_morphism_check
 from hopfbench.ydcat import (Action, Coaction, check_braided_commutative,
                              check_comodule_algebra, check_module,
                              check_module_algebra, check_yd)
+
+
+EXHAUSTIVE = TupleWalks("exhaustive", 0, 0)
 
 
 def _algebra(A, generators=None, mult=None):
@@ -56,6 +59,13 @@ def _hopf(H, generators=None):
                       H.antipode, generators=generators, name=H.name)
 
 
+def _axioms(A):
+    """(mult-associativity, mult-unit) of A, associativity by the triple
+    lemma when A declares generators and on every triple otherwise."""
+    return check_algebra_axioms(
+        A, lemma_walk(A, 3) if A.generators else EXHAUSTIVE)
+
+
 def _yd(key):
     return taft_system(2).yd if key == "taft" else hqsl2(2).yd
 
@@ -63,8 +73,8 @@ def _yd(key):
 def _both_ways(y):
     """(lemma walk, full pair walk) of comodule-algebra on y."""
     full = replace(y, algebra=_algebra(y.algebra))
-    return (check_comodule_algebra(y, mode="exhaustive"),
-            check_comodule_algebra(full, mode="exhaustive"))
+    return (check_comodule_algebra(y, walk=lemma_walk(y.algebra)),
+            check_comodule_algebra(full, walk=EXHAUSTIVE))
 
 
 def _quotient_both_ways(hq, pcache=None):
@@ -226,7 +236,7 @@ def test_a_lemma_only_pass_rests_on_a_failed_associativity():
             lemma, full = _both_ways(replace(y, algebra=bad))
             if full.status == "fail" and lemma.status == "pass":
                 lemma_only += 1
-                assoc = check_algebra_axioms(bad)[0]
+                assoc = _axioms(bad)[0]
                 assert (assoc.name, assoc.status) == ("mult-associativity",
                                                       "fail")
     assert lemma_only > 0
@@ -235,7 +245,7 @@ def test_a_lemma_only_pass_rests_on_a_failed_associativity():
 def test_too_few_generators_fail_the_certificate():
     y = hqsl2(2).yd
     few = replace(y, algebra=_algebra(y.algebra, y.algebra.generators[:-1]))
-    res = check_comodule_algebra(few, mode="generators")
+    res = check_comodule_algebra(few, walk=lemma_walk(few.algebra))
     assert res.status == "fail"
     assert res.witness.endswith("; generation certificate failed")
     assert res.witness.startswith("generating set spans rank ")
@@ -262,7 +272,7 @@ def test_too_few_generators_fail_the_certificate():
                 check_yd(y, walk=lemma_walk(_hopf(H, H.generators[:-1]))),
                 check_braided_commutative(
                     y, walk=lemma_walk(_algebra(X, X.generators[:-1]))),
-                check_algebra_axioms(_algebra(X, X.generators[:-1]))[0]):
+                _axioms(_algebra(X, X.generators[:-1]))[0]):
         assert res.status == "fail"
         assert res.witness.endswith("; generation certificate failed")
 
@@ -352,10 +362,10 @@ def _walks(y) -> dict:
             check_module(y, walk=_generic_module_walk(y))),
         "comodule-algebra": _both_ways(y),
         "yd-condition": (check_yd(y, walk=lemma_walk(y.hopf)),
-                         check_yd(y, mode="exhaustive")),
+                         check_yd(y, walk=EXHAUSTIVE)),
         "braided-commutative": (
             check_braided_commutative(y, walk=lemma_walk(y.algebra)),
-            check_braided_commutative(y, mode="exhaustive")),
+            check_braided_commutative(y, walk=EXHAUSTIVE)),
     }
 
 
@@ -454,7 +464,7 @@ def test_the_factor_route_catches_what_the_sampled_walk_missed():
     bad_row = ((row[0][0], row[0][1] * H.ctx.rational(2)),) + row[1:]
     bad = replace(y, action=_FactorRowOverride("prim", lambda m, x: (
         bad_row if (m, x) == (3, 140) else y.action.prim_row(m, x))))
-    old = check_module(bad, mode="generators", seed=601, samples=10_000)
+    old = check_module(bad, walk=TupleWalks("generators", 601, 10_000))
     assert old.status == "pass"
     with pytest.raises(ValueError, match="four leg actions"):
         module_factor_walk(D, bad.action)
@@ -743,8 +753,8 @@ def test_associativity_lemma_walk_is_sound_under_seeded_corruptions():
     caught_off_generators = 0
     for x, z in _seeded_product_pairs(B, seed=7, count=24):
         mult = _zeta_corrupted(B, x, z)
-        lemma, unit = check_algebra_axioms(_algebra(B, B.generators, mult))
-        full, _ = check_algebra_axioms(_algebra(B, None, mult))
+        lemma, unit = _axioms(_algebra(B, B.generators, mult))
+        full, _ = _axioms(_algebra(B, None, mult))
         assert (lemma.mode, full.mode) == ("generators", "exhaustive")
         assert lemma.cases_checked <= len(gens) * n * n
         proved = lemma.status == "pass" and unit.status == "pass"
@@ -763,7 +773,7 @@ def test_a_corrupted_double_product_off_the_generators_fails():
         if spared.isdisjoint((x, z)) and D.mult.get(x, z):
             break
     bad = _algebra(D, D.generators, _zeta_corrupted(D, x, z))
-    assoc, unit = check_algebra_axioms(bad)
+    assoc, unit = _axioms(bad)
     assert (assoc.name, assoc.status, assoc.mode) == (
         "mult-associativity", "fail", "generators")
     assert assoc.witness.startswith("basis triple (")

@@ -5,6 +5,10 @@ from __future__ import annotations
 import pytest
 
 from hopfbench.mutations import MUTATIONS, mutation_suite, run_mutation
+from hopfbench.results import TupleWalks
+
+# the negative controls' walks in the mutations suite
+CONTROLS = TupleWalks("generators", 0, 10_000)
 
 EXPECTED_WITNESS = {
     "taft-antipode-sign":
@@ -32,18 +36,18 @@ def test_registry_is_complete():
 
 @pytest.mark.parametrize("tag", sorted(MUTATIONS))
 def test_mutation_is_detected(tag):
-    res = run_mutation(tag, p=2)
+    res = run_mutation(tag, 2, CONTROLS)
     assert res.status == "fail"
     assert res.name == f"mutation-{tag}"
     assert res.witness == EXPECTED_WITNESS[tag]
 
 
 def test_suite_runs_in_registry_order():
-    suite = mutation_suite(2)
+    suite = mutation_suite(2, CONTROLS)
     assert [r.name for r in suite] == [f"mutation-{t}" for t in MUTATIONS]
     assert all(r.status == "fail" and r.witness for r in suite)
 
 
 def test_unknown_tag_raises():
     with pytest.raises(KeyError):
-        run_mutation("no-such-fixture", p=2)
+        run_mutation("no-such-fixture", 2, CONTROLS)

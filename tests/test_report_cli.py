@@ -20,8 +20,10 @@ from hopfbench.cyclo import QContext
 from hopfbench.mutations import MUTATIONS
 from hopfbench.report import (ConfigError, SuiteConfig, parse, render,
                               run_suite)
-from hopfbench.results import CheckResult
+from hopfbench.doubles import factor_structures
+from hopfbench.results import CheckResult, lemma_walk
 from hopfbench.taft import taft_setup, taft_system
+from hopfbench.ydcat import check_braided_commutative, check_braided_symmetric
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -98,6 +100,19 @@ def test_duplicate_check_names_are_an_engine_error(monkeypatch, capsys):
     assert "duplicate check name 'mutations.same.p2'" in capsys.readouterr().err
 
 
+def test_a_walk_reused_for_a_second_law_exits_3(monkeypatch, capsys):
+    def reuse(cfg):
+        dual_yd, base_yd = factor_structures(taft_system(2).double)
+        walk = lemma_walk(dual_yd.algebra)
+        yield check_braided_commutative(dual_yd, walk)
+        yield check_braided_symmetric(dual_yd, base_yd, walk)
+
+    monkeypatch.setitem(report_module._SUITES, "mutations", reuse)
+    assert main(["verify", "--p", "2", "--suite", "mutations"]) == 3
+    assert ("RuntimeError: the generators walk of 'braided-symmetric' was "
+            "already walked") in capsys.readouterr().err
+
+
 def test_fail_fast_stops_pulling_checks(monkeypatch):
     computed = []
 
@@ -120,9 +135,9 @@ def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
     built = []
     run_mutation = report_module.run_mutation
 
-    def counted(tag, p):
+    def counted(tag, p, walks):
         built.append(tag)
-        return run_mutation(tag, p)
+        return run_mutation(tag, p, walks)
 
     monkeypatch.setattr(report_module, "run_mutation", counted)
     full = run_suite(SuiteConfig(p=2, suite="mutations")).to_dict()["checks"]
@@ -190,8 +205,14 @@ def test_quotient_morphism_takes_the_lemma_walk_in_sample_mode():
 
 # sha256 of `hopfbench verify --p 2 --suite <suite> --mode generators
 # --sample-size 500 --seed 11 --format json`: these suites read the
-# products of both doubles, their actions and the pairing arrows.
+# products of both doubles, their actions and the pairing arrows; chains
+# and truncations pin the counterexample searches and comodule-algebra,
+# whose walks do not follow the run's mode.
 REPORT_SHA256_P2_GENERATORS = {
+    "chains":
+        "53089fc7a5d6947156a6c245724a9014865e47d32131c71caf76b16938bec13b",
+    "truncations":
+        "443d1d958fda44aecb961e734ab64730646ab5207f1296a044f3d43046e20126",
     "double":
         "23071638ebdf3710b2c5a0f1f2d396f45e380d4444dda45fd1dd90c7b2abaf07",
     "heisenberg":
@@ -215,6 +236,10 @@ def test_generators_report_bytes_are_pinned(suite):
 # --sample-size 500 --seed 11 --format json`: these pin the seeded draws of
 # the sample walks, each drawn by its own generator seeded with the seed.
 REPORT_SHA256_P2_SAMPLE = {
+    "chains":
+        "34bc34977d7449d9a1e98ef623c885d214ce724beba425ec3dd41c3a02db606e",
+    "truncations":
+        "e14d09719fd45a8e40a41ce69d151e2ae9801ff02ae7c41a2bc71fdf66f139f4",
     "double":
         "64ccada22586b1eaeedfba636e660d94baf8d193feb9d69487f53dbba709c7c1",
     "heisenberg":

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from hopfbench.results import (Check, CheckResult, Walk,
-                               invert_expected_failure, tuple_walk)
+from hopfbench.results import (Check, CheckResult, TupleWalks, Walk,
+                               invert_expected_failure)
 
 
 def test_check_without_witness_passes():
@@ -90,9 +90,23 @@ def test_walk_certificate_witness_comes_after_every_tuple_passes():
 
 
 def test_generators_walk_without_a_generator_slot_is_exhaustive():
-    walk = tuple_walk("generators", (2, 3), (None, None), seed=1, samples=4)
+    walks = TupleWalks("generators", 1, 4)
+    walk = walks.over((2, 3), (None, None))
     assert walk.label == "exhaustive"
     assert list(walk.tuples) == [(i, j) for i in range(2) for j in range(3)]
-    mixed = tuple_walk("generators", (2, 3), ({1}, None), seed=1, samples=4)
+    mixed = walks.over((2, 3), ({1}, None))
     assert mixed.label == "generators+sample(n=4,seed=1)"
     assert len(list(mixed.tuples)) == 3 + 4
+
+
+def test_a_walk_is_walked_once():
+    """A lemma walk gives itself for its law and refuses a second walk;
+    the run's tuple walks give each law a fresh walk with the same draws."""
+    walk = Walk("generators", iter([(0,), (1,)]))
+    assert walk.over((2,), (None,)) is walk
+    assert walk.failure(Check("first", walk.label), lambda i: None) is None
+    with pytest.raises(RuntimeError, match="'second' was already walked"):
+        walk.failure(Check("second", walk.label), lambda i: None)
+    walks = TupleWalks("sample", 3, 5)
+    one, two = walks.over((7, 7), (None, None)), walks.over((7, 7), (None, None))
+    assert one is not two and list(one.tuples) == list(two.tuples)

@@ -6,10 +6,14 @@ import pytest
 
 from hopfbench.cyclo import QContext
 from hopfbench.hopf import check_hopf_axioms, check_hopf_pairing
+from hopfbench.results import TupleWalks, gen_indices, lemma_walk
 from hopfbench.sparse import veq
 from hopfbench.taft import (
     closed_form_smash_row, taft_setup,
 )
+
+
+EXHAUSTIVE = TupleWalks("exhaustive", 0, 0)
 
 
 def all_pass(results):
@@ -28,12 +32,19 @@ def test_dimensions(setup):
     assert setup.dual.dim == 4 * p * p
 
 
+def exhaustive_axioms(H):
+    """Every Hopf axiom of H on every tuple, associativity by the
+    generator-headed triple lemma."""
+    return check_hopf_axioms(H, lemma_walk(H, 3), EXHAUSTIVE, EXHAUSTIVE,
+                             EXHAUSTIVE)
+
+
 def test_primal_hopf_axioms(setup):
-    all_pass(check_hopf_axioms(setup.primal, include_antihom=True))
+    all_pass(exhaustive_axioms(setup.primal))
 
 
 def test_dual_hopf_axioms(setup):
-    all_pass(check_hopf_axioms(setup.dual, include_antihom=True))
+    all_pass(exhaustive_axioms(setup.dual))
 
 
 def test_primal_relations(setup):
@@ -189,24 +200,34 @@ def test_pairing_is_m_diagonal(setup):
 
 def test_pairing_axioms():
     pair = taft_setup(2)
-    all_pass(check_hopf_pairing(pair.pairing))
+    res = check_hopf_pairing(pair.pairing, EXHAUSTIVE, EXHAUSTIVE)
+    all_pass(res)
+    # each product law walks every triple once: (f, g, x) and (f, x, y)
+    assert [r.cases_checked for r in res[:2]] == [16 ** 3, 16 ** 3]
 
 
 def test_pairing_axioms_p3_sampled():
     pair = taft_setup(3)
-    all_pass(check_hopf_pairing(pair.pairing, mode="sample", seed=11,
-                                samples=60))
+    walks = TupleWalks("sample", 11, 60)
+    res = check_hopf_pairing(pair.pairing, walks, walks)
+    all_pass(res)
+    assert [r.cases_checked for r in res[:2]] == [60, 60]
 
 
 def test_pairing_walks_are_labelled_by_what_ran():
     pairing = taft_setup(2).pairing
-    res = {r.name: r for r in check_hopf_pairing(pairing, mode="generators",
-                                                 samples=50)}
-    for name in ("pairing-mult-vs-comult", "pairing-comult-vs-mult"):
+    walks = TupleWalks("generators", 0, 50)
+    res = {r.name: r for r in check_hopf_pairing(pairing, walks, walks)}
+    # the head: the generator indices of B* in f and g, then every x; and
+    # every f, then the generator indices of B in x and y
+    heads = {"pairing-mult-vs-comult": len(gen_indices(pairing.dual)) ** 2 * 16,
+             "pairing-comult-vs-mult": 16 * len(gen_indices(pairing.alg)) ** 2}
+    for name, head in heads.items():
         assert res[name].status == "pass"
         assert res[name].mode == "generators+sample(n=50,seed=0)"
+        assert res[name].cases_checked == head + 50
     with pytest.raises(ValueError, match="sampled"):
-        check_hopf_pairing(pairing, mode="sampled")
+        TupleWalks("sampled", 0, 50)
 
 
 def test_basis_change_roundtrip(setup):

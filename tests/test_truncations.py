@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from hopfbench.results import invert_expected_failure
+from hopfbench.results import TupleWalks, invert_expected_failure, lemma_walk
 from hopfbench.sparse import veq
 from hopfbench.taft import (basis_change, chain_heisenberg_checks, cqzd,
                             cqzd_center_check, h2_matches_cqzd_check,
@@ -17,6 +17,9 @@ from hopfbench.taft import (basis_change, chain_heisenberg_checks, cqzd,
 from hopfbench.ydcat import (check_braided_commutative, check_comodule,
                              check_comodule_algebra, check_module,
                              check_module_algebra, check_yd)
+
+
+EXHAUSTIVE = TupleWalks("exhaustive", 0, 0)
 
 
 def all_pass(checks):
@@ -140,12 +143,12 @@ def test_hq_factorization(p, cases):
 def test_hq_is_yd_module_algebra():
     hq = hqsl2(2)
     results = [
-        check_module(hq.yd, mode="exhaustive"),
-        check_module_algebra(hq.yd, mode="exhaustive"),
+        check_module(hq.yd, EXHAUSTIVE),
+        check_module_algebra(hq.yd, EXHAUSTIVE),
         check_comodule(hq.yd),
-        check_comodule_algebra(hq.yd, mode="exhaustive"),
-        check_yd(hq.yd, mode="exhaustive"),
-        check_braided_commutative(hq.yd, mode="exhaustive"),
+        check_comodule_algebra(hq.yd, lemma_walk(hq.yd.algebra)),
+        check_yd(hq.yd, EXHAUSTIVE),
+        check_braided_commutative(hq.yd, EXHAUSTIVE),
     ]
     all_pass(results)
     assert [r.cases_checked for r in results] == [
@@ -238,13 +241,13 @@ def test_chain3_braided_commutativity_is_nilpotency_artifact():
     squares vanish; at p=3 the like-type factors two positions apart
     give a genuine counterexample."""
     ch2 = truly_heisenberg_chain(2, 3)
-    res2 = check_braided_commutative(ch2.yd, mode="exhaustive")
+    res2 = check_braided_commutative(ch2.yd, EXHAUSTIVE)
     assert res2.status == "pass"
     assert res2.cases_checked == 64
 
     ch3 = truly_heisenberg_chain(3, 3)
-    res3 = check_braided_commutative(ch3.yd, mode="generators", seed=0,
-                                     samples=200)
+    res3 = check_braided_commutative(ch3.yd,
+                                     TupleWalks("generators", 0, 200))
     inv = invert_expected_failure(res3, "chain3-fails-p3")
     assert inv.status == "pass"
     assert res3.witness is not None

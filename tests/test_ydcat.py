@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from hopfbench.doubles import factor_structures, heisenberg_chain
+from hopfbench.results import TupleWalks, lemma_walk
 from hopfbench.sparse import veq
 from hopfbench.taft import taft_system
 from hopfbench.ydcat import (
@@ -13,6 +14,10 @@ from hopfbench.ydcat import (
     check_locked_identity, check_module, check_module_algebra,
     check_rebracketing, check_yd, flip_isomorphism, yang_baxter_check,
 )
+
+
+EXHAUSTIVE = TupleWalks("exhaustive", 0, 0)
+GENERATORS = TupleWalks("generators", 0, 10_000)
 
 
 @pytest.fixture(scope="module")
@@ -26,13 +31,13 @@ def factors(sys2):
 
 
 def test_module_laws(sys2):
-    res = check_module(sys2.yd, mode="generators")
+    res = check_module(sys2.yd, GENERATORS)
     assert res.status == "pass"
     assert res.cases_checked == 14_352
 
 
 def test_module_algebra_laws(sys2):
-    res = check_module_algebra(sys2.yd, mode="generators")
+    res = check_module_algebra(sys2.yd, GENERATORS)
     assert res.status == "pass"
     assert res.cases_checked == 10_320
 
@@ -44,20 +49,20 @@ def test_comodule_laws(sys2):
 
 
 def test_comodule_algebra_laws(sys2):
-    res = check_comodule_algebra(sys2.yd, mode="exhaustive")
+    res = check_comodule_algebra(sys2.yd, lemma_walk(sys2.yd.algebra))
     assert (res.status, res.mode) == ("pass", "generators")
     assert res.cases_checked == 4 * 256 + 1
 
 
 def test_yd_compatibility(sys2):
-    res = check_yd(sys2.yd, mode="generators")
+    res = check_yd(sys2.yd, GENERATORS)
     assert res.status == "pass"
     assert res.cases_checked == 11_024
 
 
 def test_factor_braided_commutativity(factors):
     for mod in factors:
-        res = check_braided_commutative(mod, mode="exhaustive")
+        res = check_braided_commutative(mod, EXHAUSTIVE)
         assert res.status == "pass"
         assert res.cases_checked == mod.algebra.dim ** 2
 
@@ -65,14 +70,24 @@ def test_factor_braided_commutativity(factors):
 def test_pair_braided_symmetric(factors):
     dual_yd, base_yd = factors
     assert check_braided_symmetric(dual_yd, base_yd,
-                                   mode="exhaustive").status == "pass"
+                                   EXHAUSTIVE).status == "pass"
     assert check_locked_identity(dual_yd, base_yd,
-                                 mode="exhaustive").status == "pass"
+                                 EXHAUSTIVE).status == "pass"
+
+
+def test_a_walk_serves_one_law(factors):
+    """A walk handed to a second check would walk no tuples and pass: it
+    is an engine error instead."""
+    dual_yd, base_yd = factors
+    walk = lemma_walk(dual_yd.algebra)
+    assert check_braided_commutative(dual_yd, walk).status == "pass"
+    with pytest.raises(RuntimeError, match="already walked"):
+        check_braided_symmetric(dual_yd, base_yd, walk)
 
 
 def test_flip_is_isomorphism(factors):
     dual_yd, base_yd = factors
-    checks = flip_isomorphism(dual_yd, base_yd, mode="exhaustive")
+    checks = flip_isomorphism(dual_yd, base_yd, EXHAUSTIVE, EXHAUSTIVE)
     names = {c.name for c in checks}
     assert names == {"flip-bijective", "flip-algebra-morphism",
                      "flip-module-morphism", "flip-comodule-morphism"}
@@ -81,13 +96,13 @@ def test_flip_is_isomorphism(factors):
 
 def test_rebracketing(factors):
     dual_yd, base_yd = factors
-    res = check_rebracketing(dual_yd, base_yd, dual_yd, mode="sample",
-                             samples=200)
+    res = check_rebracketing(dual_yd, base_yd, dual_yd,
+                             TupleWalks("sample", 0, 200))
     assert res.status == "pass"
 
 
 def test_yang_baxter(sys2):
-    res = yang_baxter_check(sys2.yd, mode="sample", samples=50)
+    res = yang_baxter_check(sys2.yd, TupleWalks("sample", 0, 50))
     assert res.status == "pass"
 
 
