@@ -29,7 +29,8 @@ alternating chain algebras with their straightening relations.
 Both doubles, and the braided products behind the chains (ydcat), are
 twisted tensor products A (x)_R B (Cap, Schichl and Vanzura, Comm. Algebra
 23, 1995): each constructor supplies only its map R, and
-hopf.twisted_product memoizes the R rows and multiplies them out.
+hopf.twisted_product memoizes the R rows and multiplies them out; each
+product records its factors, which results.generation_failure reads.
 
 Arrow conventions (P the pairing, b in B, f in B*; HopfPairing memoizes
 them on basis pairs):
@@ -46,14 +47,14 @@ from typing import Optional
 
 from .cyclo import Cyc, QContext
 from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf,
-                   pair_product, render_element, tensor_flat, triple_product,
+                   pair_product, render_element, triple_product,
                    twisted_product)
 from .results import (Check, CheckResult, Walk, coalgebra_closure,
                       gen_indices, generation_failure,
                       invert_expected_failure)
 from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Row, Space, Vec,
-                     linear_map_inverse, shared_row, vadd_into, vadd_outer,
-                     vadd_term, veq)
+                     linear_map_inverse, shared_row, tensor_flat, vadd_into,
+                     vadd_outer, vadd_term, veq)
 from .ydcat import (Action, BraidedProductAlgebra, Coaction, ComoduleAlgebra,
                     ModuleAlgebra, YDModuleAlgebra, chain_product,
                     check_module)
@@ -214,7 +215,7 @@ def drinfeld_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
 
     antipode = LazyLinearMap(d, d, antipode_fn)
     hopf = FiniteHopf(ctx, space, mult, unit, comult, counit, antipode,
-                      generators=gens, name=name)
+                      generators=gens, name=name, factors=(dual, base))
     return DrinfeldDouble(ctx, hopf, base, dual, P)
 
 
@@ -270,7 +271,7 @@ def heisenberg_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
 
     mult, unit, gens = twisted_product(dual, base, r_row)
     algebra = FiniteAlgebra(ctx, space, mult, unit, generators=gens,
-                            name=name)
+                            name=name, factors=(dual, base))
     return HeisenbergDouble(ctx, algebra, base, dual, P)
 
 

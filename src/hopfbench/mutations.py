@@ -18,9 +18,9 @@ from __future__ import annotations
 from typing import Callable
 
 from .doubles import factor_structures
-from .hopf import FiniteHopf, check_hopf_axioms, tensor_flat
+from .hopf import FiniteHopf, check_hopf_axioms
 from .results import Check, CheckResult, lemma_walk, two_sided_lemma_walk
-from .sparse import LazyLinearMap, Vec, vadd_into, vadd_term, veq
+from .sparse import LazyLinearMap, Vec, tensor_flat, vadd_into, vadd_term, veq
 from .taft import taft_setup, taft_system
 from .ydcat import (Action, Coaction, ModuleAlgebra, YDModuleAlgebra,
                     check_comodule, check_module,
@@ -60,7 +60,8 @@ def _double_antipode(p: int, walks) -> list:
 
     bad = FiniteHopf(H.ctx, H.space, H.mult, dict(H.unit), H.comult,
                      dict(H.counit), LazyLinearMap(H.dim, H.dim, fn),
-                     generators=H.generators, name="ddouble(antipode)")
+                     generators=H.generators, name="ddouble(antipode)",
+                     factors=H.factors)
     return check_hopf_axioms(bad, walks, two_sided_lemma_walk(bad),
                              two_sided_lemma_walk(bad))
 

@@ -28,8 +28,8 @@ S = {x : phi(xy) = phi(x) phi(y) for all y} is a subalgebra of A
 (Montgomery, Hopf Algebras and Their Actions on Rings, CBMS 82, 1993),
 so the walk and phi(1) = 1 put the generators and the unit in S, and
 `generation_failure` -- the span closure of the unit and the generators
-under A's product must reach full rank -- makes S all of A: the walk is
-then a proof.  The closure is built once per algebra object.
+under A's product must reach full rank, or a twisted product's factors
+pass their identities -- makes S all of A: the walk is then a proof.
 
 Checks of a module-algebra law h |> (xy) = (h' |> x)(h'' |> y) may take
 `subcoalgebra_walk`: h over `coalgebra_closure(H)`, the basis indices of
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Optional
 
-from .sparse import span_closure
+from .sparse import span_closure, tensor_flat, veq
 
 __all__ = ["MODES", "CheckResult", "Check", "summarize",
            "invert_expected_failure", "gen_indices", "generator_pairs",
@@ -158,22 +158,73 @@ def generator_pairs(alg):
     return itertools.product(sorted(gen_indices(alg)), range(alg.dim))
 
 
-# algebra object -> rank of the span closure of its unit and generators
-_generated_rank = weakref.WeakKeyDictionary()
+# algebra object -> the witness of its generation certificate, or None
+_generated = weakref.WeakKeyDictionary()
 
 
 def generation_failure(alg) -> Optional[str]:
     """None when the unit and the declared generators of `alg` generate it
-    under its product, otherwise the failed certificate as a witness."""
-    rank = _generated_rank.get(alg)
-    if rank is None:
-        seed = [dict(alg.unit)] + [dict(g) for g in alg.generators]
-        rank = _generated_rank[alg] = span_closure(seed, alg.product,
-                                                   alg.dim).rank
+    under its product, otherwise the failed certificate as a witness.
+
+    The certificate, built once per algebra object, is the span closure
+    of the seeds (the unit and the generators) under right multiplication
+    by them; it must reach full rank.  An algebra on A (x)_R B with
+    `factors` (`hopf.twisted_product`) is certified from them: both pass
+    their certificates and unit laws, and (a (x) 1)(g (x) 1) = ag (x) 1
+    and (a (x) b)(1 (x) h) = a (x) bh over the factor bases and the
+    generators g of A and h of B.  A subspace S that holds the seeds and
+    is closed under right multiplication by them then holds A (x) 1, and
+    for each a, {b : a (x) b in S} is all of B.  No step needs
+    associativity.
+    """
+    if alg not in _generated:
+        factors = getattr(alg, "factors", None)
+        _generated[alg] = (_factored_failure(alg, *factors) if factors
+                           else _closure_failure(alg))
+    return _generated[alg]
+
+
+def _closure_failure(alg) -> Optional[str]:
+    seed = [dict(alg.unit)] + [dict(g) for g in alg.generators or ()]
+    rank = span_closure(seed, alg.product, alg.dim).rank
     if rank == alg.dim:
         return None
     return (f"generating set spans rank {rank} of {alg.dim}; "
             "generation certificate failed")
+
+
+def _unit_failure(f) -> Optional[str]:
+    """x1 = x on the basis of f and 1g = g on its generators."""
+    for i in range(f.dim):
+        if not veq(f.product(f.basis(i), f.unit), f.basis(i)):
+            return f"x1 != x at x = {f.space.label(i)}"
+    if not all(veq(f.product(f.unit, g), g) for g in f.generators or ()):
+        return "1g != g for a generator g"
+    return None
+
+
+def _factored_failure(alg, A, B) -> Optional[str]:
+    one, nB = alg.ctx.one, B.dim
+    for f in (A, B):
+        wit = _unit_failure(f) or generation_failure(f)
+        if wit is not None:
+            return f"factor {f.name}: {wit}"
+    a_gens, b_gens = A.generators or [], B.generators or []
+    seeds = alg.generators or []
+    for a, (n, g) in itertools.product(range(A.dim), enumerate(a_gens)):
+        if not veq(alg.product(tensor_flat({a: one}, B.unit, nB), seeds[n]),
+                   tensor_flat(A.product({a: one}, g), B.unit, nB)):
+            return (f"({A.space.label(a)} (x) 1)(g (x) 1) != ag (x) 1 for "
+                    f"generator {n} of {A.name}; generation certificate "
+                    "failed")
+    for a, b, (n, h) in itertools.product(range(A.dim), range(nB),
+                                          enumerate(b_gens)):
+        if not veq(alg.product({a * nB + b: one}, seeds[len(a_gens) + n]),
+                   tensor_flat({a: one}, B.product({b: one}, h), nB)):
+            return (f"({A.space.label(a)} (x) {B.space.label(b)})(1 (x) h)"
+                    f" != a (x) bh for generator {n} of {B.name}; "
+                    "generation certificate failed")
+    return None
 
 
 @dataclass

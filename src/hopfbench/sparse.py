@@ -37,7 +37,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .cyclo import Cyc, QContext, stored_form
 
 __all__ = [
-    "Space", "shared_row", "vadd_into", "vadd_outer", "vadd_term",
+    "Space", "shared_row", "tensor_flat", "vadd_into", "vadd_outer",
+    "vadd_term",
     "colinear_apply", "vscale", "vsub", "veq",
     "BilinearMap", "LinearMap", "LazyLinearMap", "ColinearMap", "Subspace",
     "SpanSolver",
@@ -179,6 +180,18 @@ def vadd_outer(dst: Vec, coeff: Cyc, left, right, n2: int) -> Vec:
                 else:
                     del dst[k]
     return dst
+
+
+def tensor_flat(u: Vec, v: Vec, n2: int) -> Vec:
+    """u (x) v on flat pair indices i * n2 + j."""
+    out: Vec = {}
+    for i, ci in u.items():
+        base = i * n2
+        for j, cj in v.items():
+            c = ci * cj
+            if c:
+                out[base + j] = c
+    return out
 
 
 def colinear_apply(get: Callable[[int], tuple], v: Vec, n2: int) -> Vec:

@@ -13,37 +13,42 @@ as input: coproducts and antipodes of general basis monomials are
 computed by powering inside the tensor square, never from a closed
 formula, so they can serve as oracles for formula-based code paths.
 
-The dual algebra is rebuilt on a monomial basis: two functionals
+The dual algebra lives on a monomial basis: two functionals
 
     <F, E^m k^n> = delta(m,1) q^(-n) / (q - q^(-1)),
     <kappa, E^m k^n> = delta(m,0) q^(-n/2),
 
 generate the dual, and the products F^a kappa^b (a < p, b < 4p) form a
-basis.  All dual structure tensors are transported through that basis
-change, which keeps every later quotient construction sparse.
+basis, which keeps every later quotient construction sparse.  The algebra
+is self-dual: on that basis F and kappa obey the relations of E and k, so
+one constructor builds the tables of both B and B*, and a certificate at
+construction shows that the monomials carry the canonical dual's
+structure (`taft_dual_monomial`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-from .cyclo import Cyc, QContext
+from .cyclo import QContext
 from .doubles import (
     DrinfeldDouble, HeisenbergDouble, drinfeld_double, heisenberg_double,
     yd_structure,
 )
 from .hopf import (
-    FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf,
-    pair_product, render_element, render_tensor, tensor_flat,
+    FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf, pair_product,
+    render_element, render_tensor,
 )
-from .results import (Check, CheckResult, gen_indices,
+from .results import (Check, CheckResult, gen_indices, generation_failure,
                       invert_expected_failure)
 from .sparse import (
     BilinearMap, ColinearMap, LazyLinearMap, LinearMap,
     SingularMapError, Space, SpanSolver, Subspace, linear_map_inverse,
-    span_closure, vadd_into, vadd_term, veq, vscale, vsub,
+    span_closure, tensor_flat, vadd_into, vadd_outer, vadd_term, veq, vscale,
+    vsub,
 )
 from .truncate import (
     HopfQuotient, SubHopf, TransportedStructure, central_hopf_ideal,
@@ -71,92 +76,73 @@ __all__ = [
 Vec = dict
 
 
-def _render_primal(label) -> str:
-    m, n = label
-    out = ""
-    if m == 1:
-        out += "E"
-    elif m > 1:
-        out += f"E^{m}"
-    if n == 1:
-        out += "k"
-    elif n > 1:
-        out += f"k^{n}"
-    return out or "1"
+def _monomial(names: tuple, sep: str = ""):
+    """A label renderer: the exponents of a label on `names`, as name^e,
+    ^1 dropped and e = 0 left out, joined by `sep`; "1" for the unit."""
+    def render(label) -> str:
+        return sep.join(n if e == 1 else f"{n}^{e}"
+                        for n, e in zip(names, label) if e) or "1"
+    return render
 
 
-def _render_dual(label) -> str:
-    a, b = label
-    out = ""
-    if a == 1:
-        out += "F"
-    elif a > 1:
-        out += f"F^{a}"
-    if b == 1:
-        out += "kap"
-    elif b > 1:
-        out += f"kap^{b}"
-    return out or "1"
+_render_primal = _monomial(("E", "k"))
+_render_dual = _monomial(("F", "kap"))
+_render_uq = _monomial(("F", "E", "k"))
+_render_hq = _monomial(("lam", "z", "del"), " ")
 
 
-def taft_algebra(ctx: QContext) -> FiniteHopf:
-    """The dim-4p^2 algebra on basis E^m k^n described in the module doc."""
-    p = ctx.p
-    order = 4 * p
-    dim = p * order
-    labels = tuple((m, n) for m in range(p) for n in range(order))
-    space = Space(f"B(p={p})", labels, _render_primal)
-    idx = space.index
+def _taft_hopf(ctx: QContext, space: Space) -> FiniteHopf:
+    """The structure of the module doc on `space`, whose label (m, n)
+    stands for X^m g^n: E^m k^n for B, F^a kappa^b for B*.  Its tables are
+    lazy and read only the generator data: kX = qXk, comult(X) and
+    comult(g) powered in the tensor square, S(g)^n S(X)^m for S(X^m g^n).
+    """
+    p, order, dim = ctx.p, 4 * ctx.p, space.dim
+    labels, idx = space.labels, space.index
     one = ctx.one
 
     def mult_fn(i: int, j: int):
         m1, n1 = labels[i]
         m2, n2 = labels[j]
-        m = m1 + m2
-        if m >= p:
+        if m1 + m2 >= p:
             return ()
-        return ((idx[(m, (n1 + n2) % order)], ctx.q_pow(n1 * m2)),)
+        return ((idx[(m1 + m2, (n1 + n2) % order)], ctx.q_pow(n1 * m2)),)
 
-    mult = BilinearMap(dim, dim, fn=mult_fn)
-    mult.materialize()
+    d_x = {idx[(0, 0)] * dim + idx[(1, 0)]: one,
+           idx[(1, 0)] * dim + idx[(0, 2)]: one}
+    d_g = {idx[(0, 1)] * dim + idx[(0, 1)]: one}
 
-    unit = {idx[(0, 0)]: one}
+    def comult_fn(i: int) -> tuple:
+        m, n = labels[i]
+        cur = {idx[(0, 0)] * dim + idx[(0, 0)]: one}
+        for d in [d_x] * m + [d_g] * n:
+            cur = pair_product(H, cur, d)
+        return tuple((key // dim, key % dim, c) for key, c in sorted(cur.items()))
 
-    # comult by powering comult(E)^m comult(k)^n in the tensor square
-    stub = FiniteHopf(ctx, space, mult, unit,
-                      ColinearMap(dim, dim, dim), {}, LinearMap(dim, dim))
-    dE = {idx[(0, 0)] * dim + idx[(1, 0)]: one,
-          idx[(1, 0)] * dim + idx[(0, 2)]: one}
-    dK = {idx[(0, 1)] * dim + idx[(0, 1)]: one}
-    dUnit = {idx[(0, 0)] * dim + idx[(0, 0)]: one}
-    comult_rows = {}
-    for m in range(p):
-        for n in range(order):
-            cur = dict(dUnit)
-            for _ in range(m):
-                cur = pair_product(stub, cur, dE)
-            for _ in range(n):
-                cur = pair_product(stub, cur, dK)
-            comult_rows[idx[(m, n)]] = tuple(
-                (key // dim, key % dim, c) for key, c in sorted(cur.items()))
-    comult = ColinearMap(dim, dim, dim, comult_rows)
-
-    counit = {idx[(0, n)]: one for n in range(order)}
-
-    # antipode: S(E^m k^n) = S(k)^n S(E)^m with S(E) = -E k^(-2)
-    sE = {idx[(1, order - 2)]: -one}
-    antipode = LinearMap(dim, dim)
-    for m in range(p):
-        power = dict(unit)
+    def antipode_fn(i: int) -> tuple:
+        m, n = labels[i]
+        power = H.unit
         for _ in range(m):
-            power = mult.apply(power, sE)
-        for n in range(order):
-            img = mult.apply({idx[(0, (-n) % order)]: one}, power)
-            antipode.set(idx[(m, n)], tuple(sorted(img.items())))
+            power = H.product(power, {idx[(1, order - 2)]: -one})
+        return tuple(sorted(H.product({idx[(0, -n % order)]: one},
+                                      power).items()))
 
-    gens = [{idx[(1, 0)]: one}, {idx[(0, 1)]: one}]
-    return FiniteHopf(ctx, space, mult, unit, comult, counit, antipode,
-                      generators=gens, name=f"B(p={p})")
+    H = FiniteHopf(ctx, space, BilinearMap(dim, dim, fn=mult_fn),
+                   {idx[(0, 0)]: one}, ColinearMap(dim, dim, dim, fn=comult_fn),
+                   {idx[(0, n)]: one for n in range(order)},
+                   LazyLinearMap(dim, dim, antipode_fn),
+                   generators=[{idx[(1, 0)]: one}, {idx[(0, 1)]: one}])
+    return H
+
+
+def _taft_labels(p: int) -> tuple:
+    return tuple((m, n) for m in range(p) for n in range(4 * p))
+
+
+def taft_algebra(ctx: QContext) -> FiniteHopf:
+    """The dim-4p^2 algebra on basis E^m k^n described in the module doc."""
+    return _taft_hopf(ctx, Space(f"B(p={ctx.p})", _taft_labels(ctx.p),
+                                 _render_primal))
 
 
 @dataclass
@@ -167,28 +153,38 @@ class TaftPair:
     dual: FiniteHopf
     pairing: HopfPairing
     to_canonical: LinearMap       # monomial coords -> canonical dual coords
-    from_canonical: LinearMap
+
+    @cached_property
+    def from_canonical(self) -> LinearMap:
+        """The inverse of `to_canonical`, built when first read."""
+        return linear_map_inverse(self.to_canonical, self.ctx)
 
 
 def taft_dual_monomial(ctx: QContext, B: FiniteHopf) -> TaftPair:
-    """Rebuild the canonical dual of B on the monomial basis F^a kappa^b.
+    """The dual of B on the monomial basis F^a kappa^b.
 
-    The monomials, the change of basis, the unit and the counit are built
-    here; product, coproduct and antipode rows are memoized on first read.
-    Raises SingularMapError if the monomials fail to form a basis.
+    The algebra is self-dual (Radford, Hopf Algebras, 2012): on these
+    monomials B* has B's structure constants, so `_taft_hopf` builds its
+    lazy tables too.  A certificate shows that phi: e_i -> mono[i], the
+    monomial computed in dual_hopf(B), is a Hopf-algebra isomorphism.  The
+    monomials are independent (else SingularMapError), phi(1) = 1, and on
+    the generators g: phi(g y) = phi(g) phi(y) for y over the basis,
+    (phi (x) phi) comult(g) = comult_can(phi(g)) (for g = 1 too), and the
+    counit and the antipode agree.  The x with phi(xy) = phi(x) phi(y) for
+    all y form a unital subalgebra when both products are associative
+    (`taft-dual-mult-associativity`, `taft-comult-coassociativity`); the
+    x where the coproducts agree form one when both are multiplicative
+    (`taft-dual-comult-multiplicative`, `taft-comult-multiplicative`).
+    Both hold the generators, so `generation_failure(B*)` makes them all
+    of B*, and a bialgebra isomorphism carries the unique counit and
+    antipode over.  The certificate reads a copy of the tables, so B*'s
+    own start empty; a failure raises RuntimeError.
     """
-    p = ctx.p
-    order = 4 * p
-    dim = B.dim
+    p, order, dim = ctx.p, 4 * ctx.p, B.dim
     Bcan = dual_hopf(B)
     bidx = B.space.index
-    one = ctx.one
-
     fvec = {bidx[(1, n)]: ctx.q_pow(-n) * ctx.qdiff_inv for n in range(order)}
     kvec = {bidx[(0, n)]: ctx.q_half_pow(-n) for n in range(order)}
-
-    labels = tuple((a, b) for a in range(p) for b in range(order))
-    space = Space(f"B*(p={p})", labels, _render_dual)
 
     mono = []
     cur_f = dict(Bcan.unit)
@@ -198,60 +194,50 @@ def taft_dual_monomial(ctx: QContext, B: FiniteHopf) -> TaftPair:
             mono.append(dict(cur))
             cur = Bcan.product(cur, kvec)
         cur_f = Bcan.product(cur_f, fvec)
-
     solver = SpanSolver(dim)
-    for v in mono:
-        if not solver.add(v):
-            raise SingularMapError("dual monomials are linearly dependent")
+    if not all(solver.add(v) for v in mono):
+        raise SingularMapError("dual monomials are linearly dependent")
 
     to_can = LinearMap(dim, dim,
                        {i: tuple(sorted(v.items())) for i, v in enumerate(mono)})
-    from_can = linear_map_inverse(to_can, ctx)
+    space = Space(f"B*(p={p})", _taft_labels(p), _render_dual)
+    wit = _dual_iso_failure(_taft_hopf(ctx, space), Bcan, to_can)
+    if wit is not None:
+        raise RuntimeError(f"B* is not the dual of B: {wit}")
+    star = _taft_hopf(ctx, space)
+    return TaftPair(ctx, B, star, HopfPairing(star, B, to_can.rows), to_can)
 
-    def convert(v: Vec) -> Vec:
-        return from_can.apply(v)
 
-    # Lazy: an eval or a sample walk reads only part of the dim^2 products.
-    def mult_fn(i: int, j: int) -> tuple:
-        return tuple(sorted(convert(Bcan.product(mono[i], mono[j])).items()))
+def _dual_iso_failure(star: FiniteHopf, Bcan: FiniteHopf,
+                      phi: LinearMap) -> Optional[str]:
+    """The certificate of `taft_dual_monomial`: None when phi is a Hopf
+    isomorphism from star onto Bcan, else the first mismatch."""
+    n = star.dim
 
-    def comult_fn(i: int) -> tuple:
-        flat = Bcan.coproduct(mono[i])
-        # convert both tensor legs
-        half: Vec = {}
-        for key, c in flat.items():
-            a, b = divmod(key, dim)
-            for a2, ca in from_can.get(a):
-                vadd_into(half, {a2 * dim + b: c * ca})
-        full: Vec = {}
-        for key, c in half.items():
-            a, b = divmod(key, dim)
-            for b2, cb in from_can.get(b):
-                vadd_into(full, {a * dim + b2: c * cb})
-        return tuple((key // dim, key % dim, c)
-                     for key, c in sorted(full.items()))
+    def phi2(v: Vec) -> Vec:
+        out: Vec = {}
+        for key, c in v.items():
+            a, b = divmod(key, n)
+            vadd_outer(out, c, phi.get(a), phi.get(b), n)
+        return out
 
-    def antipode_fn(i: int) -> tuple:
-        return tuple(sorted(convert(Bcan.antipode_of(mono[i])).items()))
-
-    mult = BilinearMap(dim, dim, fn=mult_fn)
-    comult = ColinearMap(dim, dim, dim, fn=comult_fn)
-    antipode = LazyLinearMap(dim, dim, antipode_fn)
-
-    counit = {}
-    for i in range(dim):
-        c = Bcan.counit_of(mono[i])
-        if c:
-            counit[i] = c
-
-    unit = convert(Bcan.unit)
-
-    gens = [{space.index[(1, 0)]: one}, {space.index[(0, 1)]: one}]
-    star = FiniteHopf(ctx, space, mult, unit, comult, counit, antipode,
-                      generators=gens, name=f"B*(p={p})")
-    pairing = HopfPairing(star, B,
-                          {i: tuple(sorted(v.items())) for i, v in enumerate(mono)})
-    return TaftPair(ctx, B, star, pairing, to_can, from_can)
+    if not veq(phi.apply(star.unit), Bcan.unit):
+        return "phi(1) != 1"
+    for g in star.generators:
+        name = render_element(star.space, g)
+        for y in range(n):
+            ey = star.basis(y)
+            if not veq(phi.apply(star.product(g, ey)),
+                       Bcan.product(phi.apply(g), phi.apply(ey))):
+                return f"phi({name} {star.space.label(y)}) is not a product"
+        if (star.counit_of(g) != Bcan.counit_of(phi.apply(g))
+                or not veq(phi.apply(star.antipode_of(g)),
+                           Bcan.antipode_of(phi.apply(g)))):
+            return f"counit or antipode of {name}"
+    for g in [star.unit] + star.generators:
+        if not veq(phi2(star.coproduct(g)), Bcan.coproduct(phi.apply(g))):
+            return f"coproduct of {render_element(star.space, g)}"
+    return generation_failure(star)
 
 
 _SETUP_CACHE: dict = {}
@@ -661,24 +647,6 @@ def basis_change(sys: TaftSystem,
 
 # -- the 2p^3-dimensional quantum group ------------------------------------------
 
-def _render_uq(lab) -> str:
-    l, m, d = lab
-    out = ""
-    if l == 1:
-        out += "F"
-    elif l > 1:
-        out += f"F^{l}"
-    if m == 1:
-        out += "E"
-    elif m > 1:
-        out += f"E^{m}"
-    if d == 1:
-        out += "k"
-    elif d > 1:
-        out += f"k^{d}"
-    return out or "1"
-
-
 @dataclass
 class UqSl2:
     """The even-k-power sub-Hopf-algebra of the quotient of D(B) by the
@@ -834,24 +802,6 @@ def uq_presentation_check(uq: UqSl2,
 
 
 # -- the 2p^3-dimensional module algebra over it ---------------------------------
-
-def _render_hq(lab) -> str:
-    a, b, c = lab
-    out = ""
-    if a == 1:
-        out += "lam"
-    elif a > 1:
-        out += f"lam^{a}"
-    if b == 1:
-        out += " z" if out else "z"
-    elif b > 1:
-        out += f" z^{b}" if out else f"z^{b}"
-    if c == 1:
-        out += " del" if out else "del"
-    elif c > 1:
-        out += f" del^{c}" if out else f"del^{c}"
-    return out or "1"
-
 
 @dataclass
 class HqSl2:
@@ -1050,7 +1000,7 @@ def hq_coaction_table_check(hq: HqSl2,
     for m in range(p):
         terms = []
         for s in range(m + 1):
-            coeff = (ctx.q_pow(s * (1 - m)) * _power_scalar(qd, s)
+            coeff = (ctx.q_pow(s * (1 - m)) * qd ** s
                      * ctx.q_binomial(m, s))
             if s % 2:
                 coeff = -coeff
@@ -1060,7 +1010,7 @@ def hq_coaction_table_check(hq: HqSl2,
     for m in range(p):
         terms = []
         for s in range(m + 1):
-            coeff = (ctx.q_pow(s * (m - s)) * _power_scalar(qd, s)
+            coeff = (ctx.q_pow(s * (m - s)) * qd ** s
                      * ctx.q_binomial(m, s))
             terms.append(((s, 0, (-2 * (m - s)) % (4 * p)),
                           (0, 0, m - s), coeff))
@@ -1068,13 +1018,6 @@ def hq_coaction_table_check(hq: HqSl2,
                      coact.apply({idx[(0, 0, m)]: one}), flat(terms)))
     return _relation_result(chk, rows,
                             lambda v: render_tensor(U.space, T.space, v))
-
-
-def _power_scalar(c: Cyc, n: int) -> Cyc:
-    out = c.ctx.one
-    for _ in range(n):
-        out = out * c
-    return out
 
 
 # -- the q-deformed Weyl algebra on one pair -------------------------------------
@@ -1138,20 +1081,7 @@ def cqzd(p: int) -> CqZd:
                     vadd_term(row, idx[(a + i, j + b2)], c)
             mult.set(idx[(a, b)], idx[(a2, b2)], tuple(sorted(row.items())))
 
-    def render(lab) -> str:
-        a, b = lab
-        out = ""
-        if a == 1:
-            out += "z"
-        elif a > 1:
-            out += f"z^{a}"
-        if b == 1:
-            out += " del" if out else "del"
-        elif b > 1:
-            out += f" del^{b}" if out else f"del^{b}"
-        return out or "1"
-
-    space = Space(f"CqZd(p={p})", tuple(labels), render=render)
+    space = Space(f"CqZd(p={p})", labels, _monomial(("z", "del"), " "))
     alg = FiniteAlgebra(ctx, space, mult, {idx[(0, 0)]: one},
                         generators=[{idx[(1, 0)]: one}, {idx[(0, 1)]: one}],
                         name=space.name)

@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .hopf import (FiniteAlgebra, FiniteHopf, render_element, tensor_flat,
-                   twisted_product)
+from .hopf import FiniteAlgebra, FiniteHopf, render_element, twisted_product
 from .results import Check, CheckResult, gen_indices
 from .sparse import (LinearMap, Row, Space, Vec, colinear_apply, shared_row,
-                     vadd_into, vadd_outer, vadd_term, veq, vscale)
+                     tensor_flat, vadd_into, vadd_outer, vadd_term, veq,
+                     vscale)
 
 __all__ = [
     "Action",
@@ -612,7 +612,7 @@ def braided_product(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
 
     mult, unit, gens = twisted_product(X, Y, r_row)
     algebra = FiniteAlgebra(ctx, space, mult, unit, generators=gens,
-                            name=name)
+                            name=name, factors=(X, Y))
 
     def act_fn(h: int, key: int) -> Vec:
         ix, iy = divmod(key, dy)

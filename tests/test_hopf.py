@@ -211,6 +211,46 @@ def test_broken_antipode_detected():
     assert names["antipode-convolution"].status == "fail"
 
 
+def test_a_failing_element_check_counts_only_the_elements_it_reached():
+    """S(x) := xg breaks m(S (x) id) comult at x, basis index 2, on the
+    first of its two laws: 2 laws on 1 and g, then 1 on x, where the
+    count was the full 2 * 4 before any element ran."""
+    H = four_dim_hopf(CTX)
+    H.antipode.set(2, ((3, CTX.one),))
+    res = {r.name: r for r in axioms(H)}["antipode-convolution"]
+    assert (res.status, res.cases_checked) == ("fail", 5)
+    assert res.witness == "m(S(x)id)comult != unit*counit on x"
+
+
+@pytest.mark.parametrize("name,corrupt,cases", [
+    # 1 x := -x: the left unit law fails on x, the fifth law checked
+    ("mult-unit", lambda H: H.mult.set(0, 2, ((2, -CTX.one),)), 5),
+    # comult(g) := g (x) 1: the counit laws fail on g, the second
+    # element, and coassociativity on x, whose comult has the leg g
+    ("comult-coassociativity",
+     lambda H: H.comult.set(1, ((1, 0, CTX.one),)), 3),
+    ("counit-laws", lambda H: H.comult.set(1, ((1, 0, CTX.one),)), 2),
+], ids=["mult-unit", "comult-coassociativity", "counit-laws"])
+def test_each_element_check_counts_to_its_first_failure(name, corrupt, cases):
+    H = four_dim_hopf(CTX)
+    corrupt(H)
+    res = {r.name: r for r in axioms(H)}[name]
+    assert (res.status, res.cases_checked) == ("fail", cases)
+
+
+def test_the_pairing_unit_and_antipode_law_counts_to_its_first_failure():
+    """S*(e^2) := -e^3 breaks <S* f, x> = <f, S x> at (f, x) = (2, 3):
+    4 + 4 unit cases, then the 12th of the 16 antipode pairs."""
+    H = four_dim_hopf(CTX)
+    H.mult.materialize()
+    D = dual_hopf(H)
+    D.antipode.set(2, ((3, -CTX.one),))
+    res = check_hopf_pairing(HopfPairing.canonical(D, H), EXHAUSTIVE,
+                             EXHAUSTIVE)[2]
+    assert (res.name, res.status, res.cases_checked) == (
+        "pairing-units-antipode", "fail", 20)
+
+
 def test_a_comult_row_broken_off_the_generator_side_fails_both_walks():
     """Delta(201) := zeta 201 (x) 201 breaks comult(u v) = comult(u)
     comult(v) at (021, 102), whose product is 201, before any pair headed

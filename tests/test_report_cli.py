@@ -168,7 +168,7 @@ REPORT_SHA256_P2 = {
     "heisenberg":
         "86f9dd7f2b3455ee6622b773834ad1539949ce6333ab442441f109c30fbef21c",
     "mutations":
-        "da228a5f744ca37e527e2ad180b4f619e13620f8dd3f8d49257592e6b478ea69",
+        "5e1f59286179c7fb79c0046647cf64b49cc2bea8ebca129a5585ca5882f1a7e3",
     "chains":
         "b3e30ca0d5ab1f1279524b1725418f8f09fe5d7188209db93e41dde90dd69820",
     "truncations":

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+import hopfbench.taft as taft_module
 from hopfbench.cyclo import QContext
-from hopfbench.hopf import check_hopf_axioms, check_hopf_pairing
+from hopfbench.hopf import check_hopf_axioms, check_hopf_pairing, dual_hopf
 from hopfbench.results import TupleWalks, gen_indices, lemma_walk
-from hopfbench.sparse import veq
+from hopfbench.sparse import vadd_into, veq
 from hopfbench.taft import (
     closed_form_smash_row, taft_setup,
 )
@@ -236,6 +237,112 @@ def test_basis_change_roundtrip(setup):
     for i in range(D.dim):
         e = D.basis(i)
         assert veq(from_can.apply(to_can.apply(e)), e)
+
+
+# -- B* from the constructor of B, against the canonical dual -------------------
+
+def _converted(pair):
+    """B*'s unit, counit and row functions as the canonical dual gives them
+    through the monomial basis change: the route that built B*'s tables
+    before the constructor of B did, kept here as the reference."""
+    Bcan = dual_hopf(pair.primal)
+    dim = Bcan.dim
+    mono = [dict(pair.to_canonical.get(i)) for i in range(dim)]
+    convert = pair.from_canonical.apply
+
+    def mult(i, j):
+        return tuple(sorted(convert(Bcan.product(mono[i], mono[j])).items()))
+
+    def comult(i):
+        flat = Bcan.coproduct(mono[i])
+        half = {}
+        for key, c in flat.items():
+            a, b = divmod(key, dim)
+            for a2, ca in pair.from_canonical.get(a):
+                vadd_into(half, {a2 * dim + b: c * ca})
+        full = {}
+        for key, c in half.items():
+            a, b = divmod(key, dim)
+            for b2, cb in pair.from_canonical.get(b):
+                vadd_into(full, {a * dim + b2: c * cb})
+        return tuple((key // dim, key % dim, c)
+                     for key, c in sorted(full.items()))
+
+    def antipode(i):
+        return tuple(sorted(convert(Bcan.antipode_of(mono[i])).items()))
+
+    counit = {i: c for i in range(dim) if (c := Bcan.counit_of(mono[i]))}
+    return convert(Bcan.unit), counit, mult, comult, antipode
+
+
+def _coords(row):
+    """A row's entries with each scalar as its power-basis coordinates."""
+    return [(*entry[:-1], entry[-1].c, entry[-1].d) for entry in row]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_dual_rows_equal_the_canonical_dual_converted(p):
+    """Every row of B* equals the canonical dual's row converted to the
+    monomial basis, entry order and power-basis coordinates included.
+    (At p=3 the stored form of q^2 differs: zeta^4, single-term on B*,
+    arrives dense through the conversion.)"""
+    pair = taft_setup(p, cached=False)
+    D = pair.dual
+    unit, counit, mult, comult, antipode = _converted(pair)
+    assert _coords(D.unit.items()) == _coords(unit.items())
+    assert _coords(sorted(D.counit.items())) == _coords(sorted(counit.items()))
+    for i in range(D.dim):
+        assert _coords(D.comult.get(i)) == _coords(comult(i))
+        assert _coords(D.antipode.get(i)) == _coords(antipode(i))
+        for j in range(D.dim):
+            assert _coords(D.mult.get(i, j)) == _coords(mult(i, j))
+
+
+def _corrupt_dual(monkeypatch, corrupt):
+    """Build B* (and only B*) with `corrupt(H)` applied to its tables."""
+    build = taft_module._taft_hopf
+
+    def patched(ctx, space):
+        H = build(ctx, space)
+        if space.name.startswith("B*"):
+            corrupt(H)
+        return H
+
+    monkeypatch.setattr(taft_module, "_taft_hopf", patched)
+
+
+def _zeta_kappa_f(H):
+    """kappa F := zeta q F kappa."""
+    idx, fn, zeta = H.space.index, H.mult.fn, H.ctx.zeta
+    key = (idx[(0, 1)], idx[(1, 0)])
+    H.mult.fn = lambda i, j: (tuple((k, c * zeta) for k, c in fn(i, j))
+                              if (i, j) == key else fn(i, j))
+
+
+def _zeta_f_kappa2(H):
+    """comult(F) := 1 (x) F + zeta F (x) kappa^2."""
+    idx, fn, zeta = H.space.index, H.comult.fn, H.ctx.zeta
+    f, k2 = idx[(1, 0)], idx[(0, 2)]
+    H.comult.fn = lambda i: (tuple((j, k, c * zeta if (j, k) == (f, k2) else c)
+                                   for j, k, c in fn(i))
+                             if i == f else fn(i))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("corrupt", [_zeta_kappa_f, _zeta_f_kappa2],
+                         ids=["kappa-F", "F-kappa2"])
+def test_a_zeta_scaled_dual_structure_constant_fails_construction(
+        monkeypatch, p, corrupt):
+    _corrupt_dual(monkeypatch, corrupt)
+    with pytest.raises(RuntimeError, match="B\\* is not the dual of B"):
+        taft_setup(p, cached=False)
+
+
+def test_the_construction_certificate_stores_no_dual_rows():
+    pair = taft_setup(3, cached=False)
+    D = pair.dual
+    assert not D.mult.rows and not D.comult.rows and not D.antipode.rows
+    assert D.mult is not pair.primal.mult
 
 
 # -- closed-form smash product -------------------------------------------------

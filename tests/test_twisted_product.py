@@ -19,13 +19,16 @@ import random
 import pytest
 
 import hopfbench.doubles as doubles_module
-from hopfbench.doubles import _iter3, factor_structures
+import hopfbench.results as results_module
+from hopfbench.doubles import _iter3, factor_structures, heisenberg_chain
 from hopfbench.cyclo import stored_form
 from hopfbench.hopf import (hit_alg_left, hit_alg_right, hit_dual_left,
                             hit_dual_right)
 from hopfbench.sparse import (Subspace, span_closure, vadd_into, vadd_outer,
                               vadd_term, veq, vsub)
-from hopfbench.taft import double_elements, taft_system, uqsl2
+from hopfbench.results import generation_failure
+from hopfbench.taft import (double_elements, taft_system,
+                            truly_heisenberg_chain, uqsl2)
 from hopfbench.truncate import central_hopf_ideal, check_hopf_ideal
 from hopfbench.ydcat import braided_product
 
@@ -359,3 +362,91 @@ def test_a_non_central_seed_is_caught():
     assert (res.status, res.mode, res.cases_checked) == ("fail",
                                                          "generators", 1)
     assert res.witness == "c does not commute with F(x)1"
+
+
+# -- the generation certificate from the factors ---------------------------------
+
+def _twisted(key, p):
+    """A fresh twisted product: D(B), H(B*), the two-factor braided
+    product of B*cop and B, the three-factor chain of B*cop, B and B*cop
+    (p=2 only) or the z/del chain(3)."""
+    if key == "zdel-chain3":
+        return truly_heisenberg_chain(p, 3).algebra
+    sys = taft_system(p, cached=False)
+    if key == "ddouble":
+        return sys.double.hopf
+    if key == "hdouble":
+        return sys.heis.algebra
+    n = {"braided-product": 2, "full-chain3": 3}[key]
+    return heisenberg_chain(sys.pair.primal, n, leftmost="dual",
+                            D=sys.double).yd.algebra
+
+
+def _twisted_dims(alg) -> set:
+    """The dimensions of `alg` and of the twisted products among its
+    factors, recursively."""
+    if not alg.factors:
+        return set()
+    return {alg.dim}.union(*map(_twisted_dims, alg.factors))
+
+
+CERTIFIED = [("ddouble", 2), ("ddouble", 3), ("hdouble", 2), ("hdouble", 3),
+             ("braided-product", 2), ("full-chain3", 2),
+             ("zdel-chain3", 2), ("zdel-chain3", 3)]
+
+
+@pytest.mark.parametrize("key,p", CERTIFIED)
+def test_the_factored_certificate_agrees_with_the_span_closure(key, p):
+    alg = _twisted(key, p)
+    assert alg.factors
+    seed = [dict(alg.unit)] + [dict(g) for g in alg.generators]
+    assert span_closure(seed, alg.product, alg.dim).rank == alg.dim
+    assert generation_failure(alg) is None
+
+
+@pytest.mark.parametrize("key,p", CERTIFIED)
+def test_no_twisted_product_is_certified_by_a_full_closure(monkeypatch,
+                                                           key, p):
+    """The certificate of a twisted product never closes a span over its
+    own dimension, nor over that of a twisted product among its factors."""
+    alg = _twisted(key, p)
+    refused = _twisted_dims(alg)
+    real = results_module.span_closure
+
+    def closure(seed, product, dim, *rest):
+        assert dim not in refused, f"span closure over dim {dim}"
+        return real(seed, product, dim, *rest)
+
+    monkeypatch.setattr(results_module, "span_closure", closure)
+    assert generation_failure(alg) is None
+
+
+def _scaled_row(alg, k1, k2):
+    """alg's product row (k1, k2) times zeta, set as a stored row."""
+    zeta = alg.ctx.zeta
+    alg.mult.set(k1, k2, [(k, c * zeta) for k, c in alg.mult.get(k1, k2)])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_one_corrupted_right_factor_row_fails_the_certificate(p):
+    """(F (x) E)(1 (x) k) := zeta (F (x) Ek) in D(B)."""
+    D = _twisted("ddouble", p)
+    f, b = D.factors
+    nB = b.dim
+    F, E, k = f.space.index[(1, 0)], b.space.index[(1, 0)], b.space.index[(0, 1)]
+    _scaled_row(D, F * nB + E, k)
+    assert generation_failure(D) == (
+        f"(F (x) E)(1 (x) h) != a (x) bh for generator 1 of B(p={p}); "
+        "generation certificate failed")
+
+
+def test_one_corrupted_left_factor_row_fails_the_certificate():
+    """(F (x) 1)(kap (x) 1) := zeta (F kap (x) 1) in H(B*)."""
+    H = _twisted("hdouble", 2)
+    f, b = H.factors
+    nB = b.dim
+    F, kap = f.space.index[(1, 0)], f.space.index[(0, 1)]
+    _scaled_row(H, F * nB, kap * nB)
+    assert generation_failure(H) == (
+        "(F (x) 1)(g (x) 1) != ag (x) 1 for generator 1 of B*(p=2); "
+        "generation certificate failed")
