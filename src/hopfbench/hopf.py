@@ -75,35 +75,29 @@ def render_tensor(space1: Space, space2: Space, v: Vec) -> str:
 
 # -- the structure container -------------------------------------------------
 
-class FiniteHopf:
-    """A finite-dimensional Hopf algebra given by structure tensors.
+class FiniteAlgebra:
+    """An associative unital algebra with a labeled basis.
 
-    mult, comult and antipode rows may be lazily backed; the unit and
-    the counit are always explicit.  `generators` is an
-    optional list of vectors used by generator-mode checks; it should
-    generate the algebra together with the unit.  `factors` is (A, B)
-    when the product, unit and generators come from `twisted_product`.
+    The product may be lazily backed; the unit is explicit.  `generators`
+    is an optional list of vectors used by generator-mode checks; it
+    should generate the algebra together with the unit.  `factors` is
+    (A, B) when the product, unit and generators come from
+    `twisted_product`.
     """
 
-    __slots__ = ("ctx", "space", "mult", "unit", "comult", "counit",
-                 "antipode", "generators", "name", "factors",
-                 "_antipode_inv", "__weakref__")
+    __slots__ = ("ctx", "space", "mult", "unit", "generators", "name",
+                 "factors", "__weakref__")
 
     def __init__(self, ctx: QContext, space: Space, mult: BilinearMap,
-                 unit: Vec, comult: ColinearMap, counit: dict,
-                 antipode: LinearMap, generators: Optional[list] = None,
-                 name: str = "", factors: Optional[tuple] = None):
+                 unit: Vec, generators: Optional[list] = None, name: str = "",
+                 factors: Optional[tuple] = None):
         self.ctx = ctx
         self.space = space
         self.mult = mult
         self.unit = unit
-        self.comult = comult
-        self.counit = counit
-        self.antipode = antipode
         self.generators = generators
         self.name = name or space.name
         self.factors = factors
-        self._antipode_inv: Optional[LinearMap] = None
 
     @property
     def dim(self) -> int:
@@ -117,6 +111,32 @@ class FiniteHopf:
 
     def product(self, u: Vec, v: Vec) -> Vec:
         return self.mult.apply(u, v)
+
+    def render(self, v: Vec) -> str:
+        return render_element(self.space, v)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.name}, dim={self.dim})"
+
+
+class FiniteHopf(FiniteAlgebra):
+    """A finite-dimensional Hopf algebra given by structure tensors.
+
+    The algebra part is a FiniteAlgebra.  comult and antipode rows may be
+    lazily backed; the counit is always explicit.
+    """
+
+    __slots__ = ("comult", "counit", "antipode", "_antipode_inv")
+
+    def __init__(self, ctx: QContext, space: Space, mult: BilinearMap,
+                 unit: Vec, comult: ColinearMap, counit: dict,
+                 antipode: LinearMap, generators: Optional[list] = None,
+                 name: str = "", factors: Optional[tuple] = None):
+        super().__init__(ctx, space, mult, unit, generators, name, factors)
+        self.comult = comult
+        self.counit = counit
+        self.antipode = antipode
+        self._antipode_inv: Optional[LinearMap] = None
 
     def coproduct(self, v: Vec) -> Vec:
         return self.comult.apply(v)
@@ -156,12 +176,6 @@ class FiniteHopf:
                     vadd_term(nxt, (j * n + k) * n + tail, c * cc)
             cur = nxt
         return cur
-
-    def render(self, v: Vec) -> str:
-        return render_element(self.space, v)
-
-    def __repr__(self) -> str:
-        return f"FiniteHopf({self.name}, dim={self.dim})"
 
 
 def twisted_product(A, B, r_row) -> tuple:
@@ -250,47 +264,6 @@ def triple_product(H: FiniteHopf, x: Vec, y: Vec) -> Vec:
                 for k2, ck2 in r2:
                     vadd_into(out, r3, v1 * ck2, (k1 * n + k2) * n)
     return out
-
-
-class FiniteAlgebra:
-    """An associative unital algebra with a labeled basis (no coalgebra).
-
-    Shares the vector/product conventions of FiniteHopf, `factors`
-    included, so that the associativity and unit checks apply to both.
-    """
-
-    __slots__ = ("ctx", "space", "mult", "unit", "generators", "name",
-                 "factors", "__weakref__")
-
-    def __init__(self, ctx: QContext, space: Space, mult: BilinearMap,
-                 unit: Vec, generators: Optional[list] = None, name: str = "",
-                 factors: Optional[tuple] = None):
-        self.ctx = ctx
-        self.space = space
-        self.mult = mult
-        self.unit = unit
-        self.generators = generators
-        self.name = name or space.name
-        self.factors = factors
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def basis(self, i: int) -> Vec:
-        return {i: self.ctx.one}
-
-    def element(self, label) -> Vec:
-        return {self.space.index[label]: self.ctx.one}
-
-    def product(self, u: Vec, v: Vec) -> Vec:
-        return self.mult.apply(u, v)
-
-    def render(self, v: Vec) -> str:
-        return render_element(self.space, v)
-
-    def __repr__(self) -> str:
-        return f"FiniteAlgebra({self.name}, dim={self.dim})"
 
 
 def check_algebra_axioms(A, associativity) -> list:

@@ -32,7 +32,7 @@ __all__ = ["MUTATIONS", "run_mutation", "mutation_suite"]
 def _antipode_sign(p: int, walks) -> list:
     """Taft algebra with the sign of S on the nilpotent generator flipped."""
     B = taft_setup(p).primal
-    e_idx = B.space.labels.index((1, 0))
+    e_idx = B.space.index[(1, 0)]
     orig = B.antipode
 
     def fn(i: int):

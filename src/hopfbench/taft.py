@@ -47,7 +47,7 @@ from .results import (Check, CheckResult, gen_indices, generation_failure,
 from .sparse import (
     BilinearMap, ColinearMap, LazyLinearMap, LinearMap,
     SingularMapError, Space, SpanSolver, Subspace, linear_map_inverse,
-    span_closure, tensor_flat, vadd_into, vadd_outer, vadd_term, veq, vscale,
+    tensor_flat, vadd_into, vadd_outer, vadd_term, veq, vscale,
     vsub,
 )
 from .truncate import (
@@ -334,8 +334,7 @@ def double_elements(sys: TaftSystem) -> dict:
     pair = sys.pair
     nB = pair.primal.dim
     one = pair.ctx.one
-    bl = {lab: i for i, lab in enumerate(pair.primal.space.labels)}
-    dl = {lab: i for i, lab in enumerate(pair.dual.space.labels)}
+    bl, dl = pair.primal.space.index, pair.dual.space.index
     du, bu = dict(pair.dual.unit), dict(pair.primal.unit)
     return {
         "E": tensor_flat(du, {bl[(1, 0)]: one}, nB),
@@ -352,8 +351,7 @@ def heis_elements(sys: TaftSystem) -> dict:
     nB = pair.primal.dim
     one = ctx.one
     order = 4 * ctx.p
-    bl = {lab: i for i, lab in enumerate(pair.primal.space.labels)}
-    dl = {lab: i for i, lab in enumerate(pair.dual.space.labels)}
+    bl, dl = pair.primal.space.index, pair.dual.space.index
     du, bu = dict(pair.dual.unit), dict(pair.primal.unit)
     return {
         "kap": tensor_flat({dl[(0, 1)]: one}, bu, nB),
@@ -457,12 +455,19 @@ def _counit_result(chk: Check, eps: list) -> CheckResult:
 
 
 def _generation_result(name: str, H: FiniteHopf, gens: list) -> CheckResult:
-    """The given elements generate H as an algebra."""
+    """The given elements generate H as an algebra: they are the unit and
+    the declared generators of H, which `results.generation_failure(H)`
+    certifies."""
     chk = Check(name, "exhaustive", cases=H.dim)
-    span = span_closure(gens, H.product, H.dim)
-    if span.rank != H.dim:
-        return chk.result(f"generators span rank {span.rank} < dim {H.dim}")
-    return chk.result()
+    declared = [dict(H.unit)] + [dict(g) for g in H.generators or ()]
+    for some, others, what in (
+            (gens, declared, "is not the unit or a declared generator"),
+            (declared, gens, "is not listed")):
+        miss = next((v for v in some if not any(veq(v, w) for w in others)),
+                    None)
+        if miss is not None:
+            return chk.result(f"{render_element(H.space, miss)} {what}")
+    return chk.result(generation_failure(H))
 
 
 def taft_dual_check(pair: TaftPair, name: str = "taft-dual") -> "CheckResult":
@@ -482,7 +487,7 @@ def taft_dual_check(pair: TaftPair, name: str = "taft-dual") -> "CheckResult":
     if solver.rank != B.dim:
         return chk.result(f"monomials span rank {solver.rank} < {B.dim}")
 
-    dl = {lab: i for i, lab in enumerate(Bd.space.labels)}
+    dl = Bd.space.index
     one = ctx.one
     Fv: Vec = {dl[(1, 0)]: one}
     kapv: Vec = {dl[(0, 1)]: one}
@@ -531,8 +536,7 @@ def closed_form_check(sys: TaftSystem, walk,
     """
     ctx = sys.ctx
     A = sys.heis.algebra
-    labels = A.space.labels
-    index = {lab: i for i, lab in enumerate(labels)}
+    labels, index = A.space.labels, A.space.index
     walk = walk.over((A.dim, A.dim), (gen_indices(A), None))
     chk = Check(name, walk.label)
 
@@ -583,7 +587,7 @@ def basis_change(sys: TaftSystem,
          vscale(unit, -ctx.one)),
         ("lam^(2p) = (-1)^p i kap^(2p)#k^(2p)",
          _power(mul, unit, lamv, 2 * p),
-         {A.space.labels.index(((0, 2 * p), (0, 2 * p))):
+         {A.space.index[((0, 2 * p), (0, 2 * p))]:
           ctx.zeta_pow(p) if p % 2 == 0 else -ctx.zeta_pow(p)}),
         ("z^p = 0", _power(mul, unit, zv, p), {}),
         ("del^p = 0", _power(mul, unit, delv, p), {}),
@@ -671,8 +675,8 @@ class UqSl2:
         pair = self.system.pair
         l, m, d = self.hopf.space.labels[i]
         nB = pair.primal.dim
-        fi = pair.dual.space.labels.index((l, 0))
-        bi = pair.primal.space.labels.index((m, d))
+        fi = pair.dual.space.index[(l, 0)]
+        bi = pair.primal.space.index[(m, d)]
         return {fi * nB + bi: self.ctx.one}
 
     def to_dbar(self, v: Vec) -> Vec:
@@ -707,8 +711,7 @@ def uqsl2(p: int, cached: bool = True) -> UqSl2:
     pair = sys.pair
     nB = pair.primal.dim
     one = ctx.one
-    fi = {lab: i for i, lab in enumerate(pair.dual.space.labels)}
-    bi = {lab: i for i, lab in enumerate(pair.primal.space.labels)}
+    fi, bi = pair.dual.space.index, pair.primal.space.index
     labels, vecs = [], []
     for l in range(p):
         for m in range(p):
@@ -721,7 +724,7 @@ def uqsl2(p: int, cached: bool = True) -> UqSl2:
     for v in vecs:
         solver.add(v)
 
-    lab_idx = {lab: i for i, lab in enumerate(labels)}
+    lab_idx = dbar.space.index
     even = [i for i, (l, m, d) in enumerate(labels) if d % 2 == 0]
     gen_idx = [lab_idx[(0, 1, 0)], lab_idx[(1, 0, 0)], lab_idx[(0, 0, 2)]]
     sub = sub_hopf(dbar, even, generators=gen_idx, name=f"Uq(p={p})")
@@ -738,7 +741,7 @@ def uqsl2(p: int, cached: bool = True) -> UqSl2:
 
 def uq_elements(uq: UqSl2) -> dict:
     """Named basis vectors E, F, K, K^(-1) of the truncated quantum group."""
-    idx = {lab: i for i, lab in enumerate(uq.hopf.space.labels)}
+    idx = uq.hopf.space.index
     one = uq.ctx.one
     p = uq.p
     return {
@@ -898,7 +901,7 @@ def hqsl2(p: int) -> HqSl2:
 
     # after the identification, lam^(2p) must equal the scalar (-1)^p i
     T = ts.yd.algebra
-    lam_t = {T.space.labels.index((1, 0, 0)): one}
+    lam_t = {T.space.index[(1, 0, 0)]: one}
     chk = Check("hq-lambda-power", "exhaustive", cases=1)
     lhs = _power(T.product, dict(T.unit), lam_t, 2 * p)
     rhs = vscale(dict(T.unit), half if p % 2 == 0 else -half)
@@ -919,7 +922,7 @@ def hq_action_table_check(hq: HqSl2,
     T = hq.algebra
     act = hq.yd.action
     uel = uq_elements(hq.uq)
-    idx = {lab: i for i, lab in enumerate(T.space.labels)}
+    idx = T.space.index
     one = ctx.one
 
     def mono(a, b, c) -> Vec:
@@ -978,8 +981,7 @@ def hq_coaction_table_check(hq: HqSl2,
     U = hq.uq.hopf
     coact = hq.yd.coaction
     nT = T.dim
-    idx = {lab: i for i, lab in enumerate(T.space.labels)}
-    uidx = {lab: i for i, lab in enumerate(U.space.labels)}
+    idx, uidx = T.space.index, U.space.index
     one = ctx.one
     qd = ctx.qdiff
 
@@ -1041,8 +1043,9 @@ def cqzd(p: int) -> CqZd:
     ctx = taft_setup(p).ctx
     t = ctx.qdiff
     u = ctx.q_pow(-2)
-    labels = [(a, b) for a in range(p) for b in range(p)]
-    idx = {lab: i for i, lab in enumerate(labels)}
+    space = Space(f"CqZd(p={p})", [(a, b) for a in range(p) for b in range(p)],
+                  _monomial(("z", "del"), " "))
+    labels, idx = space.labels, space.index
     one = ctx.one
 
     # one del moved past z^i:  del z^i = t [i]_u z^(i-1) + u^i z^i del,
@@ -1081,7 +1084,6 @@ def cqzd(p: int) -> CqZd:
                     vadd_term(row, idx[(a + i, j + b2)], c)
             mult.set(idx[(a, b)], idx[(a2, b2)], tuple(sorted(row.items())))
 
-    space = Space(f"CqZd(p={p})", labels, _monomial(("z", "del"), " "))
     alg = FiniteAlgebra(ctx, space, mult, {idx[(0, 0)]: one},
                         generators=[{idx[(1, 0)]: one}, {idx[(0, 1)]: one}],
                         name=space.name)
@@ -1094,8 +1096,8 @@ def cqzd_center_check(cq: CqZd, name: str = "cqzd-center") -> CheckResult:
     ctx = cq.ctx
     n = A.dim
     one = ctx.one
-    zv = {A.space.labels.index((1, 0)): one}
-    dv = {A.space.labels.index((0, 1)): one}
+    zv = {A.space.index[(1, 0)]: one}
+    dv = {A.space.index[(0, 1)]: one}
     chk = Check(name, "exhaustive", cases=n)
     solver = SpanSolver(2 * n)
     kernel: list[Vec] = []
@@ -1129,8 +1131,7 @@ def hq_factorization_check(hq: HqSl2,
     p = ctx.p
     T = hq.algebra
     cq = cqzd(p).algebra
-    tidx = {lab: i for i, lab in enumerate(T.space.labels)}
-    cidx = {lab: i for i, lab in enumerate(cq.space.labels)}
+    tidx, cidx = T.space.index, cq.space.index
     clab = cq.space.labels
     wrap = ctx.zeta_pow(p) if p % 2 == 0 else -ctx.zeta_pow(p)   # (-1)^p i
 

@@ -1,7 +1,21 @@
 """Hopf-ideal quotients, sub-Hopf extraction, and structure transport.
 
 Three mechanical constructions used to pass from a big algebra to a
-smaller one without re-deriving any structure by hand:
+smaller one without re-deriving any structure by hand.  Each carries the
+structure tensors through one pushforward (`_pushforward`), given
+lift(i), the parent vector of new basis vector i, and push, a `_Push`:
+the new coordinates of each parent basis vector, memoized once and
+extended linearly.  The new tables are
+
+    mult = push . m . (lift (x) lift)      unit = push(1)
+    comult = (push (x) push) . Delta . lift
+    antipode = push . S . lift             counit = eps . lift
+
+A quotient lifts by its monomial section and pushes by the projection, a
+sub-Hopf algebra lifts by its index and pushes by the reindex, and a
+change of basis lifts to the new basis and pushes by `SpanSolver.solve`.
+The same push and (push (x) push) (`_Push.pairs`) serve the Hopf-ideal
+checks, the quotient morphism check and the transported algebra.
 
 * `hopf_quotient` -- quotient a Hopf algebra by a two-sided Hopf ideal,
   with exact projection and a monomial section: the quotient basis is
@@ -15,6 +29,8 @@ smaller one without re-deriving any structure by hand:
 * `sub_hopf` -- cut out the sub-Hopf-algebra spanned by a subset of
   basis vectors, after certifying that the span is closed under
   multiplication, comultiplication, and the antipode.
+
+* `change_basis_hopf` -- the same Hopf algebra on a new basis.
 
 * `transport_action` -- move a Yetter-Drinfeld module-algebra
   structure to a subalgebra and/or an algebra quotient of the module,
@@ -55,6 +71,91 @@ __all__ = [
 ]
 
 
+# -- the one pushforward -------------------------------------------------------
+
+class _Push:
+    """A linear map into `dim` coordinates, given by the image(k) of each
+    basis vector k, computed once into `memo` and extended linearly."""
+
+    __slots__ = ("image", "dim", "memo")
+
+    def __init__(self, image: Callable[[int], Vec], dim: int,
+                 memo: Optional[dict] = None):
+        self.image = image
+        self.dim = dim
+        self.memo = {} if memo is None else memo
+
+    def basis(self, k: int) -> Vec:
+        """The image of basis vector k (shared: read it, never edit it)."""
+        pk = self.memo.get(k)
+        if pk is None:
+            pk = self.memo[k] = self.image(k)
+        return pk
+
+    def __call__(self, v: Vec) -> Vec:
+        out: Vec = {}
+        for k, c in v.items():
+            vadd_into(out, self.basis(k), c)
+        return out
+
+    def pairs(self, flat: Vec, n: int) -> Vec:
+        """(push (x) push) of a vector on flat pairs a * n + b, on flat
+        pairs of the image coordinates.  The second legs under each first
+        leg are pushed together, so a group that cancels stops there."""
+        out: Vec = {}
+        m = self.dim
+        for a, w in _by_first(flat, n).items():
+            pw = self(w)
+            if pw:
+                for a2, ca in self.basis(a).items():
+                    vadd_into(out, pw, ca, a2 * m)
+        return out
+
+
+def _by_first(flat: Vec, n: int) -> dict[int, Vec]:
+    """A vector on flat pairs a * n + b as {a: its vector of b legs}."""
+    out: dict[int, Vec] = {}
+    for key, c in flat.items():
+        a, b = divmod(key, n)
+        out.setdefault(a, {})[b] = c
+    return out
+
+
+def _projection(Q: QuotientSpace, one, memo: Optional[dict] = None) -> _Push:
+    """The projection onto the quotient coordinates of Q."""
+    return _Push(lambda k: Q.project({k: one}), Q.dim, memo)
+
+
+def _pushforward(A, space: Space, lift: Callable[[int], Vec], push: _Push,
+                 generators: Optional[list], name: str):
+    """A on the basis of `space`: product push . m . (lift (x) lift) and
+    unit push(1); for a FiniteHopf also coproduct (push (x) push) . Delta
+    . lift, antipode push . S . lift and counit eps . lift.  The tables
+    are filled as they are read."""
+    n = space.dim
+
+    def mult_fn(i: int, j: int):
+        return tuple(sorted(push(A.product(lift(i), lift(j))).items()))
+
+    mult = BilinearMap(n, n, fn=mult_fn)
+    if not isinstance(A, FiniteHopf):
+        return FiniteAlgebra(A.ctx, space, mult, push(A.unit),
+                             generators=generators, name=name)
+
+    def comult_fn(i: int):
+        flat = push.pairs(A.coproduct(lift(i)), A.dim)
+        return tuple((key // n, key % n, c) for key, c in sorted(flat.items()))
+
+    def antipode_fn(i: int):
+        return tuple(sorted(push(A.antipode_of(lift(i))).items()))
+
+    counit = {i: e for i in range(n) if (e := A.counit_of(lift(i)))}
+    return FiniteHopf(A.ctx, space, mult, push(A.unit),
+                      ColinearMap(n, n, n, fn=comult_fn), counit,
+                      LazyLinearMap(n, n, antipode_fn),
+                      generators=generators, name=name)
+
+
 def change_basis_hopf(H: FiniteHopf, vectors: Sequence[Vec], labels: Sequence,
                       render=None, name: str = "") -> FiniteHopf:
     """The same Hopf algebra presented on a new basis.
@@ -70,45 +171,11 @@ def change_basis_hopf(H: FiniteHopf, vectors: Sequence[Vec], labels: Sequence,
     for i, v in enumerate(vectors):
         if not solver.add(v):
             raise ValueError(f"basis vector #{i} is dependent")
-
-    space = Space(name or H.space.name, tuple(labels), render=render)
-
-    def mult_fn(i: int, j: int):
-        return tuple(sorted(solver.solve(H.product(vectors[i],
-                                                   vectors[j])).items()))
-
-    def comult_fn(i: int):
-        flat = H.coproduct(vectors[i])
-        by_second: dict[int, Vec] = {}
-        for key, c in flat.items():
-            a, b = divmod(key, n)
-            by_second.setdefault(b, {})[a] = c
-        mid: dict[int, Vec] = {}
-        for b, u in by_second.items():
-            for inew, c in solver.solve(u).items():
-                mid.setdefault(inew, {})[b] = c
-        out = []
-        for inew, y in sorted(mid.items()):
-            for jnew, c in sorted(solver.solve(y).items()):
-                out.append((inew, jnew, c))
-        return tuple(out)
-
-    def antipode_fn(i: int):
-        return tuple(sorted(solver.solve(H.antipode_of(vectors[i])).items()))
-
-    counit = {}
-    for i, v in enumerate(vectors):
-        c = H.counit_of(v)
-        if c:
-            counit[i] = c
-    unit = solver.solve(dict(H.unit))
-    gens = None
-    if H.generators:
-        gens = [solver.solve(dict(g)) for g in H.generators]
-    return FiniteHopf(H.ctx, space, BilinearMap(n, n, fn=mult_fn), unit,
-                      ColinearMap(n, n, n, fn=comult_fn), counit,
-                      LazyLinearMap(n, n, antipode_fn),
-                      generators=gens, name=name or H.name)
+    one = H.ctx.one
+    push = _Push(lambda k: solver.solve({k: one}), n)
+    gens = [push(g) for g in H.generators] if H.generators else None
+    return _pushforward(H, Space(name or H.space.name, labels, render=render),
+                        lambda i: vectors[i], push, gens, name or H.name)
 
 
 def _multipliers(H: FiniteHopf):
@@ -121,37 +188,6 @@ def _multipliers(H: FiniteHopf):
     if H.generators and generation_failure(H) is None:
         return [dict(g) for g in H.generators]
     return [{i: one} for i in range(H.dim)]
-
-
-def _comult_escapes(H: FiniteHopf, Q: QuotientSpace) -> Callable[[Vec], bool]:
-    """A test of Delta(v) outside I (x) H + H (x) I, I the ideal of Q:
-    (pi (x) pi) Delta(v) != 0, pi the projection H -> H/I."""
-    one = H.ctx.one
-    pcache: dict[int, Vec] = {}
-
-    def proj(v: Vec) -> Vec:
-        out: Vec = {}
-        for k, c in v.items():
-            pk = pcache.get(k)
-            if pk is None:
-                pk = Q.project({k: one})
-                pcache[k] = pk
-            vadd_into(out, pk, c)
-        return out
-
-    def escapes(v: Vec) -> bool:
-        by_first: dict[int, Vec] = {}
-        for key, c in H.coproduct(v).items():
-            a, b = divmod(key, H.dim)
-            by_first.setdefault(a, {})[b] = c
-        by_second: dict[int, Vec] = {}
-        for a, w in by_first.items():
-            for qb, c in proj(w).items():
-                by_second.setdefault(qb, {})[a] = c
-        return any(proj(w) for w in by_second.values())
-
-    return escapes
-
 
 def central_hopf_ideal(H: FiniteHopf, c: Vec, name: str = "hopf-ideal"
                        ) -> tuple[Subspace, CheckResult]:
@@ -216,7 +252,8 @@ def central_hopf_ideal(H: FiniteHopf, c: Vec, name: str = "hopf-ideal"
         if not ideal.contains(H.antipode_of(c)):
             return f"antipode escapes on c = {rendered}"
         chk.cases += 1
-        if _comult_escapes(H, QuotientSpace(H.dim, ideal))(c):
+        if _projection(QuotientSpace(H.dim, ideal), one).pairs(
+                H.coproduct(c), H.dim):
             return f"coproduct of c = {rendered} escapes I(x)H + H(x)I"
         return None
 
@@ -257,10 +294,10 @@ def check_hopf_ideal(H: FiniteHopf, I: Subspace,
         if not I.contains(H.antipode_of(r)):
             return chk.result(f"antipode escapes on {render_element(H.space, r)}")
 
-    escapes = _comult_escapes(H, QuotientSpace(H.dim, I))
+    push = _projection(QuotientSpace(H.dim, I), H.ctx.one)
     for r in rows:
         chk.cases += 1
-        if escapes(r):
+        if push.pairs(H.coproduct(r), H.dim):
             return chk.result(f"coproduct of {render_element(H.space, r)} "
                               f"escapes I(x)H + H(x)I")
     return chk.result()
@@ -268,7 +305,10 @@ def check_hopf_ideal(H: FiniteHopf, I: Subspace,
 
 @dataclass
 class HopfQuotient:
-    """A Hopf algebra quotient with its projection and monomial section."""
+    """A Hopf algebra quotient with its projection and monomial section.
+
+    `_pcache` holds the projection of each parent basis vector, filled as
+    `project` reads it."""
 
     parent: FiniteHopf
     ideal: Subspace
@@ -276,17 +316,13 @@ class HopfQuotient:
     quotient: FiniteHopf
     _pcache: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        self._push = _projection(self.qspace, self.parent.ctx.one,
+                                 self._pcache)
+
     def project(self, v: Vec) -> Vec:
-        """Parent coordinates -> quotient coordinates (linear cache)."""
-        one = self.parent.ctx.one
-        out: Vec = {}
-        for k, c in v.items():
-            pk = self._pcache.get(k)
-            if pk is None:
-                pk = self.qspace.project({k: one})
-                self._pcache[k] = pk
-            vadd_into(out, pk, c)
-        return out
+        """Parent coordinates -> quotient coordinates."""
+        return self._push(v)
 
     def section(self, qv: Vec) -> Vec:
         return self.qspace.section(qv)
@@ -299,46 +335,16 @@ def hopf_quotient(H: FiniteHopf, I: Subspace, name: str = "") -> HopfQuotient:
     run check_hopf_ideal first, and check_hopf_axioms on the result.
     """
     Q = QuotientSpace(H.dim, I)
-    nq = Q.dim
-    amb = Q.labels                      # quotient index -> parent index
-    labels = tuple(H.space.labels[a] for a in amb)
-    if not name:
-        name = f"{H.name}/I"
-    space = Space(name, labels, render=H.space.render)
-    hq = HopfQuotient(H, I, Q, None)    # filled below; project() needs it
+    hq = HopfQuotient(H, I, Q, None)    # its projection builds the quotient
+    push = hq._push
     one = H.ctx.one
-
-    def mult_fn(i: int, j: int):
-        return tuple(sorted(hq.project(dict(H.mult.get(amb[i], amb[j]))).items()))
-
-    def comult_fn(i: int):
-        flat = {}
-        for j, k, c in H.comult.get(amb[i]):
-            # project both legs
-            for j2, cj in hq.project({j: one}).items():
-                for k2, ck in hq.project({k: one}).items():
-                    vadd_term(flat, j2 * nq + k2, c * cj * ck)
-        return tuple((key // nq, key % nq, c) for key, c in sorted(flat.items()))
-
-    def antipode_fn(i: int):
-        return tuple(sorted(hq.project(dict(H.antipode.get(amb[i]))).items()))
-
-    counit = {}
-    for i, a in enumerate(amb):
-        c = H.counit.get(a)
-        if c:
-            counit[i] = c
-
-    unit = hq.project(H.unit)
-    gens = None
-    if H.generators:
-        gens = [g2 for g in H.generators if (g2 := hq.project(dict(g)))]
-
-    quotient = FiniteHopf(H.ctx, space, BilinearMap(nq, nq, fn=mult_fn), unit,
-                          ColinearMap(nq, nq, nq, fn=comult_fn), counit,
-                          LazyLinearMap(nq, nq, antipode_fn),
-                          generators=gens, name=name)
-    hq.quotient = quotient
+    name = name or f"{H.name}/I"
+    space = Space(name, tuple(H.space.labels[a] for a in Q.labels),
+                  render=H.space.render)
+    gens = ([g2 for g in H.generators if (g2 := push(g))] if H.generators
+            else None)
+    hq.quotient = _pushforward(H, space, lambda i: Q.section({i: one}), push,
+                               gens, name)
     return hq
 
 
@@ -358,16 +364,16 @@ def quotient_morphism_check(hq: HopfQuotient,
     checked on every basis vector.
     """
     H, K = hq.parent, hq.quotient
-    nq = K.dim
+    pi = hq._push
     one = H.ctx.one
 
     def unit_failure(chk: Check) -> Optional[str]:
         chk.cases += 1
-        return None if veq(hq.project(dict(H.unit)), K.unit) else "pi(1) != 1"
+        return None if veq(pi(H.unit), K.unit) else "pi(1) != 1"
 
     def case(i: int, j: int) -> Optional[str]:
-        lhs = hq.project(dict(H.mult.get(i, j)))
-        rhs = K.mult.apply(hq.project({i: one}), hq.project({j: one}))
+        lhs = pi(dict(H.mult.get(i, j)))
+        rhs = K.mult.apply(pi.basis(i), pi.basis(j))
         if veq(lhs, rhs):
             return None
         return f"pi(xy) != pi(x)pi(y) at x={H.space.label(i)}, y={H.space.label(j)}"
@@ -382,19 +388,14 @@ def quotient_morphism_check(hq: HopfQuotient,
         return chk.result(wit)
     for i in range(H.dim):
         chk.cases += 1
-        pi = hq.project({i: one})
-        lhs: Vec = {}
-        for j, k, c in H.comult.get(i):
-            for j2, cj in hq.project({j: one}).items():
-                for k2, ck in hq.project({k: one}).items():
-                    vadd_term(lhs, j2 * nq + k2, c * cj * ck)
-        if not veq(lhs, K.coproduct(pi)):
+        pix = pi.basis(i)
+        if not veq(pi.pairs(H.coproduct({i: one}), H.dim), K.coproduct(pix)):
             return chk.result(f"(pi(x)pi)Delta(x) != Delta(pi(x)) "
                               f"at x={H.space.label(i)}")
-        if H.counit.get(i, None) != K.counit_of(pi) and \
-                (H.counit.get(i) or K.counit_of(pi)):
+        if H.counit.get(i, None) != K.counit_of(pix) and \
+                (H.counit.get(i) or K.counit_of(pix)):
             return chk.result(f"counit mismatch at x={H.space.label(i)}")
-        if not veq(hq.project(dict(H.antipode.get(i))), K.antipode_of(pi)):
+        if not veq(pi(dict(H.antipode.get(i))), K.antipode_of(pix)):
             return chk.result(f"pi(S(x)) != S(pi(x)) at x={H.space.label(i)}")
     return chk.result()
 
@@ -407,6 +408,7 @@ class SubHopf:
     indices: tuple            # parent basis indices, ascending
     hopf: Optional[FiniteHopf]
     check: CheckResult
+    _pos: dict = field(repr=False)    # parent index -> sub index
 
     def restrict(self, v: Vec) -> Optional[Vec]:
         """Parent coordinates -> sub coordinates, None if outside."""
@@ -423,10 +425,6 @@ class SubHopf:
         idx = self.indices
         return {idx[j]: c for j, c in sv.items()}
 
-    @property
-    def _pos(self):
-        return {amb: j for j, amb in enumerate(self.indices)}
-
 
 def sub_hopf(H: FiniteHopf, indices: Sequence[int],
              generators: Optional[Sequence[int]] = None,
@@ -438,65 +436,43 @@ def sub_hopf(H: FiniteHopf, indices: Sequence[int],
     with reindexed tensors, or hopf=None with the failing witness.
     """
     idx = tuple(sorted(indices))
-    iset = set(idx)
     pos = {amb: j for j, amb in enumerate(idx)}
-    n = len(idx)
     cname = name or f"sub({H.name})"
     chk = Check(f"{cname}-closure", "exhaustive")
 
     def fail(w):
-        return SubHopf(H, idx, None, chk.result(w))
+        return SubHopf(H, idx, None, chk.result(w), pos)
 
     for k in H.unit:
         chk.cases += 1
-        if k not in iset:
+        if k not in pos:
             return fail(f"unit has support outside the span at {H.space.label(k)}")
     for a in idx:
         for b in idx:
             chk.cases += 1
             for k, _c in H.mult.get(a, b):
-                if k not in iset:
+                if k not in pos:
                     return fail(f"product {H.space.label(a)} * {H.space.label(b)} "
                                 f"escapes at {H.space.label(k)}")
     for a in idx:
         chk.cases += 1
         for j, k, _c in H.comult.get(a):
-            if j not in iset or k not in iset:
+            if j not in pos or k not in pos:
                 return fail(f"coproduct of {H.space.label(a)} has a leg outside "
                             f"the span")
         for k, _c in H.antipode.get(a):
-            if k not in iset:
+            if k not in pos:
                 return fail(f"antipode of {H.space.label(a)} escapes "
                             f"at {H.space.label(k)}")
 
-    labels = tuple(H.space.labels[a] for a in idx)
-    space = Space(cname, labels, render=H.space.render)
-
-    def mult_fn(i: int, j: int):
-        return tuple(sorted((pos[k], c) for k, c in H.mult.get(idx[i], idx[j])))
-
-    def comult_fn(i: int):
-        return tuple(sorted((pos[j], pos[k], c)
-                            for j, k, c in H.comult.get(idx[i])))
-
-    def antipode_fn(i: int):
-        return tuple(sorted((pos[k], c) for k, c in H.antipode.get(idx[i])))
-
-    counit = {}
-    for j, a in enumerate(idx):
-        c = H.counit.get(a)
-        if c:
-            counit[j] = c
-    unit = {pos[k]: c for k, c in H.unit.items()}
-    gens = None
-    if generators is not None:
-        gens = [{pos[a]: H.ctx.one} for a in generators]
-
-    hopf = FiniteHopf(H.ctx, space, BilinearMap(n, n, fn=mult_fn), unit,
-                      ColinearMap(n, n, n, fn=comult_fn), counit,
-                      LazyLinearMap(n, n, antipode_fn),
-                      generators=gens, name=cname)
-    return SubHopf(H, idx, hopf, chk.result())
+    one = H.ctx.one
+    space = Space(cname, tuple(H.space.labels[a] for a in idx),
+                  render=H.space.render)
+    gens = ([{pos[a]: one} for a in generators] if generators is not None
+            else None)
+    hopf = _pushforward(H, space, lambda i: {idx[i]: one},
+                        _Push(lambda k: {pos[k]: one}, len(idx)), gens, cname)
+    return SubHopf(H, idx, hopf, chk.result(), pos)
 
 
 # -- transport of YD structures to subquotients -------------------------------
@@ -622,24 +598,16 @@ def transport_action(source: YDModuleAlgebra,
         return TransportedStructure(source, solver, list(sub_basis),
                                     Subspace(k), None, certs, None)
 
-    def sub_product(a: Vec, b: Vec) -> Vec:
-        return sub_mult.apply(a, b)
-
     # action stability of the subalgebra under the source Hopf algebra
     chk = Check(f"{prefix}-action-stable", "exhaustive")
     act_gens = ([dict(g) for g in H.generators] if H.generators
                 else [{i: one} for i in range(H.dim)])
-    act_rows: list[list[Optional[Vec]]] = []
     for g in act_gens:
-        rows_g: list[Optional[Vec]] = []
         for i in range(k):
             chk.cases += 1
-            r = solver.solve(source.action.apply(g, sub_basis[i]))
-            if r is None:
+            if solver.solve(source.action.apply(g, sub_basis[i])) is None:
                 bad = f"action drives ({sub_labels[i]}) out of the span"
                 break
-            rows_g.append(r)
-        act_rows.append(rows_g)
         if bad:
             break
     certs.append(chk.result(bad))
@@ -651,17 +619,13 @@ def transport_action(source: YDModuleAlgebra,
     if ideal_seed:
         gens_for_closure = (list(ideal_gens) if ideal_gens is not None
                             else [{i: one} for i in range(k)])
-        J = span_closure(list(ideal_seed), sub_product, k, mode="ideal",
+        J = span_closure(list(ideal_seed), sub.product, k, mode="ideal",
                          generators=gens_for_closure)
     else:
         J = Subspace(k)
     Q = QuotientSpace(k, J)
-
-    def lift_sub(sv: Vec) -> Vec:
-        out: Vec = {}
-        for i, c in sv.items():
-            vadd_into(out, sub_basis[i], c)
-        return out
+    proj = _projection(Q, one)
+    lift_sub = _Push(lambda i: sub_basis[i], X.dim)
 
     if target_hopf is None:
         target_hopf = H
@@ -687,18 +651,13 @@ def transport_action(source: YDModuleAlgebra,
         if bad:
             break
         chk.cases += 1
-        flat = source.coaction.apply(j_X)
-        by_first: dict[int, Vec] = {}
-        for key, c in flat.items():
-            h, x = divmod(key, X.dim)
-            by_first.setdefault(h, {})[x] = c
         acc: Vec = {}
-        for h, w in by_first.items():
+        for h, w in _by_first(source.coaction.apply(j_X), X.dim).items():
             r = solver.solve(w)
             if r is None:
                 bad = "coaction leg escapes the span"
                 break
-            xq = Q.project(r)
+            xq = proj(r)
             if not xq:
                 continue
             tw = hopf_corestrict({h: one})
@@ -720,22 +679,16 @@ def transport_action(source: YDModuleAlgebra,
     coact_rows: list[Optional[list]] = []
     for i in range(k):
         chk.cases += 1
-        flat = source.coaction.apply(sub_basis[i])
-        by_first: dict[int, Vec] = {}
-        for key, c in flat.items():
-            h, x = divmod(key, X.dim)
-            by_first.setdefault(h, {})[x] = c
         by_sub: dict[int, Vec] = {}
-        row_ok = True
-        for h, w in by_first.items():
+        for h, w in _by_first(source.coaction.apply(sub_basis[i]),
+                              X.dim).items():
             r = solver.solve(w)
             if r is None:
                 bad = f"coaction second leg of ({sub_labels[i]}) escapes the span"
-                row_ok = False
                 break
             for sj, c in r.items():
                 by_sub.setdefault(sj, {})[h] = c
-        if not row_ok:
+        if bad:
             break
         row = []
         for sj, hw in sorted(by_sub.items()):
@@ -743,10 +696,9 @@ def transport_action(source: YDModuleAlgebra,
             if tw is None:
                 bad = (f"coaction first leg of ({sub_labels[i]}) is outside "
                        f"the target Hopf algebra")
-                row_ok = False
                 break
             row.append((sj, tw))
-        if not row_ok:
+        if bad:
             break
         coact_rows.append(row)
     certs.append(chk.result(bad))
@@ -759,7 +711,7 @@ def transport_action(source: YDModuleAlgebra,
             chk.cases += 1
             w = source.action.apply(gamma, sub_basis[i])
             r = solver.solve(vsub(w, sub_basis[i]))
-            if r is None or Q.project(r):
+            if r is None or proj(r):
                 bad_g = (f"central element #{gi} does not act as the identity "
                          f"on ({sub_labels[i]}) modulo the ideal")
                 break
@@ -770,30 +722,11 @@ def transport_action(source: YDModuleAlgebra,
                                     certs, None)
 
     # assemble the transported structure on quotient coordinates
-    nt = Q.dim
-    t_labels = tuple(sub_labels[a] for a in Q.labels)
-    t_space = Space(name or f"{X.name}-transported", t_labels, render=render)
-    pcache: dict[int, Vec] = {}
-
-    def proj(sv: Vec) -> Vec:
-        out: Vec = {}
-        for i, c in sv.items():
-            pk = pcache.get(i)
-            if pk is None:
-                pk = Q.project({i: one})
-                pcache[i] = pk
-            vadd_into(out, pk, c)
-        return out
-
-    def t_mult_fn(i: int, j: int):
-        row = sub_mult.get(Q.labels[i], Q.labels[j])
-        return tuple(sorted(proj(dict(row)).items()))
-
-    t_alg = FiniteAlgebra(ctx, t_space, BilinearMap(nt, nt, fn=t_mult_fn),
-                          proj(unit_sub),
-                          generators=[proj({g: one}) for g in target_generators]
-                          or None,
-                          name=t_space.name)
+    t_space = Space(name or f"{X.name}-transported",
+                    tuple(sub_labels[a] for a in Q.labels), render=render)
+    t_alg = _pushforward(sub, t_space, lambda i: Q.section({i: one}), proj,
+                         [proj({g: one}) for g in target_generators] or None,
+                         t_space.name)
 
     def t_act_fn(ht: int, xt: int) -> Vec:
         lifted = hopf_lift(ht)
@@ -807,7 +740,7 @@ def transport_action(source: YDModuleAlgebra,
         row = coact_rows[Q.labels[xt]]
         acc: dict = {}
         for sj, tw in row:
-            for xq, cq in proj({sj: one}).items():
+            for xq, cq in proj.basis(sj).items():
                 for ht, cth in tw.items():
                     vadd_term(acc, (ht, xq), cth * cq)
         return tuple(sorted((h, x, c) for (h, x), c in acc.items()))

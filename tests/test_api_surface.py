@@ -16,6 +16,8 @@
   chooses each law's walk, and a check takes only the walk.
 * No module imports numpy or scipy, at module level or inside a
   function: `pyproject.toml` declares no runtime dependencies.
+* No module builds a label -> index map from a space's labels or scans
+  them with `.index(`: `Space.index` is that map, built once per space.
 """
 
 from __future__ import annotations
@@ -242,3 +244,48 @@ def test_the_dependency_guard_sees_function_level_imports():
         "    from .results import Walk\n")
     assert _undeclared_imports({"hopf.py": reverted}) == [
         "hopf.py:2 numpy", "hopf.py:3 scipy.sparse", "hopf.py:4 scipy"]
+
+
+def _is_space_labels(node) -> bool:
+    """`X.space.labels` or `space.labels`."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "labels"):
+        return False
+    owner = node.value
+    return (isinstance(owner, ast.Attribute) and owner.attr == "space") or (
+        isinstance(owner, ast.Name) and owner.id == "space")
+
+
+def _label_lookups(modules: dict) -> list:
+    found = []
+    for mod, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.DictComp):
+                it = node.generators[0].iter
+                if (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                        and it.func.id == "enumerate" and it.args
+                        and _is_space_labels(it.args[0])):
+                    found.append(f"{mod}:{node.lineno} label map")
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "index"
+                  and _is_space_labels(node.func.value)):
+                found.append(f"{mod}:{node.lineno} labels.index")
+    return found
+
+
+def test_label_lookups_read_the_space_index():
+    assert _label_lookups(_modules()) == []
+
+
+def test_the_label_guard_sees_hand_built_maps_and_scans():
+    reverted = ast.parse(
+        "def lookups(pair, space, labels):\n"
+        "    dl = {lab: i for i, lab in enumerate(pair.dual.space.labels)}\n"
+        "    bl = {lab: i for i, lab in enumerate(space.labels)}\n"
+        "    e = pair.primal.space.labels.index((1, 0))\n"
+        "    f = space.labels.index((0, 1))\n"
+        "    own = {lab: i for i, lab in enumerate(labels)}\n"
+        "    return pair.dual.space.index[(1, 0)]\n")
+    assert _label_lookups({"taft.py": reverted}) == [
+        "taft.py:2 label map", "taft.py:3 label map",
+        "taft.py:4 labels.index", "taft.py:5 labels.index"]

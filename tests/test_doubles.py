@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from hopfbench.doubles import (
@@ -9,7 +11,7 @@ from hopfbench.doubles import (
     chain_relations_check, eta_twist_product, FactoredAction,
     heisenberg_chain, to_show_action_check,
 )
-from hopfbench.hopf import check_hopf_axioms
+from hopfbench.hopf import FiniteHopf, check_hopf_axioms
 from hopfbench.results import (TupleWalks, invert_expected_failure,
                                lemma_walk)
 from hopfbench.sparse import veq
@@ -55,6 +57,28 @@ def test_double_hopf_axioms_p2(sys2):
 
 def test_double_presentation(system):
     all_pass(double_presentation_check(system))
+
+
+@pytest.mark.parametrize("change,witness", [
+    ("drop k", "1(x)k is not the unit or a declared generator"),
+    ("add k^2", "1(x)k^2 is not listed"),
+    ("none", None)])
+def test_presentation_generation_reads_the_declared_generators(sys2, change,
+                                                               witness):
+    """The generation line certifies the listed 1, E, k, F, kap through
+    D(B)'s declared generators, so it fails once the two lists differ."""
+    D = sys2.double.hopf
+    gens = list(D.generators)
+    if change == "drop k":
+        gens.pop()
+    elif change == "add k^2":
+        gens.append(D.product(gens[-1], gens[-1]))
+    H = FiniteHopf(D.ctx, D.space, D.mult, D.unit, D.comult, D.counit,
+                   D.antipode, generators=gens, name=D.name)
+    bad = replace(sys2, double=replace(sys2.double, hopf=H))
+    res = double_presentation_check(bad)[-1]
+    assert (res.name, res.mode, res.cases_checked, res.witness) == (
+        "double-presentation-generation", "exhaustive", 256, witness)
 
 
 def test_dual_monomial_tables(system):

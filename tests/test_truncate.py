@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from hopfbench.cyclo import stored_form
 from hopfbench.hopf import FiniteHopf, check_hopf_axioms
 from hopfbench.results import TupleWalks, lemma_walk
-from hopfbench.sparse import (ColinearMap, LazyLinearMap, Subspace,
-                              span_closure, veq, vsub)
+from hopfbench.sparse import (BilinearMap, ColinearMap, LazyLinearMap,
+                              QuotientSpace, SpanSolver, Subspace,
+                              span_closure, tensor_flat, vadd_term, veq, vsub)
 from hopfbench.taft import (double_elements, heis_elements, taft_system,
                             uqsl2)
 from hopfbench.truncate import (central_hopf_ideal, change_basis_hopf,
@@ -307,3 +310,96 @@ def test_a_non_closed_sub_basis_fails_both_routes(sys2):
             sys2.yd, basis, labels, target_generators=target_generators))
         assert chk.status == "fail"
         assert chk.witness.endswith(" escapes the span")
+
+
+# -- the three u_q(sl_2) tables against their defining formulas ---------------
+
+def _first_mismatch(T, P, lift, push):
+    """The first entry of T's tables that differs from its definition as
+    P carried through `lift` (T's basis in P) and `push` (P coordinates
+    to T's), or None.  Each formula is applied term by term."""
+    n, one = T.dim, T.ctx.one
+
+    def push_pairs(flat):
+        out: dict = {}
+        for key, c in flat.items():
+            a, b = divmod(key, P.dim)
+            for k, ck in tensor_flat(push({a: one}), push({b: one}), n).items():
+                vadd_term(out, k, c * ck)
+        return out
+
+    if not veq(T.unit, push(dict(P.unit))):
+        return "unit"
+    for i in range(n):
+        if T.counit.get(i, T.ctx.zero) != P.counit_of(lift(i)):
+            return f"counit {i}"
+        for j in range(n):
+            if not veq(dict(T.mult.get(i, j)),
+                       push(P.product(lift(i), lift(j)))):
+                return f"mult {i} {j}"
+        if not veq({a * n + b: c for a, b, c in T.comult.get(i)},
+                   push_pairs(P.coproduct(lift(i)))):
+            return f"comult {i}"
+        if not veq(dict(T.antipode.get(i)), push(P.antipode_of(lift(i)))):
+            return f"antipode {i}"
+    return None
+
+
+@pytest.fixture(scope="module")
+def uq_tables():
+    """name -> (table, parent, lift, push) for the quotient of D(B) by the
+    ideal, its monomial basis Dbar and the even-k-power sub-Hopf algebra,
+    at p = 2.  lift and push are built here from QuotientSpace, SpanSolver
+    and the index map, not read from the constructions."""
+    uq = uqsl2(2)
+    D, K, Dbar = uq.system.double.hopf, uq.hq.quotient, uq.dbar
+    pair = uq.system.pair
+    one = D.ctx.one
+    Q = QuotientSpace(D.dim, uq.ideal)
+    nB = pair.primal.dim
+    fi, bi = pair.dual.space.index, pair.primal.space.index
+    vecs = [Q.project({fi[(l, 0)] * nB + bi[(m, d)]: one})
+            for l, m, d in Dbar.space.labels]
+    solver = SpanSolver(K.dim)
+    assert solver.add_many(vecs) == K.dim
+    even = [i for i, (_l, _m, d) in enumerate(Dbar.space.labels) if d % 2 == 0]
+    pos = {a: j for j, a in enumerate(even)}
+    return {
+        "quotient": (K, D, lambda i: {Q.labels[i]: one}, Q.project),
+        "basis-change": (Dbar, K, lambda i: vecs[i], solver.solve),
+        "sub": (uq.sub.hopf, Dbar, lambda i: {even[i]: one},
+                lambda v: {pos[k]: c for k, c in v.items()}),
+    }
+
+
+@pytest.mark.parametrize("name", ["quotient", "basis-change", "sub"])
+def test_every_table_row_matches_its_definition(uq_tables, name):
+    T, P, lift, push = uq_tables[name]
+    assert (T.dim, P.dim) == {"quotient": (32, 256), "basis-change": (32, 32),
+                              "sub": (16, 32)}[name]
+    assert _first_mismatch(T, P, lift, push) is None
+
+
+@pytest.mark.parametrize("name,table", [("quotient", "mult"),
+                                        ("basis-change", "comult"),
+                                        ("sub", "antipode")])
+def test_one_entry_scaled_by_zeta_is_caught(uq_tables, name, table):
+    T, P, lift, push = uq_tables[name]
+    n, zeta = T.dim, T.ctx.zeta
+    get = getattr(T, table).get
+    keys = (itertools.product(range(n), repeat=2) if table == "mult"
+            else ((i,) for i in range(n)))
+    at = next(key for key in keys if get(*key))
+    head, *rest = get(*at)
+    bad_row = (head[:-1] + (head[-1] * zeta,), *rest)
+
+    def fn(*key):
+        return bad_row if key == at else get(*key)
+
+    mult = BilinearMap(n, n, fn=fn) if table == "mult" else T.mult
+    comult = ColinearMap(n, n, n, fn=fn) if table == "comult" else T.comult
+    antipode = LazyLinearMap(n, n, fn) if table == "antipode" else T.antipode
+    bad = FiniteHopf(T.ctx, T.space, mult, T.unit, comult, T.counit,
+                     antipode, generators=T.generators, name=T.name)
+    assert _first_mismatch(bad, P, lift, push) == " ".join(
+        map(str, (table, *at)))
