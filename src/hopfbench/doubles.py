@@ -41,7 +41,6 @@ them on basis pairs):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
 
@@ -94,16 +93,19 @@ def _iter3(H: FiniteHopf, cache: dict, i: int) -> tuple:
 
 # -- the Drinfeld double -----------------------------------------------------
 
-@dataclass
 class DrinfeldDouble:
     """Hopf algebra on B* (x) B with references to the two factors."""
 
-    ctx: QContext
-    hopf: FiniteHopf
-    base: FiniteHopf
-    dual: FiniteHopf
-    pairing: HopfPairing
-    _rmatrix: Optional[Vec] = field(default=None, repr=False)
+    __slots__ = ("ctx", "hopf", "base", "dual", "pairing", "_rmatrix")
+
+    def __init__(self, ctx: QContext, hopf: FiniteHopf, base: FiniteHopf,
+                 dual: FiniteHopf, pairing: HopfPairing):
+        self.ctx = ctx
+        self.hopf = hopf
+        self.base = base
+        self.dual = dual
+        self.pairing = pairing
+        self._rmatrix: Optional[Vec] = None
 
     @property
     def dim(self) -> int:
@@ -221,16 +223,19 @@ def drinfeld_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
 
 # -- the Heisenberg double ---------------------------------------------------
 
-@dataclass
 class HeisenbergDouble:
     """Smash-product algebra on B* (x) B; `yd` is attached by yd_structure."""
 
-    ctx: QContext
-    algebra: FiniteAlgebra
-    base: FiniteHopf
-    dual: FiniteHopf
-    pairing: HopfPairing
-    yd: Optional[YDModuleAlgebra] = field(default=None, repr=False)
+    __slots__ = ("ctx", "algebra", "base", "dual", "pairing", "yd")
+
+    def __init__(self, ctx: QContext, algebra: FiniteAlgebra,
+                 base: FiniteHopf, dual: FiniteHopf, pairing: HopfPairing):
+        self.ctx = ctx
+        self.algebra = algebra
+        self.base = base
+        self.dual = dual
+        self.pairing = pairing
+        self.yd: Optional[YDModuleAlgebra] = None
 
     @property
     def dim(self) -> int:

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
 from functools import partial
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import __version__
 from .doubles import (FactoredAction, chain_relations_check,
@@ -53,8 +52,7 @@ class ConfigError(ValueError):
     """Invalid run configuration (a usage error, not a failed check)."""
 
 
-@dataclass
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     """What to verify and how hard to try.
 
     mode=None resolves to "exhaustive" for p=2 and "generators" for
@@ -125,14 +123,18 @@ class SuiteConfig:
         }
 
 
-@dataclass(eq=False)
 class VerificationReport:
     """Configuration + ordered check results.  Equality ignores wall times."""
 
-    config: SuiteConfig
-    results: list
-    engine_version: str = __version__
-    schema_version: int = SCHEMA_VERSION
+    __slots__ = ("config", "results", "engine_version", "schema_version")
+
+    def __init__(self, config: SuiteConfig, results: list,
+                 engine_version: str = __version__,
+                 schema_version: int = SCHEMA_VERSION):
+        self.config = config
+        self.results = results
+        self.engine_version = engine_version
+        self.schema_version = schema_version
 
     @property
     def summary(self) -> dict:
@@ -215,7 +217,7 @@ def _dim_check(name: str, got: int, want: int) -> CheckResult:
 
 
 def _rename(results, prefix: str) -> list:
-    return [replace(r, name=f"{prefix}-{r.name}") for r in results]
+    return [r._replace(name=f"{prefix}-{r.name}") for r in results]
 
 
 def _structure_identity_check(bp, algebra, walk, name: str) -> CheckResult:
@@ -508,7 +510,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     seen = set()
     for suite, batch in zip(suites, batches):
         for r in batch:
-            tagged = replace(r, name=f"{suite}.{r.name}.p{config.p}")
+            tagged = r._replace(name=f"{suite}.{r.name}.p{config.p}")
             if tagged.name in seen:
                 raise RuntimeError(f"duplicate check name {tagged.name!r}")
             seen.add(tagged.name)

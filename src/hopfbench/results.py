@@ -44,9 +44,8 @@ import itertools
 import random
 import time
 import weakref
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .sparse import span_closure, tensor_flat, veq
 
@@ -59,8 +58,7 @@ __all__ = ["MODES", "CheckResult", "Check", "summarize",
 MODES = ("exhaustive", "generators", "sample")
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named verification pass.
 
     status is "pass", "fail" or "skipped"; mode records how the claim
@@ -227,7 +225,6 @@ def _factored_failure(alg, A, B) -> Optional[str]:
     return None
 
 
-@dataclass
 class Walk:
     """The basis tuples a check walks, and the coverage label they earn.
 
@@ -239,11 +236,16 @@ class Walk:
     when it is called again, instead of passing on no tuples.
     """
 
-    label: str
-    tuples: Iterable
-    prelude: Optional[Callable[[Check], Optional[str]]] = None
-    certificate: Optional[Callable[[], Optional[str]]] = None
-    walked: bool = field(default=False, init=False, repr=False)
+    __slots__ = ("label", "tuples", "prelude", "certificate", "walked")
+
+    def __init__(self, label: str, tuples: Iterable,
+                 prelude: Optional[Callable[[Check], Optional[str]]] = None,
+                 certificate: Optional[Callable[[], Optional[str]]] = None):
+        self.label = label
+        self.tuples = tuples
+        self.prelude = prelude
+        self.certificate = certificate
+        self.walked = False
 
     def over(self, dims: tuple, gen_sets: tuple) -> "Walk":
         """The walk itself: a lemma walk already holds its tuples."""
@@ -269,18 +271,18 @@ class Walk:
         return self.certificate() if self.certificate is not None else None
 
 
-@dataclass(frozen=True)
 class TupleWalks:
     """The run's tuple walks: a fresh `Walk` in `mode`, one of `MODES`,
     for each law; a ValueError for any other mode, before any check."""
 
-    mode: str
-    seed: int
-    samples: int
+    __slots__ = ("mode", "seed", "samples")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown coverage mode {self.mode!r}")
+    def __init__(self, mode: str, seed: int, samples: int):
+        if mode not in MODES:
+            raise ValueError(f"unknown coverage mode {mode!r}")
+        self.mode = mode
+        self.seed = seed
+        self.samples = samples
 
     def over(self, dims: tuple, gen_sets: tuple) -> Walk:
         """Index tuples over `dims`, under the label they earn.

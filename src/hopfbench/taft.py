@@ -28,10 +28,8 @@ structure (`taft_dual_monomial`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .cyclo import QContext
 from .doubles import (
@@ -145,19 +143,29 @@ def taft_algebra(ctx: QContext) -> FiniteHopf:
                                  _render_primal))
 
 
-@dataclass
 class TaftPair:
-    """The algebra, its monomial-basis dual, and the pairing between them."""
-    ctx: QContext
-    primal: FiniteHopf
-    dual: FiniteHopf
-    pairing: HopfPairing
-    to_canonical: LinearMap       # monomial coords -> canonical dual coords
+    """The algebra, its monomial-basis dual, and the pairing between them;
+    `to_canonical` maps monomial coordinates to canonical dual ones."""
 
-    @cached_property
+    __slots__ = ("ctx", "primal", "dual", "pairing", "to_canonical",
+                 "_from_canonical")
+
+    def __init__(self, ctx: QContext, primal: FiniteHopf, dual: FiniteHopf,
+                 pairing: HopfPairing, to_canonical: LinearMap):
+        self.ctx = ctx
+        self.primal = primal
+        self.dual = dual
+        self.pairing = pairing
+        self.to_canonical = to_canonical
+        self._from_canonical = None
+
+    @property
     def from_canonical(self) -> LinearMap:
         """The inverse of `to_canonical`, built when first read."""
-        return linear_map_inverse(self.to_canonical, self.ctx)
+        if self._from_canonical is None:
+            self._from_canonical = linear_map_inverse(self.to_canonical,
+                                                      self.ctx)
+        return self._from_canonical
 
 
 def taft_dual_monomial(ctx: QContext, B: FiniteHopf) -> TaftPair:
@@ -167,7 +175,7 @@ def taft_dual_monomial(ctx: QContext, B: FiniteHopf) -> TaftPair:
     monomials B* has B's structure constants, so `_taft_hopf` builds its
     lazy tables too.  A certificate shows that phi: e_i -> mono[i], the
     monomial computed in dual_hopf(B), is a Hopf-algebra isomorphism.  The
-    monomials are independent (else SingularMapError), phi(1) = 1, and on
+    monomials are a basis (else SingularMapError), phi(1) = 1, and on
     the generators g: phi(g y) = phi(g) phi(y) for y over the basis,
     (phi (x) phi) comult(g) = comult_can(phi(g)) (for g = 1 too), and the
     counit and the antipode agree.  The x with phi(xy) = phi(x) phi(y) for
@@ -179,6 +187,27 @@ def taft_dual_monomial(ctx: QContext, B: FiniteHopf) -> TaftPair:
     of B*, and a bialgebra isomorphism carries the unique counit and
     antipode over.  The certificate reads a copy of the tables, so B*'s
     own start empty; a failure raises RuntimeError.
+
+    The basis property is proved from the monomials' Vandermonde
+    structure (`_vandermonde_failure`), which checks exactly, writing
+    mono(a, b) for F^a kappa^b and (a, n) for the B index of E^a k^n:
+
+    1. the blocks S_a = {(a, n) : n < 4p}, a < p, tile B's basis (B and
+       B* are labelled by the same p x 4p grid), so each has 4p points;
+    2. mono(a, 0) is nonzero at every point of S_a and nowhere else;
+    3. mono(a, b)[j] = mono(a, b-1)[j] x_j on S_a and zero elsewhere, for
+       b >= 1, with the node x_(a,n) = zeta^(-(n + 2a));
+    4. the 4p nodes of each block are pairwise distinct.
+
+    By 2 and 3, mono(a, b) = x^b mono(a, 0) on S_a and vanishes off it,
+    so with the basis of B ordered by blocks the matrix of the monomials
+    is block diagonal (1), and its block a is V_a D_a: V_a[b][n] =
+    x_(a,n)^b is a square Vandermonde matrix, with det = prod over n < n'
+    of (x_(a,n') - x_(a,n)), nonzero by 4, and D_a = diag(mono(a, 0)) is
+    invertible by 2.  So the dim x dim matrix is invertible and the
+    monomials are a basis.  On B, F^a kappa^b takes E^a k^n to
+    <F^a, E^a k^n> <kappa^b, k^(n + 2a)>, which is why the nodes are
+    characters of Z/4p.
     """
     p, order, dim = ctx.p, 4 * ctx.p, B.dim
     Bcan = dual_hopf(B)
@@ -194,18 +223,49 @@ def taft_dual_monomial(ctx: QContext, B: FiniteHopf) -> TaftPair:
             mono.append(dict(cur))
             cur = Bcan.product(cur, kvec)
         cur_f = Bcan.product(cur_f, fvec)
-    solver = SpanSolver(dim)
-    if not all(solver.add(v) for v in mono):
-        raise SingularMapError("dual monomials are linearly dependent")
+    space = Space(f"B*(p={p})", _taft_labels(p), _render_dual)
+    wit = _vandermonde_failure(ctx, B.space, space, mono.__getitem__)
+    if wit is not None:
+        raise SingularMapError(f"dual monomials are not a basis: {wit}")
 
     to_can = LinearMap(dim, dim,
                        {i: tuple(sorted(v.items())) for i, v in enumerate(mono)})
-    space = Space(f"B*(p={p})", _taft_labels(p), _render_dual)
     wit = _dual_iso_failure(_taft_hopf(ctx, space), Bcan, to_can)
     if wit is not None:
         raise RuntimeError(f"B* is not the dual of B: {wit}")
     star = _taft_hopf(ctx, space)
     return TaftPair(ctx, B, star, HopfPairing(star, B, to_can.rows), to_can)
+
+
+def _vandermonde_failure(ctx: QContext, B: Space, star: Space,
+                         mono) -> Optional[str]:
+    """The basis certificate of `taft_dual_monomial`: None when its four
+    hypotheses hold for the vectors mono(i), i over the basis of `star`,
+    in the coordinates of `B`; else the first that fails."""
+    order = 4 * ctx.p
+    grid = _taft_labels(ctx.p)
+    for sp in (B, star):
+        if len(sp.labels) != len(grid) or set(sp.labels) != set(grid):
+            return f"{sp.name} is not labelled by the {ctx.p} x {order} grid"
+    bidx, sidx = B.index, star.index
+    for a in range(ctx.p):
+        block = [bidx[(a, n)] for n in range(order)]
+        nodes = [ctx.zeta_pow(-(n + 2 * a)) for n in range(order)]
+        if len(set(nodes)) != order:
+            return f"the nodes of block {a} are not distinct"
+        prev = mono(sidx[(a, 0)])
+        if len(prev) != order or not all(prev.get(j) for j in block):
+            return (f"{star.label(sidx[(a, 0)])} is not supported on "
+                    f"exactly block {a}")
+        for b in range(1, order):
+            i = sidx[(a, b)]
+            cur = mono(i)
+            if not veq(cur, {j: prev[j] * x for j, x in zip(block, nodes)}):
+                before = star.label(sidx[(a, b - 1)])
+                return (f"{star.label(i)} is not {before} times the nodes of "
+                        f"block {a}")
+            prev = cur
+    return None
 
 
 def _dual_iso_failure(star: FiniteHopf, Bcan: FiniteHopf,
@@ -299,8 +359,7 @@ def closed_form_smash_row(ctx: QContext, lab1, lab2) -> list:
 
 # -- assembled double systems --------------------------------------------------
 
-@dataclass
-class TaftSystem:
+class TaftSystem(NamedTuple):
     """The pair together with both doubles and the canonical YD structure."""
     pair: TaftPair
     double: "DrinfeldDouble"
@@ -471,21 +530,17 @@ def _generation_result(name: str, H: FiniteHopf, gens: list) -> CheckResult:
 
 
 def taft_dual_check(pair: TaftPair, name: str = "taft-dual") -> "CheckResult":
-    """Monomial basis of B*: independence, span, relations, pairing values."""
+    """Monomial basis of B*: the basis certificate of `taft_dual_monomial`
+    on `pair.to_canonical`, then relations and pairing values."""
     ctx = pair.ctx
     B, Bd = pair.primal, pair.dual
     p = ctx.p
     order = 4 * p
-    chk = Check(name, "exhaustive")
-
-    solver = SpanSolver(B.dim)
-    for i in range(Bd.dim):
-        chk.cases += 1
-        if not solver.add(dict(pair.to_canonical.get(i))):
-            return chk.result(
-                f"monomial {Bd.space.label(i)} is linearly dependent")
-    if solver.rank != B.dim:
-        return chk.result(f"monomials span rank {solver.rank} < {B.dim}")
+    chk = Check(name, "exhaustive", cases=Bd.dim)
+    wit = _vandermonde_failure(ctx, B.space, Bd.space,
+                               lambda i: dict(pair.to_canonical.get(i)))
+    if wit is not None:
+        return chk.result(wit)
 
     dl = Bd.space.index
     one = ctx.one
@@ -556,13 +611,12 @@ def closed_form_check(sys: TaftSystem, walk,
 
 # -- the (kap, z, lam, del) presentation of H(B*) -------------------------------
 
-@dataclass
-class HeisenbergBasisChange:
+class HeisenbergBasisChange(NamedTuple):
     """The checks that the del^b z^a lam^c kap^d monomials satisfy the
     kap/z/lam/del relations and each land on a single smash basis vector,
     one vector per monomial (which makes the correspondence invertible)."""
 
-    checks: list = field(default_factory=list)
+    checks: list
 
 
 def basis_change(sys: TaftSystem,
@@ -651,10 +705,10 @@ def basis_change(sys: TaftSystem,
 
 # -- the 2p^3-dimensional quantum group ------------------------------------------
 
-@dataclass
-class UqSl2:
+class UqSl2(NamedTuple):
     """The even-k-power sub-Hopf-algebra of the quotient of D(B) by the
-    central group-like kap k = 1, relabeled on monomials F^l E^m k^d."""
+    central group-like kap k = 1, relabeled on monomials F^l E^m k^d;
+    `dbar_coords` maps quotient coordinates to dbar ones."""
 
     p: int
     system: TaftSystem
@@ -664,7 +718,7 @@ class UqSl2:
     sub: SubHopf                  # even d rows of dbar
     hopf: FiniteHopf              # labels (l, m, 2n)
     checks: list
-    _solver: SpanSolver = field(repr=False, default=None)
+    dbar_coords: Callable[[Vec], Vec]
 
     @property
     def ctx(self) -> QContext:
@@ -681,7 +735,7 @@ class UqSl2:
 
     def to_dbar(self, v: Vec) -> Vec:
         """D(B) coordinates -> dbar coordinates through the quotient."""
-        return self._solver.solve(self.hq.project(v))
+        return self.dbar_coords(self.hq.project(v))
 
     def corestrict(self, v: Vec) -> Optional[Vec]:
         """D(B) coordinates -> hopf coordinates; None if the image has
@@ -718,11 +772,9 @@ def uqsl2(p: int, cached: bool = True) -> UqSl2:
             for d in range(4 * p):
                 labels.append((l, m, d))
                 vecs.append(hq.project({fi[(l, 0)] * nB + bi[(m, d)]: one}))
-    dbar = change_basis_hopf(hq.quotient, vecs, labels, render=_render_uq,
-                             name=f"Dbar(p={p})")
-    solver = SpanSolver(hq.quotient.dim)
-    for v in vecs:
-        solver.add(v)
+    dbar, dbar_coords = change_basis_hopf(hq.quotient, vecs, labels,
+                                          render=_render_uq,
+                                          name=f"Dbar(p={p})")
 
     lab_idx = dbar.space.index
     even = [i for i, (l, m, d) in enumerate(labels) if d % 2 == 0]
@@ -733,7 +785,7 @@ def uqsl2(p: int, cached: bool = True) -> UqSl2:
         raise RuntimeError(f"even-power span is not a sub-Hopf-algebra: "
                            f"{sub.check.witness}")
 
-    uq = UqSl2(p, sys, ideal, hq, dbar, sub, sub.hopf, checks, solver)
+    uq = UqSl2(p, sys, ideal, hq, dbar, sub, sub.hopf, checks, dbar_coords)
     if cached:
         _UQ_CACHE[p] = uq
     return uq
@@ -806,8 +858,7 @@ def uq_presentation_check(uq: UqSl2,
 
 # -- the 2p^3-dimensional module algebra over it ---------------------------------
 
-@dataclass
-class HqSl2:
+class HqSl2(NamedTuple):
     """Truncation of the Heisenberg double to a 2p^3-dimensional
     Yetter-Drinfeld module algebra over the truncated quantum group:
     restrict to the span of lam^a z^b del^c, then identify the central
@@ -1024,8 +1075,7 @@ def hq_coaction_table_check(hq: HqSl2,
 
 # -- the q-deformed Weyl algebra on one pair -------------------------------------
 
-@dataclass
-class CqZd:
+class CqZd(NamedTuple):
     """p^2-dimensional algebra on z, del with del z = (q - q^(-1)) +
     q^(-2) z del and z^p = del^p = 0, in the normally ordered basis
     z^a del^b."""
@@ -1198,8 +1248,7 @@ def _heis_factor(uq: UqSl2, kind: str) -> TransportedStructure:
     return ts
 
 
-@dataclass
-class HeisenbergChain:
+class HeisenbergChain(NamedTuple):
     """Iterated braided product of alternating del- and z-factors."""
 
     p: int

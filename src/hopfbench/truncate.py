@@ -30,7 +30,8 @@ checks, the quotient morphism check and the transported algebra.
   basis vectors, after certifying that the span is closed under
   multiplication, comultiplication, and the antipode.
 
-* `change_basis_hopf` -- the same Hopf algebra on a new basis.
+* `change_basis_hopf` -- the same Hopf algebra on a new basis, with the
+  map from old coordinates to new ones.
 
 * `transport_action` -- move a Yetter-Drinfeld module-algebra
   structure to a subalgebra and/or an algebra quotient of the module,
@@ -45,9 +46,8 @@ checks, the quotient morphism check and the transported algebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .hopf import FiniteAlgebra, FiniteHopf, render_element
 from .results import (Check, CheckResult, Walk, gen_indices,
@@ -157,8 +157,10 @@ def _pushforward(A, space: Space, lift: Callable[[int], Vec], push: _Push,
 
 
 def change_basis_hopf(H: FiniteHopf, vectors: Sequence[Vec], labels: Sequence,
-                      render=None, name: str = "") -> FiniteHopf:
-    """The same Hopf algebra presented on a new basis.
+                      render=None, name: str = "") -> tuple[FiniteHopf, _Push]:
+    """The same Hopf algebra presented on a new basis, and the change of
+    coordinates: the map from H coordinates to new ones, memoized on H's
+    basis.
 
     `vectors` (in H coordinates) must be a basis; every structure tensor
     is conjugated through the change of coordinates.  Raises ValueError
@@ -175,7 +177,7 @@ def change_basis_hopf(H: FiniteHopf, vectors: Sequence[Vec], labels: Sequence,
     push = _Push(lambda k: solver.solve({k: one}), n)
     gens = [push(g) for g in H.generators] if H.generators else None
     return _pushforward(H, Space(name or H.space.name, labels, render=render),
-                        lambda i: vectors[i], push, gens, name or H.name)
+                        lambda i: vectors[i], push, gens, name or H.name), push
 
 
 def _multipliers(H: FiniteHopf):
@@ -303,22 +305,22 @@ def check_hopf_ideal(H: FiniteHopf, I: Subspace,
     return chk.result()
 
 
-@dataclass
 class HopfQuotient:
     """A Hopf algebra quotient with its projection and monomial section.
 
-    `_pcache` holds the projection of each parent basis vector, filled as
-    `project` reads it."""
+    `pcache`, when given, holds the projection of each parent basis
+    vector; it is filled as `project` reads it."""
 
-    parent: FiniteHopf
-    ideal: Subspace
-    qspace: QuotientSpace
-    quotient: FiniteHopf
-    _pcache: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("parent", "ideal", "qspace", "quotient", "_push")
 
-    def __post_init__(self):
-        self._push = _projection(self.qspace, self.parent.ctx.one,
-                                 self._pcache)
+    def __init__(self, parent: FiniteHopf, ideal: Subspace,
+                 qspace: QuotientSpace, quotient: Optional[FiniteHopf],
+                 pcache: Optional[dict] = None):
+        self.parent = parent
+        self.ideal = ideal
+        self.qspace = qspace
+        self.quotient = quotient
+        self._push = _projection(qspace, parent.ctx.one, pcache)
 
     def project(self, v: Vec) -> Vec:
         """Parent coordinates -> quotient coordinates."""
@@ -381,7 +383,8 @@ def quotient_morphism_check(hq: HopfQuotient,
     if gen_indices(H) is None:
         walk = Walk("exhaustive", itertools.product(range(H.dim), repeat=2))
     else:
-        walk = replace(lemma_walk(H), prelude=unit_failure)
+        walk = lemma_walk(H)
+        walk.prelude = unit_failure
     chk = Check(name, walk.label)
     wit = walk.failure(chk, case)
     if wit is not None:
@@ -400,19 +403,18 @@ def quotient_morphism_check(hq: HopfQuotient,
     return chk.result()
 
 
-@dataclass
-class SubHopf:
+class SubHopf(NamedTuple):
     """A sub-Hopf-algebra on a subset of the parent's basis."""
 
     parent: FiniteHopf
     indices: tuple            # parent basis indices, ascending
     hopf: Optional[FiniteHopf]
     check: CheckResult
-    _pos: dict = field(repr=False)    # parent index -> sub index
+    positions: dict           # parent index -> sub index
 
     def restrict(self, v: Vec) -> Optional[Vec]:
         """Parent coordinates -> sub coordinates, None if outside."""
-        pos = self._pos
+        pos = self.positions
         out = {}
         for k, c in v.items():
             j = pos.get(k)
@@ -477,19 +479,13 @@ def sub_hopf(H: FiniteHopf, indices: Sequence[int],
 
 # -- transport of YD structures to subquotients -------------------------------
 
-@dataclass
-class TransportedStructure:
+class TransportedStructure(NamedTuple):
     """A YD module-algebra structure moved to a subquotient of its module.
 
     The target algebra lives on quotient coordinates of the chosen
     subalgebra; `yd` is None when any certificate failed.
     """
 
-    source: YDModuleAlgebra
-    sub: SpanSolver
-    sub_basis: list
-    ideal: Subspace
-    qspace: QuotientSpace
     certificates: list
     yd: Optional[YDModuleAlgebra]
 
@@ -595,8 +591,7 @@ def transport_action(source: YDModuleAlgebra,
                    ).failure(chk, closed)
     certs.append(chk.result(bad))
     if bad:
-        return TransportedStructure(source, solver, list(sub_basis),
-                                    Subspace(k), None, certs, None)
+        return TransportedStructure(certs, None)
 
     # action stability of the subalgebra under the source Hopf algebra
     chk = Check(f"{prefix}-action-stable", "exhaustive")
@@ -612,8 +607,7 @@ def transport_action(source: YDModuleAlgebra,
             break
     certs.append(chk.result(bad))
     if bad:
-        return TransportedStructure(source, solver, list(sub_basis),
-                                    Subspace(k), None, certs, None)
+        return TransportedStructure(certs, None)
 
     # the algebra ideal inside the sub, and its quotient
     if ideal_seed:
@@ -718,8 +712,7 @@ def transport_action(source: YDModuleAlgebra,
         certs.append(chk.result(bad_g))
 
     if not all(c.ok for c in certs):
-        return TransportedStructure(source, solver, list(sub_basis), J, Q,
-                                    certs, None)
+        return TransportedStructure(certs, None)
 
     # assemble the transported structure on quotient coordinates
     t_space = Space(name or f"{X.name}-transported",
@@ -749,5 +742,4 @@ def transport_action(source: YDModuleAlgebra,
                          Action(target_hopf, t_alg, t_act_fn),
                          Coaction(target_hopf, t_alg, t_coact_fn),
                          name=t_space.name)
-    return TransportedStructure(source, solver, list(sub_basis), J, Q,
-                                certs, yd)
+    return TransportedStructure(certs, yd)

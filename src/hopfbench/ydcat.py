@@ -23,8 +23,7 @@ lexicographically smallest one on an exhaustive walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .hopf import FiniteAlgebra, FiniteHopf, render_element, twisted_product
 from .results import Check, CheckResult, gen_indices
@@ -143,24 +142,21 @@ class Coaction:
 
 # -- bundles -----------------------------------------------------------------
 
-@dataclass
-class ModuleAlgebra:
+class ModuleAlgebra(NamedTuple):
     hopf: FiniteHopf
     algebra: FiniteAlgebra
     action: Action
     name: str = ""
 
 
-@dataclass
-class ComoduleAlgebra:
+class ComoduleAlgebra(NamedTuple):
     hopf: FiniteHopf
     algebra: FiniteAlgebra
     coaction: Coaction
     name: str = ""
 
 
-@dataclass
-class YDModuleAlgebra:
+class YDModuleAlgebra(NamedTuple):
     """An algebra carrying both an action and a coaction of the same H."""
 
     hopf: FiniteHopf
@@ -174,8 +170,7 @@ class YDModuleAlgebra:
         return self.algebra.dim
 
 
-@dataclass
-class BraidedProductAlgebra:
+class BraidedProductAlgebra(NamedTuple):
     """Iterated braided product; `yd` holds the product YD structure.
 
     `embeddings[i]` maps a vector of factor i into the product algebra.

@@ -14,8 +14,11 @@
   (`MODES`), and no function outside them takes a `seed`, `samples` or
   `mode` parameter: the suites of `report.py` are the one plan that
   chooses each law's walk, and a check takes only the walk.
-* No module imports numpy or scipy, at module level or inside a
-  function: `pyproject.toml` declares no runtime dependencies.
+* No module imports numpy, scipy or dataclasses, at module level or
+  inside a function: `pyproject.toml` declares no runtime dependencies,
+  and generated classes (`dataclasses` loads `inspect` and `ast`) cost
+  every process start-up what `typing.NamedTuple` and `__slots__`
+  classes give without them.
 * No module builds a label -> index map from a space's labels or scans
   them with `.index(`: `Space.index` is that map, built once per space.
 """
@@ -24,6 +27,8 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hopfbench"
 
@@ -211,8 +216,9 @@ def test_the_plan_guard_sees_a_mode_passed_to_a_check():
     assert _plan_uses({"report.py": reverted}) == []
 
 
-# Third-party packages that no module may import, anywhere in its body.
-UNDECLARED_PACKAGES = {"numpy", "scipy"}
+# Modules that no module may import, anywhere in its body: the two
+# undeclared third-party packages, and the class generator.
+BANNED_IMPORTS = {"numpy", "scipy", "dataclasses"}
 
 
 def _undeclared_imports(modules: dict) -> list:
@@ -226,7 +232,7 @@ def _undeclared_imports(modules: dict) -> list:
             else:
                 continue
             for name in names:
-                if name.split(".")[0] in UNDECLARED_PACKAGES:
+                if name.split(".")[0] in BANNED_IMPORTS:
                     found.append(f"{mod}:{node.lineno} {name}")
     return found
 
@@ -241,9 +247,23 @@ def test_the_dependency_guard_sees_function_level_imports():
         "    import numpy as np\n"
         "    import scipy.sparse as sp\n"
         "    from scipy import sparse\n"
-        "    from .results import Walk\n")
+        "    from .results import Walk\n"
+        "    from dataclasses import dataclass, replace\n"
+        "    import dataclasses\n")
     assert _undeclared_imports({"hopf.py": reverted}) == [
-        "hopf.py:2 numpy", "hopf.py:3 scipy.sparse", "hopf.py:4 scipy"]
+        "hopf.py:2 numpy", "hopf.py:3 scipy.sparse", "hopf.py:4 scipy",
+        "hopf.py:6 dataclasses", "hopf.py:7 dataclasses"]
+
+
+def test_the_cli_import_loads_no_class_generator():
+    """A fresh interpreter (site hooks off) that imports the CLI loads
+    neither `dataclasses` nor `inspect`."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import hopfbench.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _is_space_labels(node) -> bool:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from hopfbench.doubles import (
-    check_double_identity, check_quantum_comm_remarks, check_quasitriangular,
+    DrinfeldDouble, check_double_identity, check_quantum_comm_remarks,
+    check_quasitriangular,
     chain_relations_check, eta_twist_product, FactoredAction,
     heisenberg_chain, to_show_action_check,
 )
@@ -75,7 +74,9 @@ def test_presentation_generation_reads_the_declared_generators(sys2, change,
         gens.append(D.product(gens[-1], gens[-1]))
     H = FiniteHopf(D.ctx, D.space, D.mult, D.unit, D.comult, D.counit,
                    D.antipode, generators=gens, name=D.name)
-    bad = replace(sys2, double=replace(sys2.double, hopf=H))
+    D2 = sys2.double
+    bad = sys2._replace(double=DrinfeldDouble(D2.ctx, H, D2.base, D2.dual,
+                                              D2.pairing))
     res = double_presentation_check(bad)[-1]
     assert (res.name, res.mode, res.cases_checked, res.witness) == (
         "double-presentation-generation", "exhaustive", 256, witness)

@@ -8,9 +8,10 @@ import hopfbench.taft as taft_module
 from hopfbench.cyclo import QContext
 from hopfbench.hopf import check_hopf_axioms, check_hopf_pairing, dual_hopf
 from hopfbench.results import TupleWalks, gen_indices, lemma_walk
-from hopfbench.sparse import vadd_into, veq
+from hopfbench.sparse import (LinearMap, SingularMapError, vadd_into, veq,
+                              vscale)
 from hopfbench.taft import (
-    closed_form_smash_row, taft_setup,
+    TaftPair, closed_form_smash_row, taft_dual_check, taft_setup, taft_system,
 )
 
 
@@ -343,6 +344,75 @@ def test_the_construction_certificate_stores_no_dual_rows():
     D = pair.dual
     assert not D.mult.rows and not D.comult.rows and not D.antipode.rows
     assert D.mult is not pair.primal.mult
+
+
+# -- the basis certificate of the dual monomials ------------------------------
+
+# Each takes the monomials' rows (canonical dual coordinates, B indices),
+# the field, and the spaces of B and B*.
+
+def _duplicate(rows, ctx, B, star):
+    """F kappa := F, a duplicated monomial."""
+    rows[star.index[(1, 1)]] = dict(rows[star.index[(1, 0)]])
+
+
+def _zeta_multiple(rows, ctx, B, star):
+    """F kappa := zeta F, a zeta-scaled copy of another monomial."""
+    rows[star.index[(1, 1)]] = vscale(rows[star.index[(1, 0)]], ctx.zeta)
+
+
+def _overlap(rows, ctx, B, star):
+    """F takes a value on E^0 k^0, in the block of the kappa powers."""
+    rows[star.index[(1, 0)]][B.index[(0, 0)]] = ctx.one
+
+
+BROKEN_BASES = {
+    "duplicate": (_duplicate, "Fkap is not F times the nodes of block 1"),
+    "zeta-multiple": (_zeta_multiple,
+                      "Fkap is not F times the nodes of block 1"),
+    "overlap": (_overlap, "F is not supported on exactly block 1"),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", sorted(BROKEN_BASES))
+def test_a_broken_monomial_basis_fails_the_taft_dual_line(p, kind):
+    corrupt, witness = BROKEN_BASES[kind]
+    pair = taft_setup(p)
+    dim = pair.dual.dim
+    rows = [dict(pair.to_canonical.get(i)) for i in range(dim)]
+    corrupt(rows, pair.ctx, pair.primal.space, pair.dual.space)
+    bad = TaftPair(pair.ctx, pair.primal, pair.dual, pair.pairing,
+                   LinearMap(dim, dim, {i: tuple(sorted(v.items()))
+                                        for i, v in enumerate(rows)}))
+    res = taft_dual_check(bad)
+    assert (res.status, res.cases_checked, res.witness) == ("fail", dim,
+                                                            witness)
+    assert taft_dual_check(pair).status == "pass"
+
+
+@pytest.mark.parametrize("kind", sorted(BROKEN_BASES))
+def test_a_broken_monomial_basis_fails_construction(monkeypatch, kind):
+    """The monomials that `taft_dual_monomial` computes, corrupted before
+    its basis certificate reads them, raise SingularMapError."""
+    corrupt, witness = BROKEN_BASES[kind]
+    certificate = taft_module._vandermonde_failure
+
+    def corrupted(ctx, B, star, mono):
+        rows = [dict(mono(i)) for i in range(B.dim)]
+        corrupt(rows, ctx, B, star)
+        return certificate(ctx, B, star, rows.__getitem__)
+
+    monkeypatch.setattr(taft_module, "_vandermonde_failure", corrupted)
+    with pytest.raises(SingularMapError, match=f"not a basis: {witness}$"):
+        taft_setup(2, cached=False)
+
+
+def test_the_taft_system_builds_at_p4():
+    sys4 = taft_system(4, cached=False)
+    assert (sys4.pair.dual.dim, sys4.double.dim, sys4.heis.dim) == (
+        64, 4096, 4096)
+    assert taft_dual_check(sys4.pair).status == "pass"
 
 
 # -- closed-form smash product -------------------------------------------------

@@ -108,8 +108,10 @@ def test_change_basis_preserves_hopf_axioms(primal, sys2):
     ctx = sys2.ctx
     vecs = [{i: ctx.q_pow(i % 8)} for i in range(primal.dim)]
     labels = [f"b{i}" for i in range(primal.dim)]
-    rescaled = change_basis_hopf(primal, vecs, labels, name="rescaled")
+    rescaled, coords = change_basis_hopf(primal, vecs, labels,
+                                         name="rescaled")
     assert rescaled.dim == primal.dim
+    assert all(veq(coords(v), {i: ctx.one}) for i, v in enumerate(vecs))
     axioms = exhaustive_axioms(rescaled)
     assert all(r.status == "pass" for r in axioms)
 
