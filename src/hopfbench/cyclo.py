@@ -1,17 +1,15 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Scalars live in Q(zeta_N) represented as Q[x]/Phi_N(x) with integer
-coefficient vectors over a common denominator, or, for the common case
-of a single term r * zeta^j, as (numerator, denominator, j) (see Cyc).
-Every operation is exact and there is never a floating-point tolerance
-anywhere downstream.
+coefficient vectors over a common denominator, or, for every value
+r * zeta^j, as (numerator, denominator, j) (see Cyc).  Every operation is
+exact and there is never a floating-point tolerance anywhere downstream.
 
-Products and inverses of single terms, and sums of single terms with the
-same exponent, are O(1).  Each QContext memoizes every other product,
-sum and inverse for the life of the process (see Cyc): at p >= 3 most
-structure constants are dense, and the same few thousand operand pairs
-recur hundreds of thousands of times.  Memoized results are shared,
-which is sound because Cyc instances are immutable.
+Scalars are hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): a field holds one Cyc per value, and
+each Cyc memoizes its own products, sums, negation and inverse for the
+life of the process, since the same few thousand operand pairs recur
+hundreds of thousands of times (see Cyc).
 
 The intended use is N = 4*p: zeta = zeta_N is a primitive N-th root of
 unity, q = zeta^2 is a primitive 2p-th root of unity, and zeta itself
@@ -29,6 +27,7 @@ deliberately-wrong mutation fixtures.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd
 from typing import Iterable, Sequence, Union
 
@@ -37,7 +36,6 @@ __all__ = [
     "QContext",
     "Cyc",
     "HalfInt",
-    "stored_form",
 ]
 
 # A half-integer exponent: plain int, or a Fraction with denominator 1 or 2.
@@ -93,27 +91,20 @@ def _content(coeffs: Iterable[int], den: int) -> int:
 class QContext:
     """Everything fixed by the root-of-unity order: N = 4p, Phi_N, caches.
 
-    A context owns the reduction rows for x^k mod Phi_N and memo tables
-    for powers of zeta/q, q-integers and q-binomials, and one memo per
-    scalar operation (products, sums, inverses; see Cyc) for the paths
-    that are not O(1).  Scalars (Cyc) carry a reference to their context;
-    mixing contexts is an error.  The memos are unbounded and private to
-    the context, so two fields never share an entry.
-
-    The context also holds the sharing tables of the stored row format
-    (`sparse.shared_row`): `shared_scalars` maps a stored form
-    (`stored_form`) to the one Cyc that every stored row of this field
-    holds for it, and `shared_entries` maps an entry's indices plus the
-    stored form of its scalar to the one entry tuple that every stored
-    row holds for it.  They are unbounded and private to the field too.
+    A context owns the reduction rows for x^k mod Phi_N, memo tables for
+    powers of zeta/q, q-integers and q-binomials, the intern table that
+    holds its one Cyc per value (see Cyc), and `shared_entries`, the one
+    entry tuple per (indices, scalar serial) of the stored row format
+    (`sparse.shared_row`).  Scalars carry a reference to their context;
+    arithmetic that mixes two contexts raises ValueError.  The tables
+    are unbounded and private to the context.
     """
 
     __slots__ = (
         "p", "order", "half", "phi", "poly", "_red_rows", "_zeta_vecs",
-        "zero", "one", "_zeta_pows", "_mul_memo", "_add_memo", "_inv_memo",
-        "_qint_cache",
+        "_interned", "_beyond", "zero", "one", "_zeta_pows", "_qint_cache",
         "_qbin_cache", "_qbin1_cache", "_qfac_cache", "q", "q_inv", "zeta",
-        "qdiff", "qdiff_inv", "shared_scalars", "shared_entries",
+        "qdiff", "qdiff_inv", "shared_entries",
     )
 
     def __init__(self, p: int):
@@ -150,20 +141,22 @@ class QContext:
                     vec[i] += top * base[i]
             vecs.append(tuple(vec))
         self._zeta_vecs = tuple(vecs)
+        # Stored form -> the field's one Cyc (see _raw), and the dense form
+        # of each r * zeta^j with j >= phi -> its single term.
+        self._interned: dict[tuple, Cyc] = {}
+        # Coordinates of +-zeta^j -> (j, +-1) for phi <= j < half (p odd);
+        # their content is 1, as x is a unit mod Phi_N.
+        self._beyond: dict[tuple[int, ...], tuple[int, int]] = {}
+        for j in range(self.phi, self.half):
+            self._beyond[vecs[j]] = (j, 1)
+            self._beyond[tuple([-x for x in vecs[j]])] = (j, -1)
         self.zero = _raw(self, (0,) * self.phi, 1, None)
         self.one = _raw(self, 1, 1, 0)
         self._zeta_pows: dict[int, Cyc] = {}
-        # Results of the non-O(1) operations, keyed by the operands'
-        # stored form (see Cyc): (a._v, a._j, a.d, b._v, b._j, b.d) for
-        # products and sums, (a._v, a.d) for dense inverses.
-        self._mul_memo: dict[tuple, Cyc] = {}
-        self._add_memo: dict[tuple, Cyc] = {}
-        self._inv_memo: dict[tuple[tuple[int, ...], int], Cyc] = {}
         self._qint_cache: dict[Fraction, Cyc] = {}
         self._qbin_cache: dict[tuple[int, int], Cyc] = {}
         self._qbin1_cache: dict[tuple[int, int], Cyc] = {}
         self._qfac_cache: dict[int, Cyc] = {}
-        self.shared_scalars: dict[tuple, Cyc] = {}
         self.shared_entries: dict[tuple, tuple] = {}
         self.zeta = self.zeta_pow(1)
         self.q = self.zeta_pow(2)
@@ -270,7 +263,7 @@ class QContext:
 
 
 class Cyc:
-    """An element of Q(zeta_N), held in one of two forms.
+    """An element of Q(zeta_N), in the one canonical form of its value.
 
     * Single term: r * zeta^j with r = num/den a nonzero rational in lowest
       terms (den > 0) and 0 <= j < N/2.  Because zeta^(N/2) = -1, any
@@ -278,56 +271,44 @@ class Cyc:
       is unique: if r * zeta^j = s * zeta^k with r, s rational, then
       zeta^(j-k) = s/r is a rational root of unity, hence +-1, so
       j = k mod N/2, and with 0 <= j, k < N/2 that means j = k and r = s.
-    * Dense: integer coefficients on the power basis 1, zeta, ...,
-      zeta^(phi-1) over a common positive denominator, content-free.
+    * Dense: every other value, as integer coefficients on the power basis
+      1, zeta, ..., zeta^(phi-1) over a common positive denominator,
+      content-free.  Zero is dense, with all coefficients 0.
 
-    Every result with exactly one nonzero power-basis coefficient is built
-    in the single-term form, so a dense scalar has zero or at least two
-    nonzero coefficients.  A single term r * zeta^j with j >= phi (p odd)
-    may still arrive as a dense sum (zeta^4 = zeta^2 - 1 at p = 3);
-    equality and hashing compare power-basis coordinates in that case.
+    Every value r * zeta^j is single-term, also for phi <= j < N/2 (p
+    odd), where a dense result with its coordinates is recognized and
+    replaced (zeta^2 - 1 is zeta^4 at p = 3); so the stored form
+    (_v, _j, d) depends only on the value and N.
 
-    Products and inverses of single terms, and sums of single terms with
-    the same exponent, are O(1).  Every other product, sum and inverse
-    runs the power-basis convolution, reduction or Euclid on a miss and is
-    answered from the context's memo afterwards.  The memo key is the
-    stored form of the operands, never the Cyc itself: equality crosses
-    the two forms, and a key on (_v, _j, d) returns exactly the object
-    the uncached path would build, in the same form.  `__sub__` and
-    `__neg__` are not memoized.  `c` (coefficient tuple) and `d`
-    (denominator) read the power-basis form of either.
+    `Cyc(ctx, coeffs, den)` and every operation return the field's one
+    object for the value, from its intern table, so within a field `==`
+    is `is`; scalars of two fields of the same order are equal when their
+    stored forms are, which `__hash__` reads.  Each scalar has a serial,
+    unique across fields, and memoizes its products and sums under the
+    other operand's serial (`_mul`, `_add`, filled on both operands) and
+    its negation and inverse (`_neg`, `_inv`).  A miss takes the O(1)
+    single-term path or the power-basis convolution, reduction or Euclid.
+    `c` (coefficient tuple) and `d` (denominator) read the power-basis
+    form of either.
 
-    Instances are immutable: the slots are set only when a scalar is
-    built (`__init__`, `_raw` and the inlined single-term product), `_v`
-    is an int or a tuple, and nothing else assigns them.  Memoized results
-    are shared objects, so an in-place edit would change every table row
-    that holds the scalar; `tests/test_cyclo.py` scans the package for
-    such assignments.
+    The value never changes: `_raw` sets `ctx`, `d`, `_v`, `_j` and
+    `serial` once, and only the memo slots change afterwards.  Scalars
+    are shared by every table row that holds them; `tests/test_cyclo.py`
+    scans the package for slot assignments and for scalars built around
+    the intern table.
     """
 
     # _v: the numerator (single term) or the coefficient tuple (dense);
     # _j: the zeta exponent (single term) or None (dense).
-    __slots__ = ("ctx", "d", "_v", "_j")
+    __slots__ = ("ctx", "d", "_v", "_j", "serial", "_mul", "_add", "_neg",
+                 "_inv")
 
-    def __init__(self, ctx: QContext, coeffs: Sequence[int], den: int = 1):
+    def __new__(cls, ctx: QContext, coeffs: Sequence[int], den: int = 1):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
-            den = -den
-            coeffs = [-x for x in coeffs]
-        g = _content(coeffs, den)
-        if g > 1:
-            coeffs = [x // g for x in coeffs]
-            den //= g
-        self.ctx = ctx
-        self.d = den
-        if len(coeffs) - coeffs.count(0) == 1:
-            num = sum(coeffs)
-            self._v = num
-            self._j = coeffs.index(num)
-        else:
-            self._v = tuple(coeffs)
-            self._j = None
+            return _from_coeffs(ctx, [-x for x in coeffs], -den)
+        return _from_coeffs(ctx, list(coeffs), den)
 
     @property
     def c(self) -> tuple[int, ...]:
@@ -342,92 +323,55 @@ class Cyc:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: Cyc) -> Cyc:
-        ja, jb = self._j, other._j
-        if ja == jb and ja is not None:
-            return _term_sum(self, other._v, other.d)
-        key = (self._v, ja, self.d, other._v, jb, other.d)
-        memo = self.ctx._add_memo
-        out = memo.get(key)
+        out = self._add.get(other.serial)
         if out is None:
-            out = memo[key] = _power_basis_sum(self, other, 1)
+            out = _sum(self, other)
         return out
 
     def __sub__(self, other: Cyc) -> Cyc:
-        ja, jb = self._j, other._j
-        if ja is None and jb is None:
-            a, b = self._v, other._v
-            da, db = self.d, other.d
-            if da == db:
-                return Cyc(self.ctx, [x - y for x, y in zip(a, b)], da)
-            return Cyc(self.ctx, [x * db - y * da for x, y in zip(a, b)],
-                       da * db)
-        if ja == jb:
-            return _term_sum(self, -other._v, other.d)
-        return _power_basis_sum(self, other, -1)
+        neg = -other
+        out = self._add.get(neg.serial)
+        if out is None:
+            out = _sum(self, neg)
+        return out
 
     def __neg__(self) -> Cyc:
-        j = self._j
-        if j is None:
-            return _raw(self.ctx, tuple([-x for x in self._v]), self.d, None)
-        return _raw(self.ctx, -self._v, self.d, j)
+        out = self._neg
+        if out is None:
+            v = self._v
+            v = -v if self._j is not None else tuple([-x for x in v])
+            out = self._neg = _raw(self.ctx, v, self.d, self._j)
+            out._neg = self
+        return out
 
     def __mul__(self, other: Cyc) -> Cyc:
-        ja, jb = self._j, other._j
-        ctx = self.ctx
-        if ja is not None and jb is not None:
-            num = self._v * other._v
-            den = self.d * other.d
-            j = ja + jb
-            if j >= ctx.half:
-                j -= ctx.half
-                num = -num
-            if den > 1:
-                g = gcd(num, den)
-                if g > 1:
-                    num //= g
-                    den //= g
-            out = _new(Cyc)     # _raw, inlined on the hottest path
-            out.ctx = ctx
-            out.d = den
-            out._v = num
-            out._j = j
-            return out
-        key = (self._v, ja, self.d, other._v, jb, other.d)
-        memo = ctx._mul_memo
-        out = memo.get(key)
+        out = self._mul.get(other.serial)
         if out is None:
-            if ja is None:
-                if jb is None:
-                    vec = _mul_vec(ctx, self._v, other._v, 1)
-                else:
-                    vec = _mul_vec(ctx, ctx._zeta_vecs[jb], self._v, other._v)
-            else:
-                vec = _mul_vec(ctx, ctx._zeta_vecs[ja], other._v, self._v)
-            out = memo[key] = Cyc(ctx, vec, self.d * other.d)
+            out = _product(self, other)
         return out
 
     def inv(self) -> Cyc:
         """Multiplicative inverse: O(1) for a single term, else the
-        extended Euclidean algorithm in Q[x] against Phi_N (memoized per
-        context)."""
-        j = self._j
-        if j is not None:
-            # (num/den * zeta^j)^-1 = den/num * zeta^-j, and for j > 0
-            # zeta^-j = -zeta^(N/2 - j).
-            num, den = self.d, self._v
-            if den < 0:
-                num, den = -num, -den
-            if j:
-                num = -num
-                j = self.ctx.half - j
-            return _raw(self.ctx, num, den, j)
-        if not self:
-            raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        key = (self._v, self.d)
-        memo = self.ctx._inv_memo
-        out = memo.get(key)
+        extended Euclidean algorithm in Q[x] against Phi_N; memoized."""
+        out = self._inv
         if out is None:
-            out = memo[key] = self._inv_uncached()
+            j = self._j
+            if j is not None:
+                # (num/den * zeta^j)^-1 = den/num * zeta^-j, and for j > 0
+                # zeta^-j = -zeta^(N/2 - j).
+                num, den = self.d, self._v
+                if den < 0:
+                    num, den = -num, -den
+                if j:
+                    num = -num
+                    j = self.ctx.half - j
+                out = _raw(self.ctx, num, den, j)
+            elif self is self.ctx.zero:
+                raise ZeroDivisionError("inverse of zero in Q(zeta)")
+            else:
+                out = self._inv_uncached()
+            self._inv = out
+            out._inv = self
         return out
 
     def _inv_uncached(self) -> Cyc:
@@ -458,7 +402,7 @@ class Cyc:
         ints = [int(fr * den) for fr in coeffs]
         out = Cyc(ctx, ints, den)
         # Exactness guard: u * a must be exactly 1.
-        if out * self != ctx.one:
+        if out * self is not ctx.one:
             raise ArithmeticError("inverse verification failed")
         return out
 
@@ -477,25 +421,23 @@ class Cyc:
     # -- predicates / conversions ----------------------------------------
 
     def __bool__(self) -> bool:
-        return self._j is not None or any(self._v)
+        return self is not self.ctx.zero
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if isinstance(other, Cyc):
-            if self._j == other._j:
-                same = self._v == other._v and self.d == other.d
-            elif self._j is None or other._j is None:
-                same = self.d == other.d and self.c == other.c
-            else:
-                return False
-            # scalars of different fields differ even with equal coordinates
-            return same and (self.ctx is other.ctx
-                             or self.ctx.order == other.ctx.order)
+            # one object per value within a field; a field of another
+            # order holds other values even with equal coordinates
+            a, b = self.ctx, other.ctx
+            return (a is not b and a.order == b.order and self.d == other.d
+                    and self._j == other._j and self._v == other._v)
         if isinstance(other, (int, Fraction)):
-            return self == self.ctx.rational(other)
+            return self is self.ctx.rational(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.c, self.d))
+        return hash((self._v, self._j, self.d))
 
     def to_fractions(self) -> list[Fraction]:
         return [Fraction(x, self.d) for x in self.c]
@@ -510,84 +452,103 @@ class Cyc:
 
 
 _new = object.__new__
-
-
-def stored_form(c: Cyc) -> tuple:
-    """(_v, _j, d): the form in which c is stored, as a hashable key.
-
-    Scalars with one stored form are interchangeable everywhere, down to
-    the form of every result built from them.  Equal scalars may differ
-    in it (zeta^j with j >= phi at odd p arrives single-term or dense),
-    which is why tables that share scalars key them on this and never on
-    the Cyc, whose `__eq__` and `__hash__` cross the two forms.
-    """
-    return (c._v, c._j, c.d)
+# Serials are unique across fields, so that no memo entry of one field
+# can answer for an operand of another.
+_serials = count()
 
 
 def _raw(ctx: QContext, v, den: int, j) -> Cyc:
-    """A Cyc from already-normalized parts (see the `_v`/`_j` slots)."""
-    out = _new(Cyc)
-    out.ctx = ctx
-    out.d = den
-    out._v = v
-    out._j = j
+    """The field's one Cyc with these parts (see the `_v`/`_j` slots),
+    which must already be the canonical form of the value: looked up in
+    the intern table, and built on a miss."""
+    key = (v, den) if j is None else (v, den, j)
+    out = ctx._interned.get(key)
+    if out is None:
+        out = ctx._interned[key] = _new(Cyc)
+        out.ctx = ctx
+        out.d = den
+        out._v = v
+        out._j = j
+        out.serial = next(_serials)
+        out._mul = {}
+        out._add = {}
+        out._neg = out._inv = None
     return out
 
 
-def _term_sum(a: Cyc, num: int, den: int) -> Cyc:
-    """a + num/den * zeta^j for a single term a = r * zeta^j."""
-    da = a.d
-    if da == den:
-        num += a._v
-    else:
-        num = a._v * den + num * da
-        den *= da
-    if not num:
-        return a.ctx.zero
-    g = gcd(num, den)
+def _from_coeffs(ctx: QContext, coeffs: list[int], den: int) -> Cyc:
+    """The field's one Cyc with power-basis numerators coeffs over den > 0."""
+    g = _content(coeffs, den)
     if g > 1:
-        num //= g
+        coeffs = [x // g for x in coeffs]
         den //= g
-    return _raw(a.ctx, num, den, a._j)
+    nonzero = len(coeffs) - coeffs.count(0)
+    if nonzero == 1:
+        num = sum(coeffs)
+        return _raw(ctx, num, den, coeffs.index(num))
+    if not nonzero:
+        return ctx.zero
+    v = tuple(coeffs)
+    out = ctx._interned.get((v, den))
+    if out is not None:
+        return out
+    g = gcd(*v)
+    term = ctx._beyond.get(tuple([x // g for x in v]))
+    if term is None:
+        return _raw(ctx, v, den, None)
+    # v = g * sign * (coordinates of zeta^j)
+    j, sign = term
+    r = Fraction(sign * g, den)
+    out = ctx._interned[v, den] = _raw(ctx, r.numerator, r.denominator, j)
+    return out
 
 
-def _power_basis_sum(a: Cyc, b: Cyc, sign: int) -> Cyc:
-    """a + sign * b, summed on power-basis coordinates."""
-    da, db = a.d, b.d
-    if da == db:
-        sa, sb, den = 1, sign, da
+def _product(a: Cyc, b: Cyc) -> Cyc:
+    """a * b on a memo miss, recorded on both operands."""
+    ctx = a.ctx
+    if b.ctx is not ctx:
+        raise ValueError("product of scalars of two fields")
+    ja, jb = a._j, b._j
+    if ja is not None and jb is not None:
+        num = a._v * b._v
+        den = a.d * b.d
+        j = ja + jb
+        if j >= ctx.half:
+            j -= ctx.half
+            num = -num
+        g = gcd(num, den)
+        out = _raw(ctx, num // g, den // g, j)
     else:
-        sa, sb, den = db, sign * da, da * db
-    out = [0] * a.ctx.phi
-    _accumulate(out, a, sa)
-    _accumulate(out, b, sb)
-    return Cyc(a.ctx, out, den)
+        out = _from_coeffs(ctx, _mul_vec(ctx, a.c, b.c), a.d * b.d)
+    a._mul[b.serial] = out
+    b._mul[a.serial] = out
+    return out
 
 
-def _accumulate(out: list[int], x: Cyc, scale: int) -> None:
-    """out += scale * (power-basis numerators of x)."""
-    j = x._j
-    if j is None:
-        vec = x._v
-    elif j < len(out):
-        out[j] += scale * x._v
-        return
+def _sum(a: Cyc, b: Cyc) -> Cyc:
+    """a + b on a memo miss, recorded on both operands."""
+    ctx = a.ctx
+    if b.ctx is not ctx:
+        raise ValueError("sum of scalars of two fields")
+    j, da, db = a._j, a.d, b.d
+    if j is not None and j == b._j:     # single terms, one exponent
+        num = a._v * db + b._v * da
+        g = gcd(num, da * db)
+        out = _raw(ctx, num // g, da * db // g, j) if num else ctx.zero
     else:
-        vec = x.ctx._zeta_vecs[j]
-        scale *= x._v
-    for i, v in enumerate(vec):
-        if v:
-            out[i] += scale * v
+        out = _from_coeffs(
+            ctx, [x * db + y * da for x, y in zip(a.c, b.c)], da * db)
+    a._add[b.serial] = out
+    b._add[a.serial] = out
+    return out
 
 
-def _mul_vec(ctx: QContext, a: Sequence[int], b: Sequence[int],
-             scale: int) -> list[int]:
-    """Power-basis coordinates of scale * a * b mod Phi_N."""
+def _mul_vec(ctx: QContext, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Power-basis coordinates of a * b mod Phi_N."""
     phi = ctx.phi
     prod = [0] * (2 * phi - 1)
     for i, ai in enumerate(a):
         if ai:
-            ai *= scale
             for j, bj in enumerate(b):
                 if bj:
                     prod[i + j] += ai * bj

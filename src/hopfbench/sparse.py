@@ -10,14 +10,15 @@ Every memo table, here and in the modules above (actions, coactions,
 twisted-product R rows), stores its rows in one format: a tuple of
 (k, c) entries, or (j, k, c) entries for coaction and colinear rows, in
 the order the row function produced them, built by `shared_row`.  The
-entries are shared: a field holds one entry tuple per (indices, stored
-form of c) and one Cyc per stored form, and every stored row reuses
-them.  Rows and entries are immutable, so sharing changes no result;
-it only keeps the many equal entries of large tables from each holding
-its own objects.
+entries are shared: a field holds one entry tuple per (indices, c), and
+every stored row reuses it.  Rows and entries are immutable, so sharing
+changes no result; it only keeps the many equal entries of large tables
+from each holding its own tuple.
 
-Every accumulation goes through the kernels here: `vadd_into` (a vector,
-or a row of (k, c) pairs, scaled and shifted by a key offset),
+Scalars are interned per field (see `cyclo.Cyc`), so the kernels test a
+scalar for zero, and `veq` compares two, by identity.  Every
+accumulation goes through the kernels here: `vadd_into` (a vector, or a
+row of (k, c) pairs, scaled and shifted by a key offset),
 `vadd_outer` (the outer product of two rows), `colinear_apply` (rows of
 (j, k, c) terms) and `vadd_term` (one entry).  None stores a zero.
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 from bisect import insort
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cyclo import Cyc, QContext, stored_form
+from .cyclo import Cyc, QContext
 
 __all__ = [
     "Space", "shared_row", "tensor_flat", "vadd_into", "vadd_outer",
@@ -85,24 +86,22 @@ def shared_row(row) -> Row:
     row is a dict {k: c} or an iterable of (k, c) or (j, k, c) tuples,
     with nonzero scalars.  The result holds the same entries in the same
     order, each replaced by the one tuple that the field of its scalar
-    (`c.ctx`) keeps for those indices and that stored form of c
-    (`cyclo.stored_form`); a new entry is kept with the field's one
-    instance of its scalar.  The keys are ints and stored forms, so
-    storing a row runs no Cyc arithmetic, hashing or comparison.
+    (`c.ctx`) keeps for those indices and that scalar.  The keys are ints
+    and the scalar's serial, which stands for the scalar itself because
+    scalars are interned, so storing a row runs no Cyc arithmetic,
+    hashing or comparison.
     """
     if isinstance(row, dict):
         row = row.items()
     out = []
     for entry in row:
         c = entry[-1]
-        ctx = c.ctx
-        form = stored_form(c)
         head = entry[:-1]
-        key = head + form
-        shared = ctx.shared_entries.get(key)
+        key = head + (c.serial,)
+        entries = c.ctx.shared_entries
+        shared = entries.get(key)
         if shared is None:
-            scalar = ctx.shared_scalars.setdefault(form, c)
-            shared = ctx.shared_entries[key] = head + (scalar,)
+            shared = entries[key] = head + (c,)
         out.append(shared)
     return tuple(out)
 
@@ -128,12 +127,13 @@ def vadd_into(dst: Vec, src, coeff: Optional[Cyc] = None, base: int = 0) -> Vec:
                 dst[k] = c
             else:
                 s = cur + c
-                if s:
+                if s is not c.ctx.zero:
                     dst[k] = s
                 else:
                     del dst[k]
     else:
-        if not coeff:
+        zero = coeff.ctx.zero
+        if coeff is zero:
             return dst
         for k, c in items:
             cc = coeff * c
@@ -141,11 +141,11 @@ def vadd_into(dst: Vec, src, coeff: Optional[Cyc] = None, base: int = 0) -> Vec:
                 k += base
             cur = dst.get(k)
             if cur is None:
-                if cc:
+                if cc is not zero:
                     dst[k] = cc
             else:
                 s = cur + cc
-                if s:
+                if s is not zero:
                     dst[k] = s
                 else:
                     del dst[k]
@@ -163,6 +163,7 @@ def vadd_outer(dst: Vec, coeff: Cyc, left, right, n2: int) -> Vec:
         left = left.items()
     if isinstance(right, dict):
         right = right.items()
+    zero = coeff.ctx.zero
     for k1, c1 in left:
         cc = coeff * c1
         base = k1 * n2
@@ -171,11 +172,11 @@ def vadd_outer(dst: Vec, coeff: Cyc, left, right, n2: int) -> Vec:
             k = base + k2
             cur = dst.get(k)
             if cur is None:
-                if val:
+                if val is not zero:
                     dst[k] = val
             else:
                 s = cur + val
-                if s:
+                if s is not zero:
                     dst[k] = s
                 else:
                     del dst[k]
@@ -199,16 +200,17 @@ def colinear_apply(get: Callable[[int], tuple], v: Vec, n2: int) -> Vec:
     flat over j * n2 + k."""
     out: Vec = {}
     for i, ci in v.items():
+        zero = ci.ctx.zero
         for j, k, c in get(i):
             val = ci * c
             key = j * n2 + k
             cur = out.get(key)
             if cur is None:
-                if val:
+                if val is not zero:
                     out[key] = val
             else:
                 s = cur + val
-                if s:
+                if s is not zero:
                     out[key] = s
                 else:
                     del out[key]
@@ -217,13 +219,14 @@ def colinear_apply(get: Callable[[int], tuple], v: Vec, n2: int) -> Vec:
 
 def vadd_term(dst: dict, key, val: Cyc) -> None:
     """dst[key] += val, in place; a zero val or a zero sum is never stored."""
+    zero = val.ctx.zero
     cur = dst.get(key)
     if cur is None:
-        if val:
+        if val is not zero:
             dst[key] = val
     else:
         s = cur + val
-        if s:
+        if s is not zero:
             dst[key] = s
         else:
             del dst[key]
@@ -254,8 +257,7 @@ def veq(a: Vec, b: Vec) -> bool:
     if len(a) != len(b):
         return False
     for k, c in a.items():
-        other = b.get(k)
-        if other is None or other != c:
+        if b.get(k) is not c:
             return False
     return True
 

