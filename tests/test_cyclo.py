@@ -351,11 +351,8 @@ def _routes(ctx, a, ra, b):
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_interned_scalars_and_memos_match_an_uncached_field(data):
-    """Within a field every route to a value gives one object; every
-    memoized product, sum and inverse has the coordinates and stored
-    form that the uncached computation gives in a fresh field; and a
-    second call returns the identical object."""
+def test_every_route_to_a_value_gives_one_object(data):
+    """Within a field every route to a value gives one object."""
     p = data.draw(st.sampled_from(INTERN_PS))
     ctx = FORM_CTXS[p]
     a, ra = data.draw(_scalar_and_ref(ctx))
@@ -366,21 +363,71 @@ def test_interned_scalars_and_memos_match_an_uncached_field(data):
         z4 = ctx.zeta_pow(4)
         assert z4 is ctx.q - ctx.one is ctx.q * ctx.q
         assert z4 is Cyc(ctx, [-1, 0, 1, 0])
-    fresh = QContext(p)
+
+
+OPS = {"mul": lambda a, b: a * b, "add": lambda a, b: a + b,
+       "inv": lambda a, b: a.inv()}
+
+
+def _form(x):
+    return (x._v, x._j, x.d)
+
+
+def _assert_memo_faithful(ctx, op, a, b):
+    """A repeated operation returns the identical object, recorded in the
+    operand's memo, whose coordinates and stored form equal those of the
+    uncached computation in a fresh field."""
+    fresh = QContext(ctx.p)
     fa, fb = Cyc(fresh, a.c, a.d), Cyc(fresh, b.c, b.d)
-    cases = [("mul", a * b, cyclo._product(fa, fb)),
-             ("add", a + b, cyclo._sum(fa, fb))]
-    if a:
-        cases.append(("inv", a.inv(), fa._inv_uncached()))
-    for op, got, first in cases:
-        assert (got.c, got.d) == (first.c, first.d), op
-        assert (got._v, got._j, got.d) == (first._v, first._j, first.d), op
-        assert got.ctx is ctx and first.ctx is fresh
-    assert a * b is a * b is b * a
-    assert a + b is a + b is b + a
-    assert -a is -a
-    if a:
-        assert a.inv() is a.inv()
+    assert _form(fa) == _form(a) and _form(fb) == _form(b)
+    uncached = {"mul": lambda: cyclo._product(fa, fb),
+                "add": lambda: cyclo._sum(fa, fb),
+                "inv": lambda: fa._inv_uncached()}
+    first = uncached[op]()
+    got = OPS[op](a, b)
+    again = OPS[op](a, b)
+    assert (got.c, got.d) == (first.c, first.d), op
+    assert _form(got) == _form(first), op
+    assert got.ctx is ctx and first.ctx is fresh
+    assert again is got
+    if op == "mul":
+        assert a._mul[b.serial] is got and b._mul[a.serial] is got
+        assert b * a is got
+    elif op == "add":
+        assert a._add[b.serial] is got and b._add[a.serial] is got
+        assert b + a is got
+    else:
+        assert a._inv is got and got._inv is a
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_memo_returns_the_uncached_result_once_built(data):
+    ctx = FORM_CTXS[data.draw(st.sampled_from(sorted(FORM_CTXS)))]
+    a, _ = data.draw(_scalar_and_ref(ctx))
+    b, _ = data.draw(_scalar_and_ref(ctx))
+    op = data.draw(st.sampled_from(sorted(OPS)))
+    for x, y in ((a, b), (b, a)):
+        if op != "inv" or x:
+            _assert_memo_faithful(ctx, op, x, y)
+    assert -a is -a and -(-a) is a
+
+
+def test_memo_covers_both_forms_of_zeta_four_at_p3():
+    # At p = 3, zeta^4 = zeta^2 - 1: both routes give the one single-term
+    # object, so its products and sums have one memo entry each.
+    ctx = CTX3
+    single, dense = ctx.zeta_pow(4), ctx.zeta_pow(2) - ctx.one
+    assert single is dense and single._j == 4
+    others = [single, ctx.zeta, ctx.q, ctx.qdiff,
+              ctx.rational(Fraction(-2, 3)) * ctx.zeta_pow(5)]
+    for y in others:
+        for op in ("mul", "add"):
+            _assert_memo_faithful(ctx, op, single, y)
+            _assert_memo_faithful(ctx, op, y, single)
+    _assert_memo_faithful(ctx, "inv", single, single)
+    assert single._mul[dense.serial] is single * dense is dense * dense
+    assert single._add[dense.serial] is single + dense
 
 
 def test_memo_entries_belong_to_one_field():

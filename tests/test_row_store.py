@@ -122,6 +122,22 @@ def test_two_fields_never_share_an_entry():
                    for e in pair.ctx.shared_entries.values())
 
 
+def test_each_stored_form_keeps_its_own_instance():
+    # At p = 3, zeta^4 = zeta^2 - 1 has one stored form, single-term,
+    # whichever route builds it, so the row store holds one instance.
+    ctx = QContext(3)
+    single = ctx.zeta_pow(4)
+    dense = Cyc(ctx, [-1, 0, 1, 0])
+    assert dense is single and single._j == 4
+    row = shared_row({0: single, 1: dense, 2: Cyc(ctx, [-1, 0, 1, 0])})
+    assert [k for k, _ in row] == [0, 1, 2]
+    assert row[0][1] is row[1][1] is row[2][1] is single
+    again = shared_row([(1, Cyc(ctx, [-1, 0, 1, 0]))])
+    assert again[0] is row[1]
+    other = shared_row([(1, ctx.zeta_pow(2))])
+    assert other[0] is not row[1] and other[0][1] is ctx.zeta_pow(2)
+
+
 def test_storing_a_row_runs_no_scalar_arithmetic(monkeypatch):
     ctx = QContext(3)
     scalars = [ctx.one, ctx.zeta_pow(5), Cyc(ctx, [1, 2, 0, 3], 5),
