@@ -19,9 +19,7 @@ kappa-type group-like functionals need.
 q-combinatorics here is *balanced*: [n] = (q^n - q^-n)/(q - q^-1),
 extended to half-integer n via zeta.  Binomials are computed with a
 division-free Pascal recursion so they stay well-defined at roots of
-unity where the naive factorial quotient would divide by zero.  The
-one-sided Gaussian variant is kept around for cross-checks and for the
-deliberately-wrong mutation fixtures.
+unity where the naive factorial quotient would divide by zero.
 """
 
 from __future__ import annotations
@@ -103,8 +101,8 @@ class QContext:
     __slots__ = (
         "p", "order", "half", "phi", "poly", "_red_rows", "_zeta_vecs",
         "_interned", "_beyond", "zero", "one", "_zeta_pows", "_qint_cache",
-        "_qbin_cache", "_qbin1_cache", "_qfac_cache", "q", "q_inv", "zeta",
-        "qdiff", "qdiff_inv", "shared_entries",
+        "_qbin_cache", "_qfac_cache", "q", "q_inv", "zeta", "qdiff",
+        "qdiff_inv", "shared_entries",
     )
 
     def __init__(self, p: int):
@@ -155,7 +153,6 @@ class QContext:
         self._zeta_pows: dict[int, Cyc] = {}
         self._qint_cache: dict[Fraction, Cyc] = {}
         self._qbin_cache: dict[tuple[int, int], Cyc] = {}
-        self._qbin1_cache: dict[tuple[int, int], Cyc] = {}
         self._qfac_cache: dict[int, Cyc] = {}
         self.shared_entries: dict[tuple, tuple] = {}
         self.zeta = self.zeta_pow(1)
@@ -238,27 +235,6 @@ class QContext:
         val = self.q_pow(k - n) * self.q_binomial(n - 1, k - 1) \
             + self.q_pow(k) * self.q_binomial(n - 1, k)
         self._qbin_cache[key] = val
-        return val
-
-    def q_binomial_onesided(self, n: int, k: int) -> Cyc:
-        """One-sided Gaussian binomial (base q), Pascal form
-
-            C[n,k] = C[n-1,k-1] + q^k C[n-1,k].
-
-        Not what the double constructions use; kept for convention
-        cross-checks and mutation fixtures.
-        """
-        if k < 0 or k > n:
-            return self.zero
-        if k == 0 or k == n:
-            return self.one
-        key = (n, k)
-        hit = self._qbin1_cache.get(key)
-        if hit is not None:
-            return hit
-        val = self.q_binomial_onesided(n - 1, k - 1) \
-            + self.q_pow(k) * self.q_binomial_onesided(n - 1, k)
-        self._qbin1_cache[key] = val
         return val
 
 

@@ -26,6 +26,12 @@ defining identities case by case, including the two quantum-commutativity
 remarks (the R-matrix form that holds and the one that fails) and the
 alternating chain algebras with their straightening relations.
 
+Each D(B)-action is defined once.  A DrinfeldDouble memoizes the four leg
+actions hit and ad of B and adF and rhit of B*; the actions on H(B*)
+(FactoredAction) and on its factors B*cop and B (factor_structures) are
+composites of them.  The coaction on H(B*) is the coproduct of D(B), and
+the coactions on the factors are that coproduct restricted to them.
+
 Both doubles, and the braided products behind the chains (ydcat), are
 twisted tensor products A (x)_R B (Cap, Schichl and Vanzura, Comm. Algebra
 23, 1995): each constructor supplies only its map R, and
@@ -94,9 +100,22 @@ def _iter3(H: FiniteHopf, cache: dict, i: int) -> tuple:
 # -- the Drinfeld double -----------------------------------------------------
 
 class DrinfeldDouble:
-    """Hopf algebra on B* (x) B with references to the two factors."""
+    """Hopf algebra on B* (x) B with references to the two factors, and
+    the four leg actions of B and B* on the two factors:
 
-    __slots__ = ("ctx", "hopf", "base", "dual", "pairing", "_rmatrix")
+        hit(m) alpha = m -> alpha        adF(f) alpha = f'' alpha S*^{-1}(f')
+        ad(m) a = m' a S(m'')            rhit(f) a = a <- S*^{-1}(f).
+
+    B acts on B* by hit and on B by ad, B* on B* by adF and on B by rhit.
+    Each leg table needs only `base`, `dual` and `pairing`, and is
+    memoized once per double, its rows stored rows (see
+    `sparse.shared_row`).  They are the one definition of these actions:
+    the D(B)-actions on H(B*) (`FactoredAction`) and on B*cop and B
+    (`factor_structures`) are composites of them.
+    """
+
+    __slots__ = ("ctx", "hopf", "base", "dual", "pairing", "_rmatrix",
+                 "_legs")
 
     def __init__(self, ctx: QContext, hopf: FiniteHopf, base: FiniteHopf,
                  dual: FiniteHopf, pairing: HopfPairing):
@@ -106,6 +125,57 @@ class DrinfeldDouble:
         self.dual = dual
         self.pairing = pairing
         self._rmatrix: Optional[Vec] = None
+        self._legs: tuple[dict, ...] = ({}, {}, {}, {})
+
+    def _leg(self, which: int, build, i: int, v: int) -> Row:
+        memo = self._legs[which]
+        r = memo.get((i, v))
+        if r is None:
+            r = memo[i, v] = shared_row(build(i, v))
+        return r
+
+    def hit(self, m: int, alpha: int) -> Row:
+        """e_m -> e^alpha, in B*."""
+        return self._leg(0, self.pairing.dual_left, m, alpha)
+
+    def ad(self, m: int, a: int) -> Row:
+        """m' e_a S(m''), in B."""
+        return self._leg(1, self._ad, m, a)
+
+    def adf(self, f: int, alpha: int) -> Row:
+        """f'' e^alpha S*^{-1}(f'), in B*."""
+        return self._leg(2, self._adf, f, alpha)
+
+    def rhit(self, f: int, a: int) -> Row:
+        """e_a <- S*^{-1}(e^f), in B."""
+        return self._leg(3, self._rhit, f, a)
+
+    def _ad(self, m: int, a: int) -> Vec:
+        base = self.base
+        acc: Vec = {}
+        for m1, m2, c in base.comult.get(m):
+            for t, ct in base.mult.get(m1, a):
+                c1 = c * ct
+                for s, cs in base.antipode.get(m2):
+                    vadd_into(acc, base.mult.get(t, s), c1 * cs)
+        return acc
+
+    def _adf(self, f: int, alpha: int) -> Vec:
+        dual = self.dual
+        sinv = dual.antipode_inv()
+        acc: Vec = {}
+        for f1, f2, c in dual.comult.get(f):
+            for t, ct in dual.mult.get(f2, alpha):
+                c1 = c * ct
+                for s, cs in sinv.get(f1):
+                    vadd_into(acc, dual.mult.get(t, s), c1 * cs)
+        return acc
+
+    def _rhit(self, f: int, a: int) -> Vec:
+        acc: Vec = {}
+        for nu, cs in self.dual.antipode_inv().get(f):
+            vadd_into(acc, self.pairing.alg_right(a, nu), cs)
+        return acc
 
     @property
     def dim(self) -> int:
@@ -131,7 +201,7 @@ class DrinfeldDouble:
                     if c:
                         row.append((b, c))
                 pm.set(f, tuple(row))
-            inv = linear_map_inverse(pm, self.ctx)
+            inv = linear_map_inverse(pm)
             out: Vec = {}
             for bi in range(nB):
                 left = tensor_flat(self.dual.unit, {bi: self.ctx.one}, nB)
@@ -343,25 +413,16 @@ def eta_twist_product(D: DrinfeldDouble, Hd: HeisenbergDouble, walk,
 # -- coaction and action of D(B) on H(B*) ------------------------------------
 
 def canonical_coaction(Hd: HeisenbergDouble, D: DrinfeldDouble) -> ComoduleAlgebra:
-    """delta(beta # b) = (beta'' (x) b') (x) (beta' # b'')."""
-    base, dual = D.base, D.dual
-    nB = base.dim
-
-    def coact_fn(key: int) -> tuple:
-        f, b = divmod(key, nB)
-        acc: dict = {}
-        for f1, f2, cf in dual.comult.get(f):
-            for b1, b2, cb in base.comult.get(b):
-                vadd_term(acc, (f2 * nB + b1, f1 * nB + b2), cf * cb)
-        return tuple(sorted((h, x, c) for (h, x), c in acc.items()))
-
-    coact = Coaction(D.hopf, Hd.algebra, coact_fn)
+    """delta(beta # b) = (beta'' (x) b') (x) (beta' # b''): on B* (x) B
+    this is the coproduct of D(B), so the coaction's rows are
+    `D.hopf.comult`'s."""
+    coact = Coaction(D.hopf, Hd.algebra, D.hopf.comult.get)
     return ComoduleAlgebra(D.hopf, Hd.algebra, coact, name=Hd.algebra.name)
 
 
 class FactoredAction(Action):
     """Action of D(B) on H(B*), assembled from its two factor actions,
-    which are assembled from four leg actions.
+    which are assembled from the four leg actions of D.
 
     (mu (x) m) acts as (mu (x) 1) after (eps (x) m), where
 
@@ -375,79 +436,37 @@ class FactoredAction(Action):
         prim(m) = sum hit(m') (x) ad(m''),
         dual(f) = sum adF(f'') (x) rhit(f'),
 
-    with the legs
-
-        hit(m) alpha = m -> alpha        adF(f) alpha = f'' alpha S*^{-1}(f')
-        ad(m) a = m' a S(m'')            rhit(f) a = a <- S*^{-1}(f).
-
-    B acts by hit and ad, B* by adF and rhit.  The leg tables (`hit`,
-    `ad`, `adf`, `rhit`) are d_B x d_B and memoized; the factor rows and
-    the action's own rows are memoized too.  All of them are stored rows:
-    tuples of shared (y, c) entries in the order in which the row was
-    filled (see `sparse.shared_row`).  `module_factor_walk` proves the
-    module law from these definitions.
+    with the legs hit and ad over B, adF and rhit over B*, defined once
+    per double by `DrinfeldDouble`.  The methods `hit`, `ad`, `adf` and
+    `rhit` read D's leg tables; a subclass may override them, and its
+    factor rows are then built from its own legs.  The factor rows and
+    the action's own rows are memoized, as stored rows: tuples of shared
+    (y, c) entries in the order in which the row was filled (see
+    `sparse.shared_row`).  `module_factor_walk` proves the module law
+    from these definitions.
     """
 
-    __slots__ = ("base", "dual", "pairing", "_prim", "_dualrows", "_legs")
+    __slots__ = ("double", "base", "dual", "_prim", "_dualrows")
 
     def __init__(self, Hd: HeisenbergDouble, D: DrinfeldDouble):
         super().__init__(D.hopf, Hd.algebra, self._row_fn)
+        self.double = D
         self.base = D.base
         self.dual = D.dual
-        self.pairing = D.pairing
         self._prim: dict[int, Row] = {}
         self._dualrows: dict[int, Row] = {}
-        self._legs: tuple[dict, ...] = ({}, {}, {}, {})
-
-    def _leg(self, which: int, build, i: int, v: int) -> Row:
-        memo = self._legs[which]
-        r = memo.get((i, v))
-        if r is None:
-            r = memo[i, v] = shared_row(build(i, v))
-        return r
 
     def hit(self, m: int, alpha: int) -> Row:
-        """e_m -> e^alpha, in B*."""
-        return self._leg(0, self.pairing.dual_left, m, alpha)
+        return self.double.hit(m, alpha)
 
     def ad(self, m: int, a: int) -> Row:
-        """m' e_a S(m''), in B."""
-        return self._leg(1, self._ad, m, a)
+        return self.double.ad(m, a)
 
     def adf(self, f: int, alpha: int) -> Row:
-        """f'' e^alpha S*^{-1}(f'), in B*."""
-        return self._leg(2, self._adf, f, alpha)
+        return self.double.adf(f, alpha)
 
     def rhit(self, f: int, a: int) -> Row:
-        """e_a <- S*^{-1}(e^f), in B."""
-        return self._leg(3, self._rhit, f, a)
-
-    def _ad(self, m: int, a: int) -> Vec:
-        base = self.base
-        acc: Vec = {}
-        for m1, m2, c in base.comult.get(m):
-            for t, ct in base.mult.get(m1, a):
-                c1 = c * ct
-                for s, cs in base.antipode.get(m2):
-                    vadd_into(acc, base.mult.get(t, s), c1 * cs)
-        return acc
-
-    def _adf(self, f: int, alpha: int) -> Vec:
-        dual = self.dual
-        sinv = dual.antipode_inv()
-        acc: Vec = {}
-        for f1, f2, c in dual.comult.get(f):
-            for t, ct in dual.mult.get(f2, alpha):
-                c1 = c * ct
-                for s, cs in sinv.get(f1):
-                    vadd_into(acc, dual.mult.get(t, s), c1 * cs)
-        return acc
-
-    def _rhit(self, f: int, a: int) -> Vec:
-        acc: Vec = {}
-        for nu, cs in self.dual.antipode_inv().get(f):
-            vadd_into(acc, self.pairing.alg_right(a, nu), cs)
-        return acc
+        return self.double.rhit(f, a)
 
     def prim_row(self, m: int, x: int) -> Row:
         """(eps (x) e_m) |> e_x = sum hit(m') (x) ad(m'') e_x."""
@@ -575,10 +594,11 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
        in D, on every pair of basis vectors;
     3. (prelude) the factor unit laws `act.prim_row(1, x)` = e_x and
        `act.dual_row(1, x)` = e_x, for every x;
-    4. (prelude) for each leg L of `FactoredAction` -- hit and ad over
-       B, adF and rhit over B* -- `check_module` on L: the unit law
-       L(1) v = v and the law L(gh) v = L(g) L(h) v, for g over the
-       generators of its algebra and h, v over the bases;
+    4. (prelude) for each leg L of `act` -- hit and ad over B, adF and
+       rhit over B*, which `FactoredAction` reads from the leg tables of
+       `DrinfeldDouble` unless a subclass overrides them -- `check_module`
+       on L: the unit law L(1) v = v and the law L(gh) v = L(g) L(h) v,
+       for g over the generators of its algebra and h, v over the bases;
     5. (prelude) every B-leg of (1 (x) c)(f (x) 1) lies in C_B, for c in
        C_B and every basis f;
     6. the law on (1 (x) c, g (x) 1, x), for c in C_B, g over the
@@ -752,11 +772,9 @@ def check_double_identity(D: DrinfeldDouble,
         lhs: Vec = {}
         rhs: Vec = {}
         for u1, u2, cf in dual.comult.get(f):
-            mid: Vec = {}
-            for nu, cs in sinv.get(u2):
-                vadd_into(mid, P.alg_right(a, nu), cs)
+            mid = D.rhit(u2, a)
             if mid:
-                left = tensor_flat(dual.unit, mid, nB)
+                left = tensor_flat(dual.unit, dict(mid), nB)
                 right = tensor_flat({u1: one}, base.unit, nB)
                 vadd_into(lhs, D.hopf.mult.apply(left, right), cf)
             hit: Vec = {}
@@ -910,14 +928,19 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
 def factor_structures(D: DrinfeldDouble) -> tuple[YDModuleAlgebra, YDModuleAlgebra]:
     """B^{*cop} and B as YD module algebras over D(B).
 
-    Coactions: beta -> (beta'' (x) 1) (x) beta',  b -> (eps (x) b') (x) b''.
-    Actions:   (mu (x) m) |> beta = mu'' (m -> beta) S*^{-1}(mu'),
-               (mu (x) m) |> b = (m' b S(m'')) <- S*^{-1}(mu).
+    Coactions: beta -> (beta'' (x) 1) (x) beta',  b -> (eps (x) b') (x) b'':
+    the coproduct of D(B) on beta (x) 1 and on eps (x) b, its second leg
+    taken back to the factor by the counit of the other factor.
+
+    Actions, composites of the leg tables of D (see `DrinfeldDouble`):
+
+        (mu (x) m) |> beta = adF(mu)(hit(m) beta)
+                           = mu'' (m -> beta) S*^{-1}(mu'),
+        (mu (x) m) |> b = rhit(mu)(ad(m) b) = (m' b S(m'')) <- S*^{-1}(mu).
     """
-    base, dual, P = D.base, D.dual, D.pairing
-    ctx = D.ctx
-    nB = base.dim
-    dual_sinv = dual.antipode_inv()
+    base, dual = D.base, D.dual
+    ctx, one = D.ctx, D.ctx.one
+    nB, d = base.dim, D.dim
 
     dual_alg = FiniteAlgebra(ctx, dual.space, dual.mult, dual.unit,
                              generators=dual.generators,
@@ -925,69 +948,40 @@ def factor_structures(D: DrinfeldDouble) -> tuple[YDModuleAlgebra, YDModuleAlgeb
     base_alg = FiniteAlgebra(ctx, base.space, base.mult, base.unit,
                              generators=base.generators, name=base.name)
 
-    def coact_dual_fn(f: int) -> tuple:
-        acc: dict = {}
-        for f1, f2, cf in dual.comult.get(f):
-            for bu, cu in base.unit.items():
-                vadd_term(acc, (f2 * nB + bu, f1), cf * cu)
-        return tuple(sorted((h, x, c) for (h, x), c in acc.items()))
+    def acting(outer, inner):
+        """(mu (x) m) |> v = outer(mu)(inner(m) v)."""
+        def fn(h: int, v: int) -> Vec:
+            mu, m = divmod(h, nB)
+            out: Vec = {}
+            for t, c in inner(m, v):
+                vadd_into(out, outer(mu, t), c)
+            return out
+        return fn
 
-    def coact_base_fn(b: int) -> tuple:
-        acc: dict = {}
-        for b1, b2, cb in base.comult.get(b):
-            for fu, cu in dual.unit.items():
-                vadd_term(acc, (fu * nB + b1, b2), cb * cu)
-        return tuple(sorted((h, x, c) for (h, x), c in acc.items()))
+    def coacting(embed, project):
+        """v -> (id (x) project) Delta_D(embed(v)); project(k) is the
+        factor index and the weight of the basis vector k of D."""
+        def fn(v: int) -> tuple:
+            acc: dict = {}
+            for key, c in D.hopf.comult.apply(embed(v)).items():
+                h, k = divmod(key, d)
+                y, w = project(k)
+                if w:
+                    vadd_term(acc, (h, y), c * w)
+            return tuple(sorted((h, y, c) for (h, y), c in acc.items()))
+        return fn
 
-    def act_dual_fn(h: int, f: int) -> Vec:
-        fm, m = divmod(h, nB)
-        mid = P.dual_left(m, f)
-        if not mid:
-            return {}
-        out: Vec = {}
-        for u1, u2, cf in dual.comult.get(fm):
-            sv = dict(dual_sinv.get(u1))
-            if not sv:
-                continue
-            for t, ct in mid.items():
-                c1 = cf * ct
-                for w, cw in dual.mult.get(u2, t):
-                    c2 = c1 * cw
-                    if not c2:
-                        continue
-                    for nu, cs in sv.items():
-                        for k, ck in dual.mult.get(w, nu):
-                            vadd_term(out, k, c2 * cs * ck)
-        return out
-
-    def act_base_fn(h: int, b: int) -> Vec:
-        fm, m = divmod(h, nB)
-        conj: Vec = {}
-        for m1, m2, cm in base.comult.get(m):
-            t1 = base.mult.get(m1, b)
-            if not t1:
-                continue
-            for s, cs in base.antipode.get(m2):
-                c1 = cm * cs
-                for t, ct in t1:
-                    vadd_into(conj, base.mult.get(t, s), c1 * ct)
-        if not conj:
-            return {}
-        out: Vec = {}
-        sv = dict(dual_sinv.get(fm))
-        for nu, cs in sv.items():
-            for t, ct in conj.items():
-                c1 = cs * ct
-                vadd_into(out, P.alg_right(t, nu), c1)
-        return out
-
+    dual_coact = coacting(lambda f: tensor_flat({f: one}, base.unit, nB),
+                          lambda k: (k // nB, base.counit.get(k % nB)))
+    base_coact = coacting(lambda b: tensor_flat(dual.unit, {b: one}, nB),
+                          lambda k: (k % nB, dual.counit.get(k // nB)))
     dual_yd = YDModuleAlgebra(D.hopf, dual_alg,
-                              Action(D.hopf, dual_alg, act_dual_fn),
-                              Coaction(D.hopf, dual_alg, coact_dual_fn),
+                              Action(D.hopf, dual_alg, acting(D.adf, D.hit)),
+                              Coaction(D.hopf, dual_alg, dual_coact),
                               name=dual_alg.name)
     base_yd = YDModuleAlgebra(D.hopf, base_alg,
-                              Action(D.hopf, base_alg, act_base_fn),
-                              Coaction(D.hopf, base_alg, coact_base_fn),
+                              Action(D.hopf, base_alg, acting(D.rhit, D.ad)),
+                              Coaction(D.hopf, base_alg, base_coact),
                               name=base_alg.name)
     return dual_yd, base_yd
 
@@ -1030,13 +1024,12 @@ def chain_relations_check(bp: BraidedProductAlgebra, D: DrinfeldDouble,
                                                         for dual i <= j
       * b[i] a[j] = a'''[j] (S^{-1}(a'') b a')[i]        for primal i <= j
     """
-    base, dual, P = D.base, D.dual, D.pairing
+    base, dual = D.base, D.dual
     nB, nF = base.dim, dual.dim
     one = D.ctx.one
     alg = bp.yd.algebra
     mult = alg.mult
     base_sinv = base.antipode_inv()
-    dual_sinv = dual.antipode_inv()
     d3b: dict[int, tuple] = {}
     d3f: dict[int, tuple] = {}
 
@@ -1080,32 +1073,26 @@ def chain_relations_check(bp: BraidedProductAlgebra, D: DrinfeldDouble,
     def mixed(ip: int, jd: int, b: int, f: int) -> Vec:
         rhs: Vec = {}
         for b1, b2, cb in base.comult.get(b):
-            for fm, cm in P.dual_left(b1, f).items():
+            for fm, cm in D.hit(b1, f):
                 vadd_into(rhs, mult.apply(emb(jd, fm), emb(ip, b2)), cb * cm)
         return rhs
 
     def dual_straighten(i1: int, j2: int, fa: int, fb: int) -> Vec:
+        """sum adF(alpha'')(beta)[j] alpha'[i]."""
         rhs: Vec = {}
-        for u1, u2, u3, c in _iter3(dual, d3f, fa):
-            inner: Vec = {}
-            for t, ct in dual.mult.get(u3, fb):
-                for nu, cs in dual_sinv.get(u2):
-                    for k, ck in dual.mult.get(t, nu):
-                        vadd_term(inner, k, c * ct * cs * ck)
+        for u1, u2, c in dual.comult.get(fa):
+            inner = dict(D.adf(u2, fb))
             if inner:
-                vadd_into(rhs, mult.apply(embv(j2, inner), emb(i1, u1)))
+                vadd_into(rhs, mult.apply(embv(j2, inner), emb(i1, u1)), c)
         return rhs
 
     def primal_straighten(i1: int, j2: int, a: int, b: int) -> Vec:
+        """sum ad(a')(b)[j] a''[i]."""
         rhs: Vec = {}
-        for a1, a2, a3, c in _iter3(base, d3b, a):
-            inner: Vec = {}
-            for t, ct in base.mult.get(a1, b):
-                for s, cs in base.antipode.get(a2):
-                    for k, ck in base.mult.get(t, s):
-                        vadd_term(inner, k, c * ct * cs * ck)
+        for a1, a2, c in base.comult.get(a):
+            inner = dict(D.ad(a1, b))
             if inner:
-                vadd_into(rhs, mult.apply(embv(j2, inner), emb(i1, a3)))
+                vadd_into(rhs, mult.apply(embv(j2, inner), emb(i1, a2)), c)
         return rhs
 
     def dual_straighten_inverse(i1: int, j2: int, fb: int, fa: int) -> Vec:

@@ -154,7 +154,7 @@ class FiniteHopf(FiniteAlgebra):
 
     def antipode_inv(self) -> LinearMap:
         if self._antipode_inv is None:
-            self._antipode_inv = linear_map_inverse(self.antipode, self.ctx)
+            self._antipode_inv = linear_map_inverse(self.antipode)
         return self._antipode_inv
 
     def coproduct_nested(self, v: Vec, parts: int) -> Vec:

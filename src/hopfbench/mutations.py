@@ -20,7 +20,8 @@ from typing import Callable
 from .doubles import factor_structures
 from .hopf import FiniteHopf, check_hopf_axioms
 from .results import Check, CheckResult, lemma_walk, two_sided_lemma_walk
-from .sparse import LazyLinearMap, Vec, tensor_flat, vadd_into, vadd_term, veq
+from .sparse import (LazyLinearMap, Vec, tensor_flat, vadd_into, vadd_outer,
+                     vadd_term, veq)
 from .taft import taft_setup, taft_system
 from .ydcat import (Action, Coaction, ModuleAlgebra, YDModuleAlgebra,
                     check_comodule, check_module,
@@ -71,7 +72,7 @@ def _action_factor_dropped(p: int, walks) -> list:
     (eps (x) m) |> (alpha # a) = (m' -> alpha) # m'' a, no S(m''')."""
     sys = taft_system(p)
     D, Hd = sys.double, sys.heis
-    base, P = D.base, D.pairing
+    base = D.base
     real = sys.yd.action            # keeps the healthy (mu (x) 1) factor
     nB = base.dim
 
@@ -79,13 +80,9 @@ def _action_factor_dropped(p: int, walks) -> list:
         f, b = divmod(x, nB)
         out: Vec = {}
         for m1, m2, cm in base.comult.get(m):
-            mid = P.dual_left(m1, f)
-            if not mid:
-                continue
-            for bm, cb in base.mult.get(m2, b):
-                c1 = cm * cb
-                for fm, cf in mid.items():
-                    vadd_term(out, fm * nB + bm, c1 * cf)
+            mid = D.hit(m1, f)
+            if mid:
+                vadd_outer(out, cm, mid, base.mult.get(m2, b), nB)
         return out
 
     def fn(h: int, x: int) -> Vec:
@@ -126,16 +123,9 @@ def _hdouble_coaction_swapped(p: int, walks) -> list:
     """Smash-product coaction with its two legs exchanged."""
     sys = taft_system(p)
     D, Hd = sys.double, sys.heis
-    base, dual = D.base, D.dual
-    nB = base.dim
 
     def fn(key: int):
-        f, b = divmod(key, nB)
-        acc: dict = {}
-        for f1, f2, cf in dual.comult.get(f):
-            for b1, b2, cb in base.comult.get(b):
-                vadd_term(acc, (f1 * nB + b2, f2 * nB + b1), cf * cb)
-        return tuple(sorted((h, x, c) for (h, x), c in acc.items()))
+        return tuple(sorted((k, j, c) for j, k, c in D.hopf.comult.get(key)))
 
     bad = YDModuleAlgebra(D.hopf, Hd.algebra, sys.yd.action,
                           Coaction(D.hopf, Hd.algebra, fn),

@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import insort
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cyclo import Cyc, QContext
+from .cyclo import Cyc
 
 __all__ = [
     "Space", "shared_row", "tensor_flat", "vadd_into", "vadd_outer",
@@ -640,38 +640,21 @@ class QuotientSpace:
         return {labels[qi]: c for qi, c in qv.items()}
 
 
-def linear_map_inverse(m: LinearMap, ctx: QContext) -> LinearMap:
-    """Exact inverse of a square linear map; raises SingularMapError."""
+def linear_map_inverse(m: LinearMap) -> LinearMap:
+    """Exact inverse of a square linear map; raises SingularMapError.
+
+    The images of the basis vectors go into a SpanSolver.  At full rank
+    every pivot row of its reduced echelon form is e_p, so the
+    combination of images that the solver records for pivot p is the
+    preimage of e_p.
+    """
     if m.dim_v != m.dim_w:
         raise SingularMapError("only square maps can be inverted")
-    n = m.dim_v
-    # Sparse Gauss-Jordan on rows [image of e_i | e_i]; at the end the
-    # right half of the pivot-p row is the preimage of e_p.
-    pivot_of: dict[int, tuple[Vec, Vec]] = {}
-    for i in range(n):
-        left: Vec = dict(m.get(i))
-        right: Vec = {i: ctx.one}
-        for p in sorted(k for k in left if k in pivot_of):
-            c = left.get(p)
-            if c:
-                pl, prt = pivot_of[p]
-                vadd_into(left, pl, -c)
-                vadd_into(right, prt, -c)
-        if not left:
+    solver = SpanSolver(m.dim_w)
+    for i in range(m.dim_v):
+        if not solver.add(dict(m.get(i))):
             raise SingularMapError("map is singular")
-        p = min(left)
-        inv = left[p].inv()
-        left = {k: c * inv for k, c in left.items()}
-        right = {k: c * inv for k, c in right.items()}
-        for pl, prt in pivot_of.values():
-            c = pl.get(p)
-            if c:
-                vadd_into(pl, left, -c)
-                vadd_into(prt, right, -c)
-        pivot_of[p] = (left, right)
-    if len(pivot_of) != n:
-        raise SingularMapError("map is singular")
-    out = LinearMap(n, n)
-    for p, (_, right) in pivot_of.items():
-        out.set(p, tuple(sorted(right.items())))
+    out = LinearMap(m.dim_v, m.dim_v)
+    for p, combo in solver.combos.items():
+        out.set(p, tuple(sorted(combo.items())))
     return out

@@ -163,8 +163,7 @@ class TaftPair:
     def from_canonical(self) -> LinearMap:
         """The inverse of `to_canonical`, built when first read."""
         if self._from_canonical is None:
-            self._from_canonical = linear_map_inverse(self.to_canonical,
-                                                      self.ctx)
+            self._from_canonical = linear_map_inverse(self.to_canonical)
         return self._from_canonical
 
 

@@ -747,7 +747,7 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
     def bijective() -> CheckResult:
         chk = Check(f"{prefix}-bijective", "exhaustive", cases=d)
         try:
-            linear_map_inverse(phi, H.ctx)
+            linear_map_inverse(phi)
         except SingularMapError:
             return chk.result("flip map is singular")
         return chk.result()

@@ -144,12 +144,10 @@ def test_q_binomial_symmetry_and_bounds(p):
 
 
 def test_q_binomial_conventions_differ():
-    # The balanced and one-sided conventions genuinely disagree (so the
-    # convention adjudication test downstream is not vacuous).
+    # The balanced convention is q + q^-1 at [2,1], not the one-sided 1 + q.
     ctx = CTX3
     assert ctx.q_binomial(2, 1) == ctx.q + ctx.q_inv
-    assert ctx.q_binomial_onesided(2, 1) == ctx.one + ctx.q
-    assert ctx.q_binomial(2, 1) != ctx.q_binomial_onesided(2, 1)
+    assert ctx.q_binomial(2, 1) != ctx.one + ctx.q
 
 
 def test_inverse_of_qdiff():

@@ -275,9 +275,9 @@ def test_p3_report_bytes_are_pinned():
 
 
 # sha256 of `render(run_suite(SuiteConfig(p=3, suite=<suite>, sample_size=300,
-# seed=11)), "json")`: these suites read p=3 action rows inside braided
-# products, where a scalar zeta^j with j >= phi can be stored in two forms,
-# so they pin the order in which action rows are accumulated.
+# seed=11)), "json")`: these suites read the p=3 factor-action rows of
+# B*cop and B inside braided products, so they pin those rows, which are
+# composites of the leg tables of the double.
 REPORT_SHA256_P3_BRAIDED = {
     "heisenberg":
         "4c7233eea2c9ca0bff6d0d6c486ba407ff8811a6482528f1a52ded85d7298a3d",

@@ -9,10 +9,11 @@ from hopfbench.results import TupleWalks, lemma_walk
 from hopfbench.sparse import veq
 from hopfbench.taft import taft_system
 from hopfbench.ydcat import (
-    braiding_row, check_braided_commutative, check_braided_symmetric,
-    check_comodule, check_comodule_algebra, check_factor_embeddings,
-    check_locked_identity, check_module, check_module_algebra,
-    check_rebracketing, check_yd, flip_isomorphism, yang_baxter_check,
+    Action, braided_product, braiding_row, check_braided_commutative,
+    check_braided_symmetric, check_comodule, check_comodule_algebra,
+    check_factor_embeddings, check_locked_identity, check_module,
+    check_module_algebra, check_rebracketing, check_yd, flip_isomorphism,
+    yang_baxter_check,
 )
 
 
@@ -130,3 +131,41 @@ def test_chain_embeddings(sys2):
                            D=sys2.double)
     res = check_factor_embeddings(ch2)
     assert res.status == "pass"
+
+
+def _yd_mismatch(bp, y):
+    """The first row where the braided product bp's action or coaction
+    differs in value from y's on the same basis, or None."""
+    H = y.hopf
+    for x in range(y.dim):
+        if not veq(bp.yd.coaction.apply({x: H.ctx.one}),
+                   y.coaction.apply({x: H.ctx.one})):
+            return ("coaction", x)
+    for h in range(H.dim):
+        for x in range(y.dim):
+            if not veq(dict(bp.yd.action.row(h, x)), dict(y.action.row(h, x))):
+                return ("action", h, x)
+    return None
+
+
+def test_hdouble_is_the_braided_product_of_its_factors(sys2, factors):
+    """H(B*) = B*cop >< B carries the action and coaction of the braided
+    product of the two factor structures, row for row (256 coaction rows
+    and 65,536 action rows); `braided-product-is-hdouble` compares the
+    products only."""
+    assert _yd_mismatch(braided_product(*factors), sys2.yd) is None
+
+
+def test_a_corrupted_factor_action_row_breaks_the_match(sys2, factors):
+    """One entry of one factor-action row of B*cop times zeta: the
+    braided product's action no longer matches that of H(B*)."""
+    dual_yd, base_yd = factors
+    act, zeta = dual_yd.action, sys2.ctx.zeta
+    h0, v0 = sys2.double.index(1, 1), 1
+    row = act.row(h0, v0)
+    assert row
+    bad_row = ((row[0][0], row[0][1] * zeta),) + row[1:]
+    bad = dual_yd._replace(action=Action(
+        dual_yd.hopf, dual_yd.algebra,
+        lambda h, v: dict(bad_row if (h, v) == (h0, v0) else act.row(h, v))))
+    assert _yd_mismatch(braided_product(bad, base_yd), sys2.yd)[0] == "action"
