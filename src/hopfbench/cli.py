@@ -15,7 +15,9 @@ import os
 import sys
 import traceback
 from fractions import Fraction
-from typing import Optional
+from operator import itemgetter
+from types import GeneratorType
+from typing import Iterator, Optional
 
 from . import __version__
 from .cyclo import Cyc, QContext
@@ -28,8 +30,8 @@ from .sparse import (BilinearMap, ColinearMap, LinearMap, Space, SpanSolver,
 from .taft import (cqzd, double_elements, heis_elements, hqsl2, taft_system,
                    truly_heisenberg_chain, uqsl2)
 
-__all__ = ["main", "EvalError", "evaluate_expression", "export_object",
-           "export_bytes", "check_export_name", "import_object",
+__all__ = ["main", "EvalError", "evaluate_expression", "export_bytes",
+           "check_export_name", "import_object",
            "reexport_bytes", "EXPORT_SCHEMA_VERSION"]
 
 EXPORT_SCHEMA_VERSION = 1
@@ -394,31 +396,112 @@ def evaluate_expression(p: int, text: str, structure: str = "product") -> str:
 
 
 # -- export / import -------------------------------------------------------------
+#
+# An export is the canonical JSON of one block of tables,
+#
+#     json.dumps(block, sort_keys=True, separators=(",", ":")) + "\n",
+#
+# written as it is generated: each table is read row by row, in index
+# order, through the getters that memoize its rows, and leaves one chunk
+# of bytes per row.  No list of entries and no copy of the document is
+# built, so the memory an export needs is the row memos it reads.
 
-# Power-basis form (numerators, denominator) -> encoded coefficient list.
-# Export tables repeat few distinct scalars (D(B) at p=2: 8 in 65,536
-# entries), so every entry of one value shares a single list; no caller
-# mutates it.  Keyed by the power-basis form, which is what the encoding
-# reads.
-_SCALAR_JSON: dict = {}
+# Scalar serial -> JSON text of its coefficient list.  Scalars are interned
+# per field and a serial is never reused, so a serial stands for one value
+# for good.  Export tables repeat few distinct scalars (D(B) at p=2: 8 in
+# 65,536 entries), so each is encoded once.
+_SCALAR_TEXT: dict = {}
 
 
-def _scalar_json(c: Cyc) -> list:
-    key = (c.c, c.d)
-    out = _SCALAR_JSON.get(key)
+def _scalar_text(c: Cyc) -> bytes:
+    """The canonical JSON of c's coefficient list: one {num, den} pair of
+    decimal strings per power of zeta below phi, in lowest terms."""
+    out = _SCALAR_TEXT.get(c.serial)
     if out is None:
-        out = _SCALAR_JSON[key] = [
-            {"num": str(f.numerator), "den": str(f.denominator)}
-            for f in c.to_fractions()]
+        out = _SCALAR_TEXT[c.serial] = _dumps(
+            [{"num": str(f.numerator), "den": str(f.denominator)}
+             for f in c.to_fractions()])
     return out
 
 
-def _scalar_load(ctx: QContext, coeffs, where: str) -> Cyc:
-    """Inverse of _scalar_json; ValueError unless `coeffs` is exactly what
-    _scalar_json writes for a nonzero scalar."""
+def _dumps(value) -> bytes:
+    return json.dumps(value, sort_keys=True,
+                      separators=(",", ":")).encode("ascii")
+
+
+_first = itemgetter(0)
+_first_two = itemgetter(0, 1)
+
+
+def _table(rows) -> Iterator[bytes]:
+    """A JSON array with one entry [*head, *t[:-1], scalar] per term t of
+    each (head, terms) pair of `rows`, in one chunk per nonempty row.
+
+    Heads are tuples of indices and come in increasing order.  Terms are
+    (index, c) or (index, index, c); each row's terms are sorted on their
+    indices only, stably, so the entries come in the order of the whole
+    table sorted on its index columns and no scalar is compared.
+    """
+    text = _scalar_text
+    sep = b"["
+    for head, terms in rows:
+        if not terms:
+            continue
+        prefix = b"[" + b"%d," * len(head) % head
+        if len(terms[0]) == 2:
+            body = [b"%s%d,%s]" % (prefix, k, text(c))
+                    for k, c in sorted(terms, key=_first)]
+        else:
+            body = [b"%s%d,%d,%s]" % (prefix, j, k, text(c))
+                    for j, k, c in sorted(terms, key=_first_two)]
+        yield sep + b",".join(body)
+        sep = b","
+    yield b"[]" if sep == b"[" else b"]"
+
+
+def _vec_table(v: Vec) -> Iterator[bytes]:
+    return _table([((), tuple(v.items()))])
+
+
+def _document(block: dict) -> Iterator[bytes]:
+    """The canonical JSON of `block` and a newline, in chunks.  A
+    generator among its values stands for the chunks of its own JSON."""
+    yield from _json_chunks(block)
+    yield b"\n"
+
+
+def _json_chunks(value) -> Iterator[bytes]:
+    if isinstance(value, GeneratorType):
+        yield from value
+    elif isinstance(value, dict) and value:
+        sep = b"{"
+        for key in sorted(value):
+            yield sep + _dumps(key) + b":"
+            yield from _json_chunks(value[key])
+            sep = b","
+        yield b"}"
+    else:
+        yield _dumps(value)
+
+
+def _scalar_load(ctx: QContext, coeffs, where: str, memo: dict) -> Cyc:
+    """Inverse of _scalar_text; ValueError unless `coeffs` is exactly what
+    _scalar_text writes for a nonzero scalar.
+
+    `memo` maps the (num, den) strings of each coefficient list accepted
+    so far to its scalar, so a repeated scalar is parsed once.  It must
+    belong to one field: callers keep one per import.
+    """
     if not isinstance(coeffs, list) or len(coeffs) != ctx.phi:
         raise ValueError(f"{where}: expected a list of {ctx.phi} "
                          f"coefficients")
+    try:
+        key = tuple([(entry["num"], entry["den"]) for entry in coeffs])
+        total = memo.get(key)
+    except (TypeError, KeyError):         # rejected below
+        key = total = None
+    if total is not None:
+        return total
     total = ctx.zero
     for j, entry in enumerate(coeffs):
         try:
@@ -433,15 +516,18 @@ def _scalar_load(ctx: QContext, coeffs, where: str) -> Cyc:
             total = total + ctx.rational(f) * ctx.zeta_pow(j)
     if not total:
         raise ValueError(f"{where}: zero scalar entry")
+    memo[key] = total
     return total
 
 
-def _entries_load(ctx: QContext, entries, bounds: tuple, table: str) -> list:
+def _entries_load(ctx: QContext, entries, bounds: tuple, table: str,
+                  memo: dict) -> list:
     """Rows [i, ..., scalar] of an exported table as [((i, ...), Cyc)].
 
     `bounds` gives the dimension each index must stay below (None: only
     non-negative).  Raises ValueError on a malformed row, an index out of
-    range, a repeated index tuple or a zero scalar.
+    range, a repeated index tuple or a zero scalar.  `memo` is passed to
+    `_scalar_load`.
     """
     if not isinstance(entries, list):
         raise ValueError(f"{table}: expected a list of entries")
@@ -459,78 +545,54 @@ def _entries_load(ctx: QContext, entries, bounds: tuple, table: str) -> list:
         if key in seen:
             raise ValueError(f"{table}: duplicate entry {list(key)}")
         seen.add(key)
-        out.append((key, _scalar_load(ctx, entry[n], f"{table} {list(key)}")))
+        out.append((key, _scalar_load(ctx, entry[n], f"{table} {list(key)}",
+                                      memo)))
     return out
 
 
-def _vec_json(v) -> list:
-    return [[i, _scalar_json(c)] for i, c in sorted(v.items())]
-
-
-def _vec_load(ctx: QContext, entries, dim: int, table: str) -> Vec:
-    return {i: c for (i,), c in _entries_load(ctx, entries, (dim,), table)}
+def _vec_load(ctx: QContext, entries, dim: int, table: str,
+              memo: dict) -> Vec:
+    return {i: c for (i,), c in _entries_load(ctx, entries, (dim,), table,
+                                              memo)}
 
 
 def _algebra_block(obj) -> dict:
     d = obj.space.dim
-    mult = []
-    for i in range(d):
-        for j in range(d):
-            for k, c in obj.mult.get(i, j):
-                mult.append([i, j, k, _scalar_json(c)])
-    mult.sort(key=lambda e: (e[0], e[1], e[2]))
+    get = obj.mult.get
     return {
         "schema_version": EXPORT_SCHEMA_VERSION,
         "field": {"type": "cyclotomic", "order": obj.ctx.order},
         "dim": d,
         "labels": [obj.space.render(lab) for lab in obj.space.labels],
-        "unit": _vec_json(obj.unit),
-        "mult": mult,
+        "unit": _vec_table(obj.unit),
+        "mult": _table(((i, j), get(i, j))
+                       for i in range(d) for j in range(d)),
     }
 
 
 def _hopf_block(H: FiniteHopf) -> dict:
-    out = _algebra_block(H)
-    comult, antipode = [], []
-    for i in range(H.space.dim):
-        for j, k, c in H.comult.get(i):
-            comult.append([i, j, k, _scalar_json(c)])
-        for j, c in H.antipode.get(i):
-            antipode.append([i, j, _scalar_json(c)])
-    comult.sort(key=lambda e: (e[0], e[1], e[2]))
-    antipode.sort(key=lambda e: (e[0], e[1]))
-    out["counit"] = _vec_json(H.counit)
-    out["comult"] = comult
-    out["antipode"] = antipode
-    return out
+    d = H.space.dim
+    return dict(_algebra_block(H),
+                counit=_vec_table(H.counit),
+                comult=_table(((i,), H.comult.get(i)) for i in range(d)),
+                antipode=_table(((i,), H.antipode.get(i)) for i in range(d)))
 
 
-def _yd_json(algebra, action_rows: dict, coaction_rows: dict,
-             hopf_name: str) -> dict:
-    """action_rows: (h, x) -> ((y, c), ...);
-    coaction_rows: x -> ((h, y, c), ...)."""
-    out = _algebra_block(algebra)
-    action = []
-    for (h, x), row in action_rows.items():
-        for y, c in row:
-            action.append([h, x, y, _scalar_json(c)])
-    action.sort(key=lambda e: (e[0], e[1], e[2]))
-    coaction = []
-    for x, terms in coaction_rows.items():
-        for h, y, c in terms:
-            coaction.append([x, h, y, _scalar_json(c)])
-    coaction.sort(key=lambda e: (e[0], e[1], e[2]))
-    out["action"] = {"hopf": hopf_name, "entries": action}
-    out["coaction"] = {"hopf": hopf_name, "entries": coaction}
-    return out
+def _yd_block(algebra, action_rows, coaction_rows, hopf_name: str) -> dict:
+    """action_rows: ((h, x), ((y, c), ...)) pairs and coaction_rows:
+    ((x,), ((h, y, c), ...)) pairs, each in increasing index order."""
+    return dict(_algebra_block(algebra),
+                action={"hopf": hopf_name, "entries": _table(action_rows)},
+                coaction={"hopf": hopf_name,
+                          "entries": _table(coaction_rows)})
 
 
-def _yd_block(yd, hopf_name: str) -> dict:
+def _live_yd_block(yd, hopf_name: str) -> dict:
     dH, dX = yd.hopf.dim, yd.algebra.dim
-    action_rows = {(h, x): yd.action.row(h, x)
-                   for h in range(dH) for x in range(dX)}
-    coaction_rows = {x: yd.coaction.terms(x) for x in range(dX)}
-    return _yd_json(yd.algebra, action_rows, coaction_rows, hopf_name)
+    return _yd_block(
+        yd.algebra,
+        (((h, x), yd.action.row(h, x)) for h in range(dH) for x in range(dX)),
+        (((x,), yd.coaction.terms(x)) for x in range(dX)), hopf_name)
 
 
 _FIXED_OBJECTS = ("taft", "taft-dual", "ddouble", "hdouble", "uqsl2",
@@ -547,46 +609,46 @@ def _chain_length(name: str) -> Optional[int]:
 
 
 def check_export_name(name: str) -> None:
-    """Raise ValueError unless `export_object` knows the object name."""
+    """Raise ValueError unless `export_bytes` knows the object name."""
     if name not in _FIXED_OBJECTS and _chain_length(name) is None:
         raise ValueError(
             f"unknown export object {name!r}; expected one of "
             f"{', '.join(_FIXED_OBJECTS)}, chain(n)")
 
 
-def export_object(name: str, p: int) -> dict:
-    """Structure-constant tables for one named object, as a JSON-safe dict.
+def _export_chunks(name: str, p: int) -> Iterator[bytes]:
+    """The export of one named object, as the chunks of its canonical JSON.
 
-    Scalar coefficient lists are shared between entries and between calls;
-    callers must not mutate them.
+    The name is checked (ValueError) and the object built when this is
+    called; its tables are read as the chunks are drawn.
     """
     check_export_name(name)
     sys_ = taft_system(p)
     if name == "taft":
-        return _hopf_block(sys_.pair.primal)
-    if name == "taft-dual":
-        return _hopf_block(sys_.pair.dual)
-    if name == "ddouble":
-        return _hopf_block(sys_.double.hopf)
-    if name == "hdouble":
-        return _yd_block(sys_.yd, "ddouble")
-    if name == "uqsl2":
-        return _hopf_block(uqsl2(p).hopf)
-    if name == "hqsl2":
-        return _yd_block(hqsl2(p).yd, "uqsl2")
-    if name == "cqzd":
-        return _algebra_block(cqzd(p).algebra)
-    ch = truly_heisenberg_chain(p, _chain_length(name))
-    return _yd_block(ch.chain.yd, "uqsl2")
-
-
-def _canonical(block: dict) -> bytes:
-    return (json.dumps(block, sort_keys=True, separators=(",", ":"))
-            + "\n").encode("utf-8")
+        block = _hopf_block(sys_.pair.primal)
+    elif name == "taft-dual":
+        block = _hopf_block(sys_.pair.dual)
+    elif name == "ddouble":
+        block = _hopf_block(sys_.double.hopf)
+    elif name == "hdouble":
+        block = _live_yd_block(sys_.yd, "ddouble")
+    elif name == "uqsl2":
+        block = _hopf_block(uqsl2(p).hopf)
+    elif name == "hqsl2":
+        block = _live_yd_block(hqsl2(p).yd, "uqsl2")
+    elif name == "cqzd":
+        block = _algebra_block(cqzd(p).algebra)
+    else:
+        ch = truly_heisenberg_chain(p, _chain_length(name))
+        block = _live_yd_block(ch.chain.yd, "uqsl2")
+    return _document(block)
 
 
 def export_bytes(name: str, p: int) -> bytes:
-    return _canonical(export_object(name, p))
+    """The canonical JSON of one named object's structure-constant tables
+    (see the README), as the bytes `hopfbench export` writes.  Raises
+    ValueError on an unknown name."""
+    return b"".join(_export_chunks(name, p))
 
 
 class ImportedYD:
@@ -621,45 +683,47 @@ def import_object(data):
     if field.get("type") != "cyclotomic" or field["order"] % 4:
         raise ValueError(f"unsupported base field: {field!r}")
     ctx = QContext(field["order"] // 4)
+    memo: dict = {}                       # see _scalar_load
     d = data["dim"]
     labels = list(data["labels"])
     if len(labels) != d:
         raise ValueError("label count does not match dim")
     space = Space("imported", labels)
     mrows: dict = {}
-    for (i, j, k), c in _entries_load(ctx, data["mult"], (d, d, d), "mult"):
+    for (i, j, k), c in _entries_load(ctx, data["mult"], (d, d, d), "mult",
+                                      memo):
         mrows.setdefault((i, j), []).append((k, c))
     mult = BilinearMap(d, d)
     for (i, j), row in mrows.items():
         mult.set(i, j, row)
-    unit = _vec_load(ctx, data["unit"], d, "unit")
+    unit = _vec_load(ctx, data["unit"], d, "unit", memo)
     if "comult" in data:
         crows: dict = {}
         for (i, j, k), c in _entries_load(ctx, data["comult"], (d, d, d),
-                                          "comult"):
+                                          "comult", memo):
             crows.setdefault(i, []).append((j, k, c))
         comult = ColinearMap(d, d, d)
         for i, row in crows.items():
             comult.set(i, row)
         arows: dict = {}
         for (i, j), c in _entries_load(ctx, data["antipode"], (d, d),
-                                       "antipode"):
+                                       "antipode", memo):
             arows.setdefault(i, []).append((j, c))
         antipode = LinearMap(d, d)
         for i, row in arows.items():
             antipode.set(i, row)
-        counit = _vec_load(ctx, data["counit"], d, "counit")
+        counit = _vec_load(ctx, data["counit"], d, "counit", memo)
         return FiniteHopf(ctx, space, mult, unit, comult, counit, antipode)
     algebra = FiniteAlgebra(ctx, space, mult, unit)
     if "action" not in data:
         return algebra
     action_rows: dict = {}
     for (h, x, y), c in _entries_load(ctx, data["action"]["entries"],
-                                      (None, d, d), "action"):
+                                      (None, d, d), "action", memo):
         action_rows.setdefault((h, x), []).append((y, c))
     coaction_rows: dict = {}
     for (x, h, y), c in _entries_load(ctx, data["coaction"]["entries"],
-                                      (d, None, d), "coaction"):
+                                      (d, None, d), "coaction", memo):
         coaction_rows.setdefault(x, []).append((h, y, c))
     return ImportedYD(algebra,
                       {hx: tuple(t) for hx, t in action_rows.items()},
@@ -670,11 +734,16 @@ def import_object(data):
 def reexport_bytes(obj) -> bytes:
     """Serialize an imported object back to canonical bytes."""
     if isinstance(obj, FiniteHopf):
-        return _canonical(_hopf_block(obj))
-    if isinstance(obj, ImportedYD):
-        return _canonical(_yd_json(obj.algebra, obj.action_rows,
-                                   obj.coaction_rows, obj.hopf_name))
-    return _canonical(_algebra_block(obj))
+        block = _hopf_block(obj)
+    elif isinstance(obj, ImportedYD):
+        acts, coacts = obj.action_rows, obj.coaction_rows
+        block = _yd_block(obj.algebra,
+                          ((hx, acts[hx]) for hx in sorted(acts)),
+                          (((x,), coacts[x]) for x in sorted(coacts)),
+                          obj.hopf_name)
+    else:
+        block = _algebra_block(obj)
+    return b"".join(_document(block))
 
 
 # -- argument parsing -------------------------------------------------------------
@@ -745,13 +814,33 @@ def _out_error(out: Optional[str]) -> Optional[str]:
     return None
 
 
-def _write(payload: bytes, out: Optional[str]) -> None:
-    if out:
-        with open(out, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
+def _write(chunks, out: Optional[str]) -> None:
+    """Write the byte chunks to stdout, or to the file `out`.
+
+    A file is written under a temporary name in its directory and renamed
+    over `out` once every chunk is written, so a run that fails halfway
+    leaves `out` as it was.  Only a special file (say /dev/null) is
+    written in place.
+    """
+    if not out:
+        sys.stdout.buffer.writelines(chunks)
         sys.stdout.buffer.flush()
+        return
+    target = os.path.realpath(out)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    parent, base = os.path.split(target)
+    tmp = os.path.join(parent, f".{base}.{os.getpid()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cmd_verify(args) -> int:
@@ -767,7 +856,7 @@ def _cmd_verify(args) -> int:
     except ConfigError as exc:
         print(f"hopfbench verify: error: {exc}", file=sys.stderr)
         return 2
-    _write(render(report, args.format), args.out)
+    _write([render(report, args.format)], args.out)
     return 0 if report.ok else 1
 
 
@@ -794,11 +883,11 @@ def _cmd_export(args) -> int:
         print(f"hopfbench export: error: {bad_out}", file=sys.stderr)
         return 2
     try:
-        payload = export_bytes(args.object, args.p)
+        chunks = _export_chunks(args.object, args.p)
     except ValueError as exc:
         print(f"hopfbench export: error: {exc}", file=sys.stderr)
         return 2
-    _write(payload, args.out)
+    _write(chunks, args.out)
     return 0
 
 

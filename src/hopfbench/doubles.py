@@ -530,32 +530,26 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction, walk,
     and B in mu and m:
 
         (eps (x) m) |> ((mu (x) 1) |> A)
-            = ((m' -> mu <- S^{-1}(m''')) (x) m'') |> A.
+            = ((eps (x) m)(mu (x) 1)) |> A
+            = ((m' -> mu <- S^{-1}(m''')) (x) m'') |> A,
+
+    the product in D being read from its multiplication table, whose
+    rows hold D's memoized R rows.
     """
-    base, dual, P = D.base, D.dual, D.pairing
+    base, dual = D.base, D.dual
     nB, nF = base.dim, dual.dim
     one = D.ctx.one
     walk = walk.over((nF, nB, act.algebra.dim),
                      (gen_indices(dual), gen_indices(base), None))
     chk = Check(name, walk.label)
-    base_sinv = base.antipode_inv()
-    d3: dict[int, tuple] = {}
+    product = D.hopf.mult.apply
 
     def case(f: int, m: int, x: int) -> Optional[str]:
         lhs: Vec = {}
         for xp, c in act.dual_row(f, x):
             vadd_into(lhs, act.prim_row(m, xp), c)
-        dvec: Vec = {}
-        for m1, m2, m3, c in _iter3(base, d3, m):
-            mid: Vec = {}
-            for ms, cs in base_sinv.get(m3):
-                vadd_into(mid, P.dual_right(f, ms), cs)
-            if not mid:
-                continue
-            for fm, cm in mid.items():
-                c1 = c * cm
-                for fo, co in P.dual_left(m1, fm).items():
-                    vadd_term(dvec, fo * nB + m2, c1 * co)
+        dvec = product(tensor_flat(dual.unit, {m: one}, nB),
+                       tensor_flat({f: one}, base.unit, nB))
         rhs = act.apply(dvec, {x: one})
         if veq(lhs, rhs):
             return None

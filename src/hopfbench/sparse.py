@@ -89,8 +89,11 @@ def shared_row(row) -> Row:
     (`c.ctx`) keeps for those indices and that scalar.  The keys are ints
     and the scalar's serial, which stands for the scalar itself because
     scalars are interned, so storing a row runs no Cyc arithmetic,
-    hashing or comparison.
+    hashing or comparison.  A row that is already stored (a tuple of
+    shared entries, such as another table's row) is returned as it is,
+    so that two tables reading one row hold one tuple.
     """
+    stored = type(row) is tuple
     if isinstance(row, dict):
         row = row.items()
     out = []
@@ -102,8 +105,10 @@ def shared_row(row) -> Row:
         shared = entries.get(key)
         if shared is None:
             shared = entries[key] = head + (c,)
+        if shared is not entry:
+            stored = False
         out.append(shared)
-    return tuple(out)
+    return row if stored else tuple(out)
 
 
 # -- vector helpers ---------------------------------------------------------

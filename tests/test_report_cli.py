@@ -6,9 +6,11 @@ import copy
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -558,7 +560,9 @@ def test_eval_usage_errors(capsys, argv):
     assert capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["taft", "taft-dual", "cqzd", "chain(2)"])
+@pytest.mark.parametrize("name", ["taft", "taft-dual", "cqzd", "chain(2)",
+                                  "ddouble", "hdouble", "uqsl2", "hqsl2",
+                                  "chain(3)"])
 def test_export_round_trip(name):
     blob = export_bytes(name, 2)
     obj = import_object(json.loads(blob))
@@ -599,9 +603,10 @@ def test_scalar_encoding_is_shared_across_cyc_forms():
     single = ctx.zeta_pow(4)              # stored as one term
     dense = ctx.zeta_pow(2) - ctx.one     # the same value, stored densely
     assert single == dense
-    enc = cli_module._scalar_json(single)
-    assert cli_module._scalar_json(dense) is enc
-    assert enc == [{"num": n, "den": "1"} for n in ("-1", "0", "1", "0")]
+    enc = cli_module._scalar_text(single)
+    assert cli_module._scalar_text(dense) is enc
+    assert json.loads(enc) == [{"num": n, "den": "1"}
+                               for n in ("-1", "0", "1", "0")]
 
 
 def test_export_cli(tmp_path, capsys):
@@ -617,7 +622,7 @@ def test_export_cli(tmp_path, capsys):
 @pytest.mark.parametrize("argv,work", [
     (["verify", "--p", "2", "--suite", "chains", "--format", "json"],
      "run_suite"),
-    (["export", "--p", "2", "cqzd"], "export_bytes"),
+    (["export", "--p", "2", "cqzd"], "_export_chunks"),
 ])
 def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, monkeypatch,
                                                      capsys, argv, work):
@@ -629,6 +634,78 @@ def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert "does not exist" in err and "Traceback" not in err
     assert not out.exists() and not out.parent.exists()
+
+
+def test_export_writes_the_same_bytes_to_a_file_and_to_stdout(
+        tmp_path, capsysbinary):
+    out = tmp_path / "hqsl2.json"
+    assert main(["export", "--p", "2", "hqsl2", "--out", str(out)]) == 0
+    assert main(["export", "--p", "2", "hqsl2"]) == 0
+    blob = export_bytes("hqsl2", 2)
+    assert out.read_bytes() == blob
+    assert capsysbinary.readouterr().out == blob
+
+
+def test_export_that_fails_halfway_leaves_no_file(tmp_path, monkeypatch,
+                                                  capsys):
+    out = tmp_path / "cqzd.json"
+    out.write_bytes(b"an earlier file\n")
+    get = cli_module.BilinearMap.get
+    calls = []
+
+    def failing_get(self, i, j):
+        calls.append((i, j))
+        if len(calls) == 10:
+            raise RuntimeError("row getter failed")
+        return get(self, i, j)
+
+    monkeypatch.setattr(cli_module.BilinearMap, "get", failing_get)
+    assert main(["export", "--p", "2", "cqzd", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "row getter failed" in err
+    assert "in _table" in err                 # midway through the writing
+    assert os.listdir(tmp_path) == ["cqzd.json"]
+    assert out.read_bytes() == b"an earlier file\n"
+    out.unlink()
+    calls.clear()
+    assert main(["export", "--p", "2", "cqzd", "--out", str(out)]) == 3
+    assert os.listdir(tmp_path) == []
+
+
+def test_export_writes_through_a_link_and_into_a_pipe(tmp_path):
+    """--out renames its file over the link's target, not over the link,
+    and writes a special file in place."""
+    blob = export_bytes("cqzd", 2)
+    real, link, fifo = (tmp_path / n for n in ("real.json", "link", "pipe"))
+    real.write_bytes(b"old\n")
+    link.symlink_to(real)
+    assert main(["export", "--p", "2", "cqzd", "--out", str(link)]) == 0
+    assert link.is_symlink() and real.read_bytes() == blob
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["export", "--p", "2", "cqzd", "--out", str(fifo)]) == 0
+        assert os.read(reader, len(blob) + 1) == blob
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["link", "pipe", "real.json"]
+
+
+def test_export_holds_no_copy_of_the_document(tmp_path):
+    """With its rows warm, writing hdouble (11.8 MB at p=2) allocates a
+    few row-sized chunks at a time, not the document."""
+    out = tmp_path / "hdouble.json"
+    assert main(["export", "--p", "2", "hdouble", "--out", str(out)]) == 0
+    size = out.stat().st_size
+    tracemalloc.start()
+    try:
+        assert main(["export", "--p", "2", "hdouble", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size == size > 10_000_000
+    assert peak < 3_000_000
 
 
 # Index columns of each table in an exported FiniteHopf.

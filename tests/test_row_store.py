@@ -158,3 +158,12 @@ def test_storing_a_row_runs_no_scalar_arithmetic(monkeypatch):
     assert all(e is f for e, f in zip(shared_row(list(pairs)), pairs))
     row = cold.get(1, 1)
     assert row[0][0] == 4 and row[0][1] is seven and cold.get(1, 1) is row
+
+
+def test_storing_a_stored_row_returns_it():
+    ctx = QContext(2)
+    row = shared_row({0: ctx.one, 3: ctx.zeta})
+    assert shared_row(row) is row
+    assert shared_row(list(row)) == row and shared_row(list(row)) is not row
+    copy = tuple((k, c) for k, c in row)      # equal entries, not shared
+    assert shared_row(copy) is not copy and shared_row(copy) == row

@@ -169,3 +169,11 @@ def test_a_corrupted_factor_action_row_breaks_the_match(sys2, factors):
         dual_yd.hopf, dual_yd.algebra,
         lambda h, v: dict(bad_row if (h, v) == (h0, v0) else act.row(h, v))))
     assert _yd_mismatch(braided_product(bad, base_yd), sys2.yd)[0] == "action"
+
+
+def test_hdouble_coaction_rows_are_the_double_coproduct_rows(sys2):
+    """H(B*)'s coaction stores D(B)'s coproduct rows themselves, not equal
+    copies: the two tables hold one tuple per row."""
+    coact, comult = sys2.yd.coaction, sys2.double.hopf.comult
+    assert all(coact.terms(x) is comult.get(x)
+               for x in range(sys2.heis.algebra.dim))
