@@ -27,7 +27,7 @@ from .hopf import check_algebra_axioms, check_hopf_axioms, render_element
 from .mutations import MUTATIONS, run_mutation
 from .results import (MODES, Check, CheckResult, TupleWalks, gen_indices,
                       invert_expected_failure, lemma_walk, subcoalgebra_walk,
-                      summarize, two_sided_lemma_walk)
+                      subcomodule_walk, summarize, two_sided_lemma_walk)
 from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
                    cqzd, cqzd_center_check, double_presentation_check,
                    h2_matches_cqzd_check, hq_action_table_check,
@@ -329,8 +329,9 @@ def _suite_yd(cfg: SuiteConfig):
     walks = _walks(cfg)
     # The four yd proof walks, in every mode but sample, each built where
     # its check runs: module-action on the two factors of D(B), then
-    # module-algebra on a subcoalgebra of D(B), yd-condition and
-    # braided-commutative from generators (see each check).
+    # module-algebra and yd-condition on a subcoalgebra of D(B) against
+    # the generators of H(B*), and braided-commutative on a subcomodule
+    # of H(B*) against its generators (see each check).
     proofs = cfg.resolved_mode != "sample"
     yield check_module(
         y, module_factor_walk(sys.double, y.action) if proofs else walks)
@@ -338,9 +339,10 @@ def _suite_yd(cfg: SuiteConfig):
         y, subcoalgebra_walk(y.hopf, y.algebra) if proofs else walks)
     yield check_comodule(y)
     yield check_comodule_algebra(y, _comodule_algebra(cfg, y.algebra))
-    yield check_yd(y, lemma_walk(y.hopf) if proofs else walks)
+    yield check_yd(y, subcoalgebra_walk(y.hopf, y.algebra, 2)
+                   if proofs else walks)
     yield check_braided_commutative(
-        y, lemma_walk(y.algebra) if proofs else walks)
+        y, subcomodule_walk(y) if proofs else walks)
 
 
 def _suite_heisenberg(cfg: SuiteConfig):

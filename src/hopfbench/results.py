@@ -31,10 +31,15 @@ so the walk and phi(1) = 1 put the generators and the unit in S, and
 under A's product must reach full rank, or a twisted product's factors
 pass their identities -- makes S all of A: the walk is then a proof.
 
-Checks of a module-algebra law h |> (xy) = (h' |> x)(h'' |> y) may take
-`subcoalgebra_walk`: h over `coalgebra_closure(H)`, the basis indices of
-H's unit and generators closed under the legs of the coproduct, and
-(g, y) over `generator_pairs(X)`; `check_module_algebra` states the
+Laws of an H-action on an algebra X may take `subcoalgebra_walk`, with
+h over `coalgebra_closure(H)`, the basis indices of H's unit and
+generators closed under the legs of the coproduct, then the generator
+indices of X: (h, g, y), y over X's basis, for the module-algebra law,
+which `check_module_algebra` states, and (h, g) for the YD condition,
+which `check_yd` states.  Braided commutativity may take
+`subcomodule_walk`, with u over `coaction_closure`, the basis indices of
+X's unit and generators closed under the x_0 legs of the coaction, and g
+over the generator indices of X; `check_braided_commutative` states the
 lemma.
 """
 
@@ -53,7 +58,7 @@ __all__ = ["MODES", "CheckResult", "Check", "summarize",
            "invert_expected_failure", "gen_indices", "generator_pairs",
            "generation_failure", "Walk", "TupleWalks", "lemma_walk",
            "two_sided_lemma_walk", "coalgebra_closure",
-           "subcoalgebra_walk"]
+           "coaction_closure", "subcoalgebra_walk", "subcomodule_walk"]
 
 MODES = ("exhaustive", "generators", "sample")
 
@@ -327,29 +332,60 @@ def two_sided_lemma_walk(alg) -> Walk:
         certificate=partial(generation_failure, alg))
 
 
+def _closure(seeds: set, legs: Callable[[int], Iterable[int]]) -> list:
+    """`seeds` closed under `legs`, the indices each index reaches,
+    ascending."""
+    closed = set(seeds)
+    todo = list(closed)
+    while todo:
+        for leg in legs(todo.pop()):
+            if leg not in closed:
+                closed.add(leg)
+                todo.append(leg)
+    return sorted(closed)
+
+
 def coalgebra_closure(H) -> list:
     """The basis indices of H's unit and declared generators, closed
     under the legs of H's coproduct, ascending: their span C is then a
     subcoalgebra, Delta(C) in C (x) C, that holds 1 and the generators
     (Radford, Hopf Algebras, 2012, section 2.2)."""
-    closed = set(H.unit) | gen_indices(H)
-    todo = list(closed)
-    while todo:
-        for j, k, _ in H.comult.get(todo.pop()):
-            for leg in (j, k):
-                if leg not in closed:
-                    closed.add(leg)
-                    todo.append(leg)
-    return sorted(closed)
+    return _closure(set(H.unit) | gen_indices(H),
+                    lambda i: (leg for j, k, _ in H.comult.get(i)
+                               for leg in (j, k)))
 
 
-def subcoalgebra_walk(H, X) -> Walk:
-    """(c, g, y): c over `coalgebra_closure(H)`, then (g, y) over
-    `generator_pairs(X)`, closed by the generation certificates of X and
-    of H, labelled "generators"; `ydcat.check_module_algebra` states the
-    lemma."""
+def coaction_closure(y) -> list:
+    """The basis indices of the unit and the declared generators of y's
+    algebra X, closed under the x_0 legs of y's coaction, ascending:
+    their span Y then holds 1 and the generators, and delta(Y) lies in
+    H (x) Y, so Y is a subcomodule."""
+    X = y.algebra
+    return _closure(set(X.unit) | gen_indices(X),
+                    lambda x: (x0 for _, x0, _ in y.coaction.terms(x)))
+
+
+def subcoalgebra_walk(H, X, arity: int = 3) -> Walk:
+    """The tuples (c, g, x, ...) of length `arity`: c over
+    `coalgebra_closure(H)`, g over the declared generator indices of X
+    and the rest over X's basis, closed by the generation certificates
+    of X and of H, labelled "generators"; `ydcat.check_module_algebra`
+    (3) and `ydcat.check_yd` (2) state the lemmas."""
+    rest = [range(X.dim)] * (arity - 2)
     return Walk("generators",
-                ((c, g, y) for c in coalgebra_closure(H)
-                 for g, y in generator_pairs(X)),
+                itertools.product(coalgebra_closure(H),
+                                  sorted(gen_indices(X)), *rest),
                 certificate=lambda: (generation_failure(X)
                                      or generation_failure(H)))
+
+
+def subcomodule_walk(y) -> Walk:
+    """(u, g): u over `coaction_closure(y)` and g over the declared
+    generator indices of y's algebra X, closed by the generation
+    certificate of X, labelled "generators";
+    `ydcat.check_braided_commutative` states the lemma."""
+    X = y.algebra
+    return Walk("generators",
+                itertools.product(coaction_closure(y),
+                                  sorted(gen_indices(X))),
+                certificate=partial(generation_failure, X))

@@ -15,7 +15,8 @@ A quotient lifts by its monomial section and pushes by the projection, a
 sub-Hopf algebra lifts by its index and pushes by the reindex, and a
 change of basis lifts to the new basis and pushes by `SpanSolver.solve`.
 The same push and (push (x) push) (`_Push.pairs`) serve the Hopf-ideal
-checks, the quotient morphism check and the transported algebra.
+checks and the transported algebra; the quotient morphism check
+certifies the push of a quotient itself.
 
 * `hopf_quotient` -- quotient a Hopf algebra by a two-sided Hopf ideal,
   with exact projection and a monomial section: the quotient basis is
@@ -50,8 +51,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .hopf import FiniteAlgebra, FiniteHopf, render_element
-from .results import (Check, CheckResult, Walk, gen_indices,
-                      generation_failure, lemma_walk)
+from .results import Check, CheckResult, Walk, generation_failure
 from .sparse import (BilinearMap, ColinearMap, LazyLinearMap, QuotientSpace,
                      Space, SpanSolver, Subspace, Vec, span_closure,
                      vadd_into, vadd_term, veq, vsub)
@@ -79,11 +79,10 @@ class _Push:
 
     __slots__ = ("image", "dim", "memo")
 
-    def __init__(self, image: Callable[[int], Vec], dim: int,
-                 memo: Optional[dict] = None):
+    def __init__(self, image: Callable[[int], Vec], dim: int):
         self.image = image
         self.dim = dim
-        self.memo = {} if memo is None else memo
+        self.memo: dict[int, Vec] = {}
 
     def basis(self, k: int) -> Vec:
         """The image of basis vector k (shared: read it, never edit it)."""
@@ -121,9 +120,9 @@ def _by_first(flat: Vec, n: int) -> dict[int, Vec]:
     return out
 
 
-def _projection(Q: QuotientSpace, one, memo: Optional[dict] = None) -> _Push:
+def _projection(Q: QuotientSpace, one) -> _Push:
     """The projection onto the quotient coordinates of Q."""
-    return _Push(lambda k: Q.project({k: one}), Q.dim, memo)
+    return _Push(lambda k: Q.project({k: one}), Q.dim)
 
 
 def _pushforward(A, space: Space, lift: Callable[[int], Vec], push: _Push,
@@ -308,19 +307,19 @@ def check_hopf_ideal(H: FiniteHopf, I: Subspace,
 class HopfQuotient:
     """A Hopf algebra quotient with its projection and monomial section.
 
-    `pcache`, when given, holds the projection of each parent basis
-    vector; it is filled as `project` reads it."""
+    `_pushed` is None, or the (quotient, parent, qspace, projection) that
+    `hopf_quotient` pushed the quotient's tables through."""
 
-    __slots__ = ("parent", "ideal", "qspace", "quotient", "_push")
+    __slots__ = ("parent", "ideal", "qspace", "quotient", "_push", "_pushed")
 
     def __init__(self, parent: FiniteHopf, ideal: Subspace,
-                 qspace: QuotientSpace, quotient: Optional[FiniteHopf],
-                 pcache: Optional[dict] = None):
+                 qspace: QuotientSpace, quotient: Optional[FiniteHopf]):
         self.parent = parent
         self.ideal = ideal
         self.qspace = qspace
         self.quotient = quotient
-        self._push = _projection(qspace, parent.ctx.one, pcache)
+        self._push = _projection(qspace, parent.ctx.one)
+        self._pushed = None
 
     def project(self, v: Vec) -> Vec:
         """Parent coordinates -> quotient coordinates."""
@@ -347,59 +346,70 @@ def hopf_quotient(H: FiniteHopf, I: Subspace, name: str = "") -> HopfQuotient:
             else None)
     hq.quotient = _pushforward(H, space, lambda i: Q.section({i: one}), push,
                                gens, name)
+    hq._pushed = (hq.quotient, H, Q, push)
     return hq
 
 
 def quotient_morphism_check(hq: HopfQuotient,
                             name: str = "quotient-morphism") -> CheckResult:
-    """The projection pi: H -> K is a Hopf-algebra morphism.
+    """The projection pi: H -> K = H/I is a Hopf-algebra morphism,
+    certified from the construction of K.
 
-    Multiplicativity pi(xy) = pi(x) pi(y): when H declares generators,
-    pi(1) = 1_K and the pairs of `results.lemma_walk(H)` put the unit
-    and the generators in S = {x : pi(xy) = pi(x) pi(y) for all y}, a
-    subalgebra because H and K are associative, and the walk's
-    certificate makes S all of H; the result is labelled "generators".
-    Its hypotheses are proved elsewhere: for u_q(sl_2), H = D(B) by
-    `hopf-axioms.ddouble-mult-associativity`, and K is the quotient by
-    the ideal that `uq-ideal-hopf` certifies.  When H declares no
-    generators every basis pair is walked.  Delta, eps and S are then
-    checked on every basis vector.
+    `hopf_quotient` builds K as the pushforward (`_pushforward`) of H
+    through pi and the section s:
+
+        m_K = pi . m . (s (x) s)     1_K = pi(1)
+        Delta_K = (pi (x) pi) . Delta . s
+        S_K = pi . S . s             eps_K = eps . s
+
+    The check reads none of these tables, so a quotient they were not
+    built for -- not made by `hopf_quotient` from this `hq`'s parent,
+    quotient space and projection -- is refused with a ValueError.  It
+    walks, in order, and stops at the first failure:
+
+    1. dim K + dim I = dim H;
+    2. pi(s(e_i)) = e_i for every basis vector e_i of K;
+    3. pi(r) = 0 for every echelon row r of I, named by its pivot.
+
+    By 2, pi is onto, so ker pi has dimension dim H - dim K, which is
+    dim I by 1; by 3, ker pi holds I.  So ker pi = I, and x - s(pi(x))
+    lies in I for every x, by 2.
+
+    Proof that pi is then a Hopf-algebra morphism.  The hypothesis is
+    that I is a Hopf ideal: `truncations.uq-ideal-hopf` certifies the
+    ideal of `taft.uqsl2`, and its `hq` holds that same ideal.  For x, y
+    in H put a = s(pi(x)) - x and b = s(pi(y)) - y, both in I.  Then
+
+        pi(x) pi(y) = pi(s(pi(x)) s(pi(y))) = pi(xy + ay + xb + ab)
+                    = pi(xy), as I is a two-sided ideal;
+        Delta_K(pi(x)) = (pi (x) pi) Delta(x + a) = (pi (x) pi) Delta(x),
+                    as Delta(I) lies in I (x) H + H (x) I;
+        eps_K(pi(x)) = eps(x + a) = eps(x), as eps(I) = 0;
+        S_K(pi(x)) = pi(S(x + a)) = pi(S(x)), as S(I) lies in I;
+
+    and pi(1) = 1_K by definition.  Every basis vector of K and every
+    row of I is checked, so the result is labelled "exhaustive".
     """
-    H, K = hq.parent, hq.quotient
+    H, I, Q, K = hq.parent, hq.ideal, hq.qspace, hq.quotient
     pi = hq._push
+    if hq._pushed is None or any(
+            a is not b for a, b in zip(hq._pushed, (K, H, Q, pi))):
+        raise ValueError(f"{name}: the quotient was not built by "
+                         "hopf_quotient through this projection")
     one = H.ctx.one
-
-    def unit_failure(chk: Check) -> Optional[str]:
+    chk = Check(name, "exhaustive", cases=1)
+    if K.dim + I.rank != H.dim:
+        return chk.result(f"dim K + dim I = {K.dim} + {I.rank}, "
+                          f"expected dim H = {H.dim}")
+    for i in range(K.dim):
         chk.cases += 1
-        return None if veq(pi(H.unit), K.unit) else "pi(1) != 1"
-
-    def case(i: int, j: int) -> Optional[str]:
-        lhs = pi(dict(H.mult.get(i, j)))
-        rhs = K.mult.apply(pi.basis(i), pi.basis(j))
-        if veq(lhs, rhs):
-            return None
-        return f"pi(xy) != pi(x)pi(y) at x={H.space.label(i)}, y={H.space.label(j)}"
-
-    if gen_indices(H) is None:
-        walk = Walk("exhaustive", itertools.product(range(H.dim), repeat=2))
-    else:
-        walk = lemma_walk(H)
-        walk.prelude = unit_failure
-    chk = Check(name, walk.label)
-    wit = walk.failure(chk, case)
-    if wit is not None:
-        return chk.result(wit)
-    for i in range(H.dim):
+        if not veq(pi(Q.section({i: one})), {i: one}):
+            return chk.result(f"pi(s(x)) != x at x={K.space.label(i)}")
+    for pivot in I.pivots:
         chk.cases += 1
-        pix = pi.basis(i)
-        if not veq(pi.pairs(H.coproduct({i: one}), H.dim), K.coproduct(pix)):
-            return chk.result(f"(pi(x)pi)Delta(x) != Delta(pi(x)) "
-                              f"at x={H.space.label(i)}")
-        if H.counit.get(i, None) != K.counit_of(pix) and \
-                (H.counit.get(i) or K.counit_of(pix)):
-            return chk.result(f"counit mismatch at x={H.space.label(i)}")
-        if not veq(pi(dict(H.antipode.get(i))), K.antipode_of(pix)):
-            return chk.result(f"pi(S(x)) != S(pi(x)) at x={H.space.label(i)}")
+        if pi(I.pivot_row[pivot]):
+            return chk.result(f"pi does not vanish on the row of I with "
+                              f"pivot {H.space.label(pivot)}")
     return chk.result()
 
 

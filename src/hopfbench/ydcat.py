@@ -394,21 +394,40 @@ def check_yd(y, walk, name: str = "yd-condition") -> CheckResult:
     """Compatibility of action and coaction on the (M, A) basis pairs of
     `walk`, with the generator indices of H in M:
 
-        (M' |> A)_(-1) M'' (x) (M' |> A)_(0)  =  M' A_(-1) (x) (M'' |> A_(0)).
+        YD(M, A):  (M' |> A)_(-1) M'' (x) (M' |> A)_(0)
+                   =  M' A_(-1) (x) (M'' |> A_(0)).
 
-    `results.lemma_walk(H)` -- M over the generators of H, A over the
-    basis of X -- proves it for every M.  S = {M : it holds for every A}
-    is a subspace, holds 1 by the unit law and Delta(1) = 1 (x) 1, and is
-    closed under products when H is associative, Delta is multiplicative
-    and (MN) |> A = M |> (N |> A): apply it for M to N' |> A, then for N
-    to A.  The walk's certificate makes S all of H.  For the yd suite
-    those hypotheses are `hopf-axioms.ddouble-mult-associativity`,
-    `ddouble-comult-counit-unital` and `ddouble-comult-multiplicative`,
-    and `yd.module-action`, proved by `doubles.module_factor_walk` from
-    the leg actions that define the factor rows of the
-    `doubles.FactoredAction` (which rests on `taft-mult-associativity`,
-    `taft-dual-mult-associativity`, `taft-comult-multiplicative` and
-    `taft-dual-comult-multiplicative`).
+    `results.subcoalgebra_walk(H, X, 2)` proves it for every pair: M over
+    C = `results.coalgebra_closure(H)`, whose span is a subcoalgebra
+    holding 1 and the generators of H, and A over the generators of X.
+    Write Delta^2(c) = c1 (x) c2 (x) c3, every leg in C.
+
+    Step 1, YD(c, A) for c in C and every A.  T = {a : YD(c, a) for every
+    c in C} is a subspace.  It holds 1: c1 |> 1 = eps(c1) 1 and
+    delta(1) = 1 (x) 1 turn both sides into c (x) 1.  It is closed under
+    products: for a, b in T and c in C, the module-algebra law on C, the
+    comodule-algebra law, YD(c2, b), then YD(c1, a) give
+
+        (c1 |> ab)_(-1) c2 (x) (c1 |> ab)_(0)
+          = (c1 |> a)_(-1) (c2 |> b)_(-1) c3 (x) (c1 |> a)_(0) (c2 |> b)_(0)
+          = (c1 |> a)_(-1) c2 b_(-1) (x) (c1 |> a)_(0) (c3 |> b_(0))
+          = c1 a_(-1) b_(-1) (x) (c2 |> a_(0)) (c3 |> b_(0))
+          = c1 (ab)_(-1) (x) (c2 |> (ab)_(0)).
+
+    The walk puts the generators of X in T, and its certificate
+    `generation_failure(X)` makes T all of X.
+
+    Step 2, YD(M, A) for every M.  S = {M : YD(M, A) for every A} is a
+    subspace that holds C, so 1 and the generators of H.  It is closed
+    under products when H is associative, Delta is multiplicative and
+    (MN) |> A = M |> (N |> A): apply YD for M to N' |> A, then for N to
+    A.  The certificate `generation_failure(H)` makes S all of H.
+
+    For the yd suite the hypotheses are `yd.module-action`,
+    `yd.module-algebra` and `yd.comodule-algebra`, and
+    `hopf-axioms.ddouble-mult-associativity`,
+    `ddouble-comult-coassociativity`, `ddouble-counit-laws` and
+    `ddouble-comult-multiplicative`.  None of them rests on this check.
     """
     H, alg = y.hopf, y.algebra
     act, coact = y.action, y.coaction
@@ -490,18 +509,39 @@ def check_braided_commutative(y: YDModuleAlgebra, walk,
     """y x = (y_(-1) |> x) y_(0) on the (y, x) basis pairs of `walk`, with
     the generator indices of X in both.
 
-    `results.lemma_walk(X)` -- y over the generators of X, x over its
-    basis -- proves it for every y.  S = {y : it holds for every x} is a
-    subspace, holds 1 by the unit law and delta(1) = 1 (x) 1, and is
-    closed under products when X is associative, (MN) |> x =
-    M |> (N |> x) and delta(yz) = delta(y) delta(z):
+    `results.subcomodule_walk(y)` proves it for every pair: its first
+    slot u runs over `results.coaction_closure(y)`, whose span Y holds 1
+    and the generators of X and is a subcomodule, delta(Y) in H (x) Y,
+    and its second slot over the generators of X.
+
+    Step 1, the law for u in Y and every x.  U = {x : ux = (u_(-1) |> x)
+    u_(0) for every u in Y} is a subspace.  It holds 1: M |> 1 =
+    eps(M) 1 and the counit law of the coaction give (u_(-1) |> 1) u_(0)
+    = u.  It is closed under products: for x1, x2 in U and u in Y, u_(0)
+    lies in Y, and X associative, coassociativity of the coaction and
+    the module-algebra law give
+
+        u x1 x2 = (u_(-1) |> x1) u_(0) x2
+                = (u_(-1) |> x1) (u_(0)(-1) |> x2) u_(0)(0)
+                = (u_(-1)' |> x1) (u_(-1)'' |> x2) u_(0)
+                = (u_(-1) |> x1 x2) u_(0).
+
+    The walk puts the generators of X in U, and its certificate
+    `generation_failure(X)` makes U all of X.
+
+    Step 2, the law for every y.  S = {y : it holds for every x} is a
+    subspace that holds Y, so 1 and the generators of X.  It is closed
+    under products when X is associative, (MN) |> x = M |> (N |> x) and
+    delta(yz) = delta(y) delta(z):
 
         (yz) x = y ((z_(-1) |> x) z_(0))
                = ((y_(-1) z_(-1)) |> x) y_(0) z_(0).
 
-    The walk's certificate makes S all of X.  For the yd suite those
-    hypotheses are `hopf-axioms.hdouble-mult-associativity`,
-    `yd.module-action` and `yd.comodule-algebra`.
+    The certificate makes S all of X.  For the yd suite the hypotheses
+    are `hopf-axioms.hdouble-mult-associativity` and
+    `hdouble-mult-unit`, and `yd.module-action`, `yd.module-algebra`,
+    `yd.comodule-coaction` and `yd.comodule-algebra`.  None of them
+    rests on this check.
     """
     alg, act, coact = y.algebra, y.action, y.coaction
     dX = alg.dim

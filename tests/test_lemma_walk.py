@@ -1,12 +1,19 @@
 """Soundness net of the lemma walks.
 
-`comodule-algebra` and `quotient-morphism` prove phi(xy) = phi(x) phi(y)
-from generator indices x and every basis y, plus a generation
-certificate.  Each is run here both ways at p=2: as the lemma walk, and
-as the full pair walk on a copy of the structure that declares no
-generators.  The two must agree on intact structures and on seeded
-single-term corruptions, and a lemma-walk failure must name the first
-failing pair in walk order.
+`comodule-algebra` proves delta(xy) = delta(x) delta(y) from generator
+indices x and every basis y, plus a generation certificate.  It is run
+here both ways at p=2: as the lemma walk, and as the full pair walk on a
+copy of the structure that declares no generators.  The two must agree
+on intact structures and on seeded single-term corruptions, and a
+lemma-walk failure must name the first failing pair in walk order.
+
+`quotient-morphism` certifies the projection of u_q(sl_2)'s quotient
+from its construction: ker pi = I and pi s = id.  On the intact quotient
+and on seeded corruptions of the projection memo it fails exactly when
+the walk of the Hopf-morphism laws over every pair and every basis
+vector fails, and its witness names the corrupted basis vector.  A
+quotient that `truncate.hopf_quotient` did not build through the
+certified projection is refused.
 
 `mult-associativity` in exhaustive mode walks the triples headed by a
 generator index.  On seeded single-entry corruptions of the Taft
@@ -18,11 +25,14 @@ product on a pair that touches no generator.
 (`doubles.module_factor_walk`), from the four leg actions that define
 the factor rows of the `doubles.FactoredAction`; `module-algebra` on the
 subcoalgebra of D(B) spanned by `results.coalgebra_closure` given
-`module-action`; and `yd-condition` and `braided-commutative` from
-generators given `module-action` and `comodule-algebra`.  On the intact
-p=2 structure and on seeded corruptions of its leg actions and of its
-coaction, each lemma walk passes together with those hypotheses exactly
-when its reference walk passes.
+`module-action`; `yd-condition` on the same subcoalgebra against the
+generators of H(B*), and `braided-commutative` on the subcomodule of
+H(B*) spanned by `results.coaction_closure` against its generators, each
+given `module-action`, `module-algebra`, `comodule-coaction` and
+`comodule-algebra`.  On the intact p=2 structure and on seeded
+corruptions of its leg actions and of its coaction, each lemma walk
+passes together with those hypotheses exactly when its reference walk
+passes.
 """
 
 from __future__ import annotations
@@ -35,15 +45,19 @@ import pytest
 from hopfbench.doubles import (DrinfeldDouble, FactoredAction,
                                module_factor_walk)
 from hopfbench.hopf import FiniteAlgebra, FiniteHopf, check_algebra_axioms
-from hopfbench.results import (TupleWalks, Walk, coalgebra_closure,
-                               gen_indices, generation_failure,
-                               generator_pairs, lemma_walk, subcoalgebra_walk)
-from hopfbench.sparse import BilinearMap, veq
+from hopfbench.mutations import MUTATIONS
+from hopfbench.results import (TupleWalks, Walk, coaction_closure,
+                               coalgebra_closure, gen_indices,
+                               generation_failure, generator_pairs,
+                               lemma_walk, subcoalgebra_walk,
+                               subcomodule_walk)
+from hopfbench.sparse import BilinearMap, Subspace, veq
 from hopfbench.taft import hqsl2, taft_system, uqsl2
-from hopfbench.truncate import HopfQuotient, quotient_morphism_check
+from hopfbench.truncate import (HopfQuotient, hopf_quotient,
+                                quotient_morphism_check)
 from hopfbench.ydcat import (Action, Coaction, check_braided_commutative,
-                             check_comodule_algebra, check_module,
-                             check_module_algebra, check_yd)
+                             check_comodule, check_comodule_algebra,
+                             check_module, check_module_algebra, check_yd)
 
 
 EXHAUSTIVE = TupleWalks("exhaustive", 0, 0)
@@ -77,13 +91,29 @@ def _both_ways(y):
             check_comodule_algebra(full, walk=EXHAUSTIVE))
 
 
-def _quotient_both_ways(hq, pcache=None):
-    """(lemma walk, full pair walk) of quotient-morphism on hq."""
-    def copy(parent):
-        return HopfQuotient(parent, hq.ideal, hq.qspace, hq.quotient,
-                            dict(pcache if pcache is not None else {}))
-    return (quotient_morphism_check(copy(hq.parent)),
-            quotient_morphism_check(copy(_hopf(hq.parent))))
+def _morphism_failure(hq):
+    """Where pi: H -> K first fails to be a Hopf-algebra morphism: ("unit",),
+    ("mult", x, y) for the first pair in lexicographic order with
+    pi(xy) != pi(x)pi(y), or ("hopf", x) for the first basis vector at
+    which pi does not commute with Delta, eps or S; None when it is
+    one."""
+    H, K = hq.parent, hq.quotient
+    one = H.ctx.one
+    pi = hq.project
+    if not veq(pi(H.unit), K.unit):
+        return ("unit",)
+    for i, j in itertools.product(range(H.dim), repeat=2):
+        if not veq(pi(dict(H.mult.get(i, j))),
+                   K.product(pi({i: one}), pi({j: one}))):
+            return ("mult", i, j)
+    for i in range(H.dim):
+        x = {i: one}
+        if not (veq(hq._push.pairs(H.coproduct(x), H.dim),
+                    K.coproduct(pi(x)))
+                and H.counit_of(x) == K.counit_of(pi(x))
+                and veq(pi(H.antipode_of(x)), K.antipode_of(pi(x)))):
+            return ("hopf", i)
+    return None
 
 
 def _labels(space, x, y):
@@ -146,10 +176,13 @@ def test_intact_comodule_algebra_agrees_both_ways(key):
 
 
 def test_intact_quotient_morphism_agrees_both_ways():
-    lemma, full = _quotient_both_ways(uqsl2(2).hq)
-    assert (lemma.status, lemma.mode) == ("pass", "generators")
-    assert (full.status, full.mode) == ("pass", "exhaustive")
-    assert (lemma.cases_checked, full.cases_checked) == (1281, 65_792)
+    hq = uqsl2(2).hq
+    res = quotient_morphism_check(hq)
+    # dim K + dim I = dim H, then pi s = id on K's 32 basis vectors and
+    # pi = 0 on I's 224 rows
+    assert (res.status, res.mode, res.cases_checked) == (
+        "pass", "exhaustive", 1 + 32 + 224)
+    assert _morphism_failure(hq) is None
 
 
 def _corrupt_coaction(y, seed):
@@ -183,34 +216,72 @@ def test_corrupted_coaction_agrees_both_ways_and_fails_first(key, seed):
     assert lemma.witness == f"x={lx}, y={lz}: delta(xy) != delta(x) delta(y)"
 
 
+def _fresh_quotient():
+    """The quotient of u_q(sl_2) at p=2 built again by `hopf_quotient`,
+    with a projection memo that none of its tables has read."""
+    hq = uqsl2(2).hq
+    return hopf_quotient(hq.parent, hq.ideal, name=hq.quotient.name)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_corrupted_quotient_map_agrees_both_ways_and_fails_first(seed):
-    hq = uqsl2(2).hq
-    H, K = hq.parent, hq.quotient
+    """One term of the memoized projection of a seeded basis vector e_k,
+    neither a generator index nor the unit, times zeta, before K's lazy
+    tables read it: pi is then no Hopf-algebra morphism onto the K that
+    it builds, and the certificate fails at e_k, by pi s = id when k is
+    a quotient label and by pi(I) = 0 on the row of pivot k
+    otherwise."""
+    hq = _fresh_quotient()
+    H, Q = hq.parent, hq.qspace
     one = H.ctx.one
     rng = random.Random(seed)
     skip = set(H.unit).union(*H.generators)
-    pcache = {k: hq.project({k: one}) for k in range(H.dim)}
-    k = rng.choice([i for i in range(H.dim) if i not in skip and pcache[i]])
-    t = rng.choice(sorted(pcache[k]))
-    pcache[k] = {**pcache[k], t: pcache[k][t] * H.ctx.zeta}
-    lemma, full = _quotient_both_ways(hq, pcache)
-    assert lemma.status == full.status == "fail"
+    k = rng.choice([i for i in range(H.dim) if i not in skip])
+    true = Q.project({k: one})
+    t = rng.choice(sorted(true))
+    hq._push.memo[k] = {**true, t: true[t] * H.ctx.zeta}
+    res = quotient_morphism_check(hq)
+    assert res.status == "fail"
+    label = H.space.label(k)
+    assert res.witness == (
+        f"pi(s(x)) != x at x={label}" if k in Q.index_of_ambient else
+        f"pi does not vanish on the row of I with pivot {label}")
+    assert _morphism_failure(hq) is not None
 
-    def proj(v):
-        out: dict = {}
-        for i, c in v.items():
-            for q, cq in pcache[i].items():
-                out[q] = out.get(q, H.ctx.zero) + c * cq
-        return {q: c for q, c in out.items() if c}
 
-    def ok(i, j):
-        return veq(proj(H.product({i: one}, {j: one})),
-                   K.product(proj({i: one}), proj({j: one})))
+def test_an_ideal_short_of_the_kernel_fails_the_dimension_count():
+    """I without its last row still lies in ker pi, and pi s = id, so
+    only dim K + dim I = dim H shows that ker pi is larger than I."""
+    hq = _fresh_quotient()
+    rows = hq.ideal.basis_rows()
+    hq.ideal = Subspace(hq.parent.dim)
+    hq.ideal.add_many(rows[:-1])
+    res = quotient_morphism_check(hq)
+    assert (res.status, res.cases_checked) == ("fail", 1)
+    assert res.witness == "dim K + dim I = 32 + 223, expected dim H = 256"
 
-    i, j = _first_failing(H, ok)
-    li, lj = _labels(H.space, i, j)
-    assert lemma.witness == f"pi(xy) != pi(x)pi(y) at x={li}, y={lj}"
+
+def test_a_quotient_not_built_by_hopf_quotient_is_refused(monkeypatch,
+                                                           capsys):
+    """The certificate reads none of K's tables, so it refuses a K that
+    `hopf_quotient` did not push through the projection it certifies: a
+    copy of K's tables, or a quotient record with a projection of its
+    own.  Through the CLI the refusal is an engine error, exit 3."""
+    from hopfbench import report as report_module
+    from hopfbench.cli import main
+
+    uq = uqsl2(2)
+    hq = uq.hq
+    K = hq.quotient
+    for bad in (HopfQuotient(hq.parent, hq.ideal, hq.qspace,
+                             _hopf(K, K.generators)),
+                HopfQuotient(hq.parent, hq.ideal, hq.qspace, K)):
+        with pytest.raises(ValueError, match="not built by hopf_quotient"):
+            quotient_morphism_check(bad)
+    monkeypatch.setattr(report_module, "uqsl2", lambda p: uq._replace(
+        hq=HopfQuotient(hq.parent, hq.ideal, hq.qspace, K)))
+    assert main(["verify", "--p", "2", "--suite", "truncations"]) == 3
+    assert "not built by hopf_quotient" in capsys.readouterr().err
 
 
 def test_a_lemma_only_pass_rests_on_a_failed_associativity():
@@ -250,14 +321,6 @@ def test_too_few_generators_fail_the_certificate():
     assert res.witness.endswith("; generation certificate failed")
     assert res.witness.startswith("generating set spans rank ")
 
-    hq = uqsl2(2).hq
-    H = hq.parent
-    few_q = HopfQuotient(_hopf(H, H.generators[:-1]), hq.ideal, hq.qspace,
-                         hq.quotient)
-    res = quotient_morphism_check(few_q)
-    assert res.status == "fail"
-    assert res.witness.endswith("; generation certificate failed")
-
     sys2 = taft_system(2)
     D, y = sys2.double, sys2.yd
     H, X = y.hopf, y.algebra
@@ -272,9 +335,12 @@ def test_too_few_generators_fail_the_certificate():
                     H, _algebra(X, X.generators[:-1]))),
                 check_module_algebra(y, walk=subcoalgebra_walk(
                     _hopf(H, H.generators[:-1]), X)),
-                check_yd(y, walk=lemma_walk(_hopf(H, H.generators[:-1]))),
-                check_braided_commutative(
-                    y, walk=lemma_walk(_algebra(X, X.generators[:-1]))),
+                check_yd(y, walk=subcoalgebra_walk(
+                    H, _algebra(X, X.generators[:-1]), 2)),
+                check_yd(y, walk=subcoalgebra_walk(
+                    _hopf(H, H.generators[:-1]), X, 2)),
+                check_braided_commutative(y, walk=subcomodule_walk(
+                    y._replace(algebra=_algebra(X, X.generators[:-1])))),
                 _axioms(_algebra(X, X.generators[:-1]))[0]):
         assert res.status == "fail"
         assert res.witness.endswith("; generation certificate failed")
@@ -364,33 +430,38 @@ def _walks(y) -> dict:
             check_module(y, walk=module_factor_walk(D, y.action)),
             check_module(y, walk=_generic_module_walk(y))),
         "comodule-algebra": _both_ways(y),
-        "yd-condition": (check_yd(y, walk=lemma_walk(y.hopf)),
-                         check_yd(y, walk=EXHAUSTIVE)),
+        "yd-condition": (
+            check_yd(y, walk=subcoalgebra_walk(y.hopf, y.algebra, 2)),
+            check_yd(y, walk=EXHAUSTIVE)),
         "braided-commutative": (
-            check_braided_commutative(y, walk=lemma_walk(y.algebra)),
+            check_braided_commutative(y, walk=subcomodule_walk(y)),
             check_braided_commutative(y, walk=EXHAUSTIVE)),
     }
 
 
-def _assert_lemma_walks_agree(walks: dict) -> None:
-    """Each lemma walk, with the hypothesis checks it rests on, passes
-    exactly when its reference walk passes."""
+def _assert_lemma_walks_agree(y, walks: dict) -> None:
+    """Each lemma walk of `_walks(y)`, with the hypothesis checks it rests
+    on, passes exactly when its reference walk passes."""
     def ok(r):
         return r.status == "pass"
 
-    module, comodule = walks["module-action"][0], walks["comodule-algebra"][0]
+    rests_on = (walks["module-action"][0],
+                check_module_algebra(y, walk=subcoalgebra_walk(y.hopf,
+                                                               y.algebra)),
+                check_comodule(y), walks["comodule-algebra"][0])
     for claim, hypotheses in (("module-action", ()),
                               ("comodule-algebra", ()),
-                              ("yd-condition", (module, comodule)),
-                              ("braided-commutative", (module, comodule))):
+                              ("yd-condition", rests_on),
+                              ("braided-commutative", rests_on)):
         lemma, reference = walks[claim]
         assert lemma.mode == "generators"
         assert (ok(lemma) and all(map(ok, hypotheses))) == ok(reference), claim
 
 
 def test_intact_yd_structure_passes_every_lemma_walk():
-    walks = _walks(taft_system(2).yd)
-    _assert_lemma_walks_agree(walks)
+    y = taft_system(2).yd
+    walks = _walks(y)
+    _assert_lemma_walks_agree(y, walks)
     assert {claim: (lemma.status, lemma.cases_checked, reference.status,
                     reference.cases_checked)
             for claim, (lemma, reference) in walks.items()} == {
@@ -398,24 +469,26 @@ def test_intact_yd_structure_passes_every_lemma_walk():
                           + 4 * (16 + 2 * 16 * 16) + 4 * 16 + 4 * 2 * 256,
                           "pass", 256 + 4 * 256 * 256),
         "comodule-algebra": ("pass", 1_025, "pass", 1 + 256 * 256),
-        "yd-condition": ("pass", 1_024, "pass", 256 * 256),
-        "braided-commutative": ("pass", 1_024, "pass", 256 * 256),
+        # 7 elements of the closure of D(B), 6 of H(B*), 4 generators
+        "yd-condition": ("pass", 7 * 4, "pass", 256 * 256),
+        "braided-commutative": ("pass", 6 * 4, "pass", 256 * 256),
     }
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_corrupted_action_rows_fail_where_the_references_fail(seed):
     """Seed n corrupts one entry of the leg LEGS[n - 1]."""
-    walks = _walks(_seeded_leg_corruption(taft_system(2).yd, seed,
-                                          LEGS[seed - 1]))
-    _assert_lemma_walks_agree(walks)
+    y = _seeded_leg_corruption(taft_system(2).yd, seed, LEGS[seed - 1])
+    walks = _walks(y)
+    _assert_lemma_walks_agree(y, walks)
     assert [r.status for r in walks["module-action"]] == ["fail", "fail"]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_corrupted_coaction_fails_where_the_references_fail(seed):
-    walks = _walks(_corrupt_coaction(taft_system(2).yd, seed))
-    _assert_lemma_walks_agree(walks)
+    y = _corrupt_coaction(taft_system(2).yd, seed)
+    walks = _walks(y)
+    _assert_lemma_walks_agree(y, walks)
     assert walks["module-action"][0].status == "pass"
 
 
@@ -664,6 +737,41 @@ def test_the_coalgebra_closure_is_a_seven_element_subcoalgebra(p):
     assert set(H.unit) | gen_indices(H) <= C
     assert all(j in C and k in C
                for c in closure for j, k, _ in H.comult.get(c))
+
+
+@pytest.mark.parametrize("key", ["taft2", "taft3", "hqsl2"])
+def test_the_coaction_closure_spans_a_subcomodule(key):
+    """Y holds the unit and the generators of X, and delta(Y) lies in
+    H (x) span Y, read through the public coaction map."""
+    y = {"taft2": lambda: taft_system(2).yd,
+         "taft3": lambda: taft_system(3).yd,
+         "hqsl2": lambda: hqsl2(2).yd}[key]()
+    X = y.algebra
+    closure = coaction_closure(y)
+    assert closure == sorted(set(closure))
+    Y = set(closure)
+    assert set(X.unit) | gen_indices(X) <= Y
+    one = y.hopf.ctx.one
+    assert all(flat % X.dim in Y for u in closure
+               for flat in y.coaction.apply({u: one}))
+    if key != "hqsl2":
+        assert [X.space.label(u) for u in closure] == [
+            "1#1", "1#k", "1#k^2", "1#E", "kap#1", "F#1"]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("tag", ["hdouble-coaction-swapped",
+                                 "trivial-coaction"])
+def test_corrupted_coactions_fail_the_subcoalgebra_yd_walk(tag, p):
+    """The two mutation fixtures that replace H(B*)'s coaction, with
+    `yd-condition` on the route the yd suite takes instead of the pinned
+    sample: the walk fails before its certificate."""
+    y = taft_system(p).yd
+    results = MUTATIONS[tag](p, subcoalgebra_walk(y.hopf, y.algebra, 2))
+    res, = (r for r in results if r.name == "yd-condition")
+    assert (res.status, res.mode) == ("fail", "generators")
+    assert res.witness.endswith(": YD compatibility fails")
+    assert res.cases_checked <= 7 * 4
 
 
 def test_intact_module_algebra_agrees_with_the_reference():

@@ -157,14 +157,14 @@ def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
 # failures (chains), so they pin the bytes of the failure paths too; the
 # double and heisenberg reports pin the exhaustive pair walks, and the yd
 # report pins the proofs of module-action on the factors of D(B), of
-# module-algebra on a subcoalgebra of D(B) and of yd-condition and
-# braided-commutative from generators; the hopf-axioms
+# module-algebra and yd-condition on a subcoalgebra of D(B) and of
+# braided-commutative on a subcomodule of H(B*); the hopf-axioms
 # report pins the associativity proofs from generator-headed triples.
 REPORT_SHA256_P2 = {
     "hopf-axioms":
         "d314cbd71d131f4a4bf7eb7c4bb0b3a39c8c4c99f7e53261fb1f2aa73c9bacbb",
     "yd":
-        "bfba566a521739cce20976af78c17ecbb597234fe0f69f59c7241bc9a6d4b6ff",
+        "24e9f1b93c4e9692fa61a8d56c30edbe6ca2a7ed96399c6a9333162870ac01ed",
     "double":
         "81a95de212fbd7e205d5352a9262f13a8939e3c63e4f25ff1f50c752cd28f6c5",
     "heisenberg":
@@ -174,7 +174,7 @@ REPORT_SHA256_P2 = {
     "chains":
         "b3e30ca0d5ab1f1279524b1725418f8f09fe5d7188209db93e41dde90dd69820",
     "truncations":
-        "b93ddb46121c554916ea3cc211ff02ab6664c27ef90fe2c28cddf98a91e36154",
+        "91d67715a890b3937b07de16322da6d41d8fb5974f20a6285e12ae2357f7f882",
 }
 
 
@@ -196,13 +196,13 @@ def test_report_bytes_are_pinned(suite):
         _assert_yd_lines_are_proofs(rep)
 
 
-def test_quotient_morphism_takes_the_lemma_walk_in_sample_mode():
+def test_quotient_morphism_is_the_construction_certificate_in_sample_mode():
     rep = run_suite(SuiteConfig(p=2, suite="truncations", mode="sample",
                                 sample_size=50))
     qm, = (r for r in rep.results
            if r.name == "truncations.quotient-morphism.p2")
-    assert (qm.status, qm.mode, qm.cases_checked) == ("pass", "generators",
-                                                      1_281)
+    assert (qm.status, qm.mode, qm.cases_checked) == ("pass", "exhaustive",
+                                                      1 + 32 + 224)
 
 
 # sha256 of `hopfbench verify --p 2 --suite <suite> --mode generators
@@ -214,7 +214,7 @@ REPORT_SHA256_P2_GENERATORS = {
     "chains":
         "53089fc7a5d6947156a6c245724a9014865e47d32131c71caf76b16938bec13b",
     "truncations":
-        "443d1d958fda44aecb961e734ab64730646ab5207f1296a044f3d43046e20126",
+        "e4108e33072ee1b05364e6fe39a06f130a711f8b2c30ba3301d0f4db843b4e4a",
     "double":
         "23071638ebdf3710b2c5a0f1f2d396f45e380d4444dda45fd1dd90c7b2abaf07",
     "heisenberg":
@@ -222,7 +222,7 @@ REPORT_SHA256_P2_GENERATORS = {
     "hopf-axioms":
         "160dfdb683c354fb5b8d346813d1b43d2e9b30e2e4ffffd5854404b5f0d6c7e3",
     "yd":
-        "cc827707ac21bcc1fb884625b982ed3baada0f44369bc82d3dd49aa81f7f2c5b",
+        "acdef33d1a29624e4446018964e56336cb952617e0ed6824d760b875e0329d09",
 }
 
 
@@ -241,7 +241,7 @@ REPORT_SHA256_P2_SAMPLE = {
     "chains":
         "34bc34977d7449d9a1e98ef623c885d214ce724beba425ec3dd41c3a02db606e",
     "truncations":
-        "e14d09719fd45a8e40a41ce69d151e2ae9801ff02ae7c41a2bc71fdf66f139f4",
+        "282813ddf613acd4283809b40c9503f1c942aac3fdfdd986311ce4fdee467443",
     "double":
         "64ccada22586b1eaeedfba636e660d94baf8d193feb9d69487f53dbba709c7c1",
     "heisenberg":
@@ -265,7 +265,7 @@ def test_sample_report_bytes_are_pinned(suite):
 # the p=2 reports hardly reach.  Its yd lines are the same proofs as in the
 # p=2 yd report, taken in generators mode.
 REPORT_SHA256_P3_YD_TRUNCATIONS = \
-    "942cfd6af137f0b167f110cc924f882ed72a540a88238049fe237f5488e3919b"
+    "6aaafbca0e0474b2fb73df9373ccca85c560aa0bc0e6e6d7cde12c8704be5ef0"
 
 
 def test_p3_report_bytes_are_pinned():
@@ -300,7 +300,7 @@ def test_p3_braided_product_report_bytes_are_pinned(suite):
 # sha256 of `render(run_suite(SuiteConfig(p=2, suite="chains,truncations")),
 # "json")`, recorded from a serial run (one CPU).
 REPORT_SHA256_P2_TWO_SUITES = \
-    "219e264cfb0508d9e38c75d559790ec62c3e16efb72d328949d6089bab437552"
+    "946b3a1065e83d3c1604f947eb1edf6c973612e6fc2ca5e9378b4d6f235e125c"
 
 
 def _two_cpus(monkeypatch):

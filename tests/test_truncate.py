@@ -132,9 +132,9 @@ def test_double_quotient_dimensions(sys2):
 def test_quotient_morphism(sys2):
     uq = uqsl2(2)
     res = quotient_morphism_check(uq.hq)
-    assert (res.status, res.mode) == ("pass", "generators")
-    # pi(1), 4 generator indices x 256, then Delta/eps/S on 256 vectors
-    assert res.cases_checked == 1 + 4 * 256 + 256
+    assert (res.status, res.mode) == ("pass", "exhaustive")
+    # dim K + dim I = dim H, pi s = id on 32 vectors, pi(I) = 0 on 224 rows
+    assert res.cases_checked == 1 + 32 + 224
 
 
 def test_unit_seed_ideal_is_everything(sys2):
