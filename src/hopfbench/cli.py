@@ -521,18 +521,21 @@ def _scalar_load(ctx: QContext, coeffs, where: str, memo: dict) -> Cyc:
 
 
 def _entries_load(ctx: QContext, entries, bounds: tuple, table: str,
-                  memo: dict) -> list:
-    """Rows [i, ..., scalar] of an exported table as [((i, ...), Cyc)].
+                  memo: dict, head: int = 1) -> dict:
+    """Entries [i, ..., scalar] of an exported table, grouped by their
+    first `head` indices as they are read: {i: [(j, ..., Cyc), ...]}, or
+    {(i, j): [...]} when head is 2, each row in file order.
 
     `bounds` gives the dimension each index must stay below (None: only
-    non-negative).  Raises ValueError on a malformed row, an index out of
-    range, a repeated index tuple or a zero scalar.  `memo` is passed to
-    `_scalar_load`.
+    non-negative).  Raises ValueError on a malformed entry, an index out
+    of range, a repeated index tuple or a zero scalar.  `memo` is passed
+    to `_scalar_load`.
     """
     if not isinstance(entries, list):
         raise ValueError(f"{table}: expected a list of entries")
     n = len(bounds)
-    out, seen = [], set()
+    rows: dict = {}
+    seen = set()
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != n + 1:
             raise ValueError(f"{table}: malformed entry {entry!r}")
@@ -545,15 +548,16 @@ def _entries_load(ctx: QContext, entries, bounds: tuple, table: str,
         if key in seen:
             raise ValueError(f"{table}: duplicate entry {list(key)}")
         seen.add(key)
-        out.append((key, _scalar_load(ctx, entry[n], f"{table} {list(key)}",
-                                      memo)))
-    return out
+        c = _scalar_load(ctx, entry[n], f"{table} {list(key)}", memo)
+        rows.setdefault(key[0] if head == 1 else key[:head],
+                        []).append((*key[head:], c))
+    return rows
 
 
 def _vec_load(ctx: QContext, entries, dim: int, table: str,
               memo: dict) -> Vec:
-    return {i: c for (i,), c in _entries_load(ctx, entries, (dim,), table,
-                                              memo)}
+    return {i: c for i, ((c,),) in _entries_load(ctx, entries, (dim,), table,
+                                                 memo).items()}
 
 
 def _algebra_block(obj) -> dict:
@@ -637,7 +641,7 @@ def _export_chunks(name: str, p: int) -> Iterator[bytes]:
     elif name == "hqsl2":
         block = _live_yd_block(hqsl2(p).yd, "uqsl2")
     elif name == "cqzd":
-        block = _algebra_block(cqzd(p).algebra)
+        block = _algebra_block(cqzd(p))
     else:
         ch = truly_heisenberg_chain(p, _chain_length(name))
         block = _live_yd_block(ch.chain.yd, "uqsl2")
@@ -689,42 +693,29 @@ def import_object(data):
     if len(labels) != d:
         raise ValueError("label count does not match dim")
     space = Space("imported", labels)
-    mrows: dict = {}
-    for (i, j, k), c in _entries_load(ctx, data["mult"], (d, d, d), "mult",
-                                      memo):
-        mrows.setdefault((i, j), []).append((k, c))
     mult = BilinearMap(d, d)
-    for (i, j), row in mrows.items():
+    for (i, j), row in _entries_load(ctx, data["mult"], (d, d, d), "mult",
+                                     memo, head=2).items():
         mult.set(i, j, row)
     unit = _vec_load(ctx, data["unit"], d, "unit", memo)
     if "comult" in data:
-        crows: dict = {}
-        for (i, j, k), c in _entries_load(ctx, data["comult"], (d, d, d),
-                                          "comult", memo):
-            crows.setdefault(i, []).append((j, k, c))
         comult = ColinearMap(d, d, d)
-        for i, row in crows.items():
+        for i, row in _entries_load(ctx, data["comult"], (d, d, d), "comult",
+                                    memo).items():
             comult.set(i, row)
-        arows: dict = {}
-        for (i, j), c in _entries_load(ctx, data["antipode"], (d, d),
-                                       "antipode", memo):
-            arows.setdefault(i, []).append((j, c))
         antipode = LinearMap(d, d)
-        for i, row in arows.items():
+        for i, row in _entries_load(ctx, data["antipode"], (d, d),
+                                    "antipode", memo).items():
             antipode.set(i, row)
         counit = _vec_load(ctx, data["counit"], d, "counit", memo)
         return FiniteHopf(ctx, space, mult, unit, comult, counit, antipode)
     algebra = FiniteAlgebra(ctx, space, mult, unit)
     if "action" not in data:
         return algebra
-    action_rows: dict = {}
-    for (h, x, y), c in _entries_load(ctx, data["action"]["entries"],
-                                      (None, d, d), "action", memo):
-        action_rows.setdefault((h, x), []).append((y, c))
-    coaction_rows: dict = {}
-    for (x, h, y), c in _entries_load(ctx, data["coaction"]["entries"],
-                                      (d, None, d), "coaction", memo):
-        coaction_rows.setdefault(x, []).append((h, y, c))
+    action_rows = _entries_load(ctx, data["action"]["entries"], (None, d, d),
+                                "action", memo, head=2)
+    coaction_rows = _entries_load(ctx, data["coaction"]["entries"],
+                                  (d, None, d), "coaction", memo)
     return ImportedYD(algebra,
                       {hx: tuple(t) for hx, t in action_rows.items()},
                       {x: tuple(t) for x, t in coaction_rows.items()},

@@ -51,9 +51,9 @@ from functools import cache
 from typing import Optional
 
 from .cyclo import Cyc, QContext
-from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf,
-                   pair_product, render_element, triple_product,
-                   twisted_product)
+from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing,
+                   check_product_rows, dual_hopf, pair_product,
+                   render_element, triple_product, twisted_product)
 from .results import (Check, CheckResult, Walk, coalgebra_closure,
                       gen_indices, generation_failure,
                       invert_expected_failure)
@@ -69,6 +69,7 @@ __all__ = [
     "HeisenbergDouble",
     "drinfeld_double",
     "heisenberg_double",
+    "eta_cocycle",
     "eta_twist_product",
     "canonical_coaction",
     "canonical_action",
@@ -350,64 +351,71 @@ def heisenberg_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
     return HeisenbergDouble(ctx, algebra, base, dual, P)
 
 
-def eta_twist_product(D: DrinfeldDouble, Hd: HeisenbergDouble, walk,
-                      name: str = "eta-twist") -> CheckResult:
-    """Twist the double's product by eta and compare with the smash product
-    on the (M, N) basis pairs of `walk`, with no generator slot.
-
-    M ._eta N = M' N' eta(M'', N'') with
-    eta(mu (x) m, nu (x) n) = <mu, 1> eps(n) <nu, m>.
-    """
-    H = D.hopf
-    base, dual, P = D.base, D.dual, D.pairing
-    nB = base.dim
-    walk = walk.over((D.dim, D.dim), (None, None))
-    chk = Check(name, walk.label)
-
-    # <mu, 1> per dual basis vector, eps(n) per base basis vector
+def eta_cocycle(D: DrinfeldDouble) -> tuple:
+    """eta(mu (x) m, nu (x) n) = <mu, 1> eps(n) <nu, m> as data for
+    `eta_twist_product`: (left, right, pair).  left and right filter the
+    first and the second argument: each maps a basis vector f (x) b of
+    D(B), given as (f, b), to the part it keeps and the weight of the
+    other part, or to None when that weight is zero.  pair takes the kept
+    part of the second argument, then that of the first, as <nu, m>
+    does, and gives their pairing or None."""
+    base, P = D.base, D.pairing
     pair_unit: dict[int, Cyc] = {}
-    for f in range(dual.dim):
+    for f in range(D.dual.dim):
         c = P.pair({f: D.ctx.one}, base.unit)
         if c:
             pair_unit[f] = c
-    eps_b = base.counit
 
-    # Delta_D legs filtered by the eta factor they feed:
-    #   for M: keep (M', base part of M'') weighted by <dual part of M'', 1>
-    #   for N: keep (N', dual part of N'') weighted by eps(base part of N'')
-    @cache
-    def get_legs_m(k: int) -> tuple:
-        out = []
-        for j, kk, c in H.comult.get(k):
-            fm, bm = divmod(kk, nB)
-            w = pair_unit.get(fm)
-            if w:
-                out.append((j, bm, c * w))
-        return tuple(out)
+    def left(f: int, b: int) -> Optional[tuple]:
+        w = pair_unit.get(f)
+        return (b, w) if w else None
 
-    @cache
-    def get_legs_n(k: int) -> tuple:
-        out = []
-        for j, kk, c in H.comult.get(k):
-            fn_, bn = divmod(kk, nB)
-            w = eps_b.get(bn)
-            if w:
-                out.append((j, fn_, c * w))
-        return tuple(out)
+    def right(f: int, b: int) -> Optional[tuple]:
+        w = base.counit.get(b)
+        return (f, w) if w else None
 
-    def case(k1: int, k2: int) -> Optional[str]:
+    return left, right, P.pair_basis
+
+
+def eta_twist_product(D: DrinfeldDouble, Hd: HeisenbergDouble, walk,
+                      eta: Optional[tuple] = None,
+                      name: str = "eta-twist") -> CheckResult:
+    """Twist the double's product by eta and compare with the smash product
+    on the (M, N) basis pairs of `walk`, with no generator slot:
+
+        M ._eta N = M' N' eta(M'', N''),
+
+    eta given as `eta_cocycle` gives it, `eta_cocycle(D)` by default.
+    """
+    H = D.hopf
+    nB = D.base.dim
+    left, right, pair = eta or eta_cocycle(D)
+
+    def filtered(keep):
+        """k -> the legs (k', kept part of k'', weighted coefficient) of
+        Delta_D(e_k) whose k'' the filter keeps, memoized."""
+        @cache
+        def legs(k: int) -> tuple:
+            out = []
+            for j, kk, c in H.comult.get(k):
+                kept = keep(*divmod(kk, nB))
+                if kept is not None:
+                    out.append((j, kept[0], c * kept[1]))
+            return tuple(out)
+        return legs
+
+    legs_m, legs_n = filtered(left), filtered(right)
+
+    def row(k1: int, k2: int) -> Vec:
         acc: Vec = {}
-        for j1, bm, c1 in get_legs_m(k1):
-            for j2, fn_, c2 in get_legs_n(k2):
-                pv = P.pair_basis(fn_, bm)
+        for j1, x, c1 in legs_m(k1):
+            for j2, y, c2 in legs_n(k2):
+                pv = pair(y, x)
                 if pv:
                     vadd_into(acc, H.mult.get(j1, j2), c1 * c2 * pv)
-        if veq(acc, dict(Hd.algebra.mult.get(k1, k2))):
-            return None
-        return (f"M={H.space.label(k1)}, N={H.space.label(k2)}: "
-                f"eta-twisted product disagrees with the smash product")
+        return acc
 
-    return chk.result(walk.failure(chk, case))
+    return check_product_rows(name, Hd.algebra, row, walk, (None, None))
 
 
 # -- coaction and action of D(B) on H(B*) ------------------------------------

@@ -24,7 +24,8 @@ from .sparse import (
 
 __all__ = [
     "FiniteHopf", "FiniteAlgebra", "check_hopf_axioms",
-    "check_algebra_axioms", "dual_hopf",
+    "check_algebra_axioms", "check_product_rows", "check_same_product",
+    "dual_hopf",
     "HopfPairing", "check_hopf_pairing", "hit_dual_left", "hit_dual_right",
     "hit_alg_left", "hit_alg_right", "render_element",
     "pair_product", "triple_product", "twisted_product",
@@ -279,6 +280,42 @@ def check_algebra_axioms(A, associativity) -> list:
     `generation_failure(A)` makes S all of A.
     """
     return [_check_associativity(A, associativity), _check_unit(A)]
+
+
+def check_product_rows(name: str, A, row, walk, gen_sets) -> CheckResult:
+    """A's product agrees with another product on A's basis:
+    A.mult(e_i, e_j) = row(i, j), a vector on A's basis, on the pairs
+    (i, j) of `walk`, with `gen_sets` heading its two slots.  The witness
+    renders both sides."""
+    walk = walk.over((A.dim, A.dim), gen_sets)
+    chk = Check(name, walk.label)
+
+    def case(i: int, j: int) -> Optional[str]:
+        got = dict(A.mult.get(i, j))
+        want = row(i, j)
+        if veq(got, want):
+            return None
+        return (f"products of ({A.space.label(i)}, {A.space.label(j)}) "
+                f"differ: {render_element(A.space, got)} vs "
+                f"{render_element(A.space, want)}")
+
+    return chk.result(walk.failure(chk, case))
+
+
+def check_same_product(A, B, walk, name: str) -> CheckResult:
+    """A and B are one algebra on the same basis: equal dimensions and
+    units, which count no case, and `check_product_rows` on the pairs of
+    `walk`, headed in both slots by the generator indices of A and of B."""
+    ga, gb = gen_indices(A), gen_indices(B)
+    gens = ga | gb if ga and gb else ga or gb
+    walk = walk.over((A.dim, A.dim), (gens, gens))
+    if B.dim != A.dim:
+        return Check(name, walk.label).result(
+            f"dimensions differ: {A.dim} vs {B.dim}")
+    if not veq(A.unit, B.unit):
+        return Check(name, walk.label).result("units differ")
+    return check_product_rows(name, A, lambda i, j: dict(B.mult.get(i, j)),
+                              walk, (gens, gens))
 
 
 # -- axiom checks -------------------------------------------------------------

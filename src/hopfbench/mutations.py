@@ -1,27 +1,30 @@
 """Deliberately corrupted fixtures: negative controls for the verifier.
 
-A checker that never fails is untrustworthy.  Each builder here assembles
-a structure with one precise, known defect -- a flipped antipode sign,
-swapped coaction legs, a dropped conjugation factor, twist arguments in
-the wrong order -- and drives it through the same checks the healthy
-structures pass.  A healthy engine reports status "fail" with a witness
-for every fixture; any "pass" below means the corresponding check has
-lost its teeth.
+A checker that never fails is untrustworthy.  Each builder here corrupts
+one input with a precise, known defect -- a flipped antipode sign,
+swapped coaction legs, a dropped conjugation factor, the two arguments of
+eta exchanged -- and drives it through the same checks the healthy
+structures pass.  No builder holds a case loop or compares vectors
+itself: the checks do, and `run_mutation` alone reports.  A healthy
+engine reports status "fail" with a witness for every fixture; any
+"pass" below means the corresponding check has lost its teeth.
 
 Every builder walks its laws on `walks`, the tuple walks its caller pins
 for the negative controls, but for the lemma walks of the two Hopf-axiom
-fixtures: associativity of B, and the laws on pairs of D(B).
+fixtures: associativity of B, and the laws on pairs of D(B).  The eta
+fixture's law has no generator slot, so a "generators" walk walks its
+every pair in order.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .doubles import factor_structures
+from .doubles import eta_cocycle, eta_twist_product, factor_structures
 from .hopf import FiniteHopf, check_hopf_axioms
 from .results import Check, CheckResult, lemma_walk, two_sided_lemma_walk
 from .sparse import (LazyLinearMap, Vec, tensor_flat, vadd_into, vadd_outer,
-                     vadd_term, veq)
+                     vadd_term)
 from .taft import taft_setup, taft_system
 from .ydcat import (Action, Coaction, ModuleAlgebra, YDModuleAlgebra,
                     check_comodule, check_module,
@@ -134,56 +137,13 @@ def _hdouble_coaction_swapped(p: int, walks) -> list:
 
 
 def _eta_swapped(p: int, walks) -> list:
-    """Product twist with the two twist arguments in the wrong order."""
+    """Product twist with the two arguments of eta exchanged:
+    eta'(M'', N'') = eta(N'', M'')."""
     sys = taft_system(p)
-    D, Hd = sys.double, sys.heis
-    H = D.hopf
-    base, dual, P = D.base, D.dual, D.pairing
-    nB = base.dim
-    d = H.dim
-    one = H.ctx.one
-    chk = Check("eta-twist-swapped", "exhaustive")
-
-    pair_unit: dict = {}
-    for f in range(dual.dim):
-        c = P.pair({f: one}, dict(base.unit))
-        if c:
-            pair_unit[f] = c
-    eps_b = base.counit
-
-    # swapped filters: M'' contributes its dual part weighted by eps of its
-    # base part; N'' contributes its base part weighted by <dual part, 1>
-    def legs_m(k: int):
-        for j, kk, c in H.comult.get(k):
-            fm, bm = divmod(kk, nB)
-            w = eps_b.get(bm)
-            if w:
-                yield j, fm, c * w
-
-    def legs_n(k: int):
-        for j, kk, c in H.comult.get(k):
-            fn_, bn = divmod(kk, nB)
-            w = pair_unit.get(fn_)
-            if w:
-                yield j, bn, c * w
-
-    for k1 in range(d):
-        rows_m = tuple(legs_m(k1))
-        for k2 in range(d):
-            chk.cases += 1
-            acc: Vec = {}
-            for j1, fm, c1 in rows_m:
-                for j2, bn, c2 in legs_n(k2):
-                    pv = P.pair_basis(fm, bn)
-                    if pv:
-                        vadd_into(acc, H.mult.get(j1, j2), c1 * c2 * pv)
-            if not veq(acc, dict(Hd.algebra.mult.get(k1, k2))):
-                sp = H.space
-                return [chk.result(
-                    f"M={sp.label(k1)}, "
-                    f"N={sp.label(k2)}: twisted product with "
-                    f"swapped arguments disagrees with the smash product")]
-    return [chk.result()]
+    left, right, pair = eta_cocycle(sys.double)
+    swapped = (right, left, lambda x, y: pair(y, x))
+    return [eta_twist_product(sys.double, sys.heis, walks, swapped,
+                              name="eta-twist-swapped")]
 
 
 def _trivial_coaction(p: int, walks) -> list:

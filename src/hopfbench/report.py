@@ -23,9 +23,9 @@ from .doubles import (FactoredAction, chain_relations_check,
                       check_quasitriangular, eta_twist_product,
                       heisenberg_chain, module_factor_walk,
                       to_show_action_check)
-from .hopf import check_algebra_axioms, check_hopf_axioms, render_element
+from .hopf import check_algebra_axioms, check_hopf_axioms, check_same_product
 from .mutations import MUTATIONS, run_mutation
-from .results import (MODES, Check, CheckResult, TupleWalks, gen_indices,
+from .results import (MODES, CheckResult, TupleWalks, dim_check, gen_indices,
                       invert_expected_failure, lemma_walk, subcoalgebra_walk,
                       subcomodule_walk, summarize, two_sided_lemma_walk)
 from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
@@ -211,36 +211,8 @@ def _skip(name: str, reason: str) -> CheckResult:
     return CheckResult(name, "skipped", reason)
 
 
-def _dim_check(name: str, got: int, want: int) -> CheckResult:
-    chk = Check(name, "exhaustive", cases=1)
-    return chk.result(None if got == want else f"dimension is {got}, expected {want}")
-
-
 def _rename(results, prefix: str) -> list:
     return [r._replace(name=f"{prefix}-{r.name}") for r in results]
-
-
-def _structure_identity_check(bp, algebra, walk, name: str) -> CheckResult:
-    """The braided-product algebra has exactly the given structure constants
-    (same flat basis indexing on both sides) on the pairs of `walk`."""
-    A = bp.yd.algebra
-    ga, gb = gen_indices(A), gen_indices(algebra)
-    gens = (ga | gb) if (ga is not None and gb is not None) else (ga or gb)
-    walk = walk.over((A.dim, A.dim), (gens, gens))
-    chk = Check(name, walk.label)
-    if A.dim != algebra.dim:
-        return chk.result(f"dimensions differ: {A.dim} vs {algebra.dim}")
-
-    def case(i: int, j: int) -> Optional[str]:
-        lhs = dict(A.mult.get(i, j))
-        rhs = dict(algebra.mult.get(i, j))
-        if lhs == rhs:
-            return None
-        return (f"products of ({A.space.label(i)}, {A.space.label(j)}) differ: "
-                f"{render_element(A.space, lhs)} vs "
-                f"{render_element(algebra.space, rhs)}")
-
-    return chk.result(walk.failure(chk, case))
 
 
 # -- the coverage plan ---------------------------------------------------------
@@ -348,7 +320,7 @@ def _suite_yd(cfg: SuiteConfig):
 def _suite_heisenberg(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     walks = _walks(cfg)
-    yield from basis_change(sys).checks
+    yield from basis_change(sys)
     bp2 = heisenberg_chain(sys.pair.primal, 2, leftmost="dual", D=sys.double)
     dual_yd, base_yd = bp2.factors
     yield check_braided_commutative(dual_yd, walks,
@@ -357,8 +329,8 @@ def _suite_heisenberg(cfg: SuiteConfig):
                                     name="base-factor-braided-commutative")
     yield check_braided_symmetric(dual_yd, base_yd, walks)
     yield check_locked_identity(dual_yd, base_yd, walks)
-    yield _structure_identity_check(bp2, sys.heis.algebra, walks,
-                                    name="braided-product-is-hdouble")
+    yield check_same_product(bp2.yd.algebra, sys.heis.algebra, walks,
+                             "braided-product-is-hdouble")
     yield check_factor_embeddings(bp2)
     yield from flip_isomorphism(dual_yd, base_yd, walks, walks)
 
@@ -381,7 +353,7 @@ def _suite_chains(cfg: SuiteConfig):
                     "run with p=2 (three full-double factors)")
     chains = {k: truly_heisenberg_chain(p, k) for k in (1, 2, 3, 4)}
     for k, ch in chains.items():
-        yield _dim_check(f"zdel-chain{k}-dimension", ch.algebra.dim, p ** k)
+        yield dim_check(f"zdel-chain{k}-dimension", ch.algebra.dim, p ** k)
     yield from chain_heisenberg_checks(chains[4], prefix="zdel-chain4")
     yield check_factor_embeddings(chains[4].chain, name="zdel-chain4-embedding")
     yield check_yd(chains[3].yd, _walks(cfg), name="zdel-chain3-yd-condition")
@@ -408,14 +380,15 @@ def _suite_truncations(cfg: SuiteConfig):
     uq = uqsl2(p)
     yield from uq.checks
     yield from uq_presentation_check(uq)
-    yield _dim_check("uq-dimension", uq.hopf.dim, 2 * p ** 3)
+    yield dim_check("uq-dimension", uq.hopf.dim, 2 * p ** 3)
     yield quotient_morphism_check(uq.hq)
     hq = hqsl2(p)
     yield from hq.checks
-    yield _dim_check("hq-dimension", hq.yd.dim, 2 * p ** 3)
+    yield dim_check("hq-dimension", hq.yd.dim, 2 * p ** 3)
     yield hq_action_table_check(hq)
     yield hq_coaction_table_check(hq)
-    yield hq_factorization_check(hq)
+    yield hq_factorization_check(
+        hq, TupleWalks("exhaustive", cfg.seed, cfg.sample_size))
     y = hq.yd
     yield check_module(y, walks)
     yield check_module_algebra(y, walks)

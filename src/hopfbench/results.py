@@ -54,7 +54,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .sparse import span_closure, tensor_flat, veq
 
-__all__ = ["MODES", "CheckResult", "Check", "summarize",
+__all__ = ["MODES", "CheckResult", "Check", "dim_check", "summarize",
            "invert_expected_failure", "gen_indices", "generator_pairs",
            "generation_failure", "Walk", "TupleWalks", "lemma_walk",
            "two_sided_lemma_walk", "coalgebra_closure",
@@ -121,6 +121,13 @@ class Check:
         return CheckResult(self.name, "pass" if witness is None else "fail",
                            self.mode, self.cases, witness,
                            time.perf_counter() - self.t0)
+
+
+def dim_check(name: str, got: int, want: int) -> CheckResult:
+    """One case: a dimension `got` equals `want`."""
+    chk = Check(name, "exhaustive", cases=1)
+    return chk.result(None if got == want
+                      else f"dimension is {got}, expected {want}")
 
 
 def summarize(results: list) -> tuple[int, int, int]:

@@ -37,8 +37,8 @@ from .doubles import (
     yd_structure,
 )
 from .hopf import (
-    FiniteAlgebra, FiniteHopf, HopfPairing, dual_hopf, pair_product,
-    render_element, render_tensor,
+    FiniteAlgebra, FiniteHopf, HopfPairing, check_product_rows, dual_hopf,
+    pair_product, render_element, render_tensor,
 )
 from .results import (Check, CheckResult, gen_indices, generation_failure,
                       invert_expected_failure)
@@ -61,12 +61,12 @@ __all__ = [
     "closed_form_smash_row",
     "TaftSystem", "taft_system", "double_elements", "heis_elements",
     "double_presentation_check", "taft_dual_check", "closed_form_check",
-    "HeisenbergBasisChange", "basis_change",
+    "basis_change",
     "UqSl2", "uqsl2", "uq_presentation_check",
     "HqSl2", "hqsl2", "uq_elements",
     "hq_action_table_check", "hq_coaction_table_check",
     "hq_factorization_check",
-    "CqZd", "cqzd", "cqzd_center_check",
+    "cqzd", "cqzd_center_check",
     "HeisenbergChain", "truly_heisenberg_chain", "chain_heisenberg_checks",
     "h2_matches_cqzd_check",
 ]
@@ -421,11 +421,13 @@ def heis_elements(sys: TaftSystem) -> dict:
 
 # -- relation-list helpers -----------------------------------------------------
 
-def _power(mul, unit: Vec, v: Vec, n: int) -> Vec:
-    acc = dict(unit)
+def _powers(mul, unit: Vec, v: Vec, n: int) -> list:
+    """[v^0, v^1, ..., v^n] under `mul`, v^0 a copy of `unit` and each
+    power the product of the one before it with v."""
+    out = [dict(unit)]
     for _ in range(n):
-        acc = mul(acc, v)
-    return acc
+        out.append(mul(out[-1], v))
+    return out
 
 
 def _vadd(a: Vec, b: Vec) -> Vec:
@@ -458,11 +460,11 @@ def double_presentation_check(sys: TaftSystem,
     chk = Check(f"{prefix}-relations", "exhaustive")
     rels = [
         ("kE = qEk", mul(k, E), vscale(mul(E, k), ctx.q)),
-        ("E^p = 0", _power(mul, unit, E, p), {}),
-        ("k^(4p) = 1", _power(mul, unit, k, 4 * p), unit),
+        ("E^p = 0", _powers(mul, unit, E, p)[-1], {}),
+        ("k^(4p) = 1", _powers(mul, unit, k, 4 * p)[-1], unit),
         ("kap F = q F kap", mul(kap, F), vscale(mul(F, kap), ctx.q)),
-        ("F^p = 0", _power(mul, unit, F, p), {}),
-        ("kap^(4p) = 1", _power(mul, unit, kap, 4 * p), unit),
+        ("F^p = 0", _powers(mul, unit, F, p)[-1], {}),
+        ("kap^(4p) = 1", _powers(mul, unit, kap, 4 * p)[-1], unit),
         ("k kap = kap k", mul(k, kap), mul(kap, k)),
         ("kF = q^(-1) Fk", mul(k, F), vscale(mul(F, k), ctx.q_inv)),
         ("kap E = q^(-1) E kap", mul(kap, E), vscale(mul(E, kap), ctx.q_inv)),
@@ -475,9 +477,9 @@ def double_presentation_check(sys: TaftSystem,
     chk = Check(f"{prefix}-coalgebra", "exhaustive")
     n = H.dim
     k2 = mul(k, k)
-    kinv2 = _power(mul, unit, k, 4 * p - 2)
-    kapinv = _power(mul, unit, kap, 4 * p - 1)
-    kapinv2 = _power(mul, unit, kap, 4 * p - 2)
+    kinv2 = _powers(mul, unit, k, 4 * p - 2)[-1]
+    kapinv = _powers(mul, unit, kap, 4 * p - 1)[-1]
+    kapinv2 = _powers(mul, unit, kap, 4 * p - 2)[-1]
     crels = [
         ("Delta(F) = kap^2 (x) F + F (x) 1", H.coproduct(F),
          _vadd(tensor_flat(mul(kap, kap), F, n), tensor_flat(F, unit, n))),
@@ -489,7 +491,8 @@ def double_presentation_check(sys: TaftSystem,
         ("S(F) = -kap^(-2) F", H.antipode_of(F), vscale(mul(kapinv2, F), -ctx.one)),
         ("S(kap) = kap^(-1)", H.antipode_of(kap), kapinv),
         ("S(E) = -E k^(-2)", H.antipode_of(E), vscale(mul(E, kinv2), -ctx.one)),
-        ("S(k) = k^(-1)", H.antipode_of(k), _power(mul, unit, k, 4 * p - 1)),
+        ("S(k) = k^(-1)", H.antipode_of(k),
+         _powers(mul, unit, k, 4 * p - 1)[-1]),
     ]
     res = _relation_result(chk, crels,
                            lambda v: render_tensor(H.space, H.space, v)
@@ -549,15 +552,15 @@ def taft_dual_check(pair: TaftPair, name: str = "taft-dual") -> "CheckResult":
     unit = dict(Bd.unit)
     rels = [
         ("kap F = q F kap", mul(kapv, Fv), vscale(mul(Fv, kapv), ctx.q)),
-        ("F^p = 0", _power(mul, unit, Fv, p), {}),
-        ("kap^(4p) = 1", _power(mul, unit, kapv, order), unit),
+        ("F^p = 0", _powers(mul, unit, Fv, p)[-1], {}),
+        ("kap^(4p) = 1", _powers(mul, unit, kapv, order)[-1], unit),
     ]
     rr = _relation_result(chk, rels, lambda v: render_element(Bd.space, v))
     if not rr.ok:
         return rr
 
     # F^p as a functional kills every basis monomial of B
-    Fp = _power(mul, unit, Fv, p)
+    Fp = _powers(mul, unit, Fv, p)[-1]
     for b in range(B.dim):
         chk.cases += 1
         val = pair.pairing.pair(Fp, {b: one})
@@ -591,36 +594,22 @@ def closed_form_check(sys: TaftSystem, walk,
     ctx = sys.ctx
     A = sys.heis.algebra
     labels, index = A.space.labels, A.space.index
-    walk = walk.over((A.dim, A.dim), (gen_indices(A), None))
-    chk = Check(name, walk.label)
 
-    def case(i: int, j: int) -> Optional[str]:
+    def row(i: int, j: int) -> Vec:
         want: Vec = {}
         for lab, c in closed_form_smash_row(ctx, labels[i], labels[j]):
             vadd_term(want, index[lab], c)
-        got = dict(A.mult.get(i, j))
-        if veq(got, want):
-            return None
-        return (f"({A.space.label(i)})({A.space.label(j)}): generic = "
-                f"{render_element(A.space, got)}, closed form = "
-                f"{render_element(A.space, want)}")
+        return want
 
-    return chk.result(walk.failure(chk, case))
+    return check_product_rows(name, A, row, walk, (gen_indices(A), None))
 
 
 # -- the (kap, z, lam, del) presentation of H(B*) -------------------------------
 
-class HeisenbergBasisChange(NamedTuple):
+def basis_change(sys: TaftSystem, prefix: str = "heis-basis") -> list:
     """The checks that the del^b z^a lam^c kap^d monomials satisfy the
     kap/z/lam/del relations and each land on a single smash basis vector,
     one vector per monomial (which makes the correspondence invertible)."""
-
-    checks: list
-
-
-def basis_change(sys: TaftSystem,
-                 prefix: str = "heis-basis") -> HeisenbergBasisChange:
-    """Verify the kap/z/lam/del relation list and the basis property."""
     ctx = sys.ctx
     A = sys.heis.algebra
     p = ctx.p
@@ -635,15 +624,15 @@ def basis_change(sys: TaftSystem,
         ("kap lam = q^(1/2) lam kap", mul(kapv, lamv),
          vscale(mul(lamv, kapv), ctx.zeta)),
         ("kap del = q del kap", mul(kapv, delv), vscale(mul(delv, kapv), ctx.q)),
-        ("kap^(4p) = 1", _power(mul, unit, kapv, order), unit),
-        ("lam^(4p) = -1", _power(mul, unit, lamv, order),
+        ("kap^(4p) = 1", _powers(mul, unit, kapv, order)[-1], unit),
+        ("lam^(4p) = -1", _powers(mul, unit, lamv, order)[-1],
          vscale(unit, -ctx.one)),
         ("lam^(2p) = (-1)^p i kap^(2p)#k^(2p)",
-         _power(mul, unit, lamv, 2 * p),
+         _powers(mul, unit, lamv, 2 * p)[-1],
          {A.space.index[((0, 2 * p), (0, 2 * p))]:
           ctx.zeta_pow(p) if p % 2 == 0 else -ctx.zeta_pow(p)}),
-        ("z^p = 0", _power(mul, unit, zv, p), {}),
-        ("del^p = 0", _power(mul, unit, delv, p), {}),
+        ("z^p = 0", _powers(mul, unit, zv, p)[-1], {}),
+        ("del^p = 0", _powers(mul, unit, delv, p)[-1], {}),
         ("lam z = z lam", mul(lamv, zv), mul(zv, lamv)),
         ("lam del = del lam", mul(lamv, delv), mul(delv, lamv)),
         ("del z = (q - q^(-1)) 1 + q^(-2) z del", mul(delv, zv),
@@ -658,7 +647,7 @@ def basis_change(sys: TaftSystem,
     # naive relation is kept as an expected counterexample.
     naive = _relation_result(
         Check(f"{prefix}-lambda-naive", "exhaustive"),
-        [("lam^(4p) = 1", _power(mul, unit, lamv, order), unit)],
+        [("lam^(4p) = 1", _powers(mul, unit, lamv, order)[-1], unit)],
         lambda v: render_element(A.space, v))
     checks.append(invert_expected_failure(naive, f"{prefix}-lambda-order"))
 
@@ -666,16 +655,10 @@ def basis_change(sys: TaftSystem,
     # one smash basis vector, and the assignment is a bijection
     chk = Check(f"{prefix}-bijective", "exhaustive")
     backward: dict = {}                  # smash index -> (b, a, c, d)
-    z_pows = [unit]
-    del_pows = [unit]
-    for _ in range(p - 1):
-        z_pows.append(mul(z_pows[-1], zv))
-        del_pows.append(mul(del_pows[-1], delv))
-    lam_pows = [unit]
-    kap_pows = [unit]
-    for _ in range(order - 1):
-        lam_pows.append(mul(lam_pows[-1], lamv))
-        kap_pows.append(mul(kap_pows[-1], kapv))
+    z_pows = _powers(mul, unit, zv, p - 1)
+    del_pows = _powers(mul, unit, delv, p - 1)
+    lam_pows = _powers(mul, unit, lamv, order - 1)
+    kap_pows = _powers(mul, unit, kapv, order - 1)
 
     def witness() -> Optional[str]:
         for b in range(p):
@@ -699,7 +682,7 @@ def basis_change(sys: TaftSystem,
         return None
 
     checks.append(chk.result(witness()))
-    return HeisenbergBasisChange(checks)
+    return checks
 
 
 # -- the 2p^3-dimensional quantum group ------------------------------------------
@@ -823,9 +806,9 @@ def uq_presentation_check(uq: UqSl2,
          vscale(F, ctx.q_pow(-2))),
         ("[E,F] = (K - K^(-1))/(q - q^(-1))", vsub(mul(E, F), mul(F, E)),
          vscale(vsub(K, Kinv), ctx.qdiff_inv)),
-        ("E^p = 0", _power(mul, unit, E, p), {}),
-        ("F^p = 0", _power(mul, unit, F, p), {}),
-        ("K^(2p) = 1", _power(mul, unit, K, 2 * p), unit),
+        ("E^p = 0", _powers(mul, unit, E, p)[-1], {}),
+        ("F^p = 0", _powers(mul, unit, F, p)[-1], {}),
+        ("K^(2p) = 1", _powers(mul, unit, K, 2 * p)[-1], unit),
         ("K K^(-1) = 1", mul(K, Kinv), unit),
     ]
     out.append(_relation_result(chk, rels, lambda v: render_element(U.space, v)))
@@ -905,15 +888,9 @@ def hqsl2(p: int) -> HqSl2:
     one = ctx.one
     els = heis_elements(sys)
 
-    def pows(v, count):
-        out = [dict(A.unit)]
-        for _ in range(count - 1):
-            out.append(mul(out[-1], v))
-        return out
-
-    lam_pows = pows(els["lam"], 4 * p)
-    z_pows = pows(els["z"], p)
-    del_pows = pows(els["del"], p)
+    lam_pows = _powers(mul, A.unit, els["lam"], 4 * p - 1)
+    z_pows = _powers(mul, A.unit, els["z"], p - 1)
+    del_pows = _powers(mul, A.unit, els["del"], p - 1)
 
     sub_basis, sub_labels = [], []
     for a_rot in range(4 * p):
@@ -953,7 +930,7 @@ def hqsl2(p: int) -> HqSl2:
     T = ts.yd.algebra
     lam_t = {T.space.index[(1, 0, 0)]: one}
     chk = Check("hq-lambda-power", "exhaustive", cases=1)
-    lhs = _power(T.product, dict(T.unit), lam_t, 2 * p)
+    lhs = _powers(T.product, T.unit, lam_t, 2 * p)[-1]
     rhs = vscale(dict(T.unit), half if p % 2 == 0 else -half)
     checks.append(chk.result(
         None if veq(lhs, rhs) else f"lam^(2p) = {render_element(T.space, lhs)}"))
@@ -1074,21 +1051,10 @@ def hq_coaction_table_check(hq: HqSl2,
 
 # -- the q-deformed Weyl algebra on one pair -------------------------------------
 
-class CqZd(NamedTuple):
-    """p^2-dimensional algebra on z, del with del z = (q - q^(-1)) +
-    q^(-2) z del and z^p = del^p = 0, in the normally ordered basis
-    z^a del^b."""
-
-    ctx: QContext
-    algebra: FiniteAlgebra
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
-
-
-def cqzd(p: int) -> CqZd:
-    """The q-deformed Weyl algebra over the shared field of taft_setup(p)."""
+def cqzd(p: int) -> FiniteAlgebra:
+    """The q-deformed Weyl algebra over the shared field of taft_setup(p):
+    p^2-dimensional on z, del with del z = (q - q^(-1)) + q^(-2) z del and
+    z^p = del^p = 0, in the normally ordered basis z^a del^b."""
     ctx = taft_setup(p).ctx
     t = ctx.qdiff
     u = ctx.q_pow(-2)
@@ -1133,16 +1099,15 @@ def cqzd(p: int) -> CqZd:
                     vadd_term(row, idx[(a + i, j + b2)], c)
             mult.set(idx[(a, b)], idx[(a2, b2)], tuple(sorted(row.items())))
 
-    alg = FiniteAlgebra(ctx, space, mult, {idx[(0, 0)]: one},
-                        generators=[{idx[(1, 0)]: one}, {idx[(0, 1)]: one}],
-                        name=space.name)
-    return CqZd(ctx, alg)
+    return FiniteAlgebra(ctx, space, mult, {idx[(0, 0)]: one},
+                         generators=[{idx[(1, 0)]: one}, {idx[(0, 1)]: one}],
+                         name=space.name)
 
 
-def cqzd_center_check(cq: CqZd, name: str = "cqzd-center") -> CheckResult:
+def cqzd_center_check(A: FiniteAlgebra,
+                      name: str = "cqzd-center") -> CheckResult:
     """The center is exactly the scalars: kernel of v -> ([v,z], [v,del])."""
-    A = cq.algebra
-    ctx = cq.ctx
+    ctx = A.ctx
     n = A.dim
     one = ctx.one
     zv = {A.space.index[(1, 0)]: one}
@@ -1172,36 +1137,27 @@ def cqzd_center_check(cq: CqZd, name: str = "cqzd-center") -> CheckResult:
     return chk.result()
 
 
-def hq_factorization_check(hq: HqSl2,
+def hq_factorization_check(hq: HqSl2, walk,
                            name: str = "hq-factorization") -> CheckResult:
     """Structure constants of the truncation factor as (lam powers with
-    lam^(2p) = (-1)^p i) tensor the q-deformed Weyl algebra."""
+    lam^(2p) = (-1)^p i) tensor the q-deformed Weyl algebra, on the pairs
+    of `walk`."""
     ctx = hq.ctx
     p = ctx.p
     T = hq.algebra
-    cq = cqzd(p).algebra
+    cq = cqzd(p)
     tidx, cidx = T.space.index, cq.space.index
-    clab = cq.space.labels
+    tlab, clab = T.space.labels, cq.space.labels
     wrap = ctx.zeta_pow(p) if p % 2 == 0 else -ctx.zeta_pow(p)   # (-1)^p i
 
-    chk = Check(name, "exhaustive")
-    for i, (a, b, c) in enumerate(T.space.labels):
-        for j, (a2, b2, c2) in enumerate(T.space.labels):
-            chk.cases += 1
-            got = dict(T.mult.get(i, j))
-            exp: Vec = {}
-            asum = a + a2
-            mul_by = ctx.one if asum < 2 * p else wrap
-            for ck, cc in cq.mult.get(cidx[(b, c)], cidx[(b2, c2)]):
-                zb, dc = clab[ck]
-                exp[tidx[(asum % (2 * p), zb, dc)]] = cc * mul_by
-            if not veq(got, exp):
-                return chk.result(
-                    f"({T.space.label(i)}) * "
-                    f"({T.space.label(j)}) = "
-                    f"{render_element(T.space, got)}, "
-                    f"factored form gives {render_element(T.space, exp)}")
-    return chk.result()
+    def row(i: int, j: int) -> Vec:
+        (a, b, c), (a2, b2, c2) = tlab[i], tlab[j]
+        asum = a + a2
+        mul_by = ctx.one if asum < 2 * p else wrap
+        return {tidx[(asum % (2 * p), *clab[ck])]: cc * mul_by
+                for ck, cc in cq.mult.get(cidx[(b, c)], cidx[(b2, c2)])}
+
+    return check_product_rows(name, T, row, walk, (None, None))
 
 
 # -- alternating chains of z- and del-factors ------------------------------------
@@ -1221,9 +1177,7 @@ def _heis_factor(uq: UqSl2, kind: str) -> TransportedStructure:
     A = sys.heis.algebra
     els = heis_elements(sys)
     v = els["z" if kind == "z" else "del"]
-    basis = [dict(A.unit)]
-    for _ in range(p - 1):
-        basis.append(A.product(basis[-1], v))
+    basis = _powers(A.product, A.unit, v, p - 1)
     g = double_elements(sys)
     D = sys.double.hopf
     kk = D.product(g["kap"], g["k"])
@@ -1354,8 +1308,8 @@ def chain_heisenberg_checks(ch: HeisenbergChain,
     out.append(_relation_result(chk, rels, rend))
 
     chk = Check(f"{prefix}-nilpotent", "exhaustive")
-    rels = [(f"({ch.kind(i)}_{i})^p = 0", _power(mul, unit, gens[i], p), {})
-            for i in range(n)]
+    rels = [(f"({ch.kind(i)}_{i})^p = 0", _powers(mul, unit, gens[i], p)[-1],
+             {}) for i in range(n)]
     out.append(_relation_result(chk, rels, rend))
     return out
 
@@ -1368,7 +1322,7 @@ def h2_matches_cqzd_check(ch: HeisenbergChain,
         raise ValueError("the isomorphism check needs a two-factor chain")
     ctx = ch.ctx
     p = ctx.p
-    cq = cqzd(p).algebra
+    cq = cqzd(p)
     alg = ch.algebra
     mul = alg.product
     zpos = 0 if ch.kind(0) == "z" else 1
@@ -1380,8 +1334,8 @@ def h2_matches_cqzd_check(ch: HeisenbergChain,
     solver = SpanSolver(alg.dim)
     for (a, b) in cq.space.labels:
         chk.cases += 1
-        img = _power(mul, dict(alg.unit), Z, a)
-        img = mul(img, _power(mul, dict(alg.unit), D, b))
+        img = _powers(mul, alg.unit, Z, a)[-1]
+        img = mul(img, _powers(mul, alg.unit, D, b)[-1])
         images.append(img)
         if not solver.add(img):
             return chk.result(f"image of z^{a} del^{b} is dependent")

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .hopf import FiniteAlgebra, FiniteHopf, render_element, twisted_product
+from .hopf import (FiniteAlgebra, FiniteHopf, check_same_product,
+                   render_element, twisted_product)
 from .results import Check, CheckResult, gen_indices
 from .sparse import (LinearMap, Row, Space, Vec, colinear_apply, shared_row,
                      tensor_flat, vadd_into, vadd_outer, vadd_term, veq,
@@ -731,31 +732,12 @@ def check_factor_embeddings(bp: BraidedProductAlgebra,
 def check_rebracketing(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
                        z_mod: YDModuleAlgebra, walk,
                        name: str = "rebracketing") -> CheckResult:
-    """(X >< Y) >< Z and X >< (Y >< Z) have identical structure constants.
-
-    Row-major flattening makes both products live on the same index set, so
-    rows can be compared directly.
-    """
+    """(X >< Y) >< Z and X >< (Y >< Z) are one algebra: row-major
+    flattening puts both products on the same index set, so
+    `check_same_product` compares them on the pairs of `walk`."""
     left = braided_product(braided_product(x_mod, y_mod).yd, z_mod).yd
     right = braided_product(x_mod, braided_product(y_mod, z_mod).yd).yd
-    d = left.algebra.dim
-    g = gen_indices(left.algebra)
-    walk = walk.over((d, d), (g, g))
-    chk = Check(name, walk.label, cases=1)
-    if right.algebra.dim != d:
-        return chk.result("dimension mismatch")
-    if not veq(left.algebra.unit, right.algebra.unit):
-        return chk.result("units differ")
-    chk.cases = 0
-
-    def case(i: int, j: int) -> Optional[str]:
-        if veq(dict(left.algebra.mult.get(i, j)),
-               dict(right.algebra.mult.get(i, j))):
-            return None
-        return (f"products differ at ({left.algebra.space.label(i)}, "
-                f"{left.algebra.space.label(j)})")
-
-    return chk.result(walk.failure(chk, case))
+    return check_same_product(left.algebra, right.algebra, walk, name)
 
 
 def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,

@@ -21,6 +21,9 @@
   classes give without them.
 * No module builds a label -> index map from a space's labels or scans
   them with `.index(`: `Space.index` is that map, built once per space.
+* In `mutations.py` only `run_mutation` builds a `Check`, and no fixture
+  calls `veq` or a walk's `.failure(`: a fixture corrupts an input and
+  runs the healthy checks, and holds no copy of a check body.
 """
 
 from __future__ import annotations
@@ -310,3 +313,45 @@ def test_the_label_guard_sees_hand_built_maps_and_scans():
     assert _label_lookups({"taft.py": reverted}) == [
         "taft.py:2 label map", "taft.py:3 label map",
         "taft.py:4 labels.index", "taft.py:5 labels.index"]
+
+
+def _fixture_check_bodies(tree) -> list:
+    """In a mutations module: each call of `Check` outside `run_mutation`,
+    and each call of `veq` or `failure`, as a name or an attribute."""
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("veq", "failure") or (name == "Check"
+                                              and owner != "run_mutation"):
+                found.append(f"{owner}:{node.lineno} {name}")
+    return found
+
+
+def test_no_fixture_holds_a_check_body():
+    assert _fixture_check_bodies(_modules()["mutations.py"]) == []
+
+
+def test_the_fixture_guard_sees_a_copied_case_loop():
+    """The eta fixture as it was: its own Check, case loop and veq."""
+    reverted = ast.parse(
+        "def _eta_swapped(p, walks):\n"
+        "    chk = Check('eta-twist-swapped', 'exhaustive')\n"
+        "    for k1 in range(d):\n"
+        "        for k2 in range(d):\n"
+        "            chk.cases += 1\n"
+        "            if not veq(acc, dict(Hd.algebra.mult.get(k1, k2))):\n"
+        "                return [chk.result('M, N: disagrees')]\n"
+        "    return [chk.result()]\n"
+        "def _walked(p, walks):\n"
+        "    chk = results.Check('law', walks.label)\n"
+        "    return [chk.result(walks.failure(chk, case))]\n"
+        "def run_mutation(tag, p, walks):\n"
+        "    chk = Check(f'mutation-{tag}', 'exhaustive')\n"
+        "    return chk.result(sparse.veq(a, b) and None)\n")
+    assert _fixture_check_bodies(reverted) == [
+        "_eta_swapped:2 Check", "_eta_swapped:6 veq",
+        "_walked:10 Check", "_walked:11 failure", "run_mutation:14 veq"]

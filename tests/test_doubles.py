@@ -5,15 +5,17 @@ from __future__ import annotations
 import pytest
 
 from hopfbench.doubles import (
-    DrinfeldDouble, check_double_identity, check_quantum_comm_remarks,
+    DrinfeldDouble, HeisenbergDouble, check_double_identity,
+    check_quantum_comm_remarks,
     check_quasitriangular,
     chain_relations_check, eta_twist_product, FactoredAction,
     heisenberg_chain, to_show_action_check,
 )
-from hopfbench.hopf import FiniteHopf, check_hopf_axioms
+from hopfbench.hopf import (FiniteAlgebra, FiniteHopf, check_hopf_axioms,
+                           check_same_product)
 from hopfbench.results import (TupleWalks, invert_expected_failure,
                                lemma_walk)
-from hopfbench.sparse import veq
+from hopfbench.sparse import BilinearMap, veq
 from hopfbench.taft import (
     closed_form_check, double_elements, double_presentation_check,
     taft_dual_check, taft_system,
@@ -111,6 +113,53 @@ def test_closed_form_product(system):
     else:
         res = closed_form_check(system, TupleWalks("sample", 0, 100_000))
     assert res.status == "pass"
+
+
+def _zeta_scaled(sys, i: int, j: int):
+    """`sys` with the first entry of H(B*)'s product row (i, j) scaled by
+    zeta, and every other row unchanged."""
+    Hd = sys.heis
+    A = Hd.algebra
+
+    def fn(a: int, b: int):
+        row = A.mult.get(a, b)
+        if (a, b) != (i, j):
+            return row
+        (k, c), *rest = row
+        return ((k, c * sys.ctx.zeta), *rest)
+
+    bad = FiniteAlgebra(A.ctx, A.space, BilinearMap(A.dim, A.dim, fn=fn),
+                        A.unit, generators=A.generators,
+                        name="hdouble(zeta-scaled)", factors=A.factors)
+    return sys._replace(heis=HeisenbergDouble(sys.ctx, bad, Hd.base, Hd.dual,
+                                              Hd.pairing))
+
+
+@pytest.mark.parametrize("i,j", [(1, 17), (16, 3), (200, 255)])
+def test_a_zeta_scaled_product_entry_fails_each_identity_at_its_pair(
+        sys2, i, j):
+    """eta-twist, smash-closed-form and braided-product-is-hdouble compare
+    H(B*)'s product with another through one comparator: each fails at
+    the corrupted pair, the first it walks that differs."""
+    bad = _zeta_scaled(sys2, i, j)
+    A = bad.heis.algebra
+    assert A.mult.get(i, j) != sys2.heis.algebra.mult.get(i, j)
+    B = heisenberg_chain(sys2.pair.primal, 2, leftmost="dual",
+                         D=sys2.double).yd.algebra
+    # each result, with the algebra whose labels its witness shows
+    results = {
+        "eta-twist": (eta_twist_product(sys2.double, bad.heis, EXHAUSTIVE),
+                      A),
+        "smash-closed-form": (closed_form_check(bad, EXHAUSTIVE), A),
+        "braided-product-is-hdouble": (check_same_product(
+            B, A, EXHAUSTIVE, "braided-product-is-hdouble"), B),
+    }
+    for name, (res, X) in results.items():
+        assert (res.name, res.status, res.mode) == (name, "fail",
+                                                    "exhaustive")
+        assert res.cases_checked == i * A.dim + j + 1
+        assert res.witness.startswith(
+            f"products of ({X.space.label(i)}, {X.space.label(j)}) differ: ")
 
 
 def test_action_composes_through_double(sys2):

@@ -22,8 +22,8 @@ EXPECTED_WITNESS = {
     "hdouble-coaction-swapped":
         "[comodule-coaction] coaction not coassociative at x=1#E",
     "eta-arguments-swapped":
-        "[eta-twist-swapped] M=1(x)k, N=kap(x)1: twisted product with "
-        "swapped arguments disagrees with the smash product",
+        "[eta-twist-swapped] products of (1#k, kap#1) differ: "
+        "-q^(3/2)*kap#k vs kap#k",
     "trivial-coaction":
         "[yd-condition] M=1(x)E, A=1#k: YD compatibility fails",
 }
@@ -40,6 +40,15 @@ def test_mutation_is_detected(tag):
     assert res.status == "fail"
     assert res.name == f"mutation-{tag}"
     assert res.witness == EXPECTED_WITNESS[tag]
+
+
+def test_eta_fixture_walks_every_pair_to_the_first_that_differs():
+    """The eta fixture has no generator slot, so the pinned generators walk
+    is every pair in order: (1#k, kap#1) is pair 273 of H(B*) at p=2."""
+    res = run_mutation("eta-arguments-swapped", 2, CONTROLS)
+    assert (res.status, res.mode, res.cases_checked) == ("fail", "exhaustive",
+                                                         273)
+    assert "(1#k, kap#1)" in res.witness
 
 
 def test_suite_runs_in_registry_order():

@@ -170,7 +170,7 @@ REPORT_SHA256_P2 = {
     "heisenberg":
         "86f9dd7f2b3455ee6622b773834ad1539949ce6333ab442441f109c30fbef21c",
     "mutations":
-        "5e1f59286179c7fb79c0046647cf64b49cc2bea8ebca129a5585ca5882f1a7e3",
+        "942b052c78f5342cb01a27e70cbd1d23fed9ca7070eb74564d2f30f414c69b9a",
     "chains":
         "b3e30ca0d5ab1f1279524b1725418f8f09fe5d7188209db93e41dde90dd69820",
     "truncations":
