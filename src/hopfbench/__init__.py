@@ -10,9 +10,3 @@ come with replayable counterexample witnesses.
 """
 
 __version__ = "0.1.0"
-
-from .cyclo import Cyc, QContext  # noqa: E402,F401
-from .results import CheckResult, summarize  # noqa: E402,F401
-from .report import (  # noqa: E402,F401
-    SuiteConfig, VerificationReport, parse, render, run_suite,
-)

@@ -3,35 +3,39 @@
 Exit codes: 0 all selected checks passed (skipped checks do not fail a
 run), 1 at least one check failed, 2 usage error (bad flags, bad
 expression, unknown object, an `--out` path whose directory is missing
-or not writable, checked before any work), 3 engine crash (an
-unexpected exception; the traceback goes to stderr).
+or not writable, checked before any work) or a stdout closed before the
+output was written (say by `| head`), 3 engine crash (an unexpected
+exception; the traceback goes to stderr).
+
+A process pays only for its command: `report` (and through it the
+mutation fixtures) is imported by `verify` alone, `json` by the paths
+that encode or decode it and `traceback` by the crash path.  The
+console script ends through `console_main`, which skips the
+interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import traceback
 from fractions import Fraction
 from operator import itemgetter
 from types import GeneratorType
-from typing import Iterator, Optional
+from typing import Iterator, NoReturn, Optional
 
 from . import __version__
 from .cyclo import Cyc, QContext
 from .hopf import (FiniteAlgebra, FiniteHopf, render_element,
                    render_tensor)
-from .report import ConfigError, SuiteConfig, render, run_suite
 from .results import MODES
 from .sparse import (BilinearMap, ColinearMap, LinearMap, Space, SpanSolver,
                      Vec, vadd_term)
 from .taft import (cqzd, double_elements, heis_elements, hqsl2, taft_system,
                    truly_heisenberg_chain, uqsl2)
 
-__all__ = ["main", "EvalError", "evaluate_expression", "export_bytes",
-           "check_export_name", "import_object",
+__all__ = ["main", "console_main", "EvalError", "evaluate_expression",
+           "export_bytes", "check_export_name", "import_object",
            "reexport_bytes", "EXPORT_SCHEMA_VERSION"]
 
 EXPORT_SCHEMA_VERSION = 1
@@ -425,6 +429,7 @@ def _scalar_text(c: Cyc) -> bytes:
 
 
 def _dumps(value) -> bytes:
+    import json
     return json.dumps(value, sort_keys=True,
                       separators=(",", ":")).encode("ascii")
 
@@ -679,6 +684,7 @@ def import_object(data):
     referenced by name, so its dimension is not in the payload.
     """
     if isinstance(data, (bytes, str)):
+        import json
         data = json.loads(data)
     if data.get("schema_version") != EXPORT_SCHEMA_VERSION:
         raise ValueError(f"unsupported export schema: "
@@ -805,17 +811,30 @@ def _out_error(out: Optional[str]) -> Optional[str]:
     return None
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout went away before the output was written."""
+
+
 def _write(chunks, out: Optional[str]) -> None:
     """Write the byte chunks to stdout, or to the file `out`.
 
     A file is written under a temporary name in its directory and renamed
     over `out` once every chunk is written, so a run that fails halfway
     leaves `out` as it was.  Only a special file (say /dev/null) is
-    written in place.
+    written in place.  A closed stdout raises _StdoutClosed, after
+    pointing stdout at /dev/null: what is left in its buffer must not be
+    flushed into the dead pipe again at exit.
     """
     if not out:
-        sys.stdout.buffer.writelines(chunks)
-        sys.stdout.buffer.flush()
+        stdout = sys.stdout.buffer
+        try:
+            stdout.writelines(chunks)
+            stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout.fileno())
+            os.close(devnull)
+            raise _StdoutClosed from None
         return
     target = os.path.realpath(out)
     if os.path.exists(target) and not os.path.isfile(target):
@@ -839,6 +858,7 @@ def _cmd_verify(args) -> int:
     if bad_out:
         print(f"hopfbench verify: error: {bad_out}", file=sys.stderr)
         return 2
+    from .report import ConfigError, SuiteConfig, render, run_suite
     cfg = SuiteConfig(p=args.p, suite=args.suite, mode=args.mode,
                       seed=args.seed, sample_size=args.sample_size,
                       fail_fast=args.fail_fast)
@@ -857,10 +877,11 @@ def _cmd_eval(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        print(evaluate_expression(args.p, args.expression, args.structure))
+        text = evaluate_expression(args.p, args.expression, args.structure)
     except EvalError as exc:
         print(f"hopfbench eval: error: {exc}", file=sys.stderr)
         return 2
+    _write([text.encode("utf-8") + b"\n"], None)
     return 0
 
 
@@ -883,6 +904,8 @@ def _cmd_export(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code (see the module docstring).
+    Usage errors that argparse finds raise SystemExit(2)."""
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
@@ -890,11 +913,38 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return _cmd_eval(args)
         return _cmd_export(args)
+    except _StdoutClosed:
+        print(f"hopfbench {args.command}: error: stdout was closed before "
+              f"all output was written", file=sys.stderr)
+        return 2
     except Exception:
         # An engine crash must not read as "a check failed" (exit 1).
+        import traceback
         traceback.print_exc()
         return 3
 
 
+def console_main() -> NoReturn:
+    """The `hopfbench` console script and `python3 -m hopfbench`.
+
+    Runs main() on sys.argv, flushes stdout and stderr, and ends the
+    process with os._exit.  That skips the interpreter's teardown, which
+    frees every memo row and module one by one, and with it every atexit
+    hook: to run those (say coverage's), call main() in process.  main()
+    leaves no suite worker running (report._pool_map joins them all).
+    If a flush fails, the normal exit reports it.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:             # argparse: usage, --help, --version
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console_main()

@@ -12,7 +12,6 @@ each law a check walks, a lemma walk or the run's `TupleWalks`.
 
 from __future__ import annotations
 
-import json
 import os
 from functools import partial
 from typing import NamedTuple, Optional, Sequence, Union
@@ -24,7 +23,6 @@ from .doubles import (FactoredAction, chain_relations_check,
                       heisenberg_chain, module_factor_walk,
                       to_show_action_check)
 from .hopf import check_algebra_axioms, check_hopf_axioms, check_same_product
-from .mutations import MUTATIONS, run_mutation
 from .results import (MODES, CheckResult, TupleWalks, dim_check, gen_indices,
                       invert_expected_failure, lemma_walk, subcoalgebra_walk,
                       subcomodule_walk, summarize, two_sided_lemma_walk)
@@ -164,6 +162,7 @@ class VerificationReport:
 def render(report: VerificationReport, fmt: str = "text") -> bytes:
     """Serialize a report; "json" is canonical and byte-stable."""
     if fmt == "json":
+        import json
         text = json.dumps(report.to_dict(), sort_keys=True,
                           separators=(",", ":"))
         return (text + "\n").encode("utf-8")
@@ -190,6 +189,7 @@ def parse(data) -> VerificationReport:
     """Inverse of render(report, "json") up to report equality."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
+    import json
     obj = json.loads(data)
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema: "
@@ -399,6 +399,7 @@ def _suite_truncations(cfg: SuiteConfig):
 
 
 def _suite_mutations(cfg: SuiteConfig):
+    from .mutations import MUTATIONS, run_mutation
     # the negative controls walk a pinned sample in every mode
     controls = TupleWalks("generators", 0, 10_000)
     for tag in MUTATIONS:
@@ -442,7 +443,9 @@ def _pool_map(run, suites: tuple, workers: int, p: int) -> list:
 
     The first exception from any suite terminates every worker (hopfbench
     starts no other child process) and is raised again at once, instead
-    of after the suites still running have finished.
+    of after the suites still running have finished.  Either way every
+    worker has been joined when this returns or raises: the console entry
+    ends the process with os._exit, which runs no atexit hook to reap it.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed

@@ -19,6 +19,9 @@
   and generated classes (`dataclasses` loads `inspect` and `ast`) cost
   every process start-up what `typing.NamedTuple` and `__slots__`
   classes give without them.
+* A command imports only what it runs: `import hopfbench` loads nothing
+  else, and an `eval` loads neither `report`, `mutations`, `json` nor
+  `traceback` (each is paid for by the path that uses it).
 * No module builds a label -> index map from a space's labels or scans
   them with `.index(`: `Space.index` is that map, built once per space.
 * In `mutations.py` only `run_mutation` builds a `Check`, and no fixture
@@ -268,6 +271,32 @@ def test_the_cli_import_loads_no_class_generator():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+BOUNDARY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import hopfbench
+print(sorted(m for m in sys.modules if m.startswith("hopfbench")))
+from hopfbench.cli import main
+assert main(["eval", "--p", "2", "--structure", "coaction", "lam kap"]) == 0
+heavy = {"hopfbench.report", "hopfbench.mutations", "json", "traceback"}
+print(sorted(heavy & set(sys.modules)))
+assert main(["export", "--p", "2", "hqsl2", "--out", sys.argv[2]]) == 0
+print(sorted(heavy & set(sys.modules)))
+"""
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    """In a fresh interpreter (site hooks off), `import hopfbench` loads
+    nothing else; an eval loads neither the report, the mutation fixtures,
+    `json` nor `traceback`, and an export adds `json` alone."""
+    out = subprocess.run([sys.executable, "-S", "-c", BOUNDARY,
+                          str(SRC.parent), str(tmp_path / "hqsl2.json")],
+                         capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert lines[0] == "['hopfbench']"
+    assert lines[-2:] == ["[]", "['json']"]
 
 
 def _is_space_labels(node) -> bool:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hopfbench.cli as cli_module
+import hopfbench.mutations as mutations_module
 import hopfbench.report as report_module
 from hopfbench.cli import export_bytes, import_object, main, reexport_bytes
 from hopfbench.cyclo import QContext
@@ -135,13 +136,14 @@ def test_fail_fast_stops_pulling_checks(monkeypatch):
 
 def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
     built = []
-    run_mutation = report_module.run_mutation
+    run_mutation = mutations_module.run_mutation
 
     def counted(tag, p, walks):
         built.append(tag)
         return run_mutation(tag, p, walks)
 
-    monkeypatch.setattr(report_module, "run_mutation", counted)
+    # the mutations suite imports run_mutation when it runs
+    monkeypatch.setattr(mutations_module, "run_mutation", counted)
     full = run_suite(SuiteConfig(p=2, suite="mutations")).to_dict()["checks"]
     assert built == list(MUTATIONS)
     built.clear()
@@ -344,12 +346,20 @@ def die(cfg):
 report.os.sched_getaffinity = lambda pid: {0, 1}
 report._SUITES["chains"] = lambda cfg: iter(())
 report._SUITES["mutations"] = die
-sys.exit(main(["verify", "--p", "2", "--suite", "chains,mutations"]))
 """
+
+# The last line of a script for _run_python: main() in process, or the
+# console entry, which ends the process with os._exit.
+IN_PROCESS = "sys.exit(main(sys.argv[1:]))\n"
+CONSOLE = "from hopfbench.cli import console_main; console_main()\n"
+# Each forked worker writes its pid first, in one write.
+LOG_WORKERS = ("import os; os.register_at_fork(after_in_child=lambda: "
+               "os.write(1, b'worker %d\\n' % os.getpid()))\n")
+TWO_SUITES = ("verify", "--p", "2", "--suite", "chains,mutations")
 
 
 def test_a_killed_worker_exits_3_without_a_hang():
-    proc = _run_python(KILLED_WORKER)
+    proc = _run_python(KILLED_WORKER + IN_PROCESS, *TWO_SUITES)
     assert proc.returncode == 3, proc.stderr
     assert "BrokenProcessPool" in proc.stderr
 
@@ -369,17 +379,44 @@ def crash(cfg):
 report.os.sched_getaffinity = lambda pid: {0, 1}
 report._SUITES["chains"] = sleep
 report._SUITES["mutations"] = crash
-sys.exit(main(["verify", "--p", "2", "--suite", "chains,mutations"]))
 """
 
 
 def test_a_crash_does_not_wait_for_the_other_suites():
     t0 = time.monotonic()
-    proc = _run_python(CRASH_BESIDE_A_SLEEPER)
+    proc = _run_python(CRASH_BESIDE_A_SLEEPER + IN_PROCESS, *TWO_SUITES)
     elapsed = time.monotonic() - t0
     assert proc.returncode == 3, proc.stderr
     assert "RuntimeError: engine fault" in proc.stderr
     assert elapsed < 10, f"the crash waited {elapsed:.1f} s for a sleeper"
+
+
+def _running(pid: int) -> bool:
+    """Whether process pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.parametrize("script,error", [
+    (KILLED_WORKER, "BrokenProcessPool"),
+    (CRASH_BESIDE_A_SLEEPER, "RuntimeError: engine fault"),
+], ids=["killed-worker", "crash-beside-a-sleeper"])
+def test_the_console_entry_leaves_no_worker_running(script, error):
+    """os._exit runs no atexit hook, so the workers must be gone before
+    it: a sleeper left running would also hold the output pipes open."""
+    t0 = time.monotonic()
+    proc = _run_python(LOG_WORKERS + script + CONSOLE, *TWO_SUITES)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 3, proc.stderr
+    assert error in proc.stderr and "Traceback" in proc.stderr
+    assert elapsed < 10, f"the exit waited {elapsed:.1f} s for a sleeper"
+    workers = [int(line.split()[1]) for line in proc.stdout.splitlines()
+               if line.startswith("worker ")]
+    assert len(workers) == 2
+    assert not [pid for pid in workers if _running(pid)]
 
 
 @pytest.mark.parametrize("suite,fail_fast,cpus,pool", [
@@ -488,6 +525,84 @@ def test_engine_crash_exits_3(monkeypatch, capsys):
     assert "Traceback" in err and "RuntimeError: engine fault" in err
 
 
+def _hopfbench(*args, stdout=subprocess.PIPE):
+    """`python3 -m hopfbench ARGS` in a fresh process: the console entry,
+    with stdout block-buffered as in a shell pipeline."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "hopfbench", *args],
+                            env=env, stdout=stdout, stderr=subprocess.PIPE)
+
+
+def _finish(proc):
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err.decode()
+
+
+def test_one_console_entry():
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml")) as fh:
+        assert 'hopfbench = "hopfbench.cli:console_main"' in fh.read()
+    with open(os.path.join(SRC, "hopfbench", "__main__.py")) as fh:
+        assert "console_main()" in fh.read()
+
+
+def test_the_console_entry_keeps_output_and_exit_codes(tmp_path):
+    assert _finish(_hopfbench("eval", "--p", "2", "z del")) == (
+        0, b"2*q*1 - del z\n", "")
+
+    code, out, err = _finish(_hopfbench("verify", "--p", "2", "--suite",
+                                        "mutations", "--format", "json"))
+    assert code == 1, err
+    assert out == render(run_suite(SuiteConfig(p=2, suite="mutations")),
+                         "json")
+
+    code, out, err = _finish(_hopfbench("eval", "--bogus", "z"))
+    assert (code, out) == (2, b"") and "unrecognized arguments" in err
+    # argparse prints --version into stdout's buffer, which only the
+    # entry's flush writes out
+    assert _finish(_hopfbench("--version")) == (0, b"hopfbench 0.1.0\n", "")
+
+    target = tmp_path / "hdouble.json"
+    assert _finish(_hopfbench("export", "--p", "2", "hdouble", "--out",
+                              str(target))) == (0, b"", "")
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == EXPORT_SHA256_P2["hdouble"]
+    assert os.listdir(tmp_path) == ["hdouble.json"]
+
+
+def test_the_console_entry_reports_an_engine_crash():
+    script = ("import sys\n"
+              "import hopfbench.report as report\n"
+              "def crash(cfg):\n"
+              "    raise RuntimeError('engine fault')\n"
+              "report._SUITES['mutations'] = crash\n" + CONSOLE)
+    proc = _run_python(script, "verify", "--p", "2", "--suite", "mutations")
+    assert proc.returncode == 3
+    assert "Traceback" in proc.stderr
+    assert proc.stderr.rstrip().endswith("RuntimeError: engine fault")
+
+
+def test_a_closed_stdout_is_a_one_line_usage_error():
+    """The reader of stdout goes away mid-export, or before an eval
+    writes: exit 2, one error line, no traceback, and nothing flushed
+    into the dead pipe again on the way out."""
+    proc = _hopfbench("export", "--p", "2", "ddouble")
+    assert len(proc.stdout.read(100)) == 100          # 7.3 MB are coming
+    proc.stdout.close()
+    code, _, err = _finish(proc)
+    assert (code, err) == (2, "hopfbench export: error: stdout was closed "
+                              "before all output was written\n")
+
+    read_end, write_end = os.pipe()
+    proc = _hopfbench("eval", "--p", "2", "z del", stdout=write_end)
+    os.close(write_end)
+    os.close(read_end)                                # before any output
+    code, _, err = _finish(proc)
+    assert (code, err) == (2, "hopfbench eval: error: stdout was closed "
+                              "before all output was written\n")
+
+
 EVAL_CASES = [
     (["eval", "--p", "2", "del * z"], "del z"),
     (["eval", "--p", "2", "z del"], "2*q*1 - del z"),
@@ -519,6 +634,19 @@ def test_eval_takes_powers_by_squaring(capsys):
     assert main(["eval", "--p", "2", "k^1000000000"]) == 0
     assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def test_every_eval_reference():
+    """The 200 requests the benchmark draws from, evaluated in process,
+    give the stored outputs byte for byte."""
+    path = os.path.join(os.path.dirname(SRC), "bench", "eval_reference.json")
+    with open(path, encoding="utf-8") as fh:
+        reference = json.load(fh)
+    assert len(reference) == 200
+    for key, want in reference.items():
+        structure, expression = key.split("\t")
+        assert cli_module.evaluate_expression(2, expression,
+                                              structure) == want, key
 
 
 def test_one_eval_builds_part_of_the_dual_product(monkeypatch):
@@ -627,7 +755,9 @@ def test_export_cli(tmp_path, capsys):
 def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, monkeypatch,
                                                      capsys, argv, work):
     ran = []
-    monkeypatch.setattr(cli_module, work, lambda *a, **k: ran.append(a))
+    # verify imports the report module, and run_suite with it, on use
+    owner = report_module if work == "run_suite" else cli_module
+    monkeypatch.setattr(owner, work, lambda *a, **k: ran.append(a))
     out = tmp_path / "missing" / "out.json"
     assert main(argv + ["--out", str(out)]) == 2
     assert ran == []                      # checked before any work
