@@ -47,7 +47,7 @@ them on basis pairs):
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import cache, partial
 from typing import Optional
 
 from .cyclo import Cyc, QContext
@@ -55,7 +55,8 @@ from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing,
                    check_product_rows, dual_hopf, pair_product,
                    render_element, triple_product, twisted_product)
 from .results import (Check, CheckResult, Walk, coalgebra_closure,
-                      gen_indices, generation_failure,
+                      factor_pair_walk, factor_products_failure,
+                      factor_units, gen_indices, generation_failure,
                       invert_expected_failure)
 from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Row, Space, Vec,
                      linear_map_inverse, shared_row, tensor_flat, vadd_into,
@@ -76,6 +77,7 @@ __all__ = [
     "FactoredAction",
     "to_show_action_check",
     "module_factor_walk",
+    "module_algebra_factor_walk",
     "check_double_identity",
     "yd_structure",
     "factor_structures",
@@ -578,13 +580,70 @@ def _leg_defined(act) -> bool:
                         (act._fn, FactoredAction._row_fn)))
 
 
+def _require_factored(D: DrinfeldDouble, act) -> None:
+    """A ValueError unless `act` is a leg-defined FactoredAction of
+    `D.hopf` itself: the factor walks read the product and coproduct of
+    D, and the laws must hold for those of the algebra that acts."""
+    if not _leg_defined(act):
+        raise ValueError("the factor walk needs a FactoredAction whose rows "
+                         "are defined from its four leg actions")
+    if act.hopf is not D.hopf:
+        raise ValueError("the factor walk needs an action of D's own algebra")
+
+
+def _factored_obligations(D: DrinfeldDouble, act: FactoredAction,
+                          chk: Check) -> Optional[str]:
+    """The two facts that make the rows of `act` rho = (s1 (x) s2) Delta_D,
+    with s1 = adF(f) hit(m) acting on B* and s2 = rhit(f) ad(m) on B, one
+    case each on `chk`:
+
+    * the leg unit facts ad(m) 1 = eps(m) 1 and rhit(f) 1 = eps(f) 1 in
+      B, and hit(m) eps = eps(m) eps and adF(f) eps = eps(f) eps in B*,
+      for every basis m of B and f of B*;
+    * D's coproduct table is the tensor coalgebra of B*cop and B,
+      Delta(f (x) m) = sum (f'' (x) m') (x) (f' (x) m''), on every basis
+      vector.
+
+    By the first, rho(f (x) m)(alpha (x) 1) = s1(f (x) m) alpha (x) 1 and
+    rho(f (x) m)(1 (x) a) = 1 (x) s2(f (x) m) a (with the counit laws of B
+    and B*), since rho(f (x) m) = dual_row(f) prim_row(m) =
+    sum adF(f'') hit(m') (x) rhit(f') ad(m''); by the second that sum is
+    (s1 (x) s2) Delta_D(f (x) m).  The first witness, or None."""
+    base, dual = D.base, D.dual
+    (ub,), (uf,) = base.unit, dual.unit
+    for name, leg, A, u, V in (("ad", act.ad, base, ub, base),
+                               ("rhit", act.rhit, dual, ub, base),
+                               ("hit", act.hit, base, uf, dual),
+                               ("adF", act.adf, dual, uf, dual)):
+        for i in range(A.dim):
+            chk.cases += 1
+            eps = A.counit.get(i)
+            if not veq(dict(leg(i, u)), {u: eps} if eps else {}):
+                return (f"leg {name}: {name}(x) 1 != eps(x) 1 at "
+                        f"x={A.space.label(i)}")
+    H, nB, d = D.hopf, base.dim, D.dim
+    for key in range(d):
+        chk.cases += 1
+        f, b = divmod(key, nB)
+        want: Vec = {}
+        for f1, f2, cf in dual.comult.get(f):
+            for b1, b2, cb in base.comult.get(b):
+                vadd_term(want, (f2 * nB + b1) * d + f1 * nB + b2, cf * cb)
+        if not veq({j * d + k: c for j, k, c in H.comult.get(key)}, want):
+            return (f"Delta of {H.name} is not the tensor coalgebra of its "
+                    f"factors at x={H.space.label(key)}")
+    return None
+
+
 def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     """The walk on which `ydcat.check_module` proves that `act`, an action
     of D(B) = B*cop |><| B assembled from its two factor actions, is a
     module.
 
     Write f (x) 1 and 1 (x) m for f in B*cop and m in B; their units must
-    be basis vectors, with 1 (x) 1 the unit of D.  Let C_B be
+    be basis vectors, with 1 (x) 1 the unit of D.  Inside X = H(B*) write
+    X1 = B* (x) 1 and X2 = 1 (x) B, and V for the 2 d_B basis vectors
+    alpha (x) 1 and 1 (x) a that span them.  Let C_B be
     `results.coalgebra_closure(B)`: the basis indices of 1 and of the
     generators of B, closed under the legs of Delta, so their span is a
     subcoalgebra of B.  `check_module` walks, in order, and stops at the
@@ -593,59 +652,74 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     1. the unit law 1 |> x = x, for every x;
     2. (prelude) the products (f (x) 1)(1 (x) m) = f (x) m,
        (f (x) 1)(g (x) 1) = fg (x) 1 and (1 (x) m)(1 (x) n) = 1 (x) mn
-       in D, on every pair of basis vectors;
+       in D, on every pair of basis vectors
+       (`results.factor_products_failure`);
     3. (prelude) the factor unit laws `act.prim_row(1, x)` = e_x and
-       `act.dual_row(1, x)` = e_x, for every x;
+       `act.dual_row(1, x)` = e_x, for x in V;
     4. (prelude) for each leg L of `act` -- hit and ad over B, adF and
        rhit over B*, which `FactoredAction` reads from the leg tables of
        `DrinfeldDouble` unless a subclass overrides them -- `check_module`
        on L: the unit law L(1) v = v and the law L(gh) v = L(g) L(h) v,
        for g over the generators of its algebra and h, v over the bases;
-    5. (prelude) every B-leg of (1 (x) c)(f (x) 1) lies in C_B, for c in
+    5. (prelude) the leg unit facts and the tensor coalgebra of D
+       (`_factored_obligations`);
+    6. (prelude) every B-leg of (1 (x) c)(f (x) 1) lies in C_B, for c in
        C_B and every basis f;
-    6. the law on (1 (x) c, g (x) 1, x), for c in C_B, g over the
-       generators of B* and x over the basis of H(B*);
-    7. (certificate) `results.generation_failure` of B* and of B.
+    7. the law on (1 (x) c, g (x) 1, x), for c in C_B, g over the
+       generators of B* and x in V;
+    8. (certificate) `results.generation_failure` of B* and of B.
 
     The definitions of `FactoredAction` are part of the proof.  Its rows
-    are rho(f (x) m) := dual_row(f) after prim_row(m), so with 3,
-    rho(f (x) 1) = dual_row(f), rho(1 (x) m) = prim_row(m) and
-
-    (F) rho(f (x) m) = rho(f (x) 1) rho(1 (x) m) for every f and m,
-
-    which by 2 is the law on (f (x) 1, 1 (x) m, x).  Its factor rows are
+    are rho(f (x) m) := dual_row(f) after prim_row(m), with factor rows
     prim(m) = sum hit(m') (x) ad(m'') and dual(f) = sum adF(f'') (x)
     rhit(f').  An action whose rows or factor rows are defined otherwise
     -- not a `FactoredAction`, or a subclass that overrides `prim_row`,
     `dual_row` or `_row_fn` -- is refused with a ValueError, since this
     walk does not check those definitions.  So is an action of an
-    algebra other than `D.hopf`: 2 and 5 read the product of D, and the
-    law must hold for the product of the algebra that acts.
+    algebra other than `D.hopf`: 2, 5 and 6 read the product and the
+    coproduct of D, and the law must hold for those of the algebra that
+    acts.
 
     Proof that these give rho(hk) = rho(h) rho(k) on all of D.  The
     hypotheses are `hopf-axioms.taft-mult-associativity` and
     `taft-dual-mult-associativity` (B and B* are associative),
     `taft-comult-multiplicative` and `taft-dual-comult-multiplicative`
-    (their Delta are algebra maps) and `ddouble-mult-associativity`.
+    (their Delta are algebra maps), `taft-counit-laws` and
+    `taft-dual-counit-laws`, `ddouble-mult-associativity` and
+    `ddouble-comult-multiplicative`.
 
-    The factors.  With B associative, {g : L(gh) = L(g) L(h) for all h}
-    is a subalgebra of B, so by 4 and 7 each leg over B is a module, and
+    The two factors of X.  By 5, X1 and X2 are stable under prim_row,
+    dual_row and so rho, and rho acts on them as s1 = adF hit on B* and
+    s2 = rhit ad on B, with rho = (s1 (x) s2) Delta_D on X = B* (x) B
+    (see `_factored_obligations`).  So rho is a module once s1 and s2
+    are: with Delta_D multiplicative,
+
+        rho(hk) = sum s1(h'k') (x) s2(h''k'')
+                = sum s1(h') s1(k') (x) s2(h'') s2(k'') = rho(h) rho(k)
+
+    (Montgomery, Hopf Algebras and Their Actions on Rings, CBMS 82, 1993,
+    section 1.8).  What remains is the law on V: the argument below runs
+    with x over the span of V, which is stable under every row it reads.
+    With 3, (F) rho(f (x) m) = rho(f (x) 1) rho(1 (x) m) on it for every f
+    and m, which by 2 is the law on (f (x) 1, 1 (x) m, x).
+
+    The legs.  With B associative, {g : L(gh) = L(g) L(h) for all h} is
+    a subalgebra of B, so by 4 and 8 each leg over B is a module, and
     likewise over B*.  A tensor product of two modules is a module when
-    Delta is multiplicative (Montgomery, Hopf Algebras and Their Actions
-    on Rings, CBMS 82, 1993, section 1.8):
+    Delta is multiplicative:
 
         prim(mn) = sum hit(m'n') (x) ad(m''n'')
                  = sum hit(m') hit(n') (x) ad(m'') ad(n'') = prim(m) prim(n),
 
     and dual(fg) = dual(f) dual(g) the same way.  With 2 this is the law
     on (1 (x) b, 1 (x) m, x) and on (g (x) 1, f (x) 1, x) for every b,
-    m, g, f and x: rho is multiplicative on each factor.
+    m, g, f and x: rho is multiplicative on each factor of D.
 
     The cross relation on C_B.  T' = {f in B* : rho((1 (x) c)(f (x) 1))
     = rho(1 (x) c) rho(f (x) 1) for every c in C_B} is a subspace that
-    holds 1 and, by 6, the generators of B*.  It is closed under products:
+    holds 1 and, by 7, the generators of B*.  It is closed under products:
     for f, g in T' and c in C_B, write (1 (x) c)(f (x) 1) =
-    sum_i (f_i (x) 1)(1 (x) c_i) with c_i in C_B (by 2 and 5), and
+    sum_i (f_i (x) 1)(1 (x) c_i) with c_i in C_B (by 2 and 6), and
     (1 (x) c_i)(g (x) 1) as sum_j (g_ij (x) 1)(1 (x) c_ij).  By
     D-associativity and 2, (1 (x) c)(fg (x) 1) = sum f_i g_ij (x) c_ij,
     and (F) with the B*-module law gives
@@ -656,8 +730,8 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
             = rho(1 (x) c) rho(f (x) 1) rho(g (x) 1)            [f in T']
             = rho(1 (x) c) rho(fg (x) 1).
 
-    The second line needs c_i in C_B: that is why 5 is walked.  So T' =
-    B* by 7.
+    The second line needs c_i in C_B: that is why 6 is walked.  So T' =
+    B* by 8.
 
     The cross relation on B.  T = {b in B : rho((1 (x) b)(f (x) 1)) =
     rho(1 (x) b) rho(f (x) 1) for every f} holds C_B, so 1 and the
@@ -671,30 +745,25 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
             = sum rho(1 (x) b) rho(f_i (x) 1) rho(1 (x) c_i)
             = rho(1 (x) b) rho(1 (x) c) rho(f (x) 1).
 
-    So T = B by 7.  Last, for h = f (x) m and k = g (x) n, the twisted
+    So T = B by 8.  Last, for h = f (x) m and k = g (x) n, the twisted
     product row formula hk = sum_i (f g_i (x) 1)(1 (x) m_i n), where
     (1 (x) m)(g (x) 1) = sum_i (g_i (x) 1)(1 (x) m_i), gives
 
         rho(hk) = sum rho(f (x) 1) rho(g_i (x) 1) rho(1 (x) m_i) rho(1 (x) n)
                 = rho(f (x) 1) rho(1 (x) m) rho(g (x) 1) rho(1 (x) n)
-                = rho(h) rho(k).
+                = rho(h) rho(k)
 
-    The walk is labelled "generators".
+    on the span of V, that is s1 and s2 are modules.  The walk is
+    labelled "generators".
     """
-    if not _leg_defined(act):
-        raise ValueError("the factor walk needs a FactoredAction whose rows "
-                         "are defined from its four leg actions")
-    if act.hopf is not D.hopf:
-        raise ValueError("the factor walk needs an action of D's own algebra")
+    _require_factored(D, act)
     base, dual, one = D.base, D.dual, D.ctx.one
     nB, nF = base.dim, dual.dim
-    ub, uf = min(base.unit), min(dual.unit)
-    if (base.unit != {ub: one} or dual.unit != {uf: one}
-            or not veq(D.hopf.unit, {D.index(uf, ub): one})):
-        raise ValueError("the factor walk needs basis-vector units, "
-                         "with 1 (x) 1 the unit of D")
+    uf, ub = factor_units(D.hopf)
+    vf, vb = factor_units(act.algebra)
     mult = D.hopf.mult
-    xs = range(act.dim)
+    xs = ([f * nB + vb for f in range(nF)]
+          + [vf * nB + m for m in range(nB)])
     closure = coalgebra_closure(base)
     in_closure = set(closure)
 
@@ -702,27 +771,9 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     right = [D.index(uf, m) for m in range(nB)]     # 1 (x) m
 
     def products(chk: Check) -> Optional[str]:
-        for f in range(nF):
-            for m in range(nB):
-                chk.cases += 1
-                if not veq(dict(mult.get(left[f], right[m])),
-                           {D.index(f, m): one}):
-                    return (f"(f (x) 1)(1 (x) m) != f (x) m at "
-                            f"f={dual.space.label(f)}, m={base.space.label(m)}")
-        for f in range(nF):
-            for g in range(nF):
-                chk.cases += 1
-                if not veq(dict(mult.get(left[f], left[g])),
-                           {left[k]: c for k, c in dual.mult.get(f, g)}):
-                    return (f"(f (x) 1)(g (x) 1) != fg (x) 1 at "
-                            f"f={dual.space.label(f)}, g={dual.space.label(g)}")
-        for m in range(nB):
-            for n in range(nB):
-                chk.cases += 1
-                if not veq(dict(mult.get(right[m], right[n])),
-                           {right[k]: c for k, c in base.mult.get(m, n)}):
-                    return (f"(1 (x) m)(1 (x) n) != 1 (x) mn at "
-                            f"m={base.space.label(m)}, n={base.space.label(n)}")
+        wit = factor_products_failure(D.hopf, chk)
+        if wit is not None:
+            return wit
         for unit, row, factor in ((ub, act.prim_row, "B"),
                                   (uf, act.dual_row, "B*")):
             for x in xs:
@@ -741,6 +792,9 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
             chk.cases += res.cases_checked
             if res.witness is not None:
                 return f"leg {name}: {res.witness}"
+        wit = _factored_obligations(D, act, chk)
+        if wit is not None:
+            return wit
         for c in closure:
             for f in range(nF):
                 chk.cases += 1
@@ -756,6 +810,38 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     return Walk("generators", triples, prelude=products,
                 certificate=lambda: (generation_failure(dual)
                                      or generation_failure(base)))
+
+
+def module_algebra_factor_walk(D: DrinfeldDouble,
+                               act: FactoredAction) -> Walk:
+    """The walk on which `ydcat.check_module_algebra` proves the
+    module-algebra law of `act`, the D(B)-action on X = H(B*) assembled
+    from its two factor actions: `results.factor_pair_walk` on X with c
+    over C = `results.coalgebra_closure(D)`, without the X1 x X2 pairs,
+    with `_factored_obligations` in its prelude and D's generation
+    certificate after its own.
+
+    The X1 x X2 pairs follow from the definition of the rows: with rho =
+    (s1 (x) s2) Delta_D and rho acting on X1 and X2 as s1 and s2 (the
+    obligations), and (alpha (x) 1)(1 (x) a) = alpha (x) a (the prelude),
+
+        c |> (alpha (x) a) = sum s1(c') alpha (x) s2(c'') a
+                           = (c' |> (alpha (x) 1))(c'' |> (1 (x) a)).
+
+    So the action must be a leg-defined `FactoredAction` of `D.hopf`,
+    as for `module_factor_walk`, or a ValueError is raised.  The walk
+    proves the law on C (see `factor_pair_walk`); the second step of
+    `ydcat.check_module_algebra` carries it to all of D with D's
+    certificate.  The hypotheses are `hopf-axioms.hdouble-mult-
+    associativity`, `ddouble-comult-coassociativity`,
+    `ddouble-comult-counit-unital`, `ddouble-comult-multiplicative`,
+    `taft-counit-laws`, `taft-dual-counit-laws` and `yd.module-action`.
+    """
+    _require_factored(D, act)
+    return factor_pair_walk(act.algebra, closure=coalgebra_closure(D.hopf),
+                            mixed=False,
+                            obligations=partial(_factored_obligations, D, act),
+                            certificate=partial(generation_failure, D.hopf))
 
 
 def check_double_identity(D: DrinfeldDouble,

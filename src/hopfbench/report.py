@@ -20,19 +20,20 @@ from . import __version__
 from .doubles import (FactoredAction, chain_relations_check,
                       check_double_identity, check_quantum_comm_remarks,
                       check_quasitriangular, eta_twist_product,
-                      heisenberg_chain, module_factor_walk,
-                      to_show_action_check)
+                      heisenberg_chain, module_algebra_factor_walk,
+                      module_factor_walk, to_show_action_check)
 from .hopf import check_algebra_axioms, check_hopf_axioms, check_same_product
-from .results import (MODES, CheckResult, TupleWalks, dim_check, gen_indices,
-                      invert_expected_failure, lemma_walk, subcoalgebra_walk,
-                      subcomodule_walk, summarize, two_sided_lemma_walk)
+from .results import (MODES, CheckResult, TupleWalks, dim_check,
+                      factor_pair_walk, gen_indices, invert_expected_failure,
+                      lemma_walk, subcoalgebra_walk, subcomodule_walk,
+                      summarize, two_sided_lemma_walk)
 from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
                    cqzd, cqzd_center_check, double_presentation_check,
                    h2_matches_cqzd_check, hq_action_table_check,
                    hq_coaction_table_check, hq_factorization_check, hqsl2,
                    taft_dual_check, taft_system, truly_heisenberg_chain,
                    uq_presentation_check, uqsl2)
-from .truncate import quotient_morphism_check
+from .truncate import quotient_morphism_check, transport_corollaries
 from .ydcat import (check_braided_commutative, check_braided_symmetric,
                     check_comodule, check_comodule_algebra,
                     check_factor_embeddings, check_locked_identity,
@@ -299,18 +300,21 @@ def _suite_yd(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     y = sys.yd
     walks = _walks(cfg)
-    # The four yd proof walks, in every mode but sample, each built where
-    # its check runs: module-action on the two factors of D(B), then
-    # module-algebra and yd-condition on a subcoalgebra of D(B) against
-    # the generators of H(B*), and braided-commutative on a subcomodule
-    # of H(B*) against its generators (see each check).
+    # The five yd proof walks, in every mode but sample, each built where
+    # its check runs: module-action on the two factors of D(B) and of
+    # H(B*), module-algebra and comodule-algebra on the two factors of
+    # H(B*), yd-condition on a subcoalgebra of D(B) against the
+    # generators of H(B*), and braided-commutative on a subcomodule of
+    # H(B*) against its generators (see each check).
     proofs = cfg.resolved_mode != "sample"
     yield check_module(
         y, module_factor_walk(sys.double, y.action) if proofs else walks)
     yield check_module_algebra(
-        y, subcoalgebra_walk(y.hopf, y.algebra) if proofs else walks)
+        y, module_algebra_factor_walk(sys.double, y.action)
+        if proofs else walks)
     yield check_comodule(y)
-    yield check_comodule_algebra(y, _comodule_algebra(cfg, y.algebra))
+    yield check_comodule_algebra(
+        y, factor_pair_walk(y.algebra) if proofs else walks)
     yield check_yd(y, subcoalgebra_walk(y.hopf, y.algebra, 2)
                    if proofs else walks)
     yield check_braided_commutative(
@@ -381,7 +385,8 @@ def _suite_truncations(cfg: SuiteConfig):
     yield from uq.checks
     yield from uq_presentation_check(uq)
     yield dim_check("uq-dimension", uq.hopf.dim, 2 * p ** 3)
-    yield quotient_morphism_check(uq.hq)
+    morphism = quotient_morphism_check(uq.hq)
+    yield morphism
     hq = hqsl2(p)
     yield from hq.checks
     yield dim_check("hq-dimension", hq.yd.dim, 2 * p ** 3)
@@ -390,12 +395,21 @@ def _suite_truncations(cfg: SuiteConfig):
     yield hq_factorization_check(
         hq, TupleWalks("exhaustive", cfg.seed, cfg.sample_size))
     y = hq.yd
-    yield check_module(y, walks)
-    yield check_module_algebra(y, walks)
+    # In every mode but sample, the four laws that the transport lemma
+    # carries from H(B*) to Hq are its corollaries (see transport_action).
+    proved = ({} if cfg.resolved_mode == "sample" else
+              {r.name: r for r in transport_corollaries(
+                  [*uq.checks, morphism, *hq.transport.certificates])})
+
+    def law(name, walked):
+        return proved[name] if proved else walked(y, walks)
+
+    yield law("module-action", check_module)
+    yield law("module-algebra", check_module_algebra)
     yield check_comodule(y)
     yield check_comodule_algebra(y, _comodule_algebra(cfg, y.algebra))
-    yield check_yd(y, walks)
-    yield check_braided_commutative(y, walks)
+    yield law("yd-condition", check_yd)
+    yield law("braided-commutative", check_braided_commutative)
 
 
 def _suite_mutations(cfg: SuiteConfig):

@@ -41,6 +41,11 @@ which `check_yd` states.  Braided commutativity may take
 X's unit and generators closed under the x_0 legs of the coaction, and g
 over the generator indices of X; `check_braided_commutative` states the
 lemma.
+
+The module-algebra and comodule-algebra laws on a twisted product
+X = A (x)_R B (`hopf.twisted_product`) may take `factor_pair_walk`,
+which walks them on the two tensor factors X1 = A (x) 1 and X2 = 1 (x) B
+instead of on generators against the whole basis; it states the lemma.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ __all__ = ["MODES", "CheckResult", "Check", "dim_check", "summarize",
            "invert_expected_failure", "gen_indices", "generator_pairs",
            "generation_failure", "Walk", "TupleWalks", "lemma_walk",
            "two_sided_lemma_walk", "coalgebra_closure",
-           "coaction_closure", "subcoalgebra_walk", "subcomodule_walk"]
+           "coaction_closure", "subcoalgebra_walk", "subcomodule_walk",
+           "factor_units", "factor_products_failure", "factor_pair_walk"]
 
 MODES = ("exhaustive", "generators", "sample")
 
@@ -396,3 +402,139 @@ def subcomodule_walk(y) -> Walk:
                 itertools.product(coaction_closure(y),
                                   sorted(gen_indices(X))),
                 certificate=partial(generation_failure, X))
+
+
+def factor_units(alg) -> tuple[int, int]:
+    """(u_A, u_B), the unit indices of the factors (A, B) of a twisted
+    product `alg` on the basis a * dim B + b; a ValueError unless both
+    units are basis vectors with 1 (x) 1 the unit of alg."""
+    A, B = alg.factors
+    one = alg.ctx.one
+    ua, ub = min(A.unit), min(B.unit)
+    if (A.unit != {ua: one} or B.unit != {ub: one}
+            or not veq(alg.unit, {ua * B.dim + ub: one})):
+        raise ValueError(f"a factor walk needs basis-vector units, with "
+                         f"1 (x) 1 the unit of {alg.name}")
+    return ua, ub
+
+
+def factor_products_failure(alg, chk: Check) -> Optional[str]:
+    """The products of the factors (A, B) of a twisted product `alg`, as
+    its table gives them, on every pair of basis vectors, one case each
+    on `chk`, in this order:
+
+        (f (x) 1)(1 (x) m) = f (x) m,   (f (x) 1)(g (x) 1) = fg (x) 1,
+        (1 (x) m)(1 (x) n) = 1 (x) mn.
+
+    So f -> f (x) 1 and m -> 1 (x) m are algebra maps onto subalgebras
+    X1 and X2 of alg, and the products X1 X2 span it.  The first witness,
+    or None; `factor_units` must hold."""
+    A, B = alg.factors
+    ua, ub = factor_units(alg)
+    nB, one, mult = B.dim, alg.ctx.one, alg.mult
+    la, lb = A.space.label, B.space.label
+    left = [f * nB + ub for f in range(A.dim)]      # f (x) 1
+    right = [ua * nB + m for m in range(nB)]        # 1 (x) m
+    for f in range(A.dim):
+        for m in range(nB):
+            chk.cases += 1
+            if not veq(dict(mult.get(left[f], right[m])), {f * nB + m: one}):
+                return (f"(f (x) 1)(1 (x) m) != f (x) m at "
+                        f"f={la(f)}, m={lb(m)}")
+    for f in range(A.dim):
+        for g in range(A.dim):
+            chk.cases += 1
+            if not veq(dict(mult.get(left[f], left[g])),
+                       {left[k]: c for k, c in A.mult.get(f, g)}):
+                return (f"(f (x) 1)(g (x) 1) != fg (x) 1 at "
+                        f"f={la(f)}, g={la(g)}")
+    for m in range(nB):
+        for n in range(nB):
+            chk.cases += 1
+            if not veq(dict(mult.get(right[m], right[n])),
+                       {right[k]: c for k, c in B.mult.get(m, n)}):
+                return (f"(1 (x) m)(1 (x) n) != 1 (x) mn at "
+                        f"m={lb(m)}, n={lb(n)}")
+    return None
+
+
+def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
+                     obligations: Optional[Callable[[Check],
+                                                    Optional[str]]] = None,
+                     certificate: Optional[Callable[[], Optional[str]]] = None
+                     ) -> Walk:
+    """The walk that proves a law with a bilinear defect D(x, y) on a
+    twisted product X = A (x)_R B from its two factors X1 = A (x) 1 and
+    X2 = 1 (x) B, labelled "generators".
+
+    Its pairs (x, y), in order, are X1 x X1 with x over the generators of
+    A (g (x) 1), X2 x X2 with y over the generators of B (1 (x) g), then,
+    when `mixed`, every pair of X1 x X2, and every pair of X2 x X1.  With
+    a `closure` each pair is walked as (c, x, y) for every c in it.  The
+    prelude is `factor_products_failure(X)` and then `obligations`; the
+    certificate is `generation_failure` of A and of B and then
+    `certificate`.
+
+    The lemma.  Let the defect satisfy
+
+        D(uv, w) = D(u, vw) + l(u) D(v, w) - D(u, v) r(w)
+
+    for linear maps l and r, with D(1, w) = D(w, 1) = 0.  Then D vanishes
+    on X x X once it vanishes on the walked pairs.  On X1 x X1, T = {u in
+    X1 : D(u, X1) = 0} holds 1 and the walked g (x) 1, and it is closed
+    under products, as vw lies in X1 for v, w in X1; so T = X1 by A's
+    certificate, f -> f (x) 1 being an algebra map (the prelude).  On
+    X2 x X2 likewise {w in X2 : D(X2, w) = 0} = X2, read on the right:
+    D(u, vw) = D(uv, w) - l(u) D(v, w) + D(u, v) r(w).  Then, for u1, v1
+    in X1 and u2, v2 in X2, and with D = 0 on X1 x X2 and on X2 x X1:
+
+    * D(u1, v1 v2) = D(u1 v1, v2) - l(u1) D(v1, v2) + D(u1, v1) r(v2)
+      = 0, so D(X1, X) = 0, as X1 X2 spans X;
+    * D(a b, v2) = D(a, b v2) + l(a) D(b, v2) - D(a, b) r(v2) = 0 for a
+      in X1 and b in X2, so D(X, X2) = 0, and D(u2, v1 v2) = D(u2 v1,
+      v2) - l(u2) D(v1, v2) + D(u2, v1) r(v2) = 0: D(X2, X) = 0;
+    * D(u1 u2, y) = D(u1, u2 y) + l(u1) D(u2, y) - D(u1, u2) r(y) = 0.
+
+    The module-algebra law, c |> (xy) = (c' |> x)(c'' |> y) for every c
+    in a subcoalgebra C (`coalgebra_closure`), has such a defect, taken
+    over C, with l(u) = (c' |> u) and r(w) = (c'' |> w), when X is
+    associative and Delta is coassociative with Delta(C) in C (x) C;
+    M |> 1 = eps(M) 1 gives D(1, w) = D(w, 1) = 0.  The comodule-algebra
+    law, delta(xy) = delta(x) delta(y), has one with l(u) = delta(u) and
+    r(w) = delta(w) multiplying in H (x) X, when X and H (x) X are
+    associative; delta(1) = 1 (x) 1 gives the unit cases.
+    `ydcat.check_module_algebra` and `ydcat.check_comodule_algebra` check
+    those unit laws before the walk.  A caller that leaves out the
+    X1 x X2 pairs (`mixed` False) proves them in its `obligations`.
+    """
+    A, B = X.factors
+    ua, ub = factor_units(X)
+    nB = B.dim
+    left = [f * nB + ub for f in range(A.dim)]
+    right = [ua * nB + m for m in range(nB)]
+    parts = [itertools.product([left[g] for g in sorted(gen_indices(A))],
+                               left),
+             itertools.product(right,
+                               [right[g] for g in sorted(gen_indices(B))])]
+    if mixed:
+        parts.append(itertools.product(left, right))
+    parts.append(itertools.product(right, left))
+    if closure is None:
+        tuples = itertools.chain.from_iterable(parts)
+    else:
+        tuples = ((c, x, y) for part in parts
+                  for c, (x, y) in itertools.product(closure, part))
+
+    def prelude(chk: Check) -> Optional[str]:
+        wit = factor_products_failure(X, chk)
+        if wit is None and obligations is not None:
+            wit = obligations(chk)
+        return wit
+
+    def closed() -> Optional[str]:
+        wit = generation_failure(A) or generation_failure(B)
+        if wit is None and certificate is not None:
+            wit = certificate()
+        return wit
+
+    return Walk("generators", tuples, prelude=prelude, certificate=closed)

@@ -63,7 +63,7 @@ __all__ = [
     "double_presentation_check", "taft_dual_check", "closed_form_check",
     "basis_change",
     "UqSl2", "uqsl2", "uq_presentation_check",
-    "HqSl2", "hqsl2", "uq_elements",
+    "HqSl2", "hqsl2", "hq_transport", "uq_elements",
     "hq_action_table_check", "hq_coaction_table_check",
     "hq_factorization_check",
     "cqzd", "cqzd_center_check",
@@ -869,7 +869,38 @@ _HQ_CACHE: dict = {}
 
 
 def hqsl2(p: int) -> HqSl2:
-    """Transport the YD structure of H(B*) onto the lam-z-del truncation.
+    """Transport the YD structure of H(B*) onto the lam-z-del truncation
+    (`hq_transport`); a RuntimeError when a certificate fails."""
+    if p in _HQ_CACHE:
+        return _HQ_CACHE[p]
+    uq = uqsl2(p)
+    sys = uq.system
+    ctx = sys.ctx
+    one = ctx.one
+    ts = hq_transport(uq, sys.yd)
+    checks = list(ts.certificates)
+    if not ts.ok:
+        bad = next(c for c in checks if not c.ok)
+        raise RuntimeError(f"transport failed: {bad.line()}")
+
+    # after the identification, lam^(2p) must equal the scalar (-1)^p i
+    half = ctx.zeta_pow(p)                       # i
+    T = ts.yd.algebra
+    lam_t = {T.space.index[(1, 0, 0)]: one}
+    chk = Check("hq-lambda-power", "exhaustive", cases=1)
+    lhs = _powers(T.product, T.unit, lam_t, 2 * p)[-1]
+    rhs = vscale(dict(T.unit), half if p % 2 == 0 else -half)
+    checks.append(chk.result(
+        None if veq(lhs, rhs) else f"lam^(2p) = {render_element(T.space, lhs)}"))
+
+    hq = HqSl2(p, sys, uq, ts, checks)
+    _HQ_CACHE[p] = hq
+    return hq
+
+
+def hq_transport(uq: UqSl2, source: YDModuleAlgebra) -> TransportedStructure:
+    """`truncate.transport_action` of `source`, the YD structure of H(B*)
+    over D(B), onto the lam-z-del truncation over u_q(sl_2).
 
     The subalgebra span{lam^a z^b del^c} is enumerated with the high lam
     powers (a >= 2p) first, so the quotient by the ideal generated by
@@ -878,10 +909,8 @@ def hqsl2(p: int) -> HqSl2:
     central involution; the quotient therefore identifies lam^(2p) with
     the scalar (-1)^p i.
     """
-    if p in _HQ_CACHE:
-        return _HQ_CACHE[p]
-    uq = uqsl2(p)
     sys = uq.system
+    p = uq.p
     ctx = sys.ctx
     A = sys.heis.algebra
     mul = A.product
@@ -912,8 +941,8 @@ def hqsl2(p: int) -> HqSl2:
     kk = D.product(g["kap"], g["k"])
     lifted_gens = [g["E"], g["F"], D.product(g["k"], g["k"])]
 
-    ts = transport_action(
-        sys.yd, sub_basis, sub_labels,
+    return transport_action(
+        source, sub_basis, sub_labels,
         ideal_seed=[seed], ideal_gens=ideal_gens,
         action_lifts=lifted_gens,
         target_hopf=uq.hopf, hopf_lift=uq.lift,
@@ -921,23 +950,6 @@ def hqsl2(p: int) -> HqSl2:
         descent_central=[kk],
         target_generators=(pos[(1, 0, 0)], pos[(0, 1, 0)], pos[(0, 0, 1)]),
         render=_render_hq, name=f"Hq(p={p})", prefix="hq-transport")
-    checks = list(ts.certificates)
-    if not ts.ok:
-        bad = next(c for c in checks if not c.ok)
-        raise RuntimeError(f"transport failed: {bad.line()}")
-
-    # after the identification, lam^(2p) must equal the scalar (-1)^p i
-    T = ts.yd.algebra
-    lam_t = {T.space.index[(1, 0, 0)]: one}
-    chk = Check("hq-lambda-power", "exhaustive", cases=1)
-    lhs = _powers(T.product, T.unit, lam_t, 2 * p)[-1]
-    rhs = vscale(dict(T.unit), half if p % 2 == 0 else -half)
-    checks.append(chk.result(
-        None if veq(lhs, rhs) else f"lam^(2p) = {render_element(T.space, lhs)}"))
-
-    hq = HqSl2(p, sys, uq, ts, checks)
-    _HQ_CACHE[p] = hq
-    return hq
 
 
 def hq_action_table_check(hq: HqSl2,

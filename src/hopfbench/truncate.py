@@ -68,6 +68,7 @@ __all__ = [
     "quotient_morphism_check",
     "sub_hopf",
     "transport_action",
+    "transport_corollaries",
 ]
 
 
@@ -551,6 +552,52 @@ def transport_action(source: YDModuleAlgebra,
 
     Certificates emitted: sub-closure, action-stable, ideal-stable,
     coaction-corestricts, descent (one per gamma).
+
+    The transport lemma: S/J is a YD K-module algebra, braided
+    commutative when X is, so `transport_corollaries` reads the
+    module-action, module-algebra, yd-condition and braided-commutative
+    laws of the result off the certificates.  Write X and H for the
+    source algebra and Hopf algebra, S for the span of sub_basis, J for
+    the ideal, K for target_hopf, l for hopf_lift and k for
+    hopf_corestrict, and [s] for the class of s in S/J.  The tables of
+    S/J and of K are the `_pushforward` formulas: [s][t] = [st],
+    h . [s] = [l(h) |> s] and delta[s] = (k (x) proj) delta(s).  For
+    `hqsl2` the hypotheses are the `yd` lines of H(B*) --
+    `yd.module-action`, `yd.module-algebra`, `yd.comodule-algebra`,
+    `yd.yd-condition` and `yd.braided-commutative` -- and these
+    certificates:
+
+    * `hq-transport-sub-closure`: S is a subalgebra holding 1, so S/J
+      is an algebra once J is an ideal of S, which the span closure in
+      ideal mode makes it;
+    * `hq-transport-action-stable`: the generators of H, so by
+      `yd.module-action` all of H, map S into S;
+    * `hq-transport-ideal-stable`: the action_lifts, whose products span
+      l(K), map J into J, and (k (x) proj) delta(J) = 0, so the action
+      and the coaction are well defined on S/J;
+    * `hq-transport-coaction-corestricts`: delta(S) lies in H (x) S with
+      first legs that k carries into K;
+    * `hq-transport-descent-0`: gamma = kap k acts as the identity on
+      S/J;
+    * `uq-ideal-hopf`: I = H(gamma - 1) is a Hopf ideal with gamma
+      central; `quotient-morphism`: the projection pi: H -> H/I is the
+      quotient map, with kernel I; `Uq(p=...)-closure`: K is a sub-Hopf
+      algebra of H/I.  l and k are built through pi, so pi l is the
+      inclusion of K and w - l(k(w)) lies in I wherever k(w) is defined.
+
+    I acts by zero on S/J: for d in H and s in S, (d(gamma - 1)) |> s =
+    (gamma - 1) |> (d |> s), as gamma is central, d |> s lies in S and
+    gamma - 1 maps S into J.  So every identity of X pushes through pi:
+    l(hh') - l(h) l(h') and (l (x) l) Delta_K(h) - Delta_H(l(h)) lie in
+    I and I (x) H + H (x) I, which act by zero.  Then the module law of
+    X gives (hh') . [s] = h . (h' . [s]); `yd.module-algebra` gives
+    h . [st] = (h' . [s])(h'' . [t]); the YD condition of X for l(h)
+    and s, pushed through pi (x) proj, gives the YD condition of S/J;
+    and braided commutativity of X, st = (s_(-1) |> t) s_(0) with
+    s_(-1) (x) s_(0) in H (x) S, gives [s][t] = (k(s_(-1)) . [t]) [s_(0)].
+    Each of the four laws on S/J fails only when one of these
+    certificates or hypotheses fails; the truncations suite's
+    comodule-coaction and comodule-algebra lines still walk the result.
     """
     X = source.algebra
     H = source.hopf
@@ -753,3 +800,23 @@ def transport_action(source: YDModuleAlgebra,
                          Coaction(target_hopf, t_alg, t_coact_fn),
                          name=t_space.name)
     return TransportedStructure(certs, yd)
+
+
+def transport_corollaries(certificates: Sequence[CheckResult]) -> list:
+    """module-action, module-algebra, yd-condition and
+    braided-commutative of a transported structure, as corollaries of the
+    transport lemma (see `transport_action`), labelled "generators".
+
+    `certificates` are the results the lemma rests on, read in order,
+    one case each: all four laws pass when every one of them passed, and
+    all four fail at the first that did not, with its name and witness.
+    """
+    cases, witness = 0, None
+    for cert in certificates:
+        cases += 1
+        if cert.status != "pass":
+            witness = f"rests on {cert.name} ({cert.status}): {cert.witness}"
+            break
+    return [Check(law, "generators", cases).result(witness)
+            for law in ("module-action", "module-algebra", "yd-condition",
+                        "braided-commutative")]

@@ -207,13 +207,19 @@ def check_module(m, walk, name: str = "module-action") -> CheckResult:
     subalgebra of an associative H -- needs N and x over the whole
     basis.  For H = D(B) acting by a `doubles.FactoredAction`,
     `doubles.module_factor_walk` proves the law on the two factors of
-    D(B) instead, from the definition of the action's rows from four
-    leg actions of B and B* on B and B*, the module laws of those legs,
-    the unit laws and the cross relation of the factors on a
-    subcoalgebra of B; its docstring has the proof.  Its hypotheses are
+    D(B) and of X = H(B*) instead: the action's rows are (s1 (x) s2)
+    Delta_D for two actions s1 on B* (x) 1 and s2 on 1 (x) B, defined
+    from four leg actions of B and B* on B and B*, so it is a module when
+    s1 and s2 are, and those rest on the module laws of the legs, the
+    unit laws and the cross relation of the factors of D(B) on a
+    subcoalgebra of B, walked on the 2 dim B basis vectors of B* (x) 1
+    and 1 (x) B; its docstring has the proof.  Its hypotheses are
     `hopf-axioms.taft-mult-associativity`, `taft-dual-mult-associativity`,
-    `taft-comult-multiplicative`, `taft-dual-comult-multiplicative` and
-    `ddouble-mult-associativity`.
+    `taft-comult-multiplicative`, `taft-dual-comult-multiplicative`,
+    `taft-counit-laws`, `taft-dual-counit-laws`,
+    `ddouble-mult-associativity` and `ddouble-comult-multiplicative`.
+    In the truncations suite the law is a corollary of the transport
+    lemma (`truncate.transport_action`).
     """
     H, alg, act = m.hopf, m.algebra, m.action
     gh = gen_indices(H)
@@ -248,16 +254,21 @@ def check_module_algebra(m, walk,
     H and x and y with those of X: evidence on any but an exhaustive
     walk.
 
-    `results.subcoalgebra_walk(H, X)` proves the law for every triple.
-    Its M runs over C = `results.coalgebra_closure(H)`, whose span is a
-    subcoalgebra holding 1 and the generators of H; x runs over the
-    generators of X and y over its basis.
+    Two walks prove the law for every triple in two steps, both with M
+    over C = `results.coalgebra_closure(H)`, whose span is a
+    subcoalgebra holding 1 and the generators of H.  The first step has
+    two routes.  `results.subcoalgebra_walk(H, X)` walks x over the
+    generators of X and y over its basis.  For X = H(B*) acted on by a
+    `doubles.FactoredAction`, the yd suite's route,
+    `doubles.module_algebra_factor_walk` walks the pairs of the two
+    tensor factors B* (x) 1 and 1 (x) B of X instead
+    (`results.factor_pair_walk` states that lemma).
 
-    Step 1, the law on C x X x X.  T = {x : c |> (xy) = (c' |> x)(c'' |> y)
-    for every c in C and every y} is a subspace.  It holds 1, by the
-    unit law above and (counit (x) id) Delta = id.  It is closed under
-    products: for x1, x2 in T, X associative, Delta coassociative and
-    Delta(C) in C (x) C give
+    Step 1, the law on C x X x X, by `subcoalgebra_walk`.  T = {x :
+    c |> (xy) = (c' |> x)(c'' |> y) for every c in C and every y} is a
+    subspace.  It holds 1, by the unit law above and (counit (x) id)
+    Delta = id.  It is closed under products: for x1, x2 in T, X
+    associative, Delta coassociative and Delta(C) in C (x) C give
 
         c |> (x1 x2 y) = (c' |> x1)(c'' |> x2)(c''' |> y)
                        = (c' |> x1 x2)(c'' |> y).
@@ -278,7 +289,10 @@ def check_module_algebra(m, walk,
     yd suite the hypotheses are `yd.module-action`, which must not rest
     on this check, and `hopf-axioms.ddouble-comult-multiplicative`,
     `ddouble-comult-counit-unital`, `ddouble-comult-coassociativity` and
-    `hdouble-mult-associativity`.
+    `hdouble-mult-associativity`, with `taft-counit-laws` and
+    `taft-dual-counit-laws` on the factor route.  In the truncations
+    suite the law is a corollary of the transport lemma
+    (`truncate.transport_action`).
     """
     H, alg, act = m.hopf, m.algebra, m.action
     ga = gen_indices(alg)
@@ -355,7 +369,11 @@ def check_comodule_algebra(c, walk,
     "generators": delta(1) = 1 (x) 1 and the walk put the unit
     and the generators in S = {x : delta(xy) = delta(x) delta(y) for all
     y}, a subalgebra because X and H (x) X are associative, and the
-    walk's certificate makes S all of X.
+    walk's certificate makes S all of X; the truncations suite takes it.
+    On a twisted product X = A (x)_R B, such as H(B*) in the yd suite,
+    `results.factor_pair_walk(X)` proves it from the pairs of the two
+    tensor factors A (x) 1 and 1 (x) B, with the same hypotheses (that
+    walk states the lemma).
     For the yd suite those hypotheses are proved by
     `hopf-axioms.ddouble-mult-associativity` (H = D(B)) and
     `hopf-axioms.hdouble-mult-associativity` (X = H(B*)); in the
@@ -429,6 +447,8 @@ def check_yd(y, walk, name: str = "yd-condition") -> CheckResult:
     `hopf-axioms.ddouble-mult-associativity`,
     `ddouble-comult-coassociativity`, `ddouble-counit-laws` and
     `ddouble-comult-multiplicative`.  None of them rests on this check.
+    In the truncations suite the law is a corollary of the transport
+    lemma (`truncate.transport_action`).
     """
     H, alg = y.hopf, y.algebra
     act, coact = y.action, y.coaction
@@ -542,7 +562,8 @@ def check_braided_commutative(y: YDModuleAlgebra, walk,
     are `hopf-axioms.hdouble-mult-associativity` and
     `hdouble-mult-unit`, and `yd.module-action`, `yd.module-algebra`,
     `yd.comodule-coaction` and `yd.comodule-algebra`.  None of them
-    rests on this check.
+    rests on this check.  In the truncations suite the law is a
+    corollary of the transport lemma (`truncate.transport_action`).
     """
     alg, act, coact = y.algebra, y.action, y.coaction
     dX = alg.dim

@@ -21,18 +21,26 @@ algebra's product it passes together with `mult-unit` exactly when the
 walk over every triple passes, and it catches a corruption of D(B)'s
 product on a pair that touches no generator.
 
-`module-action` is proved on the two factors of D(B)
+`module-action` is proved on the two factors of D(B) and of H(B*)
 (`doubles.module_factor_walk`), from the four leg actions that define
-the factor rows of the `doubles.FactoredAction`; `module-algebra` on the
-subcoalgebra of D(B) spanned by `results.coalgebra_closure` given
-`module-action`; `yd-condition` on the same subcoalgebra against the
-generators of H(B*), and `braided-commutative` on the subcomodule of
-H(B*) spanned by `results.coaction_closure` against its generators, each
-given `module-action`, `module-algebra`, `comodule-coaction` and
+the factor rows of the `doubles.FactoredAction`; `module-algebra`
+(`doubles.module_algebra_factor_walk`) and `comodule-algebra`
+(`results.factor_pair_walk`) on the pairs of the two tensor factors
+B* (x) 1 and 1 (x) B of H(B*), the first on the subcoalgebra of D(B)
+spanned by `results.coalgebra_closure` given `module-action`;
+`yd-condition` on the same subcoalgebra against the generators of
+H(B*), and `braided-commutative` on the subcomodule of H(B*) spanned by
+`results.coaction_closure` against its generators, each given
+`module-action`, `module-algebra`, `comodule-coaction` and
 `comodule-algebra`.  On the intact p=2 structure and on seeded
 corruptions of its leg actions and of its coaction, each lemma walk
 passes together with those hypotheses exactly when its reference walk
-passes.
+passes.  The factor routes give the verdicts of the routes they
+replaced -- the subalgebra lemma on D(B), `subcoalgebra_walk(H, X)` and
+`lemma_walk(X)` -- on every such corruption and on every corruption of
+a product of D(B) or of H(B*), but where the corrupted product is no
+longer associative; each obligation of theirs fails on a corruption of
+what it states.
 """
 
 from __future__ import annotations
@@ -43,15 +51,16 @@ import random
 import pytest
 
 from hopfbench.doubles import (DrinfeldDouble, FactoredAction,
+                               HeisenbergDouble, module_algebra_factor_walk,
                                module_factor_walk)
 from hopfbench.hopf import FiniteAlgebra, FiniteHopf, check_algebra_axioms
 from hopfbench.mutations import MUTATIONS
 from hopfbench.results import (TupleWalks, Walk, coaction_closure,
-                               coalgebra_closure, gen_indices,
-                               generation_failure, generator_pairs,
-                               lemma_walk, subcoalgebra_walk,
-                               subcomodule_walk)
-from hopfbench.sparse import BilinearMap, Subspace, veq
+                               coalgebra_closure, factor_pair_walk,
+                               gen_indices, generation_failure,
+                               generator_pairs, lemma_walk,
+                               subcoalgebra_walk, subcomodule_walk)
+from hopfbench.sparse import BilinearMap, ColinearMap, Subspace, veq
 from hopfbench.taft import hqsl2, taft_system, uqsl2
 from hopfbench.truncate import (HopfQuotient, hopf_quotient,
                                 quotient_morphism_check)
@@ -446,9 +455,10 @@ def _assert_lemma_walks_agree(y, walks: dict) -> None:
         return r.status == "pass"
 
     rests_on = (walks["module-action"][0],
-                check_module_algebra(y, walk=subcoalgebra_walk(y.hopf,
-                                                               y.algebra)),
-                check_comodule(y), walks["comodule-algebra"][0])
+                check_module_algebra(y, walk=module_algebra_factor_walk(
+                    taft_system(2).double, y.action)),
+                check_comodule(y),
+                check_comodule_algebra(y, walk=factor_pair_walk(y.algebra)))
     for claim, hypotheses in (("module-action", ()),
                               ("comodule-algebra", ()),
                               ("yd-condition", rests_on),
@@ -465,8 +475,12 @@ def test_intact_yd_structure_passes_every_lemma_walk():
     assert {claim: (lemma.status, lemma.cases_checked, reference.status,
                     reference.cases_checked)
             for claim, (lemma, reference) in walks.items()} == {
-        "module-action": ("pass", 256 + 3 * 256 + 2 * 256
-                          + 4 * (16 + 2 * 16 * 16) + 4 * 16 + 4 * 2 * 256,
+        # the unit law, the three product tables, the factor unit laws on
+        # the 32 vectors of X1 and X2, the four legs, their unit facts,
+        # the tensor coalgebra, the closure prelude and the cross walk
+        "module-action": ("pass", 256 + 3 * 256 + 2 * 32
+                          + 4 * (16 + 2 * 16 * 16) + 4 * 16 + 256 + 4 * 16
+                          + 4 * 2 * 32,
                           "pass", 256 + 4 * 256 * 256),
         "comodule-algebra": ("pass", 1_025, "pass", 1 + 256 * 256),
         # 7 elements of the closure of D(B), 6 of H(B*), 4 generators
@@ -572,7 +586,7 @@ def _with_double_product(D, pair, row):
     return DrinfeldDouble(D.ctx, FiniteHopf(H.ctx, H.space, mult, H.unit,
                                             H.comult, H.counit, H.antipode,
                                             generators=H.generators,
-                                            name=H.name),
+                                            name=H.name, factors=H.factors),
                           D.base, D.dual, D.pairing)
 
 
@@ -583,10 +597,12 @@ def _acted_on_by(y, D):
                       action=FactoredAction(taft_system(2).heis, D))
 
 
-# cases that the factor walk counts before its cross walk at p=2: the unit
-# law, the three product tables, the factor unit laws and the four legs
-_BEFORE_CLOSURE = (256 + 3 * 256 + 2 * 256
-                   + 4 * (16 + 2 * 16 * 16))
+# cases that the factor walk counts before its closure prelude at p=2: the
+# unit law, the three product tables, the factor unit laws on the 32
+# vectors of X1 and X2, the four legs, their unit facts and the tensor
+# coalgebra of D(B)
+_BEFORE_CLOSURE = (256 + 3 * 256 + 2 * 32
+                   + 4 * (16 + 2 * 16 * 16) + 4 * 16 + 256)
 
 
 def test_a_double_product_leaving_the_closure_fails_the_prelude():
@@ -892,3 +908,261 @@ def test_a_corrupted_double_product_off_the_generators_fails():
         "mult-associativity", "fail", "generators")
     assert assoc.witness.startswith("basis triple (")
     assert unit.status == "pass"
+
+
+
+# -- module-algebra and comodule-algebra on the two factors of H(B*) ---------
+
+def _with_double_coproduct(D, key, row):
+    """D with the coproduct row of the basis vector `key` replaced by
+    `row`."""
+    H = D.hopf
+    comult = ColinearMap(H.dim, H.dim, H.dim, fn=lambda i: (
+        row if i == key else H.comult.get(i)))
+    return DrinfeldDouble(D.ctx, FiniteHopf(H.ctx, H.space, H.mult, H.unit,
+                                            comult, H.counit, H.antipode,
+                                            generators=H.generators,
+                                            name=H.name, factors=H.factors),
+                          D.base, D.dual, D.pairing)
+
+
+def _with_heis_product(pair, row):
+    """The YD structure of `taft_system(2)` on H(B*) with the product of
+    the basis pair `pair` replaced by `row`, acted on and coacted on
+    through that algebra."""
+    sys2 = taft_system(2)
+    Hd, D, y = sys2.heis, sys2.double, sys2.yd
+    X = Hd.algebra
+    mult = BilinearMap(X.dim, X.dim, fn=lambda i, j: (
+        row if (i, j) == pair else X.mult.get(i, j)))
+    bad = FiniteAlgebra(X.ctx, X.space, mult, X.unit,
+                        generators=X.generators, name=X.name,
+                        factors=X.factors)
+    heis = HeisenbergDouble(Hd.ctx, bad, Hd.base, Hd.dual, Hd.pairing)
+    return y._replace(algebra=bad, action=FactoredAction(heis, D),
+                      coaction=Coaction(D.hopf, bad, D.hopf.comult.get))
+
+
+def _zeta_first(row):
+    return ((row[0][0], row[0][1] * taft_system(2).ctx.zeta),) + row[1:]
+
+
+def _rhit_character(y):
+    """y with rhit(f) scaled by the character <f, k> of B*, k the
+    group-like generator of B: the leg is still a module, but
+    rhit(kap) 1 = <kap, k> 1 != eps(kap) 1."""
+    D = taft_system(2).double
+    k = D.base.space.index[(0, 1)]
+    rhit = y.action.rhit
+
+    def twisted(f, a):
+        c = D.pairing.pair_basis(f, k)
+        return tuple((b, c * cb) for b, cb in rhit(f, a)) if c else ()
+
+    return _with_legs(y, rhit=twisted)
+
+
+def _double_pair(D, f, m, left_first=True):
+    """The basis pair (f (x) 1, 1 (x) m) of D(B), or (1 (x) m, f (x) 1)."""
+    (ub,), (uf,) = D.base.unit, D.dual.unit
+    pair = (D.index(f, ub), D.index(uf, m))
+    return pair if left_first else pair[::-1]
+
+
+def _corruption(name):
+    """(y, D, the corrupted product or None) for one corruption of the
+    p=2 structure, by name; see `CORRUPTIONS`."""
+    sys2 = taft_system(2)
+    D, y = sys2.double, sys2.yd
+    H, X = D.hopf, y.algebra
+    kind, _, arg = name.partition(":")
+    if kind == "intact":
+        return y, D, None
+    if kind in ("leg", "leg-outside"):
+        seed = int(arg)
+        return (_seeded_leg_corruption(y, seed, LEGS[seed - 1],
+                                       kind == "leg-outside"), D, None)
+    if kind == "forgets-the-twist":
+        def trivial(m, v):
+            c = D.base.counit.get(m)
+            return ((v, c),) if c else ()
+        return _with_legs(y, hit=trivial, ad=trivial), D, None
+    if kind == "rhit-character":
+        return _rhit_character(y), D, None
+    if kind == "coaction":
+        return _corrupt_coaction(y, int(arg)), D, None
+    if kind == "double-product":
+        pair = {"closure": _double_pair(D, 3, 1, False),
+                "cross": _double_pair(D, 1, 2, False),
+                "smash": _double_pair(D, 3, 5)}[arg]
+        row = H.mult.get(*pair)
+        if arg == "closure":
+            row = ((D.index(3, 3), row[0][1]),)
+        bad = _with_double_product(D, pair, _zeta_first(row))
+        return _acted_on_by(y, bad), bad, bad.hopf
+    if kind == "double-coproduct":
+        key = int(arg)
+        bad = _with_double_coproduct(D, key, tuple(
+            (j, k, c * H.ctx.zeta if n == 0 else c)
+            for n, (j, k, c) in enumerate(H.comult.get(key))))
+        return _acted_on_by(y, bad), bad, None
+    if kind == "heis-product":
+        # H(B*) has D(B)'s basis indices
+        pair = {"smash": _double_pair(D, 3, 5),
+                "x2-x1": _double_pair(D, 9, 3, False)}[arg]
+        bad = _with_heis_product(pair, _zeta_first(X.mult.get(*pair)))
+        return bad, D, bad.algebra
+    raise KeyError(name)
+
+
+CORRUPTIONS = (
+    ["intact", "forgets-the-twist", "rhit-character"]
+    + [f"leg:{s}" for s in (1, 2, 3, 4)]
+    + [f"leg-outside:{s}" for s in (1, 2, 3, 4)]
+    + [f"coaction:{s}" for s in (1, 2, 3)]
+    + [f"double-product:{a}" for a in ("closure", "cross", "smash")]
+    + ["double-coproduct:150", "heis-product:smash", "heis-product:x2-x1"])
+
+
+def _routes(y, D) -> dict:
+    """Each law's (factor route, the route it replaced) on y, acted on
+    through D."""
+    X = y.algebra
+    return {
+        "module-action": (
+            check_module(y, walk=module_factor_walk(D, y.action)),
+            check_module(y, walk=_generic_module_walk(y))),
+        "module-algebra": (
+            check_module_algebra(y, walk=module_algebra_factor_walk(
+                D, y.action)),
+            check_module_algebra(y, walk=subcoalgebra_walk(y.hopf, X))),
+        "comodule-algebra": (
+            check_comodule_algebra(y, walk=factor_pair_walk(X)),
+            check_comodule_algebra(y, walk=lemma_walk(X))),
+    }
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_the_factor_routes_give_the_old_verdicts(name):
+    """Both routes rest on the associativity of the product they read,
+    so where a corrupted product is not associative
+    (`mult-associativity` fails) they may differ: the factor routes
+    read the products of the two factors' pairs, the old ones those of
+    generator pairs.  Everywhere else they agree.  The coproduct of D(B)
+    is read by the factor routes alone: its corruption leaves D(B) no
+    bialgebra, and the factor routes fail on it."""
+    y, D, product = _corruption(name)
+    verdicts = {law: (new.status, old.status)
+                for law, (new, old) in _routes(y, D).items()}
+    if name.startswith("double-coproduct"):
+        assert verdicts["module-action"] == ("fail", "pass")
+        assert verdicts["module-algebra"][0] == "fail"
+        return
+    differ = [law for law, (new, old) in verdicts.items() if new != old]
+    if differ:
+        assert product is not None, verdicts
+        assert _axioms(product)[0].status == "fail", verdicts
+    if name == "intact":
+        assert set(verdicts.values()) == {("pass", "pass")}
+
+
+def test_the_intact_factor_routes_count_their_cases():
+    """At p=2: the counit law of the action on all 256 basis vectors of
+    D(B), then the three smash product tables of H(B*) (3 * 256), the
+    leg unit facts (4 * 16) and the tensor coalgebra (256), then the 7
+    elements of C against X1 x X1 (2 generators x 16), X2 x X2 (16 x 2)
+    and X2 x X1 (16 x 16); comodule-algebra walks delta(1), the tables,
+    and X1 x X2 (16 x 16) besides."""
+    y, D, _ = _corruption("intact")
+    module, _ = _routes(y, D)["module-algebra"]
+    comodule, _ = _routes(y, D)["comodule-algebra"]
+    assert (module.status, module.mode, module.cases_checked) == (
+        "pass", "generators",
+        256 + 3 * 256 + 4 * 16 + 256 + 7 * (2 * 16 + 16 * 2 + 16 * 16))
+    assert (comodule.status, comodule.mode, comodule.cases_checked) == (
+        "pass", "generators",
+        1 + 3 * 256 + 2 * 16 + 16 * 2 + 16 * 16 + 16 * 16)
+
+
+def test_a_scaled_double_coproduct_entry_fails_the_tensor_coalgebra():
+    """One zeta-scaled entry of Delta_D(Fkap (x) k^6): the legs and the
+    product tables are intact, so the module-action prelude fails at
+    that basis vector of its tensor-coalgebra step, and so does the
+    module-algebra prelude."""
+    y, D, _ = _corruption("double-coproduct:150")
+    assert D.hopf.space.label(150) == "Fkap(x)k^6"
+    want = (f"Delta of {D.hopf.name} is not the tensor coalgebra of its "
+            "factors at x=Fkap(x)k^6")
+    res = check_module(y, walk=module_factor_walk(D, y.action))
+    assert (res.status, res.witness) == ("fail", want)
+    assert res.cases_checked == _BEFORE_CLOSURE - 256 + 150 + 1
+    res = check_module_algebra(y, walk=module_algebra_factor_walk(D,
+                                                                 y.action))
+    assert (res.status, res.witness) == ("fail", want)
+    assert res.cases_checked == 256 + 3 * 256 + 4 * 16 + 150 + 1
+
+
+def test_a_character_scaled_rhit_fails_the_leg_unit_facts():
+    """rhit(f) scaled by <f, k> keeps every leg a module, so only the leg
+    unit facts of the factor walk see that rhit(kap) 1 = <kap, k> 1; the
+    action is no D(B)-module, and the generic walk fails too."""
+    y, D, _ = _corruption("rhit-character")
+    res = check_module(y, walk=module_factor_walk(D, y.action))
+    assert (res.status, res.witness) == (
+        "fail", "leg rhit: rhit(x) 1 != eps(x) 1 at x=kap")
+    # the ad facts (16), then the unit and kap of rhit
+    assert res.cases_checked == _BEFORE_CLOSURE - 256 - 4 * 16 + 16 + 2
+    assert check_module(y, walk=_generic_module_walk(y)).status == "fail"
+
+
+def test_a_scaled_smash_product_fails_the_factor_prelude():
+    """(kap^3 # 1)(1 # k^5) times zeta in H(B*): both factor walks fail
+    at that pair of their smash-product prelude."""
+    y, D, _ = _corruption("heis-product:smash")
+    want = "(f (x) 1)(1 (x) m) != f (x) m at f=kap^3, m=k^5"
+    module = check_module_algebra(y, walk=module_algebra_factor_walk(
+        D, y.action))
+    comodule = check_comodule_algebra(y, walk=factor_pair_walk(y.algebra))
+    assert (module.status, module.witness) == ("fail", want)
+    assert module.cases_checked == 256 + 3 * 16 + 5 + 1
+    assert (comodule.status, comodule.witness) == ("fail", want)
+    assert comodule.cases_checked == 1 + 3 * 16 + 5 + 1
+
+
+def test_a_scaled_x2_x1_product_fails_both_laws_on_x2_x1():
+    """(1 # k^3)(Fkap # 1), a product that only the X2 x X1 pairs read,
+    times zeta: both laws fail on a pair of X2 x X1, after the prelude
+    and the walks of X1 x X1 and X2 x X2 (and X1 x X2)."""
+    y, D, _ = _corruption("heis-product:x2-x1")
+    X = y.algebra
+    (ub,), (uf,) = D.base.unit, D.dual.unit
+    x2 = {X.space.label(uf * 16 + m) for m in range(16)}
+    x1 = {X.space.label(f * 16 + ub) for f in range(16)}
+    module = check_module_algebra(y, walk=module_algebra_factor_walk(
+        D, y.action))
+    comodule = check_comodule_algebra(y, walk=factor_pair_walk(X))
+    assert module.status == comodule.status == "fail"
+    assert module.cases_checked > (256 + 3 * 256 + 4 * 16 + 256
+                                   + 7 * (2 * 16 + 16 * 2))
+    assert comodule.cases_checked > 1 + 3 * 256 + 2 * 16 + 16 * 2 + 256
+    for res, lead in ((module, 1), (comodule, 0)):
+        parts = dict(part.split("=", 1) for part in
+                     res.witness.split(":")[0].split(", ")[lead:])
+        assert parts["x"] in x2 and parts["y"] in x1, res.witness
+
+
+def test_the_module_algebra_factor_walk_refuses_other_actions():
+    """A plain action, an overriding subclass and an action of another
+    algebra are refused, as by `module_factor_walk`."""
+    sys2 = taft_system(2)
+    D, y = sys2.double, sys2.yd
+    plain = Action(y.hopf, y.algebra, lambda h, x: dict(y.action.row(h, x)))
+    with pytest.raises(ValueError, match="FactoredAction"):
+        module_algebra_factor_walk(D, plain)
+    with pytest.raises(ValueError, match="four leg actions"):
+        module_algebra_factor_walk(D, _FactorRowOverride(
+            "dual", y.action.dual_row))
+    copy = DrinfeldDouble(D.ctx, _hopf(D.hopf, D.hopf.generators), D.base,
+                          D.dual, D.pairing)
+    with pytest.raises(ValueError, match="own algebra"):
+        module_algebra_factor_walk(copy, y.action)

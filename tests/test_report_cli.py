@@ -158,15 +158,17 @@ def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
 # reports carry failure witnesses (mutations) and inverted expected
 # failures (chains), so they pin the bytes of the failure paths too; the
 # double and heisenberg reports pin the exhaustive pair walks, and the yd
-# report pins the proofs of module-action on the factors of D(B), of
-# module-algebra and yd-condition on a subcoalgebra of D(B) and of
-# braided-commutative on a subcomodule of H(B*); the hopf-axioms
+# report pins the proofs of module-action on the factors of D(B) and of
+# H(B*), of module-algebra and comodule-algebra on the pairs of the
+# factors of H(B*), of yd-condition on a subcoalgebra of D(B) and of
+# braided-commutative on a subcomodule of H(B*); the truncations report
+# pins the four laws read off the transport certificates; the hopf-axioms
 # report pins the associativity proofs from generator-headed triples.
 REPORT_SHA256_P2 = {
     "hopf-axioms":
         "d314cbd71d131f4a4bf7eb7c4bb0b3a39c8c4c99f7e53261fb1f2aa73c9bacbb",
     "yd":
-        "24e9f1b93c4e9692fa61a8d56c30edbe6ca2a7ed96399c6a9333162870ac01ed",
+        "6bb98bede47fefd25b451474264ef687e3f9a08b8798e165bbd77723f41d1226",
     "double":
         "81a95de212fbd7e205d5352a9262f13a8939e3c63e4f25ff1f50c752cd28f6c5",
     "heisenberg":
@@ -176,7 +178,7 @@ REPORT_SHA256_P2 = {
     "chains":
         "b3e30ca0d5ab1f1279524b1725418f8f09fe5d7188209db93e41dde90dd69820",
     "truncations":
-        "91d67715a890b3937b07de16322da6d41d8fb5974f20a6285e12ae2357f7f882",
+        "19307fdb121445e8a9e7fcc697f1a469c5c4ec5913758344cd2a66a2c2f51623",
 }
 
 
@@ -210,13 +212,13 @@ def test_quotient_morphism_is_the_construction_certificate_in_sample_mode():
 # sha256 of `hopfbench verify --p 2 --suite <suite> --mode generators
 # --sample-size 500 --seed 11 --format json`: these suites read the
 # products of both doubles, their actions and the pairing arrows; chains
-# and truncations pin the counterexample searches and comodule-algebra,
-# whose walks do not follow the run's mode.
+# and truncations pin the counterexample searches, comodule-algebra and
+# the transported laws, whose walks do not follow the run's mode.
 REPORT_SHA256_P2_GENERATORS = {
     "chains":
         "53089fc7a5d6947156a6c245724a9014865e47d32131c71caf76b16938bec13b",
     "truncations":
-        "e4108e33072ee1b05364e6fe39a06f130a711f8b2c30ba3301d0f4db843b4e4a",
+        "ba8cbe4be583c0cb8018c1c12d0641be856ce364327406ddc291f1b85921698c",
     "double":
         "23071638ebdf3710b2c5a0f1f2d396f45e380d4444dda45fd1dd90c7b2abaf07",
     "heisenberg":
@@ -224,7 +226,7 @@ REPORT_SHA256_P2_GENERATORS = {
     "hopf-axioms":
         "160dfdb683c354fb5b8d346813d1b43d2e9b30e2e4ffffd5854404b5f0d6c7e3",
     "yd":
-        "acdef33d1a29624e4446018964e56336cb952617e0ed6824d760b875e0329d09",
+        "51c7f66b88ca4962cbf51229c938a9bc0df167ae98d9e5976144ca4115f85fdc",
 }
 
 
@@ -265,9 +267,10 @@ def test_sample_report_bytes_are_pinned(suite):
 # sha256 of `hopfbench verify --p 3 --suite yd,truncations --sample-size 1000
 # --format json`: at p=3 most structure constants are dense scalars, which
 # the p=2 reports hardly reach.  Its yd lines are the same proofs as in the
-# p=2 yd report, taken in generators mode.
+# p=2 yd report, taken in generators mode, and so are its four transported
+# truncations laws.
 REPORT_SHA256_P3_YD_TRUNCATIONS = \
-    "6aaafbca0e0474b2fb73df9373ccca85c560aa0bc0e6e6d7cde12c8704be5ef0"
+    "dc18ccab573eb286f59d2e552ea1817106ac035209e15176817d5f2e5e9a2444"
 
 
 def test_p3_report_bytes_are_pinned():
@@ -302,7 +305,7 @@ def test_p3_braided_product_report_bytes_are_pinned(suite):
 # sha256 of `render(run_suite(SuiteConfig(p=2, suite="chains,truncations")),
 # "json")`, recorded from a serial run (one CPU).
 REPORT_SHA256_P2_TWO_SUITES = \
-    "946b3a1065e83d3c1604f947eb1edf6c973612e6fc2ca5e9378b4d6f235e125c"
+    "4bbf33c21ee25577eb99c69f89b80af9127757f63d1efb07c700ed294c5df433"
 
 
 def _two_cpus(monkeypatch):

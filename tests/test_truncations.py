@@ -5,18 +5,22 @@ from __future__ import annotations
 
 import pytest
 
-from hopfbench.results import TupleWalks, invert_expected_failure, lemma_walk
+from hopfbench import report as report_module
+from hopfbench.report import SuiteConfig, run_suite
+from hopfbench.results import (CheckResult, TupleWalks,
+                               invert_expected_failure, lemma_walk)
 from hopfbench.sparse import veq
 from hopfbench.taft import (basis_change, chain_heisenberg_checks, cqzd,
-                            cqzd_center_check, h2_matches_cqzd_check,
-                            heis_elements, hq_action_table_check,
-                            hq_coaction_table_check,
-                            hq_factorization_check, hqsl2, taft_system,
-                            truly_heisenberg_chain, uq_elements,
+                            cqzd_center_check, double_elements,
+                            h2_matches_cqzd_check, heis_elements,
+                            hq_action_table_check, hq_coaction_table_check,
+                            hq_factorization_check, hq_transport, hqsl2,
+                            taft_system, truly_heisenberg_chain, uq_elements,
                             uq_presentation_check, uqsl2)
-from hopfbench.ydcat import (check_braided_commutative, check_comodule,
-                             check_comodule_algebra, check_module,
-                             check_module_algebra, check_yd)
+from hopfbench.truncate import TransportedStructure, transport_corollaries
+from hopfbench.ydcat import (Action, check_braided_commutative,
+                             check_comodule, check_comodule_algebra,
+                             check_module, check_module_algebra, check_yd)
 
 
 EXHAUSTIVE = TupleWalks("exhaustive", 0, 0)
@@ -142,6 +146,8 @@ def test_hq_factorization(p, cases):
 
 
 def test_hq_is_yd_module_algebra():
+    """The exhaustive cross-check of the four laws that the truncations
+    suite reads off the transport certificates."""
     hq = hqsl2(2)
     results = [
         check_module(hq.yd, EXHAUSTIVE),
@@ -154,6 +160,80 @@ def test_hq_is_yd_module_algebra():
     all_pass(results)
     assert [r.cases_checked for r in results] == [
         4112, 4112, 32, 49, 256, 256]
+
+
+COROLLARIES = ("module-action", "module-algebra", "yd-condition",
+               "braided-commutative")
+
+
+def _truncation_lines(rep) -> dict:
+    return {r.name.split(".")[1]: r for r in rep.results
+            if r.name.split(".")[1] in COROLLARIES}
+
+
+@pytest.mark.parametrize("mode", [None, "generators"])
+def test_the_transported_laws_are_corollaries(mode):
+    """Outside sample mode the four laws read the certificates of u_q(sl_2)
+    (2), quotient-morphism (1) and the transport (5), one case each."""
+    rep = run_suite(SuiteConfig(p=2, suite="truncations", mode=mode))
+    lines = _truncation_lines(rep)
+    assert sorted(lines) == sorted(COROLLARIES)
+    assert {(r.status, r.mode, r.cases_checked, r.witness)
+            for r in lines.values()} == {("pass", "generators", 8, None)}
+
+
+def test_sample_mode_walks_the_transported_laws():
+    rep = run_suite(SuiteConfig(p=2, suite="truncations", mode="sample",
+                                sample_size=50))
+    assert {r.mode for r in _truncation_lines(rep).values()} == {
+        "sample(n=50,seed=0)"}
+
+
+def test_corollaries_fail_at_the_first_certificate_that_did_not_pass():
+    ok = CheckResult("a", "pass", "exhaustive", 3)
+    bad = CheckResult("b", "fail", "exhaustive", 1, "it broke")
+    skipped = CheckResult("c", "skipped", "run with p=2")
+    assert [(r.name, r.status, r.cases_checked, r.witness)
+            for r in transport_corollaries([ok, bad, skipped])] == [
+        (law, "fail", 2, "rests on b (fail): it broke") for law in COROLLARIES]
+    assert {r.witness for r in transport_corollaries([ok, skipped])} == {
+        "rests on c (skipped): None"}
+
+
+def _descent_breaking_source(uq):
+    """H(B*)'s YD structure with the row of kap k on 1 # 1 times zeta:
+    kap k, which the truncation identifies with 1, then moves the unit of
+    the subalgebra, and the descent certificate fails."""
+    y = uq.system.yd
+    D = uq.system.double.hopf
+    g = double_elements(uq.system)
+    (h,) = D.product(g["kap"], g["k"])
+    (x,) = y.algebra.unit
+    row = y.action.row(h, x)
+    bad = ((row[0][0], row[0][1] * D.ctx.zeta),) + row[1:]
+    return y._replace(action=Action(y.hopf, y.algebra, lambda i, j: dict(
+        bad if (i, j) == (h, x) else y.action.row(i, j))))
+
+
+def test_a_failed_transport_certificate_fails_every_corollary(monkeypatch):
+    """`hqsl2` refuses a failed transport, so the suite is handed the
+    healthy truncation with the certificates of a transport whose source
+    action is corrupted: the four laws fail, naming the certificate."""
+    hq = hqsl2(2)
+    ts = hq_transport(hq.uq, _descent_breaking_source(hq.uq))
+    assert [c.name for c in ts.certificates if not c.ok] == [
+        "hq-transport-descent-0"]
+    certs = list(ts.certificates)
+    monkeypatch.setattr(report_module, "hqsl2", lambda p: hq._replace(
+        transport=TransportedStructure(certs, hq.yd),
+        checks=certs + hq.checks[len(certs):]))
+    rep = run_suite(SuiteConfig(p=2, suite="truncations"))
+    lines = _truncation_lines(rep)
+    assert sorted(lines) == sorted(COROLLARIES)
+    for r in lines.values():
+        assert (r.status, r.mode) == ("fail", "generators")
+        assert r.witness.startswith("rests on hq-transport-descent-0 (fail): "
+                                    "central element #0 does not act")
 
 
 def test_hq_relations():
