@@ -36,7 +36,8 @@ Both doubles, and the braided products behind the chains (ydcat), are
 twisted tensor products A (x)_R B (Cap, Schichl and Vanzura, Comm. Algebra
 23, 1995): each constructor supplies only its map R, and
 hopf.twisted_product memoizes the R rows and multiplies them out; each
-product records its factors, which results.generation_failure reads.
+product keeps that record as its `twist`, which the generation
+certificate and the factor walks of results read.
 
 Arrow conventions (P the pairing, b in B, f in B*; HopfPairing memoizes
 them on basis pairs):
@@ -55,9 +56,8 @@ from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing,
                    check_product_rows, dual_hopf, pair_product,
                    render_element, triple_product, twisted_product)
 from .results import (Check, CheckResult, Walk, coalgebra_closure,
-                      factor_pair_walk, factor_products_failure,
-                      factor_units, gen_indices, generation_failure,
-                      invert_expected_failure)
+                      factor_pair_walk, gen_indices, generation_failure,
+                      invert_expected_failure, normality_failure, twist_of)
 from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Row, Space, Vec,
                      linear_map_inverse, shared_row, tensor_flat, vadd_into,
                      vadd_outer, vadd_term, veq)
@@ -260,7 +260,7 @@ def drinfeld_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
                         out.append((fn_, m2, c5))
         return tuple(out)
 
-    mult, unit, gens = twisted_product(dual, base, r_row)
+    tw = twisted_product(dual, base, r_row)
 
     def comult_fn(key: int) -> tuple:
         f, b = divmod(key, nB)
@@ -286,11 +286,11 @@ def drinfeld_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
         f, b = divmod(key, nB)
         left = tensor_flat(dual.unit, dict(base.antipode.get(b)), nB)
         right = tensor_flat(dict(dual_sinv.get(f)), base.unit, nB)
-        return tuple(sorted(mult.apply(left, right).items()))
+        return tuple(sorted(tw.mult.apply(left, right).items()))
 
     antipode = LazyLinearMap(d, d, antipode_fn)
-    hopf = FiniteHopf(ctx, space, mult, unit, comult, counit, antipode,
-                      generators=gens, name=name, factors=(dual, base))
+    hopf = FiniteHopf(ctx, space, tw.mult, tw.unit, comult, counit, antipode,
+                      generators=tw.gens, name=name, twist=tw)
     return DrinfeldDouble(ctx, hopf, base, dual, P)
 
 
@@ -347,9 +347,9 @@ def heisenberg_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
                     out.append((fm, a2, c1))
         return tuple(out)
 
-    mult, unit, gens = twisted_product(dual, base, r_row)
-    algebra = FiniteAlgebra(ctx, space, mult, unit, generators=gens,
-                            name=name, factors=(dual, base))
+    tw = twisted_product(dual, base, r_row)
+    algebra = FiniteAlgebra(ctx, space, tw.mult, tw.unit, generators=tw.gens,
+                            name=name, twist=tw)
     return HeisenbergDouble(ctx, algebra, base, dual, P)
 
 
@@ -640,8 +640,10 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     of D(B) = B*cop |><| B assembled from its two factor actions, is a
     module.
 
-    Write f (x) 1 and 1 (x) m for f in B*cop and m in B; their units must
-    be basis vectors, with 1 (x) 1 the unit of D.  Inside X = H(B*) write
+    D must be built by the formula of `hopf.twisted_product`: otherwise
+    `results.twist_of` raises a ValueError, and nothing in this package
+    calls `.set` on its `mult`.  Write f (x) 1 and 1 (x) m for f in B*cop
+    and m in B, and inside X = H(B*), on the same basis,
     X1 = B* (x) 1 and X2 = 1 (x) B, and V for the 2 d_B basis vectors
     alpha (x) 1 and 1 (x) a that span them.  Let C_B be
     `results.coalgebra_closure(B)`: the basis indices of 1 and of the
@@ -650,10 +652,10 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     first failure:
 
     1. the unit law 1 |> x = x, for every x;
-    2. (prelude) the products (f (x) 1)(1 (x) m) = f (x) m,
-       (f (x) 1)(g (x) 1) = fg (x) 1 and (1 (x) m)(1 (x) n) = 1 (x) mn
-       in D, on every pair of basis vectors
-       (`results.factor_products_failure`);
+    2. (prelude) `results.normality_failure` of D, which gives
+       (f (x) 1)(1 (x) m) = f (x) m, (f (x) 1)(g (x) 1) = fg (x) 1 and
+       (1 (x) m)(1 (x) n) = 1 (x) mn: D is built by the formula from a
+       normal R;
     3. (prelude) the factor unit laws `act.prim_row(1, x)` = e_x and
        `act.dual_row(1, x)` = e_x, for x in V;
     4. (prelude) for each leg L of `act` -- hit and ad over B, adF and
@@ -759,19 +761,16 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     _require_factored(D, act)
     base, dual, one = D.base, D.dual, D.ctx.one
     nB, nF = base.dim, dual.dim
-    uf, ub = factor_units(D.hopf)
-    vf, vb = factor_units(act.algebra)
+    tw = twist_of(D.hopf)
+    (uf,), (ub,) = tw.A.unit, tw.B.unit
     mult = D.hopf.mult
-    xs = ([f * nB + vb for f in range(nF)]
-          + [vf * nB + m for m in range(nB)])
+    left, right = tw.factor_indices()   # f (x) 1 and 1 (x) m, in D and X
+    xs = left + right
     closure = coalgebra_closure(base)
     in_closure = set(closure)
 
-    left = [D.index(f, ub) for f in range(nF)]      # f (x) 1
-    right = [D.index(uf, m) for m in range(nB)]     # 1 (x) m
-
     def products(chk: Check) -> Optional[str]:
-        wit = factor_products_failure(D.hopf, chk)
+        wit = normality_failure(D.hopf, chk)
         if wit is not None:
             return wit
         for unit, row, factor in ((ub, act.prim_row, "B"),

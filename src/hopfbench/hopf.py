@@ -12,10 +12,10 @@ tuple.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .cyclo import Cyc, QContext
-from .results import Check, CheckResult, gen_indices
+from .results import Check, CheckResult, gen_indices, twist_of
 from .sparse import (
     BilinearMap, ColinearMap, LinearMap, Space,
     Subspace, linear_map_inverse, shared_row, tensor_flat, vadd_into,
@@ -24,11 +24,12 @@ from .sparse import (
 
 __all__ = [
     "FiniteHopf", "FiniteAlgebra", "check_hopf_axioms",
-    "check_algebra_axioms", "check_product_rows", "check_same_product",
+    "check_algebra_axioms", "check_product_rows",
     "dual_hopf",
     "HopfPairing", "check_hopf_pairing", "hit_dual_left", "hit_dual_right",
     "hit_alg_left", "hit_alg_right", "render_element",
-    "pair_product", "triple_product", "twisted_product",
+    "pair_product", "triple_product", "TwistedProduct", "twisted_product",
+    "check_same_twist",
 ]
 
 Vec = dict
@@ -81,24 +82,24 @@ class FiniteAlgebra:
 
     The product may be lazily backed; the unit is explicit.  `generators`
     is an optional list of vectors used by generator-mode checks; it
-    should generate the algebra together with the unit.  `factors` is
-    (A, B) when the product, unit and generators come from
-    `twisted_product`.
+    should generate the algebra together with the unit.  `twist` is the
+    `TwistedProduct` that built the product, unit and generators, if one
+    did (see `results.twist_of`).
     """
 
     __slots__ = ("ctx", "space", "mult", "unit", "generators", "name",
-                 "factors", "__weakref__")
+                 "twist", "__weakref__")
 
     def __init__(self, ctx: QContext, space: Space, mult: BilinearMap,
                  unit: Vec, generators: Optional[list] = None, name: str = "",
-                 factors: Optional[tuple] = None):
+                 twist: Optional[TwistedProduct] = None):
         self.ctx = ctx
         self.space = space
         self.mult = mult
         self.unit = unit
         self.generators = generators
         self.name = name or space.name
-        self.factors = factors
+        self.twist = twist
 
     @property
     def dim(self) -> int:
@@ -132,8 +133,8 @@ class FiniteHopf(FiniteAlgebra):
     def __init__(self, ctx: QContext, space: Space, mult: BilinearMap,
                  unit: Vec, comult: ColinearMap, counit: dict,
                  antipode: LinearMap, generators: Optional[list] = None,
-                 name: str = "", factors: Optional[tuple] = None):
-        super().__init__(ctx, space, mult, unit, generators, name, factors)
+                 name: str = "", twist: Optional[TwistedProduct] = None):
+        super().__init__(ctx, space, mult, unit, generators, name, twist)
         self.comult = comult
         self.counit = counit
         self.antipode = antipode
@@ -179,31 +180,61 @@ class FiniteHopf(FiniteAlgebra):
         return cur
 
 
-def twisted_product(A, B, r_row) -> tuple:
+class TwistedProduct(NamedTuple):
+    """A (x)_R B as `twisted_product` built it, the one maker of these:
+    the factors, R's memoized stored rows r_row(b, a) of (a', b', c)
+    terms, and the product, unit and generators made from them."""
+
+    A: object
+    B: object
+    r_row: Callable[[int, int], tuple]
+    mult: BilinearMap
+    unit: Vec
+    gens: Optional[list]
+
+    def r(self, b: int, a: int) -> Vec:
+        """R(b (x) a) as a vector on the flat indices a' * B.dim + b'."""
+        out: Vec = {}
+        for x, y, c in self.r_row(b, a):
+            vadd_term(out, x * self.B.dim + y, c)
+        return out
+
+    def factor_indices(self) -> tuple[list, list]:
+        """Flat indices of a (x) 1 over A's basis, of 1 (x) b over B's."""
+        (ua,), (ub,), nB = self.A.unit, self.B.unit, self.B.dim
+        return ([a * nB + ub for a in range(self.A.dim)],
+                [ua * nB + b for b in range(nB)])
+
+
+def twisted_product(A, B, r_row) -> TwistedProduct:
     """Twisted tensor product A (x)_R B on flat indices a * B.dim + b:
 
         (a1 (x) b1)(a2 (x) b2) = sum over (a, b, c) in r_row(b1, a2)
                                  of c * a1 a (x) b b2,
 
-    where r_row(b1, a2) lists R(b1 (x) a2) as (a, b, c) terms.  Each R
-    row is computed once and memoized as a stored row (see
-    `sparse.shared_row`).  Returns (mult, unit, generators),
-    the generators being g (x) 1 and 1 (x) g over those of A and of B
-    (None if neither has any); the algebra on them records (A, B) as its
-    `factors`.
+    where r_row(b1, a2) lists R(b1 (x) a2) as (a, b, c) terms (Cap,
+    Schichl and Vanzura, Comm. Algebra 23, 1995).  Each R row is computed
+    on first use and memoized as a stored row (see `sparse.shared_row`).
+    The generators are g (x) 1 and 1 (x) g over those of A and of B (None
+    if neither has any).  The algebra built on the record keeps it as
+    its `twist`; nothing in this package calls `.set` on its `mult`, so
+    its rows are the formula's.
     """
     nA, nB = A.dim, B.dim
     rmemo: dict[int, tuple] = {}
 
+    def row(b: int, a: int) -> tuple:
+        key = b * nA + a
+        r = rmemo.get(key)
+        if r is None:
+            r = rmemo[key] = shared_row(r_row(b, a))
+        return r
+
     def mult_fn(k1: int, k2: int) -> tuple:
         a1, b1 = divmod(k1, nB)
         a2, b2 = divmod(k2, nB)
-        key = b1 * nA + a2
-        r = rmemo.get(key)
-        if r is None:
-            r = rmemo[key] = shared_row(r_row(b1, a2))
         acc: Vec = {}
-        for a, b, c in r:
+        for a, b, c in row(b1, a2):
             ra = A.mult.get(a1, a)
             if not ra:
                 continue
@@ -214,8 +245,8 @@ def twisted_product(A, B, r_row) -> tuple:
 
     gens = ([tensor_flat(g, B.unit, nB) for g in A.generators or ()]
             + [tensor_flat(A.unit, g, nB) for g in B.generators or ()])
-    return (BilinearMap(nA * nB, nA * nB, fn=mult_fn),
-            tensor_flat(A.unit, B.unit, nB), gens or None)
+    return TwistedProduct(A, B, row, BilinearMap(nA * nB, nA * nB, fn=mult_fn),
+                          tensor_flat(A.unit, B.unit, nB), gens or None)
 
 
 def pair_product(H: FiniteHopf, x: Vec, y: Vec) -> Vec:
@@ -302,20 +333,37 @@ def check_product_rows(name: str, A, row, walk, gen_sets) -> CheckResult:
     return chk.result(walk.failure(chk, case))
 
 
-def check_same_product(A, B, walk, name: str) -> CheckResult:
-    """A and B are one algebra on the same basis: equal dimensions and
-    units, which count no case, and `check_product_rows` on the pairs of
-    `walk`, headed in both slots by the generator indices of A and of B."""
-    ga, gb = gen_indices(A), gen_indices(B)
-    gens = ga | gb if ga and gb else ga or gb
-    walk = walk.over((A.dim, A.dim), (gens, gens))
-    if B.dim != A.dim:
-        return Check(name, walk.label).result(
-            f"dimensions differ: {A.dim} vs {B.dim}")
-    if not veq(A.unit, B.unit):
-        return Check(name, walk.label).result("units differ")
-    return check_product_rows(name, A, lambda i, j: dict(B.mult.get(i, j)),
-                              walk, (gens, gens))
+def check_same_twist(X, Y, name: str) -> CheckResult:
+    """X and Y, twisted products built by the formula (`results.twist_of`),
+    are one algebra: their factors have equal dimensions and units (no
+    case), then, one case each, equal products on every pair of the first
+    factors and of the second, and equal R(b (x) a) on every pair,
+    labelled "exhaustive".  Each product row is made from one R row and
+    rows of the two factor tables, so equal inputs give equal products
+    and units, with no associativity assumed."""
+    s, t = twist_of(X), twist_of(Y)
+    chk = Check(name, "exhaustive")
+    if (s.A.dim, s.B.dim, s.A.unit, s.B.unit) != (t.A.dim, t.B.dim,
+                                                  t.A.unit, t.B.unit):
+        return chk.result("the factors differ in dimension or unit")
+    for F, G in ((s.A, t.A), (s.B, t.B)):
+        for i, j in itertools.product(range(F.dim), repeat=2):
+            chk.cases += 1
+            u, v = dict(F.mult.get(i, j)), dict(G.mult.get(i, j))
+            if not veq(u, v):
+                return chk.result(
+                    f"products of ({F.space.label(i)}, {F.space.label(j)}) "
+                    f"in {F.name} differ: {render_element(F.space, u)} vs "
+                    f"{render_element(F.space, v)}")
+    for b, a in itertools.product(range(s.B.dim), range(s.A.dim)):
+        chk.cases += 1
+        u, v = s.r(b, a), t.r(b, a)
+        if not veq(u, v):
+            return chk.result(
+                f"R({s.B.space.label(b)} (x) {s.A.space.label(a)}) differs: "
+                f"{render_tensor(s.A.space, s.B.space, u)} vs "
+                f"{render_tensor(s.A.space, s.B.space, v)}")
+    return chk.result()
 
 
 # -- axiom checks -------------------------------------------------------------

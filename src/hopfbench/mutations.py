@@ -30,7 +30,7 @@ from .ydcat import (Action, Coaction, ModuleAlgebra, YDModuleAlgebra,
                     check_comodule, check_module,
                     check_module_algebra, check_yd)
 
-__all__ = ["MUTATIONS", "run_mutation", "mutation_suite"]
+__all__ = ["MUTATIONS", "run_mutation"]
 
 
 def _antipode_sign(p: int, walks) -> list:
@@ -65,7 +65,7 @@ def _double_antipode(p: int, walks) -> list:
     bad = FiniteHopf(H.ctx, H.space, H.mult, dict(H.unit), H.comult,
                      dict(H.counit), LazyLinearMap(H.dim, H.dim, fn),
                      generators=H.generators, name="ddouble(antipode)",
-                     factors=H.factors)
+                     twist=H.twist)
     return check_hopf_axioms(bad, walks, two_sided_lemma_walk(bad),
                              two_sided_lemma_walk(bad))
 
@@ -185,8 +185,3 @@ def run_mutation(tag: str, p: int, walks) -> CheckResult:
         return chk.result()
     chk.mode, chk.cases = bad.mode, bad.cases_checked
     return chk.result(f"[{bad.name}] {bad.witness}")
-
-
-def mutation_suite(p: int, walks) -> list:
-    """All corrupted fixtures, in registry order."""
-    return [run_mutation(tag, p, walks) for tag in MUTATIONS]

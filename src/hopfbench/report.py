@@ -22,7 +22,7 @@ from .doubles import (FactoredAction, chain_relations_check,
                       check_quasitriangular, eta_twist_product,
                       heisenberg_chain, module_algebra_factor_walk,
                       module_factor_walk, to_show_action_check)
-from .hopf import check_algebra_axioms, check_hopf_axioms, check_same_product
+from .hopf import check_algebra_axioms, check_hopf_axioms, check_same_twist
 from .results import (MODES, CheckResult, TupleWalks, dim_check,
                       factor_pair_walk, gen_indices, invert_expected_failure,
                       lemma_walk, subcoalgebra_walk, subcomodule_walk,
@@ -333,8 +333,8 @@ def _suite_heisenberg(cfg: SuiteConfig):
                                     name="base-factor-braided-commutative")
     yield check_braided_symmetric(dual_yd, base_yd, walks)
     yield check_locked_identity(dual_yd, base_yd, walks)
-    yield check_same_product(bp2.yd.algebra, sys.heis.algebra, walks,
-                             "braided-product-is-hdouble")
+    yield check_same_twist(bp2.yd.algebra, sys.heis.algebra,
+                           "braided-product-is-hdouble")
     yield check_factor_embeddings(bp2)
     yield from flip_isomorphism(dual_yd, base_yd, walks, walks)
 

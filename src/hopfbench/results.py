@@ -28,24 +28,19 @@ S = {x : phi(xy) = phi(x) phi(y) for all y} is a subalgebra of A
 (Montgomery, Hopf Algebras and Their Actions on Rings, CBMS 82, 1993),
 so the walk and phi(1) = 1 put the generators and the unit in S, and
 `generation_failure` -- the span closure of the unit and the generators
-under A's product must reach full rank, or a twisted product's factors
-pass their identities -- makes S all of A: the walk is then a proof.
+under A's product must reach full rank, or, for a twisted product built
+by the formula, R must be normal and both factors certified -- makes S
+all of A: the walk is then a proof.
 
-Laws of an H-action on an algebra X may take `subcoalgebra_walk`, with
-h over `coalgebra_closure(H)`, the basis indices of H's unit and
-generators closed under the legs of the coproduct, then the generator
-indices of X: (h, g, y), y over X's basis, for the module-algebra law,
-which `check_module_algebra` states, and (h, g) for the YD condition,
-which `check_yd` states.  Braided commutativity may take
-`subcomodule_walk`, with u over `coaction_closure`, the basis indices of
-X's unit and generators closed under the x_0 legs of the coaction, and g
-over the generator indices of X; `check_braided_commutative` states the
-lemma.
+Laws of an H-action on an algebra X may take `subcoalgebra_walk`, and
+braided commutativity `subcomodule_walk`; `ydcat.check_module_algebra`,
+`check_yd` and `check_braided_commutative` state their lemmas.
 
 The module-algebra and comodule-algebra laws on a twisted product
 X = A (x)_R B (`hopf.twisted_product`) may take `factor_pair_walk`,
 which walks them on the two tensor factors X1 = A (x) 1 and X2 = 1 (x) B
 instead of on generators against the whole basis; it states the lemma.
+It reads R from X's record (`twist_of`), not the products from X's table.
 """
 
 from __future__ import annotations
@@ -57,14 +52,14 @@ import weakref
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .sparse import span_closure, tensor_flat, veq
+from .sparse import span_closure, veq
 
 __all__ = ["MODES", "CheckResult", "Check", "dim_check", "summarize",
            "invert_expected_failure", "gen_indices", "generator_pairs",
            "generation_failure", "Walk", "TupleWalks", "lemma_walk",
            "two_sided_lemma_walk", "coalgebra_closure",
            "coaction_closure", "subcoalgebra_walk", "subcomodule_walk",
-           "factor_units", "factor_products_failure", "factor_pair_walk"]
+           "twist_of", "normality_failure", "factor_pair_walk"]
 
 MODES = ("exhaustive", "generators", "sample")
 
@@ -184,19 +179,21 @@ def generation_failure(alg) -> Optional[str]:
 
     The certificate, built once per algebra object, is the span closure
     of the seeds (the unit and the generators) under right multiplication
-    by them; it must reach full rank.  An algebra on A (x)_R B with
-    `factors` (`hopf.twisted_product`) is certified from them: both pass
-    their certificates and unit laws, and (a (x) 1)(g (x) 1) = ag (x) 1
-    and (a (x) b)(1 (x) h) = a (x) bh over the factor bases and the
-    generators g of A and h of B.  A subspace S that holds the seeds and
-    is closed under right multiplication by them then holds A (x) 1, and
-    for each a, {b : a (x) b in S} is all of B.  No step needs
+    by them; it must reach full rank.  An algebra with a `twist` must be
+    built by the formula from a normal R (`twist_of`, `normality_failure`;
+    nothing in this package calls `.set` on its `mult`), and both
+    factors must pass their certificates.  The formula, R(1 (x) g) =
+    g (x) 1, R(b (x) 1) = 1 (x) b and the factor unit laws give
+    (a (x) 1)(g (x) 1) = ag (x) 1 and (a (x) b)(1 (x) h) = a (x) bh for
+    the generators g of A and h of B.  A subspace S that holds the seeds
+    and is closed under right multiplication by them then holds A (x) 1,
+    and for each a, {b : a (x) b in S} is all of B.  No step needs
     associativity.
     """
     if alg not in _generated:
-        factors = getattr(alg, "factors", None)
-        _generated[alg] = (_factored_failure(alg, *factors) if factors
-                           else _closure_failure(alg))
+        tw = getattr(alg, "twist", None)
+        _generated[alg] = (_closure_failure(alg) if tw is None
+                           else _factored_failure(alg, tw))
     return _generated[alg]
 
 
@@ -209,37 +206,63 @@ def _closure_failure(alg) -> Optional[str]:
             "generation certificate failed")
 
 
-def _unit_failure(f) -> Optional[str]:
-    """x1 = x on the basis of f and 1g = g on its generators."""
-    for i in range(f.dim):
-        if not veq(f.product(f.basis(i), f.unit), f.basis(i)):
-            return f"x1 != x at x = {f.space.label(i)}"
-    if not all(veq(f.product(f.unit, g), g) for g in f.generators or ()):
-        return "1g != g for a generator g"
-    return None
+def _factored_failure(alg, tw) -> Optional[str]:
+    wit = normality_failure(alg)
+    if wit is not None:
+        return f"{wit}; generation certificate failed"
+    return next((f"factor {f.name}: {generation_failure(f)}"
+                 for f in (tw.A, tw.B) if generation_failure(f)), None)
 
 
-def _factored_failure(alg, A, B) -> Optional[str]:
-    one, nB = alg.ctx.one, B.dim
+def twist_of(alg):
+    """The `hopf.TwistedProduct` record of `alg`; a ValueError unless alg
+    has its `mult`, unit and generators and its factors basis-vector
+    units: the checks that rest on the formula hold only for those."""
+    tw = getattr(alg, "twist", None)
+    if (tw is None or alg.mult is not tw.mult or not veq(alg.unit, tw.unit)
+            or alg.generators != tw.gens
+            or any(len(f.unit) != 1 or f.unit[min(f.unit)] != alg.ctx.one
+                   for f in (tw.A, tw.B))):
+        raise ValueError(f"{alg.name} is not built by the twisted-product "
+                         "formula of a record with basis-vector units")
+    return tw
+
+
+def normality_failure(alg, chk: Optional[Check] = None) -> Optional[str]:
+    """The R-normality certificate of a twisted product `alg` = A (x)_R B
+    (`twist_of`): R(1 (x) a) = a (x) 1 for every basis vector a of A,
+    then R(b (x) 1) = 1 (x) b for every b of B, one case each on `chk`
+    when one is given, then the factor unit laws 1x = x = x1 on both
+    bases, which count no case.  The first witness, or None.  By the
+    formula they give, for f, g in A and m, n in B,
+
+        (f (x) 1)(1 (x) m) = f (x) m,   (f (x) 1)(g (x) 1) = fg (x) 1,
+        (1 (x) m)(1 (x) n) = 1 (x) mn,
+
+    so f -> f (x) 1 and m -> 1 (x) m are algebra maps onto subalgebras
+    X1 and X2 of alg whose products X1 X2 span it: the first condition of
+    Cap, Schichl and Vanzura (Comm. Algebra 23, 1995).
+    """
+    tw, one = twist_of(alg), alg.ctx.one
+    A, B = tw.A, tw.B
+    (ua,), (ub,) = A.unit, B.unit
+    left, right = tw.factor_indices()
+    chk = chk or Check("r-normality", "exhaustive")
+    for a in range(A.dim):
+        chk.cases += 1
+        if not veq(tw.r(ub, a), {left[a]: one}):
+            return f"R(1 (x) a) != a (x) 1 at a={A.space.label(a)}"
+    for b in range(B.dim):
+        chk.cases += 1
+        if not veq(tw.r(b, ua), {right[b]: one}):
+            return f"R(b (x) 1) != 1 (x) b at b={B.space.label(b)}"
     for f in (A, B):
-        wit = _unit_failure(f) or generation_failure(f)
-        if wit is not None:
-            return f"factor {f.name}: {wit}"
-    a_gens, b_gens = A.generators or [], B.generators or []
-    seeds = alg.generators or []
-    for a, (n, g) in itertools.product(range(A.dim), enumerate(a_gens)):
-        if not veq(alg.product(tensor_flat({a: one}, B.unit, nB), seeds[n]),
-                   tensor_flat(A.product({a: one}, g), B.unit, nB)):
-            return (f"({A.space.label(a)} (x) 1)(g (x) 1) != ag (x) 1 for "
-                    f"generator {n} of {A.name}; generation certificate "
-                    "failed")
-    for a, b, (n, h) in itertools.product(range(A.dim), range(nB),
-                                          enumerate(b_gens)):
-        if not veq(alg.product({a * nB + b: one}, seeds[len(a_gens) + n]),
-                   tensor_flat({a: one}, B.product({b: one}, h), nB)):
-            return (f"({A.space.label(a)} (x) {B.space.label(b)})(1 (x) h)"
-                    f" != a (x) bh for generator {n} of {B.name}; "
-                    "generation certificate failed")
+        for i in range(f.dim):
+            e = f.basis(i)
+            if not veq(f.product(f.unit, e), e) or not veq(
+                    f.product(e, f.unit), e):
+                return (f"factor {f.name}: 1x = x = x1 fails at "
+                        f"x={f.space.label(i)}")
     return None
 
 
@@ -404,60 +427,6 @@ def subcomodule_walk(y) -> Walk:
                 certificate=partial(generation_failure, X))
 
 
-def factor_units(alg) -> tuple[int, int]:
-    """(u_A, u_B), the unit indices of the factors (A, B) of a twisted
-    product `alg` on the basis a * dim B + b; a ValueError unless both
-    units are basis vectors with 1 (x) 1 the unit of alg."""
-    A, B = alg.factors
-    one = alg.ctx.one
-    ua, ub = min(A.unit), min(B.unit)
-    if (A.unit != {ua: one} or B.unit != {ub: one}
-            or not veq(alg.unit, {ua * B.dim + ub: one})):
-        raise ValueError(f"a factor walk needs basis-vector units, with "
-                         f"1 (x) 1 the unit of {alg.name}")
-    return ua, ub
-
-
-def factor_products_failure(alg, chk: Check) -> Optional[str]:
-    """The products of the factors (A, B) of a twisted product `alg`, as
-    its table gives them, on every pair of basis vectors, one case each
-    on `chk`, in this order:
-
-        (f (x) 1)(1 (x) m) = f (x) m,   (f (x) 1)(g (x) 1) = fg (x) 1,
-        (1 (x) m)(1 (x) n) = 1 (x) mn.
-
-    So f -> f (x) 1 and m -> 1 (x) m are algebra maps onto subalgebras
-    X1 and X2 of alg, and the products X1 X2 span it.  The first witness,
-    or None; `factor_units` must hold."""
-    A, B = alg.factors
-    ua, ub = factor_units(alg)
-    nB, one, mult = B.dim, alg.ctx.one, alg.mult
-    la, lb = A.space.label, B.space.label
-    left = [f * nB + ub for f in range(A.dim)]      # f (x) 1
-    right = [ua * nB + m for m in range(nB)]        # 1 (x) m
-    for f in range(A.dim):
-        for m in range(nB):
-            chk.cases += 1
-            if not veq(dict(mult.get(left[f], right[m])), {f * nB + m: one}):
-                return (f"(f (x) 1)(1 (x) m) != f (x) m at "
-                        f"f={la(f)}, m={lb(m)}")
-    for f in range(A.dim):
-        for g in range(A.dim):
-            chk.cases += 1
-            if not veq(dict(mult.get(left[f], left[g])),
-                       {left[k]: c for k, c in A.mult.get(f, g)}):
-                return (f"(f (x) 1)(g (x) 1) != fg (x) 1 at "
-                        f"f={la(f)}, g={la(g)}")
-    for m in range(nB):
-        for n in range(nB):
-            chk.cases += 1
-            if not veq(dict(mult.get(right[m], right[n])),
-                       {right[k]: c for k, c in B.mult.get(m, n)}):
-                return (f"(1 (x) m)(1 (x) n) != 1 (x) mn at "
-                        f"m={lb(m)}, n={lb(n)}")
-    return None
-
-
 def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
                      obligations: Optional[Callable[[Check],
                                                     Optional[str]]] = None,
@@ -471,9 +440,11 @@ def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
     A (g (x) 1), X2 x X2 with y over the generators of B (1 (x) g), then,
     when `mixed`, every pair of X1 x X2, and every pair of X2 x X1.  With
     a `closure` each pair is walked as (c, x, y) for every c in it.  The
-    prelude is `factor_products_failure(X)` and then `obligations`; the
+    prelude is `normality_failure(X)` and then `obligations`; the
     certificate is `generation_failure` of A and of B and then
-    `certificate`.
+    `certificate`.  X must be built by the formula (`twist_of`; nothing
+    in this package calls `.set` on its `mult`), or a ValueError is
+    raised.
 
     The lemma.  Let the defect satisfy
 
@@ -483,7 +454,8 @@ def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
     on X x X once it vanishes on the walked pairs.  On X1 x X1, T = {u in
     X1 : D(u, X1) = 0} holds 1 and the walked g (x) 1, and it is closed
     under products, as vw lies in X1 for v, w in X1; so T = X1 by A's
-    certificate, f -> f (x) 1 being an algebra map (the prelude).  On
+    certificate, f -> f (x) 1 being an algebra map (the prelude: X is
+    built by the formula from a normal R).  On
     X2 x X2 likewise {w in X2 : D(X2, w) = 0} = X2, read on the right:
     D(u, vw) = D(uv, w) - l(u) D(v, w) + D(u, v) r(w).  Then, for u1, v1
     in X1 and u2, v2 in X2, and with D = 0 on X1 x X2 and on X2 x X1:
@@ -507,11 +479,9 @@ def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
     those unit laws before the walk.  A caller that leaves out the
     X1 x X2 pairs (`mixed` False) proves them in its `obligations`.
     """
-    A, B = X.factors
-    ua, ub = factor_units(X)
-    nB = B.dim
-    left = [f * nB + ub for f in range(A.dim)]
-    right = [ua * nB + m for m in range(nB)]
+    tw = twist_of(X)
+    A, B = tw.A, tw.B
+    left, right = tw.factor_indices()
     parts = [itertools.product([left[g] for g in sorted(gen_indices(A))],
                                left),
              itertools.product(right,
@@ -526,7 +496,7 @@ def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
                   for c, (x, y) in itertools.product(closure, part))
 
     def prelude(chk: Check) -> Optional[str]:
-        wit = factor_products_failure(X, chk)
+        wit = normality_failure(X, chk)
         if wit is None and obligations is not None:
             wit = obligations(chk)
         return wit

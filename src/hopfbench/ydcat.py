@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .hopf import (FiniteAlgebra, FiniteHopf, check_same_product,
-                   render_element, twisted_product)
+from .hopf import FiniteAlgebra, FiniteHopf, render_element, twisted_product
 from .results import Check, CheckResult, gen_indices
 from .sparse import (LinearMap, Row, Space, Vec, colinear_apply, shared_row,
                      tensor_flat, vadd_into, vadd_outer, vadd_term, veq,
@@ -53,7 +52,6 @@ __all__ = [
     "chain_product",
     "flip_isomorphism",
     "yang_baxter_check",
-    "check_rebracketing",
     "check_factor_embeddings",
 ]
 
@@ -667,9 +665,9 @@ def braided_product(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
                     out.append((vp, y0, c1))
         return tuple(out)
 
-    mult, unit, gens = twisted_product(X, Y, r_row)
-    algebra = FiniteAlgebra(ctx, space, mult, unit, generators=gens,
-                            name=name, factors=(X, Y))
+    tw = twisted_product(X, Y, r_row)
+    algebra = FiniteAlgebra(ctx, space, tw.mult, tw.unit, generators=tw.gens,
+                            name=name, twist=tw)
 
     def act_fn(h: int, key: int) -> Vec:
         ix, iy = divmod(key, dy)
@@ -748,17 +746,6 @@ def check_factor_embeddings(bp: BraidedProductAlgebra,
                         f"factor {pos}: embedding breaks the product at "
                         f"({f.algebra.space.label(i)}, {f.algebra.space.label(j)})")
     return chk.result()
-
-
-def check_rebracketing(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
-                       z_mod: YDModuleAlgebra, walk,
-                       name: str = "rebracketing") -> CheckResult:
-    """(X >< Y) >< Z and X >< (Y >< Z) are one algebra: row-major
-    flattening puts both products on the same index set, so
-    `check_same_product` compares them on the pairs of `walk`."""
-    left = braided_product(braided_product(x_mod, y_mod).yd, z_mod).yd
-    right = braided_product(x_mod, braided_product(y_mod, z_mod).yd).yd
-    return check_same_product(left.algebra, right.algebra, walk, name)
 
 
 def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,

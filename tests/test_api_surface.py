@@ -27,6 +27,10 @@
 * In `mutations.py` only `run_mutation` builds a `Check`, and no fixture
   calls `veq` or a walk's `.failure(`: a fixture corrupts an input and
   runs the healthy checks, and holds no copy of a check body.
+* Only `hopf.twisted_product` calls `TwistedProduct(`, and no
+  `FiniteAlgebra` or `FiniteHopf` call passes `factors=`: a twisted
+  product's record comes from the one function that builds its product,
+  so the checks that read the record read the formula of that product.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hopfbench"
 USED_OUTSIDE_SRC = {
     # tier-1 tests verify real properties through these; no suite runs them
     "check_hopf_pairing", "hit_dual_left", "hit_dual_right", "hit_alg_left",
-    "hit_alg_right", "mutation_suite", "yang_baxter_check",
-    "check_rebracketing", "check_hopf_ideal",
+    "hit_alg_right", "yang_baxter_check",
+    "check_hopf_ideal",
     # the export format in memory, read by bench/ and the README; the CLI
     # streams the same bytes
     "export_bytes", "import_object", "reexport_bytes",
@@ -384,3 +388,46 @@ def test_the_fixture_guard_sees_a_copied_case_loop():
     assert _fixture_check_bodies(reverted) == [
         "_eta_swapped:2 Check", "_eta_swapped:6 veq",
         "_walked:10 Check", "_walked:11 failure", "run_mutation:14 veq"]
+
+
+def _twist_records(modules: dict) -> list:
+    """Each call of `TwistedProduct` outside `hopf.twisted_product`, and
+    each `FiniteAlgebra` or `FiniteHopf` call that passes `factors=`."""
+    found = []
+    for mod, tree in modules.items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                if name == "TwistedProduct" and (mod, owner) != (
+                        "hopf.py", "twisted_product"):
+                    found.append(f"{mod}:{node.lineno} TwistedProduct")
+                elif name in ("FiniteAlgebra", "FiniteHopf") and any(
+                        k.arg == "factors" for k in node.keywords):
+                    found.append(f"{mod}:{node.lineno} factors=")
+    return found
+
+
+def test_only_twisted_product_makes_a_twist_record():
+    assert _twist_records(_modules()) == []
+
+
+def test_the_twist_guard_sees_a_hand_made_record_and_factors():
+    """A record made beside the product it describes, and the keyword
+    that recorded only the factors."""
+    reverted = ast.parse(
+        "def twisted_product(A, B, r_row):\n"
+        "    return TwistedProduct(A, B, r_row, mult, unit, gens)\n"
+        "def heisenberg_double(base):\n"
+        "    tw = hopf.TwistedProduct(dual, base, r_row, m, u, g)\n"
+        "    return FiniteAlgebra(ctx, space, m, u, factors=(dual, base))\n"
+        "def drinfeld_double(base):\n"
+        "    return hopf.FiniteHopf(ctx, s, m, u, c, e, a, factors=f)\n")
+    assert _twist_records({"hopf.py": reverted}) == [
+        "hopf.py:4 TwistedProduct", "hopf.py:5 factors=", "hopf.py:7 factors="]
+    assert _twist_records({"doubles.py": reverted}) == [
+        "doubles.py:2 TwistedProduct", "doubles.py:4 TwistedProduct",
+        "doubles.py:5 factors=", "doubles.py:7 factors="]

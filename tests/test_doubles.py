@@ -12,7 +12,7 @@ from hopfbench.doubles import (
     heisenberg_chain, to_show_action_check,
 )
 from hopfbench.hopf import (FiniteAlgebra, FiniteHopf, check_hopf_axioms,
-                           check_same_product)
+                           check_product_rows, check_same_twist)
 from hopfbench.results import (TupleWalks, invert_expected_failure,
                                lemma_walk)
 from hopfbench.sparse import BilinearMap, veq
@@ -117,7 +117,8 @@ def test_closed_form_product(system):
 
 def _zeta_scaled(sys, i: int, j: int):
     """`sys` with the first entry of H(B*)'s product row (i, j) scaled by
-    zeta, and every other row unchanged."""
+    zeta, and every other row unchanged: a copied table, which no
+    twisted-product record describes."""
     Hd = sys.heis
     A = Hd.algebra
 
@@ -130,7 +131,7 @@ def _zeta_scaled(sys, i: int, j: int):
 
     bad = FiniteAlgebra(A.ctx, A.space, BilinearMap(A.dim, A.dim, fn=fn),
                         A.unit, generators=A.generators,
-                        name="hdouble(zeta-scaled)", factors=A.factors)
+                        name="hdouble(zeta-scaled)")
     return sys._replace(heis=HeisenbergDouble(sys.ctx, bad, Hd.base, Hd.dual,
                                               Hd.pairing))
 
@@ -138,9 +139,12 @@ def _zeta_scaled(sys, i: int, j: int):
 @pytest.mark.parametrize("i,j", [(1, 17), (16, 3), (200, 255)])
 def test_a_zeta_scaled_product_entry_fails_each_identity_at_its_pair(
         sys2, i, j):
-    """eta-twist, smash-closed-form and braided-product-is-hdouble compare
-    H(B*)'s product with another through one comparator: each fails at
-    the corrupted pair, the first it walks that differs."""
+    """eta-twist and smash-closed-form compare H(B*)'s product with another
+    through one comparator, and so does the table walk that
+    braided-product-is-hdouble replaced, which stays as its cross-check:
+    each fails at the corrupted pair, the first it walks that differs.
+    braided-product-is-hdouble itself compares the inputs of the
+    twisted-product formula, so it refuses a table that has none."""
     bad = _zeta_scaled(sys2, i, j)
     A = bad.heis.algebra
     assert A.mult.get(i, j) != sys2.heis.algebra.mult.get(i, j)
@@ -151,8 +155,10 @@ def test_a_zeta_scaled_product_entry_fails_each_identity_at_its_pair(
         "eta-twist": (eta_twist_product(sys2.double, bad.heis, EXHAUSTIVE),
                       A),
         "smash-closed-form": (closed_form_check(bad, EXHAUSTIVE), A),
-        "braided-product-is-hdouble": (check_same_product(
-            B, A, EXHAUSTIVE, "braided-product-is-hdouble"), B),
+        "braided-product-is-hdouble": (
+            check_product_rows("braided-product-is-hdouble", B,
+                               lambda a, b: dict(A.mult.get(a, b)),
+                               EXHAUSTIVE, (None, None)), B),
     }
     for name, (res, X) in results.items():
         assert (res.name, res.status, res.mode) == (name, "fail",
@@ -160,6 +166,8 @@ def test_a_zeta_scaled_product_entry_fails_each_identity_at_its_pair(
         assert res.cases_checked == i * A.dim + j + 1
         assert res.witness.startswith(
             f"products of ({X.space.label(i)}, {X.space.label(j)}) differ: ")
+    with pytest.raises(ValueError, match="twisted-product formula"):
+        check_same_twist(B, A, "braided-product-is-hdouble")
 
 
 def test_action_composes_through_double(sys2):

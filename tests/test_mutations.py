@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from hopfbench.mutations import MUTATIONS, mutation_suite, run_mutation
+from hopfbench.mutations import MUTATIONS, run_mutation
 from hopfbench.results import TupleWalks
 
 # the negative controls' walks in the mutations suite
@@ -52,7 +52,7 @@ def test_eta_fixture_walks_every_pair_to_the_first_that_differs():
 
 
 def test_suite_runs_in_registry_order():
-    suite = mutation_suite(2, CONTROLS)
+    suite = [run_mutation(tag, 2, CONTROLS) for tag in MUTATIONS]
     assert [r.name for r in suite] == [f"mutation-{t}" for t in MUTATIONS]
     assert all(r.status == "fail" and r.witness for r in suite)
 

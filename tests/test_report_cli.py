@@ -168,11 +168,11 @@ REPORT_SHA256_P2 = {
     "hopf-axioms":
         "d314cbd71d131f4a4bf7eb7c4bb0b3a39c8c4c99f7e53261fb1f2aa73c9bacbb",
     "yd":
-        "6bb98bede47fefd25b451474264ef687e3f9a08b8798e165bbd77723f41d1226",
+        "d31f1469d949e9a5bf0aa3da1ad72525064dc988a5dc9ccd2d1b58bdf22b9253",
     "double":
         "81a95de212fbd7e205d5352a9262f13a8939e3c63e4f25ff1f50c752cd28f6c5",
     "heisenberg":
-        "86f9dd7f2b3455ee6622b773834ad1539949ce6333ab442441f109c30fbef21c",
+        "a6d92cb10d7dee9b71a7968d3b638eb9dcc6171dc0f83aa8b245f116b7016c36",
     "mutations":
         "942b052c78f5342cb01a27e70cbd1d23fed9ca7070eb74564d2f30f414c69b9a",
     "chains":
@@ -222,11 +222,11 @@ REPORT_SHA256_P2_GENERATORS = {
     "double":
         "23071638ebdf3710b2c5a0f1f2d396f45e380d4444dda45fd1dd90c7b2abaf07",
     "heisenberg":
-        "7c783dfae354337e060799aa190ed76b14a9816e09c7e4ba1faa21f47b257338",
+        "8da72a03a44344dec69d111a6cb6908ef07838a5456ae185e8aeac04234df1fe",
     "hopf-axioms":
         "160dfdb683c354fb5b8d346813d1b43d2e9b30e2e4ffffd5854404b5f0d6c7e3",
     "yd":
-        "51c7f66b88ca4962cbf51229c938a9bc0df167ae98d9e5976144ca4115f85fdc",
+        "4dc2662184d5e701d2df93af12ff318d9b4e676a4e35a15b3d5c054d55033a6b",
 }
 
 
@@ -249,7 +249,7 @@ REPORT_SHA256_P2_SAMPLE = {
     "double":
         "64ccada22586b1eaeedfba636e660d94baf8d193feb9d69487f53dbba709c7c1",
     "heisenberg":
-        "ec15260b634bc8261a425037fa8a2e3c75b4e30d138f5da59c9d208e54420579",
+        "c877f96fa195954d9c5e20ec293fdd52c5d7b3aac979df6a529a35dc8608fa5f",
     "hopf-axioms":
         "5c0bafa7b730fe0f8d7034e2ae8d21c60173b349f09126ffb2e9400663985c47",
     "yd":
@@ -270,7 +270,7 @@ def test_sample_report_bytes_are_pinned(suite):
 # p=2 yd report, taken in generators mode, and so are its four transported
 # truncations laws.
 REPORT_SHA256_P3_YD_TRUNCATIONS = \
-    "dc18ccab573eb286f59d2e552ea1817106ac035209e15176817d5f2e5e9a2444"
+    "eb58d89c978da12a4180676eaf1801d70ce5e1e72abbe591864b0454232bddca"
 
 
 def test_p3_report_bytes_are_pinned():
@@ -287,7 +287,7 @@ def test_p3_report_bytes_are_pinned():
 # composites of the leg tables of the double.
 REPORT_SHA256_P3_BRAIDED = {
     "heisenberg":
-        "4c7233eea2c9ca0bff6d0d6c486ba407ff8811a6482528f1a52ded85d7298a3d",
+        "805a6c8607fa5b4f2277f989ef8a00d7b9d883e1c6e05ca92b15d8ae1bd719ee",
     "chains":
         "2363241f56acb81f0dd904078c24c51ffec45ca90d3b4e74c7409222643053b3",
     "hopf-axioms":

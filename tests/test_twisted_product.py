@@ -9,6 +9,12 @@ reports and exports are unchanged.  The factor rows of
 `doubles.FactoredAction`, sums of tensor products of two leg actions over
 one coproduct, must agree in value with the two-fold coproduct formulas
 they replaced.
+
+The records that `hopf.twisted_product` returns are tested here too: the
+generation certificate and `braided-product-is-hdouble` read R and the
+factor tables from them, fail where a zeta-scaled R row or factor-table
+entry puts them, and refuse an algebra whose product is not its
+record's.
 """
 
 from __future__ import annotations
@@ -20,16 +26,22 @@ import pytest
 
 import hopfbench.doubles as doubles_module
 import hopfbench.results as results_module
-from hopfbench.doubles import _iter3, factor_structures, heisenberg_chain
-from hopfbench.hopf import (hit_alg_left, hit_alg_right, hit_dual_left,
-                            hit_dual_right)
-from hopfbench.sparse import (Subspace, span_closure, vadd_into, vadd_outer,
-                              vadd_term, veq, vsub)
-from hopfbench.results import generation_failure
+from hopfbench.doubles import (DrinfeldDouble, FactoredAction,
+                               HeisenbergDouble, _iter3, factor_structures,
+                               heisenberg_chain, module_algebra_factor_walk,
+                               module_factor_walk)
+from hopfbench.hopf import (FiniteAlgebra, FiniteHopf, check_product_rows,
+                            check_same_twist, hit_alg_left, hit_alg_right,
+                            hit_dual_left, hit_dual_right, twisted_product)
+from hopfbench.sparse import (BilinearMap, Subspace, span_closure, vadd_into,
+                              vadd_outer, vadd_term, veq, vsub)
+from hopfbench.results import (TupleWalks, factor_pair_walk,
+                               generation_failure, normality_failure)
 from hopfbench.taft import (double_elements, taft_system,
                             truly_heisenberg_chain, uqsl2)
 from hopfbench.truncate import central_hopf_ideal, check_hopf_ideal
-from hopfbench.ydcat import braided_product
+from hopfbench.ydcat import (Coaction, braided_product, check_comodule_algebra,
+                             check_module, check_module_algebra)
 
 
 # -- reference formulas --------------------------------------------------------
@@ -381,9 +393,10 @@ def _twisted(key, p):
 def _twisted_dims(alg) -> set:
     """The dimensions of `alg` and of the twisted products among its
     factors, recursively."""
-    if not alg.factors:
+    tw = getattr(alg, "twist", None)
+    if tw is None:
         return set()
-    return {alg.dim}.union(*map(_twisted_dims, alg.factors))
+    return {alg.dim}.union(*map(_twisted_dims, (tw.A, tw.B)))
 
 
 CERTIFIED = [("ddouble", 2), ("ddouble", 3), ("hdouble", 2), ("hdouble", 3),
@@ -394,7 +407,7 @@ CERTIFIED = [("ddouble", 2), ("ddouble", 3), ("hdouble", 2), ("hdouble", 3),
 @pytest.mark.parametrize("key,p", CERTIFIED)
 def test_the_factored_certificate_agrees_with_the_span_closure(key, p):
     alg = _twisted(key, p)
-    assert alg.factors
+    assert alg.twist
     seed = [dict(alg.unit)] + [dict(g) for g in alg.generators]
     assert span_closure(seed, alg.product, alg.dim).rank == alg.dim
     assert generation_failure(alg) is None
@@ -417,32 +430,210 @@ def test_no_twisted_product_is_certified_by_a_full_closure(monkeypatch,
     assert generation_failure(alg) is None
 
 
-def _scaled_row(alg, k1, k2):
-    """alg's product row (k1, k2) times zeta, set as a stored row."""
-    zeta = alg.ctx.zeta
-    alg.mult.set(k1, k2, [(k, c * zeta) for k, c in alg.mult.get(k1, k2)])
+def _rebuilt(alg, r_row=None, A=None, B=None):
+    """An algebra like `alg`, built by `twisted_product` from its record
+    with R or a factor replaced."""
+    tw = alg.twist
+    new = twisted_product(A or tw.A, B or tw.B, r_row or tw.r_row)
+    extra = ((alg.comult, alg.counit, alg.antipode)
+             if isinstance(alg, FiniteHopf) else ())
+    return type(alg)(alg.ctx, alg.space, new.mult, new.unit, *extra,
+                     generators=new.gens, name=alg.name, twist=new)
+
+
+def _scaled_r(alg, b, a):
+    """The R of `alg` with the first term of R(b (x) a) times zeta."""
+    tw, zeta = alg.twist, alg.ctx.zeta
+
+    def r_row(bb, aa):
+        row = tw.r_row(bb, aa)
+        if (bb, aa) != (b, a):
+            return row
+        (x, y, c), *rest = row
+        return ((x, y, c * zeta), *rest)
+
+    return r_row
+
+
+def _scaled_table(F, i, j):
+    """F's product with the first entry of row (i, j) times zeta."""
+    def fn(a, b):
+        row = F.mult.get(a, b)
+        if (a, b) != (i, j):
+            return row
+        (k, c), *rest = row
+        return ((k, c * F.ctx.zeta), *rest)
+
+    return BilinearMap(F.dim, F.dim, fn=fn)
+
+
+def _scaled_factor(F, i, j):
+    """F as an algebra, with `_scaled_table(F, i, j)` as its product."""
+    return FiniteAlgebra(F.ctx, F.space, _scaled_table(F, i, j), F.unit,
+                         generators=F.generators, name=F.name)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_one_corrupted_right_factor_row_fails_the_certificate(p):
-    """(F (x) E)(1 (x) k) := zeta (F (x) Ek) in D(B)."""
+    """R(E (x) 1) times zeta in D(B), and so (F (x) E)(1 (x) k) =
+    zeta (F (x) Ek): the certificate reads R(b (x) 1), and fails there."""
     D = _twisted("ddouble", p)
-    f, b = D.factors
-    nB = b.dim
-    F, E, k = f.space.index[(1, 0)], b.space.index[(1, 0)], b.space.index[(0, 1)]
-    _scaled_row(D, F * nB + E, k)
-    assert generation_failure(D) == (
-        f"(F (x) E)(1 (x) h) != a (x) bh for generator 1 of B(p={p}); "
-        "generation certificate failed")
+    (uf,), E = D.twist.A.unit, D.twist.B.space.index[(1, 0)]
+    assert generation_failure(_rebuilt(D, _scaled_r(D, E, uf))) == (
+        "R(b (x) 1) != 1 (x) b at b=E; generation certificate failed")
 
 
 def test_one_corrupted_left_factor_row_fails_the_certificate():
-    """(F (x) 1)(kap (x) 1) := zeta (F kap (x) 1) in H(B*)."""
+    """R(1 (x) kap) times zeta in H(B*), and so (F (x) 1)(kap (x) 1) =
+    zeta (F kap (x) 1): the certificate reads R(1 (x) a), and fails
+    there."""
     H = _twisted("hdouble", 2)
-    f, b = H.factors
-    nB = b.dim
+    (ub,), kap = H.twist.B.unit, H.twist.A.space.index[(0, 1)]
+    assert generation_failure(_rebuilt(H, _scaled_r(H, ub, kap))) == (
+        "R(1 (x) a) != a (x) 1 at a=kap; generation certificate failed")
+
+
+def test_a_table_row_beside_the_record_is_refused():
+    """The rows the certificate read from the table before, (F (x) E)
+    (1 (x) k) in D(B) and (F (x) 1)(kap (x) 1) in H(B*), times zeta in a
+    copied table that keeps the record: the certificate now reads R and
+    the factor tables, so it refuses the copy, and the direct formulas of
+    `test_rows_match_the_direct_formulas_on_every_pair_p2` see the row."""
+    sys2 = taft_system(2)
+    D, Hd = sys2.double, sys2.heis
+    f, b = D.dual, D.base
     F, kap = f.space.index[(1, 0)], f.space.index[(0, 1)]
-    _scaled_row(H, F * nB, kap * nB)
-    assert generation_failure(H) == (
-        "(F (x) 1)(g (x) 1) != ag (x) 1 for generator 1 of B*(p=2); "
-        "generation certificate failed")
+    E, k = b.space.index[(1, 0)], b.space.index[(0, 1)]
+    (ub,), (uf,) = b.unit, f.unit
+    d3: dict = {}
+    for alg, (i, j), direct in (
+            (D.hopf, (D.index(F, E), D.index(uf, k)),
+             lambda i, j: _old_ddouble_row(D, d3, i, j)),
+            (Hd.algebra, (Hd.index(F, ub), Hd.index(kap, ub)),
+             lambda i, j: _old_hdouble_row(Hd, i, j))):
+        copy = FiniteAlgebra(alg.ctx, alg.space, _scaled_table(alg, i, j),
+                             alg.unit, generators=alg.generators,
+                             name=alg.name, twist=alg.twist)
+        with pytest.raises(ValueError, match="twisted-product formula"):
+            generation_failure(copy)
+        assert copy.mult.get(i, j) != direct(i, j)
+        assert alg.mult.get(i, j) == direct(i, j)
+
+
+# -- braided-product-is-hdouble from the inputs of the formula ----------------
+
+HDOUBLE = "braided-product-is-hdouble"
+
+
+def _bp2(sys):
+    return heisenberg_chain(sys.pair.primal, 2, leftmost="dual",
+                            D=sys.double).yd.algebra
+
+
+@pytest.mark.parametrize("p,cases", [(2, 768), (3, 3_888)])
+def test_braided_product_is_hdouble_compares_the_inputs(p, cases):
+    """3 d_B^2 cases: both factor tables and the R rows, exhaustive."""
+    sys = taft_system(p)
+    res = check_same_twist(_bp2(sys), sys.heis.algebra, HDOUBLE)
+    assert (res.status, res.mode, res.cases_checked) == ("pass", "exhaustive",
+                                                         cases)
+
+
+def test_bp2_and_hdouble_products_agree_on_every_pair_p2():
+    """The route the comparison replaced, kept as its cross-check: the two
+    product tables agree on all 65,536 pairs."""
+    sys2 = taft_system(2)
+    H = sys2.heis.algebra
+    res = check_product_rows(HDOUBLE, _bp2(sys2),
+                             lambda i, j: dict(H.mult.get(i, j)),
+                             TupleWalks("exhaustive", 0, 0), (None, None))
+    assert (res.status, res.mode, res.cases_checked) == ("pass", "exhaustive",
+                                                         65_536)
+
+
+@pytest.mark.parametrize("b,a", [(1, 1), (5, 3), (15, 12)])
+def test_a_scaled_r_entry_of_bp2_fails_at_that_pair(b, a):
+    sys2 = taft_system(2)
+    X = _bp2(sys2)
+    tw = X.twist
+    bad = _rebuilt(X, _scaled_r(X, b, a))
+    res = check_same_twist(bad, sys2.heis.algebra, HDOUBLE)
+    assert (res.status, res.mode) == ("fail", "exhaustive")
+    assert res.cases_checked == 2 * 256 + b * 16 + a + 1
+    assert res.witness.startswith(f"R({tw.B.space.label(b)} (x) "
+                                  f"{tw.A.space.label(a)}) differs: ")
+
+
+@pytest.mark.parametrize("side,i,j", [(0, 1, 1), (0, 3, 6), (1, 2, 7),
+                                      (1, 14, 1)])
+def test_a_scaled_factor_table_entry_fails_at_that_pair(side, i, j):
+    sys2 = taft_system(2)
+    X = _bp2(sys2)
+    F = (X.twist.A, X.twist.B)[side]
+    bad = _rebuilt(X, **{"AB"[side]: _scaled_factor(F, i, j)})
+    res = check_same_twist(bad, sys2.heis.algebra, HDOUBLE)
+    assert (res.status, res.mode) == ("fail", "exhaustive")
+    assert res.cases_checked == side * 256 + i * 16 + j + 1
+    assert res.witness.startswith(
+        f"products of ({F.space.label(i)}, {F.space.label(j)}) in "
+        f"{F.name} differ: ")
+
+
+def test_an_algebra_without_its_formula_is_refused():
+    """H(B*) assembled from a copy of its table, with and without the
+    record, and D(B) from a copy without it: each check that rests on the
+    formula refuses it; the generation certificate of the copy without a
+    record is the span closure."""
+    sys2 = taft_system(2)
+    D, H = sys2.double, sys2.heis.algebra
+    table = BilinearMap(H.dim, H.dim, fn=H.mult.get)
+    bare = FiniteAlgebra(H.ctx, H.space, table, H.unit,
+                         generators=H.generators, name=H.name)
+    kept = FiniteAlgebra(H.ctx, H.space, table, H.unit,
+                         generators=H.generators, name=H.name, twist=H.twist)
+    for copy in (bare, kept):
+        for refused in (lambda: check_same_twist(_bp2(sys2), copy, HDOUBLE),
+                        lambda: check_same_twist(copy, H, HDOUBLE),
+                        lambda: factor_pair_walk(copy),
+                        lambda: normality_failure(copy)):
+            with pytest.raises(ValueError, match="twisted-product formula"):
+                refused()
+    with pytest.raises(ValueError, match="twisted-product formula"):
+        generation_failure(kept)
+    assert generation_failure(bare) is None
+    Dh = D.hopf
+    copy = DrinfeldDouble(D.ctx, FiniteHopf(
+        Dh.ctx, Dh.space, BilinearMap(Dh.dim, Dh.dim, fn=Dh.mult.get),
+        Dh.unit, Dh.comult, Dh.counit, Dh.antipode,
+        generators=Dh.generators, name=Dh.name), D.base, D.dual, D.pairing)
+    with pytest.raises(ValueError, match="twisted-product formula"):
+        module_factor_walk(copy, FactoredAction(sys2.heis, copy))
+
+
+def test_r_scaled_at_the_unit_fails_normality_and_every_yd_factor_walk():
+    """R(1 (x) kap^3) times zeta, in D(B) and in H(B*): the normality
+    certificate fails at a=kap^3, and with it the generation certificate
+    and the three yd factor walks, each right after its unit law."""
+    sys2 = taft_system(2)
+    D, Hd, y = sys2.double, sys2.heis, sys2.yd
+    (ub,) = D.base.unit
+    a = D.dual.space.index[(0, 3)]
+    want = "R(1 (x) a) != a (x) 1 at a=kap^3"
+    bad_d = DrinfeldDouble(D.ctx, _rebuilt(D.hopf, _scaled_r(D.hopf, ub, a)),
+                           D.base, D.dual, D.pairing)
+    X = _rebuilt(Hd.algebra, _scaled_r(Hd.algebra, ub, a))
+    bad_h = HeisenbergDouble(Hd.ctx, X, Hd.base, Hd.dual, Hd.pairing)
+    for alg in (bad_d.hopf, X):
+        assert normality_failure(alg) == want
+        assert generation_failure(alg) == (
+            f"{want}; generation certificate failed")
+    act = FactoredAction(bad_h, bad_d)
+    bad = y._replace(hopf=bad_d.hopf, algebra=X, action=act,
+                     coaction=Coaction(bad_d.hopf, X, bad_d.hopf.comult.get))
+    results = (check_module(bad, walk=module_factor_walk(bad_d, act)),
+               check_module_algebra(bad, walk=module_algebra_factor_walk(
+                   bad_d, act)),
+               check_comodule_algebra(bad, walk=factor_pair_walk(X)))
+    assert [(r.status, r.witness, r.cases_checked) for r in results] == [
+        ("fail", want, 256 + a + 1), ("fail", want, 256 + a + 1),
+        ("fail", want, 1 + a + 1)]
