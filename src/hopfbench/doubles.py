@@ -184,9 +184,6 @@ class DrinfeldDouble:
     def dim(self) -> int:
         return self.hopf.dim
 
-    def index(self, f: int, b: int) -> int:
-        return f * self.base.dim + b
-
     def rmatrix(self) -> Vec:
         """sum_I (eps (x) e_I) (x) (e^I (x) 1), flat over D (x) D.
 
@@ -313,9 +310,6 @@ class HeisenbergDouble:
     @property
     def dim(self) -> int:
         return self.algebra.dim
-
-    def index(self, f: int, b: int) -> int:
-        return f * self.base.dim + b
 
 
 def heisenberg_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,

@@ -24,9 +24,9 @@ from .doubles import (FactoredAction, chain_relations_check,
                       module_factor_walk, to_show_action_check)
 from .hopf import check_algebra_axioms, check_hopf_axioms, check_same_twist
 from .results import (MODES, CheckResult, TupleWalks, dim_check,
-                      factor_pair_walk, gen_indices, invert_expected_failure,
-                      lemma_walk, subcoalgebra_walk, subcomodule_walk,
-                      summarize, two_sided_lemma_walk)
+                      factor_pair_walk, invert_expected_failure, lemma_walk,
+                      subcoalgebra_walk, subcomodule_walk, summarize,
+                      two_sided_lemma_walk)
 from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
                    cqzd, cqzd_center_check, double_presentation_check,
                    h2_matches_cqzd_check, hq_action_table_check,
@@ -218,13 +218,9 @@ def _rename(results, prefix: str) -> list:
 
 # -- the coverage plan ---------------------------------------------------------
 
-def _walks(cfg: SuiteConfig, A=None) -> TupleWalks:
-    """The run's tuple walks, but a "generators" run samples the Hopf laws
-    of an algebra A that declares no generators."""
-    mode = cfg.resolved_mode
-    if mode == "generators" and A is not None and gen_indices(A) is None:
-        mode = "sample"
-    return TupleWalks(mode, cfg.seed, cfg.sample_size)
+def _walks(cfg: SuiteConfig) -> TupleWalks:
+    """The run's tuple walks."""
+    return TupleWalks(cfg.resolved_mode, cfg.seed, cfg.sample_size)
 
 
 def _hunt(cfg: SuiteConfig) -> TupleWalks:
@@ -235,23 +231,23 @@ def _hunt(cfg: SuiteConfig) -> TupleWalks:
 
 def _associativity(cfg: SuiteConfig, A):
     """Associativity takes the generator-headed triple lemma in
-    "exhaustive" mode when A declares generators."""
-    if cfg.resolved_mode == "exhaustive" and gen_indices(A):
+    "exhaustive" mode."""
+    if cfg.resolved_mode == "exhaustive":
         return lemma_walk(A, 3)
-    return _walks(cfg, A)
+    return _walks(cfg)
 
 
 def _pairwise(cfg: SuiteConfig, H):
     """The Hopf laws on pairs take the (g, j)/(j, g) lemma in "generators"
-    mode when H declares generators."""
-    if cfg.resolved_mode == "generators" and H.generators:
+    mode."""
+    if cfg.resolved_mode == "generators":
         return two_sided_lemma_walk(H)
-    return _walks(cfg, H)
+    return _walks(cfg)
 
 
 def _comodule_algebra(cfg: SuiteConfig, X):
     """comodule-algebra takes `lemma_walk` unless the mode is "sample"."""
-    if cfg.resolved_mode != "sample" and gen_indices(X) is not None:
+    if cfg.resolved_mode != "sample":
         return lemma_walk(X)
     return _walks(cfg)
 

@@ -1237,7 +1237,9 @@ class HeisenbergChain(NamedTuple):
         return self.chain.yd.algebra
 
     def position_element(self, pos: int) -> Vec:
-        """The generator of battery `pos` (0-based), embedded."""
+        """The generator of battery `pos` (0-based), embedded: the units
+        of the other factors tensored on by the records of the chain's
+        steps (`BraidedProductAlgebra.embed`)."""
         return self.chain.embed(pos, {1: self.ctx.one})
 
     def kind(self, pos: int) -> str:

@@ -598,6 +598,11 @@ def _r_with(alg, b, a, row):
     return lambda bb, aa: row if (bb, aa) == (b, a) else r_row(bb, aa)
 
 
+def _flat(alg, a, b):
+    """The flat index of a (x) b in the twisted product `alg`."""
+    return a * alg.twist.B.dim + b
+
+
 def _with_double(D, **change):
     """D with its algebra rebuilt by `_rebuilt(D.hopf, **change)`."""
     return DrinfeldDouble(D.ctx, _rebuilt(D.hopf, **change), D.base, D.dual,
@@ -639,17 +644,17 @@ def test_a_double_product_leaving_the_closure_fails_the_prelude():
     cross walk never reads f."""
     sys2 = taft_system(2)
     D, y = sys2.double, sys2.yd
-    (ub,), (uf,) = D.base.unit, D.dual.unit
+    left, right = D.hopf.twist.factor_indices()
     closure = coalgebra_closure(D.base)
     k, f = 1, 3
     assert (D.base.space.label(k), D.dual.space.label(f)) == ("k", "kap^3")
     assert f not in gen_indices(D.dual) and 3 not in closure
-    pair = (D.index(uf, k), D.index(f, ub))
+    pair = (right[k], left[f])
     ((key, c),) = D.hopf.mult.get(*pair)
-    assert key == D.index(f, k)
+    assert key == _flat(D.hopf, f, k)
     assert D.hopf.twist.r_row(k, f) == ((f, k, c),)
     bad = _with_double(D, r_row=_r_with(D.hopf, k, f, ((f, 3, c),)))
-    assert bad.hopf.mult.get(*pair) == ((D.index(f, 3), c),)
+    assert bad.hopf.mult.get(*pair) == ((_flat(D.hopf, f, 3), c),)
     bad_y = _acted_on_by(y, bad)
     res = check_module(bad_y, walk=module_factor_walk(bad, bad_y.action))
     assert res.status == "fail"
@@ -667,8 +672,8 @@ def test_the_cross_walk_reads_every_element_of_the_closure():
     sys2 = taft_system(2)
     D, y = sys2.double, sys2.yd
     H = D.hopf
-    (ub,), (uf,) = D.base.unit, D.dual.unit
-    pair = (D.index(uf, 2), D.index(1, ub))
+    left, right = H.twist.factor_indices()
+    pair = (right[2], left[1])
     assert [H.space.label(i) for i in pair] == ["1(x)k^2", "kap(x)1"]
     bad = _with_double(D, r_row=_r_with(H, 2, 1, _zeta_first(
         H.twist.r_row(2, 1))))
@@ -688,10 +693,11 @@ def test_a_wrong_double_product_fails_the_prelude():
     sys2 = taft_system(2)
     D, y = sys2.double, sys2.yd
     H = D.hopf
-    (ub,), (uf,) = D.base.unit, D.dual.unit
+    (ub,) = D.base.unit
+    left, right = H.twist.factor_indices()
     f, m = 3, 5
-    pair = (D.index(f, ub), D.index(uf, m))
-    copy = _with_double_table(D, pair, ((D.index(f, m), H.ctx.zeta),))
+    pair = (left[f], right[m])
+    copy = _with_double_table(D, pair, ((_flat(H, f, m), H.ctx.zeta),))
     with pytest.raises(ValueError, match="twisted-product formula"):
         module_factor_walk(copy, _acted_on_by(y, copy).action)
     B = D.base
@@ -699,7 +705,7 @@ def test_a_wrong_double_product_fails_the_prelude():
         _zeta_first(B.mult.get(i, j)) if (i, j) == (ub, m)
         else B.mult.get(i, j)))
     bad = _with_double(D, B=_algebra(B, B.generators, scaled))
-    assert bad.hopf.mult.get(*pair) == ((D.index(f, m), H.ctx.zeta),)
+    assert bad.hopf.mult.get(*pair) == ((_flat(H, f, m), H.ctx.zeta),)
     bad_y = _acted_on_by(y, bad)
     res = check_module(bad_y, walk=module_factor_walk(bad, bad_y.action))
     assert res.status == "fail"
@@ -740,9 +746,9 @@ def test_only_the_cross_relation_catches_an_action_that_forgets_the_twist():
     assert res.status == "fail"
     closure = coalgebra_closure(D.base)
     assert res.cases_checked > _BEFORE_CLOSURE + len(closure) * 16
-    (uf,) = D.dual.unit
+    _, right = D.hopf.twist.factor_indices()
     assert res.witness.split(",")[0] in {
-        f"M={H.space.label(D.index(uf, c))}" for c in closure}
+        f"M={H.space.label(right[c])}" for c in closure}
     assert check_module(bad, walk=_generic_module_walk(bad)).status == "fail"
 
 
@@ -751,8 +757,8 @@ def test_factored_rows_match_their_definition():
     the factored action is rho(f (x) 1) rho(1 (x) m), exhaustively."""
     sys2 = taft_system(2)
     D, y = sys2.double, sys2.yd
-    (ub,), (uf,) = D.base.unit, D.dual.unit
-    walk = Walk("exhaustive", ((D.index(f, ub), D.index(uf, m), x)
+    left, right = D.hopf.twist.factor_indices()
+    walk = Walk("exhaustive", ((left[f], right[m], x)
                                for f in range(D.dual.dim)
                                for m in range(D.base.dim)
                                for x in range(y.algebra.dim)))

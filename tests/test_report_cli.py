@@ -172,11 +172,11 @@ REPORT_SHA256_P2 = {
     "double":
         "81a95de212fbd7e205d5352a9262f13a8939e3c63e4f25ff1f50c752cd28f6c5",
     "heisenberg":
-        "a6d92cb10d7dee9b71a7968d3b638eb9dcc6171dc0f83aa8b245f116b7016c36",
+        "15d7ec109b776574e2feafcd89e811459973853e7ec1ca23d2be4c405cd7a2f0",
     "mutations":
         "942b052c78f5342cb01a27e70cbd1d23fed9ca7070eb74564d2f30f414c69b9a",
     "chains":
-        "b3e30ca0d5ab1f1279524b1725418f8f09fe5d7188209db93e41dde90dd69820",
+        "e49081aada899cca5e9604e220667b686e26679e68069a5b3a018d94f07843e5",
     "truncations":
         "19307fdb121445e8a9e7fcc697f1a469c5c4ec5913758344cd2a66a2c2f51623",
 }
@@ -216,13 +216,13 @@ def test_quotient_morphism_is_the_construction_certificate_in_sample_mode():
 # the transported laws, whose walks do not follow the run's mode.
 REPORT_SHA256_P2_GENERATORS = {
     "chains":
-        "53089fc7a5d6947156a6c245724a9014865e47d32131c71caf76b16938bec13b",
+        "c1430b42ae83cae42f746625e802087e6b91eabb1688ff58071a5d74b1753e6c",
     "truncations":
         "ba8cbe4be583c0cb8018c1c12d0641be856ce364327406ddc291f1b85921698c",
     "double":
         "23071638ebdf3710b2c5a0f1f2d396f45e380d4444dda45fd1dd90c7b2abaf07",
     "heisenberg":
-        "8da72a03a44344dec69d111a6cb6908ef07838a5456ae185e8aeac04234df1fe",
+        "9c04bbaeb632d958ed27a4dacc7ae290d6c92bac274357f9b779365c9534e351",
     "hopf-axioms":
         "160dfdb683c354fb5b8d346813d1b43d2e9b30e2e4ffffd5854404b5f0d6c7e3",
     "yd":
@@ -243,13 +243,13 @@ def test_generators_report_bytes_are_pinned(suite):
 # the sample walks, each drawn by its own generator seeded with the seed.
 REPORT_SHA256_P2_SAMPLE = {
     "chains":
-        "34bc34977d7449d9a1e98ef623c885d214ce724beba425ec3dd41c3a02db606e",
+        "1d94469d7d7c4050b9e95a90367fc0c830ab7e711bbaee5d36700e31e5ae50fb",
     "truncations":
         "282813ddf613acd4283809b40c9503f1c942aac3fdfdd986311ce4fdee467443",
     "double":
         "64ccada22586b1eaeedfba636e660d94baf8d193feb9d69487f53dbba709c7c1",
     "heisenberg":
-        "c877f96fa195954d9c5e20ec293fdd52c5d7b3aac979df6a529a35dc8608fa5f",
+        "106276b5b58157b0d5b7a4dc5675b291c01e6164cb5c2b761d810ef6b4773995",
     "hopf-axioms":
         "5c0bafa7b730fe0f8d7034e2ae8d21c60173b349f09126ffb2e9400663985c47",
     "yd":
@@ -287,9 +287,9 @@ def test_p3_report_bytes_are_pinned():
 # composites of the leg tables of the double.
 REPORT_SHA256_P3_BRAIDED = {
     "heisenberg":
-        "805a6c8607fa5b4f2277f989ef8a00d7b9d883e1c6e05ca92b15d8ae1bd719ee",
+        "335aab0f4cb93c1b1ffafa11df48313a099f10625c622b3175a9cb58a7d00f36",
     "chains":
-        "2363241f56acb81f0dd904078c24c51ffec45ca90d3b4e74c7409222643053b3",
+        "31c8249909d8b1b815f705ca7e3af380e074fba8bcc3f723c7f0bf60f1210938",
     "hopf-axioms":
         "4ec07b849471b0f55920c62dd09524d8e3e8675a44924a13cf5ef0ce21f3e5dd",
 }
@@ -305,7 +305,7 @@ def test_p3_braided_product_report_bytes_are_pinned(suite):
 # sha256 of `render(run_suite(SuiteConfig(p=2, suite="chains,truncations")),
 # "json")`, recorded from a serial run (one CPU).
 REPORT_SHA256_P2_TWO_SUITES = \
-    "4bbf33c21ee25577eb99c69f89b80af9127757f63d1efb07c700ed294c5df433"
+    "34dd6ac54f101da62b7d607dccac4ec3297b705c76a7057a91c33480c4048ccf"
 
 
 def _two_cpus(monkeypatch):

@@ -504,12 +504,13 @@ def test_a_table_row_beside_the_record_is_refused():
     f, b = D.dual, D.base
     F, kap = f.space.index[(1, 0)], f.space.index[(0, 1)]
     E, k = b.space.index[(1, 0)], b.space.index[(0, 1)]
-    (ub,), (uf,) = b.unit, f.unit
+    _, d_right = D.hopf.twist.factor_indices()
+    h_left, _ = Hd.algebra.twist.factor_indices()
     d3: dict = {}
     for alg, (i, j), direct in (
-            (D.hopf, (D.index(F, E), D.index(uf, k)),
+            (D.hopf, (F * b.dim + E, d_right[k]),
              lambda i, j: _old_ddouble_row(D, d3, i, j)),
-            (Hd.algebra, (Hd.index(F, ub), Hd.index(kap, ub)),
+            (Hd.algebra, (h_left[F], h_left[kap]),
              lambda i, j: _old_hdouble_row(Hd, i, j))):
         copy = FiniteAlgebra(alg.ctx, alg.space, _scaled_table(alg, i, j),
                              alg.unit, generators=alg.generators,

@@ -1,14 +1,16 @@
-"""Tests for the module/comodule compatibility layer and the braiding."""
+"""Tests for the module/comodule compatibility layer and the braiding, and
+for the factor embeddings of braided products and chains, which are read
+off the twisted-product records of their steps."""
 
 from __future__ import annotations
 
 import pytest
 
 from hopfbench.doubles import factor_structures, heisenberg_chain
-from hopfbench.hopf import check_product_rows
+from hopfbench.hopf import FiniteAlgebra, check_product_rows, twisted_product
 from hopfbench.results import TupleWalks, lemma_walk
-from hopfbench.sparse import veq
-from hopfbench.taft import taft_system
+from hopfbench.sparse import BilinearMap, tensor_flat, veq
+from hopfbench.taft import taft_system, truly_heisenberg_chain
 from hopfbench.ydcat import (
     Action, braided_product, braiding_row, check_braided_commutative,
     check_braided_symmetric, check_comodule, check_comodule_algebra,
@@ -137,7 +139,185 @@ def test_chain_embeddings(sys2):
     ch2 = heisenberg_chain(sys2.pair.primal, 2, leftmost="dual",
                            D=sys2.double)
     res = check_factor_embeddings(ch2)
-    assert res.status == "pass"
+    assert (res.status, res.mode, res.cases_checked) == ("pass", "exhaustive",
+                                                         16 + 16)
+
+
+def _chain(key, p):
+    """The two-factor braided product of B*cop and B, the three-factor
+    chain of B*cop, B and B*cop, or the z/del chain(n)."""
+    if key.startswith("zdel-chain"):
+        return truly_heisenberg_chain(p, int(key[-1])).chain
+    sys = taft_system(p)
+    n = {"bp2": 2, "full-chain3": 3}[key]
+    return heisenberg_chain(sys.pair.primal, n, leftmost="dual", D=sys.double)
+
+
+@pytest.mark.parametrize("key,p,cases", [
+    ("bp2", 2, 16 + 16), ("full-chain3", 2, (16 + 16) + (256 + 16)),
+    ("zdel-chain4", 2, (2 + 2) + (4 + 2) + (8 + 2)), ("bp2", 3, 36 + 36),
+    ("zdel-chain4", 3, (3 + 3) + (9 + 3) + (27 + 3)), ("zdel-chain1", 2, 0)])
+def test_the_embedding_certificate_counts_d_a_plus_d_b_per_step(key, p,
+                                                                 cases):
+    """One R-normality case per basis vector of each step's two factors,
+    read from R alone: no product of the chain is formed."""
+    res = check_factor_embeddings(_chain(key, p))
+    assert (res.status, res.mode, res.cases_checked) == ("pass", "exhaustive",
+                                                         cases)
+
+
+def _as_algebra(tw, like):
+    """The algebra of the twisted product record `tw`, named as `like`."""
+    return FiniteAlgebra(like.ctx, like.space, tw.mult, tw.unit,
+                         generators=tw.gens, name=like.name, twist=tw)
+
+
+def _with_step_r(bp, k, b, a):
+    """bp with the first term of R(b (x) a) of step k times zeta: step k
+    and every later step rebuilt by `twisted_product`."""
+    steps = bp.steps()
+    tw, zeta = steps[k - 1].twist, bp.yd.algebra.ctx.zeta
+
+    def r_row(bb, aa):
+        row = tw.r_row(bb, aa)
+        if (bb, aa) != (b, a):
+            return row
+        (x, y, c), *rest = row
+        return ((x, y, c * zeta), *rest)
+
+    alg = _as_algebra(twisted_product(tw.A, tw.B, r_row), steps[k - 1])
+    for outer in steps[k:]:
+        alg = _as_algebra(twisted_product(alg, outer.twist.B,
+                                          outer.twist.r_row), outer)
+    return bp._replace(yd=bp.yd._replace(algebra=alg))
+
+
+@pytest.mark.parametrize("key,k,side,x,before", [
+    # R(b (x) 1) at b = kap in the outer step of full-chain3, after the
+    # 32 cases of step 1 and the 256 of R(1 (x) a) in step 2
+    ("full-chain3", 2, "b", 1, 32 + 256),
+    # R(1 (x) a) at the fifth basis vector a of B*cop, in its inner step
+    ("full-chain3", 1, "a", 4, 0),
+    # R(1 (x) a) at a = del >< 1 >< del in the outer step of the z/del
+    # chain(4), and R(b (x) 1) at b = del in its middle step
+    ("zdel-chain4", 3, "a", 5, 4 + 6),
+    ("zdel-chain4", 2, "b", 1, 4 + 4)])
+def test_a_scaled_r_entry_at_a_unit_fails_the_embedding_line(key, k, side, x,
+                                                             before):
+    """A zeta-scaled R(1 (x) a) or R(b (x) 1), made through
+    `twisted_product`, fails the certificate of its step at that a or b."""
+    bp = _chain(key, 2)
+    tw = bp.steps()[k - 1].twist
+    (ua,), (ub,) = tw.A.unit, tw.B.unit
+    b, a = (ub, x) if side == "a" else (x, ua)
+    res = check_factor_embeddings(_with_step_r(bp, k, b, a), key)
+    assert (res.status, res.mode, res.cases_checked) == ("fail", "exhaustive",
+                                                         before + x + 1)
+    want = ("R(1 (x) a) != a (x) 1 at a=" + tw.A.space.label(x)
+            if side == "a" else
+            "R(b (x) 1) != 1 (x) b at b=" + tw.B.space.label(x))
+    assert res.witness == f"step {k}: {want}"
+
+
+def test_a_chain_on_a_copied_product_is_refused():
+    """The outer algebra of full-chain3 on a copy of its table without the
+    record, and a chain whose inner step is such a copy: the certificate
+    and the embeddings read the records, so both refuse."""
+    bp = _chain("full-chain3", 2)
+    outer, inner = bp.yd.algebra, bp.steps()[0]
+
+    def bare(alg):
+        return FiniteAlgebra(alg.ctx, alg.space,
+                             BilinearMap(alg.dim, alg.dim, fn=alg.mult.get),
+                             alg.unit, generators=alg.generators,
+                             name=alg.name)
+
+    tw = outer.twist
+    for alg in (bare(outer), _as_algebra(
+            twisted_product(bare(inner), tw.B, tw.r_row), outer)):
+        bad = bp._replace(yd=bp.yd._replace(algebra=alg))
+        with pytest.raises(ValueError, match="twisted-product formula"):
+            check_factor_embeddings(bad)
+        with pytest.raises(ValueError, match="twisted-product formula"):
+            bad.embed(0, {0: alg.ctx.one})
+
+
+def _tensored_units(bp, pos, v):
+    """v at position `pos` with the units of the other factors tensored
+    on by hand, left to right, without the step records."""
+    out = None
+    for k, f in enumerate(bp.factors):
+        w = v if k == pos else f.algebra.unit
+        out = dict(w) if out is None else tensor_flat(out, w, f.algebra.dim)
+    return out
+
+
+def _embedding_table_failure(bp):
+    """The route that the R-normality certificate replaced: each factor's
+    unit and its d^2 products, read back from the chain's product table.
+    (cases, the first witness or None)."""
+    alg, cases = bp.yd.algebra, 0
+    for pos, f in enumerate(bp.factors):
+        A, one = f.algebra, f.algebra.ctx.one
+        cases += 1
+        if not veq(bp.embed(pos, A.unit), alg.unit):
+            return cases, f"factor {pos}: unit not preserved"
+        for i in range(A.dim):
+            ei = bp.embed(pos, {i: one})
+            for j in range(A.dim):
+                cases += 1
+                lhs = alg.mult.apply(ei, bp.embed(pos, {j: one}))
+                if not veq(lhs, bp.embed(pos, dict(A.mult.get(i, j)))):
+                    return cases, (f"factor {pos}: embedding breaks the "
+                                   f"product at ({A.space.label(i)}, "
+                                   f"{A.space.label(j)})")
+    return cases, None
+
+
+@pytest.mark.parametrize("key", ["bp2", "full-chain3", "zdel-chain4"])
+def test_embed_tensors_on_the_other_factors_units(key):
+    """Every basis vector of every position: the embedding read off the
+    step records is the tensor product with the other factors' units."""
+    bp = _chain(key, 2)
+    one = bp.yd.algebra.ctx.one
+    for pos, f in enumerate(bp.factors):
+        for i in range(f.algebra.dim):
+            assert veq(bp.embed(pos, {i: one}),
+                       _tensored_units(bp, pos, {i: one})), (pos, i)
+
+
+def test_a_one_factor_chain_embeds_as_the_identity():
+    bp = _chain("zdel-chain1", 2)
+    assert bp.steps() == []
+    v = {1: bp.yd.algebra.ctx.zeta}
+    assert bp.embed(0, v) is v
+    for pos in (-1, 1):
+        with pytest.raises(IndexError, match="no factor at position"):
+            bp.embed(pos, v)
+
+
+@pytest.mark.parametrize("key,cases", [("bp2", 2 * (1 + 16 * 16)),
+                                       ("full-chain3", 3 * (1 + 16 * 16)),
+                                       ("zdel-chain4", 4 * (1 + 2 * 2))])
+def test_every_embedding_is_a_unital_algebra_map_on_the_table_p2(key, cases):
+    """The certificate's cross-check: the table walk that it replaced
+    passes on every position, with the case counts the lines had."""
+    assert _embedding_table_failure(_chain(key, 2)) == (cases, None)
+
+
+def test_both_routes_fail_on_a_scaled_r_at_the_unit_p2():
+    """R(k (x) 1) times zeta in bp2: the certificate fails at b=k after
+    the 16 cases of R(1 (x) a) and two of R(b (x) 1), and the table walk
+    sees (1 (x) k)(1 (x) 1) = zeta (1 (x) k)."""
+    bp = _chain("bp2", 2)
+    (ua,), k = bp.yd.algebra.twist.A.unit, 1
+    bad = _with_step_r(bp, 1, k, ua)
+    res = check_factor_embeddings(bad)
+    assert (res.status, res.cases_checked, res.witness) == (
+        "fail", 16 + k + 1, "step 1: R(b (x) 1) != 1 (x) b at b=k")
+    assert _embedding_table_failure(bad) == (
+        (1 + 256) + 1 + 16 * k + 1,
+        "factor 1: embedding breaks the product at (k, 1)")
 
 
 def _yd_mismatch(bp, y):
@@ -168,7 +348,7 @@ def test_a_corrupted_factor_action_row_breaks_the_match(sys2, factors):
     braided product's action no longer matches that of H(B*)."""
     dual_yd, base_yd = factors
     act, zeta = dual_yd.action, sys2.ctx.zeta
-    h0, v0 = sys2.double.index(1, 1), 1
+    h0, v0 = 1 * sys2.double.hopf.twist.B.dim + 1, 1    # kap (x) k
     row = act.row(h0, v0)
     assert row
     bad_row = ((row[0][0], row[0][1] * zeta),) + row[1:]
