@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from operator import itemgetter
@@ -609,12 +610,10 @@ _FIXED_OBJECTS = ("taft", "taft-dual", "ddouble", "hdouble", "uqsl2",
 
 
 def _chain_length(name: str) -> Optional[int]:
-    """n for an object name chain(n) with n >= 1, else None."""
-    if name.startswith("chain"):
-        digits = name[5:].strip("()")
-        if digits.isdigit() and int(digits) >= 1:
-            return int(digits)
-    return None
+    """n for an object name chain(n), n a decimal integer >= 1 written
+    with no sign, space or leading zero; else None."""
+    match = re.fullmatch(r"chain\(([1-9][0-9]*)\)", name)
+    return int(match[1]) if match else None
 
 
 def check_export_name(name: str) -> None:

@@ -61,9 +61,8 @@ from .results import (Check, CheckResult, Walk, coalgebra_closure,
 from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Row, Space, Vec,
                      linear_map_inverse, shared_row, tensor_flat, vadd_into,
                      vadd_outer, vadd_term, veq)
-from .ydcat import (Action, BraidedProductAlgebra, Coaction, ComoduleAlgebra,
-                    ModuleAlgebra, YDModuleAlgebra, chain_product,
-                    check_module)
+from .ydcat import (Action, BraidedProductAlgebra, Coaction, ModuleAlgebra,
+                    YDModuleAlgebra, chain_product, check_module)
 
 __all__ = [
     "DrinfeldDouble",
@@ -72,8 +71,6 @@ __all__ = [
     "heisenberg_double",
     "eta_cocycle",
     "eta_twist_product",
-    "canonical_coaction",
-    "canonical_action",
     "FactoredAction",
     "to_show_action_check",
     "module_factor_walk",
@@ -416,14 +413,6 @@ def eta_twist_product(D: DrinfeldDouble, Hd: HeisenbergDouble, walk,
 
 # -- coaction and action of D(B) on H(B*) ------------------------------------
 
-def canonical_coaction(Hd: HeisenbergDouble, D: DrinfeldDouble) -> ComoduleAlgebra:
-    """delta(beta # b) = (beta'' (x) b') (x) (beta' # b''): on B* (x) B
-    this is the coproduct of D(B), so the coaction's rows are
-    `D.hopf.comult`'s."""
-    coact = Coaction(D.hopf, Hd.algebra, D.hopf.comult.get)
-    return ComoduleAlgebra(D.hopf, Hd.algebra, coact, name=Hd.algebra.name)
-
-
 class FactoredAction(Action):
     """Action of D(B) on H(B*), assembled from its two factor actions,
     which are assembled from the four leg actions of D.
@@ -512,18 +501,18 @@ class FactoredAction(Action):
         return out
 
 
-def canonical_action(Hd: HeisenbergDouble, D: DrinfeldDouble) -> ModuleAlgebra:
-    act = FactoredAction(Hd, D)
-    return ModuleAlgebra(D.hopf, Hd.algebra, act, name=Hd.algebra.name)
-
-
 def yd_structure(Hd: HeisenbergDouble, D: DrinfeldDouble) -> YDModuleAlgebra:
-    """Bundle the canonical action and coaction; attaches the result to Hd."""
+    """Bundle the canonical action and coaction; attaches the result to Hd.
+
+    The action is `FactoredAction`.  The coaction delta(beta # b) =
+    (beta'' (x) b') (x) (beta' # b'') is, on B* (x) B, the coproduct of
+    D(B), so its rows are `D.hopf.comult`'s.
+    """
     if Hd.yd is None:
-        act = canonical_action(Hd, D)
-        coact = canonical_coaction(Hd, D)
-        Hd.yd = YDModuleAlgebra(D.hopf, Hd.algebra, act.action, coact.coaction,
-                                name=Hd.algebra.name)
+        Hd.yd = YDModuleAlgebra(
+            D.hopf, Hd.algebra, FactoredAction(Hd, D),
+            Coaction(D.hopf, Hd.algebra, D.hopf.comult.get),
+            name=Hd.algebra.name)
     return Hd.yd
 
 
@@ -1069,25 +1058,17 @@ def factor_structures(D: DrinfeldDouble) -> tuple[YDModuleAlgebra, YDModuleAlgeb
 
 # -- alternating chains -------------------------------------------------------
 
-def heisenberg_chain(base: FiniteHopf, n: int, leftmost: str = "dual", *,
+def heisenberg_chain(base: FiniteHopf, n: int, *,
                      D: DrinfeldDouble) -> BraidedProductAlgebra:
-    """Alternating braided product of B^{*cop} and B factors, n factors long.
-
-    leftmost chooses which factor sits in position 0.  With leftmost="dual"
-    and n = 2 the result has the structure constants of H(B*).
+    """Alternating braided product of B^{*cop} and B factors, n factors
+    long, with B^{*cop} in position 0.  For n = 2 the result has the
+    structure constants of H(B*).
     """
     if n < 1:
         raise ValueError("need at least one factor")
-    if leftmost not in ("dual", "primal"):
-        raise ValueError("leftmost must be 'dual' or 'primal'")
     dual_yd, base_yd = factor_structures(D)
-    mods = []
-    for i in range(n):
-        even = (i % 2 == 0)
-        take_dual = (leftmost == "dual") == even
-        mods.append(dual_yd if take_dual else base_yd)
-    bp = chain_product(mods, name=f"chain({base.name}, n={n})")
-    return bp
+    mods = [base_yd if i % 2 else dual_yd for i in range(n)]
+    return chain_product(mods, name=f"chain({base.name}, n={n})")
 
 
 def chain_relations_check(bp: BraidedProductAlgebra, D: DrinfeldDouble,

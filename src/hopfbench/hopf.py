@@ -26,8 +26,7 @@ __all__ = [
     "FiniteHopf", "FiniteAlgebra", "check_hopf_axioms",
     "check_algebra_axioms", "check_product_rows",
     "dual_hopf",
-    "HopfPairing", "check_hopf_pairing", "hit_dual_left", "hit_dual_right",
-    "hit_alg_left", "hit_alg_right", "render_element",
+    "HopfPairing", "check_hopf_pairing", "render_element",
     "pair_product", "triple_product", "TwistedProduct", "twisted_product",
     "check_same_twist",
 ]
@@ -107,9 +106,6 @@ class FiniteAlgebra:
 
     def basis(self, i: int) -> Vec:
         return {i: self.ctx.one}
-
-    def element(self, label) -> Vec:
-        return {self.space.index[label]: self.ctx.one}
 
     def product(self, u: Vec, v: Vec) -> Vec:
         return self.mult.apply(u, v)
@@ -505,26 +501,19 @@ def _check_antipode(H: FiniteHopf) -> CheckResult:
     return chk.result()
 
 
-def _antihom_pair_ok(H: FiniteHopf, i: int, j: int) -> bool:
-    lhs = H.antipode_of(H.product(H.basis(i), H.basis(j)))
-    rhs = H.product(H.antipode_of(H.basis(j)), H.antipode_of(H.basis(i)))
-    return veq(lhs, rhs)
-
-
-def check_hopf_axioms(H: FiniteHopf, associativity, comult, counit,
-                      antihom=None) -> list:
+def check_hopf_axioms(H: FiniteHopf, associativity, comult,
+                      counit) -> list:
     """All Hopf-algebra axioms for H: associativity on `associativity`
-    (see `check_algebra_axioms`), each law on pairs on its own walk, and
-    antipode-antimultiplicative only when its walk is given.
+    (see `check_algebra_axioms`) and each law on pairs on its own walk.
 
     `results.two_sided_lemma_walk(H)` proves a law on pairs, a map phi
-    with phi(xy) = phi(x) phi(y) into an associative algebra (for the
-    antipode, H's opposite): its pairs (g, j) put the generators in
+    with phi(xy) = phi(x) phi(y) into an associative algebra: its pairs
+    (g, j) put the generators in
     S = {x : phi(xy) = phi(x) phi(y) for all y}, a subalgebra of an
     associative H that holds 1 when phi(1) is the unit, and its
     certificate `generation_failure(H)` makes S all of H.
     """
-    results = [
+    return [
         _check_associativity(H, associativity),
         _check_unit(H),
         _check_coassociativity(H),
@@ -536,10 +525,6 @@ def check_hopf_axioms(H: FiniteHopf, associativity, comult, counit,
                         counit),
         _check_antipode(H),
     ]
-    if antihom is not None:
-        results.append(_check_pairwise(H, "antipode-antimultiplicative",
-                                       _antihom_pair_ok, antihom))
-    return results
 
 
 # -- duals and twists ---------------------------------------------------------
@@ -586,8 +571,8 @@ class HopfPairing:
     monomial basis on the dual side) carries a genuine matrix.
 
     The four regular actions of a basis pair (`dual_left`, `dual_right`,
-    `alg_left`, `alg_right`; the vector-level hit_* functions expand over
-    them) are computed once per pair and memoized on the pairing.  That
+    `alg_left`, `alg_right`) are computed once per pair and memoized on
+    the pairing.  That
     assumes `rows` and the tables of `dual` and `alg` are never edited
     after construction: a fixture that corrupts a table builds a fresh
     pairing (taft_setup(p, cached=False)).  The memoized vectors are
@@ -767,32 +752,3 @@ def _pairing_nondegenerate(P: HopfPairing) -> CheckResult:
     if span.rank != n:
         return chk.result(f"pairing matrix rank {span.rank} < {n}")
     return chk.result()
-
-
-def _expand(arrow, u: Vec, v: Vec) -> Vec:
-    """Bilinear extension of a memoized basis arrow to vectors u, v."""
-    out: Vec = {}
-    for i, ci in u.items():
-        for j, cj in v.items():
-            vadd_into(out, arrow(i, j), ci * cj)
-    return out
-
-
-def hit_dual_left(P: HopfPairing, b: Vec, f: Vec) -> Vec:
-    """Left action of the algebra on its dual: b acts on f as f' <f'', b>."""
-    return _expand(P.dual_left, b, f)
-
-
-def hit_dual_right(P: HopfPairing, f: Vec, b: Vec) -> Vec:
-    """Right action on the dual: f hit by b gives <f', b> f''."""
-    return _expand(P.dual_right, f, b)
-
-
-def hit_alg_left(P: HopfPairing, f: Vec, b: Vec) -> Vec:
-    """Left action of the dual on the algebra: b' <f, b''>."""
-    return _expand(P.alg_left, f, b)
-
-
-def hit_alg_right(P: HopfPairing, b: Vec, f: Vec) -> Vec:
-    """Right action of the dual on the algebra: <f, b'> b''."""
-    return _expand(P.alg_right, b, f)

@@ -106,9 +106,10 @@ class SuiteConfig(NamedTuple):
                 f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be a 64-bit integer, got {self.seed!r}")
-        if self.sample_size < 1:
-            raise ConfigError(
-                f"sample_size must be >= 1, got {self.sample_size!r}")
+        if (not isinstance(self.sample_size, int)
+                or isinstance(self.sample_size, bool) or self.sample_size < 1):
+            raise ConfigError(f"sample_size must be an integer >= 1, "
+                              f"got {self.sample_size!r}")
         self.selected()
 
     def to_dict(self) -> dict:
@@ -321,7 +322,7 @@ def _suite_heisenberg(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     walks = _walks(cfg)
     yield from basis_change(sys)
-    bp2 = heisenberg_chain(sys.pair.primal, 2, leftmost="dual", D=sys.double)
+    bp2 = heisenberg_chain(sys.pair.primal, 2, D=sys.double)
     dual_yd, base_yd = bp2.factors
     yield check_braided_commutative(dual_yd, walks,
                                     name="dual-factor-braided-commutative")
@@ -339,8 +340,7 @@ def _suite_chains(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     p = cfg.p
     if p == 2:
-        ch3 = heisenberg_chain(sys.pair.primal, 3, leftmost="dual",
-                               D=sys.double)
+        ch3 = heisenberg_chain(sys.pair.primal, 3, D=sys.double)
         yield from chain_relations_check(ch3, sys.double, prefix="full-chain3")
         yield invert_expected_failure(
             check_braided_commutative(ch3.yd, _hunt(cfg)),

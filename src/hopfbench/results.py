@@ -163,10 +163,20 @@ def gen_indices(obj) -> Optional[set]:
     return set().union(*gens) if gens else None
 
 
+def _generators(alg) -> list:
+    """The declared generator indices of `alg`, ascending, which every
+    lemma walk heads with; a ValueError naming `alg` if it declares none."""
+    gens = gen_indices(alg)
+    if gens is None:
+        raise ValueError(f"{alg.name} declares no generators, so no lemma "
+                         "walk can be built on it")
+    return sorted(gens)
+
+
 def generator_pairs(alg):
     """The lemma walk on `alg`: (g, j) for g over its declared generator
     indices, ascending, and j over its whole basis, ascending."""
-    return itertools.product(sorted(gen_indices(alg)), range(alg.dim))
+    return itertools.product(_generators(alg), range(alg.dim))
 
 
 # algebra object -> the witness of its generation certificate, or None
@@ -355,8 +365,7 @@ def lemma_walk(alg, arity: int = 2) -> Walk:
     `generation_failure(alg)`, labelled "generators"; the check that
     walks it states its lemma (`hopf.check_algebra_axioms` for 3)."""
     rest = [range(alg.dim)] * (arity - 1)
-    return Walk("generators", itertools.product(sorted(gen_indices(alg)),
-                                                *rest),
+    return Walk("generators", itertools.product(_generators(alg), *rest),
                 certificate=partial(generation_failure, alg))
 
 
@@ -386,7 +395,7 @@ def coalgebra_closure(H) -> list:
     under the legs of H's coproduct, ascending: their span C is then a
     subcoalgebra, Delta(C) in C (x) C, that holds 1 and the generators
     (Radford, Hopf Algebras, 2012, section 2.2)."""
-    return _closure(set(H.unit) | gen_indices(H),
+    return _closure({*H.unit, *_generators(H)},
                     lambda i: (leg for j, k, _ in H.comult.get(i)
                                for leg in (j, k)))
 
@@ -397,7 +406,7 @@ def coaction_closure(y) -> list:
     their span Y then holds 1 and the generators, and delta(Y) lies in
     H (x) Y, so Y is a subcomodule."""
     X = y.algebra
-    return _closure(set(X.unit) | gen_indices(X),
+    return _closure({*X.unit, *_generators(X)},
                     lambda x: (x0 for _, x0, _ in y.coaction.terms(x)))
 
 
@@ -409,8 +418,8 @@ def subcoalgebra_walk(H, X, arity: int = 3) -> Walk:
     (3) and `ydcat.check_yd` (2) state the lemmas."""
     rest = [range(X.dim)] * (arity - 2)
     return Walk("generators",
-                itertools.product(coalgebra_closure(H),
-                                  sorted(gen_indices(X)), *rest),
+                itertools.product(coalgebra_closure(H), _generators(X),
+                                  *rest),
                 certificate=lambda: (generation_failure(X)
                                      or generation_failure(H)))
 
@@ -422,8 +431,7 @@ def subcomodule_walk(y) -> Walk:
     `ydcat.check_braided_commutative` states the lemma."""
     X = y.algebra
     return Walk("generators",
-                itertools.product(coaction_closure(y),
-                                  sorted(gen_indices(X))),
+                itertools.product(coaction_closure(y), _generators(X)),
                 certificate=partial(generation_failure, X))
 
 
@@ -482,10 +490,8 @@ def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
     tw = twist_of(X)
     A, B = tw.A, tw.B
     left, right = tw.factor_indices()
-    parts = [itertools.product([left[g] for g in sorted(gen_indices(A))],
-                               left),
-             itertools.product(right,
-                               [right[g] for g in sorted(gen_indices(B))])]
+    parts = [itertools.product([left[g] for g in _generators(A)], left),
+             itertools.product(right, [right[g] for g in _generators(B)])]
     if mixed:
         parts.append(itertools.product(left, right))
     parts.append(itertools.product(right, left))

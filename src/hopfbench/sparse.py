@@ -320,9 +320,6 @@ class BilinearMap:
                 self.get(i, j)
         self.fn = None
 
-    def is_materialized(self) -> bool:
-        return self.fn is None or len(self.rows) == self.dim_v * self.dim_w
-
 
 class LinearMap:
     """Linear map V -> W as sparse rows {i: ((j, coeff), ...)}.
@@ -350,17 +347,6 @@ class LinearMap:
             row = rows.get(i)
             if row:
                 vadd_into(out, row, ci)
-        return out
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self o other (apply other first)."""
-        if other.dim_w != self.dim_v:
-            raise ValueError("dimension mismatch in composition")
-        out = LinearMap(other.dim_v, self.dim_w)
-        for i in range(other.dim_v):
-            img = self.apply(dict(other.get(i)))
-            if img:
-                out.set(i, tuple(sorted(img.items())))
         return out
 
     def transpose(self) -> "LinearMap":

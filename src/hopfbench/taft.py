@@ -44,9 +44,8 @@ from .results import (Check, CheckResult, gen_indices, generation_failure,
                       invert_expected_failure)
 from .sparse import (
     BilinearMap, ColinearMap, LazyLinearMap, LinearMap,
-    SingularMapError, Space, SpanSolver, Subspace, linear_map_inverse,
-    tensor_flat, vadd_into, vadd_outer, vadd_term, veq, vscale,
-    vsub,
+    SingularMapError, Space, SpanSolver, Subspace, tensor_flat,
+    vadd_into, vadd_outer, vadd_term, veq, vscale, vsub,
 )
 from .truncate import (
     HopfQuotient, SubHopf, TransportedStructure, central_hopf_ideal,
@@ -147,8 +146,7 @@ class TaftPair:
     """The algebra, its monomial-basis dual, and the pairing between them;
     `to_canonical` maps monomial coordinates to canonical dual ones."""
 
-    __slots__ = ("ctx", "primal", "dual", "pairing", "to_canonical",
-                 "_from_canonical")
+    __slots__ = ("ctx", "primal", "dual", "pairing", "to_canonical")
 
     def __init__(self, ctx: QContext, primal: FiniteHopf, dual: FiniteHopf,
                  pairing: HopfPairing, to_canonical: LinearMap):
@@ -157,14 +155,6 @@ class TaftPair:
         self.dual = dual
         self.pairing = pairing
         self.to_canonical = to_canonical
-        self._from_canonical = None
-
-    @property
-    def from_canonical(self) -> LinearMap:
-        """The inverse of `to_canonical`, built when first read."""
-        if self._from_canonical is None:
-            self._from_canonical = linear_map_inverse(self.to_canonical)
-        return self._from_canonical
 
 
 def taft_dual_monomial(ctx: QContext, B: FiniteHopf) -> TaftPair:
@@ -1218,11 +1208,8 @@ class HeisenbergChain(NamedTuple):
 
     p: int
     n: int
-    leftmost: str
     uq: UqSl2
-    factors: tuple
     chain: BraidedProductAlgebra
-    checks: list
 
     @property
     def ctx(self) -> QContext:
@@ -1243,33 +1230,19 @@ class HeisenbergChain(NamedTuple):
         return self.chain.embed(pos, {1: self.ctx.one})
 
     def kind(self, pos: int) -> str:
-        first_del = self.leftmost == "dual"
-        return ("del" if (pos % 2 == 0) == first_del else "z")
+        return "z" if pos % 2 else "del"
 
 
-def truly_heisenberg_chain(p: int, n: int,
-                           leftmost: str = "dual") -> HeisenbergChain:
-    """Chain of n alternating factors; leftmost="dual" starts with del."""
+def truly_heisenberg_chain(p: int, n: int) -> HeisenbergChain:
+    """Chain of n alternating factors, starting with del."""
     if n < 1:
         raise ValueError("need at least one factor")
-    if leftmost not in ("dual", "primal"):
-        raise ValueError('leftmost must be "dual" or "primal"')
     uq = uqsl2(p)
     fz = _heis_factor(uq, "z")
     fd = _heis_factor(uq, "del")
-    first_del = leftmost == "dual"
-    factors = tuple((fd if (i % 2 == 0) == first_del else fz)
-                    for i in range(n))
-    chain = chain_product([f.yd for f in factors],
-                          name=f"H{n}(p={p},{leftmost})")
-    checks = []
-    seen = set()
-    for f in (fd, fz):
-        for c in f.certificates:
-            if c.name not in seen:
-                seen.add(c.name)
-                checks.append(c)
-    return HeisenbergChain(p, n, leftmost, uq, factors, chain, checks)
+    chain = chain_product([(fz if i % 2 else fd).yd for i in range(n)],
+                          name=f"H{n}(p={p},dual)")
+    return HeisenbergChain(p, n, uq, chain)
 
 
 def chain_heisenberg_checks(ch: HeisenbergChain,

@@ -15,8 +15,8 @@ A quotient lifts by its monomial section and pushes by the projection, a
 sub-Hopf algebra lifts by its index and pushes by the reindex, and a
 change of basis lifts to the new basis and pushes by `SpanSolver.solve`.
 The same push and (push (x) push) (`_Push.pairs`) serve the Hopf-ideal
-checks and the transported algebra; the quotient morphism check
-certifies the push of a quotient itself.
+check of `central_hopf_ideal` and the transported algebra; the quotient
+morphism check certifies the push of a quotient itself.
 
 * `hopf_quotient` -- quotient a Hopf algebra by a two-sided Hopf ideal,
   with exact projection and a monomial section: the quotient basis is
@@ -24,8 +24,7 @@ certifies the push of a quotient itself.
   parent monomials.  `central_hopf_ideal` builds the ideal Hc of a
   central c and certifies it from c alone: c commutes with the
   generators (closed by their generation certificate), eps(c) = 0, S(c)
-  lies in Hc and Delta(c) in Hc (x) H + H (x) Hc.  `check_hopf_ideal`
-  certifies any other ideal on every basis row.
+  lies in Hc and Delta(c) in Hc (x) H + H (x) Hc.
 
 * `sub_hopf` -- cut out the sub-Hopf-algebra spanned by a subset of
   basis vectors, after certifying that the span is closed under
@@ -63,7 +62,6 @@ __all__ = [
     "TransportedStructure",
     "central_hopf_ideal",
     "change_basis_hopf",
-    "check_hopf_ideal",
     "hopf_quotient",
     "quotient_morphism_check",
     "sub_hopf",
@@ -180,17 +178,6 @@ def change_basis_hopf(H: FiniteHopf, vectors: Sequence[Vec], labels: Sequence,
                         lambda i: vectors[i], push, gens, name or H.name), push
 
 
-def _multipliers(H: FiniteHopf):
-    """Elements whose ideal-stability implies two-sidedness.
-
-    Generators suffice when they generate H as a unital algebra (which
-    is certified); otherwise every basis vector is used.
-    """
-    one = H.ctx.one
-    if H.generators and generation_failure(H) is None:
-        return [dict(g) for g in H.generators]
-    return [{i: one} for i in range(H.dim)]
-
 def central_hopf_ideal(H: FiniteHopf, c: Vec, name: str = "hopf-ideal"
                        ) -> tuple[Subspace, CheckResult]:
     """The ideal I = Hc, the span of the products e_i c, and the check
@@ -262,49 +249,6 @@ def central_hopf_ideal(H: FiniteHopf, c: Vec, name: str = "hopf-ideal"
     return ideal, chk.result(failure())
 
 
-def check_hopf_ideal(H: FiniteHopf, I: Subspace,
-                     name: str = "hopf-ideal") -> CheckResult:
-    """Certify that the echelonized span I is a Hopf ideal of H.
-
-    Checks, on every basis row of I: I is a two-sided ideal; eps(I) = 0;
-    S(I) is contained in I; and Delta(I) lands in I (x) H + H (x) I,
-    tested as vanishing under the tensor square of the quotient
-    projection.  An ideal generated by one central element is certified
-    from that element by `central_hopf_ideal`.
-    """
-    chk = Check(name, "exhaustive")
-    rows = I.basis_rows()
-    mults = _multipliers(H)
-    for r in rows:
-        for g in mults:
-            chk.cases += 2
-            if not I.contains(H.product(g, r)):
-                return chk.result(
-                    f"left multiple escapes: row {render_element(H.space, r)}")
-            if not I.contains(H.product(r, g)):
-                return chk.result(
-                    f"right multiple escapes: row {render_element(H.space, r)}")
-
-    for r in rows:
-        chk.cases += 1
-        if H.counit_of(r):
-            return chk.result(
-                f"counit does not vanish on {render_element(H.space, r)}")
-
-    for r in rows:
-        chk.cases += 1
-        if not I.contains(H.antipode_of(r)):
-            return chk.result(f"antipode escapes on {render_element(H.space, r)}")
-
-    push = _projection(QuotientSpace(H.dim, I), H.ctx.one)
-    for r in rows:
-        chk.cases += 1
-        if push.pairs(H.coproduct(r), H.dim):
-            return chk.result(f"coproduct of {render_element(H.space, r)} "
-                              f"escapes I(x)H + H(x)I")
-    return chk.result()
-
-
 class HopfQuotient:
     """A Hopf algebra quotient with its projection and monomial section.
 
@@ -334,7 +278,8 @@ def hopf_quotient(H: FiniteHopf, I: Subspace, name: str = "") -> HopfQuotient:
     """Quotient Hopf algebra on the complement of the ideal's pivots.
 
     Structure tensors are projection . (parent structure) . section;
-    run check_hopf_ideal first, and check_hopf_axioms on the result.
+    I must be a Hopf ideal (`central_hopf_ideal` certifies Hc), and
+    check_hopf_axioms certifies the result.
     """
     Q = QuotientSpace(H.dim, I)
     hq = HopfQuotient(H, I, Q, None)    # its projection builds the quotient

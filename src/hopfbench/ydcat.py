@@ -5,8 +5,8 @@ module packages the three layers generically:
 
 * `Action` / `Coaction` wrap lazy structure maps H (x) X -> X and
   X -> H (x) X with memoized basis rows, so repeated checks share work.
-* `ModuleAlgebra`, `ComoduleAlgebra`, `YDModuleAlgebra` bundle an algebra
-  with its action/coaction data; checks consume the bundles.
+* `ModuleAlgebra` and `YDModuleAlgebra` bundle an algebra with its
+  action, or its action and coaction; checks consume the bundles.
 * For a Yetter-Drinfeld module algebra the induced braiding
   c(x (x) y) = (x_(-1) |> y) (x) x_(0) is available row-by-row, along with
   its inverse, braided commutativity / symmetry tests, the "locked" double
@@ -37,7 +37,6 @@ __all__ = [
     "Action",
     "Coaction",
     "ModuleAlgebra",
-    "ComoduleAlgebra",
     "YDModuleAlgebra",
     "BraidedProductAlgebra",
     "check_module",
@@ -53,7 +52,6 @@ __all__ = [
     "braided_product",
     "chain_product",
     "flip_isomorphism",
-    "yang_baxter_check",
     "check_factor_embeddings",
 ]
 
@@ -147,13 +145,6 @@ class ModuleAlgebra(NamedTuple):
     hopf: FiniteHopf
     algebra: FiniteAlgebra
     action: Action
-    name: str = ""
-
-
-class ComoduleAlgebra(NamedTuple):
-    hopf: FiniteHopf
-    algebra: FiniteAlgebra
-    coaction: Coaction
     name: str = ""
 
 
@@ -829,50 +820,3 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
 
     return [bijective(), algebra_morphism(), module_morphism(),
             comodule_morphism()]
-
-
-def yang_baxter_check(v_mod: YDModuleAlgebra, walk,
-                      name: str = "braid-relation") -> CheckResult:
-    """(c (x) id)(id (x) c)(c (x) id) = (id (x) c)(c (x) id)(id (x) c) on V^3."""
-    n = v_mod.algebra.dim
-    gv = gen_indices(v_mod.algebra)
-    walk = walk.over((n, n, n), (gv, gv, gv))
-    chk = Check(name, walk.label)
-    n2 = n * n
-    one = v_mod.hopf.ctx.one
-    cache: dict[int, Vec] = {}
-
-    def crow(i: int, j: int) -> Vec:
-        key = i * n + j
-        r = cache.get(key)
-        if r is None:
-            r = braiding_row(v_mod, v_mod, i, j)
-            cache[key] = r
-        return r
-
-    def c12(vec: Vec) -> Vec:
-        out: Vec = {}
-        for key, c in vec.items():
-            ab, k = divmod(key, n)
-            a, b = divmod(ab, n)
-            for key2, c2 in crow(a, b).items():
-                vadd_term(out, key2 * n + k, c * c2)
-        return out
-
-    def c23(vec: Vec) -> Vec:
-        out: Vec = {}
-        for key, c in vec.items():
-            a, bk = divmod(key, n2)
-            b, k = divmod(bk, n)
-            vadd_into(out, crow(b, k), c, a * n2)
-        return out
-
-    def case(i: int, j: int, k: int) -> Optional[str]:
-        e: Vec = {(i * n + j) * n + k: one}
-        if veq(c12(c23(c12(e))), c23(c12(c23(e)))):
-            return None
-        sp = v_mod.algebra.space
-        return (f"braid relation fails at ({sp.label(i)}, "
-                f"{sp.label(j)}, {sp.label(k)})")
-
-    return chk.result(walk.failure(chk, case))

@@ -107,8 +107,7 @@ def test_07_braided_product_reconstructs_heisenberg_double(sys2):
     assert check_braided_symmetric(dual_yd, base_yd,
                                    EXHAUSTIVE).status == "pass"
 
-    bp = heisenberg_chain(sys2.pair.primal, 2, leftmost="dual",
-                          D=sys2.double)
+    bp = heisenberg_chain(sys2.pair.primal, 2, D=sys2.double)
     A, B = bp.yd.algebra, sys2.heis.algebra
     assert A.dim == B.dim
     for i in range(A.dim):
@@ -126,8 +125,7 @@ def test_08_locked_identity_and_chain_counterexample(sys2):
     assert locked.status == "pass"
     assert locked.cases_checked == 16 * 16
 
-    ch3 = heisenberg_chain(sys2.pair.primal, 3, leftmost="dual",
-                           D=sys2.double)
+    ch3 = heisenberg_chain(sys2.pair.primal, 3, D=sys2.double)
     all_pass(chain_relations_check(ch3, sys2.double, prefix="chain3"))
     inner = check_braided_commutative(ch3.yd,
                                       TupleWalks("generators", 0, 200))

@@ -1,8 +1,10 @@
 """Guards on what the package exports and what its modules share.
 
-* Every name that a module lists in `__all__` is read by name by code in
-  `src/hopfbench` outside its own definition, unless it is on
-  `USED_OUTSIDE_SRC`; an attribute of the same name does not count.
+* Every name that a module lists in `__all__`, and every top-level
+  function and class, is read by name by code in `src/hopfbench` outside
+  its own definition, unless it is on `USED_OUTSIDE_SRC`; an attribute of
+  the same name does not count.  Every method but the dunders is read as
+  an attribute of that name outside its own definition.
 * No module imports an underscore-prefixed name from a sibling module:
   what a sibling needs is public.
 * Only `results.py` names `random` or the raw tuple walk (`iter_tuples`,
@@ -44,10 +46,10 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hopfbench"
 
 # Public names that nothing in src/ calls, each kept on purpose.
 USED_OUTSIDE_SRC = {
-    # tier-1 tests verify real properties through these; no suite runs them
-    "check_hopf_pairing", "hit_dual_left", "hit_dual_right", "hit_alg_left",
-    "hit_alg_right", "yang_baxter_check",
-    "check_hopf_ideal",
+    # the Hopf-pairing laws, read by tests/test_taft.py and test_hopf.py;
+    # kept as the hypothesis of the quasitriangular route (ROADMAP items 2
+    # and 8)
+    "check_hopf_pairing",
     # the export format in memory, read by bench/ and the README; the CLI
     # streams the same bytes
     "export_bytes", "import_object", "reexport_bytes",
@@ -89,26 +91,65 @@ def _references(modules: dict) -> set:
     return refs
 
 
-def _unused_exports(modules: dict) -> set:
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _attribute_reads(modules: dict) -> set:
+    """(module, class, method, attribute) of every attribute that code
+    reads; class and method are None outside a method."""
+    reads = set()
+    for mod, tree in modules.items():
+        for top in tree.body:
+            methods = ([(top.name, f.name, f) for f in top.body
+                        if isinstance(f, _DEFINITIONS)]
+                       if isinstance(top, ast.ClassDef) else [])
+            inside = {id(node): (cls, meth)
+                      for cls, meth, f in methods for node in ast.walk(f)}
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute):
+                    reads.add((mod, *inside.get(id(node), (None, None)),
+                               node.attr))
+    return reads
+
+
+def _unread(modules: dict) -> set:
+    """Each name in `__all__` and each top-level function or class that
+    no code reads by name outside its own definition, and each method,
+    as `Class.method`, that no code reads as an attribute outside its
+    own definition."""
     refs = _references(modules)
+    attrs = _attribute_reads(modules)
     unused = set()
     for mod, tree in modules.items():
-        for name in _exports(tree):
+        names = _exports(tree) + [top.name for top in tree.body
+                                  if isinstance(top, _DEFINITIONS)]
+        for name in names:
             if not any(n == name and (m, owner) != (mod, name)
                        for m, owner, n in refs):
                 unused.add(name)
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for f in cls.body:
+                if (isinstance(f, _DEFINITIONS)
+                        and not (f.name.startswith("__")
+                                 and f.name.endswith("__"))
+                        and not any(a == f.name
+                                    and (m, c, meth) != (mod, cls.name, f.name)
+                                    for m, c, meth, a in attrs)):
+                    unused.add(f"{cls.name}.{f.name}")
     return unused
 
 
-def test_every_export_is_used_in_src():
-    assert _unused_exports(_modules()) - USED_OUTSIDE_SRC == set()
+def test_every_definition_is_read_in_src():
+    assert _unread(_modules()) - USED_OUTSIDE_SRC == set()
 
 
 def test_the_allowlist_names_only_unused_exports():
     modules = _modules()
     exported = {name for tree in modules.values() for name in _exports(tree)}
     assert USED_OUTSIDE_SRC <= exported
-    assert USED_OUTSIDE_SRC <= _unused_exports(modules)
+    assert USED_OUTSIDE_SRC <= _unread(modules)
 
 
 def test_the_export_guard_counts_no_attribute_of_another_object():
@@ -117,8 +158,29 @@ def test_the_export_guard_counts_no_attribute_of_another_object():
     report = ast.parse("__all__ = ['parse', 'render']\n"
                        "def parse(data):\n    return render(data)\n"
                        "def render(report):\n    return report\n")
-    cli = ast.parse("def main(argv):\n    return _Parser(argv).parse()\n")
-    assert _unused_exports({"report.py": report, "cli.py": cli}) == {"parse"}
+    cli = ast.parse("def main(argv):\n    return _Parser(argv).parse()\n"
+                    "main([])\n")
+    assert _unread({"report.py": report, "cli.py": cli}) == {"parse"}
+
+
+def test_the_definition_guard_sees_unread_functions_classes_and_methods():
+    """A private function that only calls itself, a class that only its
+    own methods name, and a method read only inside its own body or not
+    at all are unread; a method read as an attribute elsewhere, even of
+    another object, and a dunder are not."""
+    planted = ast.parse(
+        "def _walk(n):\n    return _walk(n - 1) if n else 0\n"
+        "class Unread:\n"
+        "    def make(self):\n        return Unread()\n"
+        "class Used:\n"
+        "    def __repr__(self):\n        return 'Used'\n"
+        "    def read(self):\n        return self.read()\n"
+        "    def called(self):\n        return 1\n"
+        "    def never(self):\n        return 2\n"
+        "def main():\n    return Used().called()\n"
+        "main()\n")
+    assert _unread({"planted.py": planted}) == {
+        "_walk", "Unread", "Unread.make", "Used.read", "Used.never"}
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from hopfbench.doubles import (
@@ -136,6 +139,32 @@ def _zeta_scaled(sys, i: int, j: int):
                                               Hd.pairing))
 
 
+@pytest.mark.parametrize("p,samples", [(2, None), (3, 20_000)])
+def test_the_yd_structure_of_hdouble_is_the_braided_products(p, samples):
+    """H(B*) = B*cop >< B as YD D(B)-module algebras, not only as algebras
+    (`braided-product-is-hdouble`): the action of H(B*), `FactoredAction`,
+    and its coaction, D(B)'s coproduct, equal the diagonal action and the
+    codiagonal coaction of the braided product of its two factors, on
+    every coaction row, and on every action row at p=2 and on a seeded
+    sample of them at p=3."""
+    sys = taft_system(p)
+    y = sys.yd
+    bp = heisenberg_chain(sys.pair.primal, 2, D=sys.double).yd
+    assert bp.hopf is y.hopf and bp.dim == y.dim
+    n, d = y.hopf.dim, y.dim
+    if samples is None:
+        rows = itertools.product(range(n), range(d))
+    else:
+        rows = (divmod(k, d)
+                for k in random.Random(p).sample(range(n * d), samples))
+    for h, x in rows:
+        assert veq(dict(y.action.row(h, x)), dict(bp.action.row(h, x))), (
+            h, x)
+    one = sys.ctx.one
+    for x in range(d):
+        assert veq(y.coaction.apply({x: one}), bp.coaction.apply({x: one})), x
+
+
 @pytest.mark.parametrize("i,j", [(1, 17), (16, 3), (200, 255)])
 def test_a_zeta_scaled_product_entry_fails_each_identity_at_its_pair(
         sys2, i, j):
@@ -148,8 +177,7 @@ def test_a_zeta_scaled_product_entry_fails_each_identity_at_its_pair(
     bad = _zeta_scaled(sys2, i, j)
     A = bad.heis.algebra
     assert A.mult.get(i, j) != sys2.heis.algebra.mult.get(i, j)
-    B = heisenberg_chain(sys2.pair.primal, 2, leftmost="dual",
-                         D=sys2.double).yd.algebra
+    B = heisenberg_chain(sys2.pair.primal, 2, D=sys2.double).yd.algebra
     # each result, with the algebra whose labels its witness shows
     results = {
         "eta-twist": (eta_twist_product(sys2.double, bad.heis, EXHAUSTIVE),
@@ -196,15 +224,13 @@ def test_heisenberg_is_braided_commutative(sys2):
 
 
 def test_three_factor_chain_relations(sys2):
-    ch3 = heisenberg_chain(sys2.pair.primal, 3, leftmost="dual",
-                           D=sys2.double)
+    ch3 = heisenberg_chain(sys2.pair.primal, 3, D=sys2.double)
     assert ch3.yd.algebra.dim == 16 ** 3
     all_pass(chain_relations_check(ch3, sys2.double, prefix="chain3"))
 
 
 def test_three_factor_chain_not_braided_commutative(sys2):
-    ch3 = heisenberg_chain(sys2.pair.primal, 3, leftmost="dual",
-                           D=sys2.double)
+    ch3 = heisenberg_chain(sys2.pair.primal, 3, D=sys2.double)
     inner = check_braided_commutative(ch3.yd,
                                       TupleWalks("generators", 0, 200))
     res = invert_expected_failure(inner, "chain3-fails")

@@ -52,8 +52,8 @@ import random
 import pytest
 
 from hopfbench.doubles import (DrinfeldDouble, FactoredAction,
-                               HeisenbergDouble, module_algebra_factor_walk,
-                               module_factor_walk)
+                               HeisenbergDouble, factor_structures,
+                               module_algebra_factor_walk, module_factor_walk)
 from hopfbench.hopf import (FiniteAlgebra, FiniteHopf, check_algebra_axioms,
                            twisted_product)
 from hopfbench.mutations import MUTATIONS
@@ -61,7 +61,8 @@ from hopfbench.results import (TupleWalks, Walk, coaction_closure,
                                coalgebra_closure, factor_pair_walk,
                                gen_indices, generation_failure,
                                generator_pairs, lemma_walk,
-                               subcoalgebra_walk, subcomodule_walk)
+                               subcoalgebra_walk, subcomodule_walk,
+                               two_sided_lemma_walk)
 from hopfbench.sparse import BilinearMap, ColinearMap, Subspace, veq
 from hopfbench.taft import hqsl2, taft_system, uqsl2
 from hopfbench.truncate import (HopfQuotient, hopf_quotient,
@@ -174,6 +175,30 @@ def test_the_certificate_is_built_once_per_algebra(monkeypatch):
     assert generation_failure(A) is None
     assert generation_failure(A) is None
     assert len(calls) == 1
+
+
+# Each walk that reads declared generators, built on structures at p=2 in
+# which B, or B as a factor, is a copy that declares none.
+_GENERATORLESS = {
+    "lemma_walk": lambda sys, B: lemma_walk(B, 3),
+    "two_sided_lemma_walk": lambda sys, B: two_sided_lemma_walk(B),
+    "subcoalgebra_walk": lambda sys, B: subcoalgebra_walk(sys.double.hopf, B),
+    "subcomodule_walk": lambda sys, B: subcomodule_walk(
+        factor_structures(sys.double)[1]._replace(algebra=B)),
+    "factor_pair_walk": lambda sys, B: factor_pair_walk(
+        _rebuilt(sys.heis.algebra, B=B)),
+}
+
+
+@pytest.mark.parametrize("walk", sorted(_GENERATORLESS))
+def test_a_walk_on_an_algebra_without_generators_names_it(walk):
+    """The walk refuses, when it is built, with a ValueError that names
+    the algebra, not a TypeError from its missing generator list."""
+    sys = taft_system(2)
+    B = _hopf(sys.pair.primal)
+    with pytest.raises(ValueError) as err:
+        _GENERATORLESS[walk](sys, B)
+    assert str(err.value).startswith(f"{B.name} declares no generators")
 
 
 @pytest.mark.parametrize("key", ["taft", "hqsl2"])

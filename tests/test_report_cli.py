@@ -80,6 +80,9 @@ def test_resolved_mode_defaults():
     {"p": 2, "sample_size": 0},
     {"p": 2, "sample_size": -5},
     {"seed": -1},
+    {"p": 2, "mode": "sample", "sample_size": 2.5},
+    {"p": 2, "sample_size": "7"},
+    {"p": 2, "sample_size": True},
 ])
 def test_bad_configs_are_rejected(kwargs):
     with pytest.raises(ConfigError):
@@ -748,6 +751,15 @@ def test_export_cli(tmp_path, capsys):
     assert data["field"] == {"type": "cyclotomic", "order": 8}
     assert main(["export", "--p", "2", "nosuch"]) == 2
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["chain3", "chain((3))", "chain(3",
+                                  "chain)3(", "chain(03)", "chain(0)"])
+def test_export_refuses_every_other_spelling_of_a_chain(capsys, name):
+    """Only chain(N), N a decimal integer >= 1 with no sign, space or
+    leading zero, names a chain; any other spelling is an unknown object."""
+    assert main(["export", "--p", "2", name]) == 2
+    assert f"unknown export object {name!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,work", [

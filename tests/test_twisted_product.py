@@ -31,25 +31,27 @@ from hopfbench.doubles import (DrinfeldDouble, FactoredAction,
                                heisenberg_chain, module_algebra_factor_walk,
                                module_factor_walk)
 from hopfbench.hopf import (FiniteAlgebra, FiniteHopf, check_product_rows,
-                            check_same_twist, hit_alg_left, hit_alg_right,
-                            hit_dual_left, hit_dual_right, twisted_product)
+                            check_same_twist, twisted_product)
 from hopfbench.sparse import (BilinearMap, Subspace, span_closure, vadd_into,
                               vadd_outer, vadd_term, veq, vsub)
 from hopfbench.results import (TupleWalks, factor_pair_walk,
                                generation_failure, normality_failure)
 from hopfbench.taft import (double_elements, taft_system,
                             truly_heisenberg_chain, uqsl2)
-from hopfbench.truncate import central_hopf_ideal, check_hopf_ideal
+from hopfbench.truncate import central_hopf_ideal
 from hopfbench.ydcat import (Coaction, braided_product, check_comodule_algebra,
                              check_module, check_module_algebra)
+from test_hopf import expand
+from test_truncate import check_hopf_ideal
 
 
 # -- reference formulas --------------------------------------------------------
 
 def _old_hit(P, kind, u, v):
-    """The vector-level regular actions as written before the memo:
-    kind 0 = hit_dual_left(P, b=u, f=v), 1 = hit_dual_right(P, f=u, b=v),
-    2 = hit_alg_left(P, f=u, b=v), 3 = hit_alg_right(P, b=u, f=v)."""
+    """The vector-level regular actions as written before the memo, on
+    the arguments of the arrows: kind 0 = P.dual_left (b=u, f=v),
+    1 = P.dual_right (f=u, b=v), 2 = P.alg_left (f=u, b=v) and
+    3 = P.alg_right (b=u, f=v)."""
     out = {}
     split, other = (v, u) if kind in (0, 2) else (u, v)
     comult = (P.dual if kind < 2 else P.alg).comult
@@ -301,9 +303,9 @@ def test_vector_arrows_extend_bilinearly():
     ctx = sys.ctx
     u = {0: ctx.q, 3: ctx.one, 7: ctx.zeta_pow(3)}
     v = {1: ctx.one, 5: ctx.qdiff, 12: ctx.q_pow(-1)}
-    for kind, fn in enumerate((hit_dual_left, hit_dual_right, hit_alg_left,
-                               hit_alg_right)):
-        assert veq(fn(P, u, v), _old_hit(P, kind, u, v)), kind
+    for kind, arrow in enumerate((P.dual_left, P.dual_right, P.alg_left,
+                                  P.alg_right)):
+        assert veq(expand(arrow, u, v), _old_hit(P, kind, u, v)), kind
 
 
 def test_an_uncached_system_starts_with_an_empty_arrow_memo():
@@ -386,8 +388,7 @@ def _twisted(key, p):
     if key == "hdouble":
         return sys.heis.algebra
     n = {"braided-product": 2, "full-chain3": 3}[key]
-    return heisenberg_chain(sys.pair.primal, n, leftmost="dual",
-                            D=sys.double).yd.algebra
+    return heisenberg_chain(sys.pair.primal, n, D=sys.double).yd.algebra
 
 
 def _twisted_dims(alg) -> set:
@@ -527,8 +528,7 @@ HDOUBLE = "braided-product-is-hdouble"
 
 
 def _bp2(sys):
-    return heisenberg_chain(sys.pair.primal, 2, leftmost="dual",
-                            D=sys.double).yd.algebra
+    return heisenberg_chain(sys.pair.primal, 2, D=sys.double).yd.algebra
 
 
 @pytest.mark.parametrize("p,cases", [(2, 768), (3, 3_888)])

@@ -8,15 +8,15 @@ import pytest
 
 from hopfbench.doubles import factor_structures, heisenberg_chain
 from hopfbench.hopf import FiniteAlgebra, check_product_rows, twisted_product
-from hopfbench.results import TupleWalks, lemma_walk
-from hopfbench.sparse import BilinearMap, tensor_flat, veq
+from hopfbench.results import Check, TupleWalks, gen_indices, lemma_walk
+from hopfbench.sparse import (BilinearMap, tensor_flat, vadd_into, vadd_term,
+                              veq)
 from hopfbench.taft import taft_system, truly_heisenberg_chain
 from hopfbench.ydcat import (
     Action, braided_product, braiding_row, check_braided_commutative,
     check_braided_symmetric, check_comodule, check_comodule_algebra,
     check_factor_embeddings, check_locked_identity, check_module,
     check_module_algebra, check_yd, flip_isomorphism,
-    yang_baxter_check,
 )
 
 
@@ -111,6 +111,52 @@ def test_rebracketing(factors):
     assert res.status == "pass"
 
 
+def yang_baxter_check(v_mod, walk):
+    """(c (x) id)(id (x) c)(c (x) id) = (id (x) c)(c (x) id)(id (x) c) on
+    the triples of `walk` in V^3, generator indices in every slot, c the
+    braiding of v_mod with itself."""
+    n = v_mod.algebra.dim
+    gv = gen_indices(v_mod.algebra)
+    walk = walk.over((n, n, n), (gv, gv, gv))
+    chk = Check("braid-relation", walk.label)
+    n2 = n * n
+    one = v_mod.hopf.ctx.one
+    cache = {}
+
+    def crow(i, j):
+        key = i * n + j
+        if key not in cache:
+            cache[key] = braiding_row(v_mod, v_mod, i, j)
+        return cache[key]
+
+    def c12(vec):
+        out = {}
+        for key, c in vec.items():
+            ab, k = divmod(key, n)
+            a, b = divmod(ab, n)
+            for key2, c2 in crow(a, b).items():
+                vadd_term(out, key2 * n + k, c * c2)
+        return out
+
+    def c23(vec):
+        out = {}
+        for key, c in vec.items():
+            a, bk = divmod(key, n2)
+            b, k = divmod(bk, n)
+            vadd_into(out, crow(b, k), c, a * n2)
+        return out
+
+    def case(i, j, k):
+        e = {(i * n + j) * n + k: one}
+        if veq(c12(c23(c12(e))), c23(c12(c23(e)))):
+            return None
+        sp = v_mod.algebra.space
+        return (f"braid relation fails at ({sp.label(i)}, "
+                f"{sp.label(j)}, {sp.label(k)})")
+
+    return chk.result(walk.failure(chk, case))
+
+
 def test_yang_baxter(sys2):
     res = yang_baxter_check(sys2.yd, TupleWalks("sample", 0, 50))
     assert res.status == "pass"
@@ -136,8 +182,7 @@ def test_braiding_row_against_product(sys2, factors):
 
 
 def test_chain_embeddings(sys2):
-    ch2 = heisenberg_chain(sys2.pair.primal, 2, leftmost="dual",
-                           D=sys2.double)
+    ch2 = heisenberg_chain(sys2.pair.primal, 2, D=sys2.double)
     res = check_factor_embeddings(ch2)
     assert (res.status, res.mode, res.cases_checked) == ("pass", "exhaustive",
                                                          16 + 16)
@@ -150,7 +195,7 @@ def _chain(key, p):
         return truly_heisenberg_chain(p, int(key[-1])).chain
     sys = taft_system(p)
     n = {"bp2": 2, "full-chain3": 3}[key]
-    return heisenberg_chain(sys.pair.primal, n, leftmost="dual", D=sys.double)
+    return heisenberg_chain(sys.pair.primal, n, D=sys.double)
 
 
 @pytest.mark.parametrize("key,p,cases", [
