@@ -55,9 +55,11 @@ from .cyclo import Cyc, QContext
 from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing,
                    check_product_rows, dual_hopf, pair_product,
                    render_element, triple_product, twisted_product)
-from .results import (Check, CheckResult, Walk, coalgebra_closure,
-                      factor_pair_walk, gen_indices, generation_failure,
-                      invert_expected_failure, normality_failure, twist_of)
+from .results import (CheckResult, Walk, certificate_check,
+                      coalgebra_closure, counted, factor_pair_walk,
+                      gen_indices, generation_failure,
+                      invert_expected_failure, normality_cases, run_check,
+                      twist_of)
 from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Row, Space, Vec,
                      linear_map_inverse, shared_row, tensor_flat, vadd_into,
                      vadd_outer, vadd_term, veq)
@@ -532,9 +534,6 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction, walk,
     base, dual = D.base, D.dual
     nB, nF = base.dim, dual.dim
     one = D.ctx.one
-    walk = walk.over((nF, nB, act.algebra.dim),
-                     (gen_indices(dual), gen_indices(base), None))
-    chk = Check(name, walk.label)
     product = D.hopf.mult.apply
 
     def case(f: int, m: int, x: int) -> Optional[str]:
@@ -550,7 +549,9 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction, walk,
                 f"A={act.algebra.space.label(x)}: factor actions do "
                 f"not compose through the double product")
 
-    return chk.result(walk.failure(chk, case))
+    return walk.over((nF, nB, act.algebra.dim),
+                     (gen_indices(dual), gen_indices(base), None)
+                     ).check(name, case)
 
 
 def _leg_defined(act) -> bool:
@@ -574,11 +575,10 @@ def _require_factored(D: DrinfeldDouble, act) -> None:
         raise ValueError("the factor walk needs an action of D's own algebra")
 
 
-def _factored_obligations(D: DrinfeldDouble, act: FactoredAction,
-                          chk: Check) -> Optional[str]:
-    """The two facts that make the rows of `act` rho = (s1 (x) s2) Delta_D,
-    with s1 = adF(f) hit(m) acting on B* and s2 = rhit(f) ad(m) on B, one
-    case each on `chk`:
+def _factored_obligations(D: DrinfeldDouble, act: FactoredAction):
+    """The body of the two facts that make the rows of `act` rho =
+    (s1 (x) s2) Delta_D, with s1 = adF(f) hit(m) acting on B* and s2 =
+    rhit(f) ad(m) on B, one case each:
 
     * the leg unit facts ad(m) 1 = eps(m) 1 and rhit(f) 1 = eps(f) 1 in
       B, and hit(m) eps = eps(m) eps and adF(f) eps = eps(f) eps in B*,
@@ -591,7 +591,7 @@ def _factored_obligations(D: DrinfeldDouble, act: FactoredAction,
     rho(f (x) m)(1 (x) a) = 1 (x) s2(f (x) m) a (with the counit laws of B
     and B*), since rho(f (x) m) = dual_row(f) prim_row(m) =
     sum adF(f'') hit(m') (x) rhit(f') ad(m''); by the second that sum is
-    (s1 (x) s2) Delta_D(f (x) m).  The first witness, or None."""
+    (s1 (x) s2) Delta_D(f (x) m)."""
     base, dual = D.base, D.dual
     (ub,), (uf,) = base.unit, dual.unit
     for name, leg, A, u, V in (("ad", act.ad, base, ub, base),
@@ -599,23 +599,21 @@ def _factored_obligations(D: DrinfeldDouble, act: FactoredAction,
                                ("hit", act.hit, base, uf, dual),
                                ("adF", act.adf, dual, uf, dual)):
         for i in range(A.dim):
-            chk.cases += 1
             eps = A.counit.get(i)
-            if not veq(dict(leg(i, u)), {u: eps} if eps else {}):
-                return (f"leg {name}: {name}(x) 1 != eps(x) 1 at "
+            yield (None if veq(dict(leg(i, u)), {u: eps} if eps else {})
+                   else f"leg {name}: {name}(x) 1 != eps(x) 1 at "
                         f"x={A.space.label(i)}")
     H, nB, d = D.hopf, base.dim, D.dim
     for key in range(d):
-        chk.cases += 1
         f, b = divmod(key, nB)
         want: Vec = {}
         for f1, f2, cf in dual.comult.get(f):
             for b1, b2, cb in base.comult.get(b):
                 vadd_term(want, (f2 * nB + b1) * d + f1 * nB + b2, cf * cb)
-        if not veq({j * d + k: c for j, k, c in H.comult.get(key)}, want):
-            return (f"Delta of {H.name} is not the tensor coalgebra of its "
+        yield (None if veq({j * d + k: c for j, k, c in H.comult.get(key)},
+                           want)
+               else f"Delta of {H.name} is not the tensor coalgebra of its "
                     f"factors at x={H.space.label(key)}")
-    return None
 
 
 def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
@@ -635,7 +633,7 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     first failure:
 
     1. the unit law 1 |> x = x, for every x;
-    2. (prelude) `results.normality_failure` of D, which gives
+    2. (prelude) `results.normality_cases` of D, which gives
        (f (x) 1)(1 (x) m) = f (x) m, (f (x) 1)(g (x) 1) = fg (x) 1 and
        (1 (x) m)(1 (x) n) = 1 (x) mn: D is built by the formula from a
        normal R;
@@ -752,16 +750,15 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     closure = coalgebra_closure(base)
     in_closure = set(closure)
 
-    def products(chk: Check) -> Optional[str]:
-        wit = normality_failure(D.hopf, chk)
+    def products():
+        wit = yield from normality_cases(D.hopf)
         if wit is not None:
             return wit
         for unit, row, factor in ((ub, act.prim_row, "B"),
                                   (uf, act.dual_row, "B*")):
             for x in xs:
-                chk.cases += 1
-                if not veq(dict(row(unit, x)), {x: one}):
-                    return (f"the unit of {factor} moves "
+                yield (None if veq(dict(row(unit, x)), {x: one})
+                       else f"the unit of {factor} moves "
                             f"x={act.algebra.space.label(x)}")
         for name, A, V, leg in (("hit", base, dual, act.hit),
                                 ("ad", base, base, act.ad),
@@ -771,25 +768,20 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
                 ModuleAlgebra(A, V, Action(A, V, leg)), name=name,
                 walk=Walk("generators", itertools.product(
                     sorted(gen_indices(A)), range(A.dim), range(V.dim))))
-            chk.cases += res.cases_checked
-            if res.witness is not None:
-                return f"leg {name}: {res.witness}"
-        wit = _factored_obligations(D, act, chk)
-        if wit is not None:
-            return wit
+            yield from counted(res.cases_checked, lambda: (
+                None if res.ok else f"leg {name}: {res.witness}"))
+        yield from _factored_obligations(D, act)
         for c in closure:
             for f in range(nF):
-                chk.cases += 1
-                if any(k % nB not in in_closure
-                       for k, _ in mult.get(right[c], left[f])):
-                    return (f"(1 (x) c)(f (x) 1) has a B-leg outside the "
+                yield (None if all(k % nB in in_closure
+                                   for k, _ in mult.get(right[c], left[f]))
+                       else f"(1 (x) c)(f (x) 1) has a B-leg outside the "
                             f"coalgebra closure at c={base.space.label(c)}, "
                             f"f={dual.space.label(f)}")
-        return None
 
     triples = ((right[c], left[g], x) for c in closure
                for g in sorted(gen_indices(dual)) for x in xs)
-    return Walk("generators", triples, prelude=products,
+    return Walk("generators", triples, prelude=products(),
                 certificate=lambda: (generation_failure(dual)
                                      or generation_failure(base)))
 
@@ -822,7 +814,7 @@ def module_algebra_factor_walk(D: DrinfeldDouble,
     _require_factored(D, act)
     return factor_pair_walk(act.algebra, closure=coalgebra_closure(D.hopf),
                             mixed=False,
-                            obligations=partial(_factored_obligations, D, act),
+                            obligations=_factored_obligations(D, act),
                             certificate=partial(generation_failure, D.hopf))
 
 
@@ -836,9 +828,8 @@ def check_double_identity(D: DrinfeldDouble,
     nB, nF = base.dim, dual.dim
     one = D.ctx.one
     sinv = dual.antipode_inv()
-    chk = Check(name, "exhaustive")
-    for f, a in itertools.product(range(nF), range(nB)):
-        chk.cases += 1
+
+    def case(f: int, a: int) -> Optional[str]:
         lhs: Vec = {}
         rhs: Vec = {}
         for u1, u2, cf in dual.comult.get(f):
@@ -851,10 +842,13 @@ def check_double_identity(D: DrinfeldDouble,
             for nu, cs in sinv.get(u1):
                 vadd_into(hit, P.alg_left(nu, a), cs)
             vadd_into(rhs, hit, cf, u2 * nB)
-        if not veq(lhs, rhs):
-            return chk.result(f"mu={dual.space.label(f)}, a={base.space.label(a)}: "
-                              f"the double identity fails")
-    return chk.result()
+        if veq(lhs, rhs):
+            return None
+        return (f"mu={dual.space.label(f)}, a={base.space.label(a)}: "
+                f"the double identity fails")
+
+    return run_check(name, "exhaustive", itertools.starmap(
+        case, itertools.product(range(nF), range(nB))))
 
 
 # -- quasitriangularity ------------------------------------------------------
@@ -866,20 +860,16 @@ def check_quasitriangular(D: DrinfeldDouble,
     d = H.dim
     R = D.rmatrix()
 
-    def intertwine() -> CheckResult:
-        chk = Check(f"{prefix}-intertwine", "exhaustive")
-        for x in range(d):
-            chk.cases += 1
-            row = H.comult.get(x)
-            dvec = {j * d + k: c for j, k, c in row}
-            dop = {k * d + j: c for j, k, c in row}
-            if not veq(pair_product(H, R, dvec), pair_product(H, dop, R)):
-                return chk.result(f"R Delta(x) != Delta-op(x) R "
-                                  f"at x={H.space.label(x)}")
-        return chk.result()
+    def intertwines(x: int) -> Optional[str]:
+        row = H.comult.get(x)
+        dvec = {j * d + k: c for j, k, c in row}
+        dop = {k * d + j: c for j, k, c in row}
+        if veq(pair_product(H, R, dvec), pair_product(H, dop, R)):
+            return None
+        return f"R Delta(x) != Delta-op(x) R at x={H.space.label(x)}"
 
-    results = [intertwine()]
-    chk = Check(f"{prefix}-hexagon-1", "exhaustive", cases=len(R))
+    results = [run_check(f"{prefix}-intertwine", "exhaustive",
+                         map(intertwines, range(d)))]
     r13: Vec = {}
     r23: Vec = {}
     r12: Vec = {}
@@ -897,22 +887,23 @@ def check_quasitriangular(D: DrinfeldDouble,
             vadd_term(lhs1, (j * d + k) * d + k2, c * cc)
         for j, k, cc in H.comult.get(k2):
             vadd_term(lhs2, (k1 * d + j) * d + k, c * cc)
-    ok = veq(lhs1, triple_product(H, r13, r23))
-    results.append(chk.result(None if ok else "(Delta (x) id)R != R13 R23"))
-    chk = Check(f"{prefix}-hexagon-2", "exhaustive", cases=len(R))
-    ok = veq(lhs2, triple_product(H, r13, r12))
-    results.append(chk.result(None if ok else "(id (x) Delta)R != R13 R12"))
+    for k, lhs, r, what in ((1, lhs1, r23, "(Delta (x) id)R != R13 R23"),
+                            (2, lhs2, r12, "(id (x) Delta)R != R13 R12")):
+        results.append(certificate_check(
+            f"{prefix}-hexagon-{k}", len(R),
+            lambda: None if veq(lhs, triple_product(H, r13, r)) else what))
 
-    chk = Check(f"{prefix}-inverse", "exhaustive", cases=2)
     rinv: Vec = {}
     for key, c in R.items():
         k1, k2 = divmod(key, d)
         for k1s, cs in H.antipode.get(k1):
             vadd_term(rinv, k1s * d + k2, c * cs)
     unit2 = tensor_flat(H.unit, H.unit, d)
-    ok = (veq(pair_product(H, R, rinv), unit2)
-          and veq(pair_product(H, rinv, R), unit2))
-    results.append(chk.result(None if ok else "(S (x) id)R is not inverse to R"))
+    results.append(certificate_check(
+        f"{prefix}-inverse", 2,
+        lambda: None if (veq(pair_product(H, R, rinv), unit2)
+                         and veq(pair_product(H, rinv, R), unit2))
+        else "(S (x) id)R is not inverse to R"))
     return results
 
 
@@ -938,11 +929,6 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
     one = D.ctx.one
     gx = gen_indices(alg)
 
-    def run(name: str, walk, case) -> CheckResult:
-        walk = walk.over((dX, dX), (gx, gx))
-        chk = Check(name, walk.label)
-        return chk.result(walk.failure(chk, case))
-
     def r_comm(iy: int, ix: int) -> Optional[str]:
         lhs = dict(alg.mult.get(iy, ix))
         rhs: Vec = {}
@@ -964,8 +950,9 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
                 f"{render_element(alg.space, lhs)} but "
                 f"(R2|>x)(R1|>y) = {render_element(alg.space, rhs)}")
 
-    res1 = invert_expected_failure(run("__rcomm", r_walk, r_comm),
-                                   prefix + "r-comm-negative")
+    res1 = invert_expected_failure(
+        r_walk.over((dX, dX), (gx, gx)).check("__rcomm", r_comm),
+        prefix + "r-comm-negative")
     sD = H.antipode
     sinvD = H.antipode_inv()
 
@@ -990,7 +977,8 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
         return (f"y={alg.space.label(iy)}, x={alg.space.label(ix)}: the inverse-R "
                 f"form of braided commutativity fails")
 
-    return res1, run(prefix + "rinv-braided-comm", rinv_walk, rinv_comm)
+    return res1, rinv_walk.over((dX, dX), (gx, gx)).check(
+        prefix + "rinv-braided-comm", rinv_comm)
 
 
 # -- the two factors as YD module algebras ------------------------------------
@@ -1122,15 +1110,15 @@ def chain_relations_check(bp: BraidedProductAlgebra, D: DrinfeldDouble,
             vadd_into(out, emb(pos, i), c)
         return out
 
-    def run(name: str, positions, nx: int, ny: int, rhs_fn, labels) -> CheckResult:
+    def family(name: str, positions, nx: int, ny: int, rhs_fn, labels
+               ) -> CheckResult:
         """lhs = x[i] y[j] against rhs_fn(i, j, x, y) over every position
         pair (i, j) and basis pair (x, y)."""
-        chk = Check(f"{prefix}-{name}", "exhaustive")
-        for (i, j), x, y in itertools.product(positions, range(nx), range(ny)):
-            chk.cases += 1
-            if not veq(mult.apply(emb(i, x), emb(j, y)), rhs_fn(i, j, x, y)):
-                return chk.result(f"positions ({i},{j}): {labels(x, y)}")
-        return chk.result()
+        return run_check(f"{prefix}-{name}", "exhaustive", (
+            None if veq(mult.apply(emb(i, x), emb(j, y)), rhs_fn(i, j, x, y))
+            else f"positions ({i},{j}): {labels(x, y)}"
+            for (i, j), x, y in itertools.product(positions, range(nx),
+                                                  range(ny))))
 
     def mixed(ip: int, jd: int, b: int, f: int) -> Vec:
         rhs: Vec = {}
@@ -1185,21 +1173,21 @@ def chain_relations_check(bp: BraidedProductAlgebra, D: DrinfeldDouble,
         return [(i, j) for i in pos for j in pos if keep(i, j)]
 
     return [
-        run("mixed", [(i, j) for i in prim_pos for j in dual_pos], nB, nF,
+        family("mixed", [(i, j) for i in prim_pos for j in dual_pos], nB, nF,
             mixed,
             lambda b, f: f"b={base.space.label(b)}, beta={dual.space.label(f)}"),
-        run("dual-straighten", ordered(dual_pos, int.__ge__), nF, nF,
+        family("dual-straighten", ordered(dual_pos, int.__ge__), nF, nF,
             dual_straighten,
             lambda fa, fb: (f"alpha={dual.space.label(fa)}, "
                             f"beta={dual.space.label(fb)}")),
-        run("primal-straighten", ordered(prim_pos, int.__ge__), nB, nB,
+        family("primal-straighten", ordered(prim_pos, int.__ge__), nB, nB,
             primal_straighten,
             lambda a, b: f"a={base.space.label(a)}, b={base.space.label(b)}"),
-        run("dual-straighten-inverse", ordered(dual_pos, int.__le__), nF, nF,
+        family("dual-straighten-inverse", ordered(dual_pos, int.__le__), nF, nF,
             dual_straighten_inverse,
             lambda fb, fa: (f"beta={dual.space.label(fb)}, "
                             f"alpha={dual.space.label(fa)}")),
-        run("primal-straighten-inverse", ordered(prim_pos, int.__le__), nB, nB,
+        family("primal-straighten-inverse", ordered(prim_pos, int.__le__), nB, nB,
             primal_straighten_inverse,
             lambda b, a: f"b={base.space.label(b)}, a={base.space.label(a)}"),
     ]

@@ -12,10 +12,12 @@ tuple.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .cyclo import Cyc, QContext
-from .results import Check, CheckResult, gen_indices, twist_of
+from .results import (CheckResult, certificate_check, gen_indices,
+                      run_check, twist_of)
 from .sparse import (
     BilinearMap, ColinearMap, LinearMap, Space,
     Subspace, linear_map_inverse, shared_row, tensor_flat, vadd_into,
@@ -306,7 +308,8 @@ def check_algebra_axioms(A, associativity) -> list:
     `mult-unit` line beside it, and the walk's certificate
     `generation_failure(A)` makes S all of A.
     """
-    return [_check_associativity(A, associativity), _check_unit(A)]
+    return [_check_associativity(A, associativity),
+            run_check("mult-unit", "exhaustive", _unit_cases(A))]
 
 
 def check_product_rows(name: str, A, row, walk, gen_sets) -> CheckResult:
@@ -314,9 +317,6 @@ def check_product_rows(name: str, A, row, walk, gen_sets) -> CheckResult:
     A.mult(e_i, e_j) = row(i, j), a vector on A's basis, on the pairs
     (i, j) of `walk`, with `gen_sets` heading its two slots.  The witness
     renders both sides."""
-    walk = walk.over((A.dim, A.dim), gen_sets)
-    chk = Check(name, walk.label)
-
     def case(i: int, j: int) -> Optional[str]:
         got = dict(A.mult.get(i, j))
         want = row(i, j)
@@ -326,7 +326,7 @@ def check_product_rows(name: str, A, row, walk, gen_sets) -> CheckResult:
                 f"differ: {render_element(A.space, got)} vs "
                 f"{render_element(A.space, want)}")
 
-    return chk.result(walk.failure(chk, case))
+    return walk.over((A.dim, A.dim), gen_sets).check(name, case)
 
 
 def check_same_twist(X, Y, name: str) -> CheckResult:
@@ -338,28 +338,26 @@ def check_same_twist(X, Y, name: str) -> CheckResult:
     rows of the two factor tables, so equal inputs give equal products
     and units, with no associativity assumed."""
     s, t = twist_of(X), twist_of(Y)
-    chk = Check(name, "exhaustive")
-    if (s.A.dim, s.B.dim, s.A.unit, s.B.unit) != (t.A.dim, t.B.dim,
-                                                  t.A.unit, t.B.unit):
-        return chk.result("the factors differ in dimension or unit")
-    for F, G in ((s.A, t.A), (s.B, t.B)):
-        for i, j in itertools.product(range(F.dim), repeat=2):
-            chk.cases += 1
-            u, v = dict(F.mult.get(i, j)), dict(G.mult.get(i, j))
-            if not veq(u, v):
-                return chk.result(
+
+    def body():
+        if (s.A.dim, s.B.dim, s.A.unit, s.B.unit) != (t.A.dim, t.B.dim,
+                                                      t.A.unit, t.B.unit):
+            return "the factors differ in dimension or unit"
+        for F, G in ((s.A, t.A), (s.B, t.B)):
+            for i, j in itertools.product(range(F.dim), repeat=2):
+                u, v = dict(F.mult.get(i, j)), dict(G.mult.get(i, j))
+                yield None if veq(u, v) else (
                     f"products of ({F.space.label(i)}, {F.space.label(j)}) "
                     f"in {F.name} differ: {render_element(F.space, u)} vs "
                     f"{render_element(F.space, v)}")
-    for b, a in itertools.product(range(s.B.dim), range(s.A.dim)):
-        chk.cases += 1
-        u, v = s.r(b, a), t.r(b, a)
-        if not veq(u, v):
-            return chk.result(
+        for b, a in itertools.product(range(s.B.dim), range(s.A.dim)):
+            u, v = s.r(b, a), t.r(b, a)
+            yield None if veq(u, v) else (
                 f"R({s.B.space.label(b)} (x) {s.A.space.label(a)}) differs: "
                 f"{render_tensor(s.A.space, s.B.space, u)} vs "
                 f"{render_tensor(s.A.space, s.B.space, v)}")
-    return chk.result()
+
+    return run_check(name, "exhaustive", body())
 
 
 # -- axiom checks -------------------------------------------------------------
@@ -369,7 +367,6 @@ def _check_associativity(H: FiniteHopf, walk) -> CheckResult:
     generator indices of H in every slot."""
     n = H.dim
     g = gen_indices(H)
-    walk = walk.over((n, n, n), (g, g, g))
     get = H.mult.get
 
     def case(i: int, j: int, k: int) -> Optional[str]:
@@ -384,28 +381,21 @@ def _check_associativity(H: FiniteHopf, walk) -> CheckResult:
         labs = [H.space.label(t) for t in (i, j, k)]
         return f"basis triple ({', '.join(labs)}): (xy)z != x(yz)"
 
-    chk = Check("mult-associativity", walk.label)
-    return chk.result(walk.failure(chk, case))
+    return walk.over((n, n, n), (g, g, g)).check("mult-associativity", case)
 
 
-def _check_unit(H: FiniteHopf) -> CheckResult:
-    chk = Check("mult-unit", "exhaustive")
+def _unit_cases(H: FiniteHopf):
     for i in range(H.dim):
         e = H.basis(i)
-        chk.cases += 1
-        if not veq(H.product(H.unit, e), e):
-            return chk.result(f"1*{H.space.label(i)} != itself")
-        chk.cases += 1
-        if not veq(H.product(e, H.unit), e):
-            return chk.result(f"{H.space.label(i)}*1 != itself")
-    return chk.result()
+        yield (None if veq(H.product(H.unit, e), e)
+               else f"1*{H.space.label(i)} != itself")
+        yield (None if veq(H.product(e, H.unit), e)
+               else f"{H.space.label(i)}*1 != itself")
 
 
-def _check_coassociativity(H: FiniteHopf) -> CheckResult:
+def _coassociativity_cases(H: FiniteHopf):
     n = H.dim
-    chk = Check("comult-coassociativity", "exhaustive")
     for i in range(n):
-        chk.cases += 1
         # (comult (x) id) comult vs (id (x) comult) comult on e_i
         left: Vec = {}
         right: Vec = {}
@@ -414,17 +404,12 @@ def _check_coassociativity(H: FiniteHopf) -> CheckResult:
                 vadd_term(left, (a * n + b) * n + k, c * cc)
             for a, b, cc in H.comult.get(k):
                 vadd_term(right, (j * n + a) * n + b, c * cc)
-        if not veq(left, right):
-            return chk.result(
-                f"coassociativity fails on {H.space.label(i)}")
-    return chk.result()
+        yield (None if veq(left, right)
+               else f"coassociativity fails on {H.space.label(i)}")
 
 
-def _check_counit_laws(H: FiniteHopf) -> CheckResult:
-    n = H.dim
-    chk = Check("counit-laws", "exhaustive")
-    for i in range(n):
-        chk.cases += 1
+def _counit_cases(H: FiniteHopf):
+    for i in range(H.dim):
         left: Vec = {}
         right: Vec = {}
         for j, k, c in H.comult.get(i):
@@ -435,10 +420,8 @@ def _check_counit_laws(H: FiniteHopf) -> CheckResult:
             if ek is not None:
                 vadd_term(right, j, c * ek)
         e = H.basis(i)
-        if not veq(left, e) or not veq(right, e):
-            return chk.result(
-                f"counit law fails on {H.space.label(i)}")
-    return chk.result()
+        yield (None if veq(left, e) and veq(right, e)
+               else f"counit law fails on {H.space.label(i)}")
 
 
 def _comult_mult_pair_ok(H: FiniteHopf, i: int, j: int) -> bool:
@@ -459,46 +442,34 @@ def _check_pairwise(H: FiniteHopf, name: str, pair_ok,
                     walk) -> CheckResult:
     """A bilinear axiom on the basis pairs of the walk, with no generator
     slot."""
-    n = H.dim
-    walk = walk.over((n, n), (None, None))
-    chk = Check(name, walk.label)
-
     def case(i: int, j: int) -> Optional[str]:
         if pair_ok(H, i, j):
             return None
         return f"basis pair ({H.space.label(i)}, {H.space.label(j)})"
 
-    return chk.result(walk.failure(chk, case))
+    return walk.over((H.dim, H.dim), (None, None)).check(name, case)
 
 
-def _check_comult_unit(H: FiniteHopf) -> CheckResult:
-    chk = Check("comult-counit-unital", "exhaustive", cases=2)
+def _comult_unit_failure(H: FiniteHopf) -> Optional[str]:
     if H.counit_of(H.unit) != H.ctx.one:
-        return chk.result("counit(1) != 1")
+        return "counit(1) != 1"
     if not veq(H.coproduct(H.unit), tensor_flat(H.unit, H.unit, H.dim)):
-        return chk.result("comult(1) != 1(x)1")
-    return chk.result()
+        return "comult(1) != 1(x)1"
+    return None
 
 
-def _check_antipode(H: FiniteHopf) -> CheckResult:
-    n = H.dim
-    chk = Check("antipode-convolution", "exhaustive")
-    for i in range(n):
+def _antipode_cases(H: FiniteHopf):
+    for i in range(H.dim):
         left: Vec = {}
         right: Vec = {}
         for j, k, c in H.comult.get(i):
             vadd_into(left, H.product(H.antipode_of(H.basis(j)), H.basis(k)), c)
             vadd_into(right, H.product(H.basis(j), H.antipode_of(H.basis(k))), c)
         target = vscale(H.unit, H.counit.get(i, H.ctx.zero))
-        chk.cases += 1
-        if not veq(left, target):
-            return chk.result(f"m(S(x)id)comult != unit*counit on "
-                              f"{H.space.label(i)}")
-        chk.cases += 1
-        if not veq(right, target):
-            return chk.result(f"m(id(x)S)comult != unit*counit on "
-                              f"{H.space.label(i)}")
-    return chk.result()
+        yield (None if veq(left, target) else
+               f"m(S(x)id)comult != unit*counit on {H.space.label(i)}")
+        yield (None if veq(right, target) else
+               f"m(id(x)S)comult != unit*counit on {H.space.label(i)}")
 
 
 def check_hopf_axioms(H: FiniteHopf, associativity, comult,
@@ -514,16 +485,17 @@ def check_hopf_axioms(H: FiniteHopf, associativity, comult,
     certificate `generation_failure(H)` makes S all of H.
     """
     return [
-        _check_associativity(H, associativity),
-        _check_unit(H),
-        _check_coassociativity(H),
-        _check_counit_laws(H),
-        _check_comult_unit(H),
+        *check_algebra_axioms(H, associativity),
+        run_check("comult-coassociativity", "exhaustive",
+                  _coassociativity_cases(H)),
+        run_check("counit-laws", "exhaustive", _counit_cases(H)),
+        certificate_check("comult-counit-unital", 2,
+                          partial(_comult_unit_failure, H)),
         _check_pairwise(H, "comult-multiplicative", _comult_mult_pair_ok,
                         comult),
         _check_pairwise(H, "counit-multiplicative", _counit_mult_pair_ok,
                         counit),
-        _check_antipode(H),
+        run_check("antipode-convolution", "exhaustive", _antipode_cases(H)),
     ]
 
 
@@ -663,16 +635,16 @@ def check_hopf_pairing(P: HopfPairing, mult_vs_comult,
     """
     return [_pairing_mult_vs_comult(P, mult_vs_comult),
             _pairing_comult_vs_mult(P, comult_vs_mult),
-            _pairing_units_antipode(P),
-            _pairing_nondegenerate(P)]
+            run_check("pairing-units-antipode", "exhaustive",
+                      _pairing_unit_cases(P)),
+            certificate_check("pairing-nondegenerate", P.alg.dim,
+                              partial(_pairing_rank_failure, P))]
 
 
 def _pairing_mult_vs_comult(P: HopfPairing, walk) -> CheckResult:
     D, A = P.dual, P.alg
     n = A.dim
     gd = gen_indices(D)
-    walk = walk.over((n, n, n), (gd, gd, None))
-    chk = Check("pairing-mult-vs-comult", walk.label)
 
     def case(f: int, g: int, x: int) -> Optional[str]:
         lhs = P.pair(dict(D.mult.get(f, g)), A.basis(x))
@@ -690,15 +662,14 @@ def _pairing_mult_vs_comult(P: HopfPairing, walk) -> CheckResult:
         return (f"<f g, x> mismatch at f={D.space.label(f)}, "
                 f"g={D.space.label(g)}, x={A.space.label(x)}")
 
-    return chk.result(walk.failure(chk, case))
+    return walk.over((n, n, n), (gd, gd, None)).check(
+        "pairing-mult-vs-comult", case)
 
 
 def _pairing_comult_vs_mult(P: HopfPairing, walk) -> CheckResult:
     D, A = P.dual, P.alg
     n = A.dim
     ga = gen_indices(A)
-    walk = walk.over((n, n, n), (None, ga, ga))
-    chk = Check("pairing-comult-vs-mult", walk.label)
 
     def case(f: int, x: int, y: int) -> Optional[str]:
         lhs = P.pair(D.basis(f), dict(A.mult.get(x, y)))
@@ -716,39 +687,30 @@ def _pairing_comult_vs_mult(P: HopfPairing, walk) -> CheckResult:
         return (f"<comult* f, x(x)y> mismatch at f={D.space.label(f)}, "
                 f"x={A.space.label(x)}, y={A.space.label(y)}")
 
-    return chk.result(walk.failure(chk, case))
+    return walk.over((n, n, n), (None, ga, ga)).check(
+        "pairing-comult-vs-mult", case)
 
 
-def _pairing_units_antipode(P: HopfPairing) -> CheckResult:
+def _pairing_unit_cases(P: HopfPairing):
     D, A = P.dual, P.alg
     n = A.dim
-    chk = Check("pairing-units-antipode", "exhaustive")
     for x in range(n):
-        chk.cases += 1
-        if P.pair(D.unit, A.basis(x)) != A.counit.get(x, A.ctx.zero):
-            return chk.result(f"<1*, {A.space.label(x)}> != counit")
+        yield (None if P.pair(D.unit, A.basis(x)) == A.counit.get(x, A.ctx.zero)
+               else f"<1*, {A.space.label(x)}> != counit")
     for f in range(n):
-        chk.cases += 1
-        if P.pair(D.basis(f), A.unit) != D.counit.get(f, A.ctx.zero):
-            return chk.result(
-                f"counit*({D.space.label(f)}) != <f, 1>")
+        yield (None if P.pair(D.basis(f), A.unit) == D.counit.get(f, A.ctx.zero)
+               else f"counit*({D.space.label(f)}) != <f, 1>")
     for f, x in itertools.product(range(n), repeat=2):
-        chk.cases += 1
         lhs = P.pair(D.antipode_of(D.basis(f)), A.basis(x))
         rhs = P.pair(D.basis(f), A.antipode_of(A.basis(x)))
-        if lhs != rhs:
-            return chk.result(f"<S* f, x> != <f, S x> at "
-                              f"f={D.space.label(f)}, "
-                              f"x={A.space.label(x)}")
-    return chk.result()
+        yield (None if lhs == rhs else
+               f"<S* f, x> != <f, S x> at f={D.space.label(f)}, "
+               f"x={A.space.label(x)}")
 
 
-def _pairing_nondegenerate(P: HopfPairing) -> CheckResult:
+def _pairing_rank_failure(P: HopfPairing) -> Optional[str]:
     n = P.alg.dim
-    chk = Check("pairing-nondegenerate", "exhaustive", cases=n)
     span = Subspace(n)
     for f in range(n):
         span.add({b: c for b, c in P.rows.get(f, ())})
-    if span.rank != n:
-        return chk.result(f"pairing matrix rank {span.rank} < {n}")
-    return chk.result()
+    return None if span.rank == n else f"pairing matrix rank {span.rank} < {n}"

@@ -18,11 +18,12 @@ every pair in order.
 
 from __future__ import annotations
 
+import time
 from typing import Callable
 
 from .doubles import eta_cocycle, eta_twist_product, factor_structures
 from .hopf import FiniteHopf, check_hopf_axioms
-from .results import Check, CheckResult, lemma_walk, two_sided_lemma_walk
+from .results import CheckResult, lemma_walk, two_sided_lemma_walk
 from .sparse import (LazyLinearMap, Vec, tensor_flat, vadd_into, vadd_outer,
                      vadd_term)
 from .taft import taft_setup, taft_system
@@ -174,14 +175,14 @@ def run_mutation(tag: str, p: int, walks) -> CheckResult:
     A healthy engine returns status "fail" here; status "pass" means the
     corruption went undetected and the corresponding check is broken.
     """
-    builder = MUTATIONS[tag]
-    chk = Check(f"mutation-{tag}", "exhaustive")
-    results = builder(p, walks)
+    t0 = time.perf_counter()
+    results = MUTATIONS[tag](p, walks)
+    elapsed = time.perf_counter() - t0
     bad = next((r for r in results if not r.ok), None)
     if bad is None:
-        if results:
-            chk.mode = results[0].mode
-        chk.cases = sum(r.cases_checked for r in results)
-        return chk.result()
-    chk.mode, chk.cases = bad.mode, bad.cases_checked
-    return chk.result(f"[{bad.name}] {bad.witness}")
+        mode = results[0].mode if results else "exhaustive"
+        return CheckResult(f"mutation-{tag}", "pass", mode,
+                           sum(r.cases_checked for r in results), None,
+                           elapsed)
+    return CheckResult(f"mutation-{tag}", "fail", bad.mode, bad.cases_checked,
+                       f"[{bad.name}] {bad.witness}", elapsed)

@@ -385,17 +385,29 @@ def _suite_truncations(cfg: SuiteConfig):
     yield morphism
     hq = hqsl2(p)
     yield from hq.checks
+    # the four laws that the transport lemma carries from H(B*) to Hq are
+    # its corollaries (see transport_action)
+    laws = {r.name: r for r in transport_corollaries(
+        [*uq.checks, morphism, *hq.transport.certificates])}
+    bad = next((c for c in hq.transport.certificates if not c.ok), None)
+    if bad is not None:
+        # no structure to read: the lines on it skip
+        why = f"needs the transported structure; {bad.name} failed"
+        for name in ("hq-lambda-power", "hq-dimension", "hq-action-table",
+                     "hq-coaction-table", "hq-factorization", "module-action",
+                     "module-algebra", "comodule-coaction",
+                     "comodule-algebra", "yd-condition",
+                     "braided-commutative"):
+            yield laws.get(name) or _skip(name, why)
+        return
     yield dim_check("hq-dimension", hq.yd.dim, 2 * p ** 3)
     yield hq_action_table_check(hq)
     yield hq_coaction_table_check(hq)
     yield hq_factorization_check(
         hq, TupleWalks("exhaustive", cfg.seed, cfg.sample_size))
     y = hq.yd
-    # In every mode but sample, the four laws that the transport lemma
-    # carries from H(B*) to Hq are its corollaries (see transport_action).
-    proved = ({} if cfg.resolved_mode == "sample" else
-              {r.name: r for r in transport_corollaries(
-                  [*uq.checks, morphism, *hq.transport.certificates])})
+    # in sample mode the four laws are walked instead
+    proved = {} if cfg.resolved_mode == "sample" else laws
 
     def law(name, walked):
         return proved[name] if proved else walked(y, walks)

@@ -1,10 +1,13 @@
-"""Check results, the runner that builds them, and the walks over basis tuples.
+"""Check results, the one case loop that builds them, and the walks over
+basis tuples.
 
-A check creates one `Check` where its work starts, counts its cases on it
-and ends with `Check.result(witness)`: the result fails exactly when a
-witness (a rendered counterexample) is given.  Results whose status does
-not follow from a witness -- skipped checks and inverted expected
-failures -- build `CheckResult` directly.
+A check states its cases as a body, which yields one value per case:
+None when it holds, else the witness (a rendered counterexample) that
+fails the check there.  `run_check` is the one case loop that counts
+them.  A generator body may `return` a witness that counts no case, as
+a certificate does; bodies compose with `yield from`, passing it on.
+Results whose status does not follow from a witness -- skipped checks
+and inverted expected failures -- build `CheckResult` directly.
 
 A check that quantifies over basis tuples takes, for each law it walks,
 a lemma walk or the run's `TupleWalks`, and asks it once for the `Walk`
@@ -15,10 +18,10 @@ fresh walk in one of `MODES`: "exhaustive" walks every index tuple in
 lexicographic order, "generators" the generator indices in the slots
 that have them and then a seeded random sample over the full basis, and
 "sample" seeded random tuples only.  A `Walk` carries the coverage label
-its tuples earn, and `Walk.failure` is the one case loop: one case per
-tuple, stopping at the first witness.  No other module draws tuples or
-spells a coverage label of its own, and only `report.py` chooses the
-walk of a law.
+its tuples earn, and `Walk.cases` is the body of its law: the prelude's
+cases, one case per tuple, then the certificate's witness, returned.
+No other module draws tuples or spells a coverage label of its own, and
+only `report.py` chooses the walk of a law.
 
 Checks of a multiplicative map phi(xy) = phi(x) phi(y) on an algebra A
 may take `lemma_walk`: `generator_pairs`, (g, j) for g over A's
@@ -50,16 +53,18 @@ import random
 import time
 import weakref
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .sparse import span_closure, veq
 
-__all__ = ["MODES", "CheckResult", "Check", "dim_check", "summarize",
+__all__ = ["MODES", "CheckResult", "run_check", "counted",
+           "certificate_check", "dim_check", "summarize",
            "invert_expected_failure", "gen_indices", "generator_pairs",
            "generation_failure", "Walk", "TupleWalks", "lemma_walk",
            "two_sided_lemma_walk", "coalgebra_closure",
            "coaction_closure", "subcoalgebra_walk", "subcomodule_walk",
-           "twist_of", "normality_failure", "factor_pair_walk"]
+           "twist_of", "normality_cases", "normality_failure",
+           "factor_pair_walk"]
 
 MODES = ("exhaustive", "generators", "sample")
 
@@ -103,32 +108,41 @@ class CheckResult(NamedTuple):
         return msg
 
 
-class Check:
-    """One running check: its name, coverage tag, case count and timer.
+def run_check(name: str, label: str, body: Iterable) -> CheckResult:
+    """The result of the check `name`, labelled `label`, on the cases that
+    `body` yields: it fails at the first witness, yielded or returned,
+    and the body is never advanced past it; `elapsed` covers the body."""
+    t0 = time.perf_counter()
+    cases, witness = 0, None
+    step = iter(body).__next__
+    try:
+        while witness is None:
+            witness = step()
+            cases += 1
+    except StopIteration as stop:
+        witness = stop.value
+    return CheckResult(name, "pass" if witness is None else "fail", label,
+                       cases, witness, time.perf_counter() - t0)
 
-    The timer starts at construction; `result` stops it.
-    """
 
-    __slots__ = ("name", "mode", "cases", "t0")
+def counted(n: int, failure: Callable[[], Optional[str]]) -> Iterator:
+    """A step that counts n >= 1 cases at once: n - 1 that hold, then the
+    witness of `failure()`, or None, on the last."""
+    yield from itertools.repeat(None, n - 1)
+    yield failure()
 
-    def __init__(self, name: str, mode: str, cases: int = 0):
-        self.name = name
-        self.mode = mode
-        self.cases = cases
-        self.t0 = time.perf_counter()
 
-    def result(self, witness: Optional[str] = None) -> CheckResult:
-        """Fail with the witness when one is given, pass otherwise."""
-        return CheckResult(self.name, "pass" if witness is None else "fail",
-                           self.mode, self.cases, witness,
-                           time.perf_counter() - self.t0)
+def certificate_check(name: str, cases: int,
+                      failure: Callable[[], Optional[str]]) -> CheckResult:
+    """A one-shot certificate, labelled "exhaustive", that counts `cases`
+    cases at once and fails with the witness of `failure()`."""
+    return run_check(name, "exhaustive", counted(cases, failure))
 
 
 def dim_check(name: str, got: int, want: int) -> CheckResult:
     """One case: a dimension `got` equals `want`."""
-    chk = Check(name, "exhaustive", cases=1)
-    return chk.result(None if got == want
-                      else f"dimension is {got}, expected {want}")
+    return certificate_check(name, 1, lambda: None if got == want else
+                             f"dimension is {got}, expected {want}")
 
 
 def summarize(results: list) -> tuple[int, int, int]:
@@ -238,13 +252,12 @@ def twist_of(alg):
     return tw
 
 
-def normality_failure(alg, chk: Optional[Check] = None) -> Optional[str]:
-    """The R-normality certificate of a twisted product `alg` = A (x)_R B
-    (`twist_of`): R(1 (x) a) = a (x) 1 for every basis vector a of A,
-    then R(b (x) 1) = 1 (x) b for every b of B, one case each on `chk`
-    when one is given, then the factor unit laws 1x = x = x1 on both
-    bases, which count no case.  The first witness, or None.  By the
-    formula they give, for f, g in A and m, n in B,
+def normality_cases(alg) -> Iterator:
+    """The body of the R-normality certificate of a twisted product `alg`
+    = A (x)_R B (`twist_of`): R(1 (x) a) = a (x) 1 for every basis vector
+    a of A, then R(b (x) 1) = 1 (x) b for every b of B, one case each,
+    then, counting no case, the factor unit laws 1x = x = x1 on both
+    bases.  By the formula they give, for f, g in A and m, n in B,
 
         (f (x) 1)(1 (x) m) = f (x) m,   (f (x) 1)(g (x) 1) = fg (x) 1,
         (1 (x) m)(1 (x) n) = 1 (x) mn,
@@ -257,15 +270,12 @@ def normality_failure(alg, chk: Optional[Check] = None) -> Optional[str]:
     A, B = tw.A, tw.B
     (ua,), (ub,) = A.unit, B.unit
     left, right = tw.factor_indices()
-    chk = chk or Check("r-normality", "exhaustive")
     for a in range(A.dim):
-        chk.cases += 1
-        if not veq(tw.r(ub, a), {left[a]: one}):
-            return f"R(1 (x) a) != a (x) 1 at a={A.space.label(a)}"
+        yield (None if veq(tw.r(ub, a), {left[a]: one})
+               else f"R(1 (x) a) != a (x) 1 at a={A.space.label(a)}")
     for b in range(B.dim):
-        chk.cases += 1
-        if not veq(tw.r(b, ua), {right[b]: one}):
-            return f"R(b (x) 1) != 1 (x) b at b={B.space.label(b)}"
+        yield (None if veq(tw.r(b, ua), {right[b]: one})
+               else f"R(b (x) 1) != 1 (x) b at b={B.space.label(b)}")
     for f in (A, B):
         for i in range(f.dim):
             e = f.basis(i)
@@ -273,24 +283,27 @@ def normality_failure(alg, chk: Optional[Check] = None) -> Optional[str]:
                     f.product(e, f.unit), e):
                 return (f"factor {f.name}: 1x = x = x1 fails at "
                         f"x={f.space.label(i)}")
-    return None
+
+
+def normality_failure(alg) -> Optional[str]:
+    """The first witness of `normality_cases(alg)`, or None."""
+    return run_check("r-normality", "exhaustive",
+                     normality_cases(alg)).witness
 
 
 class Walk:
     """The basis tuples a check walks, and the coverage label they earn.
 
-    A lemma walk covers a claim on every tuple from a few: `prelude`,
-    run before the tuples, and `certificate`, run after them, check the
-    lemma's remaining hypotheses.  `prelude(chk)` counts its own cases
-    on the running check; both return a witness or None.  The tuples are
-    consumed: a walk serves one law, and `failure` raises RuntimeError
-    when it is called again, instead of passing on no tuples.
+    A lemma walk covers a claim on every tuple from a few: `prelude`, a
+    body walked before the tuples, and `certificate`, which returns a
+    witness or None after them, check the lemma's remaining hypotheses.
+    The tuples are consumed: a walk serves one law, and `cases` raises
+    RuntimeError when it is walked again, instead of passing on no tuples.
     """
 
     __slots__ = ("label", "tuples", "prelude", "certificate", "walked")
 
-    def __init__(self, label: str, tuples: Iterable,
-                 prelude: Optional[Callable[[Check], Optional[str]]] = None,
+    def __init__(self, label: str, tuples: Iterable, prelude: Iterable = (),
                  certificate: Optional[Callable[[], Optional[str]]] = None):
         self.label = label
         self.tuples = tuples
@@ -302,24 +315,29 @@ class Walk:
         """The walk itself: a lemma walk already holds its tuples."""
         return self
 
-    def failure(self, chk: Check, case) -> Optional[str]:
-        """The first witness of the prelude, of `case(*t)` over the
-        tuples (one case each on `chk`) or of the certificate; None when
-        all of them pass."""
+    def cases(self, name: str, case: Callable[..., Optional[str]],
+              head: Iterable = ()) -> Iterator:
+        """The body of law `name` on this walk: the cases of `head`, the
+        check's own, then of the prelude, then `case(*t)` for each tuple
+        t, then the certificate's witness, returned."""
+        wit = yield from head
+        if wit is not None:
+            return wit
         if self.walked:
-            raise RuntimeError(f"the {self.label} walk of {chk.name!r} was "
+            raise RuntimeError(f"the {self.label} walk of {name!r} was "
                                "already walked; a walk serves one law")
         self.walked = True
-        if self.prelude is not None:
-            wit = self.prelude(chk)
-            if wit is not None:
-                return wit
+        wit = yield from self.prelude
+        if wit is not None:
+            return wit
         for t in self.tuples:
-            chk.cases += 1
-            wit = case(*t)
-            if wit is not None:
-                return wit
+            yield case(*t)
         return self.certificate() if self.certificate is not None else None
+
+    def check(self, name: str, case: Callable[..., Optional[str]],
+              head: Iterable = ()) -> CheckResult:
+        """`run_check` of law `name` on this walk (see `cases`)."""
+        return run_check(name, self.label, self.cases(name, case, head))
 
 
 class TupleWalks:
@@ -436,8 +454,7 @@ def subcomodule_walk(y) -> Walk:
 
 
 def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
-                     obligations: Optional[Callable[[Check],
-                                                    Optional[str]]] = None,
+                     obligations: Iterable = (),
                      certificate: Optional[Callable[[], Optional[str]]] = None
                      ) -> Walk:
     """The walk that proves a law with a bilinear defect D(x, y) on a
@@ -448,7 +465,7 @@ def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
     A (g (x) 1), X2 x X2 with y over the generators of B (1 (x) g), then,
     when `mixed`, every pair of X1 x X2, and every pair of X2 x X1.  With
     a `closure` each pair is walked as (c, x, y) for every c in it.  The
-    prelude is `normality_failure(X)` and then `obligations`; the
+    prelude is `normality_cases(X)` and then `obligations`, a body; the
     certificate is `generation_failure` of A and of B and then
     `certificate`.  X must be built by the formula (`twist_of`; nothing
     in this package calls `.set` on its `mult`), or a ValueError is
@@ -501,10 +518,10 @@ def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
         tuples = ((c, x, y) for part in parts
                   for c, (x, y) in itertools.product(closure, part))
 
-    def prelude(chk: Check) -> Optional[str]:
-        wit = normality_failure(X, chk)
-        if wit is None and obligations is not None:
-            wit = obligations(chk)
+    def prelude() -> Iterator:
+        wit = yield from normality_cases(X)
+        if wit is None:
+            wit = yield from obligations
         return wit
 
     def closed() -> Optional[str]:
@@ -513,4 +530,4 @@ def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
             wit = certificate()
         return wit
 
-    return Walk("generators", tuples, prelude=prelude, certificate=closed)
+    return Walk("generators", tuples, prelude=prelude(), certificate=closed)

@@ -29,6 +29,7 @@ structure (`taft_dual_monomial`).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .cyclo import QContext
@@ -40,8 +41,8 @@ from .hopf import (
     FiniteAlgebra, FiniteHopf, HopfPairing, check_product_rows, dual_hopf,
     pair_product, render_element, render_tensor,
 )
-from .results import (Check, CheckResult, gen_indices, generation_failure,
-                      invert_expected_failure)
+from .results import (CheckResult, certificate_check, counted, gen_indices,
+                      generation_failure, invert_expected_failure, run_check)
 from .sparse import (
     BilinearMap, ColinearMap, LazyLinearMap, LinearMap,
     SingularMapError, Space, SpanSolver, Subspace, tensor_flat,
@@ -426,13 +427,43 @@ def _vadd(a: Vec, b: Vec) -> Vec:
     return out
 
 
-def _relation_result(chk: Check, rels, renderer) -> CheckResult:
-    """rels: iterable of (label, lhs, rhs) vector pairs; renderer(v) -> str."""
+def _relations(rels, renderer):
+    """The body of a relation check: one case per (label, lhs, rhs) row of
+    `rels`, lhs = rhs; renderer(v) -> str renders a witness's sides."""
     for label, lhs, rhs in rels:
-        chk.cases += 1
-        if not veq(lhs, rhs):
-            return chk.result(f"{label}: lhs = {renderer(lhs)}, rhs = {renderer(rhs)}")
-    return chk.result()
+        yield (None if veq(lhs, rhs) else
+               f"{label}: lhs = {renderer(lhs)}, rhs = {renderer(rhs)}")
+
+
+def _relation_result(name: str, rels, renderer) -> CheckResult:
+    """The relation check `name` on the rows of `rels` (`_relations`)."""
+    return run_check(name, "exhaustive", _relations(rels, renderer))
+
+
+def _presentation_checks(prefix: str, H: FiniteHopf, rels: list,
+                         coalgebra: list, counits: list,
+                         gens: list) -> list:
+    """The lines of a presentation of H on named elements: the (label,
+    lhs, rhs) rows `rels` in H; the rows `coalgebra` in H or H (x) H, then
+    the (label, holds) counit values `counits` at once; and that `gens`
+    generate H (`_generation_failure`)."""
+    n = H.dim
+
+    def render(v: Vec) -> str:
+        return (render_tensor(H.space, H.space, v) if not v or max(v) >= n
+                else render_element(H.space, v))
+
+    def coalgebra_cases():
+        yield from _relations(coalgebra, render)
+        yield from counted(len(counits), lambda: next(
+            (lab for lab, holds in counits if not holds), None))
+
+    return [_relation_result(f"{prefix}-relations", rels,
+                             lambda v: render_element(H.space, v)),
+            run_check(f"{prefix}-coalgebra", "exhaustive",
+                      coalgebra_cases()),
+            certificate_check(f"{prefix}-generation", H.dim,
+                              partial(_generation_failure, H, gens))]
 
 
 def double_presentation_check(sys: TaftSystem,
@@ -445,9 +476,6 @@ def double_presentation_check(sys: TaftSystem,
     E, k, F, kap = g["E"], g["k"], g["F"], g["kap"]
     mul = H.product
     unit = dict(H.unit)
-    out = []
-
-    chk = Check(f"{prefix}-relations", "exhaustive")
     rels = [
         ("kE = qEk", mul(k, E), vscale(mul(E, k), ctx.q)),
         ("E^p = 0", _powers(mul, unit, E, p)[-1], {}),
@@ -462,9 +490,6 @@ def double_presentation_check(sys: TaftSystem,
          vsub(mul(E, F), mul(F, E)),
          vscale(vsub(mul(k, k), mul(kap, kap)), ctx.qdiff_inv)),
     ]
-    out.append(_relation_result(chk, rels, lambda v: render_element(H.space, v)))
-
-    chk = Check(f"{prefix}-coalgebra", "exhaustive")
     n = H.dim
     k2 = mul(k, k)
     kinv2 = _powers(mul, unit, k, 4 * p - 2)[-1]
@@ -484,32 +509,18 @@ def double_presentation_check(sys: TaftSystem,
         ("S(k) = k^(-1)", H.antipode_of(k),
          _powers(mul, unit, k, 4 * p - 1)[-1]),
     ]
-    res = _relation_result(chk, crels,
-                           lambda v: render_tensor(H.space, H.space, v)
-                           if len(v) == 0 or max(v) >= n
-                           else render_element(H.space, v))
-    if res.ok:
-        res = _counit_result(chk, [("eps(F) = 0", not H.counit_of(F)),
-                                   ("eps(kap) = 1", H.counit_of(kap) == ctx.one),
-                                   ("eps(E) = 0", not H.counit_of(E)),
-                                   ("eps(k) = 1", H.counit_of(k) == ctx.one)])
-    out.append(res)
-    out.append(_generation_result(f"{prefix}-generation", H,
-                                  [unit, E, k, F, kap]))
-    return out
+    counits = [("eps(F) = 0", not H.counit_of(F)),
+               ("eps(kap) = 1", H.counit_of(kap) == ctx.one),
+               ("eps(E) = 0", not H.counit_of(E)),
+               ("eps(k) = 1", H.counit_of(k) == ctx.one)]
+    return _presentation_checks(prefix, H, rels, crels, counits,
+                                [unit, E, k, F, kap])
 
 
-def _counit_result(chk: Check, eps: list) -> CheckResult:
-    """Extend a passed relation check by (label, holds) counit values."""
-    chk.cases += len(eps)
-    return chk.result(next((lab for lab, ok in eps if not ok), None))
-
-
-def _generation_result(name: str, H: FiniteHopf, gens: list) -> CheckResult:
-    """The given elements generate H as an algebra: they are the unit and
-    the declared generators of H, which `results.generation_failure(H)`
-    certifies."""
-    chk = Check(name, "exhaustive", cases=H.dim)
+def _generation_failure(H: FiniteHopf, gens: list) -> Optional[str]:
+    """None when the given elements generate H as an algebra: they are the
+    unit and the declared generators of H, which
+    `results.generation_failure(H)` certifies."""
     declared = [dict(H.unit)] + [dict(g) for g in H.generators or ()]
     for some, others, what in (
             (gens, declared, "is not the unit or a declared generator"),
@@ -517,8 +528,8 @@ def _generation_result(name: str, H: FiniteHopf, gens: list) -> CheckResult:
         miss = next((v for v in some if not any(veq(v, w) for w in others)),
                     None)
         if miss is not None:
-            return chk.result(f"{render_element(H.space, miss)} {what}")
-    return chk.result(generation_failure(H))
+            return f"{render_element(H.space, miss)} {what}"
+    return generation_failure(H)
 
 
 def taft_dual_check(pair: TaftPair, name: str = "taft-dual") -> "CheckResult":
@@ -528,50 +539,48 @@ def taft_dual_check(pair: TaftPair, name: str = "taft-dual") -> "CheckResult":
     B, Bd = pair.primal, pair.dual
     p = ctx.p
     order = 4 * p
-    chk = Check(name, "exhaustive", cases=Bd.dim)
-    wit = _vandermonde_failure(ctx, B.space, Bd.space,
-                               lambda i: dict(pair.to_canonical.get(i)))
-    if wit is not None:
-        return chk.result(wit)
-
     dl = Bd.space.index
     one = ctx.one
-    Fv: Vec = {dl[(1, 0)]: one}
-    kapv: Vec = {dl[(0, 1)]: one}
-    mul = Bd.product
-    unit = dict(Bd.unit)
-    rels = [
-        ("kap F = q F kap", mul(kapv, Fv), vscale(mul(Fv, kapv), ctx.q)),
-        ("F^p = 0", _powers(mul, unit, Fv, p)[-1], {}),
-        ("kap^(4p) = 1", _powers(mul, unit, kapv, order)[-1], unit),
-    ]
-    rr = _relation_result(chk, rels, lambda v: render_element(Bd.space, v))
-    if not rr.ok:
-        return rr
 
-    # F^p as a functional kills every basis monomial of B
-    Fp = _powers(mul, unit, Fv, p)[-1]
-    for b in range(B.dim):
-        chk.cases += 1
-        val = pair.pairing.pair(Fp, {b: one})
-        if val:
-            return chk.result(f"<F^p, {B.space.label(b)}> = {val} != 0")
-
-    # pairing values on the generators, against every monomial of B
-    for b, (m, nn) in enumerate(B.space.labels):
-        chk.cases += 3
+    def values(b: int, m: int, nn: int) -> Optional[str]:
+        """The pairing values of F, kap and 1 against the monomial b."""
         got = pair.pairing.pair_basis(dl[(1, 0)], b)
         want = ctx.q_pow(-nn) * ctx.qdiff_inv if m == 1 else None
         if got != want:
-            return chk.result(f"<F, {B.space.label(b)}> = {got}, expected {want}")
+            return f"<F, {B.space.label(b)}> = {got}, expected {want}"
         got = pair.pairing.pair_basis(dl[(0, 1)], b)
         want = ctx.zeta_pow(-nn) if m == 0 else None
         if got != want:
-            return chk.result(f"<kap, {B.space.label(b)}> = {got}, expected {want}")
+            return f"<kap, {B.space.label(b)}> = {got}, expected {want}"
         got = pair.pairing.pair_basis(dl[(0, 0)], b)
         if got != B.counit.get(b):
-            return chk.result(f"<1, {B.space.label(b)}> != eps({B.space.label(b)})")
-    return chk.result()
+            return f"<1, {B.space.label(b)}> != eps({B.space.label(b)})"
+        return None
+
+    def body():
+        yield from counted(Bd.dim, lambda: _vandermonde_failure(
+            ctx, B.space, Bd.space, lambda i: dict(pair.to_canonical.get(i))))
+        Fv: Vec = {dl[(1, 0)]: one}
+        kapv: Vec = {dl[(0, 1)]: one}
+        mul = Bd.product
+        unit = dict(Bd.unit)
+        yield from _relations([
+            ("kap F = q F kap", mul(kapv, Fv), vscale(mul(Fv, kapv), ctx.q)),
+            ("F^p = 0", _powers(mul, unit, Fv, p)[-1], {}),
+            ("kap^(4p) = 1", _powers(mul, unit, kapv, order)[-1], unit),
+        ], lambda v: render_element(Bd.space, v))
+
+        # F^p as a functional kills every basis monomial of B
+        Fp = _powers(mul, unit, Fv, p)[-1]
+        for b in range(B.dim):
+            val = pair.pairing.pair(Fp, {b: one})
+            yield f"<F^p, {B.space.label(b)}> = {val} != 0" if val else None
+
+        # pairing values on the generators, against every monomial of B
+        for b, (m, nn) in enumerate(B.space.labels):
+            yield from counted(3, lambda: values(b, m, nn))
+
+    return run_check(name, "exhaustive", body())
 
 
 def closed_form_check(sys: TaftSystem, walk,
@@ -608,7 +617,6 @@ def basis_change(sys: TaftSystem, prefix: str = "heis-basis") -> list:
     kapv, zv, lamv, delv = els["kap"], els["z"], els["lam"], els["del"]
     mul = A.product
     unit = dict(A.unit)
-    chk = Check(f"{prefix}-relations", "exhaustive")
     rels = [
         ("kap z = q^(-1) z kap", mul(kapv, zv), vscale(mul(zv, kapv), ctx.q_inv)),
         ("kap lam = q^(1/2) lam kap", mul(kapv, lamv),
@@ -628,7 +636,8 @@ def basis_change(sys: TaftSystem, prefix: str = "heis-basis") -> list:
         ("del z = (q - q^(-1)) 1 + q^(-2) z del", mul(delv, zv),
          _vadd(vscale(unit, ctx.qdiff), vscale(mul(zv, delv), ctx.q_pow(-2)))),
     ]
-    checks = [_relation_result(chk, rels, lambda v: render_element(A.space, v))]
+    checks = [_relation_result(f"{prefix}-relations", rels,
+                               lambda v: render_element(A.space, v))]
 
     # The 4p-th power of lam is -1, not +1: lam^2 picks up <kap, k> =
     # q^(-1/2) per step, and the accumulated half-power lands on the
@@ -636,42 +645,43 @@ def basis_change(sys: TaftSystem, prefix: str = "heis-basis") -> list:
     # unity, which the coefficient field does not contain, so the
     # naive relation is kept as an expected counterexample.
     naive = _relation_result(
-        Check(f"{prefix}-lambda-naive", "exhaustive"),
+        f"{prefix}-lambda-naive",
         [("lam^(4p) = 1", _powers(mul, unit, lamv, order)[-1], unit)],
         lambda v: render_element(A.space, v))
     checks.append(invert_expected_failure(naive, f"{prefix}-lambda-order"))
 
     # each monomial del^b z^a lam^c kap^d is a nonzero multiple of exactly
     # one smash basis vector, and the assignment is a bijection
-    chk = Check(f"{prefix}-bijective", "exhaustive")
     backward: dict = {}                  # smash index -> (b, a, c, d)
     z_pows = _powers(mul, unit, zv, p - 1)
     del_pows = _powers(mul, unit, delv, p - 1)
     lam_pows = _powers(mul, unit, lamv, order - 1)
     kap_pows = _powers(mul, unit, kapv, order - 1)
 
-    def witness() -> Optional[str]:
+    def place(mono: tuple, v: Vec) -> Optional[str]:
+        """Record v, the monomial del^b z^a lam^c kap^d of `mono`."""
+        named = "del^{} z^{} lam^{} kap^{}".format(*mono)
+        if len(v) != 1:
+            return f"{named} has {len(v)} smash terms"
+        idx, = v
+        if idx in backward:
+            return (f"{named} collides with {backward[idx]} on "
+                    f"{A.space.label(idx)}")
+        backward[idx] = mono
+        return None
+
+    def body():
         for b in range(p):
             for a in range(p):
                 dz = mul(del_pows[b], z_pows[a])
                 for c in range(order):
                     dzl = mul(dz, lam_pows[c])
                     for d in range(order):
-                        chk.cases += 1
-                        v = mul(dzl, kap_pows[d])
-                        if len(v) != 1:
-                            return (f"del^{b} z^{a} lam^{c} kap^{d} has "
-                                    f"{len(v)} smash terms")
-                        idx, = v
-                        if idx in backward:
-                            return (f"del^{b} z^{a} lam^{c} kap^{d} collides "
-                                    f"with {backward[idx]} on {A.space.label(idx)}")
-                        backward[idx] = (b, a, c, d)
+                        yield place((b, a, c, d), mul(dzl, kap_pows[d]))
         if len(backward) != A.dim:
             return f"monomials reach {len(backward)} of {A.dim} basis vectors"
-        return None
 
-    checks.append(chk.result(witness()))
+    checks.append(run_check(f"{prefix}-bijective", "exhaustive", body()))
     return checks
 
 
@@ -787,9 +797,6 @@ def uq_presentation_check(uq: UqSl2,
     mul = U.product
     unit = dict(U.unit)
     n = U.dim
-    out = []
-
-    chk = Check(f"{prefix}-relations", "exhaustive")
     rels = [
         ("K E K^(-1) = q^2 E", mul(mul(K, E), Kinv), vscale(E, ctx.q_pow(2))),
         ("K F K^(-1) = q^(-2) F", mul(mul(K, F), Kinv),
@@ -801,9 +808,6 @@ def uq_presentation_check(uq: UqSl2,
         ("K^(2p) = 1", _powers(mul, unit, K, 2 * p)[-1], unit),
         ("K K^(-1) = 1", mul(K, Kinv), unit),
     ]
-    out.append(_relation_result(chk, rels, lambda v: render_element(U.space, v)))
-
-    chk = Check(f"{prefix}-coalgebra", "exhaustive")
     crels = [
         ("Delta(E) = E (x) K + 1 (x) E", U.coproduct(E),
          _vadd(tensor_flat(E, K, n), tensor_flat(unit, E, n))),
@@ -814,18 +818,11 @@ def uq_presentation_check(uq: UqSl2,
         ("S(K) = K^(-1)", U.antipode_of(K), Kinv),
         ("S(F) = -K F", U.antipode_of(F), vscale(mul(K, F), -ctx.one)),
     ]
-    res = _relation_result(chk, crels,
-                           lambda v: render_tensor(U.space, U.space, v)
-                           if len(v) == 0 or max(v) >= n
-                           else render_element(U.space, v))
-    if res.ok:
-        res = _counit_result(chk, [("eps(E) = 0", not U.counit_of(E)),
-                                   ("eps(F) = 0", not U.counit_of(F)),
-                                   ("eps(K) = 1", U.counit_of(K) == ctx.one)])
-    out.append(res)
-    out.append(_generation_result(f"{prefix}-generation", U,
-                                  [unit, E, F, K]))
-    return out
+    counits = [("eps(E) = 0", not U.counit_of(E)),
+               ("eps(F) = 0", not U.counit_of(F)),
+               ("eps(K) = 1", U.counit_of(K) == ctx.one)]
+    return _presentation_checks(prefix, U, rels, crels, counits,
+                                [unit, E, F, K])
 
 
 # -- the 2p^3-dimensional module algebra over it ---------------------------------
@@ -848,11 +845,16 @@ class HqSl2(NamedTuple):
 
     @property
     def yd(self) -> YDModuleAlgebra:
+        """The transported structure; a RuntimeError naming the first
+        failed certificate when the transport failed."""
+        if self.transport.yd is None:
+            bad = next(c for c in self.checks if not c.ok)
+            raise RuntimeError(f"transport failed: {bad.line()}")
         return self.transport.yd
 
     @property
     def algebra(self) -> FiniteAlgebra:
-        return self.transport.yd.algebra
+        return self.yd.algebra
 
 
 _HQ_CACHE: dict = {}
@@ -860,28 +862,26 @@ _HQ_CACHE: dict = {}
 
 def hqsl2(p: int) -> HqSl2:
     """Transport the YD structure of H(B*) onto the lam-z-del truncation
-    (`hq_transport`); a RuntimeError when a certificate fails."""
+    (`hq_transport`).  Its checks are the transport's certificates, then
+    `hq-lambda-power`; when a certificate fails, the certificates alone,
+    and its `yd` raises RuntimeError."""
     if p in _HQ_CACHE:
         return _HQ_CACHE[p]
     uq = uqsl2(p)
     sys = uq.system
     ctx = sys.ctx
-    one = ctx.one
     ts = hq_transport(uq, sys.yd)
     checks = list(ts.certificates)
-    if not ts.ok:
-        bad = next(c for c in checks if not c.ok)
-        raise RuntimeError(f"transport failed: {bad.line()}")
-
-    # after the identification, lam^(2p) must equal the scalar (-1)^p i
-    half = ctx.zeta_pow(p)                       # i
-    T = ts.yd.algebra
-    lam_t = {T.space.index[(1, 0, 0)]: one}
-    chk = Check("hq-lambda-power", "exhaustive", cases=1)
-    lhs = _powers(T.product, T.unit, lam_t, 2 * p)[-1]
-    rhs = vscale(dict(T.unit), half if p % 2 == 0 else -half)
-    checks.append(chk.result(
-        None if veq(lhs, rhs) else f"lam^(2p) = {render_element(T.space, lhs)}"))
+    if ts.ok:
+        # after the identification, lam^(2p) must equal the scalar (-1)^p i
+        half = ctx.zeta_pow(p)                       # i
+        T = ts.yd.algebra
+        lam_t = {T.space.index[(1, 0, 0)]: ctx.one}
+        lhs = _powers(T.product, T.unit, lam_t, 2 * p)[-1]
+        rhs = vscale(dict(T.unit), half if p % 2 == 0 else -half)
+        checks.append(certificate_check(
+            "hq-lambda-power", 1, lambda: None if veq(lhs, rhs)
+            else f"lam^(2p) = {render_element(T.space, lhs)}"))
 
     hq = HqSl2(p, sys, uq, ts, checks)
     _HQ_CACHE[p] = hq
@@ -962,7 +962,6 @@ def hq_action_table_check(hq: HqSl2,
             return {}
         return {idx[(a, b, c)]: coeff}
 
-    chk = Check(name, "exhaustive")
     rows = []
     for n in range(2 * p):        # lam-power rows
         half_int = ctx.q_int(Fraction(n, 2))
@@ -994,7 +993,7 @@ def hq_action_table_check(hq: HqSl2,
             (f"F |> del^{n}", act.apply(uel["F"], mono(0, 0, n)),
              expect(0, 0, n + 1, -ctx.q_pow(n) * qn)),
         ]
-    return _relation_result(chk, rows, lambda v: render_element(T.space, v))
+    return _relation_result(name, rows, lambda v: render_element(T.space, v))
 
 
 def hq_coaction_table_check(hq: HqSl2,
@@ -1022,7 +1021,6 @@ def hq_coaction_table_check(hq: HqSl2,
             out[uidx[ulab] * nT + idx[tlab]] = c
         return out
 
-    chk = Check(name, "exhaustive")
     rows = []
     for n in range(2 * p):
         rows.append((f"coaction of lam^{n}",
@@ -1047,7 +1045,7 @@ def hq_coaction_table_check(hq: HqSl2,
                           (0, 0, m - s), coeff))
         rows.append((f"coaction of del^{m}",
                      coact.apply({idx[(0, 0, m)]: one}), flat(terms)))
-    return _relation_result(chk, rows,
+    return _relation_result(name, rows,
                             lambda v: render_tensor(U.space, T.space, v))
 
 
@@ -1114,29 +1112,31 @@ def cqzd_center_check(A: FiniteAlgebra,
     one = ctx.one
     zv = {A.space.index[(1, 0)]: one}
     dv = {A.space.index[(0, 1)]: one}
-    chk = Check(name, "exhaustive", cases=n)
-    solver = SpanSolver(2 * n)
-    kernel: list[Vec] = []
-    for i in range(n):
-        e = {i: one}
-        w = {}
-        for k, c in vsub(A.product(e, zv), A.product(zv, e)).items():
-            w[k] = c
-        for k, c in vsub(A.product(e, dv), A.product(dv, e)).items():
-            w[n + k] = c
-        if not solver.add(w):
-            combo = solver.solve(w) or {}
-            vec = {i: one}
-            for j, c in combo.items():
-                vadd_term(vec, j, -c)
-            kernel.append(vec)
-    ok = len(kernel) == 1 and veq(
-        vscale(kernel[0], next(iter(kernel[0].values())).inv()),
-        dict(A.unit))
-    if not ok:
-        return chk.result("center basis: "
-                          + "; ".join(render_element(A.space, v) for v in kernel))
-    return chk.result()
+
+    def failure() -> Optional[str]:
+        solver = SpanSolver(2 * n)
+        kernel: list[Vec] = []
+        for i in range(n):
+            e = {i: one}
+            w = {}
+            for k, c in vsub(A.product(e, zv), A.product(zv, e)).items():
+                w[k] = c
+            for k, c in vsub(A.product(e, dv), A.product(dv, e)).items():
+                w[n + k] = c
+            if not solver.add(w):
+                combo = solver.solve(w) or {}
+                vec = {i: one}
+                for j, c in combo.items():
+                    vadd_term(vec, j, -c)
+                kernel.append(vec)
+        if len(kernel) == 1 and veq(
+                vscale(kernel[0], next(iter(kernel[0].values())).inv()),
+                dict(A.unit)):
+            return None
+        return "center basis: " + "; ".join(render_element(A.space, v)
+                                            for v in kernel)
+
+    return certificate_check(name, n, failure)
 
 
 def hq_factorization_check(hq: HqSl2, walk,
@@ -1255,49 +1255,36 @@ def chain_heisenberg_checks(ch: HeisenbergChain,
     unit = dict(alg.unit)
     qd = ctx.qdiff
     u = ctx.q_pow(-2)
-    u_inv = ctx.q_pow(2)
-    one = ctx.one
     del_pos = [i for i in range(n) if ch.kind(i) == "del"]
     z_pos = [i for i in range(n) if ch.kind(i) == "z"]
     gens = [ch.position_element(i) for i in range(n)]
-    out = []
 
     def rend(v):
         return render_element(alg.space, v)
 
-    chk = Check(f"{prefix}-mixed", "exhaustive")
+    def straighten(kind: str, pos: list, w) -> CheckResult:
+        """x_i x_j = w x_j x_i + (1 - w) x_j^2 for j <= i of `kind`."""
+        rels = []
+        for ii, i in enumerate(pos):
+            for j in pos[:ii + 1]:
+                rhs = _vadd(vscale(mul(gens[j], gens[i]), w),
+                            vscale(mul(gens[j], gens[j]), ctx.one - w))
+                rels.append((f"{kind}_{i} {kind}_{j}", mul(gens[i], gens[j]),
+                             rhs))
+        return _relation_result(f"{prefix}-{kind}-straighten", rels, rend)
+
     rels = []
     for i in del_pos:
         for j in z_pos:
             lhs = mul(gens[i], gens[j])
             rhs = _vadd(vscale(unit, qd), vscale(mul(gens[j], gens[i]), u))
             rels.append((f"del_{i} z_{j}", lhs, rhs))
-    out.append(_relation_result(chk, rels, rend))
+    out = [_relation_result(f"{prefix}-mixed", rels, rend),
+           straighten("z", z_pos, u), straighten("del", del_pos, ctx.q_pow(2))]
 
-    chk = Check(f"{prefix}-z-straighten", "exhaustive")
-    rels = []
-    for ii, i in enumerate(z_pos):
-        for j in z_pos[:ii + 1]:
-            zj2 = mul(gens[j], gens[j])
-            rhs = _vadd(vscale(mul(gens[j], gens[i]), u),
-                        vscale(zj2, one - u))
-            rels.append((f"z_{i} z_{j}", mul(gens[i], gens[j]), rhs))
-    out.append(_relation_result(chk, rels, rend))
-
-    chk = Check(f"{prefix}-del-straighten", "exhaustive")
-    rels = []
-    for ii, i in enumerate(del_pos):
-        for j in del_pos[:ii + 1]:
-            dj2 = mul(gens[j], gens[j])
-            rhs = _vadd(vscale(mul(gens[j], gens[i]), u_inv),
-                        vscale(dj2, one - u_inv))
-            rels.append((f"del_{i} del_{j}", mul(gens[i], gens[j]), rhs))
-    out.append(_relation_result(chk, rels, rend))
-
-    chk = Check(f"{prefix}-nilpotent", "exhaustive")
     rels = [(f"({ch.kind(i)}_{i})^p = 0", _powers(mul, unit, gens[i], p)[-1],
              {}) for i in range(n)]
-    out.append(_relation_result(chk, rels, rend))
+    out.append(_relation_result(f"{prefix}-nilpotent", rels, rend))
     return out
 
 
@@ -1316,27 +1303,26 @@ def h2_matches_cqzd_check(ch: HeisenbergChain,
     Z = ch.position_element(zpos)
     D = ch.position_element(1 - zpos)
 
-    chk = Check(name, "exhaustive")
-    images = []
-    solver = SpanSolver(alg.dim)
-    for (a, b) in cq.space.labels:
-        chk.cases += 1
-        img = _powers(mul, alg.unit, Z, a)[-1]
-        img = mul(img, _powers(mul, alg.unit, D, b)[-1])
-        images.append(img)
-        if not solver.add(img):
-            return chk.result(f"image of z^{a} del^{b} is dependent")
-    for i in range(cq.dim):
-        for j in range(cq.dim):
-            chk.cases += 1
-            lhs = mul(images[i], images[j])
-            rhs: Vec = {}
-            for k, c in cq.mult.get(i, j):
-                vadd_into(rhs, images[k], c)
-            if not veq(lhs, rhs):
+    def body():
+        images = []
+        solver = SpanSolver(alg.dim)
+        for (a, b) in cq.space.labels:
+            img = _powers(mul, alg.unit, Z, a)[-1]
+            img = mul(img, _powers(mul, alg.unit, D, b)[-1])
+            images.append(img)
+            yield (None if solver.add(img)
+                   else f"image of z^{a} del^{b} is dependent")
+        for i in range(cq.dim):
+            for j in range(cq.dim):
+                lhs = mul(images[i], images[j])
+                rhs: Vec = {}
+                for k, c in cq.mult.get(i, j):
+                    vadd_into(rhs, images[k], c)
                 li, lj = cq.space.labels[i], cq.space.labels[j]
-                return chk.result(f"images of {cq.space.render(li)} and "
-                                  f"{cq.space.render(lj)} multiply to "
-                                  f"{render_element(alg.space, lhs)}, expected "
-                                  f"{render_element(alg.space, rhs)}")
-    return chk.result()
+                yield (None if veq(lhs, rhs) else
+                       f"images of {cq.space.render(li)} and "
+                       f"{cq.space.render(lj)} multiply to "
+                       f"{render_element(alg.space, lhs)}, expected "
+                       f"{render_element(alg.space, rhs)}")
+
+    return run_check(name, "exhaustive", body())

@@ -50,7 +50,8 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .hopf import FiniteAlgebra, FiniteHopf, render_element
-from .results import Check, CheckResult, Walk, generation_failure
+from .results import (CheckResult, Walk, counted, generation_failure,
+                      run_check)
 from .sparse import (BilinearMap, ColinearMap, LazyLinearMap, QuotientSpace,
                      Space, SpanSolver, Subspace, Vec, span_closure,
                      vadd_into, vadd_term, veq, vsub)
@@ -222,31 +223,26 @@ def central_hopf_ideal(H: FiniteHopf, c: Vec, name: str = "hopf-ideal"
     ideal.add_many(H.product({i: one}, c) for i in range(H.dim))
     walk = Walk("generators", ((g,) for g in H.generators),
                 certificate=partial(generation_failure, H))
-    chk = Check(name, walk.label)
 
     def commutes(g: Vec) -> Optional[str]:
         if veq(H.product(c, g), H.product(g, c)):
             return None
         return f"c does not commute with {render_element(H.space, g)}"
 
-    def failure() -> Optional[str]:
-        wit = walk.failure(chk, commutes)
+    def body():
+        wit = yield from walk.cases(name, commutes)
         if wit is not None:
             return wit
         rendered = render_element(H.space, c)
-        chk.cases += 1
-        if H.counit_of(c):
-            return f"counit does not vanish on c = {rendered}"
-        chk.cases += 1
-        if not ideal.contains(H.antipode_of(c)):
-            return f"antipode escapes on c = {rendered}"
-        chk.cases += 1
-        if _projection(QuotientSpace(H.dim, ideal), one).pairs(
-                H.coproduct(c), H.dim):
-            return f"coproduct of c = {rendered} escapes I(x)H + H(x)I"
-        return None
+        yield (f"counit does not vanish on c = {rendered}"
+               if H.counit_of(c) else None)
+        yield (None if ideal.contains(H.antipode_of(c))
+               else f"antipode escapes on c = {rendered}")
+        yield (f"coproduct of c = {rendered} escapes I(x)H + H(x)I"
+               if _projection(QuotientSpace(H.dim, ideal), one).pairs(
+                   H.coproduct(c), H.dim) else None)
 
-    return ideal, chk.result(failure())
+    return ideal, run_check(name, walk.label, body())
 
 
 class HopfQuotient:
@@ -343,20 +339,19 @@ def quotient_morphism_check(hq: HopfQuotient,
         raise ValueError(f"{name}: the quotient was not built by "
                          "hopf_quotient through this projection")
     one = H.ctx.one
-    chk = Check(name, "exhaustive", cases=1)
-    if K.dim + I.rank != H.dim:
-        return chk.result(f"dim K + dim I = {K.dim} + {I.rank}, "
-                          f"expected dim H = {H.dim}")
-    for i in range(K.dim):
-        chk.cases += 1
-        if not veq(pi(Q.section({i: one})), {i: one}):
-            return chk.result(f"pi(s(x)) != x at x={K.space.label(i)}")
-    for pivot in I.pivots:
-        chk.cases += 1
-        if pi(I.pivot_row[pivot]):
-            return chk.result(f"pi does not vanish on the row of I with "
-                              f"pivot {H.space.label(pivot)}")
-    return chk.result()
+
+    def body():
+        yield (None if K.dim + I.rank == H.dim else
+               f"dim K + dim I = {K.dim} + {I.rank}, expected dim H = {H.dim}")
+        for i in range(K.dim):
+            yield (None if veq(pi(Q.section({i: one})), {i: one})
+                   else f"pi(s(x)) != x at x={K.space.label(i)}")
+        for pivot in I.pivots:
+            yield (f"pi does not vanish on the row of I with pivot "
+                   f"{H.space.label(pivot)}" if pi(I.pivot_row[pivot])
+                   else None)
+
+    return run_check(name, "exhaustive", body())
 
 
 class SubHopf(NamedTuple):
@@ -396,33 +391,30 @@ def sub_hopf(H: FiniteHopf, indices: Sequence[int],
     idx = tuple(sorted(indices))
     pos = {amb: j for j, amb in enumerate(idx)}
     cname = name or f"sub({H.name})"
-    chk = Check(f"{cname}-closure", "exhaustive")
+    label = H.space.label
 
-    def fail(w):
-        return SubHopf(H, idx, None, chk.result(w), pos)
+    def outside(row) -> list:
+        return [k for k, _c in row if k not in pos]
 
-    for k in H.unit:
-        chk.cases += 1
-        if k not in pos:
-            return fail(f"unit has support outside the span at {H.space.label(k)}")
-    for a in idx:
-        for b in idx:
-            chk.cases += 1
-            for k, _c in H.mult.get(a, b):
-                if k not in pos:
-                    return fail(f"product {H.space.label(a)} * {H.space.label(b)} "
-                                f"escapes at {H.space.label(k)}")
-    for a in idx:
-        chk.cases += 1
-        for j, k, _c in H.comult.get(a):
-            if j not in pos or k not in pos:
-                return fail(f"coproduct of {H.space.label(a)} has a leg outside "
-                            f"the span")
-        for k, _c in H.antipode.get(a):
-            if k not in pos:
-                return fail(f"antipode of {H.space.label(a)} escapes "
-                            f"at {H.space.label(k)}")
+    def coalgebra_closed(a: int) -> Optional[str]:
+        if any(j not in pos or k not in pos for j, k, _c in H.comult.get(a)):
+            return f"coproduct of {label(a)} has a leg outside the span"
+        out = outside(H.antipode.get(a))
+        return f"antipode of {label(a)} escapes at {label(out[0])}" if out else None
 
+    def body():
+        for k in H.unit:
+            yield (None if k in pos
+                   else f"unit has support outside the span at {label(k)}")
+        for a, b in itertools.product(idx, idx):
+            out = outside(H.mult.get(a, b))
+            yield (f"product {label(a)} * {label(b)} escapes at {label(out[0])}"
+                   if out else None)
+        yield from map(coalgebra_closed, idx)
+
+    check = run_check(f"{cname}-closure", "exhaustive", body())
+    if not check.ok:
+        return SubHopf(H, idx, None, check, pos)
     one = H.ctx.one
     space = Space(cname, tuple(H.space.labels[a] for a in idx),
                   render=H.space.render)
@@ -430,7 +422,7 @@ def sub_hopf(H: FiniteHopf, indices: Sequence[int],
             else None)
     hopf = _pushforward(H, space, lambda i: {idx[i]: one},
                         _Push(lambda k: {pos[k]: one}, len(idx)), gens, cname)
-    return SubHopf(H, idx, hopf, chk.result(), pos)
+    return SubHopf(H, idx, hopf, check, pos)
 
 
 # -- transport of YD structures to subquotients -------------------------------
@@ -551,15 +543,7 @@ def transport_action(source: YDModuleAlgebra,
     k = len(sub_basis)
     certs: list[CheckResult] = []
     gens = list(target_generators) or range(k)
-    chk = Check(f"{prefix}-sub-closure",
-                "generators" if target_generators else "exhaustive", cases=k)
-
     solver = SpanSolver(X.dim)
-    bad = None
-    for i, v in enumerate(sub_basis):
-        if not solver.add(v):
-            bad = f"sub basis vector #{i} ({sub_labels[i]}) is dependent"
-            break
 
     def sub_row(i: int, j: int) -> Optional[tuple]:
         row = solver.solve(X.product(sub_basis[i], sub_basis[j]))
@@ -572,43 +556,45 @@ def transport_action(source: YDModuleAlgebra,
         return row
 
     sub_mult = BilinearMap(k, k, fn=certified_row)
-    unit_sub = None
-    if bad is None:
+    sub = None
+
+    def spanned() -> Optional[str]:
+        """None, once `sub` is the algebra on the span of sub_basis, when
+        the vectors are independent and their span holds the unit."""
+        nonlocal sub
+        for i, v in enumerate(sub_basis):
+            if not solver.add(v):
+                return f"sub basis vector #{i} ({sub_labels[i]}) is dependent"
         unit_sub = solver.solve(dict(X.unit))
         if unit_sub is None:
-            bad = "unit is outside the span"
-    if bad is None:
-        def closed(i: int, j: int) -> Optional[str]:
-            row = sub_row(i, j)
-            if row is None:
-                return (f"product ({sub_labels[i]}) * ({sub_labels[j]}) "
-                        f"escapes the span")
-            sub_mult.set(i, j, row)
-            return None
-
+            return "unit is outside the span"
         sub = FiniteAlgebra(ctx, Space(f"{prefix}-sub", sub_labels), sub_mult,
                             unit_sub, generators=[{g: one} for g in gens])
-        bad = Walk(chk.mode, itertools.product(range(k), gens),
-                   certificate=partial(generation_failure, sub)
-                   ).failure(chk, closed)
-    certs.append(chk.result(bad))
-    if bad:
+        return None
+
+    def closed(i: int, j: int) -> Optional[str]:
+        row = sub_row(i, j)
+        if row is None:
+            return (f"product ({sub_labels[i]}) * ({sub_labels[j]}) "
+                    f"escapes the span")
+        sub_mult.set(i, j, row)
+        return None
+
+    certs.append(Walk("generators" if target_generators else "exhaustive",
+                      itertools.product(range(k), gens),
+                      certificate=lambda: generation_failure(sub)).check(
+        f"{prefix}-sub-closure", closed, head=counted(k, spanned)))
+    if not certs[-1].ok:
         return TransportedStructure(certs, None)
 
     # action stability of the subalgebra under the source Hopf algebra
-    chk = Check(f"{prefix}-action-stable", "exhaustive")
     act_gens = ([dict(g) for g in H.generators] if H.generators
                 else [{i: one} for i in range(H.dim)])
-    for g in act_gens:
-        for i in range(k):
-            chk.cases += 1
-            if solver.solve(source.action.apply(g, sub_basis[i])) is None:
-                bad = f"action drives ({sub_labels[i]}) out of the span"
-                break
-        if bad:
-            break
-    certs.append(chk.result(bad))
-    if bad:
+    certs.append(run_check(f"{prefix}-action-stable", "exhaustive", (
+        None if solver.solve(source.action.apply(g, sub_basis[i])) is not None
+        else f"action drives ({sub_labels[i]}) out of the span"
+        for g in act_gens for i in range(k))))
+    if not certs[-1].ok:
         return TransportedStructure(certs, None)
 
     # the algebra ideal inside the sub, and its quotient
@@ -633,85 +619,75 @@ def transport_action(source: YDModuleAlgebra,
     # ideal stability under the action and under the coaction: the image
     # (corestrict (x) project) delta(j) must vanish -- legs that differ in
     # the source Hopf algebra may only cancel after corestriction.
-    chk = Check(f"{prefix}-ideal-stable", "exhaustive")
     stab_gens = ([dict(g) for g in action_lifts] if action_lifts is not None
                  else act_gens)
-    for jr in J.basis_rows():
-        j_X = lift_sub(jr)
-        for g in stab_gens:
-            chk.cases += 1
-            r = solver.solve(source.action.apply(g, j_X))
-            if r is None or not J.contains(r):
-                bad = "action does not preserve the ideal"
-                break
-        if bad:
-            break
-        chk.cases += 1
+
+    def coaction_vanishes(j_X: Vec) -> Optional[str]:
         acc: Vec = {}
         for h, w in _by_first(source.coaction.apply(j_X), X.dim).items():
             r = solver.solve(w)
             if r is None:
-                bad = "coaction leg escapes the span"
-                break
+                return "coaction leg escapes the span"
             xq = proj(r)
             if not xq:
                 continue
             tw = hopf_corestrict({h: one})
             if tw is None:
-                bad = ("coaction leg with support modulo the ideal is "
-                       "outside the target Hopf algebra")
-                break
+                return ("coaction leg with support modulo the ideal is "
+                        "outside the target Hopf algebra")
             for ht, cth in tw.items():
                 vadd_into(acc, xq, cth, ht * Q.dim)
-        if bad is None and acc:
-            bad = "coaction leg does not vanish modulo the ideal"
-        if bad:
-            break
-    certs.append(chk.result(bad))
+        return "coaction leg does not vanish modulo the ideal" if acc else None
+
+    def ideal_stable():
+        for jr in J.basis_rows():
+            j_X = lift_sub(jr)
+            for g in stab_gens:
+                r = solver.solve(source.action.apply(g, j_X))
+                yield (None if r is not None and J.contains(r)
+                       else "action does not preserve the ideal")
+            yield coaction_vanishes(j_X)
+
+    certs.append(run_check(f"{prefix}-ideal-stable", "exhaustive",
+                           ideal_stable()))
 
     # coaction corestriction to the target Hopf algebra
-    chk = Check(f"{prefix}-coaction-corestricts", "exhaustive")
-    bad = None
-    coact_rows: list[Optional[list]] = []
-    for i in range(k):
-        chk.cases += 1
+    coact_rows: list[list] = []
+
+    def corestricts(i: int) -> Optional[str]:
         by_sub: dict[int, Vec] = {}
         for h, w in _by_first(source.coaction.apply(sub_basis[i]),
                               X.dim).items():
             r = solver.solve(w)
             if r is None:
-                bad = f"coaction second leg of ({sub_labels[i]}) escapes the span"
-                break
+                return (f"coaction second leg of ({sub_labels[i]}) escapes "
+                        f"the span")
             for sj, c in r.items():
                 by_sub.setdefault(sj, {})[h] = c
-        if bad:
-            break
         row = []
         for sj, hw in sorted(by_sub.items()):
             tw = hopf_corestrict(hw)
             if tw is None:
-                bad = (f"coaction first leg of ({sub_labels[i]}) is outside "
-                       f"the target Hopf algebra")
-                break
+                return (f"coaction first leg of ({sub_labels[i]}) is outside "
+                        f"the target Hopf algebra")
             row.append((sj, tw))
-        if bad:
-            break
         coact_rows.append(row)
-    certs.append(chk.result(bad))
+        return None
+
+    certs.append(run_check(f"{prefix}-coaction-corestricts", "exhaustive",
+                           map(corestricts, range(k))))
 
     # descent: each declared central gamma must act as the identity
+    def fixes(gamma: Vec, v: Vec) -> bool:
+        r = solver.solve(vsub(source.action.apply(gamma, v), v))
+        return r is not None and not proj(r)
+
     for gi, gamma in enumerate(descent_central):
-        chk = Check(f"{prefix}-descent-{gi}", "exhaustive")
-        bad_g = None
-        for i in range(k):
-            chk.cases += 1
-            w = source.action.apply(gamma, sub_basis[i])
-            r = solver.solve(vsub(w, sub_basis[i]))
-            if r is None or proj(r):
-                bad_g = (f"central element #{gi} does not act as the identity "
-                         f"on ({sub_labels[i]}) modulo the ideal")
-                break
-        certs.append(chk.result(bad_g))
+        certs.append(run_check(f"{prefix}-descent-{gi}", "exhaustive", (
+            None if fixes(gamma, v) else
+            f"central element #{gi} does not act as the identity on "
+            f"({sub_labels[i]}) modulo the ideal"
+            for i, v in enumerate(sub_basis))))
 
     if not all(c.ok for c in certs):
         return TransportedStructure(certs, None)
@@ -756,12 +732,9 @@ def transport_corollaries(certificates: Sequence[CheckResult]) -> list:
     one case each: all four laws pass when every one of them passed, and
     all four fail at the first that did not, with its name and witness.
     """
-    cases, witness = 0, None
-    for cert in certificates:
-        cases += 1
-        if cert.status != "pass":
-            witness = f"rests on {cert.name} ({cert.status}): {cert.witness}"
-            break
-    return [Check(law, "generators", cases).result(witness)
+    return [run_check(law, "generators", (
+                None if cert.status == "pass"
+                else f"rests on {cert.name} ({cert.status}): {cert.witness}"
+                for cert in certificates))
             for law in ("module-action", "module-algebra", "yd-condition",
                         "braided-commutative")]

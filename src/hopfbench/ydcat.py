@@ -27,8 +27,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .hopf import FiniteAlgebra, FiniteHopf, render_element, twisted_product
-from .results import (Check, CheckResult, gen_indices,
-                      normality_failure, twist_of)
+from .results import (CheckResult, certificate_check, counted, gen_indices,
+                      normality_cases, run_check, twist_of)
 from .sparse import (LinearMap, Row, Space, Vec, colinear_apply, shared_row,
                      tensor_flat, vadd_into, vadd_outer, vadd_term, veq,
                      vscale)
@@ -227,11 +227,9 @@ def check_module(m, walk, name: str = "module-action") -> CheckResult:
     H, alg, act = m.hopf, m.algebra, m.action
     gh = gen_indices(H)
     walk = walk.over((H.dim, H.dim, alg.dim), (gh, gh, None))
-    chk = Check(name, walk.label)
-    for x in range(alg.dim):
-        chk.cases += 1
-        if not veq(act.apply(H.unit, {x: H.ctx.one}), {x: H.ctx.one}):
-            return chk.result(f"1 |> {alg.space.label(x)} != itself")
+    unit_law = (None if veq(act.apply(H.unit, {x: H.ctx.one}), {x: H.ctx.one})
+                else f"1 |> {alg.space.label(x)} != itself"
+                for x in range(alg.dim))
 
     def case(hm: int, hn: int, x: int) -> Optional[str]:
         lhs: Vec = {}
@@ -246,7 +244,7 @@ def check_module(m, walk, name: str = "module-action") -> CheckResult:
                 f"x={alg.space.label(x)}: (MN)|>x = {render_element(alg.space, lhs)} "
                 f"but M|>(N|>x) = {render_element(alg.space, rhs)}")
 
-    return chk.result(walk.failure(chk, case))
+    return walk.check(name, case, head=unit_law)
 
 
 def check_module_algebra(m, walk,
@@ -300,14 +298,11 @@ def check_module_algebra(m, walk,
     H, alg, act = m.hopf, m.algebra, m.action
     ga = gen_indices(alg)
     walk = walk.over((H.dim, alg.dim, alg.dim), (gen_indices(H), ga, ga))
-    chk = Check(name, walk.label)
     one = H.ctx.one
-    for h in range(H.dim):
-        chk.cases += 1
-        lhs = act.apply({h: one}, alg.unit)
-        eps = H.counit.get(h)
-        if not veq(lhs, vscale(alg.unit, eps)):
-            return chk.result(f"M={H.space.label(h)}: M|>1 != counit(M) 1")
+    unit_law = (None if veq(act.apply({h: one}, alg.unit),
+                            vscale(alg.unit, H.counit.get(h)))
+                else f"M={H.space.label(h)}: M|>1 != counit(M) 1"
+                for h in range(H.dim))
 
     def case(h: int, x: int, y: int) -> Optional[str]:
         lhs: Vec = {}
@@ -331,36 +326,36 @@ def check_module_algebra(m, walk,
                 f"y={alg.space.label(y)}: M|>(xy) = {render_element(alg.space, lhs)} "
                 f"but (M'|>x)(M''|>y) = {render_element(alg.space, rhs)}")
 
-    return chk.result(walk.failure(chk, case))
+    return walk.check(name, case, head=unit_law)
 
 
 def check_comodule(c, name: str = "comodule-coaction") -> CheckResult:
     """Counit law and coassociativity of the coaction (always exhaustive)."""
     H, alg, coact = c.hopf, c.algebra, c.coaction
-    chk = Check(name, "exhaustive")
     dH, dX = H.dim, alg.dim
-    for x in range(dX):
-        chk.cases += 1
-        acc: Vec = {}
-        for h, x0, cc in coact.terms(x):
-            eps = H.counit.get(h)
-            if eps is not None:
-                vadd_term(acc, x0, eps * cc)
-        if not veq(acc, {x: H.ctx.one}):
-            return chk.result(f"(counit (x) id) delta({alg.space.label(x)}) != it")
-    for x in range(dX):
-        chk.cases += 1
-        lhs: Vec = {}
-        for h, x0, cc in coact.terms(x):
-            for h1, h2, cd in H.comult.get(h):
-                vadd_term(lhs, (h1 * dH + h2) * dX + x0, cc * cd)
-        rhs: Vec = {}
-        for h, x0, cc in coact.terms(x):
-            for h2, x00, c2 in coact.terms(x0):
-                vadd_term(rhs, (h * dH + h2) * dX + x00, cc * c2)
-        if not veq(lhs, rhs):
-            return chk.result(f"coaction not coassociative at x={alg.space.label(x)}")
-    return chk.result()
+
+    def body():
+        for x in range(dX):
+            acc: Vec = {}
+            for h, x0, cc in coact.terms(x):
+                eps = H.counit.get(h)
+                if eps is not None:
+                    vadd_term(acc, x0, eps * cc)
+            yield (None if veq(acc, {x: H.ctx.one}) else
+                   f"(counit (x) id) delta({alg.space.label(x)}) != it")
+        for x in range(dX):
+            lhs: Vec = {}
+            for h, x0, cc in coact.terms(x):
+                for h1, h2, cd in H.comult.get(h):
+                    vadd_term(lhs, (h1 * dH + h2) * dX + x0, cc * cd)
+            rhs: Vec = {}
+            for h, x0, cc in coact.terms(x):
+                for h2, x00, c2 in coact.terms(x0):
+                    vadd_term(rhs, (h * dH + h2) * dX + x00, cc * c2)
+            yield (None if veq(lhs, rhs) else
+                   f"coaction not coassociative at x={alg.space.label(x)}")
+
+    return run_check(name, "exhaustive", body())
 
 
 def check_comodule_algebra(c, walk,
@@ -387,9 +382,9 @@ def check_comodule_algebra(c, walk,
     dX = alg.dim
     ga = gen_indices(alg)
     walk = walk.over((dX, dX), (ga, ga))
-    chk = Check(name, walk.label, cases=1)
-    if not veq(coact.apply(alg.unit), tensor_flat(H.unit, alg.unit, dX)):
-        return chk.result("delta(1) != 1 (x) 1")
+    unit_law = [None if veq(coact.apply(alg.unit),
+                            tensor_flat(H.unit, alg.unit, dX))
+                else "delta(1) != 1 (x) 1"]
 
     def case(x: int, y: int) -> Optional[str]:
         lhs = coact.apply(dict(alg.mult.get(x, y)))
@@ -409,7 +404,7 @@ def check_comodule_algebra(c, walk,
         return (f"x={alg.space.label(x)}, y={alg.space.label(y)}: "
                 f"delta(xy) != delta(x) delta(y)")
 
-    return chk.result(walk.failure(chk, case))
+    return walk.check(name, case, head=unit_law)
 
 
 def check_yd(y, walk, name: str = "yd-condition") -> CheckResult:
@@ -456,8 +451,6 @@ def check_yd(y, walk, name: str = "yd-condition") -> CheckResult:
     H, alg = y.hopf, y.algebra
     act, coact = y.action, y.coaction
     dH, dX = H.dim, alg.dim
-    walk = walk.over((dH, dX), (gen_indices(H), None))
-    chk = Check(name, walk.label)
 
     def case(m: int, a: int) -> Optional[str]:
         lhs: Vec = {}
@@ -489,7 +482,7 @@ def check_yd(y, walk, name: str = "yd-condition") -> CheckResult:
         return (f"M={H.space.label(m)}, A={alg.space.label(a)}: "
                 f"YD compatibility fails")
 
-    return chk.result(walk.failure(chk, case))
+    return walk.over((dH, dX), (gen_indices(H), None)).check(name, case)
 
 
 # -- the braiding ------------------------------------------------------------
@@ -571,8 +564,6 @@ def check_braided_commutative(y: YDModuleAlgebra, walk,
     alg, act, coact = y.algebra, y.action, y.coaction
     dX = alg.dim
     ga = gen_indices(alg)
-    walk = walk.over((dX, dX), (ga, ga))
-    chk = Check(name, walk.label)
 
     def case(i: int, j: int) -> Optional[str]:
         lhs = dict(alg.mult.get(i, j))
@@ -586,7 +577,7 @@ def check_braided_commutative(y: YDModuleAlgebra, walk,
                 f"{render_element(alg.space, lhs)} but braided side = "
                 f"{render_element(alg.space, rhs)}")
 
-    return chk.result(walk.failure(chk, case))
+    return walk.over((dX, dX), (ga, ga)).check(name, case)
 
 
 def check_braided_symmetric(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
@@ -596,8 +587,6 @@ def check_braided_symmetric(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
     Pointwise: (y_(-1) |> x) (x) y_(0)  =  x_(0) (x) (S^{-1}(x_(-1)) |> y).
     """
     X, Y = x_mod.algebra, y_mod.algebra
-    walk = walk.over((X.dim, Y.dim), (gen_indices(X), gen_indices(Y)))
-    chk = Check(name, walk.label)
 
     def case(i: int, j: int) -> Optional[str]:
         lhs = braiding_row(y_mod, x_mod, j, i)       # flat X (x) Y
@@ -607,7 +596,8 @@ def check_braided_symmetric(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         return (f"x={X.space.label(i)}, y={Y.space.label(j)}: "
                 f"braiding and inverse braiding disagree on y (x) x")
 
-    return chk.result(walk.failure(chk, case))
+    return walk.over((X.dim, Y.dim), (gen_indices(X), gen_indices(Y))
+                     ).check(name, case)
 
 
 def check_locked_identity(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
@@ -618,8 +608,6 @@ def check_locked_identity(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
     """
     X, Y = x_mod.algebra, y_mod.algebra
     dx, dy = X.dim, Y.dim
-    walk = walk.over((dx, dy), (gen_indices(X), gen_indices(Y)))
-    chk = Check(name, walk.label)
     one = x_mod.hopf.ctx.one
 
     def case(i: int, j: int) -> Optional[str]:
@@ -633,7 +621,8 @@ def check_locked_identity(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         return (f"x={X.space.label(i)}, y={Y.space.label(j)}: "
                 f"double braiding moves x (x) y")
 
-    return chk.result(walk.failure(chk, case))
+    return walk.over((dx, dy), (gen_indices(X), gen_indices(Y))).check(
+        name, case)
 
 
 # -- braided products --------------------------------------------------------
@@ -725,7 +714,7 @@ def chain_product(factors: Iterable[YDModuleAlgebra],
 def check_factor_embeddings(bp: BraidedProductAlgebra,
                             name: str = "factor-embedding") -> CheckResult:
     """Each factor's embedding is a unital algebra map: the R-normality
-    certificate (`results.normality_failure`) of every step, innermost
+    certificate (`results.normality_cases`) of every step, innermost
     first, on one exhaustive check; no product is read.
 
     Proof.  A step A (x)_R B has unit 1 (x) 1, and by the formula of
@@ -736,12 +725,13 @@ def check_factor_embeddings(bp: BraidedProductAlgebra,
     b -> 1 (x) b (k = 0: the identity), then a -> a (x) 1 at every later
     step; `embed` is that composite, so a unital algebra map.
     """
-    chk = Check(name, "exhaustive")
-    for k, alg in enumerate(bp.steps(), 1):
-        bad = normality_failure(alg, chk)
-        if bad:
-            return chk.result(f"step {k}: {bad}")
-    return chk.result()
+    def body():
+        for k, alg in enumerate(bp.steps(), 1):
+            step = run_check(name, "exhaustive", normality_cases(alg))
+            yield from counted(step.cases_checked, lambda: (
+                None if step.ok else f"step {k}: {step.witness}"))
+
+    return run_check(name, "exhaustive", body())
 
 
 def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
@@ -770,53 +760,39 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
     XYs = xy.yd.algebra.space
     gxy = gen_indices(xy.yd.algebra)
 
-    def bijective() -> CheckResult:
-        chk = Check(f"{prefix}-bijective", "exhaustive", cases=d)
+    def singular() -> Optional[str]:
         try:
             linear_map_inverse(phi)
         except SingularMapError:
-            return chk.result("flip map is singular")
-        return chk.result()
+            return "flip map is singular"
+        return None
 
-    def algebra_morphism() -> CheckResult:
-        walk = algebra_walk.over((d, d), (gxy, gxy))
-        chk = Check(f"{prefix}-algebra-morphism", walk.label)
+    def multiplicative(u: int, v: int) -> Optional[str]:
+        lhs = phi.apply(dict(xy.yd.algebra.mult.get(u, v)))
+        rhs = yx.yd.algebra.mult.apply(dict(phi.get(u)), dict(phi.get(v)))
+        if veq(lhs, rhs):
+            return None
+        return f"phi(uv) != phi(u)phi(v) at u={XYs.label(u)}, v={XYs.label(v)}"
 
-        def case(u: int, v: int) -> Optional[str]:
-            lhs = phi.apply(dict(xy.yd.algebra.mult.get(u, v)))
-            rhs = yx.yd.algebra.mult.apply(dict(phi.get(u)), dict(phi.get(v)))
-            if veq(lhs, rhs):
-                return None
-            return (f"phi(uv) != phi(u)phi(v) at "
-                    f"u={XYs.label(u)}, v={XYs.label(v)}")
+    def linear(h: int, u: int) -> Optional[str]:
+        lhs = phi.apply(dict(xy.yd.action.row(h, u)))
+        rhs = yx.yd.action.apply({h: H.ctx.one}, dict(phi.get(u)))
+        if veq(lhs, rhs):
+            return None
+        return f"phi not H-linear at M={H.space.label(h)}, u={XYs.label(u)}"
 
-        return chk.result(walk.failure(chk, case))
+    def colinear(u: int) -> Optional[str]:
+        lhs: Vec = {}
+        for h, u0, c in xy.yd.coaction.terms(u):
+            vadd_into(lhs, phi.get(u0), c, h * d)
+        rhs = yx.yd.coaction.apply(dict(phi.get(u)))
+        return (None if veq(lhs, rhs)
+                else f"phi not H-colinear at u={XYs.label(u)}")
 
-    def module_morphism() -> CheckResult:
-        walk = module_walk.over((H.dim, d), (gen_indices(H), gxy))
-        chk = Check(f"{prefix}-module-morphism", walk.label)
-
-        def case(h: int, u: int) -> Optional[str]:
-            lhs = phi.apply(dict(xy.yd.action.row(h, u)))
-            rhs = yx.yd.action.apply({h: H.ctx.one}, dict(phi.get(u)))
-            if veq(lhs, rhs):
-                return None
-            return (f"phi not H-linear at M={H.space.label(h)}, "
-                    f"u={XYs.label(u)}")
-
-        return chk.result(walk.failure(chk, case))
-
-    def comodule_morphism() -> CheckResult:
-        chk = Check(f"{prefix}-comodule-morphism", "exhaustive")
-        for u in range(d):
-            chk.cases += 1
-            lhs: Vec = {}
-            for h, u0, c in xy.yd.coaction.terms(u):
-                vadd_into(lhs, phi.get(u0), c, h * d)
-            rhs = yx.yd.coaction.apply(dict(phi.get(u)))
-            if not veq(lhs, rhs):
-                return chk.result(f"phi not H-colinear at u={XYs.label(u)}")
-        return chk.result()
-
-    return [bijective(), algebra_morphism(), module_morphism(),
-            comodule_morphism()]
+    return [certificate_check(f"{prefix}-bijective", d, singular),
+            algebra_walk.over((d, d), (gxy, gxy)).check(
+                f"{prefix}-algebra-morphism", multiplicative),
+            module_walk.over((H.dim, d), (gen_indices(H), gxy)).check(
+                f"{prefix}-module-morphism", linear),
+            run_check(f"{prefix}-comodule-morphism", "exhaustive",
+                      map(colinear, range(d)))]

@@ -11,6 +11,11 @@
   `mode_tag`): every check walks basis tuples through a `results.Walk`
   from `results.TupleWalks` or a lemma walk, so the case loop, the random
   draws and the coverage label live in one place.
+* Only `results.py` holds a case loop: no other module names `Check`,
+  stores to or augments a `.cases` attribute, or calls `.failure(`.
+  Every check yields its cases to `results.run_check`, which counts them
+  and stops at the first witness.  (`.result(` is not gated: a future's
+  `result()` is read in `report.py`.)
 * Only `results.py` and `report.py` name the run's tuple walks
   (`TupleWalks`, or the `tuple_walk` it replaced) or the coverage modes
   (`MODES`), and no function outside them takes a `seed`, `samples` or
@@ -26,9 +31,9 @@
   `traceback` (each is paid for by the path that uses it).
 * No module builds a label -> index map from a space's labels or scans
   them with `.index(`: `Space.index` is that map, built once per space.
-* In `mutations.py` only `run_mutation` builds a `Check`, and no fixture
-  calls `veq` or a walk's `.failure(`: a fixture corrupts an input and
-  runs the healthy checks, and holds no copy of a check body.
+* No function in `mutations.py` calls `veq`, `run_check` or a walk's
+  `.check(` or `.cases(`: a fixture corrupts an input and runs the
+  healthy checks, and holds no copy of a check body.
 * Only `hopf.twisted_product` calls `TwistedProduct(`, and no
   `FiniteAlgebra` or `FiniteHopf` call passes `factors=`: a twisted
   product's record comes from the one function that builds its product,
@@ -242,6 +247,54 @@ def test_the_raw_walk_guard_sees_a_reverted_loop():
     assert _raw_walk_uses({"results.py": reverted}) == []
 
 
+def _case_loops(modules: dict) -> list:
+    """Outside `results.py`: each reference to `Check`, as a name, an
+    attribute or an imported name, each store to or augmentation of a
+    `.cases` attribute, and each call of a `.failure` attribute."""
+    found = []
+    for mod, tree in modules.items():
+        if mod == "results.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "Check" or (
+                    isinstance(node, ast.Attribute) and node.attr == "Check"):
+                found.append((node.lineno, f"{mod}:{node.lineno} Check"))
+            elif isinstance(node, ast.ImportFrom):
+                found += [(node.lineno, f"{mod}:{node.lineno} Check")
+                          for alias in node.names if alias.name == "Check"]
+            elif (isinstance(node, ast.Attribute) and node.attr == "cases"
+                  and isinstance(node.ctx, ast.Store)):
+                found.append((node.lineno, f"{mod}:{node.lineno} .cases"))
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "failure"):
+                found.append((node.lineno, f"{mod}:{node.lineno} .failure("))
+    return [what for _, what in sorted(found)]
+
+
+def test_only_results_holds_a_case_loop():
+    assert _case_loops(_modules()) == []
+
+
+def test_the_case_loop_guard_sees_check_cases_and_failure():
+    """A check as it was, with its own counter, and the reads that stay
+    allowed: a future's result, a walk's cases and a result's count."""
+    reverted = ast.parse(
+        "from .results import Check, CheckResult, run_check\n"
+        "def law(walk, case, fut):\n"
+        "    chk = results.Check('law', walk.label)\n"
+        "    chk.cases += 1\n"
+        "    chk.cases = 2\n"
+        "    wit = walk.failure(chk, case)\n"
+        "    n = chk.cases + fut.result().cases_checked\n"
+        "    res = run_check('law', walk.label, walk.cases('law', case))\n"
+        "    return chk.result(wit)\n")
+    assert _case_loops({"ydcat.py": reverted}) == [
+        "ydcat.py:1 Check", "ydcat.py:3 Check", "ydcat.py:4 .cases",
+        "ydcat.py:5 .cases", "ydcat.py:6 .failure("]
+    assert _case_loops({"results.py": reverted}) == []
+
+
 # Names of the coverage plan's inputs, and the modules allowed to name
 # them; cli.py offers MODES as the choices of `verify --mode`.
 PLAN_NAMES = {"TupleWalks", "tuple_walk", "MODES"}
@@ -425,17 +478,17 @@ def test_the_label_guard_sees_hand_built_maps_and_scans():
 
 
 def _fixture_check_bodies(tree) -> list:
-    """In a mutations module: each call of `Check` outside `run_mutation`,
-    and each call of `veq` or `failure`, as a name or an attribute."""
+    """In a mutations module: each call of `veq` or `run_check`, as a name
+    or an attribute, and each call of a `.check` or `.cases` attribute."""
     found = []
     for top in tree.body:
         owner = getattr(top, "name", None)
         for node in ast.walk(top):
             if not isinstance(node, ast.Call):
                 continue
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in ("veq", "failure") or (name == "Check"
-                                              and owner != "run_mutation"):
+            attr = getattr(node.func, "attr", None)
+            name = getattr(node.func, "id", attr)
+            if name in ("veq", "run_check") or attr in ("check", "cases"):
                 found.append(f"{owner}:{node.lineno} {name}")
     return found
 
@@ -445,25 +498,27 @@ def test_no_fixture_holds_a_check_body():
 
 
 def test_the_fixture_guard_sees_a_copied_case_loop():
-    """The eta fixture as it was: its own Check, case loop and veq."""
+    """The eta fixture with a copy of the check body: its own case loop
+    and veq, a walk checked or walked by the fixture itself, and a
+    comparison in `run_mutation`."""
     reverted = ast.parse(
         "def _eta_swapped(p, walks):\n"
-        "    chk = Check('eta-twist-swapped', 'exhaustive')\n"
-        "    for k1 in range(d):\n"
-        "        for k2 in range(d):\n"
-        "            chk.cases += 1\n"
-        "            if not veq(acc, dict(Hd.algebra.mult.get(k1, k2))):\n"
-        "                return [chk.result('M, N: disagrees')]\n"
-        "    return [chk.result()]\n"
+        "    def body():\n"
+        "        for k1, k2 in pairs:\n"
+        "            yield None if veq(acc, row(k1, k2)) else 'M, N'\n"
+        "    return [run_check('eta-twist-swapped', 'exhaustive', body())]\n"
         "def _walked(p, walks):\n"
-        "    chk = results.Check('law', walks.label)\n"
-        "    return [chk.result(walks.failure(chk, case))]\n"
+        "    return [walks.over(dims, gens).check('law', case)]\n"
+        "def _composed(p, walk):\n"
+        "    return [results.run_check('law', walk.label,\n"
+        "                              walk.cases('law', case))]\n"
         "def run_mutation(tag, p, walks):\n"
-        "    chk = Check(f'mutation-{tag}', 'exhaustive')\n"
-        "    return chk.result(sparse.veq(a, b) and None)\n")
+        "    return CheckResult(tag, 'pass' if sparse.veq(a, b) else 'fail',\n"
+        "                       'exhaustive')\n")
     assert _fixture_check_bodies(reverted) == [
-        "_eta_swapped:2 Check", "_eta_swapped:6 veq",
-        "_walked:10 Check", "_walked:11 failure", "run_mutation:14 veq"]
+        "_eta_swapped:5 run_check", "_eta_swapped:4 veq",
+        "_walked:7 check", "_composed:9 run_check", "_composed:10 cases",
+        "run_mutation:12 veq"]
 
 
 def _twist_records(modules: dict) -> list:

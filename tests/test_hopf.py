@@ -22,7 +22,7 @@ from hopfbench.hopf import (
     tensor_flat,
 )
 from hopfbench.report import SuiteConfig, _associativity, _pairwise
-from hopfbench.results import Check, TupleWalks
+from hopfbench.results import TupleWalks
 from hopfbench.sparse import (BilinearMap, ColinearMap, LinearMap, Space,
                               vadd_into, veq)
 
@@ -129,9 +129,6 @@ def all_pass(results):
 def antipode_antimultiplicative(H, walk):
     """S(xy) = S(y) S(x) on the basis pairs of `walk`, a law that follows
     from the others and that no suite checks."""
-    walk = walk.over((H.dim, H.dim), (None, None))
-    chk = Check("antipode-antimultiplicative", walk.label)
-
     def case(i, j):
         lhs = H.antipode_of(H.product(H.basis(i), H.basis(j)))
         rhs = H.product(H.antipode_of(H.basis(j)), H.antipode_of(H.basis(i)))
@@ -139,7 +136,8 @@ def antipode_antimultiplicative(H, walk):
             return None
         return f"basis pair ({H.space.label(i)}, {H.space.label(j)})"
 
-    return chk.result(walk.failure(chk, case))
+    return walk.over((H.dim, H.dim), (None, None)).check(
+        "antipode-antimultiplicative", case)
 
 
 def axioms(H, mode="exhaustive", seed=0, samples=2000, antihom=False):

@@ -7,7 +7,8 @@ import itertools
 import pytest
 
 from hopfbench.hopf import FiniteHopf, check_hopf_axioms, render_element
-from hopfbench.results import Check, TupleWalks, generation_failure, lemma_walk
+from hopfbench.results import (TupleWalks, counted, generation_failure,
+                               lemma_walk, run_check)
 from hopfbench.sparse import (BilinearMap, ColinearMap, LazyLinearMap,
                               QuotientSpace, SpanSolver, Subspace,
                               span_closure, tensor_flat, vadd_term, veq, vsub)
@@ -38,45 +39,44 @@ def check_hopf_ideal(H, I, name="hopf-ideal"):
     lies in I (x) H + H (x) I, (pi (x) pi) Delta(r) = 0 for the
     projection pi onto H/I.
     """
-    chk = Check(name, "exhaustive")
     one = H.ctx.one
     rows = I.basis_rows()
     if H.generators and generation_failure(H) is None:
         mults = [dict(g) for g in H.generators]
     else:
         mults = [{i: one} for i in range(H.dim)]
-    for r in rows:
+
+    def multiples(r, g):
         row = render_element(H.space, r)
-        for g in mults:
-            chk.cases += 2
-            if not I.contains(H.product(g, r)):
-                return chk.result(f"left multiple escapes: row {row}")
-            if not I.contains(H.product(r, g)):
-                return chk.result(f"right multiple escapes: row {row}")
-    for r in rows:
-        chk.cases += 1
-        if H.counit_of(r):
-            return chk.result(
-                f"counit does not vanish on {render_element(H.space, r)}")
-    for r in rows:
-        chk.cases += 1
-        if not I.contains(H.antipode_of(r)):
-            return chk.result(
-                f"antipode escapes on {render_element(H.space, r)}")
-    Q = QuotientSpace(H.dim, I)
-    pi = {k: Q.project({k: one}) for k in range(H.dim)}
-    for r in rows:
-        chk.cases += 1
-        image = {}
-        for key, c in H.coproduct(r).items():
-            a, b = divmod(key, H.dim)
-            for qa, ca in pi[a].items():
-                for qb, cb in pi[b].items():
-                    vadd_term(image, qa * Q.dim + qb, c * ca * cb)
-        if image:
-            return chk.result(f"coproduct of {render_element(H.space, r)} "
-                              f"escapes I(x)H + H(x)I")
-    return chk.result()
+        if not I.contains(H.product(g, r)):
+            return f"left multiple escapes: row {row}"
+        if not I.contains(H.product(r, g)):
+            return f"right multiple escapes: row {row}"
+        return None
+
+    def body():
+        for r in rows:
+            for g in mults:
+                yield from counted(2, lambda: multiples(r, g))
+        for r in rows:
+            yield (f"counit does not vanish on {render_element(H.space, r)}"
+                   if H.counit_of(r) else None)
+        for r in rows:
+            yield (None if I.contains(H.antipode_of(r)) else
+                   f"antipode escapes on {render_element(H.space, r)}")
+        Q = QuotientSpace(H.dim, I)
+        pi = {k: Q.project({k: one}) for k in range(H.dim)}
+        for r in rows:
+            image = {}
+            for key, c in H.coproduct(r).items():
+                a, b = divmod(key, H.dim)
+                for qa, ca in pi[a].items():
+                    for qb, cb in pi[b].items():
+                        vadd_term(image, qa * Q.dim + qb, c * ca * cb)
+            yield (f"coproduct of {render_element(H.space, r)} "
+                   f"escapes I(x)H + H(x)I" if image else None)
+
+    return run_check(name, "exhaustive", body())
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from hopfbench import report as report_module
+import hopfbench.taft as taft_module
+from hopfbench.cli import main
 from hopfbench.report import SuiteConfig, run_suite
 from hopfbench.results import (CheckResult, TupleWalks,
                                invert_expected_failure, lemma_walk)
@@ -17,7 +18,7 @@ from hopfbench.taft import (basis_change, chain_heisenberg_checks, cqzd,
                             hq_factorization_check, hq_transport, hqsl2,
                             taft_system, truly_heisenberg_chain, uq_elements,
                             uq_presentation_check, uqsl2)
-from hopfbench.truncate import TransportedStructure, transport_corollaries
+from hopfbench.truncate import transport_corollaries
 from hopfbench.ydcat import (Action, check_braided_commutative,
                              check_comodule, check_comodule_algebra,
                              check_module, check_module_algebra, check_yd)
@@ -216,25 +217,39 @@ def _descent_breaking_source(uq):
         bad if (i, j) == (h, x) else y.action.row(i, j))))
 
 
-def test_a_failed_transport_certificate_fails_every_corollary(monkeypatch):
-    """`hqsl2` refuses a failed transport, so the suite is handed the
-    healthy truncation with the certificates of a transport whose source
-    action is corrupted: the four laws fail, naming the certificate."""
+def test_a_failed_transport_certificate_fails_every_corollary(monkeypatch,
+                                                              capsys):
+    """`hqsl2` on a source action corrupted by zeta keeps the failed
+    certificates as its checks: the four laws fail, naming the descent
+    certificate, the lines on the transported structure skip, the run
+    exits 1, and the structure itself is refused."""
+    transport = taft_module.hq_transport
+    monkeypatch.setattr(taft_module, "hq_transport", lambda uq, source:
+                        transport(uq, _descent_breaking_source(uq)))
+    monkeypatch.setattr(taft_module, "_HQ_CACHE", {})
     hq = hqsl2(2)
-    ts = hq_transport(hq.uq, _descent_breaking_source(hq.uq))
-    assert [c.name for c in ts.certificates if not c.ok] == [
-        "hq-transport-descent-0"]
-    certs = list(ts.certificates)
-    monkeypatch.setattr(report_module, "hqsl2", lambda p: hq._replace(
-        transport=TransportedStructure(certs, hq.yd),
-        checks=certs + hq.checks[len(certs):]))
+    assert [c.name for c in hq.checks if not c.ok] == ["hq-transport-descent-0"]
+    assert hq.checks == hq.transport.certificates
+    with pytest.raises(RuntimeError, match="transport failed: FAIL  "
+                                           "hq-transport-descent-0"):
+        hq.yd
     rep = run_suite(SuiteConfig(p=2, suite="truncations"))
-    lines = _truncation_lines(rep)
-    assert sorted(lines) == sorted(COROLLARIES)
-    for r in lines.values():
+    lines = {r.name.split(".")[1]: r for r in rep.results}
+    for name in COROLLARIES:
+        r = lines[name]
         assert (r.status, r.mode) == ("fail", "generators")
         assert r.witness.startswith("rests on hq-transport-descent-0 (fail): "
                                     "central element #0 does not act")
+    skipped = {name: r.mode for name, r in lines.items()
+               if r.status == "skipped"}
+    assert skipped == dict.fromkeys(
+        ("hq-lambda-power", "hq-dimension", "hq-action-table",
+         "hq-coaction-table", "hq-factorization", "comodule-coaction",
+         "comodule-algebra"),
+        "needs the transported structure; hq-transport-descent-0 failed")
+    assert main(["verify", "--p", "2", "--suite", "truncations"]) == 1
+    assert main(["export", "--p", "2", "hqsl2"]) == 3
+    assert "hq-transport-descent-0" in capsys.readouterr().err
 
 
 def test_hq_relations():

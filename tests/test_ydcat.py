@@ -8,7 +8,7 @@ import pytest
 
 from hopfbench.doubles import factor_structures, heisenberg_chain
 from hopfbench.hopf import FiniteAlgebra, check_product_rows, twisted_product
-from hopfbench.results import Check, TupleWalks, gen_indices, lemma_walk
+from hopfbench.results import TupleWalks, gen_indices, lemma_walk
 from hopfbench.sparse import (BilinearMap, tensor_flat, vadd_into, vadd_term,
                               veq)
 from hopfbench.taft import taft_system, truly_heisenberg_chain
@@ -118,7 +118,6 @@ def yang_baxter_check(v_mod, walk):
     n = v_mod.algebra.dim
     gv = gen_indices(v_mod.algebra)
     walk = walk.over((n, n, n), (gv, gv, gv))
-    chk = Check("braid-relation", walk.label)
     n2 = n * n
     one = v_mod.hopf.ctx.one
     cache = {}
@@ -154,7 +153,7 @@ def yang_baxter_check(v_mod, walk):
         return (f"braid relation fails at ({sp.label(i)}, "
                 f"{sp.label(j)}, {sp.label(k)})")
 
-    return chk.result(walk.failure(chk, case))
+    return walk.check("braid-relation", case)
 
 
 def test_yang_baxter(sys2):
