@@ -930,7 +930,7 @@ def console_main() -> NoReturn:
     process with os._exit.  That skips the interpreter's teardown, which
     frees every memo row and module one by one, and with it every atexit
     hook: to run those (say coverage's), call main() in process.  main()
-    leaves no suite worker running (report._pool_map joins them all).
+    leaves no suite worker running (report._pool_map reaps them all).
     If a flush fails, the normal exit reports it.
     """
     try:

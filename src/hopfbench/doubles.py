@@ -58,8 +58,8 @@ from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing,
 from .results import (CheckResult, Walk, certificate_check,
                       coalgebra_closure, counted, factor_pair_walk,
                       gen_indices, generation_failure,
-                      invert_expected_failure, normality_cases, run_check,
-                      twist_of)
+                      invert_expected_failure, normality_cases, obligation,
+                      run_check, twist_of, twisting_cases)
 from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Row, Space, Vec,
                      linear_map_inverse, shared_row, tensor_flat, vadd_into,
                      vadd_outer, vadd_term, veq)
@@ -77,6 +77,7 @@ __all__ = [
     "to_show_action_check",
     "module_factor_walk",
     "module_algebra_factor_walk",
+    "comodule_algebra_factor_walk",
     "check_double_identity",
     "yd_structure",
     "factor_structures",
@@ -578,20 +579,28 @@ def _require_factored(D: DrinfeldDouble, act) -> None:
 def _factored_obligations(D: DrinfeldDouble, act: FactoredAction):
     """The body of the two facts that make the rows of `act` rho =
     (s1 (x) s2) Delta_D, with s1 = adF(f) hit(m) acting on B* and s2 =
-    rhit(f) ad(m) on B, one case each:
+    rhit(f) ad(m) on B, one case each, each an `results.obligation`:
 
     * the leg unit facts ad(m) 1 = eps(m) 1 and rhit(f) 1 = eps(f) 1 in
       B, and hit(m) eps = eps(m) eps and adF(f) eps = eps(f) eps in B*,
-      for every basis m of B and f of B*;
+      for every basis m of B and f of B*, on `act`;
     * D's coproduct table is the tensor coalgebra of B*cop and B,
       Delta(f (x) m) = sum (f'' (x) m') (x) (f' (x) m''), on every basis
-      vector.
+      vector (`_tensor_coalgebra_cases`), on D's algebra.
 
     By the first, rho(f (x) m)(alpha (x) 1) = s1(f (x) m) alpha (x) 1 and
     rho(f (x) m)(1 (x) a) = 1 (x) s2(f (x) m) a (with the counit laws of B
     and B*), since rho(f (x) m) = dual_row(f) prim_row(m) =
     sum adF(f'') hit(m') (x) rhit(f') ad(m''); by the second that sum is
     (s1 (x) s2) Delta_D(f (x) m)."""
+    wit = yield from obligation("leg-units", act,
+                                partial(_leg_unit_cases, D, act))
+    if wit is None:
+        wit = yield from _tensor_coalgebra(D)
+    return wit
+
+
+def _leg_unit_cases(D: DrinfeldDouble, act: FactoredAction):
     base, dual = D.base, D.dual
     (ub,), (uf,) = base.unit, dual.unit
     for name, leg, A, u, V in (("ad", act.ad, base, ub, base),
@@ -603,6 +612,17 @@ def _factored_obligations(D: DrinfeldDouble, act: FactoredAction):
             yield (None if veq(dict(leg(i, u)), {u: eps} if eps else {})
                    else f"leg {name}: {name}(x) 1 != eps(x) 1 at "
                         f"x={A.space.label(i)}")
+
+
+def _tensor_coalgebra(D: DrinfeldDouble):
+    """The obligation that D's coproduct table is the tensor coalgebra of
+    B*cop and B, one case per basis vector."""
+    return obligation("tensor-coalgebra", D.hopf,
+                      partial(_tensor_coalgebra_cases, D))
+
+
+def _tensor_coalgebra_cases(D: DrinfeldDouble):
+    base, dual = D.base, D.dual
     H, nB, d = D.hopf, base.dim, D.dim
     for key in range(d):
         f, b = divmod(key, nB)
@@ -633,7 +653,7 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     first failure:
 
     1. the unit law 1 |> x = x, for every x;
-    2. (prelude) `results.normality_cases` of D, which gives
+    2. (prelude) `results.normality_cases` of D, an obligation, which gives
        (f (x) 1)(1 (x) m) = f (x) m, (f (x) 1)(g (x) 1) = fg (x) 1 and
        (1 (x) m)(1 (x) n) = 1 (x) mn: D is built by the formula from a
        normal R;
@@ -751,7 +771,8 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
     in_closure = set(closure)
 
     def products():
-        wit = yield from normality_cases(D.hopf)
+        wit = yield from obligation("r-normality", D.hopf,
+                                    partial(normality_cases, D.hopf))
         if wit is not None:
             return wit
         for unit, row, factor in ((ub, act.prim_row, "B"),
@@ -803,19 +824,72 @@ def module_algebra_factor_walk(D: DrinfeldDouble,
                            = (c' |> (alpha (x) 1))(c'' |> (1 (x) a)).
 
     So the action must be a leg-defined `FactoredAction` of `D.hopf`,
-    as for `module_factor_walk`, or a ValueError is raised.  The walk
+    as for `module_factor_walk`, or a ValueError is raised.  Step D of
+    the lemma reads associativity on g v w and on the products of
+    c |> g, c |> v and c |> w, for g and v in X2: c |> X2 lies in X2 by
+    the obligations, so `results.twisting_cases(X)` proves it.  The walk
     proves the law on C (see `factor_pair_walk`); the second step of
     `ydcat.check_module_algebra` carries it to all of D with D's
     certificate.  The hypotheses are `hopf-axioms.hdouble-mult-
-    associativity`, `ddouble-comult-coassociativity`,
-    `ddouble-comult-counit-unital`, `ddouble-comult-multiplicative`,
-    `taft-counit-laws`, `taft-dual-counit-laws` and `yd.module-action`.
+    associativity`, `taft-mult-associativity`,
+    `ddouble-comult-coassociativity`, `ddouble-comult-counit-unital`,
+    `ddouble-comult-multiplicative`, `taft-counit-laws`,
+    `taft-dual-counit-laws` and `yd.module-action`.
     """
     _require_factored(D, act)
     return factor_pair_walk(act.algebra, closure=coalgebra_closure(D.hopf),
                             mixed=False,
                             obligations=_factored_obligations(D, act),
                             certificate=partial(generation_failure, D.hopf))
+
+
+def comodule_algebra_factor_walk(D: DrinfeldDouble, y) -> Walk:
+    """The walk on which `ydcat.check_comodule_algebra` proves the
+    comodule-algebra law of y, a D(B)-comodule algebra on X = H(B*):
+    `results.factor_pair_walk` on X, with its obligations the normality
+    of D's R, D's tensor coalgebra (`_tensor_coalgebra`) and
+    `results.twisting_cases(D)`.  y must coact by D's own algebra, and
+    X's factors must be D's, B* and B, or a ValueError is raised.
+
+    When y's coaction is D's coproduct by definition -- a `Coaction`
+    whose rows are read from `D.hopf.comult`, as `yd_structure` makes it
+    -- the walk leaves out the X1 x X2 pairs.  With Delta(1) = 1 (x) 1 in
+    B and in B*, the normality of both R and the tensor coalgebra,
+
+        delta((alpha (x) 1)(1 (x) a)) = Delta_D(alpha (x) a)
+            = sum (alpha'' (x) a') (x) (alpha' (x) a'')
+            = sum (alpha'' (x) 1)(1 (x) a') (x) (alpha' (x) 1)(1 (x) a'')
+            = delta(alpha (x) 1) delta(1 (x) a).
+
+    Step D of the lemma then reads associativity on delta(g) delta(v)
+    delta(w) and g v w for g and v in X2, and delta(X2) lies in
+    (1 (x) B) (x) X2: `results.twisting_cases` of D and of X prove it.
+    Any other coaction walks the X1 x X2 pairs, and step D rests on the
+    hypotheses.  They are `hopf-axioms.ddouble-mult-associativity` and
+    `hdouble-mult-associativity` (D (x) X and X associative),
+    `taft-mult-associativity`, and `taft-comult-multiplicative` and
+    `taft-dual-comult-multiplicative` (Delta(1) = 1 (x) 1).
+    """
+    X, coaction, H = y.algebra, y.coaction, D.hopf
+    tw = twist_of(X)
+    if y.hopf is not H:
+        raise ValueError("the comodule factor walk needs a coaction of D's "
+                         "own algebra")
+    if tw.A is not D.dual or tw.B is not D.base:
+        raise ValueError(f"{X.name} is not a twisted product of D's factors")
+
+    def obligations():
+        wit = yield from obligation("r-normality", H,
+                                    partial(normality_cases, H))
+        if wit is None:
+            wit = yield from _tensor_coalgebra(D)
+        if wit is None:
+            wit = yield from obligation("twisting", H,
+                                        partial(twisting_cases, H))
+        return wit
+
+    coproduct = type(coaction) is Coaction and coaction._fn == H.comult.get
+    return factor_pair_walk(X, mixed=not coproduct, obligations=obligations())
 
 
 def check_double_identity(D: DrinfeldDouble,

@@ -26,7 +26,7 @@ from .sparse import (
 
 __all__ = [
     "FiniteHopf", "FiniteAlgebra", "check_hopf_axioms",
-    "check_algebra_axioms", "check_product_rows",
+    "check_algebra_axioms", "check_product_rows", "product_row_case",
     "dual_hopf",
     "HopfPairing", "check_hopf_pairing", "render_element",
     "pair_product", "triple_product", "TwistedProduct", "twisted_product",
@@ -312,11 +312,10 @@ def check_algebra_axioms(A, associativity) -> list:
             run_check("mult-unit", "exhaustive", _unit_cases(A))]
 
 
-def check_product_rows(name: str, A, row, walk, gen_sets) -> CheckResult:
-    """A's product agrees with another product on A's basis:
-    A.mult(e_i, e_j) = row(i, j), a vector on A's basis, on the pairs
-    (i, j) of `walk`, with `gen_sets` heading its two slots.  The witness
-    renders both sides."""
+def product_row_case(A, row) -> Callable[[int, int], Optional[str]]:
+    """The case (i, j) of A's product agreeing with another product on
+    A's basis: A.mult(e_i, e_j) = row(i, j), a vector on A's basis.  The
+    witness renders both sides."""
     def case(i: int, j: int) -> Optional[str]:
         got = dict(A.mult.get(i, j))
         want = row(i, j)
@@ -326,7 +325,14 @@ def check_product_rows(name: str, A, row, walk, gen_sets) -> CheckResult:
                 f"differ: {render_element(A.space, got)} vs "
                 f"{render_element(A.space, want)}")
 
-    return walk.over((A.dim, A.dim), gen_sets).check(name, case)
+    return case
+
+
+def check_product_rows(name: str, A, row, walk, gen_sets) -> CheckResult:
+    """`product_row_case(A, row)` on the pairs (i, j) of `walk`, with
+    `gen_sets` heading its two slots."""
+    return walk.over((A.dim, A.dim), gen_sets).check(
+        name, product_row_case(A, row))
 
 
 def check_same_twist(X, Y, name: str) -> CheckResult:

@@ -19,14 +19,15 @@ from typing import NamedTuple, Optional, Sequence, Union
 from . import __version__
 from .doubles import (FactoredAction, chain_relations_check,
                       check_double_identity, check_quantum_comm_remarks,
-                      check_quasitriangular, eta_twist_product,
-                      heisenberg_chain, module_algebra_factor_walk,
-                      module_factor_walk, to_show_action_check)
+                      check_quasitriangular, comodule_algebra_factor_walk,
+                      eta_twist_product, heisenberg_chain,
+                      module_algebra_factor_walk, module_factor_walk,
+                      to_show_action_check)
 from .hopf import check_algebra_axioms, check_hopf_axioms, check_same_twist
 from .results import (MODES, CheckResult, TupleWalks, dim_check,
-                      factor_pair_walk, invert_expected_failure, lemma_walk,
-                      subcoalgebra_walk, subcomodule_walk, summarize,
-                      two_sided_lemma_walk)
+                      invert_expected_failure, lemma_walk,
+                      obligations_once, subcoalgebra_walk, subcomodule_walk,
+                      summarize, two_sided_lemma_walk)
 from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
                    cqzd, cqzd_center_check, double_presentation_check,
                    h2_matches_cqzd_check, hq_action_table_check,
@@ -311,7 +312,7 @@ def _suite_yd(cfg: SuiteConfig):
         if proofs else walks)
     yield check_comodule(y)
     yield check_comodule_algebra(
-        y, factor_pair_walk(y.algebra) if proofs else walks)
+        y, comodule_algebra_factor_walk(sys.double, y) if proofs else walks)
     yield check_yd(y, subcoalgebra_walk(y.hopf, y.algebra, 2)
                    if proofs else walks)
     yield check_braided_commutative(
@@ -379,6 +380,20 @@ def _suite_truncations(cfg: SuiteConfig):
     walks = _walks(cfg)
     uq = uqsl2(p)
     yield from uq.checks
+    if uq.hopf is None:
+        # no u_q(sl_2) to read: the four laws fail as corollaries of its
+        # certificates, and the lines on it skip
+        bad = next(c for c in uq.checks if not c.ok)
+        why = f"needs u_q(sl_2); {bad.name} failed"
+        yield quotient_morphism_check(uq.hq)
+        yield from transport_corollaries(uq.checks)
+        for name in ("uq-presentation-relations", "uq-presentation-coalgebra",
+                     "uq-presentation-generation", "uq-dimension",
+                     "hq-lambda-power", "hq-dimension", "hq-action-table",
+                     "hq-coaction-table", "hq-factorization",
+                     "comodule-coaction", "comodule-algebra"):
+            yield _skip(name, why)
+        return
     yield from uq_presentation_check(uq)
     yield dim_check("uq-dimension", uq.hopf.dim, 2 * p ** 3)
     morphism = quotient_morphism_check(uq.hq)
@@ -403,8 +418,7 @@ def _suite_truncations(cfg: SuiteConfig):
     yield dim_check("hq-dimension", hq.yd.dim, 2 * p ** 3)
     yield hq_action_table_check(hq)
     yield hq_coaction_table_check(hq)
-    yield hq_factorization_check(
-        hq, TupleWalks("exhaustive", cfg.seed, cfg.sample_size))
+    yield hq_factorization_check(hq, lemma_walk(hq.algebra))
     y = hq.yd
     # in sample mode the four laws are walked instead
     proved = {} if cfg.resolved_mode == "sample" else laws
@@ -446,44 +460,126 @@ DEFAULT_SUITES = tuple(s for s in SUITE_NAMES if s != "mutations")
 
 
 def _run_one(config: SuiteConfig, suite: str) -> list:
-    """One suite's results; with fail_fast, up to its first failure."""
+    """One suite's results; with fail_fast, up to its first failure.  The
+    obligations that its walks share run once in it (`obligations_once`),
+    and the suite's report does not depend on what ran before it."""
     out = []
-    for r in _SUITES[suite](config):
-        out.append(r)
-        if config.fail_fast and r.status == "fail":
-            break
+    with obligations_once():
+        for r in _SUITES[suite](config):
+            out.append(r)
+            if config.fail_fast and r.status == "fail":
+                break
     return out
 
 
+class BrokenProcessPool(RuntimeError):
+    """A suite worker ended without sending its results: it was killed by
+    a signal, or it exited early."""
+
+
+class _RemoteTraceback(Exception):
+    """The traceback of an exception raised in a suite worker, as text."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _work(run, suite: str, out: int) -> int:
+    """In a forked worker: `run(suite)`, or the exception it raised with
+    its traceback, pickled onto the pipe `out`; the worker's exit code."""
+    import pickle
+    try:
+        payload, code = (True, run(suite)), 0
+    except BaseException as exc:            # sent to the parent to raise
+        import traceback
+        payload, code = (False, exc, traceback.format_exc()), 1
+    try:
+        data = pickle.dumps(payload)
+    except Exception as exc:                # a payload that won't pickle
+        data, code = pickle.dumps((False, RuntimeError(
+            f"a suite worker could not send its payload: {exc!r}"), "")), 1
+    view = memoryview(data)
+    while view:
+        view = view[os.write(out, view):]
+    return code
+
+
 def _pool_map(run, suites: tuple, workers: int, p: int) -> list:
-    """`list(map(run, suites))` in forked workers.
+    """`list(map(run, suites))` in at most `workers` forked workers, one
+    suite each, whose results come back pickled over a pipe.
 
     The cached taft_system is built first, so that every worker inherits
     it instead of building its own.  Forking is safe here: hopfbench
-    starts no thread, and a fork-context pool starts all its workers
-    before its own manager thread.
+    starts no thread.
 
-    The first exception from any suite terminates every worker (hopfbench
-    starts no other child process) and is raised again at once, instead
-    of after the suites still running have finished.  Either way every
-    worker has been joined when this returns or raises: the console entry
-    ends the process with os._exit, which runs no atexit hook to reap it.
+    The first exception from any suite, and a worker that ends without
+    its results (BrokenProcessPool), kill every other worker and are
+    raised at once, instead of after the suites still running have
+    finished.  Either way every worker has been reaped when this returns
+    or raises: the console entry ends the process with os._exit, which
+    runs no atexit hook to reap it.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    import pickle
+    import selectors
+    import signal
 
     taft_system(p)
-    with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")) as ex:
-        futures = [ex.submit(run, suite) for suite in suites]
+    out = [None] * len(suites)
+    todo = list(enumerate(suites))
+    running = {}                            # pipe fd -> (pid, index, chunks)
+    with selectors.DefaultSelector() as sel:
         try:
-            for fut in as_completed(futures):
-                fut.result()
+            while todo or running:
+                while todo and len(running) < workers:
+                    i, suite = todo.pop(0)
+                    rfd, wfd = os.pipe()
+                    try:
+                        pid = os.fork()
+                    except BaseException:
+                        os.close(rfd)
+                        os.close(wfd)
+                        raise
+                    if pid == 0:            # the worker: never returns
+                        code = 1
+                        try:
+                            os.close(rfd)
+                            code = _work(run, suite, wfd)
+                        finally:
+                            os._exit(code)
+                    os.close(wfd)
+                    running[rfd] = (pid, i, [])
+                    sel.register(rfd, selectors.EVENT_READ)
+                for key, _ in sel.select():
+                    fd = key.fd
+                    pid, i, chunks = running[fd]
+                    chunk = os.read(fd, 1 << 16)
+                    if chunk:
+                        chunks.append(chunk)
+                        continue
+                    sel.unregister(fd)
+                    os.close(fd)
+                    del running[fd]
+                    _, status = os.waitpid(pid, 0)
+                    try:
+                        ok, *got = pickle.loads(b"".join(chunks))
+                    except Exception:
+                        how = (f"killed by signal {os.WTERMSIG(status)}"
+                               if os.WIFSIGNALED(status) else "exit code "
+                               f"{os.waitstatus_to_exitcode(status)}")
+                        raise BrokenProcessPool(
+                            f"the worker of suite {suites[i]!r} ended "
+                            f"without its results ({how})") from None
+                    if not ok:
+                        exc, text = got
+                        raise exc from _RemoteTraceback(text)
+                    out[i] = got[0]
         except BaseException:
-            for child in multiprocessing.active_children():
-                child.terminate()
+            for fd, (pid, _, _) in running.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(fd)
             raise
-        return [fut.result() for fut in futures]
+    return out
 
 
 def run_suite(config: SuiteConfig) -> VerificationReport:
@@ -495,8 +591,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     tagged name are an engine error (RuntimeError), not a silent drop.
 
     Two or more suites on two or more usable CPUs run side by side in
-    forked workers, one suite per task, unless fail_fast is set; the
-    report is the same either way.
+    forked workers (`_pool_map`), one suite each, unless fail_fast is
+    set; the report is the same either way.
     """
     config.validate()
     suites = config.selected()

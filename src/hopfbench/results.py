@@ -44,6 +44,11 @@ X = A (x)_R B (`hopf.twisted_product`) may take `factor_pair_walk`,
 which walks them on the two tensor factors X1 = A (x) 1 and X2 = 1 (x) B
 instead of on generators against the whole basis; it states the lemma.
 It reads R from X's record (`twist_of`), not the products from X's table.
+
+A fact that the walks of several laws rest on, such as the normality or
+the twisting identity of an R (`normality_cases`, `twisting_cases`), is
+an `obligation` of the structure it is about: inside `obligations_once`
+it runs once, and a later walk replays its witness and counts no case.
 """
 
 from __future__ import annotations
@@ -52,10 +57,11 @@ import itertools
 import random
 import time
 import weakref
+from contextlib import contextmanager
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .sparse import span_closure, veq
+from .sparse import Vec, span_closure, vadd_term, veq
 
 __all__ = ["MODES", "CheckResult", "run_check", "counted",
            "certificate_check", "dim_check", "summarize",
@@ -64,6 +70,7 @@ __all__ = ["MODES", "CheckResult", "run_check", "counted",
            "two_sided_lemma_walk", "coalgebra_closure",
            "coaction_closure", "subcoalgebra_walk", "subcomodule_walk",
            "twist_of", "normality_cases", "normality_failure",
+           "twisting_cases", "obligations_once", "obligation",
            "factor_pair_walk"]
 
 MODES = ("exhaustive", "generators", "sample")
@@ -291,6 +298,98 @@ def normality_failure(alg) -> Optional[str]:
                      normality_cases(alg)).witness
 
 
+def twisting_cases(alg) -> Iterator:
+    """The body of the twisting-identity certificate of a twisted product
+    `alg` = A (x)_R B (`twist_of`), the first identity of Cap, Schichl
+    and Vanzura (Comm. Algebra 23, 1995),
+
+        R(b1 b2 (x) a) = (A (x) m_B)(R (x) B)(b1 (x) R(b2 (x) a)),
+
+    one case for each b1 over the declared generator indices of B, b2
+    over B's basis and a over A's, then, counting no case, B's
+    generation certificate.
+
+    The lemma.  T = {b1 : the identity holds for every b2 and a} is a
+    subspace.  It holds 1, since R(1 (x) a) = a (x) 1 (`normality_cases`)
+    and 1 is B's unit.  It is closed under products when B is
+    associative: for b1, c in T, write R(b2 (x) a) = sum a' (x) b' and
+    R(c (x) a') = sum a'' (x) b''; then
+
+        R(b1 c b2 (x) a) = (A (x) m_B)(R (x) B)(b1 (x) R(c b2 (x) a))
+                         = sum R(b1 (x) a'') (b'' b')
+                         = sum R(b1 c (x) a') b',
+
+    reading the identity for b1 at (c b2, a), for c at (b2, a), and for
+    b1 at (c, a').  The walk puts the generators in T, and the
+    certificate makes T all of B.  By the product formula of
+    `hopf.twisted_product` the identity is associativity on the triples
+    (1 (x) b1)(1 (x) b2)(a (x) b): the factor walks read it so
+    (`factor_pair_walk`).  The hypotheses are R's normality and the
+    associativity of B.
+    """
+    tw = twist_of(alg)
+    A, B = tw.A, tw.B
+    nB, r_row, get = B.dim, tw.r_row, B.mult.get
+    for g, b, a in itertools.product(_generators(B), range(nB),
+                                     range(A.dim)):
+        lhs: Vec = {}
+        for k, c in get(g, b):
+            for a1, b1, c1 in r_row(k, a):
+                vadd_term(lhs, a1 * nB + b1, c * c1)
+        rhs: Vec = {}
+        for a1, b1, c1 in r_row(b, a):
+            for a2, b2, c2 in r_row(g, a1):
+                c12 = c1 * c2
+                for k, c in get(b2, b1):
+                    vadd_term(rhs, a2 * nB + k, c12 * c)
+        yield (None if veq(lhs, rhs) else
+               f"R(b1 b2 (x) a) != (A (x) m)(R (x) B)(b1 (x) R(b2 (x) a)) "
+               f"at b1={B.space.label(g)}, b2={B.space.label(b)}, "
+               f"a={A.space.label(a)}")
+    wit = generation_failure(B)
+    return None if wit is None else f"factor {B.name}: {wit}"
+
+
+# while `obligations_once` is active: structure object -> {name: witness}
+_replays: Optional[weakref.WeakKeyDictionary] = None
+
+
+@contextmanager
+def obligations_once():
+    """Inside the block each `obligation` runs once per structure object;
+    `report` runs each suite inside one.  Outside, every obligation runs
+    each time it is walked, so a check run on its own counts the same
+    cases whatever ran before it in the process."""
+    global _replays
+    outer, _replays = _replays, weakref.WeakKeyDictionary()
+    try:
+        yield
+    finally:
+        _replays = outer
+
+
+def obligation(name: str, obj, make: Callable[[], Iterable]) -> Iterator:
+    """The body `make()` of the obligation `name` on the structure `obj`,
+    a fact that several laws' walks rest on.  Inside `obligations_once`
+    its first walk on `obj` runs it and keeps its witness; a later walk
+    replays it: it returns that witness and counts no case, so a failed
+    obligation fails every law that rests on it."""
+    memo = {} if _replays is None else _replays.setdefault(obj, {})
+    if name in memo:
+        return memo[name]
+    step = iter(make()).__next__
+    wit = None
+    try:
+        while wit is None:
+            wit = step()
+            if wit is not None:
+                memo[name] = wit
+            yield wit
+    except StopIteration as stop:
+        wit = memo[name] = stop.value
+    return wit
+
+
 class Walk:
     """The basis tuples a check walks, and the coverage label they earn.
 
@@ -463,13 +562,14 @@ def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
 
     Its pairs (x, y), in order, are X1 x X1 with x over the generators of
     A (g (x) 1), X2 x X2 with y over the generators of B (1 (x) g), then,
-    when `mixed`, every pair of X1 x X2, and every pair of X2 x X1.  With
-    a `closure` each pair is walked as (c, x, y) for every c in it.  The
-    prelude is `normality_cases(X)` and then `obligations`, a body; the
-    certificate is `generation_failure` of A and of B and then
-    `certificate`.  X must be built by the formula (`twist_of`; nothing
-    in this package calls `.set` on its `mult`), or a ValueError is
-    raised.
+    when `mixed`, every pair of X1 x X2, and X2 x X1 with x over the
+    generators of B.  With a `closure` each pair is walked as (c, x, y)
+    for every c in it.  The prelude is `normality_cases(X)`, then
+    `obligations`, a body, then `twisting_cases(X)`, the first and the
+    last each an `obligation` on X; the certificate is
+    `generation_failure` of A and of B and then `certificate`.  X must be
+    built by the formula (`twist_of`; nothing in this package calls
+    `.set` on its `mult`), or a ValueError is raised.
 
     The lemma.  Let the defect satisfy
 
@@ -483,14 +583,24 @@ def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
     built by the formula from a normal R).  On
     X2 x X2 likewise {w in X2 : D(X2, w) = 0} = X2, read on the right:
     D(u, vw) = D(uv, w) - l(u) D(v, w) + D(u, v) r(w).  Then, for u1, v1
-    in X1 and u2, v2 in X2, and with D = 0 on X1 x X2 and on X2 x X1:
+    in X1 and u2, v2 in X2, and with D = 0 on X1 x X2:
 
-    * D(u1, v1 v2) = D(u1 v1, v2) - l(u1) D(v1, v2) + D(u1, v1) r(v2)
+    * A. D(u1, v1 v2) = D(u1 v1, v2) - l(u1) D(v1, v2) + D(u1, v1) r(v2)
       = 0, so D(X1, X) = 0, as X1 X2 spans X;
-    * D(a b, v2) = D(a, b v2) + l(a) D(b, v2) - D(a, b) r(v2) = 0 for a
-      in X1 and b in X2, so D(X, X2) = 0, and D(u2, v1 v2) = D(u2 v1,
-      v2) - l(u2) D(v1, v2) + D(u2, v1) r(v2) = 0: D(X2, X) = 0;
+    * B. D(a b, v2) = D(a, b v2) + l(a) D(b, v2) - D(a, b) r(v2) = 0 for a
+      in X1 and b in X2, so D(X, X2) = 0;
+    * C. for each walked generator g of X2, D(g, v1 v2) = D(g v1, v2) -
+      l(g) D(v1, v2) + D(g, v1) r(v2) = 0 by B and the walked pairs of
+      X2 x X1, so D(g, X) = 0;
+    * D. P = {v in X2 : D(v, X) = 0} holds 1, and g P lies in P by C:
+      D(g v, w) = D(g, v w) + l(g) D(v, w) - D(g, v) r(w) = 0, with g v
+      in X2.  So P holds every product of generators, and these span X2
+      (B associative, and B's certificate): D(X2, X) = 0;
     * D(u1 u2, y) = D(u1, u2 y) + l(u1) D(u2, y) - D(u1, u2) r(y) = 0.
+
+    Step D reads the defect identity on the triples (g, v, w) of
+    X2 x X2 x X, so the associativity of X there:
+    `twisting_cases(X)` proves it from R and B alone.
 
     The module-algebra law, c |> (xy) = (c' |> x)(c'' |> y) for every c
     in a subcoalgebra C (`coalgebra_closure`), has such a defect, taken
@@ -503,15 +613,19 @@ def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
     `ydcat.check_module_algebra` and `ydcat.check_comodule_algebra` check
     those unit laws before the walk.  A caller that leaves out the
     X1 x X2 pairs (`mixed` False) proves them in its `obligations`.
+    Where l(g) lies outside X, as delta(g) does, step D also reads
+    associativity where l(g) lies, and the caller proves it in its
+    `obligations` (`doubles.comodule_algebra_factor_walk`).
     """
     tw = twist_of(X)
     A, B = tw.A, tw.B
     left, right = tw.factor_indices()
+    heads = [right[g] for g in _generators(B)]
     parts = [itertools.product([left[g] for g in _generators(A)], left),
-             itertools.product(right, [right[g] for g in _generators(B)])]
+             itertools.product(right, heads)]
     if mixed:
         parts.append(itertools.product(left, right))
-    parts.append(itertools.product(right, left))
+    parts.append(itertools.product(heads, left))
     if closure is None:
         tuples = itertools.chain.from_iterable(parts)
     else:
@@ -519,9 +633,13 @@ def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
                   for c, (x, y) in itertools.product(closure, part))
 
     def prelude() -> Iterator:
-        wit = yield from normality_cases(X)
+        wit = yield from obligation("r-normality", X,
+                                    partial(normality_cases, X))
         if wit is None:
             wit = yield from obligations
+        if wit is None:
+            wit = yield from obligation("twisting", X,
+                                        partial(twisting_cases, X))
         return wit
 
     def closed() -> Optional[str]:

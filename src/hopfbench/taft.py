@@ -28,6 +28,7 @@ structure (`taft_dual_monomial`).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple, Optional
@@ -38,11 +39,13 @@ from .doubles import (
     yd_structure,
 )
 from .hopf import (
-    FiniteAlgebra, FiniteHopf, HopfPairing, check_product_rows, dual_hopf,
-    pair_product, render_element, render_tensor,
+    FiniteAlgebra, FiniteHopf, HopfPairing, check_algebra_axioms,
+    check_product_rows, dual_hopf, pair_product, product_row_case,
+    render_element, render_tensor, twisted_product,
 )
 from .results import (CheckResult, certificate_check, counted, gen_indices,
-                      generation_failure, invert_expected_failure, run_check)
+                      generation_failure, invert_expected_failure,
+                      lemma_walk, run_check)
 from .sparse import (
     BilinearMap, ColinearMap, LazyLinearMap, LinearMap,
     SingularMapError, Space, SpanSolver, Subspace, tensor_flat,
@@ -698,7 +701,7 @@ class UqSl2(NamedTuple):
     hq: HopfQuotient
     dbar: FiniteHopf              # labels (l, m, d), d < 4p
     sub: SubHopf                  # even d rows of dbar
-    hopf: FiniteHopf              # labels (l, m, 2n)
+    hopf: Optional[FiniteHopf]    # labels (l, m, 2n); None: not closed
     checks: list
     dbar_coords: Callable[[Vec], Vec]
 
@@ -729,7 +732,9 @@ _UQ_CACHE: dict = {}
 
 
 def uqsl2(p: int, cached: bool = True) -> UqSl2:
-    """Quotient D(B) by (kap k - 1), then cut the even-k-power sub."""
+    """Quotient D(B) by (kap k - 1), then cut the even-k-power sub.  Its
+    checks are the certificates of the ideal and of the sub; when the sub's
+    fails, its `hopf` is None."""
     if cached and p in _UQ_CACHE:
         return _UQ_CACHE[p]
     sys = taft_system(p, cached=cached)
@@ -763,9 +768,6 @@ def uqsl2(p: int, cached: bool = True) -> UqSl2:
     gen_idx = [lab_idx[(0, 1, 0)], lab_idx[(1, 0, 0)], lab_idx[(0, 0, 2)]]
     sub = sub_hopf(dbar, even, generators=gen_idx, name=f"Uq(p={p})")
     checks.append(sub.check)
-    if sub.hopf is None:
-        raise RuntimeError(f"even-power span is not a sub-Hopf-algebra: "
-                           f"{sub.check.witness}")
 
     uq = UqSl2(p, sys, ideal, hq, dbar, sub, sub.hopf, checks, dbar_coords)
     if cached:
@@ -1139,27 +1141,77 @@ def cqzd_center_check(A: FiniteAlgebra,
     return certificate_check(name, n, failure)
 
 
+def _hq_closed_form(p: int) -> FiniteAlgebra:
+    """(k[lam]/(lam^(2p) - (-1)^p i)) (x) CqZd(p), the tensor product of
+    algebras that `hopf.twisted_product` builds with the flip as R, on
+    the labels (a, b, c) of lam^a z^b del^c."""
+    ctx = taft_setup(p).ctx
+    one, n = ctx.one, 2 * p
+    wrap = ctx.zeta_pow(p) if p % 2 == 0 else -ctx.zeta_pow(p)   # (-1)^p i
+    lam_mult = BilinearMap(n, n)
+    for a, b in itertools.product(range(n), repeat=2):
+        lam_mult.set(a, b, (((a + b) % n, one if a + b < n else wrap),))
+    lam = FiniteAlgebra(ctx, Space(f"lam(p={p})", list(range(n)),
+                                   lambda a: f"lam^{a}"),
+                        lam_mult, {0: one}, generators=[{1: one}],
+                        name=f"lam(p={p})")
+    weyl = cqzd(p)
+    tw = twisted_product(lam, weyl, lambda b, a: ((a, b, one),))
+    labels = [(a, *lab) for a in range(n) for lab in weyl.space.labels]
+    return FiniteAlgebra(ctx, Space(f"closed-form(p={p})", labels,
+                                    _render_hq),
+                         tw.mult, tw.unit, generators=tw.gens,
+                         name=f"closed-form(p={p})", twist=tw)
+
+
 def hq_factorization_check(hq: HqSl2, walk,
                            name: str = "hq-factorization") -> CheckResult:
-    """Structure constants of the truncation factor as (lam powers with
-    lam^(2p) = (-1)^p i) tensor the q-deformed Weyl algebra, on the pairs
-    of `walk`."""
-    ctx = hq.ctx
-    p = ctx.p
+    """The product of the truncation T is that of the closed form C =
+    (k[lam]/(lam^(2p) - (-1)^p i)) (x) CqZd(p) (`_hq_closed_form`),
+    through the map phi that sends each basis label lam^a z^b del^c of T
+    to the same label of C: phi(x y) = phi(x) phi(y) on the pairs (1, y)
+    for every basis y, and then on the pairs of `walk`.
+
+    First, counting their cases, `hopf.check_algebra_axioms` of the two
+    factors of C on their `results.lemma_walk(F, 3)`: C is associative
+    and unital because they are, the flip being a normal twisting map
+    for which both identities of Cap, Schichl and Vanzura (Comm.
+    Algebra 23, 1995) hold by the factors' unit laws.
+
+    `results.lemma_walk(T)` proves the identity for every pair, labelled
+    "generators": S = {x : phi(xy) = phi(x) phi(y) for all y} holds 1
+    and the walked generators, and it is closed under products when T
+    and C are associative (see `results`); the walk's certificate makes
+    S all of T.  The hypothesis is `hdouble-mult-associativity`, for T,
+    a subquotient of H(B*) (the `hq-transport-*` certificates).
+    """
+    p = hq.p
     T = hq.algebra
-    cq = cqzd(p)
-    tidx, cidx = T.space.index, cq.space.index
-    tlab, clab = T.space.labels, cq.space.labels
-    wrap = ctx.zeta_pow(p) if p % 2 == 0 else -ctx.zeta_pow(p)   # (-1)^p i
+    C = _hq_closed_form(p)
+    to_c = [C.space.index[lab] for lab in T.space.labels]
+    to_t = {k: i for i, k in enumerate(to_c)}
 
     def row(i: int, j: int) -> Vec:
-        (a, b, c), (a2, b2, c2) = tlab[i], tlab[j]
-        asum = a + a2
-        mul_by = ctx.one if asum < 2 * p else wrap
-        return {tidx[(asum % (2 * p), *clab[ck])]: cc * mul_by
-                for ck, cc in cq.mult.get(cidx[(b, c)], cidx[(b2, c2)])}
+        return {to_t[k]: c for k, c in C.mult.get(to_c[i], to_c[j])}
 
-    return check_product_rows(name, T, row, walk, (None, None))
+    def factor_axioms():
+        for F in (C.twist.A, C.twist.B):
+            for res in check_algebra_axioms(F, lemma_walk(F, 3)):
+                yield from counted(res.cases_checked, lambda: (
+                    None if res.ok
+                    else f"factor {F.name}: {res.name}: {res.witness}"))
+
+    case = product_row_case(T, row)
+
+    def head():
+        wit = yield from factor_axioms()
+        if wit is None:
+            for u, y in itertools.product(sorted(T.unit), range(T.dim)):
+                yield case(u, y)
+        return wit
+
+    return walk.over((T.dim, T.dim), (gen_indices(T), None)).check(
+        name, case, head=head())
 
 
 # -- alternating chains of z- and del-factors ------------------------------------

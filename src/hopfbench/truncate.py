@@ -384,14 +384,26 @@ def sub_hopf(H: FiniteHopf, indices: Sequence[int],
              name: str = "") -> SubHopf:
     """Sub-Hopf-algebra spanned by the given basis vectors of H.
 
-    Certifies that the span contains the unit and is closed under
+    Certifies that the span S contains the unit and is closed under
     multiplication, comultiplication, and the antipode; returns the sub
     with reindexed tensors, or hopf=None with the failing witness.
+
+    Without `generators` the check walks every product of two basis
+    vectors of S, labelled "exhaustive".  With them -- basis indices of
+    H inside S -- it walks S g for each generator g, one case per
+    product, then one case for the span closure of the unit and the
+    generators under right multiplication by them, which must reach
+    rank |S|, labelled "generators".  Proof that S S lies in S, for H
+    associative: every element of S is then a sum of words
+    g1 g2 ... gk, and for s in S, s (g1 ... gk) = (... (s g1) ...) gk
+    lies in S one factor at a time.  The hypothesis is the associativity
+    of H.
     """
     idx = tuple(sorted(indices))
     pos = {amb: j for j, amb in enumerate(idx)}
     cname = name or f"sub({H.name})"
     label = H.space.label
+    one = H.ctx.one
 
     def outside(row) -> list:
         return [k for k, _c in row if k not in pos]
@@ -402,20 +414,31 @@ def sub_hopf(H: FiniteHopf, indices: Sequence[int],
         out = outside(H.antipode.get(a))
         return f"antipode of {label(a)} escapes at {label(out[0])}" if out else None
 
+    def spanned() -> Optional[str]:
+        if not pos.keys() >= set(generators):
+            return "a generator lies outside the span"
+        seed = [dict(H.unit)] + [{g: one} for g in generators]
+        rank = span_closure(seed, H.product, H.dim).rank
+        return (None if rank == len(idx) else
+                f"the unit and the generators span rank {rank} of {len(idx)}")
+
     def body():
         for k in H.unit:
             yield (None if k in pos
                    else f"unit has support outside the span at {label(k)}")
-        for a, b in itertools.product(idx, idx):
+        right = idx if generators is None else sorted(generators)
+        for a, b in itertools.product(idx, right):
             out = outside(H.mult.get(a, b))
             yield (f"product {label(a)} * {label(b)} escapes at {label(out[0])}"
                    if out else None)
+        if generators is not None:
+            yield spanned()
         yield from map(coalgebra_closed, idx)
 
-    check = run_check(f"{cname}-closure", "exhaustive", body())
+    check = run_check(f"{cname}-closure", "exhaustive" if generators is None
+                      else "generators", body())
     if not check.ok:
         return SubHopf(H, idx, None, check, pos)
-    one = H.ctx.one
     space = Space(cname, tuple(H.space.labels[a] for a in idx),
                   render=H.space.render)
     gens = ([{pos[a]: one} for a in generators] if generators is not None

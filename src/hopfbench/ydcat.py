@@ -69,7 +69,7 @@ class Action:
     vector.
     """
 
-    __slots__ = ("hopf", "algebra", "dim", "_fn", "_rows")
+    __slots__ = ("hopf", "algebra", "dim", "_fn", "_rows", "__weakref__")
 
     def __init__(self, hopf: FiniteHopf, algebra, fn: Callable[[int, int], Vec]):
         self.hopf = hopf
@@ -290,10 +290,10 @@ def check_module_algebra(m, walk,
     yd suite the hypotheses are `yd.module-action`, which must not rest
     on this check, and `hopf-axioms.ddouble-comult-multiplicative`,
     `ddouble-comult-counit-unital`, `ddouble-comult-coassociativity` and
-    `hdouble-mult-associativity`, with `taft-counit-laws` and
-    `taft-dual-counit-laws` on the factor route.  In the truncations
-    suite the law is a corollary of the transport lemma
-    (`truncate.transport_action`).
+    `hdouble-mult-associativity`, with `taft-mult-associativity`,
+    `taft-counit-laws` and `taft-dual-counit-laws` on the factor route.
+    In the truncations suite the law is a corollary of the transport
+    lemma (`truncate.transport_action`).
     """
     H, alg, act = m.hopf, m.algebra, m.action
     ga = gen_indices(alg)
@@ -370,8 +370,9 @@ def check_comodule_algebra(c, walk,
     walk's certificate makes S all of X; the truncations suite takes it.
     On a twisted product X = A (x)_R B, such as H(B*) in the yd suite,
     `results.factor_pair_walk(X)` proves it from the pairs of the two
-    tensor factors A (x) 1 and 1 (x) B, with the same hypotheses (that
-    walk states the lemma).
+    tensor factors A (x) 1 and 1 (x) B, with the same hypotheses and the
+    associativity of B (that walk states the lemma); the yd suite takes
+    it as `doubles.comodule_algebra_factor_walk`.
     For the yd suite those hypotheses are proved by
     `hopf-axioms.ddouble-mult-associativity` (H = D(B)) and
     `hopf-axioms.hdouble-mult-associativity` (X = H(B*)); in the

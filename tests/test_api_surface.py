@@ -14,8 +14,8 @@
 * Only `results.py` holds a case loop: no other module names `Check`,
   stores to or augments a `.cases` attribute, or calls `.failure(`.
   Every check yields its cases to `results.run_check`, which counts them
-  and stops at the first witness.  (`.result(` is not gated: a future's
-  `result()` is read in `report.py`.)
+  and stops at the first witness.  (`.result(` is not gated: it is an
+  ordinary method name, such as a future's `result()`.)
 * Only `results.py` and `report.py` name the run's tuple walks
   (`TupleWalks`, or the `tuple_walk` it replaced) or the coverage modes
   (`MODES`), and no function outside them takes a `seed`, `samples` or

@@ -52,17 +52,18 @@ import random
 import pytest
 
 from hopfbench.doubles import (DrinfeldDouble, FactoredAction,
-                               HeisenbergDouble, factor_structures,
-                               module_algebra_factor_walk, module_factor_walk)
+                               HeisenbergDouble, comodule_algebra_factor_walk,
+                               factor_structures, module_algebra_factor_walk,
+                               module_factor_walk)
 from hopfbench.hopf import (FiniteAlgebra, FiniteHopf, check_algebra_axioms,
                            twisted_product)
 from hopfbench.mutations import MUTATIONS
 from hopfbench.results import (TupleWalks, Walk, coaction_closure,
                                coalgebra_closure, factor_pair_walk,
                                gen_indices, generation_failure,
-                               generator_pairs, lemma_walk,
-                               subcoalgebra_walk, subcomodule_walk,
-                               two_sided_lemma_walk)
+                               generator_pairs, lemma_walk, obligations_once,
+                               run_check, subcoalgebra_walk, subcomodule_walk,
+                               twisting_cases, two_sided_lemma_walk)
 from hopfbench.sparse import BilinearMap, ColinearMap, Subspace, veq
 from hopfbench.taft import hqsl2, taft_system, uqsl2
 from hopfbench.truncate import (HopfQuotient, hopf_quotient,
@@ -1055,7 +1056,8 @@ def _corruption(name):
         # through R(b (x) a) = (1 (x) b)(a (x) 1); "smash" scales
         # R(1 (x) kap^3), and so (x (x) 1)(kap^3 (x) y) for every x, y
         (ub,) = D.base.unit
-        b, a = {"closure": (1, 3), "cross": (2, 1), "smash": (ub, 3)}[arg]
+        b, a = {"closure": (1, 3), "cross": (2, 1), "smash": (ub, 3),
+                "x2-x1": (3, 9)}[arg]
         row = H.twist.r_row(b, a)
         if arg == "closure":
             row = ((3, 3, row[0][2]),)
@@ -1081,7 +1083,7 @@ CORRUPTIONS = (
     + [f"leg:{s}" for s in (1, 2, 3, 4)]
     + [f"leg-outside:{s}" for s in (1, 2, 3, 4)]
     + [f"coaction:{s}" for s in (1, 2, 3)]
-    + [f"double-product:{a}" for a in ("closure", "cross", "smash")]
+    + [f"double-product:{a}" for a in ("closure", "cross", "smash", "x2-x1")]
     + ["double-coproduct:150", "heis-product:smash", "heis-product:x2-x1"])
 
 
@@ -1098,7 +1100,7 @@ def _routes(y, D) -> dict:
                 D, y.action)),
             check_module_algebra(y, walk=subcoalgebra_walk(y.hopf, X))),
         "comodule-algebra": (
-            check_comodule_algebra(y, walk=factor_pair_walk(X)),
+            check_comodule_algebra(y, walk=comodule_algebra_factor_walk(D, y)),
             check_comodule_algebra(y, walk=lemma_walk(X))),
     }
 
@@ -1128,21 +1130,65 @@ def test_the_factor_routes_give_the_old_verdicts(name):
 
 
 def test_the_intact_factor_routes_count_their_cases():
-    """At p=2: the counit law of the action on all 256 basis vectors of
-    D(B), then the normality of H(B*)'s R (16 + 16), the leg unit facts
-    (4 * 16) and the tensor coalgebra (256), then the 7 elements of C
-    against X1 x X1 (2 generators x 16), X2 x X2 (16 x 2) and X2 x X1
-    (16 x 16); comodule-algebra walks delta(1), the normality of R, and
-    X1 x X2 (16 x 16) besides."""
+    """At p=2, each route run on its own: module-algebra walks the counit
+    law of the action on all 256 basis vectors of D(B), the normality of
+    H(B*)'s R (16 + 16), the leg unit facts (4 * 16), the tensor
+    coalgebra (256) and the twisting identity of H(B*) (2 generators x
+    16 x 16), then the 7 elements of C against X1 x X1 (2 generators x
+    16), X2 x X2 (16 x 2) and X2 x X1 (2 generators x 16);
+    comodule-algebra walks delta(1), the normality of both R, the tensor
+    coalgebra and both twisting identities, then the three blocks once."""
     y, D, _ = _corruption("intact")
     module, _ = _routes(y, D)["module-algebra"]
     comodule, _ = _routes(y, D)["comodule-algebra"]
     assert (module.status, module.mode, module.cases_checked) == (
         "pass", "generators",
-        256 + 32 + 4 * 16 + 256 + 7 * (2 * 16 + 16 * 2 + 16 * 16))
+        256 + 32 + 4 * 16 + 256 + 2 * 256 + 7 * (2 * 16 + 16 * 2 + 2 * 16))
     assert (comodule.status, comodule.mode, comodule.cases_checked) == (
         "pass", "generators",
-        1 + 32 + 2 * 16 + 16 * 2 + 16 * 16 + 16 * 16)
+        1 + 32 + 32 + 256 + 2 * 256 + 2 * 256 + 2 * 16 + 16 * 2 + 2 * 16)
+
+
+def test_shared_obligations_run_once_in_a_suite():
+    """Inside `obligations_once`, as each suite runs, an obligation that a
+    law's walk already ran is replayed and counts no case: after
+    module-action, module-algebra walks the twisting identity of H(B*)
+    but no leg unit fact and no tensor coalgebra, and comodule-algebra
+    walks only the twisting identity of D(B) besides its pairs.  Outside
+    it every law counts every case, whatever ran before."""
+    y, D, _ = _corruption("intact")
+
+    def laws():
+        return [check_module(y, walk=module_factor_walk(D, y.action)),
+                check_module_algebra(y, walk=module_algebra_factor_walk(
+                    D, y.action)),
+                check_comodule_algebra(y, walk=comodule_algebra_factor_walk(
+                    D, y))]
+
+    alone = [r.cases_checked for r in laws()]
+    with obligations_once():
+        once = laws()
+    assert [r.cases_checked for r in laws()] == alone
+    assert {r.status for r in once} == {"pass"}
+    assert [r.cases_checked for r in once] == [
+        alone[0],
+        256 + 32 + 2 * 256 + 7 * 3 * 2 * 16,
+        1 + 2 * 256 + 3 * 2 * 16]
+
+
+def test_a_replayed_obligation_fails_every_law_that_rests_on_it():
+    """A failed obligation keeps its witness: the law that replays it
+    fails with it, at no case of its own."""
+    y, D, _ = _corruption("double-coproduct:150")
+    want = (f"Delta of {D.hopf.name} is not the tensor coalgebra of its "
+            "factors at x=Fkap(x)k^6")
+    with obligations_once():
+        module = check_module(y, walk=module_factor_walk(D, y.action))
+        algebra = check_module_algebra(y, walk=module_algebra_factor_walk(
+            D, y.action))
+    assert (module.status, module.witness) == ("fail", want)
+    assert (algebra.status, algebra.witness) == ("fail", want)
+    assert algebra.cases_checked == 256 + 32
 
 
 def test_a_scaled_double_coproduct_entry_fails_the_tensor_coalgebra():
@@ -1191,26 +1237,40 @@ def test_a_scaled_smash_product_fails_the_factor_prelude():
 
 
 def test_a_scaled_x2_x1_product_fails_both_laws_on_x2_x1():
-    """R(k^3 (x) Fkap), and so (1 # k^3)(Fkap # 1), a product that only
-    the X2 x X1 pairs read, times zeta: both laws fail on a pair of
-    X2 x X1, after the prelude and the walks of X1 x X1 and X2 x X2 (and
-    X1 x X2)."""
+    """R(k^3 (x) Fkap), and so (1 # k^3)(Fkap # 1), a product of
+    X2 x X1 off the generators of B, times zeta: the walks of X2 x X1
+    read only the generators of B, and the twisting identity of H(B*)
+    in both preludes fails at b1 b2 = k k^2 = k^3, before any pair."""
     y, D, _ = _corruption("heis-product:x2-x1")
     X = y.algebra
-    (ub,), (uf,) = D.base.unit, D.dual.unit
-    x2 = {X.space.label(uf * 16 + m) for m in range(16)}
-    x1 = {X.space.label(f * 16 + ub) for f in range(16)}
-    module = check_module_algebra(y, walk=module_algebra_factor_walk(
-        D, y.action))
-    comodule = check_comodule_algebra(y, walk=factor_pair_walk(X))
-    assert module.status == comodule.status == "fail"
-    assert module.cases_checked > (256 + 32 + 4 * 16 + 256
-                                   + 7 * (2 * 16 + 16 * 2))
-    assert comodule.cases_checked > 1 + 32 + 2 * 16 + 16 * 2 + 256
-    for res, lead in ((module, 1), (comodule, 0)):
-        parts = dict(part.split("=", 1) for part in
-                     res.witness.split(":")[0].split(", ")[lead:])
-        assert parts["x"] in x2 and parts["y"] in x1, res.witness
+    want = ("R(b1 b2 (x) a) != (A (x) m)(R (x) B)(b1 (x) R(b2 (x) a)) "
+            "at b1=k, b2=k^2, a=Fkap")
+    at = 2 * 16 + 9 + 1                 # (k, k^2, Fkap) in walk order
+    assert run_check("twisting", "exhaustive", twisting_cases(X))[1:5] == (
+        "fail", "exhaustive", at, want)
+    module, _ = _routes(y, D)["module-algebra"]
+    comodule, _ = _routes(y, D)["comodule-algebra"]
+    assert (module.status, module.witness) == ("fail", want)
+    assert module.cases_checked == 256 + 32 + 4 * 16 + 256 + at
+    assert (comodule.status, comodule.witness) == ("fail", want)
+    assert comodule.cases_checked == 1 + 32 + 32 + 256 + 2 * 256 + at
+
+
+def test_a_scaled_double_r_row_off_the_generators_fails_comodule_algebra():
+    """R(k^3 (x) Fkap) of D(B) times zeta: the comodule-algebra route,
+    whose products are taken in D (x) X, fails at the twisting identity
+    of D(B).  The old route reads D's products on generator pairs only,
+    and passes: it rests on the associativity of D, which fails."""
+    y, D, bad = _corruption("double-product:x2-x1")
+    want = ("R(b1 b2 (x) a) != (A (x) m)(R (x) B)(b1 (x) R(b2 (x) a)) "
+            "at b1=k, b2=k^2, a=Fkap")
+    assert run_check("twisting", "exhaustive",
+                     twisting_cases(bad)).witness == want
+    new, old = _routes(y, D)["comodule-algebra"]
+    assert (new.status, new.witness) == ("fail", want)
+    assert new.cases_checked == 1 + 32 + 32 + 256 + 2 * 16 + 9 + 1
+    assert old.status == "pass"
+    assert _axioms(bad)[0].status == "fail"
 
 
 def test_the_module_algebra_factor_walk_refuses_other_actions():
@@ -1228,3 +1288,30 @@ def test_the_module_algebra_factor_walk_refuses_other_actions():
                           D.dual, D.pairing)
     with pytest.raises(ValueError, match="own algebra"):
         module_algebra_factor_walk(copy, y.action)
+
+
+def _coaction_fixture(tag):
+    """The p=2 YD structure with the coaction of the mutation fixture
+    `tag`, built as `mutations` builds it."""
+    sys2 = taft_system(2)
+    y, H = sys2.yd, sys2.double.hopf
+    if tag == "hdouble-coaction-swapped":
+        return y._replace(coaction=Coaction(H, y.algebra, lambda key: tuple(
+            sorted((k, j, c) for j, k, c in H.comult.get(key)))))
+    return y._replace(coaction=Coaction.trivial(H, y.algebra))
+
+
+@pytest.mark.parametrize("tag", ["hdouble-coaction-swapped",
+                                 "trivial-coaction"])
+def test_the_comodule_route_gives_the_full_walks_verdict_on_fixtures(tag):
+    """The two fixtures that change H(B*)'s coaction: their coaction is
+    not D(B)'s coproduct by definition, so the route walks X1 x X2 too,
+    and its verdict is that of the walk over every pair (the trivial
+    coaction is a comodule algebra; the swapped one is not)."""
+    assert tag in MUTATIONS
+    y = _coaction_fixture(tag)
+    new = check_comodule_algebra(y, walk=comodule_algebra_factor_walk(
+        taft_system(2).double, y))
+    full = check_comodule_algebra(y, walk=EXHAUSTIVE)
+    assert new.status == full.status == (
+        "pass" if tag == "trivial-coaction" else "fail")

@@ -171,7 +171,7 @@ REPORT_SHA256_P2 = {
     "hopf-axioms":
         "d314cbd71d131f4a4bf7eb7c4bb0b3a39c8c4c99f7e53261fb1f2aa73c9bacbb",
     "yd":
-        "d31f1469d949e9a5bf0aa3da1ad72525064dc988a5dc9ccd2d1b58bdf22b9253",
+        "79ab3933874c3b8550181286bb29fd4a784f1270b91a0f6f6a154878d1116da2",
     "double":
         "81a95de212fbd7e205d5352a9262f13a8939e3c63e4f25ff1f50c752cd28f6c5",
     "heisenberg":
@@ -181,7 +181,7 @@ REPORT_SHA256_P2 = {
     "chains":
         "e49081aada899cca5e9604e220667b686e26679e68069a5b3a018d94f07843e5",
     "truncations":
-        "19307fdb121445e8a9e7fcc697f1a469c5c4ec5913758344cd2a66a2c2f51623",
+        "ca8f22c4c84c97dbc3386d2b32e9610acf2b24bfcd79f757f4edb01c0f09189d",
 }
 
 
@@ -221,7 +221,7 @@ REPORT_SHA256_P2_GENERATORS = {
     "chains":
         "c1430b42ae83cae42f746625e802087e6b91eabb1688ff58071a5d74b1753e6c",
     "truncations":
-        "ba8cbe4be583c0cb8018c1c12d0641be856ce364327406ddc291f1b85921698c",
+        "68a3bc64a4adceaeb4f83562f06b1470c9d23e3ef9670476ddf6ffcc931a198b",
     "double":
         "23071638ebdf3710b2c5a0f1f2d396f45e380d4444dda45fd1dd90c7b2abaf07",
     "heisenberg":
@@ -229,7 +229,7 @@ REPORT_SHA256_P2_GENERATORS = {
     "hopf-axioms":
         "160dfdb683c354fb5b8d346813d1b43d2e9b30e2e4ffffd5854404b5f0d6c7e3",
     "yd":
-        "4dc2662184d5e701d2df93af12ff318d9b4e676a4e35a15b3d5c054d55033a6b",
+        "b928fa507c4de27f955017d91fff83c4edf585b9269e208764958ab6d4f21856",
 }
 
 
@@ -248,7 +248,7 @@ REPORT_SHA256_P2_SAMPLE = {
     "chains":
         "1d94469d7d7c4050b9e95a90367fc0c830ab7e711bbaee5d36700e31e5ae50fb",
     "truncations":
-        "282813ddf613acd4283809b40c9503f1c942aac3fdfdd986311ce4fdee467443",
+        "50a214cbb0967c675845b13484e604187c2d27eed210eadd535e765e00fc9e30",
     "double":
         "64ccada22586b1eaeedfba636e660d94baf8d193feb9d69487f53dbba709c7c1",
     "heisenberg":
@@ -273,7 +273,7 @@ def test_sample_report_bytes_are_pinned(suite):
 # p=2 yd report, taken in generators mode, and so are its four transported
 # truncations laws.
 REPORT_SHA256_P3_YD_TRUNCATIONS = \
-    "eb58d89c978da12a4180676eaf1801d70ce5e1e72abbe591864b0454232bddca"
+    "ff10949ddfede8dc516b377554414c895f76a71a3619ed38abb5b38277e51917"
 
 
 def test_p3_report_bytes_are_pinned():
@@ -282,6 +282,35 @@ def test_p3_report_bytes_are_pinned():
     data = render(rep, "json")
     assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P3_YD_TRUNCATIONS
     _assert_yd_lines_are_proofs(rep)
+
+
+def _route_counts(p):
+    """Cases of the generator routes of yd and truncations, as formulas
+    in p: d_B = 4p^2 and d = d_B^2, with 2 generators for B and for B*
+    and the 7-element subcoalgebra C of D(B); the even span of u_q(sl_2)
+    has 2p^3 basis vectors and 3 generators."""
+    dB = 4 * p ** 2
+    d = dB ** 2
+    return {
+        # counit law, normality of H(B*)'s R, its twisting identity, then
+        # C against X1 x X1, X2 x X2 and the generators of B against X1
+        "yd.module-algebra": d + 2 * dB + 2 * d + 7 * 3 * 2 * dB,
+        # delta(1), the twisting identity of D(B)'s R, the three blocks
+        "yd.comodule-algebra": 1 + 2 * d + 3 * 2 * dB,
+        "truncations.Uq(p=%d)-closure" % p: 2 + 8 * p ** 3,
+        "truncations.hq-factorization":
+            2 * p ** 4 + 8 * p ** 3 + 6 * p ** 2 + 4 * p,
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_generator_routes_count_their_cases_as_formulas_in_p(p):
+    rep = run_suite(SuiteConfig(p=p, suite="yd,truncations",
+                                sample_size=1000))
+    got = {r.name.rsplit(".", 1)[0]: (r.status, r.mode, r.cases_checked)
+           for r in rep.results}
+    for name, cases in _route_counts(p).items():
+        assert got[name] == ("pass", "generators", cases), name
 
 
 # sha256 of `render(run_suite(SuiteConfig(p=3, suite=<suite>, sample_size=300,
@@ -308,7 +337,7 @@ def test_p3_braided_product_report_bytes_are_pinned(suite):
 # sha256 of `render(run_suite(SuiteConfig(p=2, suite="chains,truncations")),
 # "json")`, recorded from a serial run (one CPU).
 REPORT_SHA256_P2_TWO_SUITES = \
-    "34dd6ac54f101da62b7d607dccac4ec3297b705c76a7057a91c33480c4048ccf"
+    "43e44bba3735689c19f794d96d91b3682c9fd2a13c32a78a744314d6afa7997a"
 
 
 def _two_cpus(monkeypatch):
@@ -365,9 +394,19 @@ TWO_SUITES = ("verify", "--p", "2", "--suite", "chains,mutations")
 
 
 def test_a_killed_worker_exits_3_without_a_hang():
-    proc = _run_python(KILLED_WORKER + IN_PROCESS, *TWO_SUITES)
+    """The run ends at once with exit 3, naming the suite whose worker
+    died and the signal, and leaves no worker running."""
+    t0 = time.monotonic()
+    proc = _run_python(LOG_WORKERS + KILLED_WORKER + IN_PROCESS, *TWO_SUITES)
+    elapsed = time.monotonic() - t0
     assert proc.returncode == 3, proc.stderr
-    assert "BrokenProcessPool" in proc.stderr
+    assert ("the worker of suite 'mutations' ended without its results "
+            "(killed by signal 9)") in proc.stderr
+    assert elapsed < 10, f"the exit waited {elapsed:.1f} s"
+    workers = [int(line.split()[1]) for line in proc.stdout.splitlines()
+               if line.startswith("worker ")]
+    assert len(workers) == 2
+    assert not [pid for pid in workers if _running(pid)]
 
 
 CRASH_BESIDE_A_SLEEPER = """
@@ -426,19 +465,17 @@ def test_the_console_entry_leaves_no_worker_running(script, error):
 
 
 @pytest.mark.parametrize("suite,fail_fast,cpus,pool", [
-    ("chains,mutations", False, {0, 1}, True),  # control: the pool is used
+    ("chains,mutations", False, {0, 1}, True),  # control: workers fork
     ("chains", False, {0, 1}, False),           # one suite
     ("chains,mutations", True, {0, 1}, False),  # fail_fast pulls lazily
     ("chains,mutations", False, {0}, False),    # one usable CPU
 ])
 def test_no_pool_unless_it_can_help(monkeypatch, suite, fail_fast, cpus,
                                     pool):
-    import concurrent.futures
+    def no_fork():
+        raise AssertionError("a suite worker was forked")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was constructed")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(report_module.os, "fork", no_fork)
     monkeypatch.setattr(report_module.os, "sched_getaffinity",
                         lambda pid: cpus)
     monkeypatch.setitem(report_module._SUITES, "chains", lambda cfg: iter(
@@ -447,7 +484,7 @@ def test_no_pool_unless_it_can_help(monkeypatch, suite, fail_fast, cpus,
         [CheckResult("m", "fail", "exhaustive", 1, "witness")]))
     cfg = SuiteConfig(p=2, suite=suite, fail_fast=fail_fast)
     if pool:
-        with pytest.raises(AssertionError, match="pool was constructed"):
+        with pytest.raises(AssertionError, match="worker was forked"):
             run_suite(cfg)
     else:
         assert [r.name for r in run_suite(cfg).results] == [
@@ -493,6 +530,32 @@ def test_cli_start_up_loads_no_pool_modules(tmp_path):
     proc = _run_python(CLI_IMPORTS, str(tmp_path / "report.txt"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+WORKER_IMPORTS = """
+import sys
+import hopfbench.report as report
+from hopfbench.cli import main
+
+report.os.sched_getaffinity = lambda pid: {0, 1}
+report._SUITES["chains"] = lambda cfg: iter(())
+report._SUITES["truncations"] = lambda cfg: iter(())
+assert main(["verify", "--p", "2", "--suite", "chains,truncations",
+             "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("concurrent", "multiprocessing")))
+"""
+
+
+def test_suite_workers_load_no_pool_modules(tmp_path):
+    # The suite workers are forked by hand: a run of several suites
+    # loads neither multiprocessing nor concurrent.futures.
+    proc = _run_python(LOG_WORKERS + WORKER_IMPORTS,
+                       str(tmp_path / "report.txt"))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len([line for line in lines if line.startswith("worker ")]) == 2
+    assert lines[-1] == "[]"
 
 
 # ---------------------------------------------------------------- cli

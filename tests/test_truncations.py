@@ -18,7 +18,9 @@ from hopfbench.taft import (basis_change, chain_heisenberg_checks, cqzd,
                             hq_factorization_check, hq_transport, hqsl2,
                             taft_system, truly_heisenberg_chain, uq_elements,
                             uq_presentation_check, uqsl2)
-from hopfbench.truncate import transport_corollaries
+from hopfbench.hopf import FiniteAlgebra, FiniteHopf
+from hopfbench.sparse import BilinearMap
+from hopfbench.truncate import sub_hopf, transport_corollaries
 from hopfbench.ydcat import (Action, check_braided_commutative,
                              check_comodule, check_comodule_algebra,
                              check_module, check_module_algebra, check_yd)
@@ -38,6 +40,11 @@ def all_pass(checks):
 @pytest.mark.parametrize("p,dim,gen_cases,closure_cases",
                          [(2, 16, 7, 273), (3, 54, 7, 2971)])
 def test_uq_dimension_and_certificates(p, dim, gen_cases, closure_cases):
+    """The closure of the even span S, |S| = 2p^3, walks S g for its three
+    generators, one span-closure case and the coproduct and antipode of
+    S, after the unit: 2 + 8p^3 cases.  The walk of every product of S,
+    without generators, counts `closure_cases` = 1 + |S|^2 + |S|, with
+    the same verdict."""
     uq = uqsl2(p)
     assert uq.hopf.dim == 2 * p ** 3
     assert uq.hopf.dim == dim
@@ -46,17 +53,25 @@ def test_uq_dimension_and_certificates(p, dim, gen_cases, closure_cases):
     assert by_name["uq-ideal-hopf"].status == "pass"
     assert by_name["uq-ideal-hopf"].mode == "generators"
     assert by_name["uq-ideal-hopf"].cases_checked == gen_cases
-    assert by_name[f"Uq(p={p})-closure"].cases_checked == closure_cases
+    closure = by_name[f"Uq(p={p})-closure"]
+    assert (closure.status, closure.mode, closure.cases_checked) == (
+        "pass", "generators", 2 + 8 * p ** 3)
+    every = sub_hopf(uq.dbar, uq.sub.indices).check
+    assert (every.status, every.mode, every.cases_checked) == (
+        "pass", "exhaustive", closure_cases)
+    assert closure_cases == 1 + dim ** 2 + dim
 
 
-@pytest.mark.parametrize("p,rows", [(2, 794), (3, 5_572)])
+@pytest.mark.parametrize("p,rows", [(2, 602), (3, 2_872)])
 def test_uq_reads_few_product_rows_of_the_double(p, rows):
     """Certified from its central generator, the ideal leaves fewer rows
     of D(B)'s product memoized than the check on every basis row of the
     ideal did (3,224 at p=2 and 18,264 at p=3); the generation certificate
     of D(B), taken from its factors, reads fewer than its span closure
     did (1,801 and 10,729 in all), and it reads R and the factor tables,
-    not D(B)'s products (1,331 and 8,229 when it read those)."""
+    not D(B)'s products (1,331 and 8,229 when it read those).  The
+    closure of the even span walks S g for the generators g, not S S
+    (794 and 5,572 rows when it walked every product)."""
     uq = uqsl2(p, cached=False)
     assert len(uq.system.double.hopf.mult.rows) == rows
 
@@ -140,11 +155,27 @@ def test_hq_structure_tables(p, act_rows, coact_rows):
     assert coact.cases_checked == coact_rows
 
 
+# cases of hq-factorization before its pairs: the triple lemma and the
+# unit laws of lam (2p-dim, one generator) and CqZd (p^2-dim, two), then
+# the pairs (1, y) of the 2p^3-dim T
+def _factorization_head(p):
+    return (2 * p * 2 * p + 2 * 2 * p) + (2 * p ** 4 + 2 * p ** 2) \
+        + 2 * p ** 3
+
+
 @pytest.mark.parametrize("p,cases", [(2, 256), (3, 2916)])
 def test_hq_factorization(p, cases):
-    res = hq_factorization_check(hqsl2(p), EXHAUSTIVE)
-    assert res.status == "pass"
-    assert res.cases_checked == cases
+    """The lemma walk reads the three generators of T against its basis;
+    the walk of every one of the `cases` pairs gives the same verdict."""
+    hq = hqsl2(p)
+    res = hq_factorization_check(hq, lemma_walk(hq.algebra))
+    assert (res.status, res.mode) == ("pass", "generators")
+    assert res.cases_checked == _factorization_head(p) + 3 * 2 * p ** 3
+    assert res.cases_checked == 2 * p ** 4 + 8 * p ** 3 + 6 * p ** 2 + 4 * p
+    every = hq_factorization_check(hq, EXHAUSTIVE)
+    assert (every.status, every.mode) == ("pass", "exhaustive")
+    assert every.cases_checked == _factorization_head(p) + cases
+    assert cases == (2 * p ** 3) ** 2
 
 
 def test_hq_is_yd_module_algebra():
@@ -250,6 +281,94 @@ def test_a_failed_transport_certificate_fails_every_corollary(monkeypatch,
     assert main(["verify", "--p", "2", "--suite", "truncations"]) == 1
     assert main(["export", "--p", "2", "hqsl2"]) == 3
     assert "hq-transport-descent-0" in capsys.readouterr().err
+
+
+def test_a_failed_uq_closure_fails_every_corollary(monkeypatch, capsys):
+    """`uqsl2` with a generator list that does not span the even span
+    keeps its failed closure certificate as a check, with no Hopf
+    algebra: the four laws fail, naming it, the lines on u_q(sl_2) skip,
+    and the run exits 1 instead of crashing."""
+    real = taft_module.sub_hopf
+    monkeypatch.setattr(taft_module, "sub_hopf", lambda H, idx, generators,
+                        name: real(H, idx, generators=generators[:2],
+                                   name=name))
+    monkeypatch.setattr(taft_module, "_UQ_CACHE", {})
+    monkeypatch.setattr(taft_module, "_HQ_CACHE", {})
+    uq = uqsl2(2)
+    assert uq.hopf is None
+    assert [(c.name, c.status) for c in uq.checks] == [
+        ("uq-ideal-hopf", "pass"), ("Uq(p=2)-closure", "fail")]
+    witness = uq.checks[1].witness
+    assert witness.startswith("the unit and the generators span rank ")
+    rep = run_suite(SuiteConfig(p=2, suite="truncations"))
+    lines = {r.name.split(".")[1]: r for r in rep.results}
+    for name in COROLLARIES:
+        assert (lines[name].status, lines[name].witness) == (
+            "fail", f"rests on Uq(p=2)-closure (fail): {witness}")
+    assert lines["quotient-morphism"].status == "pass"
+    skipped = {name: r.mode for name, r in lines.items()
+               if r.status == "skipped"}
+    assert skipped == dict.fromkeys(
+        ("uq-presentation-relations", "uq-presentation-coalgebra",
+         "uq-presentation-generation", "uq-dimension", "hq-lambda-power",
+         "hq-dimension", "hq-action-table", "hq-coaction-table",
+         "hq-factorization", "comodule-coaction", "comodule-algebra"),
+        "needs u_q(sl_2); Uq(p=2)-closure failed")
+    assert main(["verify", "--p", "2", "--suite", "truncations"]) == 1
+    capsys.readouterr()
+
+
+def _pushed_out(dbar, pair, odd):
+    """dbar with the product of the basis pair `pair` given a term on the
+    basis vector `odd`."""
+    row = dbar.mult.get(*pair) + ((odd, dbar.ctx.one),)
+    mult = BilinearMap(dbar.dim, dbar.dim, fn=lambda i, j: (
+        row if (i, j) == pair else dbar.mult.get(i, j)))
+    return FiniteHopf(dbar.ctx, dbar.space, mult, dbar.unit, dbar.comult,
+                      dbar.counit, dbar.antipode,
+                      generators=dbar.generators, name=dbar.name)
+
+
+def test_a_dbar_product_pushed_out_of_the_even_span_fails_the_closure():
+    """E K^2 pushed onto an odd k-power: the generator walk of the even
+    span S fails at that product, as the walk of every product of S
+    does."""
+    uq = uqsl2(2)
+    dbar, even = uq.dbar, uq.sub.indices
+    idx = dbar.space.index
+    gens = [idx[(0, 1, 0)], idx[(1, 0, 0)], idx[(0, 0, 2)]]
+    pair, odd = (idx[(0, 1, 2)], idx[(0, 0, 2)]), idx[(0, 0, 1)]
+    bad = _pushed_out(dbar, pair, odd)
+    lemma = sub_hopf(bad, even, generators=gens, name="Uq(p=2)").check
+    every = sub_hopf(bad, even, name="Uq(p=2)").check
+    want = f"product {dbar.space.label(pair[0])} * " \
+        f"{dbar.space.label(pair[1])} escapes at {dbar.space.label(odd)}"
+    assert (lemma.name, lemma.status, lemma.witness) == (
+        "Uq(p=2)-closure", "fail", want)
+    assert (every.status, every.witness) == ("fail", want)
+
+
+def test_a_scaled_truncation_product_fails_both_factorization_walks():
+    """del times lam^3 z scaled by zeta in T: the lemma walk, which reads
+    the generators of T against its basis, and the walk of every pair
+    both fail there."""
+    hq = hqsl2(2)
+    T = hq.algebra
+    idx = T.space.index
+    pair = (idx[(0, 0, 1)], idx[(3, 1, 0)])
+    row = tuple((k, c * T.ctx.zeta) for k, c in T.mult.get(*pair))
+    assert row
+    mult = BilinearMap(T.dim, T.dim, fn=lambda i, j: (
+        row if (i, j) == pair else T.mult.get(i, j)))
+    bad = hq._replace(transport=hq.transport._replace(
+        yd=hq.yd._replace(algebra=FiniteAlgebra(
+            T.ctx, T.space, mult, T.unit, generators=T.generators,
+            name=T.name))))
+    lemma = hq_factorization_check(bad, lemma_walk(bad.algebra))
+    every = hq_factorization_check(bad, EXHAUSTIVE)
+    assert lemma.status == every.status == "fail"
+    assert lemma.witness == every.witness
+    assert lemma.witness.startswith("products of (del, lam^3 z) differ")
 
 
 def test_hq_relations():
