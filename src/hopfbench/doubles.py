@@ -927,9 +927,20 @@ def check_double_identity(D: DrinfeldDouble,
 
 # -- quasitriangularity ------------------------------------------------------
 
-def check_quasitriangular(D: DrinfeldDouble,
+def check_quasitriangular(D: DrinfeldDouble, intertwining,
                           prefix: str = "r") -> list[CheckResult]:
-    """Hexagon identities, intertwining, and the antipode inverse for R."""
+    """Intertwining R Delta(x) = Delta-op(x) R on the x of the walk
+    `intertwining`, then the two hexagon identities and the inverse of R.
+
+    `results.lemma_walk(D.hopf, 1)` proves intertwining from D(B)'s
+    generators (Kassel, Quantum Groups, GTM 155, ch. IX): the x that
+    satisfy it form a subspace that holds 1 when Delta(1) = 1 (x) 1
+    (`ddouble-comult-counit-unital`) and is closed under products when
+    Delta is multiplicative (`ddouble-comult-multiplicative`) and D(B)
+    associative (`ddouble-mult-associativity`), as R Delta(xy) =
+    Delta-op(x) R Delta(y) = Delta-op(xy) R; the walk's certificate then
+    makes it all of D(B).
+    """
     H = D.hopf
     d = H.dim
     R = D.rmatrix()
@@ -942,8 +953,8 @@ def check_quasitriangular(D: DrinfeldDouble,
             return None
         return f"R Delta(x) != Delta-op(x) R at x={H.space.label(x)}"
 
-    results = [run_check(f"{prefix}-intertwine", "exhaustive",
-                         map(intertwines, range(d)))]
+    results = [intertwining.over((d,), (gen_indices(H),)).check(
+        f"{prefix}-intertwine", intertwines)]
     r13: Vec = {}
     r23: Vec = {}
     r12: Vec = {}

@@ -33,7 +33,7 @@ from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
                    h2_matches_cqzd_check, hq_action_table_check,
                    hq_coaction_table_check, hq_factorization_check, hqsl2,
                    taft_dual_check, taft_system, truly_heisenberg_chain,
-                   uq_presentation_check, uqsl2)
+                   uq_presentation_check, uqsl2, zdel_factors)
 from .truncate import quotient_morphism_check, transport_corollaries
 from .ydcat import (check_braided_commutative, check_braided_symmetric,
                     check_comodule, check_comodule_algebra,
@@ -56,11 +56,14 @@ class SuiteConfig(NamedTuple):
     """What to verify and how hard to try.
 
     mode=None resolves to "exhaustive" for p=2 and "generators" for
-    larger p; mode, seed and sample_size make the run's `TupleWalks`, and
-    the laws that the plan gives lemma walks, such as the four yd laws,
-    are proved in any mode.  suite is a name, "all", a comma-separated
-    list, or a sequence of names; an empty selection yields an empty
-    report.
+    larger p; mode, seed and sample_size make the run's `TupleWalks`,
+    which serve the laws that have no proof route.  A law that has one
+    takes it in every mode and at every p: the pair laws of hopf-axioms,
+    r-intertwine, and every walked law of yd and truncations.  Only
+    associativity still reads the mode: the triple lemma in "exhaustive"
+    mode, the run's tuple walks otherwise.  suite is a name, "all", a
+    comma-separated list, or a sequence of names; an empty selection
+    yields an empty report.
     """
 
     p: int = 2
@@ -214,6 +217,13 @@ def _skip(name: str, reason: str) -> CheckResult:
     return CheckResult(name, "skipped", reason)
 
 
+def _skip_lines(what: str, certificates, names) -> list:
+    """The lines `names`, skipped: they need `what`, which the first
+    failed of its `certificates` denies."""
+    bad = next(c for c in certificates if not c.ok)
+    return [_skip(name, f"needs {what}; {bad.name} failed") for name in names]
+
+
 def _rename(results, prefix: str) -> list:
     return [r._replace(name=f"{prefix}-{r.name}") for r in results]
 
@@ -239,27 +249,6 @@ def _associativity(cfg: SuiteConfig, A):
     return _walks(cfg)
 
 
-def _pairwise(cfg: SuiteConfig, H):
-    """The Hopf laws on pairs take the (g, j)/(j, g) lemma in "generators"
-    mode."""
-    if cfg.resolved_mode == "generators":
-        return two_sided_lemma_walk(H)
-    return _walks(cfg)
-
-
-def _comodule_algebra(cfg: SuiteConfig, X):
-    """comodule-algebra takes `lemma_walk` unless the mode is "sample"."""
-    if cfg.resolved_mode != "sample":
-        return lemma_walk(X)
-    return _walks(cfg)
-
-
-def _hopf_axioms(cfg: SuiteConfig, H, prefix: str) -> list:
-    return _rename(check_hopf_axioms(H, _associativity(cfg, H),
-                                     _pairwise(cfg, H), _pairwise(cfg, H)),
-                   prefix)
-
-
 # -- suites --------------------------------------------------------------------
 #
 # Each suite is a generator, so run_suite can stop pulling checks as soon
@@ -267,9 +256,11 @@ def _hopf_axioms(cfg: SuiteConfig, H, prefix: str) -> list:
 
 def _suite_hopf_axioms(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
-    yield from _hopf_axioms(cfg, sys.pair.primal, "taft")
-    yield from _hopf_axioms(cfg, sys.pair.dual, "taft-dual")
-    yield from _hopf_axioms(cfg, sys.double.hopf, "ddouble")
+    for H, prefix in ((sys.pair.primal, "taft"), (sys.pair.dual, "taft-dual"),
+                      (sys.double.hopf, "ddouble")):
+        yield from _rename(check_hopf_axioms(
+            H, _associativity(cfg, H), two_sided_lemma_walk(H),
+            two_sided_lemma_walk(H)), prefix)
     A = sys.heis.algebra
     yield from _rename(check_algebra_axioms(A, _associativity(cfg, A)),
                        "hdouble")
@@ -285,11 +276,7 @@ def _suite_double(cfg: SuiteConfig):
     yield eta_twist_product(D, Hd, walks)
     yield closed_form_check(sys, walks)
     yield to_show_action_check(D, FactoredAction(Hd, D), walks)
-    if cfg.p == 2:
-        yield from check_quasitriangular(D)
-    else:
-        yield _skip("r-quasitriangular",
-                    "run with p=2 (R-matrix sums grow with dim^2)")
+    yield from check_quasitriangular(D, lemma_walk(D.hopf, 1))
     hunt = _hunt(cfg)
     yield from check_quantum_comm_remarks(D, Hd, hunt, hunt)
 
@@ -297,26 +284,19 @@ def _suite_double(cfg: SuiteConfig):
 def _suite_yd(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     y = sys.yd
-    walks = _walks(cfg)
-    # The five yd proof walks, in every mode but sample, each built where
-    # its check runs: module-action on the two factors of D(B) and of
-    # H(B*), module-algebra and comodule-algebra on the two factors of
-    # H(B*), yd-condition on a subcoalgebra of D(B) against the
-    # generators of H(B*), and braided-commutative on a subcomodule of
-    # H(B*) against its generators (see each check).
-    proofs = cfg.resolved_mode != "sample"
-    yield check_module(
-        y, module_factor_walk(sys.double, y.action) if proofs else walks)
+    # The five yd proof walks, each built where its check runs:
+    # module-action on the two factors of D(B) and of H(B*),
+    # module-algebra and comodule-algebra on the two factors of H(B*),
+    # yd-condition on a subcoalgebra of D(B) against the generators of
+    # H(B*), and braided-commutative on a subcomodule of H(B*) against its
+    # generators (see each check).
+    yield check_module(y, module_factor_walk(sys.double, y.action))
     yield check_module_algebra(
-        y, module_algebra_factor_walk(sys.double, y.action)
-        if proofs else walks)
+        y, module_algebra_factor_walk(sys.double, y.action))
     yield check_comodule(y)
-    yield check_comodule_algebra(
-        y, comodule_algebra_factor_walk(sys.double, y) if proofs else walks)
-    yield check_yd(y, subcoalgebra_walk(y.hopf, y.algebra, 2)
-                   if proofs else walks)
-    yield check_braided_commutative(
-        y, subcomodule_walk(y) if proofs else walks)
+    yield check_comodule_algebra(y, comodule_algebra_factor_walk(sys.double, y))
+    yield check_yd(y, subcoalgebra_walk(y.hopf, y.algebra, 2))
+    yield check_braided_commutative(y, subcomodule_walk(y))
 
 
 def _suite_heisenberg(cfg: SuiteConfig):
@@ -352,6 +332,22 @@ def _suite_chains(cfg: SuiteConfig):
                     "run with p=2 (three full-double factors)")
         yield _skip("full-chain3-braided-commutativity-fails",
                     "run with p=2 (three full-double factors)")
+    yield cqzd_center_check(cqzd(p))
+    checks, _ = zdel_factors(p)
+    failed = [c for c in checks if not c.ok]
+    if failed:
+        # no z/del factors to chain: the lines on them skip
+        yield from failed
+        yield from _skip_lines("the z/del factors", failed, (
+            *(f"zdel-chain{k}-dimension" for k in (1, 2, 3, 4)),
+            *(f"zdel-chain4-{law}" for law in (
+                "mixed", "z-straighten", "del-straighten", "nilpotent",
+                "embedding")),
+            "zdel-chain3-yd-condition", "zdel-interface-locked-identity",
+            "zdel-chain3-braided-commutative" if p == 2
+            else "zdel-chain3-braided-commutativity-fails",
+            "h2-weyl-isomorphism"))
+        return
     chains = {k: truly_heisenberg_chain(p, k) for k in (1, 2, 3, 4)}
     for k, ch in chains.items():
         yield dim_check(f"zdel-chain{k}-dimension", ch.algebra.dim, p ** k)
@@ -372,27 +368,23 @@ def _suite_chains(cfg: SuiteConfig):
     yield bc if p == 2 else invert_expected_failure(
         bc, "zdel-chain3-braided-commutativity-fails")
     yield h2_matches_cqzd_check(chains[2])
-    yield cqzd_center_check(cqzd(p))
 
 
 def _suite_truncations(cfg: SuiteConfig):
     p = cfg.p
-    walks = _walks(cfg)
     uq = uqsl2(p)
     yield from uq.checks
+    hq_lines = ("hq-lambda-power", "hq-dimension", "hq-action-table",
+                "hq-coaction-table", "hq-factorization", "comodule-coaction",
+                "comodule-algebra")
     if uq.hopf is None:
         # no u_q(sl_2) to read: the four laws fail as corollaries of its
         # certificates, and the lines on it skip
-        bad = next(c for c in uq.checks if not c.ok)
-        why = f"needs u_q(sl_2); {bad.name} failed"
         yield quotient_morphism_check(uq.hq)
         yield from transport_corollaries(uq.checks)
-        for name in ("uq-presentation-relations", "uq-presentation-coalgebra",
-                     "uq-presentation-generation", "uq-dimension",
-                     "hq-lambda-power", "hq-dimension", "hq-action-table",
-                     "hq-coaction-table", "hq-factorization",
-                     "comodule-coaction", "comodule-algebra"):
-            yield _skip(name, why)
+        yield from _skip_lines("u_q(sl_2)", uq.checks, (
+            "uq-presentation-relations", "uq-presentation-coalgebra",
+            "uq-presentation-generation", "uq-dimension", *hq_lines))
         return
     yield from uq_presentation_check(uq)
     yield dim_check("uq-dimension", uq.hopf.dim, 2 * p ** 3)
@@ -402,36 +394,19 @@ def _suite_truncations(cfg: SuiteConfig):
     yield from hq.checks
     # the four laws that the transport lemma carries from H(B*) to Hq are
     # its corollaries (see transport_action)
-    laws = {r.name: r for r in transport_corollaries(
-        [*uq.checks, morphism, *hq.transport.certificates])}
-    bad = next((c for c in hq.transport.certificates if not c.ok), None)
-    if bad is not None:
+    yield from transport_corollaries(
+        [*uq.checks, morphism, *hq.transport.certificates])
+    if not hq.transport.ok:
         # no structure to read: the lines on it skip
-        why = f"needs the transported structure; {bad.name} failed"
-        for name in ("hq-lambda-power", "hq-dimension", "hq-action-table",
-                     "hq-coaction-table", "hq-factorization", "module-action",
-                     "module-algebra", "comodule-coaction",
-                     "comodule-algebra", "yd-condition",
-                     "braided-commutative"):
-            yield laws.get(name) or _skip(name, why)
+        yield from _skip_lines("the transported structure",
+                               hq.transport.certificates, hq_lines)
         return
     yield dim_check("hq-dimension", hq.yd.dim, 2 * p ** 3)
     yield hq_action_table_check(hq)
     yield hq_coaction_table_check(hq)
     yield hq_factorization_check(hq, lemma_walk(hq.algebra))
-    y = hq.yd
-    # in sample mode the four laws are walked instead
-    proved = {} if cfg.resolved_mode == "sample" else laws
-
-    def law(name, walked):
-        return proved[name] if proved else walked(y, walks)
-
-    yield law("module-action", check_module)
-    yield law("module-algebra", check_module_algebra)
-    yield check_comodule(y)
-    yield check_comodule_algebra(y, _comodule_algebra(cfg, y.algebra))
-    yield law("yd-condition", check_yd)
-    yield law("braided-commutative", check_braided_commutative)
+    yield check_comodule(hq.yd)
+    yield check_comodule_algebra(hq.yd, lemma_walk(hq.algebra))
 
 
 def _suite_mutations(cfg: SuiteConfig):

@@ -70,8 +70,8 @@ __all__ = [
     "hq_action_table_check", "hq_coaction_table_check",
     "hq_factorization_check",
     "cqzd", "cqzd_center_check",
-    "HeisenbergChain", "truly_heisenberg_chain", "chain_heisenberg_checks",
-    "h2_matches_cqzd_check",
+    "HeisenbergChain", "truly_heisenberg_chain", "zdel_factors",
+    "chain_heisenberg_checks", "h2_matches_cqzd_check",
 ]
 
 Vec = dict
@@ -1222,9 +1222,6 @@ _FACTOR_CACHE: dict = {}
 def _heis_factor(uq: UqSl2, kind: str) -> TransportedStructure:
     """One battery of the chain: the span of z^i (or del^i), i < p, as a
     YD module algebra over the truncated quantum group."""
-    key = (uq.p, kind)
-    if key in _FACTOR_CACHE:
-        return _FACTOR_CACHE[key]
     sys = uq.system
     ctx = sys.ctx
     p = ctx.p
@@ -1240,7 +1237,7 @@ def _heis_factor(uq: UqSl2, kind: str) -> TransportedStructure:
     def render(i):
         return "1" if i == 0 else (kind if i == 1 else f"{kind}^{i}")
 
-    ts = transport_action(
+    return transport_action(
         sys.yd, basis, tuple(range(p)),
         action_lifts=lifted_gens,
         target_hopf=uq.hopf, hopf_lift=uq.lift,
@@ -1248,11 +1245,21 @@ def _heis_factor(uq: UqSl2, kind: str) -> TransportedStructure:
         descent_central=[kk], target_generators=(1,),
         render=render, name=f"{kind}-factor(p={p})",
         prefix=f"{kind}-factor")
-    if not ts.ok:
-        bad = next(c for c in ts.certificates if not c.ok)
-        raise RuntimeError(f"factor transport failed: {bad.line()}")
-    _FACTOR_CACHE[key] = ts
-    return ts
+
+
+def zdel_factors(p: int) -> tuple[list, dict]:
+    """The certificates that the z/del chains rest on, u_q(sl_2)'s and
+    then each factor transport's, and the two factors by kind, "del" and
+    "z"; no factor when u_q(sl_2) is missing."""
+    uq = uqsl2(p)
+    if uq.hopf is None:
+        return list(uq.checks), {}
+    if p not in _FACTOR_CACHE:
+        _FACTOR_CACHE[p] = {kind: _heis_factor(uq, kind)
+                            for kind in ("z", "del")}
+    factors = _FACTOR_CACHE[p]
+    return [*uq.checks, *(c for ts in factors.values()
+                          for c in ts.certificates)], factors
 
 
 class HeisenbergChain(NamedTuple):
@@ -1286,15 +1293,18 @@ class HeisenbergChain(NamedTuple):
 
 
 def truly_heisenberg_chain(p: int, n: int) -> HeisenbergChain:
-    """Chain of n alternating factors, starting with del."""
+    """Chain of n alternating factors, starting with del; a RuntimeError
+    naming the first failed certificate of `zdel_factors` when one
+    failed."""
     if n < 1:
         raise ValueError("need at least one factor")
-    uq = uqsl2(p)
-    fz = _heis_factor(uq, "z")
-    fd = _heis_factor(uq, "del")
-    chain = chain_product([(fz if i % 2 else fd).yd for i in range(n)],
-                          name=f"H{n}(p={p},dual)")
-    return HeisenbergChain(p, n, uq, chain)
+    checks, factors = zdel_factors(p)
+    bad = next((c for c in checks if not c.ok), None)
+    if bad is not None:
+        raise RuntimeError(f"the z/del factors need {bad.line()}")
+    chain = chain_product([factors["z" if i % 2 else "del"].yd
+                           for i in range(n)], name=f"H{n}(p={p},dual)")
+    return HeisenbergChain(p, n, uqsl2(p), chain)
 
 
 def chain_heisenberg_checks(ch: HeisenbergChain,

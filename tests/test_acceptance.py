@@ -171,7 +171,7 @@ def test_12_r_matrix_remarks(sys2):
     assert pos.status == "pass"          # restated inverse-R form holds
     assert neg.status == "pass"          # naive form refuted with witness
     assert neg.witness is not None
-    all_pass(check_quasitriangular(sys2.double))
+    all_pass(check_quasitriangular(sys2.double, EXHAUSTIVE))
 
 
 def test_13_mutations_all_caught_and_exit_code_one():

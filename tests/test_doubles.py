@@ -206,7 +206,30 @@ def test_action_composes_through_double(sys2):
 
 
 def test_quasitriangular_p2(sys2):
-    all_pass(check_quasitriangular(sys2.double))
+    all_pass(check_quasitriangular(sys2.double, EXHAUSTIVE))
+
+
+@pytest.mark.parametrize("scaled", [False, True],
+                         ids=["healthy", "first-r-term-times-zeta"])
+def test_both_intertwining_routes_give_the_same_verdict(sys2, monkeypatch,
+                                                        scaled):
+    """R Delta(x) = Delta-op(x) R on D(B)'s generators, closed by its
+    generation certificate, against every basis vector x: both pass on
+    the healthy R, and both fail with R's first term times zeta, the
+    full walk at its 9th basis vector and the generators at their 2nd."""
+    D = sys2.double
+    if scaled:
+        R = D.rmatrix()
+        first = min(R)
+        monkeypatch.setattr(D, "_rmatrix",
+                            {**R, first: R[first] * D.ctx.zeta})
+    full = check_quasitriangular(D, EXHAUSTIVE)[0]
+    gens = check_quasitriangular(D, lemma_walk(D.hopf, 1))[0]
+    assert (full.name, full.mode, gens.mode) == (
+        "r-intertwine", "exhaustive", "generators")
+    assert full.status == gens.status == ("fail" if scaled else "pass")
+    assert (full.cases_checked, gens.cases_checked) == (
+        (9, 2) if scaled else (256, 4))
 
 
 def test_r_matrix_commutativity_forms(sys2):

@@ -21,8 +21,8 @@ from hopfbench.hopf import (
     check_hopf_pairing, dual_hopf, pair_product, render_element,
     tensor_flat,
 )
-from hopfbench.report import SuiteConfig, _associativity, _pairwise
-from hopfbench.results import TupleWalks
+from hopfbench.report import SuiteConfig, _associativity
+from hopfbench.results import TupleWalks, two_sided_lemma_walk
 from hopfbench.sparse import (BilinearMap, ColinearMap, LinearMap, Space,
                               vadd_into, veq)
 
@@ -140,22 +140,25 @@ def antipode_antimultiplicative(H, walk):
         "antipode-antimultiplicative", case)
 
 
-def axioms(H, mode="exhaustive", seed=0, samples=2000, antihom=False):
+def axioms(H, mode="exhaustive", seed=0, samples=2000, antihom=False,
+           pairs=None):
     """check_hopf_axioms on the walks that the report's plan gives each
     law of H in a run in `mode`, and with `antihom` the antipode law on
-    the plan's walk for pairs.  The plan's lemma walks need declared
+    the plan's walk for pairs: the pair lemma in every mode, or the tuple
+    walks `pairs` when given.  The plan's lemma walks need declared
     generators, which every algebra of the suites has; a fixture without
     them walks the run's tuples, sampled in a "generators" run."""
-    cfg = SuiteConfig(mode=mode, seed=seed, sample_size=samples)
-    if not H.generators:
-        walks = TupleWalks("sample" if mode == "generators" else mode, seed,
-                           samples)
-        assoc, pairs = walks, lambda: walks
+    if H.generators:
+        assoc = _associativity(SuiteConfig(mode=mode, seed=seed,
+                                           sample_size=samples), H)
     else:
-        assoc, pairs = _associativity(cfg, H), lambda: _pairwise(cfg, H)
-    results = check_hopf_axioms(H, assoc, pairs(), pairs())
+        assoc = TupleWalks("sample" if mode == "generators" else mode, seed,
+                           samples)
+        pairs = pairs or assoc
+    walks = [pairs or two_sided_lemma_walk(H) for _ in range(2 + antihom)]
+    results = check_hopf_axioms(H, assoc, *walks[:2])
     if antihom:
-        results.append(antipode_antimultiplicative(H, pairs()))
+        results.append(antipode_antimultiplicative(H, walks[2]))
     return results
 
 
@@ -163,12 +166,12 @@ def axioms(H, mode="exhaustive", seed=0, samples=2000, antihom=False):
 
 def test_group_algebra_axioms_exhaustive():
     H = group_algebra(CTX, 8)
-    all_pass(axioms(H, antihom=True))
+    all_pass(axioms(H, antihom=True, pairs=EXHAUSTIVE))
 
 
 def test_four_dim_axioms_exhaustive():
     H = four_dim_hopf(CTX)
-    all_pass(axioms(H, antihom=True))
+    all_pass(axioms(H, antihom=True, pairs=EXHAUSTIVE))
 
 
 def test_group_algebra_generator_mode():
@@ -283,8 +286,8 @@ def test_a_comult_row_broken_off_the_generator_side_fails_both_walks():
     H = s3_group_algebra(CTX)
     k = H.space.index["201"]
     H.comult.set(k, ((k, k, CTX.zeta),))
-    gens = {r.name: r for r in axioms(H, mode="generators")}
-    full = {r.name: r for r in axioms(H)}
+    gens = {r.name: r for r in axioms(H)}
+    full = {r.name: r for r in axioms(H, pairs=EXHAUSTIVE)}
     line, ref = gens["comult-multiplicative"], full["comult-multiplicative"]
     assert (line.status, line.mode) == ("fail", "generators")
     assert line.witness == "basis pair (021, 102)"
@@ -314,7 +317,8 @@ def test_a_sampled_pair_line_walks_its_own_seeded_pairs(name,
     first = next((i, j) for i, j in walk.tuples
                  if ((i + j) % n == 5) != (i == 5) + (j == 5))
     results = axioms(H, mode="sample", seed=seed, samples=samples,
-                     antihom=include_antihom)
+                     antihom=include_antihom,
+                     pairs=TupleWalks("sample", seed, samples))
     line = {r.name: r for r in results}[name]
     assert (line.status, line.mode) == ("fail", walk.label)
     assert line.witness == (f"basis pair ({H.space.label(first[0])}, "

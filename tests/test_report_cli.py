@@ -24,7 +24,7 @@ from hopfbench.mutations import MUTATIONS
 from hopfbench.report import (ConfigError, SuiteConfig, parse, render,
                               run_suite)
 from hopfbench.doubles import factor_structures
-from hopfbench.results import CheckResult, lemma_walk
+from hopfbench.results import MODES, CheckResult, lemma_walk
 from hopfbench.taft import taft_setup, taft_system
 from hopfbench.ydcat import check_braided_commutative, check_braided_symmetric
 
@@ -166,14 +166,16 @@ def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
 # factors of H(B*), of yd-condition on a subcoalgebra of D(B) and of
 # braided-commutative on a subcomodule of H(B*); the truncations report
 # pins the four laws read off the transport certificates; the hopf-axioms
-# report pins the associativity proofs from generator-headed triples.
+# report pins the associativity proofs from generator-headed triples and
+# the pair lemma, and the double report the intertwining of R proved on
+# D(B)'s generators.
 REPORT_SHA256_P2 = {
     "hopf-axioms":
-        "d314cbd71d131f4a4bf7eb7c4bb0b3a39c8c4c99f7e53261fb1f2aa73c9bacbb",
+        "3909c7257af94b8ab4fcbece83ec5cc784627bb9b4b23cc11126c062b8fa34e2",
     "yd":
         "79ab3933874c3b8550181286bb29fd4a784f1270b91a0f6f6a154878d1116da2",
     "double":
-        "81a95de212fbd7e205d5352a9262f13a8939e3c63e4f25ff1f50c752cd28f6c5",
+        "fe5932695e8f7644630bb2ca239e6883dd857bb7e3a139eed56721848f7144f0",
     "heisenberg":
         "15d7ec109b776574e2feafcd89e811459973853e7ec1ca23d2be4c405cd7a2f0",
     "mutations":
@@ -215,15 +217,15 @@ def test_quotient_morphism_is_the_construction_certificate_in_sample_mode():
 # sha256 of `hopfbench verify --p 2 --suite <suite> --mode generators
 # --sample-size 500 --seed 11 --format json`: these suites read the
 # products of both doubles, their actions and the pairing arrows; chains
-# and truncations pin the counterexample searches, comodule-algebra and
-# the transported laws, whose walks do not follow the run's mode.
+# and truncations pin the counterexample searches, which do not follow the
+# run's mode.
 REPORT_SHA256_P2_GENERATORS = {
     "chains":
         "c1430b42ae83cae42f746625e802087e6b91eabb1688ff58071a5d74b1753e6c",
     "truncations":
         "68a3bc64a4adceaeb4f83562f06b1470c9d23e3ef9670476ddf6ffcc931a198b",
     "double":
-        "23071638ebdf3710b2c5a0f1f2d396f45e380d4444dda45fd1dd90c7b2abaf07",
+        "88f0f8116344a0d299891f8035e002b361ba6becf1586e2ac72e04756f117038",
     "heisenberg":
         "9c04bbaeb632d958ed27a4dacc7ae290d6c92bac274357f9b779365c9534e351",
     "hopf-axioms":
@@ -248,15 +250,15 @@ REPORT_SHA256_P2_SAMPLE = {
     "chains":
         "1d94469d7d7c4050b9e95a90367fc0c830ab7e711bbaee5d36700e31e5ae50fb",
     "truncations":
-        "50a214cbb0967c675845b13484e604187c2d27eed210eadd535e765e00fc9e30",
+        "f5931bf756e681caf581b782eda450fcdba648075f57fef235dfaf5eb988ca4c",
     "double":
-        "64ccada22586b1eaeedfba636e660d94baf8d193feb9d69487f53dbba709c7c1",
+        "3c8cf09fed255230041f62e49b786b08cfad4f59edc74b039511124fb528167a",
     "heisenberg":
         "106276b5b58157b0d5b7a4dc5675b291c01e6164cb5c2b761d810ef6b4773995",
     "hopf-axioms":
-        "5c0bafa7b730fe0f8d7034e2ae8d21c60173b349f09126ffb2e9400663985c47",
+        "31b8d20e3369ded8fba5bd3401b45f7cb942f19c0ca4085b89675b682320cb0c",
     "yd":
-        "9f03fc5601429adbaa4c8075b5f6f3f7050e7d6cf5851f28dc1e8bce546adf50",
+        "1ff30ef023a6eebaa69d67b33b0769d31eebcfc5a61fd6e088405fb44d876a40",
 }
 
 
@@ -265,6 +267,27 @@ def test_sample_report_bytes_are_pinned(suite):
     data = render(run_suite(SuiteConfig(p=2, suite=suite, mode="sample",
                                         sample_size=500, seed=11)), "json")
     assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P2_SAMPLE[suite]
+
+
+def _routed(name: str) -> bool:
+    """A line of a law with a proof route: every yd and truncations line,
+    the R lines of double and the pair laws of hopf-axioms."""
+    suite, law = name.split(".")[:2]
+    return (suite in ("yd", "truncations") or law.startswith("r-")
+            or law.endswith(("-comult-multiplicative",
+                             "-counit-multiplicative")))
+
+
+def test_a_law_with_a_proof_route_takes_it_in_every_mode():
+    lines = {}
+    for mode in MODES:
+        rep = run_suite(SuiteConfig(p=2, suite="hopf-axioms,double,yd,"
+                                    "truncations", mode=mode,
+                                    sample_size=500, seed=11))
+        lines[mode] = [(r.name, r.status, r.mode, r.cases_checked, r.witness)
+                       for r in rep.results if _routed(r.name)]
+    assert len(lines["exhaustive"]) == 6 + 5 + 6 + 23
+    assert lines["generators"] == lines["exhaustive"] == lines["sample"]
 
 
 # sha256 of `hopfbench verify --p 3 --suite yd,truncations --sample-size 1000

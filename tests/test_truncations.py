@@ -204,22 +204,16 @@ def _truncation_lines(rep) -> dict:
             if r.name.split(".")[1] in COROLLARIES}
 
 
-@pytest.mark.parametrize("mode", [None, "generators"])
+@pytest.mark.parametrize("mode", [None, "generators", "sample"])
 def test_the_transported_laws_are_corollaries(mode):
-    """Outside sample mode the four laws read the certificates of u_q(sl_2)
-    (2), quotient-morphism (1) and the transport (5), one case each."""
-    rep = run_suite(SuiteConfig(p=2, suite="truncations", mode=mode))
+    """In every mode the four laws read the certificates of u_q(sl_2) (2),
+    quotient-morphism (1) and the transport (5), one case each."""
+    rep = run_suite(SuiteConfig(p=2, suite="truncations", mode=mode,
+                                sample_size=50))
     lines = _truncation_lines(rep)
     assert sorted(lines) == sorted(COROLLARIES)
     assert {(r.status, r.mode, r.cases_checked, r.witness)
             for r in lines.values()} == {("pass", "generators", 8, None)}
-
-
-def test_sample_mode_walks_the_transported_laws():
-    rep = run_suite(SuiteConfig(p=2, suite="truncations", mode="sample",
-                                sample_size=50))
-    assert {r.mode for r in _truncation_lines(rep).values()} == {
-        "sample(n=50,seed=0)"}
 
 
 def test_corollaries_fail_at_the_first_certificate_that_did_not_pass():
@@ -283,15 +277,19 @@ def test_a_failed_transport_certificate_fails_every_corollary(monkeypatch,
     assert "hq-transport-descent-0" in capsys.readouterr().err
 
 
+def _drop_uq_generator_k(monkeypatch):
+    real = taft_module.sub_hopf
+    monkeypatch.setattr(taft_module, "sub_hopf", lambda H, idx, generators,
+                        name: real(H, idx, generators=generators[:2],
+                                   name=name))
+
+
 def test_a_failed_uq_closure_fails_every_corollary(monkeypatch, capsys):
     """`uqsl2` with a generator list that does not span the even span
     keeps its failed closure certificate as a check, with no Hopf
     algebra: the four laws fail, naming it, the lines on u_q(sl_2) skip,
     and the run exits 1 instead of crashing."""
-    real = taft_module.sub_hopf
-    monkeypatch.setattr(taft_module, "sub_hopf", lambda H, idx, generators,
-                        name: real(H, idx, generators=generators[:2],
-                                   name=name))
+    _drop_uq_generator_k(monkeypatch)
     monkeypatch.setattr(taft_module, "_UQ_CACHE", {})
     monkeypatch.setattr(taft_module, "_HQ_CACHE", {})
     uq = uqsl2(2)
@@ -316,6 +314,48 @@ def test_a_failed_uq_closure_fails_every_corollary(monkeypatch, capsys):
         "needs u_q(sl_2); Uq(p=2)-closure failed")
     assert main(["verify", "--p", "2", "--suite", "truncations"]) == 1
     capsys.readouterr()
+
+
+def _break_z_factor_descent(monkeypatch):
+    real = taft_module.transport_action
+    monkeypatch.setattr(taft_module, "transport_action", lambda source, *a,
+                        prefix, **kw: real(
+                            _descent_breaking_source(taft_module.uqsl2(2))
+                            if prefix == "z-factor" else source,
+                            *a, prefix=prefix, **kw))
+
+
+@pytest.mark.parametrize("corrupt,bad", [
+    (_drop_uq_generator_k, "Uq(p=2)-closure"),
+    (_break_z_factor_descent, "z-factor-descent-0")],
+    ids=["uq-closure", "z-factor-descent"])
+def test_a_failed_zdel_certificate_skips_the_zdel_lines(monkeypatch, capsys,
+                                                        corrupt, bad):
+    """With no u_q(sl_2), or a failed factor transport, the chains suite
+    reports the failed certificate, skips the lines on the z/del chains
+    naming it, runs the rest as in a healthy run, and exits 1; the
+    export of a z/del chain is refused, naming it."""
+    healthy = {r.name: r.to_dict() for r in
+               run_suite(SuiteConfig(p=2, suite="chains")).results}
+    corrupt(monkeypatch)
+    for cache in ("_UQ_CACHE", "_HQ_CACHE", "_FACTOR_CACHE"):
+        monkeypatch.setattr(taft_module, cache, {})
+    lines = {r.name: r for r in
+             run_suite(SuiteConfig(p=2, suite="chains")).results}
+    assert [name for name, r in lines.items() if r.status == "fail"] == [
+        f"chains.{bad}.p2"]
+    zdel = {name for name in healthy
+            if name.startswith(("chains.zdel-", "chains.h2-weyl"))}
+    assert len(zdel) == 13
+    assert {name: r.mode for name, r in lines.items()
+            if r.status == "skipped"} == dict.fromkeys(
+        zdel, f"needs the z/del factors; {bad} failed")
+    assert {name: r.to_dict() for name, r in lines.items()
+            if name not in zdel and r.status != "fail"} == {
+        name: r for name, r in healthy.items() if name not in zdel}
+    assert main(["verify", "--p", "2", "--suite", "chains"]) == 1
+    assert main(["export", "--p", "2", "chain(3)"]) == 3
+    assert f"the z/del factors need FAIL  {bad}" in capsys.readouterr().err
 
 
 def _pushed_out(dbar, pair, odd):
