@@ -27,10 +27,10 @@ remarks (the R-matrix form that holds and the one that fails) and the
 alternating chain algebras with their straightening relations.
 
 Each D(B)-action is defined once.  A DrinfeldDouble memoizes the four leg
-actions hit and ad of B and adF and rhit of B*; the actions on H(B*)
-(FactoredAction) and on its factors B*cop and B (factor_structures) are
-composites of them.  The coaction on H(B*) is the coproduct of D(B), and
-the coactions on the factors are that coproduct restricted to them.
+actions hit and ad of B and adF and rhit of B*; the action on H(B*)
+(FactoredAction) is a composite of them, and its coaction is the
+coproduct of D(B).  Its factors B*cop and B carry that structure
+restricted (factor_structures, certified by check_factor_restrictions).
 
 Both doubles, and the braided products behind the chains (ydcat), are
 twisted tensor products A (x)_R B (Cap, Schichl and Vanzura, Comm. Algebra
@@ -81,6 +81,7 @@ __all__ = [
     "check_double_identity",
     "yd_structure",
     "factor_structures",
+    "check_factor_restrictions",
     "heisenberg_chain",
     "chain_relations_check",
     "check_quasitriangular",
@@ -113,8 +114,8 @@ class DrinfeldDouble:
     Each leg table needs only `base`, `dual` and `pairing`, and is
     memoized once per double, its rows stored rows (see
     `sparse.shared_row`).  They are the one definition of these actions:
-    the D(B)-actions on H(B*) (`FactoredAction`) and on B*cop and B
-    (`factor_structures`) are composites of them.
+    the D(B)-action on H(B*) (`FactoredAction`) is a composite of them,
+    and B*cop and B carry its restrictions (`factor_structures`).
     """
 
     __slots__ = ("ctx", "hopf", "base", "dual", "pairing", "_rmatrix",
@@ -1068,80 +1069,113 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
 
 # -- the two factors as YD module algebras ------------------------------------
 
-def factor_structures(D: DrinfeldDouble) -> tuple[YDModuleAlgebra, YDModuleAlgebra]:
-    """B^{*cop} and B as YD module algebras over D(B).
+def factor_structures(yd: YDModuleAlgebra
+                      ) -> tuple[YDModuleAlgebra, YDModuleAlgebra]:
+    """B^{*cop} and B as YD D(B)-module algebras: the restrictions of
+    H(B*)'s structure `yd` to its factors B* (x) 1 and 1 (x) B (Majid,
+    Foundations of Quantum Group Theory, CUP 1995, ch. 9).
 
-    Coactions: beta -> (beta'' (x) 1) (x) beta',  b -> (eps (x) b') (x) b'':
-    the coproduct of D(B) on beta (x) 1 and on eps (x) b, its second leg
-    taken back to the factor by the counit of the other factor.
-
-    Actions, composites of the leg tables of D (see `DrinfeldDouble`):
-
-        (mu (x) m) |> beta = adF(mu)(hit(m) beta)
-                           = mu'' (m -> beta) S*^{-1}(mu'),
-        (mu (x) m) |> b = rhit(mu)(ad(m) b) = (m' b S(m'')) <- S*^{-1}(mu).
+    The algebras are B*'s and B's own tables, f -> f (x) 1 and
+    m -> 1 (x) m being algebra maps (`results.normality_cases`).  Each
+    action and coaction row is yd's row on the embedded basis vector,
+    re-indexed through `twist_of(yd.algebra).factor_indices()`; a leg
+    outside the factor raises a ValueError that names it, and
+    `check_factor_restrictions` certifies that none does.
     """
-    base, dual = D.base, D.dual
-    ctx, one = D.ctx, D.ctx.one
-    nB, d = base.dim, D.dim
+    X, H, tw = yd.algebra, yd.hopf, twist_of(yd.algebra)
 
-    dual_alg = FiniteAlgebra(ctx, dual.space, dual.mult, dual.unit,
-                             generators=dual.generators,
-                             name=f"{dual.name}(cop)")
-    base_alg = FiniteAlgebra(ctx, base.space, base.mult, base.unit,
-                             generators=base.generators, name=base.name)
+    def restriction(f, name: str, embed: list) -> YDModuleAlgebra:
+        alg = FiniteAlgebra(f.ctx, f.space, f.mult, f.unit,
+                            generators=f.generators, name=name)
+        index = {x: v for v, x in enumerate(embed)}
 
-    def acting(outer, inner):
-        """(mu (x) m) |> v = outer(mu)(inner(m) v)."""
-        def fn(h: int, v: int) -> Vec:
-            mu, m = divmod(h, nB)
-            out: Vec = {}
-            for t, c in inner(m, v):
-                vadd_into(out, outer(mu, t), c)
-            return out
-        return fn
+        def inside(x: int, v: int, h: Optional[int] = None) -> int:
+            if x in index:
+                return index[x]
+            row = (f"delta({f.space.label(v)})" if h is None
+                   else f"{H.space.label(h)} |> {f.space.label(v)}")
+            raise ValueError(f"{row} has the leg {X.space.label(x)} "
+                             f"outside {name}")
 
-    def coacting(embed, project):
-        """v -> (id (x) project) Delta_D(embed(v)); project(k) is the
-        factor index and the weight of the basis vector k of D."""
-        def fn(v: int) -> tuple:
-            acc: dict = {}
-            for key, c in D.hopf.comult.apply(embed(v)).items():
-                h, k = divmod(key, d)
-                y, w = project(k)
-                if w:
-                    vadd_term(acc, (h, y), c * w)
-            return tuple(sorted((h, y, c) for (h, y), c in acc.items()))
-        return fn
+        def act(h: int, v: int) -> Vec:
+            return {inside(x, v, h): c for x, c in yd.action.row(h, embed[v])}
 
-    dual_coact = coacting(lambda f: tensor_flat({f: one}, base.unit, nB),
-                          lambda k: (k // nB, base.counit.get(k % nB)))
-    base_coact = coacting(lambda b: tensor_flat(dual.unit, {b: one}, nB),
-                          lambda k: (k % nB, dual.counit.get(k // nB)))
-    dual_yd = YDModuleAlgebra(D.hopf, dual_alg,
-                              Action(D.hopf, dual_alg, acting(D.adf, D.hit)),
-                              Coaction(D.hopf, dual_alg, dual_coact),
-                              name=dual_alg.name)
-    base_yd = YDModuleAlgebra(D.hopf, base_alg,
-                              Action(D.hopf, base_alg, acting(D.rhit, D.ad)),
-                              Coaction(D.hopf, base_alg, base_coact),
-                              name=base_alg.name)
-    return dual_yd, base_yd
+        def coact(v: int) -> tuple:
+            return tuple(sorted((h, inside(x, v), c)
+                                for h, x, c in yd.coaction.terms(embed[v])))
+
+        return YDModuleAlgebra(H, alg, Action(H, alg, act),
+                               Coaction(H, alg, coact), name=name)
+
+    left, right = tw.factor_indices()
+    return (restriction(tw.A, f"{tw.A.name}(cop)", left),
+            restriction(tw.B, tw.B.name, right))
+
+
+def check_factor_restrictions(yd: YDModuleAlgebra) -> list[CheckResult]:
+    """The restriction certificates of the two `factor_structures(yd)`,
+    labelled "generators": the lines dual-factor-braided-commutative and
+    base-factor-braided-commutative.
+
+    For a factor S of X = H(B*), one case per row reads the action rows
+    g |> s, g over the declared generator indices of H = D(B) and s over
+    S's basis, then the coaction rows delta(s); a leg outside S fails it.
+    The prelude, the normality of H(B*)'s R, makes S a subalgebra holding
+    1, and the certificate `generation_failure(H)` makes S stable under
+    H: {h : h |> S in S} holds 1 and the generators and is closed under
+    products by the module law.  S is then a YD sub-module algebra of X.
+
+    Lemma 1: such an S is braided commutative when X is: for s, t in S,
+    st = (s_(-1) |> t) s_(0) holds in X, and both sides lie in S.
+
+    Lemma 2 (`locked-identity`): with Y = B* (x) 1 and Z = 1 (x) B,
+    c_{Z,Y} c_{Y,Z} = id on Y (x) Z.  For y in Y and z in Z, braided
+    commutativity of X gives yz = sum z'y' with sum z' (x) y' =
+    c_{Y,Z}(y (x) z) in Z (x) Y, and again z'y' = m(c_{Z,Y}(z' (x) y')),
+    m the product: m(c_{Z,Y} c_{Y,Z}(y (x) z)) = yz = m(y (x) z), and by
+    R-normality m, y (x) z -> yz, is a bijection from Y (x) Z onto X.
+
+    Lemma 3 (`braided-symmetric`): c_{Z,Y} is the explicit inverse
+    c^{-1}(z (x) y) = y_(0) (x) (S^{-1}(y_(-1)) |> z).  That formula is a
+    left inverse of c_{Y,Z} by the coassociativity and counit law of the
+    coaction, the module law and S^{-1}(h'') h' = eps(h) 1, and so is
+    c_{Z,Y} by lemma 2; a map with a left inverse between spaces of one
+    finite dimension is bijective, so both are c_{Y,Z}^{-1}.
+
+    The lemmas rest on `yd.braided-commutative`, proved at every p,
+    `yd.module-action`, `yd.comodule-coaction` and D(B)'s antipode laws;
+    lemmas 2 and 3 on both certificates (`truncate.transport_corollaries`).
+    """
+    H, X = yd.hopf, yd.algebra
+
+    def outside(read, *args) -> Optional[str]:
+        try:
+            read(*args)
+        except ValueError as leg:       # a leg outside the factor
+            return str(leg)
+        return None
+
+    return [Walk("generators", itertools.chain(
+                ((f.action.row, g, s) for g in sorted(gen_indices(H))
+                 for s in range(f.dim)),
+                ((f.coaction.terms, s) for s in range(f.dim))),
+                 prelude=obligation("r-normality", X,
+                                    partial(normality_cases, X)),
+                 certificate=partial(generation_failure, H)).check(
+                f"{side}-factor-braided-commutative", outside)
+            for side, f in zip(("dual", "base"), factor_structures(yd))]
 
 
 # -- alternating chains -------------------------------------------------------
 
-def heisenberg_chain(base: FiniteHopf, n: int, *,
-                     D: DrinfeldDouble) -> BraidedProductAlgebra:
-    """Alternating braided product of B^{*cop} and B factors, n factors
-    long, with B^{*cop} in position 0.  For n = 2 the result has the
-    structure constants of H(B*).
+def heisenberg_chain(yd: YDModuleAlgebra, n: int) -> BraidedProductAlgebra:
+    """Alternating braided product of the factors B^{*cop} and B of
+    H(B*)'s structure `yd` (`factor_structures`), n >= 1 factors long,
+    with B^{*cop} in position 0; for n = 2 it has H(B*)'s products.
     """
-    if n < 1:
-        raise ValueError("need at least one factor")
-    dual_yd, base_yd = factor_structures(D)
+    dual_yd, base_yd = factor_structures(yd)
     mods = [base_yd if i % 2 else dual_yd for i in range(n)]
-    return chain_product(mods, name=f"chain({base.name}, n={n})")
+    return chain_product(mods, name=f"chain({base_yd.name}, n={n})")
 
 
 def chain_relations_check(bp: BraidedProductAlgebra, D: DrinfeldDouble,

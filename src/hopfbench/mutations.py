@@ -24,8 +24,7 @@ from typing import Callable
 from .doubles import eta_cocycle, eta_twist_product, factor_structures
 from .hopf import FiniteHopf, check_hopf_axioms
 from .results import CheckResult, lemma_walk, two_sided_lemma_walk
-from .sparse import (LazyLinearMap, Vec, tensor_flat, vadd_into, vadd_outer,
-                     vadd_term)
+from .sparse import LazyLinearMap, Vec, tensor_flat, vadd_into, vadd_outer
 from .taft import taft_setup, taft_system
 from .ydcat import (Action, Coaction, ModuleAlgebra, YDModuleAlgebra,
                     check_comodule, check_module,
@@ -103,23 +102,18 @@ def _action_factor_dropped(p: int, walks) -> list:
 
 
 def _factor_coaction_swapped(p: int, walks) -> list:
-    """Dual-side factor with its coaction legs exchanged."""
+    """Dual-side factor with its coaction legs exchanged:
+    beta -> (beta' (x) 1) (x) beta'' for (beta'' (x) 1) (x) beta'."""
     sys = taft_system(p)
-    D = sys.double
-    dual_yd, _ = factor_structures(D)
-    base, dual = D.base, D.dual
-    nB = base.dim
+    dual_yd, _ = factor_structures(sys.yd)
+    nB, (ub,) = sys.double.base.dim, sys.double.base.unit
 
     def fn(f: int):
-        acc: dict = {}
-        for f1, f2, cf in dual.comult.get(f):
-            for bu, cu in base.unit.items():
-                vadd_term(acc, (f1 * nB + bu, f2), cf * cu)
-        return tuple(sorted((h, x, c) for (h, x), c in acc.items()))
+        return tuple(sorted((y * nB + ub, h // nB, c)
+                            for h, y, c in dual_yd.coaction.terms(f)))
 
-    bad = YDModuleAlgebra(D.hopf, dual_yd.algebra, dual_yd.action,
-                          Coaction(D.hopf, dual_yd.algebra, fn),
-                          name="dual-factor(legs-swapped)")
+    swapped = Coaction(dual_yd.hopf, dual_yd.algebra, fn)
+    bad = dual_yd._replace(coaction=swapped, name="dual-factor(legs-swapped)")
     return [check_comodule(bad), check_yd(bad, walks)]
 
 

@@ -18,14 +18,14 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from . import __version__
 from .doubles import (FactoredAction, chain_relations_check,
-                      check_double_identity, check_quantum_comm_remarks,
-                      check_quasitriangular, comodule_algebra_factor_walk,
-                      eta_twist_product, heisenberg_chain,
-                      module_algebra_factor_walk, module_factor_walk,
-                      to_show_action_check)
+                      check_double_identity, check_factor_restrictions,
+                      check_quantum_comm_remarks, check_quasitriangular,
+                      comodule_algebra_factor_walk, eta_twist_product,
+                      heisenberg_chain, module_algebra_factor_walk,
+                      module_factor_walk, to_show_action_check)
 from .hopf import check_algebra_axioms, check_hopf_axioms, check_same_twist
 from .results import (MODES, CheckResult, TupleWalks, dim_check,
-                      invert_expected_failure, lemma_walk,
+                      gen_indices, invert_expected_failure, lemma_walk,
                       obligations_once, subcoalgebra_walk, subcomodule_walk,
                       summarize, two_sided_lemma_walk)
 from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
@@ -35,11 +35,10 @@ from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
                    taft_dual_check, taft_system, truly_heisenberg_chain,
                    uq_presentation_check, uqsl2, zdel_factors)
 from .truncate import quotient_morphism_check, transport_corollaries
-from .ydcat import (check_braided_commutative, check_braided_symmetric,
-                    check_comodule, check_comodule_algebra,
-                    check_factor_embeddings, check_locked_identity,
-                    check_module, check_module_algebra, check_yd,
-                    flip_isomorphism)
+from .ydcat import (check_braided_commutative, check_comodule,
+                    check_comodule_algebra, check_factor_embeddings,
+                    check_locked_identity, check_module,
+                    check_module_algebra, check_yd, flip_isomorphism)
 
 __all__ = ["SCHEMA_VERSION", "ConfigError", "SuiteConfig",
            "VerificationReport", "SUITE_NAMES", "DEFAULT_SUITES",
@@ -57,13 +56,13 @@ class SuiteConfig(NamedTuple):
 
     mode=None resolves to "exhaustive" for p=2 and "generators" for
     larger p; mode, seed and sample_size make the run's `TupleWalks`,
-    which serve the laws that have no proof route.  A law that has one
-    takes it in every mode and at every p: the pair laws of hopf-axioms,
-    r-intertwine, and every walked law of yd and truncations.  Only
-    associativity still reads the mode: the triple lemma in "exhaustive"
-    mode, the run's tuple walks otherwise.  suite is a name, "all", a
-    comma-separated list, or a sequence of names; an empty selection
-    yields an empty report.
+    which serve the laws with no proof route.  A law with one takes it in
+    every mode and at every p: the pair laws of hopf-axioms,
+    r-intertwine, every walked law of yd and truncations, and the four
+    factor laws of heisenberg.  In "generators" mode, a walk or a triple
+    lemma no larger than sample_size is walked whole.  suite is a name,
+    "all", a comma-separated list, or a sequence of names; an empty
+    selection yields an empty report.
     """
 
     p: int = 2
@@ -243,8 +242,10 @@ def _hunt(cfg: SuiteConfig) -> TupleWalks:
 
 def _associativity(cfg: SuiteConfig, A):
     """Associativity takes the generator-headed triple lemma in
-    "exhaustive" mode."""
-    if cfg.resolved_mode == "exhaustive":
+    "exhaustive" mode, and in "generators" mode when |G| d^2 <= sample_size."""
+    mode = cfg.resolved_mode
+    if mode == "exhaustive" or mode == "generators" and (
+            len(gen_indices(A)) * A.dim ** 2 <= cfg.sample_size):
         return lemma_walk(A, 3)
     return _walks(cfg)
 
@@ -303,35 +304,43 @@ def _suite_heisenberg(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     walks = _walks(cfg)
     yield from basis_change(sys)
-    bp2 = heisenberg_chain(sys.pair.primal, 2, D=sys.double)
-    dual_yd, base_yd = bp2.factors
-    yield check_braided_commutative(dual_yd, walks,
-                                    name="dual-factor-braided-commutative")
-    yield check_braided_commutative(base_yd, walks,
-                                    name="base-factor-braided-commutative")
-    yield check_braided_symmetric(dual_yd, base_yd, walks)
-    yield check_locked_identity(dual_yd, base_yd, walks)
+    restricts = check_factor_restrictions(sys.yd)
+    yield from restricts
+    yield from transport_corollaries(restricts, ("braided-symmetric",
+                                                 "locked-identity"))
+    if not all(c.ok for c in restricts):
+        yield from _skip_lines("the factor structures", restricts, (
+            "braided-product-is-hdouble", "factor-embedding", "flip-bijective",
+            "flip-algebra-morphism", "flip-module-morphism",
+            "flip-comodule-morphism"))
+        return
+    bp2 = heisenberg_chain(sys.yd, 2)
     yield check_same_twist(bp2.yd.algebra, sys.heis.algebra,
                            "braided-product-is-hdouble")
     yield check_factor_embeddings(bp2)
-    yield from flip_isomorphism(dual_yd, base_yd, walks, walks)
+    yield from flip_isomorphism(*bp2.factors, walks, walks)
 
 
 def _suite_chains(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     p = cfg.p
-    if p == 2:
-        ch3 = heisenberg_chain(sys.pair.primal, 3, D=sys.double)
+    failed = ([c for c in check_factor_restrictions(sys.yd) if not c.ok]
+              if p == 2 else [])
+    if p == 2 and not failed:
+        ch3 = heisenberg_chain(sys.yd, 3)
         yield from chain_relations_check(ch3, sys.double, prefix="full-chain3")
         yield invert_expected_failure(
             check_braided_commutative(ch3.yd, _hunt(cfg)),
             "full-chain3-braided-commutativity-fails")
         yield check_factor_embeddings(ch3, name="full-chain3-embedding")
     else:
-        yield _skip("full-chain3-relations",
-                    "run with p=2 (three full-double factors)")
-        yield _skip("full-chain3-braided-commutativity-fails",
-                    "run with p=2 (three full-double factors)")
+        # no three full-double factors to chain: the lines on them skip
+        yield from failed
+        why = (f"needs the factor structures; {failed[0].name} failed"
+               if failed else "run with p=2 (three full-double factors)")
+        for law in ("relations", "braided-commutativity-fails",
+                    *(("embedding",) if failed else ())):
+            yield _skip(f"full-chain3-{law}", why)
     yield cqzd_center_check(cqzd(p))
     checks, _ = zdel_factors(p)
     failed = [c for c in checks if not c.ok]

@@ -54,6 +54,7 @@ it runs once, and a later walk replays its witness and counts no case.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 import weakref
@@ -455,13 +456,15 @@ class TupleWalks:
     def over(self, dims: tuple, gen_sets: tuple) -> Walk:
         """Index tuples over `dims`, under the label they earn.
 
-        A None generator set means the whole slot, so a "generators" walk
-        with no generator slot is the exhaustive walk.  The `samples`
-        random tuples are drawn from `random.Random(seed)`, slot by slot,
-        so a walk cut short draws only what it visited.
+        A "generators" walk with no generator slot (None: the whole
+        slot), or with no more tuples than `samples`, is the exhaustive
+        walk.  The `samples` random tuples are drawn from
+        `random.Random(seed)`, slot by slot, so a walk cut short draws
+        only what it visited.
         """
         mode, seed, samples = self.mode, self.seed, self.samples
-        if mode == "generators" and all(g is None for g in gen_sets):
+        if mode == "generators" and (all(g is None for g in gen_sets)
+                                     or math.prod(dims) <= samples):
             mode = "exhaustive"
         if mode == "exhaustive":
             return Walk("exhaustive", itertools.product(*map(range, dims)))

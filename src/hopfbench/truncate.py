@@ -746,18 +746,20 @@ def transport_action(source: YDModuleAlgebra,
     return TransportedStructure(certs, yd)
 
 
-def transport_corollaries(certificates: Sequence[CheckResult]) -> list:
-    """module-action, module-algebra, yd-condition and
-    braided-commutative of a transported structure, as corollaries of the
-    transport lemma (see `transport_action`), labelled "generators".
+def transport_corollaries(certificates: Sequence[CheckResult],
+                          laws: Sequence[str] = (
+                              "module-action", "module-algebra",
+                              "yd-condition", "braided-commutative")) -> list:
+    """`laws` as corollaries of the lemma that reads them off
+    `certificates`, labelled "generators": by default the four laws of a
+    transported structure (see `transport_action`).
 
-    `certificates` are the results the lemma rests on, read in order,
-    one case each: all four laws pass when every one of them passed, and
-    all four fail at the first that did not, with its name and witness.
+    The certificates are read in order, one case each: every law passes
+    when every one of them passed, and every law fails at the first that
+    did not, with its name and witness.
     """
     return [run_check(law, "generators", (
                 None if cert.status == "pass"
                 else f"rests on {cert.name} ({cert.status}): {cert.witness}"
                 for cert in certificates))
-            for law in ("module-action", "module-algebra", "yd-condition",
-                        "braided-commutative")]
+            for law in laws]

@@ -9,10 +9,10 @@ module packages the three layers generically:
   action, or its action and coaction; checks consume the bundles.
 * For a Yetter-Drinfeld module algebra the induced braiding
   c(x (x) y) = (x_(-1) |> y) (x) x_(0) is available row-by-row, along with
-  its inverse, braided commutativity / symmetry tests, the "locked" double
-  braiding identity, and braided (smash-like) products of YD algebras with
-  the diagonal action and codiagonal coaction.  A chain's factor
-  embeddings and their certificate read its steps' twisted-product records.
+  braided commutativity, the "locked" double braiding identity, and
+  braided (smash-like) products of YD algebras with the diagonal action
+  and codiagonal coaction.  A chain's factor embeddings and their
+  certificate read its steps' twisted-product records.
 
 Every check over basis tuples walks each law on the walk its caller
 gives it (see `results`), with the declared generator indices in the
@@ -45,9 +45,7 @@ __all__ = [
     "check_comodule_algebra",
     "check_yd",
     "braiding_row",
-    "braiding_inv_row",
     "check_braided_commutative",
-    "check_braided_symmetric",
     "check_locked_identity",
     "braided_product",
     "chain_product",
@@ -501,27 +499,6 @@ def braiding_row(u_mod: YDModuleAlgebra, v_mod: YDModuleAlgebra,
     return out
 
 
-def braiding_inv_row(u_mod: YDModuleAlgebra, v_mod: YDModuleAlgebra,
-                     j: int, i: int) -> Vec:
-    """c^{-1}(e_j (x) e_i) = u_(0) (x) (S^{-1}(u_(-1)) |> e_j), flat over U (x) V.
-
-    Here j indexes V and i indexes U (the input lives in V (x) U).
-    """
-    if u_mod.hopf is not v_mod.hopf:
-        raise ValueError("braiding needs both modules over the same Hopf algebra")
-    H = u_mod.hopf
-    sinv = H.antipode_inv()
-    dv = v_mod.algebra.dim
-    out: Vec = {}
-    for h, u0, c in u_mod.coaction.terms(i):
-        for hs, cs in sinv.get(h):
-            c1 = c * cs
-            if not c1:
-                continue
-            vadd_into(out, v_mod.action.row(hs, j), c1, u0 * dv)
-    return out
-
-
 def check_braided_commutative(y: YDModuleAlgebra, walk,
                               name: str = "braided-commutative") -> CheckResult:
     """y x = (y_(-1) |> x) y_(0) on the (y, x) basis pairs of `walk`, with
@@ -579,26 +556,6 @@ def check_braided_commutative(y: YDModuleAlgebra, walk,
                 f"{render_element(alg.space, rhs)}")
 
     return walk.over((dX, dX), (ga, ga)).check(name, case)
-
-
-def check_braided_symmetric(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
-                            walk, name: str = "braided-symmetric") -> CheckResult:
-    """The braiding Y (x) X -> X (x) Y agrees with the inverse braiding.
-
-    Pointwise: (y_(-1) |> x) (x) y_(0)  =  x_(0) (x) (S^{-1}(x_(-1)) |> y).
-    """
-    X, Y = x_mod.algebra, y_mod.algebra
-
-    def case(i: int, j: int) -> Optional[str]:
-        lhs = braiding_row(y_mod, x_mod, j, i)       # flat X (x) Y
-        rhs = braiding_inv_row(x_mod, y_mod, j, i)   # flat X (x) Y
-        if veq(lhs, rhs):
-            return None
-        return (f"x={X.space.label(i)}, y={Y.space.label(j)}: "
-                f"braiding and inverse braiding disagree on y (x) x")
-
-    return walk.over((X.dim, Y.dim), (gen_indices(X), gen_indices(Y))
-                     ).check(name, case)
 
 
 def check_locked_identity(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,

@@ -7,23 +7,26 @@ import random
 
 import pytest
 
+import hopfbench.report as report_module
+from hopfbench.cli import main
 from hopfbench.doubles import (
     DrinfeldDouble, HeisenbergDouble, check_double_identity,
-    check_quantum_comm_remarks,
+    check_factor_restrictions, check_quantum_comm_remarks,
     check_quasitriangular,
     chain_relations_check, eta_twist_product, FactoredAction,
-    heisenberg_chain, to_show_action_check,
+    factor_structures, heisenberg_chain, to_show_action_check,
 )
 from hopfbench.hopf import (FiniteAlgebra, FiniteHopf, check_hopf_axioms,
                            check_product_rows, check_same_twist)
-from hopfbench.results import (TupleWalks, invert_expected_failure,
-                               lemma_walk)
-from hopfbench.sparse import BilinearMap, veq
+from hopfbench.report import SuiteConfig, run_suite
+from hopfbench.results import (TupleWalks, gen_indices,
+                               invert_expected_failure, lemma_walk)
+from hopfbench.sparse import BilinearMap, vadd_into, vadd_term, veq
 from hopfbench.taft import (
     closed_form_check, double_elements, double_presentation_check,
     taft_dual_check, taft_system,
 )
-from hopfbench.ydcat import check_braided_commutative
+from hopfbench.ydcat import Action, check_braided_commutative
 
 
 EXHAUSTIVE = TupleWalks("exhaustive", 0, 0)
@@ -149,7 +152,7 @@ def test_the_yd_structure_of_hdouble_is_the_braided_products(p, samples):
     sample of them at p=3."""
     sys = taft_system(p)
     y = sys.yd
-    bp = heisenberg_chain(sys.pair.primal, 2, D=sys.double).yd
+    bp = heisenberg_chain(sys.yd, 2).yd
     assert bp.hopf is y.hopf and bp.dim == y.dim
     n, d = y.hopf.dim, y.dim
     if samples is None:
@@ -177,7 +180,7 @@ def test_a_zeta_scaled_product_entry_fails_each_identity_at_its_pair(
     bad = _zeta_scaled(sys2, i, j)
     A = bad.heis.algebra
     assert A.mult.get(i, j) != sys2.heis.algebra.mult.get(i, j)
-    B = heisenberg_chain(sys2.pair.primal, 2, D=sys2.double).yd.algebra
+    B = heisenberg_chain(sys2.yd, 2).yd.algebra
     # each result, with the algebra whose labels its witness shows
     results = {
         "eta-twist": (eta_twist_product(sys2.double, bad.heis, EXHAUSTIVE),
@@ -247,13 +250,13 @@ def test_heisenberg_is_braided_commutative(sys2):
 
 
 def test_three_factor_chain_relations(sys2):
-    ch3 = heisenberg_chain(sys2.pair.primal, 3, D=sys2.double)
+    ch3 = heisenberg_chain(sys2.yd, 3)
     assert ch3.yd.algebra.dim == 16 ** 3
     all_pass(chain_relations_check(ch3, sys2.double, prefix="chain3"))
 
 
 def test_three_factor_chain_not_braided_commutative(sys2):
-    ch3 = heisenberg_chain(sys2.pair.primal, 3, D=sys2.double)
+    ch3 = heisenberg_chain(sys2.yd, 3)
     inner = check_braided_commutative(ch3.yd,
                                       TupleWalks("generators", 0, 200))
     res = invert_expected_failure(inner, "chain3-fails")
@@ -271,3 +274,116 @@ def test_named_double_generators(system):
     lhs = D.hopf.product(kv, Ev)
     rhs = {i: ctx.q * c for i, c in D.hopf.product(Ev, kv).items()}
     assert veq(lhs, rhs)
+
+
+def _leg_composite(D, side, h, v):
+    """The factor actions as composites of D's leg tables:
+    (mu (x) m) |> beta = adF(mu)(hit(m) beta) on B*, and
+    (mu (x) m) |> b = rhit(mu)(ad(m) b) on B."""
+    mu, m = divmod(h, D.base.dim)
+    outer, inner = (D.adf, D.hit) if side == 0 else (D.rhit, D.ad)
+    out = {}
+    for t, c in inner(m, v):
+        vadd_into(out, outer(mu, t), c)
+    return out
+
+
+def _projected_coproduct(D, side, v):
+    """Delta_D on beta (x) 1 (side 0) or 1 (x) b (side 1), its second leg
+    taken back to the factor by the counit of the other factor."""
+    nB, d = D.base.dim, D.dim
+    base, dual = D.base, D.dual
+    embed = (v * nB + min(base.unit) if side == 0
+             else min(dual.unit) * nB + v)
+    acc = {}
+    for key, c in D.hopf.comult.apply({embed: D.ctx.one}).items():
+        h, (f, b) = key // d, divmod(key % d, nB)
+        y, w = (f, base.counit.get(b)) if side == 0 else (
+            b, dual.counit.get(f))
+        if w:
+            vadd_term(acc, (h, y), c * w)
+    return sorted(acc.items())
+
+
+def test_the_factor_restrictions_are_the_leg_composites(sys2):
+    """Every action and coaction row of H(B*)'s structure restricted to
+    B* (x) 1 and 1 (x) B is the factor's own, from D's leg tables and
+    coproduct."""
+    D = sys2.double
+    for side, f in enumerate(factor_structures(sys2.yd)):
+        for h in range(D.hopf.dim):
+            for v in range(f.dim):
+                assert veq(dict(f.action.row(h, v)),
+                           _leg_composite(D, side, h, v))
+        for v in range(f.dim):
+            assert [((h, y), c) for h, y, c in f.coaction.terms(v)] == (
+                _projected_coproduct(D, side, v))
+    assert [(r.name, r.status, r.mode, r.cases_checked)
+            for r in check_factor_restrictions(sys2.yd)] == [
+        ("dual-factor-braided-commutative", "pass", "generators", 7 * 16),
+        ("base-factor-braided-commutative", "pass", "generators", 7 * 16)]
+
+
+def _pushed_out(sys, x):
+    """sys with the row of D(B)'s first generator on the basis vector x
+    of H(B*) given zeta times a basis vector in neither factor."""
+    X, H = sys.yd.algebra, sys.yd.hopf
+    left, right = X.twist.factor_indices()
+    g = min(gen_indices(H))
+    odd = next(i for i in range(X.dim) if i not in left + right)
+    real = sys.yd.action.row
+
+    def fn(h, y):
+        row = dict(real(h, y))
+        if (h, y) == (g, x):
+            vadd_term(row, odd, sys.ctx.zeta)
+        return row
+
+    return sys._replace(yd=sys.yd._replace(action=Action(H, X, fn)))
+
+
+@pytest.mark.parametrize("where,failed", [
+    ("unit", ("dual", "base")), ("dual-vector", ("dual",))])
+def test_a_factor_row_pushed_out_fails_the_factor_laws(monkeypatch, capsys,
+                                                       sys2, where, failed):
+    """A row of H(B*)'s action on a factor vector pushed out of B* (x) 1
+    fails the restriction certificate of each factor that holds the
+    vector, and with it both corollaries; the lines that read the factors
+    skip naming it, the run exits 1, and the factor's action refuses to
+    read the row."""
+    left, _ = sys2.heis.algebra.twist.factor_indices()
+    x = min(sys2.heis.algebra.unit) if where == "unit" else left[1]
+    bad = _pushed_out(sys2, x)
+    monkeypatch.setattr(report_module, "taft_system", lambda p: bad)
+    lines = {r.name: r for r in run_suite(SuiteConfig(
+        p=2, suite="heisenberg,chains")).results}
+    cert = f"{failed[0]}-factor-braided-commutative"
+    for law in ("dual-factor-braided-commutative",
+                "base-factor-braided-commutative"):
+        r = lines[f"heisenberg.{law}.p2"]
+        assert r.status == ("fail" if law.split("-")[0] in failed
+                            else "pass")
+    witness = lines[f"heisenberg.{cert}.p2"].witness
+    assert witness.endswith("has the leg kap#k outside B*(p=2)(cop)")
+    for law in ("braided-symmetric", "locked-identity"):
+        assert (lines[f"heisenberg.{law}.p2"].status,
+                lines[f"heisenberg.{law}.p2"].witness) == (
+            "fail", f"rests on {cert} (fail): {witness}")
+    assert {name for name, r in lines.items() if r.status == "fail"} == {
+        *(f"{suite}.{side}-factor-braided-commutative.p2"
+          for suite in ("heisenberg", "chains") for side in failed),
+        "heisenberg.braided-symmetric.p2", "heisenberg.locked-identity.p2"}
+    assert {name: r.mode for name, r in lines.items()
+            if r.status == "skipped"} == dict.fromkeys((
+        *(f"heisenberg.{law}.p2" for law in (
+            "braided-product-is-hdouble", "factor-embedding",
+            "flip-bijective", "flip-algebra-morphism",
+            "flip-module-morphism", "flip-comodule-morphism")),
+        *(f"chains.full-chain3-{law}.p2" for law in (
+            "relations", "braided-commutativity-fails", "embedding"))),
+        f"needs the factor structures; {cert} failed")
+    assert main(["verify", "--p", "2", "--suite", "heisenberg,chains"]) == 1
+    capsys.readouterr()
+    dual_yd, _ = factor_structures(bad.yd)
+    with pytest.raises(ValueError, match=r"\|> .* has the leg .* outside"):
+        dual_yd.action.row(min(gen_indices(bad.yd.hopf)), left.index(x))

@@ -185,7 +185,7 @@ _GENERATORLESS = {
     "two_sided_lemma_walk": lambda sys, B: two_sided_lemma_walk(B),
     "subcoalgebra_walk": lambda sys, B: subcoalgebra_walk(sys.double.hopf, B),
     "subcomodule_walk": lambda sys, B: subcomodule_walk(
-        factor_structures(sys.double)[1]._replace(algebra=B)),
+        factor_structures(sys.yd)[1]._replace(algebra=B)),
     "factor_pair_walk": lambda sys, B: factor_pair_walk(
         _rebuilt(sys.heis.algebra, B=B)),
 }

@@ -26,7 +26,7 @@ from hopfbench.report import (ConfigError, SuiteConfig, parse, render,
 from hopfbench.doubles import factor_structures
 from hopfbench.results import MODES, CheckResult, lemma_walk
 from hopfbench.taft import taft_setup, taft_system
-from hopfbench.ydcat import check_braided_commutative, check_braided_symmetric
+from hopfbench.ydcat import check_braided_commutative, check_locked_identity
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -108,14 +108,14 @@ def test_duplicate_check_names_are_an_engine_error(monkeypatch, capsys):
 
 def test_a_walk_reused_for_a_second_law_exits_3(monkeypatch, capsys):
     def reuse(cfg):
-        dual_yd, base_yd = factor_structures(taft_system(2).double)
+        dual_yd, base_yd = factor_structures(taft_system(2).yd)
         walk = lemma_walk(dual_yd.algebra)
         yield check_braided_commutative(dual_yd, walk)
-        yield check_braided_symmetric(dual_yd, base_yd, walk)
+        yield check_locked_identity(dual_yd, base_yd, walk)
 
     monkeypatch.setitem(report_module._SUITES, "mutations", reuse)
     assert main(["verify", "--p", "2", "--suite", "mutations"]) == 3
-    assert ("RuntimeError: the generators walk of 'braided-symmetric' was "
+    assert ("RuntimeError: the generators walk of 'locked-identity' was "
             "already walked") in capsys.readouterr().err
 
 
@@ -160,7 +160,9 @@ def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
 # sha256 of `hopfbench verify --p 2 --suite <suite> --format json`: these
 # reports carry failure witnesses (mutations) and inverted expected
 # failures (chains), so they pin the bytes of the failure paths too; the
-# double and heisenberg reports pin the exhaustive pair walks, and the yd
+# double and heisenberg reports pin the exhaustive pair walks, the
+# heisenberg report the four factor laws read off the restriction
+# certificates of B*cop and B, and the yd
 # report pins the proofs of module-action on the factors of D(B) and of
 # H(B*), of module-algebra and comodule-algebra on the pairs of the
 # factors of H(B*), of yd-condition on a subcoalgebra of D(B) and of
@@ -177,7 +179,7 @@ REPORT_SHA256_P2 = {
     "double":
         "fe5932695e8f7644630bb2ca239e6883dd857bb7e3a139eed56721848f7144f0",
     "heisenberg":
-        "15d7ec109b776574e2feafcd89e811459973853e7ec1ca23d2be4c405cd7a2f0",
+        "d2385639aabcbad4766663af721e805c2dcab8bacf285361524f09700345bd6e",
     "mutations":
         "942b052c78f5342cb01a27e70cbd1d23fed9ca7070eb74564d2f30f414c69b9a",
     "chains":
@@ -218,16 +220,17 @@ def test_quotient_morphism_is_the_construction_certificate_in_sample_mode():
 # --sample-size 500 --seed 11 --format json`: these suites read the
 # products of both doubles, their actions and the pairing arrows; chains
 # and truncations pin the counterexample searches, which do not follow the
-# run's mode.
+# run's mode, and chains the z/del chain3 walks, no larger than the sample
+# size and so walked whole.
 REPORT_SHA256_P2_GENERATORS = {
     "chains":
-        "c1430b42ae83cae42f746625e802087e6b91eabb1688ff58071a5d74b1753e6c",
+        "10b5d0f75cd88ce2f6eca153050688a1e985a692625a8f9b94bd9f84d43db64d",
     "truncations":
         "68a3bc64a4adceaeb4f83562f06b1470c9d23e3ef9670476ddf6ffcc931a198b",
     "double":
         "88f0f8116344a0d299891f8035e002b361ba6becf1586e2ac72e04756f117038",
     "heisenberg":
-        "9c04bbaeb632d958ed27a4dacc7ae290d6c92bac274357f9b779365c9534e351",
+        "65fa1c613e1bf5bb714def340781820198439c67d268340680742a74ea4ab8c8",
     "hopf-axioms":
         "160dfdb683c354fb5b8d346813d1b43d2e9b30e2e4ffffd5854404b5f0d6c7e3",
     "yd":
@@ -254,7 +257,7 @@ REPORT_SHA256_P2_SAMPLE = {
     "double":
         "3c8cf09fed255230041f62e49b786b08cfad4f59edc74b039511124fb528167a",
     "heisenberg":
-        "106276b5b58157b0d5b7a4dc5675b291c01e6164cb5c2b761d810ef6b4773995",
+        "b9c66eda84713e462eac6e03b9147fbe0ecc534346bcefee5c312850d781d426",
     "hopf-axioms":
         "31b8d20e3369ded8fba5bd3401b45f7cb942f19c0ca4085b89675b682320cb0c",
     "yd":
@@ -269,24 +272,33 @@ def test_sample_report_bytes_are_pinned(suite):
     assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P2_SAMPLE[suite]
 
 
+# the four factor laws of the heisenberg suite, read off the restriction
+# certificates of B*cop and B (`doubles.check_factor_restrictions`)
+FACTOR_LAWS = ("dual-factor-braided-commutative",
+               "base-factor-braided-commutative", "braided-symmetric",
+               "locked-identity")
+
+
 def _routed(name: str) -> bool:
     """A line of a law with a proof route: every yd and truncations line,
-    the R lines of double and the pair laws of hopf-axioms."""
+    the R lines of double, the pair laws of hopf-axioms and the four
+    factor laws of heisenberg."""
     suite, law = name.split(".")[:2]
     return (suite in ("yd", "truncations") or law.startswith("r-")
             or law.endswith(("-comult-multiplicative",
-                             "-counit-multiplicative")))
+                             "-counit-multiplicative"))
+            or suite == "heisenberg" and law in FACTOR_LAWS)
 
 
 def test_a_law_with_a_proof_route_takes_it_in_every_mode():
     lines = {}
     for mode in MODES:
         rep = run_suite(SuiteConfig(p=2, suite="hopf-axioms,double,yd,"
-                                    "truncations", mode=mode,
+                                    "heisenberg,truncations", mode=mode,
                                     sample_size=500, seed=11))
         lines[mode] = [(r.name, r.status, r.mode, r.cases_checked, r.witness)
                        for r in rep.results if _routed(r.name)]
-    assert len(lines["exhaustive"]) == 6 + 5 + 6 + 23
+    assert len(lines["exhaustive"]) == 6 + 5 + 6 + 4 + 23
     assert lines["generators"] == lines["exhaustive"] == lines["sample"]
 
 
@@ -308,10 +320,10 @@ def test_p3_report_bytes_are_pinned():
 
 
 def _route_counts(p):
-    """Cases of the generator routes of yd and truncations, as formulas
-    in p: d_B = 4p^2 and d = d_B^2, with 2 generators for B and for B*
-    and the 7-element subcoalgebra C of D(B); the even span of u_q(sl_2)
-    has 2p^3 basis vectors and 3 generators."""
+    """Cases of the generator routes of yd, heisenberg and truncations, as
+    formulas in p: d_B = 4p^2 and d = d_B^2, with 2 generators for B and
+    for B*, 4 for D(B), and the 7-element subcoalgebra C of D(B); the
+    even span of u_q(sl_2) has 2p^3 basis vectors and 3 generators."""
     dB = 4 * p ** 2
     d = dB ** 2
     return {
@@ -320,6 +332,13 @@ def _route_counts(p):
         "yd.module-algebra": d + 2 * dB + 2 * d + 7 * 3 * 2 * dB,
         # delta(1), the twisting identity of D(B)'s R, the three blocks
         "yd.comodule-algebra": 1 + 2 * d + 3 * 2 * dB,
+        # normality of H(B*)'s R, run once in the suite, then the rows of
+        # D(B)'s generators on the factor's basis and its coaction rows
+        "heisenberg.dual-factor-braided-commutative": 2 * dB + 4 * dB + dB,
+        "heisenberg.base-factor-braided-commutative": 4 * dB + dB,
+        # one case for each of the two restriction certificates
+        "heisenberg.braided-symmetric": 2,
+        "heisenberg.locked-identity": 2,
         "truncations.Uq(p=%d)-closure" % p: 2 + 8 * p ** 3,
         "truncations.hq-factorization":
             2 * p ** 4 + 8 * p ** 3 + 6 * p ** 2 + 4 * p,
@@ -328,7 +347,7 @@ def _route_counts(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_the_generator_routes_count_their_cases_as_formulas_in_p(p):
-    rep = run_suite(SuiteConfig(p=p, suite="yd,truncations",
+    rep = run_suite(SuiteConfig(p=p, suite="yd,heisenberg,truncations",
                                 sample_size=1000))
     got = {r.name.rsplit(".", 1)[0]: (r.status, r.mode, r.cases_checked)
            for r in rep.results}
@@ -339,10 +358,11 @@ def test_the_generator_routes_count_their_cases_as_formulas_in_p(p):
 # sha256 of `render(run_suite(SuiteConfig(p=3, suite=<suite>, sample_size=300,
 # seed=11)), "json")`: these suites read the p=3 factor-action rows of
 # B*cop and B inside braided products, so they pin those rows, which are
-# composites of the leg tables of the double.
+# H(B*)'s rows restricted to its factors (`doubles.factor_structures`);
+# heisenberg pins the restriction certificates and their corollaries.
 REPORT_SHA256_P3_BRAIDED = {
     "heisenberg":
-        "335aab0f4cb93c1b1ffafa11df48313a099f10625c622b3175a9cb58a7d00f36",
+        "25cd58c7a7dffce2c93878dd2b2a808b4d0cc63085cd8f1cdea1d3c2c55c1d58",
     "chains":
         "31c8249909d8b1b815f705ca7e3af380e074fba8bcc3f723c7f0bf60f1210938",
     "hopf-axioms":
@@ -355,6 +375,26 @@ def test_p3_braided_product_report_bytes_are_pinned(suite):
     data = render(run_suite(SuiteConfig(p=3, suite=suite, sample_size=300,
                                         seed=11)), "json")
     assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P3_BRAIDED[suite]
+
+
+# The lines of the default p=3 run of hopf-axioms, heisenberg and chains
+# that may still carry a sample label, each with the ROADMAP item that
+# removes it.  A line that gains a proof route leaves this list, so it
+# only shrinks (ROADMAP item 22).
+P3_SAMPLED = {
+    "hopf-axioms.ddouble-mult-associativity": "item 16",
+    "hopf-axioms.hdouble-mult-associativity": "item 16",
+    "heisenberg.flip-algebra-morphism": "item 2",
+    "heisenberg.flip-module-morphism": "item 2",
+    "chains.zdel-chain3-braided-commutativity-fails": "item 22, a search",
+}
+
+
+def test_the_default_p3_run_samples_only_the_listed_lines():
+    rep = run_suite(SuiteConfig(p=3, suite="hopf-axioms,heisenberg,chains"))
+    assert rep.ok
+    assert {r.name.rsplit(".", 1)[0] for r in rep.results
+            if "sample" in r.mode} == set(P3_SAMPLED)
 
 
 # sha256 of `render(run_suite(SuiteConfig(p=2, suite="chains,truncations")),

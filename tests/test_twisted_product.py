@@ -201,7 +201,7 @@ def _same_scalars(row, ref):
 def _products(sys):
     """(name, new multiplication, reference row function) per product."""
     D, Hd = sys.double, sys.heis
-    dual_yd, base_yd = factor_structures(D)
+    dual_yd, base_yd = factor_structures(sys.yd)
     d3: dict = {}
     out = [("ddouble", D.hopf.mult,
             lambda i, j: _old_ddouble_row(D, d3, i, j)),
@@ -388,7 +388,7 @@ def _twisted(key, p):
     if key == "hdouble":
         return sys.heis.algebra
     n = {"braided-product": 2, "full-chain3": 3}[key]
-    return heisenberg_chain(sys.pair.primal, n, D=sys.double).yd.algebra
+    return heisenberg_chain(sys.yd, n).yd.algebra
 
 
 def _twisted_dims(alg) -> set:
@@ -528,7 +528,7 @@ HDOUBLE = "braided-product-is-hdouble"
 
 
 def _bp2(sys):
-    return heisenberg_chain(sys.pair.primal, 2, D=sys.double).yd.algebra
+    return heisenberg_chain(sys.yd, 2).yd.algebra
 
 
 @pytest.mark.parametrize("p,cases", [(2, 768), (3, 3_888)])
