@@ -31,9 +31,10 @@ from .hopf import (FiniteAlgebra, FiniteHopf, render_element,
                    render_tensor)
 from .results import MODES
 from .sparse import (BilinearMap, ColinearMap, LinearMap, Space, SpanSolver,
-                     Vec, vadd_term)
+                     Vec, vadd_into)
 from .taft import (cqzd, double_elements, heis_elements, hqsl2, taft_system,
                    truly_heisenberg_chain, uqsl2)
+from .ydcat import braiding_row
 
 __all__ = ["main", "console_main", "EvalError", "evaluate_expression",
            "export_bytes", "check_export_name", "import_object",
@@ -363,18 +364,6 @@ def _eval_node(node, env: _EvalContext, hopf_side: bool) -> Vec:
     raise EvalError("tensor expressions need --structure braiding", node[2])
 
 
-def _braid(env: _EvalContext, xv: Vec, yv: Vec) -> Vec:
-    """c(x (x) y) = (x_(-1) |> y) (x) x_(0) on flat pair indices."""
-    dX = env.heis.dim
-    one = env.ctx.one
-    out: Vec = {}
-    for key, c in env.yd.coaction.apply(xv).items():
-        h, x0 = divmod(key, dX)
-        for yp, cy in env.yd.action.apply({h: one}, yv).items():
-            vadd_term(out, yp * dX + x0, c * cy)
-    return out
-
-
 def evaluate_expression(p: int, text: str, structure: str = "product") -> str:
     """Evaluate an element expression; returns the exact normal form."""
     env = _env(p)
@@ -386,7 +375,11 @@ def evaluate_expression(p: int, text: str, structure: str = "product") -> str:
                             else tree[2])
         xv = _eval_node(tree[1][0], env, False)
         yv = _eval_node(tree[1][1], env, False)
-        out = env.pbw_flat(_braid(env, xv, yv), both=True)
+        out: Vec = {}
+        for x, cx in xv.items():
+            for y, cy in yv.items():
+                vadd_into(out, braiding_row(env.yd, env.yd, x, y), cx * cy)
+        out = env.pbw_flat(out, both=True)
         return render_tensor(env.pbw_space, env.pbw_space, out)
     if tree[0] == "tens":
         raise EvalError("tensor expressions need --structure braiding",

@@ -37,7 +37,10 @@ twisted tensor products A (x)_R B (Cap, Schichl and Vanzura, Comm. Algebra
 23, 1995): each constructor supplies only its map R, and
 hopf.twisted_product memoizes the R rows and multiplies them out; each
 product keeps that record as its `twist`, which the generation
-certificate and the factor walks of results read.
+certificate and the factor walks of results read.  The eta-twist of
+D(B) is one more: its R is built from D(B)'s, so eta_twist_product
+proves H(B*) = D(B)_eta from d_B^2 R rows and the factor tables
+(hopf.check_same_twist), and multiplies out no product.
 
 Arrow conventions (P the pairing, b in B, f in B*; HopfPairing memoizes
 them on basis pairs):
@@ -48,13 +51,14 @@ them on basis pairs):
 from __future__ import annotations
 
 import itertools
-from functools import cache, partial
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from .cyclo import Cyc, QContext
 from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing,
-                   check_product_rows, dual_hopf, pair_product,
-                   render_element, triple_product, twisted_product)
+                   check_same_twist, dual_hopf, pair_product,
+                   pairing_counit_cases, render_element, triple_product,
+                   twisted_product)
 from .results import (CheckResult, Walk, certificate_check,
                       coalgebra_closure, counted, factor_pair_walk,
                       gen_indices, generation_failure,
@@ -71,7 +75,6 @@ __all__ = [
     "HeisenbergDouble",
     "drinfeld_double",
     "heisenberg_double",
-    "eta_cocycle",
     "eta_twist_product",
     "FactoredAction",
     "to_show_action_check",
@@ -214,8 +217,7 @@ class DrinfeldDouble:
 
 
 def drinfeld_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
-                    pairing: Optional[HopfPairing] = None,
-                    name: str = "") -> DrinfeldDouble:
+                    pairing: Optional[HopfPairing] = None) -> DrinfeldDouble:
     """Drinfeld double on basis labels (dual label, base label).
 
     When no presented dual is supplied the canonical functional dual is
@@ -230,8 +232,7 @@ def drinfeld_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
     P = pairing
     nB, nF = base.dim, dual.dim
     d = nF * nB
-    if not name:
-        name = f"D({base.name})"
+    name = f"D({base.name})"
 
     rd, rb = dual.space.render, base.space.render
     labels = [(lf, lb) for lf in dual.space.labels for lb in base.space.labels]
@@ -314,8 +315,8 @@ class HeisenbergDouble:
 
 
 def heisenberg_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
-                      pairing: Optional[HopfPairing] = None,
-                      name: str = "") -> HeisenbergDouble:
+                      pairing: Optional[HopfPairing] = None
+                      ) -> HeisenbergDouble:
     """Smash product (alpha # a)(beta # b) = alpha (a' -> beta) # a'' b."""
     if dual is None:
         dual = dual_hopf(base)
@@ -324,8 +325,7 @@ def heisenberg_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
         raise ValueError("a presented dual needs its pairing")
     ctx = base.ctx
     P = pairing
-    if not name:
-        name = f"H({base.name}*)"
+    name = f"H({base.name}*)"
 
     rd, rb = dual.space.render, base.space.render
     labels = [(lf, lb) for lf in dual.space.labels for lb in base.space.labels]
@@ -348,71 +348,69 @@ def heisenberg_double(base: FiniteHopf, dual: Optional[FiniteHopf] = None,
     return HeisenbergDouble(ctx, algebra, base, dual, P)
 
 
-def eta_cocycle(D: DrinfeldDouble) -> tuple:
-    """eta(mu (x) m, nu (x) n) = <mu, 1> eps(n) <nu, m> as data for
-    `eta_twist_product`: (left, right, pair).  left and right filter the
-    first and the second argument: each maps a basis vector f (x) b of
-    D(B), given as (f, b), to the part it keeps and the weight of the
-    other part, or to None when that weight is zero.  pair takes the kept
-    part of the second argument, then that of the first, as <nu, m>
-    does, and gives their pairing or None."""
-    base, P = D.base, D.pairing
-    pair_unit: dict[int, Cyc] = {}
-    for f in range(D.dual.dim):
-        c = P.pair({f: D.ctx.one}, base.unit)
-        if c:
-            pair_unit[f] = c
-
-    def left(f: int, b: int) -> Optional[tuple]:
-        w = pair_unit.get(f)
-        return (b, w) if w else None
-
-    def right(f: int, b: int) -> Optional[tuple]:
-        w = base.counit.get(b)
-        return (f, w) if w else None
-
-    return left, right, P.pair_basis
-
-
-def eta_twist_product(D: DrinfeldDouble, Hd: HeisenbergDouble, walk,
-                      eta: Optional[tuple] = None,
+def eta_twist_product(D: DrinfeldDouble, Hd: HeisenbergDouble,
+                      eta: Optional[Callable] = None,
                       name: str = "eta-twist") -> CheckResult:
-    """Twist the double's product by eta and compare with the smash product
-    on the (M, N) basis pairs of `walk`, with no generator slot:
+    """H(B*) is D(B) with its product twisted by the cocycle
 
-        M ._eta N = M' N' eta(M'', N''),
+        eta(mu (x) m, nu (x) n) = <mu, 1> eps(n) <nu, m>,
 
-    eta given as `eta_cocycle` gives it, `eta_cocycle(D)` by default.
+    M ._eta N = M' N' eta(M'', N''), proved from R rows: equal factor
+    tables and equal R rows (`hopf.check_same_twist`) of H(B*) and of
+    B* (x)_{R_eta} B, with
+
+        R_eta(m (x) g) = sum eta(1 (x) m'', g' (x) 1) R_D(m' (x) g''),
+
+    R_D read from D(B)'s record (`results.twist_of`).  `eta(g, m)` gives
+    eta(1 (x) m, g (x) 1) on basis vectors, or None for zero; by default
+    <g, m> (`HopfPairing.pair_basis`).
+
+    The lemma.  Write M = f (x) m and N = g (x) n.  D's coproduct is the
+    tensor coalgebra of B*cop and B, so M' (x) M'' = (f'' (x) m') (x)
+    (f' (x) m''), and likewise for N; then
+
+        M ._eta N = sum (f'' (x) m')(g'' (x) n') <f', 1> eps(n'') <g', m''>
+                  = sum (f (x) m')(g'' (x) n) <g', m''>,
+
+    by the unit law <f', 1> = eps(f') of the pairing and the counit laws
+    of B* and B.  By the formula of D(B)'s twisted product the right side
+    is f R_eta(m (x) g) n, where f (a (x) b) n = fa (x) bn: the formula
+    of B* (x)_{R_eta} B.  So equal factor tables and R rows give equal
+    products, with no associativity or cocycle condition assumed.  The
+    line walks, before the comparison, the tensor coalgebra of D
+    (`_tensor_coalgebra`) and the unit law of its pairing
+    (`hopf.pairing_counit_cases`), each an `results.obligation`; the
+    counit laws are `hopf-axioms.taft-counit-laws` and
+    `taft-dual-counit-laws`.
     """
-    H = D.hopf
-    nB = D.base.dim
-    left, right, pair = eta or eta_cocycle(D)
+    base, dual, P = D.base, D.dual, D.pairing
+    eta = eta or P.pair_basis
+    r_d = twist_of(D.hopf).r_row
 
-    def filtered(keep):
-        """k -> the legs (k', kept part of k'', weighted coefficient) of
-        Delta_D(e_k) whose k'' the filter keeps, memoized."""
-        @cache
-        def legs(k: int) -> tuple:
-            out = []
-            for j, kk, c in H.comult.get(k):
-                kept = keep(*divmod(kk, nB))
-                if kept is not None:
-                    out.append((j, kept[0], c * kept[1]))
-            return tuple(out)
-        return legs
+    def r_eta(m: int, g: int) -> tuple:
+        acc: dict = {}
+        for m1, m2, cm in base.comult.get(m):
+            for g1, g2, cg in dual.comult.get(g):
+                w = eta(g1, m2)
+                if w:
+                    w = w * cm * cg
+                    for a, b, c in r_d(m1, g2):
+                        vadd_term(acc, (a, b), w * c)
+        return tuple((a, b, c) for (a, b), c in acc.items())
 
-    legs_m, legs_n = filtered(left), filtered(right)
+    tw = twisted_product(dual, base, r_eta)
+    twisted = FiniteAlgebra(D.ctx, D.hopf.space, tw.mult, tw.unit,
+                            generators=tw.gens, name=f"{D.hopf.name}^eta",
+                            twist=tw)
 
-    def row(k1: int, k2: int) -> Vec:
-        acc: Vec = {}
-        for j1, x, c1 in legs_m(k1):
-            for j2, y, c2 in legs_n(k2):
-                pv = pair(y, x)
-                if pv:
-                    vadd_into(acc, H.mult.get(j1, j2), c1 * c2 * pv)
-        return acc
+    def prelude():
+        wit = yield from _tensor_coalgebra(D)
+        if wit is None:
+            wit = yield from obligation("pairing-counit", D.hopf,
+                                        partial(pairing_counit_cases, P))
+        return wit
 
-    return check_product_rows(name, Hd.algebra, row, walk, (None, None))
+    return check_same_twist(twisted, Hd.algebra, name, prelude())
 
 
 # -- coaction and action of D(B) on H(B*) ------------------------------------
@@ -520,8 +518,8 @@ def yd_structure(Hd: HeisenbergDouble, D: DrinfeldDouble) -> YDModuleAlgebra:
     return Hd.yd
 
 
-def to_show_action_check(D: DrinfeldDouble, act: FactoredAction, walk,
-                         name: str = "action-composition") -> CheckResult:
+def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
+                         walk) -> CheckResult:
     """The two factor actions compose through the double's product, on the
     (mu, m, A) basis triples of `walk`, with the generator indices of B*
     and B in mu and m:
@@ -553,7 +551,7 @@ def to_show_action_check(D: DrinfeldDouble, act: FactoredAction, walk,
 
     return walk.over((nF, nB, act.algebra.dim),
                      (gen_indices(dual), gen_indices(base), None)
-                     ).check(name, case)
+                     ).check("action-composition", case)
 
 
 def _leg_defined(act) -> bool:
@@ -893,8 +891,7 @@ def comodule_algebra_factor_walk(D: DrinfeldDouble, y) -> Walk:
     return factor_pair_walk(X, mixed=not coproduct, obligations=obligations())
 
 
-def check_double_identity(D: DrinfeldDouble,
-                          name: str = "double-identity") -> CheckResult:
+def check_double_identity(D: DrinfeldDouble) -> CheckResult:
     """(eps (x) (a <- S*^{-1}(mu''))) (mu' (x) 1) = mu'' (x) (S*^{-1}(mu') -> a)
 
     as elements of D(B), exhaustively over basis pairs (mu, a).
@@ -922,14 +919,14 @@ def check_double_identity(D: DrinfeldDouble,
         return (f"mu={dual.space.label(f)}, a={base.space.label(a)}: "
                 f"the double identity fails")
 
-    return run_check(name, "exhaustive", itertools.starmap(
+    return run_check("double-identity", "exhaustive", itertools.starmap(
         case, itertools.product(range(nF), range(nB))))
 
 
 # -- quasitriangularity ------------------------------------------------------
 
-def check_quasitriangular(D: DrinfeldDouble, intertwining,
-                          prefix: str = "r") -> list[CheckResult]:
+def check_quasitriangular(D: DrinfeldDouble,
+                          intertwining) -> list[CheckResult]:
     """Intertwining R Delta(x) = Delta-op(x) R on the x of the walk
     `intertwining`, then the two hexagon identities and the inverse of R.
 
@@ -955,7 +952,7 @@ def check_quasitriangular(D: DrinfeldDouble, intertwining,
         return f"R Delta(x) != Delta-op(x) R at x={H.space.label(x)}"
 
     results = [intertwining.over((d,), (gen_indices(H),)).check(
-        f"{prefix}-intertwine", intertwines)]
+        "r-intertwine", intertwines)]
     r13: Vec = {}
     r23: Vec = {}
     r12: Vec = {}
@@ -976,7 +973,7 @@ def check_quasitriangular(D: DrinfeldDouble, intertwining,
     for k, lhs, r, what in ((1, lhs1, r23, "(Delta (x) id)R != R13 R23"),
                             (2, lhs2, r12, "(id (x) Delta)R != R13 R12")):
         results.append(certificate_check(
-            f"{prefix}-hexagon-{k}", len(R),
+            f"r-hexagon-{k}", len(R),
             lambda: None if veq(lhs, triple_product(H, r13, r)) else what))
 
     rinv: Vec = {}
@@ -986,7 +983,7 @@ def check_quasitriangular(D: DrinfeldDouble, intertwining,
             vadd_term(rinv, k1s * d + k2, c * cs)
     unit2 = tensor_flat(H.unit, H.unit, d)
     results.append(certificate_check(
-        f"{prefix}-inverse", 2,
+        "r-inverse", 2,
         lambda: None if (veq(pair_product(H, R, rinv), unit2)
                          and veq(pair_product(H, rinv, R), unit2))
         else "(S (x) id)R is not inverse to R"))
@@ -996,8 +993,8 @@ def check_quasitriangular(D: DrinfeldDouble, intertwining,
 # -- quantum commutativity remarks -------------------------------------------
 
 def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
-                               r_walk, rinv_walk,
-                               prefix: str = "") -> tuple[CheckResult, CheckResult]:
+                               r_walk, rinv_walk
+                               ) -> tuple[CheckResult, CheckResult]:
     """Two R-matrix forms of commutativity on the (y, x) basis pairs of
     H(B*) of `r_walk` and `rinv_walk`, with its generator indices in both.
 
@@ -1038,7 +1035,7 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
 
     res1 = invert_expected_failure(
         r_walk.over((dX, dX), (gx, gx)).check("__rcomm", r_comm),
-        prefix + "r-comm-negative")
+        "r-comm-negative")
     sD = H.antipode
     sinvD = H.antipode_inv()
 
@@ -1064,7 +1061,7 @@ def check_quantum_comm_remarks(D: DrinfeldDouble, Hd: HeisenbergDouble,
                 f"form of braided commutativity fails")
 
     return res1, rinv_walk.over((dX, dX), (gx, gx)).check(
-        prefix + "rinv-braided-comm", rinv_comm)
+        "rinv-braided-comm", rinv_comm)
 
 
 # -- the two factors as YD module algebras ------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .cyclo import Cyc, QContext
 from .results import (CheckResult, certificate_check, gen_indices,
@@ -30,7 +30,7 @@ __all__ = [
     "dual_hopf",
     "HopfPairing", "check_hopf_pairing", "render_element",
     "pair_product", "triple_product", "TwistedProduct", "twisted_product",
-    "check_same_twist",
+    "check_same_twist", "pairing_counit_cases",
 ]
 
 Vec = dict
@@ -335,17 +335,21 @@ def check_product_rows(name: str, A, row, walk, gen_sets) -> CheckResult:
         name, product_row_case(A, row))
 
 
-def check_same_twist(X, Y, name: str) -> CheckResult:
+def check_same_twist(X, Y, name: str, prelude: Iterable = ()) -> CheckResult:
     """X and Y, twisted products built by the formula (`results.twist_of`),
-    are one algebra: their factors have equal dimensions and units (no
-    case), then, one case each, equal products on every pair of the first
-    factors and of the second, and equal R(b (x) a) on every pair,
-    labelled "exhaustive".  Each product row is made from one R row and
-    rows of the two factor tables, so equal inputs give equal products
-    and units, with no associativity assumed."""
+    are one algebra: the cases of `prelude`, a body, then their factors
+    have equal dimensions and units (no case), then, one case each, equal
+    products on every pair of the first factors and of the second, and
+    equal R(b (x) a) on every pair, labelled "exhaustive".  Each product
+    row is made from one R row and rows of the two factor tables, so equal
+    inputs give equal products and units, with no associativity
+    assumed."""
     s, t = twist_of(X), twist_of(Y)
 
     def body():
+        wit = yield from prelude
+        if wit is not None:
+            return wit
         if (s.A.dim, s.B.dim, s.A.unit, s.B.unit) != (t.A.dim, t.B.dim,
                                                       t.A.unit, t.B.unit):
             return "the factors differ in dimension or unit"
@@ -507,7 +511,7 @@ def check_hopf_axioms(H: FiniteHopf, associativity, comult,
 
 # -- duals and twists ---------------------------------------------------------
 
-def dual_hopf(H: FiniteHopf, name: str = "") -> FiniteHopf:
+def dual_hopf(H: FiniteHopf) -> FiniteHopf:
     """Dual Hopf algebra on the dual basis <e^i, e_j> = delta_ij.
 
     Multiplication transposes the coproduct (<fg, x> = <f, x'><g, x''>),
@@ -533,10 +537,10 @@ def dual_hopf(H: FiniteHopf, name: str = "") -> FiniteHopf:
     unit = {i: c for i, c in H.counit.items()}
     counit = {i: c for i, c in H.unit.items()}
     antipode = H.antipode.transpose()
-    space = Space(name or f"{H.space.name}^*", H.space.labels,
+    space = Space(f"{H.space.name}^*", H.space.labels,
                   lambda lab, r=H.space.render: f"{r(lab)}^*")
     return FiniteHopf(H.ctx, space, mult, unit, comult, counit, antipode,
-                      name=name or f"{H.name}^*")
+                      name=f"{H.name}^*")
 
 
 # -- pairings and the regular actions -----------------------------------------
@@ -703,15 +707,22 @@ def _pairing_unit_cases(P: HopfPairing):
     for x in range(n):
         yield (None if P.pair(D.unit, A.basis(x)) == A.counit.get(x, A.ctx.zero)
                else f"<1*, {A.space.label(x)}> != counit")
-    for f in range(n):
-        yield (None if P.pair(D.basis(f), A.unit) == D.counit.get(f, A.ctx.zero)
-               else f"counit*({D.space.label(f)}) != <f, 1>")
+    yield from pairing_counit_cases(P)
     for f, x in itertools.product(range(n), repeat=2):
         lhs = P.pair(D.antipode_of(D.basis(f)), A.basis(x))
         rhs = P.pair(D.basis(f), A.antipode_of(A.basis(x)))
         yield (None if lhs == rhs else
                f"<S* f, x> != <f, S x> at f={D.space.label(f)}, "
                f"x={A.space.label(x)}")
+
+
+def pairing_counit_cases(P: HopfPairing):
+    """The unit law <f, 1> = counit*(f) of the pairing, one case for each
+    basis vector f of the dual side."""
+    D, A = P.dual, P.alg
+    for f in range(D.dim):
+        yield (None if P.pair(D.basis(f), A.unit) == D.counit.get(f, A.ctx.zero)
+               else f"counit*({D.space.label(f)}) != <f, 1>")
 
 
 def _pairing_rank_failure(P: HopfPairing) -> Optional[str]:

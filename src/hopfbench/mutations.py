@@ -9,19 +9,19 @@ itself: the checks do, and `run_mutation` alone reports.  A healthy
 engine reports status "fail" with a witness for every fixture; any
 "pass" below means the corresponding check has lost its teeth.
 
-Every builder walks its laws on `walks`, the tuple walks its caller pins
-for the negative controls, but for the lemma walks of the two Hopf-axiom
-fixtures: associativity of B, and the laws on pairs of D(B).  The eta
-fixture's law has no generator slot, so a "generators" walk walks its
-every pair in order.
+Every builder yields its checks one at a time, and `run_mutation` stops
+pulling at the first that fails.  They walk their laws on `walks`, the
+tuple walks the caller pins for the negative controls, but for the lemma
+walks of the two Hopf-axiom fixtures (associativity of B, and the laws on
+pairs of D(B)) and the eta fixture, whose line compares R rows.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, Iterator
 
-from .doubles import eta_cocycle, eta_twist_product, factor_structures
+from .doubles import eta_twist_product, factor_structures
 from .hopf import FiniteHopf, check_hopf_axioms
 from .results import CheckResult, lemma_walk, two_sided_lemma_walk
 from .sparse import LazyLinearMap, Vec, tensor_flat, vadd_into, vadd_outer
@@ -33,7 +33,7 @@ from .ydcat import (Action, Coaction, ModuleAlgebra, YDModuleAlgebra,
 __all__ = ["MUTATIONS", "run_mutation"]
 
 
-def _antipode_sign(p: int, walks) -> list:
+def _antipode_sign(p: int, walks) -> Iterator:
     """Taft algebra with the sign of S on the nilpotent generator flipped."""
     B = taft_setup(p).primal
     e_idx = B.space.index[(1, 0)]
@@ -46,10 +46,10 @@ def _antipode_sign(p: int, walks) -> list:
     bad = FiniteHopf(B.ctx, B.space, B.mult, dict(B.unit), B.comult,
                      dict(B.counit), LazyLinearMap(B.dim, B.dim, fn),
                      generators=B.generators, name="taft(antipode-sign)")
-    return check_hopf_axioms(bad, lemma_walk(bad, 3), walks, walks)
+    yield from check_hopf_axioms(bad, lemma_walk(bad, 3), walks, walks)
 
 
-def _double_antipode(p: int, walks) -> list:
+def _double_antipode(p: int, walks) -> Iterator:
     """Double with the inverse dual antipode replaced by the direct one."""
     sys = taft_system(p)
     H = sys.double.hopf
@@ -66,11 +66,11 @@ def _double_antipode(p: int, walks) -> list:
                      dict(H.counit), LazyLinearMap(H.dim, H.dim, fn),
                      generators=H.generators, name="ddouble(antipode)",
                      twist=H.twist)
-    return check_hopf_axioms(bad, walks, two_sided_lemma_walk(bad),
-                             two_sided_lemma_walk(bad))
+    yield from check_hopf_axioms(bad, walks, two_sided_lemma_walk(bad),
+                                 two_sided_lemma_walk(bad))
 
 
-def _action_factor_dropped(p: int, walks) -> list:
+def _action_factor_dropped(p: int, walks) -> Iterator:
     """Smash action with the trailing antipode conjugation dropped:
     (eps (x) m) |> (alpha # a) = (m' -> alpha) # m'' a, no S(m''')."""
     sys = taft_system(p)
@@ -98,10 +98,11 @@ def _action_factor_dropped(p: int, walks) -> list:
     mod = ModuleAlgebra(D.hopf, Hd.algebra,
                         Action(D.hopf, Hd.algebra, fn),
                         name="hdouble(conjugation-dropped)")
-    return [check_module_algebra(mod, walks), check_module(mod, walks)]
+    yield check_module_algebra(mod, walks)
+    yield check_module(mod, walks)
 
 
-def _factor_coaction_swapped(p: int, walks) -> list:
+def _factor_coaction_swapped(p: int, walks) -> Iterator:
     """Dual-side factor with its coaction legs exchanged:
     beta -> (beta' (x) 1) (x) beta'' for (beta'' (x) 1) (x) beta'."""
     sys = taft_system(p)
@@ -114,10 +115,11 @@ def _factor_coaction_swapped(p: int, walks) -> list:
 
     swapped = Coaction(dual_yd.hopf, dual_yd.algebra, fn)
     bad = dual_yd._replace(coaction=swapped, name="dual-factor(legs-swapped)")
-    return [check_comodule(bad), check_yd(bad, walks)]
+    yield check_comodule(bad)
+    yield check_yd(bad, walks)
 
 
-def _hdouble_coaction_swapped(p: int, walks) -> list:
+def _hdouble_coaction_swapped(p: int, walks) -> Iterator:
     """Smash-product coaction with its two legs exchanged."""
     sys = taft_system(p)
     D, Hd = sys.double, sys.heis
@@ -128,30 +130,36 @@ def _hdouble_coaction_swapped(p: int, walks) -> list:
     bad = YDModuleAlgebra(D.hopf, Hd.algebra, sys.yd.action,
                           Coaction(D.hopf, Hd.algebra, fn),
                           name="hdouble(legs-swapped)")
-    return [check_comodule(bad), check_yd(bad, walks)]
+    yield check_comodule(bad)
+    yield check_yd(bad, walks)
 
 
-def _eta_swapped(p: int, walks) -> list:
-    """Product twist with the two arguments of eta exchanged:
-    eta'(M'', N'') = eta(N'', M'')."""
+def _eta_swapped(p: int, walks) -> Iterator:
+    """Product twist with the two arguments of eta exchanged: on the
+    pairs (1 (x) m, g (x) 1) that eta-twist reads, it is
+    eta(g (x) 1, 1 (x) m) = <g, 1> eps(m), so R_eta is D(B)'s R."""
     sys = taft_system(p)
-    left, right, pair = eta_cocycle(sys.double)
-    swapped = (right, left, lambda x, y: pair(y, x))
-    return [eta_twist_product(sys.double, sys.heis, walks, swapped,
-                              name="eta-twist-swapped")]
+    D = sys.double
+    (ub,) = D.base.unit
+
+    def swapped(g: int, m: int):
+        c, e = D.pairing.pair_basis(g, ub), D.base.counit.get(m)
+        return c * e if c and e else None
+
+    yield eta_twist_product(D, sys.heis, swapped, name="eta-twist-swapped")
 
 
-def _trivial_coaction(p: int, walks) -> list:
+def _trivial_coaction(p: int, walks) -> Iterator:
     """Heisenberg double with the coaction replaced by the trivial one."""
     sys = taft_system(p)
     D, Hd = sys.double, sys.heis
     bad = YDModuleAlgebra(D.hopf, Hd.algebra, sys.yd.action,
                           Coaction.trivial(D.hopf, Hd.algebra),
                           name="hdouble(trivial-coaction)")
-    return [check_yd(bad, walks)]
+    yield check_yd(bad, walks)
 
 
-MUTATIONS: dict[str, Callable[..., list]] = {
+MUTATIONS: dict[str, Callable[..., Iterator]] = {
     "taft-antipode-sign": _antipode_sign,
     "double-antipode-conjugate": _double_antipode,
     "action-conjugation-dropped": _action_factor_dropped,
@@ -170,13 +178,14 @@ def run_mutation(tag: str, p: int, walks) -> CheckResult:
     corruption went undetected and the corresponding check is broken.
     """
     t0 = time.perf_counter()
-    results = MUTATIONS[tag](p, walks)
-    elapsed = time.perf_counter() - t0
-    bad = next((r for r in results if not r.ok), None)
-    if bad is None:
-        mode = results[0].mode if results else "exhaustive"
-        return CheckResult(f"mutation-{tag}", "pass", mode,
-                           sum(r.cases_checked for r in results), None,
-                           elapsed)
-    return CheckResult(f"mutation-{tag}", "fail", bad.mode, bad.cases_checked,
-                       f"[{bad.name}] {bad.witness}", elapsed)
+    results = []
+    for r in MUTATIONS[tag](p, walks):
+        results.append(r)
+        if not r.ok:
+            return CheckResult(f"mutation-{tag}", "fail", r.mode,
+                               r.cases_checked, f"[{r.name}] {r.witness}",
+                               time.perf_counter() - t0)
+    mode = results[0].mode if results else "exhaustive"
+    return CheckResult(f"mutation-{tag}", "pass", mode,
+                       sum(r.cases_checked for r in results), None,
+                       time.perf_counter() - t0)

@@ -274,7 +274,7 @@ def _suite_double(cfg: SuiteConfig):
     yield from double_presentation_check(sys)
     yield taft_dual_check(sys.pair)
     yield check_double_identity(D)
-    yield eta_twist_product(D, Hd, walks)
+    yield eta_twist_product(D, Hd)
     yield closed_form_check(sys, walks)
     yield to_show_action_check(D, FactoredAction(Hd, D), walks)
     yield from check_quasitriangular(D, lemma_walk(D.hopf, 1))

@@ -469,8 +469,7 @@ def _presentation_checks(prefix: str, H: FiniteHopf, rels: list,
                               partial(_generation_failure, H, gens))]
 
 
-def double_presentation_check(sys: TaftSystem,
-                              prefix: str = "double-presentation") -> list:
+def double_presentation_check(sys: TaftSystem) -> list:
     """Defining relations and coalgebra values of D(B) on named generators."""
     ctx = sys.ctx
     H = sys.double.hopf
@@ -516,8 +515,8 @@ def double_presentation_check(sys: TaftSystem,
                ("eps(kap) = 1", H.counit_of(kap) == ctx.one),
                ("eps(E) = 0", not H.counit_of(E)),
                ("eps(k) = 1", H.counit_of(k) == ctx.one)]
-    return _presentation_checks(prefix, H, rels, crels, counits,
-                                [unit, E, k, F, kap])
+    return _presentation_checks("double-presentation", H, rels, crels,
+                                counits, [unit, E, k, F, kap])
 
 
 def _generation_failure(H: FiniteHopf, gens: list) -> Optional[str]:
@@ -535,7 +534,7 @@ def _generation_failure(H: FiniteHopf, gens: list) -> Optional[str]:
     return generation_failure(H)
 
 
-def taft_dual_check(pair: TaftPair, name: str = "taft-dual") -> "CheckResult":
+def taft_dual_check(pair: TaftPair) -> "CheckResult":
     """Monomial basis of B*: the basis certificate of `taft_dual_monomial`
     on `pair.to_canonical`, then relations and pairing values."""
     ctx = pair.ctx
@@ -583,11 +582,10 @@ def taft_dual_check(pair: TaftPair, name: str = "taft-dual") -> "CheckResult":
         for b, (m, nn) in enumerate(B.space.labels):
             yield from counted(3, lambda: values(b, m, nn))
 
-    return run_check(name, "exhaustive", body())
+    return run_check("taft-dual", "exhaustive", body())
 
 
-def closed_form_check(sys: TaftSystem, walk,
-                      name: str = "smash-closed-form") -> "CheckResult":
+def closed_form_check(sys: TaftSystem, walk) -> "CheckResult":
     """The u-sum product formula equals the generic smash product on the
     basis pairs of H(B*) that `walk` gives, with the generator indices of
     H(B*) in the left slot.  This equality also pins the q-binomial
@@ -603,12 +601,13 @@ def closed_form_check(sys: TaftSystem, walk,
             vadd_term(want, index[lab], c)
         return want
 
-    return check_product_rows(name, A, row, walk, (gen_indices(A), None))
+    return check_product_rows("smash-closed-form", A, row, walk,
+                              (gen_indices(A), None))
 
 
 # -- the (kap, z, lam, del) presentation of H(B*) -------------------------------
 
-def basis_change(sys: TaftSystem, prefix: str = "heis-basis") -> list:
+def basis_change(sys: TaftSystem) -> list:
     """The checks that the del^b z^a lam^c kap^d monomials satisfy the
     kap/z/lam/del relations and each land on a single smash basis vector,
     one vector per monomial (which makes the correspondence invertible)."""
@@ -639,7 +638,7 @@ def basis_change(sys: TaftSystem, prefix: str = "heis-basis") -> list:
         ("del z = (q - q^(-1)) 1 + q^(-2) z del", mul(delv, zv),
          _vadd(vscale(unit, ctx.qdiff), vscale(mul(zv, delv), ctx.q_pow(-2)))),
     ]
-    checks = [_relation_result(f"{prefix}-relations", rels,
+    checks = [_relation_result("heis-basis-relations", rels,
                                lambda v: render_element(A.space, v))]
 
     # The 4p-th power of lam is -1, not +1: lam^2 picks up <kap, k> =
@@ -648,10 +647,10 @@ def basis_change(sys: TaftSystem, prefix: str = "heis-basis") -> list:
     # unity, which the coefficient field does not contain, so the
     # naive relation is kept as an expected counterexample.
     naive = _relation_result(
-        f"{prefix}-lambda-naive",
+        "heis-basis-lambda-naive",
         [("lam^(4p) = 1", _powers(mul, unit, lamv, order)[-1], unit)],
         lambda v: render_element(A.space, v))
-    checks.append(invert_expected_failure(naive, f"{prefix}-lambda-order"))
+    checks.append(invert_expected_failure(naive, "heis-basis-lambda-order"))
 
     # each monomial del^b z^a lam^c kap^d is a nonzero multiple of exactly
     # one smash basis vector, and the assignment is a bijection
@@ -684,7 +683,7 @@ def basis_change(sys: TaftSystem, prefix: str = "heis-basis") -> list:
         if len(backward) != A.dim:
             return f"monomials reach {len(backward)} of {A.dim} basis vectors"
 
-    checks.append(run_check(f"{prefix}-bijective", "exhaustive", body()))
+    checks.append(run_check("heis-basis-bijective", "exhaustive", body()))
     return checks
 
 
@@ -788,8 +787,7 @@ def uq_elements(uq: UqSl2) -> dict:
     }
 
 
-def uq_presentation_check(uq: UqSl2,
-                          prefix: str = "uq-presentation") -> list:
+def uq_presentation_check(uq: UqSl2) -> list:
     """Defining relations and Hopf structure of the truncated quantum group."""
     ctx = uq.ctx
     U = uq.hopf
@@ -823,8 +821,8 @@ def uq_presentation_check(uq: UqSl2,
     counits = [("eps(E) = 0", not U.counit_of(E)),
                ("eps(F) = 0", not U.counit_of(F)),
                ("eps(K) = 1", U.counit_of(K) == ctx.one)]
-    return _presentation_checks(prefix, U, rels, crels, counits,
-                                [unit, E, F, K])
+    return _presentation_checks("uq-presentation", U, rels, crels,
+                                counits, [unit, E, F, K])
 
 
 # -- the 2p^3-dimensional module algebra over it ---------------------------------
@@ -944,8 +942,7 @@ def hq_transport(uq: UqSl2, source: YDModuleAlgebra) -> TransportedStructure:
         render=_render_hq, name=f"Hq(p={p})", prefix="hq-transport")
 
 
-def hq_action_table_check(hq: HqSl2,
-                          name: str = "hq-action-table") -> CheckResult:
+def hq_action_table_check(hq: HqSl2) -> CheckResult:
     """Regenerated action of E, K, F on lam/z/del powers against the
     closed-form scalar tables."""
     ctx = hq.ctx
@@ -995,11 +992,11 @@ def hq_action_table_check(hq: HqSl2,
             (f"F |> del^{n}", act.apply(uel["F"], mono(0, 0, n)),
              expect(0, 0, n + 1, -ctx.q_pow(n) * qn)),
         ]
-    return _relation_result(name, rows, lambda v: render_element(T.space, v))
+    return _relation_result("hq-action-table", rows,
+                            lambda v: render_element(T.space, v))
 
 
-def hq_coaction_table_check(hq: HqSl2,
-                            name: str = "hq-coaction-table") -> CheckResult:
+def hq_coaction_table_check(hq: HqSl2) -> CheckResult:
     """Regenerated coaction on lam/z/del powers against the closed forms.
 
     The binomial coefficients in the closed forms follow the balanced
@@ -1047,7 +1044,7 @@ def hq_coaction_table_check(hq: HqSl2,
                           (0, 0, m - s), coeff))
         rows.append((f"coaction of del^{m}",
                      coact.apply({idx[(0, 0, m)]: one}), flat(terms)))
-    return _relation_result(name, rows,
+    return _relation_result("hq-coaction-table", rows,
                             lambda v: render_tensor(U.space, T.space, v))
 
 
@@ -1106,8 +1103,7 @@ def cqzd(p: int) -> FiniteAlgebra:
                          name=space.name)
 
 
-def cqzd_center_check(A: FiniteAlgebra,
-                      name: str = "cqzd-center") -> CheckResult:
+def cqzd_center_check(A: FiniteAlgebra) -> CheckResult:
     """The center is exactly the scalars: kernel of v -> ([v,z], [v,del])."""
     ctx = A.ctx
     n = A.dim
@@ -1138,7 +1134,7 @@ def cqzd_center_check(A: FiniteAlgebra,
         return "center basis: " + "; ".join(render_element(A.space, v)
                                             for v in kernel)
 
-    return certificate_check(name, n, failure)
+    return certificate_check("cqzd-center", n, failure)
 
 
 def _hq_closed_form(p: int) -> FiniteAlgebra:
@@ -1164,8 +1160,7 @@ def _hq_closed_form(p: int) -> FiniteAlgebra:
                          name=f"closed-form(p={p})", twist=tw)
 
 
-def hq_factorization_check(hq: HqSl2, walk,
-                           name: str = "hq-factorization") -> CheckResult:
+def hq_factorization_check(hq: HqSl2, walk) -> CheckResult:
     """The product of the truncation T is that of the closed form C =
     (k[lam]/(lam^(2p) - (-1)^p i)) (x) CqZd(p) (`_hq_closed_form`),
     through the map phi that sends each basis label lam^a z^b del^c of T
@@ -1211,7 +1206,7 @@ def hq_factorization_check(hq: HqSl2, walk,
         return wit
 
     return walk.over((T.dim, T.dim), (gen_indices(T), None)).check(
-        name, case, head=head())
+        "hq-factorization", case, head=head())
 
 
 # -- alternating chains of z- and del-factors ------------------------------------
@@ -1350,8 +1345,7 @@ def chain_heisenberg_checks(ch: HeisenbergChain,
     return out
 
 
-def h2_matches_cqzd_check(ch: HeisenbergChain,
-                          name: str = "h2-weyl-isomorphism") -> CheckResult:
+def h2_matches_cqzd_check(ch: HeisenbergChain) -> CheckResult:
     """z^a del^b -> Z^a D^b is an algebra isomorphism from the q-deformed
     Weyl algebra onto the two-factor chain."""
     if ch.n != 2:
@@ -1387,4 +1381,4 @@ def h2_matches_cqzd_check(ch: HeisenbergChain,
                        f"{render_element(alg.space, lhs)}, expected "
                        f"{render_element(alg.space, rhs)}")
 
-    return run_check(name, "exhaustive", body())
+    return run_check("h2-weyl-isomorphism", "exhaustive", body())

@@ -292,8 +292,7 @@ def hopf_quotient(H: FiniteHopf, I: Subspace, name: str = "") -> HopfQuotient:
     return hq
 
 
-def quotient_morphism_check(hq: HopfQuotient,
-                            name: str = "quotient-morphism") -> CheckResult:
+def quotient_morphism_check(hq: HopfQuotient) -> CheckResult:
     """The projection pi: H -> K = H/I is a Hopf-algebra morphism,
     certified from the construction of K.
 
@@ -336,7 +335,7 @@ def quotient_morphism_check(hq: HopfQuotient,
     pi = hq._push
     if hq._pushed is None or any(
             a is not b for a, b in zip(hq._pushed, (K, H, Q, pi))):
-        raise ValueError(f"{name}: the quotient was not built by "
+        raise ValueError("quotient-morphism: the quotient was not built by "
                          "hopf_quotient through this projection")
     one = H.ctx.one
 
@@ -351,7 +350,7 @@ def quotient_morphism_check(hq: HopfQuotient,
                    f"{H.space.label(pivot)}" if pi(I.pivot_row[pivot])
                    else None)
 
-    return run_check(name, "exhaustive", body())
+    return run_check("quotient-morphism", "exhaustive", body())
 
 
 class SubHopf(NamedTuple):

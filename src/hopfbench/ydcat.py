@@ -245,8 +245,7 @@ def check_module(m, walk, name: str = "module-action") -> CheckResult:
     return walk.check(name, case, head=unit_law)
 
 
-def check_module_algebra(m, walk,
-                         name: str = "module-algebra") -> CheckResult:
+def check_module_algebra(m, walk) -> CheckResult:
     """M |> 1 = counit(M) 1 for every M (always exhaustive), then
     M |> (xy) = (M' |> x)(M'' |> y) on the (M, x, y) basis triples of
     `walk`.  The run's tuple walks head M with the generator indices of
@@ -324,10 +323,10 @@ def check_module_algebra(m, walk,
                 f"y={alg.space.label(y)}: M|>(xy) = {render_element(alg.space, lhs)} "
                 f"but (M'|>x)(M''|>y) = {render_element(alg.space, rhs)}")
 
-    return walk.check(name, case, head=unit_law)
+    return walk.check("module-algebra", case, head=unit_law)
 
 
-def check_comodule(c, name: str = "comodule-coaction") -> CheckResult:
+def check_comodule(c) -> CheckResult:
     """Counit law and coassociativity of the coaction (always exhaustive)."""
     H, alg, coact = c.hopf, c.algebra, c.coaction
     dH, dX = H.dim, alg.dim
@@ -353,11 +352,10 @@ def check_comodule(c, name: str = "comodule-coaction") -> CheckResult:
             yield (None if veq(lhs, rhs) else
                    f"coaction not coassociative at x={alg.space.label(x)}")
 
-    return run_check(name, "exhaustive", body())
+    return run_check("comodule-coaction", "exhaustive", body())
 
 
-def check_comodule_algebra(c, walk,
-                           name: str = "comodule-algebra") -> CheckResult:
+def check_comodule_algebra(c, walk) -> CheckResult:
     """delta(1) = 1 (x) 1, and delta(xy) = delta(x) delta(y) on the (x, y)
     basis pairs of `walk`, with the generator indices of X in both.
 
@@ -403,7 +401,7 @@ def check_comodule_algebra(c, walk,
         return (f"x={alg.space.label(x)}, y={alg.space.label(y)}: "
                 f"delta(xy) != delta(x) delta(y)")
 
-    return walk.check(name, case, head=unit_law)
+    return walk.check("comodule-algebra", case, head=unit_law)
 
 
 def check_yd(y, walk, name: str = "yd-condition") -> CheckResult:
@@ -585,8 +583,8 @@ def check_locked_identity(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
 
 # -- braided products --------------------------------------------------------
 
-def braided_product(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
-                    name: str = "") -> BraidedProductAlgebra:
+def braided_product(x_mod: YDModuleAlgebra,
+                    y_mod: YDModuleAlgebra) -> BraidedProductAlgebra:
     """The algebra X (x) Y with product twisted by the braiding:
 
         (x (x) y)(v (x) u) = x (y_(-1) |> v) (x) y_(0) u,
@@ -601,8 +599,7 @@ def braided_product(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
     ctx = H.ctx
     X, Y = x_mod.algebra, y_mod.algebra
     dy = Y.dim
-    if not name:
-        name = f"{X.name} >< {Y.name}"
+    name = f"{X.name} >< {Y.name}"
 
     rx, ry = X.space.render, Y.space.render
     labels = [(lx, ly) for lx in X.space.labels for ly in Y.space.labels]
@@ -610,14 +607,9 @@ def braided_product(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
                   render=lambda lab: f"{rx(lab[0])} >< {ry(lab[1])}")
 
     def r_row(iy: int, iv: int) -> tuple:
-        """R(y (x) v) = sum (y_(-1) |> v) (x) y_(0)."""
-        out = []
-        for h, y0, c in y_mod.coaction.terms(iy):
-            for vp, cv in x_mod.action.row(h, iv):
-                c1 = c * cv
-                if c1:
-                    out.append((vp, y0, c1))
-        return tuple(out)
+        """R(y (x) v) = c(y (x) v), the braiding."""
+        return tuple((*divmod(k, dy), c)
+                     for k, c in braiding_row(y_mod, x_mod, iy, iv).items())
 
     tw = twisted_product(X, Y, r_row)
     algebra = FiniteAlgebra(ctx, space, tw.mult, tw.unit, generators=tw.gens,
@@ -693,7 +685,7 @@ def check_factor_embeddings(bp: BraidedProductAlgebra,
 
 
 def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
-                     algebra_walk, module_walk, prefix: str = "flip"):
+                     algebra_walk, module_walk):
     """Morphism certificates for the braiding as a map X >< Y -> Y >< X.
 
     phi(x (x) y) = (x_(-1) |> y) (x) x_(0).  Returns the checks that
@@ -747,10 +739,10 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         return (None if veq(lhs, rhs)
                 else f"phi not H-colinear at u={XYs.label(u)}")
 
-    return [certificate_check(f"{prefix}-bijective", d, singular),
+    return [certificate_check("flip-bijective", d, singular),
             algebra_walk.over((d, d), (gxy, gxy)).check(
-                f"{prefix}-algebra-morphism", multiplicative),
+                "flip-algebra-morphism", multiplicative),
             module_walk.over((H.dim, d), (gen_indices(H), gxy)).check(
-                f"{prefix}-module-morphism", linear),
-            run_check(f"{prefix}-comodule-morphism", "exhaustive",
+                "flip-module-morphism", linear),
+            run_check("flip-comodule-morphism", "exhaustive",
                       map(colinear, range(d)))]

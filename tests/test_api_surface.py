@@ -562,3 +562,105 @@ def test_the_twist_guard_sees_a_hand_made_record_and_factors():
     assert _twist_records({"doubles.py": reverted}) == [
         "doubles.py:2 TwistedProduct", "doubles.py:4 TwistedProduct",
         "doubles.py:5 factors=", "doubles.py:7 factors="]
+
+
+# Defaulted parameters of `src/hopfbench` functions that no call in src/,
+# tests/ or bench/ passes, each kept on purpose, as "function(parameter=)".
+UNPASSED_DEFAULTS: dict = {}
+
+
+def _caller_trees() -> list:
+    root = SRC.parents[1]
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for part in ("src", "tests", "bench")
+            for path in sorted((root / part).rglob("*.py"))]
+
+
+def _defaulted(tree) -> list:
+    """(qualified name, call names, parameter, position) of every
+    parameter with a default; the position counts the arguments of a call
+    (a method's self or cls is not one) and is None for a keyword-only
+    parameter.  A class call names its __init__ and __new__."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            a = child.args
+            pos = a.posonlyargs + a.args
+            skip = int(cls is not None and not any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in child.decorator_list))
+            names = {child.name} | ({cls} if child.name in (
+                "__init__", "__new__") else set())
+            qual = f"{cls}.{child.name}" if cls else child.name
+            first = len(pos) - len(a.defaults)
+            for i, arg in enumerate(pos[first:], first):
+                out.append((qual, names, arg.arg, i - skip))
+            for arg, d in zip(a.kwonlyargs, a.kw_defaults):
+                if d is not None:
+                    out.append((qual, names, arg.arg, None))
+            visit(child, None)
+
+    visit(tree, None)
+    return out
+
+
+def _calls(trees: list) -> dict:
+    """name -> [(positional arguments, keywords)] of each call of a name
+    or an attribute of that name, and of each function handed to
+    `partial`; a starred argument counts as one, and `**` as every
+    keyword (None)."""
+    calls: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            entry = (len(node.args), {k.arg for k in node.keywords})
+            calls.setdefault(name, []).append(entry)
+            if name == "partial" and node.args:
+                fn = node.args[0]
+                calls.setdefault(getattr(fn, "id", getattr(fn, "attr", None)),
+                                 []).append((entry[0] - 1, entry[1]))
+    return calls
+
+
+def _unpassed(modules: dict, trees: list) -> set:
+    calls = _calls(trees)
+    return {f"{qual}({par}=)"
+            for tree in modules.values()
+            for qual, names, par, pos in _defaulted(tree)
+            if not any(par in kws or None in kws
+                       or pos is not None and n > pos
+                       for name in names for n, kws in calls.get(name, ()))}
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    """A default that no caller overrides is a literal in disguise: the
+    parameter goes, and its value moves into the body."""
+    assert _unpassed(_modules(), _caller_trees()) == set(UNPASSED_DEFAULTS)
+
+
+def test_the_default_guard_sees_an_unpassed_parameter():
+    """A keyword nobody passes, on a function and on a method, is found;
+    one passed by position, by keyword, through `partial`, through a
+    class call or through `**` is not."""
+    planted = ast.parse(
+        "def check(walk, name='law'):\n    return name\n"
+        "def build(x, flag=False, *, scale=1):\n    return x\n"
+        "def make(x, tag=''):\n    return tag\n"
+        "class Row:\n"
+        "    def __init__(self, v=0):\n        self.v = v\n"
+        "    def get(self, k=1):\n        return k\n"
+        "    def put(self, k=1):\n        return k\n")
+    caller = ast.parse(
+        "check(w)\nbuild(1, True)\nbuild(2, **opts)\n"
+        "partial(make, 1, 'x')\nRow(v=2).get()\nRow().put(3)\n")
+    assert _unpassed({"planted.py": planted}, [planted, caller]) == {
+        "check(name=)", "Row.get(k=)"}

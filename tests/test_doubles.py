@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import cache
 
 import pytest
 
@@ -17,10 +18,11 @@ from hopfbench.doubles import (
     factor_structures, heisenberg_chain, to_show_action_check,
 )
 from hopfbench.hopf import (FiniteAlgebra, FiniteHopf, check_hopf_axioms,
-                           check_product_rows, check_same_twist)
+                           check_product_rows, check_same_twist,
+                           twisted_product)
 from hopfbench.report import SuiteConfig, run_suite
 from hopfbench.results import (TupleWalks, gen_indices,
-                               invert_expected_failure, lemma_walk)
+                               invert_expected_failure, lemma_walk, twist_of)
 from hopfbench.sparse import BilinearMap, vadd_into, vadd_term, veq
 from hopfbench.taft import (
     closed_form_check, double_elements, double_presentation_check,
@@ -99,17 +101,152 @@ def test_double_identity_decomposition(system):
     assert res.status == "pass"
 
 
+# -- eta-twist: the full walk, kept as the oracle of the R-row route ----------
+
+def eta_cocycle(D):
+    """eta(mu (x) m, nu (x) n) = <mu, 1> eps(n) <nu, m> as data for
+    `eta_twist_walk`: (left, right, pair).  left and right filter the
+    first and the second argument: each maps a basis vector f (x) b of
+    D(B), given as (f, b), to the part it keeps and the weight of the
+    other part, or to None when that weight is zero.  pair takes the kept
+    part of the second argument, then that of the first, as <nu, m>
+    does, and gives their pairing or None."""
+    base, P = D.base, D.pairing
+    pair_unit = {}
+    for f in range(D.dual.dim):
+        c = P.pair({f: D.ctx.one}, base.unit)
+        if c:
+            pair_unit[f] = c
+
+    def left(f, b):
+        w = pair_unit.get(f)
+        return (b, w) if w else None
+
+    def right(f, b):
+        w = base.counit.get(b)
+        return (f, w) if w else None
+
+    return left, right, P.pair_basis
+
+
+def swapped(eta):
+    """eta's data with its two arguments exchanged."""
+    left, right, pair = eta
+    return right, left, lambda x, y: pair(y, x)
+
+
+def eta_twist_walk(D, Hd, walk, eta=None):
+    """D's product twisted by eta, M ._eta N = M' N' eta(M'', N''),
+    against H(B*)'s on every (M, N) basis pair of `walk`, multiplied out
+    in full; eta given as `eta_cocycle` gives it, by default
+    `eta_cocycle(D)`."""
+    H = D.hopf
+    nB = D.base.dim
+    left, right, pair = eta or eta_cocycle(D)
+
+    def filtered(keep):
+        """k -> the legs (k', kept part of k'', weighted coefficient) of
+        Delta_D(e_k) whose k'' the filter keeps, memoized."""
+        @cache
+        def legs(k):
+            out = []
+            for j, kk, c in H.comult.get(k):
+                kept = keep(*divmod(kk, nB))
+                if kept is not None:
+                    out.append((j, kept[0], c * kept[1]))
+            return tuple(out)
+        return legs
+
+    legs_m, legs_n = filtered(left), filtered(right)
+
+    def row(k1, k2):
+        acc = {}
+        for j1, x, c1 in legs_m(k1):
+            for j2, y, c2 in legs_n(k2):
+                pv = pair(y, x)
+                if pv:
+                    vadd_into(acc, H.mult.get(j1, j2), c1 * c2 * pv)
+        return acc
+
+    return check_product_rows("eta-twist", Hd.algebra, row, walk,
+                              (None, None))
+
+
+def on_the_r_pairs(D, eta):
+    """The function (g, m) -> eta(1 (x) m, g (x) 1), or None, that
+    `eta_twist_product` reads, from eta given as `eta_cocycle` gives it."""
+    left, right, pair = eta
+    (uf,), (ub,) = D.dual.unit, D.base.unit
+
+    def at(g, m):
+        kept_m, kept_g = left(uf, m), right(g, ub)
+        if kept_m is None or kept_g is None:
+            return None
+        c = pair(kept_g[0], kept_m[0])
+        return c * kept_m[1] * kept_g[1] if c else None
+
+    return at
+
+
+def _r_scaled(sys, b, a):
+    """`sys` with H(B*) rebuilt by the twisted-product formula from its
+    record with the first term of R(b (x) a) times zeta."""
+    Hd = sys.heis
+    tw = twist_of(Hd.algebra)
+
+    def r_row(bb, aa):
+        row = tw.r_row(bb, aa)
+        if (bb, aa) != (b, a):
+            return row
+        (x, y, c), *rest = row
+        return ((x, y, c * sys.ctx.zeta), *rest)
+
+    new = twisted_product(tw.A, tw.B, r_row)
+    bad = FiniteAlgebra(Hd.ctx, Hd.algebra.space, new.mult, new.unit,
+                        generators=new.gens, name="hdouble(r-scaled)",
+                        twist=new)
+    return sys._replace(heis=HeisenbergDouble(sys.ctx, bad, Hd.base, Hd.dual,
+                                              Hd.pairing))
+
+
+def _eta_twist_counts_4_dB2_plus_dB(sys):
+    """eta-twist passes on D's tensor coalgebra (d_B^2 cases), the
+    pairing's unit law (d_B), the two factor tables (2 d_B^2) and the R
+    rows (d_B^2)."""
+    dB = sys.double.base.dim
+    res = eta_twist_product(sys.double, sys.heis)
+    assert (res.status, res.mode, res.cases_checked) == (
+        "pass", "exhaustive", 4 * dB ** 2 + dB)
+
+
 def test_eta_twist_recovers_heisenberg_p2(sys2):
-    res = eta_twist_product(sys2.double, sys2.heis, EXHAUSTIVE)
-    assert res.status == "pass"
-    assert res.cases_checked == 65_536  # all pairs of smash basis vectors
+    _eta_twist_counts_4_dB2_plus_dB(sys2)             # 1,040 cases
 
 
-def test_eta_twist_sampled_p3():
-    sys3 = taft_system(3)
-    res = eta_twist_product(sys3.double, sys3.heis,
-                            TupleWalks("sample", 0, 2000))
-    assert res.status == "pass"
+def test_eta_twist_is_exhaustive_from_r_rows_at_p3():
+    _eta_twist_counts_4_dB2_plus_dB(taft_system(3))   # 5,220 cases
+
+
+@pytest.mark.parametrize("system", ["healthy", "eta-swapped", "r-scaled"])
+def test_the_r_row_route_and_the_full_walk_agree(sys2, system):
+    """The R-row route and the full walk over all 65,536 pairs give one
+    status: on the healthy system, with eta's arguments exchanged (R_eta
+    is then D(B)'s R), and on H(B*) rebuilt with R(k (x) kap) times zeta
+    in its record."""
+    D, Hd = sys2.double, sys2.heis
+    eta = eta_cocycle(D)
+    k, kap = D.base.space.index[(0, 1)], D.dual.space.index[(0, 1)]
+    if system == "eta-swapped":
+        eta = swapped(eta)
+    elif system == "r-scaled":
+        Hd = _r_scaled(sys2, k, kap).heis
+    route = eta_twist_product(D, Hd, on_the_r_pairs(D, eta))
+    walk = eta_twist_walk(D, Hd, EXHAUSTIVE, eta)
+    want = "pass" if system == "healthy" else "fail"
+    assert (route.status, walk.status) == (want, want)
+    if system != "healthy":
+        assert route.witness.startswith("R(k (x) kap) differs: ")
+        assert "(1#k, kap#1)" in walk.witness
 
 
 def test_closed_form_product(system):
@@ -171,20 +308,19 @@ def test_the_yd_structure_of_hdouble_is_the_braided_products(p, samples):
 @pytest.mark.parametrize("i,j", [(1, 17), (16, 3), (200, 255)])
 def test_a_zeta_scaled_product_entry_fails_each_identity_at_its_pair(
         sys2, i, j):
-    """eta-twist and smash-closed-form compare H(B*)'s product with another
-    through one comparator, and so does the table walk that
-    braided-product-is-hdouble replaced, which stays as its cross-check:
+    """smash-closed-form compares H(B*)'s product with another through one
+    comparator, and so do the table walks that eta-twist and
+    braided-product-is-hdouble replaced, which stay as their oracles:
     each fails at the corrupted pair, the first it walks that differs.
-    braided-product-is-hdouble itself compares the inputs of the
-    twisted-product formula, so it refuses a table that has none."""
+    eta-twist and braided-product-is-hdouble compare the inputs of the
+    twisted-product formula, so they refuse a table that has none."""
     bad = _zeta_scaled(sys2, i, j)
     A = bad.heis.algebra
     assert A.mult.get(i, j) != sys2.heis.algebra.mult.get(i, j)
     B = heisenberg_chain(sys2.yd, 2).yd.algebra
     # each result, with the algebra whose labels its witness shows
     results = {
-        "eta-twist": (eta_twist_product(sys2.double, bad.heis, EXHAUSTIVE),
-                      A),
+        "eta-twist": (eta_twist_walk(sys2.double, bad.heis, EXHAUSTIVE), A),
         "smash-closed-form": (closed_form_check(bad, EXHAUSTIVE), A),
         "braided-product-is-hdouble": (
             check_product_rows("braided-product-is-hdouble", B,
@@ -199,6 +335,8 @@ def test_a_zeta_scaled_product_entry_fails_each_identity_at_its_pair(
             f"products of ({X.space.label(i)}, {X.space.label(j)}) differ: ")
     with pytest.raises(ValueError, match="twisted-product formula"):
         check_same_twist(B, A, "braided-product-is-hdouble")
+    with pytest.raises(ValueError, match="twisted-product formula"):
+        eta_twist_product(sys2.double, bad.heis)
 
 
 def test_action_composes_through_double(sys2):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from hopfbench import mutations
 from hopfbench.mutations import MUTATIONS, run_mutation
 from hopfbench.results import TupleWalks
 
@@ -22,8 +23,8 @@ EXPECTED_WITNESS = {
     "hdouble-coaction-swapped":
         "[comodule-coaction] coaction not coassociative at x=1#E",
     "eta-arguments-swapped":
-        "[eta-twist-swapped] products of (1#k, kap#1) differ: "
-        "-q^(3/2)*kap#k vs kap#k",
+        "[eta-twist-swapped] R(k (x) kap) differs: "
+        "kap (x) k vs -q^(3/2)*kap (x) k",
     "trivial-coaction":
         "[yd-condition] M=1(x)E, A=1#k: YD compatibility fails",
 }
@@ -42,13 +43,26 @@ def test_mutation_is_detected(tag):
     assert res.witness == EXPECTED_WITNESS[tag]
 
 
-def test_eta_fixture_walks_every_pair_to_the_first_that_differs():
-    """The eta fixture has no generator slot, so the pinned generators walk
-    is every pair in order: (1#k, kap#1) is pair 273 of H(B*) at p=2."""
+def test_eta_fixture_fails_the_r_rows_at_r_k_kap():
+    """The eta fixture's line walks D(B)'s tensor coalgebra (256 cases),
+    the pairing's unit law (16) and the two factor tables (512) before
+    the R rows, and R_eta is D(B)'s R: R(k (x) kap), the 18th row, is the
+    first that differs from H(B*)'s."""
     res = run_mutation("eta-arguments-swapped", 2, CONTROLS)
     assert (res.status, res.mode, res.cases_checked) == ("fail", "exhaustive",
-                                                         273)
-    assert "(1#k, kap#1)" in res.witness
+                                                         256 + 16 + 512 + 18)
+
+
+def test_a_fixture_stops_at_its_first_failed_check(monkeypatch):
+    """run_mutation stops pulling a builder's checks at the first that
+    fails: action-conjugation-dropped fails module-algebra, so its
+    module-action walk (769 cases at p=2) is never built."""
+    built = []
+    monkeypatch.setattr(mutations, "check_module",
+                        lambda *args: built.append(args))
+    res = run_mutation("action-conjugation-dropped", 2, CONTROLS)
+    assert res.witness.startswith("[module-algebra] ")
+    assert built == []
 
 
 def test_suite_runs_in_registry_order():

@@ -170,18 +170,18 @@ def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
 # pins the four laws read off the transport certificates; the hopf-axioms
 # report pins the associativity proofs from generator-headed triples and
 # the pair lemma, and the double report the intertwining of R proved on
-# D(B)'s generators.
+# D(B)'s generators and eta-twist proved from R rows.
 REPORT_SHA256_P2 = {
     "hopf-axioms":
         "3909c7257af94b8ab4fcbece83ec5cc784627bb9b4b23cc11126c062b8fa34e2",
     "yd":
         "79ab3933874c3b8550181286bb29fd4a784f1270b91a0f6f6a154878d1116da2",
     "double":
-        "fe5932695e8f7644630bb2ca239e6883dd857bb7e3a139eed56721848f7144f0",
+        "d2e60eacb438e6389ac7e61e09e85a7594095b9ed4909e6ab3f8130a7d4ecca7",
     "heisenberg":
         "d2385639aabcbad4766663af721e805c2dcab8bacf285361524f09700345bd6e",
     "mutations":
-        "942b052c78f5342cb01a27e70cbd1d23fed9ca7070eb74564d2f30f414c69b9a",
+        "2e9b2cca00d898f81b1bec5047ec723ab480001b5dfe150407125dd93621ab0e",
     "chains":
         "e49081aada899cca5e9604e220667b686e26679e68069a5b3a018d94f07843e5",
     "truncations":
@@ -228,7 +228,7 @@ REPORT_SHA256_P2_GENERATORS = {
     "truncations":
         "68a3bc64a4adceaeb4f83562f06b1470c9d23e3ef9670476ddf6ffcc931a198b",
     "double":
-        "88f0f8116344a0d299891f8035e002b361ba6becf1586e2ac72e04756f117038",
+        "84d66acd04342f7ca0cb6e1f511914c815f1afd3e7f0ae419fa900ae2fac3865",
     "heisenberg":
         "65fa1c613e1bf5bb714def340781820198439c67d268340680742a74ea4ab8c8",
     "hopf-axioms":
@@ -255,7 +255,7 @@ REPORT_SHA256_P2_SAMPLE = {
     "truncations":
         "f5931bf756e681caf581b782eda450fcdba648075f57fef235dfaf5eb988ca4c",
     "double":
-        "3c8cf09fed255230041f62e49b786b08cfad4f59edc74b039511124fb528167a",
+        "d831bc1a46466a11118b1de335f0c434010fba74811b90f99916f8a28a4b5d37",
     "heisenberg":
         "b9c66eda84713e462eac6e03b9147fbe0ecc534346bcefee5c312850d781d426",
     "hopf-axioms":
@@ -281,12 +281,13 @@ FACTOR_LAWS = ("dual-factor-braided-commutative",
 
 def _routed(name: str) -> bool:
     """A line of a law with a proof route: every yd and truncations line,
-    the R lines of double, the pair laws of hopf-axioms and the four
-    factor laws of heisenberg."""
+    the R lines and eta-twist of double, the pair laws of hopf-axioms and
+    the four factor laws of heisenberg."""
     suite, law = name.split(".")[:2]
     return (suite in ("yd", "truncations") or law.startswith("r-")
             or law.endswith(("-comult-multiplicative",
                              "-counit-multiplicative"))
+            or suite == "double" and law == "eta-twist"
             or suite == "heisenberg" and law in FACTOR_LAWS)
 
 
@@ -298,7 +299,7 @@ def test_a_law_with_a_proof_route_takes_it_in_every_mode():
                                     sample_size=500, seed=11))
         lines[mode] = [(r.name, r.status, r.mode, r.cases_checked, r.witness)
                        for r in rep.results if _routed(r.name)]
-    assert len(lines["exhaustive"]) == 6 + 5 + 6 + 4 + 23
+    assert len(lines["exhaustive"]) == 6 + 6 + 6 + 4 + 23
     assert lines["generators"] == lines["exhaustive"] == lines["sample"]
 
 
@@ -377,13 +378,29 @@ def test_p3_braided_product_report_bytes_are_pinned(suite):
     assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P3_BRAIDED[suite]
 
 
-# The lines of the default p=3 run of hopf-axioms, heisenberg and chains
-# that may still carry a sample label, each with the ROADMAP item that
-# removes it.  A line that gains a proof route leaves this list, so it
-# only shrinks (ROADMAP item 22).
+# sha256 of `hopfbench verify --p 3 --suite double --format json`, the
+# default run: eta-twist compares R rows, so the suite is cheap at p=3,
+# and this pins its generators-mode lines and searches on dense scalars.
+REPORT_SHA256_P3_DOUBLE = \
+    "9c56e7a312525b78f57a6b46e9ed28ffa6f458d09faa49b7e0a53ac98975a964"
+
+
+def test_the_default_p3_double_report_is_pinned():
+    data = render(run_suite(SuiteConfig(p=3, suite="double")), "json")
+    assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P3_DOUBLE
+
+
+# The lines of the default p=3 run of hopf-axioms, double, heisenberg and
+# chains that may still carry a sample label, each with the ROADMAP item
+# that removes it.  A line that gains a proof route leaves this list, so
+# it only shrinks (ROADMAP item 22).
 P3_SAMPLED = {
     "hopf-axioms.ddouble-mult-associativity": "item 16",
     "hopf-axioms.hdouble-mult-associativity": "item 16",
+    "double.smash-closed-form": "item 25",
+    "double.action-composition": "item 2",
+    "double.r-comm-negative": "item 22, a search",
+    "double.rinv-braided-comm": "item 22, a search",
     "heisenberg.flip-algebra-morphism": "item 2",
     "heisenberg.flip-module-morphism": "item 2",
     "chains.zdel-chain3-braided-commutativity-fails": "item 22, a search",
@@ -391,7 +408,8 @@ P3_SAMPLED = {
 
 
 def test_the_default_p3_run_samples_only_the_listed_lines():
-    rep = run_suite(SuiteConfig(p=3, suite="hopf-axioms,heisenberg,chains"))
+    rep = run_suite(SuiteConfig(p=3,
+                                suite="hopf-axioms,double,heisenberg,chains"))
     assert rep.ok
     assert {r.name.rsplit(".", 1)[0] for r in rep.results
             if "sample" in r.mode} == set(P3_SAMPLED)
