@@ -52,18 +52,18 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .cyclo import Cyc, QContext
 from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing,
-                   check_same_twist, dual_hopf, pair_product,
-                   pairing_counit_cases, render_element, triple_product,
+                   check_hopf_pairing, check_same_twist, dual_hopf,
+                   pair_product, pairing_counit_cases, render_element,
                    twisted_product)
-from .results import (CheckResult, Walk, certificate_check,
+from .results import (CheckResult, Walk,
                       coalgebra_closure, counted, factor_pair_walk,
                       gen_indices, generation_failure,
-                      invert_expected_failure, normality_cases, obligation,
-                      run_check, twist_of, twisting_cases)
+                      invert_expected_failure, lemma_walk, normality_cases,
+                      obligation, run_check, twist_of, twisting_cases)
 from .sparse import (ColinearMap, LazyLinearMap, LinearMap, Row, Space, Vec,
                      linear_map_inverse, shared_row, tensor_flat, vadd_into,
                      vadd_outer, vadd_term, veq)
@@ -926,18 +926,66 @@ def check_double_identity(D: DrinfeldDouble) -> CheckResult:
 # -- quasitriangularity ------------------------------------------------------
 
 def check_quasitriangular(D: DrinfeldDouble,
-                          intertwining) -> list[CheckResult]:
-    """Intertwining R Delta(x) = Delta-op(x) R on the x of the walk
-    `intertwining`, then the two hexagon identities and the inverse of R.
+                          intertwining) -> Iterator[CheckResult]:
+    """The lines that make R = D.rmatrix() a quasitriangular structure on
+    D(B) (Kassel, Quantum Groups, GTM 155, ch. IX), yielded one at a time:
+    r-intertwine, R Delta(x) = Delta-op(x) R on the x of the walk
+    `intertwining`; r-hexagon-1, (Delta (x) id)R = R13 R23; r-hexagon-2,
+    (id (x) Delta)R = R13 R12; and r-inverse, (S (x) id)R = R^{-1}.
 
     `results.lemma_walk(D.hopf, 1)` proves intertwining from D(B)'s
-    generators (Kassel, Quantum Groups, GTM 155, ch. IX): the x that
-    satisfy it form a subspace that holds 1 when Delta(1) = 1 (x) 1
-    (`ddouble-comult-counit-unital`) and is closed under products when
-    Delta is multiplicative (`ddouble-comult-multiplicative`) and D(B)
-    associative (`ddouble-mult-associativity`), as R Delta(xy) =
-    Delta-op(x) R Delta(y) = Delta-op(xy) R; the walk's certificate then
-    makes it all of D(B).
+    generators: the x that satisfy it form a subspace that holds 1 when
+    Delta(1) = 1 (x) 1 (`ddouble-comult-counit-unital`) and is closed
+    under products when Delta is multiplicative
+    (`ddouble-comult-multiplicative`) and D(B) associative
+    (`ddouble-mult-associativity`), as R Delta(xy) = Delta-op(x) R
+    Delta(y) = Delta-op(xy) R; the walk's certificate then makes it all
+    of D(B).
+
+    The other three lines are corollaries of the Hopf pairing < , > of
+    B* and B, labelled "generators".  Each walks, as obligations
+    (`results.obligation`): the lines of `hopf.check_hopf_pairing` on D's
+    pairing up to the product law it reads, on the lemma walks of B* and
+    of B; then `_canonical_cases`, R = sum_I (1 (x) e_I) (x) (e^I (x) 1)
+    with <e^I, e_J> = delta_IJ (the legs of `DrinfeldDouble.rmatrix`);
+    then R-normality (`results.normality_cases`), which gives
+    (1 (x) m)(1 (x) n) = 1 (x) mn and (f (x) 1)(g (x) 1) = fg (x) 1; then
+    D's tensor coalgebra (`_tensor_coalgebra`) for a hexagon, or
+    S_D(1 (x) b) = 1 (x) S(b) (`_base_antipode_cases`) for r-inverse.
+    Each identity below is one of elements with legs in 1 (x) B and
+    B* (x) 1; by pairing-nondegenerate a B*-leg is fixed by its pairings
+    with B's basis, and sum_I e_I <e^I, x> = x for x in B.
+
+    r-hexagon-1 (up to pairing-mult-vs-comult).  Delta_D(1 (x) m) =
+    (1 (x) m') (x) (1 (x) m''), by the tensor coalgebra of B*cop and B
+    and Delta(1) = 1 (x) 1 in B*; and R13 R23 = sum_{I,J} (1 (x) e_I)
+    (x) (1 (x) e_J) (x) (e^I e^J (x) 1).  Paired with x on the third leg,
+
+        sum_I Delta(e_I) <e^I, x> = Delta(x),
+        sum_{I,J} e_I (x) e_J <e^I e^J, x>
+            = sum_{I,J} e_I (x) e_J <e^I, x'><e^J, x''> = x' (x) x''.
+
+    r-hexagon-2 (up to pairing-comult-vs-mult).  Delta_D(f (x) 1) =
+    (f'' (x) 1) (x) (f' (x) 1), with Delta(1) = 1 (x) 1 in B; and
+    R13 R12 = sum_{I,J} (1 (x) e_I e_J) (x) (e^J (x) 1) (x) (e^I (x) 1).
+    Paired with y on the second leg and x on the third,
+
+        sum_I e_I <e^I'', y><e^I', x> = sum_I e_I <e^I, xy> = xy,
+        sum_{I,J} e_I e_J <e^J, y><e^I, x> = xy.
+
+    r-inverse (up to pairing-mult-vs-comult).  (S_D (x) id)R =
+    sum_J (1 (x) S(e_J)) (x) (e^J (x) 1), so R (S_D (x) id)R =
+    sum_{I,J} (1 (x) e_I S(e_J)) (x) (e^I e^J (x) 1), whose second leg
+    paired with x gives sum e_I S(e_J) <e^I, x'><e^J, x''> = x' S(x'') =
+    eps(x) 1; so does 1 (x) 1, as <1*, x> = eps(x)
+    (pairing-units-antipode).  (S_D (x) id)R R gives S(x') x'' = eps(x) 1.
+
+    The hypotheses are `hopf-axioms.taft-mult-associativity` and
+    `taft-dual-mult-associativity`, `taft-comult-coassociativity` and
+    `taft-dual-comult-coassociativity` (the pairing lemmas, with
+    `taft-counit-laws` and `taft-dual-counit-laws`),
+    `taft-comult-counit-unital` and `taft-dual-comult-counit-unital`
+    (Delta(1) = 1 (x) 1), and `taft-antipode-convolution`.
     """
     H = D.hopf
     d = H.dim
@@ -951,43 +999,74 @@ def check_quasitriangular(D: DrinfeldDouble,
             return None
         return f"R Delta(x) != Delta-op(x) R at x={H.space.label(x)}"
 
-    results = [intertwining.over((d,), (gen_indices(H),)).check(
-        "r-intertwine", intertwines)]
-    r13: Vec = {}
-    r23: Vec = {}
-    r12: Vec = {}
-    for key, c in R.items():
-        k1, k2 = divmod(key, d)
-        for u, cu in H.unit.items():
-            vadd_term(r13, (k1 * d + u) * d + k2, c * cu)
-            vadd_term(r23, (u * d + k1) * d + k2, c * cu)
-            vadd_term(r12, (k1 * d + k2) * d + u, c * cu)
-    lhs1: Vec = {}
-    lhs2: Vec = {}
-    for key, c in R.items():
-        k1, k2 = divmod(key, d)
-        for j, k, cc in H.comult.get(k1):
-            vadd_term(lhs1, (j * d + k) * d + k2, c * cc)
-        for j, k, cc in H.comult.get(k2):
-            vadd_term(lhs2, (k1 * d + j) * d + k, c * cc)
-    for k, lhs, r, what in ((1, lhs1, r23, "(Delta (x) id)R != R13 R23"),
-                            (2, lhs2, r12, "(id (x) Delta)R != R13 R12")):
-        results.append(certificate_check(
-            f"r-hexagon-{k}", len(R),
-            lambda: None if veq(lhs, triple_product(H, r13, r)) else what))
+    yield intertwining.over((d,), (gen_indices(H),)).check(
+        "r-intertwine", intertwines)
+    for name, last, own in (
+            ("r-hexagon-1", "pairing-mult-vs-comult", _tensor_coalgebra(D)),
+            ("r-hexagon-2", "pairing-comult-vs-mult", _tensor_coalgebra(D)),
+            ("r-inverse", "pairing-mult-vs-comult",
+             obligation("base-antipode", H,
+                        partial(_base_antipode_cases, D)))):
+        yield run_check(name, "generators", _r_corollary(D, last, own))
 
-    rinv: Vec = {}
-    for key, c in R.items():
-        k1, k2 = divmod(key, d)
-        for k1s, cs in H.antipode.get(k1):
-            vadd_term(rinv, k1s * d + k2, c * cs)
-    unit2 = tensor_flat(H.unit, H.unit, d)
-    results.append(certificate_check(
-        "r-inverse", 2,
-        lambda: None if (veq(pair_product(H, R, rinv), unit2)
-                         and veq(pair_product(H, rinv, R), unit2))
-        else "(S (x) id)R is not inverse to R"))
-    return results
+
+def _r_corollary(D: DrinfeldDouble, last: str, own) -> Iterator:
+    """The body of an R line read off the pairing (`check_quasitriangular`):
+    the lines of `hopf.check_hopf_pairing` on D's pairing up to `last`,
+    each counting its cases, then the obligations `_canonical_cases` and
+    R-normality on D, then `own`."""
+    P, H = D.pairing, D.hopf
+    for res in check_hopf_pairing(P, lemma_walk(P.dual, 3),
+                                  lemma_walk(P.alg, 3)):
+        wit = res.witness and f"[{res.name}] {res.witness}"
+        if res.cases_checked:
+            yield from counted(res.cases_checked, lambda: wit)
+        if wit or res.name == last:
+            break
+    for step in (obligation("r-canonical", H, partial(_canonical_cases, D)),
+                 obligation("r-normality", H, partial(normality_cases, H)),
+                 own):
+        if wit is None:
+            wit = yield from step
+    return wit
+
+
+def _canonical_cases(D: DrinfeldDouble) -> Iterator:
+    """The body of the obligation that R = D.rmatrix() is the canonical
+    element of D's pairing P: counting no case, D's factors are P's and
+    every term of R lies in (1 (x) B) (x) (B* (x) 1); then one case per
+    basis vector e_I of B, that the B*-leg e^I beside 1 (x) e_I pairs
+    with B's basis as <e^I, e_J> = delta_IJ."""
+    P, tw, base = D.pairing, twist_of(D.hopf), D.base
+    if tw.A is not P.dual or tw.B is not P.alg:
+        return (f"{D.hopf.name} is not a twisted product of its pairing's "
+                "factors")
+    (uf,), (ub,) = tw.A.unit, tw.B.unit
+    legs: dict = {}
+    for key, c in sorted(D.rmatrix().items()):
+        (f1, b), (f, b2) = (divmod(k, base.dim) for k in divmod(key, D.dim))
+        if (f1, b2) != (uf, ub):
+            return (f"R has a term outside (1 (x) B) (x) (B* (x) 1) at "
+                    f"{D.hopf.space.label(key // D.dim)} (x) "
+                    f"{D.hopf.space.label(key % D.dim)}")
+        legs.setdefault(b, {})[f] = c
+    for i in range(base.dim):
+        got: Vec = {}
+        for f, c in legs.get(i, {}).items():
+            vadd_into(got, P.rows.get(f, ()), c)
+        yield (None if veq(got, {i: D.ctx.one})
+               else f"sum_J <e^I, e_J> e_J = {render_element(base.space, got)}"
+                    f" != e_I at I={base.space.label(i)}")
+
+
+def _base_antipode_cases(D: DrinfeldDouble) -> Iterator:
+    """S_D(1 (x) b) = 1 (x) S(b), one case per basis vector b of B."""
+    H, base = D.hopf, D.base
+    right = twist_of(H).factor_indices()[1]
+    for b in range(base.dim):
+        want = {right[s]: c for s, c in base.antipode.get(b)}
+        yield (None if veq(dict(H.antipode.get(right[b])), want)
+               else f"S(1 (x) b) != 1 (x) S(b) at b={base.space.label(b)}")
 
 
 # -- quantum commutativity remarks -------------------------------------------

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .cyclo import Cyc, QContext
-from .results import (CheckResult, certificate_check, gen_indices,
-                      run_check, twist_of)
+from .results import (CheckResult, certificate_check, counted, gen_indices,
+                      obligation, run_check, twist_of)
 from .sparse import (
     BilinearMap, ColinearMap, LinearMap, Space,
     Subspace, linear_map_inverse, shared_row, tensor_flat, vadd_into,
@@ -29,7 +29,7 @@ __all__ = [
     "check_algebra_axioms", "check_product_rows", "product_row_case",
     "dual_hopf",
     "HopfPairing", "check_hopf_pairing", "render_element",
-    "pair_product", "triple_product", "TwistedProduct", "twisted_product",
+    "pair_product", "TwistedProduct", "twisted_product",
     "check_same_twist", "pairing_counit_cases",
 ]
 
@@ -263,36 +263,6 @@ def pair_product(H: FiniteHopf, x: Vec, y: Vec) -> Vec:
             if not row_r:
                 continue
             vadd_outer(out, c1 * c2, row_l, row_r, n)
-    return out
-
-
-def triple_product(H: FiniteHopf, x: Vec, y: Vec) -> Vec:
-    """Componentwise product on H (x) H (x) H given by flat triple vectors."""
-    n = H.dim
-    get = H.mult.get
-    out: Vec = {}
-    for t1, c1 in x.items():
-        ab, a3 = divmod(t1, n)
-        a1, a2 = divmod(ab, n)
-        for t2, c2 in y.items():
-            bb, b3 = divmod(t2, n)
-            b1, b2 = divmod(bb, n)
-            cc = c1 * c2
-            if not cc:
-                continue
-            r1 = get(a1, b1)
-            if not r1:
-                continue
-            r2 = get(a2, b2)
-            if not r2:
-                continue
-            r3 = get(a3, b3)
-            if not r3:
-                continue
-            for k1, ck1 in r1:
-                v1 = cc * ck1
-                for k2, ck2 in r2:
-                    vadd_into(out, r3, v1 * ck2, (k1 * n + k2) * n)
     return out
 
 
@@ -561,7 +531,7 @@ class HopfPairing:
     shared, so callers read them and never edit them.
     """
 
-    __slots__ = ("dual", "alg", "rows", "_arrows")
+    __slots__ = ("dual", "alg", "rows", "_arrows", "__weakref__")
 
     def __init__(self, dual: FiniteHopf, alg: FiniteHopf, rows: dict):
         self.dual = dual
@@ -632,73 +602,62 @@ class HopfPairing:
 
 
 def check_hopf_pairing(P: HopfPairing, mult_vs_comult,
-                       comult_vs_mult) -> list:
-    """Compatibility axioms making P a Hopf pairing.
+                       comult_vs_mult) -> Iterator[CheckResult]:
+    """Compatibility axioms making P a Hopf pairing, yielded one line at a
+    time: nondegeneracy via the rank of the pairing matrix, then
+    <1*, x> = counit(x), counit*(f) = <f, 1> and <S* f, x> = <f, S x>,
+    then <fg, x> = <f (x) g, comult x> and <comult* f, x (x) y> = <f, xy>.
 
-    <fg, x> = <f (x) g, comult x>, <comult* f, x (x) y> = <f, xy>,
-    <1*, x> = counit(x), counit*(f) = <f, 1>, <S* f, x> = <f, S x>,
-    and nondegeneracy via the rank of the pairing matrix.
+    The two product laws walk their own triples: (f, g, x) with the
+    dual's generator indices in f and g, and (x, f, y) with the
+    algebra's in x and y.  The other two are always exhaustive.  Each
+    line is an `results.obligation` on P: inside `obligations_once` a law
+    walked before replays its witness and counts no case
+    (`doubles.check_quasitriangular` reads these lines as hypotheses).
 
-    The two product axioms walk their own triples: (f, g, x) with the
-    dual's generator indices in f and g, and (f, x, y) with the
-    algebra's in x and y.  The other two are always exhaustive.
+    `results.lemma_walk(P.dual, 3)` proves the first product law:
+    {f : <fg, x> = <f, x'><g, x''> for all g, x} holds 1, by the unit
+    law <1*, x> = counit(x) and B's counit law, and is closed under
+    products when B* is associative and B coassociative, as
+    <(f1 f2) g, x> = <f1, x'><f2, x''><g, x'''> = <f1 f2, x'><g, x''>;
+    the walk's certificate makes it all of B*.  `lemma_walk(P.alg, 3)`
+    proves the second in the same way, with B associative and B*
+    coassociative.
     """
-    return [_pairing_mult_vs_comult(P, mult_vs_comult),
-            _pairing_comult_vs_mult(P, comult_vs_mult),
-            run_check("pairing-units-antipode", "exhaustive",
-                      _pairing_unit_cases(P)),
-            certificate_check("pairing-nondegenerate", P.alg.dim,
-                              partial(_pairing_rank_failure, P))]
-
-
-def _pairing_mult_vs_comult(P: HopfPairing, walk) -> CheckResult:
     D, A = P.dual, P.alg
-    n = A.dim
-    gd = gen_indices(D)
+    n, zero = A.dim, A.ctx.zero
 
-    def case(f: int, g: int, x: int) -> Optional[str]:
-        lhs = P.pair(dict(D.mult.get(f, g)), A.basis(x))
-        rhs = A.ctx.zero
-        for j, k, c in A.comult.get(x):
-            cf = P.pair_basis(f, j)
-            if cf is None:
-                continue
-            cg = P.pair_basis(g, k)
-            if cg is None:
-                continue
-            rhs = rhs + c * cf * cg
-        if lhs == rhs:
-            return None
-        return (f"<f g, x> mismatch at f={D.space.label(f)}, "
-                f"g={D.space.label(g)}, x={A.space.label(x)}")
+    def mult_case(f: int, g: int, x: int) -> Optional[str]:
+        rhs = sum((c * (P.pair_basis(f, j) or zero)
+                   * (P.pair_basis(g, k) or zero)
+                   for j, k, c in A.comult.get(x)), zero)
+        return (None if P.pair(dict(D.mult.get(f, g)), A.basis(x)) == rhs
+                else f"<f g, x> mismatch at f={D.space.label(f)}, "
+                     f"g={D.space.label(g)}, x={A.space.label(x)}")
 
-    return walk.over((n, n, n), (gd, gd, None)).check(
-        "pairing-mult-vs-comult", case)
+    def comult_case(x: int, f: int, y: int) -> Optional[str]:
+        rhs = sum((c * (P.pair_basis(j, x) or zero)
+                   * (P.pair_basis(k, y) or zero)
+                   for j, k, c in D.comult.get(f)), zero)
+        return (None if P.pair(D.basis(f), dict(A.mult.get(x, y))) == rhs
+                else f"<comult* f, x(x)y> mismatch at f={D.space.label(f)}, "
+                     f"x={A.space.label(x)}, y={A.space.label(y)}")
 
+    def law(name: str, label: str, body) -> CheckResult:
+        return run_check(name, label, obligation(name, P, body))
 
-def _pairing_comult_vs_mult(P: HopfPairing, walk) -> CheckResult:
-    D, A = P.dual, P.alg
-    n = A.dim
-    ga = gen_indices(A)
-
-    def case(f: int, x: int, y: int) -> Optional[str]:
-        lhs = P.pair(D.basis(f), dict(A.mult.get(x, y)))
-        rhs = A.ctx.zero
-        for j, k, c in D.comult.get(f):
-            cj = P.pair_basis(j, x)
-            if cj is None:
-                continue
-            ck = P.pair_basis(k, y)
-            if ck is None:
-                continue
-            rhs = rhs + c * cj * ck
-        if lhs == rhs:
-            return None
-        return (f"<comult* f, x(x)y> mismatch at f={D.space.label(f)}, "
-                f"x={A.space.label(x)}, y={A.space.label(y)}")
-
-    return walk.over((n, n, n), (None, ga, ga)).check(
-        "pairing-comult-vs-mult", case)
+    yield law("pairing-nondegenerate", "exhaustive",
+              partial(counted, n, partial(_pairing_rank_failure, P)))
+    yield law("pairing-units-antipode", "exhaustive",
+              partial(_pairing_unit_cases, P))
+    gd, ga = gen_indices(D), gen_indices(A)
+    for name, walk, gens, case in (
+            ("pairing-mult-vs-comult", mult_vs_comult, (gd, gd, None),
+             mult_case),
+            ("pairing-comult-vs-mult", comult_vs_mult, (ga, None, ga),
+             comult_case)):
+        walk = walk.over((n, n, n), gens)
+        yield law(name, walk.label, partial(walk.cases, name, case))
 
 
 def _pairing_unit_cases(P: HopfPairing):

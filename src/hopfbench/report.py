@@ -57,8 +57,8 @@ class SuiteConfig(NamedTuple):
     mode=None resolves to "exhaustive" for p=2 and "generators" for
     larger p; mode, seed and sample_size make the run's `TupleWalks`,
     which serve the laws with no proof route.  A law with one takes it in
-    every mode and at every p: the pair laws of hopf-axioms,
-    r-intertwine, every walked law of yd and truncations, and the four
+    every mode and at every p: the pair laws of hopf-axioms, the four R
+    lines of double, every walked law of yd and truncations, and the four
     factor laws of heisenberg.  In "generators" mode, a walk or a triple
     lemma no larger than sample_size is walked whole.  suite is a name,
     "all", a comma-separated list, or a sequence of names; an empty

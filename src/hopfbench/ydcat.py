@@ -24,7 +24,7 @@ lexicographically smallest one on an exhaustive walk.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .hopf import FiniteAlgebra, FiniteHopf, render_element, twisted_product
 from .results import (CheckResult, certificate_check, counted, gen_indices,
@@ -685,12 +685,12 @@ def check_factor_embeddings(bp: BraidedProductAlgebra,
 
 
 def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
-                     algebra_walk, module_walk):
+                     algebra_walk, module_walk) -> Iterator[CheckResult]:
     """Morphism certificates for the braiding as a map X >< Y -> Y >< X.
 
-    phi(x (x) y) = (x_(-1) |> y) (x) x_(0).  Returns the checks that
-    certify that phi is bijective, an algebra morphism (on the pairs of
-    `algebra_walk`), an H-module morphism (on the pairs of
+    phi(x (x) y) = (x_(-1) |> y) (x) x_(0).  Yields, one at a time, the
+    checks that certify that phi is bijective, an algebra morphism (on
+    the pairs of `algebra_walk`), an H-module morphism (on the pairs of
     `module_walk`), and an H-comodule morphism.
     """
     from .sparse import SingularMapError, linear_map_inverse
@@ -739,10 +739,10 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         return (None if veq(lhs, rhs)
                 else f"phi not H-colinear at u={XYs.label(u)}")
 
-    return [certificate_check("flip-bijective", d, singular),
-            algebra_walk.over((d, d), (gxy, gxy)).check(
-                "flip-algebra-morphism", multiplicative),
-            module_walk.over((H.dim, d), (gen_indices(H), gxy)).check(
-                "flip-module-morphism", linear),
-            run_check("flip-comodule-morphism", "exhaustive",
-                      map(colinear, range(d)))]
+    yield certificate_check("flip-bijective", d, singular)
+    yield algebra_walk.over((d, d), (gxy, gxy)).check(
+        "flip-algebra-morphism", multiplicative)
+    yield module_walk.over((H.dim, d), (gen_indices(H), gxy)).check(
+        "flip-module-morphism", linear)
+    yield run_check("flip-comodule-morphism", "exhaustive",
+                    map(colinear, range(d)))

@@ -31,7 +31,7 @@ from hopfbench.taft import (chain_heisenberg_checks, closed_form_check,
                             uqsl2)
 from hopfbench.ydcat import (check_braided_commutative, check_locked_identity,
                              check_module_algebra, check_yd, flip_isomorphism)
-from test_doubles import eta_twist_walk
+from test_doubles import eta_twist_walk, multiply_out_r_lines
 from test_ydcat import check_braided_symmetric
 
 
@@ -116,7 +116,7 @@ def test_07_braided_product_reconstructs_heisenberg_double(sys2):
         for j in range(A.dim):
             assert dict(A.mult.get(i, j)) == dict(B.mult.get(i, j))
 
-    flips = flip_isomorphism(dual_yd, base_yd, EXHAUSTIVE, EXHAUSTIVE)
+    flips = list(flip_isomorphism(dual_yd, base_yd, EXHAUSTIVE, EXHAUSTIVE))
     assert len(flips) == 4
     all_pass(flips)
 
@@ -174,6 +174,7 @@ def test_12_r_matrix_remarks(sys2):
     assert neg.status == "pass"          # naive form refuted with witness
     assert neg.witness is not None
     all_pass(check_quasitriangular(sys2.double, EXHAUSTIVE))
+    all_pass(multiply_out_r_lines(sys2.double))
 
 
 def test_13_mutations_all_caught_and_exit_code_one():

@@ -51,10 +51,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hopfbench"
 
 # Public names that nothing in src/ calls, each kept on purpose.
 USED_OUTSIDE_SRC = {
-    # the Hopf-pairing laws, read by tests/test_taft.py and test_hopf.py;
-    # kept as the hypothesis of the quasitriangular route (ROADMAP items 2
-    # and 8)
-    "check_hopf_pairing",
     # the export format in memory, read by bench/ and the README; the CLI
     # streams the same bytes
     "export_bytes", "import_object", "reexport_bytes",

@@ -14,16 +14,17 @@ from hopfbench.doubles import (
     DrinfeldDouble, HeisenbergDouble, check_double_identity,
     check_factor_restrictions, check_quantum_comm_remarks,
     check_quasitriangular,
-    chain_relations_check, eta_twist_product, FactoredAction,
-    factor_structures, heisenberg_chain, to_show_action_check,
+    chain_relations_check, drinfeld_double, eta_twist_product,
+    FactoredAction, factor_structures, heisenberg_chain, to_show_action_check,
 )
-from hopfbench.hopf import (FiniteAlgebra, FiniteHopf, check_hopf_axioms,
-                           check_product_rows, check_same_twist,
-                           twisted_product)
+from hopfbench.hopf import (FiniteAlgebra, FiniteHopf, HopfPairing,
+                           check_hopf_axioms, check_product_rows,
+                           check_same_twist, pair_product, twisted_product)
 from hopfbench.report import SuiteConfig, run_suite
-from hopfbench.results import (TupleWalks, gen_indices,
+from hopfbench.results import (TupleWalks, certificate_check, gen_indices,
                                invert_expected_failure, lemma_walk, twist_of)
-from hopfbench.sparse import BilinearMap, vadd_into, vadd_term, veq
+from hopfbench.sparse import (BilinearMap, tensor_flat, vadd_into, vadd_term,
+                              veq)
 from hopfbench.taft import (
     closed_form_check, double_elements, double_presentation_check,
     taft_dual_check, taft_system,
@@ -350,6 +351,118 @@ def test_quasitriangular_p2(sys2):
     all_pass(check_quasitriangular(sys2.double, EXHAUSTIVE))
 
 
+# -- the multiply-out oracle of the R lines ----------------------------------
+
+def triple_product(H, x: dict, y: dict) -> dict:
+    """Componentwise product on H (x) H (x) H given by flat triple vectors."""
+    n = H.dim
+    get = H.mult.get
+    out: dict = {}
+    for t1, c1 in x.items():
+        ab, a3 = divmod(t1, n)
+        a1, a2 = divmod(ab, n)
+        for t2, c2 in y.items():
+            bb, b3 = divmod(t2, n)
+            b1, b2 = divmod(bb, n)
+            rows = get(a1, b1), get(a2, b2), get(a3, b3)
+            if not all(rows):
+                continue
+            for k1, ck1 in rows[0]:
+                for k2, ck2 in rows[1]:
+                    vadd_into(out, rows[2], c1 * c2 * ck1 * ck2,
+                              (k1 * n + k2) * n)
+    return out
+
+
+def multiply_out_r_lines(D) -> list:
+    """r-hexagon-1, r-hexagon-2 and r-inverse of `check_quasitriangular`
+    certified by multiplying R out: (Delta (x) id)R against R13 R23 and
+    (id (x) Delta)R against R13 R12 in D^(x)3, then R (S (x) id)R and
+    (S (x) id)R R against 1 (x) 1 in D (x) D; labelled "exhaustive",
+    counting len(R), len(R) and 2 cases."""
+    H = D.hopf
+    d = H.dim
+    R = D.rmatrix()
+    r13, r23, r12, lhs1, lhs2, rinv = {}, {}, {}, {}, {}, {}
+    for key, c in R.items():
+        k1, k2 = divmod(key, d)
+        for u, cu in H.unit.items():
+            vadd_term(r13, (k1 * d + u) * d + k2, c * cu)
+            vadd_term(r23, (u * d + k1) * d + k2, c * cu)
+            vadd_term(r12, (k1 * d + k2) * d + u, c * cu)
+        for j, k, cc in H.comult.get(k1):
+            vadd_term(lhs1, (j * d + k) * d + k2, c * cc)
+        for j, k, cc in H.comult.get(k2):
+            vadd_term(lhs2, (k1 * d + j) * d + k, c * cc)
+        for s, cs in H.antipode.get(k1):
+            vadd_term(rinv, s * d + k2, c * cs)
+    unit2 = tensor_flat(H.unit, H.unit, d)
+    return [
+        certificate_check("r-hexagon-1", len(R), lambda: (
+            None if veq(lhs1, triple_product(H, r13, r23))
+            else "(Delta (x) id)R != R13 R23")),
+        certificate_check("r-hexagon-2", len(R), lambda: (
+            None if veq(lhs2, triple_product(H, r13, r12))
+            else "(id (x) Delta)R != R13 R12")),
+        certificate_check("r-inverse", 2, lambda: (
+            None if veq(pair_product(H, R, rinv), unit2)
+            and veq(pair_product(H, rinv, R), unit2)
+            else "(S (x) id)R is not inverse to R"))]
+
+
+def pairing_entry_times_zeta(D):
+    """D rebuilt on its pairing with the first entry of <F, .> times zeta."""
+    rows = dict(D.pairing.rows)
+    f = D.dual.space.index[(1, 0)]
+    (b, c), *rest = rows[f]
+    rows[f] = ((b, c * D.ctx.zeta), *rest)
+    return drinfeld_double(D.base, D.dual, HopfPairing(D.dual, D.base, rows))
+
+
+def test_the_r_lines_are_read_off_the_pairing_at_p2(sys2):
+    """Outside a suite each R line walks every hypothesis it reads: the
+    pairing laws up to its product law (16, 2 + 16 + 256, then 2 * 256
+    triples each), the canonical element (16), R-normality (2 * 16), and
+    the tensor coalgebra (256) or S_D on 1 (x) B (16)."""
+    lines = list(check_quasitriangular(sys2.double, EXHAUSTIVE))[1:]
+    assert [(r.name, r.status, r.mode, r.cases_checked) for r in lines] == [
+        ("r-hexagon-1", "pass", "generators", 16 + 288 + 512 + 16 + 32 + 256),
+        ("r-hexagon-2", "pass", "generators",
+         16 + 288 + 512 + 512 + 16 + 32 + 256),
+        ("r-inverse", "pass", "generators", 16 + 288 + 512 + 16 + 32 + 16)]
+
+
+@pytest.mark.parametrize("corrupt,witness", [
+    (None, None),
+    ("pairing", "[pairing-units-antipode] <S* f, x> != <f, S x> at f=F, "
+                "x=Ek^6"),
+    ("r", "sum_J <e^I, e_J> e_J = (7/8 + 1/8*q^(1/2))*1 + "),
+], ids=["healthy", "pairing-entry-times-zeta", "r-term-times-zeta"])
+def test_the_pairing_route_and_the_multiply_out_agree(sys2, monkeypatch,
+                                                      corrupt, witness):
+    """The R lines read off the pairing and the p=2 oracle that multiplies
+    R out give each line the same status: all pass on the healthy double;
+    all fail on D(B) rebuilt on a pairing with one entry of <F, .> times
+    zeta, the route at a pairing-law case; and all fail with R's first
+    term times zeta, the route at the canonical-element obligation."""
+    D = sys2.double
+    if corrupt == "pairing":
+        D = pairing_entry_times_zeta(D)
+    elif corrupt == "r":
+        R = D.rmatrix()
+        first = min(R)
+        monkeypatch.setattr(D, "_rmatrix",
+                            {**R, first: R[first] * D.ctx.zeta})
+    route = list(check_quasitriangular(D, EXHAUSTIVE))[1:]
+    oracle = multiply_out_r_lines(D)
+    assert ([(r.name, r.status) for r in route]
+            == [(r.name, r.status) for r in oracle])
+    assert {r.status for r in route} == {"fail" if corrupt else "pass"}
+    for r in route:
+        assert (r.witness or "").startswith(witness or ""), r.witness
+        assert (r.witness is None) == (witness is None)
+
+
 @pytest.mark.parametrize("scaled", [False, True],
                          ids=["healthy", "first-r-term-times-zeta"])
 def test_both_intertwining_routes_give_the_same_verdict(sys2, monkeypatch,
@@ -364,8 +477,8 @@ def test_both_intertwining_routes_give_the_same_verdict(sys2, monkeypatch,
         first = min(R)
         monkeypatch.setattr(D, "_rmatrix",
                             {**R, first: R[first] * D.ctx.zeta})
-    full = check_quasitriangular(D, EXHAUSTIVE)[0]
-    gens = check_quasitriangular(D, lemma_walk(D.hopf, 1))[0]
+    full = next(check_quasitriangular(D, EXHAUSTIVE))
+    gens = next(check_quasitriangular(D, lemma_walk(D.hopf, 1)))
     assert (full.name, full.mode, gens.mode) == (
         "r-intertwine", "exhaustive", "generators")
     assert full.status == gens.status == ("fail" if scaled else "pass")

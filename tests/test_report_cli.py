@@ -6,6 +6,8 @@ import copy
 import hashlib
 import json
 import os
+import pathlib
+import re
 import stat
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hopfbench.cli as cli_module
+import hopfbench.doubles as doubles_module
 import hopfbench.mutations as mutations_module
 import hopfbench.report as report_module
 from hopfbench.cli import export_bytes, import_object, main, reexport_bytes
@@ -170,14 +173,15 @@ def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
 # pins the four laws read off the transport certificates; the hopf-axioms
 # report pins the associativity proofs from generator-headed triples and
 # the pair lemma, and the double report the intertwining of R proved on
-# D(B)'s generators and eta-twist proved from R rows.
+# D(B)'s generators, eta-twist proved from R rows, and the hexagon and
+# inverse lines of R read off the Hopf pairing.
 REPORT_SHA256_P2 = {
     "hopf-axioms":
         "3909c7257af94b8ab4fcbece83ec5cc784627bb9b4b23cc11126c062b8fa34e2",
     "yd":
         "79ab3933874c3b8550181286bb29fd4a784f1270b91a0f6f6a154878d1116da2",
     "double":
-        "d2e60eacb438e6389ac7e61e09e85a7594095b9ed4909e6ab3f8130a7d4ecca7",
+        "3e6f67f075060179ff0c22febf3f428965e91aaffc4f02cb419ef75a16de0754",
     "heisenberg":
         "d2385639aabcbad4766663af721e805c2dcab8bacf285361524f09700345bd6e",
     "mutations":
@@ -200,9 +204,7 @@ def _assert_yd_lines_are_proofs(rep):
 
 @pytest.mark.parametrize("suite", sorted(REPORT_SHA256_P2))
 def test_report_bytes_are_pinned(suite):
-    rep = run_suite(SuiteConfig(p=2, suite=suite))
-    data = render(rep, "json")
-    assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P2[suite]
+    rep = _pinned(f"p2-{suite}", REPORT_SHA256_P2[suite])
     if suite == "yd":
         _assert_yd_lines_are_proofs(rep)
 
@@ -228,7 +230,7 @@ REPORT_SHA256_P2_GENERATORS = {
     "truncations":
         "68a3bc64a4adceaeb4f83562f06b1470c9d23e3ef9670476ddf6ffcc931a198b",
     "double":
-        "84d66acd04342f7ca0cb6e1f511914c815f1afd3e7f0ae419fa900ae2fac3865",
+        "ea6c001b68e1b89f5ab8c1d9c1cb8c904028f3f57045a142d409694df3a9b9f8",
     "heisenberg":
         "65fa1c613e1bf5bb714def340781820198439c67d268340680742a74ea4ab8c8",
     "hopf-axioms":
@@ -240,10 +242,7 @@ REPORT_SHA256_P2_GENERATORS = {
 
 @pytest.mark.parametrize("suite", sorted(REPORT_SHA256_P2_GENERATORS))
 def test_generators_report_bytes_are_pinned(suite):
-    data = render(run_suite(SuiteConfig(p=2, suite=suite, mode="generators",
-                                        sample_size=500, seed=11)), "json")
-    assert (hashlib.sha256(data).hexdigest()
-            == REPORT_SHA256_P2_GENERATORS[suite])
+    _pinned(f"p2-generators-{suite}", REPORT_SHA256_P2_GENERATORS[suite])
 
 
 # sha256 of `hopfbench verify --p 2 --suite <suite> --mode sample
@@ -255,7 +254,7 @@ REPORT_SHA256_P2_SAMPLE = {
     "truncations":
         "f5931bf756e681caf581b782eda450fcdba648075f57fef235dfaf5eb988ca4c",
     "double":
-        "d831bc1a46466a11118b1de335f0c434010fba74811b90f99916f8a28a4b5d37",
+        "8e34b40854215d24d430dfddf9a487d8108897dd413ad92bb68e68166cbb209c",
     "heisenberg":
         "b9c66eda84713e462eac6e03b9147fbe0ecc534346bcefee5c312850d781d426",
     "hopf-axioms":
@@ -267,9 +266,7 @@ REPORT_SHA256_P2_SAMPLE = {
 
 @pytest.mark.parametrize("suite", sorted(REPORT_SHA256_P2_SAMPLE))
 def test_sample_report_bytes_are_pinned(suite):
-    data = render(run_suite(SuiteConfig(p=2, suite=suite, mode="sample",
-                                        sample_size=500, seed=11)), "json")
-    assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P2_SAMPLE[suite]
+    _pinned(f"p2-sample-{suite}", REPORT_SHA256_P2_SAMPLE[suite])
 
 
 # the four factor laws of the heisenberg suite, read off the restriction
@@ -313,10 +310,7 @@ REPORT_SHA256_P3_YD_TRUNCATIONS = \
 
 
 def test_p3_report_bytes_are_pinned():
-    rep = run_suite(SuiteConfig(p=3, suite="yd,truncations",
-                                sample_size=1000))
-    data = render(rep, "json")
-    assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P3_YD_TRUNCATIONS
+    rep = _pinned("p3-yd-truncations", REPORT_SHA256_P3_YD_TRUNCATIONS)
     _assert_yd_lines_are_proofs(rep)
 
 
@@ -346,6 +340,53 @@ def _route_counts(p):
     }
 
 
+def _r_counts(p):
+    """Cases of the three R lines of double, read off the Hopf pairing, as
+    formulas in p: d_B = 4p^2, with 2 generators for B and for B*.  In the
+    suite each obligation is walked once: r-hexagon-1 walks the rank law
+    (d_B), the unit and antipode laws (2 d_B + d_B^2), <fg, x> headed by
+    the generators of B* (2 d_B^2), the canonical element (d_B) and
+    the normality of D(B)'s R (2 d_B), eta-twist having walked the tensor
+    coalgebra; r-hexagon-2 then walks <comult* f, x (x) y> headed by the
+    generators of B (2 d_B^2), and r-inverse S_D on 1 (x) B (d_B)."""
+    dB = 4 * p ** 2
+    return {
+        "double.r-hexagon-1":
+            dB + (2 * dB + dB ** 2) + 2 * dB ** 2 + dB + 2 * dB,
+        "double.r-hexagon-2": 2 * dB ** 2,
+        "double.r-inverse": dB,
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_r_lines_count_their_cases_as_formulas_in_p(p):
+    rep = run_suite(SuiteConfig(p=p, suite="double"))
+    got = {r.name.rsplit(".", 1)[0]: (r.status, r.mode, r.cases_checked)
+           for r in rep.results}
+    for name, cases in _r_counts(p).items():
+        assert got[name] == ("pass", "generators", cases), name
+
+
+def test_fail_fast_stops_the_r_lines_at_a_failed_pairing_route(monkeypatch):
+    """check_quasitriangular yields its lines one at a time: with the
+    pairing route of r-hexagon-1 failing, fail_fast neither reports nor
+    computes r-hexagon-2 and r-inverse."""
+    calls = []
+
+    def failing(P, mult_vs_comult, comult_vs_mult):
+        calls.append(P)
+        yield CheckResult("pairing-nondegenerate", "fail", "exhaustive", 1,
+                          "planted")
+
+    monkeypatch.setattr(doubles_module, "check_hopf_pairing", failing)
+    rep = run_suite(SuiteConfig(p=2, suite="double", fail_fast=True))
+    got = {r.name: (r.status, r.witness) for r in rep.results}
+    assert got["double.r-hexagon-1.p2"] == (
+        "fail", "[pairing-nondegenerate] planted")
+    assert not {"double.r-hexagon-2.p2", "double.r-inverse.p2"} & set(got)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_the_generator_routes_count_their_cases_as_formulas_in_p(p):
     rep = run_suite(SuiteConfig(p=p, suite="yd,heisenberg,truncations",
@@ -373,21 +414,19 @@ REPORT_SHA256_P3_BRAIDED = {
 
 @pytest.mark.parametrize("suite", sorted(REPORT_SHA256_P3_BRAIDED))
 def test_p3_braided_product_report_bytes_are_pinned(suite):
-    data = render(run_suite(SuiteConfig(p=3, suite=suite, sample_size=300,
-                                        seed=11)), "json")
-    assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P3_BRAIDED[suite]
+    _pinned(f"p3-braided-{suite}", REPORT_SHA256_P3_BRAIDED[suite])
 
 
 # sha256 of `hopfbench verify --p 3 --suite double --format json`, the
-# default run: eta-twist compares R rows, so the suite is cheap at p=3,
-# and this pins its generators-mode lines and searches on dense scalars.
+# default run: eta-twist compares R rows and the R lines read the Hopf
+# pairing, so the suite is cheap at p=3, and this pins its
+# generators-mode lines and searches on dense scalars.
 REPORT_SHA256_P3_DOUBLE = \
-    "9c56e7a312525b78f57a6b46e9ed28ffa6f458d09faa49b7e0a53ac98975a964"
+    "fcbb70d6fc2c498fce9a4625d12f5ecbbc5fbc7dbaf3d83644fac7d4b1bbe36f"
 
 
 def test_the_default_p3_double_report_is_pinned():
-    data = render(run_suite(SuiteConfig(p=3, suite="double")), "json")
-    assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P3_DOUBLE
+    _pinned("p3-double", REPORT_SHA256_P3_DOUBLE)
 
 
 # The lines of the default p=3 run of hopf-axioms, double, heisenberg and
@@ -421,6 +460,103 @@ REPORT_SHA256_P2_TWO_SUITES = \
     "43e44bba3735689c19f794d96d91b3682c9fd2a13c32a78a744314d6afa7997a"
 
 
+# Every pinned run by the name of its golden text report,
+# tests/golden/<name>.txt: `render(rep, "text")` of the run whose JSON
+# bytes the sha256 pin beside it fixes.  The text report puts one check
+# on a line, so a re-pin is a reviewable diff of the golden file;
+# tests/rewrite_golden.py rewrites the files and prints that diff.
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+GOLDEN_RUNS = {
+    **{f"p2-{s}": SuiteConfig(p=2, suite=s) for s in REPORT_SHA256_P2},
+    **{f"p2-generators-{s}": SuiteConfig(p=2, suite=s, mode="generators",
+                                         sample_size=500, seed=11)
+       for s in REPORT_SHA256_P2_GENERATORS},
+    **{f"p2-sample-{s}": SuiteConfig(p=2, suite=s, mode="sample",
+                                     sample_size=500, seed=11)
+       for s in REPORT_SHA256_P2_SAMPLE},
+    "p3-yd-truncations": SuiteConfig(p=3, suite="yd,truncations",
+                                     sample_size=1000),
+    **{f"p3-braided-{s}": SuiteConfig(p=3, suite=s, sample_size=300, seed=11)
+       for s in REPORT_SHA256_P3_BRAIDED},
+    "p3-double": SuiteConfig(p=3, suite="double"),
+    "p2-chains-truncations": SuiteConfig(p=2, suite="chains,truncations"),
+}
+
+_CHECK_LINE = re.compile(r"(PASS|FAIL|SKIP)  (\S+)  \[(.*), (\d+) cases\]$")
+_WITNESS = "      witness: "
+
+
+def _report_lines(text: str) -> tuple:
+    """The check lines of a text report as name -> [status, mode, cases,
+    witness], and its other lines."""
+    checks, other, name = {}, [], None
+    for line in text.splitlines():
+        m = _CHECK_LINE.match(line)
+        if m:
+            name = m[2]
+            checks[name] = [m[1], m[3], int(m[4]), None]
+        elif name is not None and line.startswith(_WITNESS):
+            checks[name][3] = line[len(_WITNESS):]
+        else:
+            other.append(line)
+            name = None
+    return checks, other
+
+
+def golden_diff(old: str, new: str) -> list:
+    """One line for each check whose status, mode, cases or witness
+    differ between two text reports, naming each changed field, then the
+    other lines (header and summary) that differ."""
+    (a, a_other), (b, b_other) = _report_lines(old), _report_lines(new)
+    out = []
+    for name in sorted(a.keys() | b.keys()):
+        if name not in b:
+            out.append(f"- {name} {a[name]}")
+        elif name not in a:
+            out.append(f"+ {name} {b[name]}")
+        elif a[name] != b[name]:
+            out.append(f"~ {name}: " + "; ".join(
+                f"{field} {x!r} -> {y!r}" for field, x, y in zip(
+                    ("status", "mode", "cases", "witness"), a[name], b[name])
+                if x != y))
+    out += [f"- {line}" for line in a_other if line not in b_other]
+    out += [f"+ {line}" for line in b_other if line not in a_other]
+    return out
+
+
+def _pinned(name: str, sha: str):
+    """Run the pinned run `name`; its text report must be the bytes of its
+    golden file (a mismatch prints `golden_diff`) and its JSON report
+    must hash to `sha`."""
+    rep = run_suite(GOLDEN_RUNS[name])
+    got = render(rep, "text")
+    want = (GOLDEN / f"{name}.txt").read_bytes()
+    assert got == want, "\n".join([f"{name} differs from its golden file:",
+                                   *golden_diff(want.decode(), got.decode())])
+    assert hashlib.sha256(render(rep, "json")).hexdigest() == sha
+    return rep
+
+
+def test_the_golden_diff_names_each_changed_field():
+    old = ("header\n\nPASS  s.a.p2  [exhaustive, 3 cases]\n"
+           "FAIL  s.b.p2  [generators, 2 cases]\n      witness: x=1\n"
+           "PASS  s.c.p2  [exhaustive, 1 cases]\n\nsummary: 2 passed\n")
+    new = ("header\n\nPASS  s.a.p2  [exhaustive, 3 cases]\n"
+           "PASS  s.b.p2  [generators, 4 cases]\n"
+           "PASS  s.d.p2  [exhaustive, 1 cases]\n\nsummary: 3 passed\n")
+    assert golden_diff(old, old) == []
+    assert golden_diff(old, new) == [
+        "~ s.b.p2: status 'FAIL' -> 'PASS'; cases 2 -> 4; "
+        "witness 'x=1' -> None",
+        "- s.c.p2 ['PASS', 'exhaustive', 1, None]",
+        "+ s.d.p2 ['PASS', 'exhaustive', 1, None]",
+        "- summary: 2 passed", "+ summary: 3 passed"]
+
+
+def test_every_pinned_run_has_its_golden_file():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(GOLDEN_RUNS)
+
+
 def _two_cpus(monkeypatch):
     """Make the pool path reachable on any host."""
     monkeypatch.setattr(report_module.os, "sched_getaffinity",
@@ -429,9 +565,7 @@ def _two_cpus(monkeypatch):
 
 def test_suites_run_in_workers_with_the_serial_report_bytes(monkeypatch):
     _two_cpus(monkeypatch)
-    data = render(run_suite(SuiteConfig(p=2, suite="chains,truncations")),
-                  "json")
-    assert hashlib.sha256(data).hexdigest() == REPORT_SHA256_P2_TWO_SUITES
+    _pinned("p2-chains-truncations", REPORT_SHA256_P2_TWO_SUITES)
 
 
 def test_a_crash_inside_a_worker_exits_3(monkeypatch, capsys):
@@ -468,9 +602,21 @@ report._SUITES["mutations"] = die
 # console entry, which ends the process with os._exit.
 IN_PROCESS = "sys.exit(main(sys.argv[1:]))\n"
 CONSOLE = "from hopfbench.cli import console_main; console_main()\n"
-# Each forked worker writes its pid first, in one write.
-LOG_WORKERS = ("import os; os.register_at_fork(after_in_child=lambda: "
-               "os.write(1, b'worker %d\\n' % os.getpid()))\n")
+# The parent writes each worker's pid, in one write, the moment os.fork
+# returns it: before the parent can kill any worker, and whether or not
+# the worker itself ever runs.
+LOG_WORKERS = """
+import os
+_fork = os.fork
+
+def _logged_fork():
+    pid = _fork()
+    if pid:
+        os.write(1, b"worker %d\\n" % pid)
+    return pid
+
+os.fork = _logged_fork
+"""
 TWO_SUITES = ("verify", "--p", "2", "--suite", "chains,mutations")
 
 

@@ -91,11 +91,29 @@ def test_a_walk_serves_one_law(factors):
 
 def test_flip_is_isomorphism(factors):
     dual_yd, base_yd = factors
-    checks = flip_isomorphism(dual_yd, base_yd, EXHAUSTIVE, EXHAUSTIVE)
-    names = {c.name for c in checks}
-    assert names == {"flip-bijective", "flip-algebra-morphism",
-                     "flip-module-morphism", "flip-comodule-morphism"}
+    checks = list(flip_isomorphism(dual_yd, base_yd, EXHAUSTIVE, EXHAUSTIVE))
+    assert [c.name for c in checks] == [
+        "flip-bijective", "flip-algebra-morphism", "flip-module-morphism",
+        "flip-comodule-morphism"]
     assert all(c.status == "pass" for c in checks)
+
+
+class _Unwalkable:
+    """A walk that raises when a law asks it for its tuples."""
+
+    def over(self, dims, gen_sets):
+        raise AssertionError("a walk was asked for before its line")
+
+
+def test_flip_yields_bijective_before_it_asks_for_a_walk(factors):
+    """The lines come one at a time: the first, flip-bijective, reads no
+    walk, so a suite with fail_fast can stop before the others run."""
+    dual_yd, base_yd = factors
+    flips = flip_isomorphism(dual_yd, base_yd, _Unwalkable(), _Unwalkable())
+    first = next(flips)
+    assert (first.name, first.status) == ("flip-bijective", "pass")
+    with pytest.raises(AssertionError, match="asked for before its line"):
+        next(flips)
 
 
 def test_rebracketing(factors):
