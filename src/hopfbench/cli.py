@@ -29,7 +29,6 @@ from . import __version__
 from .cyclo import Cyc, QContext
 from .hopf import (FiniteAlgebra, FiniteHopf, render_element,
                    render_tensor)
-from .results import MODES
 from .sparse import (BilinearMap, ColinearMap, LinearMap, Space, SpanSolver,
                      Vec, vadd_into)
 from .taft import (cqzd, double_elements, heis_elements, hqsl2, taft_system,
@@ -755,10 +754,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_p(v)
     v.add_argument("--suite", default="all",
                    help="suite name, comma list, or 'all' (default)")
-    v.add_argument("--mode", choices=MODES, default=None,
-                   help="mode of the tuple walks, which cover the laws no "
-                        "lemma walk proves (default: exhaustive for p=2, "
-                        "generators otherwise)")
     v.add_argument("--seed", type=int, default=0, help="sampling seed")
     v.add_argument("--sample-size", type=int, default=10_000,
                    help="random tuples per sampling walk")
@@ -851,8 +846,8 @@ def _cmd_verify(args) -> int:
         print(f"hopfbench verify: error: {bad_out}", file=sys.stderr)
         return 2
     from .report import ConfigError, SuiteConfig, render, run_suite
-    cfg = SuiteConfig(p=args.p, suite=args.suite, mode=args.mode,
-                      seed=args.seed, sample_size=args.sample_size,
+    cfg = SuiteConfig(p=args.p, suite=args.suite, seed=args.seed,
+                      sample_size=args.sample_size,
                       fail_fast=args.fail_fast)
     try:
         report = run_suite(cfg)

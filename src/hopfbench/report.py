@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from . import __version__
 from .doubles import (FactoredAction, chain_relations_check,
@@ -24,7 +24,7 @@ from .doubles import (FactoredAction, chain_relations_check,
                       heisenberg_chain, module_algebra_factor_walk,
                       module_factor_walk, to_show_action_check)
 from .hopf import check_algebra_axioms, check_hopf_axioms, check_same_twist
-from .results import (MODES, CheckResult, TupleWalks, dim_check,
+from .results import (CheckResult, TupleWalks, dim_check,
                       gen_indices, invert_expected_failure, lemma_walk,
                       obligations_once, subcoalgebra_walk, subcomodule_walk,
                       summarize, two_sided_lemma_walk)
@@ -54,29 +54,21 @@ class ConfigError(ValueError):
 class SuiteConfig(NamedTuple):
     """What to verify and how hard to try.
 
-    mode=None resolves to "exhaustive" for p=2 and "generators" for
-    larger p; mode, seed and sample_size make the run's `TupleWalks`,
-    which serve the laws with no proof route.  A law with one takes it in
-    every mode and at every p: the pair laws of hopf-axioms, the four R
-    lines of double, every walked law of yd and truncations, and the four
-    factor laws of heisenberg.  In "generators" mode, a walk or a triple
-    lemma no larger than sample_size is walked whole.  suite is a name,
-    "all", a comma-separated list, or a sequence of names; an empty
-    selection yields an empty report.
+    p picks the mode of the run's `TupleWalks` (`_coverage_mode`), which
+    serve the laws with no proof route; seed and sample_size fix their
+    draws.  A law with a route takes it at every p: the pair laws of
+    hopf-axioms, the four R lines of double, every walked law of yd and
+    truncations, and the four factor laws of heisenberg.  Above p=2, a
+    walk or a triple lemma no larger than sample_size is walked whole.
+    suite is a name, "all", a comma-separated list, or a sequence of
+    names; an empty selection yields an empty report.
     """
 
     p: int = 2
     suite: Union[str, Sequence[str]] = "all"
-    mode: Optional[str] = None
     seed: int = 0
     sample_size: int = 10_000
     fail_fast: bool = False
-
-    @property
-    def resolved_mode(self) -> str:
-        if self.mode is not None:
-            return self.mode
-        return "exhaustive" if self.p == 2 else "generators"
 
     def selected(self) -> tuple:
         """Validated tuple of suite names, in canonical run order."""
@@ -104,9 +96,6 @@ class SuiteConfig(NamedTuple):
     def validate(self) -> None:
         if not isinstance(self.p, int) or self.p < 2:
             raise ConfigError(f"p must be an integer >= 2, got {self.p!r}")
-        if self.mode is not None and self.mode not in MODES:
-            raise ConfigError(
-                f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be a 64-bit integer, got {self.seed!r}")
         if (not isinstance(self.sample_size, int)
@@ -119,7 +108,7 @@ class SuiteConfig(NamedTuple):
         return {
             "p": self.p,
             "suite": list(self.selected()),
-            "mode": self.resolved_mode,
+            "mode": _coverage_mode(self.p),
             "seed": self.seed,
             "sample_size": self.sample_size,
             "fail_fast": self.fail_fast,
@@ -178,7 +167,7 @@ def render(report: VerificationReport, fmt: str = "text") -> bytes:
         f"hopfbench {report.engine_version} verification report "
         f"(schema {report.schema_version})",
         f"p={cfg.p}  suites=[{', '.join(cfg.selected())}]  "
-        f"mode={cfg.resolved_mode}  seed={cfg.seed}  "
+        f"mode={_coverage_mode(cfg.p)}  seed={cfg.seed}  "
         f"sample_size={cfg.sample_size}",
         "",
     ]
@@ -200,7 +189,10 @@ def parse(data) -> VerificationReport:
         raise ValueError(f"unsupported report schema: "
                          f"{obj.get('schema_version')!r}")
     c = obj["config"]
-    cfg = SuiteConfig(p=c["p"], suite=tuple(c["suite"]), mode=c["mode"],
+    if c["mode"] != _coverage_mode(c["p"]):
+        raise ValueError(f"report mode {c['mode']!r} is not "
+                         f"{_coverage_mode(c['p'])!r}, the mode of p={c['p']}")
+    cfg = SuiteConfig(p=c["p"], suite=tuple(c["suite"]),
                       seed=c["seed"], sample_size=c["sample_size"],
                       fail_fast=c.get("fail_fast", False))
     results = [CheckResult(r["name"], r["status"], r["mode"],
@@ -212,15 +204,12 @@ def parse(data) -> VerificationReport:
 
 # -- helpers ------------------------------------------------------------------
 
-def _skip(name: str, reason: str) -> CheckResult:
-    return CheckResult(name, "skipped", reason)
-
-
 def _skip_lines(what: str, certificates, names) -> list:
     """The lines `names`, skipped: they need `what`, which the first
     failed of its `certificates` denies."""
     bad = next(c for c in certificates if not c.ok)
-    return [_skip(name, f"needs {what}; {bad.name} failed") for name in names]
+    return [CheckResult(name, "skipped", f"needs {what}; {bad.name} failed")
+            for name in names]
 
 
 def _rename(results, prefix: str) -> list:
@@ -229,22 +218,28 @@ def _rename(results, prefix: str) -> list:
 
 # -- the coverage plan ---------------------------------------------------------
 
+def _coverage_mode(p: int) -> str:
+    """The mode of the run's tuple walks: every tuple at p=2, the
+    generator head and a seeded sample above it."""
+    return "exhaustive" if p == 2 else "generators"
+
+
 def _walks(cfg: SuiteConfig) -> TupleWalks:
     """The run's tuple walks."""
-    return TupleWalks(cfg.resolved_mode, cfg.seed, cfg.sample_size)
+    return TupleWalks(_coverage_mode(cfg.p), cfg.seed, cfg.sample_size)
 
 
 def _hunt(cfg: SuiteConfig) -> TupleWalks:
     """Counterexample searches need the generator head: "generators", 200
-    samples, in every mode."""
+    samples, at every p."""
     return TupleWalks("generators", cfg.seed, 200)
 
 
 def _associativity(cfg: SuiteConfig, A):
-    """Associativity takes the generator-headed triple lemma in
-    "exhaustive" mode, and in "generators" mode when |G| d^2 <= sample_size."""
-    mode = cfg.resolved_mode
-    if mode == "exhaustive" or mode == "generators" and (
+    """Associativity takes the generator-headed triple lemma in an
+    "exhaustive" run, and in a "generators" run when |G| d^2 <=
+    sample_size."""
+    if _coverage_mode(cfg.p) == "exhaustive" or (
             len(gen_indices(A)) * A.dim ** 2 <= cfg.sample_size):
         return lemma_walk(A, 3)
     return _walks(cfg)
@@ -324,23 +319,20 @@ def _suite_heisenberg(cfg: SuiteConfig):
 def _suite_chains(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     p = cfg.p
-    failed = ([c for c in check_factor_restrictions(sys.yd) if not c.ok]
-              if p == 2 else [])
-    if p == 2 and not failed:
+    failed = [c for c in check_factor_restrictions(sys.yd) if not c.ok]
+    if failed:
+        # no three full-double factors to chain: the lines on them skip
+        yield from failed
+        yield from _skip_lines("the factor structures", failed, (
+            "full-chain3-relations", "full-chain3-braided-commutativity-fails",
+            "full-chain3-embedding"))
+    else:
         ch3 = heisenberg_chain(sys.yd, 3)
         yield from chain_relations_check(ch3, sys.double, prefix="full-chain3")
         yield invert_expected_failure(
             check_braided_commutative(ch3.yd, _hunt(cfg)),
             "full-chain3-braided-commutativity-fails")
         yield check_factor_embeddings(ch3, name="full-chain3-embedding")
-    else:
-        # no three full-double factors to chain: the lines on them skip
-        yield from failed
-        why = (f"needs the factor structures; {failed[0].name} failed"
-               if failed else "run with p=2 (three full-double factors)")
-        for law in ("relations", "braided-commutativity-fails",
-                    *(("embedding",) if failed else ())):
-            yield _skip(f"full-chain3-{law}", why)
     yield cqzd_center_check(cqzd(p))
     checks, _ = zdel_factors(p)
     failed = [c for c in checks if not c.ok]
@@ -364,7 +356,7 @@ def _suite_chains(cfg: SuiteConfig):
     yield check_factor_embeddings(chains[4].chain, name="zdel-chain4-embedding")
     yield check_yd(chains[3].yd, _walks(cfg), name="zdel-chain3-yd-condition")
     fd, fz = chains[2].chain.factors
-    # the two p-dimensional factors of chain(2): every pair, in every mode
+    # the two p-dimensional factors of chain(2): every pair, at every p
     yield check_locked_identity(
         fd, fz, TupleWalks("exhaustive", cfg.seed, cfg.sample_size),
         name="zdel-interface-locked-identity")
@@ -420,7 +412,8 @@ def _suite_truncations(cfg: SuiteConfig):
 
 def _suite_mutations(cfg: SuiteConfig):
     from .mutations import MUTATIONS, run_mutation
-    # the negative controls walk a pinned sample in every mode
+    # the negative controls walk a pinned sample, whatever the run's seed
+    # and sample size
     controls = TupleWalks("generators", 0, 10_000)
     for tag in MUTATIONS:
         yield run_mutation(tag, cfg.p, controls)

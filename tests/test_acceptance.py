@@ -187,9 +187,10 @@ def test_13_mutations_all_caught_and_exit_code_one():
 
 
 def test_14_reports_byte_identical():
-    cfg = dict(p=2, suite="yd", seed=11, sample_size=500, mode="generators")
+    cfg = dict(p=3, suite="heisenberg", seed=11, sample_size=300)
     a = render(run_suite(SuiteConfig(**cfg)), "json")
     b = render(run_suite(SuiteConfig(**cfg)), "json")
     assert a == b
     parsed = json.loads(a)
     assert parsed["schema_version"] == 1
+    assert any("sample" in c["mode"] for c in parsed["checks"])

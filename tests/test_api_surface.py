@@ -292,10 +292,9 @@ def test_the_case_loop_guard_sees_check_cases_and_failure():
 
 
 # Names of the coverage plan's inputs, and the modules allowed to name
-# them; cli.py offers MODES as the choices of `verify --mode`.
+# them.
 PLAN_NAMES = {"TupleWalks", "tuple_walk", "MODES"}
 PLAN_MODULES = {"results.py", "report.py"}
-CLI_NAMES = {"MODES"}
 # Parameters that would carry a coverage mode or a draw into a function.
 PLAN_PARAMETERS = {"mode", "seed", "samples"}
 # span_closure's seed is the vectors it closes and its mode the kind of
@@ -308,14 +307,13 @@ def _plan_uses(modules: dict) -> list:
     for mod, tree in modules.items():
         if mod in PLAN_MODULES:
             continue
-        named = PLAN_NAMES - (CLI_NAMES if mod == "cli.py" else set())
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                names = {node.id} & named
+                names = {node.id} & PLAN_NAMES
             elif isinstance(node, ast.Attribute):
-                names = {node.attr} & named
+                names = {node.attr} & PLAN_NAMES
             elif isinstance(node, ast.alias):
-                names = {node.name} & named
+                names = {node.name} & PLAN_NAMES
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                    ast.Lambda)):
                 a = node.args
@@ -347,8 +345,8 @@ def test_the_plan_guard_sees_a_mode_passed_to_a_check():
         "ydcat.py:5 mode", "ydcat.py:5 seed"]
     assert _plan_uses({"sparse.py": reverted})[-2:] == [
         "sparse.py:3 MODES", "sparse.py:4 TupleWalks"]
-    assert _plan_uses({"cli.py": reverted})[:2] == [
-        "cli.py:1 TupleWalks", "cli.py:1 tuple_walk"]
+    assert _plan_uses({"cli.py": reverted})[:3] == [
+        "cli.py:1 MODES", "cli.py:1 TupleWalks", "cli.py:1 tuple_walk"]
     assert _plan_uses({"report.py": reverted}) == []
 
 

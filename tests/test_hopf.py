@@ -143,18 +143,22 @@ def antipode_antimultiplicative(H, walk):
 def axioms(H, mode="exhaustive", seed=0, samples=2000, antihom=False,
            pairs=None):
     """check_hopf_axioms on the walks that the report's plan gives each
-    law of H in a run in `mode`, and with `antihom` the antipode law on
-    the plan's walk for pairs: the pair lemma in every mode, or the tuple
-    walks `pairs` when given.  The plan's lemma walks need declared
-    generators, which every algebra of the suites has; a fixture without
-    them walks the run's tuples, sampled in a "generators" run."""
-    if H.generators:
-        assoc = _associativity(SuiteConfig(mode=mode, seed=seed,
-                                           sample_size=samples), H)
+    law of H, and with `antihom` the antipode law on the plan's walk for
+    pairs: the pair lemma, or the tuple walks `pairs` when given.
+    Associativity takes the plan's walk of a p=2 run for "exhaustive" and
+    of a p=3 run for "generators"; "sample" walks seeded tuples only.  The
+    plan's lemma walks need declared generators, which every algebra of
+    the suites has; a fixture without them walks the run's tuples, sampled
+    in a "generators" run."""
+    if H.generators and mode != "sample":
+        assoc = _associativity(SuiteConfig(
+            p=2 if mode == "exhaustive" else 3, seed=seed,
+            sample_size=samples), H)
     else:
-        assoc = TupleWalks("sample" if mode == "generators" else mode, seed,
-                           samples)
-        pairs = pairs or assoc
+        assoc = TupleWalks("exhaustive" if mode == "exhaustive" else "sample",
+                           seed, samples)
+        if not H.generators:
+            pairs = pairs or assoc
     walks = [pairs or two_sided_lemma_walk(H) for _ in range(2 + antihom)]
     results = check_hopf_axioms(H, assoc, *walks[:2])
     if antihom:
@@ -212,12 +216,11 @@ def test_s3_group_algebra_axioms_in_every_mode():
 
 @pytest.mark.parametrize("check", [check_algebra_axioms, check_hopf_axioms])
 def test_a_misspelled_mode_is_an_error_before_any_check(check):
-    """The plan's tuple walks reject the mode when they are built, before
-    the check is called."""
+    """The tuple walks reject the mode when they are built, before the
+    check is called."""
     H = group_algebra(CTX, 4)
-    cfg = SuiteConfig(mode="exhuastive")
     with pytest.raises(ValueError, match="exhuastive"):
-        check(H, _associativity(cfg, H))
+        check(H, TupleWalks("exhuastive", 0, 10))
 
 
 # -- mutations must be caught with matching witnesses --------------------------

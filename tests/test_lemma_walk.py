@@ -15,7 +15,7 @@ vector fails, and its witness names the corrupted basis vector.  A
 quotient that `truncate.hopf_quotient` did not build through the
 certified projection is refused.
 
-`mult-associativity` in exhaustive mode walks the triples headed by a
+`mult-associativity` at p=2 walks the triples headed by a
 generator index.  On seeded single-entry corruptions of the Taft
 algebra's product it passes together with `mult-unit` exactly when the
 walk over every triple passes, and it catches a corruption of D(B)'s

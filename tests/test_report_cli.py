@@ -27,7 +27,7 @@ from hopfbench.mutations import MUTATIONS
 from hopfbench.report import (ConfigError, SuiteConfig, parse, render,
                               run_suite)
 from hopfbench.doubles import factor_structures
-from hopfbench.results import MODES, CheckResult, lemma_walk
+from hopfbench.results import CheckResult, lemma_walk
 from hopfbench.taft import taft_setup, taft_system
 from hopfbench.ydcat import check_braided_commutative, check_locked_identity
 
@@ -69,21 +69,31 @@ def test_text_render_carries_witnesses():
     assert not rep.ok
 
 
-def test_resolved_mode_defaults():
-    assert SuiteConfig(p=2).resolved_mode == "exhaustive"
-    assert SuiteConfig(p=3).resolved_mode == "generators"
-    assert SuiteConfig(p=3, mode="sample").resolved_mode == "sample"
+def test_a_report_whose_mode_is_not_its_p_rule_is_refused():
+    """p alone picks the mode of a run's tuple walks, so a report that
+    names another mode came from no run of this engine."""
+    obj = json.loads(render(run_suite(SuiteConfig(p=2, suite="mutations")),
+                            "json"))
+    assert obj["config"]["mode"] == "exhaustive"
+    obj["config"]["mode"] = "sample"
+    with pytest.raises(ValueError, match="'sample'.*'exhaustive'"):
+        parse(json.dumps(obj))
+
+
+def test_a_config_takes_no_mode():
+    with pytest.raises(TypeError):
+        SuiteConfig(p=2, mode="generators")
 
 
 @pytest.mark.parametrize("kwargs", [
     {"p": 1},
-    {"mode": "bogus"},
+    {"p": "3"},
     {"suite": "no-such-suite"},
     {"p": 3, "sample_size": 0},
     {"p": 2, "sample_size": 0},
     {"p": 2, "sample_size": -5},
     {"seed": -1},
-    {"p": 2, "mode": "sample", "sample_size": 2.5},
+    {"p": 2, "sample_size": 2.5},
     {"p": 2, "sample_size": "7"},
     {"p": 2, "sample_size": True},
 ])
@@ -209,66 +219,6 @@ def test_report_bytes_are_pinned(suite):
         _assert_yd_lines_are_proofs(rep)
 
 
-def test_quotient_morphism_is_the_construction_certificate_in_sample_mode():
-    rep = run_suite(SuiteConfig(p=2, suite="truncations", mode="sample",
-                                sample_size=50))
-    qm, = (r for r in rep.results
-           if r.name == "truncations.quotient-morphism.p2")
-    assert (qm.status, qm.mode, qm.cases_checked) == ("pass", "exhaustive",
-                                                      1 + 32 + 224)
-
-
-# sha256 of `hopfbench verify --p 2 --suite <suite> --mode generators
-# --sample-size 500 --seed 11 --format json`: these suites read the
-# products of both doubles, their actions and the pairing arrows; chains
-# and truncations pin the counterexample searches, which do not follow the
-# run's mode, and chains the z/del chain3 walks, no larger than the sample
-# size and so walked whole.
-REPORT_SHA256_P2_GENERATORS = {
-    "chains":
-        "10b5d0f75cd88ce2f6eca153050688a1e985a692625a8f9b94bd9f84d43db64d",
-    "truncations":
-        "68a3bc64a4adceaeb4f83562f06b1470c9d23e3ef9670476ddf6ffcc931a198b",
-    "double":
-        "ea6c001b68e1b89f5ab8c1d9c1cb8c904028f3f57045a142d409694df3a9b9f8",
-    "heisenberg":
-        "65fa1c613e1bf5bb714def340781820198439c67d268340680742a74ea4ab8c8",
-    "hopf-axioms":
-        "160dfdb683c354fb5b8d346813d1b43d2e9b30e2e4ffffd5854404b5f0d6c7e3",
-    "yd":
-        "b928fa507c4de27f955017d91fff83c4edf585b9269e208764958ab6d4f21856",
-}
-
-
-@pytest.mark.parametrize("suite", sorted(REPORT_SHA256_P2_GENERATORS))
-def test_generators_report_bytes_are_pinned(suite):
-    _pinned(f"p2-generators-{suite}", REPORT_SHA256_P2_GENERATORS[suite])
-
-
-# sha256 of `hopfbench verify --p 2 --suite <suite> --mode sample
-# --sample-size 500 --seed 11 --format json`: these pin the seeded draws of
-# the sample walks, each drawn by its own generator seeded with the seed.
-REPORT_SHA256_P2_SAMPLE = {
-    "chains":
-        "1d94469d7d7c4050b9e95a90367fc0c830ab7e711bbaee5d36700e31e5ae50fb",
-    "truncations":
-        "f5931bf756e681caf581b782eda450fcdba648075f57fef235dfaf5eb988ca4c",
-    "double":
-        "8e34b40854215d24d430dfddf9a487d8108897dd413ad92bb68e68166cbb209c",
-    "heisenberg":
-        "b9c66eda84713e462eac6e03b9147fbe0ecc534346bcefee5c312850d781d426",
-    "hopf-axioms":
-        "31b8d20e3369ded8fba5bd3401b45f7cb942f19c0ca4085b89675b682320cb0c",
-    "yd":
-        "1ff30ef023a6eebaa69d67b33b0769d31eebcfc5a61fd6e088405fb44d876a40",
-}
-
-
-@pytest.mark.parametrize("suite", sorted(REPORT_SHA256_P2_SAMPLE))
-def test_sample_report_bytes_are_pinned(suite):
-    _pinned(f"p2-sample-{suite}", REPORT_SHA256_P2_SAMPLE[suite])
-
-
 # the four factor laws of the heisenberg suite, read off the restriction
 # certificates of B*cop and B (`doubles.check_factor_restrictions`)
 FACTOR_LAWS = ("dual-factor-braided-commutative",
@@ -288,23 +238,30 @@ def _routed(name: str) -> bool:
             or suite == "heisenberg" and law in FACTOR_LAWS)
 
 
-def test_a_law_with_a_proof_route_takes_it_in_every_mode():
-    lines = {}
-    for mode in MODES:
-        rep = run_suite(SuiteConfig(p=2, suite="hopf-axioms,double,yd,"
-                                    "heisenberg,truncations", mode=mode,
-                                    sample_size=500, seed=11))
-        lines[mode] = [(r.name, r.status, r.mode, r.cases_checked, r.witness)
-                       for r in rep.results if _routed(r.name)]
-    assert len(lines["exhaustive"]) == 6 + 6 + 6 + 4 + 23
-    assert lines["generators"] == lines["exhaustive"] == lines["sample"]
+def _golden_routed_labels(p: int) -> dict:
+    """The coverage label of each routed line in the golden reports at p,
+    by its name without the p tag and with the p in it written as P."""
+    labels = {}
+    for path in GOLDEN.glob(f"p{p}-*.txt"):
+        checks, _ = _report_lines(path.read_text())
+        for name, (_, label, _, _) in checks.items():
+            if _routed(name):
+                labels[name.rsplit(".", 1)[0].replace(f"p={p}", "p=P")] = label
+    return labels
+
+
+def test_a_law_with_a_proof_route_takes_it_at_every_p():
+    """A routed line reads the same label in the p=2 and the p=3 golden
+    reports: the route, and not the run's tuple walks, picks its walk."""
+    at_2 = _golden_routed_labels(2)
+    assert len(at_2) == 6 + 6 + 6 + 4 + 23
+    assert _golden_routed_labels(3) == at_2
 
 
 # sha256 of `hopfbench verify --p 3 --suite yd,truncations --sample-size 1000
 # --format json`: at p=3 most structure constants are dense scalars, which
 # the p=2 reports hardly reach.  Its yd lines are the same proofs as in the
-# p=2 yd report, taken in generators mode, and so are its four transported
-# truncations laws.
+# p=2 yd report, and so are its four transported truncations laws.
 REPORT_SHA256_P3_YD_TRUNCATIONS = \
     "ff10949ddfede8dc516b377554414c895f76a71a3619ed38abb5b38277e51917"
 
@@ -406,7 +363,7 @@ REPORT_SHA256_P3_BRAIDED = {
     "heisenberg":
         "25cd58c7a7dffce2c93878dd2b2a808b4d0cc63085cd8f1cdea1d3c2c55c1d58",
     "chains":
-        "31c8249909d8b1b815f705ca7e3af380e074fba8bcc3f723c7f0bf60f1210938",
+        "0cd38fc537bfb12c20a5649a41cb590461ec93aa2dd036d12a11713a0369fcc8",
     "hopf-axioms":
         "4ec07b849471b0f55920c62dd09524d8e3e8675a44924a13cf5ef0ce21f3e5dd",
 }
@@ -420,7 +377,7 @@ def test_p3_braided_product_report_bytes_are_pinned(suite):
 # sha256 of `hopfbench verify --p 3 --suite double --format json`, the
 # default run: eta-twist compares R rows and the R lines read the Hopf
 # pairing, so the suite is cheap at p=3, and this pins its
-# generators-mode lines and searches on dense scalars.
+# generator-headed lines and searches on dense scalars.
 REPORT_SHA256_P3_DOUBLE = \
     "fcbb70d6fc2c498fce9a4625d12f5ecbbc5fbc7dbaf3d83644fac7d4b1bbe36f"
 
@@ -432,7 +389,9 @@ def test_the_default_p3_double_report_is_pinned():
 # The lines of the default p=3 run of hopf-axioms, double, heisenberg and
 # chains that may still carry a sample label, each with the ROADMAP item
 # that removes it.  A line that gains a proof route leaves this list, so
-# it only shrinks (ROADMAP item 22).
+# it only shrinks (ROADMAP item 22), but for a skipped line that becomes
+# a search: full-chain3-braided-commutativity-fails was skipped at p >= 3
+# and now finds its counterexample there.
 P3_SAMPLED = {
     "hopf-axioms.ddouble-mult-associativity": "item 16",
     "hopf-axioms.hdouble-mult-associativity": "item 16",
@@ -442,6 +401,7 @@ P3_SAMPLED = {
     "double.rinv-braided-comm": "item 22, a search",
     "heisenberg.flip-algebra-morphism": "item 2",
     "heisenberg.flip-module-morphism": "item 2",
+    "chains.full-chain3-braided-commutativity-fails": "item 22, a search",
     "chains.zdel-chain3-braided-commutativity-fails": "item 22, a search",
 }
 
@@ -468,12 +428,6 @@ REPORT_SHA256_P2_TWO_SUITES = \
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 GOLDEN_RUNS = {
     **{f"p2-{s}": SuiteConfig(p=2, suite=s) for s in REPORT_SHA256_P2},
-    **{f"p2-generators-{s}": SuiteConfig(p=2, suite=s, mode="generators",
-                                         sample_size=500, seed=11)
-       for s in REPORT_SHA256_P2_GENERATORS},
-    **{f"p2-sample-{s}": SuiteConfig(p=2, suite=s, mode="sample",
-                                     sample_size=500, seed=11)
-       for s in REPORT_SHA256_P2_SAMPLE},
     "p3-yd-truncations": SuiteConfig(p=3, suite="yd,truncations",
                                      sample_size=1000),
     **{f"p3-braided-{s}": SuiteConfig(p=3, suite=s, sample_size=300, seed=11)
@@ -801,6 +755,19 @@ def test_verify_exit_codes(tmp_path):
     assert main(["verify", "--p", "1"]) == 2
     assert main(["verify", "--p", "2", "--suite", "yd",
                  "--sample-size", "-5"]) == 2
+
+
+def test_verify_rejects_mode_flag(monkeypatch, capsys):
+    # p alone picks the coverage mode; --mode is gone, so it is a usage
+    # error, raised before any suite runs.
+    runs = []
+    monkeypatch.setattr(report_module, "run_suite", runs.append)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--p", "2", "--mode", "generators"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode generators" in (
+        capsys.readouterr().err)
+    assert runs == []
 
 
 def test_verify_rejects_jobs_flag(capsys):
