@@ -59,7 +59,7 @@ from .hopf import (FiniteAlgebra, FiniteHopf, HopfPairing,
                    check_hopf_pairing, check_same_twist, dual_hopf,
                    pair_product, pairing_counit_cases, render_element,
                    twisted_product)
-from .results import (CheckResult, Walk,
+from .results import (CheckResult, Walk, chained,
                       coalgebra_closure, counted, factor_pair_walk,
                       gen_indices, generation_failure,
                       invert_expected_failure, lemma_walk, normality_cases,
@@ -402,15 +402,9 @@ def eta_twist_product(D: DrinfeldDouble, Hd: HeisenbergDouble,
     twisted = FiniteAlgebra(D.ctx, D.hopf.space, tw.mult, tw.unit,
                             generators=tw.gens, name=f"{D.hopf.name}^eta",
                             twist=tw)
-
-    def prelude():
-        wit = yield from _tensor_coalgebra(D)
-        if wit is None:
-            wit = yield from obligation("pairing-counit", D.hopf,
-                                        partial(pairing_counit_cases, P))
-        return wit
-
-    return check_same_twist(twisted, Hd.algebra, name, prelude())
+    return check_same_twist(twisted, Hd.algebra, name, chained(
+        _tensor_coalgebra(D), obligation("pairing-counit", D.hopf,
+                                         partial(pairing_counit_cases, P))))
 
 
 # -- coaction and action of D(B) on H(B*) ------------------------------------
@@ -592,11 +586,9 @@ def _factored_obligations(D: DrinfeldDouble, act: FactoredAction):
     and B*), since rho(f (x) m) = dual_row(f) prim_row(m) =
     sum adF(f'') hit(m') (x) rhit(f') ad(m''); by the second that sum is
     (s1 (x) s2) Delta_D(f (x) m)."""
-    wit = yield from obligation("leg-units", act,
-                                partial(_leg_unit_cases, D, act))
-    if wit is None:
-        wit = yield from _tensor_coalgebra(D)
-    return wit
+    return chained(obligation("leg-units", act,
+                              partial(_leg_unit_cases, D, act)),
+                   _tensor_coalgebra(D))
 
 
 def _leg_unit_cases(D: DrinfeldDouble, act: FactoredAction):
@@ -790,7 +782,9 @@ def module_factor_walk(D: DrinfeldDouble, act: FactoredAction) -> Walk:
                     sorted(gen_indices(A)), range(A.dim), range(V.dim))))
             yield from counted(res.cases_checked, lambda: (
                 None if res.ok else f"leg {name}: {res.witness}"))
-        yield from _factored_obligations(D, act)
+        wit = yield from _factored_obligations(D, act)
+        if wit is not None:
+            return wit
         for c in closure:
             for f in range(nF):
                 yield (None if all(k % nB in in_closure
@@ -877,18 +871,12 @@ def comodule_algebra_factor_walk(D: DrinfeldDouble, y) -> Walk:
     if tw.A is not D.dual or tw.B is not D.base:
         raise ValueError(f"{X.name} is not a twisted product of D's factors")
 
-    def obligations():
-        wit = yield from obligation("r-normality", H,
-                                    partial(normality_cases, H))
-        if wit is None:
-            wit = yield from _tensor_coalgebra(D)
-        if wit is None:
-            wit = yield from obligation("twisting", H,
-                                        partial(twisting_cases, H))
-        return wit
-
+    obligations = chained(
+        obligation("r-normality", H, partial(normality_cases, H)),
+        _tensor_coalgebra(D),
+        obligation("twisting", H, partial(twisting_cases, H)))
     coproduct = type(coaction) is Coaction and coaction._fn == H.comult.get
-    return factor_pair_walk(X, mixed=not coproduct, obligations=obligations())
+    return factor_pair_walk(X, mixed=not coproduct, obligations=obligations)
 
 
 def check_double_identity(D: DrinfeldDouble) -> CheckResult:

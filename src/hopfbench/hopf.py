@@ -276,7 +276,9 @@ def check_algebra_axioms(A, associativity) -> list:
     associativity: for a, b in S, ((ab)x)y = (a(bx))y = a((bx)y) =
     a(b(xy)) = (ab)(xy).  It holds 1 when 1 is a left unit, the
     `mult-unit` line beside it, and the walk's certificate
-    `generation_failure(A)` makes S all of A.
+    `generation_failure(A)` makes S all of A.  For a twisted product,
+    `results.associativity_walk(A)` walks no triple: its prelude proves
+    associativity from R and the factors (see there).
     """
     return [_check_associativity(A, associativity),
             run_check("mult-unit", "exhaustive", _unit_cases(A))]

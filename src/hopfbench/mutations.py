@@ -11,9 +11,9 @@ engine reports status "fail" with a witness for every fixture; any
 
 Every builder yields its checks one at a time, and `run_mutation` stops
 pulling at the first that fails.  They walk their laws on `walks`, the
-tuple walks the caller pins for the negative controls, but for the lemma
-walks of the two Hopf-axiom fixtures (associativity of B, and the laws on
-pairs of D(B)) and the eta fixture, whose line compares R rows.
+tuple walks the caller pins for the negative controls, but for the two
+Hopf-axiom fixtures, which take the suite's routes (`associativity_walk`
+and the pair lemma), and the eta fixture, whose line compares R rows.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 
 from .doubles import eta_twist_product, factor_structures
 from .hopf import FiniteHopf, check_hopf_axioms
-from .results import CheckResult, lemma_walk, two_sided_lemma_walk
+from .results import CheckResult, associativity_walk, two_sided_lemma_walk
 from .sparse import LazyLinearMap, Vec, tensor_flat, vadd_into, vadd_outer
 from .taft import taft_setup, taft_system
 from .ydcat import (Action, Coaction, ModuleAlgebra, YDModuleAlgebra,
@@ -46,7 +46,9 @@ def _antipode_sign(p: int, walks) -> Iterator:
     bad = FiniteHopf(B.ctx, B.space, B.mult, dict(B.unit), B.comult,
                      dict(B.counit), LazyLinearMap(B.dim, B.dim, fn),
                      generators=B.generators, name="taft(antipode-sign)")
-    yield from check_hopf_axioms(bad, lemma_walk(bad, 3), walks, walks)
+    yield from check_hopf_axioms(bad, associativity_walk(bad),
+                                 two_sided_lemma_walk(bad),
+                                 two_sided_lemma_walk(bad))
 
 
 def _double_antipode(p: int, walks) -> Iterator:
@@ -66,7 +68,8 @@ def _double_antipode(p: int, walks) -> Iterator:
                      dict(H.counit), LazyLinearMap(H.dim, H.dim, fn),
                      generators=H.generators, name="ddouble(antipode)",
                      twist=H.twist)
-    yield from check_hopf_axioms(bad, walks, two_sided_lemma_walk(bad),
+    yield from check_hopf_axioms(bad, associativity_walk(bad),
+                                 two_sided_lemma_walk(bad),
                                  two_sided_lemma_walk(bad))
 
 

@@ -24,10 +24,10 @@ from .doubles import (FactoredAction, chain_relations_check,
                       heisenberg_chain, module_algebra_factor_walk,
                       module_factor_walk, to_show_action_check)
 from .hopf import check_algebra_axioms, check_hopf_axioms, check_same_twist
-from .results import (CheckResult, TupleWalks, dim_check,
-                      gen_indices, invert_expected_failure, lemma_walk,
-                      obligations_once, subcoalgebra_walk, subcomodule_walk,
-                      summarize, two_sided_lemma_walk)
+from .results import (CheckResult, TupleWalks, associativity_walk, dim_check,
+                      invert_expected_failure, lemma_walk, obligations_once,
+                      subcoalgebra_walk, subcomodule_walk, summarize,
+                      two_sided_lemma_walk)
 from .taft import (basis_change, chain_heisenberg_checks, closed_form_check,
                    cqzd, cqzd_center_check, double_presentation_check,
                    h2_matches_cqzd_check, hq_action_table_check,
@@ -56,10 +56,11 @@ class SuiteConfig(NamedTuple):
 
     p picks the mode of the run's `TupleWalks` (`_coverage_mode`), which
     serve the laws with no proof route; seed and sample_size fix their
-    draws.  A law with a route takes it at every p: the pair laws of
-    hopf-axioms, the four R lines of double, every walked law of yd and
-    truncations, and the four factor laws of heisenberg.  Above p=2, a
-    walk or a triple lemma no larger than sample_size is walked whole.
+    draws, and nothing else reads them.  A law with a route takes it at
+    every p and every sample_size: every law of hopf-axioms, the four R
+    lines of double, every walked law of yd and truncations, and the four
+    factor laws of heisenberg.  Above p=2, a walk no larger than
+    sample_size is walked whole.
     suite is a name, "all", a comma-separated list, or a sequence of
     names; an empty selection yields an empty report.
     """
@@ -96,12 +97,15 @@ class SuiteConfig(NamedTuple):
     def validate(self) -> None:
         if not isinstance(self.p, int) or self.p < 2:
             raise ConfigError(f"p must be an integer >= 2, got {self.p!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        # a bool is an int, but it renders as true or false
+        if type(self.seed) is not int or not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be a 64-bit integer, got {self.seed!r}")
-        if (not isinstance(self.sample_size, int)
-                or isinstance(self.sample_size, bool) or self.sample_size < 1):
+        if type(self.sample_size) is not int or self.sample_size < 1:
             raise ConfigError(f"sample_size must be an integer >= 1, "
                               f"got {self.sample_size!r}")
+        if type(self.fail_fast) is not bool:
+            raise ConfigError(f"fail_fast must be a bool, "
+                              f"got {self.fail_fast!r}")
         self.selected()
 
     def to_dict(self) -> dict:
@@ -235,16 +239,6 @@ def _hunt(cfg: SuiteConfig) -> TupleWalks:
     return TupleWalks("generators", cfg.seed, 200)
 
 
-def _associativity(cfg: SuiteConfig, A):
-    """Associativity takes the generator-headed triple lemma in an
-    "exhaustive" run, and in a "generators" run when |G| d^2 <=
-    sample_size."""
-    if _coverage_mode(cfg.p) == "exhaustive" or (
-            len(gen_indices(A)) * A.dim ** 2 <= cfg.sample_size):
-        return lemma_walk(A, 3)
-    return _walks(cfg)
-
-
 # -- suites --------------------------------------------------------------------
 #
 # Each suite is a generator, so run_suite can stop pulling checks as soon
@@ -255,10 +249,10 @@ def _suite_hopf_axioms(cfg: SuiteConfig):
     for H, prefix in ((sys.pair.primal, "taft"), (sys.pair.dual, "taft-dual"),
                       (sys.double.hopf, "ddouble")):
         yield from _rename(check_hopf_axioms(
-            H, _associativity(cfg, H), two_sided_lemma_walk(H),
+            H, associativity_walk(H), two_sided_lemma_walk(H),
             two_sided_lemma_walk(H)), prefix)
     A = sys.heis.algebra
-    yield from _rename(check_algebra_axioms(A, _associativity(cfg, A)),
+    yield from _rename(check_algebra_axioms(A, associativity_walk(A)),
                        "hdouble")
 
 
@@ -358,7 +352,7 @@ def _suite_chains(cfg: SuiteConfig):
     fd, fz = chains[2].chain.factors
     # the two p-dimensional factors of chain(2): every pair, at every p
     yield check_locked_identity(
-        fd, fz, TupleWalks("exhaustive", cfg.seed, cfg.sample_size),
+        fd, fz, TupleWalks("exhaustive", 0, 0),
         name="zdel-interface-locked-identity")
     # Like-type factors two positions apart stop commuting in the braided
     # sense as soon as squares survive: at p=2 nilpotency of degree two

@@ -45,6 +45,9 @@ which walks them on the two tensor factors X1 = A (x) 1 and X2 = 1 (x) B
 instead of on generators against the whole basis; it states the lemma.
 It reads R from X's record (`twist_of`), not the products from X's table.
 
+Associativity takes `associativity_walk`: the triple lemma, or, on a
+twisted product, R's normal twisting-map certificate.
+
 A fact that the walks of several laws rest on, such as the normality or
 the twisting identity of an R (`normality_cases`, `twisting_cases`), is
 an `obligation` of the structure it is about: inside `obligations_once`
@@ -64,15 +67,15 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .sparse import Vec, span_closure, vadd_term, veq
 
-__all__ = ["MODES", "CheckResult", "run_check", "counted",
+__all__ = ["MODES", "CheckResult", "run_check", "counted", "chained",
            "certificate_check", "dim_check", "summarize",
            "invert_expected_failure", "gen_indices", "generator_pairs",
            "generation_failure", "Walk", "TupleWalks", "lemma_walk",
            "two_sided_lemma_walk", "coalgebra_closure",
            "coaction_closure", "subcoalgebra_walk", "subcomodule_walk",
            "twist_of", "normality_cases", "normality_failure",
-           "twisting_cases", "obligations_once", "obligation",
-           "factor_pair_walk"]
+           "twisting_cases", "second_twisting_cases", "associativity_walk",
+           "obligations_once", "obligation", "factor_pair_walk"]
 
 MODES = ("exhaustive", "generators", "sample")
 
@@ -138,6 +141,15 @@ def counted(n: int, failure: Callable[[], Optional[str]]) -> Iterator:
     witness of `failure()`, or None, on the last."""
     yield from itertools.repeat(None, n - 1)
     yield failure()
+
+
+def chained(*bodies: Iterable) -> Iterator:
+    """The bodies one after another: the cases of each, up to the first
+    witness that one returns, which is returned."""
+    for body in bodies:
+        wit = yield from body
+        if wit is not None:
+            return wit
 
 
 def certificate_check(name: str, cases: int,
@@ -351,6 +363,55 @@ def twisting_cases(alg) -> Iterator:
     return None if wit is None else f"factor {B.name}: {wit}"
 
 
+def second_twisting_cases(alg) -> Iterator:
+    """The body of the second twisting identity of a twisted product
+    `alg` = A (x)_R B (`twist_of`), the mirror of `twisting_cases`,
+
+        R(b (x) a1 a2) = (m_A (x) B)(A (x) R)(R (x) A)(b (x) a1 (x) a2),
+
+    one case for each b over B's basis, a1 over A's and a2 over the
+    declared generator indices of A, then, counting no case, A's
+    generation certificate.
+
+    The lemma.  T = {a2 : the identity holds for every b and a1} is a
+    subspace.  It holds 1, since R(b (x) 1) = 1 (x) b (`normality_cases`)
+    and 1 is A's unit.  It is closed under products when A is
+    associative: for a2, c in T, write R(b (x) a1) = sum a' (x) b',
+    R(b' (x) a2) = sum a'' (x) b'' and R(b (x) a1 a2) = sum a^ (x) b^;
+    then, with a R(...) multiplying the A leg on the left,
+
+        R(b (x) a1 a2 c) = sum a^ R(b^ (x) c)
+                         = sum a' a'' R(b'' (x) c)
+                         = sum a' R(b' (x) a2 c),
+
+    reading the identity for c at (b, a1 a2), for a2 at (b, a1), and for
+    c at (b', a2).  The walk puts the generators in T, and the
+    certificate makes T all of A.  The hypotheses are R's normality and
+    the associativity of A.
+    """
+    tw = twist_of(alg)
+    A, B = tw.A, tw.B
+    nB, r_row, get = B.dim, tw.r_row, A.mult.get
+    for b, a, g in itertools.product(range(nB), range(A.dim),
+                                     _generators(A)):
+        lhs: Vec = {}
+        for k, c in get(a, g):
+            for a1, b1, c1 in r_row(b, k):
+                vadd_term(lhs, a1 * nB + b1, c * c1)
+        rhs: Vec = {}
+        for a1, b1, c1 in r_row(b, a):
+            for a2, b2, c2 in r_row(b1, g):
+                c12 = c1 * c2
+                for k, c in get(a1, a2):
+                    vadd_term(rhs, k * nB + b2, c12 * c)
+        yield (None if veq(lhs, rhs) else
+               f"R(b (x) a1 a2) != (m (x) B)(A (x) R)(R (x) A)"
+               f"(b (x) a1 (x) a2) at b={B.space.label(b)}, "
+               f"a1={A.space.label(a)}, a2={A.space.label(g)}")
+    wit = generation_failure(A)
+    return None if wit is None else f"factor {A.name}: {wit}"
+
+
 # while `obligations_once` is active: structure object -> {name: witness}
 _replays: Optional[weakref.WeakKeyDictionary] = None
 
@@ -487,6 +548,35 @@ def lemma_walk(alg, arity: int = 2) -> Walk:
     rest = [range(alg.dim)] * (arity - 1)
     return Walk("generators", itertools.product(_generators(alg), *rest),
                 certificate=partial(generation_failure, alg))
+
+
+def associativity_walk(alg) -> Walk:
+    """The walk that proves associativity of `alg`, labelled "generators"
+    (`hopf.check_algebra_axioms`): `lemma_walk(alg, 3)`, or, for a
+    twisted product A (x)_R B (an algebra with a `twist`, which must be
+    built by the formula: `twist_of` raises otherwise when it is walked),
+    a walk of no tuples whose prelude is R's normal twisting-map
+    certificate, each part an `obligation` on alg: `normality_cases`,
+    `twisting_cases` and `second_twisting_cases`.
+
+    A (x)_R B is associative with unit 1 (x) 1 when A and B are
+    associative and unital and R is a normal twisting map (Cap, Schichl
+    and Vanzura, Comm. Algebra 23, 1995).  The walk reads only R's rows
+    and the factor tables, never the products that R defines.  Its
+    hypotheses are the associativity of A and of B, which for D(B) and
+    H(B*), whose factors are B* and B themselves, are the lines
+    `hopf-axioms.taft-dual-mult-associativity` and
+    `taft-mult-associativity`, and the factor unit laws, which
+    `normality_cases` checks.  B*cop, D(B)'s first factor, shares B*'s
+    product: only D(B)'s coproduct reads the opposite one.
+    """
+    if getattr(alg, "twist", None) is None:
+        return lemma_walk(alg, 3)
+    return Walk("generators", (), prelude=chained(
+        obligation("r-normality", alg, partial(normality_cases, alg)),
+        obligation("twisting", alg, partial(twisting_cases, alg)),
+        obligation("second-twisting", alg,
+                   partial(second_twisting_cases, alg))))
 
 
 def two_sided_lemma_walk(alg) -> Walk:
@@ -635,15 +725,9 @@ def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
         tuples = ((c, x, y) for part in parts
                   for c, (x, y) in itertools.product(closure, part))
 
-    def prelude() -> Iterator:
-        wit = yield from obligation("r-normality", X,
-                                    partial(normality_cases, X))
-        if wit is None:
-            wit = yield from obligations
-        if wit is None:
-            wit = yield from obligation("twisting", X,
-                                        partial(twisting_cases, X))
-        return wit
+    prelude = chained(
+        obligation("r-normality", X, partial(normality_cases, X)),
+        obligations, obligation("twisting", X, partial(twisting_cases, X)))
 
     def closed() -> Optional[str]:
         wit = generation_failure(A) or generation_failure(B)
@@ -651,4 +735,4 @@ def factor_pair_walk(X, closure: Optional[list] = None, mixed: bool = True,
             wit = certificate()
         return wit
 
-    return Walk("generators", tuples, prelude=prelude(), certificate=closed)
+    return Walk("generators", tuples, prelude=prelude, certificate=closed)

@@ -43,9 +43,9 @@ from .hopf import (
     check_product_rows, dual_hopf, pair_product, product_row_case,
     render_element, render_tensor, twisted_product,
 )
-from .results import (CheckResult, certificate_check, counted, gen_indices,
-                      generation_failure, invert_expected_failure,
-                      lemma_walk, run_check)
+from .results import (CheckResult, certificate_check, chained, counted,
+                      gen_indices, generation_failure,
+                      invert_expected_failure, lemma_walk, run_check)
 from .sparse import (
     BilinearMap, ColinearMap, LazyLinearMap, LinearMap,
     SingularMapError, Space, SpanSolver, Subspace, tensor_flat,
@@ -1198,15 +1198,10 @@ def hq_factorization_check(hq: HqSl2, walk) -> CheckResult:
 
     case = product_row_case(T, row)
 
-    def head():
-        wit = yield from factor_axioms()
-        if wit is None:
-            for u, y in itertools.product(sorted(T.unit), range(T.dim)):
-                yield case(u, y)
-        return wit
-
+    head = chained(factor_axioms(), (case(u, y) for u, y in itertools.product(
+        sorted(T.unit), range(T.dim))))
     return walk.over((T.dim, T.dim), (gen_indices(T), None)).check(
-        "hq-factorization", case, head=head())
+        "hq-factorization", case, head=head)
 
 
 # -- alternating chains of z- and del-factors ------------------------------------

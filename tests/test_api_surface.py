@@ -21,6 +21,9 @@
   (`MODES`), and no function outside them takes a `seed`, `samples` or
   `mode` parameter: the suites of `report.py` are the one plan that
   chooses each law's walk, and a check takes only the walk.
+* In `report.py` only `_walks`, which builds the run's tuple walks, and
+  the config and its display (`SuiteConfig`, `to_dict`, `render`) read
+  `sample_size`: no law's route is chosen by the sample size.
 * No module imports numpy, scipy or dataclasses, at module level or
   inside a function: `pyproject.toml` declares no runtime dependencies,
   and generated classes (`dataclasses` loads `inspect` and `ast`) cost
@@ -348,6 +351,66 @@ def test_the_plan_guard_sees_a_mode_passed_to_a_check():
     assert _plan_uses({"cli.py": reverted})[:3] == [
         "cli.py:1 MODES", "cli.py:1 TupleWalks", "cli.py:1 tuple_walk"]
     assert _plan_uses({"report.py": reverted}) == []
+
+
+# The definitions of report.py that may read the run's sample size: the
+# run's tuple walks, and the config and its display.
+SAMPLE_SIZE_READERS = {"_walks", "SuiteConfig", "to_dict", "render"}
+
+
+def _sample_size_reads(tree) -> list:
+    """Each read of `sample_size`, a name or an attribute, in report.py
+    outside `SAMPLE_SIZE_READERS`, with the innermost definition around
+    it: a route chosen by the sample size would make a law's coverage a
+    setting of the run."""
+    found = []
+
+    def visit(node, owners):
+        if isinstance(node, _DEFINITIONS):
+            owners = owners + (node.name,)
+        read = (isinstance(node, ast.Name) and node.id == "sample_size"
+                or isinstance(node, ast.Attribute)
+                and node.attr == "sample_size")
+        if (read and isinstance(node.ctx, ast.Load)
+                and not SAMPLE_SIZE_READERS & set(owners)):
+            found.append(f"report.py:{node.lineno} "
+                         f"{owners[-1] if owners else '<module>'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_tuple_walks_read_the_sample_size():
+    assert _sample_size_reads(_modules()["report.py"]) == []
+
+
+def test_the_sample_size_guard_sees_a_route_chosen_by_it():
+    """The associativity route that the sample size used to pick, and a
+    local of that name, are seen; the config, its display and the run's
+    tuple walks are not."""
+    planted = ast.parse(
+        "class SuiteConfig(NamedTuple):\n"
+        "    sample_size: int = 10_000\n"
+        "    def validate(self):\n"
+        "        return self.sample_size >= 1\n"
+        "def render(report):\n"
+        "    return f'sample_size={report.config.sample_size}'\n"
+        "def _walks(cfg):\n"
+        "    return TupleWalks(_coverage_mode(cfg.p), cfg.seed,\n"
+        "                      cfg.sample_size)\n"
+        "def _associativity(cfg, A):\n"
+        "    if len(gen_indices(A)) * A.dim ** 2 <= cfg.sample_size:\n"
+        "        return lemma_walk(A, 3)\n"
+        "    return _walks(cfg)\n"
+        "def _suite_chains(cfg):\n"
+        "    sample_size = cfg.seed\n"
+        "    yield TupleWalks('exhaustive', 0, sample_size)\n"
+        "LIMIT = SuiteConfig().sample_size\n")
+    assert _sample_size_reads(planted) == [
+        "report.py:11 _associativity", "report.py:16 _suite_chains",
+        "report.py:17 <module>"]
 
 
 # Modules that no module may import, anywhere in its body: the two

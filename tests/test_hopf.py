@@ -21,8 +21,8 @@ from hopfbench.hopf import (
     check_hopf_pairing, dual_hopf, pair_product, render_element,
     tensor_flat,
 )
-from hopfbench.report import SuiteConfig, _associativity
-from hopfbench.results import TupleWalks, two_sided_lemma_walk
+from hopfbench.results import (TupleWalks, associativity_walk,
+                               two_sided_lemma_walk)
 from hopfbench.sparse import (BilinearMap, ColinearMap, LinearMap, Space,
                               vadd_into, veq)
 
@@ -145,15 +145,13 @@ def axioms(H, mode="exhaustive", seed=0, samples=2000, antihom=False,
     """check_hopf_axioms on the walks that the report's plan gives each
     law of H, and with `antihom` the antipode law on the plan's walk for
     pairs: the pair lemma, or the tuple walks `pairs` when given.
-    Associativity takes the plan's walk of a p=2 run for "exhaustive" and
-    of a p=3 run for "generators"; "sample" walks seeded tuples only.  The
-    plan's lemma walks need declared generators, which every algebra of
-    the suites has; a fixture without them walks the run's tuples, sampled
-    in a "generators" run."""
+    Associativity takes the plan's route, `associativity_walk`, whatever
+    the mode and the samples, but for "sample", which walks seeded tuples
+    only.  The plan's lemma walks need declared generators, which every
+    algebra of the suites has; a fixture without them walks the run's
+    tuples, sampled in a "generators" run."""
     if H.generators and mode != "sample":
-        assoc = _associativity(SuiteConfig(
-            p=2 if mode == "exhaustive" else 3, seed=seed,
-            sample_size=samples), H)
+        assoc = associativity_walk(H)
     else:
         assoc = TupleWalks("exhaustive" if mode == "exhaustive" else "sample",
                            seed, samples)
@@ -179,19 +177,17 @@ def test_four_dim_axioms_exhaustive():
 
 
 def test_group_algebra_generator_mode():
-    """Associativity takes the triple lemma, |G| d^2 = 144 triples, when
-    they are no more than the samples, and samples after its generator
-    head otherwise."""
+    """Associativity takes the triple lemma, |G| d^2 = 144 triples,
+    whatever the sample size: fewer samples than triples no longer turn
+    it into a sample."""
     H = group_algebra(CTX, 12)
-    for samples, assoc in ((200, ("generators", 144)),
-                           (143, ("generators+sample(n=143,seed=3)",
-                                  1 + 143))):
+    for samples in (200, 143):
         results = axioms(H, mode="generators", seed=3, samples=samples)
         all_pass(results)
         by_name = {r.name: r for r in results}
         assert by_name["comult-multiplicative"].mode == "generators"
         r = by_name["mult-associativity"]
-        assert (r.mode, r.cases_checked) == assoc
+        assert (r.mode, r.cases_checked) == ("generators", 144)
 
 
 def test_generator_mode_with_nongenerating_set_fails_closed():

@@ -1178,7 +1178,10 @@ def test_shared_obligations_run_once_in_a_suite():
 
 def test_a_replayed_obligation_fails_every_law_that_rests_on_it():
     """A failed obligation keeps its witness: the law that replays it
-    fails with it, at no case of its own."""
+    fails with it, at no case of its own, whichever law ran it first.
+    module-action after comodule-algebra replays R's normality and the
+    tensor coalgebra of D(B), and walks only the legs and their unit
+    facts."""
     y, D, _ = _corruption("double-coproduct:150")
     want = (f"Delta of {D.hopf.name} is not the tensor coalgebra of its "
             "factors at x=Fkap(x)k^6")
@@ -1189,6 +1192,13 @@ def test_a_replayed_obligation_fails_every_law_that_rests_on_it():
     assert (module.status, module.witness) == ("fail", want)
     assert (algebra.status, algebra.witness) == ("fail", want)
     assert algebra.cases_checked == 256 + 32
+    with obligations_once():
+        comodule = check_comodule_algebra(
+            y, walk=comodule_algebra_factor_walk(D, y))
+        module = check_module(y, walk=module_factor_walk(D, y.action))
+    assert (comodule.status, comodule.witness) == ("fail", want)
+    assert (module.status, module.witness) == ("fail", want)
+    assert module.cases_checked == _BEFORE_CLOSURE - 256 - 32
 
 
 def test_a_scaled_double_coproduct_entry_fails_the_tensor_coalgebra():

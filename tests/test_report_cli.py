@@ -96,6 +96,8 @@ def test_a_config_takes_no_mode():
     {"p": 2, "sample_size": 2.5},
     {"p": 2, "sample_size": "7"},
     {"p": 2, "sample_size": True},
+    {"p": 2, "seed": True},
+    {"p": 2, "fail_fast": 1},
 ])
 def test_bad_configs_are_rejected(kwargs):
     with pytest.raises(ConfigError):
@@ -181,13 +183,14 @@ def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
 # factors of H(B*), of yd-condition on a subcoalgebra of D(B) and of
 # braided-commutative on a subcomodule of H(B*); the truncations report
 # pins the four laws read off the transport certificates; the hopf-axioms
-# report pins the associativity proofs from generator-headed triples and
-# the pair lemma, and the double report the intertwining of R proved on
-# D(B)'s generators, eta-twist proved from R rows, and the hexagon and
-# inverse lines of R read off the Hopf pairing.
+# report pins the associativity proofs, from generator-headed triples on
+# B and B* and from R's normal twisting-map certificate on D(B) and
+# H(B*), and the pair lemma, and the double report the intertwining of R
+# proved on D(B)'s generators, eta-twist proved from R rows, and the
+# hexagon and inverse lines of R read off the Hopf pairing.
 REPORT_SHA256_P2 = {
     "hopf-axioms":
-        "3909c7257af94b8ab4fcbece83ec5cc784627bb9b4b23cc11126c062b8fa34e2",
+        "5cba5b95c0e2f7c91d465e6a99adcdff30c7942558f71cf355d05e6a6479dde6",
     "yd":
         "79ab3933874c3b8550181286bb29fd4a784f1270b91a0f6f6a154878d1116da2",
     "double":
@@ -228,11 +231,11 @@ FACTOR_LAWS = ("dual-factor-braided-commutative",
 
 def _routed(name: str) -> bool:
     """A line of a law with a proof route: every yd and truncations line,
-    the R lines and eta-twist of double, the pair laws of hopf-axioms and
-    the four factor laws of heisenberg."""
+    the R lines and eta-twist of double, the associativity and pair laws
+    of hopf-axioms and the four factor laws of heisenberg."""
     suite, law = name.split(".")[:2]
     return (suite in ("yd", "truncations") or law.startswith("r-")
-            or law.endswith(("-comult-multiplicative",
+            or law.endswith(("-mult-associativity", "-comult-multiplicative",
                              "-counit-multiplicative"))
             or suite == "double" and law == "eta-twist"
             or suite == "heisenberg" and law in FACTOR_LAWS)
@@ -254,7 +257,7 @@ def test_a_law_with_a_proof_route_takes_it_at_every_p():
     """A routed line reads the same label in the p=2 and the p=3 golden
     reports: the route, and not the run's tuple walks, picks its walk."""
     at_2 = _golden_routed_labels(2)
-    assert len(at_2) == 6 + 6 + 6 + 4 + 23
+    assert len(at_2) == 4 + 6 + 6 + 6 + 4 + 23
     assert _golden_routed_labels(3) == at_2
 
 
@@ -272,13 +275,21 @@ def test_p3_report_bytes_are_pinned():
 
 
 def _route_counts(p):
-    """Cases of the generator routes of yd, heisenberg and truncations, as
-    formulas in p: d_B = 4p^2 and d = d_B^2, with 2 generators for B and
-    for B*, 4 for D(B), and the 7-element subcoalgebra C of D(B); the
-    even span of u_q(sl_2) has 2p^3 basis vectors and 3 generators."""
+    """Cases of the generator routes of hopf-axioms' associativity lines,
+    yd, heisenberg and truncations, as formulas in p: d_B = 4p^2 and
+    d = d_B^2, with 2 generators for B and for B*, 4 for D(B), and the
+    7-element subcoalgebra C of D(B); the even span of u_q(sl_2) has 2p^3
+    basis vectors and 3 generators."""
     dB = 4 * p ** 2
     d = dB ** 2
     return {
+        # normality of R, then its two twisting identities, each headed by
+        # the 2 generators of one factor
+        "hopf-axioms.ddouble-mult-associativity": 2 * dB + 4 * d,
+        "hopf-axioms.hdouble-mult-associativity": 2 * dB + 4 * d,
+        # the triple lemma: 2 generators, then every pair
+        "hopf-axioms.taft-mult-associativity": 2 * d,
+        "hopf-axioms.taft-dual-mult-associativity": 2 * d,
         # counit law, normality of H(B*)'s R, its twisting identity, then
         # C against X1 x X1, X2 x X2 and the generators of B against X1
         "yd.module-algebra": d + 2 * dB + 2 * d + 7 * 3 * 2 * dB,
@@ -346,8 +357,8 @@ def test_fail_fast_stops_the_r_lines_at_a_failed_pairing_route(monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_the_generator_routes_count_their_cases_as_formulas_in_p(p):
-    rep = run_suite(SuiteConfig(p=p, suite="yd,heisenberg,truncations",
-                                sample_size=1000))
+    rep = run_suite(SuiteConfig(
+        p=p, suite="hopf-axioms,yd,heisenberg,truncations", sample_size=1000))
     got = {r.name.rsplit(".", 1)[0]: (r.status, r.mode, r.cases_checked)
            for r in rep.results}
     for name, cases in _route_counts(p).items():
@@ -365,7 +376,7 @@ REPORT_SHA256_P3_BRAIDED = {
     "chains":
         "0cd38fc537bfb12c20a5649a41cb590461ec93aa2dd036d12a11713a0369fcc8",
     "hopf-axioms":
-        "4ec07b849471b0f55920c62dd09524d8e3e8675a44924a13cf5ef0ce21f3e5dd",
+        "01a2ace3e932ee7650d8b334fc1fae35dc078cb21a9945809fa7d4ee2e0ba3bc",
 }
 
 
@@ -393,8 +404,6 @@ def test_the_default_p3_double_report_is_pinned():
 # a search: full-chain3-braided-commutativity-fails was skipped at p >= 3
 # and now finds its counterexample there.
 P3_SAMPLED = {
-    "hopf-axioms.ddouble-mult-associativity": "item 16",
-    "hopf-axioms.hdouble-mult-associativity": "item 16",
     "double.smash-closed-form": "item 25",
     "double.action-composition": "item 2",
     "double.r-comm-negative": "item 22, a search",

@@ -14,7 +14,8 @@ The records that `hopf.twisted_product` returns are tested here too: the
 generation certificate and `braided-product-is-hdouble` read R and the
 factor tables from them, fail where a zeta-scaled R row or factor-table
 entry puts them, and refuse an algebra whose product is not its
-record's.
+record's.  So does the associativity certificate of a twisted product,
+R's normal twisting-map identities, checked against the triple lemma.
 """
 
 from __future__ import annotations
@@ -30,12 +31,16 @@ from hopfbench.doubles import (DrinfeldDouble, FactoredAction,
                                HeisenbergDouble, _iter3, factor_structures,
                                heisenberg_chain, module_algebra_factor_walk,
                                module_factor_walk)
-from hopfbench.hopf import (FiniteAlgebra, FiniteHopf, check_product_rows,
-                            check_same_twist, twisted_product)
+from hopfbench.hopf import (FiniteAlgebra, FiniteHopf, check_algebra_axioms,
+                            check_product_rows, check_same_twist,
+                            twisted_product)
 from hopfbench.sparse import (BilinearMap, Subspace, span_closure, vadd_into,
                               vadd_outer, vadd_term, veq, vsub)
-from hopfbench.results import (TupleWalks, factor_pair_walk,
-                               generation_failure, normality_failure)
+from hopfbench.results import (TupleWalks, associativity_walk,
+                               factor_pair_walk, gen_indices,
+                               generation_failure, lemma_walk,
+                               normality_failure, run_check,
+                               second_twisting_cases)
 from hopfbench.taft import (double_elements, taft_system,
                             truly_heisenberg_chain, uqsl2)
 from hopfbench.truncate import central_hopf_ideal
@@ -638,3 +643,63 @@ def test_r_scaled_at_the_unit_fails_normality_and_every_yd_factor_walk():
     assert [(r.status, r.witness, r.cases_checked) for r in results] == [
         ("fail", want, 256 + a + 1), ("fail", want, 256 + a + 1),
         ("fail", want, 1 + a + 1)]
+
+
+# -- associativity from R's normal twisting-map certificate -------------------
+
+TWISTED_STEPS = ["ddouble", "hdouble", "chain3-step1", "chain3-step2"]
+
+
+def _twisted_step(key):
+    """D(B), H(B*) or a step of `heisenberg_chain(yd, 3)` at p=2: step 1 is
+    B*cop (x)_R B, step 2 is step 1 (x)_R B*cop (dim 4,096)."""
+    sys2 = taft_system(2)
+    if key == "ddouble":
+        return sys2.double.hopf
+    if key == "hdouble":
+        return sys2.heis.algebra
+    return heisenberg_chain(sys2.yd, 3).steps()[int(key[-1]) - 1]
+
+
+def _certificate(alg):
+    return check_algebra_axioms(alg, associativity_walk(alg))[0]
+
+
+@pytest.mark.parametrize("key", TWISTED_STEPS)
+def test_the_twisting_certificate_agrees_with_the_triple_lemma(key):
+    """Normality (d_A + d_B cases) and the two twisting identities, each
+    headed by one factor's generators, pass where the triple lemma over
+    the product table does.  Step 2's triple lemma would walk
+    6 * 4096^2 triples, so there the triples are the generator head and a
+    seeded sample, evidence only."""
+    alg = _twisted_step(key)
+    tw = alg.twist
+    nA, nB = tw.A.dim, tw.B.dim
+    gA, gB = len(gen_indices(tw.A)), len(gen_indices(tw.B))
+    res = _certificate(alg)
+    assert (res.status, res.mode, res.cases_checked) == (
+        "pass", "generators", nA + nB + (gA + gB) * nA * nB)
+    walk = (lemma_walk(alg, 3) if alg.dim <= 256
+            else TupleWalks("generators", 0, 2000))
+    assert check_algebra_axioms(alg, walk)[0].status == "pass"
+
+
+@pytest.mark.parametrize("key", TWISTED_STEPS)
+def test_a_scaled_r_row_fails_the_certificate_and_the_triple_lemma(key):
+    """R(b (x) a) times zeta, b and a the first generators of B and of A,
+    both off the units: the certificate fails at the first twisting
+    identity, the second identity fails on its own as well, and the
+    triple lemma finds a triple (xy)z != x(yz)."""
+    alg = _twisted_step(key)
+    tw = alg.twist
+    b, a = min(gen_indices(tw.B)), min(gen_indices(tw.A))
+    assert b not in tw.B.unit and a not in tw.A.unit
+    bad = _rebuilt(alg, _scaled_r(alg, b, a))
+    res = _certificate(bad)
+    assert res.status == "fail"
+    assert res.witness.startswith("R(b1 b2 (x) a) != ")
+    assert run_check("second-twisting", "exhaustive",
+                     second_twisting_cases(bad)).status == "fail"
+    triple = check_algebra_axioms(bad, lemma_walk(bad, 3))[0]
+    assert triple.status == "fail"
+    assert "(xy)z != x(yz)" in triple.witness
