@@ -77,7 +77,6 @@ __all__ = [
     "heisenberg_double",
     "eta_twist_product",
     "FactoredAction",
-    "to_show_action_check",
     "module_factor_walk",
     "module_algebra_factor_walk",
     "comodule_algebra_factor_walk",
@@ -510,42 +509,6 @@ def yd_structure(Hd: HeisenbergDouble, D: DrinfeldDouble) -> YDModuleAlgebra:
             Coaction(D.hopf, Hd.algebra, D.hopf.comult.get),
             name=Hd.algebra.name)
     return Hd.yd
-
-
-def to_show_action_check(D: DrinfeldDouble, act: FactoredAction,
-                         walk) -> CheckResult:
-    """The two factor actions compose through the double's product, on the
-    (mu, m, A) basis triples of `walk`, with the generator indices of B*
-    and B in mu and m:
-
-        (eps (x) m) |> ((mu (x) 1) |> A)
-            = ((eps (x) m)(mu (x) 1)) |> A
-            = ((m' -> mu <- S^{-1}(m''')) (x) m'') |> A,
-
-    the product in D being read from its multiplication table, whose
-    rows hold D's memoized R rows.
-    """
-    base, dual = D.base, D.dual
-    nB, nF = base.dim, dual.dim
-    one = D.ctx.one
-    product = D.hopf.mult.apply
-
-    def case(f: int, m: int, x: int) -> Optional[str]:
-        lhs: Vec = {}
-        for xp, c in act.dual_row(f, x):
-            vadd_into(lhs, act.prim_row(m, xp), c)
-        dvec = product(tensor_flat(dual.unit, {m: one}, nB),
-                       tensor_flat({f: one}, base.unit, nB))
-        rhs = act.apply(dvec, {x: one})
-        if veq(lhs, rhs):
-            return None
-        return (f"mu={dual.space.label(f)}, m={base.space.label(m)}, "
-                f"A={act.algebra.space.label(x)}: factor actions do "
-                f"not compose through the double product")
-
-    return walk.over((nF, nB, act.algebra.dim),
-                     (gen_indices(dual), gen_indices(base), None)
-                     ).check("action-composition", case)
 
 
 def _leg_defined(act) -> bool:

@@ -17,12 +17,11 @@ from functools import partial
 from typing import NamedTuple, Sequence, Union
 
 from . import __version__
-from .doubles import (FactoredAction, chain_relations_check,
-                      check_double_identity, check_factor_restrictions,
-                      check_quantum_comm_remarks, check_quasitriangular,
-                      comodule_algebra_factor_walk, eta_twist_product,
-                      heisenberg_chain, module_algebra_factor_walk,
-                      module_factor_walk, to_show_action_check)
+from .doubles import (chain_relations_check, check_double_identity,
+                      check_factor_restrictions, check_quantum_comm_remarks,
+                      check_quasitriangular, comodule_algebra_factor_walk,
+                      eta_twist_product, heisenberg_chain,
+                      module_algebra_factor_walk, module_factor_walk)
 from .hopf import check_algebra_axioms, check_hopf_axioms, check_same_twist
 from .results import (CheckResult, TupleWalks, associativity_walk, dim_check,
                       invert_expected_failure, lemma_walk, obligations_once,
@@ -58,9 +57,10 @@ class SuiteConfig(NamedTuple):
     serve the laws with no proof route; seed and sample_size fix their
     draws, and nothing else reads them.  A law with a route takes it at
     every p and every sample_size: every law of hopf-axioms, the four R
-    lines of double, every walked law of yd and truncations, and the four
-    factor laws of heisenberg.  Above p=2, a walk no larger than
-    sample_size is walked whole.
+    lines and action-composition of double, every walked law of yd and
+    truncations, and the four factor laws and the flip algebra- and
+    module-morphism lemmas of heisenberg.  Above p=2, a walk no larger
+    than sample_size is walked whole.
     suite is a name, "all", a comma-separated list, or a sequence of
     names; an empty selection yields an empty report.
     """
@@ -259,14 +259,17 @@ def _suite_hopf_axioms(cfg: SuiteConfig):
 def _suite_double(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
     D, Hd = sys.double, sys.heis
-    walks = _walks(cfg)
     yield from double_presentation_check(sys)
     yield taft_dual_check(sys.pair)
     yield check_double_identity(D)
     yield eta_twist_product(D, Hd)
-    yield closed_form_check(sys, walks)
-    yield to_show_action_check(D, FactoredAction(Hd, D), walks)
+    yield closed_form_check(sys, _walks(cfg))
     yield from check_quasitriangular(D, lemma_walk(D.hopf, 1))
+    # rho((1 (x) m)(mu (x) 1)) = rho(1 (x) m) rho(mu (x) 1), a case of the
+    # module law; it walks after the R lines, so that they, and not it,
+    # count the normality of D's R that both rest on
+    yield check_module(sys.yd, module_factor_walk(D, sys.yd.action),
+                       name="action-composition")
     hunt = _hunt(cfg)
     yield from check_quantum_comm_remarks(D, Hd, hunt, hunt)
 
@@ -291,7 +294,6 @@ def _suite_yd(cfg: SuiteConfig):
 
 def _suite_heisenberg(cfg: SuiteConfig):
     sys = taft_system(cfg.p)
-    walks = _walks(cfg)
     yield from basis_change(sys)
     restricts = check_factor_restrictions(sys.yd)
     yield from restricts
@@ -307,7 +309,7 @@ def _suite_heisenberg(cfg: SuiteConfig):
     yield check_same_twist(bp2.yd.algebra, sys.heis.algebra,
                            "braided-product-is-hdouble")
     yield check_factor_embeddings(bp2)
-    yield from flip_isomorphism(*bp2.factors, walks, walks)
+    yield from flip_isomorphism(*bp2.factors)
 
 
 def _suite_chains(cfg: SuiteConfig):

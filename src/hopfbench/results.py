@@ -15,11 +15,11 @@ over the law's tuples: `over(dims, gen_sets)`, with the declared
 generator indices that head each slot (None: the whole slot).  A lemma
 walk already holds its tuples and gives itself; `TupleWalks` gives a
 fresh walk in one of `MODES`: "exhaustive" walks every index tuple in
-lexicographic order, "generators" the generator indices in the slots
-that have them and then a seeded random sample over the full basis, and
-"sample" seeded random tuples only.  A `Walk` carries the coverage label
-its tuples earn, and `Walk.cases` is the body of its law: the prelude's
-cases, one case per tuple, then the certificate's witness, returned.
+lexicographic order, and "generators" the generator indices in the slots
+that have them and then a seeded random sample over the full basis.  A
+`Walk` carries the coverage label its tuples earn, and `Walk.cases` is
+the body of its law: the prelude's cases, one case per tuple, then the
+certificate's witness, returned.
 No other module draws tuples or spells a coverage label of its own, and
 only `report.py` chooses the walk of a law.
 
@@ -46,7 +46,8 @@ instead of on generators against the whole basis; it states the lemma.
 It reads R from X's record (`twist_of`), not the products from X's table.
 
 Associativity takes `associativity_walk`: the triple lemma, or, on a
-twisted product, R's normal twisting-map certificate.
+twisted product, R's normal twisting-map certificate
+(`twisting_map_cases`).
 
 A fact that the walks of several laws rest on, such as the normality or
 the twisting identity of an R (`normality_cases`, `twisting_cases`), is
@@ -74,10 +75,11 @@ __all__ = ["MODES", "CheckResult", "run_check", "counted", "chained",
            "two_sided_lemma_walk", "coalgebra_closure",
            "coaction_closure", "subcoalgebra_walk", "subcomodule_walk",
            "twist_of", "normality_cases", "normality_failure",
-           "twisting_cases", "second_twisting_cases", "associativity_walk",
-           "obligations_once", "obligation", "factor_pair_walk"]
+           "twisting_cases", "second_twisting_cases", "twisting_map_cases",
+           "associativity_walk", "obligations_once", "obligation",
+           "factor_pair_walk"]
 
-MODES = ("exhaustive", "generators", "sample")
+MODES = ("exhaustive", "generators")
 
 
 class CheckResult(NamedTuple):
@@ -85,9 +87,9 @@ class CheckResult(NamedTuple):
 
     status is "pass", "fail" or "skipped"; mode records how the claim
     was covered: "exhaustive", "generators" (a lemma walk), the
-    `TupleWalks` labels "generators+sample(n=N,seed=S)" and
-    "sample(n=N,seed=S)", or, for a skipped check, the reason it was
-    skipped.  witness holds a rendered counterexample for failures.
+    `TupleWalks` label "generators+sample(n=N,seed=S)", or, for a
+    skipped check, the reason it was skipped.  witness holds a rendered
+    counterexample for failures.
     """
 
     name: str
@@ -517,23 +519,20 @@ class TupleWalks:
     def over(self, dims: tuple, gen_sets: tuple) -> Walk:
         """Index tuples over `dims`, under the label they earn.
 
-        A "generators" walk with no generator slot (None: the whole
-        slot), or with no more tuples than `samples`, is the exhaustive
-        walk.  The `samples` random tuples are drawn from
-        `random.Random(seed)`, slot by slot, so a walk cut short draws
-        only what it visited.
+        A "generators" walk needs a generator slot (None: the whole
+        slot), as a lemma walk does, or it is a ValueError; with no more
+        tuples than `samples` it is the exhaustive walk.  The `samples`
+        random tuples are drawn from `random.Random(seed)`, slot by slot,
+        so a walk cut short draws only what it visited.
         """
-        mode, seed, samples = self.mode, self.seed, self.samples
-        if mode == "generators" and (all(g is None for g in gen_sets)
-                                     or math.prod(dims) <= samples):
-            mode = "exhaustive"
-        if mode == "exhaustive":
+        seed, samples = self.seed, self.samples
+        if self.mode == "generators" and all(g is None for g in gen_sets):
+            raise ValueError("a generators walk needs a generator slot")
+        if self.mode == "exhaustive" or math.prod(dims) <= samples:
             return Walk("exhaustive", itertools.product(*map(range, dims)))
         rng = random.Random(seed)
         drawn = (tuple(rng.randrange(d) for d in dims)
                  for _ in range(samples))
-        if mode == "sample":
-            return Walk(f"sample(n={samples},seed={seed})", drawn)
         head = itertools.product(*[sorted(g) if g is not None else range(d)
                                    for d, g in zip(dims, gen_sets)])
         return Walk(f"generators+sample(n={samples},seed={seed})",
@@ -572,11 +571,19 @@ def associativity_walk(alg) -> Walk:
     """
     if getattr(alg, "twist", None) is None:
         return lemma_walk(alg, 3)
-    return Walk("generators", (), prelude=chained(
+    return Walk("generators", (), prelude=twisting_map_cases(alg))
+
+
+def twisting_map_cases(alg) -> Iterator:
+    """The body of the certificate that the R of a twisted product `alg`
+    is a normal twisting map (`associativity_walk`): `normality_cases`,
+    `twisting_cases` and `second_twisting_cases`, each an `obligation` on
+    alg, up to the first witness."""
+    return chained(
         obligation("r-normality", alg, partial(normality_cases, alg)),
         obligation("twisting", alg, partial(twisting_cases, alg)),
         obligation("second-twisting", alg,
-                   partial(second_twisting_cases, alg))))
+                   partial(second_twisting_cases, alg)))
 
 
 def two_sided_lemma_walk(alg) -> Walk:

@@ -24,11 +24,15 @@ lexicographically smallest one on an exhaustive walk.
 
 from __future__ import annotations
 
+import itertools
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .hopf import FiniteAlgebra, FiniteHopf, render_element, twisted_product
-from .results import (CheckResult, certificate_check, counted, gen_indices,
-                      normality_cases, run_check, twist_of)
+from .results import (CheckResult, Walk, certificate_check, chained, counted,
+                      gen_indices, generation_failure, lemma_walk,
+                      normality_cases, run_check, twist_of,
+                      twisting_map_cases)
 from .sparse import (LinearMap, Row, Space, Vec, colinear_apply, shared_row,
                      tensor_flat, vadd_into, vadd_outer, vadd_term, veq,
                      vscale)
@@ -684,20 +688,44 @@ def check_factor_embeddings(bp: BraidedProductAlgebra,
     return run_check(name, "exhaustive", body())
 
 
-def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
-                     algebra_walk, module_walk) -> Iterator[CheckResult]:
+def flip_isomorphism(x_mod: YDModuleAlgebra,
+                     y_mod: YDModuleAlgebra) -> Iterator[CheckResult]:
     """Morphism certificates for the braiding as a map X >< Y -> Y >< X.
 
     phi(x (x) y) = (x_(-1) |> y) (x) x_(0).  Yields, one at a time, the
-    checks that certify that phi is bijective, an algebra morphism (on
-    the pairs of `algebra_walk`), an H-module morphism (on the pairs of
-    `module_walk`), and an H-comodule morphism.
+    checks that certify that phi is bijective, an algebra morphism, an
+    H-module morphism and an H-comodule morphism.  The two middle lines
+    are lemmas (Montgomery, Hopf Algebras and Their Actions on Rings,
+    CBMS 82, 1993, section 1.8), each labelled "generators":
+
+    * Algebra morphism.  When X >< Y and Y >< X are associative, S = {u :
+      phi(uv) = phi(u) phi(v) for every v} is a subalgebra of X >< Y.
+      The line checks phi(1) = 1, then that both braided products are
+      associative (`results.twisting_map_cases` of each, the certificate
+      of `results.associativity_walk`, run as obligations), then the
+      pairs (u, v) with u over the generators of X >< Y and v over its
+      basis (`results.lemma_walk`), and its certificate
+      `results.generation_failure` makes S all of X >< Y.
+    * H-module morphism.  When the diagonal actions (rho_X (x) rho_Y)
+      Delta on X >< Y and Y >< X are modules, {h : phi(h |> u) =
+      h |> phi(u) for every u} is a subalgebra of H:
+      phi(hk |> u) = h |> phi(k |> u) = hk |> phi(u).  The line checks
+      h = 1, then h over the generators of H, each against every u, and
+      `results.generation_failure(H)` makes it all of H.  The diagonal
+      actions are modules when rho_X and rho_Y are and Delta is
+      multiplicative: in the heisenberg suite X and Y are the factor
+      structures of H(B*), whose action is H(B*)'s restricted, so the
+      hypotheses are `yd.module-action` (through the factor restriction
+      certificates, `doubles.check_factor_restrictions`) and
+      `hopf-axioms.ddouble-comult-multiplicative`.
     """
     from .sparse import SingularMapError, linear_map_inverse
 
     xy = braided_product(x_mod, y_mod)
     yx = braided_product(y_mod, x_mod)
     H = x_mod.hopf
+    one = H.ctx.one
+    XY, YX = xy.yd.algebra, yx.yd.algebra
     dx, dy = x_mod.algebra.dim, y_mod.algebra.dim
     d = dx * dy
     phi = LinearMap(d, d)
@@ -707,9 +735,6 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         if row:
             phi.set(key, tuple(sorted(row.items())))
 
-    XYs = xy.yd.algebra.space
-    gxy = gen_indices(xy.yd.algebra)
-
     def singular() -> Optional[str]:
         try:
             linear_map_inverse(phi)
@@ -718,18 +743,20 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
         return None
 
     def multiplicative(u: int, v: int) -> Optional[str]:
-        lhs = phi.apply(dict(xy.yd.algebra.mult.get(u, v)))
-        rhs = yx.yd.algebra.mult.apply(dict(phi.get(u)), dict(phi.get(v)))
+        lhs = phi.apply(dict(XY.mult.get(u, v)))
+        rhs = YX.mult.apply(dict(phi.get(u)), dict(phi.get(v)))
         if veq(lhs, rhs):
             return None
-        return f"phi(uv) != phi(u)phi(v) at u={XYs.label(u)}, v={XYs.label(v)}"
+        return (f"phi(uv) != phi(u)phi(v) at u={XY.space.label(u)}, "
+                f"v={XY.space.label(v)}")
 
-    def linear(h: int, u: int) -> Optional[str]:
-        lhs = phi.apply(dict(xy.yd.action.row(h, u)))
-        rhs = yx.yd.action.apply({h: H.ctx.one}, dict(phi.get(u)))
+    def linear(hv: Vec, u: int) -> Optional[str]:
+        lhs = phi.apply(xy.yd.action.apply(hv, {u: one}))
+        rhs = yx.yd.action.apply(hv, dict(phi.get(u)))
         if veq(lhs, rhs):
             return None
-        return f"phi not H-linear at M={H.space.label(h)}, u={XYs.label(u)}"
+        return (f"phi not H-linear at M={render_element(H.space, hv)}, "
+                f"u={XY.space.label(u)}")
 
     def colinear(u: int) -> Optional[str]:
         lhs: Vec = {}
@@ -737,12 +764,18 @@ def flip_isomorphism(x_mod: YDModuleAlgebra, y_mod: YDModuleAlgebra,
             vadd_into(lhs, phi.get(u0), c, h * d)
         rhs = yx.yd.coaction.apply(dict(phi.get(u)))
         return (None if veq(lhs, rhs)
-                else f"phi not H-colinear at u={XYs.label(u)}")
+                else f"phi not H-colinear at u={XY.space.label(u)}")
 
+    unital = counted(1, lambda: None if veq(phi.apply(dict(XY.unit)),
+                                           YX.unit) else "phi(1) != 1")
     yield certificate_check("flip-bijective", d, singular)
-    yield algebra_walk.over((d, d), (gxy, gxy)).check(
-        "flip-algebra-morphism", multiplicative)
-    yield module_walk.over((H.dim, d), (gen_indices(H), gxy)).check(
-        "flip-module-morphism", linear)
+    yield lemma_walk(XY).check(
+        "flip-algebra-morphism", multiplicative, head=chained(
+            unital, twisting_map_cases(XY), twisting_map_cases(YX)))
+    yield Walk("generators",
+               itertools.product(sorted(gen_indices(H)), range(d)),
+               certificate=partial(generation_failure, H)).check(
+        "flip-module-morphism", lambda h, u: linear({h: one}, u),
+        head=(linear(H.unit, u) for u in range(d)))
     yield run_check("flip-comodule-morphism", "exhaustive",
                     map(colinear, range(d)))

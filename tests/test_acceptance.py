@@ -16,8 +16,7 @@ from hopfbench.cli import main
 from hopfbench.doubles import (FactoredAction, chain_relations_check,
                                check_quantum_comm_remarks,
                                check_quasitriangular, eta_twist_product,
-                               factor_structures, heisenberg_chain,
-                               to_show_action_check)
+                               factor_structures, heisenberg_chain)
 from hopfbench.hopf import check_hopf_axioms
 from hopfbench.mutations import MUTATIONS, run_mutation
 from hopfbench.report import SuiteConfig, render, run_suite
@@ -31,8 +30,10 @@ from hopfbench.taft import (chain_heisenberg_checks, closed_form_check,
                             uqsl2)
 from hopfbench.ydcat import (check_braided_commutative, check_locked_identity,
                              check_module_algebra, check_yd, flip_isomorphism)
-from test_doubles import eta_twist_walk, multiply_out_r_lines
-from test_ydcat import check_braided_symmetric
+from test_doubles import (eta_twist_walk, multiply_out_r_lines,
+                          to_show_action_check)
+from test_results import SampleWalks
+from test_ydcat import check_braided_symmetric, flip_morphism_walks
 
 
 EXHAUSTIVE = TupleWalks("exhaustive", 0, 0)
@@ -79,7 +80,7 @@ def test_03_eta_twist_equals_smash_under_two_minutes(sys2):
 def test_04_closed_form_matches_smash_oracle(sys2, sys3):
     res2 = closed_form_check(sys2, EXHAUSTIVE)
     assert res2.status == "pass" and res2.cases_checked == 256 * 256
-    res3 = closed_form_check(sys3, TupleWalks("sample", 0, 100_000))
+    res3 = closed_form_check(sys3, SampleWalks(0, 100_000))
     assert res3.status == "pass" and res3.cases_checked == 100_000
 
 
@@ -116,9 +117,12 @@ def test_07_braided_product_reconstructs_heisenberg_double(sys2):
         for j in range(A.dim):
             assert dict(A.mult.get(i, j)) == dict(B.mult.get(i, j))
 
-    flips = list(flip_isomorphism(dual_yd, base_yd, EXHAUSTIVE, EXHAUSTIVE))
+    flips = list(flip_isomorphism(dual_yd, base_yd))
     assert len(flips) == 4
     all_pass(flips)
+    walks = flip_morphism_walks(dual_yd, base_yd, EXHAUSTIVE)
+    assert [r.cases_checked for r in walks] == [256 * 256] * 2
+    all_pass(walks)
 
 
 def test_08_locked_identity_and_chain_counterexample(sys2):
@@ -187,7 +191,7 @@ def test_13_mutations_all_caught_and_exit_code_one():
 
 
 def test_14_reports_byte_identical():
-    cfg = dict(p=3, suite="heisenberg", seed=11, sample_size=300)
+    cfg = dict(p=3, suite="double", seed=11, sample_size=300)
     a = render(run_suite(SuiteConfig(**cfg)), "json")
     b = render(run_suite(SuiteConfig(**cfg)), "json")
     assert a == b

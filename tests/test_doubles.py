@@ -15,7 +15,7 @@ from hopfbench.doubles import (
     check_factor_restrictions, check_quantum_comm_remarks,
     check_quasitriangular,
     chain_relations_check, drinfeld_double, eta_twist_product,
-    FactoredAction, factor_structures, heisenberg_chain, to_show_action_check,
+    FactoredAction, factor_structures, heisenberg_chain, module_factor_walk,
 )
 from hopfbench.hopf import (FiniteAlgebra, FiniteHopf, HopfPairing,
                            check_hopf_axioms, check_product_rows,
@@ -29,7 +29,8 @@ from hopfbench.taft import (
     closed_form_check, double_elements, double_presentation_check,
     taft_dual_check, taft_system,
 )
-from hopfbench.ydcat import Action, check_braided_commutative
+from hopfbench.ydcat import Action, check_braided_commutative, check_module
+from test_results import SampleWalks
 
 
 EXHAUSTIVE = TupleWalks("exhaustive", 0, 0)
@@ -255,7 +256,7 @@ def test_closed_form_product(system):
         res = closed_form_check(system, EXHAUSTIVE)
         assert res.cases_checked == 65_536
     else:
-        res = closed_form_check(system, TupleWalks("sample", 0, 100_000))
+        res = closed_form_check(system, SampleWalks(0, 100_000))
     assert res.status == "pass"
 
 
@@ -340,11 +341,91 @@ def test_a_zeta_scaled_product_entry_fails_each_identity_at_its_pair(
         eta_twist_product(sys2.double, bad.heis)
 
 
+def to_show_action_check(D, act, walk):
+    """The two factor actions compose through the double's product, on the
+    (mu, m, A) basis triples of `walk`, with the generator indices of B*
+    and B in mu and m:
+
+        (eps (x) m) |> ((mu (x) 1) |> A)
+            = ((eps (x) m)(mu (x) 1)) |> A
+            = ((m' -> mu <- S^{-1}(m''')) (x) m'') |> A,
+
+    the product in D being read from its multiplication table, whose
+    rows hold D's memoized R rows.  It is the full walk of
+    action-composition, which the double suite proves as a case of the
+    module law (`doubles.module_factor_walk`): the oracle of that route.
+    """
+    base, dual = D.base, D.dual
+    nB, nF = base.dim, dual.dim
+    one = D.ctx.one
+    product = D.hopf.mult.apply
+
+    def case(f, m, x):
+        lhs = {}
+        for xp, c in act.dual_row(f, x):
+            vadd_into(lhs, act.prim_row(m, xp), c)
+        dvec = product(tensor_flat(dual.unit, {m: one}, nB),
+                       tensor_flat({f: one}, base.unit, nB))
+        rhs = act.apply(dvec, {x: one})
+        if veq(lhs, rhs):
+            return None
+        return (f"mu={dual.space.label(f)}, m={base.space.label(m)}, "
+                f"A={act.algebra.space.label(x)}: factor actions do "
+                f"not compose through the double product")
+
+    return walk.over((nF, nB, act.algebra.dim),
+                     (gen_indices(dual), gen_indices(base), None)
+                     ).check("action-composition", case)
+
+
 def test_action_composes_through_double(sys2):
     act = FactoredAction(sys2.heis, sys2.double)
     res = to_show_action_check(sys2.double, act,
                                TupleWalks("generators", 0, 10_000))
     assert res.status == "pass"
+
+
+class _HitScaled(FactoredAction):
+    """The factored action of `sys` with its leg row hit(m) alpha times
+    zeta; its factor rows and own rows are built from its legs."""
+
+    def __init__(self, sys, m, alpha):
+        super().__init__(sys.heis, sys.double)
+        self.at, self.zeta = (m, alpha), sys.ctx.zeta
+
+    def hit(self, m, alpha):
+        row = super().hit(m, alpha)
+        if (m, alpha) != self.at:
+            return row
+        return tuple((k, c * self.zeta) for k, c in row)
+
+
+@pytest.mark.parametrize("system", ["healthy", "hit-scaled"])
+def test_the_module_law_route_and_the_full_walk_agree(sys2, system):
+    """action-composition read off the module law on the factors of D(B)
+    and the full walk over all 65,536 (mu, m, A) triples give one status:
+    on the healthy action, and on one whose leg row hit(k) kap is times
+    zeta, which the route's prelude catches in the module law of the leg
+    hit."""
+    D = sys2.double
+    k, kap = D.base.space.index[(0, 1)], D.dual.space.index[(0, 1)]
+    act = (FactoredAction(sys2.heis, D) if system == "healthy"
+           else _HitScaled(sys2, k, kap))
+    route = check_module(sys2.yd._replace(action=act),
+                         module_factor_walk(D, act),
+                         name="action-composition")
+    walk = to_show_action_check(D, act, EXHAUSTIVE)
+    want = "pass" if system == "healthy" else "fail"
+    assert (route.status, walk.status) == (want, want)
+    assert (route.mode, walk.mode) == ("generators", "exhaustive")
+    if system == "healthy":
+        # on its own it also walks the obligations that the double suite's
+        # earlier lines walk: D(B)'s tensor coalgebra and R's normality
+        assert (route.cases_checked, walk.cases_checked) == (
+            10 * 16 ** 2 + 34 * 16, 16 ** 4)
+    else:
+        assert route.witness.startswith("leg hit: M=k, N=k, x=kap: ")
+        assert walk.witness.startswith("mu=F, m=k, A=kap#1: ")
 
 
 def test_quasitriangular_p2(sys2):

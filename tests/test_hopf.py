@@ -25,6 +25,7 @@ from hopfbench.results import (TupleWalks, associativity_walk,
                                two_sided_lemma_walk)
 from hopfbench.sparse import (BilinearMap, ColinearMap, LinearMap, Space,
                               vadd_into, veq)
+from test_results import SampleWalks
 
 CTX = QContext(2)
 EXHAUSTIVE = TupleWalks("exhaustive", 0, 0)
@@ -153,8 +154,8 @@ def axioms(H, mode="exhaustive", seed=0, samples=2000, antihom=False,
     if H.generators and mode != "sample":
         assoc = associativity_walk(H)
     else:
-        assoc = TupleWalks("exhaustive" if mode == "exhaustive" else "sample",
-                           seed, samples)
+        assoc = (EXHAUSTIVE if mode == "exhaustive"
+                 else SampleWalks(seed, samples))
         if not H.generators:
             pairs = pairs or assoc
     walks = [pairs or two_sided_lemma_walk(H) for _ in range(2 + antihom)]
@@ -319,12 +320,12 @@ def test_a_sampled_pair_line_walks_its_own_seeded_pairs(name,
     n, seed, samples = 8, 7, 60
     H = group_algebra(CTX, n)
     _SCALED[name](H)
-    walk = TupleWalks("sample", seed, samples).over((n, n), (None, None))
+    walk = SampleWalks(seed, samples).over((n, n), (None, None))
     first = next((i, j) for i, j in walk.tuples
                  if ((i + j) % n == 5) != (i == 5) + (j == 5))
     results = axioms(H, mode="sample", seed=seed, samples=samples,
                      antihom=include_antihom,
-                     pairs=TupleWalks("sample", seed, samples))
+                     pairs=SampleWalks(seed, samples))
     line = {r.name: r for r in results}[name]
     assert (line.status, line.mode) == ("fail", walk.label)
     assert line.witness == (f"basis pair ({H.space.label(first[0])}, "

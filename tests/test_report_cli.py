@@ -175,9 +175,9 @@ def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
 # sha256 of `hopfbench verify --p 2 --suite <suite> --format json`: these
 # reports carry failure witnesses (mutations) and inverted expected
 # failures (chains), so they pin the bytes of the failure paths too; the
-# double and heisenberg reports pin the exhaustive pair walks, the
+# double report pins the exhaustive pair walk of smash-closed-form, the
 # heisenberg report the four factor laws read off the restriction
-# certificates of B*cop and B, and the yd
+# certificates of B*cop and B and the two flip lemmas, and the yd
 # report pins the proofs of module-action on the factors of D(B) and of
 # H(B*), of module-algebra and comodule-algebra on the pairs of the
 # factors of H(B*), of yd-condition on a subcoalgebra of D(B) and of
@@ -186,17 +186,18 @@ def test_fail_fast_stops_a_real_suite_and_keeps_its_results(monkeypatch):
 # report pins the associativity proofs, from generator-headed triples on
 # B and B* and from R's normal twisting-map certificate on D(B) and
 # H(B*), and the pair lemma, and the double report the intertwining of R
-# proved on D(B)'s generators, eta-twist proved from R rows, and the
-# hexagon and inverse lines of R read off the Hopf pairing.
+# proved on D(B)'s generators, eta-twist proved from R rows, the
+# hexagon and inverse lines of R read off the Hopf pairing, and
+# action-composition proved as a case of the module law.
 REPORT_SHA256_P2 = {
     "hopf-axioms":
         "5cba5b95c0e2f7c91d465e6a99adcdff30c7942558f71cf355d05e6a6479dde6",
     "yd":
         "79ab3933874c3b8550181286bb29fd4a784f1270b91a0f6f6a154878d1116da2",
     "double":
-        "3e6f67f075060179ff0c22febf3f428965e91aaffc4f02cb419ef75a16de0754",
+        "d64604b6fce19ea354421c25e5ee55965941ab841521eea7241373106488429c",
     "heisenberg":
-        "d2385639aabcbad4766663af721e805c2dcab8bacf285361524f09700345bd6e",
+        "a151871ac1cd45eec9453bd3c21f013441a3b1202f4d087337545d546e077874",
     "mutations":
         "2e9b2cca00d898f81b1bec5047ec723ab480001b5dfe150407125dd93621ab0e",
     "chains":
@@ -229,16 +230,22 @@ FACTOR_LAWS = ("dual-factor-braided-commutative",
                "locked-identity")
 
 
+# the two flip lines that take lemma routes (`ydcat.flip_isomorphism`)
+FLIP_LEMMAS = ("flip-algebra-morphism", "flip-module-morphism")
+
+
 def _routed(name: str) -> bool:
     """A line of a law with a proof route: every yd and truncations line,
-    the R lines and eta-twist of double, the associativity and pair laws
-    of hopf-axioms and the four factor laws of heisenberg."""
+    the R lines, eta-twist and action-composition of double, the
+    associativity and pair laws of hopf-axioms, and the four factor laws
+    and two flip lemmas of heisenberg."""
     suite, law = name.split(".")[:2]
     return (suite in ("yd", "truncations") or law.startswith("r-")
             or law.endswith(("-mult-associativity", "-comult-multiplicative",
                              "-counit-multiplicative"))
-            or suite == "double" and law == "eta-twist"
-            or suite == "heisenberg" and law in FACTOR_LAWS)
+            or suite == "double" and law in ("eta-twist",
+                                             "action-composition")
+            or suite == "heisenberg" and law in FACTOR_LAWS + FLIP_LEMMAS)
 
 
 def _golden_routed_labels(p: int) -> dict:
@@ -257,7 +264,7 @@ def test_a_law_with_a_proof_route_takes_it_at_every_p():
     """A routed line reads the same label in the p=2 and the p=3 golden
     reports: the route, and not the run's tuple walks, picks its walk."""
     at_2 = _golden_routed_labels(2)
-    assert len(at_2) == 4 + 6 + 6 + 6 + 4 + 23
+    assert len(at_2) == 4 + 6 + 6 + 6 + 4 + 23 + 3
     assert _golden_routed_labels(3) == at_2
 
 
@@ -276,13 +283,29 @@ def test_p3_report_bytes_are_pinned():
 
 def _route_counts(p):
     """Cases of the generator routes of hopf-axioms' associativity lines,
-    yd, heisenberg and truncations, as formulas in p: d_B = 4p^2 and
-    d = d_B^2, with 2 generators for B and for B*, 4 for D(B), and the
-    7-element subcoalgebra C of D(B); the even span of u_q(sl_2) has 2p^3
-    basis vectors and 3 generators."""
+    double's action-composition, yd, heisenberg and truncations, as
+    formulas in p, with the obligations that a suite replays counting no
+    case: d_B = 4p^2 and d = d_B^2, with 2 generators for B and for B*,
+    4 for D(B) and for X >< Y = B* >< B, the 4-element subcoalgebra C_B
+    of B and the 7-element subcoalgebra C of D(B); the even span of
+    u_q(sl_2) has 2p^3 basis vectors and 3 generators."""
     dB = 4 * p ** 2
     d = dB ** 2
     return {
+        # the unit law on H(B*); the factor unit laws on the 2 d_B basis
+        # vectors V of B* (x) 1 and 1 (x) B; the four legs' module laws
+        # (unit law, then 2 generators against every pair); the four leg
+        # unit facts; C_B against B*, then C_B x generators of B* x V.
+        # R's normality and D(B)'s tensor coalgebra are replayed: the R
+        # lines and eta-twist walk them first
+        "double.action-composition":
+            d + 2 * 2 * dB + 4 * (dB + 2 * dB ** 2) + 4 * dB
+            + 4 * dB + 4 * 2 * 2 * dB,
+        # phi(1) = 1, the twisting-map certificates of X >< Y and Y >< X,
+        # then the 4 generators of X >< Y against its basis
+        "heisenberg.flip-algebra-morphism": 1 + 2 * (2 * dB + 4 * d) + 4 * d,
+        # h = 1, then the 4 generators of D(B), each against every u
+        "heisenberg.flip-module-morphism": d + 4 * d,
         # normality of R, then its two twisting identities, each headed by
         # the 2 generators of one factor
         "hopf-axioms.ddouble-mult-associativity": 2 * dB + 4 * d,
@@ -358,7 +381,8 @@ def test_fail_fast_stops_the_r_lines_at_a_failed_pairing_route(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3])
 def test_the_generator_routes_count_their_cases_as_formulas_in_p(p):
     rep = run_suite(SuiteConfig(
-        p=p, suite="hopf-axioms,yd,heisenberg,truncations", sample_size=1000))
+        p=p, suite="hopf-axioms,double,yd,heisenberg,truncations",
+        sample_size=1000))
     got = {r.name.rsplit(".", 1)[0]: (r.status, r.mode, r.cases_checked)
            for r in rep.results}
     for name, cases in _route_counts(p).items():
@@ -369,10 +393,11 @@ def test_the_generator_routes_count_their_cases_as_formulas_in_p(p):
 # seed=11)), "json")`: these suites read the p=3 factor-action rows of
 # B*cop and B inside braided products, so they pin those rows, which are
 # H(B*)'s rows restricted to its factors (`doubles.factor_structures`);
-# heisenberg pins the restriction certificates and their corollaries.
+# heisenberg pins the restriction certificates and their corollaries,
+# and the two flip lemmas.
 REPORT_SHA256_P3_BRAIDED = {
     "heisenberg":
-        "25cd58c7a7dffce2c93878dd2b2a808b4d0cc63085cd8f1cdea1d3c2c55c1d58",
+        "80669f728f74ac9db0b6e2578e6a87fbec5dcedcd4db35a6623070f612f65ec9",
     "chains":
         "0cd38fc537bfb12c20a5649a41cb590461ec93aa2dd036d12a11713a0369fcc8",
     "hopf-axioms":
@@ -390,34 +415,30 @@ def test_p3_braided_product_report_bytes_are_pinned(suite):
 # pairing, so the suite is cheap at p=3, and this pins its
 # generator-headed lines and searches on dense scalars.
 REPORT_SHA256_P3_DOUBLE = \
-    "fcbb70d6fc2c498fce9a4625d12f5ecbbc5fbc7dbaf3d83644fac7d4b1bbe36f"
+    "c1ff316755f6cd8f2e4bd802b8d84bca702237f3d69842643508bd1a0433e8d0"
 
 
 def test_the_default_p3_double_report_is_pinned():
     _pinned("p3-double", REPORT_SHA256_P3_DOUBLE)
 
 
-# The lines of the default p=3 run of hopf-axioms, double, heisenberg and
-# chains that may still carry a sample label, each with the ROADMAP item
-# that removes it.  A line that gains a proof route leaves this list, so
-# it only shrinks (ROADMAP item 22), but for a skipped line that becomes
+# The lines of the default p=3 run, all six default suites, that may
+# still carry a sample label, each with the ROADMAP item that removes
+# it.  A line that gains a proof route leaves this list, so it only
+# shrinks (ROADMAP item 22), but for a skipped line that becomes
 # a search: full-chain3-braided-commutativity-fails was skipped at p >= 3
 # and now finds its counterexample there.
 P3_SAMPLED = {
     "double.smash-closed-form": "item 25",
-    "double.action-composition": "item 2",
     "double.r-comm-negative": "item 22, a search",
     "double.rinv-braided-comm": "item 22, a search",
-    "heisenberg.flip-algebra-morphism": "item 2",
-    "heisenberg.flip-module-morphism": "item 2",
     "chains.full-chain3-braided-commutativity-fails": "item 22, a search",
     "chains.zdel-chain3-braided-commutativity-fails": "item 22, a search",
 }
 
 
 def test_the_default_p3_run_samples_only_the_listed_lines():
-    rep = run_suite(SuiteConfig(p=3,
-                                suite="hopf-axioms,double,heisenberg,chains"))
+    rep = run_suite(SuiteConfig(p=3, suite="all"))
     assert rep.ok
     assert {r.name.rsplit(".", 1)[0] for r in rep.results
             if "sample" in r.mode} == set(P3_SAMPLED)

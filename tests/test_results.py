@@ -4,6 +4,7 @@ through it."""
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -11,6 +12,26 @@ import pytest
 from hopfbench.results import (CheckResult, TupleWalks, Walk,
                                certificate_check, invert_expected_failure,
                                run_check)
+
+
+class SampleWalks:
+    """Seeded random tuples only, a fresh `Walk` for each law, labelled
+    "sample(n=N,seed=S)": the walk of a sampled law, which no suite draws
+    (the run's `TupleWalks` head each sample with generators), kept for
+    the tests that want evidence on a space too large to walk.  The
+    tuples are drawn from `random.Random(seed)`, slot by slot."""
+
+    __slots__ = ("seed", "samples")
+
+    def __init__(self, seed: int, samples: int):
+        self.seed = seed
+        self.samples = samples
+
+    def over(self, dims: tuple, gen_sets: tuple) -> Walk:
+        rng = random.Random(self.seed)
+        return Walk(f"sample(n={self.samples},seed={self.seed})",
+                    (tuple(rng.randrange(d) for d in dims)
+                     for _ in range(self.samples)))
 
 
 def test_check_without_witness_passes():
@@ -147,9 +168,15 @@ def test_a_check_head_comes_before_the_prelude_and_a_walk_composes():
     assert (res.witness, res.cases_checked) == ("walk: closed badly", 4)
 
 
-def test_generators_walk_without_a_generator_slot_is_exhaustive():
+def test_a_generators_walk_needs_a_generator_slot():
+    """With no slot to head, a generators walk has no lemma to rest on:
+    it is an error, as a lemma walk on an algebra without generators is,
+    whatever the size of the space.  An exhaustive walk needs none."""
     walks = TupleWalks("generators", 1, 4)
-    walk = walks.over((2, 3), (None, None))
+    for dims in ((2, 3), (1, 2)):
+        with pytest.raises(ValueError, match="needs a generator slot"):
+            walks.over(dims, (None, None))
+    walk = TupleWalks("exhaustive", 1, 4).over((2, 3), (None, None))
     assert walk.label == "exhaustive"
     assert list(walk.tuples) == [(i, j) for i in range(2) for j in range(3)]
     mixed = walks.over((2, 3), ({1}, None))
@@ -165,6 +192,6 @@ def test_a_walk_is_walked_once():
     assert walk.check("first", lambda i: None).status == "pass"
     with pytest.raises(RuntimeError, match="'second' was already walked"):
         walk.check("second", lambda i: None)
-    walks = TupleWalks("sample", 3, 5)
-    one, two = walks.over((7, 7), (None, None)), walks.over((7, 7), (None, None))
+    walks = TupleWalks("generators", 3, 5)
+    one, two = walks.over((7, 7), ({0}, None)), walks.over((7, 7), ({0}, None))
     assert one is not two and list(one.tuples) == list(two.tuples)

@@ -14,6 +14,7 @@ from hopfbench.taft import (
     TaftPair, closed_form_smash_row, taft_dual_check, taft_setup, taft_system,
 )
 from test_hopf import antipode_antimultiplicative
+from test_results import SampleWalks
 
 
 EXHAUSTIVE = TupleWalks("exhaustive", 0, 0)
@@ -218,7 +219,7 @@ def test_pairing_axioms():
 
 def test_pairing_axioms_p3_sampled():
     pair = taft_setup(3)
-    walks = TupleWalks("sample", 11, 60)
+    walks = SampleWalks(11, 60)
     res = list(check_hopf_pairing(pair.pairing, walks, walks))
     all_pass(res)
     assert [r.cases_checked for r in res[2:]] == [60, 60]

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+import hopfbench.ydcat as ydcat_module
 from hopfbench.doubles import factor_structures, heisenberg_chain
 from hopfbench.hopf import FiniteAlgebra, check_product_rows, twisted_product
 from hopfbench.results import TupleWalks, gen_indices, lemma_walk
@@ -13,11 +14,12 @@ from hopfbench.sparse import (BilinearMap, tensor_flat, vadd_into, vadd_term,
                               veq)
 from hopfbench.taft import taft_system, truly_heisenberg_chain
 from hopfbench.ydcat import (
-    Action, braided_product, braiding_row, check_braided_commutative,
-    check_comodule, check_comodule_algebra, check_factor_embeddings,
-    check_locked_identity, check_module, check_module_algebra, check_yd,
-    flip_isomorphism,
+    Action, Coaction, braided_product, braiding_row,
+    check_braided_commutative, check_comodule, check_comodule_algebra,
+    check_factor_embeddings, check_locked_identity, check_module,
+    check_module_algebra, check_yd, flip_isomorphism,
 )
+from test_results import SampleWalks
 
 
 EXHAUSTIVE = TupleWalks("exhaustive", 0, 0)
@@ -91,29 +93,115 @@ def test_a_walk_serves_one_law(factors):
 
 def test_flip_is_isomorphism(factors):
     dual_yd, base_yd = factors
-    checks = list(flip_isomorphism(dual_yd, base_yd, EXHAUSTIVE, EXHAUSTIVE))
+    checks = list(flip_isomorphism(dual_yd, base_yd))
     assert [c.name for c in checks] == [
         "flip-bijective", "flip-algebra-morphism", "flip-module-morphism",
         "flip-comodule-morphism"]
     assert all(c.status == "pass" for c in checks)
 
 
-class _Unwalkable:
-    """A walk that raises when a law asks it for its tuples."""
-
-    def over(self, dims, gen_sets):
-        raise AssertionError("a walk was asked for before its line")
-
-
-def test_flip_yields_bijective_before_it_asks_for_a_walk(factors):
+def test_flip_yields_bijective_before_it_asks_for_a_walk(factors,
+                                                         monkeypatch):
     """The lines come one at a time: the first, flip-bijective, reads no
     walk, so a suite with fail_fast can stop before the others run."""
+    def unwalkable(alg):
+        raise AssertionError("a walk was asked for before its line")
+
+    monkeypatch.setattr(ydcat_module, "lemma_walk", unwalkable)
     dual_yd, base_yd = factors
-    flips = flip_isomorphism(dual_yd, base_yd, _Unwalkable(), _Unwalkable())
+    flips = flip_isomorphism(dual_yd, base_yd)
     first = next(flips)
     assert (first.name, first.status) == ("flip-bijective", "pass")
     with pytest.raises(AssertionError, match="asked for before its line"):
         next(flips)
+
+
+def flip_morphism_walks(x_mod, y_mod, walks):
+    """The full walks of flip-algebra-morphism and flip-module-morphism,
+    the oracle of their lemma routes in `flip_isomorphism`: phi(uv) =
+    phi(u) phi(v) on the (u, v) pairs of `walks`, and phi(h |> u) =
+    h |> phi(u) on its (h, u) pairs, phi being the braiding
+    X >< Y -> Y >< X."""
+    xy = braided_product(x_mod, y_mod).yd
+    yx = braided_product(y_mod, x_mod).yd
+    H, one = x_mod.hopf, x_mod.hopf.ctx.one
+    d, dy = xy.algebra.dim, y_mod.algebra.dim
+    rows = [braiding_row(x_mod, y_mod, *divmod(key, dy)) for key in range(d)]
+
+    def phi(v):
+        out = {}
+        for key, c in v.items():
+            vadd_into(out, rows[key], c)
+        return out
+
+    def multiplicative(u, v):
+        if veq(phi(dict(xy.algebra.mult.get(u, v))),
+               yx.algebra.mult.apply(rows[u], rows[v])):
+            return None
+        return f"phi(uv) != phi(u)phi(v) at u={u}, v={v}"
+
+    def linear(h, u):
+        if veq(phi(dict(xy.action.row(h, u))),
+               yx.action.apply({h: one}, rows[u])):
+            return None
+        return f"phi not H-linear at h={h}, u={u}"
+
+    g = gen_indices(xy.algebra)
+    return (walks.over((d, d), (g, g)).check("flip-algebra-morphism",
+                                             multiplicative),
+            walks.over((H.dim, d), (gen_indices(H), g)).check(
+                "flip-module-morphism", linear))
+
+
+def _coaction_scaled(mod, x):
+    """mod with its coaction row of e_x times zeta."""
+    zeta, rows = mod.hopf.ctx.zeta, mod.coaction.terms
+    return mod._replace(coaction=Coaction(mod.hopf, mod.algebra, lambda i: (
+        tuple((h, y, c * zeta) for h, y, c in rows(i)) if i == x
+        else rows(i))))
+
+
+def _action_scaled(mod, h, x):
+    """mod with its action row of (e_h, e_x) times zeta."""
+    zeta, row = mod.hopf.ctx.zeta, mod.action.row
+    return mod._replace(action=Action(mod.hopf, mod.algebra, lambda j, i: {
+        k: c * zeta if (j, i) == (h, x) else c for k, c in row(j, i)}))
+
+
+@pytest.mark.parametrize("system", ["healthy", "coaction-scaled",
+                                    "action-scaled"])
+def test_the_flip_lemma_routes_and_the_full_walks_agree(factors, system):
+    """flip-algebra-morphism and flip-module-morphism give the status of
+    their full walks over all 65,536 pairs: on the healthy factors; with
+    the dual factor's coaction row of F times zeta, which fails both
+    (the algebra route at the normality of Y >< X's R, an obligation);
+    and with the base factor's action row of (1 (x) k, E) times zeta,
+    which keeps phi an algebra map but not H-linear."""
+    x_mod, y_mod = factors
+    F = x_mod.algebra.space.index[(1, 0)]
+    if system == "coaction-scaled":
+        x_mod = _coaction_scaled(x_mod, F)
+    elif system == "action-scaled":
+        H = y_mod.hopf
+        y_mod = _action_scaled(y_mod, H.space.index[((0, 0), (0, 1))],
+                               y_mod.algebra.space.index[(1, 0)])
+    _, algebra, module, _ = flip_isomorphism(x_mod, y_mod)
+    walks = flip_morphism_walks(x_mod, y_mod, EXHAUSTIVE)
+    want = {"healthy": ("pass", "pass"), "coaction-scaled": ("fail", "fail"),
+            "action-scaled": ("pass", "fail")}[system]
+    for route, walk, status in zip((algebra, module), walks, want):
+        assert (route.name, route.mode, route.status) == (
+            walk.name, "generators", status)
+        assert walk.status == status
+    dB = x_mod.algebra.dim
+    if system == "healthy":
+        assert [r.cases_checked for r in (algebra, module, *walks)] == [
+            1 + 4 * dB + 12 * dB ** 2, 5 * dB ** 2, 16 ** 4, 16 ** 4]
+    elif system == "coaction-scaled":
+        assert algebra.witness == "R(b (x) 1) != 1 (x) b at b=F"
+        assert module.witness == "phi not H-linear at M=1(x)E, u=F >< 1"
+    else:
+        assert module.witness == "phi not H-linear at M=1(x)k, u=F >< E"
 
 
 def test_rebracketing(factors):
@@ -125,7 +213,7 @@ def test_rebracketing(factors):
     assert veq(left.unit, right.unit)
     res = check_product_rows("rebracketing", left,
                              lambda i, j: dict(right.mult.get(i, j)),
-                             TupleWalks("sample", 0, 200), (None, None))
+                             SampleWalks(0, 200), (None, None))
     assert res.status == "pass"
 
 
@@ -216,7 +304,7 @@ def yang_baxter_check(v_mod, walk):
 
 
 def test_yang_baxter(sys2):
-    res = yang_baxter_check(sys2.yd, TupleWalks("sample", 0, 50))
+    res = yang_baxter_check(sys2.yd, SampleWalks(0, 50))
     assert res.status == "pass"
 
 
